@@ -56,9 +56,9 @@ fn local_first(local_write: bool, remote_write: bool) -> char {
     assert!(ok, "record starts unlocked");
     let qp = s.cluster.qp(1);
     if remote_write {
-        ops::remote_lock_write(&qp, &s.rec, 1, 1_000, DELTA).unwrap();
+        ops::remote_lock_write(&qp, &s.rec, 1, 1_000, DELTA, false).unwrap();
     } else {
-        ops::remote_read(&qp, &s.rec, 50_000, 1_000, DELTA).unwrap();
+        ops::remote_read(&qp, &s.rec, 50_000, 1_000, DELTA, false).unwrap();
     }
     if txn.commit().is_ok() {
         'S'
@@ -73,9 +73,9 @@ fn remote_first(local_write: bool, remote_write: bool) -> char {
     let s = setup();
     let qp = s.cluster.qp(1);
     if remote_write {
-        ops::remote_lock_write(&qp, &s.rec, 1, 1_000, DELTA).unwrap();
+        ops::remote_lock_write(&qp, &s.rec, 1, 1_000, DELTA, false).unwrap();
     } else {
-        ops::remote_read(&qp, &s.rec, 50_000, 1_000, DELTA).unwrap();
+        ops::remote_read(&qp, &s.rec, 50_000, 1_000, DELTA, false).unwrap();
     }
     let region = s.cluster.node(0).region();
     let cfg = HtmConfig::default();

@@ -46,10 +46,8 @@ pub use membership::{
     LEAVE_MID_DRAIN_SITE, MAX_JOURNAL_RANGES, MEMBERSHIP_JOURNAL_BYTES,
 };
 pub use record::{
-    local_read, local_write, remote_lock_write, remote_lock_write_via, remote_read,
-    remote_read_via, remote_unlock, remote_unlock_via, remote_write_back, remote_write_back_via,
-    try_remote_unlock, try_remote_write_back, FetchedRecord, LockConflict, RecordAddr,
-    ABORT_LEASED, ABORT_LEASE_EXPIRED, ABORT_LOCKED,
+    local_read, local_write, remote_lock_write, remote_read, remote_unlock, remote_write_back,
+    FetchedRecord, LockConflict, RecordAddr, ABORT_LEASED, ABORT_LEASE_EXPIRED, ABORT_LOCKED,
 };
 pub use recovery::{recover_node, RecoveryReport};
 pub use ro::{RoCtx, RoRestart};

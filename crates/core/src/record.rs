@@ -35,10 +35,6 @@ impl RecordAddr {
         RecordAddr { addr, value_cap }
     }
 
-    fn state_addr(&self) -> GlobalAddr {
-        self.addr
-    }
-
     /// Bytes of one full-entry fetch.
     fn fetch_len(&self) -> usize {
         ENTRY_HEADER_BYTES + self.value_cap
@@ -103,10 +99,18 @@ pub struct FetchedRecord {
 }
 
 impl FetchedRecord {
-    /// Placeholder used by the fallback handler's scatter buffers.
+    /// Placeholder for a lock-set slot not yet acquired.
     pub(crate) fn empty() -> FetchedRecord {
         FetchedRecord { header: EntryHeader::default(), value: Vec::new(), lease_end_us: 0 }
     }
+}
+
+/// Lease confirmation (§4.3, Figure 8): whether a lease ending at
+/// `lease_end_us` can no longer be vouched for at softtime `now_us` —
+/// the negation of `VALID`, and the one predicate every strategy and
+/// every read-only transaction confirms with.
+pub(crate) fn lease_unconfirmed(lease_end_us: u64, now_us: u64, delta_us: u64) -> bool {
+    now_us + delta_us > lease_end_us
 }
 
 /// Issues the state-word CAS either through the NIC (one-sided RDMA) or
@@ -142,31 +146,23 @@ fn fetch_entry(qp: &Qp, rec: &RecordAddr) -> Result<(EntryHeader, Vec<u8>), Lock
 ///   hence no false abort of local readers in this case);
 /// * expired lease → CAS reclaims it with the new end time;
 /// * write-locked → conflict.
+///
+/// `local` selects the CPU CAS instead of the NIC's (only sound under
+/// `IBV_ATOMIC_GLOB`, §6.3: the ordered-2PL strategy and read-only
+/// transactions on a record of their own machine).
 pub fn remote_read(
     qp: &Qp,
     rec: &RecordAddr,
     end_us: u64,
     now_us: u64,
     delta_us: u64,
-) -> Result<FetchedRecord, LockConflict> {
-    remote_read_via(qp, rec, end_us, now_us, delta_us, false)
-}
-
-/// [`remote_read`] with an explicit CAS path: `local_cas = true` uses the
-/// CPU CAS (fallback handler / read-only transactions on a GLOB NIC).
-pub fn remote_read_via(
-    qp: &Qp,
-    rec: &RecordAddr,
-    end_us: u64,
-    now_us: u64,
-    delta_us: u64,
-    local_cas: bool,
+    local: bool,
 ) -> Result<FetchedRecord, LockConflict> {
     let desired = LockState::leased(end_us).0;
     let mut expected = INIT;
     let lease_end;
     loop {
-        let old = state_cas(qp, rec, expected, desired, local_cas)?;
+        let old = state_cas(qp, rec, expected, desired, local)?;
         if old == expected {
             lease_end = end_us;
             break;
@@ -191,31 +187,19 @@ pub fn remote_read_via(
 
 /// The locking half of `REMOTE_WRITE` (Figure 5): acquire the exclusive
 /// lock as machine `owner`, then fetch the record (its version is needed
-/// for the write-back).
+/// for the write-back). `local` as for [`remote_read`].
 pub fn remote_lock_write(
     qp: &Qp,
     rec: &RecordAddr,
     owner: u8,
     now_us: u64,
     delta_us: u64,
-) -> Result<FetchedRecord, LockConflict> {
-    remote_lock_write_via(qp, rec, owner, now_us, delta_us, false)
-}
-
-/// [`remote_lock_write`] with an explicit CAS path (see
-/// [`remote_read_via`]).
-pub fn remote_lock_write_via(
-    qp: &Qp,
-    rec: &RecordAddr,
-    owner: u8,
-    now_us: u64,
-    delta_us: u64,
-    local_cas: bool,
+    local: bool,
 ) -> Result<FetchedRecord, LockConflict> {
     let desired = LockState::write_locked(owner).0;
     let mut expected = INIT;
     loop {
-        let old = state_cas(qp, rec, expected, desired, local_cas)?;
+        let old = state_cas(qp, rec, expected, desired, local)?;
         if old == expected {
             break;
         }
@@ -236,81 +220,66 @@ pub fn remote_lock_write_via(
     Ok(FetchedRecord { header, value, lease_end_us: 0 })
 }
 
-/// `REMOTE_WRITE_BACK` (Figure 5): push the committed update (version,
-/// length, value) with one-sided WRITEs, then release the exclusive lock
-/// by writing INIT to the state word.
-///
-/// The value lands *before* the unlock so no reader can observe the new
-/// state word with the old value.
-pub fn remote_write_back(qp: &Qp, rec: &RecordAddr, new_version: u32, value: &[u8]) {
-    try_remote_write_back(qp, rec, new_version, value)
-        .expect("remote write-back against a crashed node");
-}
-
-/// Fallible [`remote_write_back`]: the target may die between WRITEs.
-///
-/// The value lands *before* the version so an interrupted write-back is
-/// always redone by recovery's at-most-once check (a bumped version with
-/// a stale value would be *skipped*, leaving the record torn forever).
-/// Readers cannot observe the intermediate states either way: the record
-/// stays write-locked until the final unlock WRITE.
-pub fn try_remote_write_back(
+/// Stores `bytes` at `field_off` into the record: a coherent CPU store
+/// into the owning machine's region when `local` (the ordered-2PL
+/// strategy on its own machine, or recovery writing into a corpse's
+/// durable region), a one-sided WRITE otherwise. The *only* thing
+/// `local` selects on the release side.
+fn store(
     qp: &Qp,
     rec: &RecordAddr,
-    new_version: u32,
-    value: &[u8],
+    field_off: usize,
+    bytes: &[u8],
+    local: bool,
 ) -> Result<(), FabricError> {
-    debug_assert!(value.len() <= rec.value_cap, "value exceeds table capacity");
-    let a = rec.addr;
-    // Length, padding and value are contiguous: one WRITE covers them.
-    let mut buf = Vec::with_capacity(8 + value.len());
-    buf.extend_from_slice(&(value.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&[0u8; 4]);
-    buf.extend_from_slice(value);
-    qp.try_write(GlobalAddr::new(a.node, a.offset + 24), &buf)?;
-    qp.try_write(GlobalAddr::new(a.node, a.offset + 12), &new_version.to_le_bytes())?;
-    qp.try_write_u64(rec.state_addr(), INIT)
-}
-
-/// Releases an exclusive lock without writing data (the ABORT path).
-pub fn remote_unlock(qp: &Qp, rec: &RecordAddr) {
-    qp.write_u64(rec.state_addr(), INIT);
-}
-
-/// Fallible [`remote_unlock`]: releasing a lock *on* a crashed machine
-/// fails, which is fine — the whole machine's lock table dies with it
-/// and `recover_node` sweeps whatever our logs say we held there.
-pub fn try_remote_unlock(qp: &Qp, rec: &RecordAddr) -> Result<(), FabricError> {
-    qp.try_write_u64(rec.state_addr(), INIT)
-}
-
-/// [`remote_unlock`] with an explicit path: a local release is a plain
-/// coherent store.
-pub fn remote_unlock_via(qp: &Qp, rec: &RecordAddr, local: bool) {
     if local {
-        qp.cluster().node(rec.addr.node).region().write_u64_nt(rec.addr.offset, INIT);
+        qp.cluster().node(rec.addr.node).region().write_nt(rec.addr.offset + field_off, bytes);
+        Ok(())
     } else {
-        qp.write_u64(rec.state_addr(), INIT);
+        qp.try_write(GlobalAddr::new(rec.addr.node, rec.addr.offset + field_off), bytes)
     }
 }
 
-/// [`remote_write_back`] with an explicit path: the fallback handler
-/// applies local updates with coherent stores instead of loopback RDMA.
-pub fn remote_write_back_via(
+/// `REMOTE_WRITE_BACK` (Figure 5): push the committed update, then
+/// release the exclusive lock by writing INIT to the state word. Fails
+/// if the target dies between stores.
+///
+/// One ordering for both store paths — **value, version, state**:
+///
+/// * the value lands *before* the version, so an interrupted write-back
+///   is always redone by recovery's at-most-once check (a bumped version
+///   with a stale value would be *skipped*, leaving the record torn
+///   forever);
+/// * the state word goes last, so no reader can observe the new state
+///   with the old value: the record stays write-locked throughout.
+pub fn remote_write_back(
     qp: &Qp,
     rec: &RecordAddr,
     new_version: u32,
     value: &[u8],
     local: bool,
-) {
+) -> Result<(), FabricError> {
+    debug_assert!(value.len() <= rec.value_cap, "value exceeds table capacity");
+    // Length, padding and value are contiguous: one store covers them.
+    let mut buf = Vec::with_capacity(8 + value.len());
+    buf.extend_from_slice(&(value.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&[0u8; 4]);
+    buf.extend_from_slice(value);
+    store(qp, rec, 24, &buf, local)?;
+    store(qp, rec, 12, &new_version.to_le_bytes(), local)?;
+    remote_unlock(qp, rec, local)
+}
+
+/// Releases an exclusive lock without writing data (the ABORT path, and
+/// the last step of every write-back). Releasing a lock *on* a crashed
+/// machine fails, which is fine — the whole machine's lock table dies
+/// with it and `recover_node` sweeps whatever our logs say we held there.
+pub fn remote_unlock(qp: &Qp, rec: &RecordAddr, local: bool) -> Result<(), FabricError> {
     if local {
-        let region = qp.cluster().node(rec.addr.node).region();
-        region.write_nt(rec.addr.offset + 12, &new_version.to_le_bytes());
-        region.write_nt(rec.addr.offset + 24, &(value.len() as u32).to_le_bytes());
-        region.write_nt(rec.addr.offset + ENTRY_HEADER_BYTES, value);
-        region.write_u64_nt(rec.addr.offset, INIT);
+        qp.cluster().node(rec.addr.node).region().write_u64_nt(rec.addr.offset, INIT);
+        Ok(())
     } else {
-        remote_write_back(qp, rec, new_version, value);
+        qp.try_write_u64(rec.addr, INIT)
     }
 }
 
@@ -392,12 +361,12 @@ mod tests {
     fn read_lease_then_share() {
         let (cluster, _t, rec) = setup();
         let qp = cluster.qp(1);
-        let r1 = remote_read(&qp, &rec, 5000, 1000, DELTA).unwrap();
+        let r1 = remote_read(&qp, &rec, 5000, 1000, DELTA, false).unwrap();
         assert_eq!(r1.value, b"v0");
         assert_eq!(r1.lease_end_us, 5000);
         // Second reader shares the existing lease (keeps its end).
         let cas_before = cluster.counters().snapshot().cas;
-        let r2 = remote_read(&qp, &rec, 7000, 1000, DELTA).unwrap();
+        let r2 = remote_read(&qp, &rec, 7000, 1000, DELTA, false).unwrap();
         assert_eq!(r2.lease_end_us, 5000);
         assert_eq!(cluster.counters().snapshot().cas, cas_before + 1, "share = one failed CAS");
     }
@@ -406,12 +375,12 @@ mod tests {
     fn expired_lease_reclaimed_by_reader_and_writer() {
         let (cluster, _t, rec) = setup();
         let qp = cluster.qp(1);
-        remote_read(&qp, &rec, 2000, 1000, DELTA).unwrap();
+        remote_read(&qp, &rec, 2000, 1000, DELTA, false).unwrap();
         // Reader after expiry installs a fresh lease.
-        let r = remote_read(&qp, &rec, 9000, 5000, DELTA).unwrap();
+        let r = remote_read(&qp, &rec, 9000, 5000, DELTA, false).unwrap();
         assert_eq!(r.lease_end_us, 9000);
         // Writer after expiry takes the exclusive lock.
-        let w = remote_lock_write(&qp, &rec, 3, 20_000, DELTA).unwrap();
+        let w = remote_lock_write(&qp, &rec, 3, 20_000, DELTA, false).unwrap();
         assert_eq!(w.value, b"v0");
         let st = LockState(qp.read_u64(rec.addr));
         assert!(st.is_write_locked());
@@ -422,19 +391,19 @@ mod tests {
     fn lease_blocks_writer_and_lock_blocks_everyone() {
         let (cluster, _t, rec) = setup();
         let qp = cluster.qp(1);
-        remote_read(&qp, &rec, 5000, 1000, DELTA).unwrap();
+        remote_read(&qp, &rec, 5000, 1000, DELTA, false).unwrap();
         assert_eq!(
-            remote_lock_write(&qp, &rec, 3, 1000, DELTA),
+            remote_lock_write(&qp, &rec, 3, 1000, DELTA, false),
             Err(LockConflict::Leased { end_us: 5000 })
         );
         // Take the lock (after expiry) and verify readers/writers bounce.
-        remote_lock_write(&qp, &rec, 3, 20_000, DELTA).unwrap();
+        remote_lock_write(&qp, &rec, 3, 20_000, DELTA, false).unwrap();
         assert_eq!(
-            remote_read(&qp, &rec, 30_000, 25_000, DELTA),
+            remote_read(&qp, &rec, 30_000, 25_000, DELTA, false),
             Err(LockConflict::WriteLocked { owner: 3 })
         );
         assert_eq!(
-            remote_lock_write(&qp, &rec, 4, 25_000, DELTA),
+            remote_lock_write(&qp, &rec, 4, 25_000, DELTA, false),
             Err(LockConflict::WriteLocked { owner: 3 })
         );
     }
@@ -443,8 +412,8 @@ mod tests {
     fn write_back_updates_and_unlocks() {
         let (cluster, table, rec) = setup();
         let qp = cluster.qp(1);
-        let w = remote_lock_write(&qp, &rec, 3, 1000, DELTA).unwrap();
-        remote_write_back(&qp, &rec, w.header.version + 1, b"new value!");
+        let w = remote_lock_write(&qp, &rec, 3, 1000, DELTA, false).unwrap();
+        remote_write_back(&qp, &rec, w.header.version + 1, b"new value!", false).unwrap();
         let st = LockState(qp.read_u64(rec.addr));
         assert!(st.is_init());
         // Visible to local reads.
@@ -458,11 +427,30 @@ mod tests {
     }
 
     #[test]
+    fn cpu_and_nic_write_back_leave_identical_records() {
+        // One body, two store primitives: whatever `local` selects, the
+        // record ends up byte-identical (header, padding, value) and
+        // unlocked.
+        let image = |local: bool| {
+            let (cluster, _t, rec) = setup();
+            let qp = cluster.qp(1);
+            let w = remote_lock_write(&qp, &rec, 3, 1000, DELTA, false).unwrap();
+            remote_write_back(&qp, &rec, w.header.version + 1, b"new value!", local).unwrap();
+            let mut bytes = vec![0u8; rec.fetch_len()];
+            cluster.node(0).region().read_nt(rec.addr.offset, &mut bytes);
+            bytes
+        };
+        let nic = image(false);
+        assert_eq!(LockState(u64::from_le_bytes(nic[..8].try_into().unwrap())).0, INIT);
+        assert_eq!(image(true), nic);
+    }
+
+    #[test]
     fn abort_unlock_restores_init() {
         let (cluster, _t, rec) = setup();
         let qp = cluster.qp(1);
-        remote_lock_write(&qp, &rec, 9, 1000, DELTA).unwrap();
-        remote_unlock(&qp, &rec);
+        remote_lock_write(&qp, &rec, 9, 1000, DELTA, false).unwrap();
+        remote_unlock(&qp, &rec, false).unwrap();
         assert!(LockState(qp.read_u64(rec.addr)).is_init());
     }
 
@@ -473,13 +461,13 @@ mod tests {
         let region = cluster.node(0).region();
         let cfg = HtmConfig::default();
         // Leased: local read proceeds (HTM protects it).
-        remote_read(&qp, &rec, 5000, 1000, DELTA).unwrap();
+        remote_read(&qp, &rec, 5000, 1000, DELTA, false).unwrap();
         let mut txn = region.begin(&cfg);
         let e = table.get_local(&mut txn, 1).unwrap().unwrap();
         assert!(local_read(&mut txn, e.offset).is_ok());
         drop(txn);
         // Write-locked: local read explicitly aborts.
-        remote_lock_write(&qp, &rec, 2, 20_000, DELTA).unwrap();
+        remote_lock_write(&qp, &rec, 2, 20_000, DELTA, false).unwrap();
         let mut txn = region.begin(&cfg);
         let e = table.get_local(&mut txn, 1).unwrap().unwrap();
         assert_eq!(local_read(&mut txn, e.offset), Err(Abort::Explicit(ABORT_LOCKED)));
@@ -491,7 +479,7 @@ mod tests {
         let qp = cluster.qp(1);
         let region = cluster.node(0).region();
         let cfg = HtmConfig::default();
-        remote_read(&qp, &rec, 5000, 1000, DELTA).unwrap();
+        remote_read(&qp, &rec, 5000, 1000, DELTA, false).unwrap();
         // Valid lease blocks the local write.
         let mut txn = region.begin(&cfg);
         let e = table.get_local(&mut txn, 1).unwrap().unwrap();
@@ -517,13 +505,13 @@ mod tests {
         cluster.faults().kill(0);
         let qp = cluster.qp(1);
         let dead = Err(LockConflict::PeerDead { node: 0 });
-        assert_eq!(remote_lock_write(&qp, &rec, 3, 1000, DELTA), dead);
-        assert_eq!(remote_read(&qp, &rec, 5000, 1000, DELTA), dead);
-        assert!(try_remote_unlock(&qp, &rec).is_err());
-        assert!(try_remote_write_back(&qp, &rec, 1, b"x").is_err());
+        assert_eq!(remote_lock_write(&qp, &rec, 3, 1000, DELTA, false), dead);
+        assert_eq!(remote_read(&qp, &rec, 5000, 1000, DELTA, false), dead);
+        assert!(remote_unlock(&qp, &rec, false).is_err());
+        assert!(remote_write_back(&qp, &rec, 1, b"x", false).is_err());
         // Memory of the corpse is untouched by any of the failures.
         cluster.faults().revive(0);
-        let r = remote_read(&qp, &rec, 5000, 1000, DELTA).unwrap();
+        let r = remote_read(&qp, &rec, 5000, 1000, DELTA, false).unwrap();
         assert_eq!(r.value, b"v0");
     }
 
@@ -538,7 +526,7 @@ mod tests {
         let mut txn = region.begin(&cfg);
         let e = table.get_local(&mut txn, 1).unwrap().unwrap();
         local_read(&mut txn, e.offset).unwrap();
-        remote_read(&qp, &rec, 5000, 1000, DELTA).unwrap(); // CAS installs lease
+        remote_read(&qp, &rec, 5000, 1000, DELTA, false).unwrap(); // CAS installs lease
         assert_eq!(txn.commit(), Err(Abort::Conflict));
     }
 }

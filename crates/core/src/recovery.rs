@@ -142,11 +142,15 @@ pub fn recover_node(
                     if cur.wrapping_sub(u.version) as i32 >= 0 {
                         report.skipped_updates += 1;
                         release_if_owned(&u.rec, &mut report);
-                    } else if u.rec.addr.node == crashed {
-                        record::remote_write_back_via(&qp, &u.rec, u.version, &u.value, true);
-                        report.redone_updates += 1;
                     } else {
-                        record::remote_write_back(&qp, &u.rec, u.version, &u.value);
+                        // A record of the corpse is redone with stores
+                        // into its durable region, never through its
+                        // dead port; the same write-back, value before
+                        // version, so a recoverer dying here leaves an
+                        // update the next pass still redoes.
+                        let into_corpse = u.rec.addr.node == crashed;
+                        record::remote_write_back(&qp, &u.rec, u.version, &u.value, into_corpse)
+                            .expect("recovery write-back against a second crashed node");
                         report.redone_updates += 1;
                     }
                 }

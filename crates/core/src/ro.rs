@@ -20,7 +20,7 @@
 use drtm_htm::{Abort, HtmTxn};
 use drtm_memstore::BTree;
 
-use crate::record::{self, RecordAddr};
+use crate::record::{lease_unconfirmed, RecordAddr};
 use crate::time::softtime_nt;
 use crate::txn::{TxnError, Worker};
 
@@ -35,7 +35,6 @@ pub struct RoCtx<'w> {
     /// Common lease end time of this attempt.
     pub end_us: u64,
     now_us: u64,
-    delta_us: u64,
     /// Smallest lease end actually covering this attempt (shared leases
     /// may end earlier than `end_us`).
     min_end_us: u64,
@@ -51,34 +50,21 @@ impl RoCtx<'_> {
         self.worker
     }
 
-    /// Lease-locks `rec` in shared mode and returns its value.
+    /// Lease-locks `rec` in shared mode and returns its value: the
+    /// lease half of the read-write pipeline's Start step, one record
+    /// at a time.
     ///
     /// Local records go through the same CAS path as remote ones unless
     /// the NIC provides GLOB-level atomics (§6.3).
     pub fn acquire(&mut self, rec: &RecordAddr) -> Result<Vec<u8>, RoRestart> {
-        let local = self.worker.can_local_cas_pub(rec);
-        match record::remote_read_via(
-            self.worker.qp(),
-            rec,
-            self.end_us,
-            self.now_us,
-            self.delta_us,
-            local,
-        ) {
+        let w = self.worker;
+        match w.acquire(rec, false, self.end_us, self.now_us, w.can_local_cas(rec)) {
             Ok(f) => {
                 self.min_end_us = self.min_end_us.min(f.lease_end_us);
                 Ok(f.value)
             }
             Err(c) => {
-                match c {
-                    record::LockConflict::PeerDead { node } => {
-                        self.fatal = Some(TxnError::PeerDead(node));
-                    }
-                    record::LockConflict::Retired { node } => {
-                        self.fatal = Some(TxnError::Retired(node));
-                    }
-                    _ => {}
-                }
+                self.fatal = TxnError::of_conflict(c);
                 Err(RoRestart)
             }
         }
@@ -117,10 +103,6 @@ impl RoCtx<'_> {
 }
 
 impl Worker {
-    pub(crate) fn can_local_cas_pub(&self, rec: &RecordAddr) -> bool {
-        self.can_local_cas_inner(rec)
-    }
-
     /// Executes a read-only transaction (Figure 8): the body acquires
     /// leases and performs scans; afterwards all leases are confirmed
     /// with one softtime read. Retries with a fresh end time until the
@@ -138,48 +120,47 @@ impl Worker {
     /// retrying forever against a record whose machine is gone, the
     /// transaction aborts with [`TxnError::PeerDead`] and can be retried
     /// once the node is recovered.
+    ///
+    /// This is the read-write pipeline with everything but leases taken
+    /// out: Start acquires leases only (inside the body, as scans
+    /// discover the read set), Commit is the lease confirmation alone,
+    /// and there is no log and no WriteBack — nothing was written.
     pub fn try_read_only<T>(
         &mut self,
         mut body: impl FnMut(&mut RoCtx<'_>) -> Result<T, RoRestart>,
     ) -> Result<T, TxnError> {
         let region = self.region().clone();
         loop {
-            if self.self_crashed_pub() {
+            if self.self_crashed() {
                 return Err(TxnError::SimulatedCrash);
             }
             // Each attempt is a fresh posting wave: the previous
             // attempt's confirmation was a completion wait.
             self.qp().doorbell_flush();
             let now = softtime_nt(&region);
-            let cfg = self.system().config();
-            let mut ctx = RoCtx {
-                worker: self,
-                end_us: now + cfg.ro_lease_us,
-                now_us: now,
-                delta_us: cfg.delta_us,
-                min_end_us: u64::MAX,
-                fatal: None,
-            };
-            match body(&mut ctx) {
+            let end_us = now + self.system().config().ro_lease_us;
+            let mut ctx =
+                RoCtx { worker: self, end_us, now_us: now, min_end_us: u64::MAX, fatal: None };
+            let out = body(&mut ctx);
+            let RoCtx { min_end_us, fatal, .. } = ctx;
+            let stats = self.system().stats();
+            match out {
                 Ok(v) => {
-                    let min_end = ctx.min_end_us;
-                    let confirm = softtime_nt(&region);
+                    // `min_end_us` stays `u64::MAX` when nothing was
+                    // leased, which every softtime confirms.
                     let delta = self.system().config().delta_us;
-                    if min_end == u64::MAX || confirm + delta <= min_end {
-                        self.system().stats().add_ro_committed();
+                    if !lease_unconfirmed(min_end_us, softtime_nt(&region), delta) {
+                        stats.add_ro_committed();
                         return Ok(v);
                     }
-                    self.system().stats().add_ro_retry();
+                    stats.add_ro_retry();
                 }
                 Err(RoRestart) => {
-                    if let Some(err) = ctx.fatal {
-                        if matches!(err, TxnError::PeerDead(_)) {
-                            self.system().stats().add_peer_dead_abort();
-                        }
-                        return Err(err);
+                    if let Some(err) = fatal {
+                        return Err(self.terminal(err));
                     }
-                    self.system().stats().add_ro_retry();
-                    self.ro_backoff();
+                    stats.add_ro_retry();
+                    self.backoff(4);
                 }
             }
         }
@@ -198,10 +179,6 @@ impl Worker {
     pub fn try_read_only_records(&mut self, recs: &[RecordAddr]) -> Result<Vec<Vec<u8>>, TxnError> {
         let recs = recs.to_vec();
         self.try_read_only(move |ctx| recs.iter().map(|r| ctx.acquire(r)).collect())
-    }
-
-    fn ro_backoff(&mut self) {
-        self.backoff_pub(4);
     }
 }
 
@@ -296,11 +273,11 @@ mod tests {
         // A remote writer holds the record briefly.
         let qp = sys.cluster().qp(1);
         let now = crate::time::softtime_nt(sys.cluster().node(1).region());
-        crate::record::remote_lock_write(&qp, &rec, 1, now, 100).unwrap();
+        crate::record::remote_lock_write(&qp, &rec, 1, now, 100, false).unwrap();
         let sys2 = sys.clone();
         let unlocker = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(20));
-            crate::record::remote_unlock(&sys2.cluster().qp(1), &rec);
+            crate::record::remote_unlock(&sys2.cluster().qp(1), &rec, false).unwrap();
         });
         let mut w = sys.worker(0, 0);
         let v = w.read_only_records(&[rec]);

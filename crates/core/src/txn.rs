@@ -1,45 +1,51 @@
-//! The DrTM transaction engine: Start → LocalTX → Commit (Figures 2, 3).
+//! The DrTM transaction engine: one commit pipeline,
+//! Start → LocalTX → Commit → WriteBack (Figures 2, 3, 5–8).
 //!
 //! A transaction declares its read/write sets up front (§4.1 — the same
 //! requirement as Sinfonia/Calvin; typical OLTP workloads satisfy it).
-//! The [`Worker::execute`] driver then:
+//! [`Worker::execute`] then drives it through four steps, each written
+//! once:
 //!
-//! 1. **Start** — persists the lock-ahead log (if durability is on),
-//!    exclusively locks every remote write record with RDMA CAS and
-//!    prefetches it, and acquires read leases on every remote read
-//!    record. Any conflict releases everything and restarts the phase.
-//! 2. **LocalTX** — runs the user body inside an emulated HTM region.
-//!    Local reads/writes check the record state word (Figure 6); remote
-//!    reads come from the prefetched cache; remote writes are buffered.
-//! 3. **Commit** — re-confirms every lease against softtime *inside* the
-//!    HTM region, stages the write-ahead log transactionally, executes
-//!    `XEND`, then pushes remote write-backs with one-sided WRITEs and
-//!    releases the exclusive locks.
+//! 1. **Start** ([`Worker::start`]) — persists the lock-ahead log (if
+//!    durability is on), then takes a write lock on, or a read lease for,
+//!    every record of the strategy's lock order, fetching each.
+//! 2. **LocalTX** — runs the user body against a [`TxnCtx`].
+//! 3. **Commit** — confirms every lease against softtime and stages the
+//!    write-ahead log; past its commit point the transaction is durable.
+//! 4. **WriteBack** ([`Worker::publish`]) — pushes every update and
+//!    releases every lock, parks what a dead peer cannot take, and
+//!    reclaims the log slot.
 //!
-//! After repeated HTM aborts (or a deterministic capacity abort) the
-//! driver switches to the **fallback handler** (§6.2): it releases all
-//! held locks, re-acquires locks for *every* record — local ones too —
-//! in a global `(node, offset)` order (waiting, which is deadlock-free
-//! under a total order), confirms leases, and runs the body against
-//! buffered state. Its commit pipeline obeys strict
-//! log-persist-before-unlock ordering (the HTPM recipe): the WAL —
-//! carrying local *and* remote updates plus the full lock list — is
-//! persisted before any update becomes visible or any lock is released,
-//! so a crash anywhere in the pipeline either rolls back cleanly or
-//! redoes to the exact committed state.
+//! The only fork is the [`Strategy`]. The **HTM** strategy locks remote
+//! records only (NIC CAS, try-all-then-retry) and isolates the body,
+//! the lease confirmation and the write-ahead log in one emulated HTM
+//! region whose `XEND` is the commit point. After repeated HTM aborts
+//! (or a deterministic capacity abort) the driver switches to the
+//! **ordered-2PL** strategy (the fallback handler of §6.2): it locks
+//! *every* record — local ones too, by CPU CAS where the NIC allows — in
+//! a global `(node, offset)` order (waiting, which is deadlock-free
+//! under a total order), confirms leases, runs the body against
+//! buffered state, and persists the write-ahead log non-transactionally
+//! as its commit point. Both obey log-persist-before-unlock (the HTPM
+//! recipe): nothing becomes visible and no lock is released before the
+//! log that can redo it is durable.
 
 use std::sync::{Arc, RwLock};
+use std::time::{Duration, Instant};
 
 #[cfg(test)]
 use drtm_htm::HtmConfig;
 use drtm_htm::{vtime, Abort, Executor, HtmStats, HtmTxn, Region};
 use drtm_memstore::{BTree, ClusterHash, InsertError, PreparedInsert};
-use drtm_rdma::{AtomicityLevel, Cluster, FabricError, FaultPlan, NodeId, Qp};
+use drtm_rdma::{AtomicityLevel, Cluster, FaultPlan, NodeId, Qp};
 
 use crate::alloc_layout::NodeLayout;
 use crate::config::{CrashPoint, DrTmConfig, SofttimeStrategy};
 use crate::log::{LogSlot, LoggedUpdate};
-use crate::record::{self, FetchedRecord, RecordAddr, ABORT_LEASE_EXPIRED, ABORT_LOCKED};
+use crate::record::{
+    self, lease_unconfirmed, FetchedRecord, LockConflict, RecordAddr, ABORT_LEASE_EXPIRED,
+    ABORT_LOCKED,
+};
 use crate::stats::TxnStats;
 use crate::time::{softtime_nt, softtime_txn};
 use crate::trace::{
@@ -72,19 +78,220 @@ pub enum TxnError {
     Retired(NodeId),
 }
 
-/// Wall-clock grace the fallback handler grants a conflicting lock
+impl TxnError {
+    /// The terminal error a lock/lease conflict maps to, if any: a dead
+    /// or retired machine cannot be waited out (recovery, or re-resolving
+    /// the key, is the fix); every other conflict is retried.
+    pub(crate) fn of_conflict(c: LockConflict) -> Option<TxnError> {
+        match c {
+            LockConflict::PeerDead { node } => Some(TxnError::PeerDead(node)),
+            LockConflict::Retired { node } => Some(TxnError::Retired(node)),
+            _ => None,
+        }
+    }
+}
+
+/// Wall-clock grace the ordered-2PL strategy grants a conflicting lock
 /// holder before concluding the holder is dead (backstop for crashes
 /// the fault plan does not know about). Generous against µs–ms lock
 /// hold times, so expiry in practice always means a real wedge.
-const DEAD_PEER_GRACE: std::time::Duration = std::time::Duration::from_secs(1);
+const DEAD_PEER_GRACE: Duration = Duration::from_secs(1);
 
-/// A write-back or unlock whose target machine was dead when the commit
-/// protocol tried to deliver it; drained by [`Worker::flush_pending`].
+/// How one run of the pipeline takes its locks and isolates its body —
+/// the only fork in the protocol.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Strategy {
+    /// Remote records only, NIC CAS, fail fast on any conflict; body,
+    /// lease confirmation and write-ahead log inside one HTM region.
+    Htm,
+    /// Every record in global `(node, offset)` order, waiting on
+    /// conflicts, CPU CAS where sound; body against buffered state.
+    Ordered2pl,
+}
+
+impl Strategy {
+    /// The phase line Start's time and ops are charged to (the whole
+    /// ordered-2PL run is reported as one `Fallback` line).
+    fn lock_phase(self) -> Phase {
+        match self {
+            Strategy::Htm => Phase::Start,
+            Strategy::Ordered2pl => Phase::Fallback,
+        }
+    }
+
+    /// The crash point between the lock-ahead log and the first lock.
+    fn after_lock_ahead(self) -> CrashPoint {
+        match self {
+            Strategy::Htm => CrashPoint::AfterLockAhead,
+            Strategy::Ordered2pl => CrashPoint::FallbackAfterLockAhead,
+        }
+    }
+}
+
+/// Which declared list of the [`TxnSpec`] a lock-order item came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum List {
+    LocalWrite,
+    RemoteWrite,
+    LocalRead,
+    RemoteRead,
+}
+
+/// One record of a strategy's lock order.
+#[derive(Debug, Clone, Copy)]
+struct Item {
+    rec: RecordAddr,
+    list: List,
+    /// Index into the spec list it came from.
+    idx: usize,
+}
+
+impl Item {
+    fn is_write(&self) -> bool {
+        matches!(self.list, List::LocalWrite | List::RemoteWrite)
+    }
+}
+
+fn items(recs: &[RecordAddr], list: List) -> impl Iterator<Item = Item> + Clone + '_ {
+    recs.iter().enumerate().map(move |(idx, rec)| Item { rec: *rec, list, idx })
+}
+
+/// The HTM strategy's lock order: remote writes, then remote leases, as
+/// declared (local records are guarded by the HTM region itself).
+fn declared_order(spec: &TxnSpec) -> impl Iterator<Item = Item> + Clone + '_ {
+    items(&spec.remote_writes, List::RemoteWrite).chain(items(&spec.remote_reads, List::RemoteRead))
+}
+
+/// The ordered-2PL lock order: every record by `(node, offset)` — a
+/// total order, so waiting cannot deadlock.
+fn global_order(spec: &TxnSpec) -> Vec<Item> {
+    let mut order: Vec<Item> = items(&spec.local_writes, List::LocalWrite)
+        .chain(items(&spec.remote_writes, List::RemoteWrite))
+        .chain(items(&spec.local_reads, List::LocalRead))
+        .chain(items(&spec.remote_reads, List::RemoteRead))
+        .collect();
+    order.sort_by_key(|it| (it.rec.addr.node, it.rec.addr.offset));
+    order
+}
+
+/// What Start acquired: every record fetched under its lock or lease,
+/// by declared list. Under the HTM strategy the local lists stay empty.
+#[derive(Debug)]
+struct LockSet {
+    local_writes: Vec<FetchedRecord>,
+    remote_writes: Vec<FetchedRecord>,
+    local_reads: Vec<FetchedRecord>,
+    remote_reads: Vec<FetchedRecord>,
+    /// Softtime sampled when Start began.
+    now_us: u64,
+}
+
+impl LockSet {
+    fn new(spec: &TxnSpec, strategy: Strategy, now_us: u64) -> LockSet {
+        let slots = |n: usize| vec![FetchedRecord::empty(); n];
+        let locals = |n: usize| slots(if strategy == Strategy::Htm { 0 } else { n });
+        LockSet {
+            local_writes: locals(spec.local_writes.len()),
+            remote_writes: slots(spec.remote_writes.len()),
+            local_reads: locals(spec.local_reads.len()),
+            remote_reads: slots(spec.remote_reads.len()),
+            now_us,
+        }
+    }
+
+    fn put(&mut self, it: Item, f: FetchedRecord) {
+        let list = match it.list {
+            List::LocalWrite => &mut self.local_writes,
+            List::RemoteWrite => &mut self.remote_writes,
+            List::LocalRead => &mut self.local_reads,
+            List::RemoteRead => &mut self.remote_reads,
+        };
+        list[it.idx] = f;
+    }
+}
+
+/// Why Start did not return a lock set.
+enum StartFail {
+    /// A conflict under the fail-fast (HTM) strategy: everything taken
+    /// so far was released; back off and restart the transaction.
+    Conflict,
+    /// A terminal outcome: dead or retired peer, or a simulated crash.
+    Terminal(TxnError),
+}
+
+/// One write-locked record and what Commit decided for it: the unit of
+/// WriteBack, of the write-ahead log, and (owned, as [`PendingOp`]) of
+/// parking.
+#[derive(Debug, Clone, Copy)]
+struct WriteItem<'a> {
+    rec: RecordAddr,
+    /// Version the record carries once `value` is applied.
+    version: u32,
+    /// `Some` = write back then unlock; `None` = declared but never
+    /// written, plain unlock.
+    value: Option<&'a [u8]>,
+    /// Deliver with CPU stores instead of one-sided WRITEs.
+    local: bool,
+}
+
+/// The write items of one declared write list: each record, the version
+/// after its fetched one, and the body's buffered value if it wrote one
+/// (delivered over the fabric unless the caller says otherwise).
+fn write_items<'a>(
+    recs: &'a [RecordAddr],
+    fetched: &'a [FetchedRecord],
+    bufs: &'a [Option<Vec<u8>>],
+) -> impl Iterator<Item = WriteItem<'a>> + 'a {
+    recs.iter().zip(fetched).zip(bufs).map(|((rec, f), buf)| WriteItem {
+        rec: *rec,
+        version: f.header.version.wrapping_add(1),
+        value: buf.as_deref(),
+        local: false,
+    })
+}
+
+/// The redo records of a write set: one per item actually written.
+fn wal_updates(writes: &[WriteItem<'_>]) -> Vec<LoggedUpdate> {
+    let logged = |w: &WriteItem<'_>| {
+        w.value.map(|v| LoggedUpdate { rec: w.rec, version: w.version, value: v.to_vec() })
+    };
+    writes.iter().filter_map(logged).collect()
+}
+
+/// A write-back or unlock whose target machine was dead when WriteBack
+/// tried to deliver it; drained by [`Worker::flush_pending`].
 #[derive(Debug, Clone)]
 struct PendingOp {
     rec: RecordAddr,
     /// `Some((version, value))` = write-back; `None` = plain unlock.
     update: Option<(u32, Vec<u8>)>,
+}
+
+impl PendingOp {
+    fn of(w: &WriteItem<'_>) -> PendingOp {
+        PendingOp { rec: w.rec, update: w.value.map(|v| (w.version, v.to_vec())) }
+    }
+
+    /// The item to re-deliver (always over the fabric: only a dead
+    /// *peer* parks an op).
+    fn item(&self) -> WriteItem<'_> {
+        let (version, value) = match &self.update {
+            Some((version, value)) => (*version, Some(&value[..])),
+            None => (0, None),
+        };
+        WriteItem { rec: self.rec, version, value, local: false }
+    }
+}
+
+/// The per-transaction constants every pipeline step reads. Borrowed
+/// from locals of [`Worker::execute`], not from the worker, so phase
+/// timers can stay alive across steps that mutate the worker.
+#[derive(Clone, Copy)]
+struct Env<'a> {
+    sys: &'a DrTm,
+    region: &'a Region,
+    spec: &'a TxnSpec,
+    txn_id: u64,
 }
 
 /// The declared access sets of one transaction, already resolved to
@@ -232,14 +439,6 @@ pub struct Worker {
     pending: Vec<PendingOp>,
 }
 
-enum HtmAttempt<T> {
-    Committed(T),
-    Retry,
-    GiveUp,
-    RestartTxn,
-    Terminal(TxnError),
-}
-
 impl Worker {
     /// The queue pair this worker issues one-sided operations on.
     pub fn qp(&self) -> &Qp {
@@ -330,7 +529,7 @@ impl Worker {
     /// Whether this worker's own machine is marked crashed: the worker
     /// must stop dead — no cleanup, no log writes — leaving its locks
     /// and log records exactly as a real crash would.
-    fn self_crashed(&self) -> bool {
+    pub(crate) fn self_crashed(&self) -> bool {
         self.faults().is_crashed(self.node)
     }
 
@@ -341,96 +540,19 @@ impl Worker {
         self.crash_point == Some(p) || self.faults().crash_hook(self.node, p.name())
     }
 
-    /// Releases one remote write lock; if the target machine is dead the
-    /// release is parked for [`Worker::flush_pending`] so the lock is
-    /// still released exactly once when the peer comes back. (If *this*
-    /// machine is the dead one, nothing is parked: sweeping its locks is
-    /// the recovery protocol's job.)
-    fn unlock_or_park(&mut self, rec: &RecordAddr) {
-        if record::try_remote_unlock(&self.qp, rec).is_err() && !self.self_crashed() {
-            self.pending.push(PendingOp { rec: *rec, update: None });
-        }
+    /// True when this record can be locked with a CPU CAS instead of a
+    /// loopback RDMA CAS (§6.3: requires `IBV_ATOMIC_GLOB`).
+    pub(crate) fn can_local_cas(&self, rec: &RecordAddr) -> bool {
+        rec.addr.node == self.node && self.sys.cluster.atomicity() == AtomicityLevel::Glob
     }
 
-    /// Fallback-path lock release: CPU store for CPU-lockable records,
-    /// park-on-dead-peer loopback/remote WRITE otherwise.
-    fn release_fallback_lock(&mut self, rec: &RecordAddr) {
-        if self.can_local_cas(rec) {
-            record::remote_unlock_via(&self.qp, rec, true);
-        } else {
-            self.unlock_or_park(rec);
-        }
+    /// Whether `strategy` reaches `rec` with CPU instructions (CAS to
+    /// lock, plain store to release) rather than through the NIC.
+    fn cpu_path(&self, strategy: Strategy, rec: &RecordAddr) -> bool {
+        strategy == Strategy::Ordered2pl && self.can_local_cas(rec)
     }
 
-    /// Whether this worker still holds undelivered write-backs/unlocks
-    /// for a dead peer ([`Worker::execute`] refuses new transactions
-    /// until [`Worker::flush_pending`] drains them).
-    pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
-    /// Re-delivers write-backs and unlocks that were parked when their
-    /// target machine died mid-commit. Call after the failed node is
-    /// recovered (or revived): on success the worker's write-ahead log
-    /// is reclaimed and new transactions may run; on `PeerDead` the
-    /// still-undeliverable ops stay parked for the next attempt.
-    pub fn flush_pending(&mut self) -> Result<(), TxnError> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let ops = std::mem::take(&mut self.pending);
-        let mut still_dead: Option<NodeId> = None;
-        let mut parked_again = Vec::new();
-        for op in ops {
-            let r = match &op.update {
-                Some((version, value)) => {
-                    record::try_remote_write_back(&self.qp, &op.rec, *version, value)
-                }
-                None => record::try_remote_unlock(&self.qp, &op.rec),
-            };
-            if let Err(e) = r {
-                let node = match e {
-                    FabricError::PeerDead { node } | FabricError::Timeout { node } => node,
-                    // A graceful leave quiesces pending write-backs
-                    // *before* retiring, so this arm only fires under
-                    // chaos; the op stays parked like any other.
-                    FabricError::NodeRetired { node } => node,
-                };
-                still_dead.get_or_insert(node);
-                parked_again.push(op);
-            }
-        }
-        self.pending = parked_again;
-        match still_dead {
-            None => {
-                // Every parked op landed: the write-ahead log (if any)
-                // no longer needs replaying.
-                if self.sys.cfg.logging {
-                    self.log.log_done(&self.region().clone());
-                    self.sys.stats.add_log_done_wait();
-                }
-                Ok(())
-            }
-            Some(node) => Err(TxnError::PeerDead(node)),
-        }
-    }
-
-    /// Releases every remote write lock (abort cleanup), charging the
-    /// unlock WRITEs to the Commit phase's breakdown. Releases against a
-    /// dead peer are parked, not lost.
-    fn unlock_writes_traced(&mut self, spec: &TxnSpec) {
-        let t0 = vtime::read();
-        for rec in &spec.remote_writes {
-            self.unlock_or_park(rec);
-        }
-        self.sys.trace.phases.add(
-            Phase::Commit,
-            vtime::read().saturating_sub(t0),
-            spec.remote_writes.len() as u64,
-        );
-    }
-
-    fn backoff(&mut self, attempt: u32) {
+    pub(crate) fn backoff(&mut self, attempt: u32) {
         // Xorshift jitter: livelock-avoidance for symmetric lock retries.
         self.rng ^= self.rng << 13;
         self.rng ^= self.rng >> 7;
@@ -459,33 +581,15 @@ impl Worker {
             // slice.
             const SLICE_US: u64 = 100;
             if drtm_htm::coop::enabled() {
-                let t0 = std::time::Instant::now();
+                let t0 = Instant::now();
                 while t0.elapsed().as_micros() < SLICE_US as u128 {
                     std::thread::yield_now();
                 }
             } else {
-                std::thread::sleep(std::time::Duration::from_micros(SLICE_US));
+                std::thread::sleep(Duration::from_micros(SLICE_US));
             }
             vtime::charge(SLICE_US * 1_000);
         }
-    }
-
-    pub(crate) fn can_local_cas_inner(&self, rec: &RecordAddr) -> bool {
-        self.can_local_cas(rec)
-    }
-
-    pub(crate) fn backoff_pub(&mut self, attempt: u32) {
-        self.backoff(attempt);
-    }
-
-    pub(crate) fn self_crashed_pub(&self) -> bool {
-        self.self_crashed()
-    }
-
-    /// True when this record can be locked with a CPU CAS instead of a
-    /// loopback RDMA CAS (§6.3: requires `IBV_ATOMIC_GLOB`).
-    fn can_local_cas(&self, rec: &RecordAddr) -> bool {
-        rec.addr.node == self.node && self.sys.cluster.atomicity() == AtomicityLevel::Glob
     }
 
     /// Executes one strictly-serializable read-write transaction.
@@ -518,810 +622,640 @@ impl Worker {
             },
             "write set contains a duplicate record (self-deadlock)"
         );
-        let region = self.region().clone();
-        let logging = self.sys.cfg.logging;
         // A transaction boundary is a completion wait: ops from the
         // previous transaction cannot share a doorbell with this one.
         self.qp.doorbell_flush();
         // The log slot still carries the previous transaction's
         // write-ahead record while write-backs to a dead peer are
         // parked; it must be drained before the slot can be reused.
-        if !self.pending.is_empty() {
-            self.flush_pending()?;
-        }
-        let txn_id = self.next_txn_id();
-        let mut start_attempts = 0u32;
+        self.flush_pending()?;
+        let sys = Arc::clone(&self.sys);
+        let region = sys.cluster.node(self.node).region();
+        let env = Env { sys: &sys, region, spec, txn_id: self.next_txn_id() };
+        let mut restarts = 0u32;
         loop {
             if self.self_crashed() {
                 return Err(TxnError::SimulatedCrash);
             }
-            if start_attempts > self.sys.cfg.start_retries {
-                return self.fallback_execute(txn_id, spec, &mut body);
+            if restarts > sys.cfg.start_retries {
+                break;
             }
-            // ---------------- Start phase ----------------
-            let start_t0 = vtime::read();
-            let mut start_ops = 0u64;
-            let now = softtime_nt(&region);
-            let end = now + self.sys.cfg.lease_us;
-            if logging && !spec.remote_writes.is_empty() {
-                let n = self.log.log_lock_ahead(&region, &spec.remote_writes);
-                self.sys.stats.add_log_write(n);
-            }
-            if self.crashes_at(CrashPoint::AfterLockAhead) {
-                return Err(TxnError::SimulatedCrash);
-            }
-            let mut w_fetched: Vec<FetchedRecord> = Vec::with_capacity(spec.remote_writes.len());
-            let mut ok = true;
-            let mut fatal: Option<TxnError> = None;
-            for rec in &spec.remote_writes {
-                start_ops += 1;
-                match record::remote_lock_write(
-                    &self.qp,
-                    rec,
-                    self.node as u8,
-                    now,
-                    self.sys.cfg.delta_us,
-                ) {
-                    Ok(f) => w_fetched.push(f),
-                    Err(c) => {
-                        match c {
-                            record::LockConflict::PeerDead { node } => {
-                                fatal = Some(TxnError::PeerDead(node));
-                            }
-                            record::LockConflict::Retired { node } => {
-                                fatal = Some(TxnError::Retired(node));
-                            }
-                            _ => {}
-                        }
-                        self.trace_abort(
-                            txn_id,
-                            Phase::Start,
-                            AbortCause::from_conflict(c),
-                            Some(rec),
-                        );
-                        ok = false;
-                        break;
-                    }
+            let started = {
+                let mut t = PhaseTimer::start(&sys.trace, Phase::Start);
+                let order = declared_order(spec);
+                self.start(Strategy::Htm, env, order, &spec.remote_writes, &mut t.ops)
+            };
+            let locks = match started {
+                Ok(locks) => locks,
+                Err(StartFail::Terminal(e)) => return Err(e),
+                Err(StartFail::Conflict) => {
+                    restarts += 1;
+                    self.backoff(restarts);
+                    continue;
                 }
-            }
-            let mut r_fetched: Vec<FetchedRecord> = Vec::with_capacity(spec.remote_reads.len());
-            if ok {
-                for rec in &spec.remote_reads {
-                    start_ops += 1;
-                    match record::remote_read(&self.qp, rec, end, now, self.sys.cfg.delta_us) {
-                        Ok(f) => r_fetched.push(f),
-                        Err(c) => {
-                            match c {
-                                record::LockConflict::PeerDead { node } => {
-                                    fatal = Some(TxnError::PeerDead(node));
-                                }
-                                record::LockConflict::Retired { node } => {
-                                    fatal = Some(TxnError::Retired(node));
-                                }
-                                _ => {}
-                            }
-                            self.trace_abort(
-                                txn_id,
-                                Phase::Start,
-                                AbortCause::from_conflict(c),
-                                Some(rec),
-                            );
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-            }
-            if !ok {
-                if self.self_crashed() {
-                    // Our own machine died: stop dead, leave everything.
-                    return Err(TxnError::SimulatedCrash);
-                }
-                let acquired = w_fetched.len();
-                for rec in spec.remote_writes.iter().take(acquired) {
-                    self.unlock_or_park(rec);
-                    start_ops += 1;
-                }
-                self.sys.trace.phases.add(
-                    Phase::Start,
-                    vtime::read().saturating_sub(start_t0),
-                    start_ops,
-                );
-                self.sys.stats.add_start_conflict();
-                if let Some(err) = fatal {
-                    // A peer machine is gone (crashed or retired):
-                    // retrying cannot help until recovery runs or the
-                    // key is re-resolved — surface a typed abort.
-                    if matches!(err, TxnError::PeerDead(_)) {
-                        self.sys.stats.add_peer_dead_abort();
-                    }
-                    return Err(err);
-                }
-                start_attempts += 1;
-                self.backoff(start_attempts);
-                continue;
-            }
-            self.sys.trace.phases.add(
-                Phase::Start,
-                vtime::read().saturating_sub(start_t0),
-                start_ops,
-            );
+            };
             if self.crashes_at(CrashPoint::AfterRemoteLocks) {
                 return Err(TxnError::SimulatedCrash);
             }
-
-            // ---------------- LocalTX + Commit ----------------
             let mut attempts = 0u32;
             let outcome = loop {
-                if attempts >= self.sys.cfg.htm.max_retries {
-                    break HtmAttempt::GiveUp;
+                if attempts >= sys.cfg.htm.max_retries {
+                    break Attempt::GiveUp;
                 }
                 attempts += 1;
-                match self
-                    .htm_attempt(txn_id, &region, spec, &w_fetched, &r_fetched, now, &mut body)
-                {
-                    HtmAttempt::Retry => {
-                        self.backoff(attempts);
-                        continue;
-                    }
+                match self.htm_region(env, &locks, &mut body) {
+                    Attempt::Retry => self.backoff(attempts),
                     other => break other,
                 }
             };
             match outcome {
-                HtmAttempt::Committed(v) => return Ok(v),
-                HtmAttempt::Terminal(e) => {
+                Attempt::Committed(v) => return Ok(v),
+                Attempt::Terminal(e) => {
                     if e == TxnError::UserAborted {
                         // Clean up our locks before reporting.
-                        self.unlock_writes_traced(spec);
-                        self.sys.stats.add_user_abort();
+                        self.release_traced(env);
+                        sys.stats.add_user_abort();
                     }
                     return Err(e);
                 }
-                HtmAttempt::RestartTxn => {
-                    self.unlock_writes_traced(spec);
-                    start_attempts += 1;
-                    self.backoff(start_attempts);
-                    continue;
+                Attempt::RestartTxn => {
+                    self.release_traced(env);
+                    restarts += 1;
+                    self.backoff(restarts);
                 }
-                HtmAttempt::GiveUp => {
-                    self.unlock_writes_traced(spec);
-                    return self.fallback_execute(txn_id, spec, &mut body);
+                Attempt::GiveUp => {
+                    self.release_traced(env);
+                    break;
                 }
-                HtmAttempt::Retry => unreachable!("Retry handled in inner loop"),
+                Attempt::Retry => unreachable!("Retry handled in inner loop"),
             }
+        }
+        self.ordered_2pl(env, &mut body)
+    }
+
+    /// One lock or lease acquisition attempt (Figure 5) through the CAS
+    /// path `local` selects: the primitive under [`Worker::start`] and
+    /// under every read-only lease.
+    pub(crate) fn acquire(
+        &self,
+        rec: &RecordAddr,
+        write: bool,
+        end_us: u64,
+        now_us: u64,
+        local: bool,
+    ) -> Result<FetchedRecord, LockConflict> {
+        let delta = self.sys.cfg.delta_us;
+        if write {
+            record::remote_lock_write(&self.qp, rec, self.node as u8, now_us, delta, local)
+        } else {
+            record::remote_read(&self.qp, rec, end_us, now_us, delta, local)
         }
     }
 
-    /// One HTM attempt of the LocalTX + Commit phases.
-    #[allow(clippy::too_many_arguments)]
-    fn htm_attempt<T>(
+    /// Counts a terminal dead-peer abort and returns the error to raise.
+    pub(crate) fn terminal(&self, e: TxnError) -> TxnError {
+        if matches!(e, TxnError::PeerDead(_)) {
+            self.sys.stats.add_peer_dead_abort();
+        }
+        e
+    }
+
+    /// **Start**: persist the lock-ahead log, then lock (writes) or
+    /// lease (reads) every record of `order`, fetching each.
+    ///
+    /// The strategies differ in what a conflict means. HTM fails fast:
+    /// release what is held and let the caller back off and restart.
+    /// Ordered 2PL waits on the record — but only as long as the holder
+    /// is believed alive: a lock held by a crashed machine is released
+    /// by recovery, not by waiting, so a dead owner (or an expired grace
+    /// deadline) turns the wait into a typed abort.
+    fn start(
         &mut self,
+        strategy: Strategy,
+        env: Env<'_>,
+        order: impl Iterator<Item = Item> + Clone,
+        write_set: &[RecordAddr],
+        ops: &mut u64,
+    ) -> Result<LockSet, StartFail> {
+        let Env { sys, region, spec, txn_id } = env;
+        let crash = StartFail::Terminal(TxnError::SimulatedCrash);
+        let phase = strategy.lock_phase();
+        let now = softtime_nt(region);
+        let end = now + sys.cfg.lease_us;
+        // The lock-ahead log names every record about to be locked, so
+        // recovery can release them if this machine dies before the WAL.
+        if sys.cfg.logging && !write_set.is_empty() {
+            let n = self.log.log_lock_ahead(region, write_set);
+            sys.stats.add_log_write(n);
+        }
+        if self.crashes_at(strategy.after_lock_ahead()) {
+            return Err(crash);
+        }
+        let mut locks = LockSet::new(spec, strategy, now);
+        for (held, it) in order.clone().enumerate() {
+            let local = self.cpu_path(strategy, &it.rec);
+            let mut give_up_at: Option<Instant> = None;
+            let fetched = loop {
+                // A waiting strategy re-reads softtime: leases expire
+                // while it waits.
+                let now = if strategy == Strategy::Htm { now } else { softtime_nt(region) };
+                *ops += 1;
+                let mut conflict = match self.acquire(&it.rec, it.is_write(), end, now, local) {
+                    Ok(f) => break f,
+                    Err(c) => c,
+                };
+                if strategy == Strategy::Ordered2pl {
+                    let deadline =
+                        *give_up_at.get_or_insert_with(|| Instant::now() + DEAD_PEER_GRACE);
+                    conflict = match conflict {
+                        LockConflict::WriteLocked { owner }
+                            if self.faults().is_crashed(owner as NodeId) =>
+                        {
+                            LockConflict::PeerDead { node: owner as NodeId }
+                        }
+                        LockConflict::PeerDead { .. } | LockConflict::Retired { .. } => conflict,
+                        _ if Instant::now() >= deadline => {
+                            LockConflict::PeerDead { node: it.rec.addr.node }
+                        }
+                        _ => conflict,
+                    };
+                }
+                let terminal = TxnError::of_conflict(conflict);
+                if terminal.is_none() && strategy == Strategy::Ordered2pl {
+                    self.trace_abort(txn_id, phase, AbortCause::FallbackWait, Some(&it.rec));
+                    self.backoff(4);
+                    continue;
+                }
+                self.trace_abort(txn_id, phase, AbortCause::from_conflict(conflict), Some(&it.rec));
+                if self.self_crashed() {
+                    // Our own machine died: stop dead, leave everything.
+                    return Err(crash);
+                }
+                *ops += self.release_held(strategy, order.clone().take(held));
+                if strategy == Strategy::Htm {
+                    sys.stats.add_start_conflict();
+                }
+                return Err(match terminal {
+                    Some(e) => StartFail::Terminal(self.terminal(e)),
+                    None => StartFail::Conflict,
+                });
+            };
+            locks.put(it, fetched);
+        }
+        Ok(locks)
+    }
+
+    /// Releases one write lock without writing data (abort cleanup). A
+    /// release a dead peer cannot take is parked for
+    /// [`Worker::flush_pending`], so the lock is still released exactly
+    /// once when the peer comes back. (If *this* machine is the dead
+    /// one, nothing is parked: sweeping its locks is the recovery
+    /// protocol's job.)
+    fn unlock_or_park(&mut self, rec: &RecordAddr, local: bool) {
+        if record::remote_unlock(&self.qp, rec, local).is_err() && !self.self_crashed() {
+            self.pending.push(PendingOp { rec: *rec, update: None });
+        }
+    }
+
+    /// Releases the write locks among `held` (leases need no release,
+    /// §4.2); returns how many record ops that took.
+    fn release_held(&mut self, strategy: Strategy, held: impl Iterator<Item = Item>) -> u64 {
+        let mut released = 0;
+        for it in held.filter(Item::is_write) {
+            self.unlock_or_park(&it.rec, self.cpu_path(strategy, &it.rec));
+            released += 1;
+        }
+        released
+    }
+
+    /// Releases the HTM strategy's locks after its region gave up or the
+    /// body aborted, charging the unlock WRITEs to the Commit phase.
+    fn release_traced(&mut self, env: Env<'_>) {
+        let mut t = PhaseTimer::start(&env.sys.trace, Phase::Commit);
+        t.ops += self.release_held(Strategy::Htm, declared_order(env.spec));
+    }
+
+    /// The bookkeeping of one aborted HTM region: trace it, count it,
+    /// roll back the body's allocations.
+    fn htm_abort(
+        &self,
         txn_id: u64,
-        region: &Region,
-        spec: &TxnSpec,
-        w_fetched: &[FetchedRecord],
-        r_fetched: &[FetchedRecord],
-        start_now: u64,
+        phase: Phase,
+        abort: Abort,
+        record: Option<&RecordAddr>,
+        allocs: Allocs,
+    ) {
+        self.trace_abort(txn_id, phase, AbortCause::from_htm(abort), record);
+        self.sys.htm_stats().record_abort(abort);
+        undo_allocs(allocs);
+    }
+
+    /// **LocalTX + Commit** under [`Strategy::Htm`]: the body, the lease
+    /// confirmation and the write-ahead log all run inside one HTM
+    /// region, so they become visible — and durable — atomically at
+    /// `XEND`, the commit point. Then WriteBack.
+    fn htm_region<T>(
+        &mut self,
+        env: Env<'_>,
+        locks: &LockSet,
         body: &mut impl FnMut(&mut TxnCtx<'_>) -> Result<T, Abort>,
-    ) -> HtmAttempt<T> {
-        let cfg = &self.sys.cfg;
-        let txn = region.begin(&cfg.htm);
-        let mut ctx = TxnCtx {
-            mode: CtxMode::Htm(txn),
-            region,
-            spec,
-            w_fetched,
-            r_fetched,
-            w_buf: vec![None; spec.remote_writes.len()],
-            l_fetched_writes: Vec::new(),
-            l_fetched_reads: Vec::new(),
-            l_buf: Vec::new(),
-            now_us: start_now,
-            delta_us: cfg.delta_us,
-            strategy: cfg.softtime,
-            allocs: Vec::new(),
-            exec: self.exec.clone(),
-            logging: cfg.logging,
-            local_log: Vec::new(),
+    ) -> Attempt<T> {
+        let Env { sys, region, spec, txn_id } = env;
+        let crash = Attempt::Terminal(TxnError::SimulatedCrash);
+        let mut ctx = TxnCtx::new(CtxMode::Htm(region.begin(&sys.cfg.htm)), env, locks, &self.exec);
+        let out = {
+            let _t = PhaseTimer::start(&sys.trace, Phase::LocalTx);
+            body(&mut ctx)
         };
-        let body_t0 = vtime::read();
-        let out = body(&mut ctx);
-        let (mut txn, w_buf, allocs, local_log) = ctx.finish_htm();
-        self.sys.trace.phases.add(Phase::LocalTx, vtime::read().saturating_sub(body_t0), 0);
-        let undo = |allocs: Vec<(Arc<ClusterHash>, PreparedInsert)>| {
-            for (t, p) in allocs {
-                t.undo_insert(p);
-            }
-        };
+        let BodyOut { txn, w_buf, allocs, local_log, .. } = ctx.finish();
+        let mut txn = txn.expect("an HTM-mode context owns its region");
         let value = match out {
             Ok(v) => v,
             Err(Abort::Explicit(USER_ABORT)) => {
                 self.trace_abort(txn_id, Phase::LocalTx, AbortCause::UserAbort, None);
-                undo(allocs);
-                return HtmAttempt::Terminal(TxnError::UserAborted);
+                undo_allocs(allocs);
+                return Attempt::Terminal(TxnError::UserAborted);
             }
             Err(a) => {
-                self.trace_abort(txn_id, Phase::LocalTx, AbortCause::from_htm(a), None);
-                self.sys.htm_stats().record_abort(a);
-                undo(allocs);
-                return if a == Abort::Capacity { HtmAttempt::GiveUp } else { HtmAttempt::Retry };
+                self.htm_abort(txn_id, Phase::LocalTx, a, None, allocs);
+                return if a == Abort::Capacity { Attempt::GiveUp } else { Attempt::Retry };
             }
         };
         // Everything from here to the return is the Commit phase; the
         // drop guard charges its virtual time on every early return.
-        let mut commit_t = PhaseTimer::start(&self.sys.trace, Phase::Commit);
+        let mut commit_t = PhaseTimer::start(&sys.trace, Phase::Commit);
         // Lease confirmation (only when leases exist: purely local
         // transactions never touch softtime inside HTM, §6.1).
-        if !r_fetched.is_empty() {
-            let confirm_now = match softtime_txn(&mut txn) {
+        if !locks.remote_reads.is_empty() {
+            let now = match softtime_txn(&mut txn) {
                 Ok(t) => t,
                 Err(a) => {
-                    self.trace_abort(txn_id, Phase::Commit, AbortCause::from_htm(a), None);
-                    self.sys.htm_stats().record_abort(a);
-                    undo(allocs);
-                    return HtmAttempt::Retry;
+                    self.htm_abort(txn_id, Phase::Commit, a, None, allocs);
+                    return Attempt::Retry;
                 }
             };
-            let expired =
-                r_fetched.iter().position(|f| confirm_now + self.sys.cfg.delta_us > f.lease_end_us);
-            if let Some(i) = expired {
-                self.trace_abort(
-                    txn_id,
-                    Phase::Commit,
-                    AbortCause::LeaseConfirmFail,
-                    Some(&spec.remote_reads[i]),
-                );
-                self.sys.htm_stats().record_abort(Abort::Explicit(ABORT_LEASE_EXPIRED));
-                self.sys.stats.add_lease_confirm_fail();
-                undo(allocs);
-                return HtmAttempt::RestartTxn;
+            let delta = sys.cfg.delta_us;
+            let unconfirmed = |f: &FetchedRecord| lease_unconfirmed(f.lease_end_us, now, delta);
+            if let Some(i) = locks.remote_reads.iter().position(unconfirmed) {
+                let expired = Abort::Explicit(ABORT_LEASE_EXPIRED);
+                self.htm_abort(txn_id, Phase::Commit, expired, Some(&spec.remote_reads[i]), allocs);
+                sys.stats.add_lease_confirm_fail();
+                return Attempt::RestartTxn;
             }
         }
         // Write-ahead log, staged atomically with the commit. Remote
         // updates are needed for redo; local updates are logged as well
         // (§4.6) — with version 0, so recovery's at-most-once check
         // always sees them as already applied (the HTM commit itself
-        // made them durable under flush-on-failure).
-        let mut updates: Vec<LoggedUpdate> = spec
-            .remote_writes
-            .iter()
-            .zip(w_fetched)
-            .zip(&w_buf)
-            .filter_map(|((rec, f), buf)| {
-                buf.as_ref().map(|value| LoggedUpdate {
-                    rec: *rec,
-                    version: f.header.version.wrapping_add(1),
-                    value: value.clone(),
-                })
-            })
-            .collect();
+        // made them durable under flush-on-failure). The WAL embeds the
+        // lock list so recovery can release declared-but-unwritten locks
+        // from the log alone.
+        let writes: Vec<WriteItem<'_>> =
+            write_items(&spec.remote_writes, &locks.remote_writes, &w_buf).collect();
+        let mut updates = wal_updates(&writes);
         updates.extend(local_log);
-        // The WAL embeds the remote-write lock list so recovery can
-        // release declared-but-unwritten locks from the log alone.
-        let mut wal_staged = false;
-        if self.sys.cfg.logging && !updates.is_empty() {
+        let wal_staged = sys.cfg.logging && !updates.is_empty();
+        if wal_staged {
             match self.log.log_write_ahead(&mut txn, &spec.remote_writes, &updates) {
-                Ok(n) => {
-                    self.sys.stats.add_log_write(n);
-                    wal_staged = true;
-                }
+                Ok(n) => sys.stats.add_log_write(n),
                 Err(a) => {
-                    self.trace_abort(txn_id, Phase::Commit, AbortCause::from_htm(a), None);
-                    self.sys.htm_stats().record_abort(a);
-                    undo(allocs);
-                    return HtmAttempt::Retry;
+                    self.htm_abort(txn_id, Phase::Commit, a, None, allocs);
+                    return Attempt::Retry;
                 }
             }
         }
         if self.crashes_at(CrashPoint::BeforeHtmCommit) {
-            undo(allocs);
-            return HtmAttempt::Terminal(TxnError::SimulatedCrash);
+            undo_allocs(allocs);
+            return crash;
         }
-        match txn.commit() {
-            Ok(()) => {}
-            Err(a) => {
-                self.trace_abort(txn_id, Phase::Commit, AbortCause::from_htm(a), None);
-                self.sys.htm_stats().record_abort(a);
-                undo(allocs);
-                return HtmAttempt::Retry;
-            }
+        if let Err(a) = txn.commit() {
+            self.htm_abort(txn_id, Phase::Commit, a, None, allocs);
+            return Attempt::Retry;
         }
-        self.sys.htm_stats().record_commit();
+        sys.htm_stats().record_commit();
         if self.crashes_at(CrashPoint::AfterHtmCommit) {
-            return HtmAttempt::Terminal(TxnError::SimulatedCrash);
+            return crash;
         }
-        // Write-backs + unlocks, posted together — the QP's doorbell
-        // batching amortises their base latency per destination.
-        // Past XEND the transaction IS committed: a dead peer can no
-        // longer abort it, so undeliverable ops are parked for
-        // `flush_pending` and the write-ahead log is kept for redo.
-        let mut crash_mid = false;
-        let mut parked = false;
-        for ((rec, f), buf) in spec.remote_writes.iter().zip(w_fetched).zip(&w_buf) {
-            let new_version = f.header.version.wrapping_add(1);
-            let r = match buf {
-                Some(value) => record::try_remote_write_back(&self.qp, rec, new_version, value),
-                None => record::try_remote_unlock(&self.qp, rec),
-            };
-            if r.is_err() {
-                if self.self_crashed() {
-                    // Our own machine died mid-write-back: stop dead.
-                    return HtmAttempt::Terminal(TxnError::SimulatedCrash);
-                }
-                parked = true;
-                self.pending.push(PendingOp {
-                    rec: *rec,
-                    update: buf.as_ref().map(|v| (new_version, v.clone())),
-                });
-                continue;
-            }
-            if self.crashes_at(CrashPoint::MidWriteBack) {
-                crash_mid = true;
-                break;
-            }
+        commit_t.ops += writes.len() as u64;
+        // A log record is live if the WAL was staged or Start wrote a
+        // lock-ahead: transactions that never touched the log — notably
+        // read-only shapes — pay no completion marker either.
+        let log_live = wal_staged || (sys.cfg.logging && !spec.remote_writes.is_empty());
+        match self.publish(Strategy::Htm, &writes, log_live) {
+            Ok(()) => Attempt::Committed(value),
+            Err(e) => Attempt::Terminal(e),
         }
-        commit_t.ops += spec.remote_writes.len() as u64;
-        if crash_mid {
-            return HtmAttempt::Terminal(TxnError::SimulatedCrash);
-        }
-        if self.crashes_at(CrashPoint::AfterWriteBacks) {
-            // Crash before the write-ahead log is reclaimed: recovery
-            // must replay the log and skip every already-applied update.
-            return HtmAttempt::Terminal(TxnError::SimulatedCrash);
-        }
-        // Reclaim the slot only when a log record is actually live
-        // (a staged WAL, or the Start phase's lock-ahead): transactions
-        // that never touched the log — notably read-only shapes — pay
-        // no completion marker either.
-        if self.sys.cfg.logging && !parked && (wal_staged || !spec.remote_writes.is_empty()) {
-            self.log.log_done(region);
-            self.sys.stats.add_log_done_wait();
-        }
-        self.sys.stats.add_committed(false);
-        HtmAttempt::Committed(value)
     }
 
-    /// The fallback handler (§6.2): strict 2PL over *all* records in a
-    /// global order, with the body run against buffered state.
-    fn fallback_execute<T>(
+    /// The whole pipeline under [`Strategy::Ordered2pl`] (the fallback
+    /// handler, §6.2): Start over *every* record in global order, lease
+    /// confirmation, the body against buffered state, the write-ahead
+    /// log persisted non-transactionally as the commit point, WriteBack.
+    fn ordered_2pl<T>(
         &mut self,
-        txn_id: u64,
-        spec: &TxnSpec,
+        env: Env<'_>,
         body: &mut impl FnMut(&mut TxnCtx<'_>) -> Result<T, Abort>,
     ) -> Result<T, TxnError> {
-        self.sys.htm_stats().record_fallback();
+        let Env { sys, region, spec, txn_id } = env;
+        let strategy = Strategy::Ordered2pl;
+        sys.htm_stats().record_fallback();
         if self.self_crashed() {
             return Err(TxnError::SimulatedCrash);
         }
-        let region = self.region().clone();
-        let cfg = self.sys.cfg.clone();
-        // Whole-handler virtual time and record ops land in the
-        // Fallback phase line (charged at every return).
-        let fb_t0 = vtime::read();
-        let mut fb_ops = 0u64;
-        // Global lock order: (node, offset); total order ⇒ no deadlock.
-        #[derive(Clone, Copy)]
-        struct Item {
-            rec: RecordAddr,
-            write: bool,
-            /// Index back into the spec list it came from.
-            idx: usize,
-            local: bool,
-        }
-        let mut items: Vec<Item> = Vec::new();
-        for (i, r) in spec.local_writes.iter().enumerate() {
-            items.push(Item { rec: *r, write: true, idx: i, local: true });
-        }
-        for (i, r) in spec.remote_writes.iter().enumerate() {
-            items.push(Item { rec: *r, write: true, idx: i, local: false });
-        }
-        for (i, r) in spec.local_reads.iter().enumerate() {
-            items.push(Item { rec: *r, write: false, idx: i, local: true });
-        }
-        for (i, r) in spec.remote_reads.iter().enumerate() {
-            items.push(Item { rec: *r, write: false, idx: i, local: false });
-        }
-        items.sort_by_key(|it| (it.rec.addr.node, it.rec.addr.offset));
-        // The fallback's lock-ahead names the FULL write set (local and
-        // remote, in acquisition order): unlike the HTM path, local
-        // records are CPU/loopback-locked here too, and recovery must be
-        // able to release them if this machine dies before the WAL.
-        let fb_write_set: Vec<RecordAddr> =
-            items.iter().filter(|it| it.write).map(|it| it.rec).collect();
-
-        'retry: loop {
+        // The whole run lands in the Fallback phase line.
+        let mut t = PhaseTimer::start(&sys.trace, Phase::Fallback);
+        let order = global_order(spec);
+        // Lock-ahead and WAL name the FULL write set (local and remote,
+        // in acquisition order): unlike the HTM strategy, local records
+        // are CPU/loopback-locked here too.
+        let write_set: Vec<RecordAddr> =
+            order.iter().filter(|it| it.is_write()).map(|it| it.rec).collect();
+        loop {
             if self.self_crashed() {
                 return Err(TxnError::SimulatedCrash);
             }
-            let now = softtime_nt(&region);
-            let end = now + cfg.lease_us;
-            if cfg.logging && !fb_write_set.is_empty() {
-                let n = self.log.log_lock_ahead(&region, &fb_write_set);
-                self.sys.stats.add_log_write(n);
-            }
-            if self.crashes_at(CrashPoint::FallbackAfterLockAhead) {
-                return Err(TxnError::SimulatedCrash);
-            }
-            // Acquire in global order, waiting on conflicts — but only
-            // as long as the conflicting holder is believed alive: a
-            // lock held by a crashed machine is released by recovery,
-            // not by waiting, so a dead owner (or an expired grace
-            // deadline) turns the wait into a typed abort.
-            let mut fetched: Vec<FetchedRecord> = Vec::with_capacity(items.len());
-            for it in &items {
-                let use_local = self.can_local_cas(&it.rec);
-                let wait = drtm_htm::backoff::Backoff::with_deadline(DEAD_PEER_GRACE);
-                let f = loop {
-                    let now2 = softtime_nt(&region);
-                    let r = if it.write {
-                        record::remote_lock_write_via(
-                            &self.qp,
-                            &it.rec,
-                            self.node as u8,
-                            now2,
-                            cfg.delta_us,
-                            use_local,
-                        )
-                    } else {
-                        record::remote_read_via(
-                            &self.qp,
-                            &it.rec,
-                            end,
-                            now2,
-                            cfg.delta_us,
-                            use_local,
-                        )
-                    };
-                    fb_ops += 1;
-                    match r {
-                        Ok(f) => break f,
-                        Err(c) => {
-                            if let record::LockConflict::Retired { node } = c {
-                                // Stale routing to a departed machine:
-                                // release what we hold and surface the
-                                // typed abort (no recovery needed).
-                                if self.self_crashed() {
-                                    return Err(TxnError::SimulatedCrash);
-                                }
-                                for held in items.iter().take(fetched.len()).filter(|h| h.write) {
-                                    self.release_fallback_lock(&held.rec);
-                                    fb_ops += 1;
-                                }
-                                self.trace_abort(
-                                    txn_id,
-                                    Phase::Fallback,
-                                    AbortCause::RouteRetired { node },
-                                    Some(&it.rec),
-                                );
-                                self.sys.trace.phases.add(
-                                    Phase::Fallback,
-                                    vtime::read().saturating_sub(fb_t0),
-                                    fb_ops,
-                                );
-                                return Err(TxnError::Retired(node));
-                            }
-                            let dead = match c {
-                                record::LockConflict::PeerDead { node } => Some(node),
-                                record::LockConflict::WriteLocked { owner }
-                                    if self.faults().is_crashed(owner as NodeId) =>
-                                {
-                                    Some(owner as NodeId)
-                                }
-                                _ if wait.expired() => Some(it.rec.addr.node),
-                                _ => None,
-                            };
-                            if let Some(node) = dead {
-                                if self.self_crashed() {
-                                    return Err(TxnError::SimulatedCrash);
-                                }
-                                for held in items.iter().take(fetched.len()).filter(|h| h.write) {
-                                    self.release_fallback_lock(&held.rec);
-                                    fb_ops += 1;
-                                }
-                                self.trace_abort(
-                                    txn_id,
-                                    Phase::Fallback,
-                                    AbortCause::PeerDead { node },
-                                    Some(&it.rec),
-                                );
-                                self.sys.stats.add_peer_dead_abort();
-                                self.sys.trace.phases.add(
-                                    Phase::Fallback,
-                                    vtime::read().saturating_sub(fb_t0),
-                                    fb_ops,
-                                );
-                                return Err(TxnError::PeerDead(node));
-                            }
-                            self.trace_abort(
-                                txn_id,
-                                Phase::Fallback,
-                                AbortCause::FallbackWait,
-                                Some(&it.rec),
-                            );
-                            self.backoff(4);
-                        }
-                    }
+            let locks =
+                match self.start(strategy, env, order.iter().copied(), &write_set, &mut t.ops) {
+                    Ok(locks) => locks,
+                    Err(StartFail::Terminal(e)) => return Err(e),
+                    Err(StartFail::Conflict) => unreachable!("ordered 2PL waits out conflicts"),
                 };
-                fetched.push(f);
-            }
-            // Confirm leases before any irreversible update (§6.2: the
-            // fallback cannot be rolled back by RTM).
-            let confirm = softtime_nt(&region);
-            let leases_ok = items
-                .iter()
-                .zip(&fetched)
-                .filter(|(it, _)| !it.write)
-                .all(|(_, f)| confirm + cfg.delta_us <= f.lease_end_us);
-            if !leases_ok {
-                for it in items.iter().filter(|it| it.write) {
-                    self.release_fallback_lock(&it.rec);
-                    fb_ops += 1;
-                }
+            // Confirm leases before the body: its store operations run
+            // as standalone micro-transactions that nothing rolls back.
+            let now = softtime_nt(region);
+            let mut leases = locks.local_reads.iter().chain(&locks.remote_reads);
+            if leases.any(|f| lease_unconfirmed(f.lease_end_us, now, sys.cfg.delta_us)) {
+                t.ops += self.release_held(strategy, order.iter().copied());
                 self.trace_abort(txn_id, Phase::Fallback, AbortCause::LeaseConfirmFail, None);
-                self.sys.stats.add_lease_confirm_fail();
+                sys.stats.add_lease_confirm_fail();
                 self.backoff(8);
-                continue 'retry;
+                continue;
             }
-            // Scatter fetched records back into per-list order.
-            let mut l_fetched_writes = vec![FetchedRecord::empty(); spec.local_writes.len()];
-            let mut w_fetched = vec![FetchedRecord::empty(); spec.remote_writes.len()];
-            let mut l_fetched_reads = vec![FetchedRecord::empty(); spec.local_reads.len()];
-            let mut r_fetched = vec![FetchedRecord::empty(); spec.remote_reads.len()];
-            for (it, f) in items.iter().zip(fetched) {
-                match (it.write, it.local) {
-                    (true, true) => l_fetched_writes[it.idx] = f,
-                    (true, false) => w_fetched[it.idx] = f,
-                    (false, true) => l_fetched_reads[it.idx] = f,
-                    (false, false) => r_fetched[it.idx] = f,
-                }
-            }
-            let mut ctx = TxnCtx {
-                mode: CtxMode::Fallback,
-                region: &region,
-                spec,
-                w_fetched: &w_fetched,
-                r_fetched: &r_fetched,
-                w_buf: vec![None; spec.remote_writes.len()],
-                l_fetched_writes,
-                l_fetched_reads,
-                l_buf: vec![None; spec.local_writes.len()],
-                now_us: now,
-                delta_us: cfg.delta_us,
-                strategy: cfg.softtime,
-                allocs: Vec::new(),
-                exec: self.exec.clone(),
-                logging: cfg.logging,
-                local_log: Vec::new(),
-            };
-            match body(&mut ctx) {
+            let mut ctx = TxnCtx::new(CtxMode::Buffered, env, &locks, &self.exec);
+            let value = match body(&mut ctx) {
+                Ok(v) => v,
                 Err(Abort::Explicit(USER_ABORT)) => {
-                    for it in items.iter().filter(|it| it.write) {
-                        self.release_fallback_lock(&it.rec);
-                        fb_ops += 1;
-                    }
+                    t.ops += self.release_held(strategy, order.iter().copied());
                     self.trace_abort(txn_id, Phase::Fallback, AbortCause::UserAbort, None);
-                    self.sys.stats.add_user_abort();
-                    self.sys.trace.phases.add(
-                        Phase::Fallback,
-                        vtime::read().saturating_sub(fb_t0),
-                        fb_ops,
-                    );
+                    sys.stats.add_user_abort();
                     return Err(TxnError::UserAborted);
                 }
-                Err(a) => {
-                    // The fallback holds every lock, so body aborts can
-                    // only be resource exhaustion — surface loudly.
-                    panic!("transaction body failed under fallback locks: {a}");
-                }
-                Ok(value) => {
-                    let out = ctx.finish_fallback();
-                    if self.crashes_at(CrashPoint::FallbackBeforeWal) {
-                        // Every 2PL lock held, body run, nothing durable:
-                        // recovery rolls back from the lock-ahead record
-                        // (release all locks, touch no value).
-                        return Err(TxnError::SimulatedCrash);
-                    }
-                    // Stage the WAL — the commit point — strictly before
-                    // any update becomes visible and before any lock is
-                    // released (log-persist-before-unlock, the HTPM
-                    // ordering). Unlike the HTM path, *local* updates are
-                    // logged with their real versions: no XEND makes them
-                    // durable here, so redo is their only crash story.
-                    let mut wal_staged = false;
-                    if cfg.logging {
-                        let mut updates: Vec<LoggedUpdate> = spec
-                            .local_writes
-                            .iter()
-                            .zip(&out.l_fetched_writes)
-                            .zip(&out.l_buf)
-                            .filter_map(|((rec, f), buf)| {
-                                buf.as_ref().map(|value| LoggedUpdate {
-                                    rec: *rec,
-                                    version: f.header.version.wrapping_add(1),
-                                    value: value.clone(),
-                                })
-                            })
-                            .collect();
-                        updates.extend(
-                            spec.remote_writes.iter().zip(&w_fetched).zip(&out.w_buf).filter_map(
-                                |((rec, f), buf)| {
-                                    buf.as_ref().map(|value| LoggedUpdate {
-                                        rec: *rec,
-                                        version: f.header.version.wrapping_add(1),
-                                        value: value.clone(),
-                                    })
-                                },
-                            ),
-                        );
-                        if !fb_write_set.is_empty() {
-                            let n = self.log.log_write_ahead_nt(&region, &fb_write_set, &updates);
-                            self.sys.stats.add_log_write(n);
-                            wal_staged = true;
-                        }
-                    }
-                    if self.crashes_at(CrashPoint::FallbackAfterWalBeforeApply) {
-                        // WAL persisted, nothing applied, every lock
-                        // held: recovery must redo every update.
-                        return Err(TxnError::SimulatedCrash);
-                    }
-                    // Apply + unlock, locals first. Each write-back
-                    // fuses apply and unlock, so from here on recovery
-                    // sees a shrinking lock set: it skips applied
-                    // updates by version and releases the locks the WAL
-                    // says are still held.
-                    for ((rec, f), buf) in
-                        spec.local_writes.iter().zip(&out.l_fetched_writes).zip(&out.l_buf)
-                    {
-                        let use_local = self.can_local_cas(rec);
-                        match buf {
-                            Some(v) => record::remote_write_back_via(
-                                &self.qp,
-                                rec,
-                                f.header.version.wrapping_add(1),
-                                v,
-                                use_local,
-                            ),
-                            None => record::remote_unlock_via(&self.qp, rec, use_local),
-                        }
-                        if self.crashes_at(CrashPoint::FallbackMidUnlock) {
-                            return Err(TxnError::SimulatedCrash);
-                        }
-                    }
-                    // Then remote write-backs. Past the write-ahead log
-                    // the transaction is committed, so a dead target
-                    // parks the update for `flush_pending`.
-                    let mut parked = false;
-                    let mut crash_mid = false;
-                    for ((rec, f), buf) in spec.remote_writes.iter().zip(&w_fetched).zip(&out.w_buf)
-                    {
-                        let new_version = f.header.version.wrapping_add(1);
-                        let r = match buf {
-                            Some(v) => record::try_remote_write_back(&self.qp, rec, new_version, v),
-                            None => record::try_remote_unlock(&self.qp, rec),
-                        };
-                        if r.is_err() {
-                            if self.self_crashed() {
-                                return Err(TxnError::SimulatedCrash);
-                            }
-                            parked = true;
-                            self.pending.push(PendingOp {
-                                rec: *rec,
-                                update: buf.as_ref().map(|v| (new_version, v.clone())),
-                            });
-                            continue;
-                        }
-                        if self.crashes_at(CrashPoint::FallbackMidUnlock) {
-                            crash_mid = true;
-                            break;
-                        }
-                    }
-                    if crash_mid {
-                        return Err(TxnError::SimulatedCrash);
-                    }
-                    if cfg.logging && wal_staged && !parked {
-                        self.log.log_done(&region);
-                        self.sys.stats.add_log_done_wait();
-                    }
-                    fb_ops += (spec.local_writes.len() + spec.remote_writes.len()) as u64;
-                    self.sys.stats.add_committed(true);
-                    self.sys.trace.phases.add(
-                        Phase::Fallback,
-                        vtime::read().saturating_sub(fb_t0),
-                        fb_ops,
-                    );
-                    return Ok(value);
-                }
+                // Every lock is held, so a body abort can only be
+                // resource exhaustion — surface loudly.
+                Err(a) => panic!("transaction body failed under fallback locks: {a}"),
+            };
+            let BodyOut { w_buf, l_buf, .. } = ctx.finish();
+            if self.crashes_at(CrashPoint::FallbackBeforeWal) {
+                // Every lock held, body run, nothing durable: recovery
+                // rolls back from the lock-ahead record.
+                return Err(TxnError::SimulatedCrash);
+            }
+            // Locals first. Unlike the HTM strategy, *local* updates
+            // carry their real versions into the WAL: no XEND makes them
+            // durable here, so redo is their only crash story.
+            let writes: Vec<WriteItem<'_>> =
+                write_items(&spec.local_writes, &locks.local_writes, &l_buf)
+                    .map(|w| WriteItem { local: self.can_local_cas(&w.rec), ..w })
+                    .chain(write_items(&spec.remote_writes, &locks.remote_writes, &w_buf))
+                    .collect();
+            let wal_staged = sys.cfg.logging && !write_set.is_empty();
+            if wal_staged {
+                let n = self.log.log_write_ahead_nt(region, &write_set, &wal_updates(&writes));
+                sys.stats.add_log_write(n);
+            }
+            if self.crashes_at(CrashPoint::FallbackAfterWalBeforeApply) {
+                // WAL persisted, nothing applied, every lock held:
+                // recovery must redo every update.
+                return Err(TxnError::SimulatedCrash);
+            }
+            t.ops += writes.len() as u64;
+            return self.publish(strategy, &writes, wal_staged).map(|()| value);
+        }
+    }
+
+    /// The delivery loop of **WriteBack**, the only one: write back (or,
+    /// for a declared-but-unwritten record, just unlock) each item in
+    /// order, honouring the crash point `crash` after each delivery.
+    /// Each write-back fuses apply and unlock, so recovery sees a
+    /// shrinking lock set: it skips applied updates by version and
+    /// releases the locks the WAL says are still held.
+    ///
+    /// Returns the ops a dead target could not take. The caller is past
+    /// its commit point, so they must be parked, never dropped.
+    fn write_back<'a>(
+        &self,
+        writes: impl Iterator<Item = WriteItem<'a>>,
+        crash: Option<CrashPoint>,
+    ) -> Result<Vec<PendingOp>, TxnError> {
+        let mut undelivered = Vec::new();
+        for w in writes {
+            let sent = match w.value {
+                Some(v) => record::remote_write_back(&self.qp, &w.rec, w.version, v, w.local),
+                None => record::remote_unlock(&self.qp, &w.rec, w.local),
+            };
+            if sent.is_err() {
+                undelivered.push(PendingOp::of(&w));
+            } else if crash.is_some_and(|p| self.crashes_at(p)) {
+                return Err(TxnError::SimulatedCrash);
+            }
+        }
+        Ok(undelivered)
+    }
+
+    /// **WriteBack**: the transaction is past its commit point — a dead
+    /// peer can no longer abort it. Deliver every write-back and unlock
+    /// (posted together: the QP's doorbell batching amortises their base
+    /// latency per destination), park what cannot be delivered, reclaim
+    /// the log slot, count the commit.
+    fn publish(
+        &mut self,
+        strategy: Strategy,
+        writes: &[WriteItem<'_>],
+        log_live: bool,
+    ) -> Result<(), TxnError> {
+        let (mid, after) = match strategy {
+            Strategy::Htm => (CrashPoint::MidWriteBack, Some(CrashPoint::AfterWriteBacks)),
+            Strategy::Ordered2pl => (CrashPoint::FallbackMidUnlock, None),
+        };
+        let undelivered = self.write_back(writes.iter().copied(), Some(mid))?;
+        if !undelivered.is_empty() {
+            if self.self_crashed() {
+                // Our own machine died mid-write-back: stop dead. Its
+                // write-ahead log is recovery's to replay, so nothing
+                // stays parked here.
+                return Err(TxnError::SimulatedCrash);
+            }
+            self.pending = undelivered;
+        }
+        // Crash before the write-ahead log is reclaimed: recovery must
+        // replay the log and skip every already-applied update.
+        if after.is_some_and(|p| self.crashes_at(p)) {
+            return Err(TxnError::SimulatedCrash);
+        }
+        self.reclaim_log(log_live);
+        self.sys.stats.add_committed(strategy == Strategy::Ordered2pl);
+        Ok(())
+    }
+
+    /// Reclaims the log slot iff a log record is live and nothing is
+    /// parked: parked write-backs still need the write-ahead log for
+    /// redo should this machine die before delivering them.
+    fn reclaim_log(&self, log_live: bool) {
+        if log_live && self.pending.is_empty() {
+            self.log.log_done(self.region());
+            self.sys.stats.add_log_done_wait();
+        }
+    }
+
+    /// Whether this worker still holds undelivered write-backs/unlocks
+    /// for a dead peer ([`Worker::execute`] refuses new transactions
+    /// until [`Worker::flush_pending`] drains them).
+    pub fn has_pending(&self) -> bool {
+        !self.pending.is_empty()
+    }
+
+    /// Re-delivers write-backs and unlocks that were parked when their
+    /// target machine died mid-commit. Call after the failed node is
+    /// recovered (or revived): on success the worker's write-ahead log
+    /// is reclaimed and new transactions may run; on `PeerDead` the
+    /// still-undeliverable ops stay parked for the next attempt. (A
+    /// graceful leave quiesces pending write-backs *before* retiring, so
+    /// a retired target only shows up here under chaos; its ops stay
+    /// parked like any other.)
+    pub fn flush_pending(&mut self) -> Result<(), TxnError> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let parked = std::mem::take(&mut self.pending);
+        self.pending = self.write_back(parked.iter().map(PendingOp::item), None)?;
+        match self.pending.first() {
+            Some(op) => Err(TxnError::PeerDead(op.rec.addr.node)),
+            None => {
+                self.reclaim_log(self.sys.cfg.logging);
+                Ok(())
             }
         }
     }
 }
 
-/// Execution mode of a transaction context.
+/// Outcome of one HTM region.
+enum Attempt<T> {
+    Committed(T),
+    /// Aborted; back off and rerun the region under the same locks.
+    Retry,
+    /// Deterministic (capacity) abort, or the retry budget is spent:
+    /// switch to the ordered-2PL strategy.
+    GiveUp,
+    /// A lease expired: release everything and rerun Start.
+    RestartTxn,
+    Terminal(TxnError),
+}
+
+/// How a transaction context isolates the body.
 enum CtxMode<'r> {
     /// Inside the emulated HTM region.
     Htm(HtmTxn<'r>),
-    /// Under fallback 2PL locks; everything is buffered.
-    Fallback,
+    /// Under ordered-2PL locks; every write is buffered.
+    Buffered,
 }
 
-/// Buffered state handed back by a fallback-mode context.
-struct FallbackOut {
+/// Table allocations a body made inside an HTM region (rolled back if
+/// the region aborts).
+type Allocs = Vec<(Arc<ClusterHash>, PreparedInsert)>;
+
+fn undo_allocs(allocs: Allocs) {
+    for (table, p) in allocs {
+        table.undo_insert(p);
+    }
+}
+
+/// What a context hands back to Commit once the body returns.
+struct BodyOut<'r> {
+    /// The still-open HTM region (HTM mode only).
+    txn: Option<HtmTxn<'r>>,
+    /// Buffered remote writes, by remote-write index.
     w_buf: Vec<Option<Vec<u8>>>,
+    /// Buffered local writes, by local-write index (buffered mode only).
     l_buf: Vec<Option<Vec<u8>>>,
-    l_fetched_writes: Vec<FetchedRecord>,
+    allocs: Allocs,
+    /// HTM mode with durability on: local updates for the write-ahead
+    /// log (§4.6 logs local *and* remote updates).
+    local_log: Vec<LoggedUpdate>,
 }
 
 /// The handle a transaction body uses to access records and ordered
-/// stores, independent of whether it runs on the HTM or fallback path.
+/// stores, independent of the strategy that isolates it.
 pub struct TxnCtx<'r> {
     mode: CtxMode<'r>,
     region: &'r Region,
     spec: &'r TxnSpec,
-    w_fetched: &'r [FetchedRecord],
-    r_fetched: &'r [FetchedRecord],
-    /// Buffered remote writes (by remote-write index).
+    /// Every record Start fetched under its lock or lease.
+    locks: &'r LockSet,
     w_buf: Vec<Option<Vec<u8>>>,
-    /// Fallback only: fetched local records.
-    l_fetched_writes: Vec<FetchedRecord>,
-    l_fetched_reads: Vec<FetchedRecord>,
-    /// Fallback only: buffered local writes.
     l_buf: Vec<Option<Vec<u8>>>,
-    now_us: u64,
     delta_us: u64,
     strategy: SofttimeStrategy,
-    allocs: Vec<(Arc<ClusterHash>, PreparedInsert)>,
-    exec: Executor,
-    /// When durability is on: local updates to include in the
-    /// write-ahead log (§4.6 logs local *and* remote updates).
+    allocs: Allocs,
+    exec: &'r Executor,
     logging: bool,
     local_log: Vec<LoggedUpdate>,
 }
 
 impl<'r> TxnCtx<'r> {
-    #[allow(clippy::type_complexity)]
-    fn finish_htm(
-        self,
-    ) -> (
-        HtmTxn<'r>,
-        Vec<Option<Vec<u8>>>,
-        Vec<(Arc<ClusterHash>, PreparedInsert)>,
-        Vec<LoggedUpdate>,
-    ) {
-        match self.mode {
-            CtxMode::Htm(t) => (t, self.w_buf, self.allocs, self.local_log),
-            CtxMode::Fallback => unreachable!("finish_htm on a fallback context"),
+    fn new(mode: CtxMode<'r>, env: Env<'r>, locks: &'r LockSet, exec: &'r Executor) -> Self {
+        let cfg = &env.sys.cfg;
+        TxnCtx {
+            mode,
+            region: env.region,
+            spec: env.spec,
+            locks,
+            w_buf: vec![None; env.spec.remote_writes.len()],
+            // Sized by what Start locked: empty under the HTM strategy.
+            l_buf: vec![None; locks.local_writes.len()],
+            delta_us: cfg.delta_us,
+            strategy: cfg.softtime,
+            allocs: Vec::new(),
+            exec,
+            logging: cfg.logging,
+            local_log: Vec::new(),
         }
     }
 
-    fn finish_fallback(self) -> FallbackOut {
-        FallbackOut {
+    fn finish(self) -> BodyOut<'r> {
+        let txn = match self.mode {
+            CtxMode::Htm(txn) => Some(txn),
+            CtxMode::Buffered => None,
+        };
+        BodyOut {
+            txn,
             w_buf: self.w_buf,
             l_buf: self.l_buf,
-            l_fetched_writes: self.l_fetched_writes,
+            allocs: self.allocs,
+            local_log: self.local_log,
         }
     }
 
     fn op_now(&mut self) -> Result<u64, Abort> {
         match (self.strategy, &mut self.mode) {
             (SofttimeStrategy::PerOp, CtxMode::Htm(txn)) => softtime_txn(txn),
-            _ => Ok(self.now_us),
+            _ => Ok(self.locks.now_us),
         }
     }
 
     /// Value of remote-read record `i`, prefetched in the Start phase.
     pub fn remote_read(&self, i: usize) -> &[u8] {
-        &self.r_fetched[i].value
+        &self.locks.remote_reads[i].value
     }
 
     /// Header version of remote-read record `i`.
     pub fn remote_read_version(&self, i: usize) -> u32 {
-        self.r_fetched[i].header.version
+        self.locks.remote_reads[i].header.version
     }
 
     /// Current value of remote-write record `i`: the buffered update if
     /// one exists, else the value fetched under the exclusive lock.
     pub fn remote_write_cur(&self, i: usize) -> &[u8] {
-        self.w_buf[i].as_deref().unwrap_or(&self.w_fetched[i].value)
+        self.w_buf[i].as_deref().unwrap_or(&self.locks.remote_writes[i].value)
     }
 
     /// Buffers the new value of remote-write record `i` (pushed with
@@ -1340,7 +1274,7 @@ impl<'r> TxnCtx<'r> {
         let off = self.spec.local_reads[i].addr.offset;
         match &mut self.mode {
             CtxMode::Htm(txn) => Ok(record::local_read(txn, off)?.1),
-            CtxMode::Fallback => Ok(self.l_fetched_reads[i].value.clone()),
+            CtxMode::Buffered => Ok(self.locks.local_reads[i].value.clone()),
         }
     }
 
@@ -1350,8 +1284,8 @@ impl<'r> TxnCtx<'r> {
         let off = self.spec.local_writes[i].addr.offset;
         match &mut self.mode {
             CtxMode::Htm(txn) => Ok(record::local_read(txn, off)?.1),
-            CtxMode::Fallback => {
-                Ok(self.l_buf[i].clone().unwrap_or_else(|| self.l_fetched_writes[i].value.clone()))
+            CtxMode::Buffered => {
+                Ok(self.l_buf[i].as_ref().unwrap_or(&self.locks.local_writes[i].value).clone())
             }
         }
     }
@@ -1371,7 +1305,7 @@ impl<'r> TxnCtx<'r> {
                 }
                 record::local_write(txn, rec.addr.offset, value, now, delta)
             }
-            CtxMode::Fallback => {
+            CtxMode::Buffered => {
                 // Fallback path: the buffered update is logged at commit
                 // time with its real version (log-before-unlock) — no
                 // per-op entry here.
@@ -1401,7 +1335,7 @@ impl<'r> TxnCtx<'r> {
                 Err(InsertError::Duplicate) => Err(Abort::Explicit(ABORT_LOCKED)),
                 Err(InsertError::Full) => Err(Abort::Explicit(0xF1)),
             },
-            CtxMode::Fallback => match table.insert(&self.exec, self.region, key, value) {
+            CtxMode::Buffered => match table.insert(self.exec, self.region, key, value) {
                 Ok(()) => Ok(()),
                 Err(InsertError::Duplicate) => Err(Abort::Explicit(ABORT_LOCKED)),
                 Err(InsertError::Full) => Err(Abort::Explicit(0xF1)),
@@ -1409,77 +1343,17 @@ impl<'r> TxnCtx<'r> {
         }
     }
 
-    /// Looks up a key in a local hash table, returning the entry offset.
-    ///
-    /// Usable in both modes; on the fallback path it runs as a validated
-    /// standalone read transaction.
-    pub fn hash_lookup(&mut self, table: &ClusterHash, key: u64) -> Result<Option<usize>, Abort> {
-        match &mut self.mode {
-            CtxMode::Htm(txn) => Ok(table.get_local(txn, key)?.map(|e| e.offset)),
-            CtxMode::Fallback => {
-                let got = self.standalone(|txn| table.get_local(txn, key))?;
-                Ok(got.map(|e| e.offset))
-            }
-        }
-    }
-
-    /// B+ tree point lookup on a local ordered store.
-    pub fn tree_get(&mut self, tree: &BTree, key: u64) -> Result<Option<u64>, Abort> {
-        match &mut self.mode {
-            CtxMode::Htm(txn) => tree.get(txn, key),
-            CtxMode::Fallback => self.standalone(|txn| tree.get(txn, key)),
-        }
-    }
-
-    /// B+ tree insert on a local ordered store.
-    pub fn tree_insert(&mut self, tree: &BTree, key: u64, val: u64) -> Result<bool, Abort> {
-        match &mut self.mode {
-            CtxMode::Htm(txn) => tree.insert(txn, key, val),
-            CtxMode::Fallback => self.standalone(|txn| tree.insert(txn, key, val)),
-        }
-    }
-
-    /// B+ tree remove on a local ordered store.
-    pub fn tree_remove(&mut self, tree: &BTree, key: u64) -> Result<bool, Abort> {
-        match &mut self.mode {
-            CtxMode::Htm(txn) => tree.remove(txn, key),
-            CtxMode::Fallback => self.standalone(|txn| tree.remove(txn, key)),
-        }
-    }
-
-    /// B+ tree range scan on a local ordered store.
-    pub fn tree_scan(
+    /// Runs one ordered-store operation where the body is isolated:
+    /// inside the transaction's own HTM region, or — under ordered 2PL —
+    /// as its own committed-and-validated HTM micro-transaction,
+    /// retried on conflicts.
+    fn store_op<T>(
         &mut self,
-        tree: &BTree,
-        lo: u64,
-        hi: u64,
-        max: usize,
-    ) -> Result<Vec<(u64, u64)>, Abort> {
-        match &mut self.mode {
-            CtxMode::Htm(txn) => tree.scan_range(txn, lo, hi, max),
-            CtxMode::Fallback => self.standalone(|txn| tree.scan_range(txn, lo, hi, max)),
-        }
-    }
-
-    /// B+ tree "largest key in range" on a local ordered store.
-    pub fn tree_max_in_range(
-        &mut self,
-        tree: &BTree,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Option<(u64, u64)>, Abort> {
-        match &mut self.mode {
-            CtxMode::Htm(txn) => tree.max_in_range(txn, lo, hi),
-            CtxMode::Fallback => self.standalone(|txn| tree.max_in_range(txn, lo, hi)),
-        }
-    }
-
-    /// Runs a store operation as its own committed-and-validated HTM
-    /// transaction (fallback mode), retrying conflicts.
-    fn standalone<T>(
-        &self,
         mut f: impl FnMut(&mut HtmTxn<'_>) -> Result<T, Abort>,
     ) -> Result<T, Abort> {
+        if let CtxMode::Htm(txn) = &mut self.mode {
+            return f(txn);
+        }
         let mut backoff = drtm_htm::backoff::Backoff::new();
         loop {
             let mut txn = self.region.begin(self.exec.config());
@@ -1496,11 +1370,52 @@ impl<'r> TxnCtx<'r> {
         }
     }
 
+    /// Looks up a key in a local hash table, returning the entry offset.
+    pub fn hash_lookup(&mut self, table: &ClusterHash, key: u64) -> Result<Option<usize>, Abort> {
+        Ok(self.store_op(|txn| table.get_local(txn, key))?.map(|e| e.offset))
+    }
+
+    /// B+ tree point lookup on a local ordered store.
+    pub fn tree_get(&mut self, tree: &BTree, key: u64) -> Result<Option<u64>, Abort> {
+        self.store_op(|txn| tree.get(txn, key))
+    }
+
+    /// B+ tree insert on a local ordered store.
+    pub fn tree_insert(&mut self, tree: &BTree, key: u64, val: u64) -> Result<bool, Abort> {
+        self.store_op(|txn| tree.insert(txn, key, val))
+    }
+
+    /// B+ tree remove on a local ordered store.
+    pub fn tree_remove(&mut self, tree: &BTree, key: u64) -> Result<bool, Abort> {
+        self.store_op(|txn| tree.remove(txn, key))
+    }
+
+    /// B+ tree range scan on a local ordered store.
+    pub fn tree_scan(
+        &mut self,
+        tree: &BTree,
+        lo: u64,
+        hi: u64,
+        max: usize,
+    ) -> Result<Vec<(u64, u64)>, Abort> {
+        self.store_op(|txn| tree.scan_range(txn, lo, hi, max))
+    }
+
+    /// B+ tree "largest key in range" on a local ordered store.
+    pub fn tree_max_in_range(
+        &mut self,
+        tree: &BTree,
+        lo: u64,
+        hi: u64,
+    ) -> Result<Option<(u64, u64)>, Abort> {
+        self.store_op(|txn| tree.max_in_range(txn, lo, hi))
+    }
+
     /// Escape hatch: the raw HTM transaction (HTM mode only).
     pub fn htm_txn(&mut self) -> Option<&mut HtmTxn<'r>> {
         match &mut self.mode {
             CtxMode::Htm(t) => Some(t),
-            CtxMode::Fallback => None,
+            CtxMode::Buffered => None,
         }
     }
 }
@@ -2035,7 +1950,7 @@ mod tests {
         let rec = h.rec(0, 0);
         let qp1 = h.sys.cluster().qp(1);
         let now = crate::time::softtime_nt(h.sys.cluster().node(1).region());
-        record::remote_read(&qp1, &rec, now + 3_000, now, 100).unwrap();
+        record::remote_read(&qp1, &rec, now + 3_000, now, 100, false).unwrap();
         // Local write under the lease explicitly aborts.
         let region = h.sys.cluster().node(0).region().clone();
         let mut txn = region.begin(&h.sys.config().htm);

@@ -52,9 +52,10 @@ fn main() {
         s.spawn(move || {
             let qp = sys2.cluster().qp(1);
             let now = drtm::txn::softtime_nt(sys2.cluster().node(1).region());
-            record_ops::remote_lock_write(&qp, &hot, 1, now, 100).expect("lock must be free");
+            record_ops::remote_lock_write(&qp, &hot, 1, now, 100, false)
+                .expect("lock must be free");
             std::thread::sleep(Duration::from_millis(20));
-            record_ops::remote_unlock(&qp, &hot);
+            record_ops::remote_unlock(&qp, &hot, false).expect("no failure is injected");
         });
         std::thread::sleep(Duration::from_millis(5));
 

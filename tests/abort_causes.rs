@@ -78,10 +78,10 @@ fn u(b: &[u8]) -> u64 {
 /// Holds a remote write lock on `rec` for `hold`, then releases it.
 fn hold_lock_then_release(f: &Fixture, holder: NodeId, rec: RecordAddr, hold: Duration) {
     let qp = f.sys.cluster().qp(holder);
-    record_ops::remote_lock_write(&qp, &rec, holder as u8, f.now(holder), 100)
+    record_ops::remote_lock_write(&qp, &rec, holder as u8, f.now(holder), 100, false)
         .expect("lock must be free");
     std::thread::sleep(hold);
-    record_ops::remote_unlock(&qp, &rec);
+    record_ops::remote_unlock(&qp, &rec, false).unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -138,7 +138,7 @@ fn local_write_under_lease_is_htm_leased() {
     let rec = f.rec(0, 2);
     let qp1 = f.sys.cluster().qp(1);
     let now = f.now(1);
-    record_ops::remote_read(&qp1, &rec, now + 3_000, now, 100).unwrap();
+    record_ops::remote_read(&qp1, &rec, now + 3_000, now, 100, false).unwrap();
     let mut w = f.sys.worker(0, 0);
     let spec = TxnSpec { local_writes: vec![rec], ..Default::default() };
     w.execute(&spec, |ctx| ctx.local_write(0, &7u64.to_le_bytes())).unwrap();
@@ -188,7 +188,7 @@ fn start_write_blocked_by_lease_is_start_leased() {
     let qp2 = f.sys.cluster().qp(2);
     let now = f.now(2);
     let end = now + 2_000;
-    record_ops::remote_read(&qp2, &rec, end, now, 100).unwrap();
+    record_ops::remote_read(&qp2, &rec, end, now, 100, false).unwrap();
     let mut w = f.sys.worker(0, 0);
     let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
     w.execute(&spec, |ctx| {
@@ -234,7 +234,7 @@ fn shared_leases_record_no_aborts() {
     let rec = f.rec(1, 6);
     let qp2 = f.sys.cluster().qp(2);
     let now = f.now(2);
-    record_ops::remote_read(&qp2, &rec, now + 5_000, now, 100).unwrap();
+    record_ops::remote_read(&qp2, &rec, now + 5_000, now, 100, false).unwrap();
     let mut w = f.sys.worker(0, 0);
     let spec = TxnSpec { remote_reads: vec![rec], ..Default::default() };
     let v = w.execute(&spec, |ctx| Ok(u(ctx.remote_read(0)))).unwrap();

@@ -1,5 +1,7 @@
-//! Protocol-level property test: random transfer workloads over a
-//! random cluster shape always conserve value and leave no stray locks.
+//! Protocol-level property tests: random transfer workloads over a
+//! random cluster shape always conserve value and leave no stray locks,
+//! and the HTM strategy and the ordered-2PL strategy of the commit
+//! pipeline leave byte-identical records behind.
 
 use std::sync::Arc;
 
@@ -8,7 +10,7 @@ use proptest::prelude::*;
 use drtm::htm::{Executor, HtmStats};
 use drtm::memstore::{Arena, ClusterHash};
 use drtm::rdma::{Cluster, ClusterConfig, LatencyProfile};
-use drtm::txn::{DrTm, DrTmConfig, LockState, NodeLayout, SoftTimer, TxnSpec};
+use drtm::txn::{DrTm, DrTmConfig, LockState, LogSlot, NodeLayout, SoftTimer, TxnSpec, LOG_EMPTY};
 use drtm::workloads::resolve::Table;
 
 const PER_NODE: u64 = 16;
@@ -31,19 +33,21 @@ fn transfer(nodes: u16) -> impl Strategy<Value = Transfer> {
     })
 }
 
-fn build(nodes: usize) -> (Arc<DrTm>, Arc<Table>, SoftTimer) {
+/// Workers per machine (log slots reserved).
+const WORKERS: usize = 2;
+
+fn build(nodes: usize, cfg: DrTmConfig) -> (Arc<DrTm>, Arc<Table>, SoftTimer) {
     let cluster = Cluster::new(ClusterConfig {
         nodes,
         region_size: 8 << 20,
         profile: LatencyProfile::zero(),
         ..Default::default()
     });
-    let cfg = DrTmConfig::default();
     let mut layouts = Vec::new();
     let mut shards = Vec::new();
     for n in 0..nodes as u16 {
         let mut arena = Arena::new(0, 8 << 20);
-        layouts.push(NodeLayout::reserve(&mut arena, 2));
+        layouts.push(NodeLayout::reserve(&mut arena, WORKERS));
         let t = ClusterHash::create(&mut arena, n, 16, 2 * PER_NODE as usize, 8);
         let exec = Executor::new(cfg.htm.clone(), Arc::new(HtmStats::new()));
         for k in 0..PER_NODE {
@@ -54,6 +58,89 @@ fn build(nodes: usize) -> (Arc<DrTm>, Arc<Table>, SoftTimer) {
     }
     let timer = SoftTimer::start(cluster.clone(), std::time::Duration::from_micros(200));
     (DrTm::new(cluster, cfg, layouts), Arc::new(Table::new(shards)), timer)
+}
+
+/// Runs `batch` on worker `(worker_node, wid)`: each transfer moves
+/// `amount` between two records, each local or remote as it falls.
+fn run_transfers(
+    sys: &Arc<DrTm>,
+    table: &Table,
+    nodes: usize,
+    worker_node: u16,
+    wid: usize,
+    batch: &[Transfer],
+) {
+    let mut w = sys.worker(worker_node, wid);
+    for t in batch {
+        let sn = t.src_node % nodes as u16;
+        let dn = t.dst_node % nodes as u16;
+        let src = sn as u64 * PER_NODE + t.src_key;
+        let dst = dn as u64 * PER_NODE + t.dst_key;
+        if src == dst {
+            continue;
+        }
+        let src_rec = table.resolve(&w, sn, src).expect("populated");
+        let dst_rec = table.resolve(&w, dn, dst).expect("populated");
+        let mut spec = TxnSpec::default();
+        let mut declare = |local: bool, rec| {
+            let list = if local { &mut spec.local_writes } else { &mut spec.remote_writes };
+            list.push(rec);
+            (local, list.len() - 1)
+        };
+        let src_ix = declare(sn == worker_node, src_rec);
+        let dst_ix = declare(dn == worker_node, dst_rec);
+        let amount = t.amount;
+        w.execute(&spec, |ctx| {
+            let get = |ctx: &mut drtm::txn::TxnCtx<'_>, ix: (bool, usize)| {
+                Ok::<u64, drtm::htm::Abort>(if ix.0 {
+                    u64::from_le_bytes(ctx.local_write_cur(ix.1)?[..8].try_into().expect("u64"))
+                } else {
+                    u64::from_le_bytes(ctx.remote_write_cur(ix.1)[..8].try_into().expect("u64"))
+                })
+            };
+            let sv = get(ctx, src_ix)?;
+            let dv = get(ctx, dst_ix)?;
+            if src_ix.0 {
+                ctx.local_write(src_ix.1, &sv.wrapping_sub(amount).to_le_bytes())?;
+            } else {
+                ctx.remote_write(src_ix.1, sv.wrapping_sub(amount).to_le_bytes().to_vec());
+            }
+            if dst_ix.0 {
+                ctx.local_write(dst_ix.1, &dv.wrapping_add(amount).to_le_bytes())?;
+            } else {
+                ctx.remote_write(dst_ix.1, dv.wrapping_add(amount).to_le_bytes().to_vec());
+            }
+            Ok(())
+        })
+        .expect("transfer commits");
+    }
+}
+
+/// `(state word, version, value)` of every record, then the status word
+/// of every log slot, in a fixed order.
+fn final_state(sys: &Arc<DrTm>, table: &Table, nodes: usize) -> (Vec<(u64, u32, u64)>, Vec<u64>) {
+    let w = sys.worker(0, 0);
+    let mut records = Vec::new();
+    let mut slots = Vec::new();
+    for n in 0..nodes as u16 {
+        let region = sys.cluster().node(n).region();
+        for k in 0..PER_NODE {
+            let rec = table.resolve(&w, n, n as u64 * PER_NODE + k).expect("populated");
+            let mut version = [0u8; 4];
+            region.read_nt(rec.addr.offset + 12, &mut version);
+            let mut value = [0u8; 8];
+            region.read_nt(rec.addr.offset + 32, &mut value);
+            records.push((
+                region.read_u64_nt(rec.addr.offset),
+                u32::from_le_bytes(version),
+                u64::from_le_bytes(value),
+            ));
+        }
+        for slot in &sys.layout(n).log_slots {
+            slots.push(LogSlot::new(*slot, 0).read_status(region));
+        }
+    }
+    (records, slots)
 }
 
 proptest! {
@@ -68,69 +155,10 @@ proptest! {
         batch_a in proptest::collection::vec(transfer(3), 1..25),
         batch_b in proptest::collection::vec(transfer(3), 1..25),
     ) {
-        let (sys, table, _timer) = build(nodes);
+        let (sys, table, _timer) = build(nodes, DrTmConfig::default());
         let run_batch = |worker_node: u16, wid: usize, batch: Vec<Transfer>| {
-            let sys = sys.clone();
-            let table = table.clone();
-            move || {
-                let mut w = sys.worker(worker_node, wid);
-                for t in batch {
-                    let sn = t.src_node % nodes as u16;
-                    let dn = t.dst_node % nodes as u16;
-                    let src = sn as u64 * PER_NODE + t.src_key;
-                    let dst = dn as u64 * PER_NODE + t.dst_key;
-                    if src == dst {
-                        continue;
-                    }
-                    let src_rec = table.resolve(&w, sn, src).expect("populated");
-                    let dst_rec = table.resolve(&w, dn, dst).expect("populated");
-                    let mut spec = TxnSpec::default();
-                    let src_local = sn == worker_node;
-                    let dst_local = dn == worker_node;
-                    let src_ix = if src_local {
-                        spec.local_writes.push(src_rec);
-                        (true, spec.local_writes.len() - 1)
-                    } else {
-                        spec.remote_writes.push(src_rec);
-                        (false, spec.remote_writes.len() - 1)
-                    };
-                    let dst_ix = if dst_local {
-                        spec.local_writes.push(dst_rec);
-                        (true, spec.local_writes.len() - 1)
-                    } else {
-                        spec.remote_writes.push(dst_rec);
-                        (false, spec.remote_writes.len() - 1)
-                    };
-                    let amount = t.amount;
-                    w.execute(&spec, |ctx| {
-                        let get = |ctx: &mut drtm::txn::TxnCtx<'_>, ix: (bool, usize)| {
-                            Ok::<u64, drtm::htm::Abort>(if ix.0 {
-                                u64::from_le_bytes(
-                                    ctx.local_write_cur(ix.1)?[..8].try_into().expect("u64"),
-                                )
-                            } else {
-                                u64::from_le_bytes(
-                                    ctx.remote_write_cur(ix.1)[..8].try_into().expect("u64"),
-                                )
-                            })
-                        };
-                        let sv = get(ctx, src_ix)?;
-                        let dv = get(ctx, dst_ix)?;
-                        if src_ix.0 {
-                            ctx.local_write(src_ix.1, &sv.wrapping_sub(amount).to_le_bytes())?;
-                        } else {
-                            ctx.remote_write(src_ix.1, sv.wrapping_sub(amount).to_le_bytes().to_vec());
-                        }
-                        if dst_ix.0 {
-                            ctx.local_write(dst_ix.1, &dv.wrapping_add(amount).to_le_bytes())?;
-                        } else {
-                            ctx.remote_write(dst_ix.1, dv.wrapping_add(amount).to_le_bytes().to_vec());
-                        }
-                        Ok(())
-                    })
-                    .expect("transfer commits");
-                }
-            }
+            let (sys, table) = (sys.clone(), table.clone());
+            move || run_transfers(&sys, &table, nodes, worker_node, wid, &batch)
         };
         std::thread::scope(|s| {
             s.spawn(run_batch(0, 0, batch_a));
@@ -151,6 +179,41 @@ proptest! {
                 total = total.wrapping_add(u64::from_le_bytes(b));
             }
         }
+        prop_assert_eq!(total, nodes as u64 * PER_NODE * INIT);
+    }
+
+    /// Strategy equivalence: the same transfer sequence, run by one
+    /// worker with logging on, once under the default HTM retry budget
+    /// and once with every transaction forced down the ordered-2PL
+    /// fallback, leaves the same value *and version* in every record,
+    /// every state word `INIT` and every log slot empty. The two
+    /// strategies differ in how they isolate the body, never in what
+    /// they publish.
+    #[test]
+    fn htm_and_fallback_strategies_publish_identical_state(
+        nodes in 2usize..4,
+        batch in proptest::collection::vec(transfer(3), 200..260),
+    ) {
+        let run = |force_fallback: bool| {
+            let mut cfg = DrTmConfig { logging: true, ..DrTmConfig::default() };
+            if force_fallback {
+                cfg.htm.max_retries = 0;
+            }
+            let (sys, table, _timer) = build(nodes, cfg);
+            run_transfers(&sys, &table, nodes, 0, 0, &batch);
+            let stats = sys.stats().snapshot();
+            (final_state(&sys, &table, nodes), stats.committed, stats.fallback_committed)
+        };
+        let ((htm_recs, htm_slots), htm_committed, htm_fallbacks) = run(false);
+        let ((fb_recs, fb_slots), fb_committed, fb_fallbacks) = run(true);
+        prop_assert!(htm_committed >= 150, "most generated transfers are real");
+        prop_assert_eq!(htm_fallbacks, 0, "an uncontended worker never falls back");
+        prop_assert_eq!(fb_fallbacks, fb_committed, "forced run must commit via 2PL only");
+        prop_assert_eq!(htm_committed, fb_committed);
+        prop_assert_eq!(&htm_recs, &fb_recs);
+        prop_assert!(htm_recs.iter().all(|r| r.0 == drtm::txn::INIT), "state word not INIT");
+        prop_assert!(htm_slots.iter().chain(&fb_slots).all(|s| *s == LOG_EMPTY), "live log slot");
+        let total = htm_recs.iter().fold(0u64, |t, r| t.wrapping_add(r.2));
         prop_assert_eq!(total, nodes as u64 * PER_NODE * INIT);
     }
 }
