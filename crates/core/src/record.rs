@@ -138,14 +138,41 @@ fn fetch_entry(qp: &Qp, rec: &RecordAddr) -> Result<(EntryHeader, Vec<u8>), Lock
     Ok((h, buf[ENTRY_HEADER_BYTES..ENTRY_HEADER_BYTES + len].to_vec()))
 }
 
-/// `REMOTE_READ` (Figure 5): acquire (or share) a read lease ending at
-/// `end_us`, then fetch the record.
-///
-/// * state INIT → CAS installs the lease;
-/// * valid lease by someone else → share it (no write to the state word,
-///   hence no false abort of local readers in this case);
-/// * expired lease → CAS reclaims it with the new end time;
-/// * write-locked → conflict.
+/// Drives the state word to `desired` by CAS (Figure 5), reclaiming an
+/// expired lease on the way. `share` says what an unexpired lease of
+/// someone else means: a reader shares it (no write to the state word,
+/// hence no false abort of local readers), a writer conflicts with it.
+/// Returns the lease end now covering the record.
+fn lock_state(
+    qp: &Qp,
+    rec: &RecordAddr,
+    desired: LockState,
+    share: bool,
+    now_us: u64,
+    delta_us: u64,
+    local: bool,
+) -> Result<u64, LockConflict> {
+    let mut expected = INIT;
+    loop {
+        let old = state_cas(qp, rec, expected, desired.0, local)?;
+        let st = LockState(old);
+        if old == expected {
+            return Ok(desired.lease_end_us());
+        } else if st.is_write_locked() {
+            return Err(LockConflict::WriteLocked { owner: st.owner() });
+        } else if st.lease_valid(now_us, delta_us) {
+            let end_us = st.lease_end_us();
+            return if share { Ok(end_us) } else { Err(LockConflict::Leased { end_us }) };
+        } else if !st.lease_expired(now_us, delta_us) {
+            return Err(LockConflict::Ambiguous);
+        }
+        expected = old;
+    }
+}
+
+/// `REMOTE_READ` (Figure 5): acquire, share, or — once expired — reclaim
+/// a read lease ending at `end_us`, then fetch the record. A
+/// write-locked record is a conflict.
 ///
 /// `local` selects the CPU CAS instead of the NIC's (only sound under
 /// `IBV_ATOMIC_GLOB`, §6.3: the ordered-2PL strategy and read-only
@@ -158,31 +185,10 @@ pub fn remote_read(
     delta_us: u64,
     local: bool,
 ) -> Result<FetchedRecord, LockConflict> {
-    let desired = LockState::leased(end_us).0;
-    let mut expected = INIT;
-    let lease_end;
-    loop {
-        let old = state_cas(qp, rec, expected, desired, local)?;
-        if old == expected {
-            lease_end = end_us;
-            break;
-        }
-        let st = LockState(old);
-        if st.is_write_locked() {
-            return Err(LockConflict::WriteLocked { owner: st.owner() });
-        }
-        if st.lease_valid(now_us, delta_us) {
-            lease_end = st.lease_end_us();
-            break;
-        }
-        if st.lease_expired(now_us, delta_us) {
-            expected = old;
-            continue;
-        }
-        return Err(LockConflict::Ambiguous);
-    }
+    let lease_end_us =
+        lock_state(qp, rec, LockState::leased(end_us), true, now_us, delta_us, local)?;
     let (header, value) = fetch_entry(qp, rec)?;
-    Ok(FetchedRecord { header, value, lease_end_us: lease_end })
+    Ok(FetchedRecord { header, value, lease_end_us })
 }
 
 /// The locking half of `REMOTE_WRITE` (Figure 5): acquire the exclusive
@@ -196,26 +202,7 @@ pub fn remote_lock_write(
     delta_us: u64,
     local: bool,
 ) -> Result<FetchedRecord, LockConflict> {
-    let desired = LockState::write_locked(owner).0;
-    let mut expected = INIT;
-    loop {
-        let old = state_cas(qp, rec, expected, desired, local)?;
-        if old == expected {
-            break;
-        }
-        let st = LockState(old);
-        if st.is_write_locked() {
-            return Err(LockConflict::WriteLocked { owner: st.owner() });
-        }
-        if st.lease_valid(now_us, delta_us) {
-            return Err(LockConflict::Leased { end_us: st.lease_end_us() });
-        }
-        if st.lease_expired(now_us, delta_us) {
-            expected = old;
-            continue;
-        }
-        return Err(LockConflict::Ambiguous);
-    }
+    lock_state(qp, rec, LockState::write_locked(owner), false, now_us, delta_us, local)?;
     let (header, value) = fetch_entry(qp, rec)?;
     Ok(FetchedRecord { header, value, lease_end_us: 0 })
 }

@@ -1,34 +1,23 @@
 //! The DrTM transaction engine: one commit pipeline,
-//! Start → LocalTX → Commit → WriteBack (Figures 2, 3, 5–8).
+//! Start → LocalTX → Commit → WriteBack (Figures 2, 3, 5–8; DESIGN.md
+//! "Commit pipeline" has the phase × strategy table).
 //!
 //! A transaction declares its read/write sets up front (§4.1 — the same
 //! requirement as Sinfonia/Calvin; typical OLTP workloads satisfy it).
-//! [`Worker::execute`] then drives it through four steps, each written
-//! once:
+//! [`Worker::execute`] then drives it through steps written once each:
+//! **Start** ([`Worker::start`]) logs ahead, then locks or leases and
+//! fetches every record of the strategy's lock order; **LocalTX** runs
+//! the body against a [`TxnCtx`]; **Commit** confirms the leases and
+//! stages the write-ahead log up to the commit point ([`Worker::run`]);
+//! **WriteBack** ([`Worker::publish`]) applies, unlocks, parks what a
+//! dead peer cannot take and reclaims the log.
 //!
-//! 1. **Start** ([`Worker::start`]) — persists the lock-ahead log (if
-//!    durability is on), then takes a write lock on, or a read lease for,
-//!    every record of the strategy's lock order, fetching each.
-//! 2. **LocalTX** — runs the user body against a [`TxnCtx`].
-//! 3. **Commit** — confirms every lease against softtime and stages the
-//!    write-ahead log; past its commit point the transaction is durable.
-//! 4. **WriteBack** ([`Worker::publish`]) — pushes every update and
-//!    releases every lock, parks what a dead peer cannot take, and
-//!    reclaims the log slot.
-//!
-//! The only fork is the [`Strategy`]. The **HTM** strategy locks remote
-//! records only (NIC CAS, try-all-then-retry) and isolates the body,
-//! the lease confirmation and the write-ahead log in one emulated HTM
-//! region whose `XEND` is the commit point. After repeated HTM aborts
-//! (or a deterministic capacity abort) the driver switches to the
-//! **ordered-2PL** strategy (the fallback handler of §6.2): it locks
-//! *every* record — local ones too, by CPU CAS where the NIC allows — in
-//! a global `(node, offset)` order (waiting, which is deadlock-free
-//! under a total order), confirms leases, runs the body against
-//! buffered state, and persists the write-ahead log non-transactionally
-//! as its commit point. Both obey log-persist-before-unlock (the HTPM
-//! recipe): nothing becomes visible and no lock is released before the
-//! log that can redo it is durable.
+//! The only fork is the [`Strategy`]: the **HTM** region of the paper's
+//! fast path, and — after repeated HTM aborts or a deterministic
+//! capacity abort — the **ordered-2PL** fallback handler of §6.2. Both
+//! obey log-persist-before-unlock (the HTPM recipe): nothing becomes
+//! visible and no lock is released before the log that can redo it is
+//! durable.
 
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
@@ -109,25 +98,6 @@ enum Strategy {
     Ordered2pl,
 }
 
-impl Strategy {
-    /// The phase line Start's time and ops are charged to (the whole
-    /// ordered-2PL run is reported as one `Fallback` line).
-    fn lock_phase(self) -> Phase {
-        match self {
-            Strategy::Htm => Phase::Start,
-            Strategy::Ordered2pl => Phase::Fallback,
-        }
-    }
-
-    /// The crash point between the lock-ahead log and the first lock.
-    fn after_lock_ahead(self) -> CrashPoint {
-        match self {
-            Strategy::Htm => CrashPoint::AfterLockAhead,
-            Strategy::Ordered2pl => CrashPoint::FallbackAfterLockAhead,
-        }
-    }
-}
-
 /// Which declared list of the [`TxnSpec`] a lock-order item came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum List {
@@ -152,84 +122,57 @@ impl Item {
     }
 }
 
-fn items(recs: &[RecordAddr], list: List) -> impl Iterator<Item = Item> + Clone + '_ {
-    recs.iter().enumerate().map(move |(idx, rec)| Item { rec: *rec, list, idx })
-}
-
-/// The HTM strategy's lock order: remote writes, then remote leases, as
+/// A strategy's lock order. HTM: remote writes then remote leases, as
 /// declared (local records are guarded by the HTM region itself).
-fn declared_order(spec: &TxnSpec) -> impl Iterator<Item = Item> + Clone + '_ {
-    items(&spec.remote_writes, List::RemoteWrite).chain(items(&spec.remote_reads, List::RemoteRead))
-}
-
-/// The ordered-2PL lock order: every record by `(node, offset)` — a
-/// total order, so waiting cannot deadlock.
-fn global_order(spec: &TxnSpec) -> Vec<Item> {
-    let mut order: Vec<Item> = items(&spec.local_writes, List::LocalWrite)
-        .chain(items(&spec.remote_writes, List::RemoteWrite))
-        .chain(items(&spec.local_reads, List::LocalRead))
-        .chain(items(&spec.remote_reads, List::RemoteRead))
-        .collect();
-    order.sort_by_key(|it| (it.rec.addr.node, it.rec.addr.offset));
+/// Ordered 2PL: every record, by `(node, offset)` — a total order, so
+/// waiting cannot deadlock.
+fn lock_order(spec: &TxnSpec, strategy: Strategy) -> Vec<Item> {
+    let lists = [
+        (List::LocalWrite, &spec.local_writes),
+        (List::RemoteWrite, &spec.remote_writes),
+        (List::LocalRead, &spec.local_reads),
+        (List::RemoteRead, &spec.remote_reads),
+    ];
+    let mut order = Vec::new();
+    for (list, recs) in lists {
+        let remote = matches!(list, List::RemoteWrite | List::RemoteRead);
+        if remote || strategy == Strategy::Ordered2pl {
+            order.extend(recs.iter().enumerate().map(|(idx, rec)| Item { rec: *rec, list, idx }));
+        }
+    }
+    if strategy == Strategy::Ordered2pl {
+        order.sort_by_key(|it| (it.rec.addr.node, it.rec.addr.offset));
+    }
     order
 }
 
 /// What Start acquired: every record fetched under its lock or lease,
-/// by declared list. Under the HTM strategy the local lists stay empty.
+/// by declared [`List`]. Under the HTM strategy the local lists stay
+/// empty.
 #[derive(Debug)]
 struct LockSet {
-    local_writes: Vec<FetchedRecord>,
-    remote_writes: Vec<FetchedRecord>,
-    local_reads: Vec<FetchedRecord>,
-    remote_reads: Vec<FetchedRecord>,
+    fetched: [Vec<FetchedRecord>; 4],
     /// Softtime sampled when Start began.
     now_us: u64,
 }
 
 impl LockSet {
-    fn new(spec: &TxnSpec, strategy: Strategy, now_us: u64) -> LockSet {
-        let slots = |n: usize| vec![FetchedRecord::empty(); n];
-        let locals = |n: usize| slots(if strategy == Strategy::Htm { 0 } else { n });
-        LockSet {
-            local_writes: locals(spec.local_writes.len()),
-            remote_writes: slots(spec.remote_writes.len()),
-            local_reads: locals(spec.local_reads.len()),
-            remote_reads: slots(spec.remote_reads.len()),
-            now_us,
-        }
+    fn list(&self, list: List) -> &[FetchedRecord] {
+        &self.fetched[list as usize]
     }
-
-    fn put(&mut self, it: Item, f: FetchedRecord) {
-        let list = match it.list {
-            List::LocalWrite => &mut self.local_writes,
-            List::RemoteWrite => &mut self.remote_writes,
-            List::LocalRead => &mut self.local_reads,
-            List::RemoteRead => &mut self.remote_reads,
-        };
-        list[it.idx] = f;
-    }
-}
-
-/// Why Start did not return a lock set.
-enum StartFail {
-    /// A conflict under the fail-fast (HTM) strategy: everything taken
-    /// so far was released; back off and restart the transaction.
-    Conflict,
-    /// A terminal outcome: dead or retired peer, or a simulated crash.
-    Terminal(TxnError),
 }
 
 /// One write-locked record and what Commit decided for it: the unit of
-/// WriteBack, of the write-ahead log, and (owned, as [`PendingOp`]) of
-/// parking.
-#[derive(Debug, Clone, Copy)]
-struct WriteItem<'a> {
+/// WriteBack and of the write-ahead log, and the parked form of a
+/// write-back or unlock its (dead) target could not take.
+#[derive(Debug, Clone)]
+struct WriteItem {
     rec: RecordAddr,
     /// Version the record carries once `value` is applied.
     version: u32,
     /// `Some` = write back then unlock; `None` = declared but never
     /// written, plain unlock.
-    value: Option<&'a [u8]>,
+    value: Option<Vec<u8>>,
     /// Deliver with CPU stores instead of one-sided WRITEs.
     local: bool,
 }
@@ -240,47 +183,33 @@ struct WriteItem<'a> {
 fn write_items<'a>(
     recs: &'a [RecordAddr],
     fetched: &'a [FetchedRecord],
-    bufs: &'a [Option<Vec<u8>>],
-) -> impl Iterator<Item = WriteItem<'a>> + 'a {
-    recs.iter().zip(fetched).zip(bufs).map(|((rec, f), buf)| WriteItem {
+    bufs: Vec<Option<Vec<u8>>>,
+) -> impl Iterator<Item = WriteItem> + 'a {
+    recs.iter().zip(fetched).zip(bufs).map(|((rec, f), value)| WriteItem {
         rec: *rec,
         version: f.header.version.wrapping_add(1),
-        value: buf.as_deref(),
+        value,
         local: false,
     })
 }
 
 /// The redo records of a write set: one per item actually written.
-fn wal_updates(writes: &[WriteItem<'_>]) -> Vec<LoggedUpdate> {
-    let logged = |w: &WriteItem<'_>| {
-        w.value.map(|v| LoggedUpdate { rec: w.rec, version: w.version, value: v.to_vec() })
+fn wal_updates(writes: &[WriteItem]) -> Vec<LoggedUpdate> {
+    let logged = |w: &WriteItem| {
+        Some(LoggedUpdate { rec: w.rec, version: w.version, value: w.value.clone()? })
     };
     writes.iter().filter_map(logged).collect()
 }
 
-/// A write-back or unlock whose target machine was dead when WriteBack
-/// tried to deliver it; drained by [`Worker::flush_pending`].
-#[derive(Debug, Clone)]
-struct PendingOp {
-    rec: RecordAddr,
-    /// `Some((version, value))` = write-back; `None` = plain unlock.
-    update: Option<(u32, Vec<u8>)>,
-}
-
-impl PendingOp {
-    fn of(w: &WriteItem<'_>) -> PendingOp {
-        PendingOp { rec: w.rec, update: w.value.map(|v| (w.version, v.to_vec())) }
-    }
-
-    /// The item to re-deliver (always over the fabric: only a dead
-    /// *peer* parks an op).
-    fn item(&self) -> WriteItem<'_> {
-        let (version, value) = match &self.update {
-            Some((version, value)) => (*version, Some(&value[..])),
-            None => (0, None),
-        };
-        WriteItem { rec: self.rec, version, value, local: false }
-    }
+/// Commit's lease confirmation at softtime `now`: every lease Start
+/// took (or shared) must still be `VALID`. The first stale one is
+/// returned for the strategy to account.
+fn stale_lease<'a>(env: Env<'a>, locks: &LockSet, now: u64) -> Option<&'a RecordAddr> {
+    let Env { sys, spec, .. } = env;
+    let local = spec.local_reads.iter().zip(locks.list(List::LocalRead));
+    let remote = spec.remote_reads.iter().zip(locks.list(List::RemoteRead));
+    let mut leases = local.chain(remote);
+    leases.find(|(_, f)| lease_unconfirmed(f.lease_end_us, now, sys.cfg.delta_us)).map(|l| l.0)
 }
 
 /// The per-transaction constants every pipeline step reads. Borrowed
@@ -292,6 +221,35 @@ struct Env<'a> {
     region: &'a Region,
     spec: &'a TxnSpec,
     txn_id: u64,
+}
+
+/// Why a pipeline step stopped short of a commit.
+#[derive(Debug, PartialEq, Eq)]
+enum Stop {
+    /// The HTM region aborted; back off and rerun it under the same
+    /// locks.
+    Retry,
+    /// Deterministic (capacity) abort, or the region retry budget is
+    /// spent: switch to the ordered-2PL strategy.
+    GiveUp,
+    /// A lock conflict or an unconfirmed lease: back off and rerun
+    /// Start.
+    Restart,
+    Terminal(TxnError),
+}
+
+const CRASH: Stop = Stop::Terminal(TxnError::SimulatedCrash);
+
+impl Stop {
+    /// The error of a stop that ends the transaction.
+    fn into_terminal(self) -> TxnError {
+        match self {
+            Stop::Terminal(e) => e,
+            other => unreachable!(
+                "ordered 2PL has no HTM region to abort and waits out conflicts: {other:?}"
+            ),
+        }
+    }
 }
 
 /// The declared access sets of one transaction, already resolved to
@@ -436,7 +394,7 @@ pub struct Worker {
     crash_point: Option<CrashPoint>,
     /// Write-backs/unlocks whose target died mid-commit; drained by
     /// [`Worker::flush_pending`] once the peer is recovered.
-    pending: Vec<PendingOp>,
+    pending: Vec<WriteItem>,
 }
 
 impl Worker {
@@ -632,6 +590,9 @@ impl Worker {
         let sys = Arc::clone(&self.sys);
         let region = sys.cluster.node(self.node).region();
         let env = Env { sys: &sys, region, spec, txn_id: self.next_txn_id() };
+        // The HTM strategy, until its restart budget is spent or a
+        // region gives up; then ordered 2PL, which always finishes.
+        let order = lock_order(spec, Strategy::Htm);
         let mut restarts = 0u32;
         loop {
             if self.self_crashed() {
@@ -640,57 +601,103 @@ impl Worker {
             if restarts > sys.cfg.start_retries {
                 break;
             }
-            let started = {
-                let mut t = PhaseTimer::start(&sys.trace, Phase::Start);
-                let order = declared_order(spec);
-                self.start(Strategy::Htm, env, order, &spec.remote_writes, &mut t.ops)
-            };
-            let locks = match started {
-                Ok(locks) => locks,
-                Err(StartFail::Terminal(e)) => return Err(e),
-                Err(StartFail::Conflict) => {
-                    restarts += 1;
-                    self.backoff(restarts);
-                    continue;
-                }
-            };
-            if self.crashes_at(CrashPoint::AfterRemoteLocks) {
-                return Err(TxnError::SimulatedCrash);
-            }
-            let mut attempts = 0u32;
-            let outcome = loop {
-                if attempts >= sys.cfg.htm.max_retries {
-                    break Attempt::GiveUp;
-                }
-                attempts += 1;
-                match self.htm_region(env, &locks, &mut body) {
-                    Attempt::Retry => self.backoff(attempts),
-                    other => break other,
-                }
-            };
-            match outcome {
-                Attempt::Committed(v) => return Ok(v),
-                Attempt::Terminal(e) => {
-                    if e == TxnError::UserAborted {
-                        // Clean up our locks before reporting.
-                        self.release_traced(env);
-                        sys.stats.add_user_abort();
-                    }
-                    return Err(e);
-                }
-                Attempt::RestartTxn => {
-                    self.release_traced(env);
+            match self.htm(env, &order, &mut body) {
+                Ok(v) => return Ok(v),
+                Err(Stop::Terminal(e)) => return Err(e),
+                Err(Stop::GiveUp) => break,
+                Err(Stop::Restart) => {
                     restarts += 1;
                     self.backoff(restarts);
                 }
-                Attempt::GiveUp => {
-                    self.release_traced(env);
-                    break;
-                }
-                Attempt::Retry => unreachable!("Retry handled in inner loop"),
+                Err(Stop::Retry) => unreachable!("regions are rerun inside Worker::htm"),
             }
         }
         self.ordered_2pl(env, &mut body)
+    }
+
+    /// One pass of the pipeline under [`Strategy::Htm`]: Start over the
+    /// remote records, then HTM regions over the same locks until one
+    /// commits or the retry budget is spent.
+    fn htm<T>(
+        &mut self,
+        env: Env<'_>,
+        order: &[Item],
+        body: &mut impl FnMut(&mut TxnCtx<'_>) -> Result<T, Abort>,
+    ) -> Result<T, Stop> {
+        let Env { sys, spec, .. } = env;
+        let locks = {
+            let mut t = PhaseTimer::start(&sys.trace, Phase::Start);
+            self.start(Strategy::Htm, env, order, &spec.remote_writes, &mut t.ops)?
+        };
+        if self.crashes_at(CrashPoint::AfterRemoteLocks) {
+            return Err(CRASH);
+        }
+        let mut attempts = 0u32;
+        let stop = loop {
+            if attempts >= sys.cfg.htm.max_retries {
+                break Stop::GiveUp;
+            }
+            attempts += 1;
+            match self.run(Strategy::Htm, env, &locks, &spec.remote_writes, body) {
+                Ok(v) => return Ok(v),
+                Err(Stop::Retry) => self.backoff(attempts),
+                Err(stop) => break stop,
+            }
+        };
+        if !matches!(stop, CRASH) {
+            // Nothing was published: release the locks, charging the
+            // unlock WRITEs to the Commit phase.
+            let mut t = PhaseTimer::start(&sys.trace, Phase::Commit);
+            t.ops += self.release_held(Strategy::Htm, order);
+        }
+        Err(stop)
+    }
+
+    /// The pipeline under [`Strategy::Ordered2pl`] (the fallback handler,
+    /// §6.2), rerun until it commits; reported as one Fallback phase
+    /// line.
+    fn ordered_2pl<T>(
+        &mut self,
+        env: Env<'_>,
+        body: &mut impl FnMut(&mut TxnCtx<'_>) -> Result<T, Abort>,
+    ) -> Result<T, TxnError> {
+        let Env { sys, spec, .. } = env;
+        let strategy = Strategy::Ordered2pl;
+        sys.htm_stats().record_fallback();
+        if self.self_crashed() {
+            return Err(TxnError::SimulatedCrash);
+        }
+        let mut t = PhaseTimer::start(&sys.trace, Phase::Fallback);
+        let order = lock_order(spec, strategy);
+        // Lock-ahead and WAL name the FULL write set (local and remote,
+        // in acquisition order): unlike the HTM strategy, local records
+        // are CPU/loopback-locked here too, and recovery must be able to
+        // release them if this machine dies before the WAL.
+        let write_set: Vec<RecordAddr> =
+            order.iter().filter(|it| it.is_write()).map(|it| it.rec).collect();
+        loop {
+            if self.self_crashed() {
+                return Err(TxnError::SimulatedCrash);
+            }
+            let locks = self
+                .start(strategy, env, &order, &write_set, &mut t.ops)
+                .map_err(Stop::into_terminal)?;
+            match self.run(strategy, env, &locks, &write_set, body) {
+                Ok(v) => {
+                    t.ops += write_set.len() as u64;
+                    return Ok(v);
+                }
+                Err(CRASH) => return Err(TxnError::SimulatedCrash),
+                Err(stop) => {
+                    // Nothing was published: release every lock.
+                    t.ops += self.release_held(strategy, &order);
+                    match stop {
+                        Stop::Restart => self.backoff(8),
+                        other => return Err(other.into_terminal()),
+                    }
+                }
+            }
+        }
     }
 
     /// One lock or lease acquisition attempt (Figure 5) through the CAS
@@ -721,7 +728,8 @@ impl Worker {
     }
 
     /// **Start**: persist the lock-ahead log, then lock (writes) or
-    /// lease (reads) every record of `order`, fetching each.
+    /// lease (reads) every record of `order`, fetching each. Record ops
+    /// are counted into `ops`.
     ///
     /// The strategies differ in what a conflict means. HTM fails fast:
     /// release what is held and let the caller back off and restart.
@@ -733,38 +741,53 @@ impl Worker {
         &mut self,
         strategy: Strategy,
         env: Env<'_>,
-        order: impl Iterator<Item = Item> + Clone,
+        order: &[Item],
         write_set: &[RecordAddr],
         ops: &mut u64,
-    ) -> Result<LockSet, StartFail> {
+    ) -> Result<LockSet, Stop> {
         let Env { sys, region, spec, txn_id } = env;
-        let crash = StartFail::Terminal(TxnError::SimulatedCrash);
-        let phase = strategy.lock_phase();
+        let waits = strategy == Strategy::Ordered2pl;
+        let (phase, after_lock_ahead) = match strategy {
+            Strategy::Htm => (Phase::Start, CrashPoint::AfterLockAhead),
+            Strategy::Ordered2pl => (Phase::Fallback, CrashPoint::FallbackAfterLockAhead),
+        };
         let now = softtime_nt(region);
         let end = now + sys.cfg.lease_us;
         // The lock-ahead log names every record about to be locked, so
-        // recovery can release them if this machine dies before the WAL.
+        // recovery can release them if this machine dies holding them.
         if sys.cfg.logging && !write_set.is_empty() {
             let n = self.log.log_lock_ahead(region, write_set);
             sys.stats.add_log_write(n);
         }
-        if self.crashes_at(strategy.after_lock_ahead()) {
-            return Err(crash);
+        if self.crashes_at(after_lock_ahead) {
+            return Err(CRASH);
         }
-        let mut locks = LockSet::new(spec, strategy, now);
-        for (held, it) in order.clone().enumerate() {
+        // Only ordered 2PL locks (and so fetches) local records.
+        let slots = |list: &[RecordAddr], taken: bool| {
+            vec![FetchedRecord::empty(); if taken { list.len() } else { 0 }]
+        };
+        let mut locks = LockSet {
+            fetched: [
+                slots(&spec.local_writes, waits),
+                slots(&spec.remote_writes, true),
+                slots(&spec.local_reads, waits),
+                slots(&spec.remote_reads, true),
+            ],
+            now_us: now,
+        };
+        for (held, it) in order.iter().enumerate() {
             let local = self.cpu_path(strategy, &it.rec);
             let mut give_up_at: Option<Instant> = None;
-            let fetched = loop {
+            locks.fetched[it.list as usize][it.idx] = loop {
                 // A waiting strategy re-reads softtime: leases expire
                 // while it waits.
-                let now = if strategy == Strategy::Htm { now } else { softtime_nt(region) };
+                let now = if waits { softtime_nt(region) } else { now };
                 *ops += 1;
                 let mut conflict = match self.acquire(&it.rec, it.is_write(), end, now, local) {
-                    Ok(f) => break f,
+                    Ok(fetched) => break fetched,
                     Err(c) => c,
                 };
-                if strategy == Strategy::Ordered2pl {
+                if waits {
                     let deadline =
                         *give_up_at.get_or_insert_with(|| Instant::now() + DEAD_PEER_GRACE);
                     conflict = match conflict {
@@ -781,7 +804,7 @@ impl Worker {
                     };
                 }
                 let terminal = TxnError::of_conflict(conflict);
-                if terminal.is_none() && strategy == Strategy::Ordered2pl {
+                if waits && terminal.is_none() {
                     self.trace_abort(txn_id, phase, AbortCause::FallbackWait, Some(&it.rec));
                     self.backoff(4);
                     continue;
@@ -789,18 +812,14 @@ impl Worker {
                 self.trace_abort(txn_id, phase, AbortCause::from_conflict(conflict), Some(&it.rec));
                 if self.self_crashed() {
                     // Our own machine died: stop dead, leave everything.
-                    return Err(crash);
+                    return Err(CRASH);
                 }
-                *ops += self.release_held(strategy, order.clone().take(held));
-                if strategy == Strategy::Htm {
+                *ops += self.release_held(strategy, &order[..held]);
+                if !waits {
                     sys.stats.add_start_conflict();
                 }
-                return Err(match terminal {
-                    Some(e) => StartFail::Terminal(self.terminal(e)),
-                    None => StartFail::Conflict,
-                });
+                return Err(terminal.map_or(Stop::Restart, |e| Stop::Terminal(self.terminal(e))));
             };
-            locks.put(it, fetched);
         }
         Ok(locks)
     }
@@ -813,248 +832,199 @@ impl Worker {
     /// protocol's job.)
     fn unlock_or_park(&mut self, rec: &RecordAddr, local: bool) {
         if record::remote_unlock(&self.qp, rec, local).is_err() && !self.self_crashed() {
-            self.pending.push(PendingOp { rec: *rec, update: None });
+            self.pending.push(WriteItem { rec: *rec, version: 0, value: None, local: false });
         }
     }
 
     /// Releases the write locks among `held` (leases need no release,
     /// §4.2); returns how many record ops that took.
-    fn release_held(&mut self, strategy: Strategy, held: impl Iterator<Item = Item>) -> u64 {
+    fn release_held(&mut self, strategy: Strategy, held: &[Item]) -> u64 {
         let mut released = 0;
-        for it in held.filter(Item::is_write) {
+        for it in held.iter().filter(|it| it.is_write()) {
             self.unlock_or_park(&it.rec, self.cpu_path(strategy, &it.rec));
             released += 1;
         }
         released
     }
 
-    /// Releases the HTM strategy's locks after its region gave up or the
-    /// body aborted, charging the unlock WRITEs to the Commit phase.
-    fn release_traced(&mut self, env: Env<'_>) {
-        let mut t = PhaseTimer::start(&env.sys.trace, Phase::Commit);
-        t.ops += self.release_held(Strategy::Htm, declared_order(env.spec));
-    }
-
     /// The bookkeeping of one aborted HTM region: trace it, count it,
-    /// roll back the body's allocations.
+    /// roll back the body's allocations. Returns the usual consequence.
     fn htm_abort(
         &self,
-        txn_id: u64,
+        env: Env<'_>,
         phase: Phase,
         abort: Abort,
         record: Option<&RecordAddr>,
-        allocs: Allocs,
-    ) {
-        self.trace_abort(txn_id, phase, AbortCause::from_htm(abort), record);
-        self.sys.htm_stats().record_abort(abort);
+        allocs: &mut Allocs,
+    ) -> Stop {
+        self.trace_abort(env.txn_id, phase, AbortCause::from_htm(abort), record);
+        env.sys.htm_stats().record_abort(abort);
         undo_allocs(allocs);
+        Stop::Retry
     }
 
-    /// **LocalTX + Commit** under [`Strategy::Htm`]: the body, the lease
-    /// confirmation and the write-ahead log all run inside one HTM
-    /// region, so they become visible — and durable — atomically at
-    /// `XEND`, the commit point. Then WriteBack.
-    fn htm_region<T>(
+    /// **LocalTX → Commit → WriteBack** over the records `locks` holds.
+    ///
+    /// The strategy decides how the body is isolated and what the
+    /// commit point is. HTM: body, lease confirmation and write-ahead
+    /// log all run inside one HTM region, so they become visible — and
+    /// durable — atomically at `XEND`. Ordered 2PL: every record is
+    /// locked, so the body runs against buffered state and the commit
+    /// point is the non-transactional write-ahead log. Either way
+    /// nothing is applied and no lock released before the log that can
+    /// redo it is persistent (log-persist-before-unlock, the HTPM
+    /// ordering): staging sits in this one place, above the only call
+    /// of [`Worker::publish`].
+    fn run<T>(
         &mut self,
+        strategy: Strategy,
         env: Env<'_>,
         locks: &LockSet,
+        write_set: &[RecordAddr],
         body: &mut impl FnMut(&mut TxnCtx<'_>) -> Result<T, Abort>,
-    ) -> Attempt<T> {
+    ) -> Result<T, Stop> {
         let Env { sys, region, spec, txn_id } = env;
-        let crash = Attempt::Terminal(TxnError::SimulatedCrash);
-        let mut ctx = TxnCtx::new(CtxMode::Htm(region.begin(&sys.cfg.htm)), env, locks, &self.exec);
+        let htm = strategy == Strategy::Htm;
+
+        // ---------------- LocalTX ----------------
+        let isolation = if htm {
+            Some(region.begin(&sys.cfg.htm))
+        } else {
+            // A buffered body's store operations run as standalone
+            // micro-transactions nothing rolls back (§6.2), so leases
+            // are confirmed before it runs, not after.
+            if let Some(rec) = stale_lease(env, locks, softtime_nt(region)) {
+                self.trace_abort(txn_id, Phase::Fallback, AbortCause::LeaseConfirmFail, Some(rec));
+                sys.stats.add_lease_confirm_fail();
+                return Err(Stop::Restart);
+            }
+            None
+        };
+        let mut ctx = TxnCtx::new(isolation, env, locks, &self.exec);
         let out = {
-            let _t = PhaseTimer::start(&sys.trace, Phase::LocalTx);
+            let _t = htm.then(|| PhaseTimer::start(&sys.trace, Phase::LocalTx));
             body(&mut ctx)
         };
-        let BodyOut { txn, w_buf, allocs, local_log, .. } = ctx.finish();
-        let mut txn = txn.expect("an HTM-mode context owns its region");
+        let TxnCtx { mut txn, w_buf, l_buf, mut allocs, local_log, .. } = ctx;
         let value = match out {
             Ok(v) => v,
             Err(Abort::Explicit(USER_ABORT)) => {
-                self.trace_abort(txn_id, Phase::LocalTx, AbortCause::UserAbort, None);
-                undo_allocs(allocs);
-                return Attempt::Terminal(TxnError::UserAborted);
+                let phase = if htm { Phase::LocalTx } else { Phase::Fallback };
+                self.trace_abort(txn_id, phase, AbortCause::UserAbort, None);
+                sys.stats.add_user_abort();
+                undo_allocs(&mut allocs);
+                return Err(Stop::Terminal(TxnError::UserAborted));
             }
-            Err(a) => {
-                self.htm_abort(txn_id, Phase::LocalTx, a, None, allocs);
-                return if a == Abort::Capacity { Attempt::GiveUp } else { Attempt::Retry };
+            Err(a) if htm => {
+                self.htm_abort(env, Phase::LocalTx, a, None, &mut allocs);
+                return Err(if a == Abort::Capacity { Stop::GiveUp } else { Stop::Retry });
             }
+            // Every lock is held, so a body abort can only be resource
+            // exhaustion — surface loudly.
+            Err(a) => panic!("transaction body failed under fallback locks: {a}"),
         };
-        // Everything from here to the return is the Commit phase; the
-        // drop guard charges its virtual time on every early return.
-        let mut commit_t = PhaseTimer::start(&sys.trace, Phase::Commit);
-        // Lease confirmation (only when leases exist: purely local
-        // transactions never touch softtime inside HTM, §6.1).
-        if !locks.remote_reads.is_empty() {
-            let now = match softtime_txn(&mut txn) {
-                Ok(t) => t,
-                Err(a) => {
-                    self.htm_abort(txn_id, Phase::Commit, a, None, allocs);
-                    return Attempt::Retry;
+
+        // ---------------- Commit ----------------
+        // The drop guard charges the phase on every early return.
+        let mut commit_t = htm.then(|| PhaseTimer::start(&sys.trace, Phase::Commit));
+        if let Some(txn) = &mut txn {
+            // Lease confirmation (only when leases exist: purely local
+            // transactions never touch softtime inside HTM, §6.1).
+            if !spec.remote_reads.is_empty() {
+                let now = softtime_txn(txn)
+                    .map_err(|a| self.htm_abort(env, Phase::Commit, a, None, &mut allocs))?;
+                if let Some(rec) = stale_lease(env, locks, now) {
+                    let stale = Abort::Explicit(ABORT_LEASE_EXPIRED);
+                    self.htm_abort(env, Phase::Commit, stale, Some(rec), &mut allocs);
+                    sys.stats.add_lease_confirm_fail();
+                    return Err(Stop::Restart);
                 }
-            };
-            let delta = sys.cfg.delta_us;
-            let unconfirmed = |f: &FetchedRecord| lease_unconfirmed(f.lease_end_us, now, delta);
-            if let Some(i) = locks.remote_reads.iter().position(unconfirmed) {
-                let expired = Abort::Explicit(ABORT_LEASE_EXPIRED);
-                self.htm_abort(txn_id, Phase::Commit, expired, Some(&spec.remote_reads[i]), allocs);
-                sys.stats.add_lease_confirm_fail();
-                return Attempt::RestartTxn;
             }
+        } else if self.crashes_at(CrashPoint::FallbackBeforeWal) {
+            // Every lock held, body run, nothing durable: recovery rolls
+            // back from the lock-ahead record.
+            return Err(CRASH);
         }
-        // Write-ahead log, staged atomically with the commit. Remote
-        // updates are needed for redo; local updates are logged as well
-        // (§4.6) — with version 0, so recovery's at-most-once check
-        // always sees them as already applied (the HTM commit itself
-        // made them durable under flush-on-failure). The WAL embeds the
-        // lock list so recovery can release declared-but-unwritten locks
-        // from the log alone.
-        let writes: Vec<WriteItem<'_>> =
-            write_items(&spec.remote_writes, &locks.remote_writes, &w_buf).collect();
+        // Locals first (ordered 2PL only: the HTM strategy locked none,
+        // so its local list is empty).
+        let writes: Vec<WriteItem> =
+            write_items(&spec.local_writes, locks.list(List::LocalWrite), l_buf)
+                .map(|w| WriteItem { local: self.can_local_cas(&w.rec), ..w })
+                .chain(write_items(&spec.remote_writes, locks.list(List::RemoteWrite), w_buf))
+                .collect();
+        // The write-ahead log carries every update — for redo — and the
+        // lock list, so recovery can release declared-but-unwritten
+        // locks from the log alone. An HTM region's local updates are
+        // logged too (§4.6), but with version 0: XEND itself makes them
+        // durable under flush-on-failure, so recovery's at-most-once
+        // check must always see them as applied. Ordered 2PL has no
+        // XEND: its local updates carry real versions, and redo is
+        // their only crash story.
         let mut updates = wal_updates(&writes);
         updates.extend(local_log);
-        let wal_staged = sys.cfg.logging && !updates.is_empty();
+        let wal_staged =
+            sys.cfg.logging && if htm { !updates.is_empty() } else { !write_set.is_empty() };
         if wal_staged {
-            match self.log.log_write_ahead(&mut txn, &spec.remote_writes, &updates) {
-                Ok(n) => sys.stats.add_log_write(n),
-                Err(a) => {
-                    self.htm_abort(txn_id, Phase::Commit, a, None, allocs);
-                    return Attempt::Retry;
-                }
+            let n = match &mut txn {
+                Some(txn) => self
+                    .log
+                    .log_write_ahead(txn, write_set, &updates)
+                    .map_err(|a| self.htm_abort(env, Phase::Commit, a, None, &mut allocs))?,
+                None => self.log.log_write_ahead_nt(region, write_set, &updates),
+            };
+            sys.stats.add_log_write(n);
+        }
+        if let Some(txn) = txn {
+            if self.crashes_at(CrashPoint::BeforeHtmCommit) {
+                undo_allocs(&mut allocs);
+                return Err(CRASH);
             }
+            txn.commit().map_err(|a| self.htm_abort(env, Phase::Commit, a, None, &mut allocs))?;
+            sys.htm_stats().record_commit();
         }
-        if self.crashes_at(CrashPoint::BeforeHtmCommit) {
-            undo_allocs(allocs);
-            return crash;
+        // Committed: the log is persistent, nothing is applied yet and
+        // every lock is still held — recovery must redo every update.
+        let committed =
+            if htm { CrashPoint::AfterHtmCommit } else { CrashPoint::FallbackAfterWalBeforeApply };
+        if self.crashes_at(committed) {
+            return Err(CRASH);
         }
-        if let Err(a) = txn.commit() {
-            self.htm_abort(txn_id, Phase::Commit, a, None, allocs);
-            return Attempt::Retry;
+
+        // ---------------- WriteBack ----------------
+        if let Some(t) = &mut commit_t {
+            t.ops += writes.len() as u64;
         }
-        sys.htm_stats().record_commit();
-        if self.crashes_at(CrashPoint::AfterHtmCommit) {
-            return crash;
-        }
-        commit_t.ops += writes.len() as u64;
         // A log record is live if the WAL was staged or Start wrote a
         // lock-ahead: transactions that never touched the log — notably
         // read-only shapes — pay no completion marker either.
-        let log_live = wal_staged || (sys.cfg.logging && !spec.remote_writes.is_empty());
-        match self.publish(Strategy::Htm, &writes, log_live) {
-            Ok(()) => Attempt::Committed(value),
-            Err(e) => Attempt::Terminal(e),
-        }
+        let log_live = wal_staged || (sys.cfg.logging && !write_set.is_empty());
+        self.publish(strategy, writes, log_live).map_err(Stop::Terminal)?;
+        Ok(value)
     }
 
-    /// The whole pipeline under [`Strategy::Ordered2pl`] (the fallback
-    /// handler, §6.2): Start over *every* record in global order, lease
-    /// confirmation, the body against buffered state, the write-ahead
-    /// log persisted non-transactionally as the commit point, WriteBack.
-    fn ordered_2pl<T>(
-        &mut self,
-        env: Env<'_>,
-        body: &mut impl FnMut(&mut TxnCtx<'_>) -> Result<T, Abort>,
-    ) -> Result<T, TxnError> {
-        let Env { sys, region, spec, txn_id } = env;
-        let strategy = Strategy::Ordered2pl;
-        sys.htm_stats().record_fallback();
-        if self.self_crashed() {
-            return Err(TxnError::SimulatedCrash);
-        }
-        // The whole run lands in the Fallback phase line.
-        let mut t = PhaseTimer::start(&sys.trace, Phase::Fallback);
-        let order = global_order(spec);
-        // Lock-ahead and WAL name the FULL write set (local and remote,
-        // in acquisition order): unlike the HTM strategy, local records
-        // are CPU/loopback-locked here too.
-        let write_set: Vec<RecordAddr> =
-            order.iter().filter(|it| it.is_write()).map(|it| it.rec).collect();
-        loop {
-            if self.self_crashed() {
-                return Err(TxnError::SimulatedCrash);
-            }
-            let locks =
-                match self.start(strategy, env, order.iter().copied(), &write_set, &mut t.ops) {
-                    Ok(locks) => locks,
-                    Err(StartFail::Terminal(e)) => return Err(e),
-                    Err(StartFail::Conflict) => unreachable!("ordered 2PL waits out conflicts"),
-                };
-            // Confirm leases before the body: its store operations run
-            // as standalone micro-transactions that nothing rolls back.
-            let now = softtime_nt(region);
-            let mut leases = locks.local_reads.iter().chain(&locks.remote_reads);
-            if leases.any(|f| lease_unconfirmed(f.lease_end_us, now, sys.cfg.delta_us)) {
-                t.ops += self.release_held(strategy, order.iter().copied());
-                self.trace_abort(txn_id, Phase::Fallback, AbortCause::LeaseConfirmFail, None);
-                sys.stats.add_lease_confirm_fail();
-                self.backoff(8);
-                continue;
-            }
-            let mut ctx = TxnCtx::new(CtxMode::Buffered, env, &locks, &self.exec);
-            let value = match body(&mut ctx) {
-                Ok(v) => v,
-                Err(Abort::Explicit(USER_ABORT)) => {
-                    t.ops += self.release_held(strategy, order.iter().copied());
-                    self.trace_abort(txn_id, Phase::Fallback, AbortCause::UserAbort, None);
-                    sys.stats.add_user_abort();
-                    return Err(TxnError::UserAborted);
-                }
-                // Every lock is held, so a body abort can only be
-                // resource exhaustion — surface loudly.
-                Err(a) => panic!("transaction body failed under fallback locks: {a}"),
-            };
-            let BodyOut { w_buf, l_buf, .. } = ctx.finish();
-            if self.crashes_at(CrashPoint::FallbackBeforeWal) {
-                // Every lock held, body run, nothing durable: recovery
-                // rolls back from the lock-ahead record.
-                return Err(TxnError::SimulatedCrash);
-            }
-            // Locals first. Unlike the HTM strategy, *local* updates
-            // carry their real versions into the WAL: no XEND makes them
-            // durable here, so redo is their only crash story.
-            let writes: Vec<WriteItem<'_>> =
-                write_items(&spec.local_writes, &locks.local_writes, &l_buf)
-                    .map(|w| WriteItem { local: self.can_local_cas(&w.rec), ..w })
-                    .chain(write_items(&spec.remote_writes, &locks.remote_writes, &w_buf))
-                    .collect();
-            let wal_staged = sys.cfg.logging && !write_set.is_empty();
-            if wal_staged {
-                let n = self.log.log_write_ahead_nt(region, &write_set, &wal_updates(&writes));
-                sys.stats.add_log_write(n);
-            }
-            if self.crashes_at(CrashPoint::FallbackAfterWalBeforeApply) {
-                // WAL persisted, nothing applied, every lock held:
-                // recovery must redo every update.
-                return Err(TxnError::SimulatedCrash);
-            }
-            t.ops += writes.len() as u64;
-            return self.publish(strategy, &writes, wal_staged).map(|()| value);
-        }
-    }
-
-    /// The delivery loop of **WriteBack**, the only one: write back (or,
+    /// The delivery loop of WriteBack, the only one: write back (or,
     /// for a declared-but-unwritten record, just unlock) each item in
     /// order, honouring the crash point `crash` after each delivery.
     /// Each write-back fuses apply and unlock, so recovery sees a
     /// shrinking lock set: it skips applied updates by version and
     /// releases the locks the WAL says are still held.
     ///
-    /// Returns the ops a dead target could not take. The caller is past
-    /// its commit point, so they must be parked, never dropped.
-    fn write_back<'a>(
+    /// Returns the items a dead target could not take, to be
+    /// re-delivered over the fabric. The caller is past its commit
+    /// point, so they must be parked, never dropped.
+    fn write_back(
         &self,
-        writes: impl Iterator<Item = WriteItem<'a>>,
+        writes: Vec<WriteItem>,
         crash: Option<CrashPoint>,
-    ) -> Result<Vec<PendingOp>, TxnError> {
+    ) -> Result<Vec<WriteItem>, TxnError> {
         let mut undelivered = Vec::new();
         for w in writes {
-            let sent = match w.value {
+            let sent = match &w.value {
                 Some(v) => record::remote_write_back(&self.qp, &w.rec, w.version, v, w.local),
                 None => record::remote_unlock(&self.qp, &w.rec, w.local),
             };
             if sent.is_err() {
-                undelivered.push(PendingOp::of(&w));
+                undelivered.push(WriteItem { local: false, ..w });
             } else if crash.is_some_and(|p| self.crashes_at(p)) {
                 return Err(TxnError::SimulatedCrash);
             }
@@ -1070,14 +1040,14 @@ impl Worker {
     fn publish(
         &mut self,
         strategy: Strategy,
-        writes: &[WriteItem<'_>],
+        writes: Vec<WriteItem>,
         log_live: bool,
     ) -> Result<(), TxnError> {
         let (mid, after) = match strategy {
             Strategy::Htm => (CrashPoint::MidWriteBack, Some(CrashPoint::AfterWriteBacks)),
             Strategy::Ordered2pl => (CrashPoint::FallbackMidUnlock, None),
         };
-        let undelivered = self.write_back(writes.iter().copied(), Some(mid))?;
+        let undelivered = self.write_back(writes, Some(mid))?;
         if !undelivered.is_empty() {
             if self.self_crashed() {
                 // Our own machine died mid-write-back: stop dead. Its
@@ -1127,7 +1097,7 @@ impl Worker {
             return Ok(());
         }
         let parked = std::mem::take(&mut self.pending);
-        self.pending = self.write_back(parked.iter().map(PendingOp::item), None)?;
+        self.pending = self.write_back(parked, None)?;
         match self.pending.first() {
             Some(op) => Err(TxnError::PeerDead(op.rec.addr.node)),
             None => {
@@ -1138,154 +1108,96 @@ impl Worker {
     }
 }
 
-/// Outcome of one HTM region.
-enum Attempt<T> {
-    Committed(T),
-    /// Aborted; back off and rerun the region under the same locks.
-    Retry,
-    /// Deterministic (capacity) abort, or the retry budget is spent:
-    /// switch to the ordered-2PL strategy.
-    GiveUp,
-    /// A lease expired: release everything and rerun Start.
-    RestartTxn,
-    Terminal(TxnError),
-}
-
-/// How a transaction context isolates the body.
-enum CtxMode<'r> {
-    /// Inside the emulated HTM region.
-    Htm(HtmTxn<'r>),
-    /// Under ordered-2PL locks; every write is buffered.
-    Buffered,
-}
-
 /// Table allocations a body made inside an HTM region (rolled back if
 /// the region aborts).
 type Allocs = Vec<(Arc<ClusterHash>, PreparedInsert)>;
 
-fn undo_allocs(allocs: Allocs) {
-    for (table, p) in allocs {
+fn undo_allocs(allocs: &mut Allocs) {
+    for (table, p) in allocs.drain(..) {
         table.undo_insert(p);
     }
-}
-
-/// What a context hands back to Commit once the body returns.
-struct BodyOut<'r> {
-    /// The still-open HTM region (HTM mode only).
-    txn: Option<HtmTxn<'r>>,
-    /// Buffered remote writes, by remote-write index.
-    w_buf: Vec<Option<Vec<u8>>>,
-    /// Buffered local writes, by local-write index (buffered mode only).
-    l_buf: Vec<Option<Vec<u8>>>,
-    allocs: Allocs,
-    /// HTM mode with durability on: local updates for the write-ahead
-    /// log (§4.6 logs local *and* remote updates).
-    local_log: Vec<LoggedUpdate>,
 }
 
 /// The handle a transaction body uses to access records and ordered
 /// stores, independent of the strategy that isolates it.
 pub struct TxnCtx<'r> {
-    mode: CtxMode<'r>,
-    region: &'r Region,
-    spec: &'r TxnSpec,
+    env: Env<'r>,
+    /// The open HTM region the body runs in; `None` under ordered 2PL,
+    /// where every lock is held and writes are buffered instead.
+    txn: Option<HtmTxn<'r>>,
     /// Every record Start fetched under its lock or lease.
     locks: &'r LockSet,
+    /// Buffered remote writes, by remote-write index.
     w_buf: Vec<Option<Vec<u8>>>,
+    /// Buffered local writes, by local-write index (ordered 2PL only).
     l_buf: Vec<Option<Vec<u8>>>,
-    delta_us: u64,
-    strategy: SofttimeStrategy,
     allocs: Allocs,
     exec: &'r Executor,
-    logging: bool,
+    /// HTM region with durability on: local updates for the write-ahead
+    /// log (§4.6 logs local *and* remote updates).
     local_log: Vec<LoggedUpdate>,
 }
 
 impl<'r> TxnCtx<'r> {
-    fn new(mode: CtxMode<'r>, env: Env<'r>, locks: &'r LockSet, exec: &'r Executor) -> Self {
-        let cfg = &env.sys.cfg;
+    fn new(txn: Option<HtmTxn<'r>>, env: Env<'r>, locks: &'r LockSet, exec: &'r Executor) -> Self {
         TxnCtx {
-            mode,
-            region: env.region,
-            spec: env.spec,
+            env,
+            txn,
             locks,
             w_buf: vec![None; env.spec.remote_writes.len()],
             // Sized by what Start locked: empty under the HTM strategy.
-            l_buf: vec![None; locks.local_writes.len()],
-            delta_us: cfg.delta_us,
-            strategy: cfg.softtime,
+            l_buf: vec![None; locks.list(List::LocalWrite).len()],
             allocs: Vec::new(),
             exec,
-            logging: cfg.logging,
             local_log: Vec::new(),
         }
     }
 
-    fn finish(self) -> BodyOut<'r> {
-        let txn = match self.mode {
-            CtxMode::Htm(txn) => Some(txn),
-            CtxMode::Buffered => None,
-        };
-        BodyOut {
-            txn,
-            w_buf: self.w_buf,
-            l_buf: self.l_buf,
-            allocs: self.allocs,
-            local_log: self.local_log,
-        }
-    }
-
     fn op_now(&mut self) -> Result<u64, Abort> {
-        match (self.strategy, &mut self.mode) {
-            (SofttimeStrategy::PerOp, CtxMode::Htm(txn)) => softtime_txn(txn),
+        match (self.env.sys.cfg.softtime, &mut self.txn) {
+            (SofttimeStrategy::PerOp, Some(txn)) => softtime_txn(txn),
             _ => Ok(self.locks.now_us),
         }
     }
 
     /// Value of remote-read record `i`, prefetched in the Start phase.
     pub fn remote_read(&self, i: usize) -> &[u8] {
-        &self.locks.remote_reads[i].value
-    }
-
-    /// Header version of remote-read record `i`.
-    pub fn remote_read_version(&self, i: usize) -> u32 {
-        self.locks.remote_reads[i].header.version
+        &self.locks.list(List::RemoteRead)[i].value
     }
 
     /// Current value of remote-write record `i`: the buffered update if
     /// one exists, else the value fetched under the exclusive lock.
     pub fn remote_write_cur(&self, i: usize) -> &[u8] {
-        self.w_buf[i].as_deref().unwrap_or(&self.locks.remote_writes[i].value)
+        self.w_buf[i].as_deref().unwrap_or(&self.locks.list(List::RemoteWrite)[i].value)
     }
 
     /// Buffers the new value of remote-write record `i` (pushed with
-    /// one-sided WRITEs after the HTM region commits).
+    /// one-sided WRITEs once the transaction is past its commit point).
     pub fn remote_write(&mut self, i: usize, value: Vec<u8>) {
-        debug_assert!(value.len() <= self.spec.remote_writes[i].value_cap);
+        debug_assert!(value.len() <= self.env.spec.remote_writes[i].value_cap);
         self.w_buf[i] = Some(value);
     }
 
     /// Reads local-read record `i` (Figure 6 LOCAL_READ).
     pub fn local_read(&mut self, i: usize) -> Result<Vec<u8>, Abort> {
-        if self.strategy == SofttimeStrategy::PerOp {
+        if self.env.sys.cfg.softtime == SofttimeStrategy::PerOp {
             // The naive strategy touches softtime on reads too (Fig. 11).
             let _ = self.op_now()?;
         }
-        let off = self.spec.local_reads[i].addr.offset;
-        match &mut self.mode {
-            CtxMode::Htm(txn) => Ok(record::local_read(txn, off)?.1),
-            CtxMode::Buffered => Ok(self.locks.local_reads[i].value.clone()),
+        match &mut self.txn {
+            Some(txn) => Ok(record::local_read(txn, self.env.spec.local_reads[i].addr.offset)?.1),
+            None => Ok(self.locks.list(List::LocalRead)[i].value.clone()),
         }
     }
 
     /// Reads the current value of local-write record `i` (including this
     /// transaction's own buffered/staged update).
     pub fn local_write_cur(&mut self, i: usize) -> Result<Vec<u8>, Abort> {
-        let off = self.spec.local_writes[i].addr.offset;
-        match &mut self.mode {
-            CtxMode::Htm(txn) => Ok(record::local_read(txn, off)?.1),
-            CtxMode::Buffered => {
-                Ok(self.l_buf[i].as_ref().unwrap_or(&self.locks.local_writes[i].value).clone())
+        match &mut self.txn {
+            Some(txn) => Ok(record::local_read(txn, self.env.spec.local_writes[i].addr.offset)?.1),
+            None => {
+                let fetched = &self.locks.list(List::LocalWrite)[i].value;
+                Ok(self.l_buf[i].as_ref().unwrap_or(fetched).clone())
             }
         }
     }
@@ -1293,22 +1205,21 @@ impl<'r> TxnCtx<'r> {
     /// Writes local-write record `i` (Figure 6 LOCAL_WRITE).
     pub fn local_write(&mut self, i: usize, value: &[u8]) -> Result<(), Abort> {
         let now = self.op_now()?;
-        let delta = self.delta_us;
-        let rec = self.spec.local_writes[i];
-        match &mut self.mode {
-            CtxMode::Htm(txn) => {
-                // HTM path: the XEND makes this store durable, so it is
-                // logged with version 0 — recovery's at-most-once check
-                // always sees it as already applied (§4.6).
-                if self.logging {
+        let cfg = &self.env.sys.cfg;
+        let rec = self.env.spec.local_writes[i];
+        match &mut self.txn {
+            Some(txn) => {
+                // The XEND makes this store durable, so it is logged
+                // with version 0 — recovery's at-most-once check always
+                // sees it as already applied (§4.6).
+                if cfg.logging {
                     self.local_log.push(LoggedUpdate { rec, version: 0, value: value.to_vec() });
                 }
-                record::local_write(txn, rec.addr.offset, value, now, delta)
+                record::local_write(txn, rec.addr.offset, value, now, cfg.delta_us)
             }
-            CtxMode::Buffered => {
-                // Fallback path: the buffered update is logged at commit
-                // time with its real version (log-before-unlock) — no
-                // per-op entry here.
+            None => {
+                // Buffered: logged at the commit point with its real
+                // version (log-before-unlock) — no per-op entry here.
                 self.l_buf[i] = Some(value.to_vec());
                 Ok(())
             }
@@ -1317,7 +1228,7 @@ impl<'r> TxnCtx<'r> {
 
     /// Inserts into a local hash table atomically with this transaction.
     ///
-    /// On the fallback path the insert runs as a standalone HTM
+    /// Under ordered 2PL the insert runs as a standalone HTM
     /// micro-transaction; like the paper's fallback handler it must not
     /// be followed by a user abort (chopping restriction, §3).
     pub fn hash_insert(
@@ -1326,21 +1237,16 @@ impl<'r> TxnCtx<'r> {
         key: u64,
         value: &[u8],
     ) -> Result<(), Abort> {
-        match &mut self.mode {
-            CtxMode::Htm(txn) => match table.insert_txn(txn, key, value)? {
-                Ok(p) => {
-                    self.allocs.push((Arc::clone(table), p));
-                    Ok(())
-                }
-                Err(InsertError::Duplicate) => Err(Abort::Explicit(ABORT_LOCKED)),
-                Err(InsertError::Full) => Err(Abort::Explicit(0xF1)),
-            },
-            CtxMode::Buffered => match table.insert(self.exec, self.region, key, value) {
-                Ok(()) => Ok(()),
-                Err(InsertError::Duplicate) => Err(Abort::Explicit(ABORT_LOCKED)),
-                Err(InsertError::Full) => Err(Abort::Explicit(0xF1)),
-            },
-        }
+        let inserted = match &mut self.txn {
+            Some(txn) => {
+                table.insert_txn(txn, key, value)?.map(|p| self.allocs.push((Arc::clone(table), p)))
+            }
+            None => table.insert(self.exec, self.env.region, key, value),
+        };
+        inserted.map_err(|e| match e {
+            InsertError::Duplicate => Abort::Explicit(ABORT_LOCKED),
+            InsertError::Full => Abort::Explicit(0xF1),
+        })
     }
 
     /// Runs one ordered-store operation where the body is isolated:
@@ -1351,12 +1257,12 @@ impl<'r> TxnCtx<'r> {
         &mut self,
         mut f: impl FnMut(&mut HtmTxn<'_>) -> Result<T, Abort>,
     ) -> Result<T, Abort> {
-        if let CtxMode::Htm(txn) = &mut self.mode {
+        if let Some(txn) = &mut self.txn {
             return f(txn);
         }
         let mut backoff = drtm_htm::backoff::Backoff::new();
         loop {
-            let mut txn = self.region.begin(self.exec.config());
+            let mut txn = self.env.region.begin(self.exec.config());
             match f(&mut txn) {
                 Ok(v) => {
                     if txn.commit().is_ok() {
@@ -1368,11 +1274,6 @@ impl<'r> TxnCtx<'r> {
             }
             backoff.snooze();
         }
-    }
-
-    /// Looks up a key in a local hash table, returning the entry offset.
-    pub fn hash_lookup(&mut self, table: &ClusterHash, key: u64) -> Result<Option<usize>, Abort> {
-        Ok(self.store_op(|txn| table.get_local(txn, key))?.map(|e| e.offset))
     }
 
     /// B+ tree point lookup on a local ordered store.
@@ -1390,17 +1291,6 @@ impl<'r> TxnCtx<'r> {
         self.store_op(|txn| tree.remove(txn, key))
     }
 
-    /// B+ tree range scan on a local ordered store.
-    pub fn tree_scan(
-        &mut self,
-        tree: &BTree,
-        lo: u64,
-        hi: u64,
-        max: usize,
-    ) -> Result<Vec<(u64, u64)>, Abort> {
-        self.store_op(|txn| tree.scan_range(txn, lo, hi, max))
-    }
-
     /// B+ tree "largest key in range" on a local ordered store.
     pub fn tree_max_in_range(
         &mut self,
@@ -1409,14 +1299,6 @@ impl<'r> TxnCtx<'r> {
         hi: u64,
     ) -> Result<Option<(u64, u64)>, Abort> {
         self.store_op(|txn| tree.max_in_range(txn, lo, hi))
-    }
-
-    /// Escape hatch: the raw HTM transaction (HTM mode only).
-    pub fn htm_txn(&mut self) -> Option<&mut HtmTxn<'r>> {
-        match &mut self.mode {
-            CtxMode::Htm(t) => Some(t),
-            CtxMode::Buffered => None,
-        }
     }
 }
 
