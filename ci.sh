@@ -6,6 +6,10 @@
 # plus style/lint gates:
 #   cargo fmt --all -- --check
 #   cargo clippy --workspace --all-targets -- -D warnings
+# plus the benchmark package's build and unit tests: benchmark/ is its
+# own workspace and drives the crates through the public functions its
+# README pins, so a refactor that breaks one of them fails here instead
+# of in the benchmark pipeline.
 #
 # With --bench-smoke, additionally runs the two headline bench harnesses
 # at minimum scale into a scratch directory and validates the
@@ -72,6 +76,10 @@ cargo fmt --all -- --check
 
 echo "== lint: clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== pinned surface: benchmark package builds and passes its tests =="
+cargo build --release --manifest-path benchmark/Cargo.toml
+cargo test -q --manifest-path benchmark/Cargo.toml
 
 SCRATCH_DIRS=()
 cleanup() { rm -rf "${SCRATCH_DIRS[@]:-}"; }

@@ -162,7 +162,8 @@ fn main() {
             }
             rounds
         });
-        let (rep, stats) = driver::run_diagnosed(&kv.sys, 2, eworkers, iters, mix(2), iters / 8);
+        let (rep, stats) =
+            driver::diagnosed(&kv.sys, || driver::run(2, eworkers, iters, mix(2), iters / 8));
         stop.store(true, Ordering::Relaxed);
         mover.join().expect("mover thread");
         (rep, stats)

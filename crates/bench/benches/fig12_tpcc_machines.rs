@@ -244,7 +244,8 @@ fn main() {
             }
             (joins, drains)
         });
-        let (rep, stats) = driver::run_diagnosed(&kv.sys, 2, mworkers, miters, mix(2), miters / 8);
+        let (rep, stats) =
+            driver::diagnosed(&kv.sys, || driver::run(2, mworkers, miters, mix(2), miters / 8));
         stop.store(true, Ordering::Relaxed);
         let (joins, drains) = churn.join().expect("churn thread");
         (rep, stats, joins, drains)

@@ -7,7 +7,7 @@ use rand::Rng;
 use drtm_calvin::{Calvin, CalvinConfig, CalvinTxn};
 use drtm_core::StatsReport;
 use drtm_workloads::dist::rng;
-use drtm_workloads::driver::{run, run_diagnosed, run_diagnosed_dedicated, Report};
+use drtm_workloads::driver::{diagnosed, run, run_dedicated, Report};
 use drtm_workloads::micro::{Micro, MicroConfig};
 use drtm_workloads::smallbank::{SmallBank, SmallBankConfig};
 use drtm_workloads::tpcc::{Tpcc, TpccConfig};
@@ -25,17 +25,18 @@ pub fn tpcc_run_with(cfg: TpccConfig, iters: u64, warmup: u64) -> (Report, Stats
     let workers = cfg.workers;
     let t = Arc::new(Tpcc::build(cfg));
     let t2 = t.clone();
-    run_diagnosed(
-        &t.sys,
-        nodes,
-        workers,
-        iters,
-        move |node, wid| {
-            let mut w = t2.worker(node, wid);
-            move |_| w.run_one()
-        },
-        warmup,
-    )
+    diagnosed(&t.sys, || {
+        run(
+            nodes,
+            workers,
+            iters,
+            move |node, wid| {
+                let mut w = t2.worker(node, wid);
+                move |_| w.run_one()
+            },
+            warmup,
+        )
+    })
 }
 
 /// Builds a TPC-C deployment and runs only new-order transactions.
@@ -68,17 +69,18 @@ pub fn smallbank_run_with(cfg: SmallBankConfig, iters: u64, warmup: u64) -> (Rep
     let workers = cfg.workers;
     let sb = Arc::new(SmallBank::build(cfg));
     let sb2 = sb.clone();
-    run_diagnosed(
-        &sb.sys,
-        nodes,
-        workers,
-        iters,
-        move |node, wid| {
-            let mut w = sb2.worker(node, wid);
-            move |_| w.run_one()
-        },
-        warmup,
-    )
+    diagnosed(&sb.sys, || {
+        run(
+            nodes,
+            workers,
+            iters,
+            move |node, wid| {
+                let mut w = sb2.worker(node, wid);
+                move |_| w.run_one()
+            },
+            warmup,
+        )
+    })
 }
 
 /// Builds a micro deployment and runs `read_write(reads)` or, when
@@ -105,17 +107,18 @@ pub fn micro_run_with(
     let workers = cfg.workers;
     let m = Arc::new(Micro::build(cfg));
     let m2 = m.clone();
-    run_diagnosed_dedicated(
-        &m.sys,
-        nodes,
-        workers,
-        iters,
-        move |node, wid| {
-            let mut w = m2.worker(node, wid);
-            move |_| if hotspot { w.hotspot() } else { w.read_write(reads) }
-        },
-        warmup,
-    )
+    diagnosed(&m.sys, || {
+        run_dedicated(
+            nodes,
+            workers,
+            iters,
+            move |node, wid| {
+                let mut w = m2.worker(node, wid);
+                move |_| if hotspot { w.hotspot() } else { w.read_write(reads) }
+            },
+            warmup,
+        )
+    })
 }
 
 /// Generates `n` standard-mix Calvin transactions (same probabilities as

@@ -11,7 +11,7 @@
 //!   with the Start/LocalTX/Commit phase structure of Figure 2/3, the
 //!   lease-based shared locks of §4.2/4.3, and the contention-managed
 //!   fallback handler of §6.2;
-//! * [`Worker::read_only`] — the HTM-free read-only scheme of §4.5;
+//! * [`Worker::try_read_only`] — the HTM-free read-only scheme of §4.5;
 //! * [`SoftTimer`] — the softtime service of §6.1;
 //! * [`LogSlot`]/[`recover_node`] — cooperative logging and recovery for
 //!   durability (§4.6, Figure 7);
@@ -58,7 +58,7 @@ pub use trace::{
     AbortCause, CauseSnapshot, Phase, PhaseLine, PhaseSnapshot, PhaseStats, StatsReport, TraceBuf,
     TraceDump, TraceEvent, TraceHub, CAUSE_NAMES, NUM_CAUSES,
 };
-pub use txn::{DrTm, TxnCtx, TxnError, TxnSpec, Worker, USER_ABORT};
+pub use txn::{standalone, DrTm, TxnCtx, TxnError, TxnSpec, Worker, USER_ABORT};
 
 /// Re-export of the record module for protocol-level access.
 pub mod record_ops {

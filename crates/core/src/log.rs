@@ -241,47 +241,41 @@ impl LogSlot {
         buf.len() + 4
     }
 
-    fn encode_wal(locks: &[RecordAddr], updates: &[LoggedUpdate]) -> Vec<u8> {
-        let mut buf = encode_addrs(locks);
-        buf.extend_from_slice(&encode_updates(updates));
-        buf
-    }
-
-    /// Stages the write-ahead log *inside* the HTM transaction: the log
-    /// bytes and the status word become visible atomically with `XEND`.
-    /// Returns the bytes staged.
+    /// Stages the write-ahead log: every update, for redo, after the
+    /// list of locks the transaction holds. Returns the bytes staged.
+    ///
+    /// With `txn`, *inside* that HTM transaction: the log bytes and the
+    /// status word become visible atomically with `XEND`. Without — the
+    /// fallback handler runs outside HTM — with non-transactional stores,
+    /// which the caller must order strictly before applying any update
+    /// or releasing any lock (§6.2, the HTPM log-before-unlock ordering);
+    /// this variant cannot fail.
     pub fn log_write_ahead(
         &self,
-        txn: &mut HtmTxn<'_>,
-        locks: &[RecordAddr],
-        updates: &[LoggedUpdate],
-    ) -> Result<usize, Abort> {
-        let buf = Self::encode_wal(locks, updates);
-        assert!(buf.len() + 4 <= self.layout.write_ahead_cap, "write-ahead log overflow");
-        vtime::charge(self.nvram_write_ns + buf.len() as u64 / 8);
-        txn.write(self.layout.write_ahead_off, &(buf.len() as u32).to_le_bytes())?;
-        txn.write(self.layout.write_ahead_off + 4, &buf)?;
-        txn.write_u64(self.layout.status_off, LOG_WRITE_AHEAD)?;
-        Ok(buf.len() + 4)
-    }
-
-    /// Fallback-path variant: the handler runs outside HTM and persists
-    /// the WAL strictly before applying any update or releasing any lock
-    /// (§6.2, with the HTPM log-before-unlock ordering). Returns the
-    /// bytes persisted.
-    pub fn log_write_ahead_nt(
-        &self,
+        txn: Option<&mut HtmTxn<'_>>,
         region: &Region,
         locks: &[RecordAddr],
         updates: &[LoggedUpdate],
-    ) -> usize {
-        let buf = Self::encode_wal(locks, updates);
+    ) -> Result<usize, Abort> {
+        let mut buf = encode_addrs(locks);
+        buf.extend_from_slice(&encode_updates(updates));
         assert!(buf.len() + 4 <= self.layout.write_ahead_cap, "write-ahead log overflow");
         vtime::charge(self.nvram_write_ns + buf.len() as u64 / 8);
-        region.write_nt(self.layout.write_ahead_off, &(buf.len() as u32).to_le_bytes());
-        region.write_nt(self.layout.write_ahead_off + 4, &buf);
-        region.write_u64_nt(self.layout.status_off, LOG_WRITE_AHEAD);
-        buf.len() + 4
+        let len = (buf.len() as u32).to_le_bytes();
+        let off = self.layout.write_ahead_off;
+        match txn {
+            Some(txn) => {
+                txn.write(off, &len)?;
+                txn.write(off + 4, &buf)?;
+                txn.write_u64(self.layout.status_off, LOG_WRITE_AHEAD)?;
+            }
+            None => {
+                region.write_nt(off, &len);
+                region.write_nt(off + 4, &buf);
+                region.write_u64_nt(self.layout.status_off, LOG_WRITE_AHEAD);
+            }
+        }
+        Ok(buf.len() + 4)
     }
 
     /// Marks the transaction fully written back (slot reusable).
@@ -379,12 +373,12 @@ mod tests {
         // Aborted transaction: no write-ahead log appears (Figure 7(a)).
         let cfg = HtmConfig::default();
         let mut txn = region.begin(&cfg);
-        slot.log_write_ahead(&mut txn, &locks, &ups).unwrap();
+        slot.log_write_ahead(Some(&mut txn), &region, &locks, &ups).unwrap();
         drop(txn); // abort
         assert_eq!(slot.read_status(&region), LOG_EMPTY);
         // Committed transaction: log and status appear together.
         let mut txn = region.begin(&cfg);
-        let n = slot.log_write_ahead(&mut txn, &locks, &ups).unwrap();
+        let n = slot.log_write_ahead(Some(&mut txn), &region, &locks, &ups).unwrap();
         assert!(n > 0);
         txn.commit().unwrap();
         assert_eq!(slot.read_status(&region), LOG_WRITE_AHEAD);
@@ -403,7 +397,7 @@ mod tests {
         // The lock list may name records absent from the updates
         // (declared-but-unwritten buffers) — they round-trip too.
         let locks = vec![rec(0, 128), rec(5, 640), rec(7, 960)];
-        let n = slot.log_write_ahead_nt(&region, &locks, &ups);
+        let n = slot.log_write_ahead(None, &region, &locks, &ups).unwrap();
         assert!(n > 0);
         assert_eq!(slot.read_status(&region), LOG_WRITE_AHEAD);
         let wal = slot.read_write_ahead(&region);
@@ -446,7 +440,7 @@ mod tests {
         assert!(slot.read_lock_ahead(&region).is_empty());
         let cfg = HtmConfig::default();
         let mut txn = region.begin(&cfg);
-        slot.log_write_ahead(&mut txn, &[], &[]).unwrap();
+        slot.log_write_ahead(Some(&mut txn), &region, &[], &[]).unwrap();
         txn.commit().unwrap();
         let wal = slot.read_write_ahead(&region);
         assert!(wal.locks.is_empty());

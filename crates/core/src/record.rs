@@ -87,8 +87,9 @@ fn conflict_of(e: FabricError) -> LockConflict {
     }
 }
 
-/// A remote record fetched during the Start phase.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A record fetched under its lock or lease during the Start phase
+/// (the default value is the placeholder of a slot not yet acquired).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FetchedRecord {
     /// The record's entry header as fetched.
     pub header: EntryHeader,
@@ -96,13 +97,6 @@ pub struct FetchedRecord {
     pub value: Vec<u8>,
     /// For shared locks: the lease end this reader is covered by.
     pub lease_end_us: u64,
-}
-
-impl FetchedRecord {
-    /// Placeholder for a lock-set slot not yet acquired.
-    pub(crate) fn empty() -> FetchedRecord {
-        FetchedRecord { header: EntryHeader::default(), value: Vec::new(), lease_end_us: 0 }
-    }
 }
 
 /// Lease confirmation (§4.3, Figure 8): whether a lease ending at
@@ -258,16 +252,12 @@ pub fn remote_write_back(
 }
 
 /// Releases an exclusive lock without writing data (the ABORT path, and
-/// the last step of every write-back). Releasing a lock *on* a crashed
-/// machine fails, which is fine — the whole machine's lock table dies
-/// with it and `recover_node` sweeps whatever our logs say we held there.
+/// the last step of every write-back): INIT into the state word.
+/// Releasing a lock *on* a crashed machine fails, which is fine — the
+/// whole machine's lock table dies with it and `recover_node` sweeps
+/// whatever our logs say we held there.
 pub fn remote_unlock(qp: &Qp, rec: &RecordAddr, local: bool) -> Result<(), FabricError> {
-    if local {
-        qp.cluster().node(rec.addr.node).region().write_u64_nt(rec.addr.offset, INIT);
-        Ok(())
-    } else {
-        qp.try_write_u64(rec.addr, INIT)
-    }
+    store(qp, rec, 0, &INIT.to_le_bytes(), local)
 }
 
 /// `LOCAL_READ` (Figure 6): inside the HTM region, check the state word

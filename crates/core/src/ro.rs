@@ -22,7 +22,7 @@ use drtm_memstore::BTree;
 
 use crate::record::{lease_unconfirmed, RecordAddr};
 use crate::time::softtime_nt;
-use crate::txn::{TxnError, Worker};
+use crate::txn::{standalone, TxnError, Worker};
 
 /// Internal signal: a record was locked or a lease could not be acquired;
 /// the read-only transaction restarts with a fresh end time.
@@ -72,18 +72,9 @@ impl RoCtx<'_> {
 
     /// Runs a validated standalone read transaction against local stores
     /// (tree scans and lookups for discovering the read set).
-    pub fn local_scan<T>(&self, mut f: impl FnMut(&mut HtmTxn<'_>) -> Result<T, Abort>) -> T {
-        let region = self.worker.region().clone();
-        let mut backoff = drtm_htm::backoff::Backoff::new();
-        loop {
-            let mut txn = region.begin(self.worker.executor().config());
-            if let Ok(v) = f(&mut txn) {
-                if txn.commit().is_ok() {
-                    return v;
-                }
-            }
-            backoff.snooze();
-        }
+    pub fn local_scan<T>(&self, f: impl FnMut(&mut HtmTxn<'_>) -> Result<T, Abort>) -> T {
+        standalone(self.worker.region(), self.worker.executor().config(), f)
+            .expect("a read-only store operation aborted explicitly")
     }
 
     /// Convenience: validated B+ tree range scan.
@@ -95,31 +86,16 @@ impl RoCtx<'_> {
     pub fn tree_max_in_range(&self, tree: &BTree, lo: u64, hi: u64) -> Option<(u64, u64)> {
         self.local_scan(|txn| tree.max_in_range(txn, lo, hi))
     }
-
-    /// Convenience: validated B+ tree point lookup.
-    pub fn tree_get(&self, tree: &BTree, key: u64) -> Option<u64> {
-        self.local_scan(|txn| tree.get(txn, key))
-    }
 }
 
 impl Worker {
     /// Executes a read-only transaction (Figure 8): the body acquires
     /// leases and performs scans; afterwards all leases are confirmed
     /// with one softtime read. Retries with a fresh end time until the
-    /// confirmation succeeds.
-    ///
-    /// # Panics
-    ///
-    /// If a record's machine is crashed (use [`Worker::try_read_only`]
-    /// under the chaos harness).
-    pub fn read_only<T>(&mut self, body: impl FnMut(&mut RoCtx<'_>) -> Result<T, RoRestart>) -> T {
-        self.try_read_only(body).expect("read-only transaction hit a crashed peer")
-    }
-
-    /// [`Worker::read_only`] with typed dead-peer reporting: instead of
-    /// retrying forever against a record whose machine is gone, the
-    /// transaction aborts with [`TxnError::PeerDead`] and can be retried
-    /// once the node is recovered.
+    /// confirmation succeeds — except against a record whose machine is
+    /// gone, where retrying forever is pointless: the transaction aborts
+    /// with [`TxnError::PeerDead`] and can be retried once the node is
+    /// recovered.
     ///
     /// This is the read-write pipeline with everything but leases taken
     /// out: Start acquires leases only (inside the body, as scans
@@ -252,16 +228,18 @@ mod tests {
         let (sys, table, tree, _t) = setup();
         let mut w = sys.worker(0, 0);
         let table2 = table.clone();
-        let got = w.read_only(|ctx| {
-            let pairs = ctx.tree_scan(&tree, 10, 12, 10);
-            let mut sum = 0u64;
-            for (k, v) in pairs {
-                assert_eq!(v, k * 100);
-                let rec = rec_of(ctx.worker().system(), &table2, k);
-                sum += u64::from_le_bytes(ctx.acquire(&rec)?[..8].try_into().unwrap());
-            }
-            Ok(sum)
-        });
+        let got = w
+            .try_read_only(|ctx| {
+                let pairs = ctx.tree_scan(&tree, 10, 12, 10);
+                let mut sum = 0u64;
+                for (k, v) in pairs {
+                    assert_eq!(v, k * 100);
+                    let rec = rec_of(ctx.worker().system(), &table2, k);
+                    sum += u64::from_le_bytes(ctx.acquire(&rec)?[..8].try_into().unwrap());
+                }
+                Ok(sum)
+            })
+            .unwrap();
         assert_eq!(got, 10 * 10 + 11 * 10 + 12 * 10);
         assert_eq!(sys.stats().snapshot().ro_committed, 1);
     }
@@ -318,15 +296,17 @@ mod tests {
             let _ = w.read_only_records(&recs);
         }
         let table2 = table.clone();
-        let sum = w.read_only(|ctx| {
-            let pairs = ctx.tree_scan(&tree, 0, 9, 16);
-            let mut sum = 0u64;
-            for (k, _) in pairs {
-                let rec = rec_of(ctx.worker().system(), &table2, k);
-                sum += u64::from_le_bytes(ctx.acquire(&rec)?[..8].try_into().unwrap());
-            }
-            Ok(sum)
-        });
+        let sum = w
+            .try_read_only(|ctx| {
+                let pairs = ctx.tree_scan(&tree, 0, 9, 16);
+                let mut sum = 0u64;
+                for (k, _) in pairs {
+                    let rec = rec_of(ctx.worker().system(), &table2, k);
+                    sum += u64::from_le_bytes(ctx.acquire(&rec)?[..8].try_into().unwrap());
+                }
+                Ok(sum)
+            })
+            .unwrap();
         assert_eq!(sum, (0..=9).map(|k| k * 10).sum::<u64>());
         let after = sys.stats().snapshot();
         assert!(after.ro_committed >= base.ro_committed + 11);

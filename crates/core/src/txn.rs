@@ -22,9 +22,7 @@
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-#[cfg(test)]
-use drtm_htm::HtmConfig;
-use drtm_htm::{vtime, Abort, Executor, HtmStats, HtmTxn, Region};
+use drtm_htm::{vtime, Abort, Executor, HtmConfig, HtmStats, HtmTxn, Region};
 use drtm_memstore::{BTree, ClusterHash, InsertError, PreparedInsert};
 use drtm_rdma::{AtomicityLevel, Cluster, FaultPlan, NodeId, Qp};
 
@@ -120,30 +118,25 @@ impl Item {
     fn is_write(&self) -> bool {
         matches!(self.list, List::LocalWrite | List::RemoteWrite)
     }
+
+    fn is_remote(&self) -> bool {
+        matches!(self.list, List::RemoteWrite | List::RemoteRead)
+    }
 }
 
-/// A strategy's lock order. HTM: remote writes then remote leases, as
-/// declared (local records are guarded by the HTM region itself).
-/// Ordered 2PL: every record, by `(node, offset)` — a total order, so
-/// waiting cannot deadlock.
-fn lock_order(spec: &TxnSpec, strategy: Strategy) -> Vec<Item> {
-    let lists = [
-        (List::LocalWrite, &spec.local_writes),
-        (List::RemoteWrite, &spec.remote_writes),
-        (List::LocalRead, &spec.local_reads),
-        (List::RemoteRead, &spec.remote_reads),
-    ];
-    let mut order = Vec::new();
-    for (list, recs) in lists {
-        let remote = matches!(list, List::RemoteWrite | List::RemoteRead);
-        if remote || strategy == Strategy::Ordered2pl {
-            order.extend(recs.iter().enumerate().map(|(idx, rec)| Item { rec: *rec, list, idx }));
-        }
+/// Every declared record: writes before reads, in declared order within
+/// a list. The HTM strategy's lock order is the remote ones of these
+/// (local records are guarded by the HTM region itself); ordered 2PL
+/// sorts all of them by `(node, offset)` — a total order, so waiting
+/// cannot deadlock.
+fn declared(spec: &TxnSpec) -> impl Iterator<Item = Item> + Clone + '_ {
+    fn of(list: List, recs: &[RecordAddr]) -> impl Iterator<Item = Item> + Clone + '_ {
+        recs.iter().enumerate().map(move |(idx, rec)| Item { rec: *rec, list, idx })
     }
-    if strategy == Strategy::Ordered2pl {
-        order.sort_by_key(|it| (it.rec.addr.node, it.rec.addr.offset));
-    }
-    order
+    of(List::LocalWrite, &spec.local_writes)
+        .chain(of(List::RemoteWrite, &spec.remote_writes))
+        .chain(of(List::LocalRead, &spec.local_reads))
+        .chain(of(List::RemoteRead, &spec.remote_reads))
 }
 
 /// What Start acquired: every record fetched under its lock or lease,
@@ -177,28 +170,13 @@ struct WriteItem {
     local: bool,
 }
 
-/// The write items of one declared write list: each record, the version
-/// after its fetched one, and the body's buffered value if it wrote one
-/// (delivered over the fabric unless the caller says otherwise).
-fn write_items<'a>(
-    recs: &'a [RecordAddr],
-    fetched: &'a [FetchedRecord],
-    bufs: Vec<Option<Vec<u8>>>,
-) -> impl Iterator<Item = WriteItem> + 'a {
-    recs.iter().zip(fetched).zip(bufs).map(|((rec, f), value)| WriteItem {
-        rec: *rec,
-        version: f.header.version.wrapping_add(1),
-        value,
-        local: false,
-    })
-}
-
-/// The redo records of a write set: one per item actually written.
-fn wal_updates(writes: &[WriteItem]) -> Vec<LoggedUpdate> {
+/// The redo records of a write set — one per item actually written —
+/// followed by the local updates an HTM region logged as it ran.
+fn wal_updates(writes: &[WriteItem], local_log: Vec<LoggedUpdate>) -> Vec<LoggedUpdate> {
     let logged = |w: &WriteItem| {
         Some(LoggedUpdate { rec: w.rec, version: w.version, value: w.value.clone()? })
     };
-    writes.iter().filter_map(logged).collect()
+    writes.iter().filter_map(logged).chain(local_log).collect()
 }
 
 /// Commit's lease confirmation at softtime `now`: every lease Start
@@ -245,9 +223,7 @@ impl Stop {
     fn into_terminal(self) -> TxnError {
         match self {
             Stop::Terminal(e) => e,
-            other => unreachable!(
-                "ordered 2PL has no HTM region to abort and waits out conflicts: {other:?}"
-            ),
+            other => unreachable!("a strategy handles its own retries and restarts: {other:?}"),
         }
     }
 }
@@ -592,7 +568,6 @@ impl Worker {
         let env = Env { sys: &sys, region, spec, txn_id: self.next_txn_id() };
         // The HTM strategy, until its restart budget is spent or a
         // region gives up; then ordered 2PL, which always finishes.
-        let order = lock_order(spec, Strategy::Htm);
         let mut restarts = 0u32;
         loop {
             if self.self_crashed() {
@@ -601,18 +576,17 @@ impl Worker {
             if restarts > sys.cfg.start_retries {
                 break;
             }
-            match self.htm(env, &order, &mut body) {
+            match self.htm(env, &mut body) {
                 Ok(v) => return Ok(v),
-                Err(Stop::Terminal(e)) => return Err(e),
                 Err(Stop::GiveUp) => break,
                 Err(Stop::Restart) => {
                     restarts += 1;
                     self.backoff(restarts);
                 }
-                Err(Stop::Retry) => unreachable!("regions are rerun inside Worker::htm"),
+                Err(stop) => return Err(stop.into_terminal()),
             }
         }
-        self.ordered_2pl(env, &mut body)
+        self.ordered_2pl(env, &mut body).map_err(Stop::into_terminal)
     }
 
     /// One pass of the pipeline under [`Strategy::Htm`]: Start over the
@@ -621,13 +595,13 @@ impl Worker {
     fn htm<T>(
         &mut self,
         env: Env<'_>,
-        order: &[Item],
         body: &mut impl FnMut(&mut TxnCtx<'_>) -> Result<T, Abort>,
     ) -> Result<T, Stop> {
         let Env { sys, spec, .. } = env;
+        let order = declared(spec).filter(Item::is_remote);
         let locks = {
             let mut t = PhaseTimer::start(&sys.trace, Phase::Start);
-            self.start(Strategy::Htm, env, order, &spec.remote_writes, &mut t.ops)?
+            self.start(Strategy::Htm, env, order.clone(), &spec.remote_writes, &mut t.ops)?
         };
         if self.crashes_at(CrashPoint::AfterRemoteLocks) {
             return Err(CRASH);
@@ -660,15 +634,13 @@ impl Worker {
         &mut self,
         env: Env<'_>,
         body: &mut impl FnMut(&mut TxnCtx<'_>) -> Result<T, Abort>,
-    ) -> Result<T, TxnError> {
+    ) -> Result<T, Stop> {
         let Env { sys, spec, .. } = env;
         let strategy = Strategy::Ordered2pl;
         sys.htm_stats().record_fallback();
-        if self.self_crashed() {
-            return Err(TxnError::SimulatedCrash);
-        }
         let mut t = PhaseTimer::start(&sys.trace, Phase::Fallback);
-        let order = lock_order(spec, strategy);
+        let mut order: Vec<Item> = declared(spec).collect();
+        order.sort_by_key(|it| (it.rec.addr.node, it.rec.addr.offset));
         // Lock-ahead and WAL name the FULL write set (local and remote,
         // in acquisition order): unlike the HTM strategy, local records
         // are CPU/loopback-locked here too, and recovery must be able to
@@ -677,23 +649,21 @@ impl Worker {
             order.iter().filter(|it| it.is_write()).map(|it| it.rec).collect();
         loop {
             if self.self_crashed() {
-                return Err(TxnError::SimulatedCrash);
+                return Err(CRASH);
             }
-            let locks = self
-                .start(strategy, env, &order, &write_set, &mut t.ops)
-                .map_err(Stop::into_terminal)?;
+            let locks = self.start(strategy, env, order.iter().copied(), &write_set, &mut t.ops)?;
             match self.run(strategy, env, &locks, &write_set, body) {
                 Ok(v) => {
                     t.ops += write_set.len() as u64;
                     return Ok(v);
                 }
-                Err(CRASH) => return Err(TxnError::SimulatedCrash),
+                Err(CRASH) => return Err(CRASH),
                 Err(stop) => {
                     // Nothing was published: release every lock.
-                    t.ops += self.release_held(strategy, &order);
+                    t.ops += self.release_held(strategy, order.iter().copied());
                     match stop {
                         Stop::Restart => self.backoff(8),
-                        other => return Err(other.into_terminal()),
+                        terminal => return Err(terminal),
                     }
                 }
             }
@@ -741,7 +711,7 @@ impl Worker {
         &mut self,
         strategy: Strategy,
         env: Env<'_>,
-        order: &[Item],
+        order: impl Iterator<Item = Item> + Clone,
         write_set: &[RecordAddr],
         ops: &mut u64,
     ) -> Result<LockSet, Stop> {
@@ -763,8 +733,9 @@ impl Worker {
             return Err(CRASH);
         }
         // Only ordered 2PL locks (and so fetches) local records.
-        let slots = |list: &[RecordAddr], taken: bool| {
-            vec![FetchedRecord::empty(); if taken { list.len() } else { 0 }]
+        let slots = |list: &[RecordAddr], taken: bool| -> Vec<FetchedRecord> {
+            let n = if taken { list.len() } else { 0 };
+            std::iter::repeat_with(FetchedRecord::default).take(n).collect()
         };
         let mut locks = LockSet {
             fetched: [
@@ -775,7 +746,7 @@ impl Worker {
             ],
             now_us: now,
         };
-        for (held, it) in order.iter().enumerate() {
+        for (held, it) in order.clone().enumerate() {
             let local = self.cpu_path(strategy, &it.rec);
             let mut give_up_at: Option<Instant> = None;
             locks.fetched[it.list as usize][it.idx] = loop {
@@ -814,7 +785,7 @@ impl Worker {
                     // Our own machine died: stop dead, leave everything.
                     return Err(CRASH);
                 }
-                *ops += self.release_held(strategy, &order[..held]);
+                *ops += self.release_held(strategy, order.take(held));
                 if !waits {
                     sys.stats.add_start_conflict();
                 }
@@ -824,25 +795,23 @@ impl Worker {
         Ok(locks)
     }
 
-    /// Releases one write lock without writing data (abort cleanup). A
-    /// release a dead peer cannot take is parked for
-    /// [`Worker::flush_pending`], so the lock is still released exactly
-    /// once when the peer comes back. (If *this* machine is the dead
-    /// one, nothing is parked: sweeping its locks is the recovery
-    /// protocol's job.)
-    fn unlock_or_park(&mut self, rec: &RecordAddr, local: bool) {
-        if record::remote_unlock(&self.qp, rec, local).is_err() && !self.self_crashed() {
-            self.pending.push(WriteItem { rec: *rec, version: 0, value: None, local: false });
-        }
-    }
-
-    /// Releases the write locks among `held` (leases need no release,
-    /// §4.2); returns how many record ops that took.
-    fn release_held(&mut self, strategy: Strategy, held: &[Item]) -> u64 {
-        let mut released = 0;
-        for it in held.iter().filter(|it| it.is_write()) {
-            self.unlock_or_park(&it.rec, self.cpu_path(strategy, &it.rec));
-            released += 1;
+    /// Releases the write locks among `held` without writing data
+    /// (abort cleanup; leases need no release, §4.2) through the one
+    /// delivery loop; returns how many record ops that took. A release a
+    /// dead peer cannot take is parked for [`Worker::flush_pending`], so
+    /// the lock is still released exactly once when the peer comes back.
+    /// (If *this* machine is the dead one, nothing is parked: sweeping
+    /// its locks is the recovery protocol's job.)
+    fn release_held(&mut self, strategy: Strategy, held: impl Iterator<Item = Item>) -> u64 {
+        let unlock = |it: Item| {
+            let local = self.cpu_path(strategy, &it.rec);
+            WriteItem { rec: it.rec, version: 0, value: None, local }
+        };
+        let unlocks: Vec<WriteItem> = held.filter(Item::is_write).map(unlock).collect();
+        let released = unlocks.len() as u64;
+        let undelivered = self.write_back(unlocks, None).expect("no crash point to honour");
+        if !self.self_crashed() {
+            self.pending.extend(undelivered);
         }
         released
     }
@@ -900,12 +869,15 @@ impl Worker {
             }
             None
         };
-        let mut ctx = TxnCtx::new(isolation, env, locks, &self.exec);
+        // Ordered 2PL delivers its local writes (all on this machine)
+        // the way it locked them.
+        let cpu_stores = sys.cluster.atomicity() == AtomicityLevel::Glob;
+        let mut ctx = TxnCtx::new(isolation, env, locks, &self.exec, cpu_stores);
         let out = {
             let _t = htm.then(|| PhaseTimer::start(&sys.trace, Phase::LocalTx));
             body(&mut ctx)
         };
-        let TxnCtx { mut txn, w_buf, l_buf, mut allocs, local_log, .. } = ctx;
+        let TxnCtx { mut txn, writes, mut allocs, local_log, .. } = ctx;
         let value = match out {
             Ok(v) => v,
             Err(Abort::Explicit(USER_ABORT)) => {
@@ -945,13 +917,6 @@ impl Worker {
             // back from the lock-ahead record.
             return Err(CRASH);
         }
-        // Locals first (ordered 2PL only: the HTM strategy locked none,
-        // so its local list is empty).
-        let writes: Vec<WriteItem> =
-            write_items(&spec.local_writes, locks.list(List::LocalWrite), l_buf)
-                .map(|w| WriteItem { local: self.can_local_cas(&w.rec), ..w })
-                .chain(write_items(&spec.remote_writes, locks.list(List::RemoteWrite), w_buf))
-                .collect();
         // The write-ahead log carries every update — for redo — and the
         // lock list, so recovery can release declared-but-unwritten
         // locks from the log alone. An HTM region's local updates are
@@ -960,18 +925,14 @@ impl Worker {
         // check must always see them as applied. Ordered 2PL has no
         // XEND: its local updates carry real versions, and redo is
         // their only crash story.
-        let mut updates = wal_updates(&writes);
-        updates.extend(local_log);
+        let updates = if sys.cfg.logging { wal_updates(&writes, local_log) } else { Vec::new() };
         let wal_staged =
             sys.cfg.logging && if htm { !updates.is_empty() } else { !write_set.is_empty() };
         if wal_staged {
-            let n = match &mut txn {
-                Some(txn) => self
-                    .log
-                    .log_write_ahead(txn, write_set, &updates)
-                    .map_err(|a| self.htm_abort(env, Phase::Commit, a, None, &mut allocs))?,
-                None => self.log.log_write_ahead_nt(region, write_set, &updates),
-            };
+            let n = self
+                .log
+                .log_write_ahead(txn.as_mut(), region, write_set, &updates)
+                .map_err(|a| self.htm_abort(env, Phase::Commit, a, None, &mut allocs))?;
             sys.stats.add_log_write(n);
         }
         if let Some(txn) = txn {
@@ -1055,7 +1016,7 @@ impl Worker {
                 // stays parked here.
                 return Err(TxnError::SimulatedCrash);
             }
-            self.pending = undelivered;
+            self.pending.extend(undelivered);
         }
         // Crash before the write-ahead log is reclaimed: recovery must
         // replay the log and skip every already-applied update.
@@ -1118,6 +1079,28 @@ fn undo_allocs(allocs: &mut Allocs) {
     }
 }
 
+/// Runs `f` against local stores as its own HTM micro-transaction,
+/// retried until it commits (and so validates what it read). Only an
+/// explicit abort — the operation's own verdict — escapes. The one
+/// such loop: ordered-2PL store operations, read-only scans and the
+/// workloads' reconnaissance queries all run through it.
+pub fn standalone<T>(
+    region: &Region,
+    cfg: &HtmConfig,
+    mut f: impl FnMut(&mut HtmTxn<'_>) -> Result<T, Abort>,
+) -> Result<T, Abort> {
+    let mut backoff = drtm_htm::backoff::Backoff::new();
+    loop {
+        let mut txn = region.begin(cfg);
+        match f(&mut txn) {
+            Ok(v) if txn.commit().is_ok() => return Ok(v),
+            Err(a @ Abort::Explicit(_)) => return Err(a),
+            _ => {}
+        }
+        backoff.snooze();
+    }
+}
+
 /// The handle a transaction body uses to access records and ordered
 /// stores, independent of the strategy that isolates it.
 pub struct TxnCtx<'r> {
@@ -1127,10 +1110,10 @@ pub struct TxnCtx<'r> {
     txn: Option<HtmTxn<'r>>,
     /// Every record Start fetched under its lock or lease.
     locks: &'r LockSet,
-    /// Buffered remote writes, by remote-write index.
-    w_buf: Vec<Option<Vec<u8>>>,
-    /// Buffered local writes, by local-write index (ordered 2PL only).
-    l_buf: Vec<Option<Vec<u8>>>,
+    /// One item per write-locked record, carrying the body's buffered
+    /// value once it writes one: local writes (ordered 2PL only — the
+    /// HTM strategy locked none), then remote writes, each as declared.
+    writes: Vec<WriteItem>,
     allocs: Allocs,
     exec: &'r Executor,
     /// HTM region with durability on: local updates for the write-ahead
@@ -1139,14 +1122,28 @@ pub struct TxnCtx<'r> {
 }
 
 impl<'r> TxnCtx<'r> {
-    fn new(txn: Option<HtmTxn<'r>>, env: Env<'r>, locks: &'r LockSet, exec: &'r Executor) -> Self {
+    fn new(
+        txn: Option<HtmTxn<'r>>,
+        env: Env<'r>,
+        locks: &'r LockSet,
+        exec: &'r Executor,
+        cpu_stores: bool,
+    ) -> Self {
+        let items = |recs: &'r [RecordAddr], list: List, local: bool| {
+            recs.iter().zip(locks.list(list)).map(move |(rec, f)| WriteItem {
+                rec: *rec,
+                version: f.header.version.wrapping_add(1),
+                value: None,
+                local,
+            })
+        };
         TxnCtx {
             env,
             txn,
             locks,
-            w_buf: vec![None; env.spec.remote_writes.len()],
-            // Sized by what Start locked: empty under the HTM strategy.
-            l_buf: vec![None; locks.list(List::LocalWrite).len()],
+            writes: items(&env.spec.local_writes, List::LocalWrite, cpu_stores)
+                .chain(items(&env.spec.remote_writes, List::RemoteWrite, false))
+                .collect(),
             allocs: Vec::new(),
             exec,
             local_log: Vec::new(),
@@ -1160,6 +1157,11 @@ impl<'r> TxnCtx<'r> {
         }
     }
 
+    /// Where remote-write record `i` sits in `writes`: after the locals.
+    fn remote_slot(&self, i: usize) -> usize {
+        self.locks.list(List::LocalWrite).len() + i
+    }
+
     /// Value of remote-read record `i`, prefetched in the Start phase.
     pub fn remote_read(&self, i: usize) -> &[u8] {
         &self.locks.list(List::RemoteRead)[i].value
@@ -1168,22 +1170,22 @@ impl<'r> TxnCtx<'r> {
     /// Current value of remote-write record `i`: the buffered update if
     /// one exists, else the value fetched under the exclusive lock.
     pub fn remote_write_cur(&self, i: usize) -> &[u8] {
-        self.w_buf[i].as_deref().unwrap_or(&self.locks.list(List::RemoteWrite)[i].value)
+        let buffered = self.writes[self.remote_slot(i)].value.as_deref();
+        buffered.unwrap_or(&self.locks.list(List::RemoteWrite)[i].value)
     }
 
     /// Buffers the new value of remote-write record `i` (pushed with
     /// one-sided WRITEs once the transaction is past its commit point).
     pub fn remote_write(&mut self, i: usize, value: Vec<u8>) {
         debug_assert!(value.len() <= self.env.spec.remote_writes[i].value_cap);
-        self.w_buf[i] = Some(value);
+        let slot = self.remote_slot(i);
+        self.writes[slot].value = Some(value);
     }
 
     /// Reads local-read record `i` (Figure 6 LOCAL_READ).
     pub fn local_read(&mut self, i: usize) -> Result<Vec<u8>, Abort> {
-        if self.env.sys.cfg.softtime == SofttimeStrategy::PerOp {
-            // The naive strategy touches softtime on reads too (Fig. 11).
-            let _ = self.op_now()?;
-        }
+        // The naive strategy touches softtime on reads too (Fig. 11).
+        self.op_now()?;
         match &mut self.txn {
             Some(txn) => Ok(record::local_read(txn, self.env.spec.local_reads[i].addr.offset)?.1),
             None => Ok(self.locks.list(List::LocalRead)[i].value.clone()),
@@ -1197,7 +1199,7 @@ impl<'r> TxnCtx<'r> {
             Some(txn) => Ok(record::local_read(txn, self.env.spec.local_writes[i].addr.offset)?.1),
             None => {
                 let fetched = &self.locks.list(List::LocalWrite)[i].value;
-                Ok(self.l_buf[i].as_ref().unwrap_or(fetched).clone())
+                Ok(self.writes[i].value.as_ref().unwrap_or(fetched).clone())
             }
         }
     }
@@ -1220,7 +1222,7 @@ impl<'r> TxnCtx<'r> {
             None => {
                 // Buffered: logged at the commit point with its real
                 // version (log-before-unlock) — no per-op entry here.
-                self.l_buf[i] = Some(value.to_vec());
+                self.writes[i].value = Some(value.to_vec());
                 Ok(())
             }
         }
@@ -1257,28 +1259,10 @@ impl<'r> TxnCtx<'r> {
         &mut self,
         mut f: impl FnMut(&mut HtmTxn<'_>) -> Result<T, Abort>,
     ) -> Result<T, Abort> {
-        if let Some(txn) = &mut self.txn {
-            return f(txn);
+        match &mut self.txn {
+            Some(txn) => f(txn),
+            None => standalone(self.env.region, self.exec.config(), f),
         }
-        let mut backoff = drtm_htm::backoff::Backoff::new();
-        loop {
-            let mut txn = self.env.region.begin(self.exec.config());
-            match f(&mut txn) {
-                Ok(v) => {
-                    if txn.commit().is_ok() {
-                        return Ok(v);
-                    }
-                }
-                Err(a @ Abort::Explicit(_)) => return Err(a),
-                Err(_) => {}
-            }
-            backoff.snooze();
-        }
-    }
-
-    /// B+ tree point lookup on a local ordered store.
-    pub fn tree_get(&mut self, tree: &BTree, key: u64) -> Result<Option<u64>, Abort> {
-        self.store_op(|txn| tree.get(txn, key))
     }
 
     /// B+ tree insert on a local ordered store.
@@ -1289,16 +1273,6 @@ impl<'r> TxnCtx<'r> {
     /// B+ tree remove on a local ordered store.
     pub fn tree_remove(&mut self, tree: &BTree, key: u64) -> Result<bool, Abort> {
         self.store_op(|txn| tree.remove(txn, key))
-    }
-
-    /// B+ tree "largest key in range" on a local ordered store.
-    pub fn tree_max_in_range(
-        &mut self,
-        tree: &BTree,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Option<(u64, u64)>, Abort> {
-        self.store_op(|txn| tree.max_in_range(txn, lo, hi))
     }
 }
 
@@ -1578,11 +1552,13 @@ mod tests {
         };
         let mut r = sys.worker(1, 0);
         for _ in 0..50 {
-            let (x, y) = r.read_only(|ctx| {
-                let x = vu64(&ctx.acquire(&a)?);
-                let y = vu64(&ctx.acquire(&b)?);
-                Ok((x, y))
-            });
+            let (x, y) = r
+                .try_read_only(|ctx| {
+                    let x = vu64(&ctx.acquire(&a)?);
+                    let y = vu64(&ctx.acquire(&b)?);
+                    Ok((x, y))
+                })
+                .unwrap();
             assert_eq!(x.wrapping_add(y), 200, "read-only snapshot must conserve the total");
         }
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
@@ -1794,7 +1770,6 @@ mod tests {
                 ctx.local_write(i, &u64v(v + 1))?;
             }
             ctx.tree_insert(&tree, 777, 42)?;
-            assert_eq!(ctx.tree_get(&tree, 777)?, Some(42));
             Ok(())
         })
         .unwrap();

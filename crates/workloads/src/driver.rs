@@ -329,44 +329,17 @@ where
     Report { workers: out, os_threads }
 }
 
-/// Like [`run`], additionally diffing the system's joined
-/// [`StatsReport`] across the run so every harness can print an
-/// abort-cause and per-phase breakdown alongside throughput.
+/// Runs any of this module's runners — `diagnosed(&sys, || run(..))` —
+/// additionally diffing the system's joined [`StatsReport`] across it,
+/// so every harness can print an abort-cause and per-phase breakdown
+/// alongside throughput.
 ///
 /// The diagnostics window spans the warmup iterations too — warmup
 /// aborts are as interesting as measured ones when hunting an abort
 /// storm; throughput still comes exclusively from the measured window.
-pub fn run_diagnosed<F>(
-    sys: &std::sync::Arc<DrTm>,
-    nodes: usize,
-    workers: usize,
-    iters: u64,
-    make: impl Fn(NodeId, usize) -> F + Sync,
-    warmup: u64,
-) -> (Report, StatsReport)
-where
-    F: FnMut(u64) -> &'static str + Send,
-{
+pub fn diagnosed(sys: &DrTm, run: impl FnOnce() -> Report) -> (Report, StatsReport) {
     let before = sys.stats_report();
-    let report = run(nodes, workers, iters, make, warmup);
-    (report, sys.stats_report().since(&before))
-}
-
-/// [`run_diagnosed`] over [`run_dedicated`] — for wall-clock-sensitive
-/// (lease) benchmarks.
-pub fn run_diagnosed_dedicated<F>(
-    sys: &std::sync::Arc<DrTm>,
-    nodes: usize,
-    workers: usize,
-    iters: u64,
-    make: impl Fn(NodeId, usize) -> F + Sync,
-    warmup: u64,
-) -> (Report, StatsReport)
-where
-    F: FnMut(u64) -> &'static str + Send,
-{
-    let before = sys.stats_report();
-    let report = run_dedicated(nodes, workers, iters, make, warmup);
+    let report = run();
     (report, sys.stats_report().since(&before))
 }
 

@@ -254,12 +254,6 @@ impl SmallBankWorker {
     }
 
     /// SP: move money between two checking accounts (possibly remote).
-    pub fn send_payment(&mut self) -> &'static str {
-        finish(self.try_send_payment());
-        "send_payment"
-    }
-
-    /// Fallible [`SmallBankWorker::send_payment`].
     pub fn try_send_payment(&mut self) -> Result<(), TxnError> {
         let (na, a) = self.pick_local_account();
         let (nb, b) = self.pick_second(a);
@@ -289,12 +283,6 @@ impl SmallBankWorker {
     }
 
     /// BAL: read-only sum of a customer's two balances.
-    pub fn balance(&mut self) -> &'static str {
-        finish(self.try_balance());
-        "balance"
-    }
-
-    /// Fallible [`SmallBankWorker::balance`].
     pub fn try_balance(&mut self) -> Result<(), TxnError> {
         let (n, a) = self.pick_local_account();
         let rc = self.resolve(&self.checking, n, a)?;
@@ -304,12 +292,6 @@ impl SmallBankWorker {
     }
 
     /// DC: deposit into checking.
-    pub fn deposit_checking(&mut self) -> &'static str {
-        finish(self.try_deposit_checking());
-        "deposit_checking"
-    }
-
-    /// Fallible [`SmallBankWorker::deposit_checking`].
     pub fn try_deposit_checking(&mut self) -> Result<(), TxnError> {
         let (n, a) = self.pick_local_account();
         let amount = self.rng.gen_range(1..100u64);
@@ -322,12 +304,6 @@ impl SmallBankWorker {
     }
 
     /// WC: withdraw from checking.
-    pub fn withdraw_from_checking(&mut self) -> &'static str {
-        finish(self.try_withdraw_from_checking());
-        "withdraw_from_checking"
-    }
-
-    /// Fallible [`SmallBankWorker::withdraw_from_checking`].
     pub fn try_withdraw_from_checking(&mut self) -> Result<(), TxnError> {
         let (n, a) = self.pick_local_account();
         let amount = self.rng.gen_range(1..100u64);
@@ -340,12 +316,6 @@ impl SmallBankWorker {
     }
 
     /// TS: transfer into savings.
-    pub fn transfer_to_savings(&mut self) -> &'static str {
-        finish(self.try_transfer_to_savings());
-        "transfer_to_savings"
-    }
-
-    /// Fallible [`SmallBankWorker::transfer_to_savings`].
     pub fn try_transfer_to_savings(&mut self) -> Result<(), TxnError> {
         let (n, a) = self.pick_local_account();
         let amount = self.rng.gen_range(1..100u64);
@@ -358,12 +328,6 @@ impl SmallBankWorker {
     }
 
     /// AMG: move all funds of account A into account B's checking.
-    pub fn amalgamate(&mut self) -> &'static str {
-        finish(self.try_amalgamate());
-        "amalgamate"
-    }
-
-    /// Fallible [`SmallBankWorker::amalgamate`].
     pub fn try_amalgamate(&mut self) -> Result<(), TxnError> {
         let (na, a) = self.pick_local_account();
         let (nb, b) = self.pick_second(a);
@@ -401,12 +365,6 @@ fn tolerate_user_abort<T>(r: Result<T, TxnError>) -> Result<(), TxnError> {
     match r {
         Ok(_) | Err(TxnError::UserAborted) => Ok(()),
         Err(e) => Err(e),
-    }
-}
-
-fn finish(r: Result<(), TxnError>) {
-    if let Err(e) = r {
-        panic!("unexpected transaction failure: {e:?}");
     }
 }
 
@@ -448,9 +406,9 @@ mod tests {
                     s.spawn(move || {
                         for i in 0..120 {
                             match i % 3 {
-                                0 => worker.send_payment(),
-                                1 => worker.amalgamate(),
-                                _ => worker.balance(),
+                                0 => worker.try_send_payment().unwrap(),
+                                1 => worker.try_amalgamate().unwrap(),
+                                _ => worker.try_balance().unwrap(),
                             };
                         }
                     });
@@ -484,12 +442,12 @@ mod tests {
     fn each_txn_type_runs() {
         let sb = SmallBank::build(tiny());
         let mut w = sb.worker(0, 0);
-        assert_eq!(w.send_payment(), "send_payment");
-        assert_eq!(w.balance(), "balance");
-        assert_eq!(w.deposit_checking(), "deposit_checking");
-        assert_eq!(w.withdraw_from_checking(), "withdraw_from_checking");
-        assert_eq!(w.transfer_to_savings(), "transfer_to_savings");
-        assert_eq!(w.amalgamate(), "amalgamate");
+        w.try_send_payment().unwrap();
+        w.try_balance().unwrap();
+        w.try_deposit_checking().unwrap();
+        w.try_withdraw_from_checking().unwrap();
+        w.try_transfer_to_savings().unwrap();
+        w.try_amalgamate().unwrap();
         assert!(sb.sys.stats().snapshot().committed >= 5);
     }
 }

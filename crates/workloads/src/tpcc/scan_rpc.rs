@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use drtm_htm::Executor;
+use drtm_htm::{Executor, HtmTxn};
 use drtm_memstore::BTree;
 use drtm_rdma::{Cluster, FabricError, NodeId, QueueId};
 
@@ -150,16 +150,9 @@ pub fn spawn_scan_service(
                 };
                 let (tree_idx, lo, hi, max, reply_q) = decode_req(&msg.payload);
                 let tree = &trees[tree_idx as usize];
-                let mut backoff = drtm_htm::backoff::Backoff::new();
-                let pairs = loop {
-                    let mut txn = region.begin(exec.config());
-                    if let Ok(p) = tree.scan_range(&mut txn, lo, hi, max as usize) {
-                        if txn.commit().is_ok() {
-                            break p;
-                        }
-                    }
-                    backoff.snooze();
-                };
+                let scan = |txn: &mut HtmTxn<'_>| tree.scan_range(txn, lo, hi, max as usize);
+                let pairs = drtm_core::standalone(&region, exec.config(), scan)
+                    .expect("a read-only scan aborted explicitly");
                 // A client that crashed between request and reply must
                 // not take the whole scan service down with it.
                 let _ = qp.try_send(msg.from, reply_q, encode_pairs(&pairs));

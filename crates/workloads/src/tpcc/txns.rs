@@ -489,19 +489,10 @@ impl TpccWorker {
     /// Committed standalone HTM read (reconnaissance queries).
     fn standalone_scan<T>(
         &self,
-        mut f: impl FnMut(&mut drtm_htm::HtmTxn<'_>) -> Result<T, HtmAbort>,
+        f: impl FnMut(&mut drtm_htm::HtmTxn<'_>) -> Result<T, HtmAbort>,
     ) -> T {
-        let region = self.w.region().clone();
-        let mut backoff = drtm_htm::backoff::Backoff::new();
-        loop {
-            let mut txn = region.begin(self.w.executor().config());
-            if let Ok(v) = f(&mut txn) {
-                if txn.commit().is_ok() {
-                    return v;
-                }
-            }
-            backoff.snooze();
-        }
+        drtm_core::standalone(self.w.region(), self.w.executor().config(), f)
+            .expect("a read-only scan aborted explicitly")
     }
 }
 

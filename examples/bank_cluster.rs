@@ -40,7 +40,8 @@ fn main() {
                 // Alternate the full mix with conserving-only batches so
                 // the invariant below is meaningful.
                 if i % 2 == 0 {
-                    w.send_payment()
+                    w.try_send_payment().unwrap();
+                    "send_payment"
                 } else {
                     w.run_one()
                 }

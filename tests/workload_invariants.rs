@@ -100,9 +100,9 @@ fn smallbank_conserves_under_heavy_skew() {
                         gate.wait();
                         for i in 0..100 {
                             if i % 2 == 0 {
-                                w.send_payment();
+                                w.try_send_payment().unwrap();
                             } else {
-                                w.amalgamate();
+                                w.try_amalgamate().unwrap();
                             }
                         }
                     });
