@@ -9,7 +9,13 @@
 # plus the benchmark package's build and unit tests: benchmark/ is its
 # own workspace and drives the crates through the public functions its
 # README pins, so a refactor that breaks one of them fails here instead
-# of in the benchmark pipeline.
+# of in the benchmark pipeline. Then `benchmark/run.sh --quick`: all
+# four workloads at 1/20 size with their output checks (attempted =
+# committed + failed, SmallBank conservation, the TPC-C consistency
+# checks, every KV GET's bytes), about half a minute, writing only the
+# git-ignored benchmark/out — so a protocol change that breaks one of
+# them fails here too. Its numbers are stamped not comparable and
+# nothing reads them.
 #
 # With --bench-smoke, additionally runs the two headline bench harnesses
 # at minimum scale into a scratch directory and validates the
@@ -80,6 +86,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== pinned surface: benchmark package builds and passes its tests =="
 cargo build --release --manifest-path benchmark/Cargo.toml
 cargo test -q --manifest-path benchmark/Cargo.toml
+
+echo "== output checks: all four benchmark workloads at 1/20 size =="
+bash benchmark/run.sh --quick > /dev/null
 
 SCRATCH_DIRS=()
 cleanup() { rm -rf "${SCRATCH_DIRS[@]:-}"; }

@@ -107,61 +107,111 @@ pub(crate) fn lease_unconfirmed(lease_end_us: u64, now_us: u64, delta_us: u64) -
     now_us + delta_us > lease_end_us
 }
 
-/// Issues the state-word CAS either through the NIC (one-sided RDMA) or
-/// the CPU (only sound under `IBV_ATOMIC_GLOB`, §6.3).
-#[inline]
-fn state_cas(
-    qp: &Qp,
-    rec: &RecordAddr,
-    expected: u64,
-    desired: u64,
-    local: bool,
-) -> Result<u64, LockConflict> {
-    if local {
-        Ok(qp.local_cas_u64(rec.addr.offset, expected, desired))
-    } else {
-        qp.try_cas_u64(rec.addr, expected, desired).map_err(conflict_of)
-    }
+/// What one acquisition asks of a record's state word.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Claim {
+    pub(crate) rec: RecordAddr,
+    /// The state word to install: a write lock or a lease. It also says
+    /// what an unexpired lease of someone else means: a lease shares it
+    /// (no write to the state word, hence no false abort of local
+    /// readers), a write lock conflicts with it.
+    pub(crate) desired: LockState,
+    /// CPU CAS instead of the NIC's (only sound under `IBV_ATOMIC_GLOB`,
+    /// §6.3: the ordered-2PL strategy and read-only transactions on a
+    /// record of their own machine).
+    pub(crate) local: bool,
 }
 
-fn fetch_entry(qp: &Qp, rec: &RecordAddr) -> Result<(EntryHeader, Vec<u8>), LockConflict> {
+/// Where one claim of a wave stands.
+enum Attempt {
+    /// CAS next, expecting this state word: `INIT` first, then whatever
+    /// expired lease the previous CAS met.
+    Cas {
+        expected: u64,
+    },
+    Held(FetchedRecord),
+}
+
+/// Posts the full-entry fetch of `rec`.
+fn post_fetch(qp: &Qp, rec: &RecordAddr) -> Result<(EntryHeader, Vec<u8>), LockConflict> {
     let mut buf = vec![0u8; rec.fetch_len()];
-    qp.try_read(rec.addr, &mut buf).map_err(conflict_of)?;
+    qp.post_read(rec.addr, &mut buf).map_err(conflict_of)?;
     let h = EntryHeader::decode(&buf[..ENTRY_HEADER_BYTES]);
-    let len = (h.value_len as usize).min(rec.value_cap);
-    Ok((h, buf[ENTRY_HEADER_BYTES..ENTRY_HEADER_BYTES + len].to_vec()))
+    buf.drain(..ENTRY_HEADER_BYTES);
+    buf.truncate((h.value_len as usize).min(rec.value_cap));
+    Ok((h, buf))
 }
 
-/// Drives the state word to `desired` by CAS (Figure 5), reclaiming an
-/// expired lease on the way. `share` says what an unexpired lease of
-/// someone else means: a reader shares it (no write to the state word,
-/// hence no false abort of local readers), a writer conflicts with it.
-/// Returns the lease end now covering the record.
-fn lock_state(
+/// One step of Figure 5's lock loop: posts the CAS driving the state
+/// word from `expected` to the claim's and, chained behind it on the same
+/// queue pair, the fetch — speculatively: when the CAS loses, the fetched
+/// bytes are dropped here and never reach the transaction. (A refused
+/// CAS leaves the queue pair in error: nothing is posted behind it.)
+fn post_attempt(
     qp: &Qp,
-    rec: &RecordAddr,
-    desired: LockState,
-    share: bool,
+    c: &Claim,
+    expected: u64,
     now_us: u64,
     delta_us: u64,
-    local: bool,
-) -> Result<u64, LockConflict> {
-    let mut expected = INIT;
-    loop {
-        let old = state_cas(qp, rec, expected, desired.0, local)?;
-        let st = LockState(old);
-        if old == expected {
-            return Ok(desired.lease_end_us());
-        } else if st.is_write_locked() {
-            return Err(LockConflict::WriteLocked { owner: st.owner() });
-        } else if st.lease_valid(now_us, delta_us) {
-            let end_us = st.lease_end_us();
-            return if share { Ok(end_us) } else { Err(LockConflict::Leased { end_us }) };
-        } else if !st.lease_expired(now_us, delta_us) {
-            return Err(LockConflict::Ambiguous);
+) -> Result<Attempt, LockConflict> {
+    let old = if c.local {
+        qp.local_cas_u64(c.rec.addr.offset, expected, c.desired.0)
+    } else {
+        qp.post_cas_u64(c.rec.addr, expected, c.desired.0).map_err(conflict_of)?
+    };
+    let fetched = post_fetch(qp, &c.rec);
+    let st = LockState(old);
+    // The lease end now covering the record (0 under a write lock: its
+    // word carries no lease bits).
+    let lease_end_us = if old == expected {
+        c.desired.lease_end_us()
+    } else if st.is_write_locked() {
+        return Err(LockConflict::WriteLocked { owner: st.owner() });
+    } else if st.lease_valid(now_us, delta_us) {
+        if c.desired.is_write_locked() {
+            return Err(LockConflict::Leased { end_us: st.lease_end_us() });
         }
-        expected = old;
+        st.lease_end_us()
+    } else if !st.lease_expired(now_us, delta_us) {
+        return Err(LockConflict::Ambiguous);
+    } else {
+        return Ok(Attempt::Cas { expected: old });
+    };
+    let (header, value) = fetched?;
+    Ok(Attempt::Held(FetchedRecord { header, value, lease_end_us }))
+}
+
+/// Acquires every claim (Figure 5) in waves: posts each record's CAS and
+/// fetch, waits once, then posts the next wave for the records whose CAS
+/// met an expired lease — it reclaims the lease by expecting it — until
+/// every claim is held or has conflicted. One outcome per claim, in
+/// order; a claim's outcome says nothing about its neighbours: the
+/// caller releases what a failed wave won.
+pub(crate) fn acquire_wave(
+    qp: &Qp,
+    claims: impl Iterator<Item = Claim>,
+    now_us: u64,
+    delta_us: u64,
+) -> Vec<Result<FetchedRecord, LockConflict>> {
+    let mut wave: Vec<_> = claims.map(|c| (c, Ok(Attempt::Cas { expected: INIT }))).collect();
+    loop {
+        let mut posted = false;
+        for (c, at) in &mut wave {
+            if let Ok(Attempt::Cas { expected }) = *at {
+                *at = post_attempt(qp, c, expected, now_us, delta_us);
+                posted = true;
+            }
+        }
+        if !posted {
+            break;
+        }
+        qp.wait();
     }
+    let held = |at| match at {
+        Attempt::Held(fetched) => fetched,
+        Attempt::Cas { .. } => unreachable!("the wave loop ends with no CAS left to post"),
+    };
+    wave.into_iter().map(|(_, at)| at.map(held)).collect()
 }
 
 /// `REMOTE_READ` (Figure 5): acquire, share, or — once expired — reclaim
@@ -169,8 +219,7 @@ fn lock_state(
 /// write-locked record is a conflict.
 ///
 /// `local` selects the CPU CAS instead of the NIC's (only sound under
-/// `IBV_ATOMIC_GLOB`, §6.3: the ordered-2PL strategy and read-only
-/// transactions on a record of their own machine).
+/// `IBV_ATOMIC_GLOB`, §6.3).
 pub fn remote_read(
     qp: &Qp,
     rec: &RecordAddr,
@@ -179,10 +228,8 @@ pub fn remote_read(
     delta_us: u64,
     local: bool,
 ) -> Result<FetchedRecord, LockConflict> {
-    let lease_end_us =
-        lock_state(qp, rec, LockState::leased(end_us), true, now_us, delta_us, local)?;
-    let (header, value) = fetch_entry(qp, rec)?;
-    Ok(FetchedRecord { header, value, lease_end_us })
+    let claim = Claim { rec: *rec, desired: LockState::leased(end_us), local };
+    acquire_wave(qp, [claim].into_iter(), now_us, delta_us).pop().expect("one claim, one outcome")
 }
 
 /// The locking half of `REMOTE_WRITE` (Figure 5): acquire the exclusive
@@ -196,17 +243,16 @@ pub fn remote_lock_write(
     delta_us: u64,
     local: bool,
 ) -> Result<FetchedRecord, LockConflict> {
-    lock_state(qp, rec, LockState::write_locked(owner), false, now_us, delta_us, local)?;
-    let (header, value) = fetch_entry(qp, rec)?;
-    Ok(FetchedRecord { header, value, lease_end_us: 0 })
+    let claim = Claim { rec: *rec, desired: LockState::write_locked(owner), local };
+    acquire_wave(qp, [claim].into_iter(), now_us, delta_us).pop().expect("one claim, one outcome")
 }
 
-/// Stores `bytes` at `field_off` into the record: a coherent CPU store
+/// Posts `bytes` at `field_off` into the record: a coherent CPU store
 /// into the owning machine's region when `local` (the ordered-2PL
 /// strategy on its own machine, or recovery writing into a corpse's
-/// durable region), a one-sided WRITE otherwise. The *only* thing
+/// durable region), a posted one-sided WRITE otherwise. The *only* thing
 /// `local` selects on the release side.
-fn store(
+fn post_store(
     qp: &Qp,
     rec: &RecordAddr,
     field_off: usize,
@@ -217,15 +263,20 @@ fn store(
         qp.cluster().node(rec.addr.node).region().write_nt(rec.addr.offset + field_off, bytes);
         Ok(())
     } else {
-        qp.try_write(GlobalAddr::new(rec.addr.node, rec.addr.offset + field_off), bytes)
+        qp.post_write(GlobalAddr::new(rec.addr.node, rec.addr.offset + field_off), bytes)
     }
 }
 
-/// `REMOTE_WRITE_BACK` (Figure 5): push the committed update, then
-/// release the exclusive lock by writing INIT to the state word. Fails
-/// if the target dies between stores.
+/// Value bytes a write-back assembles on the stack; longer values take
+/// one heap buffer.
+const INLINE_VALUE: usize = 120;
+
+/// Posts `REMOTE_WRITE_BACK` (Figure 5): the committed update, then the
+/// release of the exclusive lock (INIT into the state word). Fails if the
+/// target dies between stores.
 ///
-/// One ordering for both store paths — **value, version, state**:
+/// One ordering for both store paths — **value, version, state** — kept
+/// for posted WRITEs by the queue pair's per-destination FIFO:
 ///
 /// * the value lands *before* the version, so an interrupted write-back
 ///   is always redone by recovery's at-most-once check (a bumped version
@@ -233,7 +284,7 @@ fn store(
 ///   forever);
 /// * the state word goes last, so no reader can observe the new state
 ///   with the old value: the record stays write-locked throughout.
-pub fn remote_write_back(
+pub(crate) fn post_write_back(
     qp: &Qp,
     rec: &RecordAddr,
     new_version: u32,
@@ -242,22 +293,47 @@ pub fn remote_write_back(
 ) -> Result<(), FabricError> {
     debug_assert!(value.len() <= rec.value_cap, "value exceeds table capacity");
     // Length, padding and value are contiguous: one store covers them.
-    let mut buf = Vec::with_capacity(8 + value.len());
-    buf.extend_from_slice(&(value.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&[0u8; 4]);
-    buf.extend_from_slice(value);
-    store(qp, rec, 24, &buf, local)?;
-    store(qp, rec, 12, &new_version.to_le_bytes(), local)?;
-    remote_unlock(qp, rec, local)
+    let (mut inline, mut spilled) = ([0u8; 8 + INLINE_VALUE], Vec::new());
+    let buf = if value.len() <= INLINE_VALUE {
+        &mut inline[..8 + value.len()]
+    } else {
+        spilled.resize(8 + value.len(), 0);
+        &mut spilled[..]
+    };
+    buf[..4].copy_from_slice(&(value.len() as u32).to_le_bytes());
+    buf[8..].copy_from_slice(value);
+    post_store(qp, rec, 24, buf, local)?;
+    post_store(qp, rec, 12, &new_version.to_le_bytes(), local)?;
+    post_unlock(qp, rec, local)
 }
 
-/// Releases an exclusive lock without writing data (the ABORT path, and
-/// the last step of every write-back): INIT into the state word.
-/// Releasing a lock *on* a crashed machine fails, which is fine — the
-/// whole machine's lock table dies with it and `recover_node` sweeps
-/// whatever our logs say we held there.
+/// Posts the release of an exclusive lock without writing data (the
+/// ABORT path, and the last step of every write-back): INIT into the
+/// state word. Releasing a lock *on* a crashed machine fails, which is
+/// fine — the whole machine's lock table dies with it and `recover_node`
+/// sweeps whatever our logs say we held there.
+pub(crate) fn post_unlock(qp: &Qp, rec: &RecordAddr, local: bool) -> Result<(), FabricError> {
+    post_store(qp, rec, 0, &INIT.to_le_bytes(), local)
+}
+
+/// [`post_write_back`], then a wait for its completions.
+pub fn remote_write_back(
+    qp: &Qp,
+    rec: &RecordAddr,
+    new_version: u32,
+    value: &[u8],
+    local: bool,
+) -> Result<(), FabricError> {
+    let posted = post_write_back(qp, rec, new_version, value, local);
+    qp.wait();
+    posted
+}
+
+/// [`post_unlock`], then a wait for its completion.
 pub fn remote_unlock(qp: &Qp, rec: &RecordAddr, local: bool) -> Result<(), FabricError> {
-    store(qp, rec, 0, &INIT.to_le_bytes(), local)
+    let posted = post_unlock(qp, rec, local);
+    qp.wait();
+    posted
 }
 
 /// `LOCAL_READ` (Figure 6): inside the HTM region, check the state word

@@ -52,21 +52,37 @@ impl RoCtx<'_> {
 
     /// Lease-locks `rec` in shared mode and returns its value: the
     /// lease half of the read-write pipeline's Start step, one record
-    /// at a time.
+    /// at a time (scans discover their read set as they go).
+    pub fn acquire(&mut self, rec: &RecordAddr) -> Result<Vec<u8>, RoRestart> {
+        let mut values = self.acquire_all(std::slice::from_ref(rec))?;
+        Ok(values.pop().expect("one record, one value"))
+    }
+
+    /// Lease-locks every record of `recs` in shared mode as one wave —
+    /// all CASes and fetches posted, then awaited once — and returns
+    /// their values in order.
     ///
     /// Local records go through the same CAS path as remote ones unless
     /// the NIC provides GLOB-level atomics (§6.3).
-    pub fn acquire(&mut self, rec: &RecordAddr) -> Result<Vec<u8>, RoRestart> {
+    pub fn acquire_all(&mut self, recs: &[RecordAddr]) -> Result<Vec<Vec<u8>>, RoRestart> {
         let w = self.worker;
-        match w.acquire(rec, false, self.end_us, self.now_us, w.can_local_cas(rec)) {
-            Ok(f) => {
-                self.min_end_us = self.min_end_us.min(f.lease_end_us);
-                Ok(f.value)
+        let wants = recs.iter().map(|rec| (*rec, false, w.can_local_cas(rec)));
+        let mut values = Vec::with_capacity(recs.len());
+        for got in w.acquire_wave(wants, self.end_us, self.now_us) {
+            match got {
+                Ok(f) => {
+                    self.min_end_us = self.min_end_us.min(f.lease_end_us);
+                    values.push(f.value);
+                }
+                // A machine that is gone outranks a lock that will be
+                // released: remember the first such conflict.
+                Err(c) => self.fatal = self.fatal.or(TxnError::of_conflict(c)),
             }
-            Err(c) => {
-                self.fatal = TxnError::of_conflict(c);
-                Err(RoRestart)
-            }
+        }
+        if values.len() == recs.len() {
+            Ok(values)
+        } else {
+            Err(RoRestart)
         }
     }
 
@@ -144,17 +160,16 @@ impl Worker {
 
     /// Convenience wrapper: read a fixed, pre-resolved record set.
     ///
-    /// The lease CASes and fetches are posted together, so the QP's
-    /// doorbell batching amortises their base latency per destination
-    /// like the Start phase.
+    /// The lease CASes and fetches of all records are posted as one wave
+    /// and awaited once, like the Start phase: leases on one machine
+    /// share a doorbell, leases on different machines overlap.
     pub fn read_only_records(&mut self, recs: &[RecordAddr]) -> Vec<Vec<u8>> {
         self.try_read_only_records(recs).expect("read-only transaction hit a crashed peer")
     }
 
     /// [`Worker::read_only_records`] with typed dead-peer reporting.
     pub fn try_read_only_records(&mut self, recs: &[RecordAddr]) -> Result<Vec<Vec<u8>>, TxnError> {
-        let recs = recs.to_vec();
-        self.try_read_only(move |ctx| recs.iter().map(|r| ctx.acquire(r)).collect())
+        self.try_read_only(|ctx| ctx.acquire_all(recs))
     }
 }
 

@@ -30,9 +30,10 @@ use crate::alloc_layout::NodeLayout;
 use crate::config::{CrashPoint, DrTmConfig, SofttimeStrategy};
 use crate::log::{LogSlot, LoggedUpdate};
 use crate::record::{
-    self, lease_unconfirmed, FetchedRecord, LockConflict, RecordAddr, ABORT_LEASE_EXPIRED,
+    self, lease_unconfirmed, Claim, FetchedRecord, LockConflict, RecordAddr, ABORT_LEASE_EXPIRED,
     ABORT_LOCKED,
 };
+use crate::state::LockState;
 use crate::stats::TxnStats;
 use crate::time::{softtime_nt, softtime_txn};
 use crate::trace::{
@@ -598,10 +599,10 @@ impl Worker {
         body: &mut impl FnMut(&mut TxnCtx<'_>) -> Result<T, Abort>,
     ) -> Result<T, Stop> {
         let Env { sys, spec, .. } = env;
-        let order = declared(spec).filter(Item::is_remote);
+        let order: Vec<Item> = declared(spec).filter(Item::is_remote).collect();
         let locks = {
             let mut t = PhaseTimer::start(&sys.trace, Phase::Start);
-            self.start(Strategy::Htm, env, order.clone(), &spec.remote_writes, &mut t.ops)?
+            self.start(Strategy::Htm, env, &order, &spec.remote_writes, &mut t.ops)?
         };
         if self.crashes_at(CrashPoint::AfterRemoteLocks) {
             return Err(CRASH);
@@ -622,7 +623,7 @@ impl Worker {
             // Nothing was published: release the locks, charging the
             // unlock WRITEs to the Commit phase.
             let mut t = PhaseTimer::start(&sys.trace, Phase::Commit);
-            t.ops += self.release_held(Strategy::Htm, order);
+            t.ops += self.release_held(Strategy::Htm, order.into_iter());
         }
         Err(stop)
     }
@@ -651,7 +652,7 @@ impl Worker {
             if self.self_crashed() {
                 return Err(CRASH);
             }
-            let locks = self.start(strategy, env, order.iter().copied(), &write_set, &mut t.ops)?;
+            let locks = self.start(strategy, env, &order, &write_set, &mut t.ops)?;
             match self.run(strategy, env, &locks, &write_set, body) {
                 Ok(v) => {
                     t.ops += write_set.len() as u64;
@@ -670,23 +671,26 @@ impl Worker {
         }
     }
 
-    /// One lock or lease acquisition attempt (Figure 5) through the CAS
-    /// path `local` selects: the primitive under [`Worker::start`] and
-    /// under every read-only lease.
-    pub(crate) fn acquire(
+    /// One acquisition wave (Figure 5) — a write lock or a lease ending
+    /// at `end_us` on each of `wants`, as `(record, write, local)` with
+    /// `local` selecting the CPU CAS path — posted together and awaited
+    /// once: the primitive under [`Worker::start`] and under every
+    /// read-only lease. One outcome per record, in order.
+    pub(crate) fn acquire_wave(
         &self,
-        rec: &RecordAddr,
-        write: bool,
+        wants: impl Iterator<Item = (RecordAddr, bool, bool)>,
         end_us: u64,
         now_us: u64,
-        local: bool,
-    ) -> Result<FetchedRecord, LockConflict> {
-        let delta = self.sys.cfg.delta_us;
-        if write {
-            record::remote_lock_write(&self.qp, rec, self.node as u8, now_us, delta, local)
-        } else {
-            record::remote_read(&self.qp, rec, end_us, now_us, delta, local)
-        }
+    ) -> Vec<Result<FetchedRecord, LockConflict>> {
+        let claim = |(rec, write, local)| {
+            let desired = if write {
+                LockState::write_locked(self.node as u8)
+            } else {
+                LockState::leased(end_us)
+            };
+            Claim { rec, desired, local }
+        };
+        record::acquire_wave(&self.qp, wants.map(claim), now_us, self.sys.cfg.delta_us)
     }
 
     /// Counts a terminal dead-peer abort and returns the error to raise.
@@ -698,20 +702,24 @@ impl Worker {
     }
 
     /// **Start**: persist the lock-ahead log, then lock (writes) or
-    /// lease (reads) every record of `order`, fetching each. Record ops
-    /// are counted into `ops`.
+    /// lease (reads) and fetch every record of `order`, in *waves*: a
+    /// wave's CASes and fetches are posted together and awaited once.
+    /// Record ops are counted into `ops`.
     ///
-    /// The strategies differ in what a conflict means. HTM fails fast:
-    /// release what is held and let the caller back off and restart.
-    /// Ordered 2PL waits on the record — but only as long as the holder
-    /// is believed alive: a lock held by a crashed machine is released
-    /// by recovery, not by waiting, so a dead owner (or an expired grace
-    /// deadline) turns the wait into a typed abort.
+    /// The strategies differ in the wave and in what a conflict means.
+    /// HTM takes its whole lock order as one wave and fails fast:
+    /// release what the wave won and let the caller back off and
+    /// restart. Ordered 2PL must hold every earlier record of its
+    /// `(node, offset)` order before it waits on the next, so its waves
+    /// are one record long, and it waits on a conflict — but only as
+    /// long as the holder is believed alive: a lock held by a crashed
+    /// machine is released by recovery, not by waiting, so a dead owner
+    /// (or an expired grace deadline) turns the wait into a typed abort.
     fn start(
         &mut self,
         strategy: Strategy,
         env: Env<'_>,
-        order: impl Iterator<Item = Item> + Clone,
+        order: &[Item],
         write_set: &[RecordAddr],
         ops: &mut u64,
     ) -> Result<LockSet, Stop> {
@@ -746,18 +754,25 @@ impl Worker {
             ],
             now_us: now,
         };
-        for (held, it) in order.clone().enumerate() {
-            let local = self.cpu_path(strategy, &it.rec);
+        let wave_len = if waits { 1 } else { order.len().max(1) };
+        for (nth, wave) in order.chunks(wave_len).enumerate() {
             let mut give_up_at: Option<Instant> = None;
-            locks.fetched[it.list as usize][it.idx] = loop {
+            loop {
                 // A waiting strategy re-reads softtime: leases expire
                 // while it waits.
                 let now = if waits { softtime_nt(region) } else { now };
-                *ops += 1;
-                let mut conflict = match self.acquire(&it.rec, it.is_write(), end, now, local) {
-                    Ok(fetched) => break fetched,
-                    Err(c) => c,
+                *ops += wave.len() as u64;
+                let wants =
+                    wave.iter().map(|it| (it.rec, it.is_write(), self.cpu_path(strategy, &it.rec)));
+                let got = self.acquire_wave(wants, end, now);
+                let Some(lost) = got.iter().position(Result::is_err) else {
+                    for (it, fetched) in wave.iter().zip(got) {
+                        locks.fetched[it.list as usize][it.idx] = fetched.expect("no claim lost");
+                    }
+                    break;
                 };
+                let rec = &wave[lost].rec;
+                let mut conflict = *got[lost].as_ref().expect_err("the lost claim");
                 if waits {
                     let deadline =
                         *give_up_at.get_or_insert_with(|| Instant::now() + DEAD_PEER_GRACE);
@@ -769,37 +784,42 @@ impl Worker {
                         }
                         LockConflict::PeerDead { .. } | LockConflict::Retired { .. } => conflict,
                         _ if Instant::now() >= deadline => {
-                            LockConflict::PeerDead { node: it.rec.addr.node }
+                            LockConflict::PeerDead { node: rec.addr.node }
                         }
                         _ => conflict,
                     };
                 }
                 let terminal = TxnError::of_conflict(conflict);
                 if waits && terminal.is_none() {
-                    self.trace_abort(txn_id, phase, AbortCause::FallbackWait, Some(&it.rec));
+                    // A one-record wave: nothing was won, wait and retry.
+                    self.trace_abort(txn_id, phase, AbortCause::FallbackWait, Some(rec));
                     self.backoff(4);
                     continue;
                 }
-                self.trace_abort(txn_id, phase, AbortCause::from_conflict(conflict), Some(&it.rec));
+                self.trace_abort(txn_id, phase, AbortCause::from_conflict(conflict), Some(rec));
                 if self.self_crashed() {
                     // Our own machine died: stop dead, leave everything.
                     return Err(CRASH);
                 }
-                *ops += self.release_held(strategy, order.take(held));
+                // Release the earlier waves and what this one won.
+                let won = wave.iter().zip(&got).filter(|(_, r)| r.is_ok()).map(|(it, _)| *it);
+                let held = order[..nth * wave_len].iter().copied().chain(won);
+                *ops += self.release_held(strategy, held);
                 if !waits {
                     sys.stats.add_start_conflict();
                 }
                 return Err(terminal.map_or(Stop::Restart, |e| Stop::Terminal(self.terminal(e))));
-            };
+            }
         }
         Ok(locks)
     }
 
     /// Releases the write locks among `held` without writing data
     /// (abort cleanup; leases need no release, §4.2) through the one
-    /// delivery loop; returns how many record ops that took. A release a
-    /// dead peer cannot take is parked for [`Worker::flush_pending`], so
-    /// the lock is still released exactly once when the peer comes back.
+    /// delivery loop — one posted wave of unlock WRITEs; returns how
+    /// many record ops that took. A release a dead peer cannot take is
+    /// parked for [`Worker::flush_pending`], so the lock is still
+    /// released exactly once when the peer comes back.
     /// (If *this* machine is the dead one, nothing is parked: sweeping
     /// its locks is the recovery protocol's job.)
     fn release_held(&mut self, strategy: Strategy, held: impl Iterator<Item = Item>) -> u64 {
@@ -963,12 +983,19 @@ impl Worker {
         Ok(value)
     }
 
-    /// The delivery loop of WriteBack, the only one: write back (or,
-    /// for a declared-but-unwritten record, just unlock) each item in
-    /// order, honouring the crash point `crash` after each delivery.
-    /// Each write-back fuses apply and unlock, so recovery sees a
-    /// shrinking lock set: it skips applied updates by version and
-    /// releases the locks the WAL says are still held.
+    /// The delivery loop of WriteBack, the only one: post the write-back
+    /// (or, for a declared-but-unwritten record, just the unlock) of
+    /// each item in order, honouring the crash point `crash` after each
+    /// record's posts, then wait once for every completion. Each
+    /// write-back fuses apply and unlock, so recovery sees a shrinking
+    /// lock set: it skips applied updates by version and releases the
+    /// locks the WAL says are still held.
+    ///
+    /// Two orderings, two mechanisms. Within a record, value → version →
+    /// state rides on the queue pair's per-destination FIFO. Across the
+    /// phase boundary, the caller's write-ahead log is persistent before
+    /// the first post here and is reclaimed only after this returns —
+    /// after the last completion (log-persist-before-unlock).
     ///
     /// Returns the items a dead target could not take, to be
     /// re-delivered over the fabric. The caller is past its commit
@@ -980,24 +1007,26 @@ impl Worker {
     ) -> Result<Vec<WriteItem>, TxnError> {
         let mut undelivered = Vec::new();
         for w in writes {
-            let sent = match &w.value {
-                Some(v) => record::remote_write_back(&self.qp, &w.rec, w.version, v, w.local),
-                None => record::remote_unlock(&self.qp, &w.rec, w.local),
+            let posted = match &w.value {
+                Some(v) => record::post_write_back(&self.qp, &w.rec, w.version, v, w.local),
+                None => record::post_unlock(&self.qp, &w.rec, w.local),
             };
-            if sent.is_err() {
+            if posted.is_err() {
                 undelivered.push(WriteItem { local: false, ..w });
             } else if crash.is_some_and(|p| self.crashes_at(p)) {
+                self.qp.wait();
                 return Err(TxnError::SimulatedCrash);
             }
         }
+        self.qp.wait();
         Ok(undelivered)
     }
 
     /// **WriteBack**: the transaction is past its commit point — a dead
     /// peer can no longer abort it. Deliver every write-back and unlock
-    /// (posted together: the QP's doorbell batching amortises their base
-    /// latency per destination), park what cannot be delivered, reclaim
-    /// the log slot, count the commit.
+    /// (one posted wave, awaited once: the WRITEs to one machine share a
+    /// doorbell, those to different machines overlap), park what cannot
+    /// be delivered, reclaim the log slot, count the commit.
     fn publish(
         &mut self,
         strategy: Strategy,
@@ -1710,6 +1739,59 @@ mod tests {
         assert_eq!(h.value(1, 0), 100);
         assert!(h.state_of(0, 1).is_init());
         assert!(h.state_of(1, 0).is_init());
+    }
+
+    #[test]
+    fn failed_start_wave_releases_exactly_the_write_locks_it_won() {
+        // One wave over five records on two machines: two write locks
+        // it wins (a, c), one it loses to machine 2's lock (b), a lease
+        // machine 2 already holds (d, shared) and a fresh lease (e).
+        let h = harness(3, 1, 4, DrTmConfig::default());
+        let (a, b, c) = (h.rec(1, 0), h.rec(1, 1), h.rec(2, 0));
+        let (d, e) = (h.rec(2, 1), h.rec(1, 2));
+        let qp2 = h.sys.cluster().qp(2);
+        let now = softtime_nt(h.sys.cluster().node(2).region());
+        let held = record::remote_lock_write(&qp2, &b, 2, now, 100, false).unwrap();
+        record::remote_read(&qp2, &d, now + 1_000_000, now, 100, false).unwrap();
+        let lease_d = h.state_of(2, 1);
+
+        let mut w = h.sys.worker(0, 0);
+        let spec = TxnSpec {
+            remote_writes: vec![a, b, c],
+            remote_reads: vec![d, e],
+            ..Default::default()
+        };
+        let sys = Arc::clone(&h.sys);
+        let env = Env { sys: &sys, region: sys.cluster().node(0).region(), spec: &spec, txn_id: 1 };
+        let order: Vec<Item> = declared(&spec).filter(Item::is_remote).collect();
+        let before = sys.stats_report();
+        let mut ops = 0;
+        // No lock set comes back: nothing the wave fetched — least of
+        // all b's bytes, read behind the lost CAS — can reach a body.
+        let lost = w.start(Strategy::Htm, env, &order, &spec.remote_writes, &mut ops);
+        assert_eq!(lost.err(), Some(Stop::Restart));
+        let d_report = sys.stats_report().since(&before);
+        assert_eq!(d_report.txn.start_conflicts, 1);
+        assert_eq!(d_report.causes.get(AbortCause::StartWriteLocked { owner: 2 }), 1);
+        assert_eq!(d_report.causes.total(), 1, "one wave, one abort event");
+        // Five CASes, each with its speculative fetch; two unlocks.
+        let fabric = d_report.rdma;
+        assert_eq!((fabric.cas, fabric.reads, fabric.writes), (5, 5, 2));
+        assert_eq!(ops, 5 + 2);
+        assert!(h.state_of(1, 0).is_init() && h.state_of(2, 0).is_init(), "won locks released");
+        assert_eq!(h.state_of(1, 1).owner(), 2, "machine 2 still holds its lock");
+        assert!(h.state_of(1, 1).is_write_locked());
+        assert_eq!(h.state_of(2, 1), lease_d, "a shared lease is not ours to touch");
+        assert!(h.state_of(1, 2).lease_end_us() > now, "our own lease stays: it just expires");
+        assert!(!w.has_pending());
+
+        // Machine 2 commits its update and unlocks; the rerun sees it.
+        record::remote_write_back(&qp2, &b, held.header.version + 1, &u64v(777), false).unwrap();
+        let seen = w.execute(&spec, |ctx| Ok(vu64(ctx.remote_write_cur(1)))).unwrap();
+        assert_eq!(seen, 777);
+        for (node, key) in [(1, 0), (1, 1), (2, 0)] {
+            assert!(h.state_of(node, key).is_init(), "write lock on ({node}, {key}) released");
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! exactly. They were recorded before the commit paths were merged into
 //! one pipeline and must not move under a refactor that claims "same
 //! behaviour" — a changed fabric-op order, an extra CAS, a dropped
-//! doorbell flush or a log write all show up as a diff.
+//! doorbell flush or a log write all show up as a diff. The one
+//! re-pinning since, when Start and WriteBack began posting their verbs
+//! and waiting once, is derived number by number at the constants.
 
 use std::sync::Arc;
 
@@ -40,9 +42,9 @@ struct Fixture {
 /// `glob` models a NIC with `IBV_ATOMIC_GLOB`: the fallback then locks
 /// and writes back local records with CPU instructions, not loopback
 /// verbs.
-fn fixture(batching: bool, force_fallback: bool, glob: bool) -> Fixture {
+fn fixture(nodes: u16, batching: bool, force_fallback: bool, glob: bool) -> Fixture {
     let cluster = Cluster::new(ClusterConfig {
-        nodes: 2,
+        nodes: nodes as usize,
         region_size: 8 << 20,
         profile: LatencyProfile::rdma(),
         doorbell: if batching { DoorbellConfig::default() } else { DoorbellConfig::disabled() },
@@ -55,7 +57,7 @@ fn fixture(batching: bool, force_fallback: bool, glob: bool) -> Fixture {
     }
     let mut layouts = Vec::new();
     let mut tables = Vec::new();
-    for n in 0..2u16 {
+    for n in 0..nodes {
         let mut arena = Arena::new(0, 8 << 20);
         layouts.push(NodeLayout::reserve(&mut arena, 1));
         let t = ClusterHash::create(&mut arena, n, 64, 256, VAL_CAP);
@@ -106,10 +108,11 @@ fn bump(v: &[u8]) -> Vec<u8> {
 /// The canonical transactions, each on records nothing else touched:
 /// local RMW, remote RMW (1 remote write + 1 remote read), the same
 /// shape down the forced fallback, a local + remote write pair down the
-/// fallback of a GLOB-atomics NIC (CPU CAS, CPU-store write-back), and a
-/// 2-record read-only.
-fn measure(batching: bool) -> [PathCost; 5] {
-    let htm = fixture(batching, false, false);
+/// fallback of a GLOB-atomics NIC (CPU CAS, CPU-store write-back), a
+/// 2-record read-only, and — on four machines — one remote write on each
+/// of the other three, whose lock, fetch and write-back chains overlap.
+fn measure(batching: bool) -> [PathCost; 6] {
+    let htm = fixture(2, batching, false, false);
     let mut w = htm.sys.worker(0, 0);
     // Resolve outside the measured windows: lookups are fabric READs.
     let local_spec = TxnSpec { local_writes: vec![htm.rec(0, 0)], ..Default::default() };
@@ -139,7 +142,7 @@ fn measure(batching: bool) -> [PathCost; 5] {
     });
     assert_eq!(htm.sys.stats().snapshot().fallback_committed, 0);
 
-    let fb = fixture(batching, true, false);
+    let fb = fixture(2, batching, true, false);
     let mut w = fb.sys.worker(0, 0);
     let fb_spec = TxnSpec {
         remote_writes: vec![fb.rec(1, 1)],
@@ -149,7 +152,7 @@ fn measure(batching: bool) -> [PathCost; 5] {
     let fallback = fb.cost(|| w.execute(&fb_spec, remote_body).unwrap());
     assert_eq!(fb.sys.stats().snapshot().fallback_committed, 1);
 
-    let fb = fixture(batching, true, true);
+    let fb = fixture(2, batching, true, true);
     let mut w = fb.sys.worker(0, 0);
     let mixed_spec = TxnSpec {
         local_writes: vec![fb.rec(0, 5)],
@@ -167,13 +170,34 @@ fn measure(batching: bool) -> [PathCost; 5] {
         .unwrap();
     });
     assert_eq!(fb.sys.stats().snapshot().fallback_committed, 1);
-    [local, remote, fallback, mixed, read_only]
+
+    let wide = fixture(4, batching, false, false);
+    let mut w = wide.sys.worker(0, 0);
+    let wide_spec =
+        TxnSpec { remote_writes: (1..4).map(|n| wide.rec(n, 1)).collect(), ..Default::default() };
+    let three_way = wide.cost(|| {
+        w.execute(&wide_spec, |ctx| {
+            for i in 0..3 {
+                let v = bump(ctx.remote_write_cur(i));
+                ctx.remote_write(i, v);
+            }
+            Ok(())
+        })
+        .unwrap();
+    });
+    [local, remote, fallback, mixed, read_only, three_way]
 }
 
-const NAMES: [&str; 5] =
-    ["local_rmw", "remote_rmw", "remote_rmw_fallback", "mixed_fallback", "read_only_2"];
+const NAMES: [&str; 6] = [
+    "local_rmw",
+    "remote_rmw",
+    "remote_rmw_fallback",
+    "mixed_fallback",
+    "read_only_2",
+    "remote_3_machines",
+];
 
-fn check(batching: bool, golden: [PathCost; 5]) {
+fn check(batching: bool, golden: [PathCost; 6]) {
     let got = measure(batching);
     for ((name, got), want) in NAMES.iter().zip(got).zip(golden) {
         assert_eq!(got, want, "path cost of {name} moved (batching = {batching})");
@@ -202,18 +226,59 @@ const fn cost(
     PathCost { vtime_ns, fabric, log, phase_ops, phase_ns }
 }
 
-// Recorded at the commit before the pipeline refactor (PR 11's head).
-const GOLDEN_BATCHED: [PathCost; 5] = [
+// Recorded at the commit before the pipeline refactor (PR 11's head),
+// and re-pinned once: when Start and WriteBack began to post a phase's
+// verbs and wait once. Every verb, log and record-op count of the five
+// original rows is as recorded; so is every number of the unbatched
+// table (one doorbell per op, one destination: the chain of a wave *is*
+// the serial sum) and of `local_rmw` and `mixed_fallback`. What moved,
+// in the batched table, all comes from one fact: a wave posts node 1's
+// ops 200 ns (`post_ns`) apart instead of a completion apart, so they
+// reach its doorbell inside the 8 000 ns window where the serial chain
+// overran it. Costs on node 1: CAS 6 000 ringing / 1 800 riding, 48-byte
+// fetch 3 168 / 1 068, 16-byte value WRITE 2 556 / 806.
+//
+// * `remote_rmw` Start 14 036 → 11 936 and `read_only_2` 12 036 →
+//   9 936: the doorbell opens with the first CAS; serially the second
+//   fetch came 8 868 ns later and rang a new one, posted it rides:
+//   −2 100, and one doorbell instead of two (`read_only_2`: 2 → 1;
+//   `remote_rmw` still rings a second, see Commit).
+// * `remote_rmw` Commit 4 895 → 6 645: that second fetch had reopened
+//   the doorbell at 10 868, just in time for the write-back's value
+//   WRITE at 16 583 to ride it. Now the doorbell is the one Start opened
+//   at 2 000, long closed: the value WRITE rings, +1 750 (2 556 − 806).
+//   Net of the row: −350.
+// * `remote_rmw_fallback`: its HTM pass is the Start above (−2 100). Its
+//   release (Commit 778 → 2 528) finds the doorbell closed like the
+//   write-back above and rings at 11 936: +1 750. That opens the window
+//   the ordered-2PL pass then runs in: lock-ahead log to 16 464, first
+//   record's CAS + fetch to 19 332, second record's CAS posted 7 396 ns
+//   into the window (serially it was 8 814 ns after the 10 868
+//   reopening, and rang): Fallback 18 041 → 13 841, −4 200 (6 000 −
+//   1 800), and doorbells 4 → 3. Net of the row: −4 550.
+//
+// The sixth row is new and pins the overlap. One remote write on each
+// of nodes 1–3 of four. Start: lock-ahead log 2 000, then three chains
+// of CAS 6 000 + fetch (1 068 riding, 3 168 unbatched) side by side, the
+// third posted 4 × 200 later: 9 868 batched, 11 968 unbatched — against
+// 2 000 + 3 chains = 23 204 and 29 504 one completion at a time. Commit:
+// 2 680 of log and HTM, then three chains of value + version + unlock
+// (2 556 + 764 + 778 batched: every doorbell has closed; 2 556 + 2 514 +
+// 2 528 unbatched), the third posted 6 × 200 later: 7 978 and 11 478,
+// against 14 974 and 25 474.
+const GOLDEN_BATCHED: [PathCost; 6] = [
     cost(2_824, [0, 0, 0, 0], [1, 42, 1], [0, 0, 0, 0], [0, 280, 2_544, 0]),
-    cost(18_931, [2, 3, 2, 2], [2, 84, 1], [2, 0, 1, 0], [14_036, 0, 4_895, 0]),
-    cost(32_855, [4, 4, 4, 4], [3, 108, 1], [2, 0, 1, 3], [14_036, 0, 778, 18_041]),
+    cost(18_581, [2, 3, 2, 2], [2, 84, 1], [2, 0, 1, 0], [11_936, 0, 6_645, 0]),
+    cost(28_305, [4, 4, 4, 3], [3, 108, 1], [2, 0, 1, 3], [11_936, 0, 2_528, 13_841]),
     cost(28_273, [3, 4, 2, 4], [3, 178, 1], [1, 0, 1, 4], [9_068, 0, 778, 18_427]),
-    cost(12_036, [2, 0, 2, 2], [0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]),
+    cost(9_936, [2, 0, 2, 1], [0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]),
+    cost(17_846, [3, 9, 3, 6], [2, 224, 1], [3, 0, 3, 0], [9_868, 0, 7_978, 0]),
 ];
-const GOLDEN_UNBATCHED: [PathCost; 5] = [
+const GOLDEN_UNBATCHED: [PathCost; 6] = [
     cost(2_824, [0, 0, 0, 0], [1, 42, 1], [0, 0, 0, 0], [0, 280, 2_544, 0]),
     cost(30_481, [2, 3, 2, 7], [2, 84, 1], [2, 0, 1, 0], [20_336, 0, 10_145, 0]),
     cost(52_805, [4, 4, 4, 12], [3, 108, 1], [2, 0, 1, 3], [20_336, 0, 2_528, 29_941]),
     cost(37_723, [3, 4, 2, 9], [3, 178, 1], [1, 0, 1, 4], [11_168, 0, 2_528, 24_027]),
     cost(18_336, [2, 0, 2, 4], [0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]),
+    cost(23_446, [3, 9, 3, 15], [2, 224, 1], [3, 0, 3, 0], [11_968, 0, 11_478, 0]),
 ];

@@ -44,28 +44,6 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, read() - before)
 }
 
-/// Subtracts `ns` from the current thread's meter (saturating).
-///
-/// Used to model *doorbell batching*: when a phase posts many one-sided
-/// verbs before waiting for completions, only a fraction of the serial
-/// per-op latency is exposed; the caller measures the serial charge and
-/// refunds the overlapped part.
-#[inline]
-pub fn refund(ns: u64) {
-    METER.with(|m| m.set(m.get().saturating_sub(ns)));
-}
-
-/// Refunds the overlapped portion of `spent` ns across `n_ops` one-sided
-/// operations issued back-to-back: the exposed cost is
-/// `spent · (1 + α(n−1)) / n` with pipeline factor α = 0.3.
-pub fn doorbell_batch(spent: u64, n_ops: usize) {
-    if n_ops > 1 && spent > 0 {
-        let n = n_ops as u64;
-        let exposed = spent * (10 + 3 * (n - 1)) / (10 * n);
-        refund(spent - exposed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -43,8 +43,9 @@ pub struct CounterSnapshot {
     /// Doorbells rung: batches of outbound ops posted together. With
     /// batching disabled this equals the op count (one ring per op).
     pub doorbells: u64,
-    /// Total virtual nanoseconds charged for fabric operations (after
-    /// doorbell amortisation).
+    /// NIC service time of all fabric operations, in virtual ns (after
+    /// doorbell amortisation), summed per op: what the ops cost, not
+    /// what their issuers waited — posted ops overlap.
     pub fabric_ns: u64,
 }
 
@@ -69,7 +70,7 @@ impl CounterSnapshot {
         self.fabric_ops() as f64 / self.doorbells as f64
     }
 
-    /// Average charged virtual cost per fabric op, in ns.
+    /// Average virtual service time per fabric op, in ns.
     pub fn avg_op_cost_ns(&self) -> f64 {
         if self.fabric_ops() == 0 {
             return 0.0;

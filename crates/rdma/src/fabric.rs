@@ -1,13 +1,13 @@
 //! The simulated cluster: nodes, registered memory, queue pairs.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use drtm_htm::{vtime, Region};
 
 use crate::counters::OpCounters;
-use crate::doorbell::{DoorbellConfig, Doorbells};
-use crate::fault::{FabricError, FaultConfig, FaultPlan, SendFate};
+use crate::doorbell::{DoorbellConfig, Nic};
+use crate::fault::{FabricError, FaultConfig, FaultPlan, Refused, SendFate};
 use crate::latency::LatencyProfile;
 use crate::verbs::Verbs;
 
@@ -235,36 +235,63 @@ impl Cluster {
     pub fn qp(self: &Arc<Self>, from: NodeId) -> Qp {
         // Doorbell slots cover the full capacity so a QP created before
         // a join can address nodes provisioned after it.
-        let doorbells = Doorbells::new(self.nodes.len());
-        Qp { cluster: Arc::clone(self), from, doorbells }
+        let nic = Mutex::new(Nic::new(self.nodes.len()));
+        Qp { cluster: Arc::clone(self), from, nic }
     }
 }
 
 /// A queue-pair handle: the issuing side of one-sided operations.
 ///
-/// All operations are synchronous (the simulated completion is charged to
-/// virtual time) and may target any node, including the owner itself —
-/// a loopback RDMA op pays the full NIC round trip, exactly the cost the
-/// paper's fallback handler pays on an `IBV_ATOMIC_HCA` NIC (§6.3).
+/// Every one-sided verb comes in two forms. `post_*` hands the work
+/// request to the NIC and returns: the issuing thread is charged only the
+/// posting overhead ([`LatencyProfile::post_ns`]) and the op's
+/// completion time is recorded. [`Qp::wait`] then advances the thread's
+/// virtual time to the latest recorded completion, so ops posted to
+/// different machines overlap and only one destination's ops queue
+/// behind each other. The plain and `try_*` forms are a post followed at
+/// once by a wait: they cost exactly the op's modelled latency.
+///
+/// In the simulation a posted op takes effect on the target's memory,
+/// and rolls its fault dice, when it is posted; per destination, effects
+/// and completions are therefore in post order (the RC queue-pair FIFO
+/// the protocol's value → version → state write-backs rely on). Its
+/// result is in hand immediately, but the caller must not *act* on it —
+/// issue a dependent op, release a resource — before the wait: that is
+/// when real hardware would deliver it.
+///
+/// An op may target any node, including the owner itself — a loopback
+/// RDMA op pays the full NIC round trip, exactly the cost the paper's
+/// fallback handler pays on an `IBV_ATOMIC_HCA` NIC (§6.3).
 ///
 /// Outbound ops posted back-to-back to the same destination share a
-/// doorbell (see [`DoorbellConfig`]): the first pays its full base
-/// latency, the rest only the pipeline fraction of it. The batch window
-/// closes at [`Qp::doorbell_flush`] — a completion wait, which the
-/// transaction layer issues at every transaction boundary.
+/// doorbell (see [`DoorbellConfig`]): the first costs its full base
+/// latency, the rest only the pipeline fraction of it. A plain wait
+/// leaves doorbells open — a run of synchronous verbs keeps amortising —
+/// until [`Qp::doorbell_flush`], the wait the transaction layer issues
+/// at every transaction boundary.
 #[derive(Debug)]
 pub struct Qp {
     cluster: Arc<Cluster>,
     from: NodeId,
-    doorbells: Doorbells,
+    nic: Mutex<Nic>,
 }
 
 impl Clone for Qp {
     /// An independent queue pair on the same cluster: doorbell batches
-    /// are per-QP NIC state and do not travel with the handle.
+    /// and outstanding completions are per-QP NIC state and do not
+    /// travel with the handle.
     fn clone(&self) -> Self {
         self.cluster.qp(self.from)
     }
+}
+
+/// Whether an op is awaited as part of issuing it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Issue {
+    /// Post only; the caller waits later, once for many ops.
+    Post,
+    /// Post, then wait for every outstanding completion.
+    Sync,
 }
 
 impl Qp {
@@ -278,25 +305,118 @@ impl Qp {
         &self.cluster
     }
 
-    /// Waits for all posted completions: closes every open doorbell, so
-    /// the next op to any destination pays its full base latency.
-    pub fn doorbell_flush(&self) {
-        self.doorbells.flush();
+    fn nic(&self) -> MutexGuard<'_, Nic> {
+        self.nic.lock().expect("QP state poisoned")
     }
 
-    /// Charges one outbound op's virtual cost, amortised when it rides
-    /// an open doorbell, and returns the charged amount.
-    fn charge_fabric(&self, to: NodeId, full_ns: u64, base_ns: u64) -> u64 {
-        let cfg = &self.cluster.doorbell;
-        let cost = if self.doorbells.admit(to, cfg, vtime::read()) {
-            cfg.batched_ns(full_ns, base_ns)
-        } else {
-            self.cluster.counters.record_doorbell();
-            full_ns
+    /// Advances the calling thread's virtual time to the wave's latest
+    /// completion (a no-op when everything posted already lies behind
+    /// it).
+    fn complete(nic: &mut Nic) {
+        let done = nic.wait();
+        vtime::charge(done.saturating_sub(vtime::read()));
+    }
+
+    /// Waits for the completion of every op posted on this queue pair.
+    pub fn wait(&self) {
+        Self::complete(&mut self.nic());
+    }
+
+    /// Waits for all posted completions and closes every open doorbell,
+    /// so the next op to any destination costs its full base latency.
+    pub fn doorbell_flush(&self) {
+        let mut nic = self.nic();
+        Self::complete(&mut nic);
+        nic.close_doorbells();
+    }
+
+    /// Hands one outbound work request to the NIC and returns its
+    /// service time (amortised when it rides an open doorbell).
+    ///
+    /// The posting overhead is the head of the op's latency, not an
+    /// addition to it (hence the `min`), so `Issue::Sync` leaves the
+    /// meter exactly `delay + cost` past the post. A refused op charges
+    /// nothing now: its error completion is waited for like any other.
+    fn issue(
+        &self,
+        to: NodeId,
+        full_ns: u64,
+        base_ns: u64,
+        how: Issue,
+    ) -> Result<u64, FabricError> {
+        let admitted = self.cluster.faults.admit(self.from, to);
+        let now = vtime::read();
+        let mut nic = self.nic();
+        let (issued, posting_ns) = match admitted {
+            Ok(delay_ns) => {
+                let op = nic.post(to, &self.cluster.doorbell, now, delay_ns, full_ns, base_ns);
+                if op.rang {
+                    self.cluster.counters.record_doorbell();
+                }
+                self.cluster.counters.record_fabric_ns(op.cost_ns);
+                (Ok(op.cost_ns), self.cluster.profile.post_ns.min(op.cost_ns))
+            }
+            Err(Refused { error, after_ns }) => {
+                nic.post_failed(now, after_ns);
+                (Err(error), 0)
+            }
         };
-        vtime::charge(cost);
-        self.cluster.counters.record_fabric_ns(cost);
-        cost
+        // The meter moves past the posting or, awaited, to the last
+        // completion of everything outstanding.
+        let done = if how == Issue::Sync { nic.wait() } else { 0 };
+        vtime::charge(posting_ns.max(done.saturating_sub(now)));
+        issued
+    }
+
+    fn read_wr(&self, addr: GlobalAddr, buf: &mut [u8], how: Issue) -> Result<(), FabricError> {
+        let p = &self.cluster.profile;
+        self.issue(addr.node, p.read_ns(buf.len()), p.read_base_ns, how)?;
+        self.cluster.counters.record_read(buf.len());
+        self.cluster.node(addr.node).region.read_nt(addr.offset, buf);
+        Ok(())
+    }
+
+    fn write_wr(&self, addr: GlobalAddr, data: &[u8], how: Issue) -> Result<(), FabricError> {
+        let p = &self.cluster.profile;
+        self.issue(addr.node, p.write_ns(data.len()), p.write_base_ns, how)?;
+        self.cluster.counters.record_write(data.len());
+        self.cluster.node(addr.node).region.write_nt(addr.offset, data);
+        Ok(())
+    }
+
+    fn cas_wr(
+        &self,
+        addr: GlobalAddr,
+        expected: u64,
+        new: u64,
+        how: Issue,
+    ) -> Result<u64, FabricError> {
+        let atomic_ns = self.cluster.profile.atomic_ns;
+        self.issue(addr.node, atomic_ns, atomic_ns, how)?;
+        self.cluster.counters.record_cas();
+        Ok(self.cluster.node(addr.node).region.cas_u64_nt(addr.offset, expected, new))
+    }
+
+    /// Posts a one-sided RDMA READ of `buf.len()` bytes at `addr`; fails
+    /// (without delivering bytes) when either end is crashed or retired.
+    pub fn post_read(&self, addr: GlobalAddr, buf: &mut [u8]) -> Result<(), FabricError> {
+        self.read_wr(addr, buf, Issue::Post)
+    }
+
+    /// Posts a one-sided RDMA WRITE of `data` at `addr`.
+    pub fn post_write(&self, addr: GlobalAddr, data: &[u8]) -> Result<(), FabricError> {
+        self.write_wr(addr, data, Issue::Post)
+    }
+
+    /// Posts a one-sided RDMA compare-and-swap; returns the
+    /// pre-operation value.
+    pub fn post_cas_u64(
+        &self,
+        addr: GlobalAddr,
+        expected: u64,
+        new: u64,
+    ) -> Result<u64, FabricError> {
+        self.cas_wr(addr, expected, new, Issue::Post)
     }
 
     /// One-sided RDMA READ of `buf.len()` bytes at `addr`.
@@ -314,12 +434,7 @@ impl Qp {
     /// Fallible [`Qp::read`]: fails within the configured deadline when
     /// either end is crashed instead of serving stale memory.
     pub fn try_read(&self, addr: GlobalAddr, buf: &mut [u8]) -> Result<(), FabricError> {
-        self.cluster.faults.admit(self.from, addr.node)?;
-        let p = &self.cluster.profile;
-        self.charge_fabric(addr.node, p.read_ns(buf.len()), p.read_base_ns);
-        self.cluster.counters.record_read(buf.len());
-        self.cluster.node(addr.node).region.read_nt(addr.offset, buf);
-        Ok(())
+        self.read_wr(addr, buf, Issue::Sync)
     }
 
     /// One-sided RDMA WRITE of `data` at `addr`.
@@ -333,12 +448,7 @@ impl Qp {
 
     /// Fallible [`Qp::write`].
     pub fn try_write(&self, addr: GlobalAddr, data: &[u8]) -> Result<(), FabricError> {
-        self.cluster.faults.admit(self.from, addr.node)?;
-        let p = &self.cluster.profile;
-        self.charge_fabric(addr.node, p.write_ns(data.len()), p.write_base_ns);
-        self.cluster.counters.record_write(data.len());
-        self.cluster.node(addr.node).region.write_nt(addr.offset, data);
-        Ok(())
+        self.write_wr(addr, data, Issue::Sync)
     }
 
     /// One-sided RDMA READ of an aligned `u64`.
@@ -389,11 +499,7 @@ impl Qp {
         expected: u64,
         new: u64,
     ) -> Result<u64, FabricError> {
-        self.cluster.faults.admit(self.from, addr.node)?;
-        let atomic_ns = self.cluster.profile.atomic_ns;
-        self.charge_fabric(addr.node, atomic_ns, atomic_ns);
-        self.cluster.counters.record_cas();
-        Ok(self.cluster.node(addr.node).region.cas_u64_nt(addr.offset, expected, new))
+        self.cas_wr(addr, expected, new, Issue::Sync)
     }
 
     /// One-sided RDMA fetch-and-add; returns the pre-operation value.
@@ -407,9 +513,8 @@ impl Qp {
 
     /// Fallible [`Qp::faa_u64`].
     pub fn try_faa_u64(&self, addr: GlobalAddr, delta: u64) -> Result<u64, FabricError> {
-        self.cluster.faults.admit(self.from, addr.node)?;
         let atomic_ns = self.cluster.profile.atomic_ns;
-        self.charge_fabric(addr.node, atomic_ns, atomic_ns);
+        self.issue(addr.node, atomic_ns, atomic_ns, Issue::Sync)?;
         self.cluster.counters.record_faa();
         Ok(self.cluster.node(addr.node).region.faa_u64_nt(addr.offset, delta))
     }
@@ -448,9 +553,8 @@ impl Qp {
         qid: crate::verbs::QueueId,
         payload: Vec<u8>,
     ) -> Result<(), FabricError> {
-        self.cluster.faults.admit(self.from, to)?;
         let p = &self.cluster.profile;
-        let cost = self.charge_fabric(to, p.send_ns(payload.len()), p.send_base_ns);
+        let cost = self.issue(to, p.send_ns(payload.len()), p.send_base_ns, Issue::Sync)?;
         self.cluster.counters.record_send(payload.len());
         // The fate dice roll per logical SEND, never per doorbell: a
         // batched schedule must replay a seed identically to an

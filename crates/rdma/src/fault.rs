@@ -12,9 +12,9 @@
 //!   with a site label at each step; an armed `(node, site)` pair kills
 //!   the node the moment execution reaches that site.
 //! * **Fallible operations** — once a node is dead, every `try_*` verb
-//!   against it fails with a typed [`FabricError`] after charging the
-//!   configured deadline to virtual time, instead of serving stale bytes
-//!   or hanging. The infallible verbs panic loudly, so a protocol path
+//!   against it fails with a typed [`FabricError`] whose completion
+//!   surfaces the configured deadline of virtual time after the post,
+//!   instead of serving stale bytes or hanging. The infallible verbs panic loudly, so a protocol path
 //!   that has not been converted to the fallible API cannot silently
 //!   read a corpse's memory.
 //! * **Message faults** — per-op delays and SEND drop/duplicate driven
@@ -29,15 +29,13 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use drtm_htm::vtime;
-
 use crate::fabric::NodeId;
 
 /// Typed failure of a fallible fabric operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FabricError {
-    /// The addressed (or issuing) machine is crashed; the op was charged
-    /// the full deadline it would have spent discovering that.
+    /// The addressed (or issuing) machine is crashed; the op's error
+    /// completion takes the full deadline it spends discovering that.
     PeerDead {
         /// The dead machine.
         node: NodeId,
@@ -118,6 +116,14 @@ pub(crate) enum SendFate {
     Drop,
     /// Deliver the message twice (NIC-level retransmit duplicate).
     Duplicate,
+}
+
+/// A refused op: the typed error, and how long after the post its error
+/// completion surfaces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Refused {
+    pub(crate) error: FabricError,
+    pub(crate) after_ns: u64,
 }
 
 /// Per-cluster fault-injection state. See the module docs.
@@ -216,37 +222,39 @@ impl FaultPlan {
         false
     }
 
-    /// Admission check every fallible op runs: verifies both ends are
-    /// alive and rolls the delay dice. Charges the deadline to virtual
-    /// time when the target is dead (that is how long the op would have
-    /// waited before the completion-queue error surfaced).
-    pub(crate) fn admit(&self, from: NodeId, to: NodeId) -> Result<(), FabricError> {
+    /// Admission check every fallible op runs when it is posted:
+    /// verifies both ends are alive and rolls the delay dice. Returns the
+    /// injected delay the op is held up by (usually 0), or the refusal.
+    /// Neither is charged here: both are part of the op's completion
+    /// time, which the issuer pays when it waits for it.
+    pub(crate) fn admit(&self, from: NodeId, to: NodeId) -> Result<u64, Refused> {
         if !self.enabled.load(Ordering::Acquire) {
-            return Ok(());
+            return Ok(0);
         }
+        let refused = |error, after_ns| Err(Refused { error, after_ns });
         // Retirement is *known* state (the QP was closed in order), so
-        // unlike a crash the error is immediate and charges nothing.
+        // unlike a crash the error is immediate and costs nothing.
         if self.retired[to as usize].load(Ordering::Acquire) {
-            return Err(FabricError::NodeRetired { node: to });
+            return refused(FabricError::NodeRetired { node: to }, 0);
         }
         if self.retired[from as usize].load(Ordering::Acquire) {
-            return Err(FabricError::NodeRetired { node: from });
+            return refused(FabricError::NodeRetired { node: from }, 0);
         }
         if self.crashed[to as usize].load(Ordering::Acquire) {
-            vtime::charge(self.cfg.deadline_ns);
-            return Err(FabricError::PeerDead { node: to });
+            // The deadline is how long the op waits before the
+            // completion-queue error surfaces.
+            return refused(FabricError::PeerDead { node: to }, self.cfg.deadline_ns);
         }
         if self.crashed[from as usize].load(Ordering::Acquire) {
-            return Err(FabricError::PeerDead { node: from });
+            return refused(FabricError::PeerDead { node: from }, 0);
         }
         if self.cfg.delay_prob > 0.0 && self.draw() < self.cfg.delay_prob {
-            let delay = self.cfg.delay_ns.min(self.cfg.deadline_ns);
-            vtime::charge(delay);
             if self.cfg.delay_ns > self.cfg.deadline_ns {
-                return Err(FabricError::Timeout { node: to });
+                return refused(FabricError::Timeout { node: to }, self.cfg.deadline_ns);
             }
+            return Ok(self.cfg.delay_ns);
         }
-        Ok(())
+        Ok(0)
     }
 
     /// Rolls the drop/duplicate dice for one admitted SEND.
@@ -297,20 +305,18 @@ mod tests {
         let p = plan(FaultConfig::default());
         p.kill(1);
         assert!(p.is_crashed(1));
-        assert_eq!(p.admit(0, 1), Err(FabricError::PeerDead { node: 1 }));
+        assert_eq!(p.admit(0, 1).unwrap_err().error, FabricError::PeerDead { node: 1 });
         // A dead node cannot issue ops either.
-        assert_eq!(p.admit(1, 0), Err(FabricError::PeerDead { node: 1 }));
+        assert_eq!(p.admit(1, 0).unwrap_err().error, FabricError::PeerDead { node: 1 });
         p.revive(1);
         assert!(p.admit(0, 1).is_ok());
     }
 
     #[test]
-    fn dead_target_charges_the_deadline() {
+    fn dead_target_costs_the_deadline() {
         let p = plan(FaultConfig { deadline_ns: 5_000, ..FaultConfig::default() });
         p.kill(2);
-        vtime::take();
-        assert!(p.admit(0, 2).is_err());
-        assert_eq!(vtime::take(), 5_000);
+        assert_eq!(p.admit(0, 2).unwrap_err().after_ns, 5_000);
     }
 
     #[test]
@@ -333,14 +339,14 @@ mod tests {
         p.retire(2);
         assert!(p.is_retired(2));
         assert!(!p.is_crashed(2));
-        vtime::take();
-        assert_eq!(p.admit(0, 2), Err(FabricError::NodeRetired { node: 2 }));
-        assert_eq!(p.admit(2, 0), Err(FabricError::NodeRetired { node: 2 }));
-        assert_eq!(vtime::take(), 0, "a clean close surfaces immediately");
+        // A clean close surfaces immediately.
+        let gone = Refused { error: FabricError::NodeRetired { node: 2 }, after_ns: 0 };
+        assert_eq!(p.admit(0, 2), Err(gone));
+        assert_eq!(p.admit(2, 0), Err(gone));
         // Retirement outranks a crashed flag: a node that died and was
         // then drained out reports its final, *known* state.
         p.kill(2);
-        assert_eq!(p.admit(0, 2), Err(FabricError::NodeRetired { node: 2 }));
+        assert_eq!(p.admit(0, 2), Err(gone));
     }
 
     #[test]
@@ -367,28 +373,25 @@ mod tests {
     }
 
     #[test]
-    fn long_delay_times_out_and_charges_at_most_the_deadline() {
+    fn long_delay_times_out_and_costs_at_most_the_deadline() {
         let p = plan(FaultConfig {
             delay_prob: 1.0,
             delay_ns: 10_000,
             deadline_ns: 2_000,
             ..FaultConfig::default()
         });
-        vtime::take();
-        assert_eq!(p.admit(0, 1), Err(FabricError::Timeout { node: 1 }));
-        assert_eq!(vtime::take(), 2_000);
+        let late = Refused { error: FabricError::Timeout { node: 1 }, after_ns: 2_000 };
+        assert_eq!(p.admit(0, 1), Err(late));
     }
 
     #[test]
-    fn short_delay_charges_and_admits() {
+    fn short_delay_holds_up_and_admits() {
         let p = plan(FaultConfig {
             delay_prob: 1.0,
             delay_ns: 700,
             deadline_ns: 2_000,
             ..FaultConfig::default()
         });
-        vtime::take();
-        assert!(p.admit(0, 1).is_ok());
-        assert_eq!(vtime::take(), 700);
+        assert_eq!(p.admit(0, 1), Ok(700));
     }
 }

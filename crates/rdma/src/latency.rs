@@ -40,6 +40,12 @@ pub struct LatencyProfile {
     pub send_base_ns: u64,
     /// Additional SEND cost per byte of payload.
     pub send_byte_ns_x1000: u64,
+    /// CPU cost of posting one work request (building the WQE and
+    /// ringing or appending to the doorbell): the only part of an op's
+    /// latency the issuing thread cannot overlap with other posted ops.
+    /// It is the head of the op's latency, not an addition to it, so a
+    /// posted-then-awaited op costs what its `*_ns` above says.
+    pub post_ns: u64,
 }
 
 impl LatencyProfile {
@@ -59,6 +65,7 @@ impl LatencyProfile {
             local_atomic_ns: 80,
             send_base_ns: 5_000,
             send_byte_ns_x1000: 600,
+            post_ns: 200,
         }
     }
 
@@ -74,6 +81,7 @@ impl LatencyProfile {
             local_atomic_ns: 80,
             send_base_ns: 30_000, // one-way ≈ 60 µs RTT
             send_byte_ns_x1000: 2_000,
+            post_ns: 2_000, // a syscall per message
         }
     }
 
@@ -88,6 +96,7 @@ impl LatencyProfile {
             local_atomic_ns: 0,
             send_base_ns: 0,
             send_byte_ns_x1000: 0,
+            post_ns: 0,
         }
     }
 

@@ -21,13 +21,17 @@
 //! whole DrTM design rests on (a remote CAS/WRITE to a line read by an
 //! in-flight HTM transaction aborts that transaction).
 //!
-//! Every operation charges its modelled latency (see [`LatencyProfile`])
-//! to the calling thread's [`drtm_htm::vtime`] meter and bumps the
-//! cluster-wide [`OpCounters`]; the paper's "average RDMA READs per
-//! lookup" metric (Table 4) is read straight off those counters.
-//! Outbound ops posted back-to-back to one destination share a doorbell
-//! ([`DoorbellConfig`]), amortising the base latency the way a real NIC
-//! pipelines a batch of posted work requests.
+//! Every operation has a modelled latency (see [`LatencyProfile`]) and
+//! bumps the cluster-wide [`OpCounters`]; the paper's "average RDMA READs
+//! per lookup" metric (Table 4) is read straight off those counters. A
+//! synchronous verb charges that latency to the calling thread's
+//! [`drtm_htm::vtime`] meter. A *posted* verb ([`Qp::post_read`] and
+//! friends) charges only the CPU cost of posting and records when it
+//! completes; [`Qp::wait`] then advances the meter to the latest
+//! completion, so requests in flight to different machines overlap.
+//! Outbound ops posted back-to-back to one destination also share a
+//! doorbell ([`DoorbellConfig`]), amortising the base latency the way a
+//! real NIC pipelines a batch of posted work requests.
 //!
 //! # Examples
 //!
