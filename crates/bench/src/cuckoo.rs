@@ -16,9 +16,13 @@ use parking_lot::Mutex;
 use drtm_htm::Region;
 use drtm_rdma::{GlobalAddr, NodeId, Qp};
 
-use crate::alloc::{Arena, FreeList};
-use crate::entry::{Entry, EntryHeader, ENTRY_HEADER_BYTES};
-use crate::hash64_alt;
+use drtm_memstore::{hash64, Arena, Entry, EntryHeader, FreeList, ENTRY_HEADER_BYTES};
+
+/// A second independent hash for multi-hash schemes (Cuckoo).
+#[inline]
+pub fn hash64_alt(key: u64, salt: u64) -> u64 {
+    hash64(key ^ salt.wrapping_mul(0xA24B_AED4_963E_E407))
+}
 
 /// Bytes per self-verifying bucket (key, offset, checksum, pad).
 pub const CUCKOO_BUCKET_BYTES: usize = 32;
@@ -209,6 +213,11 @@ mod tests {
         let mut arena = Arena::new(64, (8 << 20) - 64); // offset 0 reserved: 0 = empty bucket
         let t = CuckooHash::create(&mut arena, 0, buckets, cap, 64);
         (cluster, t)
+    }
+
+    #[test]
+    fn alt_hash_differs_per_salt() {
+        assert_ne!(hash64_alt(5, 1), hash64_alt(5, 2));
     }
 
     #[test]

@@ -21,9 +21,7 @@ use parking_lot::Mutex;
 use drtm_htm::Region;
 use drtm_rdma::{GlobalAddr, NodeId, Qp};
 
-use crate::alloc::{Arena, FreeList};
-use crate::entry::{Entry, EntryHeader, ENTRY_HEADER_BYTES};
-use crate::hash64;
+use drtm_memstore::{hash64, Arena, Entry, EntryHeader, FreeList, ENTRY_HEADER_BYTES};
 
 /// Neighbourhood size (slots scanned by one READ).
 pub const NEIGHBOURHOOD: usize = 8;
@@ -381,7 +379,6 @@ mod tests {
 #[cfg(test)]
 mod wrap_tests {
     use super::*;
-    use crate::alloc::Arena;
     use drtm_rdma::{Cluster, ClusterConfig, LatencyProfile};
 
     /// Keys whose home bucket sits near the array end exercise the
@@ -400,7 +397,7 @@ mod wrap_tests {
         // Find keys homed in the last few buckets.
         let mut near_end = Vec::new();
         for k in 1..50_000u64 {
-            let home = crate::hash64(k) as usize & 63;
+            let home = hash64(k) as usize & 63;
             if home >= 61 {
                 near_end.push(k);
                 if near_end.len() == 8 {

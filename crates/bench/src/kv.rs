@@ -7,12 +7,13 @@
 use std::sync::Arc;
 
 use drtm_htm::{vtime, Executor, HtmConfig, HtmStats};
-use drtm_memstore::{
-    Arena, ClusterHash, CuckooHash, HopscotchHash, HopscotchVariant, LocationCache, LookupResult,
-};
+use drtm_memstore::{Arena, ClusterHash, LocationCache, LookupResult};
 use drtm_rdma::{Cluster, ClusterConfig, LatencyProfile, NodeId};
 
 use drtm_workloads::dist::{rng, KeyDist};
+
+use crate::cuckoo::CuckooHash;
+use crate::hopscotch::{HopscotchHash, HopscotchVariant};
 
 /// Which §5.4 system a harness instance drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -5,7 +5,14 @@
 //! same rows/series the paper reports. `cargo bench -p drtm-bench`
 //! regenerates everything; set `DRTM_SCALE` (default 1.0) to trade
 //! precision for runtime (EXPERIMENTS.md was produced with the default).
+//!
+//! The two state-of-the-art RDMA-friendly tables DrTM's cluster chaining
+//! is compared with (Table 4, Figure 10) live here too, as they serve
+//! no one but [`kv`]: Pilaf's 3-way Cuckoo hashing ([`cuckoo`]) and
+//! FaRM-KV's Hopscotch hashing ([`hopscotch`]).
 
+pub mod cuckoo;
+pub mod hopscotch;
 pub mod kv;
 pub mod report;
 pub mod runners;

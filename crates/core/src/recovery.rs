@@ -23,6 +23,7 @@
 //! the record's current version — the ordering role §4.6 assigns to the
 //! per-record version.
 
+use drtm_memstore::reshard::MigrationJournal;
 use drtm_rdma::{Cluster, NodeId};
 
 use crate::alloc_layout::NodeLayout;
@@ -181,11 +182,8 @@ pub fn recover_node(
     // purge delete, the recorded source-side migration lock is still
     // held — release it (idempotently, by CAS on the exact logged word)
     // and clear the journal.
-    let j = layout.migration_journal_off;
-    if region.read_u64_nt(j) == 1 {
-        let src = region.read_u64_nt(j + 8) as NodeId;
-        let off = region.read_u64_nt(j + 16) as usize;
-        let word = region.read_u64_nt(j + 24);
+    let journal = MigrationJournal::at(region, layout.migration_journal_off);
+    if let Some((src, off, word)) = journal.armed() {
         let released = if src == crashed || cluster.faults().is_crashed(src) {
             cluster.node(src).region().cas_u64_nt(off, word, INIT) == word
         } else {
@@ -194,7 +192,7 @@ pub fn recover_node(
         if released {
             report.released_locks += 1;
         }
-        region.write_u64_nt(j, 0);
+        journal.clear();
     }
     report
 }

@@ -1,40 +1,18 @@
-//! Retry loop with fallback, mirroring the RTM usage pattern of §6.2.
+//! The hardware model and statistics sink a machine's HTM users share.
 //!
-//! RTM offers no forward-progress guarantee, so production code retries a
-//! transaction a bounded number of times and then takes a software
-//! fallback path. [`Executor`] packages that pattern; DrTM's transaction
-//! layer supplies a 2PL-based fallback body.
+//! RTM offers no forward-progress guarantee, so its users retry a bounded
+//! number of times and then take a software fallback (§6.2). Those retry
+//! loops live with their fallbacks — DrTM's transaction layer and the
+//! memory store's INSERT/DELETE; an [`Executor`] is what they share:
+//! the [`HtmConfig`] to begin regions with and the [`HtmStats`] to
+//! record outcomes in.
 
 use std::sync::Arc;
 
-use crate::region::Region;
 use crate::stats::HtmStats;
-use crate::txn::{Abort, HtmConfig, HtmTxn};
+use crate::txn::HtmConfig;
 
-/// How an [`Executor::run`] invocation completed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecOutcome {
-    /// The HTM path committed after `attempts` tries (1 = first try).
-    Htm {
-        /// Number of attempts including the successful one.
-        attempts: u32,
-    },
-    /// The fallback path ran after exhausting retries (or on a capacity
-    /// abort, which deterministically repeats).
-    Fallback {
-        /// Number of failed HTM attempts before falling back.
-        attempts: u32,
-    },
-}
-
-impl ExecOutcome {
-    /// True if the fallback path was taken.
-    pub fn fell_back(&self) -> bool {
-        matches!(self, ExecOutcome::Fallback { .. })
-    }
-}
-
-/// Retries an HTM transaction body and falls back after repeated aborts.
+/// The HTM configuration and shared statistics of one machine.
 #[derive(Debug, Clone)]
 pub struct Executor {
     cfg: HtmConfig,
@@ -55,148 +33,5 @@ impl Executor {
     /// Returns the shared statistics sink.
     pub fn stats(&self) -> &Arc<HtmStats> {
         &self.stats
-    }
-
-    /// Runs `body` inside an HTM transaction on `region`, retrying up to
-    /// `cfg.max_retries` times and then running `fallback`.
-    ///
-    /// * `body` receives the in-flight transaction; returning `Err`
-    ///   discards the buffered writes and triggers a retry, exactly like
-    ///   `XABORT`. A capacity abort skips straight to the fallback because
-    ///   it is deterministic — retrying a too-large working set never
-    ///   succeeds (§2 of the paper).
-    /// * `fallback` runs outside any HTM transaction and must synchronise
-    ///   by other means (DrTM uses its 2PL locks, §6.2).
-    pub fn run<T>(
-        &self,
-        region: &Region,
-        mut body: impl FnMut(&mut HtmTxn<'_>) -> Result<T, Abort>,
-        fallback: impl FnOnce() -> T,
-    ) -> (T, ExecOutcome) {
-        let mut attempts = 0u32;
-        while attempts < self.cfg.max_retries {
-            attempts += 1;
-            let mut txn = region.begin(&self.cfg);
-            match body(&mut txn) {
-                Ok(value) => match txn.commit() {
-                    Ok(()) => {
-                        self.stats.record_commit();
-                        return (value, ExecOutcome::Htm { attempts });
-                    }
-                    Err(abort) => {
-                        self.stats.record_abort(abort);
-                    }
-                },
-                Err(abort) => {
-                    self.stats.record_abort(abort);
-                    if abort == Abort::Capacity {
-                        break;
-                    }
-                }
-            }
-            // Brief backoff so a conflicting peer can finish (yield: the
-            // peer may be descheduled on an oversubscribed host).
-            for _ in 0..(attempts * 8) {
-                std::hint::spin_loop();
-            }
-            std::thread::yield_now();
-        }
-        self.stats.record_fallback();
-        (fallback(), ExecOutcome::Fallback { attempts })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
-
-    fn executor(max_retries: u32) -> Executor {
-        let cfg = HtmConfig { max_retries, ..Default::default() };
-        Executor::new(cfg, Arc::new(HtmStats::new()))
-    }
-
-    #[test]
-    fn commits_first_try() {
-        let r = Region::new(128);
-        let e = executor(4);
-        let (v, outcome) = e.run(
-            &r,
-            |t| {
-                t.write_u64(0, 7)?;
-                Ok(7u64)
-            },
-            || unreachable!("fallback must not run"),
-        );
-        assert_eq!(v, 7);
-        assert_eq!(outcome, ExecOutcome::Htm { attempts: 1 });
-        assert_eq!(r.read_u64_nt(0), 7);
-        assert_eq!(e.stats().snapshot().commits, 1);
-    }
-
-    #[test]
-    fn explicit_abort_retries_then_falls_back() {
-        let r = Region::new(128);
-        let e = executor(3);
-        let tries = AtomicU32::new(0);
-        let (v, outcome) = e.run(
-            &r,
-            |_t| -> Result<u32, Abort> {
-                tries.fetch_add(1, Ordering::Relaxed);
-                Err(Abort::Explicit(1))
-            },
-            || 99,
-        );
-        assert_eq!(v, 99);
-        assert_eq!(outcome, ExecOutcome::Fallback { attempts: 3 });
-        assert_eq!(tries.load(Ordering::Relaxed), 3);
-        let s = e.stats().snapshot();
-        assert_eq!(s.explicit_aborts, 3);
-        assert_eq!(s.fallbacks, 1);
-    }
-
-    #[test]
-    fn capacity_abort_goes_straight_to_fallback() {
-        let r = Region::new(64 * 64);
-        let cfg = HtmConfig { max_retries: 10, write_capacity_lines: 2, ..Default::default() };
-        let e = Executor::new(cfg, Arc::new(HtmStats::new()));
-        let tries = AtomicU32::new(0);
-        let (_, outcome) = e.run(
-            &r,
-            |t| {
-                tries.fetch_add(1, Ordering::Relaxed);
-                for i in 0..4 {
-                    t.write_u64(i * 64, 1)?;
-                }
-                Ok(())
-            },
-            || (),
-        );
-        assert!(outcome.fell_back());
-        assert_eq!(tries.load(Ordering::Relaxed), 1, "capacity abort must not retry");
-        assert_eq!(e.stats().snapshot().capacity_aborts, 1);
-    }
-
-    #[test]
-    fn succeeds_on_retry_after_transient_conflict() {
-        let r = Region::new(128);
-        let e = executor(5);
-        let tries = AtomicU32::new(0);
-        let (_, outcome) = e.run(
-            &r,
-            |t| {
-                let n = tries.fetch_add(1, Ordering::Relaxed);
-                let v = t.read_u64(0)?;
-                if n == 0 {
-                    // Simulate a remote store landing mid-transaction.
-                    r.write_u64_nt(0, v + 100);
-                }
-                t.write_u64(0, v + 1)?;
-                Ok(())
-            },
-            || unreachable!(),
-        );
-        assert_eq!(outcome, ExecOutcome::Htm { attempts: 2 });
-        assert_eq!(r.read_u64_nt(0), 101);
     }
 }

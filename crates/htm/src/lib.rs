@@ -59,7 +59,7 @@ mod stats;
 mod txn;
 pub mod vtime;
 
-pub use exec::{ExecOutcome, Executor};
+pub use exec::Executor;
 pub use region::{Region, LINE_SIZE};
 pub use stats::{HtmStats, StatsSnapshot};
 pub use txn::{Abort, HtmConfig, HtmTxn};

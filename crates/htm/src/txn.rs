@@ -102,16 +102,6 @@ impl<'r> HtmTxn<'r> {
         self.region
     }
 
-    /// Number of distinct lines in the read set so far.
-    pub fn read_set_lines(&self) -> usize {
-        self.reads.len()
-    }
-
-    /// Number of distinct lines in the write set so far.
-    pub fn write_set_lines(&self) -> usize {
-        self.writes.len()
-    }
-
     /// Tracks `line` in the read set, verifying it is unlocked and (if
     /// already tracked) unchanged. Returns the recorded version.
     fn track_read(&mut self, line: usize) -> Result<u64, Abort> {

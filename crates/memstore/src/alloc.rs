@@ -112,11 +112,6 @@ impl FreeList {
         }
     }
 
-    /// Cell size in bytes.
-    pub fn cell_size(&self) -> usize {
-        self.cell
-    }
-
     /// Total capacity in cells.
     pub fn capacity(&self) -> usize {
         self.capacity

@@ -41,7 +41,9 @@ use parking_lot::Mutex;
 
 use drtm_rdma::{FabricError, GlobalAddr, Qp};
 
-use crate::cluster_hash::{ClusterHash, ScanHit, BUCKET_BYTES};
+use crate::cluster_hash::{
+    read_bucket, walk_chain, BucketImage, ClusterHash, LookupResult, BUCKET_BYTES,
+};
 use crate::slot::{Slot, SlotType};
 use crate::ASSOC;
 
@@ -109,11 +111,11 @@ impl AtomicCacheStats {
     }
 }
 
-/// A decoded (non-atomic) bucket image, used as the unit of reads and
-/// writes against the seqlock-protected storage.
+/// A decoded (non-atomic) cached bucket, the unit of reads and writes
+/// against the seqlock-protected storage.
 #[derive(Clone, Copy)]
 struct CachedBucket {
-    words: [u64; ASSOC * 2],
+    words: BucketImage,
     tag: usize,
     valid: bool,
 }
@@ -121,22 +123,8 @@ struct CachedBucket {
 impl CachedBucket {
     const EMPTY: CachedBucket = CachedBucket { words: [0; ASSOC * 2], tag: 0, valid: false };
 
-    fn from_bytes(buf: &[u8; BUCKET_BYTES], tag: usize) -> Self {
-        let mut words = [0u64; ASSOC * 2];
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = u64::from_le_bytes(buf[i * 8..i * 8 + 8].try_into().expect("bucket word"));
-        }
-        CachedBucket { words, tag, valid: true }
-    }
-
     fn slot(&self, i: usize) -> Slot {
         Slot::decode(self.words[i * 2], self.words[i * 2 + 1])
-    }
-
-    fn set_slot(&mut self, i: usize, s: Slot) {
-        let (m, k) = s.encode();
-        self.words[i * 2] = m;
-        self.words[i * 2 + 1] = k;
     }
 }
 
@@ -184,6 +172,11 @@ impl SeqBucket {
         None
     }
 
+    /// The snapshot of a caller that holds the owning shard's lock.
+    fn locked(&self) -> CachedBucket {
+        self.snapshot().expect("shard lock excludes writers")
+    }
+
     /// Publishes a new bucket image. Caller must hold the owning shard's
     /// lock (one writer per bucket at a time).
     fn publish(&self, b: &CachedBucket) {
@@ -203,14 +196,14 @@ impl SeqBucket {
 /// writers without bloating small caches.
 const MAX_SHARDS: usize = 16;
 
-/// Outcome of the lock-free fast path.
-enum FastPath {
-    /// Entry found in the cached chain with zero fetches.
-    Found(GlobalAddr, Slot),
-    /// A fully-cached chain did not contain the key (possibly stale).
-    NotFound,
-    /// The chain is not (or no longer) fully cached; take the shard lock.
-    Fetch,
+/// The lock-free walk met a bucket that is not (or no longer) cached.
+struct NotCached;
+
+/// What stops the fill walk early.
+enum FillStop {
+    Fabric(FabricError),
+    /// No pool bucket left for the image just fetched.
+    PoolExhausted,
 }
 
 /// A location cache for one remote [`ClusterHash`].
@@ -325,226 +318,114 @@ impl LocationCache {
         let desc = table.desc();
         let idx = desc.bucket_index(key);
         let way = idx & self.main_mask;
-
-        match self.fast_walk(way, idx, key, desc.node) {
-            FastPath::Found(addr, slot) => {
+        let (mut found, mut reads, from_cache) = match self.walk_cached(way, idx, key) {
+            Ok(found) => {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                Ok(Some((addr, slot, 0)))
+                (found, 0, true)
             }
-            FastPath::NotFound => {
-                // A cached NotFound may be stale (an insert since the
-                // snapshot); drop the chain and verify remotely.
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                self.evict_way(way);
-                match table.try_remote_lookup(qp, key)? {
-                    crate::cluster_hash::LookupResult::Found { addr, slot, reads } => {
-                        Ok(Some((addr, slot, reads)))
-                    }
-                    crate::cluster_hash::LookupResult::NotFound { .. } => Ok(None),
-                }
+            Err(NotCached) => self.fill(qp, table, key, idx, way)?,
+        };
+        if found.is_none() && from_cache {
+            // A cached NotFound may be stale (an insert since the
+            // snapshot); drop the chain and verify remotely.
+            self.evict_way(way);
+            if let LookupResult::Found { slot, reads: r, .. } = table.try_remote_lookup(qp, key)? {
+                found = Some(slot);
+                reads += r;
             }
-            FastPath::Fetch => self.lookup_locked(qp, table, key, idx, way),
         }
+        Ok(found.map(|slot| (GlobalAddr::new(desc.node, slot.offset as usize), slot, reads)))
     }
 
-    /// The lock-free walk of an already-cached chain.
-    fn fast_walk(&self, way: usize, idx: usize, key: u64, node: drtm_rdma::NodeId) -> FastPath {
-        let Some(bucket) = self.main[way].snapshot() else { return FastPath::Fetch };
-        if !bucket.valid || bucket.tag != idx {
-            return FastPath::Fetch;
-        }
-        let mut bucket = bucket;
+    /// The hit path: walks an already-cached chain through seqlock
+    /// snapshots, taking no lock and fetching nothing.
+    fn walk_cached(&self, way: usize, idx: usize, key: u64) -> Result<Option<Slot>, NotCached> {
+        let mut main = match self.main[way].snapshot() {
+            Some(main) if main.valid && main.tag == idx => main,
+            _ => return Err(NotCached),
+        };
         // Stale links can in principle form a cycle through reused pool
         // buckets; bound the walk so a reader never loops forever.
-        for _ in 0..self.pool.len() + 2 {
-            let mut next: Option<Slot> = None;
-            for i in 0..ASSOC {
-                let slot = bucket.slot(i);
-                match slot.typ {
-                    SlotType::Entry if slot.key == key => {
-                        return FastPath::Found(GlobalAddr::new(node, slot.offset as usize), slot);
-                    }
-                    SlotType::Header | SlotType::Cached if i == ASSOC - 1 => next = Some(slot),
-                    _ => {}
-                }
+        let mut hops_left = self.pool.len() + 1;
+        walk_chain(&mut main.words, key, |link, img| {
+            // A Header link: the chain continues remotely.
+            if link.typ != SlotType::Cached || hops_left == 0 {
+                return Err(NotCached);
             }
-            match next {
-                None => return FastPath::NotFound,
-                Some(link) if link.typ == SlotType::Cached => {
-                    let p = link.offset as usize;
-                    if p >= self.pool.len() {
-                        return FastPath::Fetch;
-                    }
-                    match self.pool[p].snapshot() {
-                        Some(b) if b.valid => bucket = b,
-                        _ => return FastPath::Fetch,
-                    }
-                }
-                // A Header link: the chain continues remotely.
-                Some(_) => return FastPath::Fetch,
+            hops_left -= 1;
+            match self.pool.get(link.offset as usize).and_then(SeqBucket::snapshot) {
+                Some(next) if next.valid => *img = next.words,
+                _ => return Err(NotCached),
             }
-        }
-        FastPath::Fetch
+            Ok(())
+        })
     }
 
-    /// The miss path: fetch and cache buckets under the shard lock.
-    fn lookup_locked(
+    /// The miss path: walks the chain under the shard lock, fetching the
+    /// buckets that are not cached and installing them while the shard's
+    /// pool strip lasts; after that the walk finishes remotely without
+    /// caching (bounded-budget policy). Returns the slot found, the READs
+    /// spent, and whether the whole chain walked is now cached.
+    fn fill(
         &self,
         qp: &Qp,
         table: &ClusterHash,
         key: u64,
         idx: usize,
         way: usize,
-    ) -> Result<Option<(GlobalAddr, Slot, u32)>, FabricError> {
+    ) -> Result<(Option<Slot>, u32, bool), FabricError> {
         let desc = table.desc();
         let mut pool_free = self.shard(way).lock();
         let mut reads = 0u32;
-
-        // Ensure the main bucket is cached.
-        let mut main_img = self.main[way].snapshot().expect("shard lock excludes writers");
-        if !(main_img.valid && main_img.tag == idx) {
-            let off = desc.main_bucket_off(idx);
-            let mut buf = [0u8; BUCKET_BYTES];
-            qp.try_read(GlobalAddr::new(desc.node, off), &mut buf)?;
+        let mut fetch = |off: usize, img: &mut BucketImage| {
+            read_bucket(qp, GlobalAddr::new(desc.node, off), img)?;
             reads += 1;
             self.stats.fetches.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        };
+
+        // Ensure the main bucket is cached.
+        let mut main_img = self.main[way].locked();
+        if !(main_img.valid && main_img.tag == idx) {
+            let mut words = [0; ASSOC * 2];
+            fetch(desc.main_bucket_off(idx), &mut words)?;
             self.reclaim_chain(&mut pool_free, &main_img);
-            main_img = CachedBucket::from_bytes(&buf, idx);
+            main_img = CachedBucket { words, tag: idx, valid: true };
             self.main[way].publish(&main_img);
         }
 
-        // Walk the (cached) chain, fetching and caching missing links.
-        enum Loc {
-            Main(usize),
-            Pool(usize),
-        }
-        let mut loc = Loc::Main(way);
-        let found = loop {
-            let bucket = match loc {
-                Loc::Main(_) => main_img,
-                Loc::Pool(p) => self.pool[p].snapshot().expect("shard lock excludes writers"),
-            };
-            let mut next: Option<Slot> = None;
-            let mut hit = None;
-            for i in 0..ASSOC {
-                let slot = bucket.slot(i);
-                match slot.typ {
-                    SlotType::Entry if slot.key == key => {
-                        hit = Some(slot);
-                        break;
-                    }
-                    SlotType::Header | SlotType::Cached if i == ASSOC - 1 => next = Some(slot),
-                    _ => {}
-                }
+        // `at` is the cached bucket the walk stands on: the next bucket
+        // installed hangs off its last slot.
+        let mut at = &self.main[way];
+        let mut img = main_img.words;
+        let walked = walk_chain(&mut img, key, |link, img| {
+            if link.typ == SlotType::Cached {
+                at = &self.pool[link.offset as usize];
+                *img = at.locked().words;
+                return Ok(());
             }
-            if let Some(slot) = hit {
-                break Some((GlobalAddr::new(desc.node, slot.offset as usize), slot));
-            }
-            match next {
-                None => break None,
-                Some(link) if link.typ == SlotType::Cached => {
-                    loc = Loc::Pool(link.offset as usize);
-                }
-                Some(link) => {
-                    // Fetch the indirect bucket and try to cache it.
-                    let off = link.offset as usize;
-                    let mut buf = [0u8; BUCKET_BYTES];
-                    qp.try_read(GlobalAddr::new(desc.node, off), &mut buf)?;
-                    reads += 1;
-                    self.stats.fetches.fetch_add(1, Ordering::Relaxed);
-                    match pool_free.pop() {
-                        Some(p) => {
-                            self.pool[p].publish(&CachedBucket::from_bytes(&buf, 0));
-                            // Re-point the parent's last slot at the pool.
-                            let link_slot = Slot {
-                                typ: SlotType::Cached,
-                                lossy_inc: 0,
-                                offset: p as u64,
-                                key: 0,
-                            };
-                            match loc {
-                                Loc::Main(w) => {
-                                    main_img.set_slot(ASSOC - 1, link_slot);
-                                    self.main[w].publish(&main_img);
-                                }
-                                Loc::Pool(pp) => {
-                                    let mut img = self.pool[pp]
-                                        .snapshot()
-                                        .expect("shard lock excludes writers");
-                                    img.set_slot(ASSOC - 1, link_slot);
-                                    self.pool[pp].publish(&img);
-                                }
-                            }
-                            loc = Loc::Pool(p);
-                        }
-                        None => {
-                            // Pool exhausted: finish the walk remotely
-                            // without caching (bounded-budget policy).
-                            drop(pool_free);
-                            return self.finish_remote(qp, table, key, &buf, reads);
-                        }
-                    }
-                }
+            fetch(link.offset as usize, img).map_err(FillStop::Fabric)?;
+            let p = pool_free.pop().ok_or(FillStop::PoolExhausted)?;
+            self.pool[p].publish(&CachedBucket { words: *img, tag: 0, valid: true });
+            let mut parent = at.locked();
+            let cached_link =
+                Slot { typ: SlotType::Cached, lossy_inc: 0, offset: p as u64, key: 0 };
+            (parent.words[ASSOC * 2 - 2], parent.words[ASSOC * 2 - 1]) = cached_link.encode();
+            at.publish(&parent);
+            at = &self.pool[p];
+            Ok(())
+        });
+        let (found, all_cached) = match walked {
+            Ok(found) => (found, true),
+            Err(FillStop::Fabric(e)) => return Err(e),
+            Err(FillStop::PoolExhausted) => {
+                drop(pool_free);
+                (table.finish_remote(qp, &mut img, key, &mut reads)?, false)
             }
         };
-
-        if reads == 0 {
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        match found {
-            Some((addr, slot)) => {
-                drop(pool_free);
-                Ok(Some((addr, slot, reads)))
-            }
-            None => {
-                // A cached NotFound may be stale (an insert since the
-                // snapshot); drop the chain and verify remotely.
-                let img = self.main[way].snapshot().expect("shard lock excludes writers");
-                self.reclaim_chain(&mut pool_free, &img);
-                drop(pool_free);
-                match table.try_remote_lookup(qp, key)? {
-                    crate::cluster_hash::LookupResult::Found { addr, slot, reads: r } => {
-                        Ok(Some((addr, slot, reads + r)))
-                    }
-                    crate::cluster_hash::LookupResult::NotFound { .. } => Ok(None),
-                }
-            }
-        }
-    }
-
-    /// Continues a chain walk remotely starting from raw bucket bytes.
-    fn finish_remote(
-        &self,
-        qp: &Qp,
-        table: &ClusterHash,
-        key: u64,
-        first: &[u8; BUCKET_BYTES],
-        mut reads: u32,
-    ) -> Result<Option<(GlobalAddr, Slot, u32)>, FabricError> {
-        let desc = table.desc();
-        let mut buf = *first;
-        loop {
-            match ClusterHash::scan_bucket(&buf, key) {
-                ScanHit::Entry(slot) => {
-                    self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Some((
-                        GlobalAddr::new(desc.node, slot.offset as usize),
-                        slot,
-                        reads,
-                    )));
-                }
-                ScanHit::Chain(next) => {
-                    qp.try_read(GlobalAddr::new(desc.node, next), &mut buf)?;
-                    reads += 1;
-                }
-                ScanHit::Miss => {
-                    self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                    return Ok(None);
-                }
-            }
-        }
+        let counter = if reads == 0 { &self.stats.hits } else { &self.stats.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Ok((found, reads, all_cached))
     }
 
     /// Drops the cached chain for `key`'s bucket (stale location
@@ -559,7 +440,7 @@ impl LocationCache {
     /// Evicts the main-way bucket under its shard lock.
     fn evict_way(&self, way: usize) {
         let mut pool_free = self.shard(way).lock();
-        let img = self.main[way].snapshot().expect("shard lock excludes writers");
+        let img = self.main[way].locked();
         self.reclaim_chain(&mut pool_free, &img);
     }
 
@@ -580,218 +461,9 @@ impl LocationCache {
         while link.typ == SlotType::Cached && steps <= self.pool.len() {
             steps += 1;
             let p = link.offset as usize;
-            link = self.pool[p].snapshot().expect("shard lock excludes writers").slot(ASSOC - 1);
+            link = self.pool[p].locked().slot(ASSOC - 1);
             self.pool[p].publish(&CachedBucket::EMPTY);
             pool_free.push(p);
-        }
-    }
-}
-
-/// The pre-seqlock [`LocationCache`]: one global mutex around all state.
-///
-/// Kept as the comparison baseline for the `primitives` criterion group
-/// (multi-threaded lookup throughput) and the observational-equivalence
-/// property test; not used on any production path.
-#[derive(Debug)]
-pub struct MutexLocationCache {
-    inner: Mutex<MutexInner>,
-    main_mask: usize,
-}
-
-struct MutexInner {
-    main: Vec<CachedBucket>,
-    pool: Vec<CachedBucket>,
-    pool_free: Vec<usize>,
-    stats: CacheStats,
-}
-
-impl std::fmt::Debug for MutexInner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MutexInner")
-            .field("main", &self.main.len())
-            .field("pool", &self.pool.len())
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
-impl MutexLocationCache {
-    /// Creates a cache of `main_slots` direct-mapped buckets (rounded up
-    /// to a power of two) and `pool_slots` indirect buckets.
-    pub fn new(main_slots: usize, pool_slots: usize) -> Self {
-        let main_slots = main_slots.next_power_of_two();
-        MutexLocationCache {
-            inner: Mutex::new(MutexInner {
-                main: vec![CachedBucket::EMPTY; main_slots],
-                pool: vec![CachedBucket::EMPTY; pool_slots],
-                pool_free: (0..pool_slots).rev().collect(),
-                stats: CacheStats::default(),
-            }),
-            main_mask: main_slots - 1,
-        }
-    }
-
-    /// Returns a copy of the hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        self.inner.lock().stats
-    }
-
-    /// Looks up `key` in `table` through the cache (whole walk under the
-    /// global mutex — the pre-seqlock behaviour).
-    pub fn lookup(
-        &self,
-        qp: &Qp,
-        table: &ClusterHash,
-        key: u64,
-    ) -> Option<(GlobalAddr, Slot, u32)> {
-        let desc = table.desc();
-        let idx = desc.bucket_index(key);
-        let way = idx & self.main_mask;
-        let mut inner = self.inner.lock();
-        let mut reads = 0u32;
-
-        if !(inner.main[way].valid && inner.main[way].tag == idx) {
-            let off = desc.main_bucket_off(idx);
-            let mut buf = [0u8; BUCKET_BYTES];
-            qp.read(GlobalAddr::new(desc.node, off), &mut buf);
-            reads += 1;
-            inner.stats.fetches += 1;
-            Self::evict(&mut inner, way);
-            inner.main[way] = CachedBucket::from_bytes(&buf, idx);
-        }
-
-        enum Loc {
-            Main(usize),
-            Pool(usize),
-        }
-        let mut loc = Loc::Main(way);
-        let found = loop {
-            let bucket = match loc {
-                Loc::Main(w) => inner.main[w],
-                Loc::Pool(p) => inner.pool[p],
-            };
-            let mut next: Option<Slot> = None;
-            let mut hit = None;
-            for i in 0..ASSOC {
-                let slot = bucket.slot(i);
-                match slot.typ {
-                    SlotType::Entry if slot.key == key => {
-                        hit = Some(slot);
-                        break;
-                    }
-                    SlotType::Header | SlotType::Cached if i == ASSOC - 1 => next = Some(slot),
-                    _ => {}
-                }
-            }
-            if let Some(slot) = hit {
-                break Some((GlobalAddr::new(desc.node, slot.offset as usize), slot));
-            }
-            match next {
-                None => break None,
-                Some(link) if link.typ == SlotType::Cached => {
-                    loc = Loc::Pool(link.offset as usize);
-                }
-                Some(link) => {
-                    let off = link.offset as usize;
-                    let mut buf = [0u8; BUCKET_BYTES];
-                    qp.read(GlobalAddr::new(desc.node, off), &mut buf);
-                    reads += 1;
-                    inner.stats.fetches += 1;
-                    match inner.pool_free.pop() {
-                        Some(p) => {
-                            inner.pool[p] = CachedBucket::from_bytes(&buf, 0);
-                            let parent = match loc {
-                                Loc::Main(w) => &mut inner.main[w],
-                                Loc::Pool(pp) => &mut inner.pool[pp],
-                            };
-                            parent.set_slot(
-                                ASSOC - 1,
-                                Slot {
-                                    typ: SlotType::Cached,
-                                    lossy_inc: 0,
-                                    offset: p as u64,
-                                    key: 0,
-                                },
-                            );
-                            loc = Loc::Pool(p);
-                        }
-                        None => {
-                            drop(inner);
-                            return self.finish_remote(qp, table, key, &buf, reads);
-                        }
-                    }
-                }
-            }
-        };
-
-        if reads == 0 {
-            inner.stats.hits += 1;
-        } else {
-            inner.stats.misses += 1;
-        }
-        match found {
-            Some((addr, slot)) => Some((addr, slot, reads)),
-            None => {
-                Self::evict(&mut inner, way);
-                drop(inner);
-                match table.remote_lookup(qp, key) {
-                    crate::cluster_hash::LookupResult::Found { addr, slot, reads: r } => {
-                        Some((addr, slot, reads + r))
-                    }
-                    crate::cluster_hash::LookupResult::NotFound { .. } => None,
-                }
-            }
-        }
-    }
-
-    fn finish_remote(
-        &self,
-        qp: &Qp,
-        table: &ClusterHash,
-        key: u64,
-        first: &[u8; BUCKET_BYTES],
-        mut reads: u32,
-    ) -> Option<(GlobalAddr, Slot, u32)> {
-        let desc = table.desc();
-        let mut buf = *first;
-        loop {
-            match ClusterHash::scan_bucket(&buf, key) {
-                ScanHit::Entry(slot) => {
-                    self.inner.lock().stats.misses += 1;
-                    return Some((GlobalAddr::new(desc.node, slot.offset as usize), slot, reads));
-                }
-                ScanHit::Chain(next) => {
-                    qp.read(GlobalAddr::new(desc.node, next), &mut buf);
-                    reads += 1;
-                }
-                ScanHit::Miss => {
-                    self.inner.lock().stats.misses += 1;
-                    return None;
-                }
-            }
-        }
-    }
-
-    /// Drops the cached chain for `key`'s bucket.
-    pub fn invalidate(&self, table: &ClusterHash, key: u64) {
-        let idx = table.desc().bucket_index(key);
-        let way = idx & self.main_mask;
-        let mut inner = self.inner.lock();
-        inner.stats.invalidations += 1;
-        Self::evict(&mut inner, way);
-    }
-
-    fn evict(inner: &mut MutexInner, way: usize) {
-        if !inner.main[way].valid {
-            return;
-        }
-        let mut link = inner.main[way].slot(ASSOC - 1);
-        inner.main[way].valid = false;
-        while link.typ == SlotType::Cached {
-            let p = link.offset as usize;
-            link = inner.pool[p].slot(ASSOC - 1);
-            inner.pool[p] = CachedBucket::EMPTY;
-            inner.pool_free.push(p);
         }
     }
 }
@@ -906,7 +578,6 @@ impl AddrCache {
 mod tests {
     use super::*;
     use crate::alloc::Arena;
-    use crate::cluster_hash::LookupResult;
     use drtm_htm::{Executor, HtmConfig, HtmStats};
     use drtm_rdma::{Cluster, ClusterConfig, LatencyProfile};
     use std::sync::Arc;
@@ -1104,24 +775,5 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.hits, 4000);
         assert_eq!(s.misses, 0);
-    }
-
-    #[test]
-    fn mutex_baseline_matches_on_simple_sequence() {
-        let (cluster, table, exec) = setup(16);
-        let region = cluster.node(0).region();
-        for k in 0..64u64 {
-            table.insert(&exec, region, k, b"v").unwrap();
-        }
-        let qp = cluster.qp(1);
-        let a = LocationCache::new(16, 8);
-        let b = MutexLocationCache::new(16, 8);
-        for pass in 0..2 {
-            for k in 0..64u64 {
-                let ra = a.lookup(&qp, &table, k).map(|(addr, slot, _)| (addr, slot.key));
-                let rb = b.lookup(&qp, &table, k).map(|(addr, slot, _)| (addr, slot.key));
-                assert_eq!(ra, rb, "pass {pass} key {k}");
-            }
-        }
     }
 }

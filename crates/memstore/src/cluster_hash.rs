@@ -21,7 +21,7 @@ use drtm_htm::{Abort, Executor, HtmTxn, Region};
 use drtm_rdma::{FabricError, GlobalAddr, NodeId, Qp};
 
 use crate::alloc::{Arena, FreeList};
-use crate::entry::{Entry, EntryHeader, ENTRY_HEADER_BYTES};
+use crate::entry::{Entry, EntryHeader};
 use crate::slot::{Slot, SlotType, SLOT_BYTES};
 use crate::{hash64, ASSOC};
 
@@ -67,11 +67,6 @@ impl ClusterHashDesc {
     /// Entry footprint in bytes for this table.
     pub fn entry_footprint(&self) -> usize {
         Entry::footprint(self.value_cap)
-    }
-
-    /// Bytes fetched by one remote entry READ (header + value capacity).
-    pub fn entry_read_bytes(&self) -> usize {
-        ENTRY_HEADER_BYTES + self.value_cap
     }
 }
 
@@ -196,23 +191,37 @@ impl ClusterHash {
     /// Runs inside the caller's HTM transaction, so the result is
     /// protected against concurrent INSERT/DELETE by strong atomicity.
     pub fn get_local(&self, txn: &mut HtmTxn<'_>, key: u64) -> Result<Option<Entry>, Abort> {
+        Ok(match self.find_local(txn, key)? {
+            Place::At { slot, .. } => Some(Entry::at(slot.offset as usize)),
+            Place::Absent { .. } => None,
+        })
+    }
+
+    /// The local walk behind GET, INSERT and DELETE: slot by slot through
+    /// the HTM read set (so it stops at the match and tracks no more
+    /// lines than it looked at), unlike the remote paths, which match
+    /// whole bucket images with [`scan_bucket`].
+    fn find_local(&self, txn: &mut HtmTxn<'_>, key: u64) -> Result<Place, Abort> {
         let mut bucket = self.desc.main_bucket_off(self.desc.bucket_index(key));
+        let mut free = None;
         loop {
             let mut next = None;
             for i in 0..ASSOC {
-                let off = bucket + i * SLOT_BYTES;
-                let slot = Self::read_slot(txn, off)?;
+                let slot_off = bucket + i * SLOT_BYTES;
+                let slot = Self::read_slot(txn, slot_off)?;
                 match slot.typ {
-                    SlotType::Entry if slot.key == key => {
-                        return Ok(Some(Entry::at(slot.offset as usize)));
-                    }
+                    SlotType::Entry if slot.key == key => return Ok(Place::At { slot_off, slot }),
+                    SlotType::Free if free.is_none() => free = Some(slot_off),
                     SlotType::Header if i == ASSOC - 1 => next = Some(slot.offset as usize),
                     _ => {}
                 }
             }
             match next {
                 Some(b) => bucket = b,
-                None => return Ok(None),
+                None => {
+                    let last_slot_off = bucket + (ASSOC - 1) * SLOT_BYTES;
+                    return Ok(Place::Absent { free, last_slot_off });
+                }
             }
         }
     }
@@ -283,30 +292,11 @@ impl ClusterHash {
         entry_off: usize,
         value: &[u8],
     ) -> Result<(bool, Option<usize>), InsertAttemptError> {
-        let mut bucket = self.desc.main_bucket_off(self.desc.bucket_index(key));
-        let mut free_slot: Option<usize> = None;
-        let last_slot_off;
         // Phase 1: scan the whole chain for the key and the first hole.
-        loop {
-            let mut next = None;
-            for i in 0..ASSOC {
-                let off = bucket + i * SLOT_BYTES;
-                let slot = Self::read_slot(txn, off)?;
-                match slot.typ {
-                    SlotType::Entry if slot.key == key => return Ok((true, None)),
-                    SlotType::Free if free_slot.is_none() => free_slot = Some(off),
-                    SlotType::Header if i == ASSOC - 1 => next = Some(slot.offset as usize),
-                    _ => {}
-                }
-            }
-            match next {
-                Some(b) => bucket = b,
-                None => {
-                    last_slot_off = bucket + (ASSOC - 1) * SLOT_BYTES;
-                    break;
-                }
-            }
-        }
+        let (free_slot, last_slot_off) = match self.find_local(txn, key)? {
+            Place::At { .. } => return Ok((true, None)),
+            Place::Absent { free, last_slot_off } => (free, last_slot_off),
+        };
         // Phase 2: initialise the entry (incarnation survives cell reuse).
         let entry = Entry::at(entry_off);
         let old = entry.read_header(txn)?;
@@ -420,30 +410,13 @@ impl ClusterHash {
     }
 
     fn try_delete(&self, txn: &mut HtmTxn<'_>, key: u64) -> Result<Option<usize>, Abort> {
-        let mut bucket = self.desc.main_bucket_off(self.desc.bucket_index(key));
-        loop {
-            let mut next = None;
-            for i in 0..ASSOC {
-                let off = bucket + i * SLOT_BYTES;
-                let slot = Self::read_slot(txn, off)?;
-                match slot.typ {
-                    SlotType::Entry if slot.key == key => {
-                        let entry = Entry::at(slot.offset as usize);
-                        let mut h = entry.read_header(txn)?;
-                        h.incarnation = h.incarnation.wrapping_add(1);
-                        entry.write_header(txn, &h)?;
-                        Self::write_slot(txn, off, Slot::FREE)?;
-                        return Ok(Some(slot.offset as usize));
-                    }
-                    SlotType::Header if i == ASSOC - 1 => next = Some(slot.offset as usize),
-                    _ => {}
-                }
-            }
-            match next {
-                Some(b) => bucket = b,
-                None => return Ok(None),
-            }
-        }
+        let Place::At { slot_off, slot } = self.find_local(txn, key)? else { return Ok(None) };
+        let entry = Entry::at(slot.offset as usize);
+        let mut h = entry.read_header(txn)?;
+        h.incarnation = h.incarnation.wrapping_add(1);
+        entry.write_header(txn, &h)?;
+        Self::write_slot(txn, slot_off, Slot::FREE)?;
+        Ok(Some(slot.offset as usize))
     }
 
     /// Remote lookup of `key` by one-sided RDMA READs of whole buckets.
@@ -459,94 +432,128 @@ impl ClusterHash {
     /// [`ClusterHash::remote_lookup`] with typed dead-peer reporting
     /// instead of a panic or a stale read.
     pub fn try_remote_lookup(&self, qp: &Qp, key: u64) -> Result<LookupResult, FabricError> {
-        let mut bucket = self.desc.main_bucket_off(self.desc.bucket_index(key));
-        let mut reads = 0u32;
-        let mut buf = [0u8; BUCKET_BYTES];
-        loop {
-            qp.try_read(GlobalAddr::new(self.desc.node, bucket), &mut buf)?;
-            reads += 1;
-            match Self::scan_bucket(&buf, key) {
-                ScanHit::Entry(slot) => {
-                    return Ok(LookupResult::Found {
-                        addr: GlobalAddr::new(self.desc.node, slot.offset as usize),
-                        slot,
-                        reads,
-                    });
-                }
-                ScanHit::Chain(next) => bucket = next,
-                ScanHit::Miss => return Ok(LookupResult::NotFound { reads }),
-            }
-        }
+        let main = self.desc.main_bucket_off(self.desc.bucket_index(key));
+        let mut img = [0; ASSOC * 2];
+        read_bucket(qp, GlobalAddr::new(self.desc.node, main), &mut img)?;
+        let mut reads = 1;
+        Ok(match self.finish_remote(qp, &mut img, key, &mut reads)? {
+            Some(slot) => LookupResult::Found {
+                addr: GlobalAddr::new(self.desc.node, slot.offset as usize),
+                slot,
+                reads,
+            },
+            None => LookupResult::NotFound { reads },
+        })
     }
 
-    /// Scans raw bucket bytes for `key`; shared by the remote path and
-    /// the location cache.
-    pub(crate) fn scan_bucket(buf: &[u8; BUCKET_BYTES], key: u64) -> ScanHit {
-        for i in 0..ASSOC {
-            let at = i * SLOT_BYTES;
-            let meta = u64::from_le_bytes(buf[at..at + 8].try_into().expect("slot"));
-            let k = u64::from_le_bytes(buf[at + 8..at + 16].try_into().expect("slot"));
-            let slot = Slot::decode(meta, k);
-            match slot.typ {
-                SlotType::Entry if slot.key == key => return ScanHit::Entry(slot),
-                SlotType::Header if i == ASSOC - 1 => return ScanHit::Chain(slot.offset as usize),
-                _ => {}
-            }
-        }
-        ScanHit::Miss
+    /// Continues a lookup from bucket image `img`, READing every further
+    /// bucket of the chain from the owner and counting it in `reads`.
+    #[inline]
+    pub(crate) fn finish_remote(
+        &self,
+        qp: &Qp,
+        img: &mut BucketImage,
+        key: u64,
+        reads: &mut u32,
+    ) -> Result<Option<Slot>, FabricError> {
+        walk_chain(img, key, |link, img| {
+            *reads += 1;
+            read_bucket(qp, GlobalAddr::new(self.desc.node, link.offset as usize), img)
+        })
     }
 
     /// Remote read of an entry's header and value in a single RDMA READ,
-    /// with incarnation check against `expect_slot`.
-    ///
-    /// Returns `None` when the incarnation no longer matches (the entry
-    /// was deleted or recycled since the location was obtained) — the
-    /// caller treats this as a cache miss and retries the lookup.
+    /// with incarnation check against `expect_slot`: see
+    /// [`Entry::remote_read`].
     pub fn remote_read_entry(
         &self,
         qp: &Qp,
         addr: GlobalAddr,
         expect_slot: &Slot,
     ) -> Option<(EntryHeader, Vec<u8>)> {
-        let mut buf = vec![0u8; self.desc.entry_read_bytes()];
-        qp.read(addr, &mut buf);
-        let h = EntryHeader::decode(&buf[..ENTRY_HEADER_BYTES]);
-        if !expect_slot.incarnation_matches(h.incarnation) {
-            return None;
-        }
-        let len = (h.value_len as usize).min(self.desc.value_cap);
-        Some((h, buf[ENTRY_HEADER_BYTES..ENTRY_HEADER_BYTES + len].to_vec()))
+        Entry::remote_read(qp, addr, self.desc.value_cap, expect_slot)
     }
 
-    /// Remote overwrite of an entry's value (and version bump) with
-    /// one-sided WRITEs.
-    ///
-    /// The caller must hold the entry's exclusive lock (the transaction
-    /// layer's REMOTE_WRITE protocol ensures this); the version is read
-    /// as part of the lock acquisition in the full protocol, so here the
-    /// new version is supplied by the caller.
+    /// Remote overwrite of an entry's value and version with one-sided
+    /// WRITEs: see [`Entry::remote_write_value`].
     pub fn remote_write_value(&self, qp: &Qp, addr: GlobalAddr, version: u32, value: &[u8]) {
-        assert!(value.len() <= self.desc.value_cap, "value exceeds table capacity");
-        // Two WRITEs: the version (avoiding the adjacent incarnation),
-        // then length + padding + value, which are contiguous.
-        qp.write(GlobalAddr::new(addr.node, addr.offset + 12), &version.to_le_bytes());
-        let mut buf = Vec::with_capacity(8 + value.len());
-        buf.extend_from_slice(&(value.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&[0u8; 4]);
-        buf.extend_from_slice(value);
-        qp.write(GlobalAddr::new(addr.node, addr.offset + 24), &buf);
+        Entry::remote_write_value(qp, addr, self.desc.value_cap, version, value)
     }
 }
 
-/// Result of scanning one bucket for a key.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ScanHit {
-    /// Found an entry slot for the key.
+/// The 16 words of one bucket, as READ from its owner or snapshotted
+/// from a [`crate::LocationCache`].
+pub(crate) type BucketImage = [u64; ASSOC * 2];
+
+/// Fetches one whole bucket into `img` with a one-sided READ.
+#[inline]
+pub(crate) fn read_bucket(
+    qp: &Qp,
+    addr: GlobalAddr,
+    img: &mut BucketImage,
+) -> Result<(), FabricError> {
+    let mut buf = [0u8; BUCKET_BYTES];
+    qp.try_read(addr, &mut buf)?;
+    for (w, bytes) in img.iter_mut().zip(buf.chunks_exact(8)) {
+        *w = u64::from_le_bytes(bytes.try_into().expect("bucket word"));
+    }
+    Ok(())
+}
+
+/// What one bucket image says about a key.
+pub(crate) enum Scan {
+    /// One of its slots is the key's entry slot.
     Entry(Slot),
-    /// The bucket chains to another bucket at this region offset.
-    Chain(usize),
-    /// The key is not in this chain.
-    Miss,
+    /// The key is not here and the last slot links to another bucket:
+    /// [`SlotType::Header`] at a region offset of the owner,
+    /// [`SlotType::Cached`] at a pool index of a location cache.
+    Link(Slot),
+    /// The key is not here and the chain ends.
+    End,
+}
+
+/// Matches a bucket image against `key` — the only place that does; the
+/// remote lookup and every path of the location cache differ only in
+/// where [`walk_chain`] gets its next image from.
+#[inline]
+pub(crate) fn scan_bucket(img: &BucketImage, key: u64) -> Scan {
+    for i in 0..ASSOC {
+        let slot = Slot::decode(img[i * 2], img[i * 2 + 1]);
+        match slot.typ {
+            SlotType::Entry if slot.key == key => return Scan::Entry(slot),
+            SlotType::Header | SlotType::Cached if i == ASSOC - 1 => return Scan::Link(slot),
+            _ => {}
+        }
+    }
+    Scan::End
+}
+
+/// Walks a bucket chain from the image in `img` to `key`'s entry slot;
+/// `next` overwrites `img` with the image behind each link, or stops the
+/// walk with its error. Inlined with its helpers into each caller: as
+/// calls they cost the remote lookup about a tenth of its host time.
+#[inline]
+pub(crate) fn walk_chain<E>(
+    img: &mut BucketImage,
+    key: u64,
+    mut next: impl FnMut(Slot, &mut BucketImage) -> Result<(), E>,
+) -> Result<Option<Slot>, E> {
+    loop {
+        match scan_bucket(img, key) {
+            Scan::Entry(slot) => return Ok(Some(slot)),
+            Scan::Link(link) => next(link, img)?,
+            Scan::End => return Ok(None),
+        }
+    }
+}
+
+/// Where [`ClusterHash::find_local`] found a key, or where it would go.
+enum Place {
+    /// The key's header slot, at region offset `slot_off`.
+    At { slot_off: usize, slot: Slot },
+    /// The key is absent: the chain's first free slot, if any, and its
+    /// very last slot (where the chain is extended).
+    Absent { free: Option<usize>, last_slot_off: usize },
 }
 
 /// Allocator cells consumed by an [`ClusterHash::insert_txn`]; return
@@ -699,6 +706,54 @@ mod tests {
         let mut txn = region.begin(exec.config());
         let e = table.get_local(&mut txn, 3).unwrap().unwrap();
         assert_eq!(e.read_value(&mut txn).unwrap(), b"after!");
+    }
+
+    /// An update cut short after any prefix of its WRITEs must never show
+    /// the new version over the old bytes. Timeouts injected from a seed
+    /// refuse a WRITE with no memory effect, which stops the update there.
+    #[test]
+    fn interrupted_remote_write_never_shows_new_version_over_old_value() {
+        use drtm_rdma::FaultConfig;
+        let mut stopped_after_first_write = 0;
+        for seed in (1..=32u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) {
+            let cluster = Cluster::new(ClusterConfig {
+                nodes: 2,
+                region_size: 1 << 20,
+                profile: LatencyProfile::zero(),
+                faults: FaultConfig {
+                    seed,
+                    delay_prob: 0.5,
+                    delay_ns: 2,
+                    deadline_ns: 1,
+                    ..FaultConfig::default()
+                },
+                ..Default::default()
+            });
+            let mut arena = Arena::new(0, 1 << 20);
+            let table = ClusterHash::create(&mut arena, 0, 8, 8, 64);
+            let exec = Executor::new(HtmConfig::default(), Arc::new(HtmStats::new()));
+            let region = cluster.node(0).region();
+            table.insert(&exec, region, 3, b"before").unwrap();
+            let entry = {
+                let mut txn = region.begin(exec.config());
+                table.get_local(&mut txn, 3).unwrap().unwrap()
+            };
+            let qp = cluster.qp(1);
+            let addr = GlobalAddr::new(0, entry.offset);
+            // A refused WRITE panics out of the infallible verb.
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                table.remote_write_value(&qp, addr, 1, b"after!")
+            }));
+            let version = entry.read_header_nt(region).version;
+            let mut value = [0u8; 6];
+            region.read_nt(entry.value_off(), &mut value);
+            assert!(
+                version == 0 || &value == b"after!",
+                "seed {seed}: version {version} over value {value:?}"
+            );
+            stopped_after_first_write += (version == 0 && &value == b"after!") as u32;
+        }
+        assert!(stopped_after_first_write > 0, "no seed stopped the update between its WRITEs");
     }
 
     #[test]

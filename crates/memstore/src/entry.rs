@@ -19,6 +19,9 @@
 //! READ fetches state + metadata + value.
 
 use drtm_htm::{Abort, HtmTxn, Region};
+use drtm_rdma::{GlobalAddr, Qp};
+
+use crate::slot::Slot;
 
 /// Byte size of the fixed entry header that precedes the value.
 pub const ENTRY_HEADER_BYTES: usize = 32;
@@ -117,11 +120,6 @@ impl Entry {
         txn.write(self.offset, &h.encode())
     }
 
-    /// Transactionally reads the full incarnation.
-    pub fn read_incarnation(&self, txn: &mut HtmTxn<'_>) -> Result<u32, Abort> {
-        Ok(txn.read_u64(self.meta_off())? as u32)
-    }
-
     /// Transactionally reads the value.
     pub fn read_value(&self, txn: &mut HtmTxn<'_>) -> Result<Vec<u8>, Abort> {
         let len = {
@@ -146,6 +144,53 @@ impl Entry {
         let mut b = [0u8; ENTRY_HEADER_BYTES];
         region.read_nt(self.offset, &mut b);
         EntryHeader::decode(&b)
+    }
+
+    /// Remote read of the header and value of the entry at `addr` in a
+    /// single RDMA READ, with incarnation check against `expect_slot`.
+    /// Both tables store this layout, so both read it through here.
+    ///
+    /// Returns `None` when the incarnation no longer matches (the entry
+    /// was deleted or recycled since the location was obtained) — the
+    /// caller treats this as a cache miss and retries the lookup.
+    pub fn remote_read(
+        qp: &Qp,
+        addr: GlobalAddr,
+        value_cap: usize,
+        expect_slot: &Slot,
+    ) -> Option<(EntryHeader, Vec<u8>)> {
+        let mut buf = vec![0u8; ENTRY_HEADER_BYTES + value_cap];
+        qp.read(addr, &mut buf);
+        let h = EntryHeader::decode(&buf[..ENTRY_HEADER_BYTES]);
+        if !expect_slot.incarnation_matches(h.incarnation) {
+            return None;
+        }
+        let len = (h.value_len as usize).min(value_cap);
+        Some((h, buf[ENTRY_HEADER_BYTES..ENTRY_HEADER_BYTES + len].to_vec()))
+    }
+
+    /// Remote overwrite of the value and version of the entry at `addr`
+    /// with two one-sided WRITEs; the caller holds the entry's exclusive
+    /// lock and supplies the new version.
+    ///
+    /// Length, padding and value are contiguous and go first; the
+    /// version (written alone, sparing the adjacent incarnation) goes
+    /// last, as in the transaction layer's write-back: an interrupted
+    /// update must never show a new version over old bytes.
+    pub fn remote_write_value(
+        qp: &Qp,
+        addr: GlobalAddr,
+        value_cap: usize,
+        version: u32,
+        value: &[u8],
+    ) {
+        assert!(value.len() <= value_cap, "value exceeds table capacity");
+        let mut buf = Vec::with_capacity(8 + value.len());
+        buf.extend_from_slice(&(value.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&[0u8; 4]);
+        buf.extend_from_slice(value);
+        qp.write(GlobalAddr::new(addr.node, addr.offset + 24), &buf);
+        qp.write(GlobalAddr::new(addr.node, addr.offset + 12), &version.to_le_bytes());
     }
 }
 

@@ -15,12 +15,10 @@
 //!   (the DBX-style tree of §5, used for TPC-C's ordered tables), with
 //!   range scans and a mutex fallback for capacity aborts.
 //!
-//! For the paper's comparison experiments (Table 4, Figure 10) the crate
-//! also implements the two state-of-the-art RDMA-friendly designs DrTM is
-//! evaluated against: Pilaf's 3-way **Cuckoo** hashing with self-verifying
-//! 32-byte buckets ([`CuckooHash`]) and FaRM-KV's **Hopscotch** hashing
-//! with neighbourhood 8, in both value-inline and value-offset variants
-//! ([`HopscotchHash`]).
+//! The elastic deployment's table is the split-ordered [`ElasticHash`]
+//! with its key → location [`AddrCache`], resharded live by [`reshard`].
+//! Both tables store the same [`Entry`] and read it remotely through the
+//! same accessor.
 //!
 //! All tables live inside a node's [`drtm_htm::Region`] so local accesses
 //! are HTM-protected and remote accesses are plain one-sided RDMA — race
@@ -31,9 +29,7 @@ mod alloc;
 mod btree;
 mod cache;
 mod cluster_hash;
-mod cuckoo;
 mod entry;
-mod hopscotch;
 pub mod reshard;
 pub mod rpc;
 mod slot;
@@ -41,13 +37,11 @@ mod split_ordered;
 
 pub use alloc::{Arena, FreeList};
 pub use btree::{BTree, BTreeDesc};
-pub use cache::{AddrCache, CacheStats, LocationCache, MutexLocationCache};
+pub use cache::{AddrCache, CacheStats, LocationCache};
 pub use cluster_hash::{
     ClusterHash, ClusterHashDesc, InsertError, LookupResult, PreparedInsert, BUCKET_BYTES,
 };
-pub use cuckoo::{CuckooHash, CuckooHashDesc};
 pub use entry::{Entry, EntryHeader, ENTRY_HEADER_BYTES};
-pub use hopscotch::{HopscotchHash, HopscotchHashDesc, HopscotchVariant};
 pub use reshard::{
     MigratePhase, MigrationReport, RangeMap, RangeMapError, RangeState, ReshardStats, Resharder,
     RouteDecision,
@@ -72,12 +66,6 @@ pub fn hash64(key: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A second independent hash for multi-hash schemes (Cuckoo).
-#[inline]
-pub fn hash64_alt(key: u64, salt: u64) -> u64 {
-    hash64(key ^ salt.wrapping_mul(0xA24B_AED4_963E_E407))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,10 +77,5 @@ mod tests {
         // Crude avalanche check: flipping one input bit changes many output bits.
         let d = (hash64(7) ^ hash64(7 | 1 << 40)).count_ones();
         assert!(d > 16, "weak diffusion: {d} bits");
-    }
-
-    #[test]
-    fn alt_hash_differs_per_salt() {
-        assert_ne!(hash64_alt(5, 1), hash64_alt(5, 2));
     }
 }

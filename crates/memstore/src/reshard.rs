@@ -52,7 +52,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use drtm_htm::Executor;
+use drtm_htm::{Executor, Region};
 use drtm_rdma::{Cluster, FabricError, GlobalAddr, NodeId, QueueId};
 
 use crate::cache::AddrCache;
@@ -71,6 +71,51 @@ pub const MIGRATE_BEFORE_CUTOVER_SITE: &str = "migrate-before-cutover";
 
 /// Bytes of the per-node migration journal (four u64 words).
 pub const MIGRATION_JOURNAL_BYTES: usize = 64;
+
+/// The per-node migration journal in a destination's durable region:
+/// the one source-side purge lock a migration may hold. Fields first,
+/// armed word last, so recovery only ever trusts a complete record; the
+/// word layout is private to this type.
+#[derive(Debug)]
+pub struct MigrationJournal<'r> {
+    region: &'r Region,
+    off: usize,
+}
+
+impl<'r> MigrationJournal<'r> {
+    /// The journal at `off` of `region` (NVRAM model: read and written
+    /// directly, never through the fabric).
+    pub fn at(region: &'r Region, off: usize) -> Self {
+        MigrationJournal { region, off }
+    }
+
+    /// Records that `lock_word` is about to be CAS-ed into the state word
+    /// at `entry_off` on `src`.
+    pub fn arm(&self, src: NodeId, entry_off: usize, lock_word: u64) {
+        self.region.write_u64_nt(self.off + 8, src as u64);
+        self.region.write_u64_nt(self.off + 16, entry_off as u64);
+        self.region.write_u64_nt(self.off + 24, lock_word);
+        self.region.write_u64_nt(self.off, 1);
+    }
+
+    /// The recorded `(src, entry_off, lock_word)` if the journal is
+    /// armed. Recovery releases that lock (by CAS on the exact word,
+    /// so idempotently) and only then calls [`MigrationJournal::clear`].
+    pub fn armed(&self) -> Option<(NodeId, usize, u64)> {
+        (self.region.read_u64_nt(self.off) == 1).then(|| {
+            (
+                self.region.read_u64_nt(self.off + 8) as NodeId,
+                self.region.read_u64_nt(self.off + 16) as usize,
+                self.region.read_u64_nt(self.off + 24),
+            )
+        })
+    }
+
+    /// Disarms the journal: the lock is released or was never taken.
+    pub fn clear(&self) {
+        self.region.write_u64_nt(self.off, 0);
+    }
+}
 
 /// Phase boundaries of one migration, surfaced through
 /// [`Resharder::set_phase_hook`] so tests, the chaos harness and the
@@ -663,18 +708,15 @@ impl Resharder {
         self.phase(MigratePhase::CutoverDrained);
 
         // Phase 3: delta + purge, one journaled lock at a time.
+        let journal = MigrationJournal::at(dst_region, self.journal_off);
         let (delta, delta_bytes) = src_shard.try_remote_collect_range(&qp, lo, hi)?;
         bytes += delta_bytes;
         let purged = delta.len();
         let mut recopied = 0usize;
         for e in &delta {
             let state_addr = GlobalAddr::new(src, e.entry_off);
-            // Journal first: fields, then the active flag — recovery
-            // only trusts a fully armed journal.
-            dst_region.write_u64_nt(self.journal_off + 8, src as u64);
-            dst_region.write_u64_nt(self.journal_off + 16, e.entry_off as u64);
-            dst_region.write_u64_nt(self.journal_off + 24, self.lock_word);
-            dst_region.write_u64_nt(self.journal_off, 1);
+            // Journal first, then the lock.
+            journal.arm(src, e.entry_off, self.lock_word);
             // Lock the entry on the source: in-flight fallback writers
             // holding it commit on the old owner first; we wait them out.
             let mut backoff = drtm_htm::backoff::Backoff::new();
@@ -694,7 +736,7 @@ impl Resharder {
                 // an unrelated entry. Release our lock and move on.
                 let r = qp.try_cas_u64(state_addr, self.lock_word, 0)?;
                 debug_assert_eq!(r, self.lock_word, "migration lock stolen");
-                dst_region.write_u64_nt(self.journal_off, 0);
+                journal.clear();
                 continue;
             }
             if on_dst.get(&h.key).copied() != Some(h.version) {
@@ -723,7 +765,7 @@ impl Resharder {
                 &StoreOp::Delete { table: self.table_idx, key: e.key },
             );
             debug_assert_eq!(r, StoreReply::Ok, "purged key vanished while locked");
-            dst_region.write_u64_nt(self.journal_off, 0);
+            journal.clear();
             // Invalidate cached locations *after* the source entry is
             // gone: a lookup between invalidation and re-resolution must
             // find either nothing on src (dual-read forwards to dst) or
@@ -757,15 +799,12 @@ impl Resharder {
         let mut released = 0;
         // The journal lives on the crashed destination; NVRAM model —
         // read it directly, not through the fabric.
-        if dst_region.read_u64_nt(self.journal_off) == 1 {
-            let src = dst_region.read_u64_nt(self.journal_off + 8) as NodeId;
-            let off = dst_region.read_u64_nt(self.journal_off + 16) as usize;
-            let word = dst_region.read_u64_nt(self.journal_off + 24);
-            let src_region = self.cluster.node(src).region();
-            if src_region.cas_u64_nt(off, word, 0) == word {
+        let journal = MigrationJournal::at(dst_region, self.journal_off);
+        if let Some((src, off, word)) = journal.armed() {
+            if self.cluster.node(src).region().cas_u64_nt(off, word, 0) == word {
                 released = 1;
             }
-            dst_region.write_u64_nt(self.journal_off, 0);
+            journal.clear();
         }
         let dst_shard = self.shard(dst);
         let rows = dst_shard.collect_range_nt(dst_region, lo, hi);

@@ -114,11 +114,6 @@ impl ElasticHashDesc {
         self.dir_base + b * 8
     }
 
-    /// Footprint of one node cell (header + entry).
-    pub fn node_footprint(&self) -> usize {
-        NODE_HEADER_BYTES + Entry::footprint(self.value_cap)
-    }
-
     /// Bytes fetched by one remote entry READ (header + value capacity).
     pub fn entry_read_bytes(&self) -> usize {
         ENTRY_HEADER_BYTES + self.value_cap
@@ -136,17 +131,6 @@ pub struct ElasticStats {
     /// Parent-bucket fallback hops taken by remote lookups (the resize
     /// cost the perf ledger gates on).
     pub extra_hops: u64,
-}
-
-impl ElasticStats {
-    /// Extra chain hops per remote lookup (0 when idle).
-    pub fn extra_hops_per_lookup(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.extra_hops as f64 / self.lookups as f64
-        }
-    }
 }
 
 /// How full a bucket may get (entries per published bucket) before an
@@ -693,34 +677,15 @@ impl ElasticHash {
     }
 
     /// Remote read of an entry's header and value in a single RDMA READ,
-    /// with incarnation check against `expect_slot` (identical contract
-    /// to [`crate::ClusterHash::remote_read_entry`]).
+    /// with incarnation check against `expect_slot`: see
+    /// [`Entry::remote_read`].
     pub fn remote_read_entry(
         &self,
         qp: &Qp,
         addr: GlobalAddr,
         expect_slot: &Slot,
     ) -> Option<(EntryHeader, Vec<u8>)> {
-        let mut buf = vec![0u8; self.desc.entry_read_bytes()];
-        qp.read(addr, &mut buf);
-        let h = EntryHeader::decode(&buf[..ENTRY_HEADER_BYTES]);
-        if !expect_slot.incarnation_matches(h.incarnation) {
-            return None;
-        }
-        let len = (h.value_len as usize).min(self.desc.value_cap);
-        Some((h, buf[ENTRY_HEADER_BYTES..ENTRY_HEADER_BYTES + len].to_vec()))
-    }
-
-    /// Remote overwrite of an entry's value (and version bump) with
-    /// one-sided WRITEs; the caller holds the entry's exclusive lock.
-    pub fn remote_write_value(&self, qp: &Qp, addr: GlobalAddr, version: u32, value: &[u8]) {
-        assert!(value.len() <= self.desc.value_cap, "value exceeds table capacity");
-        qp.write(GlobalAddr::new(addr.node, addr.offset + 12), &version.to_le_bytes());
-        let mut buf = Vec::with_capacity(8 + value.len());
-        buf.extend_from_slice(&(value.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&[0u8; 4]);
-        buf.extend_from_slice(value);
-        qp.write(GlobalAddr::new(addr.node, addr.offset + 24), &buf);
+        Entry::remote_read(qp, addr, self.desc.value_cap, expect_slot)
     }
 
     /// Streams every live entry with key in `[lo, hi]` over the fabric:
@@ -993,23 +958,6 @@ mod tests {
             table.remote_read_entry(&qp, addr, &slot).is_none(),
             "stale location must fail the incarnation check"
         );
-    }
-
-    #[test]
-    fn remote_write_value_visible_locally() {
-        let (cluster, table, exec) = setup(4, 4, 100);
-        let region = cluster.node(0).region();
-        table.insert(&exec, region, 9, b"before").unwrap();
-        let qp = cluster.qp(1);
-        let addr = match table.remote_lookup(&qp, 9) {
-            LookupResult::Found { addr, .. } => addr,
-            other => panic!("{other:?}"),
-        };
-        table.remote_write_value(&qp, addr, 3, b"after");
-        let mut txn = region.begin(exec.config());
-        let e = table.get_local(&mut txn, 9).unwrap().expect("found");
-        assert_eq!(e.read_value(&mut txn).unwrap(), b"after");
-        assert_eq!(e.read_header(&mut txn).unwrap().version, 3);
     }
 
     #[test]

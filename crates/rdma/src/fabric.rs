@@ -295,11 +295,6 @@ enum Issue {
 }
 
 impl Qp {
-    /// The machine owning this queue pair.
-    pub fn local_node(&self) -> NodeId {
-        self.from
-    }
-
     /// The cluster this queue pair belongs to.
     pub fn cluster(&self) -> &Arc<Cluster> {
         &self.cluster

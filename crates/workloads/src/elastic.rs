@@ -23,11 +23,11 @@
 use std::sync::{Arc, Mutex, RwLock};
 
 use drtm_core::{
-    AbortCause, DrTm, DrTmConfig, JoinReport, LeaveReport, LockState, MembershipCoordinator,
-    MembershipError, MembershipRecovery, MembershipTable, NodeLayout, NodeState, RecordAddr,
-    SoftTimer, TxnError, TxnSpec, Worker,
+    standalone, AbortCause, DrTm, DrTmConfig, JoinReport, LeaveReport, LockState,
+    MembershipCoordinator, MembershipError, MembershipRecovery, MembershipTable, NodeLayout,
+    NodeState, RecordAddr, SoftTimer, TxnError, TxnSpec, Worker,
 };
-use drtm_htm::{Executor, HtmStats};
+use drtm_htm::{Executor, HtmConfig, HtmStats, Region};
 use drtm_memstore::rpc::{spawn_store_service, StoreServiceGuard};
 use drtm_memstore::{
     AddrCache, Arena, ElasticHash, ElasticStats, LookupResult, MigrationReport, RangeMap,
@@ -344,19 +344,9 @@ impl ElasticKv {
             let owner = self.shared.map.owner_of(key).expect("unmapped key");
             let region = self.sys.cluster().node(owner).region();
             let shard = self.shared.shard(owner);
-            loop {
-                let mut txn = region.begin(exec.config());
-                if let Ok(Some(e)) = shard.get_local(&mut txn, key) {
-                    if let Ok(v) = e.read_value(&mut txn) {
-                        if txn.commit().is_ok() {
-                            total = total.wrapping_add(fields(&v)[0]);
-                            break;
-                        }
-                    }
-                } else {
-                    panic!("key {key} missing on its owner {owner}");
-                }
-            }
+            let v = read_local(region, exec.config(), &shard, key)
+                .unwrap_or_else(|| panic!("key {key} missing on its owner {owner}"));
+            total = total.wrapping_add(fields(&v)[0]);
         }
         total
     }
@@ -402,28 +392,7 @@ impl ElasticKvWorker {
     fn value_on(&self, server: NodeId, key: u64) -> Result<Option<Vec<u8>>, TxnError> {
         let shard = self.shared.shard(server);
         if server == self.w.node {
-            let region = self.w.region().clone();
-            let mut backoff = drtm_htm::backoff::Backoff::new();
-            loop {
-                let mut txn = region.begin(self.w.executor().config());
-                if let Ok(found) = shard.get_local(&mut txn, key) {
-                    match found {
-                        None => {
-                            if txn.commit().is_ok() {
-                                return Ok(None);
-                            }
-                        }
-                        Some(e) => {
-                            if let Ok(v) = e.read_value(&mut txn) {
-                                if txn.commit().is_ok() {
-                                    return Ok(Some(v));
-                                }
-                            }
-                        }
-                    }
-                }
-                backoff.snooze();
-            }
+            Ok(read_local(self.w.region(), self.w.executor().config(), &shard, key))
         } else {
             let cache = self.cache();
             if let Some((addr, slot)) = cache.lookup(key) {
@@ -464,20 +433,13 @@ impl ElasticKvWorker {
     /// Resolves `key` to a record address on `server`.
     fn resolve(&self, server: NodeId, key: u64) -> Result<Option<RecordAddr>, TxnError> {
         if server == self.w.node {
-            let region = self.w.region().clone();
             let shard = self.shared.shard(server);
-            let mut backoff = drtm_htm::backoff::Backoff::new();
-            loop {
-                let mut txn = region.begin(self.w.executor().config());
-                if let Ok(found) = shard.get_local(&mut txn, key) {
-                    if txn.commit().is_ok() {
-                        return Ok(found.map(|e| {
-                            RecordAddr::new(GlobalAddr::new(server, e.offset), VALUE_BYTES)
-                        }));
-                    }
-                }
-                backoff.snooze();
-            }
+            let found = standalone(self.w.region(), self.w.executor().config(), |txn| {
+                shard.get_local(txn, key)
+            });
+            Ok(found
+                .expect("a lookup never aborts itself")
+                .map(|e| RecordAddr::new(GlobalAddr::new(server, e.offset), VALUE_BYTES)))
         } else {
             let shard = self.shared.shard(server);
             let cache = self.cache();
@@ -605,6 +567,15 @@ fn post_inc(i: &mut usize) -> usize {
     let v = *i;
     *i += 1;
     v
+}
+
+/// Validated read of `key`'s value bytes in the shard of `region`'s node.
+fn read_local(region: &Region, cfg: &HtmConfig, shard: &ElasticHash, key: u64) -> Option<Vec<u8>> {
+    standalone(region, cfg, |txn| match shard.get_local(txn, key)? {
+        Some(e) => e.read_value(txn).map(Some),
+        None => Ok(None),
+    })
+    .expect("a read never aborts itself")
 }
 
 fn dead(e: FabricError) -> TxnError {

@@ -15,8 +15,9 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use drtm_core::{RecordAddr, Worker};
-use drtm_memstore::{ClusterHash, LocationCache, LookupResult};
+use drtm_core::{standalone, RecordAddr, Worker};
+use drtm_htm::{HtmConfig, Region};
+use drtm_memstore::{ClusterHash, LocationCache};
 use drtm_rdma::{FabricError, NodeId};
 
 /// One logical table, instantiated once per machine (identical geometry
@@ -84,6 +85,23 @@ impl Table {
         self.try_resolve(worker, server, key).expect("resolve against a crashed node")
     }
 
+    /// Validated read of `key`'s value bytes on its home `node`, outside
+    /// any worker (the invariant checks of quiesced deployments).
+    pub fn read_local(
+        &self,
+        region: &Region,
+        cfg: &HtmConfig,
+        node: NodeId,
+        key: u64,
+    ) -> Option<Vec<u8>> {
+        let shard = self.shard(node);
+        standalone(region, cfg, |txn| match shard.get_local(txn, key)? {
+            Some(e) => e.read_value(txn).map(Some),
+            None => Ok(None),
+        })
+        .expect("a read never aborts itself")
+    }
+
     /// [`Table::resolve`] with typed dead-peer reporting: a warm cache
     /// still answers without touching the fabric, but a lookup that must
     /// read a crashed machine's buckets surfaces the fabric error.
@@ -95,42 +113,19 @@ impl Table {
     ) -> Result<Option<RecordAddr>, FabricError> {
         let cap = self.value_cap();
         if server == worker.node {
-            let region = worker.region().clone();
             let table = self.shard(server);
-            let mut backoff = drtm_htm::backoff::Backoff::new();
-            loop {
-                let mut txn = region.begin(worker.executor().config());
-                if let Ok(found) = table.get_local(&mut txn, key) {
-                    if txn.commit().is_ok() {
-                        return Ok(found.map(|e| {
-                            RecordAddr::new(drtm_rdma::GlobalAddr::new(server, e.offset), cap)
-                        }));
-                    }
-                }
-                backoff.snooze();
-            }
+            let found = standalone(worker.region(), worker.executor().config(), |txn| {
+                table.get_local(txn, key)
+            });
+            Ok(found
+                .expect("a lookup never aborts itself")
+                .map(|e| RecordAddr::new(drtm_rdma::GlobalAddr::new(server, e.offset), cap)))
         } else {
             let cache = self.cache(worker.node, server);
             let table = self.shard(server);
             Ok(cache
                 .try_lookup(worker.qp(), table, key)?
                 .map(|(addr, _slot, _reads)| RecordAddr::new(addr, cap)))
-        }
-    }
-
-    /// Uncached resolution (used to measure the cache's benefit).
-    pub fn resolve_uncached(
-        &self,
-        worker: &Worker,
-        server: NodeId,
-        key: u64,
-    ) -> Option<RecordAddr> {
-        if server == worker.node {
-            return self.resolve(worker, server, key);
-        }
-        match self.shard(server).remote_lookup(worker.qp(), key) {
-            LookupResult::Found { addr, .. } => Some(RecordAddr::new(addr, self.value_cap())),
-            LookupResult::NotFound { .. } => None,
         }
     }
 }

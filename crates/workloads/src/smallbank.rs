@@ -137,26 +137,15 @@ impl SmallBank {
     /// invariant checked by the integration tests.
     pub fn total_balance(&self) -> u64 {
         let mut total = 0u64;
-        let exec = Executor::new(self.cfg.drtm.htm.clone(), Arc::new(HtmStats::new()));
         for n in 0..self.cfg.nodes as NodeId {
             let region = self.sys.cluster().node(n).region();
             for table in [&self.checking, &self.savings] {
-                let shard = table.shard(n);
                 for a in 0..self.cfg.accounts_per_node {
                     let gid = n as u64 * self.cfg.accounts_per_node + a;
-                    loop {
-                        let mut txn = region.begin(exec.config());
-                        if let Ok(Some(e)) = shard.get_local(&mut txn, gid) {
-                            if let Ok(v) = e.read_value(&mut txn) {
-                                if txn.commit().is_ok() {
-                                    total = total.wrapping_add(fields(&v)[0]);
-                                    break;
-                                }
-                            }
-                        } else {
-                            panic!("account {gid} missing on node {n}");
-                        }
-                    }
+                    let v = table
+                        .read_local(region, &self.cfg.drtm.htm, n, gid)
+                        .unwrap_or_else(|| panic!("account {gid} missing on node {n}"));
+                    total = total.wrapping_add(fields(&v)[0]);
                 }
             }
         }

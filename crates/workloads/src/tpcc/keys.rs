@@ -72,12 +72,6 @@ pub fn new_order_range(w: u64, d: u64) -> (u64, u64) {
     (order(w, d, 0), order(w, d, (1 << 36) - 1))
 }
 
-/// A 16-bit hash of a last-name id (TPC-C generates last names from a
-/// syllable table; we keep the numeric id and hash it).
-pub fn last_name_hash(name_id: u64) -> u64 {
-    crate::tpcc::hash16(name_id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

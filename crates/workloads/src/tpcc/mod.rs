@@ -20,7 +20,7 @@ pub use txns::TpccWorker;
 
 use std::sync::Arc;
 
-use drtm_core::{DrTm, DrTmConfig, NodeLayout, SoftTimer};
+use drtm_core::{standalone, DrTm, DrTmConfig, NodeLayout, SoftTimer};
 use drtm_htm::{Executor, HtmStats};
 use drtm_memstore::{Arena, BTree, ClusterHash};
 use drtm_rdma::{AtomicityLevel, Cluster, ClusterConfig, DoorbellConfig, LatencyProfile, NodeId};
@@ -290,23 +290,12 @@ impl Tpcc {
     /// TPC-C consistency condition 1: for every warehouse,
     /// `W_YTD = Σ D_YTD` over its districts.
     pub fn check_ytd_consistency(&self) -> bool {
-        let exec = Executor::new(self.cfg.drtm.htm.clone(), Arc::new(HtmStats::new()));
         for w in 0..self.cfg.warehouses() {
             let n = self.cfg.node_of_warehouse(w);
             let region = self.sys.cluster().node(n).region();
             let read = |table: &Table, key: u64| -> Vec<u64> {
-                loop {
-                    let mut txn = region.begin(exec.config());
-                    if let Ok(Some(e)) = table.shard(n).get_local(&mut txn, key) {
-                        if let Ok(v) = e.read_value(&mut txn) {
-                            if txn.commit().is_ok() {
-                                return crate::fields(&v);
-                            }
-                        }
-                    } else {
-                        panic!("missing row {key}");
-                    }
-                }
+                let v = table.read_local(region, &self.cfg.drtm.htm, n, key);
+                crate::fields(&v.unwrap_or_else(|| panic!("missing row {key}")))
             };
             let w_ytd = read(&self.warehouse, keys::warehouse(w))[0];
             let d_sum: u64 = (0..self.cfg.districts)
@@ -323,39 +312,22 @@ impl Tpcc {
     /// `next_o_id - 1` equals the largest order id in both the order
     /// table's customer index and the new-order tree's district range.
     pub fn check_order_consistency(&self) -> bool {
-        let exec = Executor::new(self.cfg.drtm.htm.clone(), Arc::new(HtmStats::new()));
         for w in 0..self.cfg.warehouses() {
             let n = self.cfg.node_of_warehouse(w);
             let region = self.sys.cluster().node(n).region();
             for d in 0..self.cfg.districts {
-                loop {
-                    let mut txn = region.begin(exec.config());
-                    let ok = (|| -> Result<Option<bool>, drtm_htm::Abort> {
-                        let Some(e) =
-                            self.district.shard(n).get_local(&mut txn, keys::district(w, d))?
-                        else {
-                            return Ok(Some(false));
-                        };
-                        let next = crate::fields(&e.read_value(&mut txn)?)[2];
-                        let (lo, hi) = keys::new_order_range(w, d);
-                        let max_no =
-                            self.new_order_idx[n as usize].max_in_range(&mut txn, lo, hi)?;
-                        if let Some((k, _)) = max_no {
-                            if (k & ((1 << 36) - 1)) >= next {
-                                return Ok(Some(false));
-                            }
-                        }
-                        Ok(Some(true))
-                    })();
-                    match ok {
-                        Ok(Some(good)) if txn.commit().is_ok() => {
-                            if !good {
-                                return false;
-                            }
-                            break;
-                        }
-                        _ => continue,
-                    }
+                let good = standalone(region, &self.cfg.drtm.htm, |txn| {
+                    let Some(e) = self.district.shard(n).get_local(txn, keys::district(w, d))?
+                    else {
+                        return Ok(false);
+                    };
+                    let next = crate::fields(&e.read_value(txn)?)[2];
+                    let (lo, hi) = keys::new_order_range(w, d);
+                    let max_no = self.new_order_idx[n as usize].max_in_range(txn, lo, hi)?;
+                    Ok(max_no.is_none_or(|(k, _)| (k & ((1 << 36) - 1)) < next))
+                });
+                if !good.expect("a consistency read never aborts itself") {
+                    return false;
                 }
             }
         }
@@ -441,12 +413,7 @@ fn populate_node(
 
 /// Committed standalone tree insert (population only).
 fn tree_insert(region: &drtm_htm::Region, exec: &Executor, tree: &BTree, k: u64, v: u64) {
-    loop {
-        let mut txn = region.begin(exec.config());
-        if tree.insert(&mut txn, k, v).is_ok() && txn.commit().is_ok() {
-            return;
-        }
-    }
+    standalone(region, exec.config(), |txn| tree.insert(txn, k, v)).expect("tree pool exhausted");
 }
 
 #[cfg(test)]

@@ -66,11 +66,6 @@ impl TpccWorker {
         &self.w
     }
 
-    /// The home warehouse of this worker.
-    pub fn home_warehouse(&self) -> u64 {
-        self.home_w
-    }
-
     fn resolve(&self, table: &Table, node: NodeId, key: u64) -> RecordAddr {
         table.resolve(&self.w, node, key).unwrap_or_else(|| panic!("missing row {key:#x}"))
     }
