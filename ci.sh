@@ -6,6 +6,9 @@
 # plus style/lint gates:
 #   cargo fmt --all -- --check
 #   cargo clippy --workspace --all-targets -- -D warnings
+#   RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+#     (a renamed or privatised item that a doc comment still links to
+#     fails here; nothing else would catch it)
 # plus the benchmark package's build and unit tests: benchmark/ is its
 # own workspace and drives the crates through the public functions its
 # README pins, so a refactor that breaks one of them fails here instead
@@ -59,6 +62,9 @@ cargo fmt --all -- --check
 
 echo "== lint: clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== docs: rustdoc (deny warnings, broken intra-doc links included) =="
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 echo "== pinned surface: benchmark package builds and passes its tests =="
 cargo build --release --manifest-path benchmark/Cargo.toml

@@ -39,7 +39,7 @@ fn run_one(atomicity: AtomicityLevel, iters: u64) -> f64 {
                 // 20 % order-status (read-only, lease-heavy) + standard
                 // mix, to surface the local-CAS effect at small scale.
                 if i.is_multiple_of(5) {
-                    w.order_status()
+                    w.try_order_status().map(|_| "order_status").expect("no machine crashes here")
                 } else {
                     w.run_one()
                 }

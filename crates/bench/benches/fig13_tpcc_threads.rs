@@ -2,7 +2,7 @@
 //! 6-machine cluster, including the DrTM(S) socket-split variant (two
 //! logical nodes per machine, §7.2 "horizontal scaling").
 
-use drtm_bench::runners::tpcc_run;
+use drtm_bench::runners::tpcc_run_with;
 use drtm_bench::{banner, mops, row, scaled};
 use drtm_workloads::tpcc::TpccConfig;
 
@@ -26,7 +26,7 @@ fn main() {
     let mut base1 = 0.0;
     let mut at8 = 0.0;
     for workers in [1usize, 2, 4, 8] {
-        let rep = tpcc_run(cfg(6, workers), iters, warmup);
+        let (rep, _) = tpcc_run_with(cfg(6, workers), iters, warmup);
         let std_mix = rep.throughput();
         if workers == 1 {
             base1 = std_mix;
@@ -43,7 +43,7 @@ fn main() {
     }
     // DrTM(S): two logical nodes per machine, 8 workers each = 16
     // threads per physical machine (12 logical nodes total).
-    let rep = tpcc_run(cfg(12, 8), iters, warmup);
+    let (rep, _) = tpcc_run_with(cfg(12, 8), iters, warmup);
     row(&[
         "16".into(),
         "DrTM(S)".into(),

@@ -3,7 +3,7 @@
 //! The paper overcomes its 6-machine cluster by running multiple logical
 //! DrTM nodes per machine; this simulation does the same thing natively.
 
-use drtm_bench::runners::tpcc_run;
+use drtm_bench::runners::tpcc_run_with;
 use drtm_bench::{banner, mops, row, scaled};
 use drtm_workloads::tpcc::TpccConfig;
 
@@ -23,7 +23,7 @@ fn main() {
             region_size: 72 << 20,
             ..Default::default()
         };
-        let rep = tpcc_run(cfg, iters, warmup);
+        let (rep, _) = tpcc_run_with(cfg, iters, warmup);
         curve.push(rep.throughput());
         row(&[nodes.to_string(), mops(rep.throughput_of("new_order")), mops(rep.throughput())]);
     }

@@ -3,7 +3,7 @@
 //! two-account transactions).
 
 use drtm_bench::report::{causes_of, rdma_ops_per_txn, BenchReport};
-use drtm_bench::runners::{smallbank_run, smallbank_run_with};
+use drtm_bench::runners::smallbank_run_with;
 use drtm_bench::{banner, mops, row, scaled};
 use drtm_workloads::smallbank::SmallBankConfig;
 
@@ -42,7 +42,7 @@ fn main() {
                 one_pct.push(rep.throughput());
                 rep.throughput()
             } else {
-                smallbank_run(cfg(nodes, 4, p), iters, warmup).throughput()
+                smallbank_run_with(cfg(nodes, 4, p), iters, warmup).0.throughput()
             };
             json.push_extra(&format!("{nodes}n_{}pct_mops", (p * 100.0) as u32), tput / 1e6);
             cols.push(mops(tput));
@@ -59,7 +59,7 @@ fn main() {
     let mut base = 0.0;
     let mut last = 0.0;
     for workers in [1usize, 2, 4, 8, 16] {
-        let rep = smallbank_run(cfg(6, workers, 0.01), iters, warmup);
+        let (rep, _) = smallbank_run_with(cfg(6, workers, 0.01), iters, warmup);
         last = rep.throughput();
         if workers == 1 {
             base = last;

@@ -5,7 +5,7 @@
 //! so the read ratio barely helps. Right panel: the hotspot transaction
 //! (one read of 120 globally hot records) with increasing machines.
 
-use drtm_bench::runners::{micro_run, micro_run_with};
+use drtm_bench::runners::micro_run_with;
 use drtm_bench::{banner, diagnostics, mops, row, scaled};
 use drtm_workloads::micro::MicroConfig;
 
@@ -37,8 +37,9 @@ fn main() {
     let mut gain_hi = 0.0;
     let mut gain_lo = 0.0;
     for reads in [0usize, 2, 4, 6, 8, 10] {
-        let with = micro_run(cfg(6, true), reads, false, iters, warmup).throughput() / 6.0;
-        let without = micro_run(cfg(6, false), reads, false, iters, warmup).throughput() / 6.0;
+        let with = micro_run_with(cfg(6, true), reads, false, iters, warmup).0.throughput() / 6.0;
+        let without =
+            micro_run_with(cfg(6, false), reads, false, iters, warmup).0.throughput() / 6.0;
         let gain = with / without;
         if reads == 0 {
             gain_lo = gain;

@@ -12,14 +12,9 @@ use drtm_workloads::micro::{Micro, MicroConfig};
 use drtm_workloads::smallbank::{SmallBank, SmallBankConfig};
 use drtm_workloads::tpcc::{Tpcc, TpccConfig};
 
-/// Builds a TPC-C deployment and runs the standard mix.
-pub fn tpcc_run(cfg: TpccConfig, iters: u64, warmup: u64) -> Report {
-    tpcc_run_with(cfg, iters, warmup).0
-}
-
-/// Like [`tpcc_run`], also returning the joined diagnostics report
-/// (transaction/HTM/RDMA counters, abort causes, per-phase breakdown)
-/// diffed across the run.
+/// Builds a TPC-C deployment and runs the standard mix. Returns the
+/// run's report and the joined diagnostics report (transaction/HTM/RDMA
+/// counters, abort causes, per-phase breakdown) diffed across it.
 pub fn tpcc_run_with(cfg: TpccConfig, iters: u64, warmup: u64) -> (Report, StatsReport) {
     let nodes = cfg.nodes;
     let workers = cfg.workers;
@@ -51,19 +46,15 @@ pub fn tpcc_run_new_order(cfg: TpccConfig, iters: u64, warmup: u64) -> (Report, 
         iters,
         move |node, wid| {
             let mut w = t2.worker(node, wid);
-            move |_| w.new_order()
+            move |_| w.try_new_order().map(|_| "new_order").expect("new-order hit a crashed node")
         },
         warmup,
     );
     (r, t)
 }
 
-/// Builds a SmallBank deployment and runs the standard mix.
-pub fn smallbank_run(cfg: SmallBankConfig, iters: u64, warmup: u64) -> Report {
-    smallbank_run_with(cfg, iters, warmup).0
-}
-
-/// Like [`smallbank_run`], also returning the joined diagnostics report.
+/// Builds a SmallBank deployment and runs the standard mix; returns the
+/// run's report and the joined diagnostics report.
 pub fn smallbank_run_with(cfg: SmallBankConfig, iters: u64, warmup: u64) -> (Report, StatsReport) {
     let nodes = cfg.nodes;
     let workers = cfg.workers;
@@ -84,14 +75,9 @@ pub fn smallbank_run_with(cfg: SmallBankConfig, iters: u64, warmup: u64) -> (Rep
 }
 
 /// Builds a micro deployment and runs `read_write(reads)` or, when
-/// `hotspot` is set, the hotspot transaction.
-pub fn micro_run(cfg: MicroConfig, reads: usize, hotspot: bool, iters: u64, warmup: u64) -> Report {
-    micro_run_with(cfg, reads, hotspot, iters, warmup).0
-}
-
-/// Like [`micro_run`], also returning the joined diagnostics report
-/// (the Start-phase conflict causes are the read-lease mechanism's
-/// direct signal).
+/// `hotspot` is set, the hotspot transaction; returns the run's report
+/// and the joined diagnostics report (the Start-phase conflict causes
+/// are the read-lease mechanism's direct signal).
 ///
 /// Runs with a dedicated OS thread per worker: leases expire in wall
 /// time, so the lease signal needs all workers' waits genuinely

@@ -1,77 +1,46 @@
 //! Standard region layout for DrTM machines.
 //!
-//! Every machine's region begins with the softtime line, followed by one
-//! NVRAM log slot per worker, followed by table space carved by the
-//! workload. All machines use the identical layout so remote addresses
-//! can be computed without metadata exchange.
+//! Every machine's region begins with the softtime line, followed by its
+//! durable records — one log slot per worker, the resharder's purge-lock
+//! journal, the membership journal — followed by table space carved by
+//! the workload. All machines use the identical layout so remote
+//! addresses can be computed without metadata exchange. Each record's
+//! size and shape belongs to its client; this module only says in what
+//! order they are carved.
 
-use drtm_memstore::Arena;
+use drtm_memstore::{Arena, Journal, PurgeLock};
 
+use crate::log::LogSlot;
+use crate::membership::MembershipJournal;
 use crate::time::SOFTTIME_OFF;
-
-/// Region offsets of one worker's NVRAM log slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LogSlotLayout {
-    /// Offset of the status word.
-    pub status_off: usize,
-    /// Offset of the chopping-information word (Figure 7: which piece of
-    /// a chopped parent transaction to resume after recovery).
-    pub chop_off: usize,
-    /// Offset of the lock-ahead area (length prefix + payload).
-    pub lock_ahead_off: usize,
-    /// Capacity of the lock-ahead area in bytes.
-    pub lock_ahead_cap: usize,
-    /// Offset of the write-ahead area (length prefix + payload).
-    pub write_ahead_off: usize,
-    /// Capacity of the write-ahead area in bytes.
-    pub write_ahead_cap: usize,
-}
 
 /// The per-machine region layout.
 #[derive(Debug, Clone)]
 pub struct NodeLayout {
-    /// Log slot layouts, indexed by worker id.
-    pub log_slots: Vec<LogSlotLayout>,
-    /// Offset of the 64-byte migration journal the resharder arms before
-    /// each journaled purge lock (`[active, src, state_off, lock_word]`).
-    pub migration_journal_off: usize,
-    /// Offset of the membership journal: the coordinator persists every
-    /// join/leave phase transition here *before* it takes effect, so a
-    /// survivor can roll a dead joiner back (or a dead leaver forward)
-    /// from the subject's own NVRAM.
-    pub membership_journal_off: usize,
+    /// Log slots ([`LogSlot`]), indexed by worker id.
+    pub log_slots: Vec<Journal>,
+    /// The journal the resharder arms before each purge lock it takes
+    /// while this machine is a migration destination.
+    pub purge_lock: PurgeLock,
+    /// The membership journal: the coordinator persists every join/leave
+    /// phase transition here *before* it takes effect, so a survivor can
+    /// roll a dead joiner back (or a dead leaver forward) from the
+    /// subject's own NVRAM.
+    pub membership: MembershipJournal,
 }
 
 impl NodeLayout {
-    /// Default lock-ahead capacity per worker.
-    pub const LOCK_AHEAD_CAP: usize = 1 << 10;
-    /// Default write-ahead capacity per worker.
-    pub const WRITE_AHEAD_CAP: usize = 16 << 10;
-
-    /// Reserves the softtime line and `workers` log slots from `arena`
-    /// (which must start at region offset 0).
+    /// Reserves the softtime line, `workers` log slots and the two
+    /// reconfiguration journals from `arena` (which must start at region
+    /// offset 0).
     pub fn reserve(arena: &mut Arena, workers: usize) -> NodeLayout {
         let st = arena.reserve(64);
         assert_eq!(st, SOFTTIME_OFF, "softtime must be the first line of the region");
-        let log_slots = (0..workers)
-            .map(|_| {
-                let status_off = arena.reserve(64);
-                let chop_off = status_off + 8;
-                let lock_ahead_off = arena.reserve(Self::LOCK_AHEAD_CAP);
-                let write_ahead_off = arena.reserve(Self::WRITE_AHEAD_CAP);
-                LogSlotLayout {
-                    status_off,
-                    chop_off,
-                    lock_ahead_off,
-                    lock_ahead_cap: Self::LOCK_AHEAD_CAP,
-                    write_ahead_off,
-                    write_ahead_cap: Self::WRITE_AHEAD_CAP,
-                }
-            })
-            .collect();
-        let migration_journal_off = arena.reserve(drtm_memstore::reshard::MIGRATION_JOURNAL_BYTES);
-        let membership_journal_off = arena.reserve(crate::membership::MEMBERSHIP_JOURNAL_BYTES);
-        NodeLayout { log_slots, migration_journal_off, membership_journal_off }
+        NodeLayout {
+            log_slots: (0..workers).map(|_| LogSlot::reserve(arena)).collect(),
+            purge_lock: PurgeLock::reserve(arena),
+            membership: MembershipJournal::reserve(arena),
+        }
     }
 }
 
@@ -84,20 +53,16 @@ mod tests {
         let mut arena = Arena::new(0, 1 << 20);
         let l = NodeLayout::reserve(&mut arena, 4);
         assert_eq!(l.log_slots.len(), 4);
-        for w in l.log_slots.windows(2) {
-            assert!(w[0].write_ahead_off + w[0].write_ahead_cap <= w[1].status_off);
+        // Everything is carved from one bump arena, so disjointness is
+        // the arena's; what is pinned here is the order and the slot
+        // footprint (head line + 1 KiB lock-ahead + 16 KiB write-ahead).
+        let mut again = Arena::new(0, 1 << 20);
+        assert_eq!(again.reserve(64), SOFTTIME_OFF, "softtime line reserved first");
+        for slot in &l.log_slots {
+            assert_eq!(*slot, LogSlot::reserve(&mut again));
         }
-        assert!(l.log_slots[0].status_off >= 64, "softtime line reserved first");
-        let last = l.log_slots.last().unwrap();
-        assert!(
-            l.migration_journal_off >= last.write_ahead_off + last.write_ahead_cap,
-            "migration journal follows the log slots"
-        );
-        assert!(
-            l.membership_journal_off
-                >= l.migration_journal_off + drtm_memstore::reshard::MIGRATION_JOURNAL_BYTES,
-            "membership journal follows the migration journal"
-        );
+        assert_eq!(again.reserve(0), 64 + 4 * (64 + (1 << 10) + (16 << 10)));
+        assert!(arena.remaining() < again.remaining(), "the journals follow the log slots");
     }
 
     #[test]

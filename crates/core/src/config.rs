@@ -122,11 +122,12 @@ impl CrashPoint {
             CrashPoint::FallbackBeforeWal => "fallback-before-wal",
             CrashPoint::FallbackAfterWalBeforeApply => "fallback-after-wal-before-apply",
             CrashPoint::FallbackMidUnlock => "fallback-mid-unlock",
-            CrashPoint::MigrateMidCopy => "migrate-mid-copy",
-            CrashPoint::MigrateBeforeCutover => "migrate-before-cutover",
-            CrashPoint::JoinMidStream => "join-mid-stream",
-            CrashPoint::JoinBeforeActivate => "join-before-activate",
-            CrashPoint::LeaveMidDrain => "leave-mid-drain",
+            // The protocols that fire these sites name them.
+            CrashPoint::MigrateMidCopy => drtm_memstore::reshard::MIGRATE_MID_COPY_SITE,
+            CrashPoint::MigrateBeforeCutover => drtm_memstore::reshard::MIGRATE_BEFORE_CUTOVER_SITE,
+            CrashPoint::JoinMidStream => crate::membership::JOIN_MID_STREAM_SITE,
+            CrashPoint::JoinBeforeActivate => crate::membership::JOIN_BEFORE_ACTIVATE_SITE,
+            CrashPoint::LeaveMidDrain => crate::membership::LEAVE_MID_DRAIN_SITE,
         }
     }
 
@@ -266,31 +267,5 @@ mod tests {
             );
             assert!(!(p.is_migration() && p.is_membership()));
         }
-    }
-
-    #[test]
-    fn migration_site_names_match_the_memstore_constants() {
-        // The resharder lives in memstore (core-free) and duplicates the
-        // site strings; this cross-check keeps them from drifting.
-        assert_eq!(
-            CrashPoint::MigrateMidCopy.name(),
-            drtm_memstore::reshard::MIGRATE_MID_COPY_SITE
-        );
-        assert_eq!(
-            CrashPoint::MigrateBeforeCutover.name(),
-            drtm_memstore::reshard::MIGRATE_BEFORE_CUTOVER_SITE
-        );
-    }
-
-    #[test]
-    fn membership_site_names_match_the_coordinator_constants() {
-        // The coordinator arms FaultPlan crash sites by these strings;
-        // this cross-check keeps CrashPoint::name from drifting.
-        assert_eq!(CrashPoint::JoinMidStream.name(), crate::membership::JOIN_MID_STREAM_SITE);
-        assert_eq!(
-            CrashPoint::JoinBeforeActivate.name(),
-            crate::membership::JOIN_BEFORE_ACTIVATE_SITE
-        );
-        assert_eq!(CrashPoint::LeaveMidDrain.name(), crate::membership::LEAVE_MID_DRAIN_SITE);
     }
 }

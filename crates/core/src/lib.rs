@@ -32,7 +32,7 @@ mod time;
 mod trace;
 mod txn;
 
-pub use alloc_layout::{LogSlotLayout, NodeLayout};
+pub use alloc_layout::NodeLayout;
 pub use config::{CrashPoint, DrTmConfig, SofttimeStrategy};
 pub use drtm_htm::Abort;
 pub use failure::FailureDetector;
@@ -41,13 +41,14 @@ pub use log::{
     LOG_LOCK_AHEAD, LOG_RECOVERING, LOG_WRITE_AHEAD,
 };
 pub use membership::{
-    JoinReport, LeaveReport, MembershipCoordinator, MembershipError, MembershipRecovery,
-    MembershipTable, NodeState, RecoveryDirection, JOIN_BEFORE_ACTIVATE_SITE, JOIN_MID_STREAM_SITE,
-    LEAVE_MID_DRAIN_SITE, MAX_JOURNAL_RANGES, MEMBERSHIP_JOURNAL_BYTES,
+    JoinReport, LeaveReport, MembershipCoordinator, MembershipError, MembershipJournal,
+    MembershipRecovery, MembershipTable, NodeRecovery, NodeState, RecoveryDirection,
+    JOIN_BEFORE_ACTIVATE_SITE, JOIN_MID_STREAM_SITE, LEAVE_MID_DRAIN_SITE, MAX_JOURNAL_RANGES,
 };
 pub use record::{
-    local_read, local_write, remote_lock_write, remote_read, remote_unlock, remote_write_back,
-    FetchedRecord, LockConflict, RecordAddr, ABORT_LEASED, ABORT_LEASE_EXPIRED, ABORT_LOCKED,
+    local_read, local_write, read_version, release_if_owned, remote_lock_write, remote_read,
+    remote_unlock, remote_write_back, FetchedRecord, LockConflict, RecordAddr, ABORT_LEASED,
+    ABORT_LEASE_EXPIRED, ABORT_LOCKED,
 };
 pub use recovery::{recover_node, RecoveryReport};
 pub use ro::{RoCtx, RoRestart};

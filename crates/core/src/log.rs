@@ -1,8 +1,10 @@
 //! Cooperative durability logging (§4.6, Figure 7).
 //!
 //! Each worker owns one log *slot* in its machine's region (standing in
-//! for battery-backed NVRAM under the flush-on-failure policy): a status
-//! word plus a lock-ahead area and a write-ahead area. Because a worker
+//! for battery-backed NVRAM under the flush-on-failure policy): a
+//! [`Journal`] — the durable-record primitive that owns the byte layout
+//! and the payload-before-status ordering — with a lock-ahead area and a
+//! write-ahead area under one status word. Because a worker
 //! executes one transaction at a time and completes its write-backs
 //! before starting the next, a slot only ever holds the records of the
 //! in-flight transaction:
@@ -28,9 +30,10 @@
 //! area of the slot.
 
 use drtm_htm::{vtime, Abort, HtmTxn, Region};
-use drtm_rdma::GlobalAddr;
+use drtm_memstore::journal::{put_u16, put_u32, put_u64, Journal, Reader};
+use drtm_memstore::Arena;
+use drtm_rdma::{GlobalAddr, NodeId};
 
-use crate::alloc_layout::LogSlotLayout;
 use crate::record::RecordAddr;
 
 /// Slot status: no in-flight transaction.
@@ -44,19 +47,24 @@ pub const LOG_WRITE_AHEAD: u64 = 2;
 /// original status — see [`recovering_status`]).
 pub const LOG_RECOVERING: u64 = 3;
 
+/// The slot's two payload areas: the lock-ahead record and, behind it,
+/// the write-ahead record.
+const LOCK_AHEAD: usize = 0;
+const WRITE_AHEAD: usize = 1;
+
 /// Encodes the claim word a recovering survivor CASes into a slot's
 /// status word: `LOG_RECOVERING` in the low byte, the claimer machine in
 /// bits 8..24, and the original status being recovered in bits 24..
 /// Racing survivors CAS this word over the original status; the winner
 /// repairs the slot, losers skip it, so each slot is repaired — and
 /// counted in a [`crate::RecoveryReport`] — exactly once.
-pub fn recovering_status(via: drtm_rdma::NodeId, orig: u64) -> u64 {
+pub fn recovering_status(via: NodeId, orig: u64) -> u64 {
     LOG_RECOVERING | (via as u64) << 8 | orig << 24
 }
 
 /// Decodes a claim word into `(claimer, original status)`; `None` if the
 /// word is not a recovery claim.
-pub fn recovering_parts(word: u64) -> Option<(drtm_rdma::NodeId, u64)> {
+pub fn recovering_parts(word: u64) -> Option<(NodeId, u64)> {
     (word & 0xFF == LOG_RECOVERING).then_some(((word >> 8) as u16, word >> 24))
 }
 
@@ -83,101 +91,26 @@ pub struct WalRecord {
     pub updates: Vec<LoggedUpdate>,
 }
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Appends one record address: `node, offset, value_cap`.
+fn put_addr(buf: &mut Vec<u8>, r: &RecordAddr) {
+    put_u16(buf, r.addr.node);
+    put_u64(buf, r.addr.offset as u64);
+    put_u64(buf, r.value_cap as u64);
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+fn addr(r: &mut Reader<'_>) -> RecordAddr {
+    let (node, offset, cap) = (r.u16(), r.u64() as usize, r.u64() as usize);
+    RecordAddr::new(GlobalAddr::new(node, offset), cap)
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Appends a record list: `n, n × address`.
+fn put_addrs(buf: &mut Vec<u8>, recs: &[RecordAddr]) {
+    put_u16(buf, recs.len() as u16);
+    recs.iter().for_each(|r| put_addr(buf, r));
 }
 
-struct Reader<'a>(&'a [u8], usize);
-
-impl Reader<'_> {
-    fn u16(&mut self) -> u16 {
-        let v = u16::from_le_bytes(self.0[self.1..self.1 + 2].try_into().expect("log"));
-        self.1 += 2;
-        v
-    }
-
-    fn u32(&mut self) -> u32 {
-        let v = u32::from_le_bytes(self.0[self.1..self.1 + 4].try_into().expect("log"));
-        self.1 += 4;
-        v
-    }
-
-    fn u64(&mut self) -> u64 {
-        let v = u64::from_le_bytes(self.0[self.1..self.1 + 8].try_into().expect("log"));
-        self.1 += 8;
-        v
-    }
-
-    fn bytes(&mut self, n: usize) -> &[u8] {
-        let v = &self.0[self.1..self.1 + n];
-        self.1 += n;
-        v
-    }
-}
-
-/// Encodes a record list: `n, n × (node, offset, value_cap)`.
-fn encode_addrs(recs: &[RecordAddr]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(2 + recs.len() * 18);
-    put_u16(&mut buf, recs.len() as u16);
-    for r in recs {
-        put_u16(&mut buf, r.addr.node);
-        put_u64(&mut buf, r.addr.offset as u64);
-        put_u64(&mut buf, r.value_cap as u64);
-    }
-    buf
-}
-
-fn decode_addrs(r: &mut Reader<'_>) -> Vec<RecordAddr> {
-    let n = r.u16() as usize;
-    (0..n)
-        .map(|_| {
-            let node = r.u16();
-            let offset = r.u64() as usize;
-            let cap = r.u64() as usize;
-            RecordAddr::new(GlobalAddr::new(node, offset), cap)
-        })
-        .collect()
-}
-
-fn encode_updates(ups: &[LoggedUpdate]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u16(&mut buf, ups.len() as u16);
-    for u in ups {
-        put_u16(&mut buf, u.rec.addr.node);
-        put_u64(&mut buf, u.rec.addr.offset as u64);
-        put_u64(&mut buf, u.rec.value_cap as u64);
-        put_u32(&mut buf, u.version);
-        put_u32(&mut buf, u.value.len() as u32);
-        buf.extend_from_slice(&u.value);
-    }
-    buf
-}
-
-fn decode_updates(r: &mut Reader<'_>) -> Vec<LoggedUpdate> {
-    let n = r.u16() as usize;
-    (0..n)
-        .map(|_| {
-            let node = r.u16();
-            let offset = r.u64() as usize;
-            let cap = r.u64() as usize;
-            let version = r.u32();
-            let len = r.u32() as usize;
-            let value = r.bytes(len).to_vec();
-            LoggedUpdate {
-                rec: RecordAddr::new(GlobalAddr::new(node, offset), cap),
-                version,
-                value,
-            }
-        })
-        .collect()
+fn addrs(r: &mut Reader<'_>) -> Vec<RecordAddr> {
+    (0..r.u16()).map(|_| addr(r)).collect()
 }
 
 /// Chopping information for a piece of a chopped parent transaction
@@ -216,29 +149,35 @@ impl ChopInfo {
     }
 }
 
-/// Writer-side view of one worker's log slot.
+/// One worker's log slot: a [`Journal`] client. The status word says
+/// which record is valid (`LOG_*`), the journal's client word holds the
+/// chopping information, its two areas the lock-ahead and the write-ahead
+/// record. The virtual cost of persisting to NVRAM is charged here.
 #[derive(Debug, Clone, Copy)]
 pub struct LogSlot {
-    layout: LogSlotLayout,
+    journal: Journal,
     nvram_write_ns: u64,
 }
 
 impl LogSlot {
-    /// Creates a handle over the given slot layout.
-    pub fn new(layout: LogSlotLayout, nvram_write_ns: u64) -> Self {
-        LogSlot { layout, nvram_write_ns }
+    /// Carves one worker's slot out of `arena`: a 1 KiB lock-ahead and a
+    /// 16 KiB write-ahead area.
+    pub fn reserve(arena: &mut Arena) -> Journal {
+        Journal::reserve(arena, [1 << 10, 16 << 10])
+    }
+
+    /// Creates a handle over a reserved slot.
+    pub fn new(journal: Journal, nvram_write_ns: u64) -> Self {
+        LogSlot { journal, nvram_write_ns }
     }
 
     /// Persists the lock-ahead log (non-transactional: happens before the
     /// HTM region, Figure 7 left). Returns the bytes persisted.
     pub fn log_lock_ahead(&self, region: &Region, write_set: &[RecordAddr]) -> usize {
-        let buf = encode_addrs(write_set);
-        assert!(buf.len() + 4 <= self.layout.lock_ahead_cap, "lock-ahead log overflow");
+        let mut buf = Vec::with_capacity(2 + write_set.len() * 18);
+        put_addrs(&mut buf, write_set);
         vtime::charge(self.nvram_write_ns);
-        region.write_nt(self.layout.lock_ahead_off, &(buf.len() as u32).to_le_bytes());
-        region.write_nt(self.layout.lock_ahead_off + 4, &buf);
-        region.write_u64_nt(self.layout.status_off, LOG_LOCK_AHEAD);
-        buf.len() + 4
+        self.journal.arm(region, LOCK_AHEAD, &buf, LOG_LOCK_AHEAD)
     }
 
     /// Stages the write-ahead log: every update, for redo, after the
@@ -257,30 +196,25 @@ impl LogSlot {
         locks: &[RecordAddr],
         updates: &[LoggedUpdate],
     ) -> Result<usize, Abort> {
-        let mut buf = encode_addrs(locks);
-        buf.extend_from_slice(&encode_updates(updates));
-        assert!(buf.len() + 4 <= self.layout.write_ahead_cap, "write-ahead log overflow");
-        vtime::charge(self.nvram_write_ns + buf.len() as u64 / 8);
-        let len = (buf.len() as u32).to_le_bytes();
-        let off = self.layout.write_ahead_off;
-        match txn {
-            Some(txn) => {
-                txn.write(off, &len)?;
-                txn.write(off + 4, &buf)?;
-                txn.write_u64(self.layout.status_off, LOG_WRITE_AHEAD)?;
-            }
-            None => {
-                region.write_nt(off, &len);
-                region.write_nt(off + 4, &buf);
-                region.write_u64_nt(self.layout.status_off, LOG_WRITE_AHEAD);
-            }
+        let mut buf = Vec::new();
+        put_addrs(&mut buf, locks);
+        put_u16(&mut buf, updates.len() as u16);
+        for u in updates {
+            put_addr(&mut buf, &u.rec);
+            put_u32(&mut buf, u.version);
+            put_u32(&mut buf, u.value.len() as u32);
+            buf.extend_from_slice(&u.value);
         }
-        Ok(buf.len() + 4)
+        vtime::charge(self.nvram_write_ns + buf.len() as u64 / 8);
+        match txn {
+            Some(txn) => self.journal.arm_in(txn, WRITE_AHEAD, &buf, LOG_WRITE_AHEAD),
+            None => Ok(self.journal.arm(region, WRITE_AHEAD, &buf, LOG_WRITE_AHEAD)),
+        }
     }
 
     /// Marks the transaction fully written back (slot reusable).
     pub fn log_done(&self, region: &Region) {
-        region.write_u64_nt(self.layout.status_off, LOG_EMPTY);
+        self.journal.clear(region);
     }
 
     /// Persists chopping information ahead of a transaction piece
@@ -288,45 +222,70 @@ impl LogSlot {
     /// on which transaction piece to execute after recovery").
     pub fn log_chop(&self, region: &Region, info: ChopInfo) {
         vtime::charge(self.nvram_write_ns);
-        region.write_u64_nt(self.layout.chop_off, info.encode());
+        self.journal.set_word(region, info.encode());
     }
 
     /// Clears the chopping information (parent transaction finished).
     pub fn clear_chop(&self, region: &Region) {
-        region.write_u64_nt(self.layout.chop_off, 0);
+        self.journal.set_word(region, 0);
     }
 
     /// Recovery-side read of pending chopping information.
     pub fn read_chop(&self, region: &Region) -> Option<ChopInfo> {
-        ChopInfo::decode(region.read_u64_nt(self.layout.chop_off))
+        ChopInfo::decode(self.journal.word(region))
     }
 
     /// Recovery-side read of the slot status.
     pub fn read_status(&self, region: &Region) -> u64 {
-        region.read_u64_nt(self.layout.status_off)
+        self.journal.status(region)
+    }
+
+    /// Claims the slot for repair by machine `via` and returns the status
+    /// being recovered, or `None` when there is nothing to claim: the
+    /// slot is empty, or a peer that is not `reclaimable` (a live one)
+    /// holds the claim. A claim of `via` itself or of a `reclaimable`
+    /// (crashed) claimer is taken over, so recovery can be re-run after
+    /// a recoverer died.
+    pub fn claim(
+        &self,
+        region: &Region,
+        via: NodeId,
+        reclaimable: impl Fn(NodeId) -> bool,
+    ) -> Option<u64> {
+        loop {
+            let cur = self.journal.status(region);
+            let orig = match cur {
+                LOG_LOCK_AHEAD | LOG_WRITE_AHEAD => cur,
+                w => match recovering_parts(w) {
+                    Some((claimer, orig)) if claimer == via || reclaimable(claimer) => orig,
+                    _ => return None,
+                },
+            };
+            if self.journal.claim(region, cur, recovering_status(via, orig)) {
+                return Some(orig);
+            }
+            // Lost the race; re-read — the winner's claim decides.
+        }
     }
 
     /// Recovery-side decode of the lock-ahead record list.
     pub fn read_lock_ahead(&self, region: &Region) -> Vec<RecordAddr> {
-        let mut lenb = [0u8; 4];
-        region.read_nt(self.layout.lock_ahead_off, &mut lenb);
-        let len = u32::from_le_bytes(lenb) as usize;
-        let mut buf = vec![0u8; len];
-        region.read_nt(self.layout.lock_ahead_off + 4, &mut buf);
-        decode_addrs(&mut Reader(&buf, 0))
+        addrs(&mut Reader::new(&self.journal.payload(region, LOCK_AHEAD)))
     }
 
     /// Recovery-side decode of the write-ahead record (lock list plus
     /// updates).
     pub fn read_write_ahead(&self, region: &Region) -> WalRecord {
-        let mut lenb = [0u8; 4];
-        region.read_nt(self.layout.write_ahead_off, &mut lenb);
-        let len = u32::from_le_bytes(lenb) as usize;
-        let mut buf = vec![0u8; len];
-        region.read_nt(self.layout.write_ahead_off + 4, &mut buf);
-        let mut r = Reader(&buf, 0);
-        let locks = decode_addrs(&mut r);
-        let updates = decode_updates(&mut r);
+        let payload = self.journal.payload(region, WRITE_AHEAD);
+        let mut r = Reader::new(&payload);
+        let locks = addrs(&mut r);
+        let updates = (0..r.u16())
+            .map(|_| {
+                let rec = addr(&mut r);
+                let (version, len) = (r.u32(), r.u32() as usize);
+                LoggedUpdate { rec, version, value: r.bytes(len).to_vec() }
+            })
+            .collect();
         WalRecord { locks, updates }
     }
 }
@@ -337,16 +296,8 @@ mod tests {
     use drtm_htm::HtmConfig;
 
     fn slot() -> (Region, LogSlot) {
-        let region = Region::new(64 << 10);
-        let layout = LogSlotLayout {
-            status_off: 64,
-            chop_off: 72,
-            lock_ahead_off: 128,
-            lock_ahead_cap: 1024,
-            write_ahead_off: 2048,
-            write_ahead_cap: 8192,
-        };
-        (region, LogSlot::new(layout, 0))
+        let mut arena = Arena::new(64, 64 << 10);
+        (Region::new(64 << 10), LogSlot::new(LogSlot::reserve(&mut arena), 0))
     }
 
     fn rec(node: u16, off: usize) -> RecordAddr {
@@ -431,6 +382,41 @@ mod tests {
         assert_eq!(recovering_parts(LOG_EMPTY), None);
         assert_eq!(recovering_parts(LOG_LOCK_AHEAD), None);
         assert_eq!(recovering_parts(LOG_WRITE_AHEAD), None);
+    }
+
+    #[test]
+    fn torn_write_ahead_record_is_not_recovered() {
+        use crate::{recover_node, LockState, NodeLayout, RecoveryReport};
+        use drtm_rdma::{Cluster, ClusterConfig, LatencyProfile};
+        let cluster = Cluster::new(ClusterConfig {
+            nodes: 2,
+            region_size: 1 << 20,
+            profile: LatencyProfile::zero(),
+            ..Default::default()
+        });
+        let layout = NodeLayout::reserve(&mut Arena::new(0, 1 << 20), 1);
+        let slot = LogSlot::new(layout.log_slots[0], 0);
+        let region = cluster.node(0).region();
+        // A record on machine 1 that machine 0 holds locked, and the
+        // write-ahead payload of an update to it.
+        let locked = LockState::write_locked(0).0;
+        let target = rec(1, 512 << 10);
+        let held = cluster.node(1).region();
+        assert_eq!(held.cas_u64_nt(target.addr.offset, 0, locked), 0);
+        let ups = vec![LoggedUpdate { rec: target, version: 5, value: vec![7; 8] }];
+        slot.log_write_ahead(None, region, &[target], &ups).unwrap();
+        let payload = slot.journal.payload(region, WRITE_AHEAD);
+        slot.log_done(region);
+        // The crash window of the non-transactional stage: payload
+        // written, status word not.
+        slot.journal.arm(region, WRITE_AHEAD, &payload, LOG_EMPTY);
+        assert_eq!(slot.read_status(region), LOG_EMPTY, "a torn record reads as an empty slot");
+        assert_eq!(slot.claim(region, 1, |_| true), None, "and is never claimed");
+        assert_eq!(recover_node(&cluster, 0, &layout, 1), RecoveryReport::default());
+        let state = held.cas_u64_nt(target.addr.offset, locked, locked);
+        assert_eq!(state, locked, "recovery released nothing");
+        let version = crate::record::read_version(&cluster.qp(1), &target, true);
+        assert_eq!(version, Ok(0), "and redid nothing");
     }
 
     #[test]

@@ -20,35 +20,37 @@
 //!   [`drtm_rdma::FabricError::NodeRetired`], never `PeerDead`).
 //!
 //! **Journal-before-effect.** Every phase transition is persisted to a
-//! per-machine membership journal — on the *subject's own* NVRAM region,
-//! reachable after its death under the flush-on-failure model exactly
-//! like the transaction logs (§4.6) — *before* the transition takes
-//! effect. The journal header carries the operation kind; each donation
-//! or drain range is recorded (fields first, count-bump last) before its
-//! migration starts and marked done after it publishes. Recovery is
-//! therefore driven entirely by surviving journal state:
+//! per-machine [`MembershipJournal`] — on the *subject's own* NVRAM
+//! region, reachable after its death under the flush-on-failure model
+//! exactly like the transaction logs (§4.6) — *before* the transition
+//! takes effect: the operation kind when it starts, each donation or
+//! drain range before its migration starts, a done mark after it
+//! publishes. Recovery is therefore driven entirely by surviving state,
+//! and [`MembershipCoordinator::recover`] is its one entry point, in one
+//! fixed order:
 //!
-//! * **death mid-join** → roll *back*: the joiner never activated, so
-//!   the cluster returns to its pre-join geometry. The in-flight range
-//!   is collected by [`Resharder::recover`] (drop the partial copy,
-//!   release the migration lock), completed donations are evacuated off
-//!   the corpse back to their recorded donors, and the corpse retires.
-//!   No orphaned ranges, no leaked locks, donors writable again.
-//! * **death mid-leave** → roll *forward*: the departure was already
-//!   promised, so the drain finishes from the journal. The in-flight
-//!   range restarts as an NVRAM evacuation to its recorded receiver,
-//!   ranges the journal never reached are evacuated to the active
-//!   machines round-robin, and the corpse retires.
-//!
-//! Both paths run the ordinary WAL sweep ([`recover_node`]) *first*, so
-//! locks leaked by transactions that died with the subject are released
-//! before any row moves — the precondition [`Resharder::evacuate_nt`]
-//! documents.
+//! 1. the ordinary WAL sweep ([`recover_node`]), so locks leaked by
+//!    transactions that died with the subject are released before any
+//!    row moves — the precondition [`Resharder::evacuate_nt`] documents;
+//! 2. [`Resharder::recover`]: every migration the corpse was part of,
+//!    found in the range map, is rolled back (drop the partial copy,
+//!    release the migration lock);
+//! 3. the membership journal. **Death mid-join** rolls *back*: the joiner
+//!    never activated, so completed donations are evacuated off the
+//!    corpse back to their recorded donors and the corpse retires — no
+//!    orphaned ranges, no leaked locks, donors writable again. **Death
+//!    mid-leave** rolls *forward*: the departure was already promised, so
+//!    the in-flight range restarts as an NVRAM evacuation to its recorded
+//!    receiver, ranges the journal never reached are evacuated to the
+//!    active machines round-robin, and the corpse retires. An idle
+//!    journal means a plain death: the machine may revive.
 
 use std::sync::{Arc, Mutex, RwLock};
 
-use drtm_memstore::Resharder;
-use drtm_rdma::{Cluster, FabricError, NodeId};
+use drtm_htm::Region;
+use drtm_memstore::journal::{put_u16, put_u64, Journal, Reader};
+use drtm_memstore::{Arena, Resharder};
+use drtm_rdma::{FabricError, NodeId};
 
 use crate::alloc_layout::NodeLayout;
 use crate::failure::FailureDetector;
@@ -67,20 +69,78 @@ pub const JOIN_BEFORE_ACTIVATE_SITE: &str = "join-before-activate";
 /// dies with some ranges handed off and the next one mid-copy).
 pub const LEAVE_MID_DRAIN_SITE: &str = "leave-mid-drain";
 
-/// Size of the per-machine membership journal: a 64-byte header plus
-/// 32 bytes per journaled range.
-pub const MEMBERSHIP_JOURNAL_BYTES: usize = HEADER_BYTES + MAX_JOURNAL_RANGES * RECORD_BYTES;
-
 /// Most ranges one join or leave can journal.
 pub const MAX_JOURNAL_RANGES: usize = 30;
 
-const HEADER_BYTES: usize = 64;
-const RECORD_BYTES: usize = 32;
-
-/// Journal header op words.
-const OP_IDLE: u64 = 0;
+/// Header status of a journaled join / leave (0 = idle).
 const OP_JOIN: u64 = 1;
 const OP_LEAVE: u64 = 2;
+
+/// Range status: journaled and possibly mid-migration / published.
+const RANGE_PENDING: u64 = 1;
+const RANGE_DONE: u64 = 2;
+
+/// One journaled range: `(lo, hi, peer, done)` — the peer is the donor
+/// of a join's donation or the receiver of a leave's hand-off.
+type RangeRecord = (u64, u64, NodeId, bool);
+
+/// The membership journal of one machine, a [`Journal`] client: a header
+/// whose status is the operation in progress, plus one journal per range
+/// (status pending or done, payload `lo, hi, peer`). Appending a range
+/// arms the first idle range journal; the done mark is one store.
+#[derive(Debug, Clone, Copy)]
+pub struct MembershipJournal {
+    header: Journal,
+    ranges: [Journal; MAX_JOURNAL_RANGES],
+}
+
+impl MembershipJournal {
+    /// Carves the journal out of `arena` (same place on every machine).
+    pub fn reserve(arena: &mut Arena) -> Self {
+        MembershipJournal {
+            header: Journal::reserve(arena, [64, 0]),
+            ranges: std::array::from_fn(|_| Journal::reserve(arena, [64, 0])),
+        }
+    }
+
+    /// Starts journaling operation `op`: stale ranges of an earlier
+    /// operation are cleared before the header makes any range count.
+    fn arm(&self, region: &Region, op: u64) {
+        self.ranges.iter().for_each(|r| r.clear(region));
+        self.header.arm(region, 0, &[], op);
+    }
+
+    fn clear(&self, region: &Region) {
+        self.header.clear(region);
+    }
+
+    /// Journals one range as pending and returns its index.
+    fn append(&self, region: &Region, lo: u64, hi: u64, peer: NodeId) -> usize {
+        let i = self.ranges.iter().position(|r| r.status(region) == 0);
+        let i = i.expect("membership journal overflow");
+        let mut buf = Vec::with_capacity(18);
+        put_u64(&mut buf, lo);
+        put_u64(&mut buf, hi);
+        put_u16(&mut buf, peer);
+        self.ranges[i].arm(region, 0, &buf, RANGE_PENDING);
+        i
+    }
+
+    fn mark_done(&self, region: &Region, index: usize) {
+        self.ranges[index].set_status(region, RANGE_DONE);
+    }
+
+    /// The surviving journal: `(op, ranges)`, or `None` while idle.
+    fn read(&self, region: &Region) -> Option<(u64, Vec<RangeRecord>)> {
+        let op = self.header.status(region);
+        let ranges = self.ranges.iter().map_while(|r| {
+            let (status, payload) = r.read(region, 0)?;
+            let mut p = Reader::new(&payload);
+            Some((p.u64(), p.u64(), p.u16(), status == RANGE_DONE))
+        });
+        (op != 0).then(|| (op, ranges.collect()))
+    }
+}
 
 /// Lifecycle state of one machine, published by the [`MembershipTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,14 +193,8 @@ impl MembershipTable {
 
     /// Node ids currently `Active`, ascending.
     pub fn active_nodes(&self) -> Vec<NodeId> {
-        self.states
-            .read()
-            .expect("membership lock poisoned")
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s == NodeState::Active)
-            .map(|(n, _)| n as NodeId)
-            .collect()
+        let states = self.snapshot().into_iter();
+        (0..).zip(states).filter(|(_, s)| *s == NodeState::Active).map(|(n, _)| n).collect()
     }
 
     /// Publishes a transition and returns the new epoch. `node` may be
@@ -241,7 +295,19 @@ pub enum RecoveryDirection {
     RolledForward,
 }
 
-/// What [`MembershipCoordinator::recover`] did for one dead subject.
+/// What [`MembershipCoordinator::recover`] did for one dead machine.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NodeRecovery {
+    /// The transaction-log sweep ([`recover_node`]): always runs, first.
+    pub wal: RecoveryReport,
+    /// The membership repair, when the corpse's journal was armed;
+    /// `None` for a plain death (the machine keeps its ranges and may
+    /// revive).
+    pub membership: Option<MembershipRecovery>,
+}
+
+/// How [`MembershipCoordinator::recover`] repaired a join or leave whose
+/// subject died.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MembershipRecovery {
     /// The dead machine.
@@ -268,14 +334,13 @@ pub struct MembershipRecovery {
 /// when the failure detector reports the subject dead mid-protocol.
 ///
 /// The coordinator composes the pieces the repo already has: the fabric
-/// grows via [`Cluster::add_node`], rows stream via
-/// [`Resharder::migrate`], crashes are collected via
-/// [`Resharder::recover`] + [`Resharder::evacuate_nt`], and the
-/// transaction layer's [`recover_node`] sweeps the WAL. The workload
-/// supplies a `provision` callback that carves the new machine's region
-/// (layout, shard, services) because table geometry is workload-owned.
+/// grows via [`drtm_rdma::Cluster::add_node`], rows stream via
+/// [`Resharder::migrate`], crashes are collected via [`recover_node`]
+/// (the WAL), [`Resharder::recover`] and [`Resharder::evacuate_nt`]. The
+/// workload supplies a `provision` callback that carves the new machine's
+/// region (layout, shard, services) because table geometry is
+/// workload-owned.
 pub struct MembershipCoordinator {
-    cluster: Arc<Cluster>,
     sys: Arc<DrTm>,
     resharder: Arc<Resharder>,
     table: Arc<MembershipTable>,
@@ -299,14 +364,12 @@ impl MembershipCoordinator {
     /// new region, create the workload's shard there and register it
     /// with the resharder (plus any services), then return the layout.
     pub fn new(
-        cluster: Arc<Cluster>,
         sys: Arc<DrTm>,
         resharder: Arc<Resharder>,
         table: Arc<MembershipTable>,
         provision: impl Fn(NodeId) -> NodeLayout + Send + Sync + 'static,
     ) -> Self {
         MembershipCoordinator {
-            cluster,
             sys,
             resharder,
             table,
@@ -327,95 +390,76 @@ impl MembershipCoordinator {
         &self.table
     }
 
-    // ---- journal primitives (all on the subject's own region) ----
-
-    fn journal_off(&self, node: NodeId) -> usize {
-        self.sys.layout(node).membership_journal_off
-    }
-
-    fn journal_arm(&self, node: NodeId, op: u64) {
-        let region = self.cluster.node(node).region();
-        let j = self.journal_off(node);
-        // Fields first, op word last: a torn arm reads as idle.
-        region.write_u64_nt(j + 8, node as u64);
-        region.write_u64_nt(j + 16, 0); // record count
-        region.write_u64_nt(j, op);
-    }
-
-    fn journal_clear(&self, node: NodeId) {
-        let region = self.cluster.node(node).region();
-        region.write_u64_nt(self.journal_off(node), OP_IDLE);
-    }
-
-    /// Appends one range record (fields first, count-bump last) and
-    /// returns its index.
-    fn journal_append(&self, node: NodeId, lo: u64, hi: u64, peer: NodeId) -> usize {
-        let region = self.cluster.node(node).region();
-        let j = self.journal_off(node);
-        let i = region.read_u64_nt(j + 16) as usize;
-        assert!(i < MAX_JOURNAL_RANGES, "membership journal overflow");
-        let rec = j + HEADER_BYTES + i * RECORD_BYTES;
-        region.write_u64_nt(rec, lo);
-        region.write_u64_nt(rec + 8, hi);
-        region.write_u64_nt(rec + 16, peer as u64);
-        region.write_u64_nt(rec + 24, 0); // done flag
-        region.write_u64_nt(j + 16, (i + 1) as u64);
-        i
-    }
-
-    fn journal_mark_done(&self, node: NodeId, index: usize) {
-        let region = self.cluster.node(node).region();
-        let j = self.journal_off(node);
-        region.write_u64_nt(j + HEADER_BYTES + index * RECORD_BYTES + 24, 1);
-    }
-
-    /// Reads the surviving journal of `node`: `(op, records)` where each
-    /// record is `(lo, hi, peer, done)`.
-    fn journal_read(&self, node: NodeId) -> (u64, Vec<(u64, u64, NodeId, bool)>) {
-        let region = self.cluster.node(node).region();
-        let j = self.journal_off(node);
-        let op = region.read_u64_nt(j);
-        if op == OP_IDLE {
-            return (OP_IDLE, Vec::new());
-        }
-        let n = (region.read_u64_nt(j + 16) as usize).min(MAX_JOURNAL_RANGES);
-        let records = (0..n)
-            .map(|i| {
-                let rec = j + HEADER_BYTES + i * RECORD_BYTES;
-                (
-                    region.read_u64_nt(rec),
-                    region.read_u64_nt(rec + 8),
-                    region.read_u64_nt(rec + 16) as NodeId,
-                    region.read_u64_nt(rec + 24) == 1,
-                )
-            })
-            .collect();
-        (op, records)
-    }
-
     fn retire_everywhere(&self, node: NodeId) -> u64 {
-        self.cluster.faults().retire(node);
+        self.sys.cluster().faults().retire(node);
         if let Some(fd) = self.detector.lock().expect("detector lock poisoned").as_ref() {
             fd.retire(node);
         }
         self.table.set(node, NodeState::Retired)
     }
 
-    // ---- join ----
+    /// The body join and leave share: journal `op` on `node`'s own
+    /// region, publish `state`, then for each `(lo, hi, peer)` of `plan`
+    /// journal the range, migrate it (towards `node` for a join, towards
+    /// the peer for a leave), mark it done and give the chaos harness its
+    /// `mid_site`; `end_site` fires after the last range. Returns the
+    /// keys moved. On [`MembershipError::SubjectDied`] the garbage state
+    /// is left exactly as the crash produced it — the failure detector's
+    /// [`MembershipCoordinator::recover`] repairs it from the journal.
+    fn stream(
+        &self,
+        node: NodeId,
+        (op, state): (u64, NodeState),
+        plan: &[(u64, u64, NodeId)],
+        (mid_site, end_site): (&str, Option<&str>),
+    ) -> Result<u64, MembershipError> {
+        let region = self.sys.cluster().node(node).region();
+        let journal = self.sys.layout(node).membership;
+        let faults = self.sys.cluster().faults();
+        // Journal the intent, then publish: from here on a crash of the
+        // subject is a journaled membership death.
+        journal.arm(region, op);
+        self.table.set(node, state);
+        let mut keys_moved = 0;
+        for &(lo, hi, peer) in plan {
+            let idx = journal.append(region, lo, hi, peer);
+            let dst = if op == OP_JOIN { node } else { peer };
+            match self.resharder.migrate(lo, hi, dst) {
+                Ok(report) => keys_moved += report.purged as u64,
+                Err(error) => return Err(MembershipError::SubjectDied { node, error }),
+            }
+            journal.mark_done(region, idx);
+            // Chaos hook: the subject dies here with this range landed
+            // and the next one about to be left mid-copy.
+            faults.crash_hook(node, mid_site);
+        }
+        if let Some(site) = end_site {
+            faults.crash_hook(node, site);
+        }
+        if faults.is_crashed(node) {
+            let error = FabricError::PeerDead { node };
+            return Err(MembershipError::SubjectDied { node, error });
+        }
+        Ok(keys_moved)
+    }
 
     /// Admits a new machine: provisions its slot on the live fabric,
-    /// streams one donation range from every active machine, then flips
-    /// it `Active`. On [`MembershipError::SubjectDied`] the garbage
-    /// state is left exactly as the crash produced it — the failure
-    /// detector's [`MembershipCoordinator::recover`] rolls it back.
+    /// streams one donation range from every active machine (the upper
+    /// half of its largest range; a donor too small to split gives
+    /// nothing), then flips it `Active`.
     pub fn join(&self) -> Result<JoinReport, MembershipError> {
         let _g = self.op.lock().expect("membership op lock poisoned");
-        let node = self.cluster.add_node().ok_or(MembershipError::ClusterFull)?;
+        // Refuse before anything grows: a join the journal cannot
+        // describe must leave fabric, detector and table untouched.
+        let donors = self.table.active_nodes();
+        if donors.len() > MAX_JOURNAL_RANGES {
+            return Err(MembershipError::JournalFull);
+        }
+        let node = self.sys.cluster().add_node().ok_or(MembershipError::ClusterFull)?;
         // Provision before any state is published: region layout, shard,
         // services — and a softtime value so leases work immediately.
-        let layout = (self.provision)(node);
-        self.sys.add_node_layout(node, layout);
-        crate::time::SoftTimer::tick_now(&self.cluster);
+        self.sys.add_node_layout(node, (self.provision)(node));
+        crate::time::SoftTimer::tick_now(self.sys.cluster());
         if let Some(fd) = self.detector.lock().expect("detector lock poisoned").as_ref() {
             let slot = fd.add_node();
             assert!(
@@ -423,50 +467,21 @@ impl MembershipCoordinator {
                 "failure detector and fabric disagree on node ids"
             );
         }
-        let donors = self.table.active_nodes();
-        if donors.len() > MAX_JOURNAL_RANGES {
-            return Err(MembershipError::JournalFull);
-        }
-        // Journal the intent, then publish Joining: from here on a crash
-        // of the subject is a journaled membership death.
-        self.journal_arm(node, OP_JOIN);
-        self.table.set(node, NodeState::Joining);
-
-        let faults = self.cluster.faults();
-        let mut ranges_in = Vec::new();
-        let mut keys_moved = 0;
-        for donor in donors {
-            let Some((lo, hi)) = self.resharder.map().donation_from(donor) else {
-                continue; // donor too small to split
-            };
-            let idx = self.journal_append(node, lo, hi, donor);
-            match self.resharder.migrate(lo, hi, node) {
-                Ok(report) => keys_moved += report.purged as u64,
-                Err(error) => return Err(MembershipError::SubjectDied { node, error }),
-            }
-            self.journal_mark_done(node, idx);
-            ranges_in.push((lo, hi, donor));
-            // Chaos hook: the joiner dies here with this donation landed
-            // and the next one about to be left mid-copy.
-            faults.crash_hook(node, JOIN_MID_STREAM_SITE);
-        }
-        faults.crash_hook(node, JOIN_BEFORE_ACTIVATE_SITE);
-        if faults.is_crashed(node) {
-            return Err(MembershipError::SubjectDied {
-                node,
-                error: FabricError::PeerDead { node },
-            });
-        }
+        let map = self.resharder.map();
+        let ranges_in: Vec<_> = donors
+            .into_iter()
+            .filter_map(|donor| map.donation_from(donor).map(|(lo, hi)| (lo, hi, donor)))
+            .collect();
+        let sites = (JOIN_MID_STREAM_SITE, Some(JOIN_BEFORE_ACTIVATE_SITE));
+        let keys_moved = self.stream(node, (OP_JOIN, NodeState::Joining), &ranges_in, sites)?;
         // Activation: clear the journal *then* publish Active — a crash
         // between the two leaves an idle journal and an armed fault
         // plan, which recovery treats as a plain (non-membership) death
         // of a machine that owns its donated ranges.
-        self.journal_clear(node);
+        self.sys.layout(node).membership.clear(self.sys.cluster().node(node).region());
         let epoch = self.table.set(node, NodeState::Active);
         Ok(JoinReport { node, ranges_in, keys_moved, epoch })
     }
-
-    // ---- leave ----
 
     /// Gracefully retires `node`: marks it `Draining`, streams every
     /// owned range to the remaining active machines (round-robin by
@@ -488,148 +503,92 @@ impl MembershipCoordinator {
         if ranges.len() > MAX_JOURNAL_RANGES {
             return Err(MembershipError::JournalFull);
         }
-        self.journal_arm(node, OP_LEAVE);
-        self.table.set(node, NodeState::Draining);
-
-        let faults = self.cluster.faults();
-        let mut ranges_out = Vec::new();
-        let mut keys_moved = 0;
-        for (i, (lo, hi)) in ranges.into_iter().enumerate() {
-            let receiver = receivers[i % receivers.len()];
-            let idx = self.journal_append(node, lo, hi, receiver);
-            match self.resharder.migrate(lo, hi, receiver) {
-                Ok(report) => keys_moved += report.purged as u64,
-                Err(error) => return Err(MembershipError::SubjectDied { node, error }),
-            }
-            self.journal_mark_done(node, idx);
-            ranges_out.push((lo, hi, receiver));
-            // Chaos hook: the leaver dies here with this range handed
-            // off and the next one about to be left mid-copy.
-            faults.crash_hook(node, LEAVE_MID_DRAIN_SITE);
-        }
-        if faults.is_crashed(node) {
-            return Err(MembershipError::SubjectDied {
-                node,
-                error: FabricError::PeerDead { node },
-            });
-        }
+        let ranges_out: Vec<_> = ranges
+            .into_iter()
+            .enumerate()
+            .map(|(i, (lo, hi))| (lo, hi, receivers[i % receivers.len()]))
+            .collect();
+        let sites = (LEAVE_MID_DRAIN_SITE, None);
+        let keys_moved = self.stream(node, (OP_LEAVE, NodeState::Draining), &ranges_out, sites)?;
         // Quiesce: sweep the subject's log slots so no lock or redo
         // obligation survives retirement. On a clean leave this finds
         // nothing; anything it reports was leaked by a worker.
-        let quiesce = recover_node(&self.cluster, node, &self.sys.layout(node), via);
-        self.journal_clear(node);
+        let layout = self.sys.layout(node);
+        let quiesce = recover_node(self.sys.cluster(), node, &layout, via);
+        layout.membership.clear(self.sys.cluster().node(node).region());
         let epoch = self.retire_everywhere(node);
         Ok(LeaveReport { node, ranges_out, keys_moved, quiesce, epoch })
     }
 
-    // ---- failure-driven recovery ----
-
-    /// Repairs the cluster after `crashed` died, driving from `via`
-    /// (compose this into the failure detector's callback). Dispatches
-    /// on the corpse's membership journal: an armed join rolls back to
-    /// the pre-join geometry, an armed leave rolls the drain forward;
-    /// an idle journal returns `None` — the death was not a membership
-    /// operation, run the plain [`recover_node`] instead.
+    /// Repairs the cluster after `crashed` died, driving from `via`: the
+    /// single recovery entry point of an elastic deployment (compose it
+    /// into the failure detector's callback). Always sweeps the WAL,
+    /// then rolls back the migrations the corpse was part of, then
+    /// dispatches on its membership journal — an armed join rolls back to
+    /// the pre-join geometry, an armed leave rolls the drain forward, an
+    /// idle journal leaves a plain death ([`NodeRecovery::membership`] is
+    /// `None`). The module docs say why in this order.
     ///
-    /// Deterministic and idempotent: driven only by NVRAM journal state
-    /// and the (deterministic) membership table, so replaying the same
-    /// seeded crash yields an identical [`MembershipRecovery`].
-    pub fn recover(&self, crashed: NodeId, via: NodeId) -> Option<MembershipRecovery> {
+    /// Deterministic and idempotent: driven only by NVRAM journal state,
+    /// the range map and the (deterministic) membership table, so
+    /// replaying the same seeded crash yields an identical report.
+    pub fn recover(&self, crashed: NodeId, via: NodeId) -> NodeRecovery {
         let _g = self.op.lock().expect("membership op lock poisoned");
-        let (op, records) = self.journal_read(crashed);
-        if op == OP_IDLE {
-            return None;
-        }
         let layout = self.sys.layout(crashed);
-        // WAL sweep first: transactions that died with the subject may
-        // hold locks inside rows about to be evacuated.
-        let wal = recover_node(&self.cluster, crashed, &layout, via);
-        let mut released_locks = 0;
-        let mut dropped_rows = 0;
+        let region = self.sys.cluster().node(crashed).region();
+        let wal = recover_node(self.sys.cluster(), crashed, &layout, via);
+        let (released_locks, dropped_rows) = self.resharder.recover(crashed, via);
+        let Some((op, records)) = layout.membership.read(region) else {
+            return NodeRecovery { wal, membership: None };
+        };
+        let joining = match op {
+            OP_JOIN => true,
+            OP_LEAVE => false,
+            other => panic!("corrupt membership journal op {other} on node {crashed}"),
+        };
         let mut evacuated_keys = 0;
         let mut ranges = Vec::new();
-        match op {
-            OP_JOIN => {
-                // Roll back. In-flight donation first: drop the partial
-                // copy and release the migration lock...
-                for &(lo, hi, _donor, done) in &records {
-                    if !done {
-                        let (rel, drop) = self.resharder.recover(lo, hi, crashed);
-                        released_locks += rel;
-                        dropped_rows += drop;
-                    }
-                }
-                // ...then walk completed donations back to their donors:
-                // rows off the corpse's NVRAM, routing flipped last.
-                for &(lo, hi, donor, done) in &records {
-                    if done {
-                        evacuated_keys += self.resharder.evacuate_nt(lo, hi, crashed, donor);
-                        self.resharder
-                            .map()
-                            .reassign(lo, hi, donor)
-                            .expect("journaled donation range vanished from the map");
-                        ranges.push((lo, hi, donor));
-                    }
-                }
-                self.journal_clear(crashed);
-                let epoch = self.retire_everywhere(crashed);
-                Some(MembershipRecovery {
-                    node: crashed,
-                    direction: RecoveryDirection::RolledBack,
-                    wal,
-                    released_locks,
-                    dropped_rows,
-                    evacuated_keys,
-                    ranges,
-                    epoch,
-                })
+        // Rows move off the corpse's NVRAM first, routing flips last.
+        let mut evacuate = |lo, hi, to| {
+            evacuated_keys += self.resharder.evacuate_nt(lo, hi, crashed, to);
+            let flipped = self.resharder.map().reassign(lo, hi, to);
+            flipped.expect("a range of the corpse vanished from the map");
+            ranges.push((lo, hi, to));
+        };
+        // A join walks its completed donations back to their donors (the
+        // in-flight one never left its donor). A leave's completed
+        // hand-offs already published; its in-flight one restarts as an
+        // evacuation to the journaled receiver.
+        for &(lo, hi, peer, done) in &records {
+            if done == joining {
+                evacuate(lo, hi, peer);
             }
-            OP_LEAVE => {
-                // Roll forward. Completed hand-offs already published;
-                // the in-flight one restarts as an evacuation to its
-                // journaled receiver.
-                for &(lo, hi, receiver, done) in &records {
-                    if !done {
-                        let (rel, drop) = self.resharder.recover(lo, hi, receiver);
-                        released_locks += rel;
-                        dropped_rows += drop;
-                        evacuated_keys += self.resharder.evacuate_nt(lo, hi, crashed, receiver);
-                        self.resharder
-                            .map()
-                            .reassign(lo, hi, receiver)
-                            .expect("journaled drain range vanished from the map");
-                        ranges.push((lo, hi, receiver));
-                    }
-                }
-                // Ranges the journal never reached drain round-robin to
-                // the active machines (ascending ids: deterministic).
-                let receivers: Vec<NodeId> =
-                    self.table.active_nodes().into_iter().filter(|&n| n != crashed).collect();
-                let remaining = self.resharder.map().ranges_owned_by(crashed);
-                for (i, (lo, hi)) in remaining.into_iter().enumerate() {
-                    let receiver = receivers[i % receivers.len()];
-                    evacuated_keys += self.resharder.evacuate_nt(lo, hi, crashed, receiver);
-                    self.resharder
-                        .map()
-                        .reassign(lo, hi, receiver)
-                        .expect("stable range vanished from the map");
-                    ranges.push((lo, hi, receiver));
-                }
-                self.journal_clear(crashed);
-                let epoch = self.retire_everywhere(crashed);
-                Some(MembershipRecovery {
-                    node: crashed,
-                    direction: RecoveryDirection::RolledForward,
-                    wal,
-                    released_locks,
-                    dropped_rows,
-                    evacuated_keys,
-                    ranges,
-                    epoch,
-                })
-            }
-            other => panic!("corrupt membership journal op {other} on node {crashed}"),
         }
+        if !joining {
+            // Ranges the journal never reached drain round-robin to the
+            // active machines (ascending ids: deterministic).
+            let receivers: Vec<NodeId> =
+                self.table.active_nodes().into_iter().filter(|&n| n != crashed).collect();
+            let remaining = self.resharder.map().ranges_owned_by(crashed);
+            for (i, (lo, hi)) in remaining.into_iter().enumerate() {
+                evacuate(lo, hi, receivers[i % receivers.len()]);
+            }
+        }
+        layout.membership.clear(region);
+        let epoch = self.retire_everywhere(crashed);
+        let direction =
+            if joining { RecoveryDirection::RolledBack } else { RecoveryDirection::RolledForward };
+        let membership = MembershipRecovery {
+            node: crashed,
+            direction,
+            wal: wal.clone(),
+            released_locks,
+            dropped_rows,
+            evacuated_keys,
+            ranges,
+            epoch,
+        };
+        NodeRecovery { wal, membership: Some(membership) }
     }
 }
 
@@ -665,9 +624,40 @@ mod tests {
         t.set(5, NodeState::Joining);
     }
 
+    fn journal() -> (Region, MembershipJournal) {
+        let mut arena = Arena::new(0, 1 << 16);
+        (Region::new(1 << 16), MembershipJournal::reserve(&mut arena))
+    }
+
     #[test]
-    fn journal_constants_are_consistent() {
-        assert_eq!(MEMBERSHIP_JOURNAL_BYTES, HEADER_BYTES + MAX_JOURNAL_RANGES * RECORD_BYTES);
-        assert_eq!(MEMBERSHIP_JOURNAL_BYTES % 64, 0, "journal is cache-line granular");
+    fn journal_appends_marks_and_rearms() {
+        let (region, j) = journal();
+        assert_eq!(j.read(&region), None);
+        j.arm(&region, OP_LEAVE);
+        assert_eq!(j.append(&region, 0, 49, 2), 0);
+        assert_eq!(j.append(&region, 100, 199, 3), 1);
+        j.mark_done(&region, 0);
+        let want = vec![(0, 49, 2, true), (100, 199, 3, false)];
+        assert_eq!(j.read(&region), Some((OP_LEAVE, want)));
+        j.clear(&region);
+        assert_eq!(j.read(&region), None, "an idle header hides every range");
+        // The next operation starts from an empty range list.
+        j.arm(&region, OP_JOIN);
+        assert_eq!(j.read(&region), Some((OP_JOIN, Vec::new())));
+        for i in 0..MAX_JOURNAL_RANGES {
+            assert_eq!(j.append(&region, i as u64, i as u64, 1), i);
+        }
+    }
+
+    #[test]
+    fn torn_range_record_is_not_replayed() {
+        // Payload of the second range written, its status word not: the
+        // crash window of `append`. Recovery sees one range.
+        let (region, j) = journal();
+        j.arm(&region, OP_JOIN);
+        j.append(&region, 0, 49, 1);
+        let payload = j.ranges[0].payload(&region, 0);
+        j.ranges[1].arm(&region, 0, &payload, 0);
+        assert_eq!(j.read(&region), Some((OP_JOIN, vec![(0, 49, 1, false)])));
     }
 }

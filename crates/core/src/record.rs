@@ -316,7 +316,8 @@ pub(crate) fn post_unlock(qp: &Qp, rec: &RecordAddr, local: bool) -> Result<(), 
     post_store(qp, rec, 0, &INIT.to_le_bytes(), local)
 }
 
-/// [`post_write_back`], then a wait for its completions.
+/// `REMOTE_WRITE_BACK`: posts the write-back (value, version, state — see
+/// the crate-private `post_write_back`), then waits for its completions.
 pub fn remote_write_back(
     qp: &Qp,
     rec: &RecordAddr,
@@ -329,11 +330,52 @@ pub fn remote_write_back(
     posted
 }
 
-/// [`post_unlock`], then a wait for its completion.
+/// Posts the release of an exclusive lock (INIT into the state word),
+/// then waits for its completion.
 pub fn remote_unlock(qp: &Qp, rec: &RecordAddr, local: bool) -> Result<(), FabricError> {
     let posted = post_unlock(qp, rec, local);
     qp.wait();
     posted
+}
+
+/// Recovery's read of the record's version: a load from the owning
+/// machine's (durable) region when `local`, a one-sided READ otherwise.
+pub fn read_version(qp: &Qp, rec: &RecordAddr, local: bool) -> Result<u32, FabricError> {
+    let mut v = [0u8; 4];
+    if local {
+        qp.cluster().node(rec.addr.node).region().read_nt(rec.addr.offset + 12, &mut v);
+    } else {
+        qp.try_read(GlobalAddr::new(rec.addr.node, rec.addr.offset + 12), &mut v)?;
+    }
+    Ok(u32::from_le_bytes(v))
+}
+
+/// Recovery's release of the write lock machine `owner` died holding:
+/// if the state word still says so, CAS it to INIT — a CAS, so a
+/// concurrent release is never clobbered and racing recoverers count each
+/// release once. Returns whether this call released the lock. `local` as
+/// for [`read_version`].
+pub fn release_if_owned(
+    qp: &Qp,
+    rec: &RecordAddr,
+    owner: u8,
+    local: bool,
+) -> Result<bool, FabricError> {
+    let region = qp.cluster().node(rec.addr.node).region();
+    let st = LockState(if local {
+        region.read_u64_nt(rec.addr.offset)
+    } else {
+        qp.try_read_u64(rec.addr)?
+    });
+    if !st.is_write_locked() || st.owner() != owner {
+        return Ok(false);
+    }
+    let old = if local {
+        region.cas_u64_nt(rec.addr.offset, st.0, INIT)
+    } else {
+        qp.try_cas_u64(rec.addr, st.0, INIT)?
+    };
+    Ok(old == st.0)
 }
 
 /// `LOCAL_READ` (Figure 6): inside the HTM region, check the state word

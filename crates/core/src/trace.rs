@@ -379,7 +379,7 @@ impl PhaseLine {
 /// Point-in-time copy of [`PhaseStats`], indexed by [`Phase`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseSnapshot {
-    /// Per-phase lines, indexed by [`Phase::index`].
+    /// Per-phase lines, in [`Phase`] declaration order.
     pub phases: [PhaseLine; Phase::COUNT],
 }
 

@@ -79,6 +79,20 @@ impl TxnError {
     }
 }
 
+/// What a fabric failure outside `execute` (resolving a key, say) means
+/// to a transaction. A timeout is conservatively a dead peer: the failure
+/// detector owns the difference. Retirement stays distinct — a routing
+/// error, not a crash.
+impl From<drtm_rdma::FabricError> for TxnError {
+    fn from(e: drtm_rdma::FabricError) -> Self {
+        use drtm_rdma::FabricError::{NodeRetired, PeerDead, Timeout};
+        match e {
+            PeerDead { node } | Timeout { node } => TxnError::PeerDead(node),
+            NodeRetired { node } => TxnError::Retired(node),
+        }
+    }
+}
+
 /// Wall-clock grace the ordered-2PL strategy grants a conflicting lock
 /// holder before concluding the holder is dead (backstop for crashes
 /// the fault plan does not know about). Generous against µs–ms lock

@@ -44,7 +44,9 @@ use drtm_rdma::{FabricError, GlobalAddr, Qp};
 use crate::cluster_hash::{
     read_bucket, walk_chain, BucketImage, ClusterHash, LookupResult, BUCKET_BYTES,
 };
+use crate::entry::EntryHeader;
 use crate::slot::{Slot, SlotType};
+use crate::split_ordered::ElasticHash;
 use crate::ASSOC;
 
 /// Hit/miss counters for one cache.
@@ -476,6 +478,18 @@ struct CachedAddr {
     slot: Slot,
 }
 
+/// A location an [`AddrCache`] resolved.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Resolved {
+    /// Global address of the entry.
+    pub addr: GlobalAddr,
+    /// The slot (key, offset, incarnation) the entry was found under.
+    pub slot: Slot,
+    /// The entry as READ by the incarnation check of a cache hit; `None`
+    /// after a miss, which reads the chain but not the value.
+    pub entry: Option<(EntryHeader, Vec<u8>)>,
+}
+
 /// Key → location cache for the elastic split-ordered table.
 ///
 /// [`LocationCache`] mirrors the cluster-chaining table's *bucket*
@@ -510,6 +524,34 @@ impl AddrCache {
 
     fn cell(&self, key: u64) -> &Mutex<Option<CachedAddr>> {
         &self.cells[(crate::hash64(key) as usize) & self.mask]
+    }
+
+    /// Resolves `key` on `shard`'s machine: a cached location is verified
+    /// by reading the entry under its incarnation check; a stale one (the
+    /// key was deleted or migrated away) is invalidated and, like a miss,
+    /// falls through to a one-sided lookup whose answer is installed.
+    /// `None` if the key does not exist there.
+    pub fn try_lookup(
+        &self,
+        qp: &Qp,
+        shard: &ElasticHash,
+        key: u64,
+    ) -> Result<Option<Resolved>, FabricError> {
+        if let Some((addr, slot)) = self.lookup(key) {
+            if addr.node == shard.desc().node {
+                if let Some(entry) = shard.remote_read_entry(qp, addr, &slot) {
+                    return Ok(Some(Resolved { addr, slot, entry: Some(entry) }));
+                }
+            }
+            self.invalidate(key);
+        }
+        Ok(match shard.try_remote_lookup(qp, key)? {
+            LookupResult::Found { addr, slot, .. } => {
+                self.install(key, addr, slot);
+                Some(Resolved { addr, slot, entry: None })
+            }
+            LookupResult::NotFound { .. } => None,
+        })
     }
 
     /// Returns the cached location of `key`, if present.

@@ -20,6 +20,10 @@
 //! Both tables store the same [`Entry`] and read it remotely through the
 //! same accessor.
 //!
+//! [`journal`] is the durable-record primitive: the one NVRAM record
+//! format (payload first, status word last) behind the transaction log,
+//! the resharder's purge lock and the membership journal.
+//!
 //! All tables live inside a node's [`drtm_htm::Region`] so local accesses
 //! are HTM-protected and remote accesses are plain one-sided RDMA — race
 //! detection comes entirely from HTM strong atomicity plus incarnation
@@ -30,6 +34,7 @@ mod btree;
 mod cache;
 mod cluster_hash;
 mod entry;
+pub mod journal;
 pub mod reshard;
 pub mod rpc;
 mod slot;
@@ -37,14 +42,15 @@ mod split_ordered;
 
 pub use alloc::{Arena, FreeList};
 pub use btree::{BTree, BTreeDesc};
-pub use cache::{AddrCache, CacheStats, LocationCache};
+pub use cache::{AddrCache, CacheStats, LocationCache, Resolved};
 pub use cluster_hash::{
     ClusterHash, ClusterHashDesc, InsertError, LookupResult, PreparedInsert, BUCKET_BYTES,
 };
 pub use entry::{Entry, EntryHeader, ENTRY_HEADER_BYTES};
+pub use journal::Journal;
 pub use reshard::{
-    MigratePhase, MigrationReport, RangeMap, RangeMapError, RangeState, ReshardStats, Resharder,
-    RouteDecision,
+    MigratePhase, MigrationReport, PurgeLock, RangeMap, RangeMapError, RangeState, ReshardStats,
+    Resharder, RouteDecision,
 };
 pub use slot::{Slot, SlotType, SLOT_BYTES};
 pub use split_ordered::{

@@ -38,14 +38,13 @@
 //!   key during the purge, so the next lookup re-resolves at the new
 //!   owner.
 //!
-//! Crash safety: the purge lock is journaled (64 bytes on the
-//! *destination*'s region, [`Resharder::migrate`] takes the journal
-//! offset from the shared node layout) before the CAS, one key at a
-//! time; recovery replays the journal to release an orphaned lock and
-//! deletes partially copied destination rows, returning the range to
-//! `Stable` on the source — the crash-point matrix in the chaos harness
-//! checks conservation and zero leaked locks at both armed sites
-//! ([`MIGRATE_MID_COPY_SITE`], [`MIGRATE_BEFORE_CUTOVER_SITE`]).
+//! Crash safety: the purge lock is journaled ([`PurgeLock`], a
+//! [`Journal`] client on the *destination*'s region) before the CAS, one
+//! key at a time; [`Resharder::recover`] releases an orphaned lock from
+//! the journal and deletes partially copied destination rows, returning
+//! the range to `Stable` on the source — the crash-point matrix in the
+//! chaos harness checks conservation and zero leaked locks at both armed
+//! sites ([`MIGRATE_MID_COPY_SITE`], [`MIGRATE_BEFORE_CUTOVER_SITE`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,67 +52,77 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use drtm_htm::{Executor, Region};
-use drtm_rdma::{Cluster, FabricError, GlobalAddr, NodeId, QueueId};
+use drtm_rdma::{Cluster, FabricError, GlobalAddr, NodeId, Qp, QueueId};
 
+use crate::alloc::Arena;
 use crate::cache::AddrCache;
+use crate::journal::{put_u16, put_u64, Journal, Reader};
 use crate::rpc::{ship_store_op, StoreOp, StoreReply};
 use crate::split_ordered::ElasticHash;
 use crate::ENTRY_HEADER_BYTES;
 
 /// Crash site inside the bulk-copy loop (armed on the *destination*,
-/// which drives the migration). Must match the core crate's
-/// `CrashPoint::MigrateMidCopy` site name.
+/// which drives the migration); the core crate's
+/// `CrashPoint::MigrateMidCopy` is named by this constant.
 pub const MIGRATE_MID_COPY_SITE: &str = "migrate-mid-copy";
 
 /// Crash site after the copy completes but before the cutover freezes
-/// the range. Must match `CrashPoint::MigrateBeforeCutover`.
+/// the range (`CrashPoint::MigrateBeforeCutover`).
 pub const MIGRATE_BEFORE_CUTOVER_SITE: &str = "migrate-before-cutover";
 
-/// Bytes of the per-node migration journal (four u64 words).
-pub const MIGRATION_JOURNAL_BYTES: usize = 64;
+/// The purge-lock journal in a migration destination's durable region:
+/// the one source-side lock a migration may hold, recorded before it is
+/// taken. A [`Journal`] client — status 1 while the lock may be held,
+/// payload `(src, entry offset, lock word)`; [`Resharder::migrate`] arms
+/// and clears it around each purged key, [`PurgeLock::release`] is what
+/// recovery does with it.
+#[derive(Debug, Clone, Copy)]
+pub struct PurgeLock(Journal);
 
-/// The per-node migration journal in a destination's durable region:
-/// the one source-side purge lock a migration may hold. Fields first,
-/// armed word last, so recovery only ever trusts a complete record; the
-/// word layout is private to this type.
-#[derive(Debug)]
-pub struct MigrationJournal<'r> {
-    region: &'r Region,
-    off: usize,
-}
-
-impl<'r> MigrationJournal<'r> {
-    /// The journal at `off` of `region` (NVRAM model: read and written
-    /// directly, never through the fabric).
-    pub fn at(region: &'r Region, off: usize) -> Self {
-        MigrationJournal { region, off }
+impl PurgeLock {
+    /// Carves the journal out of `arena` (same place on every machine).
+    pub fn reserve(arena: &mut Arena) -> Self {
+        PurgeLock(Journal::reserve(arena, [64, 0]))
     }
 
     /// Records that `lock_word` is about to be CAS-ed into the state word
     /// at `entry_off` on `src`.
-    pub fn arm(&self, src: NodeId, entry_off: usize, lock_word: u64) {
-        self.region.write_u64_nt(self.off + 8, src as u64);
-        self.region.write_u64_nt(self.off + 16, entry_off as u64);
-        self.region.write_u64_nt(self.off + 24, lock_word);
-        self.region.write_u64_nt(self.off, 1);
+    pub fn arm(&self, region: &Region, src: NodeId, entry_off: usize, lock_word: u64) {
+        let mut buf = Vec::with_capacity(18);
+        put_u16(&mut buf, src);
+        put_u64(&mut buf, entry_off as u64);
+        put_u64(&mut buf, lock_word);
+        self.0.arm(region, 0, &buf, 1);
     }
 
-    /// The recorded `(src, entry_off, lock_word)` if the journal is
-    /// armed. Recovery releases that lock (by CAS on the exact word,
-    /// so idempotently) and only then calls [`MigrationJournal::clear`].
-    pub fn armed(&self) -> Option<(NodeId, usize, u64)> {
-        (self.region.read_u64_nt(self.off) == 1).then(|| {
-            (
-                self.region.read_u64_nt(self.off + 8) as NodeId,
-                self.region.read_u64_nt(self.off + 16) as usize,
-                self.region.read_u64_nt(self.off + 24),
-            )
-        })
+    /// The recorded `(src, entry_off, lock_word)` if the journal is armed.
+    pub fn armed(&self, region: &Region) -> Option<(NodeId, usize, u64)> {
+        let (_, payload) = self.0.read(region, 0)?;
+        let mut r = Reader::new(&payload);
+        Some((r.u16(), r.u64() as usize, r.u64()))
     }
 
     /// Disarms the journal: the lock is released or was never taken.
-    pub fn clear(&self) {
-        self.region.write_u64_nt(self.off, 0);
+    pub fn clear(&self, region: &Region) {
+        self.0.clear(region);
+    }
+
+    /// Recovery: releases the lock journaled on `holder`'s region, if
+    /// any, with the recoverer's `qp`, then clears the journal. The
+    /// release is a CAS on the exact logged word, so it is idempotent and
+    /// never clobbers a lock someone else took since: through the fabric
+    /// while the source answers, straight into its durable region once it
+    /// does not (dead or retired). Returns the locks released (0 or 1).
+    /// The one place a journaled purge lock is released.
+    pub fn release(&self, qp: &Qp, holder: NodeId) -> u64 {
+        let region = qp.cluster().node(holder).region();
+        let Some((src, off, word)) = self.armed(region) else { return 0 };
+        let old = match qp.try_cas_u64(GlobalAddr::new(src, off), word, 0) {
+            Ok(old) => old,
+            Err(_) => qp.cluster().node(src).region().cas_u64_nt(off, word, 0),
+        };
+        self.clear(region);
+        (old == word) as u64
     }
 }
 
@@ -329,16 +338,6 @@ impl RangeMap {
         self.route(key).map(|d| d.primary)
     }
 
-    /// Current epoch of the range containing `key`.
-    pub fn epoch_of(&self, key: u64) -> Option<u64> {
-        self.route(key).map(|d| d.epoch)
-    }
-
-    /// `(lo, hi, owner, state, epoch)` snapshot, sorted by `lo`.
-    pub fn snapshot(&self) -> Vec<(u64, u64, NodeId, RangeState, u64)> {
-        self.ranges.read().iter().map(|r| (r.lo, r.hi, r.owner, r.state, r.epoch)).collect()
-    }
-
     /// Splits the covering range as needed and moves `[lo, hi]` into
     /// `Copying` towards `dst`. Returns the new epoch.
     ///
@@ -402,6 +401,18 @@ impl RangeMap {
             .collect()
     }
 
+    /// The migrations in flight (`Copying` or `Cutover`) that `node`
+    /// takes part in, as destination or as source: `(lo, hi, dst)` each,
+    /// sorted by `lo`. What recovery rolls back when `node` dies.
+    pub fn in_flight(&self, node: NodeId) -> Vec<(u64, u64, NodeId)> {
+        self.ranges
+            .read()
+            .iter()
+            .filter(|r| r.state != RangeState::Stable && (r.owner == node || r.dst == Some(node)))
+            .map(|r| (r.lo, r.hi, r.dst.expect("a migrating range has a destination")))
+            .collect()
+    }
+
     /// Force-reassigns the exact `Stable` entry `[lo, hi]` to
     /// `new_owner`, bumping its epoch. This is the journal-driven
     /// repair primitive: membership recovery moves rows physically
@@ -420,23 +431,6 @@ impl RangeMap {
         r.owner = new_owner;
         r.epoch += 1;
         Ok(r.epoch)
-    }
-
-    /// Multi-range reassignment: flips every `Stable` range owned by
-    /// `from` to `to` in one write-locked pass, bumping each epoch.
-    /// Returns the moved `(lo, hi)` pairs. Used by leave roll-forward
-    /// when a drain's remaining ranges all land on one survivor.
-    pub fn reassign_owned(&self, from: NodeId, to: NodeId) -> Vec<(u64, u64)> {
-        let mut ranges = self.ranges.write();
-        let mut moved = Vec::new();
-        for r in ranges.iter_mut() {
-            if r.owner == from && r.state == RangeState::Stable {
-                r.owner = to;
-                r.epoch += 1;
-                moved.push((r.lo, r.hi));
-            }
-        }
-        moved
     }
 
     /// Donor selection for a membership join: the upper half of the
@@ -540,9 +534,8 @@ pub struct Resharder {
     shards: RwLock<Vec<Arc<ElasticHash>>>,
     /// Index of the elastic table in every host's store-service registry.
     table_idx: u16,
-    /// Region offset of the 64-byte migration journal (same layout on
-    /// every node).
-    journal_off: usize,
+    /// The purge-lock journal (same place on every node).
+    journal: PurgeLock,
     /// State-word value that locks an entry for migration. The caller
     /// provides it (`LockState::write_locked(driver)` in core terms)
     /// so this crate stays free of the transaction layer.
@@ -578,7 +571,7 @@ impl Resharder {
         map: Arc<RangeMap>,
         shards: Vec<Arc<ElasticHash>>,
         table_idx: u16,
-        journal_off: usize,
+        journal: PurgeLock,
         lock_word: u64,
         barrier_key: u64,
         reply_q: QueueId,
@@ -590,7 +583,7 @@ impl Resharder {
             map,
             shards: RwLock::new(shards),
             table_idx,
-            journal_off,
+            journal,
             lock_word,
             barrier_key,
             reply_q,
@@ -609,6 +602,16 @@ impl Resharder {
         self.caches.write().push(cache);
     }
 
+    /// The `i`-th registered cache (a deployment registers one per
+    /// client machine, in node-id order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `i + 1` caches were registered.
+    pub fn cache(&self, i: usize) -> Arc<AddrCache> {
+        self.caches.read()[i].clone()
+    }
+
     /// Registers the shard of a newly joined node. Must be called in
     /// node-id order (shard `n` belongs to node `n`), before any range
     /// is migrated towards the node.
@@ -625,12 +628,24 @@ impl Resharder {
         self.shards.read()[node as usize].clone()
     }
 
+    /// Every registered shard, indexed by node id.
+    pub fn shards(&self) -> Vec<Arc<ElasticHash>> {
+        self.shards.read().clone()
+    }
+
     /// Installs a hook called at each [`MigratePhase`] boundary of every
     /// subsequent [`Resharder::migrate`]. The hook runs on the migrating
     /// thread, so whatever it does (inject writes, sample throughput) is
     /// deterministically ordered against the protocol phases.
     pub fn set_phase_hook(&self, hook: impl Fn(MigratePhase) + Send + Sync + 'static) {
         *self.phase_hook.write() = Some(Box::new(hook));
+    }
+
+    /// Drops `[lo, hi]` from every registered cache, counting the drops.
+    fn invalidate_caches(&self, lo: u64, hi: u64) {
+        for cache in self.caches.read().iter() {
+            self.cache_invalidations.fetch_add(cache.invalidate_range(lo, hi), Ordering::Relaxed);
+        }
     }
 
     fn phase(&self, p: MigratePhase) {
@@ -659,8 +674,8 @@ impl Resharder {
     ///
     /// On a fabric error (including an armed crash of `dst` at one of
     /// the migration crash sites) the function returns immediately with
-    /// *no cleanup* — exactly the garbage state recovery must collect;
-    /// pair with [`Resharder::recover`].
+    /// *no cleanup* — exactly the garbage state [`Resharder::recover`]
+    /// collects.
     pub fn migrate(&self, lo: u64, hi: u64, dst: NodeId) -> Result<MigrationReport, FabricError> {
         assert!(self.barrier_key < lo || self.barrier_key > hi, "barrier key inside range");
         let src = self.map.owner_of(lo).expect("range not mapped");
@@ -708,7 +723,6 @@ impl Resharder {
         self.phase(MigratePhase::CutoverDrained);
 
         // Phase 3: delta + purge, one journaled lock at a time.
-        let journal = MigrationJournal::at(dst_region, self.journal_off);
         let (delta, delta_bytes) = src_shard.try_remote_collect_range(&qp, lo, hi)?;
         bytes += delta_bytes;
         let purged = delta.len();
@@ -716,7 +730,7 @@ impl Resharder {
         for e in &delta {
             let state_addr = GlobalAddr::new(src, e.entry_off);
             // Journal first, then the lock.
-            journal.arm(src, e.entry_off, self.lock_word);
+            self.journal.arm(dst_region, src, e.entry_off, self.lock_word);
             // Lock the entry on the source: in-flight fallback writers
             // holding it commit on the old owner first; we wait them out.
             let mut backoff = drtm_htm::backoff::Backoff::new();
@@ -736,7 +750,7 @@ impl Resharder {
                 // an unrelated entry. Release our lock and move on.
                 let r = qp.try_cas_u64(state_addr, self.lock_word, 0)?;
                 debug_assert_eq!(r, self.lock_word, "migration lock stolen");
-                journal.clear();
+                self.journal.clear(dst_region);
                 continue;
             }
             if on_dst.get(&h.key).copied() != Some(h.version) {
@@ -765,15 +779,12 @@ impl Resharder {
                 &StoreOp::Delete { table: self.table_idx, key: e.key },
             );
             debug_assert_eq!(r, StoreReply::Ok, "purged key vanished while locked");
-            journal.clear();
+            self.journal.clear(dst_region);
             // Invalidate cached locations *after* the source entry is
             // gone: a lookup between invalidation and re-resolution must
             // find either nothing on src (dual-read forwards to dst) or
             // the bumped incarnation.
-            for cache in self.caches.read().iter() {
-                self.cache_invalidations
-                    .fetch_add(cache.invalidate_range(e.key, e.key), Ordering::Relaxed);
-            }
+            self.invalidate_caches(e.key, e.key);
             self.phase(MigratePhase::KeyPurged(e.key));
         }
 
@@ -786,33 +797,28 @@ impl Resharder {
         Ok(MigrationReport { copied, purged, recopied, bytes, epoch })
     }
 
-    /// Rolls back a migration of `[lo, hi]` towards `dst` that died
-    /// mid-flight: releases the journaled source lock (if the journal is
-    /// armed and the lock is still held), deletes partially copied
-    /// destination rows, and returns the range to `Stable` on the
-    /// source. Idempotent; call after reviving `dst` (its HTM executes
-    /// the row deletions).
+    /// Rolls back every migration in flight that `crashed` took part in
+    /// (found in the range map: nobody has to remember the range),
+    /// driving from `via`: releases the journaled purge lock — `crashed`'s
+    /// own journal, and the destination's when `crashed` was the source —
+    /// deletes the partially copied destination rows, and returns each
+    /// range to `Stable` on its source. Idempotent. The rows are deleted
+    /// by HTM on the destination's region, which works on a corpse too.
     ///
     /// Returns `(released_locks, dropped_rows)`.
-    pub fn recover(&self, lo: u64, hi: u64, dst: NodeId) -> (u64, u64) {
-        let dst_region = self.cluster.node(dst).region();
-        let mut released = 0;
-        // The journal lives on the crashed destination; NVRAM model —
-        // read it directly, not through the fabric.
-        let journal = MigrationJournal::at(dst_region, self.journal_off);
-        if let Some((src, off, word)) = journal.armed() {
-            if self.cluster.node(src).region().cas_u64_nt(off, word, 0) == word {
-                released = 1;
+    pub fn recover(&self, crashed: NodeId, via: NodeId) -> (u64, u64) {
+        let qp = self.cluster.qp(via);
+        let mut released = self.journal.release(&qp, crashed);
+        let mut dropped = 0;
+        for (lo, hi, dst) in self.map.in_flight(crashed) {
+            released += self.journal.release(&qp, dst);
+            let (dst_region, dst_shard) = (self.cluster.node(dst).region(), self.shard(dst));
+            for row in dst_shard.collect_range_nt(dst_region, lo, hi) {
+                dst_shard.delete(&self.exec, dst_region, row.key);
+                dropped += 1;
             }
-            journal.clear();
+            self.map.abort_migration(lo, hi);
         }
-        let dst_shard = self.shard(dst);
-        let rows = dst_shard.collect_range_nt(dst_region, lo, hi);
-        let dropped = rows.len() as u64;
-        for row in rows {
-            dst_shard.delete(&self.exec, dst_region, row.key);
-        }
-        self.map.abort_migration(lo, hi);
         (released, dropped)
     }
 
@@ -836,16 +842,14 @@ impl Resharder {
         let moved = rows.len() as u64;
         for row in rows {
             // A row can carry a lock word leaked by a transaction that
-            // died with its owner; the WAL sweep (`recover_node`) must
-            // run before evacuation, so by now every state word is 0.
+            // died with its owner; the WAL sweep must run before
+            // evacuation, so by now every state word is 0.
             to_shard
                 .upsert(&self.exec, to_region, row.key, &row.value, row.version)
                 .expect("receiver shard out of space during evacuation");
             from_shard.delete(&self.exec, from_region, row.key);
         }
-        for cache in self.caches.read().iter() {
-            self.cache_invalidations.fetch_add(cache.invalidate_range(lo, hi), Ordering::Relaxed);
-        }
+        self.invalidate_caches(lo, hi);
         self.keys_moved.fetch_add(moved, Ordering::Relaxed);
         moved
     }
@@ -860,13 +864,13 @@ mod tests {
     use drtm_htm::{HtmConfig, HtmStats};
     use drtm_rdma::{ClusterConfig, LatencyProfile};
 
-    const JOURNAL_OFF: usize = 0;
     const LOCK_WORD: u64 = 0x8000_0000_0000_0001;
     const BARRIER: u64 = u64::MAX;
 
     struct Rig {
         cluster: Arc<Cluster>,
         shards: Vec<Arc<ElasticHash>>,
+        journal: PurgeLock,
         resharder: Resharder,
         exec: Executor,
         _services: Vec<crate::rpc::StoreServiceGuard>,
@@ -882,9 +886,10 @@ mod tests {
         let exec = Executor::new(HtmConfig::default(), Arc::new(HtmStats::new()));
         let mut shards = Vec::new();
         let mut services = Vec::new();
+        let mut journal = None;
         for n in 0..2u16 {
             let mut arena = Arena::new(0, 8 << 20);
-            arena.reserve(MIGRATION_JOURNAL_BYTES); // journal at offset 0
+            journal = Some(PurgeLock::reserve(&mut arena)); // same place on both nodes
             let t = Arc::new(ElasticHash::create(
                 &mut arena,
                 cluster.node(n).region(),
@@ -897,6 +902,7 @@ mod tests {
             services.push(spawn_store_service(cluster.clone(), n, vec![t.clone()], exec.clone()));
             shards.push(t);
         }
+        let journal = journal.expect("two nodes");
         // Node 0 owns the low half, node 1 the high half.
         let map = Arc::new(RangeMap::new([(0, 499, 0), (500, 999, 1)]));
         let resharder = Resharder::new(
@@ -904,13 +910,13 @@ mod tests {
             map,
             shards.clone(),
             0,
-            JOURNAL_OFF,
+            journal,
             LOCK_WORD,
             BARRIER,
             0x5000,
             exec.clone(),
         );
-        Rig { cluster, shards, resharder, exec, _services: services }
+        Rig { cluster, shards, journal, resharder, exec, _services: services }
     }
 
     fn fill(rig: &Rig, node: NodeId, keys: std::ops::Range<u64>) {
@@ -1005,7 +1011,7 @@ mod tests {
         assert_eq!(map.reassign(300, 310, 2).err(), Some(RangeMapError::NotMapped { key: 300 }));
         let e = map.reassign(0, 99, 2).unwrap();
         assert_eq!(map.owner_of(50), Some(2));
-        assert_eq!(map.epoch_of(50), Some(e), "reassignment bumps the epoch");
+        assert_eq!(map.route(50).unwrap().epoch, e, "reassignment bumps the epoch");
         map.begin_copy(100, 199, 0);
         assert_eq!(
             map.reassign(100, 199, 2).err(),
@@ -1015,20 +1021,20 @@ mod tests {
     }
 
     #[test]
-    fn multi_range_reassignment_and_donor_selection() {
+    fn owned_ranges_and_donor_selection() {
         let map = RangeMap::new([(0, 99, 0), (100, 149, 1), (150, 199, 0), (200, 200, 2)]);
         assert_eq!(map.ranges_owned_by(0), vec![(0, 99), (150, 199)]);
         // Donation: upper half of node 0's largest range.
         assert_eq!(map.donation_from(0), Some((50, 99)));
         // A one-key owner has nothing splittable to donate.
         assert_eq!(map.donation_from(2), None);
-        // Drain node 0 entirely onto node 3.
-        let moved = map.reassign_owned(0, 3);
-        assert_eq!(moved, vec![(0, 99), (150, 199)]);
-        assert_eq!(map.owner_of(10), Some(3));
-        assert_eq!(map.owner_of(160), Some(3));
-        assert_eq!(map.owner_of(120), Some(1), "other owners untouched");
-        assert!(map.ranges_owned_by(0).is_empty());
+        // A range mid-migration is neither owned (for draining) nor
+        // donated; recovery finds it, from either end, as in flight.
+        map.begin_copy(0, 99, 1);
+        assert_eq!(map.ranges_owned_by(0), vec![(150, 199)]);
+        assert_eq!(map.in_flight(0), vec![(0, 99, 1)]);
+        assert_eq!(map.in_flight(1), vec![(0, 99, 1)]);
+        assert!(map.in_flight(2).is_empty());
     }
 
     #[test]
@@ -1148,12 +1154,7 @@ mod tests {
         // Warm the cache with locations on the source.
         let qp = rig.cluster.qp(1);
         for k in 0..20u64 {
-            match rig.shards[0].remote_lookup(&qp, k) {
-                crate::cluster_hash::LookupResult::Found { addr, slot, .. } => {
-                    cache.install(k, addr, slot)
-                }
-                other => panic!("{other:?}"),
-            }
+            assert!(cache.try_lookup(&qp, &rig.shards[0], k).unwrap().is_some());
         }
         // Direct-mapped: colliding installs overwrite, so count what is
         // actually warm before the cutover.
@@ -1177,8 +1178,8 @@ mod tests {
         let err = rig.resharder.migrate(0, 39, 1).unwrap_err();
         assert_eq!(err, FabricError::PeerDead { node: 1 });
         assert!(rig.cluster.faults().is_crashed(1));
+        let (released, _dropped) = rig.resharder.recover(1, 0);
         rig.cluster.faults().revive(1);
-        let (released, _dropped) = rig.resharder.recover(0, 39, 1);
         assert_eq!(released, 0, "no lock taken before cutover");
         // All keys back on (never left) the source, none on dst, Stable.
         assert_eq!(rig.shards[0].len(), 40);
@@ -1196,8 +1197,8 @@ mod tests {
         fill(&rig, 0, 0..30);
         rig.cluster.faults().arm_crash(1, MIGRATE_BEFORE_CUTOVER_SITE);
         assert!(rig.resharder.migrate(0, 29, 1).is_err());
+        let (_released, dropped) = rig.resharder.recover(1, 0);
         rig.cluster.faults().revive(1);
-        let (_released, dropped) = rig.resharder.recover(0, 29, 1);
         assert_eq!(dropped, 30, "full bulk copy rolled back");
         assert_eq!(rig.shards[0].len(), 30);
         assert_eq!(rig.shards[1].len(), 0);
@@ -1214,15 +1215,31 @@ mod tests {
         let rows = rig.shards[0].collect_range_nt(region0, 2, 2);
         let off = rows[0].entry_off;
         assert_eq!(region0.cas_u64_nt(off, 0, LOCK_WORD), 0);
-        let region1 = rig.cluster.node(1).region();
-        region1.write_u64_nt(JOURNAL_OFF + 8, 0);
-        region1.write_u64_nt(JOURNAL_OFF + 16, off as u64);
-        region1.write_u64_nt(JOURNAL_OFF + 24, LOCK_WORD);
-        region1.write_u64_nt(JOURNAL_OFF, 1);
-        let (released, _) = rig.resharder.recover(0, 49, 1);
+        rig.journal.arm(rig.cluster.node(1).region(), 0, off, LOCK_WORD);
+        let (released, _) = rig.resharder.recover(1, 0);
         assert_eq!(released, 1);
         assert_eq!(region0.read_u64_nt(off), 0, "lock released");
         // Second recovery finds a clean journal.
-        assert_eq!(rig.resharder.recover(0, 49, 1).0, 0);
+        assert_eq!(rig.resharder.recover(1, 0).0, 0);
+    }
+
+    #[test]
+    fn torn_purge_lock_record_releases_nothing() {
+        let rig = rig();
+        fill(&rig, 0, 0..5);
+        let region0 = rig.cluster.node(0).region();
+        let off = rig.shards[0].collect_range_nt(region0, 2, 2)[0].entry_off;
+        // Someone else holds exactly the word the torn record names.
+        assert_eq!(region0.cas_u64_nt(off, 0, LOCK_WORD), 0);
+        // The crash window of `arm` on node 1: payload landed, status
+        // word did not (the payload bytes are those a full arm writes).
+        rig.journal.arm(region0, 0, off, LOCK_WORD);
+        let payload = rig.journal.0.payload(region0, 0);
+        rig.journal.clear(region0);
+        let region1 = rig.cluster.node(1).region();
+        rig.journal.0.arm(region1, 0, &payload, 0);
+        assert_eq!(rig.journal.armed(region1), None, "a torn record reads as idle");
+        assert_eq!(rig.resharder.recover(1, 0), (0, 0), "recovery touches nothing");
+        assert_eq!(region0.read_u64_nt(off), LOCK_WORD, "the lock is not ours to release");
     }
 }

@@ -17,7 +17,6 @@
 //! distort the scaling curves.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use drtm_core::{DrTm, StatsReport};
@@ -173,46 +172,36 @@ struct LogicalWorker<F> {
     vtime_ns: u64,
 }
 
-/// Runs `iters` transactions on each of `nodes × workers` logical
-/// workers, multiplexed onto [`default_os_threads`] pool threads.
-///
-/// `make(node, worker_id)` builds the per-worker state; the returned
-/// closure executes one transaction and returns its label. Each worker's
-/// virtual-time meter is accumulated per transaction slice and warmup
-/// slices are discarded.
-pub fn run<F>(
-    nodes: usize,
-    workers: usize,
-    iters: u64,
-    make: impl Fn(NodeId, usize) -> F + Sync,
-    warmup: u64,
-) -> Report
-where
-    F: FnMut(u64) -> &'static str + Send,
-{
-    run_pipelined(nodes, workers, iters, make, warmup, default_os_threads())
+/// How logical workers map onto OS threads — the engine's one parameter.
+#[derive(Debug, Clone, Copy)]
+enum Threads {
+    /// A cooperative pool of this many threads: waits are charged to
+    /// virtual time and the quantum is yielded ([`drtm_htm::coop`]).
+    Pool(usize),
+    /// As many threads as logical workers, with wall-clock (sleeping)
+    /// waits: every worker's wait overlaps every other's.
+    PerWorker,
 }
 
-/// [`run`] with an explicit OS thread-pool size.
+/// The engine behind every runner: `iters` measured transactions (after
+/// `warmup` discarded ones) on each of `nodes × workers` logical workers.
 ///
-/// Scheduling is cooperative and non-preemptive: a slice is one whole
-/// transaction, after which the logical worker goes to the back of the
-/// ready queue. Locks are only ever held by a currently-running slice
-/// (the transaction layer releases them before committing or aborting),
-/// so with ≥ 2 pool threads a waiting slice's conflict partner is
-/// always running and lock waits stay bounded.
-pub fn run_pipelined<F>(
+/// A slice is one whole transaction: a thread pops a logical worker off
+/// the shared ready queue, runs one slice, reads the virtual-time meter
+/// and puts the worker at the back of the queue. A thread that finds the
+/// queue empty leaves: every unfinished worker is then in another
+/// thread's hands, and those threads suffice from there on.
+fn engine<F>(
     nodes: usize,
     workers: usize,
     iters: u64,
-    make: impl Fn(NodeId, usize) -> F + Sync,
+    make: impl Fn(NodeId, usize) -> F,
     warmup: u64,
-    os_threads: usize,
+    threads: Threads,
 ) -> Report
 where
     F: FnMut(u64) -> &'static str + Send,
 {
-    let os_threads = os_threads.max(1);
     let total_iters = warmup + iters;
     let mut slots: Vec<Mutex<LogicalWorker<F>>> = Vec::with_capacity(nodes * workers);
     for node in 0..nodes as NodeId {
@@ -226,25 +215,20 @@ where
             }));
         }
     }
+    let (os_threads, cooperative) = match threads {
+        Threads::Pool(n) => (n.max(1), true),
+        Threads::PerWorker => (slots.len(), false),
+    };
     let ready: Mutex<VecDeque<usize>> =
         Mutex::new(if total_iters > 0 { (0..slots.len()).collect() } else { VecDeque::new() });
-    let finished = AtomicUsize::new(if total_iters > 0 { 0 } else { slots.len() });
     std::thread::scope(|s| {
         for _ in 0..os_threads {
             s.spawn(|| {
-                coop::set(true);
+                coop::set(cooperative);
                 vtime::take();
                 loop {
                     let next = ready.lock().expect("ready queue poisoned").pop_front();
-                    let Some(i) = next else {
-                        if finished.load(Ordering::Acquire) == slots.len() {
-                            break;
-                        }
-                        // Every runnable worker is on another pool
-                        // thread; donate the quantum until one yields.
-                        std::thread::yield_now();
-                        continue;
-                    };
+                    let Some(i) = next else { break };
                     let mut lw = slots[i].lock().expect("logical worker poisoned");
                     let k = lw.done;
                     let label = (lw.f)(k);
@@ -256,9 +240,7 @@ where
                     }
                     let all_done = lw.done == total_iters;
                     drop(lw);
-                    if all_done {
-                        finished.fetch_add(1, Ordering::AcqRel);
-                    } else {
+                    if !all_done {
                         ready.lock().expect("ready queue poisoned").push_back(i);
                     }
                 }
@@ -274,6 +256,46 @@ where
         })
         .collect();
     Report { workers, os_threads }
+}
+
+/// Runs `iters` transactions on each of `nodes × workers` logical
+/// workers, multiplexed onto [`default_os_threads`] pool threads.
+///
+/// `make(node, worker_id)` builds the per-worker state; the returned
+/// closure executes one transaction and returns its label. Warmup slices
+/// are discarded.
+pub fn run<F>(
+    nodes: usize,
+    workers: usize,
+    iters: u64,
+    make: impl Fn(NodeId, usize) -> F + Sync,
+    warmup: u64,
+) -> Report
+where
+    F: FnMut(u64) -> &'static str + Send,
+{
+    run_pipelined(nodes, workers, iters, make, warmup, default_os_threads())
+}
+
+/// [`run`] with an explicit OS thread-pool size.
+///
+/// Scheduling is cooperative and non-preemptive. Locks are only ever
+/// held by a currently-running slice (the transaction layer releases
+/// them before committing or aborting), so with ≥ 2 pool threads a
+/// waiting slice's conflict partner is always running and lock waits
+/// stay bounded.
+pub fn run_pipelined<F>(
+    nodes: usize,
+    workers: usize,
+    iters: u64,
+    make: impl Fn(NodeId, usize) -> F + Sync,
+    warmup: u64,
+    os_threads: usize,
+) -> Report
+where
+    F: FnMut(u64) -> &'static str + Send,
+{
+    engine(nodes, workers, iters, make, warmup, Threads::Pool(os_threads))
 }
 
 /// [`run`] with a dedicated OS thread per logical worker and wall-clock
@@ -297,36 +319,7 @@ pub fn run_dedicated<F>(
 where
     F: FnMut(u64) -> &'static str + Send,
 {
-    let total_iters = warmup + iters;
-    let mut out: Vec<WorkerRun> = Vec::with_capacity(nodes * workers);
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(nodes * workers);
-        for node in 0..nodes as NodeId {
-            for wid in 0..workers {
-                let make = &make;
-                handles.push(s.spawn(move || {
-                    let mut f = make(node, wid);
-                    vtime::take();
-                    let mut samples = Vec::with_capacity(iters as usize);
-                    let mut vtime_ns = 0u64;
-                    for k in 0..total_iters {
-                        let label = f(k);
-                        let spent = vtime::take();
-                        if k >= warmup {
-                            samples.push((label, spent));
-                            vtime_ns += spent;
-                        }
-                    }
-                    WorkerRun { node, samples, vtime_ns }
-                }));
-            }
-        }
-        for h in handles {
-            out.push(h.join().expect("worker thread panicked"));
-        }
-    });
-    let os_threads = out.len();
-    Report { workers: out, os_threads }
+    engine(nodes, workers, iters, make, warmup, Threads::PerWorker)
 }
 
 /// Runs any of this module's runners — `diagnosed(&sys, || run(..))` —

@@ -20,18 +20,17 @@
 //! total value — the invariant the chaos harness checks across crashes
 //! and migrations.
 
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
 use drtm_core::{
-    standalone, AbortCause, DrTm, DrTmConfig, JoinReport, LeaveReport, LockState,
-    MembershipCoordinator, MembershipError, MembershipRecovery, MembershipTable, NodeLayout,
-    NodeState, RecordAddr, SoftTimer, TxnError, TxnSpec, Worker,
+    standalone, Abort, AbortCause, DrTm, DrTmConfig, JoinReport, LeaveReport, LockState,
+    MembershipCoordinator, MembershipError, MembershipTable, NodeLayout, NodeRecovery, NodeState,
+    RecordAddr, SoftTimer, TxnCtx, TxnError, TxnSpec, Worker,
 };
 use drtm_htm::{Executor, HtmConfig, HtmStats, Region};
 use drtm_memstore::rpc::{spawn_store_service, StoreServiceGuard};
 use drtm_memstore::{
-    AddrCache, Arena, ElasticHash, ElasticStats, LookupResult, MigrationReport, RangeMap,
-    ReshardStats, Resharder,
+    AddrCache, Arena, ElasticHash, ElasticStats, MigrationReport, RangeMap, ReshardStats, Resharder,
 };
 use drtm_rdma::{
     Cluster, ClusterConfig, DoorbellConfig, FabricError, FaultConfig, GlobalAddr, LatencyProfile,
@@ -96,33 +95,12 @@ impl Default for ElasticKvConfig {
     }
 }
 
-/// Everything a worker needs besides its [`Worker`] handle.
-struct Shared {
-    /// Per-node shards, indexed by node id; grows under a join.
-    shards: RwLock<Vec<Arc<ElasticHash>>>,
-    map: Arc<RangeMap>,
-    /// Per-client-machine address caches (registered with the resharder
-    /// for cutover invalidation); grows under a join.
-    caches: RwLock<Vec<Arc<AddrCache>>>,
-    /// Lifecycle state of every machine; workers gate writes on it.
-    membership: Arc<MembershipTable>,
-}
-
-impl Shared {
-    fn shard(&self, node: NodeId) -> Arc<ElasticHash> {
-        self.shards.read().expect("shard lock poisoned")[node as usize].clone()
-    }
-
-    fn cache(&self, node: NodeId) -> Arc<AddrCache> {
-        self.caches.read().expect("cache lock poisoned")[node as usize].clone()
-    }
-}
-
 /// A built elastic KV deployment.
 pub struct ElasticKv {
     /// The transaction system.
     pub sys: Arc<DrTm>,
-    shared: Arc<Shared>,
+    /// Owns the range map and the per-node registries: shard `n` and
+    /// address cache `n` belong to machine `n`; both grow under a join.
     resharder: Arc<Resharder>,
     coordinator: Arc<MembershipCoordinator>,
     /// The configuration it was built with.
@@ -146,82 +124,41 @@ impl ElasticKv {
         });
         let exec = Executor::new(cfg.drtm.htm.clone(), Arc::new(HtmStats::new()));
         let per = cfg.keys_per_node;
-        // A shard must be able to absorb every other node's ranges.
-        let capacity = (per as usize) * cfg.nodes + 64;
-        let mut layouts = Vec::new();
-        let mut shards = Vec::new();
-        let mut services = Vec::new();
-        for n in 0..cfg.nodes as NodeId {
-            let mut arena = Arena::new(0, cfg.region_size);
-            layouts.push(NodeLayout::reserve(&mut arena, cfg.workers));
-            let region = cluster.node(n).region();
-            let t = Arc::new(ElasticHash::create(
-                &mut arena,
-                region,
-                n,
-                cfg.init_buckets,
-                cfg.max_buckets,
-                capacity,
-                VALUE_BYTES,
-            ));
-            for k in n as u64 * per..(n as u64 + 1) * per {
-                t.insert(&exec, region, k, &pack_fields(&[INIT_VALUE])).expect("populate");
-            }
-            services.push(spawn_store_service(cluster.clone(), n, vec![t.clone()], exec.clone()));
-            shards.push(t);
-        }
-        let journal_off = layouts[0].migration_journal_off;
         let map = Arc::new(RangeMap::new(
             (0..cfg.nodes as NodeId).map(|n| (n as u64 * per, (n as u64 + 1) * per - 1, n)),
         ));
+        // Every machine has the same layout, so any machine's purge-lock
+        // journal handle is every machine's.
+        let layout = NodeLayout::reserve(&mut Arena::new(0, cfg.region_size), cfg.workers);
         let resharder = Arc::new(Resharder::new(
             cluster.clone(),
-            map.clone(),
-            shards.clone(),
+            map,
+            Vec::new(),
             0,
-            journal_off,
+            layout.purge_lock,
             LockState::write_locked(u8::MAX).0,
             u64::MAX,
             RESHARD_REPLY_Q,
             exec.clone(),
         ));
-        let caches: Vec<Arc<AddrCache>> = (0..cfg.nodes)
-            .map(|_| Arc::new(AddrCache::new((per as usize).next_power_of_two())))
-            .collect();
-        for c in &caches {
-            resharder.register_cache(c.clone());
-        }
-        let timer = SoftTimer::start(cluster.clone(), std::time::Duration::from_micros(200));
-        let sys = DrTm::new(cluster.clone(), cfg.drtm.clone(), layouts);
-        let membership = Arc::new(MembershipTable::new(cfg.nodes));
-        let shared = Arc::new(Shared {
-            shards: RwLock::new(shards),
-            map,
-            caches: RwLock::new(caches),
-            membership: membership.clone(),
-        });
-        let services = Arc::new(Mutex::new(services));
-        // The provision callback a join runs on the new machine: carve
-        // the standard layout plus an (empty) shard on its region, spin
-        // its store service, register shard and cache with the
-        // resharder, and hand the layout back to the coordinator.
+        let services = Arc::new(Mutex::new(Vec::new()));
+        // What every machine gets, founding or joined later: the standard
+        // layout plus an (empty) shard on its region, its store service,
+        // shard and address cache registered with the resharder.
         let provision = {
-            let cluster = cluster.clone();
-            let resharder = resharder.clone();
-            let shared = shared.clone();
-            let services = services.clone();
-            let exec = exec.clone();
-            let cfg = cfg.clone();
+            let (cluster, resharder, services) =
+                (cluster.clone(), resharder.clone(), services.clone());
+            let (exec, cfg) = (exec.clone(), cfg.clone());
             move |node: NodeId| -> NodeLayout {
                 let mut arena = Arena::new(0, cfg.region_size);
                 let layout = NodeLayout::reserve(&mut arena, cfg.workers);
-                let region = cluster.node(node).region();
                 let shard = Arc::new(ElasticHash::create(
                     &mut arena,
-                    region,
+                    cluster.node(node).region(),
                     node,
                     cfg.init_buckets,
                     cfg.max_buckets,
+                    // A shard must be able to absorb every other node's ranges.
                     (cfg.keys_per_node as usize) * cfg.nodes + 64,
                     VALUE_BYTES,
                 ));
@@ -231,33 +168,47 @@ impl ElasticKv {
                     vec![shard.clone()],
                     exec.clone(),
                 ));
-                resharder.add_shard(shard.clone());
-                shared.shards.write().expect("shard lock poisoned").push(shard);
-                let cache =
-                    Arc::new(AddrCache::new((cfg.keys_per_node as usize).next_power_of_two()));
-                resharder.register_cache(cache.clone());
-                shared.caches.write().expect("cache lock poisoned").push(cache);
+                resharder.add_shard(shard);
+                let cells = (cfg.keys_per_node as usize).next_power_of_two();
+                resharder.register_cache(Arc::new(AddrCache::new(cells)));
                 layout
             }
         };
+        let layouts = (0..cfg.nodes as NodeId)
+            .map(|n| {
+                let layout = provision(n);
+                let (shard, region) = (resharder.shard(n), cluster.node(n).region());
+                for k in n as u64 * per..(n as u64 + 1) * per {
+                    shard.insert(&exec, region, k, &pack_fields(&[INIT_VALUE])).expect("populate");
+                }
+                layout
+            })
+            .collect();
+        let timer = SoftTimer::start(cluster.clone(), std::time::Duration::from_micros(200));
+        let sys = DrTm::new(cluster, cfg.drtm.clone(), layouts);
+        let membership = Arc::new(MembershipTable::new(cfg.nodes));
         let coordinator = Arc::new(MembershipCoordinator::new(
-            cluster,
             sys.clone(),
             resharder.clone(),
             membership,
             provision,
         ));
-        ElasticKv { sys, shared, resharder, coordinator, cfg, _services: services, _timer: timer }
+        ElasticKv { sys, resharder, coordinator, cfg, _services: services, _timer: timer }
     }
 
     /// Creates a per-thread workload driver for `(node, worker_id)`.
     pub fn worker(&self, node: NodeId, worker_id: usize) -> ElasticKvWorker {
-        ElasticKvWorker { w: self.sys.worker(node, worker_id), shared: self.shared.clone() }
+        ElasticKvWorker {
+            w: self.sys.worker(node, worker_id),
+            cache: self.cache(node),
+            resharder: self.resharder.clone(),
+            membership: self.coordinator.table().clone(),
+        }
     }
 
     /// The live key-range → owner map.
     pub fn map(&self) -> &Arc<RangeMap> {
-        &self.shared.map
+        self.resharder.map()
     }
 
     /// The resharder (phase hooks, migration stats).
@@ -267,12 +218,12 @@ impl ElasticKv {
 
     /// The shard owned by `node`.
     pub fn shard(&self, node: NodeId) -> Arc<ElasticHash> {
-        self.shared.shard(node)
+        self.resharder.shard(node)
     }
 
     /// The address cache of client machine `node`.
     pub fn cache(&self, node: NodeId) -> Arc<AddrCache> {
-        self.shared.cache(node)
+        self.resharder.cache(node as usize)
     }
 
     /// The cluster membership table (lifecycle state per machine).
@@ -300,10 +251,12 @@ impl ElasticKv {
         self.coordinator.leave(node, via)
     }
 
-    /// Driver hook: repairs a membership operation whose subject died
-    /// (compose into the failure detector's callback). Returns `None`
-    /// when the death was not a membership operation.
-    pub fn recover_membership(&self, crashed: NodeId, via: NodeId) -> Option<MembershipRecovery> {
+    /// Driver hook: everything recovery does after `crashed` died,
+    /// driven from `via` (compose into the failure detector's callback):
+    /// the WAL sweep, the rollback of migrations in flight, and the
+    /// repair of a join or leave whose subject it was — see
+    /// [`MembershipCoordinator::recover`].
+    pub fn recover(&self, crashed: NodeId, via: NodeId) -> NodeRecovery {
         self.coordinator.recover(crashed, via)
     }
 
@@ -326,7 +279,7 @@ impl ElasticKv {
     /// Sum of per-shard resize counters (grows, lookups, extra hops).
     pub fn elastic_stats(&self) -> ElasticStats {
         let mut out = ElasticStats::default();
-        for s in self.shared.shards.read().expect("shard lock poisoned").iter() {
+        for s in self.resharder.shards() {
             let st = s.stats();
             out.grows += st.grows;
             out.lookups += st.lookups;
@@ -341,10 +294,9 @@ impl ElasticKv {
         let exec = self.sys.worker(0, 0).executor().clone();
         let mut total = 0u64;
         for key in 0..self.cfg.nodes as u64 * self.cfg.keys_per_node {
-            let owner = self.shared.map.owner_of(key).expect("unmapped key");
+            let owner = self.map().owner_of(key).expect("unmapped key");
             let region = self.sys.cluster().node(owner).region();
-            let shard = self.shared.shard(owner);
-            let v = read_local(region, exec.config(), &shard, key)
+            let v = read_local(region, exec.config(), &self.shard(owner), key)
                 .unwrap_or_else(|| panic!("key {key} missing on its owner {owner}"));
             total = total.wrapping_add(fields(&v)[0]);
         }
@@ -366,7 +318,11 @@ pub enum WriteOutcome {
 /// Per-thread elastic KV driver.
 pub struct ElasticKvWorker {
     w: Worker,
-    shared: Arc<Shared>,
+    /// This machine's address cache.
+    cache: Arc<AddrCache>,
+    resharder: Arc<Resharder>,
+    /// Lifecycle state of every machine; writes are gated on it.
+    membership: Arc<MembershipTable>,
 }
 
 impl ElasticKvWorker {
@@ -380,49 +336,33 @@ impl ElasticKvWorker {
         &mut self.w
     }
 
-    fn cache(&self) -> Arc<AddrCache> {
-        self.shared.cache(self.w.node)
-    }
-
     /// Reads the raw value bytes of `key` on `server` (no routing):
     /// local keys by validated HTM lookup, remote keys through this
-    /// machine's address cache with incarnation re-verification — a
-    /// stale cached location (key migrated away) fails the check, is
-    /// invalidated, and falls through to a fresh one-sided lookup.
+    /// machine's address cache ([`AddrCache::try_lookup`]: a hit comes
+    /// back with the entry its verification read, a miss is read here).
     fn value_on(&self, server: NodeId, key: u64) -> Result<Option<Vec<u8>>, TxnError> {
-        let shard = self.shared.shard(server);
+        let shard = self.resharder.shard(server);
         if server == self.w.node {
-            Ok(read_local(self.w.region(), self.w.executor().config(), &shard, key))
-        } else {
-            let cache = self.cache();
-            if let Some((addr, slot)) = cache.lookup(key) {
-                if addr.node == server {
-                    if let Some((_, v)) = shard.remote_read_entry(self.w.qp(), addr, &slot) {
-                        return Ok(Some(v));
-                    }
-                }
-                cache.invalidate(key);
-            }
-            match shard.try_remote_lookup(self.w.qp(), key).map_err(dead)? {
-                LookupResult::Found { addr, slot, .. } => {
-                    cache.install(key, addr, slot);
-                    Ok(shard.remote_read_entry(self.w.qp(), addr, &slot).map(|(_, v)| v))
-                }
-                LookupResult::NotFound { .. } => Ok(None),
-            }
+            return Ok(read_local(self.w.region(), self.w.executor().config(), &shard, key));
         }
+        let Some(found) = self.cache.try_lookup(self.w.qp(), &shard, key)? else {
+            return Ok(None);
+        };
+        let entry =
+            found.entry.or_else(|| shard.remote_read_entry(self.w.qp(), found.addr, &found.slot));
+        Ok(entry.map(|(_, v)| v))
     }
 
     /// Reads `key` through the range map, dual-reading during a cutover
     /// window: a miss on the (still primary) source forwards to the
     /// destination and counts a forced miss.
     pub fn read(&self, key: u64) -> Result<Option<u64>, TxnError> {
-        let d = self.shared.map.route(key).expect("unmapped key");
+        let d = self.resharder.map().route(key).expect("unmapped key");
         if let Some(v) = self.value_on(d.primary, key)? {
             return Ok(Some(fields(&v)[0]));
         }
         if let Some(fwd) = d.forward {
-            self.cache().note_forced_miss();
+            self.cache.note_forced_miss();
             if let Some(v) = self.value_on(fwd, key)? {
                 return Ok(Some(fields(&v)[0]));
             }
@@ -432,33 +372,15 @@ impl ElasticKvWorker {
 
     /// Resolves `key` to a record address on `server`.
     fn resolve(&self, server: NodeId, key: u64) -> Result<Option<RecordAddr>, TxnError> {
-        if server == self.w.node {
-            let shard = self.shared.shard(server);
-            let found = standalone(self.w.region(), self.w.executor().config(), |txn| {
-                shard.get_local(txn, key)
-            });
-            Ok(found
+        let shard = self.resharder.shard(server);
+        let addr = if server == self.w.node {
+            standalone(self.w.region(), self.w.executor().config(), |txn| shard.get_local(txn, key))
                 .expect("a lookup never aborts itself")
-                .map(|e| RecordAddr::new(GlobalAddr::new(server, e.offset), VALUE_BYTES)))
+                .map(|e| GlobalAddr::new(server, e.offset))
         } else {
-            let shard = self.shared.shard(server);
-            let cache = self.cache();
-            if let Some((addr, slot)) = cache.lookup(key) {
-                if addr.node == server
-                    && shard.remote_read_entry(self.w.qp(), addr, &slot).is_some()
-                {
-                    return Ok(Some(RecordAddr::new(addr, VALUE_BYTES)));
-                }
-                cache.invalidate(key);
-            }
-            match shard.try_remote_lookup(self.w.qp(), key).map_err(dead)? {
-                LookupResult::Found { addr, slot, .. } => {
-                    cache.install(key, addr, slot);
-                    Ok(Some(RecordAddr::new(addr, VALUE_BYTES)))
-                }
-                LookupResult::NotFound { .. } => Ok(None),
-            }
-        }
+            self.cache.try_lookup(self.w.qp(), &shard, key)?.map(|found| found.addr)
+        };
+        Ok(addr.map(|a| RecordAddr::new(a, VALUE_BYTES)))
     }
 
     /// One attempt at moving `amount` from `a` to `b` (wrapping; the
@@ -466,14 +388,14 @@ impl ElasticKvWorker {
     /// returns [`WriteOutcome::Frozen`] without blocking, so drivers
     /// can keep pumping other traffic during a cutover and retry later.
     pub fn try_transfer(&mut self, a: u64, b: u64, amount: u64) -> Result<WriteOutcome, TxnError> {
-        let da = self.shared.map.route(a).expect("unmapped key");
-        let db = self.shared.map.route(b).expect("unmapped key");
+        let da = self.resharder.map().route(a).expect("unmapped key");
+        let db = self.resharder.map().route(b).expect("unmapped key");
         // Membership gate: a primary still `Joining` owns nothing
         // authoritatively (the routing raced an activation flip), and a
         // `Retired` primary means the resolution predates a drain —
         // both are typed, retriable routing aborts, never a wedge.
         for d in [&da, &db] {
-            match self.shared.membership.state_of(d.primary) {
+            match self.membership.state_of(d.primary) {
                 Some(NodeState::Joining) => {
                     self.w.note_abort(AbortCause::RouteJoining { node: d.primary });
                     return Ok(WriteOutcome::Frozen);
@@ -500,49 +422,19 @@ impl ElasticKvWorker {
             self.w.note_abort(AbortCause::Migrated);
             return Ok(WriteOutcome::Frozen);
         };
+        // Each key is written where it lives.
         let mut spec = TxnSpec::default();
-        let a_local = da.primary == self.w.node;
-        let b_local = db.primary == self.w.node;
-        if a_local {
-            spec.local_writes.push(ra);
-        } else {
-            spec.remote_writes.push(ra);
-        }
-        if b_local {
-            spec.local_writes.push(rb);
-        } else {
-            spec.remote_writes.push(rb);
-        }
-        let mut li = 0;
-        let mut ri = 0;
-        let (ai, a_is_local) =
-            if a_local { (post_inc(&mut li), true) } else { (post_inc(&mut ri), false) };
-        let (bi, b_is_local) =
-            if b_local { (post_inc(&mut li), true) } else { (post_inc(&mut ri), false) };
+        let mut declare = |rec: RecordAddr| {
+            let local = rec.addr.node == self.w.node;
+            let list = if local { &mut spec.local_writes } else { &mut spec.remote_writes };
+            list.push(rec);
+            (local, list.len() - 1)
+        };
+        let (sa, sb) = (declare(ra), declare(rb));
         let r = self.w.execute(&spec, |ctx| {
-            let va = if a_is_local {
-                fields(&ctx.local_write_cur(ai)?)[0]
-            } else {
-                fields(ctx.remote_write_cur(ai))[0]
-            };
-            let vb = if b_is_local {
-                fields(&ctx.local_write_cur(bi)?)[0]
-            } else {
-                fields(ctx.remote_write_cur(bi))[0]
-            };
-            let na = pack_fields(&[va.wrapping_sub(amount)]);
-            let nb = pack_fields(&[vb.wrapping_add(amount)]);
-            if a_is_local {
-                ctx.local_write(ai, &na)?;
-            } else {
-                ctx.remote_write(ai, na);
-            }
-            if b_is_local {
-                ctx.local_write(bi, &nb)?;
-            } else {
-                ctx.remote_write(bi, nb);
-            }
-            Ok(())
+            let (va, vb) = (cur(ctx, sa)?, cur(ctx, sb)?);
+            put(ctx, sa, va.wrapping_sub(amount))?;
+            put(ctx, sb, vb.wrapping_add(amount))
         });
         match r {
             Ok(_) | Err(TxnError::UserAborted) => Ok(WriteOutcome::Committed),
@@ -563,10 +455,21 @@ impl ElasticKvWorker {
     }
 }
 
-fn post_inc(i: &mut usize) -> usize {
-    let v = *i;
-    *i += 1;
-    v
+/// Where a transfer declared one of its keys: `(local, index)` in the
+/// spec's local or remote write list.
+type WriteSlot = (bool, usize);
+
+fn cur(ctx: &mut TxnCtx<'_>, (local, i): WriteSlot) -> Result<u64, Abort> {
+    Ok(if local { fields(&ctx.local_write_cur(i)?)[0] } else { fields(ctx.remote_write_cur(i))[0] })
+}
+
+fn put(ctx: &mut TxnCtx<'_>, (local, i): WriteSlot, v: u64) -> Result<(), Abort> {
+    if local {
+        ctx.local_write(i, &pack_fields(&[v]))
+    } else {
+        ctx.remote_write(i, pack_fields(&[v]));
+        Ok(())
+    }
 }
 
 /// Validated read of `key`'s value bytes in the shard of `region`'s node.
@@ -576,13 +479,6 @@ fn read_local(region: &Region, cfg: &HtmConfig, shard: &ElasticHash, key: u64) -
         None => Ok(None),
     })
     .expect("a read never aborts itself")
-}
-
-fn dead(e: FabricError) -> TxnError {
-    match e {
-        FabricError::PeerDead { node } | FabricError::Timeout { node } => TxnError::PeerDead(node),
-        FabricError::NodeRetired { node } => TxnError::Retired(node),
-    }
 }
 
 #[cfg(test)]
@@ -760,6 +656,34 @@ mod tests {
             kv.leave_node(2, 0).unwrap_err(),
             MembershipError::WrongState { node: 2, state: Some(NodeState::Retired) }
         );
+    }
+
+    #[test]
+    fn refused_join_leaves_the_cluster_untouched() {
+        // One donor more than the membership journal can describe.
+        let nodes = drtm_core::MAX_JOURNAL_RANGES + 1;
+        let kv = ElasticKv::build(ElasticKvConfig {
+            nodes,
+            max_nodes: nodes + 2,
+            workers: 1,
+            keys_per_node: 4,
+            region_size: 1 << 20,
+            ..tiny()
+        });
+        let total = nodes as u64 * 4 * INIT_VALUE;
+        let table = kv.membership().snapshot();
+        assert_eq!(kv.join_node().unwrap_err(), MembershipError::JournalFull);
+        // The refusal grew nothing: no fabric slot, no table entry.
+        assert_eq!(kv.sys.cluster().num_nodes(), nodes);
+        assert_eq!(kv.membership().snapshot(), table);
+        // One machine fewer fits the journal, and the next join gets the
+        // id the refused one never took.
+        let last = nodes as NodeId - 1;
+        kv.leave_node(last, 0).expect("leave");
+        let join = kv.join_node().expect("the join after a refused one");
+        assert_eq!(join.node, nodes as NodeId);
+        assert_eq!(kv.membership().state_of(join.node), Some(NodeState::Active));
+        assert_eq!(kv.total_value(), total, "conservation");
     }
 
     #[test]

@@ -40,6 +40,18 @@ pub fn pack_fields(fields: &[u64]) -> Vec<u8> {
     v
 }
 
+/// What a workload's `try_*` transaction makes of `execute`'s outcome:
+/// `UserAborted` is a normal outcome of a mix; anything else (a dead
+/// peer, a simulated crash of the worker's own machine) propagates.
+pub(crate) fn tolerate_user_abort<T>(
+    r: Result<T, drtm_core::TxnError>,
+) -> Result<(), drtm_core::TxnError> {
+    match r {
+        Ok(_) | Err(drtm_core::TxnError::UserAborted) => Ok(()),
+        Err(e) => Err(e),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,11 +20,11 @@ use rand::Rng;
 use drtm_core::{DrTm, DrTmConfig, NodeLayout, RecordAddr, SoftTimer, TxnError, TxnSpec, Worker};
 use drtm_htm::{Executor, HtmStats};
 use drtm_memstore::{Arena, ClusterHash};
-use drtm_rdma::{Cluster, ClusterConfig, FabricError, LatencyProfile, NodeId};
+use drtm_rdma::{Cluster, ClusterConfig, LatencyProfile, NodeId};
 
 use crate::dist::rng;
 use crate::resolve::Table;
-use crate::{fields, pack_fields};
+use crate::{fields, pack_fields, tolerate_user_abort};
 
 /// SmallBank sizing and behaviour.
 #[derive(Debug, Clone)]
@@ -207,13 +207,7 @@ impl SmallBankWorker {
     }
 
     fn resolve(&self, table: &Table, node: NodeId, key: u64) -> Result<RecordAddr, TxnError> {
-        match table.try_resolve(&self.w, node, key) {
-            Ok(found) => Ok(found.expect("populated account")),
-            Err(FabricError::PeerDead { node } | FabricError::Timeout { node }) => {
-                Err(TxnError::PeerDead(node))
-            }
-            Err(FabricError::NodeRetired { node }) => Err(TxnError::Retired(node)),
-        }
+        Ok(table.try_resolve(&self.w, node, key)?.expect("populated account"))
     }
 
     /// Runs one transaction drawn from the mix; returns its label.
@@ -345,15 +339,6 @@ impl SmallBankWorker {
             }
             Ok(())
         }))
-    }
-}
-
-/// `UserAborted` is a normal outcome of the mix; anything else (a dead
-/// peer, a simulated crash of this worker's own machine) propagates.
-fn tolerate_user_abort<T>(r: Result<T, TxnError>) -> Result<(), TxnError> {
-    match r {
-        Ok(_) | Err(TxnError::UserAborted) => Ok(()),
-        Err(e) => Err(e),
     }
 }
 

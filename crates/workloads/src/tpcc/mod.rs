@@ -180,10 +180,6 @@ impl Tpcc {
             let region = cluster.node(n).region();
             let mut arena = Arena::new(0, cfg.region_size);
             layouts.push(NodeLayout::reserve(&mut arena, cfg.workers));
-            let mk = |arena: &mut Arena, rows: usize, cap: usize| {
-                Arc::new(ClusterHash::create(arena, n, (rows / 4).max(16), cap, 0))
-            };
-            let _ = mk; // value_cap varies; build each table explicitly
             let t_w =
                 ClusterHash::create(&mut arena, n, 16, wh_per_node as usize + 1, val::WAREHOUSE);
             let t_d = ClusterHash::create(&mut arena, n, 64, dists as usize + 1, val::DISTRICT);

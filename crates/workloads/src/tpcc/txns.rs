@@ -31,7 +31,7 @@ use drtm_rdma::NodeId;
 use crate::dist::rng;
 use crate::resolve::Table;
 use crate::tpcc::{hash16, keys, Tpcc};
-use crate::{fields, pack_fields};
+use crate::{fields, pack_fields, tolerate_user_abort};
 
 pub use drtm_htm::Abort as HtmAbort;
 
@@ -66,8 +66,9 @@ impl TpccWorker {
         &self.w
     }
 
-    fn resolve(&self, table: &Table, node: NodeId, key: u64) -> RecordAddr {
-        table.resolve(&self.w, node, key).unwrap_or_else(|| panic!("missing row {key:#x}"))
+    fn resolve(&self, table: &Table, node: NodeId, key: u64) -> Result<RecordAddr, TxnError> {
+        let found = table.try_resolve(&self.w, node, key)?;
+        Ok(found.unwrap_or_else(|| panic!("missing row {key:#x}")))
     }
 
     fn node_of(&self, w: u64) -> NodeId {
@@ -76,18 +77,32 @@ impl TpccWorker {
 
     /// Runs one transaction from the standard mix (NEW 45 %, PAY 43 %,
     /// OS 4 %, DLY 4 %, SL 4 %); returns its label.
+    ///
+    /// # Panics
+    ///
+    /// On a crashed peer (use [`TpccWorker::try_run_one`] under the
+    /// chaos harness).
     pub fn run_one(&mut self) -> &'static str {
+        self.try_run_one().expect("transaction hit a crashed node")
+    }
+
+    /// [`TpccWorker::run_one`] with typed crash reporting: a transaction
+    /// that touches a crashed peer (or whose own machine is
+    /// crash-simulated) surfaces the error instead of panicking. User
+    /// aborts (new-order's invalid item, a lost delivery race) are a
+    /// normal outcome of the mix, as in the `try_*` functions below.
+    pub fn try_run_one(&mut self) -> Result<&'static str, TxnError> {
         match self.rng.gen_range(0..100u32) {
-            0..=44 => self.new_order(),
-            45..=87 => self.payment(),
-            88..=91 => self.order_status(),
-            92..=95 => self.delivery(),
-            _ => self.stock_level(),
+            0..=44 => self.try_new_order().map(|_| "new_order"),
+            45..=87 => self.try_payment().map(|_| "payment"),
+            88..=91 => self.try_order_status().map(|_| "order_status"),
+            92..=95 => self.try_delivery().map(|_| "delivery"),
+            _ => self.try_stock_level().map(|_| "stock_level"),
         }
     }
 
     /// NEW: order `ol_cnt` items, some possibly from remote warehouses.
-    pub fn new_order(&mut self) -> &'static str {
+    pub fn try_new_order(&mut self) -> Result<(), TxnError> {
         let cfg = self.t.cfg.clone();
         let w = self.home_w;
         let node = self.w.node;
@@ -122,14 +137,14 @@ impl TpccWorker {
 
         // Resolve the declared read/write sets.
         let mut spec = TxnSpec::default();
-        spec.local_writes.push(self.resolve(&self.t.district, node, keys::district(w, d)));
-        spec.local_reads.push(self.resolve(&self.t.warehouse, node, keys::warehouse(w)));
-        spec.local_reads.push(self.resolve(&self.t.customer, node, keys::customer(w, d, c)));
+        spec.local_writes.push(self.resolve(&self.t.district, node, keys::district(w, d))?);
+        spec.local_reads.push(self.resolve(&self.t.warehouse, node, keys::warehouse(w))?);
+        spec.local_reads.push(self.resolve(&self.t.customer, node, keys::customer(w, d, c))?);
         let mut stock_refs = Vec::with_capacity(lines.len());
         for &(i, supply, _) in &lines {
-            spec.local_reads.push(self.resolve(&self.t.item, node, i));
+            spec.local_reads.push(self.resolve(&self.t.item, node, i)?);
             let sn = self.node_of(supply);
-            let rec = self.resolve(&self.t.stock, sn, keys::stock(supply, i));
+            let rec = self.resolve(&self.t.stock, sn, keys::stock(supply, i))?;
             if sn == node {
                 stock_refs.push(StockRef::Local(spec.local_writes.len()));
                 spec.local_writes.push(rec);
@@ -193,12 +208,13 @@ impl TpccWorker {
             Ok(o_id)
         });
         self.hseq += 1;
-        finish(r);
-        "new_order"
+        tolerate_user_abort(r)
     }
 
-    /// PAY: pay `h` into warehouse/district YTD, debit a customer.
-    pub fn payment(&mut self) -> &'static str {
+    /// PAY: pay `h` into warehouse/district YTD, debit a customer. (The
+    /// by-name scan shipped to a remote customer's machine still blocks
+    /// on a host that dies mid-scan.)
+    pub fn try_payment(&mut self) -> Result<(), TxnError> {
         let cfg = self.t.cfg.clone();
         let w = self.home_w;
         let node = self.w.node;
@@ -248,9 +264,9 @@ impl TpccWorker {
         };
 
         let mut spec = TxnSpec::default();
-        spec.local_writes.push(self.resolve(&self.t.warehouse, node, keys::warehouse(w)));
-        spec.local_writes.push(self.resolve(&self.t.district, node, keys::district(w, d)));
-        let cust_rec = self.resolve(&self.t.customer, c_node, keys::customer(c_w, c_d, c));
+        spec.local_writes.push(self.resolve(&self.t.warehouse, node, keys::warehouse(w))?);
+        spec.local_writes.push(self.resolve(&self.t.district, node, keys::district(w, d))?);
+        let cust_rec = self.resolve(&self.t.customer, c_node, keys::customer(c_w, c_d, c))?;
         let cust_remote = c_node != node;
         if cust_remote {
             spec.remote_writes.push(cust_rec);
@@ -283,34 +299,18 @@ impl TpccWorker {
             ctx.hash_insert(&hist_tab, hist_key, &pack_fields(&[c_w, c_d, c, h, 0]))?;
             Ok(())
         });
-        finish(r);
-        "payment"
+        tolerate_user_abort(r)
     }
 
-    /// OS: read-only status of a customer's most recent order.
-    ///
-    /// A peer death mid-scan is tolerated: the transaction aborts typed
-    /// inside [`TpccWorker::try_order_status`] and the mix moves on —
-    /// order-status is a query, so there is nothing to repair.
-    pub fn order_status(&mut self) -> &'static str {
-        match self.try_order_status() {
-            Ok(_) | Err(TxnError::PeerDead(_)) | Err(TxnError::SimulatedCrash) => {}
-            Err(e) => panic!("unexpected order-status failure: {e:?}"),
-        }
-        "order_status"
-    }
-
-    /// [`TpccWorker::order_status`] with typed dead-peer reporting:
-    /// returns the order's total, or [`TxnError::PeerDead`] /
-    /// [`TxnError::SimulatedCrash`] under the chaos harness instead of
-    /// panicking.
+    /// OS: read-only status of a customer's most recent order; returns
+    /// the order's total.
     pub fn try_order_status(&mut self) -> Result<u64, TxnError> {
         let cfg = self.t.cfg.clone();
         let w = self.home_w;
         let node = self.w.node;
         let d = self.rng.gen_range(0..cfg.districts);
         let c = self.rng.gen_range(0..cfg.customers_per_district);
-        let cust_rec = self.resolve(&self.t.customer, node, keys::customer(w, d, c));
+        let cust_rec = self.resolve(&self.t.customer, node, keys::customer(w, d, c))?;
         let co_idx = self.t.cust_order_idx[node as usize].clone();
         let t = self.t.clone();
         let (lo, hi) = keys::cust_order_range(w, d, c);
@@ -339,8 +339,9 @@ impl TpccWorker {
     }
 
     /// DLY: deliver the oldest undelivered order of each district —
-    /// chopped into one DrTM transaction per district (§3).
-    pub fn delivery(&mut self) -> &'static str {
+    /// chopped into one DrTM transaction per district (§3). An error
+    /// leaves the chopping information logged, as a crash would.
+    pub fn try_delivery(&mut self) -> Result<(), TxnError> {
         let cfg = self.t.cfg.clone();
         let w = self.home_w;
         let node = self.w.node;
@@ -383,7 +384,11 @@ impl TpccWorker {
             let (c, ol_cnt) = (of[0], of[3].min(15));
             let mut spec = TxnSpec::default();
             spec.local_writes.push(order_rec);
-            spec.local_writes.push(self.resolve(&self.t.customer, node, keys::customer(w, d, c)));
+            spec.local_writes.push(self.resolve(
+                &self.t.customer,
+                node,
+                keys::customer(w, d, c),
+            )?);
             let mut ol_idx = Vec::new();
             for ol in 0..ol_cnt {
                 if let Some(rec) =
@@ -416,17 +421,18 @@ impl TpccWorker {
                 ctx.local_write(1, &pack_fields(&cf))?;
                 Ok(())
             });
-            finish(r);
+            tolerate_user_abort(r)?;
         }
         self.w.clear_chop();
-        "delivery"
+        Ok(())
     }
 
     /// SL: count distinct recently-ordered items with low stock.
     ///
     /// TPC-C clause 3.5 explicitly relaxes stock-level to read-committed,
-    /// so each record is read with its own validated HTM read.
-    pub fn stock_level(&mut self) -> &'static str {
+    /// so each record is read with its own validated HTM read. Purely
+    /// local: it cannot fail, and is fallible only to match its siblings.
+    pub fn try_stock_level(&mut self) -> Result<(), TxnError> {
         let cfg = self.t.cfg.clone();
         let w = self.home_w;
         let node = self.w.node;
@@ -478,7 +484,7 @@ impl TpccWorker {
                 }
             }
         }
-        "stock_level"
+        Ok(())
     }
 
     /// Committed standalone HTM read (reconnaissance queries).
@@ -488,13 +494,6 @@ impl TpccWorker {
     ) -> T {
         drtm_core::standalone(self.w.region(), self.w.executor().config(), f)
             .expect("a read-only scan aborted explicitly")
-    }
-}
-
-fn finish<T>(r: Result<T, TxnError>) {
-    match r {
-        Ok(_) | Err(TxnError::UserAborted) => {}
-        Err(e) => panic!("unexpected transaction failure: {e:?}"),
     }
 }
 
@@ -509,7 +508,7 @@ mod tests {
         let t = Arc::new(Tpcc::build(tiny()));
         let mut w = t.worker(0, 0);
         for _ in 0..20 {
-            w.new_order();
+            w.try_new_order().unwrap();
         }
         assert!(t.check_order_consistency());
         let snap = t.sys.stats().snapshot();
@@ -521,7 +520,7 @@ mod tests {
         let t = Arc::new(Tpcc::build(tiny()));
         let mut w = t.worker(0, 0);
         for _ in 0..30 {
-            w.payment();
+            w.try_payment().unwrap();
         }
         assert!(t.check_ytd_consistency(), "W_YTD must equal Σ D_YTD");
     }
@@ -531,10 +530,10 @@ mod tests {
         let t = Arc::new(Tpcc::build(tiny()));
         let mut w = t.worker(0, 0);
         for _ in 0..5 {
-            w.new_order();
+            w.try_new_order().unwrap();
         }
-        assert_eq!(w.order_status(), "order_status");
-        assert_eq!(w.stock_level(), "stock_level");
+        w.try_order_status().unwrap();
+        w.try_stock_level().unwrap();
         assert!(t.sys.stats().snapshot().ro_committed >= 1);
     }
 
@@ -557,7 +556,7 @@ mod tests {
         };
         let before = count(&t);
         assert!(before > 0, "seed data must leave undelivered orders");
-        w.delivery();
+        w.try_delivery().unwrap();
         let after = count(&t);
         assert_eq!(after, before - t.cfg.districts as usize, "one order delivered per district");
         assert!(t.check_order_consistency());

@@ -687,7 +687,7 @@ fn assert_no_migration_locks(kv: &ElasticKv) {
 }
 
 /// Runs one migration with the destination armed to die at `p`,
-/// recovers (generic log sweep + range-level rollback), verifies
+/// recovers (the one entry point: log sweep, then range rollback), verifies
 /// conservation and zero leaked locks, then re-runs the migration to
 /// completion. Returns the recovery report and the re-run's report.
 fn migration_crash_run(
@@ -721,12 +721,13 @@ fn migration_crash_run(
     assert_eq!(err, FabricError::PeerDead { node: 1 }, "{p:?}: armed crash must fire");
     assert!(kv.sys.cluster().faults().is_crashed(1));
 
-    // Survivor-driven recovery: the generic per-slot sweep (machine 0
-    // reads the corpse's durable region directly), then revive and roll
-    // the range back to its source.
-    let report = recover_node(kv.sys.cluster(), 1, &kv.sys.layout(1), 0);
+    // Survivor-driven recovery: the per-slot sweep (machine 0 reads the
+    // corpse's durable region directly) and the rollback of the range to
+    // its source, which recovery finds in the range map; then revive.
+    let recovery = kv.recover(1, 0);
+    assert!(recovery.membership.is_none(), "{p:?}: a plain death, not a membership one");
+    let report = recovery.wal;
     kv.sys.cluster().faults().revive(1);
-    kv.resharder().recover(10, 59, 1);
 
     assert_eq!(kv.map().owner_of(30), Some(0), "{p:?}: range must return to its source");
     assert_eq!(kv.total_value(), expected, "{p:?}: conservation after rollback");
@@ -808,7 +809,7 @@ fn join_crash_run(site: &str, doorbell: DoorbellConfig) -> (ElasticKv, Membershi
         "the armed crash must surface as a subject death"
     );
     assert!(kv.sys.cluster().faults().is_crashed(2));
-    let rec = kv.recover_membership(2, 0).expect("an armed join journal must dispatch recovery");
+    let rec = kv.recover(2, 0).membership.expect("an armed join journal must dispatch recovery");
     (kv, rec)
 }
 
@@ -852,7 +853,7 @@ fn join_crash_points_roll_back_to_the_pre_join_geometry() {
             "{p:?}: ops against the retired corpse fail typed"
         );
         // The journal is spent: a second dispatch finds a plain death.
-        assert!(kv.recover_membership(2, 0).is_none(), "{p:?}: recovery not idempotent");
+        assert!(kv.recover(2, 0).membership.is_none(), "{p:?}: recovery not idempotent");
 
         // Replay determinism: an identical run yields a byte-identical
         // report, and doorbell batching must not change it either.
@@ -890,7 +891,7 @@ fn leave_crash_run(doorbell: DoorbellConfig) -> (ElasticKv, MembershipRecovery) 
         "the armed crash must surface as a subject death"
     );
     assert!(kv.sys.cluster().faults().is_crashed(1));
-    let rec = kv.recover_membership(1, 0).expect("an armed leave journal must dispatch recovery");
+    let rec = kv.recover(1, 0).membership.expect("an armed leave journal must dispatch recovery");
     (kv, rec)
 }
 
@@ -925,7 +926,7 @@ fn leave_mid_drain_rolls_the_departure_forward() {
         FabricError::NodeRetired { node: 1 },
         "ops against the departed corpse fail typed"
     );
-    assert!(kv.recover_membership(1, 0).is_none(), "recovery not idempotent");
+    assert!(kv.recover(1, 0).membership.is_none(), "recovery not idempotent");
 
     // Replay determinism, batching on and off.
     let (_, replay) = leave_crash_run(DoorbellConfig::default());
@@ -956,9 +957,9 @@ fn failure_detector_drives_membership_rollback() {
             if !cluster.faults().is_crashed(crashed) {
                 return;
             }
-            // Membership dispatch first; `None` would mean a plain
-            // (non-membership) death for the generic WAL sweep.
-            let rec = coordinator.recover(crashed, survivor);
+            // The one entry point; `membership: None` would mean a plain
+            // (non-membership) death, repaired by its WAL sweep alone.
+            let rec = coordinator.recover(crashed, survivor).membership;
             let _ = tx.send((crashed, rec));
         },
     ));

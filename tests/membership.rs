@@ -12,8 +12,7 @@ use proptest::prelude::*;
 
 use drtm::rdma::{FabricError, LatencyProfile, NodeId};
 use drtm::txn::{
-    recover_node, CrashPoint, DrTmConfig, MembershipError, NodeState, RecoveryDirection,
-    RecoveryReport,
+    CrashPoint, DrTmConfig, MembershipError, NodeState, RecoveryDirection, RecoveryReport,
 };
 use drtm::workloads::elastic::{ElasticKv, ElasticKvConfig, INIT_VALUE};
 
@@ -112,7 +111,8 @@ proptest! {
                             Err(MembershipError::SubjectDied { node: n, .. }) => {
                                 prop_assert_eq!(n, node);
                                 let rec = kv
-                                    .recover_membership(node, active[0])
+                                    .recover(node, active[0])
+                                    .membership
                                     .expect("a journaled join death must dispatch");
                                 prop_assert_eq!(
                                     rec.direction,
@@ -146,7 +146,8 @@ proptest! {
                             Err(MembershipError::SubjectDied { node, .. }) => {
                                 prop_assert_eq!(node, target);
                                 let rec = kv
-                                    .recover_membership(target, via)
+                                    .recover(target, via)
+                                    .membership
                                     .expect("a journaled leave death must dispatch");
                                 prop_assert_eq!(
                                     rec.direction,
@@ -167,11 +168,10 @@ proptest! {
                         let via = active.iter().copied().find(|&n| n != target).unwrap();
                         kv.sys.cluster().faults().kill(target);
                         // Not a membership death: dispatch must decline...
-                        prop_assert!(kv.recover_membership(target, via).is_none());
+                        let recovery = kv.recover(target, via);
+                        prop_assert!(recovery.membership.is_none());
                         // ...and the quiesced WAL has nothing to repair.
-                        let report =
-                            recover_node(kv.sys.cluster(), target, &kv.sys.layout(target), via);
-                        prop_assert_eq!(report, RecoveryReport::default());
+                        prop_assert_eq!(recovery.wal, RecoveryReport::default());
                         kv.sys.cluster().faults().revive(target);
                     }
                 }
@@ -223,7 +223,7 @@ proptest! {
         if crash {
             kv.sys.cluster().faults().arm_crash(2, CrashPoint::JoinBeforeActivate.name());
             kv.join_node().unwrap_err();
-            kv.recover_membership(2, 0).expect("rollback");
+            kv.recover(2, 0).membership.expect("rollback");
         } else {
             kv.join_node().unwrap();
             kv.leave_node(2, 0).unwrap();
