@@ -9,6 +9,9 @@
 #   RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 #     (a renamed or privatised item that a doc comment still links to
 #     fails here; nothing else would catch it)
+# plus `cargo run --release --example abort_diagnosis`, whose StatsReport
+# block must show every layer counting (txns, htm, rdma, a phase line
+# with record ops, a non-empty abort-cause list)
 # plus the benchmark package's build and unit tests: benchmark/ is its
 # own workspace and drives the crates through the public functions its
 # README pins, so a refactor that breaks one of them fails here instead
@@ -56,6 +59,23 @@ cargo build --release
 
 echo "== tier-1: tests (workspace superset) =="
 cargo test -q --workspace
+
+echo "== diagnostics: abort_diagnosis prints every layer of its StatsReport =="
+# The one place all five counter sets are printed together, and every
+# one of them counts something in this storm: a set dropped from the
+# join would print zeros, and fails here.
+REPORT="$(cargo run -q --release --example abort_diagnosis)"
+for want in \
+  '^txns: [1-9][0-9]* committed' \
+  '^htm:  [1-9][0-9]* commits' \
+  '^rdma: [1-9][0-9]* READ' \
+  '^phase breakdown' \
+  '^  fallback +[0-9.]+ ms +[1-9][0-9]* ops$'; do
+  grep -Eq "$want" <<<"$REPORT" \
+    || { echo "abort_diagnosis: no line matches $want" >&2; echo "$REPORT" >&2; exit 1; }
+done
+grep -A1 '^abort causes:$' <<<"$REPORT" | grep -Eq '^  [a-z-]+ +[1-9][0-9]*$' \
+  || { echo "abort_diagnosis: empty abort-cause list" >&2; echo "$REPORT" >&2; exit 1; }
 
 echo "== style: rustfmt =="
 cargo fmt --all -- --check

@@ -169,29 +169,26 @@ fn main() {
         (rep, stats)
     });
     assert_eq!(kv.total_value(), total_keys * INIT_VALUE, "conservation across live resharding");
-    let e1 = kv.elastic_stats();
-    let rs1 = kv.reshard_stats();
+    let e = kv.elastic_stats().since(&e0);
+    let rs = kv.reshard_stats().since(&rs0);
     let s_tput = steady.throughput();
     let d_tput = during.0.throughput();
-    let dl = e1.lookups.saturating_sub(e0.lookups);
-    let dh = e1.extra_hops.saturating_sub(e0.extra_hops);
-    let hops_per_lookup = if dl > 0 { dh as f64 / dl as f64 } else { 0.0 };
-    let migrated_mb = rs1.bytes_moved.saturating_sub(rs0.bytes_moved) as f64 / (1 << 20) as f64;
-    let doublings = e1.grows.saturating_sub(e0.grows);
+    let hops_per_lookup = if e.lookups > 0 { e.extra_hops as f64 / e.lookups as f64 } else { 0.0 };
+    let migrated_mb = rs.bytes_moved as f64 / (1 << 20) as f64;
+    let doublings = e.grows;
     row(&["resize".into(), "steady".into(), "during".into(), "ratio".into()]);
     row(&["tput".into(), mops(s_tput), mops(d_tput), f(d_tput / s_tput)]);
-    let inv: u64 = (0..2).map(|n| kv.cache(n).stats().migration_invalidations).sum();
-    let fwd: u64 = (0..2).map(|n| kv.cache(n).stats().forced_misses).sum();
+    let caches = kv.cache(0).stats().merge(&kv.cache(1).stats());
     println!(
         "resize diagnostics: {} migrations, {:.2} MB moved, {} doublings, \
          {:.4} extra hops/lookup, {} migration invalidations, {} forced misses, \
          {} Migrated aborts",
-        rs1.migrations - rs0.migrations,
+        rs.migrations,
         migrated_mb,
         doublings,
         hops_per_lookup,
-        inv,
-        fwd,
+        caches.migration_invalidations,
+        caches.forced_misses,
         kv.sys.trace().causes().get(AbortCause::Migrated),
     );
     drtm_bench::diagnostics("resize/during", &during.1);
@@ -201,7 +198,7 @@ fn main() {
     rep.push_extra("resize_extra_hops_per_lookup", hops_per_lookup);
     rep.push_extra("resize_migrated_mb", migrated_mb);
     rep.push_extra("resize_doublings", doublings as f64);
-    rep.push_extra("resize_migrations", (rs1.migrations - rs0.migrations) as f64);
+    rep.push_extra("resize_migrations", rs.migrations as f64);
 
     rep.wall_seconds = wall.elapsed().as_secs_f64();
     rep.throughput = uniform_full;

@@ -29,7 +29,7 @@ fn run_one(strategy: SofttimeStrategy, interval_us: u64, iters: u64) -> (f64, f6
     };
     cfg.drtm.softtime = strategy;
     let m = Arc::new(Micro::build(cfg));
-    m.sys.htm_stats().reset();
+    let built = m.sys.htm_stats().snapshot();
     let m2 = m.clone();
     let rep = run(
         2,
@@ -41,7 +41,7 @@ fn run_one(strategy: SofttimeStrategy, interval_us: u64, iters: u64) -> (f64, f6
         },
         iters / 5,
     );
-    let snap = m.sys.htm_stats().snapshot();
+    let snap = m.sys.htm_stats().snapshot().since(&built);
     // Timer interference shows up as HTM *conflict* aborts (the timer's
     // store invalidates the softtime line in the read set); explicit and
     // capacity aborts come from the protocol itself.

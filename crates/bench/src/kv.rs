@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use drtm_htm::{vtime, Executor, HtmConfig, HtmStats};
-use drtm_memstore::{Arena, ClusterHash, LocationCache, LookupResult};
+use drtm_memstore::{Arena, CacheStats, ClusterHash, LocationCache, LookupResult};
 use drtm_rdma::{Cluster, ClusterConfig, LatencyProfile, NodeId};
 
 use drtm_workloads::dist::{rng, KeyDist};
@@ -173,16 +173,8 @@ impl KvBench {
 
     /// Aggregated location-cache counters across all client machines
     /// (all zero when the system has no cache).
-    pub fn cache_stats(&self) -> drtm_memstore::CacheStats {
-        let mut total = drtm_memstore::CacheStats::default();
-        for c in &self.caches {
-            let s = c.stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.fetches += s.fetches;
-            total.invalidations += s.invalidations;
-        }
-        total
+    pub fn cache_stats(&self) -> CacheStats {
+        self.caches.iter().fold(CacheStats::default(), |total, c| total.merge(&c.stats()))
     }
 
     fn get(&self, client: NodeId, key: u64) -> (bool, u32) {

@@ -142,16 +142,16 @@ impl Worker {
                     // leased, which every softtime confirms.
                     let delta = self.system().config().delta_us;
                     if !lease_unconfirmed(min_end_us, softtime_nt(&region), delta) {
-                        stats.add_ro_committed();
+                        stats.ro_committed.inc();
                         return Ok(v);
                     }
-                    stats.add_ro_retry();
+                    stats.ro_retries.inc();
                 }
                 Err(RoRestart) => {
                     if let Some(err) = fatal {
                         return Err(self.terminal(err));
                     }
-                    stats.add_ro_retry();
+                    stats.ro_retries.inc();
                     self.backoff(4);
                 }
             }

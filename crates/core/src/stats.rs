@@ -1,163 +1,51 @@
 //! Transaction-layer counters (beyond the HTM-level [`drtm_htm::HtmStats`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Cluster-wide transaction outcome counters.
-#[derive(Debug, Default)]
-pub struct TxnStats {
-    committed: AtomicU64,
-    fallback_committed: AtomicU64,
-    user_aborts: AtomicU64,
-    start_conflicts: AtomicU64,
-    lease_confirm_fails: AtomicU64,
-    ro_committed: AtomicU64,
-    ro_retries: AtomicU64,
-    peer_dead_aborts: AtomicU64,
-    log_writes: AtomicU64,
-    log_bytes: AtomicU64,
-    log_done_waits: AtomicU64,
-}
-
-/// Point-in-time copy of [`TxnStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TxnStatsSnapshot {
-    /// Read-write transactions committed (HTM or fallback path).
-    pub committed: u64,
-    /// Of those, how many committed via the 2PL fallback handler.
-    pub fallback_committed: u64,
-    /// Transactions ended by a user-initiated abort.
-    pub user_aborts: u64,
-    /// Start-phase restarts due to remote lock/lease conflicts.
-    pub start_conflicts: u64,
-    /// Commit-time lease confirmations that failed (expired lease).
-    pub lease_confirm_fails: u64,
-    /// Read-only transactions committed.
-    pub ro_committed: u64,
-    /// Read-only transaction retries (confirmation failures).
-    pub ro_retries: u64,
-    /// Transactions aborted because a peer machine was crashed (or a
-    /// fabric op timed out); retriable only after recovery.
-    pub peer_dead_aborts: u64,
-    /// Durability-log records persisted (lock-ahead, write-ahead, or
-    /// chop). Zero on the read-only path even with logging enabled —
-    /// the invariant the RO tests assert by counter.
-    pub log_writes: u64,
-    /// Payload bytes of those log records.
-    pub log_bytes: u64,
-    /// `log_done` completion markers a committing worker waited on.
-    pub log_done_waits: u64,
+drtm_htm::counter_set! {
+    /// Cluster-wide transaction outcome counters.
+    ///
+    /// Aborts are counted per cause by [`crate::TraceHub`]; this set holds
+    /// outcomes and the two abort tallies whose unit differs from a cause's.
+    pub struct TxnStats;
+    /// Point-in-time copy of [`TxnStats`].
+    pub struct TxnStatsSnapshot {
+        /// Read-write transactions committed (HTM or fallback path).
+        pub(crate) committed,
+        /// Of those, how many committed via the 2PL fallback handler.
+        pub(crate) fallback_committed,
+        /// Start-phase restarts of the HTM strategy: one per lost wave
+        /// whatever met it (a dead or retired peer included), where the
+        /// `start-*` causes split the lock/lease conflicts by kind.
+        pub(crate) start_conflicts,
+        /// Read-only transactions committed.
+        pub(crate) ro_committed,
+        /// Read-only transaction retries (confirmation failures).
+        pub(crate) ro_retries,
+        /// Transactions aborted because a peer machine was crashed (or a
+        /// fabric op timed out); retriable only after recovery. One per
+        /// transaction that ended so, where the `peer-dead` cause counts
+        /// every conflict with the dead peer.
+        pub(crate) peer_dead_aborts,
+        /// Durability-log records persisted (lock-ahead, write-ahead, or
+        /// chop). Zero on the read-only path even with logging enabled —
+        /// the invariant the RO tests assert by counter.
+        pub(crate) log_writes,
+        /// Payload bytes of those log records.
+        pub(crate) log_bytes,
+        /// `log_done` completion markers a committing worker waited on.
+        pub(crate) log_done_waits,
+    }
 }
 
 impl TxnStats {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     pub(crate) fn add_committed(&self, fallback: bool) {
-        self.committed.fetch_add(1, Ordering::Relaxed);
+        self.committed.inc();
         if fallback {
-            self.fallback_committed.fetch_add(1, Ordering::Relaxed);
+            self.fallback_committed.inc();
         }
-    }
-
-    pub(crate) fn add_user_abort(&self) {
-        self.user_aborts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_start_conflict(&self) {
-        self.start_conflicts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_lease_confirm_fail(&self) {
-        self.lease_confirm_fails.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_ro_committed(&self) {
-        self.ro_committed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_ro_retry(&self) {
-        self.ro_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_peer_dead_abort(&self) {
-        self.peer_dead_aborts.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn add_log_write(&self, bytes: usize) {
-        self.log_writes.fetch_add(1, Ordering::Relaxed);
-        self.log_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_log_done_wait(&self) {
-        self.log_done_waits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes a snapshot of all counters.
-    pub fn snapshot(&self) -> TxnStatsSnapshot {
-        TxnStatsSnapshot {
-            committed: self.committed.load(Ordering::Relaxed),
-            fallback_committed: self.fallback_committed.load(Ordering::Relaxed),
-            user_aborts: self.user_aborts.load(Ordering::Relaxed),
-            start_conflicts: self.start_conflicts.load(Ordering::Relaxed),
-            lease_confirm_fails: self.lease_confirm_fails.load(Ordering::Relaxed),
-            ro_committed: self.ro_committed.load(Ordering::Relaxed),
-            ro_retries: self.ro_retries.load(Ordering::Relaxed),
-            peer_dead_aborts: self.peer_dead_aborts.load(Ordering::Relaxed),
-            log_writes: self.log_writes.load(Ordering::Relaxed),
-            log_bytes: self.log_bytes.load(Ordering::Relaxed),
-            log_done_waits: self.log_done_waits.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets all counters.
-    pub fn reset(&self) {
-        self.committed.store(0, Ordering::Relaxed);
-        self.fallback_committed.store(0, Ordering::Relaxed);
-        self.user_aborts.store(0, Ordering::Relaxed);
-        self.start_conflicts.store(0, Ordering::Relaxed);
-        self.lease_confirm_fails.store(0, Ordering::Relaxed);
-        self.ro_committed.store(0, Ordering::Relaxed);
-        self.ro_retries.store(0, Ordering::Relaxed);
-        self.peer_dead_aborts.store(0, Ordering::Relaxed);
-        self.log_writes.store(0, Ordering::Relaxed);
-        self.log_bytes.store(0, Ordering::Relaxed);
-        self.log_done_waits.store(0, Ordering::Relaxed);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counters_roundtrip() {
-        let s = TxnStats::new();
-        s.add_committed(false);
-        s.add_committed(true);
-        s.add_user_abort();
-        s.add_start_conflict();
-        s.add_lease_confirm_fail();
-        s.add_ro_committed();
-        s.add_ro_retry();
-        s.add_peer_dead_abort();
-        s.add_log_write(48);
-        s.add_log_write(16);
-        s.add_log_done_wait();
-        let snap = s.snapshot();
-        assert_eq!(snap.committed, 2);
-        assert_eq!(snap.fallback_committed, 1);
-        assert_eq!(snap.user_aborts, 1);
-        assert_eq!(snap.start_conflicts, 1);
-        assert_eq!(snap.lease_confirm_fails, 1);
-        assert_eq!(snap.ro_committed, 1);
-        assert_eq!(snap.ro_retries, 1);
-        assert_eq!(snap.peer_dead_aborts, 1);
-        assert_eq!(snap.log_writes, 2);
-        assert_eq!(snap.log_bytes, 64);
-        assert_eq!(snap.log_done_waits, 1);
-        s.reset();
-        assert_eq!(s.snapshot(), TxnStatsSnapshot::default());
+        self.log_writes.inc();
+        self.log_bytes.add(bytes as u64);
     }
 }

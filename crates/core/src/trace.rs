@@ -21,10 +21,9 @@
 //!   print alongside throughput.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use drtm_htm::{vtime, Abort};
+use drtm_htm::{vtime, Abort, CounterArray};
 use drtm_rdma::{CounterSnapshot, GlobalAddr};
 
 use crate::record::{LockConflict, ABORT_LEASED, ABORT_LEASE_EXPIRED, ABORT_LOCKED};
@@ -349,32 +348,23 @@ impl fmt::Display for TraceDump {
     }
 }
 
-/// Per-phase accumulated virtual time and record-level remote operations.
-#[derive(Debug, Default)]
-pub struct PhaseStats {
-    vtime_ns: [AtomicU64; Phase::COUNT],
-    record_ops: [AtomicU64; Phase::COUNT],
-}
-
-/// Point-in-time copy of one phase's accumulators.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseLine {
-    /// Virtual nanoseconds spent in the phase across all workers.
-    pub vtime_ns: u64,
-    /// Record-level remote operations (lock, lease, fetch, write-back,
-    /// unlock) issued from the phase; verbs-level totals are in the
-    /// joined RDMA counters.
-    pub record_ops: u64,
-}
-
-impl PhaseLine {
-    fn since(&self, earlier: &PhaseLine) -> PhaseLine {
-        PhaseLine {
-            vtime_ns: self.vtime_ns - earlier.vtime_ns,
-            record_ops: self.record_ops - earlier.record_ops,
-        }
+drtm_htm::counter_set! {
+    /// One phase's accumulators.
+    struct PhaseCounters;
+    /// Point-in-time copy of one phase's accumulators.
+    pub struct PhaseLine {
+        /// Virtual nanoseconds spent in the phase across all workers.
+        vtime_ns,
+        /// Record-level remote operations (lock, lease, fetch, write-back,
+        /// unlock) issued from the phase; verbs-level totals are in the
+        /// joined RDMA counters.
+        record_ops,
     }
 }
+
+/// Per-phase accumulated virtual time and record-level remote operations.
+#[derive(Debug, Default)]
+pub struct PhaseStats([PhaseCounters; Phase::COUNT]);
 
 /// Point-in-time copy of [`PhaseStats`], indexed by [`Phase`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -389,33 +379,22 @@ impl PhaseSnapshot {
         self.phases[p.index()]
     }
 
-    /// Component-wise difference `self - earlier`.
+    /// Phase-wise difference `self - earlier`.
     pub fn since(&self, earlier: &PhaseSnapshot) -> PhaseSnapshot {
-        let mut out = PhaseSnapshot::default();
-        for i in 0..Phase::COUNT {
-            out.phases[i] = self.phases[i].since(&earlier.phases[i]);
-        }
-        out
+        PhaseSnapshot { phases: std::array::from_fn(|i| self.phases[i].since(&earlier.phases[i])) }
     }
 }
 
 impl PhaseStats {
     pub(crate) fn add(&self, phase: Phase, vtime_ns: u64, record_ops: u64) {
-        let i = phase.index();
-        self.vtime_ns[i].fetch_add(vtime_ns, Ordering::Relaxed);
-        self.record_ops[i].fetch_add(record_ops, Ordering::Relaxed);
+        let line = &self.0[phase.index()];
+        line.vtime_ns.add(vtime_ns);
+        line.record_ops.add(record_ops);
     }
 
     /// Takes a snapshot of the accumulators.
     pub fn snapshot(&self) -> PhaseSnapshot {
-        let mut out = PhaseSnapshot::default();
-        for i in 0..Phase::COUNT {
-            out.phases[i] = PhaseLine {
-                vtime_ns: self.vtime_ns[i].load(Ordering::Relaxed),
-                record_ops: self.record_ops[i].load(Ordering::Relaxed),
-            };
-        }
-        out
+        PhaseSnapshot { phases: std::array::from_fn(|i| self.0[i].snapshot()) }
     }
 }
 
@@ -459,13 +438,9 @@ impl CauseSnapshot {
         self.counts.iter().sum()
     }
 
-    /// Component-wise difference `self - earlier`.
+    /// Cause-wise difference `self - earlier`.
     pub fn since(&self, earlier: &CauseSnapshot) -> CauseSnapshot {
-        let mut out = CauseSnapshot::default();
-        for i in 0..NUM_CAUSES {
-            out.counts[i] = self.counts[i] - earlier.counts[i];
-        }
-        out
+        CauseSnapshot { counts: CounterArray::since(&self.counts, &earlier.counts) }
     }
 
     /// `(kind name, count)` for every non-zero cause, largest first.
@@ -486,7 +461,7 @@ impl CauseSnapshot {
 #[derive(Debug)]
 pub struct TraceHub {
     ring_capacity: usize,
-    causes: [AtomicU64; NUM_CAUSES],
+    causes: CounterArray<NUM_CAUSES>,
     pub(crate) phases: PhaseStats,
     rings: Mutex<Vec<std::sync::Arc<TraceBuf>>>,
 }
@@ -497,7 +472,7 @@ impl TraceHub {
     pub fn new(ring_capacity: usize) -> TraceHub {
         TraceHub {
             ring_capacity: ring_capacity.max(1),
-            causes: Default::default(),
+            causes: CounterArray::default(),
             phases: PhaseStats::default(),
             rings: Mutex::new(Vec::new()),
         }
@@ -512,17 +487,13 @@ impl TraceHub {
 
     /// Counts the cause and appends the event to the worker's ring.
     pub(crate) fn record(&self, ring: &TraceBuf, ev: TraceEvent) {
-        self.causes[ev.cause.index()].fetch_add(1, Ordering::Relaxed);
+        self.causes.inc(ev.cause.index());
         ring.push(ev);
     }
 
     /// Snapshot of the per-cause counters.
     pub fn causes(&self) -> CauseSnapshot {
-        let mut out = CauseSnapshot::default();
-        for i in 0..NUM_CAUSES {
-            out.counts[i] = self.causes[i].load(Ordering::Relaxed);
-        }
-        out
+        CauseSnapshot { counts: self.causes.snapshot() }
     }
 
     /// Snapshot of the per-phase accumulators.
@@ -563,39 +534,13 @@ pub struct StatsReport {
     pub phases: PhaseSnapshot,
 }
 
-fn txn_since(a: &TxnStatsSnapshot, b: &TxnStatsSnapshot) -> TxnStatsSnapshot {
-    TxnStatsSnapshot {
-        committed: a.committed - b.committed,
-        fallback_committed: a.fallback_committed - b.fallback_committed,
-        user_aborts: a.user_aborts - b.user_aborts,
-        start_conflicts: a.start_conflicts - b.start_conflicts,
-        lease_confirm_fails: a.lease_confirm_fails - b.lease_confirm_fails,
-        ro_committed: a.ro_committed - b.ro_committed,
-        ro_retries: a.ro_retries - b.ro_retries,
-        peer_dead_aborts: a.peer_dead_aborts - b.peer_dead_aborts,
-        log_writes: a.log_writes - b.log_writes,
-        log_bytes: a.log_bytes - b.log_bytes,
-        log_done_waits: a.log_done_waits - b.log_done_waits,
-    }
-}
-
-fn htm_since(a: &drtm_htm::StatsSnapshot, b: &drtm_htm::StatsSnapshot) -> drtm_htm::StatsSnapshot {
-    drtm_htm::StatsSnapshot {
-        commits: a.commits - b.commits,
-        conflict_aborts: a.conflict_aborts - b.conflict_aborts,
-        capacity_aborts: a.capacity_aborts - b.capacity_aborts,
-        explicit_aborts: a.explicit_aborts - b.explicit_aborts,
-        fallbacks: a.fallbacks - b.fallbacks,
-    }
-}
-
 impl StatsReport {
     /// Component-wise difference `self - earlier` (for a measured
     /// window; every layer diffs together).
     pub fn since(&self, earlier: &StatsReport) -> StatsReport {
         StatsReport {
-            txn: txn_since(&self.txn, &earlier.txn),
-            htm: htm_since(&self.htm, &earlier.htm),
+            txn: self.txn.since(&earlier.txn),
+            htm: self.htm.since(&earlier.htm),
             rdma: self.rdma.since(&earlier.rdma),
             causes: self.causes.since(&earlier.causes),
             phases: self.phases.since(&earlier.phases),
@@ -620,7 +565,7 @@ impl fmt::Display for StatsReport {
              {:.2} aborted attempts/commit",
             self.txn.committed,
             self.txn.fallback_committed,
-            self.txn.user_aborts,
+            self.causes.get(AbortCause::UserAbort),
             self.txn.ro_committed,
             self.aborts_per_commit(),
         )?;

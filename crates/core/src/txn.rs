@@ -278,7 +278,7 @@ impl DrTm {
         Arc::new(DrTm {
             cluster,
             cfg,
-            stats: Arc::new(TxnStats::new()),
+            stats: Arc::new(TxnStats::default()),
             htm_stats: Arc::new(HtmStats::new()),
             trace,
             layouts: RwLock::new(layouts),
@@ -652,7 +652,7 @@ impl Worker {
     ) -> Result<T, Stop> {
         let Env { sys, spec, .. } = env;
         let strategy = Strategy::Ordered2pl;
-        sys.htm_stats().record_fallback();
+        sys.htm_stats().fallbacks.inc();
         let mut t = PhaseTimer::start(&sys.trace, Phase::Fallback);
         let mut order: Vec<Item> = declared(spec).collect();
         order.sort_by_key(|it| (it.rec.addr.node, it.rec.addr.offset));
@@ -710,7 +710,7 @@ impl Worker {
     /// Counts a terminal dead-peer abort and returns the error to raise.
     pub(crate) fn terminal(&self, e: TxnError) -> TxnError {
         if matches!(e, TxnError::PeerDead(_)) {
-            self.sys.stats.add_peer_dead_abort();
+            self.sys.stats.peer_dead_aborts.inc();
         }
         e
     }
@@ -820,7 +820,7 @@ impl Worker {
                 let held = order[..nth * wave_len].iter().copied().chain(won);
                 *ops += self.release_held(strategy, held);
                 if !waits {
-                    sys.stats.add_start_conflict();
+                    sys.stats.start_conflicts.inc();
                 }
                 return Err(terminal.map_or(Stop::Restart, |e| Stop::Terminal(self.terminal(e))));
             }
@@ -898,7 +898,6 @@ impl Worker {
             // are confirmed before it runs, not after.
             if let Some(rec) = stale_lease(env, locks, softtime_nt(region)) {
                 self.trace_abort(txn_id, Phase::Fallback, AbortCause::LeaseConfirmFail, Some(rec));
-                sys.stats.add_lease_confirm_fail();
                 return Err(Stop::Restart);
             }
             None
@@ -917,7 +916,6 @@ impl Worker {
             Err(Abort::Explicit(USER_ABORT)) => {
                 let phase = if htm { Phase::LocalTx } else { Phase::Fallback };
                 self.trace_abort(txn_id, phase, AbortCause::UserAbort, None);
-                sys.stats.add_user_abort();
                 undo_allocs(&mut allocs);
                 return Err(Stop::Terminal(TxnError::UserAborted));
             }
@@ -942,7 +940,6 @@ impl Worker {
                 if let Some(rec) = stale_lease(env, locks, now) {
                     let stale = Abort::Explicit(ABORT_LEASE_EXPIRED);
                     self.htm_abort(env, Phase::Commit, stale, Some(rec), &mut allocs);
-                    sys.stats.add_lease_confirm_fail();
                     return Err(Stop::Restart);
                 }
             }
@@ -975,7 +972,7 @@ impl Worker {
                 return Err(CRASH);
             }
             txn.commit().map_err(|a| self.htm_abort(env, Phase::Commit, a, None, &mut allocs))?;
-            sys.htm_stats().record_commit();
+            sys.htm_stats().commits.inc();
         }
         // Committed: the log is persistent, nothing is applied yet and
         // every lock is still held — recovery must redo every update.
@@ -1077,7 +1074,7 @@ impl Worker {
     fn reclaim_log(&self, log_live: bool) {
         if log_live && self.pending.is_empty() {
             self.log.log_done(self.region());
-            self.sys.stats.add_log_done_wait();
+            self.sys.stats.log_done_waits.inc();
         }
     }
 
@@ -1468,7 +1465,7 @@ mod tests {
         assert_eq!(r, Err(TxnError::UserAborted));
         assert!(h.state_of(1, 1).is_init(), "lock released after user abort");
         assert_eq!(h.value(1, 1), 100, "no update applied");
-        assert_eq!(h.sys.stats().snapshot().user_aborts, 1);
+        assert_eq!(h.sys.trace().causes().get(AbortCause::UserAbort), 1);
     }
 
     #[test]

@@ -29,6 +29,10 @@
 //! operation *charges* its modelled latency to a per-thread accumulator
 //! and throughput is computed in virtual time.
 //!
+//! As the lowest crate it also hosts [`counters`], the one primitive every
+//! layer's statistics are declared with ([`Counter`], [`CounterArray`],
+//! [`counter_set!`](crate::counter_set)); [`HtmStats`] is its first user.
+//!
 //! # Examples
 //!
 //! ```
@@ -53,12 +57,14 @@
 
 pub mod backoff;
 pub mod coop;
+pub mod counters;
 mod exec;
 mod region;
 mod stats;
 mod txn;
 pub mod vtime;
 
+pub use counters::{Counter, CounterArray};
 pub use exec::Executor;
 pub use region::{Region, LINE_SIZE};
 pub use stats::{HtmStats, StatsSnapshot};

@@ -1,35 +1,26 @@
 //! Commit/abort counters shared by workers and reported by the harnesses.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Aggregated HTM execution counters.
-///
-/// All fields are updated with relaxed atomics; the struct is intended to
-/// be shared behind an `Arc` by every worker of a simulated machine. The
-/// paper reports the capacity-abort rate and fallback rate in Table 6, so
-/// the counters distinguish abort causes.
-#[derive(Debug, Default)]
-pub struct HtmStats {
-    commits: AtomicU64,
-    conflict_aborts: AtomicU64,
-    capacity_aborts: AtomicU64,
-    explicit_aborts: AtomicU64,
-    fallbacks: AtomicU64,
-}
-
-/// A point-in-time copy of [`HtmStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Successful `XEND`s.
-    pub commits: u64,
-    /// Aborts caused by data conflicts (including RDMA strong-atomicity).
-    pub conflict_aborts: u64,
-    /// Aborts caused by read/write-set capacity overflow.
-    pub capacity_aborts: u64,
-    /// Explicit `XABORT`s issued by the protocol.
-    pub explicit_aborts: u64,
-    /// Executions that gave up on HTM and took the fallback path.
-    pub fallbacks: u64,
+crate::counter_set! {
+    /// Aggregated HTM execution counters.
+    ///
+    /// The struct is intended to be shared behind an `Arc` by every worker
+    /// of a simulated machine. The paper reports the capacity-abort rate
+    /// and fallback rate in Table 6, so the counters distinguish abort
+    /// causes.
+    pub struct HtmStats;
+    /// A point-in-time copy of [`HtmStats`].
+    pub struct StatsSnapshot {
+        /// Successful `XEND`s.
+        pub commits,
+        /// Aborts caused by data conflicts (including RDMA strong-atomicity).
+        pub conflict_aborts,
+        /// Aborts caused by read/write-set capacity overflow.
+        pub capacity_aborts,
+        /// Explicit `XABORT`s issued by the protocol.
+        pub explicit_aborts,
+        /// Executions that gave up on HTM and took the fallback path.
+        pub fallbacks,
+    }
 }
 
 impl StatsSnapshot {
@@ -56,11 +47,6 @@ impl HtmStats {
         Self::default()
     }
 
-    /// Records one successful commit.
-    pub fn record_commit(&self) {
-        self.commits.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records one abort of the given cause.
     pub fn record_abort(&self, abort: crate::Abort) {
         match abort {
@@ -68,32 +54,7 @@ impl HtmStats {
             crate::Abort::Capacity => &self.capacity_aborts,
             crate::Abort::Explicit(_) => &self.explicit_aborts,
         }
-        .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one fallback-path execution.
-    pub fn record_fallback(&self) {
-        self.fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes a consistent-enough snapshot of the counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            commits: self.commits.load(Ordering::Relaxed),
-            conflict_aborts: self.conflict_aborts.load(Ordering::Relaxed),
-            capacity_aborts: self.capacity_aborts.load(Ordering::Relaxed),
-            explicit_aborts: self.explicit_aborts.load(Ordering::Relaxed),
-            fallbacks: self.fallbacks.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.commits.store(0, Ordering::Relaxed);
-        self.conflict_aborts.store(0, Ordering::Relaxed);
-        self.capacity_aborts.store(0, Ordering::Relaxed);
-        self.explicit_aborts.store(0, Ordering::Relaxed);
-        self.fallbacks.store(0, Ordering::Relaxed);
+        .inc();
     }
 }
 
@@ -103,21 +64,16 @@ mod tests {
     use crate::Abort;
 
     #[test]
-    fn counters_and_rates() {
+    fn abort_causes_and_rate() {
         let s = HtmStats::new();
-        s.record_commit();
-        s.record_commit();
+        s.commits.add(2);
         s.record_abort(Abort::Conflict);
         s.record_abort(Abort::Capacity);
         s.record_abort(Abort::Explicit(1));
-        s.record_fallback();
         let snap = s.snapshot();
-        assert_eq!(snap.commits, 2);
+        assert_eq!((snap.conflict_aborts, snap.capacity_aborts, snap.explicit_aborts), (1, 1, 1));
         assert_eq!(snap.total_aborts(), 3);
-        assert_eq!(snap.fallbacks, 1);
         assert!((snap.abort_rate() - 0.6).abs() < 1e-9);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 
     #[test]

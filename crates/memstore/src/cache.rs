@@ -49,23 +49,28 @@ use crate::slot::{Slot, SlotType};
 use crate::split_ordered::ElasticHash;
 use crate::ASSOC;
 
-/// Hit/miss counters for one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered entirely from cache (zero RDMA READs).
-    pub hits: u64,
-    /// Lookups that fetched at least one bucket.
-    pub misses: u64,
-    /// Bucket fetches performed (= RDMA READs spent by the cache).
-    pub fetches: u64,
-    /// Explicit invalidations (stale incarnation detected by the caller).
-    pub invalidations: u64,
-    /// Invalidations forced by a range migration's cutover (the resharder
-    /// clearing locations that now point at the old owner).
-    pub migration_invalidations: u64,
-    /// Lookups the router answered remotely *despite* a warm entry
-    /// because the key's range was mid-cutover (cache bypassed).
-    pub forced_misses: u64,
+drtm_htm::counter_set! {
+    /// Lock-free hit/miss counters, shared by all reader threads.
+    struct CacheCounters;
+    /// Hit/miss counters for one cache.
+    pub struct CacheStats {
+        /// Lookups answered entirely from cache (zero RDMA READs).
+        hits,
+        /// Lookups that fetched at least one bucket.
+        misses,
+        /// RDMA READs the cache path spent on lookups: bucket fetches,
+        /// the uncached tail of a walk that outran the pool, and the
+        /// remote re-verification of a cached NotFound.
+        fetches,
+        /// Explicit invalidations (stale incarnation detected by the caller).
+        invalidations,
+        /// Invalidations forced by a range migration's cutover (the resharder
+        /// clearing locations that now point at the old owner).
+        migration_invalidations,
+        /// Lookups the router answered remotely *despite* a warm entry
+        /// because the key's range was mid-cutover (cache bypassed).
+        forced_misses,
+    }
 }
 
 impl CacheStats {
@@ -77,39 +82,6 @@ impl CacheStats {
         } else {
             self.hits as f64 / total as f64
         }
-    }
-}
-
-/// Lock-free hit/miss counters, shared by all reader threads.
-#[derive(Debug, Default)]
-struct AtomicCacheStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    fetches: AtomicU64,
-    invalidations: AtomicU64,
-    migration_invalidations: AtomicU64,
-    forced_misses: AtomicU64,
-}
-
-impl AtomicCacheStats {
-    fn snapshot(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            fetches: self.fetches.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            migration_invalidations: self.migration_invalidations.load(Ordering::Relaxed),
-            forced_misses: self.forced_misses.load(Ordering::Relaxed),
-        }
-    }
-
-    fn reset(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.fetches.store(0, Ordering::Relaxed);
-        self.invalidations.store(0, Ordering::Relaxed);
-        self.migration_invalidations.store(0, Ordering::Relaxed);
-        self.forced_misses.store(0, Ordering::Relaxed);
     }
 }
 
@@ -220,7 +192,7 @@ pub struct LocationCache {
     /// Shard `s` owns main ways `w` and pool buckets `p` with
     /// `w & shard_mask == s` / `p & shard_mask == s`.
     shards: Box<[Mutex<Vec<usize>>]>,
-    stats: AtomicCacheStats,
+    stats: CacheCounters,
     main_mask: usize,
     shard_mask: usize,
 }
@@ -241,7 +213,7 @@ impl LocationCache {
             main: (0..main_slots).map(|_| SeqBucket::new()).collect(),
             pool: (0..pool_slots).map(|_| SeqBucket::new()).collect(),
             shards,
-            stats: AtomicCacheStats::default(),
+            stats: CacheCounters::default(),
             main_mask: main_slots - 1,
             shard_mask: nshards - 1,
         }
@@ -273,11 +245,6 @@ impl LocationCache {
     /// Returns a copy of the hit/miss counters (lock-free).
     pub fn stats(&self) -> CacheStats {
         self.stats.snapshot()
-    }
-
-    /// Resets the hit/miss counters (not the cached data).
-    pub fn reset_stats(&self) {
-        self.stats.reset();
     }
 
     fn shard(&self, way: usize) -> &Mutex<Vec<usize>> {
@@ -322,7 +289,7 @@ impl LocationCache {
         let way = idx & self.main_mask;
         let (mut found, mut reads, from_cache) = match self.walk_cached(way, idx, key) {
             Ok(found) => {
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
+                self.stats.hits.inc();
                 (found, 0, true)
             }
             Err(NotCached) => self.fill(qp, table, key, idx, way)?,
@@ -331,7 +298,9 @@ impl LocationCache {
             // A cached NotFound may be stale (an insert since the
             // snapshot); drop the chain and verify remotely.
             self.evict_way(way);
-            if let LookupResult::Found { slot, reads: r, .. } = table.try_remote_lookup(qp, key)? {
+            let verified = table.try_remote_lookup(qp, key)?;
+            self.stats.fetches.add(verified.reads() as u64);
+            if let LookupResult::Found { slot, reads: r, .. } = verified {
                 found = Some(slot);
                 reads += r;
             }
@@ -382,7 +351,6 @@ impl LocationCache {
         let mut fetch = |off: usize, img: &mut BucketImage| {
             read_bucket(qp, GlobalAddr::new(desc.node, off), img)?;
             reads += 1;
-            self.stats.fetches.fetch_add(1, Ordering::Relaxed);
             Ok(())
         };
 
@@ -425,8 +393,9 @@ impl LocationCache {
                 (table.finish_remote(qp, &mut img, key, &mut reads)?, false)
             }
         };
+        self.stats.fetches.add(reads as u64);
         let counter = if reads == 0 { &self.stats.hits } else { &self.stats.misses };
-        counter.fetch_add(1, Ordering::Relaxed);
+        counter.inc();
         Ok((found, reads, all_cached))
     }
 
@@ -435,7 +404,7 @@ impl LocationCache {
     pub fn invalidate(&self, table: &ClusterHash, key: u64) {
         let idx = table.desc().bucket_index(key);
         let way = idx & self.main_mask;
-        self.stats.invalidations.fetch_add(1, Ordering::Relaxed);
+        self.stats.invalidations.inc();
         self.evict_way(way);
     }
 
@@ -507,7 +476,7 @@ pub struct Resolved {
 pub struct AddrCache {
     cells: Box<[Mutex<Option<CachedAddr>>]>,
     mask: usize,
-    stats: AtomicCacheStats,
+    stats: CacheCounters,
 }
 
 impl AddrCache {
@@ -518,7 +487,7 @@ impl AddrCache {
         AddrCache {
             cells: (0..cells).map(|_| Mutex::new(None)).collect(),
             mask: cells - 1,
-            stats: AtomicCacheStats::default(),
+            stats: CacheCounters::default(),
         }
     }
 
@@ -558,15 +527,15 @@ impl AddrCache {
     pub fn lookup(&self, key: u64) -> Option<(GlobalAddr, Slot)> {
         let hit = self.cell(key).lock().filter(|c| c.key == key).map(|c| (c.addr, c.slot));
         match hit {
-            Some(_) => self.stats.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.stats.misses.fetch_add(1, Ordering::Relaxed),
-        };
+            Some(_) => self.stats.hits.inc(),
+            None => self.stats.misses.inc(),
+        }
         hit
     }
 
     /// Installs a freshly resolved location.
     pub fn install(&self, key: u64, addr: GlobalAddr, slot: Slot) {
-        self.stats.fetches.fetch_add(1, Ordering::Relaxed);
+        self.stats.fetches.inc();
         *self.cell(key).lock() = Some(CachedAddr { key, addr, slot });
     }
 
@@ -576,7 +545,7 @@ impl AddrCache {
         let mut cell = self.cell(key).lock();
         if cell.map(|c| c.key == key).unwrap_or(false) {
             *cell = None;
-            self.stats.invalidations.fetch_add(1, Ordering::Relaxed);
+            self.stats.invalidations.inc();
             true
         } else {
             false
@@ -584,35 +553,26 @@ impl AddrCache {
     }
 
     /// Cutover invalidation: drops every cached key in `[lo, hi]` and
-    /// counts them as migration invalidations. Returns how many entries
-    /// were dropped.
-    pub fn invalidate_range(&self, lo: u64, hi: u64) -> u64 {
-        let mut dropped = 0;
+    /// counts them as migration invalidations.
+    pub fn invalidate_range(&self, lo: u64, hi: u64) {
         for cell in self.cells.iter() {
             let mut cell = cell.lock();
             if cell.map(|c| c.key >= lo && c.key <= hi).unwrap_or(false) {
                 *cell = None;
-                dropped += 1;
+                self.stats.migration_invalidations.inc();
             }
         }
-        self.stats.migration_invalidations.fetch_add(dropped, Ordering::Relaxed);
-        dropped
     }
 
     /// Records a lookup the router answered remotely despite a possible
     /// warm entry, because the key's range was mid-cutover.
     pub fn note_forced_miss(&self) {
-        self.stats.forced_misses.fetch_add(1, Ordering::Relaxed);
+        self.stats.forced_misses.inc();
     }
 
     /// Returns a copy of the hit/miss counters.
     pub fn stats(&self) -> CacheStats {
         self.stats.snapshot()
-    }
-
-    /// Resets the hit/miss counters (not the cached data).
-    pub fn reset_stats(&self) {
-        self.stats.reset();
     }
 }
 
@@ -797,7 +757,7 @@ mod tests {
         for k in 0..256u64 {
             cache.lookup(&qp, &table, k).unwrap();
         }
-        cache.reset_stats();
+        let warm = cache.stats();
         std::thread::scope(|s| {
             for t in 0..4 {
                 let cache = &cache;
@@ -814,7 +774,7 @@ mod tests {
                 });
             }
         });
-        let s = cache.stats();
+        let s = cache.stats().since(&warm);
         assert_eq!(s.hits, 4000);
         assert_eq!(s.misses, 0);
     }

@@ -248,14 +248,14 @@ impl ClusterHash {
             match self.try_insert(&mut txn, key, entry_off, value) {
                 Ok((dup, ind)) => {
                     if dup {
-                        exec.stats().record_commit();
+                        exec.stats().commits.inc();
                         drop(txn);
                         self.entries.free(entry_off);
                         return Err(InsertError::Duplicate);
                     }
                     match txn.commit() {
                         Ok(()) => {
-                            exec.stats().record_commit();
+                            exec.stats().commits.inc();
                             return Ok(());
                         }
                         Err(a) => {
@@ -392,12 +392,12 @@ impl ClusterHash {
                     let entry_off = match found {
                         Some(e) => e,
                         None => {
-                            exec.stats().record_commit();
+                            exec.stats().commits.inc();
                             return false;
                         }
                     };
                     if txn.commit().is_ok() {
-                        exec.stats().record_commit();
+                        exec.stats().commits.inc();
                         self.entries.free(entry_off);
                         return true;
                     }

@@ -120,17 +120,20 @@ impl ElasticHashDesc {
     }
 }
 
-/// Resize/lookup counters of one [`ElasticHash`] (see
-/// [`ElasticHash::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ElasticStats {
-    /// Completed doublings of the bucket array.
-    pub grows: u64,
-    /// Remote lookups served.
-    pub lookups: u64,
-    /// Parent-bucket fallback hops taken by remote lookups (the resize
-    /// cost the perf ledger gates on).
-    pub extra_hops: u64,
+drtm_htm::counter_set! {
+    /// The shared cells behind [`ElasticHash::stats`].
+    struct ElasticCounters;
+    /// Resize/lookup counters of one [`ElasticHash`] (see
+    /// [`ElasticHash::stats`]).
+    pub struct ElasticStats {
+        /// Completed doublings of the bucket array.
+        grows,
+        /// Remote lookups served.
+        lookups,
+        /// Parent-bucket fallback hops taken by remote lookups (the resize
+        /// cost the perf ledger gates on).
+        extra_hops,
+    }
 }
 
 /// How full a bucket may get (entries per published bucket) before an
@@ -153,9 +156,7 @@ pub struct ElasticHash {
     count: AtomicU64,
     /// Serialises doublings; never taken by readers.
     grow_lock: Mutex<()>,
-    grows: AtomicU64,
-    lookups: AtomicU64,
-    extra_hops: AtomicU64,
+    stats: ElasticCounters,
 }
 
 impl ElasticHash {
@@ -205,9 +206,7 @@ impl ElasticHash {
             size_hint: AtomicU64::new(init_buckets as u64),
             count: AtomicU64::new(0),
             grow_lock: Mutex::new(()),
-            grows: AtomicU64::new(0),
-            lookups: AtomicU64::new(0),
-            extra_hops: AtomicU64::new(0),
+            stats: ElasticCounters::default(),
         }
     }
 
@@ -238,11 +237,7 @@ impl ElasticHash {
 
     /// Returns a copy of the resize/lookup counters.
     pub fn stats(&self) -> ElasticStats {
-        ElasticStats {
-            grows: self.grows.load(Ordering::Relaxed),
-            lookups: self.lookups.load(Ordering::Relaxed),
-            extra_hops: self.extra_hops.load(Ordering::Relaxed),
-        }
+        self.stats.snapshot()
     }
 
     /// Doubles the published bucket count. Returns `false` when the
@@ -260,7 +255,7 @@ impl ElasticHash {
         let prev = region.cas_u64_nt(self.desc.size_off(), cur, cur * 2);
         debug_assert_eq!(prev, cur, "size word is only written under grow_lock");
         self.size_hint.store(cur * 2, Ordering::Release);
-        self.grows.fetch_add(1, Ordering::Relaxed);
+        self.stats.grows.inc();
         true
     }
 
@@ -424,7 +419,7 @@ impl ElasticHash {
             match self.try_insert(&mut txn, key, value, cell, upsert_version, &mut fresh) {
                 Ok(TryInsert::Inserted) => match txn.commit() {
                     Ok(()) => {
-                        exec.stats().record_commit();
+                        exec.stats().commits.inc();
                         self.count.fetch_add(1, Ordering::Relaxed);
                         self.maybe_grow(region);
                         return Ok(());
@@ -436,7 +431,7 @@ impl ElasticHash {
                 },
                 Ok(TryInsert::Existing) => match txn.commit() {
                     Ok(()) => {
-                        exec.stats().record_commit();
+                        exec.stats().commits.inc();
                         self.pool.free(cell);
                         return match upsert_version {
                             Some(_) => Ok(()),
@@ -546,12 +541,12 @@ impl ElasticHash {
             let mut txn = region.begin(exec.config());
             match self.try_delete(&mut txn, key) {
                 Ok(None) => {
-                    exec.stats().record_commit();
+                    exec.stats().commits.inc();
                     return false;
                 }
                 Ok(Some(cell)) => {
                     if txn.commit().is_ok() {
-                        exec.stats().record_commit();
+                        exec.stats().commits.inc();
                         self.pool.free(cell);
                         self.count.fetch_sub(1, Ordering::Relaxed);
                         return true;
@@ -615,7 +610,7 @@ impl ElasticHash {
     /// of the real one, which still contains the key. A walk torn by a
     /// concurrent unlink (split-order keys going backwards) restarts.
     pub fn try_remote_lookup(&self, qp: &Qp, key: u64) -> Result<LookupResult, FabricError> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
+        self.stats.lookups.inc();
         let node = self.desc.node;
         let size = qp.try_read_u64(GlobalAddr::new(node, self.desc.size_off()))?.max(1) as usize;
         let mut reads = 1u32;
@@ -630,7 +625,7 @@ impl ElasticHash {
                     sent = d as usize;
                     break;
                 }
-                self.extra_hops.fetch_add(1, Ordering::Relaxed);
+                self.stats.extra_hops.inc();
                 bucket = so_parent(bucket);
             }
             let mut cur = sent;

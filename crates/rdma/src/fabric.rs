@@ -157,7 +157,7 @@ impl Cluster {
             region_size: cfg.region_size,
             profile: cfg.profile,
             atomicity: cfg.atomicity,
-            counters: Arc::new(OpCounters::new()),
+            counters: Arc::new(OpCounters::default()),
             verbs: Verbs::new(cap),
             faults: FaultPlan::new(cfg.faults, cap),
             doorbell: cfg.doorbell,
@@ -346,9 +346,9 @@ impl Qp {
             Ok(delay_ns) => {
                 let op = nic.post(to, &self.cluster.doorbell, now, delay_ns, full_ns, base_ns);
                 if op.rang {
-                    self.cluster.counters.record_doorbell();
+                    self.cluster.counters.doorbells.inc();
                 }
-                self.cluster.counters.record_fabric_ns(op.cost_ns);
+                self.cluster.counters.fabric_ns.add(op.cost_ns);
                 (Ok(op.cost_ns), self.cluster.profile.post_ns.min(op.cost_ns))
             }
             Err(Refused { error, after_ns }) => {
@@ -366,7 +366,8 @@ impl Qp {
     fn read_wr(&self, addr: GlobalAddr, buf: &mut [u8], how: Issue) -> Result<(), FabricError> {
         let p = &self.cluster.profile;
         self.issue(addr.node, p.read_ns(buf.len()), p.read_base_ns, how)?;
-        self.cluster.counters.record_read(buf.len());
+        self.cluster.counters.reads.inc();
+        self.cluster.counters.read_bytes.add(buf.len() as u64);
         self.cluster.node(addr.node).region.read_nt(addr.offset, buf);
         Ok(())
     }
@@ -374,7 +375,8 @@ impl Qp {
     fn write_wr(&self, addr: GlobalAddr, data: &[u8], how: Issue) -> Result<(), FabricError> {
         let p = &self.cluster.profile;
         self.issue(addr.node, p.write_ns(data.len()), p.write_base_ns, how)?;
-        self.cluster.counters.record_write(data.len());
+        self.cluster.counters.writes.inc();
+        self.cluster.counters.write_bytes.add(data.len() as u64);
         self.cluster.node(addr.node).region.write_nt(addr.offset, data);
         Ok(())
     }
@@ -388,7 +390,7 @@ impl Qp {
     ) -> Result<u64, FabricError> {
         let atomic_ns = self.cluster.profile.atomic_ns;
         self.issue(addr.node, atomic_ns, atomic_ns, how)?;
-        self.cluster.counters.record_cas();
+        self.cluster.counters.cas.inc();
         Ok(self.cluster.node(addr.node).region.cas_u64_nt(addr.offset, expected, new))
     }
 
@@ -510,7 +512,7 @@ impl Qp {
     pub fn try_faa_u64(&self, addr: GlobalAddr, delta: u64) -> Result<u64, FabricError> {
         let atomic_ns = self.cluster.profile.atomic_ns;
         self.issue(addr.node, atomic_ns, atomic_ns, Issue::Sync)?;
-        self.cluster.counters.record_faa();
+        self.cluster.counters.faa.inc();
         Ok(self.cluster.node(addr.node).region.faa_u64_nt(addr.offset, delta))
     }
 
@@ -550,7 +552,8 @@ impl Qp {
     ) -> Result<(), FabricError> {
         let p = &self.cluster.profile;
         let cost = self.issue(to, p.send_ns(payload.len()), p.send_base_ns, Issue::Sync)?;
-        self.cluster.counters.record_send(payload.len());
+        self.cluster.counters.sends.inc();
+        self.cluster.counters.send_bytes.add(payload.len() as u64);
         // The fate dice roll per logical SEND, never per doorbell: a
         // batched schedule must replay a seed identically to an
         // unbatched one.

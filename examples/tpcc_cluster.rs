@@ -8,6 +8,7 @@
 
 use std::sync::Arc;
 
+use drtm::txn::AbortCause;
 use drtm::workloads::driver::run;
 use drtm::workloads::tpcc::{Tpcc, TpccConfig};
 
@@ -59,9 +60,11 @@ fn main() {
     assert!(t.check_order_consistency());
     println!("ok");
 
-    let stats = t.sys.stats().snapshot();
+    let stats = t.sys.stats_report();
     println!(
         "committed={} (fallback={}), user aborts={} (~1% of new-orders)",
-        stats.committed, stats.fallback_committed, stats.user_aborts
+        stats.txn.committed,
+        stats.txn.fallback_committed,
+        stats.causes.get(AbortCause::UserAbort)
     );
 }

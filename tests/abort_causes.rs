@@ -273,7 +273,7 @@ fn expired_confirmation_is_lease_confirm_fail() {
         .unwrap_or_else(|| panic!("expected lease-confirm-fail:\n{dump}"));
     assert_eq!(ev.phase, Phase::Commit);
     assert_eq!(ev.record, Some(rec.addr));
-    assert!(f.sys.stats().snapshot().lease_confirm_fails >= 1);
+    assert!(f.sys.trace().causes().get(AbortCause::LeaseConfirmFail) >= 1);
 }
 
 /// The fallback handler's waiting acquisition surfaces as

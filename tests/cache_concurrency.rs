@@ -127,11 +127,14 @@ fn readers_never_observe_torn_slots() {
 /// into an FNV-1a digest; the digest, the READs-per-lookup histogram and
 /// the final counters were recorded at commit 76997e8 and must not move:
 /// the number and order of READs per lookup is the cache's contract.
+/// `fetches` alone was re-recorded when it began to count every READ; it
+/// is held to the fabric's own READ count below.
 #[test]
 fn golden_lookup_invalidate_sequence() {
     let fx = fixture_with(8, 320);
     let cache = LocationCache::new(4, 6);
     let qp = fx.cluster.qp(1);
+    let reads_before = fx.cluster.counters().snapshot().reads;
     let mut rng = 0x9E37_79B9_7F4A_7C15u64;
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     let mut mix = |w: u64| {
@@ -183,10 +186,12 @@ fn golden_lookup_invalidate_sequence() {
         CacheStats {
             hits: 324,
             misses: 1783,
-            fetches: 4092,
+            fetches: 6269,
             invalidations: 293,
             migration_invalidations: 0,
             forced_misses: 0,
         }
     );
+    let reads = fx.cluster.counters().snapshot().reads - reads_before;
+    assert_eq!(cache.stats().fetches, reads, "every READ the cache path spent is a fetch");
 }

@@ -9,7 +9,8 @@
 //! against a corpse ever hangs or returns stale bytes.
 //!
 //! `DRTM_SCALE` (a float, default 1.0) scales the end-to-end iteration
-//! counts so CI can run a cheap smoke pass (`ci.sh --chaos-smoke`).
+//! counts for a cheap local pass; `ci.sh` sets nothing, so tier-1 runs
+//! the matrix at full scale.
 
 use std::sync::Arc;
 use std::time::Duration;
