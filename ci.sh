@@ -21,7 +21,8 @@
 # checks, every KV GET's bytes), about half a minute, writing only the
 # git-ignored benchmark/out — so a protocol change that breaks one of
 # them fails here too. Its numbers are stamped not comparable and
-# nothing reads them.
+# nothing reads them. `ab.sh`, the paired A/B runner for host-time
+# claims, is only syntax-checked (`bash -n`).
 #
 # With --bench-smoke (the only option), additionally runs the three
 # ledgered headline harnesses once each at minimum scale into a scratch
@@ -92,6 +93,11 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 
 echo "== output checks: all four benchmark workloads at 1/20 size =="
 bash benchmark/run.sh --quick > /dev/null
+
+echo "== tooling: ab.sh parses =="
+# The paired A/B runner takes ten minutes per workload and two prebuilt
+# binaries, so CI only checks that it is still a shell script.
+bash -n ab.sh
 
 SCRATCH_DIRS=()
 cleanup() { rm -rf "${SCRATCH_DIRS[@]:-}"; }

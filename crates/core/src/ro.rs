@@ -90,7 +90,7 @@ impl RoCtx<'_> {
     /// (tree scans and lookups for discovering the read set).
     pub fn local_scan<T>(&self, f: impl FnMut(&mut HtmTxn<'_>) -> Result<T, Abort>) -> T {
         standalone(self.worker.region(), self.worker.executor().config(), f)
-            .expect("a read-only store operation aborted explicitly")
+            .expect("a read-only store operation aborted for good")
     }
 
     /// Convenience: validated B+ tree range scan.

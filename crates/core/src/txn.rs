@@ -910,7 +910,7 @@ impl Worker {
             let _t = htm.then(|| PhaseTimer::start(&sys.trace, Phase::LocalTx));
             body(&mut ctx)
         };
-        let TxnCtx { mut txn, writes, mut allocs, local_log, .. } = ctx;
+        let (mut txn, writes, mut allocs, local_log) = ctx.finish();
         let value = match out {
             Ok(v) => v,
             Err(Abort::Explicit(USER_ABORT)) => {
@@ -966,7 +966,7 @@ impl Worker {
                 .map_err(|a| self.htm_abort(env, Phase::Commit, a, None, &mut allocs))?;
             sys.stats.add_log_write(n);
         }
-        if let Some(txn) = txn {
+        if let Some(txn) = txn.take() {
             if self.crashes_at(CrashPoint::BeforeHtmCommit) {
                 undo_allocs(&mut allocs);
                 return Err(CRASH);
@@ -974,6 +974,9 @@ impl Worker {
             txn.commit().map_err(|a| self.htm_abort(env, Phase::Commit, a, None, &mut allocs))?;
             sys.htm_stats().commits.inc();
         }
+        // The region's lifetime is `TxnCtx`'s, which also spans the
+        // borrow of `self.exec`; `publish` needs that borrow ended.
+        drop(txn);
         // Committed: the log is persistent, nothing is applied yet and
         // every lock is still held — recovery must redo every update.
         let committed =
@@ -1120,10 +1123,11 @@ fn undo_allocs(allocs: &mut Allocs) {
 }
 
 /// Runs `f` against local stores as its own HTM micro-transaction,
-/// retried until it commits (and so validates what it read). Only an
-/// explicit abort — the operation's own verdict — escapes. The one
-/// such loop: ordered-2PL store operations, read-only scans and the
-/// workloads' reconnaissance queries all run through it.
+/// retried until it commits (and so validates what it read). Two
+/// aborts escape: an explicit one — the operation's own verdict — and
+/// a capacity overflow, which every retry of the same body would only
+/// repeat. The one such loop: ordered-2PL store operations, read-only
+/// scans and the workloads' reconnaissance queries all run through it.
 pub fn standalone<T>(
     region: &Region,
     cfg: &HtmConfig,
@@ -1134,7 +1138,7 @@ pub fn standalone<T>(
         let mut txn = region.begin(cfg);
         match f(&mut txn) {
             Ok(v) if txn.commit().is_ok() => return Ok(v),
-            Err(a @ Abort::Explicit(_)) => return Err(a),
+            Err(a @ (Abort::Explicit(_) | Abort::Capacity)) => return Err(a),
             _ => {}
         }
         backoff.snooze();
@@ -1188,6 +1192,14 @@ impl<'r> TxnCtx<'r> {
             exec,
             local_log: Vec::new(),
         }
+    }
+
+    /// Ends the body: the open region, write items, allocations and
+    /// local log it leaves for Commit. Consuming the context ends its
+    /// borrows with it — an `HtmTxn` runs code when dropped, so a
+    /// half-destructured context would hold them to the end of scope.
+    fn finish(self) -> (Option<HtmTxn<'r>>, Vec<WriteItem>, Allocs, Vec<LoggedUpdate>) {
+        (self.txn, self.writes, self.allocs, self.local_log)
     }
 
     fn op_now(&mut self) -> Result<u64, Abort> {
@@ -1524,6 +1536,20 @@ mod tests {
         }
         assert_eq!(h.value(1, 0), 107);
         assert!(h.state_of(1, 0).is_init());
+    }
+
+    #[test]
+    fn standalone_reports_a_capacity_overflow() {
+        // A body too large for the region overflows again on every
+        // retry: it must come back as an error, not spin.
+        let region = Region::new(4 * 64);
+        let cfg = HtmConfig { read_capacity_lines: 2, ..Default::default() };
+        let three_lines = |txn: &mut HtmTxn<'_>| {
+            (0..3).try_fold(0, |sum, line| Ok(sum + txn.read_u64(line * 64)?))
+        };
+        assert_eq!(standalone(&region, &cfg, three_lines), Err(Abort::Capacity));
+        let roomy = HtmConfig { read_capacity_lines: 3, ..cfg };
+        assert_eq!(standalone(&region, &roomy, three_lines), Ok(0));
     }
 
     #[test]

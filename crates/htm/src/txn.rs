@@ -1,6 +1,6 @@
 //! The emulated RTM transaction: read/write sets, buffering, validation.
 
-use std::collections::HashMap;
+use std::cell::Cell;
 
 use crate::region::{Region, LINE_SIZE};
 use crate::vtime;
@@ -69,13 +69,173 @@ impl Default for HtmConfig {
     }
 }
 
-/// Per-line staged write: a shadow copy of dirty bytes plus a dirty mask
-/// (bit *i* set means byte *i* of the line has been written) and the line
-/// version observed when the line entered the write set.
+/// One staged write-set line: a shadow copy of dirty bytes plus a dirty
+/// mask (bit *i* set means byte *i* of the line has been written) and the
+/// line version observed when the line entered the write set.
 struct WriteLine {
-    bytes: [u8; LINE_SIZE],
-    mask: u64,
+    line: usize,
     ver: u64,
+    mask: u64,
+    bytes: [u8; LINE_SIZE],
+}
+
+/// [`Slot::ver`] of a line that is in the write set only. A read-set
+/// version is never odd — a locked line is refused entry — so no tracked
+/// version collides with it.
+const NOT_READ: u64 = 1;
+
+/// One slot of the line table: all a transaction knows about one line,
+/// found with one probe.
+#[derive(Clone, Copy)]
+struct Slot {
+    line: usize,
+    /// Version recorded when the line entered the read set, or
+    /// [`NOT_READ`].
+    ver: u64,
+    /// Index + 1 of the line's staged write in [`Descriptor::writes`];
+    /// 0 while the line is not in the write set.
+    write: usize,
+    /// The slot is live iff this equals [`Descriptor::gen`]; anything
+    /// else is a leftover of an earlier transaction and reads as free.
+    gen: u16,
+}
+
+impl Slot {
+    /// Generation 0 is never current, so this is free in every transaction.
+    const FREE: Slot = Slot { line: 0, ver: NOT_READ, write: 0, gen: 0 };
+}
+
+/// Slots of a thread's first descriptor: 128 lines before it grows.
+const INITIAL_SLOTS: usize = 256;
+
+/// 2^64 / φ: the multiplier of Fibonacci hashing.
+const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The read and write set of one transaction, in storage that outlives
+/// it: an open-addressed table keyed by line index (linear probing, at
+/// most half full) over an arena of staged lines. Beginning a
+/// transaction bumps `gen`, which frees every slot at once, and empties
+/// the lists without releasing their capacity, so a thread's steady
+/// state allocates nothing.
+struct Descriptor {
+    /// Power-of-two length.
+    slots: Vec<Slot>,
+    /// 64 − log2(`slots.len()`): a hash's top bits index the table.
+    shift: u32,
+    /// Current generation, never 0.
+    gen: u16,
+    /// Slots stamped with `gen`: the distinct lines touched so far.
+    live: usize,
+    /// Slot index of every read-set line, in no particular order.
+    reads: Vec<usize>,
+    /// Staged lines in first-touch order.
+    writes: Vec<WriteLine>,
+    /// Commit's scratch: indices into `writes`, sorted by line.
+    order: Vec<usize>,
+}
+
+thread_local! {
+    /// The descriptor this thread's last transaction left behind; `None`
+    /// before the first one and while a transaction is using it.
+    static SPARE: Cell<Option<Box<Descriptor>>> = const { Cell::new(None) };
+}
+
+impl Descriptor {
+    /// A thread's first descriptor (or that of a second transaction
+    /// live on it). Boxed so that handing it over moves one pointer.
+    #[cold]
+    fn boxed() -> Box<Self> {
+        Box::new(Descriptor {
+            slots: vec![Slot::FREE; INITIAL_SLOTS],
+            shift: u64::BITS - INITIAL_SLOTS.trailing_zeros(),
+            gen: 0,
+            live: 0,
+            reads: Vec::new(),
+            writes: Vec::new(),
+            order: Vec::new(),
+        })
+    }
+
+    /// Forgets the previous transaction.
+    fn reset(&mut self) {
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            // Wrapped: a slot stamped 65 535 transactions ago would read
+            // as live again, so the stamps are wiped, once per wrap.
+            self.slots.fill(Slot::FREE);
+            self.gen = 1;
+        }
+        self.live = 0;
+        self.reads.clear();
+        self.writes.clear();
+    }
+
+    /// Index of `line`'s slot and `true` if it has one, else of the free
+    /// slot it would take and `false`. Ends because the table is never
+    /// more than half full.
+    fn probe(&self, line: usize) -> (usize, bool) {
+        let mask = self.slots.len() - 1;
+        let mut i = ((line as u64).wrapping_mul(FIB) >> self.shift) as usize;
+        loop {
+            let s = &self.slots[i];
+            if s.gen != self.gen {
+                return (i, false);
+            }
+            if s.line == line {
+                return (i, true);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Gives `line` the free slot `i` [`Descriptor::probe`] found for it
+    /// — or another one, if the table has to grow first — and returns
+    /// its index. The slot starts in neither set.
+    fn claim(&mut self, mut i: usize, line: usize) -> usize {
+        if (self.live + 1) * 2 > self.slots.len() {
+            self.grow();
+            i = self.probe(line).0;
+        }
+        self.slots[i] = Slot { line, ver: NOT_READ, write: 0, gen: self.gen };
+        self.live += 1;
+        i
+    }
+
+    /// Doubles the table, keeping the live slots. Slot indices change,
+    /// so the read list is rebuilt; its order carries no meaning.
+    #[cold]
+    fn grow(&mut self) {
+        let old = std::mem::take(&mut self.slots);
+        self.slots = vec![Slot::FREE; old.len() * 2];
+        self.shift -= 1;
+        self.reads.clear();
+        for s in old.iter().filter(|s| s.gen == self.gen) {
+            let i = self.probe(s.line).0;
+            self.slots[i] = *s;
+            if s.ver != NOT_READ {
+                self.reads.push(i);
+            }
+        }
+    }
+}
+
+/// A word with its low `n` bits set, for `n` in `1..=64`.
+fn low_bits(n: usize) -> u64 {
+    u64::MAX >> (u64::BITS as usize - n)
+}
+
+/// The runs of consecutive set bits in `mask`, each as
+/// `(first bit, length)`.
+fn runs(mut mask: u64) -> impl Iterator<Item = (usize, usize)> {
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
+        }
+        let start = mask.trailing_zeros() as usize;
+        let len = (mask >> start).trailing_ones() as usize;
+        mask &= !(low_bits(len) << start);
+        Some((start, len))
+    })
 }
 
 /// An in-flight emulated HTM transaction over one [`Region`].
@@ -87,14 +247,25 @@ struct WriteLine {
 /// back, which is what [`crate::Executor`] automates.
 pub struct HtmTxn<'r> {
     region: &'r Region,
-    reads: HashMap<usize, u64>,
-    writes: HashMap<usize, WriteLine>,
+    /// `Some` until drop passes it on.
+    desc: Option<Box<Descriptor>>,
     cfg: HtmConfig,
+}
+
+/// The descriptor of a transaction that has not been dropped.
+fn live(desc: &mut Option<Box<Descriptor>>) -> &mut Descriptor {
+    desc.as_deref_mut().expect("the descriptor leaves only in drop")
 }
 
 impl<'r> HtmTxn<'r> {
     pub(crate) fn new(region: &'r Region, cfg: &HtmConfig) -> Self {
-        HtmTxn { region, reads: HashMap::new(), writes: HashMap::new(), cfg: cfg.clone() }
+        // A second live transaction on the thread finds the spare taken
+        // (as does a thread tearing down its locals) and gets a fresh
+        // descriptor of its own.
+        let spare = SPARE.try_with(Cell::take).ok().flatten();
+        let mut desc = spare.unwrap_or_else(Descriptor::boxed);
+        desc.reset();
+        HtmTxn { region, desc: Some(desc), cfg: cfg.clone() }
     }
 
     /// Returns the region this transaction runs against.
@@ -103,29 +274,34 @@ impl<'r> HtmTxn<'r> {
     }
 
     /// Tracks `line` in the read set, verifying it is unlocked and (if
-    /// already tracked) unchanged. Returns the recorded version.
-    fn track_read(&mut self, line: usize) -> Result<u64, Abort> {
+    /// already tracked) unchanged. Returns the recorded version and the
+    /// slot's `write` index, so the caller needs no second probe to find
+    /// the line's staged bytes.
+    fn track_read(&mut self, line: usize) -> Result<(u64, usize), Abort> {
         let cur = self.region.load_meta(line);
-        match self.reads.get(&line) {
-            Some(&v) => {
-                // Opacity: if the line changed since we first read it, the
-                // snapshot this transaction is operating on is broken.
-                if cur != v {
-                    return Err(Abort::Conflict);
-                }
-                Ok(v)
+        let d = live(&mut self.desc);
+        let (mut i, found) = d.probe(line);
+        let s = d.slots[i];
+        if found && s.ver != NOT_READ {
+            // Opacity: if the line changed since we first read it, the
+            // snapshot this transaction is operating on is broken.
+            if cur != s.ver {
+                return Err(Abort::Conflict);
             }
-            None => {
-                if cur & 1 != 0 {
-                    return Err(Abort::Conflict);
-                }
-                if self.reads.len() >= self.cfg.read_capacity_lines {
-                    return Err(Abort::Capacity);
-                }
-                self.reads.insert(line, cur);
-                Ok(cur)
-            }
+            return Ok((s.ver, s.write));
         }
+        if cur & 1 != 0 {
+            return Err(Abort::Conflict);
+        }
+        if d.reads.len() >= self.cfg.read_capacity_lines {
+            return Err(Abort::Capacity);
+        }
+        if !found {
+            i = d.claim(i, line);
+        }
+        d.slots[i].ver = cur;
+        d.reads.push(i);
+        Ok((cur, d.slots[i].write))
     }
 
     /// Transactionally reads `buf.len()` bytes at `offset`.
@@ -138,14 +314,16 @@ impl<'r> HtmTxn<'r> {
         while done < buf.len() {
             let at = offset + done;
             let line = Region::line_of(at);
-            let in_line = (LINE_SIZE - at % LINE_SIZE).min(buf.len() - done);
-            let ver = self.track_read(line)?;
+            let base = at % LINE_SIZE;
+            let in_line = (LINE_SIZE - base).min(buf.len() - done);
+            let (ver, write) = self.track_read(line)?;
+            let out = &mut buf[done..done + in_line];
             // SAFETY: Bounds checked; the version re-validation below
             // rejects any concurrently mutated (torn) copy.
             unsafe {
                 std::ptr::copy_nonoverlapping(
                     self.region.byte_ptr(at) as *const u8,
-                    buf[done..].as_mut_ptr(),
+                    out.as_mut_ptr(),
                     in_line,
                 );
             }
@@ -153,12 +331,11 @@ impl<'r> HtmTxn<'r> {
                 return Err(Abort::Conflict);
             }
             // Read-your-writes: overlay staged dirty bytes.
-            if let Some(w) = self.writes.get(&line) {
-                let base = at % LINE_SIZE;
-                for i in 0..in_line {
-                    if w.mask >> (base + i) & 1 != 0 {
-                        buf[done + i] = w.bytes[base + i];
-                    }
+            if write != 0 {
+                let w = &live(&mut self.desc).writes[write - 1];
+                for (start, len) in runs(w.mask >> base & low_bits(in_line)) {
+                    out[start..start + len]
+                        .copy_from_slice(&w.bytes[base + start..base + start + len]);
                 }
             }
             done += in_line;
@@ -183,6 +360,37 @@ impl<'r> HtmTxn<'r> {
         Ok(buf)
     }
 
+    /// The staged copy of `line`, entering it into the write set at its
+    /// first touch.
+    fn stage(&mut self, line: usize) -> Result<&mut WriteLine, Abort> {
+        let d = live(&mut self.desc);
+        let (mut i, found) = d.probe(line);
+        let s = d.slots[i];
+        if found && s.write != 0 {
+            return Ok(&mut d.writes[s.write - 1]);
+        }
+        if d.writes.len() >= self.cfg.write_capacity_lines {
+            return Err(Abort::Capacity);
+        }
+        // Capture the version at first touch so commit can detect a
+        // non-transactional store to a blind-written line — the
+        // write-set conflict RTM would deliver eagerly. (A slot with no
+        // staged write is there for the read set, and has a version.)
+        let ver = if found {
+            s.ver
+        } else {
+            let v = self.region.load_meta(line);
+            if v & 1 != 0 {
+                return Err(Abort::Conflict);
+            }
+            i = d.claim(i, line);
+            v
+        };
+        d.writes.push(WriteLine { line, ver, mask: 0, bytes: [0; LINE_SIZE] });
+        d.slots[i].write = d.writes.len();
+        Ok(d.writes.last_mut().expect("just pushed"))
+    }
+
     /// Transactionally (buffered) writes `data` at `offset`.
     pub fn write(&mut self, offset: usize, data: &[u8]) -> Result<(), Abort> {
         self.region.check(offset, data.len()).map_err(|_| Abort::Explicit(0xFE))?;
@@ -190,33 +398,11 @@ impl<'r> HtmTxn<'r> {
         let mut done = 0;
         while done < data.len() {
             let at = offset + done;
-            let line = Region::line_of(at);
-            let in_line = (LINE_SIZE - at % LINE_SIZE).min(data.len() - done);
-            if !self.writes.contains_key(&line) {
-                if self.writes.len() >= self.cfg.write_capacity_lines {
-                    return Err(Abort::Capacity);
-                }
-                // Capture the version at first touch so commit can detect
-                // a non-transactional store to a blind-written line — the
-                // write-set conflict RTM would deliver eagerly.
-                let ver = match self.reads.get(&line) {
-                    Some(&v) => v,
-                    None => {
-                        let v = self.region.load_meta(line);
-                        if v & 1 != 0 {
-                            return Err(Abort::Conflict);
-                        }
-                        v
-                    }
-                };
-                self.writes.insert(line, WriteLine { bytes: [0; LINE_SIZE], mask: 0, ver });
-            }
-            let w = self.writes.get_mut(&line).expect("just inserted");
             let base = at % LINE_SIZE;
+            let in_line = (LINE_SIZE - base).min(data.len() - done);
+            let w = self.stage(Region::line_of(at))?;
             w.bytes[base..base + in_line].copy_from_slice(&data[done..done + in_line]);
-            for i in 0..in_line {
-                w.mask |= 1 << (base + i);
-            }
+            w.mask |= low_bits(in_line) << base;
             done += in_line;
         }
         Ok(())
@@ -246,70 +432,82 @@ impl<'r> HtmTxn<'r> {
     /// the buffered writes, and publishes new line versions. On any
     /// validation failure nothing is applied and `Err(Abort::Conflict)` is
     /// returned.
-    pub fn commit(self) -> Result<(), Abort> {
+    pub fn commit(mut self) -> Result<(), Abort> {
         let region = self.region;
-        vtime::charge(self.cfg.cost_commit_ns + self.cfg.cost_access_ns * self.writes.len() as u64);
+        let Descriptor { slots, reads, writes, order, .. } = live(&mut self.desc);
+        vtime::charge(self.cfg.cost_commit_ns + self.cfg.cost_access_ns * writes.len() as u64);
 
-        // Phase 1: lock the write set in address order (no deadlock).
-        let mut dirty: Vec<(usize, &WriteLine)> =
-            self.writes.iter().map(|(&l, w)| (l, w)).collect();
-        dirty.sort_unstable_by_key(|&(l, _)| l);
-        let mut locked: Vec<(usize, u64)> = Vec::with_capacity(dirty.len());
-        let rollback = |locked: &[(usize, u64)]| {
-            for &(l, pre) in locked {
-                region.unlock_line_nobump(l, pre);
+        // Phase 1: lock the write set in address order (no deadlock). A
+        // line stays locked only if it still had its first-touch
+        // version, so the lines held are always a prefix of `order` and
+        // each one's pre-lock word is the `ver` of its staged write.
+        order.clear();
+        order.extend(0..writes.len());
+        order.sort_unstable_by_key(|&w| writes[w].line);
+        let rollback = |held: &[usize]| {
+            for &w in held {
+                region.unlock_line_nobump(writes[w].line, writes[w].ver);
             }
         };
-        for &(line, w) in &dirty {
-            match region.try_lock_line(line) {
-                Some(pre) if pre == w.ver => locked.push((line, pre)),
-                Some(pre) => {
-                    region.unlock_line_nobump(line, pre);
-                    rollback(&locked);
-                    return Err(Abort::Conflict);
+        for (n, &w) in order.iter().enumerate() {
+            let w = &writes[w];
+            let pre = region.try_lock_line(w.line);
+            if pre != Some(w.ver) {
+                if let Some(pre) = pre {
+                    region.unlock_line_nobump(w.line, pre);
                 }
-                None => {
-                    rollback(&locked);
-                    return Err(Abort::Conflict);
-                }
+                rollback(&order[..n]);
+                return Err(Abort::Conflict);
             }
         }
 
         // Phase 2: validate the read set (lines we also wrote were just
         // validated under their lock).
-        for (&line, &ver) in &self.reads {
-            if self.writes.contains_key(&line) {
-                continue;
-            }
-            if region.load_meta(line) != ver {
-                rollback(&locked);
+        for &i in reads.iter() {
+            let s = &slots[i];
+            if s.write == 0 && region.load_meta(s.line) != s.ver {
+                rollback(order);
                 return Err(Abort::Conflict);
             }
         }
 
         // Phase 3: apply dirty bytes and publish.
-        for &(line, w) in &dirty {
-            let base = line * LINE_SIZE;
-            for i in 0..LINE_SIZE {
-                if w.mask >> i & 1 != 0 {
-                    // SAFETY: Line lock held; in-bounds byte store.
-                    unsafe { *region.byte_ptr(base + i) = w.bytes[i] };
+        for w in writes.iter() {
+            let base = w.line * LINE_SIZE;
+            for (start, len) in runs(w.mask) {
+                // SAFETY: Line lock held; `write` bounds-checked every
+                // byte it marked dirty, and a run ends within its line.
+                unsafe {
+                    std::ptr::copy_nonoverlapping(
+                        w.bytes[start..start + len].as_ptr(),
+                        region.byte_ptr(base + start),
+                        len,
+                    );
                 }
             }
         }
-        for &(line, pre) in &locked {
-            region.unlock_line_bump(line, pre);
+        for &w in order.iter() {
+            region.unlock_line_bump(writes[w].line, writes[w].ver);
         }
         Ok(())
     }
 }
 
+impl Drop for HtmTxn<'_> {
+    /// Leaves the descriptor for the thread's next transaction; committed,
+    /// aborted or abandoned makes no difference, since `begin` resets it.
+    fn drop(&mut self) {
+        let desc = self.desc.take();
+        // A thread past its locals' destruction just frees it.
+        let _ = SPARE.try_with(|spare| spare.set(desc));
+    }
+}
+
 impl std::fmt::Debug for HtmTxn<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HtmTxn")
-            .field("read_lines", &self.reads.len())
-            .field("write_lines", &self.writes.len())
-            .finish()
+        let (reads, writes) =
+            self.desc.as_ref().map_or((0, 0), |d| (d.reads.len(), d.writes.len()));
+        f.debug_struct("HtmTxn").field("read_lines", &reads).field("write_lines", &writes).finish()
     }
 }
 
@@ -327,6 +525,33 @@ mod tests {
 
     fn cfg() -> HtmConfig {
         HtmConfig::default()
+    }
+
+    #[test]
+    fn runs_partition_the_mask() {
+        let masks = [
+            0,
+            1,
+            1 << 63,
+            u64::MAX,
+            u64::MAX >> 1,
+            !1,
+            0xFF00_0000_0000_00FF,
+            0xAAAA_AAAA_AAAA_AAAA,
+            0x0000_FFFF_0FF0_0001,
+        ];
+        for mask in masks {
+            let mut rebuilt = 0;
+            let mut prev_end = None;
+            for (start, len) in runs(mask) {
+                assert!(len >= 1 && start + len <= 64, "{mask:#x}: run ({start}, {len})");
+                // Ascending and maximal: a clear bit separates two runs.
+                assert!(prev_end.is_none_or(|end| start > end), "{mask:#x}: run at {start}");
+                rebuilt |= low_bits(len) << start;
+                prev_end = Some(start + len);
+            }
+            assert_eq!(rebuilt, mask);
+        }
     }
 
     #[test]

@@ -111,7 +111,8 @@ impl Entry {
 
     /// Transactionally reads the header.
     pub fn read_header(&self, txn: &mut HtmTxn<'_>) -> Result<EntryHeader, Abort> {
-        let b = txn.read_vec(self.offset, ENTRY_HEADER_BYTES)?;
+        let mut b = [0u8; ENTRY_HEADER_BYTES];
+        txn.read(self.offset, &mut b)?;
         Ok(EntryHeader::decode(&b))
     }
 
@@ -122,11 +123,9 @@ impl Entry {
 
     /// Transactionally reads the value.
     pub fn read_value(&self, txn: &mut HtmTxn<'_>) -> Result<Vec<u8>, Abort> {
-        let len = {
-            let b = txn.read_vec(self.len_off(), 4)?;
-            u32::from_le_bytes(b.try_into().expect("len slice")) as usize
-        };
-        txn.read_vec(self.value_off(), len)
+        let mut len = [0u8; 4];
+        txn.read(self.len_off(), &mut len)?;
+        txn.read_vec(self.value_off(), u32::from_le_bytes(len) as usize)
     }
 
     /// Transactionally overwrites the value and bumps the version.

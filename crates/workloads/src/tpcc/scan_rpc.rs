@@ -152,7 +152,7 @@ pub fn spawn_scan_service(
                 let tree = &trees[tree_idx as usize];
                 let scan = |txn: &mut HtmTxn<'_>| tree.scan_range(txn, lo, hi, max as usize);
                 let pairs = drtm_core::standalone(&region, exec.config(), scan)
-                    .expect("a read-only scan aborted explicitly");
+                    .expect("a read-only scan aborted for good");
                 // A client that crashed between request and reply must
                 // not take the whole scan service down with it.
                 let _ = qp.try_send(msg.from, reply_q, encode_pairs(&pairs));

@@ -493,7 +493,7 @@ impl TpccWorker {
         f: impl FnMut(&mut drtm_htm::HtmTxn<'_>) -> Result<T, HtmAbort>,
     ) -> T {
         drtm_core::standalone(self.w.region(), self.w.executor().config(), f)
-            .expect("a read-only scan aborted explicitly")
+            .expect("a read-only scan aborted for good")
     }
 }
 
