@@ -7,7 +7,7 @@
 //! 100 %. The Start phase here posts the lock CAS and fetch of every
 //! remote stock record and waits once, so the far end of the curve is
 //! flatter than the paper's, whose prototype pays a round trip per
-//! record: 43–49 % at 100 % (EXPERIMENTS.md, Figure 16).
+//! record: 64 % at 100 % (EXPERIMENTS.md, Figure 16).
 
 use drtm_bench::runners::tpcc_run_new_order;
 use drtm_bench::{banner, mops, row, scaled};

@@ -17,15 +17,16 @@
 //! candidate slots, the property behind Table 4); remote value reads and
 //! writes are one-sided READ/WRITE of the entry.
 
-use drtm_htm::{Abort, Executor, HtmTxn, Region};
+use drtm_htm::{Abort, Executor, HtmTxn, Region, LINE_SIZE};
 use drtm_rdma::{FabricError, GlobalAddr, NodeId, Qp};
 
 use crate::alloc::{Arena, FreeList};
 use crate::entry::{Entry, EntryHeader};
 use crate::slot::{Slot, SlotType, SLOT_BYTES};
+use crate::words::{self, read_words, write_words};
 use crate::{hash64, ASSOC};
 
-/// Bytes per bucket (8 slots of 16 bytes).
+/// Bytes per bucket (8 slots of 16 bytes): two cache lines, and aligned.
 pub const BUCKET_BYTES: usize = ASSOC * SLOT_BYTES;
 
 /// Geometry of a [`ClusterHash`] inside its owner's region.
@@ -174,16 +175,9 @@ impl ClusterHash {
         self.len() == 0
     }
 
-    fn read_slot(txn: &mut HtmTxn<'_>, off: usize) -> Result<Slot, Abort> {
-        let meta = txn.read_u64(off)?;
-        let key = txn.read_u64(off + 8)?;
-        Ok(Slot::decode(meta, key))
-    }
-
     fn write_slot(txn: &mut HtmTxn<'_>, off: usize, slot: Slot) -> Result<(), Abort> {
         let (meta, key) = slot.encode();
-        txn.write_u64(off, meta)?;
-        txn.write_u64(off + 8, key)
+        write_words(txn, off, &[meta, key])
     }
 
     /// Transactionally looks up `key`, returning the entry handle.
@@ -197,32 +191,34 @@ impl ClusterHash {
         })
     }
 
-    /// The local walk behind GET, INSERT and DELETE: slot by slot through
-    /// the HTM read set (so it stops at the match and tracks no more
-    /// lines than it looked at), unlike the remote paths, which match
-    /// whole bucket images with [`scan_bucket`].
+    /// The local walk behind GET, INSERT and DELETE. An HTM region tracks
+    /// and pays per cache line, so the walk reads the chain a line (four
+    /// slots) per access, matches the slots from that copy and stops at
+    /// the line that holds the key: line 1 of a bucket and the next bucket
+    /// of a chain are read only when the walk gets there, which makes the
+    /// read set exactly the lines a slot-by-slot walk would have tracked
+    /// (`tests/index_path_cost.rs` pins it). The remote paths match whole
+    /// bucket images ([`scan_bucket`]) with the same [`find_key`].
     fn find_local(&self, txn: &mut HtmTxn<'_>, key: u64) -> Result<Place, Abort> {
         let mut bucket = self.desc.main_bucket_off(self.desc.bucket_index(key));
         let mut free = None;
         loop {
-            let mut next = None;
-            for i in 0..ASSOC {
-                let slot_off = bucket + i * SLOT_BYTES;
-                let slot = Self::read_slot(txn, slot_off)?;
-                match slot.typ {
-                    SlotType::Entry if slot.key == key => return Ok(Place::At { slot_off, slot }),
-                    SlotType::Free if free.is_none() => free = Some(slot_off),
-                    SlotType::Header if i == ASSOC - 1 => next = Some(slot.offset as usize),
-                    _ => {}
+            let mut line = [0; LINE_SIZE / 8];
+            for line_off in [bucket, bucket + LINE_SIZE] {
+                read_words(txn, line_off, &mut line)?;
+                let at = |i| line_off + i * SLOT_BYTES;
+                if let Some((i, slot)) = find_key(&line, key) {
+                    return Ok(Place::At { slot_off: at(i), slot });
                 }
+                free = free.or_else(|| slots(&line).position(|s| s.typ == SlotType::Free).map(at));
             }
-            match next {
-                Some(b) => bucket = b,
-                None => {
-                    let last_slot_off = bucket + (ASSOC - 1) * SLOT_BYTES;
-                    return Ok(Place::Absent { free, last_slot_off });
-                }
+            // `line` is line 1 now, and ends in the bucket's last slot.
+            let last = slots(&line).next_back().expect("four slots");
+            if last.typ != SlotType::Header {
+                let last_slot_off = bucket + BUCKET_BYTES - SLOT_BYTES;
+                return Ok(Place::Absent { free, last_slot_off, last });
             }
+            bucket = last.offset as usize;
         }
     }
 
@@ -293,9 +289,9 @@ impl ClusterHash {
         value: &[u8],
     ) -> Result<(bool, Option<usize>), InsertAttemptError> {
         // Phase 1: scan the whole chain for the key and the first hole.
-        let (free_slot, last_slot_off) = match self.find_local(txn, key)? {
+        let (free_slot, last_slot_off, resident) = match self.find_local(txn, key)? {
             Place::At { .. } => return Ok((true, None)),
-            Place::Absent { free, last_slot_off } => (free, last_slot_off),
+            Place::Absent { free, last_slot_off, last } => (free, last_slot_off, last),
         };
         // Phase 2: initialise the entry (incarnation survives cell reuse).
         let entry = Entry::at(entry_off);
@@ -319,17 +315,18 @@ impl ClusterHash {
             return Ok((false, None));
         }
         // Chain is full: extend it through the last slot (Figure 9).
-        let resident = Self::read_slot(txn, last_slot_off)?;
         debug_assert_eq!(resident.typ, SlotType::Entry, "full chain must end in an entry");
         let ind = self.indirect.alloc().ok_or(InsertAttemptError::PoolFull)?;
-        // Clear the (recycled) indirect bucket, move the resident into
-        // slot 0, the new pair into slot 1, and re-type the last slot.
-        for i in 0..ASSOC {
-            Self::write_slot(txn, ind + i * SLOT_BYTES, Slot::FREE)?;
-        }
-        Self::write_slot(txn, ind, resident)?;
-        Self::write_slot(txn, ind + SLOT_BYTES, new_slot)?;
-        Self::write_slot(txn, last_slot_off, Slot::header(ind as u64))?;
+        // The (recycled) indirect bucket is written whole — the resident
+        // in slot 0, the new pair in slot 1, the rest free, which encodes
+        // to zero words — and the last slot re-typed to link to it.
+        let mut img: BucketImage = [0; ASSOC * 2];
+        (img[0], img[1]) = resident.encode();
+        (img[2], img[3]) = new_slot.encode();
+        write_words(txn, ind, &img)
+            .and_then(|()| Self::write_slot(txn, last_slot_off, Slot::header(ind as u64)))
+            // No caller has the bucket yet to give it back.
+            .inspect_err(|_| self.indirect.free(ind))?;
         Ok((false, Some(ind)))
     }
 
@@ -494,9 +491,7 @@ pub(crate) fn read_bucket(
 ) -> Result<(), FabricError> {
     let mut buf = [0u8; BUCKET_BYTES];
     qp.try_read(addr, &mut buf)?;
-    for (w, bytes) in img.iter_mut().zip(buf.chunks_exact(8)) {
-        *w = u64::from_le_bytes(bytes.try_into().expect("bucket word"));
-    }
+    words::decode(&buf, img);
     Ok(())
 }
 
@@ -512,20 +507,33 @@ pub(crate) enum Scan {
     End,
 }
 
-/// Matches a bucket image against `key` — the only place that does; the
-/// remote lookup and every path of the location cache differ only in
-/// where [`walk_chain`] gets its next image from.
+/// The slots encoded in `words`: a bucket image, or one line of a bucket.
+#[inline]
+fn slots(words: &[u64]) -> impl DoubleEndedIterator<Item = Slot> + '_ {
+    words.chunks_exact(2).map(|w| Slot::decode(w[0], w[1]))
+}
+
+/// `key`'s entry slot among the slots of `words`, and its index there —
+/// the only place that matches a slot against a key, for the local walk's
+/// lines and the remote paths' bucket images alike.
+#[inline]
+fn find_key(words: &[u64], key: u64) -> Option<(usize, Slot)> {
+    slots(words).enumerate().find(|(_, s)| s.typ == SlotType::Entry && s.key == key)
+}
+
+/// What a bucket image says about `key`; the remote lookup and every
+/// path of the location cache differ only in where [`walk_chain`] gets
+/// its next image from.
 #[inline]
 pub(crate) fn scan_bucket(img: &BucketImage, key: u64) -> Scan {
-    for i in 0..ASSOC {
-        let slot = Slot::decode(img[i * 2], img[i * 2 + 1]);
-        match slot.typ {
-            SlotType::Entry if slot.key == key => return Scan::Entry(slot),
-            SlotType::Header | SlotType::Cached if i == ASSOC - 1 => return Scan::Link(slot),
-            _ => {}
-        }
+    if let Some((_, slot)) = find_key(img, key) {
+        return Scan::Entry(slot);
     }
-    Scan::End
+    let last = slots(img).next_back().expect("eight slots");
+    match last.typ {
+        SlotType::Header | SlotType::Cached => Scan::Link(last),
+        _ => Scan::End,
+    }
 }
 
 /// Walks a bucket chain from the image in `img` to `key`'s entry slot;
@@ -552,8 +560,8 @@ enum Place {
     /// The key's header slot, at region offset `slot_off`.
     At { slot_off: usize, slot: Slot },
     /// The key is absent: the chain's first free slot, if any, and its
-    /// very last slot (where the chain is extended).
-    Absent { free: Option<usize>, last_slot_off: usize },
+    /// very last slot (where the chain is extended) with what it holds.
+    Absent { free: Option<usize>, last_slot_off: usize, last: Slot },
 }
 
 /// Allocator cells consumed by an [`ClusterHash::insert_txn`]; return
@@ -646,6 +654,29 @@ mod tests {
         table.insert(&exec, region, 107, b"y").unwrap();
         let mut txn = region.begin(exec.config());
         assert!(table.get_local(&mut txn, 107).unwrap().is_some());
+        drop(txn);
+        // So does one into a hole in line 1 of the main bucket: slot 5.
+        let slot5_key = table.desc().main_bucket_off(0) + 5 * SLOT_BYTES + 8;
+        assert_eq!(region.read_u64_nt(slot5_key), 5);
+        assert!(table.delete(&exec, region, 5));
+        table.insert(&exec, region, 105, b"z").unwrap();
+        assert_eq!(region.read_u64_nt(slot5_key), 105);
+    }
+
+    /// An attempt that aborts after it took an indirect bucket gives the
+    /// bucket back: nobody else knows it was taken.
+    #[test]
+    fn aborted_chain_extension_returns_the_indirect_bucket() {
+        let (cluster, table, exec) = setup(1, 1000);
+        let region = cluster.node(0).region();
+        for k in 0..ASSOC as u64 {
+            table.insert(&exec, region, k, b"x").unwrap();
+        }
+        // Room for the entry's lines, not for the bucket's.
+        let tight = HtmConfig { write_capacity_lines: 3, ..HtmConfig::default() };
+        let mut txn = region.begin(&tight);
+        assert_eq!(table.insert_txn(&mut txn, 99, b"y").unwrap_err(), Abort::Capacity);
+        assert_eq!(table.indirect.live(), 0);
     }
 
     #[test]

@@ -39,6 +39,7 @@ pub mod reshard;
 pub mod rpc;
 mod slot;
 mod split_ordered;
+mod words;
 
 pub use alloc::{Arena, FreeList};
 pub use btree::{BTree, BTreeDesc};

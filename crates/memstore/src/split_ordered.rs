@@ -47,6 +47,7 @@ use crate::cluster_hash::{InsertError, LookupResult};
 use crate::entry::{Entry, EntryHeader, ENTRY_HEADER_BYTES};
 use crate::hash64;
 use crate::slot::Slot;
+use crate::words::{read_words, write_words};
 
 /// Bytes of a list node's header (`next` pointer + split-order key); the
 /// entry follows immediately.
@@ -54,6 +55,17 @@ pub const NODE_HEADER_BYTES: usize = 16;
 
 /// Null link. Offset 0 is always inside the meta words, never a node.
 const NIL: u64 = 0;
+
+/// Reads a cell's `next` link and split-order key in one tracked access.
+/// The two words are adjacent and a cell is 8-byte aligned, so they share
+/// a cache line unless the cell starts in a line's last word; the access
+/// then tracks both lines, as reading the words one by one did on every
+/// hop but the one that ends a walk.
+fn read_cell(txn: &mut HtmTxn<'_>, cell: usize) -> Result<(u64, u64), Abort> {
+    let mut header = [0; 2];
+    read_words(txn, cell, &mut header)?;
+    Ok((header[0], header[1]))
+}
 
 /// Split-order key of a data node: bit-reversed hash with the lowest bit
 /// forced to 1 (the MSB is sacrificed before reversal, so data keys are
@@ -326,18 +338,17 @@ impl ElasticHash {
     ) -> Result<usize, AttemptError> {
         let target = so_sentinel_key(child);
         let mut prev = parent_sent;
-        loop {
-            let next = txn.read_u64(prev)?;
-            if next == NIL || txn.read_u64(next as usize + 8)? > target {
+        let mut succ = txn.read_u64(prev)?;
+        while succ != NIL {
+            let (next, sokey) = read_cell(txn, succ as usize)?;
+            if sokey > target {
                 break;
             }
-            prev = next as usize;
+            (prev, succ) = (succ as usize, next);
         }
         let cell = self.pool.alloc().ok_or(AttemptError::PoolFull)?;
         fresh.push(cell);
-        let succ = txn.read_u64(prev)?;
-        txn.write_u64(cell, succ)?;
-        txn.write_u64(cell + 8, target)?;
+        write_words(txn, cell, &[succ, target])?;
         txn.write_u64(prev, cell as u64)?;
         txn.write_u64(self.desc.dir_off(child), cell as u64)?;
         Ok(cell)
@@ -355,7 +366,7 @@ impl ElasticHash {
         let target = so_data_key(key);
         let mut cur = txn.read_u64(sent)?;
         while cur != NIL {
-            let sokey = txn.read_u64(cur as usize + 8)?;
+            let (next, sokey) = read_cell(txn, cur as usize)?;
             if sokey > target {
                 break;
             }
@@ -367,7 +378,7 @@ impl ElasticHash {
                     return Ok(Some(entry));
                 }
             }
-            cur = txn.read_u64(cur as usize)?;
+            cur = next;
         }
         Ok(None)
     }
@@ -482,17 +493,14 @@ impl ElasticHash {
         let sent = self.ensure_bucket(txn, bucket, fresh)?;
         let target = so_data_key(key);
         let mut prev = sent;
-        loop {
-            let next = txn.read_u64(prev)?;
-            if next == NIL {
-                break;
-            }
-            let sokey = txn.read_u64(next as usize + 8)?;
+        let mut succ = txn.read_u64(prev)?;
+        while succ != NIL {
+            let (next, sokey) = read_cell(txn, succ as usize)?;
             if sokey > target {
                 break;
             }
             if sokey == target {
-                let entry = Entry::at(next as usize + NODE_HEADER_BYTES);
+                let entry = Entry::at(succ as usize + NODE_HEADER_BYTES);
                 if txn.read_u64(entry.key_off())? == key {
                     if let Some(v) = upsert_version {
                         let mut h = entry.read_header(txn)?;
@@ -504,11 +512,10 @@ impl ElasticHash {
                     return Ok(TryInsert::Existing);
                 }
             }
-            prev = next as usize;
+            (prev, succ) = (succ as usize, next);
         }
         // Write the node, then link it — the incarnation survives cell
         // reuse so stale cached locations fail their check (§5.3).
-        let succ = txn.read_u64(prev)?;
         let entry = Entry::at(cell + NODE_HEADER_BYTES);
         let old = entry.read_header(txn)?;
         entry.write_header(
@@ -522,8 +529,7 @@ impl ElasticHash {
             },
         )?;
         txn.write(entry.value_off(), value)?;
-        txn.write_u64(cell, succ)?;
-        txn.write_u64(cell + 8, target)?;
+        write_words(txn, cell, &[succ, target])?;
         txn.write_u64(prev, cell as u64)?;
         Ok(TryInsert::Inserted)
     }
@@ -565,29 +571,26 @@ impl ElasticHash {
         let sent = self.find_bucket_ro(txn, bucket)?;
         let target = so_data_key(key);
         let mut prev = sent;
-        loop {
-            let next = txn.read_u64(prev)?;
-            if next == NIL {
-                return Ok(None);
-            }
-            let sokey = txn.read_u64(next as usize + 8)?;
+        let mut cur = txn.read_u64(prev)?;
+        while cur != NIL {
+            let (next, sokey) = read_cell(txn, cur as usize)?;
             if sokey > target {
-                return Ok(None);
+                break;
             }
             if sokey == target {
-                let entry = Entry::at(next as usize + NODE_HEADER_BYTES);
+                let entry = Entry::at(cur as usize + NODE_HEADER_BYTES);
                 if txn.read_u64(entry.key_off())? == key {
                     let mut h = entry.read_header(txn)?;
                     h.incarnation = h.incarnation.wrapping_add(1);
                     h.state = 0;
                     entry.write_header(txn, &h)?;
-                    let succ = txn.read_u64(next as usize)?;
-                    txn.write_u64(prev, succ)?;
-                    return Ok(Some(next as usize));
+                    txn.write_u64(prev, next)?;
+                    return Ok(Some(cur as usize));
                 }
             }
-            prev = next as usize;
+            (prev, cur) = (cur as usize, next);
         }
+        Ok(None)
     }
 
     /// Remote lookup of `key` by one-sided READs of the size word, the

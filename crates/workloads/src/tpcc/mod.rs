@@ -207,10 +207,11 @@ impl Tpcc {
             let t_o = ClusterHash::create(&mut arena, n, order_cap / 4, order_cap, val::ORDER);
             let t_ol = ClusterHash::create(&mut arena, n, ol_cap / 4, ol_cap, val::ORDER_LINE);
             let t_h = ClusterHash::create(&mut arena, n, order_cap / 4, order_cap, val::HISTORY);
-            let no_pool = order_cap / 7 + 64;
-            let tree_no = BTree::create(&mut arena, region, n, no_pool);
-            let tree_co = BTree::create(&mut arena, region, n, order_cap / 7 + 64);
-            let tree_cn = BTree::create(&mut arena, region, n, custs as usize / 7 + 64);
+            // Every order ever placed keeps its node: `remove` frees none.
+            let order_pool = BTree::pool_for(order_cap);
+            let tree_no = BTree::create(&mut arena, region, n, order_pool);
+            let tree_co = BTree::create(&mut arena, region, n, order_pool);
+            let tree_cn = BTree::create(&mut arena, region, n, BTree::pool_for(custs as usize));
 
             let exec = Executor::new(cfg.drtm.htm.clone(), Arc::new(HtmStats::new()));
             populate_node(

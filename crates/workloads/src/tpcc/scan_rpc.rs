@@ -187,7 +187,7 @@ mod tests {
         });
         let mut arena = Arena::new(0, 4 << 20);
         let region = cluster.node(0).region();
-        let tree = Arc::new(BTree::create(&mut arena, region, 0, 512));
+        let tree = Arc::new(BTree::create(&mut arena, region, 0, BTree::pool_for(100)));
         let exec = Executor::new(HtmConfig::default(), Arc::new(HtmStats::new()));
         for k in 0..100u64 {
             loop {
@@ -214,7 +214,7 @@ mod tests {
         });
         let mut arena = Arena::new(0, 4 << 20);
         let region = cluster.node(0).region();
-        let tree = Arc::new(BTree::create(&mut arena, region, 0, 512));
+        let tree = Arc::new(BTree::create(&mut arena, region, 0, BTree::pool_for(10)));
         let exec = Executor::new(HtmConfig::default(), Arc::new(HtmStats::new()));
         for k in 0..10u64 {
             loop {

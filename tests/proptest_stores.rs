@@ -8,7 +8,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use drtm::htm::{Executor, HtmConfig, HtmStats, Region};
-use drtm::memstore::{Arena, BTree, ClusterHash, ElasticHash, InsertError, Slot, SlotType};
+use drtm::memstore::{hash64, Arena, BTree, ClusterHash, ElasticHash, InsertError, Slot, SlotType};
 use drtm::txn::LockState;
 
 /// Operations the hash-table model understands.
@@ -223,6 +223,88 @@ proptest! {
                     let want: Vec<(u64, u64)> =
                         model.range(a..=b).map(|(&k, &v)| (k, v)).collect();
                     prop_assert_eq!(got, want);
+                }
+            }
+        }
+    }
+
+    /// The same on a tree deep enough for every structural path: 2 500
+    /// ascending keys (a multiple of 8 each; the fourth level appears at
+    /// the 833rd) interleaved with 1 500 scattered ones split leaves,
+    /// internal nodes and two roots before the mixed phase, which also
+    /// checks `get` and `max_in_range`, scans under finite limits (0 and
+    /// 1 among them) and scans across leaves it has just emptied.
+    #[test]
+    fn deep_btree_matches_model(
+        seed in any::<u64>(),
+        ops in proptest::collection::vec((0u8..6, 0u64..20_000, 0u64..20_000, 0usize..4), 1..120),
+    ) {
+        const BUILD: usize = 4_000;
+        let region = Region::new(8 << 20);
+        let mut arena = Arena::new(0, 8 << 20);
+        let tree = BTree::create(&mut arena, &region, 0, BTree::pool_for(BUILD + 120));
+        let cfg = HtmConfig { read_capacity_lines: 1 << 16, write_capacity_lines: 1 << 15, ..Default::default() };
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        // Single-threaded: nothing aborts.
+        let run = |f: &mut dyn FnMut(&mut drtm::htm::HtmTxn<'_>) -> Result<(), drtm::htm::Abort>| {
+            let mut txn = region.begin(&cfg);
+            f(&mut txn).expect("tree op");
+            txn.commit().expect("commit");
+        };
+        let mut ascending = 0..2_500u64;
+        for i in 0..BUILD as u64 {
+            let key = match i % 8 {
+                0..=4 => ascending.next().expect("5 of every 8") * 8,
+                _ => hash64(seed ^ i) % 20_000,
+            };
+            let mut fresh = false;
+            run(&mut |txn| tree.insert(txn, key, i).map(|f| fresh = f));
+            prop_assert_eq!(fresh, model.insert(key, i).is_none());
+        }
+        let check_range = |lo: u64, hi: u64, max: usize, model: &BTreeMap<u64, u64>| {
+            let (mut got, mut last) = (Vec::new(), None);
+            run(&mut |txn| {
+                got = tree.scan_range(txn, lo, hi, max)?;
+                last = tree.max_in_range(txn, lo, hi)?;
+                Ok(())
+            });
+            let want: Vec<(u64, u64)> = model.range(lo..=hi).take(max).map(|(&k, &v)| (k, v)).collect();
+            prop_assert_eq!(got, want, "scan {}..={} max {}", lo, hi, max);
+            prop_assert_eq!(last, model.range(lo..=hi).next_back().map(|(&k, &v)| (k, v)));
+        };
+        for (kind, a, b, m) in ops {
+            let max = [0, 1, 9, usize::MAX][m];
+            match kind {
+                0 => {
+                    let mut fresh = false;
+                    run(&mut |txn| tree.insert(txn, a, b).map(|f| fresh = f));
+                    prop_assert_eq!(fresh, model.insert(a, b).is_none());
+                }
+                1 => {
+                    // Half the time a key the build phase put there.
+                    let key = if b % 2 == 0 { a & !7 } else { a };
+                    let mut got = false;
+                    run(&mut |txn| tree.remove(txn, key).map(|g| got = g));
+                    prop_assert_eq!(got, model.remove(&key).is_some());
+                }
+                2 => {
+                    for key in [a, a & !7] {
+                        let mut got = None;
+                        run(&mut |txn| tree.get(txn, key).map(|g| got = g));
+                        prop_assert_eq!(got, model.get(&key).copied(), "get {}", key);
+                    }
+                }
+                3 => check_range(a.min(b), a.max(b), max, &model),
+                4 => check_range(a, a + b % 400, max, &model),
+                _ => {
+                    // Empty a few leaves in a row, then scan across them.
+                    let doomed: Vec<u64> = model.range(a..=a + 300).map(|(&k, _)| k).collect();
+                    for key in doomed {
+                        let mut got = false;
+                        run(&mut |txn| tree.remove(txn, key).map(|g| got = g));
+                        prop_assert!(got && model.remove(&key).is_some(), "remove {}", key);
+                    }
+                    check_range(a.saturating_sub(100), a + 400, max, &model);
                 }
             }
         }
