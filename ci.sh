@@ -9,6 +9,11 @@
 #   RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 #     (a renamed or privatised item that a doc comment still links to
 #     fails here; nothing else would catch it)
+# plus a `git grep` gate that keeps the deployment assembly written once:
+# `NodeLayout::reserve` and `SoftTimer::start` are called from
+# crates/core/src only (drtm_core::Deployment is their one caller), and
+# the 200 µs softtime interval, `add_node_layout` and per-machine
+# `layouts.push` appear nowhere but the one SOFTTIME_INTERVAL definition
 # plus `cargo run --release --example abort_diagnosis`, whose StatsReport
 # block must show every layer counting (txns, htm, rdma, a phase line
 # with record ops, a non-empty abort-cause list)
@@ -77,6 +82,20 @@ for want in \
 done
 grep -A1 '^abort causes:$' <<<"$REPORT" | grep -Eq '^  [a-z-]+ +[1-9][0-9]*$' \
   || { echo "abort_diagnosis: empty abort-cause list" >&2; echo "$REPORT" >&2; exit 1; }
+
+echo "== written once: the deployment assembly lives in crates/core/src =="
+# A fixture that reserves its own layout or starts its own timer has
+# forked the five decisions DESIGN.md §2 "Deployment" lists.
+if git grep -n --untracked 'NodeLayout::reserve\|SoftTimer::start' -- crates tests examples \
+  | grep -v '^crates/core/src/'; then
+  echo "layout / softtime service assembled outside crates/core/src: use drtm_core::Deployment" >&2
+  exit 1
+fi
+if git grep -n --untracked 'add_node_layout\|layouts.push\|from_micros(200)' -- crates tests examples \
+  | grep -v '^crates/core/src/time.rs:[0-9]*:pub const SOFTTIME_INTERVAL'; then
+  echo "per-machine layout list or a restated softtime interval: see DESIGN.md §2 Deployment" >&2
+  exit 1
+fi
 
 echo "== style: rustfmt =="
 cargo fmt --all -- --check

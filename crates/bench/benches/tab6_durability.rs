@@ -138,7 +138,7 @@ fn main() {
     }
     assert!(node2_dead, "the armed crash must have fired");
     let rec_t0 = std::time::Instant::now();
-    let rec = recover_node(sb.sys.cluster(), 2, &sb.sys.layout(2), 0);
+    let rec = recover_node(sb.sys.cluster(), 2, sb.sys.layout(), 0);
     let recovery_ms = rec_t0.elapsed().as_secs_f64() * 1e3;
     sb.sys.cluster().faults().revive(2);
     for w in workers.iter_mut() {

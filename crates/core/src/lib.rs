@@ -12,7 +12,9 @@
 //!   lease-based shared locks of §4.2/4.3, and the contention-managed
 //!   fallback handler of §6.2;
 //! * [`Worker::try_read_only`] — the HTM-free read-only scheme of §4.5;
-//! * [`SoftTimer`] — the softtime service of §6.1;
+//! * [`Deployment`] — the one assembly of a running system: region
+//!   layout, store arenas, populate executor and the softtime service
+//!   ([`SoftTimer`], §6.1) the returned [`DrTm`] owns;
 //! * [`LogSlot`]/[`recover_node`] — cooperative logging and recovery for
 //!   durability (§4.6, Figure 7);
 //! * the per-record [`LockState`] word of Figure 4 and the record-level
@@ -32,7 +34,7 @@ mod time;
 mod trace;
 mod txn;
 
-pub use alloc_layout::NodeLayout;
+pub use alloc_layout::{Deployment, NodeLayout};
 pub use config::{CrashPoint, DrTmConfig, SofttimeStrategy};
 pub use drtm_htm::Abort;
 pub use failure::FailureDetector;
@@ -54,7 +56,9 @@ pub use recovery::{recover_node, RecoveryReport};
 pub use ro::{RoCtx, RoRestart};
 pub use state::{LockState, INIT};
 pub use stats::{TxnStats, TxnStatsSnapshot};
-pub use time::{softtime_nt, softtime_txn, wall_now_us, SoftTimer, SOFTTIME_OFF};
+pub use time::{
+    softtime_nt, softtime_txn, wall_now_us, SoftTimer, SOFTTIME_INTERVAL, SOFTTIME_OFF,
+};
 pub use trace::{
     AbortCause, CauseSnapshot, Phase, PhaseLine, PhaseSnapshot, PhaseStats, StatsReport, TraceBuf,
     TraceDump, TraceEvent, TraceHub, CAUSE_NAMES, NUM_CAUSES,

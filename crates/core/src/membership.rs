@@ -11,8 +11,9 @@
 //!   and abort typed ([`crate::AbortCause::RouteJoining`] /
 //!   [`crate::AbortCause::RouteRetired`]) instead of wedging on a
 //!   machine that owns nothing yet or nothing any more.
-//! * A [`MembershipCoordinator`] executes **join** (provision a region,
-//!   verbs and services on the live fabric, stream one donation range
+//! * A [`MembershipCoordinator`] executes **join** (grow the live
+//!   fabric, have the workload carve its shard from the new machine's
+//!   store arena and start its services, stream one donation range
 //!   from each active machine through the resharder, flip `Active`) and
 //!   **leave** (mark `Draining`, stream every owned range out, quiesce
 //!   the write-ahead log, then `Retired` — after which fabric ops
@@ -52,7 +53,6 @@ use drtm_memstore::journal::{put_u16, put_u64, Journal, Reader};
 use drtm_memstore::{Arena, Resharder};
 use drtm_rdma::{FabricError, NodeId};
 
-use crate::alloc_layout::NodeLayout;
 use crate::failure::FailureDetector;
 use crate::recovery::{recover_node, RecoveryReport};
 use crate::txn::DrTm;
@@ -338,14 +338,14 @@ pub struct MembershipRecovery {
 /// [`Resharder::migrate`], crashes are collected via [`recover_node`]
 /// (the WAL), [`Resharder::recover`] and [`Resharder::evacuate_nt`]. The
 /// workload supplies a `provision` callback that carves the new machine's
-/// region (layout, shard, services) because table geometry is
-/// workload-owned.
+/// stores from the arena it is handed and starts its services: table
+/// geometry is workload-owned, the layout in front of it is not.
 pub struct MembershipCoordinator {
     sys: Arc<DrTm>,
     resharder: Arc<Resharder>,
     table: Arc<MembershipTable>,
     detector: Mutex<Option<Arc<FailureDetector>>>,
-    provision: Box<dyn Fn(NodeId) -> NodeLayout + Send + Sync>,
+    provision: Box<dyn Fn(NodeId, Arena) + Send + Sync>,
     /// Serialises joins/leaves/recoveries: membership ops are rare and
     /// whole-cluster, so one at a time is the correctness-preserving
     /// (and paper-faithful: Zookeeper serialises membership) choice.
@@ -359,15 +359,15 @@ impl std::fmt::Debug for MembershipCoordinator {
 }
 
 impl MembershipCoordinator {
-    /// Builds a coordinator. `provision` is called with the new node id
-    /// during a join; it must reserve the standard [`NodeLayout`] on the
-    /// new region, create the workload's shard there and register it
-    /// with the resharder (plus any services), then return the layout.
+    /// Builds a coordinator. `provision` is called during a join with
+    /// the new node id and its [`crate::NodeLayout::store_arena`] (where
+    /// a founding machine's came from): it creates the workload's shard
+    /// there and registers it with the resharder, plus any services.
     pub fn new(
         sys: Arc<DrTm>,
         resharder: Arc<Resharder>,
         table: Arc<MembershipTable>,
-        provision: impl Fn(NodeId) -> NodeLayout + Send + Sync + 'static,
+        provision: impl Fn(NodeId, Arena) + Send + Sync + 'static,
     ) -> Self {
         MembershipCoordinator {
             sys,
@@ -414,7 +414,7 @@ impl MembershipCoordinator {
         (mid_site, end_site): (&str, Option<&str>),
     ) -> Result<u64, MembershipError> {
         let region = self.sys.cluster().node(node).region();
-        let journal = self.sys.layout(node).membership;
+        let journal = self.sys.layout().membership;
         let faults = self.sys.cluster().faults();
         // Journal the intent, then publish: from here on a crash of the
         // subject is a journaled membership death.
@@ -456,9 +456,10 @@ impl MembershipCoordinator {
             return Err(MembershipError::JournalFull);
         }
         let node = self.sys.cluster().add_node().ok_or(MembershipError::ClusterFull)?;
-        // Provision before any state is published: region layout, shard,
-        // services — and a softtime value so leases work immediately.
-        self.sys.add_node_layout(node, (self.provision)(node));
+        // Provision before any state is published: shard, services —
+        // and a softtime value so leases work immediately.
+        let region = self.sys.cluster().node(node).region();
+        (self.provision)(node, self.sys.layout().store_arena(region));
         crate::time::SoftTimer::tick_now(self.sys.cluster());
         if let Some(fd) = self.detector.lock().expect("detector lock poisoned").as_ref() {
             let slot = fd.add_node();
@@ -478,7 +479,7 @@ impl MembershipCoordinator {
         // between the two leaves an idle journal and an armed fault
         // plan, which recovery treats as a plain (non-membership) death
         // of a machine that owns its donated ranges.
-        self.sys.layout(node).membership.clear(self.sys.cluster().node(node).region());
+        self.sys.layout().membership.clear(region);
         let epoch = self.table.set(node, NodeState::Active);
         Ok(JoinReport { node, ranges_in, keys_moved, epoch })
     }
@@ -513,8 +514,8 @@ impl MembershipCoordinator {
         // Quiesce: sweep the subject's log slots so no lock or redo
         // obligation survives retirement. On a clean leave this finds
         // nothing; anything it reports was leaked by a worker.
-        let layout = self.sys.layout(node);
-        let quiesce = recover_node(self.sys.cluster(), node, &layout, via);
+        let layout = self.sys.layout();
+        let quiesce = recover_node(self.sys.cluster(), node, layout, via);
         layout.membership.clear(self.sys.cluster().node(node).region());
         let epoch = self.retire_everywhere(node);
         Ok(LeaveReport { node, ranges_out, keys_moved, quiesce, epoch })
@@ -534,9 +535,9 @@ impl MembershipCoordinator {
     /// replaying the same seeded crash yields an identical report.
     pub fn recover(&self, crashed: NodeId, via: NodeId) -> NodeRecovery {
         let _g = self.op.lock().expect("membership op lock poisoned");
-        let layout = self.sys.layout(crashed);
+        let layout = self.sys.layout();
         let region = self.sys.cluster().node(crashed).region();
-        let wal = recover_node(self.sys.cluster(), crashed, &layout, via);
+        let wal = recover_node(self.sys.cluster(), crashed, layout, via);
         let (released_locks, dropped_rows) = self.resharder.recover(crashed, via);
         let Some((op, records)) = layout.membership.read(region) else {
             return NodeRecovery { wal, membership: None };

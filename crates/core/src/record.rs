@@ -35,6 +35,11 @@ impl RecordAddr {
         RecordAddr { addr, value_cap }
     }
 
+    /// The field offsets of the entry this record is.
+    pub fn entry(&self) -> Entry {
+        Entry::at(self.addr.offset)
+    }
+
     /// Bytes of one full-entry fetch.
     fn fetch_len(&self) -> usize {
         ENTRY_HEADER_BYTES + self.value_cap
@@ -247,23 +252,23 @@ pub fn remote_lock_write(
     acquire_wave(qp, [claim].into_iter(), now_us, delta_us).pop().expect("one claim, one outcome")
 }
 
-/// Posts `bytes` at `field_off` into the record: a coherent CPU store
-/// into the owning machine's region when `local` (the ordered-2PL
-/// strategy on its own machine, or recovery writing into a corpse's
-/// durable region), a posted one-sided WRITE otherwise. The *only* thing
-/// `local` selects on the release side.
+/// Posts `bytes` at region offset `off` of the record's machine: a
+/// coherent CPU store into the owning machine's region when `local` (the
+/// ordered-2PL strategy on its own machine, or recovery writing into a
+/// corpse's durable region), a posted one-sided WRITE otherwise. The
+/// *only* thing `local` selects on the release side.
 fn post_store(
     qp: &Qp,
     rec: &RecordAddr,
-    field_off: usize,
+    off: usize,
     bytes: &[u8],
     local: bool,
 ) -> Result<(), FabricError> {
     if local {
-        qp.cluster().node(rec.addr.node).region().write_nt(rec.addr.offset + field_off, bytes);
+        qp.cluster().node(rec.addr.node).region().write_nt(off, bytes);
         Ok(())
     } else {
-        qp.post_write(GlobalAddr::new(rec.addr.node, rec.addr.offset + field_off), bytes)
+        qp.post_write(GlobalAddr::new(rec.addr.node, off), bytes)
     }
 }
 
@@ -302,8 +307,8 @@ pub(crate) fn post_write_back(
     };
     buf[..4].copy_from_slice(&(value.len() as u32).to_le_bytes());
     buf[8..].copy_from_slice(value);
-    post_store(qp, rec, 24, buf, local)?;
-    post_store(qp, rec, 12, &new_version.to_le_bytes(), local)?;
+    post_store(qp, rec, rec.entry().len_off(), buf, local)?;
+    post_store(qp, rec, rec.entry().version_off(), &new_version.to_le_bytes(), local)?;
     post_unlock(qp, rec, local)
 }
 
@@ -313,7 +318,7 @@ pub(crate) fn post_write_back(
 /// fine — the whole machine's lock table dies with it and `recover_node`
 /// sweeps whatever our logs say we held there.
 pub(crate) fn post_unlock(qp: &Qp, rec: &RecordAddr, local: bool) -> Result<(), FabricError> {
-    post_store(qp, rec, 0, &INIT.to_le_bytes(), local)
+    post_store(qp, rec, rec.entry().state_off(), &INIT.to_le_bytes(), local)
 }
 
 /// `REMOTE_WRITE_BACK`: posts the write-back (value, version, state — see
@@ -343,9 +348,9 @@ pub fn remote_unlock(qp: &Qp, rec: &RecordAddr, local: bool) -> Result<(), Fabri
 pub fn read_version(qp: &Qp, rec: &RecordAddr, local: bool) -> Result<u32, FabricError> {
     let mut v = [0u8; 4];
     if local {
-        qp.cluster().node(rec.addr.node).region().read_nt(rec.addr.offset + 12, &mut v);
+        qp.cluster().node(rec.addr.node).region().read_nt(rec.entry().version_off(), &mut v);
     } else {
-        qp.try_read(GlobalAddr::new(rec.addr.node, rec.addr.offset + 12), &mut v)?;
+        qp.try_read(GlobalAddr::new(rec.addr.node, rec.entry().version_off()), &mut v)?;
     }
     Ok(u32::from_le_bytes(v))
 }

@@ -176,59 +176,42 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alloc_layout::NodeLayout;
+    use crate::alloc_layout::Deployment;
     use crate::config::DrTmConfig;
-    use crate::time::SoftTimer;
-    use crate::txn::{DrTm, TxnSpec};
-    use drtm_htm::{Executor, HtmConfig, HtmStats};
-    use drtm_memstore::{Arena, BTree, ClusterHash, LookupResult};
-    use drtm_rdma::{Cluster, ClusterConfig, LatencyProfile};
+    use crate::time::SOFTTIME_INTERVAL;
+    use crate::txn::{standalone, DrTm, TxnSpec};
+    use drtm_memstore::{BTree, ClusterHash, LookupResult};
+    use drtm_rdma::{ClusterConfig, LatencyProfile};
     use std::sync::Arc;
 
-    fn setup() -> (std::sync::Arc<DrTm>, Arc<ClusterHash>, Arc<BTree>, SoftTimer) {
+    fn setup() -> (Arc<DrTm>, Arc<ClusterHash>, Arc<BTree>) {
         setup_cfg(DrTmConfig::default())
     }
 
-    fn setup_cfg(
-        cfg: DrTmConfig,
-    ) -> (std::sync::Arc<DrTm>, Arc<ClusterHash>, Arc<BTree>, SoftTimer) {
-        let cluster = Cluster::new(ClusterConfig {
+    /// Machine 0's table (keys `0..50`, value `10·k`, on both machines)
+    /// and tree (`k → 100·k`).
+    fn setup_cfg(cfg: DrTmConfig) -> (Arc<DrTm>, Arc<ClusterHash>, Arc<BTree>) {
+        let cluster = ClusterConfig {
             nodes: 2,
             region_size: 8 << 20,
             profile: LatencyProfile::zero(),
             ..Default::default()
-        });
-        let mut layouts = Vec::new();
-        let mut table = None;
-        let mut tree = None;
-        for n in 0..2u16 {
-            let mut arena = Arena::new(0, 8 << 20);
-            layouts.push(NodeLayout::reserve(&mut arena, 1));
-            let t = ClusterHash::create(&mut arena, n, 64, 200, 8);
-            let tr = BTree::create(&mut arena, cluster.node(n).region(), n, 256);
-            let exec = Executor::new(HtmConfig::default(), Arc::new(HtmStats::new()));
-            for k in 0..50u64 {
-                t.insert(&exec, cluster.node(n).region(), k, &(k * 10).to_le_bytes()).unwrap();
-                if n == 0 {
-                    loop {
-                        let mut txn = cluster.node(0).region().begin(exec.config());
-                        if tr.insert(&mut txn, k, k * 100).is_ok() && txn.commit().is_ok() {
-                            break;
-                        }
-                    }
-                }
+        };
+        let mut dep = Deployment::new(cluster, cfg, 1);
+        let tables = dep.hash(64, 200, 8);
+        let trees = dep.tree(256);
+        let htm = dep.exec().config();
+        for k in 0..50u64 {
+            for n in dep.nodes() {
+                let t = &tables[n as usize];
+                t.insert(dep.exec(), dep.region(n), k, &(k * 10).to_le_bytes()).unwrap();
             }
-            if n == 0 {
-                table = Some(Arc::new(t));
-                tree = Some(Arc::new(tr));
-            }
+            standalone(dep.region(0), htm, |txn| trees[0].insert(txn, k, k * 100)).unwrap();
         }
-        let timer = SoftTimer::start(cluster.clone(), std::time::Duration::from_micros(200));
-        let sys = DrTm::new(cluster, cfg, layouts);
-        (sys, table.expect("node 0 table"), tree.expect("node 0 tree"), timer)
+        (dep.start(SOFTTIME_INTERVAL), tables[0].clone(), trees[0].clone())
     }
 
-    fn rec_of(sys: &std::sync::Arc<DrTm>, table: &ClusterHash, key: u64) -> RecordAddr {
+    fn rec_of(sys: &Arc<DrTm>, table: &ClusterHash, key: u64) -> RecordAddr {
         let qp = sys.cluster().qp(1);
         match table.remote_lookup(&qp, key) {
             LookupResult::Found { addr, .. } => RecordAddr::new(addr, 8),
@@ -240,7 +223,7 @@ mod tests {
     fn ro_scans_discover_then_lease() {
         // The order-status pattern: scan an index to find the record set,
         // then lease-read the records.
-        let (sys, table, tree, _t) = setup();
+        let (sys, table, tree) = setup();
         let mut w = sys.worker(0, 0);
         let table2 = table.clone();
         let got = w
@@ -261,7 +244,7 @@ mod tests {
 
     #[test]
     fn ro_restarts_when_record_is_locked() {
-        let (sys, table, _tree, _t) = setup();
+        let (sys, table, _tree) = setup();
         let rec = rec_of(&sys, &table, 5);
         // A remote writer holds the record briefly.
         let qp = sys.cluster().qp(1);
@@ -281,7 +264,7 @@ mod tests {
 
     #[test]
     fn ro_and_rw_interleave_correctly() {
-        let (sys, table, _tree, _t) = setup();
+        let (sys, table, _tree) = setup();
         let rec = rec_of(&sys, &table, 7);
         // RW transaction on node 1 updates the record; RO on node 0 must
         // see either the old or the new value, never garbage.
@@ -302,8 +285,7 @@ mod tests {
     fn ro_is_durable_free_even_with_logging_on() {
         // DUMBO invariant, asserted by counter: with logging enabled the
         // RO path stages no log record and waits on no completion marker.
-        let (sys, table, tree, _t) =
-            setup_cfg(DrTmConfig { logging: true, ..DrTmConfig::default() });
+        let (sys, table, tree) = setup_cfg(DrTmConfig { logging: true, ..DrTmConfig::default() });
         let base = sys.stats().snapshot();
         let mut w = sys.worker(0, 0);
         let recs: Vec<RecordAddr> = (0..8).map(|k| rec_of(&sys, &table, k)).collect();

@@ -24,6 +24,10 @@ use drtm_rdma::Cluster;
 /// reserved for it by every layout in this reproduction).
 pub const SOFTTIME_OFF: usize = 0;
 
+/// The update interval of every deployment that does not sweep it
+/// (Figure 11's x-axis does): what `Deployment::start` is handed.
+pub const SOFTTIME_INTERVAL: Duration = Duration::from_micros(200);
+
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 /// Wall-clock microseconds since the (lazily initialised) cluster epoch.
@@ -48,7 +52,8 @@ pub fn softtime_txn(txn: &mut HtmTxn<'_>) -> Result<u64, Abort> {
     txn.read_u64(SOFTTIME_OFF)
 }
 
-/// The cluster-wide softtime updater.
+/// The cluster-wide softtime updater, started by `Deployment::start`
+/// and owned by the [`crate::DrTm`] it returns.
 ///
 /// Dropping the handle stops the thread *promptly*: the timer waits on a
 /// condition variable instead of sleeping, so `drop` wakes it
@@ -67,11 +72,11 @@ impl SoftTimer {
     /// The update is a non-transactional store, so it conflicts with any
     /// in-flight HTM transaction whose read set contains the softtime
     /// line — deliberately reproducing the paper's behaviour.
-    pub fn start(cluster: Arc<Cluster>, interval: Duration) -> SoftTimer {
+    pub(crate) fn start(cluster: Arc<Cluster>, interval: Duration) -> SoftTimer {
         let shared = Arc::new((Mutex::new(false), Condvar::new()));
         let shared2 = shared.clone();
         // Publish an initial value so readers never observe 0.
-        Self::tick(&cluster);
+        Self::tick_now(&cluster);
         let handle = std::thread::Builder::new()
             .name("drtm-softtime".into())
             .spawn(move || {
@@ -86,7 +91,7 @@ impl SoftTimer {
                         return;
                     }
                     if timeout.timed_out() {
-                        Self::tick(&cluster);
+                        Self::tick_now(&cluster);
                     }
                 }
             })
@@ -94,16 +99,13 @@ impl SoftTimer {
         SoftTimer { shared, handle: Some(handle) }
     }
 
-    fn tick(cluster: &Cluster) {
+    /// One update of every node's softtime word, now: the timer's tick,
+    /// a frozen clock's only one, a joined machine's first.
+    pub fn tick_now(cluster: &Cluster) {
         let now = wall_now_us();
         for n in 0..cluster.num_nodes() {
             cluster.node(n as u16).region().write_u64_nt(SOFTTIME_OFF, now);
         }
-    }
-
-    /// Forces an immediate update (tests and deterministic harnesses).
-    pub fn tick_now(cluster: &Cluster) {
-        Self::tick(cluster);
     }
 }
 

@@ -19,7 +19,7 @@
 //! visible and no lock is released before the log that can redo it is
 //! durable.
 
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use drtm_htm::{vtime, Abort, Executor, HtmConfig, HtmStats, HtmTxn, Region};
@@ -35,7 +35,7 @@ use crate::record::{
 };
 use crate::state::LockState;
 use crate::stats::TxnStats;
-use crate::time::{softtime_nt, softtime_txn};
+use crate::time::{softtime_nt, softtime_txn, SoftTimer};
 use crate::trace::{
     AbortCause, Phase, PhaseTimer, StatsReport, TraceBuf, TraceDump, TraceEvent, TraceHub,
 };
@@ -265,15 +265,21 @@ pub struct DrTm {
     stats: Arc<TxnStats>,
     htm_stats: Arc<HtmStats>,
     trace: TraceHub,
-    /// One layout per provisioned machine; grows under the lock when the
-    /// membership coordinator provisions a joining node.
-    layouts: RwLock<Vec<NodeLayout>>,
+    /// Every machine's region layout, founding or joined later.
+    layout: NodeLayout,
+    /// The softtime service; `None` on a frozen clock. Owned here so it
+    /// ticks until the last worker's `Arc<DrTm>` is gone.
+    _timer: Option<SoftTimer>,
 }
 
 impl DrTm {
-    /// Creates the instance; `layouts[n]` is machine `n`'s region layout.
-    pub fn new(cluster: Arc<Cluster>, cfg: DrTmConfig, layouts: Vec<NodeLayout>) -> Arc<Self> {
-        assert_eq!(layouts.len(), cluster.num_nodes(), "one layout per node");
+    /// Creates the instance; [`crate::Deployment::start`] is the caller.
+    pub(crate) fn new(
+        cluster: Arc<Cluster>,
+        cfg: DrTmConfig,
+        layout: NodeLayout,
+        timer: Option<SoftTimer>,
+    ) -> Arc<Self> {
         let trace = TraceHub::new(cfg.trace_capacity);
         Arc::new(DrTm {
             cluster,
@@ -281,7 +287,8 @@ impl DrTm {
             stats: Arc::new(TxnStats::default()),
             htm_stats: Arc::new(HtmStats::new()),
             trace,
-            layouts: RwLock::new(layouts),
+            layout,
+            _timer: timer,
         })
     }
 
@@ -290,23 +297,11 @@ impl DrTm {
         &self.cluster
     }
 
-    /// Machine `node`'s region layout (recovery needs the crashed
-    /// machine's log-slot geometry). Returned by value: the table can
-    /// grow concurrently under a join.
-    ///
-    /// # Panics
-    ///
-    /// If `node` has no registered layout.
-    pub fn layout(&self, node: NodeId) -> NodeLayout {
-        self.layouts.read().expect("layout lock poisoned")[node as usize].clone()
-    }
-
-    /// Registers the region layout of a machine provisioned after
-    /// startup (must be the next node id, keeping index == node id).
-    pub fn add_node_layout(&self, node: NodeId, layout: NodeLayout) {
-        let mut l = self.layouts.write().expect("layout lock poisoned");
-        assert_eq!(l.len(), node as usize, "layouts must grow in node-id order");
-        l.push(layout);
+    /// The region layout of every machine (recovery needs a crashed
+    /// machine's log-slot geometry; a joining machine's store arena
+    /// starts where it ends).
+    pub fn layout(&self) -> &NodeLayout {
+        &self.layout
     }
 
     /// The configuration.
@@ -350,12 +345,10 @@ impl DrTm {
 
     /// Creates the handle a worker thread drives transactions through.
     pub fn worker(self: &Arc<Self>, node: NodeId, worker_id: usize) -> Worker {
-        let slot_layout =
-            self.layouts.read().expect("layout lock poisoned")[node as usize].log_slots[worker_id];
         Worker {
             qp: self.cluster.qp(node),
             exec: Executor::new(self.cfg.htm.clone(), self.htm_stats.clone()),
-            log: LogSlot::new(slot_layout, self.cfg.nvram_write_ns),
+            log: LogSlot::new(self.layout.log_slots[worker_id], self.cfg.nvram_write_ns),
             ring: self.trace.register(),
             txn_seq: 0,
             sys: Arc::clone(self),
@@ -1331,11 +1324,12 @@ impl<'r> TxnCtx<'r> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alloc_layout::Deployment;
     use crate::config::DrTmConfig;
     use crate::record::ABORT_LEASED;
     use crate::state::LockState;
-    use crate::time::SoftTimer;
-    use drtm_memstore::{Arena, LookupResult};
+    use crate::time::SOFTTIME_INTERVAL;
+    use drtm_memstore::LookupResult;
     use drtm_rdma::{ClusterConfig, LatencyProfile};
 
     /// Two machines, one hash table each (identical geometry), populated
@@ -1344,7 +1338,6 @@ mod tests {
         sys: Arc<DrTm>,
         tables: Vec<Arc<ClusterHash>>,
         trees: Vec<Arc<BTree>>,
-        _timer: SoftTimer,
     }
 
     const VAL_CAP: usize = 16;
@@ -1358,33 +1351,21 @@ mod tests {
     }
 
     fn harness(nodes: usize, workers: usize, keys: u64, cfg: DrTmConfig) -> Harness {
-        let cluster = Cluster::new(ClusterConfig {
+        let cluster = ClusterConfig {
             nodes,
             region_size: 16 << 20,
             profile: LatencyProfile::zero(),
             ..Default::default()
-        });
-        let mut layouts = Vec::new();
-        let mut tables = Vec::new();
-        let mut trees = Vec::new();
-        for n in 0..nodes {
-            let mut arena = Arena::new(0, 16 << 20);
-            layouts.push(NodeLayout::reserve(&mut arena, workers));
-            let t = ClusterHash::create(&mut arena, n as NodeId, 256, 4096, VAL_CAP);
-            let tree =
-                BTree::create(&mut arena, cluster.node(n as NodeId).region(), n as NodeId, 512);
-            // Populate with stock hardware parameters: tests may model a
-            // tiny HTM capacity that could not even run the inserts.
-            let exec = Executor::new(HtmConfig::default(), Arc::new(HtmStats::new()));
+        };
+        let mut dep = Deployment::new(cluster, cfg, workers);
+        let tables = dep.hash(256, 4096, VAL_CAP);
+        let trees = dep.tree(512);
+        for n in dep.nodes() {
             for k in 0..keys {
-                t.insert(&exec, cluster.node(n as NodeId).region(), k, &u64v(100)).unwrap();
+                tables[n as usize].insert(dep.exec(), dep.region(n), k, &u64v(100)).unwrap();
             }
-            tables.push(Arc::new(t));
-            trees.push(Arc::new(tree));
         }
-        let timer = SoftTimer::start(cluster.clone(), std::time::Duration::from_micros(200));
-        let sys = DrTm::new(cluster, cfg, layouts);
-        Harness { sys, tables, trees, _timer: timer }
+        Harness { sys: dep.start(SOFTTIME_INTERVAL), tables, trees }
     }
 
     impl Harness {
@@ -1400,7 +1381,7 @@ mod tests {
             let rec = self.rec(node, key);
             let region = self.sys.cluster().node(node).region();
             let mut b = vec![0u8; 8];
-            region.read_nt(rec.addr.offset + 32, &mut b);
+            region.read_nt(rec.entry().value_off(), &mut b);
             vu64(&b)
         }
 
@@ -1649,11 +1630,8 @@ mod tests {
         });
         assert_eq!(r, Err(TxnError::SimulatedCrash));
         assert!(h.state_of(1, 0).is_write_locked(), "lock stranded by crash");
-        let layout = {
-            let mut arena = Arena::new(0, 16 << 20);
-            NodeLayout::reserve(&mut arena, 1)
-        };
-        let report = crate::recovery::recover_node(h.sys.cluster(), 0, &layout, 1);
+        let layout = h.sys.layout();
+        let report = crate::recovery::recover_node(h.sys.cluster(), 0, layout, 1);
         assert_eq!(report.rolled_back_txns, 1);
         assert_eq!(report.released_locks, 1);
         assert_eq!(report.redone_updates, 0);
@@ -1678,17 +1656,14 @@ mod tests {
         });
         assert_eq!(r, Err(TxnError::SimulatedCrash));
         assert_eq!(h.value(1, 0), 100, "write-back never ran");
-        let layout = {
-            let mut arena = Arena::new(0, 16 << 20);
-            NodeLayout::reserve(&mut arena, 1)
-        };
-        let report = crate::recovery::recover_node(h.sys.cluster(), 0, &layout, 1);
+        let layout = h.sys.layout();
+        let report = crate::recovery::recover_node(h.sys.cluster(), 0, layout, 1);
         assert_eq!(report.redone_txns, 1);
         assert_eq!(report.redone_updates, 1);
         assert_eq!(h.value(1, 0), 109, "committed update redone");
         assert!(h.state_of(1, 0).is_init());
         // Recovery is idempotent.
-        let again = crate::recovery::recover_node(h.sys.cluster(), 0, &layout, 1);
+        let again = crate::recovery::recover_node(h.sys.cluster(), 0, layout, 1);
         assert_eq!(again.redone_txns, 0);
         assert_eq!(h.value(1, 0), 109);
     }
@@ -1724,11 +1699,8 @@ mod tests {
         assert_eq!(h.value(1, 0), 100);
         assert!(h.state_of(0, 1).is_write_locked(), "local 2PL lock still held");
         assert!(h.state_of(1, 0).is_write_locked());
-        let layout = {
-            let mut arena = Arena::new(0, 16 << 20);
-            NodeLayout::reserve(&mut arena, 1)
-        };
-        let report = crate::recovery::recover_node(h.sys.cluster(), 0, &layout, 1);
+        let layout = h.sys.layout();
+        let report = crate::recovery::recover_node(h.sys.cluster(), 0, layout, 1);
         assert_eq!(report.redone_txns, 1);
         assert_eq!(report.redone_updates, 2);
         assert_eq!(report.released_locks, 0, "write-backs release as they apply");
@@ -1737,7 +1709,7 @@ mod tests {
         assert!(h.state_of(0, 1).is_init());
         assert!(h.state_of(1, 0).is_init());
         // Idempotent: a second pass finds a clean slot.
-        let again = crate::recovery::recover_node(h.sys.cluster(), 0, &layout, 1);
+        let again = crate::recovery::recover_node(h.sys.cluster(), 0, layout, 1);
         assert_eq!(again, crate::recovery::RecoveryReport::default());
     }
 
@@ -1765,11 +1737,8 @@ mod tests {
             Ok(())
         });
         assert_eq!(r, Err(TxnError::SimulatedCrash));
-        let layout = {
-            let mut arena = Arena::new(0, 16 << 20);
-            NodeLayout::reserve(&mut arena, 1)
-        };
-        let report = crate::recovery::recover_node(h.sys.cluster(), 0, &layout, 1);
+        let layout = h.sys.layout();
+        let report = crate::recovery::recover_node(h.sys.cluster(), 0, layout, 1);
         assert_eq!(report.rolled_back_txns, 1);
         assert_eq!(report.released_locks, 2, "local + remote lock released");
         assert_eq!(h.value(0, 1), 100, "rolled back: no value moved");

@@ -12,10 +12,10 @@
 
 use std::sync::Arc;
 
-use drtm_core::{DrTm, DrTmConfig, NodeLayout, Phase, RecordAddr, SoftTimer, TxnSpec};
-use drtm_htm::{vtime, Executor, HtmConfig, HtmStats};
-use drtm_memstore::{Arena, ClusterHash, LookupResult};
-use drtm_rdma::{AtomicityLevel, Cluster, ClusterConfig, DoorbellConfig, LatencyProfile};
+use drtm_core::{Deployment, DrTm, DrTmConfig, Phase, RecordAddr, TxnSpec};
+use drtm_htm::vtime;
+use drtm_memstore::{ClusterHash, LookupResult};
+use drtm_rdma::{AtomicityLevel, ClusterConfig, DoorbellConfig, LatencyProfile};
 
 const VAL_CAP: usize = 16;
 const KEYS: u64 = 16;
@@ -36,41 +36,35 @@ struct PathCost {
 
 struct Fixture {
     sys: Arc<DrTm>,
-    tables: Vec<ClusterHash>,
+    tables: Vec<Arc<ClusterHash>>,
 }
 
 /// `glob` models a NIC with `IBV_ATOMIC_GLOB`: the fallback then locks
 /// and writes back local records with CPU instructions, not loopback
 /// verbs.
 fn fixture(nodes: u16, batching: bool, force_fallback: bool, glob: bool) -> Fixture {
-    let cluster = Cluster::new(ClusterConfig {
+    let cluster = ClusterConfig {
         nodes: nodes as usize,
         region_size: 8 << 20,
         profile: LatencyProfile::rdma(),
         doorbell: if batching { DoorbellConfig::default() } else { DoorbellConfig::disabled() },
         atomicity: if glob { AtomicityLevel::Glob } else { AtomicityLevel::default() },
         ..Default::default()
-    });
+    };
     let mut cfg = DrTmConfig { logging: true, ..DrTmConfig::default() };
     if force_fallback {
         cfg.htm.max_retries = 0;
     }
-    let mut layouts = Vec::new();
-    let mut tables = Vec::new();
-    for n in 0..nodes {
-        let mut arena = Arena::new(0, 8 << 20);
-        layouts.push(NodeLayout::reserve(&mut arena, 1));
-        let t = ClusterHash::create(&mut arena, n, 64, 256, VAL_CAP);
-        let exec = Executor::new(HtmConfig::default(), Arc::new(HtmStats::new()));
+    let mut dep = Deployment::new(cluster, cfg, 1);
+    let tables = dep.hash(64, 256, VAL_CAP);
+    for n in dep.nodes() {
         for k in 0..KEYS {
-            t.insert(&exec, cluster.node(n).region(), k, &100u64.to_le_bytes()).unwrap();
+            tables[n as usize].insert(dep.exec(), dep.region(n), k, &100u64.to_le_bytes()).unwrap();
         }
-        tables.push(t);
     }
     // One published softtime, never advanced: leases neither expire nor
     // abort the HTM region that confirms them.
-    SoftTimer::tick_now(&cluster);
-    Fixture { sys: DrTm::new(cluster, cfg, layouts), tables }
+    Fixture { sys: dep.start_frozen(), tables }
 }
 
 impl Fixture {

@@ -11,12 +11,9 @@
 
 use std::sync::Arc;
 
-use drtm_core::{
-    CrashPoint, DrTm, DrTmConfig, NodeLayout, RecordAddr, SoftTimer, TxnError, TxnSpec,
-};
-use drtm_htm::{Executor, HtmConfig, HtmStats};
-use drtm_memstore::{Arena, ClusterHash, LookupResult};
-use drtm_rdma::{Cluster, ClusterConfig, LatencyProfile};
+use drtm_core::{CrashPoint, Deployment, DrTm, DrTmConfig, RecordAddr, TxnError, TxnSpec};
+use drtm_memstore::{ClusterHash, LookupResult};
+use drtm_rdma::{ClusterConfig, LatencyProfile};
 
 const VAL_CAP: usize = 16;
 
@@ -31,34 +28,28 @@ const SLOT_END: usize = WRITE_AHEAD_OFF + (16 << 10);
 
 const LOG_WRITE_AHEAD: u64 = 2;
 
-fn build(crash: CrashPoint, force_fallback: bool) -> (Arc<DrTm>, Vec<ClusterHash>) {
-    let cluster = Cluster::new(ClusterConfig {
+fn build(crash: CrashPoint, force_fallback: bool) -> (Arc<DrTm>, Vec<Arc<ClusterHash>>) {
+    let cluster = ClusterConfig {
         nodes: 2,
         region_size: 8 << 20,
         profile: LatencyProfile::rdma(),
         ..Default::default()
-    });
+    };
     let mut cfg = DrTmConfig { logging: true, crash_point: Some(crash), ..DrTmConfig::default() };
     if force_fallback {
         cfg.htm.max_retries = 0;
     }
-    let mut layouts = Vec::new();
-    let mut tables = Vec::new();
-    for n in 0..2u16 {
-        let mut arena = Arena::new(0, 8 << 20);
-        layouts.push(NodeLayout::reserve(&mut arena, 1));
-        let t = ClusterHash::create(&mut arena, n, 64, 256, VAL_CAP);
-        let exec = Executor::new(HtmConfig::default(), Arc::new(HtmStats::new()));
+    let mut dep = Deployment::new(cluster, cfg, 1);
+    let tables = dep.hash(64, 256, VAL_CAP);
+    for n in dep.nodes() {
         for k in 0..16u64 {
-            t.insert(&exec, cluster.node(n).region(), k, &100u64.to_le_bytes()).unwrap();
+            tables[n as usize].insert(dep.exec(), dep.region(n), k, &100u64.to_le_bytes()).unwrap();
         }
-        tables.push(t);
     }
-    SoftTimer::tick_now(&cluster);
-    (DrTm::new(cluster, cfg, layouts), tables)
+    (dep.start_frozen(), tables)
 }
 
-fn rec(sys: &DrTm, tables: &[ClusterHash], node: u16, key: u64) -> RecordAddr {
+fn rec(sys: &DrTm, tables: &[Arc<ClusterHash>], node: u16, key: u64) -> RecordAddr {
     match tables[node as usize].remote_lookup(&sys.cluster().qp(node), key) {
         LookupResult::Found { addr, .. } => RecordAddr::new(addr, VAL_CAP),
         _ => panic!("key {key} missing on node {node}"),

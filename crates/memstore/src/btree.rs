@@ -49,7 +49,7 @@ const VALS_OFF: usize = KEYS_OFF + CAP * 8;
 const LINE0_KEYS: usize = (LINE_SIZE - KEYS_OFF) / 8;
 
 /// Geometry of a [`BTree`] inside its owner's region.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BTreeDesc {
     /// Owning machine.
     pub node: NodeId,

@@ -34,7 +34,7 @@ pub const BUCKET_BYTES: usize = ASSOC * SLOT_BYTES;
 /// Every machine in the cluster constructs the same descriptor, so
 /// clients can compute remote bucket addresses without any metadata
 /// traffic — the property that makes one-sided lookups possible.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterHashDesc {
     /// Owning machine.
     pub node: NodeId,

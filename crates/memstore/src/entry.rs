@@ -83,9 +83,10 @@ impl Entry {
         self.offset
     }
 
-    /// Region offset of the packed incarnation+version word.
-    pub fn meta_off(&self) -> usize {
-        self.offset + 8
+    /// Region offset of the 32-bit version (the incarnation sits in the
+    /// four bytes before it).
+    pub fn version_off(&self) -> usize {
+        self.offset + 12
     }
 
     /// Region offset of the key.
@@ -188,8 +189,9 @@ impl Entry {
         buf.extend_from_slice(&(value.len() as u32).to_le_bytes());
         buf.extend_from_slice(&[0u8; 4]);
         buf.extend_from_slice(value);
-        qp.write(GlobalAddr::new(addr.node, addr.offset + 24), &buf);
-        qp.write(GlobalAddr::new(addr.node, addr.offset + 12), &version.to_le_bytes());
+        let entry = Entry::at(addr.offset);
+        qp.write(GlobalAddr::new(addr.node, entry.len_off()), &buf);
+        qp.write(GlobalAddr::new(addr.node, entry.version_off()), &version.to_le_bytes());
     }
 }
 

@@ -202,7 +202,11 @@ pub fn serve_store_ops(
                 }
             }
         };
-        qp.send(msg.from, reply_q, encode_reply(reply));
+        // A client that crashed between request and reply must not take
+        // the service down: every later shipped operation to this host
+        // (the resharder's cutover barrier, each purge) would wait on a
+        // reply nobody is left to send.
+        let _ = qp.try_send(msg.from, reply_q, encode_reply(reply));
     }
 }
 
@@ -247,9 +251,9 @@ mod tests {
     use drtm_htm::{HtmConfig, HtmStats};
     use drtm_rdma::{ClusterConfig, LatencyProfile};
 
-    fn setup() -> (Arc<Cluster>, Arc<ClusterHash>, Executor) {
+    fn setup(nodes: usize) -> (Arc<Cluster>, Arc<ClusterHash>, Executor) {
         let cluster = Cluster::new(ClusterConfig {
-            nodes: 2,
+            nodes,
             region_size: 4 << 20,
             profile: LatencyProfile::zero(),
             ..Default::default()
@@ -278,7 +282,7 @@ mod tests {
 
     #[test]
     fn shipped_insert_and_delete() {
-        let (cluster, table, exec) = setup();
+        let (cluster, table, exec) = setup(2);
         let _svc = spawn_store_service(cluster.clone(), 0, vec![table.clone()], exec.clone());
         // Client on machine 1 ships an insert to machine 0.
         let r = ship_store_op(
@@ -319,7 +323,7 @@ mod tests {
 
     #[test]
     fn concurrent_clients_are_serialized_by_host() {
-        let (cluster, table, exec) = setup();
+        let (cluster, table, exec) = setup(2);
         let _svc = spawn_store_service(cluster.clone(), 0, vec![table.clone()], exec.clone());
         std::thread::scope(|s| {
             for c in 0..2u16 {
@@ -340,5 +344,27 @@ mod tests {
             }
         });
         assert_eq!(table.len(), 100);
+    }
+
+    #[test]
+    fn dead_client_does_not_wedge_the_store_service() {
+        let (cluster, table, exec) = setup(3);
+        // Node 1 ships an insert and dies before the service even starts:
+        // its reply is undeliverable, and the service must shrug it off.
+        let doomed = StoreOp::Insert { table: 0, key: 1, value: b"doomed".to_vec() };
+        cluster.qp(1).send(0, STORE_RPC_QUEUE, encode_op(&doomed, 100));
+        cluster.faults().kill(1);
+        let _svc = spawn_store_service(cluster.clone(), 0, vec![table.clone()], exec);
+        // `ship_store_op` has no reply deadline, so a wedged service is
+        // told apart from a slow one by a bounded wait on a helper thread.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let client = cluster.clone();
+        std::thread::spawn(move || {
+            let op = StoreOp::Insert { table: 0, key: 2, value: b"healthy".to_vec() };
+            let _ = tx.send(ship_store_op(&client, 2, 0, 101, &op));
+        });
+        let reply = rx.recv_timeout(Duration::from_secs(3));
+        assert_eq!(reply, Ok(StoreReply::Ok), "service survived the dead client's reply");
+        assert_eq!(table.len(), 2, "the dead client's insert was still executed");
     }
 }

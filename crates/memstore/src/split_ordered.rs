@@ -95,7 +95,7 @@ pub fn so_parent(bucket: usize) -> usize {
 /// descriptor so clients compute remote addresses with no metadata
 /// traffic; only the *published bucket count* is dynamic, and that is a
 /// region word clients RDMA-READ.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ElasticHashDesc {
     /// Owning machine.
     pub node: NodeId,

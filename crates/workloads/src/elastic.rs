@@ -23,9 +23,9 @@
 use std::sync::{Arc, Mutex};
 
 use drtm_core::{
-    standalone, Abort, AbortCause, DrTm, DrTmConfig, JoinReport, LeaveReport, LockState,
-    MembershipCoordinator, MembershipError, MembershipTable, NodeLayout, NodeRecovery, NodeState,
-    RecordAddr, SoftTimer, TxnCtx, TxnError, TxnSpec, Worker,
+    standalone, Abort, AbortCause, Deployment, DrTm, DrTmConfig, JoinReport, LeaveReport,
+    LockState, MembershipCoordinator, MembershipError, MembershipTable, NodeRecovery, NodeState,
+    RecordAddr, TxnCtx, TxnError, TxnSpec, Worker, SOFTTIME_INTERVAL,
 };
 use drtm_htm::{Executor, HtmConfig, HtmStats, Region};
 use drtm_memstore::rpc::{spawn_store_service, StoreServiceGuard};
@@ -33,8 +33,7 @@ use drtm_memstore::{
     AddrCache, Arena, ElasticHash, ElasticStats, MigrationReport, RangeMap, ReshardStats, Resharder,
 };
 use drtm_rdma::{
-    Cluster, ClusterConfig, DoorbellConfig, FabricError, FaultConfig, GlobalAddr, LatencyProfile,
-    NodeId,
+    ClusterConfig, DoorbellConfig, FabricError, FaultConfig, GlobalAddr, LatencyProfile, NodeId,
 };
 
 use crate::{fields, pack_fields};
@@ -106,14 +105,13 @@ pub struct ElasticKv {
     /// The configuration it was built with.
     pub cfg: ElasticKvConfig,
     _services: Arc<Mutex<Vec<StoreServiceGuard>>>,
-    _timer: SoftTimer,
 }
 
 impl ElasticKv {
     /// Builds the cluster, creates and populates every shard, starts
     /// the store services the resharder ships purges through.
     pub fn build(cfg: ElasticKvConfig) -> ElasticKv {
-        let cluster = Cluster::new(ClusterConfig {
+        let fabric = ClusterConfig {
             nodes: cfg.nodes,
             max_nodes: cfg.max_nodes,
             region_size: cfg.region_size,
@@ -121,37 +119,33 @@ impl ElasticKv {
             faults: cfg.faults.clone(),
             doorbell: cfg.doorbell.clone(),
             ..Default::default()
-        });
+        };
+        let dep = Deployment::new(fabric, cfg.drtm.clone(), cfg.workers);
+        let cluster = dep.cluster().clone();
+        // Run-time services model the deployment's own hardware.
         let exec = Executor::new(cfg.drtm.htm.clone(), Arc::new(HtmStats::new()));
         let per = cfg.keys_per_node;
         let map = Arc::new(RangeMap::new(
             (0..cfg.nodes as NodeId).map(|n| (n as u64 * per, (n as u64 + 1) * per - 1, n)),
         ));
-        // Every machine has the same layout, so any machine's purge-lock
-        // journal handle is every machine's.
-        let layout = NodeLayout::reserve(&mut Arena::new(0, cfg.region_size), cfg.workers);
         let resharder = Arc::new(Resharder::new(
             cluster.clone(),
             map,
             Vec::new(),
             0,
-            layout.purge_lock,
+            dep.layout().purge_lock,
             LockState::write_locked(u8::MAX).0,
             u64::MAX,
             RESHARD_REPLY_Q,
             exec.clone(),
         ));
         let services = Arc::new(Mutex::new(Vec::new()));
-        // What every machine gets, founding or joined later: the standard
-        // layout plus an (empty) shard on its region, its store service,
-        // shard and address cache registered with the resharder.
+        // What every machine gets, founding or joined later: an (empty)
+        // shard at the head of its store arena, its store service, shard
+        // and address cache registered with the resharder.
         let provision = {
-            let (cluster, resharder, services) =
-                (cluster.clone(), resharder.clone(), services.clone());
-            let (exec, cfg) = (exec.clone(), cfg.clone());
-            move |node: NodeId| -> NodeLayout {
-                let mut arena = Arena::new(0, cfg.region_size);
-                let layout = NodeLayout::reserve(&mut arena, cfg.workers);
+            let (resharder, services, cfg) = (resharder.clone(), services.clone(), cfg.clone());
+            move |node: NodeId, mut arena: Arena| {
                 let shard = Arc::new(ElasticHash::create(
                     &mut arena,
                     cluster.node(node).region(),
@@ -171,21 +165,17 @@ impl ElasticKv {
                 resharder.add_shard(shard);
                 let cells = (cfg.keys_per_node as usize).next_power_of_two();
                 resharder.register_cache(Arc::new(AddrCache::new(cells)));
-                layout
             }
         };
-        let layouts = (0..cfg.nodes as NodeId)
-            .map(|n| {
-                let layout = provision(n);
-                let (shard, region) = (resharder.shard(n), cluster.node(n).region());
-                for k in n as u64 * per..(n as u64 + 1) * per {
-                    shard.insert(&exec, region, k, &pack_fields(&[INIT_VALUE])).expect("populate");
-                }
-                layout
-            })
-            .collect();
-        let timer = SoftTimer::start(cluster.clone(), std::time::Duration::from_micros(200));
-        let sys = DrTm::new(cluster, cfg.drtm.clone(), layouts);
+        for n in dep.nodes() {
+            let region = dep.region(n);
+            provision(n, dep.layout().store_arena(region));
+            let shard = resharder.shard(n);
+            for k in n as u64 * per..(n as u64 + 1) * per {
+                shard.insert(dep.exec(), region, k, &pack_fields(&[INIT_VALUE])).expect("populate");
+            }
+        }
+        let sys = dep.start(SOFTTIME_INTERVAL);
         let membership = Arc::new(MembershipTable::new(cfg.nodes));
         let coordinator = Arc::new(MembershipCoordinator::new(
             sys.clone(),
@@ -193,7 +183,7 @@ impl ElasticKv {
             membership,
             provision,
         ));
-        ElasticKv { sys, resharder, coordinator, cfg, _services: services, _timer: timer }
+        ElasticKv { sys, resharder, coordinator, cfg, _services: services }
     }
 
     /// Creates a per-thread workload driver for `(node, worker_id)`.
@@ -478,7 +468,7 @@ fn read_local(region: &Region, cfg: &HtmConfig, shard: &ElasticHash, key: u64) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drtm_memstore::MigratePhase;
+    use drtm_memstore::{ElasticHashDesc, MigratePhase};
 
     fn tiny() -> ElasticKvConfig {
         ElasticKvConfig {
@@ -646,6 +636,16 @@ mod tests {
             kv.leave_node(2, 0).unwrap_err(),
             MembershipError::WrongState { node: 2, state: Some(NodeState::Retired) }
         );
+    }
+
+    #[test]
+    fn a_joined_machine_carves_its_shard_where_the_founders_did() {
+        // The joiner's store arena comes from the function the founders'
+        // came from, so nothing but the owner tells the shards apart.
+        let kv = ElasticKv::build(ElasticKvConfig { max_nodes: 3, ..tiny() });
+        let joined = kv.join_node().expect("join").node;
+        let founder = kv.shard(0).desc().clone();
+        assert_eq!(*kv.shard(joined).desc(), ElasticHashDesc { node: joined, ..founder });
     }
 
     #[test]

@@ -16,14 +16,13 @@
 //! exclusive lock.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use drtm_core::{DrTm, DrTmConfig, NodeLayout, RecordAddr, SoftTimer, TxnError, TxnSpec};
-use drtm_htm::{Executor, HtmStats};
-use drtm_memstore::{Arena, ClusterHash};
-use drtm_rdma::{Cluster, ClusterConfig, LatencyProfile, NodeId};
+use drtm_core::{Deployment, DrTm, DrTmConfig, RecordAddr, TxnError, TxnSpec};
+use drtm_rdma::{ClusterConfig, LatencyProfile, NodeId};
 
 use crate::dist::rng;
 use crate::resolve::Table;
@@ -87,52 +86,40 @@ pub struct Micro {
     pub table: Arc<Table>,
     /// The configuration it was built with.
     pub cfg: MicroConfig,
-    _timer: SoftTimer,
 }
 
 impl Micro {
     /// Builds and populates the deployment.
     pub fn build(cfg: MicroConfig) -> Micro {
-        let cluster = Cluster::new(ClusterConfig {
+        let cluster = ClusterConfig {
             nodes: cfg.nodes,
             region_size: cfg.region_size,
             profile: cfg.profile.clone(),
             ..Default::default()
-        });
-        let mut layouts = Vec::new();
-        let mut shards = Vec::new();
-        for n in 0..cfg.nodes as NodeId {
-            let mut arena = Arena::new(0, cfg.region_size);
-            layouts.push(NodeLayout::reserve(&mut arena, cfg.workers));
-            let t = ClusterHash::create(
-                &mut arena,
-                n,
-                cfg.records_per_node as usize / 4,
-                cfg.records_per_node as usize + cfg.hot_records as usize + 1,
-                8,
-            );
-            let exec = Executor::new(cfg.drtm.htm.clone(), Arc::new(HtmStats::new()));
-            let region = cluster.node(n).region();
+        };
+        let mut dep = Deployment::new(cluster, cfg.drtm.clone(), cfg.workers);
+        let shards = dep.hash(
+            cfg.records_per_node as usize / 4,
+            cfg.records_per_node as usize + cfg.hot_records as usize + 1,
+            8,
+        );
+        for n in dep.nodes() {
+            let (t, region) = (&shards[n as usize], dep.region(n));
             for k in 0..cfg.records_per_node {
                 let gid = n as u64 * cfg.records_per_node + k;
-                t.insert(&exec, region, gid, &pack_fields(&[0])).expect("populate");
+                t.insert(dep.exec(), region, gid, &pack_fields(&[0])).expect("populate");
             }
             // The hot set is disjoint from the normal pool (paper §7.4:
             // hot records are a dedicated small set, evenly assigned to
             // machines) so ordinary writes never collide with hot leases.
             for h in 0..cfg.hot_records {
                 if (h as usize) % cfg.nodes == n as usize {
-                    t.insert(&exec, region, HOT_BASE + h, &pack_fields(&[0])).expect("hot");
+                    t.insert(dep.exec(), region, HOT_BASE + h, &pack_fields(&[0])).expect("hot");
                 }
             }
-            shards.push(Arc::new(t));
         }
-        let timer = SoftTimer::start(
-            cluster.clone(),
-            std::time::Duration::from_micros(cfg.softtime_interval_us),
-        );
-        let sys = DrTm::new(cluster, cfg.drtm.clone(), layouts);
-        Micro { sys, table: Arc::new(Table::new(shards)), cfg, _timer: timer }
+        let sys = dep.start(Duration::from_micros(cfg.softtime_interval_us));
+        Micro { sys, table: Arc::new(Table::new(shards)), cfg }
     }
 
     /// Creates a per-thread driver.

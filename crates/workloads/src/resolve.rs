@@ -133,34 +133,25 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drtm_core::{DrTm, DrTmConfig, NodeLayout};
-    use drtm_htm::{Executor, HtmStats};
-    use drtm_memstore::Arena;
-    use drtm_rdma::{Cluster, ClusterConfig, LatencyProfile};
+    use drtm_core::{Deployment, DrTm, DrTmConfig};
+    use drtm_rdma::{ClusterConfig, LatencyProfile};
 
     fn build() -> (Arc<DrTm>, Table) {
-        let cluster = Cluster::new(ClusterConfig {
+        let cluster = ClusterConfig {
             nodes: 2,
             region_size: 8 << 20,
             profile: LatencyProfile::zero(),
             ..Default::default()
-        });
-        let cfg = DrTmConfig::default();
-        let mut shards = Vec::new();
-        let mut layouts = Vec::new();
-        for n in 0..2u16 {
-            let mut arena = Arena::new(0, 8 << 20);
-            layouts.push(NodeLayout::reserve(&mut arena, 1));
-            let t = ClusterHash::create(&mut arena, n, 64, 1000, 16);
-            let exec = Executor::new(cfg.htm.clone(), Arc::new(HtmStats::new()));
+        };
+        let mut dep = Deployment::new(cluster, DrTmConfig::default(), 1);
+        let shards = dep.hash(64, 1000, 16);
+        for n in dep.nodes() {
             for k in 0..50u64 {
-                t.insert(&exec, cluster.node(n).region(), k, &(k + n as u64 * 1000).to_le_bytes())
-                    .unwrap();
+                let v = (k + n as u64 * 1000).to_le_bytes();
+                shards[n as usize].insert(dep.exec(), dep.region(n), k, &v).unwrap();
             }
-            shards.push(Arc::new(t));
         }
-        let sys = DrTm::new(cluster, cfg, layouts);
-        (sys, Table::new(shards))
+        (dep.start_frozen(), Table::new(shards))
     }
 
     #[test]

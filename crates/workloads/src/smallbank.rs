@@ -17,10 +17,10 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use drtm_core::{DrTm, DrTmConfig, NodeLayout, RecordAddr, SoftTimer, TxnError, TxnSpec, Worker};
-use drtm_htm::{Executor, HtmStats};
-use drtm_memstore::{Arena, ClusterHash};
-use drtm_rdma::{Cluster, ClusterConfig, LatencyProfile, NodeId};
+use drtm_core::{
+    Deployment, DrTm, DrTmConfig, RecordAddr, TxnError, TxnSpec, Worker, SOFTTIME_INTERVAL,
+};
+use drtm_rdma::{ClusterConfig, LatencyProfile, NodeId};
 
 use crate::dist::rng;
 use crate::resolve::Table;
@@ -78,47 +78,35 @@ pub struct SmallBank {
     pub savings: Arc<Table>,
     /// The configuration it was built with.
     pub cfg: SmallBankConfig,
-    /// Keeps softtime advancing for the lifetime of the deployment.
-    _timer: SoftTimer,
 }
 
 impl SmallBank {
     /// Builds the cluster, creates and populates both tables.
     pub fn build(cfg: SmallBankConfig) -> SmallBank {
-        let cluster = Cluster::new(ClusterConfig {
+        let cluster = ClusterConfig {
             nodes: cfg.nodes,
             region_size: cfg.region_size,
             profile: cfg.profile.clone(),
             ..Default::default()
-        });
-        let mut layouts = Vec::new();
-        let mut checking = Vec::new();
-        let mut savings = Vec::new();
+        };
+        let mut dep = Deployment::new(cluster, cfg.drtm.clone(), cfg.workers);
         let per = cfg.accounts_per_node;
-        for n in 0..cfg.nodes as NodeId {
-            let mut arena = Arena::new(0, cfg.region_size);
-            layouts.push(NodeLayout::reserve(&mut arena, cfg.workers));
-            let buckets = (per as usize / 4).max(16);
-            let c = ClusterHash::create(&mut arena, n, buckets, per as usize + 16, 8);
-            let s = ClusterHash::create(&mut arena, n, buckets, per as usize + 16, 8);
-            let exec = Executor::new(cfg.drtm.htm.clone(), Arc::new(HtmStats::new()));
-            let region = cluster.node(n).region();
+        let buckets = (per as usize / 4).max(16);
+        let checking = dep.hash(buckets, per as usize + 16, 8);
+        let savings = dep.hash(buckets, per as usize + 16, 8);
+        for n in dep.nodes() {
+            let (c, s, region) = (&checking[n as usize], &savings[n as usize], dep.region(n));
             for a in 0..per {
                 let gid = n as u64 * per + a;
-                c.insert(&exec, region, gid, &INIT_BALANCE.to_le_bytes()).expect("populate");
-                s.insert(&exec, region, gid, &INIT_BALANCE.to_le_bytes()).expect("populate");
+                c.insert(dep.exec(), region, gid, &INIT_BALANCE.to_le_bytes()).expect("populate");
+                s.insert(dep.exec(), region, gid, &INIT_BALANCE.to_le_bytes()).expect("populate");
             }
-            checking.push(Arc::new(c));
-            savings.push(Arc::new(s));
         }
-        let timer = SoftTimer::start(cluster.clone(), std::time::Duration::from_micros(200));
-        let sys = DrTm::new(cluster, cfg.drtm.clone(), layouts);
         SmallBank {
-            sys,
+            sys: dep.start(SOFTTIME_INTERVAL),
             checking: Arc::new(Table::new(checking)),
             savings: Arc::new(Table::new(savings)),
             cfg,
-            _timer: timer,
         }
     }
 
@@ -364,6 +352,19 @@ mod tests {
     fn population_and_initial_invariant() {
         let sb = SmallBank::build(tiny());
         assert_eq!(sb.total_balance(), 2 * 2 * 200 * INIT_BALANCE);
+    }
+
+    #[test]
+    fn a_worker_that_outlives_the_deployment_keeps_its_clock() {
+        // The softtime service belongs to the system the worker holds,
+        // not to the struct that built it.
+        let sb = SmallBank::build(tiny());
+        let w = sb.worker(0, 0);
+        drop(sb);
+        let before = drtm_core::softtime_nt(w.worker().region());
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        let after = drtm_core::softtime_nt(w.worker().region());
+        assert!(after > before, "softtime stopped at {before} under a live worker");
     }
 
     #[test]

@@ -20,10 +20,10 @@ pub use txns::TpccWorker;
 
 use std::sync::Arc;
 
-use drtm_core::{standalone, DrTm, DrTmConfig, NodeLayout, SoftTimer};
+use drtm_core::{standalone, Deployment, DrTm, DrTmConfig, SOFTTIME_INTERVAL};
 use drtm_htm::{Executor, HtmStats};
-use drtm_memstore::{Arena, BTree, ClusterHash};
-use drtm_rdma::{AtomicityLevel, Cluster, ClusterConfig, DoorbellConfig, LatencyProfile, NodeId};
+use drtm_memstore::{BTree, ClusterHash};
+use drtm_rdma::{AtomicityLevel, ClusterConfig, DoorbellConfig, LatencyProfile, NodeId};
 
 use crate::pack_fields;
 use crate::resolve::Table;
@@ -146,7 +146,6 @@ pub struct Tpcc {
     pub cust_name_idx: Vec<Arc<BTree>>,
     /// The configuration it was built with.
     pub cfg: TpccConfig,
-    _timer: SoftTimer,
     /// Per-node ordered-store scan services (§6.5 remote range queries).
     _scan_services: Vec<scan_rpc::ScanServiceGuard>,
 }
@@ -154,127 +153,78 @@ pub struct Tpcc {
 impl Tpcc {
     /// Builds the cluster and populates the standard TPC-C rows.
     pub fn build(cfg: TpccConfig) -> Tpcc {
-        let cluster = Cluster::new(ClusterConfig {
+        let cluster = ClusterConfig {
             nodes: cfg.nodes,
             region_size: cfg.region_size,
             profile: cfg.profile.clone(),
             atomicity: cfg.atomicity,
             doorbell: cfg.doorbell.clone(),
             ..Default::default()
-        });
-        let wh_per_node = cfg.workers as u64;
-        let dists = wh_per_node * cfg.districts;
-        let custs = dists * cfg.customers_per_district;
-        let stock_rows = wh_per_node * cfg.items;
-        let init_orders = custs; // one seed order per customer
-        let order_cap = init_orders as usize + cfg.max_new_orders_per_node;
+        };
+        let wh_per_node = cfg.workers;
+        let dists = wh_per_node * cfg.districts as usize;
+        let custs = dists * cfg.customers_per_district as usize;
+        let stock_rows = wh_per_node * cfg.items as usize;
+        let items = cfg.items as usize;
+        let order_cap = custs + cfg.max_new_orders_per_node; // one seed order per customer
         let ol_cap = order_cap * 15;
 
-        let mut layouts = Vec::new();
-        let mut shards: Vec<Vec<Arc<ClusterHash>>> = (0..8).map(|_| Vec::new()).collect();
-        let mut new_order_idx = Vec::new();
-        let mut cust_order_idx = Vec::new();
-        let mut cust_name_idx = Vec::new();
+        // Declaration order is region order on every machine.
+        let mut dep = Deployment::new(cluster, cfg.drtm.clone(), cfg.workers);
+        let warehouse = dep.hash(16, wh_per_node + 1, val::WAREHOUSE);
+        let district = dep.hash(64, dists + 1, val::DISTRICT);
+        let customer = dep.hash(custs / 4, custs + 1, val::CUSTOMER);
+        let stock = dep.hash(stock_rows / 4, stock_rows + 1, val::STOCK);
+        let item = dep.hash(items / 4, items + 1, val::ITEM);
+        let order = dep.hash(order_cap / 4, order_cap, val::ORDER);
+        let order_line = dep.hash(ol_cap / 4, ol_cap, val::ORDER_LINE);
+        let history = dep.hash(order_cap / 4, order_cap, val::HISTORY);
+        // Every order ever placed keeps its node: `remove` frees none.
+        let new_order_idx = dep.tree(BTree::pool_for(order_cap));
+        let cust_order_idx = dep.tree(BTree::pool_for(order_cap));
+        let cust_name_idx = dep.tree(BTree::pool_for(custs));
 
-        for n in 0..cfg.nodes as NodeId {
-            let region = cluster.node(n).region();
-            let mut arena = Arena::new(0, cfg.region_size);
-            layouts.push(NodeLayout::reserve(&mut arena, cfg.workers));
-            let t_w =
-                ClusterHash::create(&mut arena, n, 16, wh_per_node as usize + 1, val::WAREHOUSE);
-            let t_d = ClusterHash::create(&mut arena, n, 64, dists as usize + 1, val::DISTRICT);
-            let t_c = ClusterHash::create(
-                &mut arena,
-                n,
-                custs as usize / 4,
-                custs as usize + 1,
-                val::CUSTOMER,
-            );
-            let t_s = ClusterHash::create(
-                &mut arena,
-                n,
-                stock_rows as usize / 4,
-                stock_rows as usize + 1,
-                val::STOCK,
-            );
-            let t_i = ClusterHash::create(
-                &mut arena,
-                n,
-                cfg.items as usize / 4,
-                cfg.items as usize + 1,
-                val::ITEM,
-            );
-            let t_o = ClusterHash::create(&mut arena, n, order_cap / 4, order_cap, val::ORDER);
-            let t_ol = ClusterHash::create(&mut arena, n, ol_cap / 4, ol_cap, val::ORDER_LINE);
-            let t_h = ClusterHash::create(&mut arena, n, order_cap / 4, order_cap, val::HISTORY);
-            // Every order ever placed keeps its node: `remove` frees none.
-            let order_pool = BTree::pool_for(order_cap);
-            let tree_no = BTree::create(&mut arena, region, n, order_pool);
-            let tree_co = BTree::create(&mut arena, region, n, order_pool);
-            let tree_cn = BTree::create(&mut arena, region, n, BTree::pool_for(custs as usize));
-
-            let exec = Executor::new(cfg.drtm.htm.clone(), Arc::new(HtmStats::new()));
-            populate_node(
-                &cfg,
-                n,
-                region,
-                &exec,
-                Pop {
-                    w: &t_w,
-                    d: &t_d,
-                    c: &t_c,
-                    s: &t_s,
-                    i: &t_i,
-                    o: &t_o,
-                    ol: &t_ol,
-                    no: &tree_no,
-                    co: &tree_co,
-                    cn: &tree_cn,
-                },
-            );
-
-            for (slot, t) in [t_w, t_d, t_c, t_s, t_i, t_o, t_ol, t_h].into_iter().enumerate() {
-                shards[slot].push(Arc::new(t));
-            }
-            new_order_idx.push(Arc::new(tree_no));
-            cust_order_idx.push(Arc::new(tree_co));
-            cust_name_idx.push(Arc::new(tree_cn));
+        for n in dep.nodes() {
+            let i = n as usize;
+            let pop = Pop {
+                w: &warehouse[i],
+                d: &district[i],
+                c: &customer[i],
+                s: &stock[i],
+                i: &item[i],
+                o: &order[i],
+                ol: &order_line[i],
+                no: &new_order_idx[i],
+                co: &cust_order_idx[i],
+                cn: &cust_name_idx[i],
+            };
+            populate_node(&cfg, n, dep.region(n), dep.exec(), pop);
         }
 
-        let timer = SoftTimer::start(cluster.clone(), std::time::Duration::from_micros(200));
+        let sys = dep.start(SOFTTIME_INTERVAL);
         // Ordered-store scan service per machine: tree 0 = new-order
         // queue, 1 = customer-order index, 2 = customer-name index.
-        let scan_services = (0..cfg.nodes as NodeId)
-            .map(|n| {
-                scan_rpc::spawn_scan_service(
-                    cluster.clone(),
-                    n,
-                    vec![
-                        new_order_idx[n as usize].clone(),
-                        cust_order_idx[n as usize].clone(),
-                        cust_name_idx[n as usize].clone(),
-                    ],
-                    Executor::new(cfg.drtm.htm.clone(), Arc::new(HtmStats::new())),
-                )
+        let scan_services = (0..cfg.nodes)
+            .map(|i| {
+                let trees = [&new_order_idx, &cust_order_idx, &cust_name_idx].map(|t| t[i].clone());
+                let exec = Executor::new(cfg.drtm.htm.clone(), Arc::new(HtmStats::new()));
+                scan_rpc::spawn_scan_service(sys.cluster().clone(), i as NodeId, trees.into(), exec)
             })
             .collect();
-        let sys = DrTm::new(cluster, cfg.drtm.clone(), layouts);
-        let mut it = shards.into_iter();
         Tpcc {
             sys,
-            warehouse: Arc::new(Table::new(it.next().expect("shards"))),
-            district: Arc::new(Table::new(it.next().expect("shards"))),
-            customer: Arc::new(Table::new(it.next().expect("shards"))),
-            stock: Arc::new(Table::new(it.next().expect("shards"))),
-            item: Arc::new(Table::new(it.next().expect("shards"))),
-            order: Arc::new(Table::new(it.next().expect("shards"))),
-            order_line: Arc::new(Table::new(it.next().expect("shards"))),
-            history: Arc::new(Table::new(it.next().expect("shards"))),
+            warehouse: Arc::new(Table::new(warehouse)),
+            district: Arc::new(Table::new(district)),
+            customer: Arc::new(Table::new(customer)),
+            stock: Arc::new(Table::new(stock)),
+            item: Arc::new(Table::new(item)),
+            order: Arc::new(Table::new(order)),
+            order_line: Arc::new(Table::new(order_line)),
+            history: Arc::new(Table::new(history)),
             new_order_idx,
             cust_order_idx,
             cust_name_idx,
             cfg,
-            _timer: timer,
             _scan_services: scan_services,
         }
     }
@@ -432,6 +382,60 @@ mod tests {
             atomicity: AtomicityLevel::Hca,
             drtm: DrTmConfig::default(),
             doorbell: DoorbellConfig::default(),
+        }
+    }
+
+    /// Region offsets of every TPC-C store at [`tiny`], recorded against
+    /// the per-node `create` loop `Tpcc::build` used to spell out: the
+    /// eight tables as `[main_base, main_buckets, ind_base, ind_buckets,
+    /// entry_base, entry_capacity, value_cap]`, the three trees as
+    /// `[meta_base, pool_base, pool_cap]`, in declaration order. They
+    /// move only if the layout or a store's geometry does.
+    const TABLES: [[usize; 7]; 8] = [
+        [39104, 16, 41152, 16, 43200, 3, 16],
+        [43392, 64, 51584, 16, 53632, 7, 24],
+        [54080, 64, 62272, 38, 67136, 181, 40],
+        [80192, 128, 96576, 66, 105024, 401, 32],
+        [130688, 64, 138880, 41, 144128, 201, 24],
+        [155392, 2048, 417536, 663, 502400, 5180, 32],
+        [833920, 32768, 5028224, 9728, 6273408, 77700, 40],
+        [11867840, 2048, 12129984, 663, 12214848, 5180, 40],
+    ];
+    const TREES: [[usize; 3]; 3] =
+        [[12587840, 12587904, 927], [12825216, 12825280, 927], [13062592, 13062656, 94]];
+
+    #[test]
+    fn store_offsets_are_the_recorded_ones_on_every_machine() {
+        let t = Tpcc::build(tiny());
+        let tables = [
+            &t.warehouse,
+            &t.district,
+            &t.customer,
+            &t.stock,
+            &t.item,
+            &t.order,
+            &t.order_line,
+            &t.history,
+        ];
+        let trees = [&t.new_order_idx, &t.cust_order_idx, &t.cust_name_idx];
+        for n in 0..2 {
+            for (table, want) in tables.iter().zip(TABLES) {
+                let d = table.shard(n).desc();
+                let got = [
+                    d.main_base,
+                    d.main_buckets,
+                    d.ind_base,
+                    d.ind_buckets,
+                    d.entry_base,
+                    d.entry_capacity,
+                    d.value_cap,
+                ];
+                assert_eq!((d.node, got), (n, want));
+            }
+            for (tree, want) in trees.iter().zip(TREES) {
+                let d = tree[n as usize].desc();
+                assert_eq!((d.node, [d.meta_base, d.pool_base, d.pool_cap]), (n, want));
+            }
         }
     }
 

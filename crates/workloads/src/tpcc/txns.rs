@@ -369,18 +369,9 @@ impl TpccWorker {
             let Some(order_rec) = self.t.order.resolve(&self.w, node, order_key) else {
                 continue;
             };
-            let of = {
-                let t = self.t.clone();
-                self.standalone_scan(move |txn| {
-                    match t.order.shard(node).get_local(txn, order_key)? {
-                        Some(e) => Ok(fields(&e.read_value(txn)?)),
-                        None => Ok(Vec::new()),
-                    }
-                })
-            };
-            if of.is_empty() {
+            let Some(of) = self.read_fields(&self.t.order, order_key) else {
                 continue;
-            }
+            };
             let (c, ol_cnt) = (of[0], of[3].min(15));
             let mut spec = TxnSpec::default();
             spec.local_writes.push(order_rec);
@@ -433,58 +424,34 @@ impl TpccWorker {
     /// so each record is read with its own validated HTM read. Purely
     /// local: it cannot fail, and is fallible only to match its siblings.
     pub fn try_stock_level(&mut self) -> Result<(), TxnError> {
-        let cfg = self.t.cfg.clone();
         let w = self.home_w;
-        let node = self.w.node;
-        let d = self.rng.gen_range(0..cfg.districts);
+        let d = self.rng.gen_range(0..self.t.cfg.districts);
         let threshold = self.rng.gen_range(10..=20u64);
-        let t = self.t.clone();
-        let next_o = {
-            let t = t.clone();
-            self.standalone_scan(move |txn| {
-                match t.district.shard(node).get_local(txn, keys::district(w, d))? {
-                    Some(e) => Ok(fields(&e.read_value(txn)?)[2]),
-                    None => Ok(0),
-                }
-            })
-        };
-        let from = next_o.saturating_sub(20);
+        let t = &self.t;
+        let next_o = self.read_fields(&t.district, keys::district(w, d)).map_or(0, |df| df[2]);
         let mut low = std::collections::HashSet::new();
-        for o in from..next_o {
-            let of = {
-                let t = t.clone();
-                self.standalone_scan(move |txn| {
-                    match t.order.shard(node).get_local(txn, keys::order(w, d, o))? {
-                        Some(e) => Ok(fields(&e.read_value(txn)?)),
-                        None => Ok(Vec::new()),
-                    }
-                })
-            };
-            if of.is_empty() {
+        for o in next_o.saturating_sub(20)..next_o {
+            let Some(of) = self.read_fields(&t.order, keys::order(w, d, o)) else {
                 continue;
-            }
+            };
             for ol in 0..of[3].min(15) {
-                let t2 = t.clone();
-                let item = self.standalone_scan(move |txn| {
-                    match t2.order_line.shard(node).get_local(txn, keys::order_line(w, d, o, ol))? {
-                        Some(e) => Ok(Some(fields(&e.read_value(txn)?)[0])),
-                        None => Ok(None),
-                    }
-                });
-                let Some(i) = item else { continue };
-                let t3 = t.clone();
-                let qty = self.standalone_scan(move |txn| {
-                    match t3.stock.shard(node).get_local(txn, keys::stock(w, i))? {
-                        Some(e) => Ok(fields(&e.read_value(txn)?)[0]),
-                        None => Ok(u64::MAX),
-                    }
-                });
+                let line = self.read_fields(&t.order_line, keys::order_line(w, d, o, ol));
+                let Some(i) = line.map(|lf| lf[0]) else { continue };
+                let qty =
+                    self.read_fields(&t.stock, keys::stock(w, i)).map_or(u64::MAX, |sf| sf[0]);
                 if qty < threshold {
                     low.insert(i);
                 }
             }
         }
         Ok(())
+    }
+
+    /// The fields of `key`'s row in this machine's shard of `table`, read
+    /// by a validated standalone region of its own; `None`: no such row.
+    fn read_fields(&self, table: &Table, key: u64) -> Option<Vec<u64>> {
+        let htm = self.w.executor().config();
+        table.read_local(self.w.region(), htm, self.w.node, key).map(|v| fields(&v))
     }
 
     /// Committed standalone HTM read (reconnaissance queries).

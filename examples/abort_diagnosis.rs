@@ -9,35 +9,26 @@
 //!
 //! Run with: `cargo run --example abort_diagnosis`
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use drtm::htm::{Executor, HtmStats};
-use drtm::memstore::{Arena, ClusterHash, LookupResult};
-use drtm::rdma::{Cluster, ClusterConfig};
-use drtm::txn::{record_ops, DrTm, DrTmConfig, NodeLayout, RecordAddr, SoftTimer, TxnSpec};
+use drtm::memstore::LookupResult;
+use drtm::rdma::ClusterConfig;
+use drtm::txn::{record_ops, Deployment, DrTmConfig, RecordAddr, TxnSpec, SOFTTIME_INTERVAL};
 
 const VAL_CAP: usize = 16;
 
 fn main() {
     // Small trace rings so the storm visibly wraps them.
     let cfg = DrTmConfig { trace_capacity: 8, start_retries: 3, ..Default::default() };
-    let cluster =
-        Cluster::new(ClusterConfig { nodes: 2, region_size: 16 << 20, ..Default::default() });
-    let mut layouts = Vec::new();
-    let mut tables = Vec::new();
-    for n in 0..2u16 {
-        let mut arena = Arena::new(0, 16 << 20);
-        layouts.push(NodeLayout::reserve(&mut arena, 1));
-        let t = ClusterHash::create(&mut arena, n, 64, 256, VAL_CAP);
-        let exec = Executor::new(cfg.htm.clone(), Arc::new(HtmStats::new()));
+    let cluster = ClusterConfig { nodes: 2, region_size: 16 << 20, ..Default::default() };
+    let mut dep = Deployment::new(cluster, cfg, 1);
+    let tables = dep.hash(64, 256, VAL_CAP);
+    for n in dep.nodes() {
         for k in 0..8u64 {
-            t.insert(&exec, cluster.node(n).region(), k, &100u64.to_le_bytes()).unwrap();
+            tables[n as usize].insert(dep.exec(), dep.region(n), k, &100u64.to_le_bytes()).unwrap();
         }
-        tables.push(Arc::new(t));
     }
-    let _timer = SoftTimer::start(cluster.clone(), Duration::from_micros(200));
-    let sys = DrTm::new(cluster, cfg, layouts);
+    let sys = dep.start(SOFTTIME_INTERVAL);
 
     // The hot record: key 3 on machine 1.
     let qp = sys.cluster().qp(0);

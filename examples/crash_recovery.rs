@@ -12,46 +12,35 @@
 
 use std::sync::Arc;
 
-use drtm::htm::{Executor, HtmStats};
-use drtm::memstore::{Arena, ClusterHash};
-use drtm::rdma::{Cluster, ClusterConfig};
+use drtm::rdma::ClusterConfig;
 use drtm::txn::{
-    recover_node, CrashPoint, DrTm, DrTmConfig, LockState, NodeLayout, SoftTimer, TxnError, TxnSpec,
+    recover_node, CrashPoint, Deployment, DrTm, DrTmConfig, LockState, TxnError, TxnSpec,
+    SOFTTIME_INTERVAL,
 };
 use drtm::workloads::resolve::Table;
 
-fn build(crash: Option<CrashPoint>) -> (Arc<DrTm>, Table, NodeLayout) {
-    let mut cfg = DrTmConfig { logging: true, crash_point: crash, ..Default::default() };
-    cfg.htm = Default::default();
-    let cluster =
-        Cluster::new(ClusterConfig { nodes: 2, region_size: 8 << 20, ..Default::default() });
-    let mut layouts = Vec::new();
-    let mut shards = Vec::new();
-    for n in 0..2u16 {
-        let mut arena = Arena::new(0, 8 << 20);
-        layouts.push(NodeLayout::reserve(&mut arena, 1));
-        let t = ClusterHash::create(&mut arena, n, 64, 100, 8);
-        let exec = Executor::new(cfg.htm.clone(), Arc::new(HtmStats::new()));
-        t.insert(&exec, cluster.node(n).region(), 0, &100u64.to_le_bytes()).unwrap();
-        shards.push(Arc::new(t));
+fn build(crash: Option<CrashPoint>) -> (Arc<DrTm>, Table) {
+    let cfg = DrTmConfig { logging: true, crash_point: crash, ..Default::default() };
+    let cluster = ClusterConfig { nodes: 2, region_size: 8 << 20, ..Default::default() };
+    let mut dep = Deployment::new(cluster, cfg, 1);
+    let shards = dep.hash(64, 100, 8);
+    for n in dep.nodes() {
+        shards[n as usize].insert(dep.exec(), dep.region(n), 0, &100u64.to_le_bytes()).unwrap();
     }
-    let timer = SoftTimer::start(cluster.clone(), std::time::Duration::from_micros(200));
-    std::mem::forget(timer); // keep ticking for the example's lifetime
-    let layout = layouts[0].clone();
-    (DrTm::new(cluster, cfg, layouts), Table::new(shards), layout)
+    (dep.start(SOFTTIME_INTERVAL), Table::new(shards))
 }
 
 fn balance(sys: &Arc<DrTm>, table: &Table, node: u16) -> u64 {
     let w = sys.worker(node, 0);
     let rec = table.resolve(&w, 1, 0).unwrap();
     let mut b = [0u8; 8];
-    sys.cluster().node(1).region().read_nt(rec.addr.offset + 32, &mut b);
+    sys.cluster().node(1).region().read_nt(rec.entry().value_off(), &mut b);
     u64::from_le_bytes(b)
 }
 
 fn run_scenario(crash: CrashPoint) {
     println!("--- scenario: {crash:?} ---");
-    let (sys, table, layout) = build(Some(crash));
+    let (sys, table) = build(Some(crash));
     let mut w = sys.worker(0, 0);
     let rec = table.resolve(&w, 1, 0).unwrap();
     let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
@@ -69,7 +58,7 @@ fn run_scenario(crash: CrashPoint) {
     );
 
     // A survivor (machine 1) recovers machine 0 from its NVRAM logs.
-    let report = recover_node(sys.cluster(), 0, &layout, 1);
+    let report = recover_node(sys.cluster(), 0, sys.layout(), 1);
     println!("recovery report: {report:?}");
     let st = LockState(sys.cluster().node(1).region().read_u64_nt(rec.addr.offset));
     let b = balance(&sys, &table, 1);
@@ -80,7 +69,7 @@ fn run_scenario(crash: CrashPoint) {
         _ => assert_eq!(b, 111, "committed update must be redone"),
     }
     // Idempotence: running recovery again changes nothing.
-    let again = recover_node(sys.cluster(), 0, &layout, 1);
+    let again = recover_node(sys.cluster(), 0, sys.layout(), 1);
     assert_eq!(again.redone_updates, 0);
     println!("recovery is idempotent\n");
 }

@@ -1,48 +1,41 @@
 //! Quickstart: a two-machine DrTM cluster in ~80 lines.
 //!
-//! Builds the simulated cluster, creates one hash table per machine,
-//! and runs (1) a local transaction, (2) a distributed read-write
-//! transaction that locks a remote record over simulated RDMA, and
-//! (3) a lease-based read-only transaction.
+//! Assembles the deployment (cluster config → declare the stores →
+//! populate → start), then runs (1) a local transaction, (2) a
+//! distributed read-write transaction that locks a remote record over
+//! simulated RDMA, and (3) a lease-based read-only transaction.
 //!
 //! Run with: `cargo run --example quickstart`
 
-use std::sync::Arc;
-
-use drtm::htm::{Executor, HtmStats};
-use drtm::memstore::{Arena, ClusterHash};
-use drtm::rdma::{Cluster, ClusterConfig};
-use drtm::txn::{DrTm, DrTmConfig, NodeLayout, RecordAddr, SoftTimer, TxnSpec};
+use drtm::rdma::ClusterConfig;
+use drtm::txn::{Deployment, DrTmConfig, RecordAddr, TxnSpec, SOFTTIME_INTERVAL};
 use drtm::workloads::resolve::Table;
 
 fn main() {
-    // 1. A cluster of two simulated machines with 16 MB regions each.
-    let cfg = DrTmConfig::default();
-    let cluster =
-        Cluster::new(ClusterConfig { nodes: 2, region_size: 16 << 20, ..Default::default() });
+    // 1. Two simulated machines with 16 MB regions and one worker each.
+    //    Every machine gets the same layout: softtime line, one log slot
+    //    per worker, then the stores.
+    let cluster = ClusterConfig { nodes: 2, region_size: 16 << 20, ..Default::default() };
+    let mut dep = Deployment::new(cluster, DrTmConfig::default(), 1);
 
-    // 2. Identical layout on every machine: softtime line, one log slot
-    //    per worker, then an "accounts" hash table.
-    let mut layouts = Vec::new();
-    let mut shards = Vec::new();
-    for n in 0..2u16 {
-        let mut arena = Arena::new(0, 16 << 20);
-        layouts.push(NodeLayout::reserve(&mut arena, 1));
-        let table = ClusterHash::create(&mut arena, n, 1024, 10_000, 8);
-        // Populate: accounts 0..100 with 1000 coins each.
-        let exec = Executor::new(cfg.htm.clone(), Arc::new(HtmStats::new()));
+    // 2. Declare an "accounts" hash table: one shard per machine, at the
+    //    same offset on each.
+    let shards = dep.hash(1024, 10_000, 8);
+
+    // 3. Populate: accounts 0..100 with 1000 coins each, on each machine.
+    for n in dep.nodes() {
         for k in 0..100u64 {
-            table.insert(&exec, cluster.node(n).region(), k, &1000u64.to_le_bytes()).unwrap();
+            shards[n as usize]
+                .insert(dep.exec(), dep.region(n), k, &1000u64.to_le_bytes())
+                .unwrap();
         }
-        shards.push(Arc::new(table));
     }
     let accounts = Table::new(shards);
 
-    // 3. The softtime service (leases need loosely synchronized clocks).
-    let _timer = SoftTimer::start(cluster.clone(), std::time::Duration::from_micros(200));
-
-    // 4. The transaction system and one worker on machine 0.
-    let sys = DrTm::new(cluster, cfg, layouts);
+    // 4. Start the transaction system — it owns the softtime service
+    //    (leases need loosely synchronized clocks) — and take one worker
+    //    on machine 0.
+    let sys = dep.start(SOFTTIME_INTERVAL);
     let mut worker = sys.worker(0, 0);
 
     let read_u64 = |b: &[u8]| u64::from_le_bytes(b[..8].try_into().unwrap());

@@ -5,11 +5,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use drtm::htm::{Executor, HtmStats};
-use drtm::memstore::{Arena, ClusterHash, LookupResult};
-use drtm::rdma::{Cluster, ClusterConfig, LatencyProfile, NodeId};
+use drtm::memstore::{ClusterHash, LookupResult};
+use drtm::rdma::{ClusterConfig, LatencyProfile, NodeId};
 use drtm::txn::{
-    record_ops, AbortCause, DrTm, DrTmConfig, NodeLayout, Phase, RecordAddr, SoftTimer, TxnSpec,
+    record_ops, AbortCause, Deployment, DrTm, DrTmConfig, Phase, RecordAddr, TxnSpec,
+    SOFTTIME_INTERVAL,
 };
 
 const VAL_CAP: usize = 16;
@@ -18,30 +18,23 @@ const KEYS: u64 = 8;
 struct Fixture {
     sys: Arc<DrTm>,
     tables: Vec<Arc<ClusterHash>>,
-    _timer: SoftTimer,
 }
 
 fn fixture(nodes: usize, workers: usize, cfg: DrTmConfig) -> Fixture {
-    let cluster = Cluster::new(ClusterConfig {
+    let cluster = ClusterConfig {
         nodes,
         region_size: 16 << 20,
         profile: LatencyProfile::zero(),
         ..Default::default()
-    });
-    let mut layouts = Vec::new();
-    let mut tables = Vec::new();
-    for n in 0..nodes as NodeId {
-        let mut arena = Arena::new(0, 16 << 20);
-        layouts.push(NodeLayout::reserve(&mut arena, workers));
-        let t = ClusterHash::create(&mut arena, n, 64, 256, VAL_CAP);
-        let exec = Executor::new(cfg.htm.clone(), Arc::new(HtmStats::new()));
+    };
+    let mut dep = Deployment::new(cluster, cfg, workers);
+    let tables = dep.hash(64, 256, VAL_CAP);
+    for n in dep.nodes() {
         for k in 0..KEYS {
-            t.insert(&exec, cluster.node(n).region(), k, &100u64.to_le_bytes()).unwrap();
+            tables[n as usize].insert(dep.exec(), dep.region(n), k, &100u64.to_le_bytes()).unwrap();
         }
-        tables.push(Arc::new(t));
     }
-    let timer = SoftTimer::start(cluster.clone(), Duration::from_micros(200));
-    Fixture { sys: DrTm::new(cluster, cfg, layouts), tables, _timer: timer }
+    Fixture { sys: dep.start(SOFTTIME_INTERVAL), tables }
 }
 
 impl Fixture {
@@ -61,7 +54,7 @@ impl Fixture {
     fn value(&self, node: NodeId, key: u64) -> u64 {
         let rec = self.rec(node, key);
         let mut b = [0u8; 8];
-        self.sys.cluster().node(node).region().read_nt(rec.addr.offset + 32, &mut b);
+        self.sys.cluster().node(node).region().read_nt(rec.entry().value_off(), &mut b);
         u64::from_le_bytes(b)
     }
 

@@ -15,15 +15,13 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use drtm::htm::{Executor, HtmStats};
-use drtm::memstore::{Arena, ClusterHash};
 use drtm::rdma::{
     Cluster, ClusterConfig, DoorbellConfig, FabricError, FaultConfig, GlobalAddr, LatencyProfile,
 };
 use drtm::txn::{
-    recover_node, CrashPoint, DrTm, DrTmConfig, FailureDetector, LockState, MembershipError,
-    MembershipRecovery, NodeLayout, NodeState, RecoveryDirection, RecoveryReport, SoftTimer,
-    TxnError, TxnSpec,
+    recover_node, CrashPoint, Deployment, DrTm, DrTmConfig, FailureDetector, LockState,
+    MembershipError, MembershipRecovery, NodeState, RecoveryDirection, RecoveryReport, TxnError,
+    TxnSpec, SOFTTIME_INTERVAL,
 };
 use drtm::workloads::elastic::{ElasticKv, ElasticKvConfig, INIT_VALUE};
 use drtm::workloads::resolve::Table;
@@ -46,11 +44,9 @@ fn scaled(base: usize, min: usize) -> usize {
 struct Fixture {
     sys: Arc<DrTm>,
     accounts: Arc<Table>,
-    layout: NodeLayout,
     /// `recs[node][key]`, resolved while everything was still alive, so
     /// invariant checks never need the (possibly dead) fabric.
     recs: Vec<Vec<drtm::txn::RecordAddr>>,
-    _timer: SoftTimer,
 }
 
 fn fixture(faults: FaultConfig, htm_retries: Option<u32>) -> Fixture {
@@ -68,38 +64,30 @@ fn fixture_with_doorbell(
     if let Some(r) = htm_retries {
         cfg.htm.max_retries = r;
     }
-    let cluster = Cluster::new(ClusterConfig {
+    let cluster = ClusterConfig {
         nodes: 3,
         region_size: 8 << 20,
         profile: LatencyProfile::zero(),
         faults,
         doorbell,
         ..Default::default()
-    });
-    let mut layouts = Vec::new();
-    let mut shards = Vec::new();
-    for n in 0..3u16 {
-        let mut arena = Arena::new(0, 8 << 20);
-        layouts.push(NodeLayout::reserve(&mut arena, 2));
-        let t = ClusterHash::create(&mut arena, n, 64, 100, 8);
-        // Populate with a default-config executor: the fixture may force
-        // the *transaction layer* into its fallback (htm.max_retries = 0)
-        // without starving these standalone setup transactions.
-        let exec = Executor::new(drtm::htm::HtmConfig::default(), Arc::new(HtmStats::new()));
+    };
+    // Population runs on stock HTM parameters: forcing the *transaction
+    // layer* into its fallback (htm.max_retries = 0) does not starve it.
+    let mut dep = Deployment::new(cluster, cfg, 2);
+    let shards = dep.hash(64, 100, 8);
+    for n in dep.nodes() {
         for k in 0..8u64 {
-            t.insert(&exec, cluster.node(n).region(), k, &100u64.to_le_bytes()).unwrap();
+            shards[n as usize].insert(dep.exec(), dep.region(n), k, &100u64.to_le_bytes()).unwrap();
         }
-        shards.push(Arc::new(t));
     }
-    let timer = SoftTimer::start(cluster.clone(), Duration::from_micros(200));
-    let layout = layouts[0].clone();
-    let sys = DrTm::new(cluster, cfg, layouts);
+    let sys = dep.start(SOFTTIME_INTERVAL);
     let accounts = Arc::new(Table::new(shards));
     let w = sys.worker(0, 0);
     let recs = (0..3u16)
         .map(|n| (0..8u64).map(|k| accounts.resolve(&w, n, k).unwrap()).collect())
         .collect();
-    Fixture { sys, accounts, layout, recs, _timer: timer }
+    Fixture { sys, accounts, recs }
 }
 
 /// Reads `key`'s value on `node` directly from the (durable) region —
@@ -108,7 +96,7 @@ fn fixture_with_doorbell(
 fn value(f: &Fixture, node: u16, key: u64) -> u64 {
     let rec = &f.recs[node as usize][key as usize];
     let mut b = [0u8; 8];
-    f.sys.cluster().node(node).region().read_nt(rec.addr.offset + 32, &mut b);
+    f.sys.cluster().node(node).region().read_nt(rec.entry().value_off(), &mut b);
     u64::from_le_bytes(b)
 }
 
@@ -216,7 +204,7 @@ fn crash_and_recover_with_doorbell(
     });
     assert_eq!(r, Err(TxnError::SimulatedCrash), "armed crash at {p:?} must fire");
     assert!(f.sys.cluster().faults().is_crashed(0), "the crash marks machine 0 dead");
-    let report = recover_node(f.sys.cluster(), 0, &f.layout, 1);
+    let report = recover_node(f.sys.cluster(), 0, f.sys.layout(), 1);
     (f, report)
 }
 
@@ -242,7 +230,7 @@ fn crash_matrix_every_point_recovers_to_the_exact_report() {
         assert_eq!(value(&f2, 1, 3), value(&f, 1, 3));
 
         // A second recovery pass finds nothing left to do.
-        let again = recover_node(f.sys.cluster(), 0, &f.layout, 2);
+        let again = recover_node(f.sys.cluster(), 0, f.sys.layout(), 2);
         assert_eq!(again, RecoveryReport::default(), "{p:?}: recovery not idempotent");
 
         // The revived machine rejoins and can transact immediately.
@@ -317,7 +305,7 @@ fn fallback_crash_and_recover(p: CrashPoint) -> (Fixture, RecoveryReport) {
         Ok(())
     });
     assert_eq!(r, Err(TxnError::SimulatedCrash), "armed crash at {p:?} must fire");
-    let report = recover_node(f.sys.cluster(), 0, &f.layout, 1);
+    let report = recover_node(f.sys.cluster(), 0, f.sys.layout(), 1);
     (f, report)
 }
 
@@ -349,7 +337,7 @@ fn fallback_pipeline_crash_points_recover_local_and_remote_updates() {
         assert_eq!(value(&f2, 0, 1), value(&f, 0, 1));
 
         // A second recovery pass finds nothing left to do.
-        let again = recover_node(f.sys.cluster(), 0, &f.layout, 2);
+        let again = recover_node(f.sys.cluster(), 0, f.sys.layout(), 2);
         assert_eq!(again, RecoveryReport::default(), "{p:?}: recovery not idempotent");
 
         // The revived machine transacts immediately — including on the
@@ -456,7 +444,7 @@ fn fallback_waiters_escape_a_dead_lock_owner() {
     assert!(t0.elapsed() < Duration::from_secs(30), "waiter must not spin unbounded");
     // Recovery then repairs the half-committed transaction and the
     // waiter's retry succeeds.
-    let report = recover_node(f.sys.cluster(), 0, &f.layout, 2);
+    let report = recover_node(f.sys.cluster(), 0, f.sys.layout(), 2);
     assert_eq!(report.redone_txns, 1);
     let r: Result<(), _> = w2.execute(&spec, |ctx| {
         let v = u64::from_le_bytes(ctx.remote_write_cur(0)[..8].try_into().unwrap());
@@ -480,7 +468,7 @@ fn racing_survivors_release_each_lock_exactly_once() {
     for round in 0..scaled(8, 2) {
         let f = crash_and_recover_raw(CrashPoint::AfterRemoteLocks, round as u64 + 1);
         let cluster = f.sys.cluster().clone();
-        let layout = f.layout.clone();
+        let layout = f.sys.layout().clone();
         let barrier = Arc::new(std::sync::Barrier::new(2));
         let reports: Vec<RecoveryReport> = std::thread::scope(|s| {
             let handles: Vec<_> = [1u16, 2]
@@ -516,7 +504,7 @@ fn racing_survivors_conserve_redo_accounting() {
     // and the transaction must be counted once.
     let f = crash_and_recover_raw(CrashPoint::AfterHtmCommit, 99);
     let cluster = f.sys.cluster().clone();
-    let layout = f.layout.clone();
+    let layout = f.sys.layout().clone();
     let barrier = Arc::new(std::sync::Barrier::new(2));
     let reports: Vec<RecoveryReport> = std::thread::scope(|s| {
         let handles: Vec<_> = [1u16, 2]
@@ -1096,7 +1084,7 @@ fn smallbank_survives_a_mid_run_crash_with_live_detection() {
     // Zookeeper stand-in: detection drives recovery on a survivor.
     let (tx, rx) = std::sync::mpsc::channel();
     let cluster = sb.sys.cluster().clone();
-    let layout = sb.sys.layout(2);
+    let layout = sb.sys.layout().clone();
     // Generous timeout: a starved beater thread on a loaded host must
     // not be mistaken for a crash — and before running (destructive)
     // recovery, cross-check the suspicion against the fabric.

@@ -7,10 +7,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use drtm::htm::{Executor, HtmStats};
-use drtm::memstore::{Arena, ClusterHash};
-use drtm::rdma::{Cluster, ClusterConfig, LatencyProfile};
-use drtm::txn::{DrTm, DrTmConfig, LockState, LogSlot, NodeLayout, SoftTimer, TxnSpec, LOG_EMPTY};
+use drtm::rdma::{ClusterConfig, LatencyProfile};
+use drtm::txn::{
+    Deployment, DrTm, DrTmConfig, LockState, LogSlot, TxnSpec, LOG_EMPTY, SOFTTIME_INTERVAL,
+};
 use drtm::workloads::resolve::Table;
 
 const PER_NODE: u64 = 16;
@@ -36,28 +36,22 @@ fn transfer(nodes: u16) -> impl Strategy<Value = Transfer> {
 /// Workers per machine (log slots reserved).
 const WORKERS: usize = 2;
 
-fn build(nodes: usize, cfg: DrTmConfig) -> (Arc<DrTm>, Arc<Table>, SoftTimer) {
-    let cluster = Cluster::new(ClusterConfig {
+fn build(nodes: usize, cfg: DrTmConfig) -> (Arc<DrTm>, Arc<Table>) {
+    let cluster = ClusterConfig {
         nodes,
         region_size: 8 << 20,
         profile: LatencyProfile::zero(),
         ..Default::default()
-    });
-    let mut layouts = Vec::new();
-    let mut shards = Vec::new();
-    for n in 0..nodes as u16 {
-        let mut arena = Arena::new(0, 8 << 20);
-        layouts.push(NodeLayout::reserve(&mut arena, WORKERS));
-        let t = ClusterHash::create(&mut arena, n, 16, 2 * PER_NODE as usize, 8);
-        let exec = Executor::new(cfg.htm.clone(), Arc::new(HtmStats::new()));
+    };
+    let mut dep = Deployment::new(cluster, cfg, WORKERS);
+    let shards = dep.hash(16, 2 * PER_NODE as usize, 8);
+    for n in dep.nodes() {
         for k in 0..PER_NODE {
             let gid = n as u64 * PER_NODE + k;
-            t.insert(&exec, cluster.node(n).region(), gid, &INIT.to_le_bytes()).unwrap();
+            shards[n as usize].insert(dep.exec(), dep.region(n), gid, &INIT.to_le_bytes()).unwrap();
         }
-        shards.push(Arc::new(t));
     }
-    let timer = SoftTimer::start(cluster.clone(), std::time::Duration::from_micros(200));
-    (DrTm::new(cluster, cfg, layouts), Arc::new(Table::new(shards)), timer)
+    (dep.start(SOFTTIME_INTERVAL), Arc::new(Table::new(shards)))
 }
 
 /// Runs `batch` on worker `(worker_node, wid)`: each transfer moves
@@ -127,16 +121,16 @@ fn final_state(sys: &Arc<DrTm>, table: &Table, nodes: usize) -> (Vec<(u64, u32, 
         for k in 0..PER_NODE {
             let rec = table.resolve(&w, n, n as u64 * PER_NODE + k).expect("populated");
             let mut version = [0u8; 4];
-            region.read_nt(rec.addr.offset + 12, &mut version);
+            region.read_nt(rec.entry().version_off(), &mut version);
             let mut value = [0u8; 8];
-            region.read_nt(rec.addr.offset + 32, &mut value);
+            region.read_nt(rec.entry().value_off(), &mut value);
             records.push((
                 region.read_u64_nt(rec.addr.offset),
                 u32::from_le_bytes(version),
                 u64::from_le_bytes(value),
             ));
         }
-        for slot in &sys.layout(n).log_slots {
+        for slot in &sys.layout().log_slots {
             slots.push(LogSlot::new(*slot, 0).read_status(region));
         }
     }
@@ -155,7 +149,7 @@ proptest! {
         batch_a in proptest::collection::vec(transfer(3), 1..25),
         batch_b in proptest::collection::vec(transfer(3), 1..25),
     ) {
-        let (sys, table, _timer) = build(nodes, DrTmConfig::default());
+        let (sys, table) = build(nodes, DrTmConfig::default());
         let run_batch = |worker_node: u16, wid: usize, batch: Vec<Transfer>| {
             let (sys, table) = (sys.clone(), table.clone());
             move || run_transfers(&sys, &table, nodes, worker_node, wid, &batch)
@@ -175,7 +169,7 @@ proptest! {
                 let st = LockState(region.read_u64_nt(rec.addr.offset));
                 prop_assert!(!st.is_write_locked(), "stray lock on ({n},{k})");
                 let mut b = [0u8; 8];
-                region.read_nt(rec.addr.offset + 32, &mut b);
+                region.read_nt(rec.entry().value_off(), &mut b);
                 total = total.wrapping_add(u64::from_le_bytes(b));
             }
         }
@@ -199,7 +193,7 @@ proptest! {
             if force_fallback {
                 cfg.htm.max_retries = 0;
             }
-            let (sys, table, _timer) = build(nodes, cfg);
+            let (sys, table) = build(nodes, cfg);
             run_transfers(&sys, &table, nodes, 0, 0, &batch);
             let stats = sys.stats().snapshot();
             (final_state(&sys, &table, nodes), stats.committed, stats.fallback_committed)

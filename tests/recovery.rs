@@ -3,56 +3,41 @@
 
 use std::sync::Arc;
 
-use drtm::htm::{Executor, HtmStats};
-use drtm::memstore::{Arena, ClusterHash};
-use drtm::rdma::{Cluster, ClusterConfig, LatencyProfile};
+use drtm::rdma::{ClusterConfig, LatencyProfile};
 use drtm::txn::{
-    recover_node, CrashPoint, DrTm, DrTmConfig, LockState, NodeLayout, SoftTimer, TxnError, TxnSpec,
+    recover_node, CrashPoint, Deployment, DrTm, DrTmConfig, LockState, TxnError, TxnSpec,
+    SOFTTIME_INTERVAL,
 };
 use drtm::workloads::resolve::Table;
 
 struct Fixture {
     sys: Arc<DrTm>,
     accounts: Arc<Table>,
-    layout: NodeLayout,
-    _timer: SoftTimer,
 }
 
 fn fixture(crash: Option<CrashPoint>) -> Fixture {
     let cfg = DrTmConfig { logging: true, crash_point: crash, ..Default::default() };
-    let cluster = Cluster::new(ClusterConfig {
+    let cluster = ClusterConfig {
         nodes: 3,
         region_size: 8 << 20,
         profile: LatencyProfile::zero(),
         ..Default::default()
-    });
-    let mut layouts = Vec::new();
-    let mut shards = Vec::new();
-    for n in 0..3u16 {
-        let mut arena = Arena::new(0, 8 << 20);
-        layouts.push(NodeLayout::reserve(&mut arena, 2));
-        let t = ClusterHash::create(&mut arena, n, 64, 100, 8);
-        let exec = Executor::new(cfg.htm.clone(), Arc::new(HtmStats::new()));
+    };
+    let mut dep = Deployment::new(cluster, cfg, 2);
+    let shards = dep.hash(64, 100, 8);
+    for n in dep.nodes() {
         for k in 0..8u64 {
-            t.insert(&exec, cluster.node(n).region(), k, &100u64.to_le_bytes()).unwrap();
+            shards[n as usize].insert(dep.exec(), dep.region(n), k, &100u64.to_le_bytes()).unwrap();
         }
-        shards.push(Arc::new(t));
     }
-    let timer = SoftTimer::start(cluster.clone(), std::time::Duration::from_micros(200));
-    let layout = layouts[0].clone();
-    Fixture {
-        sys: DrTm::new(cluster, cfg, layouts),
-        accounts: Arc::new(Table::new(shards)),
-        layout,
-        _timer: timer,
-    }
+    Fixture { sys: dep.start(SOFTTIME_INTERVAL), accounts: Arc::new(Table::new(shards)) }
 }
 
 fn value(f: &Fixture, node: u16, key: u64) -> u64 {
     let w = f.sys.worker(0, 0);
     let rec = f.accounts.resolve(&w, node, key).unwrap();
     let mut b = [0u8; 8];
-    f.sys.cluster().node(node).region().read_nt(rec.addr.offset + 32, &mut b);
+    f.sys.cluster().node(node).region().read_nt(rec.entry().value_off(), &mut b);
     u64::from_le_bytes(b)
 }
 
@@ -78,7 +63,7 @@ fn crash_and_recover(crash: CrashPoint) -> Fixture {
         Ok(())
     });
     assert_eq!(r, Err(TxnError::SimulatedCrash));
-    let report = recover_node(f.sys.cluster(), 0, &f.layout, 1);
+    let report = recover_node(f.sys.cluster(), 0, f.sys.layout(), 1);
     assert!(report.redone_txns + report.rolled_back_txns > 0, "log must be found");
     f
 }
@@ -115,7 +100,7 @@ fn crash_mid_write_back_completes_exactly_once() {
 #[test]
 fn recovery_is_idempotent_and_cluster_stays_usable() {
     let f = crash_and_recover(CrashPoint::AfterHtmCommit);
-    let again = recover_node(f.sys.cluster(), 0, &f.layout, 2);
+    let again = recover_node(f.sys.cluster(), 0, f.sys.layout(), 2);
     assert_eq!(again.redone_txns, 0);
     assert_eq!(again.redone_updates, 0);
     // Survivors (and a restarted machine 0) can transact on the same
@@ -147,7 +132,7 @@ fn clean_execution_leaves_empty_logs() {
         })
         .unwrap();
     }
-    let report = recover_node(f.sys.cluster(), 0, &f.layout, 1);
+    let report = recover_node(f.sys.cluster(), 0, f.sys.layout(), 1);
     assert_eq!(report.redone_txns, 0, "completed txns leave no pending log");
     assert_eq!(report.rolled_back_txns, 0);
     assert_eq!(value(&f, 1, 0), 105);
@@ -172,7 +157,7 @@ fn failure_detector_drives_recovery_end_to_end() {
     // Zookeeper stand-in: detection triggers recovery on a survivor.
     let (tx, rx) = std::sync::mpsc::channel();
     let cluster = f.sys.cluster().clone();
-    let layout = f.layout.clone();
+    let layout = f.sys.layout().clone();
     let fd = FailureDetector::start(
         3,
         Duration::from_millis(5),
@@ -205,7 +190,7 @@ fn chop_info_survives_a_crash() {
         Ok(())
     });
     assert_eq!(r, Err(TxnError::SimulatedCrash));
-    let report = recover_node(f.sys.cluster(), 0, &f.layout, 1);
+    let report = recover_node(f.sys.cluster(), 0, f.sys.layout(), 1);
     assert_eq!(
         report.pending_pieces,
         vec![ChopInfo { kind: 4, piece: 2, total: 5, arg: 9 }],

@@ -3,48 +3,34 @@
 
 use std::sync::Arc;
 
-use drtm::htm::{Executor, HtmStats};
-use drtm::memstore::{Arena, ClusterHash};
-use drtm::rdma::{Cluster, ClusterConfig, LatencyProfile, NodeId};
-use drtm::txn::{DrTm, DrTmConfig, NodeLayout, SoftTimer, TxnSpec};
+use drtm::rdma::{ClusterConfig, LatencyProfile, NodeId};
+use drtm::txn::{Deployment, DrTm, DrTmConfig, TxnSpec, SOFTTIME_INTERVAL};
 use drtm::workloads::resolve::Table;
 
 struct Fixture {
     sys: Arc<DrTm>,
     accounts: Arc<Table>,
-    _timer: SoftTimer,
 }
 
 const PER_NODE: u64 = 64;
 const INIT: u64 = 10_000;
 
 fn fixture(nodes: usize, workers: usize) -> Fixture {
-    let cfg = DrTmConfig::default();
-    let cluster = Cluster::new(ClusterConfig {
+    let cluster = ClusterConfig {
         nodes,
         region_size: 16 << 20,
         profile: LatencyProfile::zero(),
         ..Default::default()
-    });
-    let mut layouts = Vec::new();
-    let mut shards = Vec::new();
-    for n in 0..nodes as NodeId {
-        let mut arena = Arena::new(0, 16 << 20);
-        layouts.push(NodeLayout::reserve(&mut arena, workers));
-        let t = ClusterHash::create(&mut arena, n, 64, 2 * PER_NODE as usize, 8);
-        let exec = Executor::new(cfg.htm.clone(), Arc::new(HtmStats::new()));
+    };
+    let mut dep = Deployment::new(cluster, DrTmConfig::default(), workers);
+    let shards = dep.hash(64, 2 * PER_NODE as usize, 8);
+    for n in dep.nodes() {
         for k in 0..PER_NODE {
             let gid = n as u64 * PER_NODE + k;
-            t.insert(&exec, cluster.node(n).region(), gid, &INIT.to_le_bytes()).unwrap();
+            shards[n as usize].insert(dep.exec(), dep.region(n), gid, &INIT.to_le_bytes()).unwrap();
         }
-        shards.push(Arc::new(t));
     }
-    let timer = SoftTimer::start(cluster.clone(), std::time::Duration::from_micros(200));
-    Fixture {
-        sys: DrTm::new(cluster, cfg, layouts),
-        accounts: Arc::new(Table::new(shards)),
-        _timer: timer,
-    }
+    Fixture { sys: dep.start(SOFTTIME_INTERVAL), accounts: Arc::new(Table::new(shards)) }
 }
 
 fn u(b: &[u8]) -> u64 {
@@ -59,7 +45,7 @@ fn total(f: &Fixture, nodes: usize) -> u64 {
             let gid = n as u64 * PER_NODE + k;
             let rec = f.accounts.resolve(&w, n, gid).expect("populated");
             let mut b = [0u8; 8];
-            f.sys.cluster().node(n).region().read_nt(rec.addr.offset + 32, &mut b);
+            f.sys.cluster().node(n).region().read_nt(rec.entry().value_off(), &mut b);
             sum = sum.wrapping_add(u(&b));
         }
     }
