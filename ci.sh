@@ -14,6 +14,11 @@
 # crates/core/src only (drtm_core::Deployment is their one caller), and
 # the 200 µs softtime interval, `add_node_layout` and per-machine
 # `layouts.push` appear nowhere but the one SOFTTIME_INTERVAL definition
+# plus a `git grep` gate that keeps the host-side operation path written
+# once (DESIGN.md §2 "Host-side operations"): no `standalone` loop, HTM
+# outcomes counted in htm/src/{exec,stats}.rs and core/src/txn.rs only,
+# service threads spawned in rdma/src/rpc.rs and the two clocks only,
+# and none of the deleted request/reply twins by name
 # plus `cargo run --release --example abort_diagnosis`, whose StatsReport
 # block must show every layer counting (txns, htm, rdma, a phase line
 # with record ops, a non-empty abort-cause list)
@@ -94,6 +99,30 @@ fi
 if git grep -n --untracked 'add_node_layout\|layouts.push\|from_micros(200)' -- crates tests examples \
   | grep -v '^crates/core/src/time.rs:[0-9]*:pub const SOFTTIME_INTERVAL'; then
   echo "per-machine layout list or a restated softtime interval: see DESIGN.md §2 Deployment" >&2
+  exit 1
+fi
+
+echo "== written once: Executor::run and rpc::{call, serve} under every host-side operation =="
+# A second retry loop, a region counted by hand, a second service thread
+# or a request/reply of its own has forked DESIGN.md §2 "Host-side
+# operations".
+if git grep -n --untracked 'standalone(\|fn standalone' -- crates tests examples; then
+  echo "a stand-alone HTM retry loop outside drtm_htm::Executor::run" >&2
+  exit 1
+fi
+if git grep -n --untracked 'record_abort(\|\.commits\.inc()' -- 'crates/*/src/*' \
+  | grep -v '^crates/htm/src/\(exec\|stats\)\.rs:\|^crates/core/src/txn\.rs:'; then
+  echo "HTM outcomes counted outside Executor::run / Worker::run" >&2
+  exit 1
+fi
+if git grep -n --untracked 'thread::Builder' -- 'crates/*/src/*' \
+  | grep -v '^crates/rdma/src/rpc\.rs:\|^crates/core/src/\(time\|failure\)\.rs:'; then
+  echo "a service thread outside drtm_rdma::rpc::serve (and the two clocks)" >&2
+  exit 1
+fi
+if git grep -n --untracked 'try_remote_scan\|StoreServiceGuard\|ScanServiceGuard\|serve_store_ops' \
+  -- crates tests examples src benchmark/src; then
+  echo "a deleted request/reply twin is back: use drtm_rdma::rpc::{call, serve}" >&2
   exit 1
 fi
 

@@ -56,16 +56,10 @@ fn main() {
     vtime::take();
     for _ in 0..n / 10 {
         // Shipping is slow; fewer iterations suffice for a stable mean.
-        let r = ship_store_op(&cluster, 1, 0, 600, &StoreOp::Delete { table: 0, key: 2 });
-        assert!(matches!(r, StoreReply::Ok | StoreReply::NotFound));
-        let r = ship_store_op(
-            &cluster,
-            1,
-            0,
-            600,
-            &StoreOp::Insert { table: 0, key: 2, value: vec![9u8; 64] },
-        );
-        assert_eq!(r, StoreReply::Ok);
+        let r = ship_store_op(&qp, 0, 600, &StoreOp::Delete { table: 0, key: 2 });
+        assert!(matches!(r, Ok(StoreReply::Ok | StoreReply::NotFound)));
+        let put = StoreOp::Insert { table: 0, key: 2, value: vec![9u8; 64] };
+        assert_eq!(ship_store_op(&qp, 0, 600, &put), Ok(StoreReply::Ok));
     }
     let shipped_ns = vtime::take();
 

@@ -22,7 +22,7 @@ use drtm_memstore::BTree;
 
 use crate::record::{lease_unconfirmed, RecordAddr};
 use crate::time::softtime_nt;
-use crate::txn::{standalone, TxnError, Worker};
+use crate::txn::{TxnError, Worker};
 
 /// Internal signal: a record was locked or a lease could not be acquired;
 /// the read-only transaction restarts with a fresh end time.
@@ -89,8 +89,8 @@ impl RoCtx<'_> {
     /// Runs a validated standalone read transaction against local stores
     /// (tree scans and lookups for discovering the read set).
     pub fn local_scan<T>(&self, f: impl FnMut(&mut HtmTxn<'_>) -> Result<T, Abort>) -> T {
-        standalone(self.worker.region(), self.worker.executor().config(), f)
-            .expect("a read-only store operation aborted for good")
+        let done = self.worker.executor().run(self.worker.region(), f);
+        done.expect("a read-only store operation aborted for good")
     }
 
     /// Convenience: validated B+ tree range scan.
@@ -179,7 +179,7 @@ mod tests {
     use crate::alloc_layout::Deployment;
     use crate::config::DrTmConfig;
     use crate::time::SOFTTIME_INTERVAL;
-    use crate::txn::{standalone, DrTm, TxnSpec};
+    use crate::txn::{DrTm, TxnSpec};
     use drtm_memstore::{BTree, ClusterHash, LookupResult};
     use drtm_rdma::{ClusterConfig, LatencyProfile};
     use std::sync::Arc;
@@ -200,13 +200,12 @@ mod tests {
         let mut dep = Deployment::new(cluster, cfg, 1);
         let tables = dep.hash(64, 200, 8);
         let trees = dep.tree(256);
-        let htm = dep.exec().config();
         for k in 0..50u64 {
             for n in dep.nodes() {
                 let t = &tables[n as usize];
                 t.insert(dep.exec(), dep.region(n), k, &(k * 10).to_le_bytes()).unwrap();
             }
-            standalone(dep.region(0), htm, |txn| trees[0].insert(txn, k, k * 100)).unwrap();
+            dep.exec().run(dep.region(0), |txn| trees[0].insert(txn, k, k * 100)).unwrap();
         }
         (dep.start(SOFTTIME_INTERVAL), tables[0].clone(), trees[0].clone())
     }

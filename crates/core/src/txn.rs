@@ -22,8 +22,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use drtm_htm::{vtime, Abort, Executor, HtmConfig, HtmStats, HtmTxn, Region};
+use drtm_htm::{vtime, Abort, Executor, HtmStats, HtmTxn, Region};
 use drtm_memstore::{BTree, ClusterHash, InsertError, PreparedInsert};
+use drtm_rdma::rpc::DEAD_PEER_GRACE;
 use drtm_rdma::{AtomicityLevel, Cluster, FaultPlan, NodeId, Qp};
 
 use crate::alloc_layout::NodeLayout;
@@ -92,12 +93,6 @@ impl From<drtm_rdma::FabricError> for TxnError {
         }
     }
 }
-
-/// Wall-clock grace the ordered-2PL strategy grants a conflicting lock
-/// holder before concluding the holder is dead (backstop for crashes
-/// the fault plan does not know about). Generous against µs–ms lock
-/// hold times, so expiry in practice always means a real wedge.
-const DEAD_PEER_GRACE: Duration = Duration::from_secs(1);
 
 /// How one run of the pipeline takes its locks and isolates its body —
 /// the only fork in the protocol.
@@ -343,11 +338,19 @@ impl DrTm {
         }
     }
 
+    /// An executor on this system's HTM model that counts in
+    /// [`DrTm::htm_stats`]: what each worker runs its stand-alone
+    /// regions on, and what code outside any worker (an invariant check,
+    /// a shipped-operation service) runs its own on.
+    pub fn executor(&self) -> Executor {
+        Executor::new(self.cfg.htm.clone(), self.htm_stats.clone())
+    }
+
     /// Creates the handle a worker thread drives transactions through.
     pub fn worker(self: &Arc<Self>, node: NodeId, worker_id: usize) -> Worker {
         Worker {
             qp: self.cluster.qp(node),
-            exec: Executor::new(self.cfg.htm.clone(), self.htm_stats.clone()),
+            exec: self.executor(),
             log: LogSlot::new(self.layout.log_slots[worker_id], self.cfg.nvram_write_ns),
             ring: self.trace.register(),
             txn_seq: 0,
@@ -1115,29 +1118,6 @@ fn undo_allocs(allocs: &mut Allocs) {
     }
 }
 
-/// Runs `f` against local stores as its own HTM micro-transaction,
-/// retried until it commits (and so validates what it read). Two
-/// aborts escape: an explicit one — the operation's own verdict — and
-/// a capacity overflow, which every retry of the same body would only
-/// repeat. The one such loop: ordered-2PL store operations, read-only
-/// scans and the workloads' reconnaissance queries all run through it.
-pub fn standalone<T>(
-    region: &Region,
-    cfg: &HtmConfig,
-    mut f: impl FnMut(&mut HtmTxn<'_>) -> Result<T, Abort>,
-) -> Result<T, Abort> {
-    let mut backoff = drtm_htm::backoff::Backoff::new();
-    loop {
-        let mut txn = region.begin(cfg);
-        match f(&mut txn) {
-            Ok(v) if txn.commit().is_ok() => return Ok(v),
-            Err(a @ (Abort::Explicit(_) | Abort::Capacity)) => return Err(a),
-            _ => {}
-        }
-        backoff.snooze();
-    }
-}
-
 /// The handle a transaction body uses to access records and ordered
 /// stores, independent of the strategy that isolates it.
 pub struct TxnCtx<'r> {
@@ -1306,7 +1286,7 @@ impl<'r> TxnCtx<'r> {
     ) -> Result<T, Abort> {
         match &mut self.txn {
             Some(txn) => f(txn),
-            None => standalone(self.env.region, self.exec.config(), f),
+            None => self.exec.run(self.env.region, f),
         }
     }
 
@@ -1329,6 +1309,7 @@ mod tests {
     use crate::record::ABORT_LEASED;
     use crate::state::LockState;
     use crate::time::SOFTTIME_INTERVAL;
+    use drtm_htm::HtmConfig;
     use drtm_memstore::LookupResult;
     use drtm_rdma::{ClusterConfig, LatencyProfile};
 
@@ -1517,20 +1498,6 @@ mod tests {
         }
         assert_eq!(h.value(1, 0), 107);
         assert!(h.state_of(1, 0).is_init());
-    }
-
-    #[test]
-    fn standalone_reports_a_capacity_overflow() {
-        // A body too large for the region overflows again on every
-        // retry: it must come back as an error, not spin.
-        let region = Region::new(4 * 64);
-        let cfg = HtmConfig { read_capacity_lines: 2, ..Default::default() };
-        let three_lines = |txn: &mut HtmTxn<'_>| {
-            (0..3).try_fold(0, |sum, line| Ok(sum + txn.read_u64(line * 64)?))
-        };
-        assert_eq!(standalone(&region, &cfg, three_lines), Err(Abort::Capacity));
-        let roomy = HtmConfig { read_capacity_lines: 3, ..cfg };
-        assert_eq!(standalone(&region, &roomy, three_lines), Ok(0));
     }
 
     #[test]

@@ -34,7 +34,7 @@
 use drtm_htm::{Abort, HtmTxn, Region, LINE_SIZE};
 use drtm_rdma::NodeId;
 
-use crate::alloc::Arena;
+use crate::alloc::{Arena, ABORT_POOL_FULL};
 use crate::words::{read_words, write_words};
 
 /// Maximum keys per node.
@@ -226,7 +226,7 @@ impl BTree {
         if head == 0 {
             // Pool exhausted: surface as an explicit abort; the caller's
             // fallback will report resource exhaustion.
-            return Err(Abort::Explicit(0xF0));
+            return Err(Abort::Explicit(ABORT_POOL_FULL));
         }
         let next = txn.read_u64(head + 8)?;
         txn.write_u64(self.desc.free_head_off(), next)?;

@@ -20,7 +20,7 @@
 use drtm_htm::{Abort, Executor, HtmTxn, Region, LINE_SIZE};
 use drtm_rdma::{FabricError, GlobalAddr, NodeId, Qp};
 
-use crate::alloc::{Arena, FreeList};
+use crate::alloc::{Arena, FreeList, ABORT_POOL_FULL};
 use crate::entry::{Entry, EntryHeader};
 use crate::slot::{Slot, SlotType, SLOT_BYTES};
 use crate::words::{self, read_words, write_words};
@@ -225,10 +225,11 @@ impl ClusterHash {
     /// Inserts `key → value` as a self-contained HTM transaction.
     ///
     /// INSERT is always executed on the host machine (remote machines
-    /// ship it via SEND/RECV verbs, §5.1 footnote 5). The HTM body is
-    /// retried without bound on conflicts — its working set is a bucket
-    /// chain plus one entry, far below capacity — so no 2PL fallback is
-    /// needed; allocator state is rolled back on every failed attempt.
+    /// ship it via SEND/RECV verbs, §5.1 footnote 5). The region is
+    /// retried without bound on conflicts ([`Executor::run`]) — its
+    /// working set is a bucket chain plus one entry, far below capacity —
+    /// so no 2PL fallback is needed; allocator state is rolled back for
+    /// every attempt that did not commit.
     pub fn insert(
         &self,
         exec: &Executor,
@@ -238,56 +239,38 @@ impl ClusterHash {
     ) -> Result<(), InsertError> {
         assert!(value.len() <= self.desc.value_cap, "value exceeds table capacity");
         let entry_off = self.entries.alloc().ok_or(InsertError::Full)?;
-        let mut backoff = drtm_htm::backoff::Backoff::new();
-        loop {
-            let mut txn = region.begin(exec.config());
-            match self.try_insert(&mut txn, key, entry_off, value) {
-                Ok((dup, ind)) => {
-                    if dup {
-                        exec.stats().commits.inc();
-                        drop(txn);
-                        self.entries.free(entry_off);
-                        return Err(InsertError::Duplicate);
-                    }
-                    match txn.commit() {
-                        Ok(()) => {
-                            exec.stats().commits.inc();
-                            return Ok(());
-                        }
-                        Err(a) => {
-                            exec.stats().record_abort(a);
-                            if let Some(b) = ind {
-                                self.indirect.free(b);
-                            }
-                        }
-                    }
-                }
-                Err(InsertAttemptError::Abort(a)) => {
-                    exec.stats().record_abort(a);
-                    assert!(
-                        a != Abort::Capacity,
-                        "insert working set exceeds HTM capacity; raise write_capacity_lines"
-                    );
-                }
-                Err(InsertAttemptError::PoolFull) => {
-                    self.entries.free(entry_off);
-                    return Err(InsertError::Full);
-                }
+        // The indirect bucket of the attempt in flight: a commit takes
+        // it, anything else gives it back — here, or below.
+        let mut ind = None;
+        let outcome = exec.run(region, |txn| {
+            if let Some(b) = ind.take() {
+                self.indirect.free(b);
             }
-            backoff.snooze();
-        }
+            let (duplicate, bucket) = self.try_insert(txn, key, entry_off, value)?;
+            ind = bucket;
+            Ok(duplicate)
+        });
+        let refused = match outcome {
+            Ok(false) => return Ok(()),
+            Ok(true) => InsertError::Duplicate,
+            Err(Abort::Explicit(ABORT_POOL_FULL)) => InsertError::Full,
+            Err(a) => panic!("insert aborted for good ({a}); raise write_capacity_lines"),
+        };
+        self.undo_insert(PreparedInsert { entry_off, ind });
+        Err(refused)
     }
 
     /// One insert attempt inside `txn`. Returns `(duplicate,
     /// allocated_indirect_bucket)`; the caller frees the bucket if the
-    /// commit subsequently fails.
+    /// commit subsequently fails. An exhausted indirect pool is the
+    /// explicit abort [`ABORT_POOL_FULL`]: the entry is staged by then.
     fn try_insert(
         &self,
         txn: &mut HtmTxn<'_>,
         key: u64,
         entry_off: usize,
         value: &[u8],
-    ) -> Result<(bool, Option<usize>), InsertAttemptError> {
+    ) -> Result<(bool, Option<usize>), Abort> {
         // Phase 1: scan the whole chain for the key and the first hole.
         let (free_slot, last_slot_off, resident) = match self.find_local(txn, key)? {
             Place::At { .. } => return Ok((true, None)),
@@ -316,7 +299,7 @@ impl ClusterHash {
         }
         // Chain is full: extend it through the last slot (Figure 9).
         debug_assert_eq!(resident.typ, SlotType::Entry, "full chain must end in an entry");
-        let ind = self.indirect.alloc().ok_or(InsertAttemptError::PoolFull)?;
+        let ind = self.indirect.alloc().ok_or(Abort::Explicit(ABORT_POOL_FULL))?;
         // The (recycled) indirect bucket is written whole — the resident
         // in slot 0, the new pair in slot 1, the rest free, which encodes
         // to zero words — and the last slot re-typed to link to it.
@@ -354,13 +337,12 @@ impl ClusterHash {
                 Ok(Err(InsertError::Duplicate))
             }
             Ok((false, ind)) => Ok(Ok(PreparedInsert { entry_off, ind })),
-            Err(InsertAttemptError::Abort(a)) => {
+            Err(a) => {
                 self.entries.free(entry_off);
-                Err(a)
-            }
-            Err(InsertAttemptError::PoolFull) => {
-                self.entries.free(entry_off);
-                Ok(Err(InsertError::Full))
+                match a {
+                    Abort::Explicit(ABORT_POOL_FULL) => Ok(Err(InsertError::Full)),
+                    a => Err(a),
+                }
             }
         }
     }
@@ -381,29 +363,12 @@ impl ClusterHash {
     /// incarnation check, §5.3) and the header slot is freed. Returns
     /// whether the key was present.
     pub fn delete(&self, exec: &Executor, region: &Region, key: u64) -> bool {
-        let mut backoff = drtm_htm::backoff::Backoff::new();
-        loop {
-            let mut txn = region.begin(exec.config());
-            match self.try_delete(&mut txn, key) {
-                Ok(found) => {
-                    let entry_off = match found {
-                        Some(e) => e,
-                        None => {
-                            exec.stats().commits.inc();
-                            return false;
-                        }
-                    };
-                    if txn.commit().is_ok() {
-                        exec.stats().commits.inc();
-                        self.entries.free(entry_off);
-                        return true;
-                    }
-                    exec.stats().record_abort(Abort::Conflict);
-                }
-                Err(a) => exec.stats().record_abort(a),
-            }
-            backoff.snooze();
+        let found = exec.run(region, |txn| self.try_delete(txn, key));
+        let found = found.expect("a delete never aborts itself");
+        if let Some(entry_off) = found {
+            self.entries.free(entry_off);
         }
+        found.is_some()
     }
 
     fn try_delete(&self, txn: &mut HtmTxn<'_>, key: u64) -> Result<Option<usize>, Abort> {
@@ -570,17 +535,6 @@ enum Place {
 pub struct PreparedInsert {
     entry_off: usize,
     ind: Option<usize>,
-}
-
-enum InsertAttemptError {
-    Abort(Abort),
-    PoolFull,
-}
-
-impl From<Abort> for InsertAttemptError {
-    fn from(a: Abort) -> Self {
-        InsertAttemptError::Abort(a)
-    }
 }
 
 #[cfg(test)]

@@ -662,10 +662,10 @@ impl Resharder {
     /// Migrates `[lo, hi]` from its current owner to `dst`, driven from
     /// `dst` (the destination pulls — its HTM inserts the copied rows).
     ///
-    /// On a fabric error (including an armed crash of `dst` at one of
-    /// the migration crash sites) the function returns immediately with
-    /// *no cleanup* — exactly the garbage state [`Resharder::recover`]
-    /// collects.
+    /// On a fabric error (an armed crash of `dst` at one of the migration
+    /// crash sites, or the source dying under a read, the cutover barrier
+    /// or a purge) the function returns immediately with *no cleanup* —
+    /// exactly the garbage state [`Resharder::recover`] collects.
     pub fn migrate(&self, lo: u64, hi: u64, dst: NodeId) -> Result<MigrationReport, FabricError> {
         assert!(self.barrier_key < lo || self.barrier_key > hi, "barrier key inside range");
         let src = self.map.owner_of(lo).expect("range not mapped");
@@ -702,13 +702,8 @@ impl Resharder {
         // Phase 2: freeze writes, then drain the source's FIFO store
         // queue so no shipped insert/delete is still in flight.
         self.map.begin_cutover(lo, hi);
-        let r = ship_store_op(
-            &self.cluster,
-            dst,
-            src,
-            self.reply_q,
-            &StoreOp::Delete { table: self.table_idx, key: self.barrier_key },
-        );
+        let barrier = StoreOp::Delete { table: self.table_idx, key: self.barrier_key };
+        let r = ship_store_op(&qp, src, self.reply_q, &barrier)?;
         debug_assert_eq!(r, StoreReply::NotFound, "barrier key must not exist");
         self.phase(MigratePhase::CutoverDrained);
 
@@ -761,13 +756,8 @@ impl Resharder {
             // Purge from the source. The host-side delete runs in HTM,
             // clears the state word (releasing our lock) and bumps the
             // incarnation — stale cached locations now fail their check.
-            let r = ship_store_op(
-                &self.cluster,
-                dst,
-                src,
-                self.reply_q,
-                &StoreOp::Delete { table: self.table_idx, key: e.key },
-            );
+            let purge = StoreOp::Delete { table: self.table_idx, key: e.key };
+            let r = ship_store_op(&qp, src, self.reply_q, &purge)?;
             debug_assert_eq!(r, StoreReply::Ok, "purged key vanished while locked");
             self.journal.clear(dst_region);
             // Invalidate cached locations *after* the source entry is
@@ -852,6 +842,7 @@ mod tests {
     use crate::rpc::spawn_store_service;
     use crate::split_ordered::ElasticHash;
     use drtm_htm::{HtmConfig, HtmStats};
+    use drtm_rdma::rpc::{Service, DEAD_PEER_GRACE, RPC_MID_REQUEST_SITE};
     use drtm_rdma::{ClusterConfig, LatencyProfile};
 
     const LOCK_WORD: u64 = 0x8000_0000_0000_0001;
@@ -863,7 +854,7 @@ mod tests {
         journal: PurgeLock,
         resharder: Resharder,
         exec: Executor,
-        _services: Vec<crate::rpc::StoreServiceGuard>,
+        _services: Vec<Service>,
     }
 
     fn rig() -> Rig {
@@ -1193,6 +1184,31 @@ mod tests {
         assert_eq!(rig.shards[1].len(), 0);
         let report = rig.resharder.migrate(0, 29, 1).unwrap();
         assert_eq!(report.copied, 30);
+    }
+
+    #[test]
+    fn source_dying_at_the_cutover_barrier_is_a_typed_error() {
+        // Dead before the barrier is posted: the SEND itself fails.
+        let before = rig();
+        fill(&before, 0, 0..20);
+        let cluster = before.cluster.clone();
+        before.resharder.set_phase_hook(move |p| {
+            if p == MigratePhase::Copied {
+                cluster.faults().kill(0);
+            }
+        });
+        let err = before.resharder.migrate(0, 19, 1).unwrap_err();
+        assert_eq!(err, FabricError::PeerDead { node: 0 });
+        // Dying with the barrier request in hand — the migration's first
+        // shipped operation: the client's next poll, not a hang.
+        let holding = rig();
+        fill(&holding, 0, 0..20);
+        holding.cluster.faults().arm_crash(0, RPC_MID_REQUEST_SITE);
+        let t0 = std::time::Instant::now();
+        let err = holding.resharder.migrate(0, 19, 1).unwrap_err();
+        assert_eq!(err, FabricError::PeerDead { node: 0 });
+        assert!(t0.elapsed() < DEAD_PEER_GRACE / 2, "a poll slice, not the grace period");
+        assert_eq!(holding.shards[0].len(), 20, "the barrier never ran, nothing was purged");
     }
 
     #[test]

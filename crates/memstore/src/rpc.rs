@@ -3,17 +3,19 @@
 //! One-sided RDMA cannot safely grow or shrink a remote hash table (the
 //! allocator and chain surgery need the host's HTM), so DrTM ships those
 //! operations as messages and executes them on the owner inside an HTM
-//! transaction (§5.1 footnote 5). This module provides the wire format,
-//! the client call, and the host-side service loop.
+//! transaction (§5.1 footnote 5). The exchange itself — envelope, service
+//! thread, what a dead host looks like — is [`drtm_rdma::rpc`]; this
+//! module is the wire format of a store operation and the handler that
+//! runs one.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use drtm_htm::{Executor, Region};
-use drtm_rdma::{Cluster, NodeId, QueueId};
+use drtm_rdma::rpc::{self, Service};
+use drtm_rdma::{Cluster, FabricError, NodeId, Qp, QueueId};
 
 use crate::cluster_hash::{ClusterHash, InsertError};
+use crate::journal::{put_u16, put_u32, put_u64, Reader};
 use crate::split_ordered::ElasticHash;
 
 /// A table kind the host-side store service can execute shipped
@@ -98,38 +100,31 @@ pub enum StoreReply {
     NotFound,
 }
 
-/// Wire encoding: `op(1) table(2) key(8) reply_queue(2) [len(4) value]`.
-fn encode_op(op: &StoreOp, reply_q: QueueId) -> Vec<u8> {
-    let mut b = Vec::new();
-    match op {
-        StoreOp::Insert { table, key, value } => {
-            b.push(1);
-            b.extend_from_slice(&table.to_le_bytes());
-            b.extend_from_slice(&key.to_le_bytes());
-            b.extend_from_slice(&reply_q.to_le_bytes());
-            b.extend_from_slice(&(value.len() as u32).to_le_bytes());
-            b.extend_from_slice(value);
-        }
-        StoreOp::Delete { table, key } => {
-            b.push(2);
-            b.extend_from_slice(&table.to_le_bytes());
-            b.extend_from_slice(&key.to_le_bytes());
-            b.extend_from_slice(&reply_q.to_le_bytes());
-        }
+/// Wire encoding: `op(1) table(2) key(8) [len(4) value]`.
+fn encode_op(op: &StoreOp) -> Vec<u8> {
+    let (code, table, key) = match op {
+        StoreOp::Insert { table, key, .. } => (1, *table, *key),
+        StoreOp::Delete { table, key } => (2, *table, *key),
+    };
+    let mut b = vec![code];
+    put_u16(&mut b, table);
+    put_u64(&mut b, key);
+    if let StoreOp::Insert { value, .. } = op {
+        put_u32(&mut b, value.len() as u32);
+        b.extend_from_slice(value);
     }
     b
 }
 
-fn decode_op(b: &[u8]) -> (StoreOp, QueueId) {
-    let table = u16::from_le_bytes(b[1..3].try_into().expect("rpc"));
-    let key = u64::from_le_bytes(b[3..11].try_into().expect("rpc"));
-    let reply_q = u16::from_le_bytes(b[11..13].try_into().expect("rpc"));
-    match b[0] {
+fn decode_op(b: &[u8]) -> StoreOp {
+    let mut r = Reader::new(b);
+    let (code, table, key) = (r.bytes(1)[0], r.u16(), r.u64());
+    match code {
         1 => {
-            let len = u32::from_le_bytes(b[13..17].try_into().expect("rpc")) as usize;
-            (StoreOp::Insert { table, key, value: b[17..17 + len].to_vec() }, reply_q)
+            let len = r.u32() as usize;
+            StoreOp::Insert { table, key, value: r.bytes(len).to_vec() }
         }
-        _ => (StoreOp::Delete { table, key }, reply_q),
+        _ => StoreOp::Delete { table, key },
     }
 }
 
@@ -151,97 +146,48 @@ fn decode_reply(b: &[u8]) -> StoreReply {
     }
 }
 
-/// Ships `op` to `host` and waits for the host's reply.
-///
-/// `reply_q` must be unique per client thread (responses are delivered
-/// to it); the conventional choice is a per-worker queue id.
+/// Ships `op` from `qp`'s machine to `host` and waits for the host's
+/// reply; [`rpc::call`] says what `reply_q` must be and how a host that
+/// does not answer is reported.
 pub fn ship_store_op(
-    cluster: &Arc<Cluster>,
-    from: NodeId,
+    qp: &Qp,
     host: NodeId,
     reply_q: QueueId,
     op: &StoreOp,
-) -> StoreReply {
-    let qp = cluster.qp(from);
-    qp.send(host, STORE_RPC_QUEUE, encode_op(op, reply_q));
-    let msg = cluster.verbs().recv(from, reply_q);
-    decode_reply(&msg.payload)
+) -> Result<StoreReply, FabricError> {
+    rpc::call(qp, host, STORE_RPC_QUEUE, reply_q, &encode_op(op)).map(|r| decode_reply(&r))
 }
 
-/// Host-side service: drains shipped operations against the given table
-/// registry until `stop` is set. Run one instance per machine.
-pub fn serve_store_ops(
-    cluster: &Arc<Cluster>,
+/// Starts `host`'s store service: shipped operations run against
+/// `tables` (indexed by the wire `table` field), each as its own HTM
+/// region on `exec`, until the returned [`Service`] is dropped. Run one
+/// per machine.
+pub fn spawn_store_service(
+    cluster: Arc<Cluster>,
     host: NodeId,
-    tables: &[AnyTable],
-    exec: &Executor,
-    stop: &AtomicBool,
-) {
-    let region = cluster.node(host).region();
-    let qp = cluster.qp(host);
-    while !stop.load(Ordering::Relaxed) {
-        let Some(msg) =
-            cluster.verbs().recv_timeout(host, STORE_RPC_QUEUE, Duration::from_millis(2))
-        else {
-            continue;
-        };
-        let (op, reply_q) = decode_op(&msg.payload);
-        let reply = match op {
+    tables: Vec<impl Into<AnyTable>>,
+    exec: Executor,
+) -> Service {
+    let tables: Vec<AnyTable> = tables.into_iter().map(Into::into).collect();
+    let region = cluster.node(host).region().clone();
+    rpc::serve(cluster, host, STORE_RPC_QUEUE, "store-rpc", move |request| {
+        encode_reply(match decode_op(request) {
             StoreOp::Insert { table, key, value } => {
-                match tables[table as usize].insert(exec, region, key, &value) {
+                match tables[table as usize].insert(&exec, &region, key, &value) {
                     Ok(()) => StoreReply::Ok,
                     Err(InsertError::Duplicate) => StoreReply::Duplicate,
                     Err(InsertError::Full) => StoreReply::Full,
                 }
             }
             StoreOp::Delete { table, key } => {
-                if tables[table as usize].delete(exec, region, key) {
+                if tables[table as usize].delete(&exec, &region, key) {
                     StoreReply::Ok
                 } else {
                     StoreReply::NotFound
                 }
             }
-        };
-        // A client that crashed between request and reply must not take
-        // the service down: every later shipped operation to this host
-        // (the resharder's cutover barrier, each purge) would wait on a
-        // reply nobody is left to send.
-        let _ = qp.try_send(msg.from, reply_q, encode_reply(reply));
-    }
-}
-
-/// Spawns [`serve_store_ops`] on a background thread; the service stops
-/// when the returned guard is dropped.
-pub fn spawn_store_service(
-    cluster: Arc<Cluster>,
-    host: NodeId,
-    tables: Vec<impl Into<AnyTable>>,
-    exec: Executor,
-) -> StoreServiceGuard {
-    let tables: Vec<AnyTable> = tables.into_iter().map(Into::into).collect();
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = stop.clone();
-    let handle = std::thread::Builder::new()
-        .name(format!("drtm-store-rpc-{host}"))
-        .spawn(move || serve_store_ops(&cluster, host, &tables, &exec, &stop2))
-        .expect("spawn store service");
-    StoreServiceGuard { stop, handle: Some(handle) }
-}
-
-/// Stops the background store service on drop.
-#[derive(Debug)]
-pub struct StoreServiceGuard {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for StoreServiceGuard {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
+        })
+    })
 }
 
 #[cfg(test)]
@@ -271,9 +217,7 @@ mod tests {
             StoreOp::Insert { table: 0, key: u64::MAX, value: vec![] },
             StoreOp::Delete { table: 7, key: 9 },
         ] {
-            let (back, q) = decode_op(&encode_op(&op, 17));
-            assert_eq!(back, op);
-            assert_eq!(q, 17);
+            assert_eq!(decode_op(&encode_op(&op)), op);
         }
         for r in [StoreReply::Ok, StoreReply::Duplicate, StoreReply::Full, StoreReply::NotFound] {
             assert_eq!(decode_reply(&encode_reply(r)), r);
@@ -285,16 +229,10 @@ mod tests {
         let (cluster, table, exec) = setup(2);
         let _svc = spawn_store_service(cluster.clone(), 0, vec![table.clone()], exec.clone());
         // Client on machine 1 ships an insert to machine 0.
-        let r = ship_store_op(
-            &cluster,
-            1,
-            0,
-            100,
-            &StoreOp::Insert { table: 0, key: 5, value: b"shipped".to_vec() },
-        );
-        assert_eq!(r, StoreReply::Ok);
-        // The key is now remotely readable with one-sided verbs.
         let qp = cluster.qp(1);
+        let insert = |value: &[u8]| StoreOp::Insert { table: 0, key: 5, value: value.to_vec() };
+        assert_eq!(ship_store_op(&qp, 0, 100, &insert(b"shipped")), Ok(StoreReply::Ok));
+        // The key is now remotely readable with one-sided verbs.
         match table.remote_lookup(&qp, 5) {
             crate::cluster_hash::LookupResult::Found { addr, slot, .. } => {
                 let (_, v) = table.remote_read_entry(&qp, addr, &slot).unwrap();
@@ -303,22 +241,13 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // Duplicate and delete semantics travel across the wire.
-        let r = ship_store_op(
-            &cluster,
-            1,
-            0,
-            100,
-            &StoreOp::Insert { table: 0, key: 5, value: b"again".to_vec() },
-        );
-        assert_eq!(r, StoreReply::Duplicate);
-        assert_eq!(
-            ship_store_op(&cluster, 1, 0, 100, &StoreOp::Delete { table: 0, key: 5 }),
-            StoreReply::Ok
-        );
-        assert_eq!(
-            ship_store_op(&cluster, 1, 0, 100, &StoreOp::Delete { table: 0, key: 5 }),
-            StoreReply::NotFound
-        );
+        assert_eq!(ship_store_op(&qp, 0, 100, &insert(b"again")), Ok(StoreReply::Duplicate));
+        let delete = StoreOp::Delete { table: 0, key: 5 };
+        assert_eq!(ship_store_op(&qp, 0, 100, &delete), Ok(StoreReply::Ok));
+        assert_eq!(ship_store_op(&qp, 0, 100, &delete), Ok(StoreReply::NotFound));
+        // Every shipped operation was one counted, committed region.
+        let s = exec.stats().snapshot();
+        assert_eq!((s.commits, s.total_aborts()), (4, 0));
     }
 
     #[test]
@@ -327,18 +256,12 @@ mod tests {
         let _svc = spawn_store_service(cluster.clone(), 0, vec![table.clone()], exec.clone());
         std::thread::scope(|s| {
             for c in 0..2u16 {
-                let cluster = cluster.clone();
+                let qp = cluster.qp(1);
                 s.spawn(move || {
                     for k in 0..50u64 {
                         let key = c as u64 * 1000 + k;
-                        let r = ship_store_op(
-                            &cluster,
-                            1,
-                            0,
-                            200 + c,
-                            &StoreOp::Insert { table: 0, key, value: b"x".to_vec() },
-                        );
-                        assert_eq!(r, StoreReply::Ok);
+                        let op = StoreOp::Insert { table: 0, key, value: b"x".to_vec() };
+                        assert_eq!(ship_store_op(&qp, 0, 200 + c, &op), Ok(StoreReply::Ok));
                     }
                 });
             }
@@ -352,18 +275,13 @@ mod tests {
         // Node 1 ships an insert and dies before the service even starts:
         // its reply is undeliverable, and the service must shrug it off.
         let doomed = StoreOp::Insert { table: 0, key: 1, value: b"doomed".to_vec() };
-        cluster.qp(1).send(0, STORE_RPC_QUEUE, encode_op(&doomed, 100));
+        let mut request = 100u16.to_le_bytes().to_vec();
+        request.extend(encode_op(&doomed));
+        cluster.qp(1).send(0, STORE_RPC_QUEUE, request);
         cluster.faults().kill(1);
         let _svc = spawn_store_service(cluster.clone(), 0, vec![table.clone()], exec);
-        // `ship_store_op` has no reply deadline, so a wedged service is
-        // told apart from a slow one by a bounded wait on a helper thread.
-        let (tx, rx) = std::sync::mpsc::channel();
-        let client = cluster.clone();
-        std::thread::spawn(move || {
-            let op = StoreOp::Insert { table: 0, key: 2, value: b"healthy".to_vec() };
-            let _ = tx.send(ship_store_op(&client, 2, 0, 101, &op));
-        });
-        let reply = rx.recv_timeout(Duration::from_secs(3));
+        let healthy = StoreOp::Insert { table: 0, key: 2, value: b"healthy".to_vec() };
+        let reply = ship_store_op(&cluster.qp(2), 0, 101, &healthy);
         assert_eq!(reply, Ok(StoreReply::Ok), "service survived the dead client's reply");
         assert_eq!(table.len(), 2, "the dead client's insert was still executed");
     }

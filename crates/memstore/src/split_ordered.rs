@@ -42,7 +42,7 @@ use parking_lot::Mutex;
 use drtm_htm::{Abort, Executor, HtmTxn, Region};
 use drtm_rdma::{FabricError, GlobalAddr, NodeId, Qp};
 
-use crate::alloc::{Arena, FreeList};
+use crate::alloc::{Arena, FreeList, ABORT_POOL_FULL};
 use crate::cluster_hash::{InsertError, LookupResult};
 use crate::entry::{Entry, EntryHeader, ENTRY_HEADER_BYTES};
 use crate::hash64;
@@ -304,7 +304,7 @@ impl ElasticHash {
         txn: &mut HtmTxn<'_>,
         bucket: usize,
         fresh: &mut Vec<usize>,
-    ) -> Result<usize, AttemptError> {
+    ) -> Result<usize, Abort> {
         let off = txn.read_u64(self.desc.dir_off(bucket))?;
         if off != NIL {
             return Ok(off as usize);
@@ -335,7 +335,7 @@ impl ElasticHash {
         child: usize,
         parent_sent: usize,
         fresh: &mut Vec<usize>,
-    ) -> Result<usize, AttemptError> {
+    ) -> Result<usize, Abort> {
         let target = so_sentinel_key(child);
         let mut prev = parent_sent;
         let mut succ = txn.read_u64(prev)?;
@@ -346,7 +346,7 @@ impl ElasticHash {
             }
             (prev, succ) = (succ as usize, next);
         }
-        let cell = self.pool.alloc().ok_or(AttemptError::PoolFull)?;
+        let cell = self.pool.alloc().ok_or(Abort::Explicit(ABORT_POOL_FULL))?;
         fresh.push(cell);
         write_words(txn, cell, &[succ, target])?;
         txn.write_u64(prev, cell as u64)?;
@@ -420,57 +420,33 @@ impl ElasticHash {
         upsert_version: Option<u32>,
     ) -> Result<(), InsertError> {
         assert!(value.len() <= self.desc.value_cap, "value exceeds table capacity");
-        let Some(cell) = self.pool.alloc() else {
-            return Err(InsertError::Full);
-        };
-        let mut backoff = drtm_htm::backoff::Backoff::new();
-        loop {
-            let mut txn = region.begin(exec.config());
-            let mut fresh = Vec::new();
-            match self.try_insert(&mut txn, key, value, cell, upsert_version, &mut fresh) {
-                Ok(TryInsert::Inserted) => match txn.commit() {
-                    Ok(()) => {
-                        exec.stats().commits.inc();
-                        self.count.fetch_add(1, Ordering::Relaxed);
-                        self.maybe_grow(region);
-                        return Ok(());
-                    }
-                    Err(a) => {
-                        exec.stats().record_abort(a);
-                        self.free_fresh(&mut fresh);
-                    }
-                },
-                Ok(TryInsert::Existing) => match txn.commit() {
-                    Ok(()) => {
-                        exec.stats().commits.inc();
-                        self.pool.free(cell);
-                        return match upsert_version {
-                            Some(_) => Ok(()),
-                            None => Err(InsertError::Duplicate),
-                        };
-                    }
-                    Err(a) => {
-                        exec.stats().record_abort(a);
-                        self.free_fresh(&mut fresh);
-                    }
-                },
-                Err(AttemptError::Abort(a)) => {
-                    exec.stats().record_abort(a);
-                    assert!(
-                        a != Abort::Capacity,
-                        "insert working set exceeds HTM capacity; raise write_capacity_lines"
-                    );
-                    self.free_fresh(&mut fresh);
-                }
-                Err(AttemptError::PoolFull) => {
-                    drop(txn);
-                    self.free_fresh(&mut fresh);
-                    self.pool.free(cell);
-                    return Err(InsertError::Full);
-                }
+        let cell = self.pool.alloc().ok_or(InsertError::Full)?;
+        // Sentinel cells of the attempt in flight: a commit takes them,
+        // anything else gives them back — here, or below.
+        let mut fresh = Vec::new();
+        let outcome = exec.run(region, |txn| {
+            self.free_fresh(&mut fresh);
+            self.try_insert(txn, key, value, cell, upsert_version, &mut fresh)
+        });
+        let refused = match outcome {
+            Ok(TryInsert::Inserted) => {
+                self.count.fetch_add(1, Ordering::Relaxed);
+                self.maybe_grow(region);
+                return Ok(());
             }
-            backoff.snooze();
-        }
+            Ok(TryInsert::Existing) => {
+                self.pool.free(cell);
+                return match upsert_version {
+                    Some(_) => Ok(()),
+                    None => Err(InsertError::Duplicate),
+                };
+            }
+            Err(Abort::Explicit(ABORT_POOL_FULL)) => InsertError::Full,
+            Err(a) => panic!("insert aborted for good ({a}); raise write_capacity_lines"),
+        };
+        self.free_fresh(&mut fresh);
+        self.pool.free(cell);
+        Err(refused)
     }
 
     fn free_fresh(&self, fresh: &mut Vec<usize>) {
@@ -487,7 +463,7 @@ impl ElasticHash {
         cell: usize,
         upsert_version: Option<u32>,
         fresh: &mut Vec<usize>,
-    ) -> Result<TryInsert, AttemptError> {
+    ) -> Result<TryInsert, Abort> {
         let size = self.size_hint.load(Ordering::Relaxed) as usize;
         let bucket = (hash64(key) as usize) & (size - 1);
         let sent = self.ensure_bucket(txn, bucket, fresh)?;
@@ -542,27 +518,13 @@ impl ElasticHash {
     /// caller holds on the entry, which is exactly what the resharder's
     /// purge pass relies on (delete-under-migration-lock leaks nothing).
     pub fn delete(&self, exec: &Executor, region: &Region, key: u64) -> bool {
-        let mut backoff = drtm_htm::backoff::Backoff::new();
-        loop {
-            let mut txn = region.begin(exec.config());
-            match self.try_delete(&mut txn, key) {
-                Ok(None) => {
-                    exec.stats().commits.inc();
-                    return false;
-                }
-                Ok(Some(cell)) => {
-                    if txn.commit().is_ok() {
-                        exec.stats().commits.inc();
-                        self.pool.free(cell);
-                        self.count.fetch_sub(1, Ordering::Relaxed);
-                        return true;
-                    }
-                    exec.stats().record_abort(Abort::Conflict);
-                }
-                Err(a) => exec.stats().record_abort(a),
-            }
-            backoff.snooze();
+        let found = exec.run(region, |txn| self.try_delete(txn, key));
+        let found = found.expect("a delete never aborts itself");
+        if let Some(cell) = found {
+            self.pool.free(cell);
+            self.count.fetch_sub(1, Ordering::Relaxed);
         }
+        found.is_some()
     }
 
     fn try_delete(&self, txn: &mut HtmTxn<'_>, key: u64) -> Result<Option<usize>, Abort> {
@@ -770,17 +732,6 @@ pub struct CollectedEntry {
 enum TryInsert {
     Inserted,
     Existing,
-}
-
-enum AttemptError {
-    Abort(Abort),
-    PoolFull,
-}
-
-impl From<Abort> for AttemptError {
-    fn from(a: Abort) -> Self {
-        AttemptError::Abort(a)
-    }
 }
 
 #[cfg(test)]

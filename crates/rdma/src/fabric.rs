@@ -300,6 +300,11 @@ impl Qp {
         &self.cluster
     }
 
+    /// The machine that owns this queue pair.
+    pub fn node(&self) -> NodeId {
+        self.from
+    }
+
     fn nic(&self) -> MutexGuard<'_, Nic> {
         self.nic.lock().expect("QP state poisoned")
     }

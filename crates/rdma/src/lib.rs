@@ -9,7 +9,7 @@
 //!   key-value store accesses out of these.
 //! * **SEND/RECV verbs** — kernel-bypass message passing, used for the
 //!   ordered-store remote accesses and for shipping INSERT/DELETE to the
-//!   host machine.
+//!   host machine ([`rpc`] is the request/reply exchange both share).
 //! * **IPoIB** — IP emulation over InfiniBand, slow due to kernel
 //!   involvement; the paper runs Calvin over it.
 //!
@@ -56,6 +56,7 @@ mod doorbell;
 mod fabric;
 mod fault;
 mod latency;
+pub mod rpc;
 mod verbs;
 
 pub use counters::{CounterSnapshot, OpCounters};

@@ -23,15 +23,16 @@
 use std::sync::{Arc, Mutex};
 
 use drtm_core::{
-    standalone, Abort, AbortCause, Deployment, DrTm, DrTmConfig, JoinReport, LeaveReport,
-    LockState, MembershipCoordinator, MembershipError, MembershipTable, NodeRecovery, NodeState,
-    RecordAddr, TxnCtx, TxnError, TxnSpec, Worker, SOFTTIME_INTERVAL,
+    Abort, AbortCause, Deployment, DrTm, DrTmConfig, JoinReport, LeaveReport, LockState,
+    MembershipCoordinator, MembershipError, MembershipTable, NodeRecovery, NodeState, RecordAddr,
+    TxnCtx, TxnError, TxnSpec, Worker, SOFTTIME_INTERVAL,
 };
-use drtm_htm::{Executor, HtmConfig, HtmStats, Region};
-use drtm_memstore::rpc::{spawn_store_service, StoreServiceGuard};
+use drtm_htm::{Executor, HtmStats, Region};
+use drtm_memstore::rpc::spawn_store_service;
 use drtm_memstore::{
     AddrCache, Arena, ElasticHash, ElasticStats, MigrationReport, RangeMap, ReshardStats, Resharder,
 };
+use drtm_rdma::rpc::Service;
 use drtm_rdma::{
     ClusterConfig, DoorbellConfig, FabricError, FaultConfig, GlobalAddr, LatencyProfile, NodeId,
 };
@@ -104,7 +105,7 @@ pub struct ElasticKv {
     coordinator: Arc<MembershipCoordinator>,
     /// The configuration it was built with.
     pub cfg: ElasticKvConfig,
-    _services: Arc<Mutex<Vec<StoreServiceGuard>>>,
+    _services: Arc<Mutex<Vec<Service>>>,
 }
 
 impl ElasticKv {
@@ -275,12 +276,12 @@ impl ElasticKv {
     /// Sum of every key's value — the conservation invariant. Call on a
     /// quiesced deployment (no in-flight transactions or migrations).
     pub fn total_value(&self) -> u64 {
-        let exec = self.sys.worker(0, 0).executor().clone();
+        let exec = self.sys.executor();
         let mut total = 0u64;
         for key in 0..self.cfg.nodes as u64 * self.cfg.keys_per_node {
             let owner = self.map().owner_of(key).expect("unmapped key");
             let region = self.sys.cluster().node(owner).region();
-            let v = read_local(region, exec.config(), &self.shard(owner), key)
+            let v = read_local(&exec, region, &self.shard(owner), key)
                 .unwrap_or_else(|| panic!("key {key} missing on its owner {owner}"));
             total = total.wrapping_add(fields(&v)[0]);
         }
@@ -327,7 +328,7 @@ impl ElasticKvWorker {
     fn value_on(&self, server: NodeId, key: u64) -> Result<Option<Vec<u8>>, TxnError> {
         let shard = self.resharder.shard(server);
         if server == self.w.node {
-            return Ok(read_local(self.w.region(), self.w.executor().config(), &shard, key));
+            return Ok(read_local(self.w.executor(), self.w.region(), &shard, key));
         }
         let Some(found) = self.cache.try_lookup(self.w.qp(), &shard, key)? else {
             return Ok(None);
@@ -358,9 +359,8 @@ impl ElasticKvWorker {
     fn resolve(&self, server: NodeId, key: u64) -> Result<Option<RecordAddr>, TxnError> {
         let shard = self.resharder.shard(server);
         let addr = if server == self.w.node {
-            standalone(self.w.region(), self.w.executor().config(), |txn| shard.get_local(txn, key))
-                .expect("a lookup never aborts itself")
-                .map(|e| GlobalAddr::new(server, e.offset))
+            let found = self.w.executor().run(self.w.region(), |txn| shard.get_local(txn, key));
+            found.expect("a lookup never aborts itself").map(|e| GlobalAddr::new(server, e.offset))
         } else {
             self.cache.try_lookup(self.w.qp(), &shard, key)?.map(|found| found.addr)
         };
@@ -457,12 +457,12 @@ fn put(ctx: &mut TxnCtx<'_>, (local, i): WriteSlot, v: u64) -> Result<(), Abort>
 }
 
 /// Validated read of `key`'s value bytes in the shard of `region`'s node.
-fn read_local(region: &Region, cfg: &HtmConfig, shard: &ElasticHash, key: u64) -> Option<Vec<u8>> {
-    standalone(region, cfg, |txn| match shard.get_local(txn, key)? {
+fn read_local(exec: &Executor, region: &Region, shard: &ElasticHash, key: u64) -> Option<Vec<u8>> {
+    let value = exec.run(region, |txn| match shard.get_local(txn, key)? {
         Some(e) => e.read_value(txn).map(Some),
         None => Ok(None),
-    })
-    .expect("a read never aborts itself")
+    });
+    value.expect("a read never aborts itself")
 }
 
 #[cfg(test)]

@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use drtm_core::{standalone, RecordAddr, Worker};
-use drtm_htm::{HtmConfig, Region};
+use drtm_core::{RecordAddr, Worker};
+use drtm_htm::{Executor, Region};
 use drtm_memstore::{ClusterHash, LocationCache};
 use drtm_rdma::{FabricError, NodeId};
 
@@ -89,17 +89,17 @@ impl Table {
     /// any worker (the invariant checks of quiesced deployments).
     pub fn read_local(
         &self,
+        exec: &Executor,
         region: &Region,
-        cfg: &HtmConfig,
         node: NodeId,
         key: u64,
     ) -> Option<Vec<u8>> {
         let shard = self.shard(node);
-        standalone(region, cfg, |txn| match shard.get_local(txn, key)? {
+        let value = exec.run(region, |txn| match shard.get_local(txn, key)? {
             Some(e) => e.read_value(txn).map(Some),
             None => Ok(None),
-        })
-        .expect("a read never aborts itself")
+        });
+        value.expect("a read never aborts itself")
     }
 
     /// [`Table::resolve`] with typed dead-peer reporting: a warm cache
@@ -114,9 +114,7 @@ impl Table {
         let cap = self.value_cap();
         if server == worker.node {
             let table = self.shard(server);
-            let found = standalone(worker.region(), worker.executor().config(), |txn| {
-                table.get_local(txn, key)
-            });
+            let found = worker.executor().run(worker.region(), |txn| table.get_local(txn, key));
             Ok(found
                 .expect("a lookup never aborts itself")
                 .map(|e| RecordAddr::new(drtm_rdma::GlobalAddr::new(server, e.offset), cap)))
@@ -163,6 +161,20 @@ mod tests {
         let remote = table.resolve(&w, 1, 7).expect("remote key");
         assert_eq!(remote.addr.node, 1);
         assert!(table.resolve(&w, 1, 999).is_none());
+    }
+
+    #[test]
+    fn local_resolutions_are_counted_regions() {
+        // Each local lookup is one HTM region, and the system's ledger
+        // sees every one of them (hits and misses alike).
+        let (sys, table) = build();
+        let w = sys.worker(0, 0);
+        let before = sys.htm_stats().snapshot();
+        for k in 0..60 {
+            assert_eq!(table.resolve(&w, 0, k).is_some(), k < 50);
+        }
+        let d = sys.htm_stats().snapshot().since(&before);
+        assert_eq!((d.commits, d.total_aborts()), (60, 0));
     }
 
     #[test]

@@ -124,6 +124,7 @@ impl SmallBank {
     /// Sum of all balances (checking + savings) — the conservation
     /// invariant checked by the integration tests.
     pub fn total_balance(&self) -> u64 {
+        let exec = self.sys.executor();
         let mut total = 0u64;
         for n in 0..self.cfg.nodes as NodeId {
             let region = self.sys.cluster().node(n).region();
@@ -131,7 +132,7 @@ impl SmallBank {
                 for a in 0..self.cfg.accounts_per_node {
                     let gid = n as u64 * self.cfg.accounts_per_node + a;
                     let v = table
-                        .read_local(region, &self.cfg.drtm.htm, n, gid)
+                        .read_local(&exec, region, n, gid)
                         .unwrap_or_else(|| panic!("account {gid} missing on node {n}"));
                     total = total.wrapping_add(fields(&v)[0]);
                 }

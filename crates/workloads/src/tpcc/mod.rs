@@ -20,9 +20,10 @@ pub use txns::TpccWorker;
 
 use std::sync::Arc;
 
-use drtm_core::{standalone, Deployment, DrTm, DrTmConfig, SOFTTIME_INTERVAL};
-use drtm_htm::{Executor, HtmStats};
+use drtm_core::{Deployment, DrTm, DrTmConfig, SOFTTIME_INTERVAL};
+use drtm_htm::Executor;
 use drtm_memstore::{BTree, ClusterHash};
+use drtm_rdma::rpc::Service;
 use drtm_rdma::{AtomicityLevel, ClusterConfig, DoorbellConfig, LatencyProfile, NodeId};
 
 use crate::pack_fields;
@@ -147,7 +148,7 @@ pub struct Tpcc {
     /// The configuration it was built with.
     pub cfg: TpccConfig,
     /// Per-node ordered-store scan services (§6.5 remote range queries).
-    _scan_services: Vec<scan_rpc::ScanServiceGuard>,
+    _scan_services: Vec<Service>,
 }
 
 impl Tpcc {
@@ -207,8 +208,8 @@ impl Tpcc {
         let scan_services = (0..cfg.nodes)
             .map(|i| {
                 let trees = [&new_order_idx, &cust_order_idx, &cust_name_idx].map(|t| t[i].clone());
-                let exec = Executor::new(cfg.drtm.htm.clone(), Arc::new(HtmStats::new()));
-                scan_rpc::spawn_scan_service(sys.cluster().clone(), i as NodeId, trees.into(), exec)
+                let (cluster, exec) = (sys.cluster().clone(), sys.executor());
+                scan_rpc::spawn_scan_service(cluster, i as NodeId, trees.into(), exec)
             })
             .collect();
         Tpcc {
@@ -237,11 +238,12 @@ impl Tpcc {
     /// TPC-C consistency condition 1: for every warehouse,
     /// `W_YTD = Σ D_YTD` over its districts.
     pub fn check_ytd_consistency(&self) -> bool {
+        let exec = self.sys.executor();
         for w in 0..self.cfg.warehouses() {
             let n = self.cfg.node_of_warehouse(w);
             let region = self.sys.cluster().node(n).region();
             let read = |table: &Table, key: u64| -> Vec<u64> {
-                let v = table.read_local(region, &self.cfg.drtm.htm, n, key);
+                let v = table.read_local(&exec, region, n, key);
                 crate::fields(&v.unwrap_or_else(|| panic!("missing row {key}")))
             };
             let w_ytd = read(&self.warehouse, keys::warehouse(w))[0];
@@ -259,11 +261,12 @@ impl Tpcc {
     /// `next_o_id - 1` equals the largest order id in both the order
     /// table's customer index and the new-order tree's district range.
     pub fn check_order_consistency(&self) -> bool {
+        let exec = self.sys.executor();
         for w in 0..self.cfg.warehouses() {
             let n = self.cfg.node_of_warehouse(w);
             let region = self.sys.cluster().node(n).region();
             for d in 0..self.cfg.districts {
-                let good = standalone(region, &self.cfg.drtm.htm, |txn| {
+                let good = exec.run(region, |txn| {
                     let Some(e) = self.district.shard(n).get_local(txn, keys::district(w, d))?
                     else {
                         return Ok(false);
@@ -360,7 +363,7 @@ fn populate_node(
 
 /// Committed standalone tree insert (population only).
 fn tree_insert(region: &drtm_htm::Region, exec: &Executor, tree: &BTree, k: u64, v: u64) {
-    standalone(region, exec.config(), |txn| tree.insert(txn, k, v)).expect("tree pool exhausted");
+    exec.run(region, |txn| tree.insert(txn, k, v)).expect("tree pool exhausted");
 }
 
 #[cfg(test)]

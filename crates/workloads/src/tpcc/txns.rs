@@ -211,9 +211,7 @@ impl TpccWorker {
         tolerate_user_abort(r)
     }
 
-    /// PAY: pay `h` into warehouse/district YTD, debit a customer. (The
-    /// by-name scan shipped to a remote customer's machine still blocks
-    /// on a host that dies mid-scan.)
+    /// PAY: pay `h` into warehouse/district YTD, debit a customer.
     pub fn try_payment(&mut self) -> Result<(), TxnError> {
         let cfg = self.t.cfg.clone();
         let w = self.home_w;
@@ -241,19 +239,13 @@ impl TpccWorker {
             let (lo, hi) = keys::cust_name_range(c_w, c_d, hash16(name_id));
             let matches = if c_node == node {
                 let tree = self.t.cust_name_idx[node as usize].clone();
-                self.standalone_scan(|txn| tree.scan_range(txn, lo, hi, 64))
+                self.local_scan(|txn| tree.scan_range(txn, lo, hi, 64))
             } else {
                 let reply_q = 0x8000 | (node << 8) | self.w.worker_id as u16;
-                crate::tpcc::scan_rpc::remote_scan(
-                    self.t.sys.cluster(),
-                    node,
-                    c_node,
-                    reply_q,
-                    2, // customer-name index
-                    lo,
-                    hi,
-                    64,
-                )
+                // A queue pair of its own: the scan's SEND must not ride
+                // the transaction's doorbells. Tree 2 is the name index.
+                let qp = self.t.sys.cluster().qp(node);
+                crate::tpcc::scan_rpc::remote_scan(&qp, c_node, reply_q, 2, lo, hi, 64)?
             };
             match matches.get(matches.len() / 2) {
                 Some(&(_, c)) => c,
@@ -360,7 +352,7 @@ impl TpccWorker {
             let no_idx = self.t.new_order_idx[node as usize].clone();
             let (lo, hi) = keys::new_order_range(w, d);
             let Some((no_key, o_id)) =
-                self.standalone_scan(|txn| no_idx.scan_range(txn, lo, hi, 1)).first().copied()
+                self.local_scan(|txn| no_idx.scan_range(txn, lo, hi, 1)).first().copied()
             else {
                 continue;
             };
@@ -450,17 +442,13 @@ impl TpccWorker {
     /// The fields of `key`'s row in this machine's shard of `table`, read
     /// by a validated standalone region of its own; `None`: no such row.
     fn read_fields(&self, table: &Table, key: u64) -> Option<Vec<u64>> {
-        let htm = self.w.executor().config();
-        table.read_local(self.w.region(), htm, self.w.node, key).map(|v| fields(&v))
+        table.read_local(self.w.executor(), self.w.region(), self.w.node, key).map(|v| fields(&v))
     }
 
     /// Committed standalone HTM read (reconnaissance queries).
-    fn standalone_scan<T>(
-        &self,
-        f: impl FnMut(&mut drtm_htm::HtmTxn<'_>) -> Result<T, HtmAbort>,
-    ) -> T {
-        drtm_core::standalone(self.w.region(), self.w.executor().config(), f)
-            .expect("a read-only scan aborted for good")
+    fn local_scan<T>(&self, f: impl FnMut(&mut drtm_htm::HtmTxn<'_>) -> Result<T, HtmAbort>) -> T {
+        let pairs = self.w.executor().run(self.w.region(), f);
+        pairs.expect("a read-only scan aborted for good")
     }
 }
 

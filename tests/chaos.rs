@@ -13,8 +13,9 @@
 //! the matrix at full scale.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use drtm::rdma::rpc::{DEAD_PEER_GRACE, RPC_MID_REQUEST_SITE};
 use drtm::rdma::{
     Cluster, ClusterConfig, DoorbellConfig, FabricError, FaultConfig, GlobalAddr, LatencyProfile,
 };
@@ -26,6 +27,7 @@ use drtm::txn::{
 use drtm::workloads::elastic::{ElasticKv, ElasticKvConfig, INIT_VALUE};
 use drtm::workloads::resolve::Table;
 use drtm::workloads::smallbank::{SmallBank, SmallBankConfig, INIT_BALANCE};
+use drtm::workloads::tpcc::{Tpcc, TpccConfig};
 
 /// Iteration scale factor from the environment (hand-parsed: the test
 /// binary must not depend on the bench crate).
@@ -1168,4 +1170,66 @@ fn smallbank_survives_a_mid_run_crash_with_live_detection() {
     );
     let snap = sb.sys.stats().snapshot();
     assert!(snap.committed > 0, "the mix must have made progress");
+}
+
+// ---------------------------------------------------------------------
+// Shipped operations: TPC-C's by-name payment against a customer machine
+// that is dead, or dies holding the scan request.
+// ---------------------------------------------------------------------
+
+/// Two machines, every payment against another warehouse's customer, so
+/// node 0's by-name payments ship their index scan to node 1.
+fn cross_warehouse_tpcc() -> Arc<Tpcc> {
+    Arc::new(Tpcc::build(TpccConfig {
+        nodes: 2,
+        workers: 1,
+        districts: 2,
+        customers_per_district: 30,
+        items: 100,
+        cross_warehouse_payment: 1.0,
+        max_new_orders_per_node: 100,
+        region_size: 16 << 20,
+        profile: LatencyProfile::zero(),
+        ..Default::default()
+    }))
+}
+
+#[test]
+fn payment_reports_a_customer_machine_that_dies_holding_its_scan() {
+    let t = cross_warehouse_tpcc();
+    let mut w = t.worker(0, 0);
+    t.sys.cluster().faults().arm_crash(1, RPC_MID_REQUEST_SITE);
+    // By-id payments commit until the first by-name one ships its scan:
+    // node 1 takes the request and dies with it.
+    let (err, waited) = loop {
+        let t0 = Instant::now();
+        if let Err(e) = w.try_payment() {
+            break (e, t0.elapsed());
+        }
+    };
+    assert_eq!(err, TxnError::PeerDead(1));
+    assert!(waited < DEAD_PEER_GRACE, "a poll slice, not the grace period: {waited:?}");
+    assert!(t.sys.cluster().faults().is_crashed(1));
+    // The request died with its host, before any transaction began:
+    // nothing to recover. The revived machine serves scans again.
+    t.sys.cluster().faults().revive(1);
+    for _ in 0..20 {
+        assert_eq!(w.try_payment(), Ok(()));
+    }
+    assert!(t.check_ytd_consistency());
+}
+
+#[test]
+fn payment_against_a_dead_customer_machine_is_typed_never_an_unwind() {
+    let t = cross_warehouse_tpcc();
+    let mut w = t.worker(0, 0);
+    t.sys.cluster().faults().kill(1);
+    // By name (the shipped scan) or by id (the one-sided lookup), every
+    // payment needs node 1.
+    for _ in 0..40 {
+        assert_eq!(w.try_payment(), Err(TxnError::PeerDead(1)));
+    }
+    t.sys.cluster().faults().revive(1);
+    assert_eq!(w.try_payment(), Ok(()));
+    assert!(t.check_ytd_consistency());
 }
