@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repository CI gate. Run from the repo root.
+# Repository CI gate. Takes no argument; works from any directory.
 #
 # Tier-1 (the bar every change must clear):
 #   cargo build --release && cargo test -q
@@ -33,37 +33,23 @@
 # them fails here too. Its numbers are stamped not comparable and
 # nothing reads them. `ab.sh`, the paired A/B runner for host-time
 # claims, is only syntax-checked (`bash -n`).
-#
-# With --bench-smoke (the only option), additionally runs the three
-# ledgered headline harnesses once each at minimum scale into a scratch
-# directory — fig10d, fig12 (its scale-out segment at 16 machines x 32
-# workers: 512 logical workers, feasible only because the pipelined
-# engine multiplexes them onto a small OS thread pool — and its
-# membership-churn segment) and tab6 (a real mid-run crash plus the
-# durable-free read-only segment) — then validates the BENCH_*.json they
-# emit with check_bench_json (schema keys present, numbers finite,
-# throughput positive, extra.rdma_ops_per_doorbell > 1.0 with batched
-# per-op cost below unbatched, extra.membership_throughput_ratio >= 0.6
-# with join_ms/drain_ms positive, extra.recovery_ms, extra.ro_log_bytes
-# == 0) and diffs them against the committed repo-root baselines with
-# --diff (>10% throughput regression fails; smoke-scale runs skip the
-# throughput comparison but still exercise the diff path). See
-# EXPERIMENTS.md for the schema. The chaos matrix, the membership
-# proptest and the elastic-memstore tests need no flag: the tier-1
-# `cargo test --workspace` line runs them all, at full scale.
+# plus the figure ledger (EXPERIMENTS.md "Machine-readable baselines"):
+# the six ledgered harnesses at their committed operation counts, about
+# 35 s, each holding its own invariants by `assert!`; then check_ledger,
+# which fails on any row of target/ledger/ outside the band its
+# committed row under ledger/ carries, on a row on one side only and on
+# a differing operation count; then the gate's own self-test (a copy of
+# ledger/ with one gated row pushed out by twice its band must fail);
+# then a `git grep` gate that keeps the ledger written once: the parent
+# schema's names stay gone, and ledger.rs / check_ledger.rs name no
+# figure, no segment and no invariant.
 #
 # The build is fully offline: third-party deps resolve to the minimal
 # vendored stubs under vendor/ via [patch.crates-io] in Cargo.toml.
 set -euo pipefail
 cd "$(dirname "$0")"
 
-BENCH_SMOKE=0
-for arg in "$@"; do
-  case "$arg" in
-    --bench-smoke) BENCH_SMOKE=1 ;;
-    *) echo "unknown option: $arg" >&2; exit 2 ;;
-  esac
-done
+[ $# -eq 0 ] || { echo "ci.sh takes no argument" >&2; exit 2; }
 
 echo "== tier-1: release build =="
 cargo build --release
@@ -147,28 +133,56 @@ echo "== tooling: ab.sh parses =="
 # binaries, so CI only checks that it is still a shell script.
 bash -n ab.sh
 
-SCRATCH_DIRS=()
-cleanup() { rm -rf "${SCRATCH_DIRS[@]:-}"; }
-trap cleanup EXIT
+echo "== figure ledger: six harnesses at their committed operation counts =="
+# DRTM_SCALE would change every leg's operation count, which the check
+# below reports row by row; unset, a stray value cannot do that.
+rm -rf target/ledger
+for bench in fig10d_cache_size fig12_tpcc_machines fig15_smallbank \
+  fig16_cross_warehouse fig17_read_lease tab6_durability; do
+  env -u DRTM_SCALE cargo bench -q -p drtm-bench --bench "$bench" > /dev/null
+done
 
-if [ "$BENCH_SMOKE" = 1 ]; then
-  echo "== bench smoke: fig10d + fig12 + tab6 at minimum scale =="
-  SMOKE_OUT="$(mktemp -d)"
-  SCRATCH_DIRS+=("$SMOKE_OUT")
-  export DRTM_SCALE=0.01 DRTM_BENCH_OUT="$SMOKE_OUT"
-  cargo bench -q -p drtm-bench --bench fig10d_cache_size
-  DRTM_FIG12_SCALEOUT_NODES=16 DRTM_FIG12_SCALEOUT_WORKERS=32 \
-    cargo bench -q -p drtm-bench --bench fig12_tpcc_machines
-  cargo bench -q -p drtm-bench --bench tab6_durability
-  echo "== bench smoke: validate emitted JSON + diff vs committed baselines =="
-  cargo run -q --release -p drtm-bench --bin check_bench_json -- \
-    --diff . "$SMOKE_OUT"/BENCH_*.json
-  for key in rdma_ops_per_doorbell membership_throughput_ratio; do
-    grep -q "\"$key\"" "$SMOKE_OUT"/BENCH_fig12_tpcc_machines.json \
-      || { echo "fig12 ledger missing $key" >&2; exit 1; }
-  done
-  grep -q '"ro_log_bytes": 0.0' "$SMOKE_OUT"/BENCH_tab6_durability.json \
-    || { echo "tab6 ledger missing ro_log_bytes == 0" >&2; exit 1; }
+echo "== figure ledger: every gated row within the band of its committed row =="
+cargo run -q --release -p drtm-bench --bin check_ledger -- ledger target/ledger
+
+echo "== figure ledger: the gate can fail =="
+# The same fresh run against a copy of ledger/ in which the first row
+# with a fractional band has its committed value moved by twice that
+# band: check_ledger must exit non-zero and name the row.
+PERTURBED="$(mktemp -d)"
+trap 'rm -rf "$PERTURBED"' EXIT
+cp ledger/BENCH_*.json "$PERTURBED"/
+VICTIM="$(grep -l '"band": 0\.[0-9]' "$PERTURBED"/BENCH_*.json | head -1)"
+awk 'BEGIN { done = 0 }
+  !done && match($0, /"measured": [^,]+, "band": 0\.[0-9]+/) {
+    split(substr($0, RSTART, RLENGTH), kv, /[:,] /)
+    moved = kv[2] * (1 + 2 * kv[4])
+    sub(/"measured": [^,]+/, "\"measured\": " moved)
+    done = 1
+  }
+  { print }' "$VICTIM" > "$VICTIM.moved"
+mv "$VICTIM.moved" "$VICTIM"
+if cargo run -q --release -p drtm-bench --bin check_ledger -- "$PERTURBED" target/ledger \
+  > "$PERTURBED/out"; then
+  echo "check_ledger passed a committed row moved by twice its band" >&2
+  exit 1
+fi
+[ "$(grep -c '^FAILED' "$PERTURBED/out")" = 1 ] \
+  || { echo "the moved row should be the one failure:" >&2; cat "$PERTURBED/out" >&2; exit 1; }
+
+echo "== written once: one row type, one writer, one figure-agnostic check =="
+# The parent ledger's schema, options and per-harness key rules by name,
+# and any figure, segment or invariant named inside the ledger itself.
+if git grep -n --untracked \
+  'bench-smoke\|check_bench_json\|DRTM_BENCH_OUT\|DRTM_FIG12_\|schema_version\|push_extra' \
+  -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh'; then
+  echo "a name of the deleted schema-v1 ledger is back: see crates/bench/src/ledger.rs" >&2
+  exit 1
+fi
+if git grep -n --untracked 'fig1\|tab6\|membership\|resize\|doorbell\|ro_log' \
+  -- crates/bench/src/ledger.rs crates/bench/src/bin/check_ledger.rs; then
+  echo "the ledger knows a figure: what is compared is the committed rows' band" >&2
+  exit 1
 fi
 
 echo "CI OK"

@@ -47,7 +47,12 @@ fn main() {
     }
     let cached = summary.last().expect("five systems");
     let pilaf = &summary[0];
-    assert!(cached.1 > pilaf.1 * 0.0, "sanity");
+    assert!(
+        cached.1 > pilaf.1,
+        "DrTM-KV/$ must have higher peak throughput than Pilaf ({} vs {})",
+        cached.1,
+        pilaf.1
+    );
     assert!(
         cached.2 < pilaf.2,
         "DrTM-KV/$ must have lower latency than Pilaf ({} vs {})",

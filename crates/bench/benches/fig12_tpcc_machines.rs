@@ -7,16 +7,15 @@
 //! A final membership segment measures what cluster reconfiguration
 //! costs the traffic that keeps running through it: the same
 //! transfer/read mix once at steady state and once while a churn
-//! thread cycles machines through join → serve → leave. The ledger
-//! gate (`check_bench_json`) requires the during-churn throughput to
-//! stay within 0.6× of steady.
+//! thread cycles machines through join → serve → leave. The harness
+//! asserts that the during-churn throughput stays within 0.6× of steady.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use drtm_bench::report::{causes_of, rdma_ops_per_txn, BenchReport};
+use drtm_bench::ledger::{cell, quiet, text, tput, Kind, Ledger};
 use drtm_bench::runners::{calvin_run, tpcc_run_with};
-use drtm_bench::{banner, diagnostics, f, mops, row, scaled};
+use drtm_bench::{banner, diagnostics, f, row, scaled, stats_cells};
 use drtm_calvin::{Calvin, CalvinConfig};
 use drtm_core::{MembershipError, TxnError};
 use drtm_rdma::{DoorbellConfig, NodeId};
@@ -35,10 +34,6 @@ fn drtm_cfg(nodes: usize) -> TpccConfig {
         region_size: 160 << 20,
         ..Default::default()
     }
-}
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).filter(|&n| n > 0).unwrap_or(default)
 }
 
 /// Reduced per-warehouse sizing so a 64-node cluster fits comfortably
@@ -70,7 +65,7 @@ fn main() {
     ]);
     let mut last_ratio = 0.0;
     let mut drtm_curve = Vec::new();
-    let mut json = BenchReport::new("fig12_tpcc_machines", 0.0, 0.0);
+    let mut ledger = Ledger::new("fig12_tpcc_machines");
     for nodes in 1..=6usize {
         let (rep, diag) = tpcc_run_with(drtm_cfg(nodes), iters, warmup);
         let std_mix = rep.throughput();
@@ -88,20 +83,27 @@ fn main() {
         let (calvin_std, _, _) = calvin_run(calvin, 8, per_epoch, 0.01, 0.15);
         last_ratio = std_mix / calvin_std;
         drtm_curve.push(std_mix);
-        row(&[
-            nodes.to_string(),
-            mops(new_order),
-            mops(std_mix),
-            mops(calvin_std),
-            format!("{last_ratio:.1}x"),
-        ]);
-        json.push_extra(&format!("drtm_std_mix_{nodes}n_mops"), std_mix / 1e6);
-        json.push_extra(&format!("calvin_std_mix_{nodes}n_mops"), calvin_std / 1e6);
+        // The paper quotes the 6-machine point: 3.67 M, 17.9x over Calvin.
+        let at6 = |paper: f64| (nodes == 6).then_some(paper);
+        ledger.row(
+            iters,
+            [
+                text(nodes),
+                tput(format!("drtm_new_order_{nodes}n_mops"), new_order),
+                tput(format!("drtm_std_mix_{nodes}n_mops"), std_mix).paper(at6(3.67)),
+                tput(format!("calvin_std_mix_{nodes}n_mops"), calvin_std),
+                cell(
+                    format!("calvin_speedup_{nodes}n_x"),
+                    Kind::Virtual,
+                    last_ratio,
+                    format!("{last_ratio:.1}x"),
+                )
+                .paper(at6(17.9)),
+            ],
+        );
         if nodes == 6 {
             diagnostics("DrTM, 6 machines", &diag);
-            json.throughput = std_mix;
-            json.aborts_per_cause = causes_of(&diag);
-            json.rdma_ops_per_txn = rdma_ops_per_txn(&diag);
+            ledger.row(iters, stats_cells(&diag));
         }
     }
     assert!(
@@ -110,14 +112,13 @@ fn main() {
     );
     assert!(last_ratio > 5.0, "DrTM must clearly outperform Calvin (paper: 17.9-21.9x)");
     println!("(paper: DrTM 3.67M std-mix on 6 machines; >=17.9x over Calvin)");
-    json.push_extra("calvin_speedup_x", last_ratio);
 
     // Scale-out segment: the paper stops at 6 machines; the pipelined
     // engine runs 64 (logical workers ≫ OS threads), once with doorbell
     // batching off and once on, so the ledger records the per-op
     // virtual cost drop batching buys.
-    let so_nodes = env_usize("DRTM_FIG12_SCALEOUT_NODES", 64);
-    let so_workers = env_usize("DRTM_FIG12_SCALEOUT_WORKERS", 8);
+    let so_nodes = 64;
+    let so_workers = 8;
     let so_iters = scaled(40, 12);
     let so_warmup = so_iters / 4;
     banner("fig12+", &format!("scale-out: {so_nodes} machines x {so_workers} workers"));
@@ -125,7 +126,6 @@ fn main() {
     let mut op_cost = [0.0f64; 2];
     for (arm, doorbell) in [(0, DoorbellConfig::disabled()), (1, DoorbellConfig::default())] {
         let batch_size = doorbell.max_batch;
-        let flush_ns = doorbell.flush_deadline_ns;
         let (rep, diag) = tpcc_run_with(
             scaleout_cfg(so_nodes, so_workers, so_iters, doorbell),
             so_iters,
@@ -139,24 +139,28 @@ fn main() {
         );
         op_cost[arm] = diag.rdma.avg_op_cost_ns();
         let ratio = diag.rdma.ops_per_doorbell();
-        row(&[
-            if arm == 0 { "off".into() } else { format!("{batch_size}-deep") },
-            mops(rep.throughput()),
-            format!("{:.0} ns", op_cost[arm]),
-            format!("{ratio:.2}"),
-        ]);
-        if arm == 0 {
-            json.push_extra("rdma_op_cost_unbatched_ns", op_cost[0]);
-            json.push_extra("scaleout_std_mix_unbatched_mops", rep.throughput() / 1e6);
-        } else {
+        let name = if arm == 0 { "unbatched" } else { "batched" };
+        ledger.row(
+            so_iters,
+            [
+                text(if arm == 0 { "off".into() } else { format!("{batch_size}-deep") }),
+                tput(format!("scaleout_std_mix_{name}_mops"), rep.throughput()),
+                cell(
+                    format!("rdma_op_cost_{name}_ns"),
+                    Kind::Virtual,
+                    op_cost[arm],
+                    format!("{:.0} ns", op_cost[arm]),
+                ),
+                cell(
+                    format!("rdma_ops_per_doorbell_{name}"),
+                    Kind::Count,
+                    ratio,
+                    format!("{ratio:.2}"),
+                ),
+            ],
+        );
+        if arm == 1 {
             assert!(ratio > 1.0, "batching on must post >1 op per doorbell (got {ratio})");
-            json.push_extra("rdma_op_cost_batched_ns", op_cost[1]);
-            json.push_extra("scaleout_std_mix_batched_mops", rep.throughput() / 1e6);
-            json.push_extra("rdma_ops_per_doorbell", ratio);
-            json.push_extra("rdma_batch_size", batch_size as f64);
-            json.push_extra("rdma_batch_flush_ns", flush_ns as f64);
-            json.push_extra("engine_os_threads", rep.os_threads as f64);
-            json.push_extra("engine_logical_workers", logical as f64);
         }
     }
     assert!(
@@ -165,7 +169,6 @@ fn main() {
         op_cost[1],
         op_cost[0]
     );
-    json.push_extra("scaleout_nodes", so_nodes as f64);
 
     // ---- membership segment --------------------------------------------
     // Same transfer/read mix twice over an elastic deployment: once at
@@ -187,7 +190,7 @@ fn main() {
     let mworkers = mcfg.workers;
     let kv = ElasticKv::build(mcfg);
     let total_keys = 2 * per;
-    let miters = scaled(1_200, 200);
+    let miters = scaled(2_400, 200);
     banner("fig12m", "membership churn: join/leave under load");
     let kvref = &kv;
     let mix = |salt: u64| {
@@ -257,7 +260,20 @@ fn main() {
     let join_ms = joins.iter().sum::<f64>() / joins.len() as f64;
     let drain_ms = drains.iter().sum::<f64>() / drains.len() as f64;
     row(&["membership".into(), "steady".into(), "during".into(), "ratio".into()]);
-    row(&["tput".into(), mops(s_tput), mops(d_tput), f(d_tput / s_tput)]);
+    ledger.row(
+        miters,
+        [
+            text("tput"),
+            tput("membership_steady_mops", s_tput),
+            tput("membership_during_mops", d_tput),
+            cell("membership_ratio", Kind::Virtual, d_tput / s_tput, f(d_tput / s_tput)),
+        ],
+    );
+    assert!(d_tput >= 0.6 * s_tput, "traffic must keep 0.6x of steady through join/leave cycles");
+    assert!(
+        join_ms > 0.0 && drain_ms > 0.0,
+        "a reconfiguration that costs nothing was not measured"
+    );
     println!(
         "membership diagnostics: {} join/leave cycles, {:.2} ms mean join, {:.2} ms mean drain",
         joins.len(),
@@ -265,13 +281,14 @@ fn main() {
         drain_ms
     );
     diagnostics("membership/during", &mdiag);
-    json.push_extra("membership_throughput_steady", s_tput);
-    json.push_extra("membership_throughput_during", d_tput);
-    json.push_extra("membership_throughput_ratio", d_tput / s_tput);
-    json.push_extra("join_ms", join_ms);
-    json.push_extra("drain_ms", drain_ms);
-    json.push_extra("membership_cycles", joins.len() as f64);
-
-    json.wall_seconds = wall.elapsed().as_secs_f64();
-    json.write();
+    ledger.row(
+        miters,
+        [
+            quiet("join_ms", Kind::Host, join_ms),
+            quiet("drain_ms", Kind::Host, drain_ms),
+            quiet("membership_cycles", Kind::Host, joins.len() as f64),
+            quiet("wall_s", Kind::Host, wall.elapsed().as_secs_f64()),
+        ],
+    );
+    ledger.write();
 }

@@ -7,15 +7,18 @@
 //! 100 %. The Start phase here posts the lock CAS and fetch of every
 //! remote stock record and waits once, so the far end of the curve is
 //! flatter than the paper's, whose prototype pays a round trip per
-//! record: 64 % at 100 % (EXPERIMENTS.md, Figure 16).
+//! record (ledger row `slowdown_100pct_pct`; EXPERIMENTS.md, Figure 16).
 
+use drtm_bench::ledger::{cell, quiet, text, tput, Kind, Ledger};
 use drtm_bench::runners::tpcc_run_new_order;
-use drtm_bench::{banner, mops, row, scaled};
+use drtm_bench::{banner, row, scaled};
 use drtm_workloads::tpcc::TpccConfig;
 
 fn main() {
     banner("fig16", "new-order throughput vs cross-warehouse probability");
-    let iters = scaled(220, 40);
+    let wall = std::time::Instant::now();
+    let mut ledger = Ledger::new("fig16_cross_warehouse");
+    let iters = scaled(440, 40);
     let warmup = iters / 5;
     row(&["cross %".into(), "new-order tput".into(), "slowdown".into()]);
     let mut base = 0.0;
@@ -33,18 +36,32 @@ fn main() {
             ..Default::default()
         };
         let (rep, _t) = tpcc_run_new_order(cfg, iters, warmup);
-        let tput = rep.throughput_of("new_order");
+        let rate = rep.throughput_of("new_order");
         if pct == 1 {
-            base = tput;
+            base = rate;
         }
         if pct == 5 {
-            at5 = tput;
+            at5 = rate;
         }
         if pct == 100 {
-            at100 = tput;
+            at100 = rate;
         }
-        let slow = if base > 0.0 { 100.0 * (1.0 - tput / base) } else { 0.0 };
-        row(&[format!("{pct}%"), mops(tput), format!("{slow:.1}%")]);
+        let slow = if base > 0.0 { 100.0 * (1.0 - rate / base) } else { 0.0 };
+        // The paper quotes two points of the curve: ~15 % at 5 %, ~85 % at 100 %.
+        let paper = match pct {
+            5 => Some(15.0),
+            100 => Some(85.0),
+            _ => None,
+        };
+        ledger.row(
+            iters,
+            [
+                text(format!("{pct}%")),
+                tput(format!("new_order_{pct}pct_mops"), rate),
+                cell(format!("slowdown_{pct}pct_pct"), Kind::Virtual, slow, format!("{slow:.1}%"))
+                    .paper(paper),
+            ],
+        );
     }
     let slow5 = 1.0 - at5 / base;
     let slow100 = 1.0 - at100 / base;
@@ -56,4 +73,6 @@ fn main() {
     assert!(slow5 < 0.45, "moderate slowdown at 5% cross-warehouse");
     assert!(slow100 > 0.3, "marked slowdown when everything is distributed");
     assert!(slow100 > slow5, "slowdown must grow with distribution");
+    ledger.row(iters, [quiet("wall_s", Kind::Host, wall.elapsed().as_secs_f64())]);
+    ledger.write();
 }

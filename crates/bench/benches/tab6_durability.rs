@@ -9,20 +9,23 @@
 //! The run ends with the durability payoff: a SmallBank segment in which
 //! one machine really crashes mid-protocol (fault-plan armed, logging
 //! on), a survivor replays its NVRAM log, and the books still balance.
-//! The measured recovery time lands in `BENCH_tab6_durability.json`
-//! under `extra.recovery_ms`.
+//! The measured recovery time is the ledger's `recovery_ms` row.
 
-use drtm_bench::report::{causes_of, rdma_ops_per_txn, BenchReport};
+use drtm_bench::ledger::{cell, quiet, text, tput, Kind, Ledger};
 use drtm_bench::runners::{calvin_run, tpcc_run_with};
-use drtm_bench::{banner, diagnostics, f, mops, row, scaled};
+use drtm_bench::{banner, diagnostics, f, mops, row, scaled, stats_cells};
 use drtm_calvin::{Calvin, CalvinConfig};
 use drtm_core::{recover_node, CrashPoint, DrTmConfig, TxnError};
+use drtm_htm::vtime;
+use drtm_workloads::driver::{self, Report, WorkerRun};
 use drtm_workloads::smallbank::{SmallBank, SmallBankConfig};
 use drtm_workloads::tpcc::TpccConfig;
 
 fn main() {
     banner("tab6", "impact of durability on TPC-C (6 machines, 8 workers)");
-    let iters = scaled(220, 40);
+    let wall = std::time::Instant::now();
+    let mut ledger = Ledger::new("tab6_durability");
+    let iters = scaled(660, 40);
     let warmup = iters / 5;
     row(&[
         "logging".into(),
@@ -33,7 +36,7 @@ fn main() {
         "p90 µs".into(),
         "p99 µs".into(),
     ]);
-    let mut tput = [0.0f64; 2];
+    let mut rates = [0.0f64; 2];
     for (i, logging) in [false, true].into_iter().enumerate() {
         let mut cfg = TpccConfig {
             nodes: 6,
@@ -46,26 +49,35 @@ fn main() {
         };
         cfg.drtm.logging = logging;
         let (rep, diag) = tpcc_run_with(cfg, iters, warmup);
-        tput[i] = rep.throughput_of("new_order");
+        rates[i] = rep.throughput_of("new_order");
         let htm = diag.htm;
         let commits = htm.commits.max(1) as f64;
         let cap_pct = 100.0 * htm.capacity_aborts as f64 / commits;
         let fb_pct = 100.0 * htm.fallbacks as f64 / commits;
         let lat = rep.latency_percentiles_us(Some("new_order"), &[0.5, 0.9, 0.99]);
-        row(&[
-            if logging { "on" } else { "off" }.into(),
-            mops(tput[i]),
-            format!("{cap_pct:.2}"),
-            format!("{fb_pct:.2}"),
-            f(lat[0]),
-            f(lat[1]),
-            f(lat[2]),
-        ]);
-        diagnostics(if logging { "logging on" } else { "logging off" }, &diag);
+        let on = if logging { "on" } else { "off" };
+        let pct = |name: &str, x: f64| {
+            cell(format!("{name}_pct_logging_{on}"), Kind::Count, x, format!("{x:.2}"))
+        };
+        let lat_us = |q: &str, x: f64| cell(format!("{q}_us_logging_{on}"), Kind::Virtual, x, f(x));
+        ledger.row(
+            iters,
+            [
+                text(on),
+                tput(format!("new_order_logging_{on}_mops"), rates[i]),
+                pct("cap_abort", cap_pct),
+                pct("fallback", fb_pct),
+                lat_us("p50", lat[0]),
+                lat_us("p90", lat[1]),
+                lat_us("p99", lat[2]),
+            ],
+        );
+        diagnostics(&format!("logging {on}"), &diag);
     }
-    let loss = 100.0 * (1.0 - tput[1] / tput[0]);
+    let loss = 100.0 * (1.0 - rates[1] / rates[0]);
     println!("throughput loss from logging: {loss:.1}% (paper: 11.6%)");
-    assert!(tput[1] < tput[0], "logging must cost throughput");
+    ledger.row(iters, [quiet("logging_loss_pct", Kind::Virtual, loss).paper(11.6)]);
+    assert!(rates[1] < rates[0], "logging must cost throughput");
     assert!(loss < 60.0, "logging cost must stay moderate");
 
     // Calvin latency reference (paper Table 6 note: 6.04/15.84/60.54 ms).
@@ -88,6 +100,13 @@ fn main() {
         pick(0.99)
     );
     assert!(pick(0.5) > 1.0, "Calvin latency must be ms-scale");
+    let calvin_ms = |q: &str, at: f64, paper: f64| {
+        quiet(format!("calvin_{q}_ms"), Kind::Virtual, pick(at)).paper(paper)
+    };
+    ledger.row(
+        4,
+        [calvin_ms("p50", 0.5, 6.04), calvin_ms("p90", 0.9, 15.84), calvin_ms("p99", 0.99, 60.54)],
+    );
 
     // ------------------------------------------------------------------
     // Crash + recovery: what the log actually buys (§4.6, Figure 7).
@@ -111,8 +130,12 @@ fn main() {
     let rounds = scaled(2_000, 60);
     let half = rounds / 2;
     let mut workers: Vec<_> = (0..3u16).map(|n| sb.worker(n, 0)).collect();
+    // Measured like `driver::run` measures: each worker's committed
+    // transactions over the virtual time its attempts cost, the failed
+    // ones (a peer found dead) included.
+    let mut runs: Vec<WorkerRun> =
+        (0..3u16).map(|node| WorkerRun { node, samples: Vec::new(), vtime_ns: 0 }).collect();
     let mut node2_dead = false;
-    let t0 = std::time::Instant::now();
     for i in 0..rounds {
         if i == half {
             // Die *mid-protocol*: after the next HTM commit on machine 2,
@@ -123,13 +146,14 @@ fn main() {
             if n == 2 && node2_dead {
                 continue;
             }
-            let r = match i % 3 {
+            let (r, spent) = vtime::measure(|| match i % 3 {
                 0 => w.try_send_payment(),
                 1 => w.try_amalgamate(),
                 _ => w.try_balance(),
-            };
+            });
+            runs[n].vtime_ns += spent;
             match r {
-                Ok(()) => {}
+                Ok(()) => runs[n].samples.push(("smallbank", spent)),
                 Err(TxnError::SimulatedCrash) => node2_dead = true,
                 Err(TxnError::PeerDead(_)) => {}
                 Err(e) => panic!("chaos segment: unexpected failure {e:?}"),
@@ -146,7 +170,6 @@ fn main() {
             w.worker_mut().flush_pending().expect("peer is back");
         }
     }
-    let wall = t0.elapsed().as_secs_f64();
     assert_eq!(sb.total_balance(), expected, "conservation after crash + recovery");
     let diag = sb.sys.stats_report().since(&before);
     println!(
@@ -158,6 +181,19 @@ fn main() {
         rec.rolled_back_txns,
         diag.txn.peer_dead_aborts
     );
+    let crash_run = Report { workers: runs, os_threads: 1 };
+    ledger.row(
+        rounds,
+        [
+            quiet("crash_run_mops", Kind::Virtual, crash_run.throughput() / 1e6),
+            quiet("recovery_ms", Kind::Host, recovery_ms),
+            quiet("recovered_redone_txns", Kind::Count, rec.redone_txns as f64),
+            quiet("recovered_redone_updates", Kind::Count, rec.redone_updates as f64),
+            quiet("recovered_released_locks", Kind::Count, rec.released_locks as f64),
+            quiet("peer_dead_aborts", Kind::Count, diag.txn.peer_dead_aborts as f64),
+        ],
+    );
+    ledger.row(rounds, stats_cells(&diag));
 
     // ------------------------------------------------------------------
     // Durable-free read-only transactions: with logging on, an RO scan
@@ -173,22 +209,22 @@ fn main() {
         let sb = SmallBank::build(SmallBankConfig {
             nodes: 3,
             workers: 1,
-            accounts_per_node: 2_000,
+            accounts_per_node: 50_000,
+            hot_prob: 0.0,
             dist_prob: 0.5,
             drtm: DrTmConfig { logging, ..Default::default() },
             ..Default::default()
         });
-        let mut ws: Vec<_> = (0..3u16).map(|n| sb.worker(n, 0)).collect();
-        let before = sb.sys.stats_report();
-        let t0 = std::time::Instant::now();
-        for _ in 0..ro_iters {
-            for w in ws.iter_mut() {
+        let balance = |node, wid| {
+            let mut w = sb.worker(node, wid);
+            move |_| {
                 w.try_balance().expect("no peer dies in the RO segment");
+                "balance"
             }
-        }
-        let ro_wall = t0.elapsed().as_secs_f64();
-        let d = sb.sys.stats_report().since(&before);
-        ro_tput[i] = (3 * ro_iters) as f64 / ro_wall.max(1e-9);
+        };
+        let (rep, d) =
+            driver::diagnosed(&sb.sys, || driver::run(3, 1, ro_iters, balance, ro_iters / 5));
+        ro_tput[i] = rep.throughput();
         if logging {
             ro_log_bytes = d.txn.log_bytes;
             assert_eq!(d.txn.log_writes, 0, "read-only path must write no log records");
@@ -202,23 +238,23 @@ fn main() {
             d.txn.log_bytes
         );
     }
-    assert!(
-        ro_tput[1] > 0.2 * ro_tput[0],
-        "durable-free RO throughput must not collapse when logging is enabled"
+    ledger.row(
+        ro_iters,
+        [
+            quiet("ro_logging_off_mops", Kind::Virtual, ro_tput[0] / 1e6),
+            quiet("ro_logging_on_mops", Kind::Virtual, ro_tput[1] / 1e6),
+            quiet("ro_log_bytes", Kind::Count, ro_log_bytes as f64),
+            quiet("wall_s", Kind::Host, wall.elapsed().as_secs_f64()),
+        ],
     );
-
-    let mut out =
-        BenchReport::new("tab6_durability", wall, diag.txn.committed as f64 / wall.max(1e-9));
-    out.aborts_per_cause = causes_of(&diag);
-    out.rdma_ops_per_txn = rdma_ops_per_txn(&diag);
-    out.push_extra("logging_loss_pct", loss);
-    out.push_extra("recovery_ms", recovery_ms);
-    out.push_extra("recovered_redone_txns", rec.redone_txns as f64);
-    out.push_extra("recovered_redone_updates", rec.redone_updates as f64);
-    out.push_extra("recovered_released_locks", rec.released_locks as f64);
-    out.push_extra("peer_dead_aborts", diag.txn.peer_dead_aborts as f64);
-    out.push_extra("ro_throughput_logging_off", ro_tput[0]);
-    out.push_extra("ro_throughput_logging_on", ro_tput[1]);
-    out.push_extra("ro_log_bytes", ro_log_bytes as f64);
-    out.write();
+    // Zero log bytes must mean zero virtual cost: logging on may differ
+    // from logging off by no more than two runs of one leg differ.
+    let band = ledger.band("ro_logging_on_mops").expect("the committed ledger gates this row");
+    assert!(
+        (ro_tput[1] - ro_tput[0]).abs() <= band * ro_tput[0],
+        "durable-free RO throughput moved with logging on: {} vs {} (band {band})",
+        ro_tput[1],
+        ro_tput[0]
+    );
+    ledger.write();
 }

@@ -14,7 +14,7 @@
 pub mod cuckoo;
 pub mod hopscotch;
 pub mod kv;
-pub mod report;
+pub mod ledger;
 pub mod runners;
 
 /// Global effort multiplier from `DRTM_SCALE`.
@@ -64,6 +64,20 @@ pub fn diagnostics(label: &str, report: &drtm_core::StatsReport) {
     for line in report.to_string().lines() {
         println!("  {line}");
     }
+}
+
+/// The same report as ledger cells no table shows: RDMA verbs per
+/// committed transaction and every abort cause — zeros included, so the
+/// set of rows does not depend on which causes happened to fire.
+pub fn stats_cells(diag: &drtm_core::StatsReport) -> Vec<ledger::Cell> {
+    use ledger::{quiet, Kind};
+    let verbs = diag.rdma.reads + diag.rdma.writes + diag.rdma.cas + diag.rdma.sends;
+    let per_txn = verbs as f64 / diag.txn.committed.max(1) as f64;
+    let causes = drtm_core::CAUSE_NAMES
+        .iter()
+        .zip(diag.causes.counts)
+        .map(|(name, n)| quiet(format!("aborts_{name}"), Kind::Count, n as f64));
+    std::iter::once(quiet("rdma_ops_per_txn", Kind::Count, per_txn)).chain(causes).collect()
 }
 
 #[cfg(test)]
