@@ -19,6 +19,15 @@
 # outcomes counted in htm/src/{exec,stats}.rs and core/src/txn.rs only,
 # service threads spawned in rdma/src/rpc.rs and the two clocks only,
 # and none of the deleted request/reply twins by name
+# plus a `git grep` gate that keeps failure state written once (DESIGN.md
+# §8 "Failure model"): the fabric's FaultPlan owns dead / retired / armed
+# crash sites, so none of the deleted second copies by name — the
+# worker-local crash point, the detector's own kill/revive and its
+# registration with the membership coordinator — and one monitor thread
+# in core/src/failure.rs; and the deleted criterion micro bench, whose
+# rows are `*.probe.*_host_ns` metrics of the repo benchmark
+# plus `cargo run --release --example crash_recovery`, which must end in
+# `all crash/recovery scenarios passed`
 # plus `cargo run --release --example abort_diagnosis`, whose StatsReport
 # block must show every layer counting (txns, htm, rdma, a phase line
 # with record ops, a non-empty abort-cause list)
@@ -111,6 +120,24 @@ if git grep -n --untracked 'try_remote_scan\|StoreServiceGuard\|ScanServiceGuard
   echo "a deleted request/reply twin is back: use drtm_rdma::rpc::{call, serve}" >&2
   exit 1
 fi
+
+echo "== written once: the fault plan owns who is dead and where a crash fires =="
+# A liveness bit or a crash knob beside drtm_rdma::FaultPlan has forked
+# DESIGN.md §8 "Failure model"; a second thread in failure.rs is a
+# beater with state of its own again.
+if git grep -n --untracked -e '\bcrash_point\b' -e 'set_crash_point' -e 'set_detector' \
+  -e 'start_with_capacity' -e 'fd\.kill' -e 'fd\.revive' -e 'primitives_criterion' \
+  -- crates tests examples; then
+  echo "a deleted second copy of failure state (or the criterion bench) is back" >&2
+  exit 1
+fi
+[ "$(git grep -c --untracked 'thread::Builder' -- crates/core/src/failure.rs | cut -d: -f2)" = 1 ] \
+  || { echo "crates/core/src/failure.rs must spawn exactly one thread (the monitor)" >&2; exit 1; }
+
+echo "== example: crash_recovery arms the fault plan and recovers every scenario =="
+[ "$(cargo run -q --release --example crash_recovery | tail -n 1)" \
+  = 'all crash/recovery scenarios passed' ] \
+  || { echo "crash_recovery did not reach its last line" >&2; exit 1; }
 
 echo "== style: rustfmt =="
 cargo fmt --all -- --check

@@ -19,11 +19,11 @@ pub enum SofttimeStrategy {
 
 /// Simulated crash points for durability tests (§4.6 / Figure 7).
 ///
-/// Each variant names one precise step of the commit protocol; the
-/// chaos harness kills a node the instant its worker reaches that step,
-/// either via `DrTmConfig::crash_point` (this worker only, node stays
-/// "alive" to the fabric) or via an armed `FaultPlan` crash site keyed
-/// by [`CrashPoint::name`] (the whole node drops off the fabric).
+/// Each variant names one precise step of the commit protocol. Arming
+/// the fabric's `FaultPlan` with a machine and the step's
+/// [`CrashPoint::name`] drops the whole machine off the fabric the
+/// instant one of its workers reaches that step: machines are fail-stop
+/// (§4.6), there is no worker-only crash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
     /// Crash right after the lock-ahead log record is persisted, before
@@ -190,8 +190,6 @@ pub struct DrTmConfig {
     /// Capacity of each worker's abort-trace ring buffer (the most
     /// recent events kept for [`crate::TraceDump`]).
     pub trace_capacity: usize,
-    /// Test hook: simulate a crash of this worker at the given point.
-    pub crash_point: Option<CrashPoint>,
 }
 
 impl Default for DrTmConfig {
@@ -206,7 +204,6 @@ impl Default for DrTmConfig {
             logging: false,
             nvram_write_ns: 2_000,
             trace_capacity: 256,
-            crash_point: None,
         }
     }
 }
@@ -222,7 +219,6 @@ mod tests {
         assert!(c.delta_us <= c.lease_us / 10, "delta must be small vs lease");
         assert_eq!(c.softtime, SofttimeStrategy::ReuseStart);
         assert!(!c.logging);
-        assert!(c.crash_point.is_none());
     }
 
     #[test]

@@ -2,242 +2,115 @@
 //!
 //! DrTM delegates failure detection to an external coordination service:
 //! every machine maintains a heartbeat, and when one stops, the service
-//! notifies the surviving machines to run recovery against the crashed
-//! machine's NVRAM logs. This module is that service's stand-in: a
-//! heartbeat table, per-machine beater threads, a monitor thread, and a
-//! user-supplied recovery callback invoked with `(crashed, survivor)`.
+//! notifies a surviving machine to run recovery against the crashed
+//! machine's NVRAM logs. This module is that service's stand-in: one
+//! monitor thread and a user-supplied recovery callback invoked with
+//! `(crashed, survivor)`.
 //!
-//! The coordination channel is deliberately *not* the RDMA fabric — the
-//! paper runs Zookeeper over a separate 10 GbE network — so heartbeats
-//! here are plain shared-memory timestamps, independent of region state.
-//!
-//! Cluster membership composes with detection: slots up to a capacity
-//! are pre-allocated, [`FailureDetector::add_node`] arms the heartbeat
-//! of a machine joined after `start`, and [`FailureDetector::retire`]
-//! excludes a gracefully departed machine from both suspicion and
-//! survivor selection — a retired machine is *supposed* to stop
-//! heartbeating, and must never be handed out as the recovery driver.
+//! The detector owns no liveness. Who is dead and who has left is the
+//! fabric's [`drtm_rdma::FaultPlan`] — the one place a test, a harness
+//! or an armed crash site says so — and a machine's heart beats exactly
+//! while the plan calls it alive, so the timeout models the service's
+//! detection delay and cannot raise a false suspicion. Reading the plan
+//! is not fabric traffic (no verb, no virtual time): the paper runs
+//! Zookeeper over a separate 10 GbE network.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-use drtm_rdma::NodeId;
+use drtm_rdma::{Cluster, NodeId};
 
 use crate::time::wall_now_us;
 
-struct FdInner {
-    /// Last heartbeat per slot (µs since epoch); only `active` slots
-    /// are live.
-    beats: Vec<AtomicU64>,
-    /// Machines administratively killed (simulated crash).
-    killed: Vec<AtomicBool>,
-    /// Machines already reported to the callback.
-    reported: Vec<AtomicBool>,
-    /// Machines gracefully retired: no suspicion, never a survivor.
-    retired: Vec<AtomicBool>,
-    /// Count of provisioned machines (slots `0..active` heartbeat).
-    active: AtomicUsize,
-    stop: AtomicBool,
-}
-
 /// The heartbeat-based failure detector.
 ///
-/// Dropping the handle stops all of its threads.
+/// Dropping the handle stops its thread.
+#[derive(Debug)]
 pub struct FailureDetector {
-    inner: Arc<FdInner>,
-    /// Serialises concurrent `add_node` calls.
-    grow: Mutex<()>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for FailureDetector {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FailureDetector")
-            .field("nodes", &self.inner.active.load(Ordering::Relaxed))
-            .field("capacity", &self.inner.beats.len())
-            .finish()
-    }
+    /// Machines reported to the callback and not seen alive since; one
+    /// slot per machine the fabric can ever hold.
+    reported: Arc<Vec<AtomicBool>>,
+    stop: Arc<AtomicBool>,
+    monitor: Option<std::thread::JoinHandle<()>>,
 }
 
 impl FailureDetector {
-    /// Starts beater threads for `nodes` machines and a monitor that
-    /// calls `on_failure(crashed, survivor)` once per detected crash.
-    /// Fixed geometry: capacity equals `nodes`.
+    /// Starts the monitor over `cluster`. Every `heartbeat` it stamps
+    /// each provisioned machine the fault plan calls alive, then
+    /// suspects a crashed, non-retired machine whose stamp is older than
+    /// `timeout` and calls `on_failure(crashed, survivor)` once, the
+    /// survivor being the lowest-numbered alive machine (the paper lets
+    /// Zookeeper pick any).
     ///
-    /// A machine is suspected after `timeout` without a heartbeat; the
-    /// survivor passed to the callback is the lowest-numbered live,
-    /// non-retired machine (the paper lets Zookeeper pick any survivor).
+    /// The monitor walks `0..cluster.num_nodes()` afresh each period, so
+    /// a machine joined later is covered with no registration, and a
+    /// gracefully retired one — which is *supposed* to go quiet — is
+    /// neither suspected nor handed out as the recovery driver. Stamping
+    /// a machine clears its suspicion and re-arms its report: one that
+    /// restarts and crashes *again* is reported again, provided the
+    /// restart lasted a period, as with any heartbeat service.
     ///
-    /// With fewer than two machines there can never be a survivor to
-    /// drive recovery, so the detector degenerates to a no-op: no
-    /// threads, `kill`/`revive` accepted but never reported.
+    /// A fabric with room for fewer than two machines can never have a
+    /// survivor to drive recovery: no thread, nothing ever reported.
     pub fn start(
-        nodes: usize,
-        heartbeat: Duration,
-        timeout: Duration,
-        on_failure: impl Fn(NodeId, NodeId) + Send + 'static,
-    ) -> FailureDetector {
-        Self::start_with_capacity(nodes, nodes, heartbeat, timeout, on_failure)
-    }
-
-    /// [`FailureDetector::start`] with room to grow: `max_nodes` slots
-    /// are allocated up front, `nodes` of them heartbeat immediately,
-    /// and machines joined later get their slot via
-    /// [`FailureDetector::add_node`]. The no-op degeneration applies to
-    /// the *capacity*: a 1-node cluster that can grow still runs its
-    /// monitor.
-    pub fn start_with_capacity(
-        nodes: usize,
-        max_nodes: usize,
+        cluster: Arc<Cluster>,
         heartbeat: Duration,
         timeout: Duration,
         on_failure: impl Fn(NodeId, NodeId) + Send + 'static,
     ) -> FailureDetector {
         assert!(timeout > heartbeat, "timeout must exceed the heartbeat period");
-        let cap = max_nodes.max(nodes);
-        if cap < 2 {
-            let inner = Arc::new(FdInner {
-                beats: (0..cap).map(|_| AtomicU64::new(u64::MAX)).collect(),
-                killed: (0..cap).map(|_| AtomicBool::new(false)).collect(),
-                reported: (0..cap).map(|_| AtomicBool::new(false)).collect(),
-                retired: (0..cap).map(|_| AtomicBool::new(false)).collect(),
-                active: AtomicUsize::new(nodes),
-                stop: AtomicBool::new(true),
-            });
-            return FailureDetector { inner, grow: Mutex::new(()), threads: Vec::new() };
-        }
-        let now = wall_now_us();
-        let inner = Arc::new(FdInner {
-            beats: (0..cap).map(|_| AtomicU64::new(now)).collect(),
-            killed: (0..cap).map(|_| AtomicBool::new(false)).collect(),
-            reported: (0..cap).map(|_| AtomicBool::new(false)).collect(),
-            retired: (0..cap).map(|_| AtomicBool::new(false)).collect(),
-            active: AtomicUsize::new(nodes),
-            stop: AtomicBool::new(false),
+        let cap = cluster.max_nodes();
+        let reported: Arc<Vec<_>> = Arc::new((0..cap).map(|_| AtomicBool::new(false)).collect());
+        let stop = Arc::new(AtomicBool::new(false));
+        let (reported2, stop2) = (reported.clone(), stop.clone());
+        let watch = move || {
+            // When each machine was last seen alive (µs). A slot not yet
+            // provisioned keeps the start time: a joiner is stamped
+            // before it is first checked.
+            let mut stamps = vec![wall_now_us(); cap];
+            let faults = cluster.faults();
+            let retired = |m: usize| faults.is_retired(m as NodeId);
+            let crashed = |m: usize| faults.is_crashed(m as NodeId);
+            let alive = |m: usize| !crashed(m) && !retired(m);
+            // Neither flag publishes anything but itself: Relaxed.
+            while !stop2.load(Ordering::Relaxed) {
+                let now = wall_now_us();
+                let nodes = cluster.num_nodes();
+                let mut survivor = None;
+                for m in (0..nodes).filter(|&m| alive(m)) {
+                    stamps[m] = now;
+                    reported2[m].store(false, Ordering::Relaxed);
+                    survivor.get_or_insert(m);
+                }
+                for m in (0..nodes).filter(|&m| crashed(m) && !retired(m)) {
+                    let late = now.saturating_sub(stamps[m]) > timeout.as_micros() as u64;
+                    if late && !reported2[m].swap(true, Ordering::Relaxed) {
+                        if let Some(s) = survivor {
+                            on_failure(m as NodeId, s as NodeId);
+                        }
+                    }
+                }
+                std::thread::sleep(heartbeat);
+            }
+        };
+        let monitor = (cap >= 2).then(|| {
+            let named = std::thread::Builder::new().name("drtm-failure-monitor".into());
+            named.spawn(watch).expect("spawn monitor")
         });
-        let mut threads = Vec::new();
-        for n in 0..cap {
-            let inner = inner.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("drtm-heartbeat-{n}"))
-                    .spawn(move || {
-                        while !inner.stop.load(Ordering::Relaxed) {
-                            // A slot beats once provisioned, unless its
-                            // machine is killed or gracefully retired.
-                            if n < inner.active.load(Ordering::Acquire)
-                                && !inner.killed[n].load(Ordering::Relaxed)
-                                && !inner.retired[n].load(Ordering::Relaxed)
-                            {
-                                inner.beats[n].store(wall_now_us(), Ordering::Relaxed);
-                            }
-                            std::thread::sleep(heartbeat);
-                        }
-                    })
-                    .expect("spawn beater"),
-            );
-        }
-        {
-            let inner = inner.clone();
-            let timeout_us = timeout.as_micros() as u64;
-            threads.push(
-                std::thread::Builder::new()
-                    .name("drtm-failure-monitor".into())
-                    .spawn(move || {
-                        while !inner.stop.load(Ordering::Relaxed) {
-                            let now = wall_now_us();
-                            let active = inner.active.load(Ordering::Acquire);
-                            let survivor = (0..active).find(|&m| {
-                                !inner.retired[m].load(Ordering::Relaxed)
-                                    && now.saturating_sub(inner.beats[m].load(Ordering::Relaxed))
-                                        <= timeout_us
-                            });
-                            for n in 0..active {
-                                if inner.retired[n].load(Ordering::Relaxed) {
-                                    continue; // a drained machine going quiet is not a crash
-                                }
-                                let late = now
-                                    .saturating_sub(inner.beats[n].load(Ordering::Relaxed))
-                                    > timeout_us;
-                                if late && !inner.reported[n].swap(true, Ordering::Relaxed) {
-                                    if let Some(s) = survivor {
-                                        if s != n {
-                                            on_failure(n as NodeId, s as NodeId);
-                                        }
-                                    }
-                                }
-                            }
-                            std::thread::sleep(heartbeat);
-                        }
-                    })
-                    .expect("spawn monitor"),
-            );
-        }
-        FailureDetector { inner, grow: Mutex::new(()), threads }
+        FailureDetector { reported, stop, monitor }
     }
 
-    /// Arms the heartbeat slot of the next joined machine and returns
-    /// its id, or `None` at capacity. The slot beats from "now", so a
-    /// freshly joined machine starts with zero suspicion debt.
-    pub fn add_node(&self) -> Option<NodeId> {
-        let _g = self.grow.lock().expect("detector grow lock poisoned");
-        let id = self.inner.active.load(Ordering::Acquire);
-        if id >= self.inner.beats.len() {
-            return None;
-        }
-        // Beat first, then publish: the monitor must never see an
-        // active slot with a stale timestamp.
-        self.inner.beats[id].store(wall_now_us(), Ordering::Relaxed);
-        self.inner.killed[id].store(false, Ordering::Relaxed);
-        self.inner.reported[id].store(false, Ordering::Relaxed);
-        self.inner.active.store(id + 1, Ordering::Release);
-        Some(id as NodeId)
-    }
-
-    /// Simulates a crash: machine `node` stops heartbeating. Unknown
-    /// machines are ignored (a no-op detector tracks none).
-    pub fn kill(&self, node: NodeId) {
-        if let Some(k) = self.inner.killed.get(node as usize) {
-            k.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// Simulates a restart: heartbeats resume and suspicion clears.
-    /// Re-arms `reported`, so the same machine crashing *again* later
-    /// is detected again.
-    pub fn revive(&self, node: NodeId) {
-        if (node as usize) < self.inner.killed.len() {
-            self.inner.killed[node as usize].store(false, Ordering::Relaxed);
-            self.inner.beats[node as usize].store(wall_now_us(), Ordering::Relaxed);
-            self.inner.reported[node as usize].store(false, Ordering::Relaxed);
-        }
-    }
-
-    /// Marks `node` gracefully retired: its heartbeat stops, but it is
-    /// excluded from suspicion (no callback fires for it) and from
-    /// survivor selection. Sticky, matching the fabric's retirement.
-    pub fn retire(&self, node: NodeId) {
-        if let Some(r) = self.inner.retired.get(node as usize) {
-            r.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// Whether `node` is retired from the detector's point of view.
-    pub fn is_retired(&self, node: NodeId) -> bool {
-        self.inner.retired.get(node as usize).is_some_and(|r| r.load(Ordering::Relaxed))
-    }
-
-    /// True if `node` has been reported crashed.
+    /// True if `node` has been reported crashed and not seen alive since.
     pub fn is_suspected(&self, node: NodeId) -> bool {
-        self.inner.reported.get(node as usize).is_some_and(|r| r.load(Ordering::Relaxed))
+        self.reported.get(node as usize).is_some_and(|r| r.load(Ordering::Relaxed))
     }
 }
 
 impl Drop for FailureDetector {
     fn drop(&mut self) {
-        self.inner.stop.store(true, Ordering::Relaxed);
-        for t in self.threads.drain(..) {
+        self.stop.store(true, Ordering::Relaxed);
+        if let Some(t) = self.monitor.take() {
             let _ = t.join();
         }
     }
@@ -246,23 +119,57 @@ impl Drop for FailureDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drtm_rdma::{ClusterConfig, LatencyProfile};
     use std::sync::mpsc;
+    use std::time::Instant;
 
-    #[test]
-    fn detects_a_killed_node_and_names_a_survivor() {
+    const PERIOD: Duration = Duration::from_millis(5);
+
+    /// A fabric of `nodes` machines with room for `max_nodes`, and a
+    /// detector over it that sends every report down the channel.
+    fn watched(
+        nodes: usize,
+        max_nodes: usize,
+        timeout_ms: u64,
+    ) -> (Arc<Cluster>, FailureDetector, mpsc::Receiver<(NodeId, NodeId)>) {
+        let cluster = Cluster::new(ClusterConfig {
+            nodes,
+            max_nodes,
+            region_size: 4096,
+            profile: LatencyProfile::zero(),
+            ..Default::default()
+        });
         let (tx, rx) = mpsc::channel();
         let fd = FailureDetector::start(
-            3,
-            Duration::from_millis(5),
-            Duration::from_millis(400),
+            cluster.clone(),
+            PERIOD,
+            Duration::from_millis(timeout_ms),
             move |crashed, survivor| {
                 let _ = tx.send((crashed, survivor));
             },
         );
-        fd.kill(1);
+        (cluster, fd, rx)
+    }
+
+    /// Waits (bounded) until the monitor has seen `node` alive again.
+    fn await_cleared(fd: &FailureDetector, node: NodeId) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while fd.is_suspected(node) {
+            assert!(Instant::now() < deadline, "suspicion of {node} never cleared");
+            std::thread::sleep(PERIOD);
+        }
+    }
+
+    #[test]
+    fn an_armed_crash_site_is_detected_and_a_survivor_named() {
+        let (cluster, fd, rx) = watched(3, 3, 400);
+        // The test only arms; the "protocol" reaching the site is what
+        // kills the machine, and nobody tells the detector.
+        cluster.faults().arm_crash(1, "some-site");
+        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err(), "armed is not dead");
+        assert!(cluster.faults().crash_hook(1, "some-site"));
         let (crashed, survivor) = rx.recv_timeout(Duration::from_secs(10)).expect("detection");
-        assert_eq!(crashed, 1);
-        assert_ne!(survivor, 1);
+        assert_eq!((crashed, survivor), (1, 0));
         assert!(fd.is_suspected(1));
         assert!(!fd.is_suspected(0));
         // Exactly one report per crash.
@@ -271,127 +178,73 @@ mod tests {
 
     #[test]
     fn healthy_cluster_reports_nothing() {
-        let (tx, rx) = mpsc::channel::<(NodeId, NodeId)>();
-        let _fd = FailureDetector::start(
-            2,
-            Duration::from_millis(5),
-            Duration::from_millis(500),
-            move |c, s| {
-                let _ = tx.send((c, s));
-            },
-        );
+        let (_cluster, _fd, rx) = watched(2, 2, 500);
         assert!(rx.recv_timeout(Duration::from_millis(300)).is_err());
     }
 
     #[test]
-    fn single_node_detector_is_a_quiet_noop() {
-        // Regression: this used to panic ("failure detection needs a
-        // survivor"); a 1-node cluster has nobody to recover from, so
+    fn capacity_one_fabric_spawns_no_thread() {
+        // A 1-node cluster that cannot grow has nobody to recover from:
         // the detector must simply never report.
-        let (tx, rx) = mpsc::channel::<(NodeId, NodeId)>();
-        let fd = FailureDetector::start(
-            1,
-            Duration::from_millis(5),
-            Duration::from_millis(50),
-            move |c, s| {
-                let _ = tx.send((c, s));
-            },
-        );
-        fd.kill(0);
-        fd.kill(7); // out of range: ignored, not a panic
-        assert!(!fd.is_suspected(0));
-        assert!(!fd.is_suspected(7));
-        fd.revive(0);
-        fd.revive(7);
+        let (cluster, fd, rx) = watched(1, 1, 50);
+        assert!(fd.monitor.is_none());
+        cluster.faults().kill(0);
         assert!(rx.recv_timeout(Duration::from_millis(150)).is_err());
+        assert!(!fd.is_suspected(0));
+        assert!(!fd.is_suspected(7), "out of range: not suspected, not a panic");
     }
 
     #[test]
-    fn revive_clears_suspicion() {
-        let (tx, rx) = mpsc::channel();
-        // Generous timeout: on a loaded host the beater thread can starve
-        // for tens of milliseconds, which must not re-trigger suspicion.
-        let fd = FailureDetector::start(
-            2,
-            Duration::from_millis(5),
-            Duration::from_millis(600),
-            move |c, s| {
-                let _ = tx.send((c, s));
-            },
-        );
-        fd.kill(1);
-        rx.recv_timeout(Duration::from_secs(10)).expect("first detection");
-        fd.revive(1);
+    fn a_machine_revived_within_the_timeout_is_never_reported() {
+        let (cluster, fd, rx) = watched(2, 2, 600);
+        cluster.faults().kill(1);
         std::thread::sleep(Duration::from_millis(50));
-        assert!(!fd.is_suspected(1), "revived node is no longer suspected");
+        cluster.faults().revive(1);
+        assert!(rx.recv_timeout(Duration::from_millis(800)).is_err(), "a blip is not a crash");
+        assert!(!fd.is_suspected(1));
     }
 
     #[test]
-    fn double_crash_after_revive_is_detected_again() {
-        // Regression for the rejoin-then-crash-again case: `revive`
-        // must re-arm `reported`, else the second crash is silent.
-        let (tx, rx) = mpsc::channel();
-        let fd = FailureDetector::start(
-            2,
-            Duration::from_millis(5),
-            Duration::from_millis(400),
-            move |c, s| {
-                let _ = tx.send((c, s));
-            },
-        );
-        fd.kill(1);
-        assert_eq!(rx.recv_timeout(Duration::from_secs(10)).expect("first crash").0, 1);
-        fd.revive(1);
-        std::thread::sleep(Duration::from_millis(50));
-        fd.kill(1);
-        assert_eq!(rx.recv_timeout(Duration::from_secs(10)).expect("second crash").0, 1);
+    fn revive_clears_suspicion_and_a_second_crash_is_reported_again() {
+        // The rejoin-then-crash-again case: seeing the machine alive
+        // must re-arm its report, else the second crash is silent.
+        let (cluster, fd, rx) = watched(2, 2, 400);
+        cluster.faults().kill(1);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)).expect("first crash"), (1, 0));
+        assert!(fd.is_suspected(1));
+        cluster.faults().revive(1);
+        await_cleared(&fd, 1);
+        cluster.faults().kill(1);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)).expect("second crash"), (1, 0));
         assert!(fd.is_suspected(1));
     }
 
     #[test]
-    fn nodes_added_after_start_get_heartbeat_slots() {
-        let (tx, rx) = mpsc::channel();
-        let fd = FailureDetector::start_with_capacity(
-            2,
-            4,
-            Duration::from_millis(5),
-            Duration::from_millis(400),
-            move |c, s| {
-                let _ = tx.send((c, s));
-            },
-        );
-        let joined = fd.add_node().expect("capacity for a third node");
+    fn a_machine_added_after_start_is_covered() {
+        let (cluster, _fd, rx) = watched(2, 4, 400);
+        let joined = cluster.add_node().expect("capacity for a third node");
         assert_eq!(joined, 2);
-        // The joined node beats: no spurious report...
-        assert!(rx.recv_timeout(Duration::from_millis(300)).is_err());
-        // ...but killing it is detected like any founding member.
-        fd.kill(joined);
+        // The joined machine is alive: no spurious report, although its
+        // slot had never been stamped before it existed...
+        assert!(rx.recv_timeout(Duration::from_millis(600)).is_err());
+        // ...and its death is detected like any founding member's.
+        cluster.faults().kill(joined);
         let (crashed, survivor) = rx.recv_timeout(Duration::from_secs(10)).expect("detection");
-        assert_eq!(crashed, joined);
-        assert_ne!(survivor, joined);
-        assert_eq!(fd.add_node(), Some(3));
-        assert_eq!(fd.add_node(), None, "capacity exhausted");
+        assert_eq!((crashed, survivor), (joined, 0));
     }
 
     #[test]
-    fn retired_nodes_are_excluded_from_suspicion_and_survivorship() {
-        let (tx, rx) = mpsc::channel();
-        let fd = FailureDetector::start(
-            3,
-            Duration::from_millis(5),
-            Duration::from_millis(400),
-            move |c, s| {
-                let _ = tx.send((c, s));
-            },
-        );
-        // Node 0 leaves gracefully: its heartbeat stops, yet no report.
-        fd.retire(0);
-        assert!(fd.is_retired(0));
+    fn retired_machines_are_neither_suspected_nor_survivors() {
+        let (cluster, fd, rx) = watched(3, 3, 400);
+        // Machine 0 is retired and, like a joiner that died and was
+        // rolled back, also dead: retirement outranks the crash.
+        cluster.faults().retire(0);
+        cluster.faults().kill(0);
         assert!(rx.recv_timeout(Duration::from_millis(600)).is_err(), "drain is not a crash");
         assert!(!fd.is_suspected(0));
-        // Node 1 crashes: the survivor must skip retired node 0 even
-        // though 0 is the lowest-numbered slot.
-        fd.kill(1);
+        // Machine 1 crashes: the survivor must skip retired machine 0
+        // even though 0 is the lowest-numbered slot.
+        cluster.faults().kill(1);
         let (crashed, survivor) = rx.recv_timeout(Duration::from_secs(10)).expect("detection");
         assert_eq!((crashed, survivor), (1, 2));
     }

@@ -53,7 +53,6 @@ use drtm_memstore::journal::{put_u16, put_u64, Journal, Reader};
 use drtm_memstore::{Arena, Resharder};
 use drtm_rdma::{FabricError, NodeId};
 
-use crate::failure::FailureDetector;
 use crate::recovery::{recover_node, RecoveryReport};
 use crate::txn::DrTm;
 
@@ -344,7 +343,6 @@ pub struct MembershipCoordinator {
     sys: Arc<DrTm>,
     resharder: Arc<Resharder>,
     table: Arc<MembershipTable>,
-    detector: Mutex<Option<Arc<FailureDetector>>>,
     provision: Box<dyn Fn(NodeId, Arena) + Send + Sync>,
     /// Serialises joins/leaves/recoveries: membership ops are rare and
     /// whole-cluster, so one at a time is the correctness-preserving
@@ -373,16 +371,9 @@ impl MembershipCoordinator {
             sys,
             resharder,
             table,
-            detector: Mutex::new(None),
             provision: Box::new(provision),
             op: Mutex::new(()),
         }
-    }
-
-    /// Attaches a failure detector: joins arm its heartbeat slot, leaves
-    /// and rollbacks retire the subject there too.
-    pub fn set_detector(&self, fd: Arc<FailureDetector>) {
-        *self.detector.lock().expect("detector lock poisoned") = Some(fd);
     }
 
     /// The membership table this coordinator publishes through.
@@ -390,11 +381,11 @@ impl MembershipCoordinator {
         &self.table
     }
 
-    fn retire_everywhere(&self, node: NodeId) -> u64 {
+    /// Retirement's two writes: the fault plan closes the machine's
+    /// fabric port (which is also what stops the failure detector
+    /// suspecting it), the table publishes the lifecycle state.
+    fn retire(&self, node: NodeId) -> u64 {
         self.sys.cluster().faults().retire(node);
-        if let Some(fd) = self.detector.lock().expect("detector lock poisoned").as_ref() {
-            fd.retire(node);
-        }
         self.table.set(node, NodeState::Retired)
     }
 
@@ -450,7 +441,7 @@ impl MembershipCoordinator {
     pub fn join(&self) -> Result<JoinReport, MembershipError> {
         let _g = self.op.lock().expect("membership op lock poisoned");
         // Refuse before anything grows: a join the journal cannot
-        // describe must leave fabric, detector and table untouched.
+        // describe must leave fabric and table untouched.
         let donors = self.table.active_nodes();
         if donors.len() > MAX_JOURNAL_RANGES {
             return Err(MembershipError::JournalFull);
@@ -461,13 +452,6 @@ impl MembershipCoordinator {
         let region = self.sys.cluster().node(node).region();
         (self.provision)(node, self.sys.layout().store_arena(region));
         crate::time::SoftTimer::tick_now(self.sys.cluster());
-        if let Some(fd) = self.detector.lock().expect("detector lock poisoned").as_ref() {
-            let slot = fd.add_node();
-            assert!(
-                slot.is_none_or(|s| s == node),
-                "failure detector and fabric disagree on node ids"
-            );
-        }
         let map = self.resharder.map();
         let ranges_in: Vec<_> = donors
             .into_iter()
@@ -517,7 +501,7 @@ impl MembershipCoordinator {
         let layout = self.sys.layout();
         let quiesce = recover_node(self.sys.cluster(), node, layout, via);
         layout.membership.clear(self.sys.cluster().node(node).region());
-        let epoch = self.retire_everywhere(node);
+        let epoch = self.retire(node);
         Ok(LeaveReport { node, ranges_out, keys_moved, quiesce, epoch })
     }
 
@@ -576,7 +560,7 @@ impl MembershipCoordinator {
             }
         }
         layout.membership.clear(region);
-        let epoch = self.retire_everywhere(crashed);
+        let epoch = self.retire(crashed);
         let direction =
             if joining { RecoveryDirection::RolledBack } else { RecoveryDirection::RolledForward };
         let membership = MembershipRecovery {

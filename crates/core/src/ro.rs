@@ -38,9 +38,9 @@ pub struct RoCtx<'w> {
     /// Smallest lease end actually covering this attempt (shared leases
     /// may end earlier than `end_us`).
     min_end_us: u64,
-    /// Set when an acquisition failed because the record's machine is
-    /// crashed or retired: retrying is pointless until recovery runs
-    /// (crash) or the key is re-resolved (retirement).
+    /// Set when an acquisition met a crashed or retired machine (the
+    /// record's, or its write lock's owner): retrying is pointless until
+    /// recovery runs (crash) or the key is re-resolved (retirement).
     fatal: Option<TxnError>,
 }
 
@@ -74,9 +74,10 @@ impl RoCtx<'_> {
                     self.min_end_us = self.min_end_us.min(f.lease_end_us);
                     values.push(f.value);
                 }
-                // A machine that is gone outranks a lock that will be
-                // released: remember the first such conflict.
-                Err(c) => self.fatal = self.fatal.or(TxnError::of_conflict(c)),
+                // A machine that is gone (the record's, or its write
+                // lock's owner) outranks a lock that will be released:
+                // remember the first such conflict.
+                Err(c) => self.fatal = self.fatal.or(TxnError::of_conflict(w.waited_on(c))),
             }
         }
         if values.len() == recs.len() {
@@ -108,10 +109,10 @@ impl Worker {
     /// Executes a read-only transaction (Figure 8): the body acquires
     /// leases and performs scans; afterwards all leases are confirmed
     /// with one softtime read. Retries with a fresh end time until the
-    /// confirmation succeeds — except against a record whose machine is
-    /// gone, where retrying forever is pointless: the transaction aborts
-    /// with [`TxnError::PeerDead`] and can be retried once the node is
-    /// recovered.
+    /// confirmation succeeds — except against a record whose machine,
+    /// or whose write lock's owner, is gone, where retrying forever is
+    /// pointless: the transaction aborts with [`TxnError::PeerDead`] and
+    /// can be retried once the node is recovered.
     ///
     /// This is the read-write pipeline with everything but leases taken
     /// out: Start acquires leases only (inside the body, as scans

@@ -52,9 +52,9 @@ pub const USER_ABORT: u8 = 0x7F;
 pub enum TxnError {
     /// The body issued `Abort::Explicit(USER_ABORT)`.
     UserAborted,
-    /// The configured [`CrashPoint`] fired (durability tests only), or
-    /// this worker's own machine is marked crashed by the fault plan:
-    /// the worker stopped dead, leaving locks and logs for recovery.
+    /// This worker's own machine is marked crashed by the fault plan —
+    /// an armed [`CrashPoint`] fired under it, or it was killed: the
+    /// worker stopped dead, leaving locks and logs for recovery.
     SimulatedCrash,
     /// A fabric operation hit the crashed machine: the transaction
     /// aborted cleanly (every releasable lock released, undeliverable
@@ -358,7 +358,6 @@ impl DrTm {
             node,
             worker_id,
             rng: 0x9E37_79B9u64.wrapping_mul(node as u64 + 1).wrapping_add(worker_id as u64),
-            crash_point: self.cfg.crash_point,
             pending: Vec::new(),
         }
     }
@@ -378,7 +377,6 @@ pub struct Worker {
     ring: Arc<TraceBuf>,
     txn_seq: u64,
     rng: u64,
-    crash_point: Option<CrashPoint>,
     /// Write-backs/unlocks whose target died mid-commit; drained by
     /// [`Worker::flush_pending`] once the peer is recovered.
     pending: Vec<WriteItem>,
@@ -403,12 +401,6 @@ impl Worker {
     /// The owning DrTM instance.
     pub fn system(&self) -> &Arc<DrTm> {
         &self.sys
-    }
-
-    /// Arms or disarms the simulated crash point for this worker only
-    /// (durability tests restart a "machine" by clearing it).
-    pub fn set_crash_point(&mut self, point: Option<CrashPoint>) {
-        self.crash_point = point;
     }
 
     /// Persists chopping information before a transaction piece of a
@@ -478,11 +470,10 @@ impl Worker {
         self.faults().is_crashed(self.node)
     }
 
-    /// Whether the simulated crash fires at protocol step `p`: either
-    /// this worker's own [`CrashPoint`] (worker-local, node stays on the
-    /// fabric) or an armed fault-plan crash site (whole node drops).
+    /// Whether a crash armed in the fault plan fires at protocol step
+    /// `p`, dropping this worker's whole machine off the fabric.
     fn crashes_at(&self, p: CrashPoint) -> bool {
-        self.crash_point == Some(p) || self.faults().crash_hook(self.node, p.name())
+        self.faults().crash_hook(self.node, p.name())
     }
 
     /// True when this record can be locked with a CPU CAS instead of a
@@ -703,6 +694,19 @@ impl Worker {
         record::acquire_wave(&self.qp, wants.map(claim), now_us, self.sys.cfg.delta_us)
     }
 
+    /// What a lost claim means to a caller that *waits* for the record
+    /// (ordered 2PL, a read-only lease): a write lock whose owner the
+    /// fault plan calls crashed is released by recovery, not by waiting,
+    /// so it is the owner's death, not a conflict to sit out.
+    pub(crate) fn waited_on(&self, conflict: LockConflict) -> LockConflict {
+        match conflict {
+            LockConflict::WriteLocked { owner } if self.faults().is_crashed(owner as NodeId) => {
+                LockConflict::PeerDead { node: owner as NodeId }
+            }
+            other => other,
+        }
+    }
+
     /// Counts a terminal dead-peer abort and returns the error to raise.
     pub(crate) fn terminal(&self, e: TxnError) -> TxnError {
         if matches!(e, TxnError::PeerDead(_)) {
@@ -786,18 +790,10 @@ impl Worker {
                 if waits {
                     let deadline =
                         *give_up_at.get_or_insert_with(|| Instant::now() + DEAD_PEER_GRACE);
-                    conflict = match conflict {
-                        LockConflict::WriteLocked { owner }
-                            if self.faults().is_crashed(owner as NodeId) =>
-                        {
-                            LockConflict::PeerDead { node: owner as NodeId }
-                        }
-                        LockConflict::PeerDead { .. } | LockConflict::Retired { .. } => conflict,
-                        _ if Instant::now() >= deadline => {
-                            LockConflict::PeerDead { node: rec.addr.node }
-                        }
-                        _ => conflict,
-                    };
+                    conflict = self.waited_on(conflict);
+                    if TxnError::of_conflict(conflict).is_none() && Instant::now() >= deadline {
+                        conflict = LockConflict::PeerDead { node: rec.addr.node };
+                    }
                 }
                 let terminal = TxnError::of_conflict(conflict);
                 if waits && terminal.is_none() {
@@ -1310,7 +1306,6 @@ mod tests {
     use crate::state::LockState;
     use crate::time::SOFTTIME_INTERVAL;
     use drtm_htm::HtmConfig;
-    use drtm_memstore::LookupResult;
     use drtm_rdma::{ClusterConfig, LatencyProfile};
 
     /// Two machines, one hash table each (identical geometry), populated
@@ -1350,11 +1345,15 @@ mod tests {
     }
 
     impl Harness {
+        /// Walks the machine's own region, not the fabric: the crash
+        /// tests look at a corpse's records.
         fn rec(&self, node: NodeId, key: u64) -> RecordAddr {
-            let qp = self.sys.cluster().qp(node);
-            match self.tables[node as usize].remote_lookup(&qp, key) {
-                LookupResult::Found { addr, .. } => RecordAddr::new(addr, VAL_CAP),
-                _ => panic!("key {key} missing on node {node}"),
+            let exec = Executor::new(HtmConfig::default(), Default::default());
+            let region = self.sys.cluster().node(node).region();
+            let table = &self.tables[node as usize];
+            match exec.run(region, |txn| table.get_local(txn, key)).unwrap() {
+                Some(e) => RecordAddr::new(drtm_rdma::GlobalAddr::new(node, e.offset), VAL_CAP),
+                None => panic!("key {key} missing on node {node}"),
             }
         }
 
@@ -1582,12 +1581,8 @@ mod tests {
 
     #[test]
     fn crash_before_commit_recovers_by_unlocking() {
-        let cfg = DrTmConfig {
-            logging: true,
-            crash_point: Some(CrashPoint::BeforeHtmCommit),
-            ..Default::default()
-        };
-        let h = harness(2, 1, 4, cfg);
+        let h = harness(2, 1, 4, DrTmConfig { logging: true, ..Default::default() });
+        h.sys.cluster().faults().arm_crash(0, CrashPoint::BeforeHtmCommit.name());
         let mut w = h.sys.worker(0, 0);
         let spec = TxnSpec { remote_writes: vec![h.rec(1, 0)], ..Default::default() };
         let r: Result<(), _> = w.execute(&spec, |ctx| {
@@ -1608,12 +1603,8 @@ mod tests {
 
     #[test]
     fn crash_after_commit_recovers_by_redo() {
-        let cfg = DrTmConfig {
-            logging: true,
-            crash_point: Some(CrashPoint::AfterHtmCommit),
-            ..Default::default()
-        };
-        let h = harness(2, 1, 4, cfg);
+        let h = harness(2, 1, 4, DrTmConfig { logging: true, ..Default::default() });
+        h.sys.cluster().faults().arm_crash(0, CrashPoint::AfterHtmCommit.name());
         let mut w = h.sys.worker(0, 0);
         let spec = TxnSpec { remote_writes: vec![h.rec(1, 0)], ..Default::default() };
         let r: Result<(), _> = w.execute(&spec, |ctx| {
@@ -1641,13 +1632,10 @@ mod tests {
         // local update crashing between commit point and apply. The WAL
         // is staged before anything becomes visible, so recovery redoes
         // the local update from the log.
-        let mut cfg = DrTmConfig {
-            logging: true,
-            crash_point: Some(CrashPoint::FallbackAfterWalBeforeApply),
-            ..Default::default()
-        };
+        let mut cfg = DrTmConfig { logging: true, ..Default::default() };
         cfg.htm.max_retries = 0; // straight to the fallback handler
         let h = harness(2, 1, 4, cfg);
+        h.sys.cluster().faults().arm_crash(0, CrashPoint::FallbackAfterWalBeforeApply.name());
         let mut w = h.sys.worker(0, 0);
         let spec = TxnSpec {
             local_writes: vec![h.rec(0, 1)],
@@ -1685,13 +1673,10 @@ mod tests {
         // Strictly before the commit point nothing is durable: recovery
         // must release every 2PL lock — including the CPU-locked local
         // record the old lock-ahead (remote-only) could never name.
-        let mut cfg = DrTmConfig {
-            logging: true,
-            crash_point: Some(CrashPoint::FallbackBeforeWal),
-            ..Default::default()
-        };
+        let mut cfg = DrTmConfig { logging: true, ..Default::default() };
         cfg.htm.max_retries = 0;
         let h = harness(2, 1, 4, cfg);
+        h.sys.cluster().faults().arm_crash(0, CrashPoint::FallbackBeforeWal.name());
         let mut w = h.sys.worker(0, 0);
         let spec = TxnSpec {
             local_writes: vec![h.rec(0, 1)],

@@ -35,7 +35,7 @@ fn build(crash: CrashPoint, force_fallback: bool) -> (Arc<DrTm>, Vec<Arc<Cluster
         profile: LatencyProfile::rdma(),
         ..Default::default()
     };
-    let mut cfg = DrTmConfig { logging: true, crash_point: Some(crash), ..DrTmConfig::default() };
+    let mut cfg = DrTmConfig { logging: true, ..DrTmConfig::default() };
     if force_fallback {
         cfg.htm.max_retries = 0;
     }
@@ -46,7 +46,9 @@ fn build(crash: CrashPoint, force_fallback: bool) -> (Arc<DrTm>, Vec<Arc<Cluster
             tables[n as usize].insert(dep.exec(), dep.region(n), k, &100u64.to_le_bytes()).unwrap();
         }
     }
-    (dep.start_frozen(), tables)
+    let sys = dep.start_frozen();
+    sys.cluster().faults().arm_crash(0, crash.name());
+    (sys, tables)
 }
 
 fn rec(sys: &DrTm, tables: &[Arc<ClusterHash>], node: u16, key: u64) -> RecordAddr {

@@ -222,8 +222,8 @@ impl ElasticKv {
         self.coordinator.table()
     }
 
-    /// The membership coordinator (attach a failure detector, drive
-    /// joins/leaves directly).
+    /// The membership coordinator (drive joins/leaves directly; its
+    /// `recover` is what a failure detector's callback calls).
     pub fn coordinator(&self) -> &Arc<MembershipCoordinator> {
         &self.coordinator
     }

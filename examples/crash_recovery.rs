@@ -19,15 +19,18 @@ use drtm::txn::{
 };
 use drtm::workloads::resolve::Table;
 
-fn build(crash: Option<CrashPoint>) -> (Arc<DrTm>, Table) {
-    let cfg = DrTmConfig { logging: true, crash_point: crash, ..Default::default() };
+/// Two machines with logging on; machine 0 is armed to die at `crash`.
+fn build(crash: CrashPoint) -> (Arc<DrTm>, Table) {
+    let cfg = DrTmConfig { logging: true, ..Default::default() };
     let cluster = ClusterConfig { nodes: 2, region_size: 8 << 20, ..Default::default() };
     let mut dep = Deployment::new(cluster, cfg, 1);
     let shards = dep.hash(64, 100, 8);
     for n in dep.nodes() {
         shards[n as usize].insert(dep.exec(), dep.region(n), 0, &100u64.to_le_bytes()).unwrap();
     }
-    (dep.start(SOFTTIME_INTERVAL), Table::new(shards))
+    let sys = dep.start(SOFTTIME_INTERVAL);
+    sys.cluster().faults().arm_crash(0, crash.name());
+    (sys, Table::new(shards))
 }
 
 fn balance(sys: &Arc<DrTm>, table: &Table, node: u16) -> u64 {
@@ -40,7 +43,7 @@ fn balance(sys: &Arc<DrTm>, table: &Table, node: u16) -> u64 {
 
 fn run_scenario(crash: CrashPoint) {
     println!("--- scenario: {crash:?} ---");
-    let (sys, table) = build(Some(crash));
+    let (sys, table) = build(crash);
     let mut w = sys.worker(0, 0);
     let rec = table.resolve(&w, 1, 0).unwrap();
     let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };

@@ -937,30 +937,25 @@ fn leave_mid_drain_rolls_the_departure_forward() {
 fn failure_detector_drives_membership_rollback() {
     let kv = membership_kv(2, 4, DoorbellConfig::default());
     let (tx, rx) = std::sync::mpsc::channel();
-    let cluster = kv.sys.cluster().clone();
     let coordinator = kv.coordinator().clone();
-    let fd = Arc::new(FailureDetector::start_with_capacity(
-        2,
-        4,
+    // Started over the two founders: the joiner is covered the moment
+    // the fabric provisions it, with no registration.
+    let _fd = FailureDetector::start(
+        kv.sys.cluster().clone(),
         Duration::from_millis(5),
         Duration::from_millis(400),
         move |crashed, survivor| {
-            if !cluster.faults().is_crashed(crashed) {
-                return;
-            }
             // The one entry point; `membership: None` would mean a plain
             // (non-membership) death, repaired by its WAL sweep alone.
             let rec = coordinator.recover(crashed, survivor).membership;
             let _ = tx.send((crashed, rec));
         },
-    ));
-    kv.coordinator().set_detector(fd.clone());
+    );
     kv.sys.cluster().faults().arm_crash(2, CrashPoint::JoinBeforeActivate.name());
     let err = kv.join_node().unwrap_err();
     assert!(matches!(err, MembershipError::SubjectDied { node: 2, .. }), "{err:?}");
-    // The fabric already knows; now the joiner's heartbeat stops and
-    // detection composes into recovery.
-    fd.kill(2);
+    // The armed site killed the joiner on the fabric; that is all the
+    // detector needs, and detection composes into recovery.
     let (crashed, rec) = rx.recv_timeout(Duration::from_secs(10)).expect("detection must fire");
     assert_eq!(crashed, 2);
     let rec = rec.expect("the join journal must drive a rollback");
@@ -979,7 +974,7 @@ fn failure_detector_drives_membership_rollback() {
     );
     assert_eq!(kv.total_value(), 2 * 100 * INIT_VALUE, "conservation after detected rollback");
     assert_eq!(kv.membership().state_of(2), Some(NodeState::Retired));
-    assert!(fd.is_retired(2), "rollback retires the corpse in the detector too");
+    assert!(kv.sys.cluster().faults().is_retired(2), "rollback retires the corpse");
     assert_no_membership_locks(&kv);
 }
 
@@ -1087,17 +1082,11 @@ fn smallbank_survives_a_mid_run_crash_with_live_detection() {
     let (tx, rx) = std::sync::mpsc::channel();
     let cluster = sb.sys.cluster().clone();
     let layout = sb.sys.layout().clone();
-    // Generous timeout: a starved beater thread on a loaded host must
-    // not be mistaken for a crash — and before running (destructive)
-    // recovery, cross-check the suspicion against the fabric.
-    let fd = FailureDetector::start(
-        3,
+    let _fd = FailureDetector::start(
+        sb.sys.cluster().clone(),
         Duration::from_millis(5),
         Duration::from_millis(400),
         move |crashed, survivor| {
-            if !cluster.faults().is_crashed(crashed) {
-                return;
-            }
             let report = recover_node(&cluster, crashed, &layout, survivor);
             let _ = tx.send((crashed, report));
         },
@@ -1146,11 +1135,10 @@ fn smallbank_survives_a_mid_run_crash_with_live_detection() {
             }
         }
 
-        // Let the mix run, then kill machine 2 for real: fabric first
-        // (ops start failing), then the detector's heartbeat.
+        // Let the mix run, then kill machine 2: ops start failing, and
+        // the detector notices by itself.
         std::thread::sleep(Duration::from_millis(30));
         sb.sys.cluster().faults().kill(2);
-        fd.kill(2);
         let (crashed, _report) =
             rx.recv_timeout(Duration::from_secs(10)).expect("detector must drive recovery");
         assert_eq!(crashed, 2);
@@ -1158,7 +1146,6 @@ fn smallbank_survives_a_mid_run_crash_with_live_detection() {
         std::thread::sleep(Duration::from_millis(30));
         // Re-provision machine 2, then let the workers finish + drain.
         sb.sys.cluster().faults().revive(2);
-        fd.revive(2);
         std::thread::sleep(Duration::from_millis(10));
         stop.store(true, Ordering::Relaxed);
     });

@@ -15,8 +15,8 @@ struct Fixture {
     accounts: Arc<Table>,
 }
 
-fn fixture(crash: Option<CrashPoint>) -> Fixture {
-    let cfg = DrTmConfig { logging: true, crash_point: crash, ..Default::default() };
+fn fixture() -> Fixture {
+    let cfg = DrTmConfig { logging: true, ..Default::default() };
     let cluster = ClusterConfig {
         nodes: 3,
         region_size: 8 << 20,
@@ -47,10 +47,11 @@ fn state(f: &Fixture, node: u16, key: u64) -> LockState {
     LockState(f.sys.cluster().node(node).region().read_u64_nt(rec.addr.offset))
 }
 
-/// Runs a multi-record distributed update on machines 1 and 2 that
-/// crashes at `crash`, then recovers and checks the outcome.
+/// Runs a multi-record distributed update on machines 1 and 2 from
+/// machine 0, which dies at `crash`; recovers it, then restarts it.
 fn crash_and_recover(crash: CrashPoint) -> Fixture {
-    let f = fixture(Some(crash));
+    let f = fixture();
+    f.sys.cluster().faults().arm_crash(0, crash.name());
     let mut w = f.sys.worker(0, 0);
     let r1 = f.accounts.resolve(&w, 1, 3).unwrap();
     let r2 = f.accounts.resolve(&w, 2, 5).unwrap();
@@ -65,6 +66,7 @@ fn crash_and_recover(crash: CrashPoint) -> Fixture {
     assert_eq!(r, Err(TxnError::SimulatedCrash));
     let report = recover_node(f.sys.cluster(), 0, f.sys.layout(), 1);
     assert!(report.redone_txns + report.rolled_back_txns > 0, "log must be found");
+    f.sys.cluster().faults().revive(0);
     f
 }
 
@@ -106,7 +108,6 @@ fn recovery_is_idempotent_and_cluster_stays_usable() {
     // Survivors (and a restarted machine 0) can transact on the same
     // records immediately after recovery.
     let mut w = f.sys.worker(1, 0);
-    w.set_crash_point(None);
     let rec = f.accounts.resolve(&w, 2, 5).unwrap();
     let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
     w.execute(&spec, |ctx| {
@@ -120,7 +121,7 @@ fn recovery_is_idempotent_and_cluster_stays_usable() {
 
 #[test]
 fn clean_execution_leaves_empty_logs() {
-    let f = fixture(None);
+    let f = fixture();
     let mut w = f.sys.worker(0, 0);
     let rec = f.accounts.resolve(&w, 1, 0).unwrap();
     let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
@@ -143,7 +144,8 @@ fn failure_detector_drives_recovery_end_to_end() {
     use drtm::txn::FailureDetector;
     use std::time::Duration;
 
-    let f = fixture(Some(CrashPoint::AfterHtmCommit));
+    let f = fixture();
+    f.sys.cluster().faults().arm_crash(0, CrashPoint::AfterHtmCommit.name());
     let mut w = f.sys.worker(0, 0);
     let rec = f.accounts.resolve(&w, 1, 2).unwrap();
     let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
@@ -154,12 +156,13 @@ fn failure_detector_drives_recovery_end_to_end() {
     });
     assert_eq!(r, Err(TxnError::SimulatedCrash));
 
-    // Zookeeper stand-in: detection triggers recovery on a survivor.
+    // Zookeeper stand-in: the armed crash is all the detector needs to
+    // notice the death and trigger recovery on a survivor.
     let (tx, rx) = std::sync::mpsc::channel();
     let cluster = f.sys.cluster().clone();
     let layout = f.sys.layout().clone();
-    let fd = FailureDetector::start(
-        3,
+    let _fd = FailureDetector::start(
+        f.sys.cluster().clone(),
         Duration::from_millis(5),
         Duration::from_millis(400),
         move |crashed, survivor| {
@@ -167,9 +170,9 @@ fn failure_detector_drives_recovery_end_to_end() {
             let _ = tx.send(report);
         },
     );
-    fd.kill(0);
     let report = rx.recv_timeout(Duration::from_secs(10)).expect("recovery ran");
     assert_eq!(report.redone_txns, 1);
+    f.sys.cluster().faults().revive(0);
     assert_eq!(value(&f, 1, 2), 105, "committed update redone by the survivor");
     assert!(state(&f, 1, 2).is_init());
 }
@@ -178,7 +181,8 @@ fn failure_detector_drives_recovery_end_to_end() {
 fn chop_info_survives_a_crash() {
     use drtm::txn::ChopInfo;
 
-    let f = fixture(Some(CrashPoint::AfterHtmCommit));
+    let f = fixture();
+    f.sys.cluster().faults().arm_crash(0, CrashPoint::AfterHtmCommit.name());
     let mut w = f.sys.worker(0, 1);
     // A chopped parent transaction: piece 2 of 5 is in flight.
     w.log_chop(ChopInfo { kind: 4, piece: 2, total: 5, arg: 9 });
@@ -196,4 +200,42 @@ fn chop_info_survives_a_crash() {
         vec![ChopInfo { kind: 4, piece: 2, total: 5, arg: 9 }],
         "recovery must learn which piece to resume"
     );
+}
+
+#[test]
+fn read_only_does_not_wait_out_a_dead_owners_write_lock() {
+    use std::time::Duration;
+
+    let f = fixture();
+    // Machine 2 commits an update of machine 0's record and dies before
+    // the write-back: the record stays write-locked, owner 2.
+    let mut owner = f.sys.worker(2, 0);
+    let rec = f.accounts.resolve(&owner, 0, 4).unwrap();
+    f.sys.cluster().faults().arm_crash(2, CrashPoint::AfterHtmCommit.name());
+    let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
+    let r: Result<(), _> = owner.execute(&spec, |ctx| {
+        let v = u64::from_le_bytes(ctx.remote_write_cur(0)[..8].try_into().unwrap());
+        ctx.remote_write(0, (v + 7).to_le_bytes().to_vec());
+        Ok(())
+    });
+    assert_eq!(r, Err(TxnError::SimulatedCrash));
+    assert!(state(&f, 0, 4).is_write_locked());
+
+    // The record's own machine is alive, so no verb fails: only the
+    // lock word says who the survivor is waiting for. Only recovery
+    // releases that lock, so the read must give up typed, not spin.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let mut reader = f.sys.worker(1, 0);
+    std::thread::spawn(move || {
+        let _ = tx.send(reader.try_read_only_records(&[rec]));
+    });
+    let got = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("read-only transaction still spinning on a crashed owner's lock");
+    assert_eq!(got, Err(TxnError::PeerDead(2)));
+
+    let report = recover_node(f.sys.cluster(), 2, f.sys.layout(), 0);
+    assert_eq!(report.redone_txns, 1);
+    let v = f.sys.worker(1, 1).try_read_only_records(&[rec]).unwrap();
+    assert_eq!(u64::from_le_bytes(v[0][..8].try_into().unwrap()), 107);
 }
