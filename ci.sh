@@ -19,6 +19,11 @@
 # outcomes counted in htm/src/{exec,stats}.rs and core/src/txn.rs only,
 # service threads spawned in rdma/src/rpc.rs and the two clocks only,
 # and none of the deleted request/reply twins by name
+# plus a `git grep` gate that keeps TPC-C's local rows declared by key
+# (DESIGN.md §2 "Commit pipeline", "Local records by key"): tpcc/txns.rs has no per-record
+# stand-alone read (`read_fields`) and resolves no address but a remote
+# row's, in one helper — `try_resolve(` once, `.resolve(` nowhere. The
+# behavioural gate, regions per transaction type, is a tier-1 test.
 # plus a `git grep` gate that keeps failure state written once (DESIGN.md
 # §8 "Failure model"): the fabric's FaultPlan owns dead / retired / armed
 # crash sites, so none of the deleted second copies by name — the
@@ -43,7 +48,7 @@
 # nothing reads them. `ab.sh`, the paired A/B runner for host-time
 # claims, is only syntax-checked (`bash -n`).
 # plus the figure ledger (EXPERIMENTS.md "Machine-readable baselines"):
-# the six ledgered harnesses at their committed operation counts, about
+# the seven ledgered harnesses at their committed operation counts, about
 # 35 s, each holding its own invariants by `assert!`; then check_ledger,
 # which fails on any row of target/ledger/ outside the band its
 # committed row under ledger/ carries, on a row on one side only and on
@@ -121,6 +126,17 @@ if git grep -n --untracked 'try_remote_scan\|StoreServiceGuard\|ScanServiceGuard
   exit 1
 fi
 
+echo "== by key: TPC-C resolves no local row to an address =="
+# A `resolve` back in a transaction is a stand-alone region per key
+# again: 36 regions per operation where the mix needs 3.
+TXNS=crates/workloads/src/tpcc/txns.rs
+if git grep -n --untracked 'read_fields\|\.resolve(' -- "$TXNS"; then
+  echo "tpcc/txns.rs reads or resolves a local row outside a region: declare it by key" >&2
+  exit 1
+fi
+[ "$(git grep -c --untracked 'try_resolve(' -- "$TXNS" | cut -d: -f2)" = 1 ] \
+  || { echo "$TXNS must call try_resolve once: in the remote-row helper" >&2; exit 1; }
+
 echo "== written once: the fault plan owns who is dead and where a crash fires =="
 # A liveness bit or a crash knob beside drtm_rdma::FaultPlan has forked
 # DESIGN.md §8 "Failure model"; a second thread in failure.rs is a
@@ -160,12 +176,12 @@ echo "== tooling: ab.sh parses =="
 # binaries, so CI only checks that it is still a shell script.
 bash -n ab.sh
 
-echo "== figure ledger: six harnesses at their committed operation counts =="
+echo "== figure ledger: seven harnesses at their committed operation counts =="
 # DRTM_SCALE would change every leg's operation count, which the check
 # below reports row by row; unset, a stray value cannot do that.
 rm -rf target/ledger
 for bench in fig10d_cache_size fig12_tpcc_machines fig15_smallbank \
-  fig16_cross_warehouse fig17_read_lease tab6_durability; do
+  fig16_cross_warehouse fig17_read_lease tab6_durability ablate_capacity; do
   env -u DRTM_SCALE cargo bench -q -p drtm-bench --bench "$bench" > /dev/null
 done
 

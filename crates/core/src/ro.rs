@@ -8,8 +8,8 @@
 //! re-execution of OCC-style schemes with one check.
 //!
 //! Because the read set of scans (TPC-C order-status/stock-level) is not
-//! known in advance, [`RoCtx`] exposes incremental acquisition plus
-//! validated standalone B+-tree scans.
+//! known in advance, [`RoCtx`] exposes incremental acquisition, next to
+//! the worker's validated stand-alone scans ([`Worker::recon`]).
 //!
 //! Read-only transactions are **durable-free** (the DUMBO observation):
 //! they update nothing, so even with logging enabled they stage no
@@ -17,8 +17,7 @@
 //! zero log traffic, asserted by the `log_writes`/`log_bytes`/
 //! `log_done_waits` counters in [`crate::TxnStatsSnapshot`].
 
-use drtm_htm::{Abort, HtmTxn};
-use drtm_memstore::BTree;
+use drtm_htm::{Abort, Steps};
 
 use crate::record::{lease_unconfirmed, RecordAddr};
 use crate::time::softtime_nt;
@@ -86,26 +85,23 @@ impl RoCtx<'_> {
             Err(RoRestart)
         }
     }
-
-    /// Runs a validated standalone read transaction against local stores
-    /// (tree scans and lookups for discovering the read set).
-    pub fn local_scan<T>(&self, f: impl FnMut(&mut HtmTxn<'_>) -> Result<T, Abort>) -> T {
-        let done = self.worker.executor().run(self.worker.region(), f);
-        done.expect("a read-only store operation aborted for good")
-    }
-
-    /// Convenience: validated B+ tree range scan.
-    pub fn tree_scan(&self, tree: &BTree, lo: u64, hi: u64, max: usize) -> Vec<(u64, u64)> {
-        self.local_scan(|txn| tree.scan_range(txn, lo, hi, max))
-    }
-
-    /// Convenience: validated B+ tree max-in-range.
-    pub fn tree_max_in_range(&self, tree: &BTree, lo: u64, hi: u64) -> Option<(u64, u64)> {
-        self.local_scan(|txn| tree.max_in_range(txn, lo, hi))
-    }
 }
 
 impl Worker {
+    /// A reconnaissance query (§4.1) against this machine's stores:
+    /// committed stand-alone reads — tree scans and lookups that discover
+    /// a read set — in one region while they fit one
+    /// ([`Executor::run_steps`](drtm_htm::Executor::run_steps)).
+    ///
+    /// # Panics
+    ///
+    /// If the body aborts explicitly, or one step overflows a region of
+    /// its own.
+    pub fn recon<T>(&self, body: impl FnMut(&mut Steps<'_>) -> Result<T, Abort>) -> T {
+        let done = self.executor().run_steps(self.region(), body);
+        done.unwrap_or_else(|abort| panic!("a reconnaissance query aborted for good: {abort}"))
+    }
+
     /// Executes a read-only transaction (Figure 8): the body acquires
     /// leases and performs scans; afterwards all leases are confirmed
     /// with one softtime read. Retries with a fresh end time until the
@@ -228,7 +224,8 @@ mod tests {
         let table2 = table.clone();
         let got = w
             .try_read_only(|ctx| {
-                let pairs = ctx.tree_scan(&tree, 10, 12, 10);
+                let scan = |s: &mut Steps<'_>| s.step(|txn| tree.scan_range(txn, 10, 12, 10));
+                let pairs = ctx.worker().recon(scan);
                 let mut sum = 0u64;
                 for (k, v) in pairs {
                     assert_eq!(v, k * 100);
@@ -295,7 +292,8 @@ mod tests {
         let table2 = table.clone();
         let sum = w
             .try_read_only(|ctx| {
-                let pairs = ctx.tree_scan(&tree, 0, 9, 16);
+                let scan = |s: &mut Steps<'_>| s.step(|txn| tree.scan_range(txn, 0, 9, 16));
+                let pairs = ctx.worker().recon(scan);
                 let mut sum = 0u64;
                 for (k, _) in pairs {
                     let rec = rec_of(ctx.worker().system(), &table2, k);

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use drtm_htm::{vtime, Abort, Executor, HtmStats, HtmTxn, Region};
 use drtm_memstore::{BTree, ClusterHash, InsertError, PreparedInsert};
 use drtm_rdma::rpc::DEAD_PEER_GRACE;
-use drtm_rdma::{AtomicityLevel, Cluster, FaultPlan, NodeId, Qp};
+use drtm_rdma::{AtomicityLevel, Cluster, FaultPlan, GlobalAddr, NodeId, Qp};
 
 use crate::alloc_layout::NodeLayout;
 use crate::config::{CrashPoint, DrTmConfig, SofttimeStrategy};
@@ -139,7 +139,7 @@ impl Item {
 /// (local records are guarded by the HTM region itself); ordered 2PL
 /// sorts all of them by `(node, offset)` — a total order, so waiting
 /// cannot deadlock.
-fn declared(spec: &TxnSpec) -> impl Iterator<Item = Item> + Clone + '_ {
+fn declared<'s>(spec: &'s TxnSpec<'_>) -> impl Iterator<Item = Item> + Clone + 's {
     fn of(list: List, recs: &[RecordAddr]) -> impl Iterator<Item = Item> + Clone + '_ {
         recs.iter().enumerate().map(move |(idx, rec)| Item { rec: *rec, list, idx })
     }
@@ -207,7 +207,7 @@ fn stale_lease<'a>(env: Env<'a>, locks: &LockSet, now: u64) -> Option<&'a Record
 struct Env<'a> {
     sys: &'a DrTm,
     region: &'a Region,
-    spec: &'a TxnSpec,
+    spec: &'a TxnSpec<'a>,
     txn_id: u64,
 }
 
@@ -238,10 +238,47 @@ impl Stop {
     }
 }
 
-/// The declared access sets of one transaction, already resolved to
-/// entry addresses.
+/// A local record declared by key: the executing machine's shard of a
+/// table and a key in it.
+#[derive(Debug, Clone, Copy)]
+pub struct LocalKey<'a> {
+    /// The shard the key lives in, on the executing machine.
+    pub table: &'a ClusterHash,
+    /// The key.
+    pub key: u64,
+}
+
+impl LocalKey<'_> {
+    /// The record of this key, given the entry offset a walk found.
+    fn record(&self, entry_off: usize) -> RecordAddr {
+        let desc = self.table.desc();
+        RecordAddr::new(GlobalAddr::new(desc.node, entry_off), desc.value_cap)
+    }
+
+    /// Walks the table inside `txn`, whose read set the bucket lines
+    /// join: the key's record, `None` if it has no row.
+    pub fn find(&self, txn: &mut HtmTxn<'_>) -> Result<Option<RecordAddr>, Abort> {
+        Ok(self.table.get_local(txn, self.key)?.map(|e| self.record(e.offset)))
+    }
+
+    /// [`LocalKey::find`], then the value bytes of the row found, as
+    /// last committed: no lock or lease is looked at (a reconnaissance
+    /// or read-committed read).
+    pub fn read(&self, txn: &mut HtmTxn<'_>) -> Result<Option<(RecordAddr, Vec<u8>)>, Abort> {
+        let Some(rec) = self.find(txn)? else { return Ok(None) };
+        Ok(Some((rec, rec.entry().read_value(txn)?)))
+    }
+}
+
+/// The declared access sets of one transaction. Remote records are
+/// declared by entry address — Start locks or leases them before the
+/// body runs (§4) — and local ones by address or by key; a keyed record
+/// is looked up where its strategy isolates the body (DESIGN.md
+/// "Local records by key"). A local record is declared once: not in two
+/// write slots, not as a read and a write, not by key and by address —
+/// ordered 2PL would wait on its own lock (debug builds assert it).
 #[derive(Debug, Clone, Default)]
-pub struct TxnSpec {
+pub struct TxnSpec<'a> {
     /// Local records read (must live on the executing machine).
     pub local_reads: Vec<RecordAddr>,
     /// Local records written.
@@ -250,6 +287,40 @@ pub struct TxnSpec {
     pub remote_reads: Vec<RecordAddr>,
     /// Remote records written (exclusively locked).
     pub remote_writes: Vec<RecordAddr>,
+    /// Local records read, by key ([`TxnCtx::keyed_read`]).
+    pub keyed_reads: Vec<LocalKey<'a>>,
+    /// Local records written, by key ([`TxnCtx::keyed_write_cur`],
+    /// [`TxnCtx::keyed_write`]).
+    pub keyed_writes: Vec<LocalKey<'a>>,
+}
+
+/// Where a keyed slot of a [`TxnSpec`] was found in one attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Found {
+    /// No such row.
+    Absent,
+    /// HTM: the entry's offset in this machine's region, from the walk
+    /// of the transaction's own region.
+    Entry(usize),
+    /// Ordered 2PL: the record's index in the local list of the pass's
+    /// effective spec, where Start locked and fetched it.
+    Listed(usize),
+}
+
+/// The keyed slots of one attempt, `[keyed_writes, keyed_reads]`; `None`
+/// is a slot not accessed yet: the HTM strategy walks at a slot's first
+/// access (ordered 2PL resolves every slot before the body).
+type Keyed = [Vec<Option<Found>>; 2];
+
+/// Whether no two of `items` are equal.
+fn distinct<T: Ord>(mut items: Vec<T>) -> bool {
+    items.sort_unstable();
+    items.windows(2).all(|w| w[0] != w[1])
+}
+
+/// Every keyed slot of `spec`, not accessed yet.
+fn not_yet(spec: &TxnSpec<'_>) -> Keyed {
+    [vec![None; spec.keyed_writes.len()], vec![None; spec.keyed_reads.len()]]
 }
 
 /// A DrTM instance shared by all workers of a simulated cluster.
@@ -535,7 +606,7 @@ impl Worker {
     /// operations. Returns the body's value once durably committed.
     pub fn execute<T>(
         &mut self,
-        spec: &TxnSpec,
+        spec: &TxnSpec<'_>,
         mut body: impl FnMut(&mut TxnCtx<'_>) -> Result<T, Abort>,
     ) -> Result<T, TxnError> {
         debug_assert!(spec
@@ -543,18 +614,17 @@ impl Worker {
             .iter()
             .chain(&spec.local_writes)
             .all(|r| r.addr.node == self.node));
+        debug_assert!(spec.keyed_reads.iter().chain(&spec.keyed_writes).all(|k| k
+            .table
+            .desc()
+            .node
+            == self.node));
         debug_assert!(
             {
-                let mut ws: Vec<_> = spec
-                    .local_writes
-                    .iter()
-                    .chain(&spec.remote_writes)
-                    .map(|r| (r.addr.node, r.addr.offset))
-                    .collect();
-                ws.sort_unstable();
-                let n = ws.len();
-                ws.dedup();
-                ws.len() == n
+                let by_addr = spec.local_writes.iter().chain(&spec.remote_writes);
+                let by_key = spec.keyed_writes.iter();
+                distinct(by_addr.map(|r| (r.addr.node, r.addr.offset)).collect())
+                    && distinct(by_key.map(|k| (std::ptr::from_ref(k.table), k.key)).collect())
             },
             "write set contains a duplicate record (self-deadlock)"
         );
@@ -614,7 +684,7 @@ impl Worker {
                 break Stop::GiveUp;
             }
             attempts += 1;
-            match self.run(Strategy::Htm, env, &locks, &spec.remote_writes, body) {
+            match self.run(Strategy::Htm, env, &locks, &spec.remote_writes, not_yet(spec), body) {
                 Ok(v) => return Ok(v),
                 Err(Stop::Retry) => self.backoff(attempts),
                 Err(stop) => break stop,
@@ -637,24 +707,30 @@ impl Worker {
         env: Env<'_>,
         body: &mut impl FnMut(&mut TxnCtx<'_>) -> Result<T, Abort>,
     ) -> Result<T, Stop> {
-        let Env { sys, spec, .. } = env;
+        let sys = env.sys;
         let strategy = Strategy::Ordered2pl;
         sys.htm_stats().fallbacks.inc();
         let mut t = PhaseTimer::start(&sys.trace, Phase::Fallback);
-        let mut order: Vec<Item> = declared(spec).collect();
-        order.sort_by_key(|it| (it.rec.addr.node, it.rec.addr.offset));
-        // Lock-ahead and WAL name the FULL write set (local and remote,
-        // in acquisition order): unlike the HTM strategy, local records
-        // are CPU/loopback-locked here too, and recovery must be able to
-        // release them if this machine dies before the WAL.
-        let write_set: Vec<RecordAddr> =
-            order.iter().filter(|it| it.is_write()).map(|it| it.rec).collect();
         loop {
             if self.self_crashed() {
                 return Err(CRASH);
             }
+            // Local records are locked before the body here, so a pass
+            // first finds the keyed ones; from there on they are local
+            // records declared by address.
+            let (spec, keyed) = self.resolve_keyed(env);
+            let env = Env { spec: &spec, ..env };
+            let mut order: Vec<Item> = declared(&spec).collect();
+            order.sort_by_key(|it| (it.rec.addr.node, it.rec.addr.offset));
+            // Lock-ahead and WAL name the FULL write set (local and
+            // remote, in acquisition order): unlike the HTM strategy,
+            // local records are CPU/loopback-locked here too, and
+            // recovery must be able to release them if this machine
+            // dies before the WAL.
+            let write_set: Vec<RecordAddr> =
+                order.iter().filter(|it| it.is_write()).map(|it| it.rec).collect();
             let locks = self.start(strategy, env, &order, &write_set, &mut t.ops)?;
-            match self.run(strategy, env, &locks, &write_set, body) {
+            match self.run(strategy, env, &locks, &write_set, keyed, body) {
                 Ok(v) => {
                     t.ops += write_set.len() as u64;
                     return Ok(v);
@@ -670,6 +746,51 @@ impl Worker {
                 }
             }
         }
+    }
+
+    /// The effective spec of one ordered-2PL pass: every keyed record
+    /// of `env.spec` that exists, appended to the local list of its
+    /// kind by the address found, and where each keyed slot went. All
+    /// walks of a pass share one stand-alone region
+    /// ([`Executor::run_steps`]: halved if it overflows). A key with no
+    /// row is not locked, and reads as `None` for this pass.
+    fn resolve_keyed(&self, env: Env<'_>) -> (TxnSpec<'static>, Keyed) {
+        let Env { region, spec, .. } = env;
+        let keys = || spec.keyed_writes.iter().chain(&spec.keyed_reads);
+        let found: Result<Vec<Option<RecordAddr>>, Abort> = self
+            .exec
+            .run_steps(region, |steps| keys().map(|k| steps.step(|txn| k.find(txn))).collect());
+        let mut found = found.expect("a bucket chain fits a region of its own").into_iter();
+        let mut eff = TxnSpec {
+            local_reads: spec.local_reads.clone(),
+            local_writes: spec.local_writes.clone(),
+            remote_reads: spec.remote_reads.clone(),
+            remote_writes: spec.remote_writes.clone(),
+            ..Default::default()
+        };
+        let mut place = |list: &mut Vec<RecordAddr>, slots: usize| -> Vec<Option<Found>> {
+            let slot = |rec: Option<RecordAddr>| {
+                Some(rec.map_or(Found::Absent, |rec| {
+                    list.push(rec);
+                    Found::Listed(list.len() - 1)
+                }))
+            };
+            found.by_ref().take(slots).map(slot).collect()
+        };
+        let writes = place(&mut eff.local_writes, spec.keyed_writes.len());
+        let reads = place(&mut eff.local_reads, spec.keyed_reads.len());
+        // Only here are a keyed record and an address-declared one, or a
+        // keyed read and a keyed write, known to be the same record; the
+        // HTM strategy tolerates that, this one would wait on itself.
+        debug_assert!(
+            {
+                let local = |list: &[RecordAddr]| list.iter().map(|r| r.addr.offset).collect();
+                let (w, r): (Vec<_>, Vec<_>) = (local(&eff.local_writes), local(&eff.local_reads));
+                distinct(w.clone()) && r.iter().all(|off| !w.contains(off))
+            },
+            "a local record is locked twice in one pass (self-deadlock)"
+        );
+        (eff, [writes, reads])
     }
 
     /// One acquisition wave (Figure 5) — a write lock or a lease ending
@@ -876,6 +997,7 @@ impl Worker {
         env: Env<'_>,
         locks: &LockSet,
         write_set: &[RecordAddr],
+        keyed: Keyed,
         body: &mut impl FnMut(&mut TxnCtx<'_>) -> Result<T, Abort>,
     ) -> Result<T, Stop> {
         let Env { sys, region, spec, txn_id } = env;
@@ -897,7 +1019,7 @@ impl Worker {
         // Ordered 2PL delivers its local writes (all on this machine)
         // the way it locked them.
         let cpu_stores = sys.cluster.atomicity() == AtomicityLevel::Glob;
-        let mut ctx = TxnCtx::new(isolation, env, locks, &self.exec, cpu_stores);
+        let mut ctx = TxnCtx::new(isolation, env, locks, &self.exec, cpu_stores, keyed);
         let out = {
             let _t = htm.then(|| PhaseTimer::start(&sys.trace, Phase::LocalTx));
             body(&mut ctx)
@@ -1132,6 +1254,8 @@ pub struct TxnCtx<'r> {
     /// HTM region with durability on: local updates for the write-ahead
     /// log (§4.6 logs local *and* remote updates).
     local_log: Vec<LoggedUpdate>,
+    /// Where this attempt's keyed slots are.
+    keyed: Keyed,
 }
 
 impl<'r> TxnCtx<'r> {
@@ -1141,6 +1265,7 @@ impl<'r> TxnCtx<'r> {
         locks: &'r LockSet,
         exec: &'r Executor,
         cpu_stores: bool,
+        keyed: Keyed,
     ) -> Self {
         let items = |recs: &'r [RecordAddr], list: List, local: bool| {
             recs.iter().zip(locks.list(list)).map(move |(rec, f)| WriteItem {
@@ -1160,6 +1285,7 @@ impl<'r> TxnCtx<'r> {
             allocs: Vec::new(),
             exec,
             local_log: Vec::new(),
+            keyed,
         }
     }
 
@@ -1227,25 +1353,84 @@ impl<'r> TxnCtx<'r> {
 
     /// Writes local-write record `i` (Figure 6 LOCAL_WRITE).
     pub fn local_write(&mut self, i: usize, value: &[u8]) -> Result<(), Abort> {
+        if self.txn.is_some() {
+            return self.htm_write(self.env.spec.local_writes[i], value);
+        }
+        self.op_now()?;
+        // Buffered: logged at the commit point with its real version
+        // (log-before-unlock) — no per-op entry here.
+        self.writes[i].value = Some(value.to_vec());
+        Ok(())
+    }
+
+    /// `LOCAL_WRITE` of `rec` inside the open HTM region.
+    fn htm_write(&mut self, rec: RecordAddr, value: &[u8]) -> Result<(), Abort> {
         let now = self.op_now()?;
         let cfg = &self.env.sys.cfg;
-        let rec = self.env.spec.local_writes[i];
-        match &mut self.txn {
-            Some(txn) => {
-                // The XEND makes this store durable, so it is logged
-                // with version 0 — recovery's at-most-once check always
-                // sees it as already applied (§4.6).
-                if cfg.logging {
-                    self.local_log.push(LoggedUpdate { rec, version: 0, value: value.to_vec() });
-                }
-                record::local_write(txn, rec.addr.offset, value, now, cfg.delta_us)
-            }
-            None => {
-                // Buffered: logged at the commit point with its real
-                // version (log-before-unlock) — no per-op entry here.
-                self.writes[i].value = Some(value.to_vec());
-                Ok(())
-            }
+        // The XEND makes this store durable, so it is logged with
+        // version 0 — recovery's at-most-once check always sees it as
+        // already applied (§4.6).
+        if cfg.logging {
+            self.local_log.push(LoggedUpdate { rec, version: 0, value: value.to_vec() });
+        }
+        let txn = self.txn.as_mut().expect("the HTM strategy's region is open");
+        record::local_write(txn, rec.addr.offset, value, now, cfg.delta_us)
+    }
+
+    /// Where keyed slot `i` of `list` is. Under the HTM strategy a
+    /// slot's first access walks the table on the transaction's own
+    /// region: the bucket lines it looked at join the read set, so an
+    /// INSERT or DELETE of the key that commits before this region does
+    /// aborts it (strong atomicity).
+    fn keyed_at(&mut self, list: List, i: usize) -> Result<Found, Abort> {
+        let (slots, keys) = match list {
+            List::LocalWrite => (&mut self.keyed[0], &self.env.spec.keyed_writes),
+            _ => (&mut self.keyed[1], &self.env.spec.keyed_reads),
+        };
+        if let (None, Some(txn)) = (slots[i], &mut self.txn) {
+            let found = keys[i].find(txn)?;
+            slots[i] = Some(found.map_or(Found::Absent, |rec| Found::Entry(rec.addr.offset)));
+        }
+        Ok(slots[i].expect("ordered 2PL resolves every keyed slot before the body"))
+    }
+
+    /// `LOCAL_READ` of the entry at `off` inside the open HTM region.
+    fn htm_read(&mut self, off: usize) -> Result<Vec<u8>, Abort> {
+        let txn = self.txn.as_mut().expect("the HTM strategy's region is open");
+        Ok(record::local_read(txn, off)?.1)
+    }
+
+    /// Reads keyed-read record `i`; `None`: the key has no row.
+    pub fn keyed_read(&mut self, i: usize) -> Result<Option<Vec<u8>>, Abort> {
+        self.op_now()?;
+        match self.keyed_at(List::LocalRead, i)? {
+            Found::Entry(off) => self.htm_read(off).map(Some),
+            Found::Listed(at) => self.local_read(at).map(Some),
+            Found::Absent => Ok(None),
+        }
+    }
+
+    /// Reads the current value of keyed-write record `i` (including this
+    /// transaction's own update); `None`: the key has no row.
+    pub fn keyed_write_cur(&mut self, i: usize) -> Result<Option<Vec<u8>>, Abort> {
+        match self.keyed_at(List::LocalWrite, i)? {
+            Found::Entry(off) => self.htm_read(off).map(Some),
+            Found::Listed(at) => self.local_write_cur(at).map(Some),
+            Found::Absent => Ok(None),
+        }
+    }
+
+    /// Writes keyed-write record `i`.
+    ///
+    /// # Panics
+    ///
+    /// If the key has no row: a body learns that from
+    /// [`TxnCtx::keyed_write_cur`] and inserts instead.
+    pub fn keyed_write(&mut self, i: usize, value: &[u8]) -> Result<(), Abort> {
+        match self.keyed_at(List::LocalWrite, i)? {
+            Found::Entry(off) => self.htm_write(self.env.spec.keyed_writes[i].record(off), value),
+            Found::Listed(at) => self.local_write(at, value),
+            Found::Absent => panic!("a keyed write needs its row"),
         }
     }
 
@@ -1837,6 +2022,102 @@ mod tests {
         .unwrap();
         assert_eq!(h.value(2, 0), 200);
         assert_eq!(h.value(1, 0), 100, "read-leased record unchanged");
+    }
+
+    #[test]
+    fn strong_atomicity_protects_a_keyed_lookup() {
+        // The body's own walk put the key's bucket line in the region's
+        // read set, so a DELETE that commits before the region does
+        // aborts it — no incarnation check involved — and the retry's
+        // walk finds no row.
+        let h = harness(1, 1, 4, DrTmConfig::default());
+        let table = &h.tables[0];
+        let region = h.sys.cluster().node(0).region();
+        let outside = Executor::new(HtmConfig::default(), Default::default());
+        let mut w = h.sys.worker(0, 0);
+        let spec = TxnSpec { keyed_reads: vec![LocalKey { table, key: 2 }], ..Default::default() };
+        let before = h.sys.stats_report();
+        let mut attempts = 0;
+        let got = w
+            .execute(&spec, |ctx| {
+                attempts += 1;
+                let v = ctx.keyed_read(0)?;
+                if attempts == 1 {
+                    assert_eq!(v.as_deref().map(vu64), Some(100));
+                    assert!(table.delete(&outside, region, 2));
+                }
+                Ok(v)
+            })
+            .unwrap();
+        assert_eq!((got, attempts), (None, 2));
+        let d = h.sys.stats_report().since(&before);
+        assert_eq!((d.htm.commits, d.htm.conflict_aborts, d.htm.total_aborts()), (1, 1, 1));
+        assert_eq!(d.causes.get(AbortCause::HtmConflict), 1);
+        assert_eq!((d.txn.committed, d.txn.fallback_committed), (1, 0));
+    }
+
+    #[test]
+    fn keyed_rmw_gives_one_result_under_both_strategies() {
+        let run = |cfg: DrTmConfig| {
+            let h = harness(1, 1, 4, cfg);
+            let mut w = h.sys.worker(0, 0);
+            let spec = TxnSpec {
+                keyed_writes: vec![LocalKey { table: &h.tables[0], key: 1 }],
+                keyed_reads: vec![
+                    LocalKey { table: &h.tables[0], key: 3 },
+                    LocalKey { table: &h.tables[0], key: 77 },
+                ],
+                ..Default::default()
+            };
+            let (sum, locked) = w
+                .execute(&spec, |ctx| {
+                    let locked = h.state_of(0, 1).is_write_locked();
+                    assert_eq!(ctx.keyed_read(1)?, None, "key 77 was never inserted");
+                    let a = vu64(&ctx.keyed_read(0)?.expect("populated"));
+                    let b = vu64(&ctx.keyed_write_cur(0)?.expect("populated"));
+                    ctx.keyed_write(0, &u64v(a + b + 1))?;
+                    let seen = vu64(&ctx.keyed_write_cur(0)?.expect("populated"));
+                    assert_eq!(seen, a + b + 1, "a body reads its own keyed write");
+                    Ok((seen, locked))
+                })
+                .unwrap();
+            // (Under the fallback key 3 keeps its lease: it just expires.)
+            assert!(h.state_of(0, 1).is_init() && !h.state_of(0, 3).is_write_locked());
+            (sum, h.value(0, 1), locked, h.sys.stats().snapshot().fallback_committed)
+        };
+        assert_eq!(run(DrTmConfig::default()), (201, 201, false, 0));
+        // Straight to the fallback handler: the keyed record is found,
+        // then locked like any local record, before the body runs.
+        let mut cfg = DrTmConfig { logging: true, ..Default::default() };
+        cfg.htm.max_retries = 0;
+        assert_eq!(run(cfg), (201, 201, true, 1));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "write set contains a duplicate record")]
+    fn a_duplicate_keyed_write_is_refused_like_a_duplicate_address() {
+        let h = harness(1, 1, 4, DrTmConfig::default());
+        let key = LocalKey { table: &h.tables[0], key: 1 };
+        let spec = TxnSpec { keyed_writes: vec![key, key], ..Default::default() };
+        let _ = h.sys.worker(0, 0).execute(&spec, |_| Ok(()));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a local record is locked twice in one pass")]
+    fn a_record_declared_by_key_and_by_address_is_refused_where_it_would_deadlock() {
+        // Only the fallback's resolution learns that the two are one
+        // record; under HTM both slots walk to the same entry.
+        let mut cfg = DrTmConfig::default();
+        cfg.htm.max_retries = 0;
+        let h = harness(1, 1, 4, cfg);
+        let spec = TxnSpec {
+            local_writes: vec![h.rec(0, 1)],
+            keyed_reads: vec![LocalKey { table: &h.tables[0], key: 1 }],
+            ..Default::default()
+        };
+        let _ = h.sys.worker(0, 0).execute(&spec, |_| Ok(()));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use drtm_core::{Deployment, DrTm, DrTmConfig, Phase, RecordAddr, TxnSpec};
+use drtm_core::{Deployment, DrTm, DrTmConfig, LocalKey, Phase, RecordAddr, TxnSpec};
 use drtm_htm::vtime;
 use drtm_memstore::{ClusterHash, LookupResult};
 use drtm_rdma::{AtomicityLevel, ClusterConfig, DoorbellConfig, LatencyProfile};
@@ -208,6 +208,47 @@ fn path_costs_match_golden_batching_on() {
 #[test]
 fn path_costs_match_golden_batching_off() {
     check(false, GOLDEN_UNBATCHED);
+}
+
+/// Beside the six rows, not instead of them: `local_rmw` declared by key
+/// costs the address-declared row plus the walk the region now does
+/// itself — one 40 ns access when the key sits in the first line of its
+/// bucket (slots 0–3), two when it sits in the second — in LocalTX, and
+/// still one HTM commit in all: the stand-alone region that used to
+/// find the address (300 ns + the same walk) is gone, not moved.
+#[test]
+fn keyed_local_rmw_costs_the_address_row_plus_its_walk() {
+    for (batching, by_address) in [(true, GOLDEN_BATCHED[0]), (false, GOLDEN_UNBATCHED[0])] {
+        let f = fixture(2, batching, false, false);
+        let table = &f.tables[0];
+        // Five keys of one otherwise empty bucket, inserted in order:
+        // slots 0–4, so the first is on line 0 and the fifth on line 1.
+        let bucket = |k: u64| table.desc().bucket_index(k);
+        assert!((0..KEYS).all(|k| bucket(k) != bucket(1_000)));
+        let same: Vec<u64> = (1_000..).filter(|&k| bucket(k) == bucket(1_000)).take(5).collect();
+        let region = f.sys.cluster().node(0).region();
+        for &k in &same {
+            table.insert(&f.sys.executor(), region, k, &100u64.to_le_bytes()).unwrap();
+        }
+        let mut w = f.sys.worker(0, 0);
+        for (key, walk_ns) in [(same[0], 40), (same[4], 80)] {
+            let spec =
+                TxnSpec { keyed_writes: vec![LocalKey { table, key }], ..Default::default() };
+            let commits = f.sys.htm_stats().snapshot().commits;
+            let got = f.cost(|| {
+                w.execute(&spec, |ctx| {
+                    let v = ctx.keyed_write_cur(0)?.expect("inserted above");
+                    ctx.keyed_write(0, &bump(&v))
+                })
+                .unwrap();
+            });
+            let mut want = by_address;
+            want.vtime_ns += walk_ns;
+            want.phase_ns[1] += walk_ns;
+            assert_eq!(got, want, "keyed local_rmw, walk of {walk_ns} ns (batching = {batching})");
+            assert_eq!(f.sys.htm_stats().snapshot().commits - commits, 1);
+        }
+    }
 }
 
 const fn cost(

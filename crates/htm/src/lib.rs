@@ -65,7 +65,7 @@ mod txn;
 pub mod vtime;
 
 pub use counters::{Counter, CounterArray};
-pub use exec::Executor;
+pub use exec::{Executor, Steps};
 pub use region::{Region, LINE_SIZE};
 pub use stats::{HtmStats, StatsSnapshot};
 pub use txn::{Abort, HtmConfig, HtmTxn};

@@ -1,21 +1,25 @@
-//! Key → record-address resolution.
+//! Key → record resolution.
 //!
-//! Before a DrTM transaction starts, the worker resolves every key in its
-//! declared read/write sets to a [`RecordAddr`]:
+//! A DrTM transaction needs the address of a record before Start only to
+//! lock or lease it from another machine:
 //!
-//! * **local keys** — a validated standalone HTM lookup on the worker's
-//!   own region (cheap, no network);
 //! * **remote keys** — a one-sided lookup through the machine-shared
 //!   [`LocationCache`] (§5.3): a warm cache answers with zero RDMA READs,
 //!   and staleness is caught by the incarnation check on the first fetch
-//!   of the record.
+//!   of the record;
+//! * **local keys** — declared by key ([`Table::local`]) and looked up
+//!   inside the transaction's own HTM region, where strong atomicity
+//!   protects the walk. The address form of a local key
+//!   ([`Table::try_resolve`] against the worker's own machine: one
+//!   stand-alone region per lookup) remains for the workloads and probes
+//!   that still declare local records by address.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use drtm_core::{RecordAddr, Worker};
+use drtm_core::{LocalKey, RecordAddr, Worker};
 use drtm_htm::{Executor, Region};
 use drtm_memstore::{ClusterHash, LocationCache};
 use drtm_rdma::{FabricError, NodeId};
@@ -61,6 +65,12 @@ impl Table {
         &self.shards[node as usize]
     }
 
+    /// `key`'s row in `node`'s shard, for a transaction running on `node`
+    /// to declare by key.
+    pub fn local(&self, node: NodeId, key: u64) -> LocalKey<'_> {
+        LocalKey { table: self.shard(node), key }
+    }
+
     /// The location cache used by `client` for `server`'s shard.
     pub fn cache(&self, client: NodeId, server: NodeId) -> Arc<LocationCache> {
         if let Some(c) = self.caches.read().get(&(client, server)) {
@@ -94,12 +104,9 @@ impl Table {
         node: NodeId,
         key: u64,
     ) -> Option<Vec<u8>> {
-        let shard = self.shard(node);
-        let value = exec.run(region, |txn| match shard.get_local(txn, key)? {
-            Some(e) => e.read_value(txn).map(Some),
-            None => Ok(None),
-        });
-        value.expect("a read never aborts itself")
+        let row = self.local(node, key);
+        let found = exec.run(region, |txn| row.read(txn));
+        found.expect("a read never aborts itself").map(|(_, value)| value)
     }
 
     /// [`Table::resolve`] with typed dead-peer reporting: a warm cache
@@ -113,11 +120,9 @@ impl Table {
     ) -> Result<Option<RecordAddr>, FabricError> {
         let cap = self.value_cap();
         if server == worker.node {
-            let table = self.shard(server);
-            let found = worker.executor().run(worker.region(), |txn| table.get_local(txn, key));
-            Ok(found
-                .expect("a lookup never aborts itself")
-                .map(|e| RecordAddr::new(drtm_rdma::GlobalAddr::new(server, e.offset), cap)))
+            let row = self.local(server, key);
+            let found = worker.executor().run(worker.region(), |txn| row.find(txn));
+            Ok(found.expect("a lookup never aborts itself"))
         } else {
             let cache = self.cache(worker.node, server);
             let table = self.shard(server);
