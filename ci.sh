@@ -22,8 +22,11 @@
 # plus a `git grep` gate that keeps TPC-C's local rows declared by key
 # (DESIGN.md §2 "Commit pipeline", "Local records by key"): tpcc/txns.rs has no per-record
 # stand-alone read (`read_fields`) and resolves no address but a remote
-# row's, in one helper — `try_resolve(` once, `.resolve(` nowhere. The
-# behavioural gate, regions per transaction type, is a tier-1 test.
+# row's, in one helper — `try_resolve(` once, `.resolve(` nowhere;
+# smallbank.rs and micro.rs likewise push to no `local_writes` /
+# `local_reads`, lease no local record (`try_read_only_records`) and
+# resolve an address in one remote-only helper each. The behavioural
+# gate, regions per transaction type, is a tier-1 test per workload.
 # plus a `git grep` gate that keeps failure state written once (DESIGN.md
 # §8 "Failure model"): the fabric's FaultPlan owns dead / retired / armed
 # crash sites, so none of the deleted second copies by name — the
@@ -126,7 +129,7 @@ if git grep -n --untracked 'try_remote_scan\|StoreServiceGuard\|ScanServiceGuard
   exit 1
 fi
 
-echo "== by key: TPC-C resolves no local row to an address =="
+echo "== by key: no workload resolves a local row to an address =="
 # A `resolve` back in a transaction is a stand-alone region per key
 # again: 36 regions per operation where the mix needs 3.
 TXNS=crates/workloads/src/tpcc/txns.rs
@@ -136,6 +139,17 @@ if git grep -n --untracked 'read_fields\|\.resolve(' -- "$TXNS"; then
 fi
 [ "$(git grep -c --untracked 'try_resolve(' -- "$TXNS" | cut -d: -f2)" = 1 ] \
   || { echo "$TXNS must call try_resolve once: in the remote-row helper" >&2; exit 1; }
+
+for f in crates/workloads/src/smallbank.rs crates/workloads/src/micro.rs; do
+  # Neither takes a lease on a local record: `balance` is two keyed reads
+  # in one region, where 2 ms leases on hot accounts cost a factor of ten.
+  if git grep -n --untracked 'local_writes\|local_reads\|try_read_only_records' -- "$f"; then
+    echo "$f declares a local record by address or leases it: declare it by key" >&2
+    exit 1
+  fi
+  [ "$(git grep -c --untracked 'try_resolve(\|\.resolve(' -- "$f" | cut -d: -f2)" = 1 ] \
+    || { echo "$f must resolve an address once: in the remote-record helper" >&2; exit 1; }
+done
 
 echo "== written once: the fault plan owns who is dead and where a crash fires =="
 # A liveness bit or a crash knob beside drtm_rdma::FaultPlan has forked

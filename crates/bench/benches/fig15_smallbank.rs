@@ -79,6 +79,8 @@ fn main() {
     ledger.row(
         total,
         [
+            // The peak against the paper's, not only the curves' shapes.
+            quiet("threads_16_vs_paper_x", Kind::Virtual, last / 138e6),
             quiet("threads_speedup_x", Kind::Virtual, last / base).paper(10.85),
             quiet("wall_s", Kind::Host, wall.elapsed().as_secs_f64()),
         ],

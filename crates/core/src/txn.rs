@@ -2094,6 +2094,76 @@ mod tests {
     }
 
     #[test]
+    fn a_keyed_read_pair_is_one_snapshot() {
+        // The HTM twin of `read_only_sees_consistent_snapshot`: a
+        // read-only transaction small enough for a region is an `execute`
+        // with an empty write set. Its two reads are one snapshot against
+        // a writer on its own machine (whose region conflicts with it)
+        // and against one on another machine (whose lock CAS and
+        // write-backs it either conflicts with or sees as a lock) — in a
+        // region, and under ordered 2PL, where they are leased, then
+        // confirmed.
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+        for (max_retries, writer_node) in [(None, 0), (None, 1), (Some(0), 0), (Some(0), 1)] {
+            let mut cfg = DrTmConfig::default();
+            cfg.htm.max_retries = max_retries.unwrap_or(cfg.htm.max_retries);
+            let h = harness(2, 2, 2, cfg);
+            let pair: Vec<_> = (0..2).map(|key| LocalKey { table: &h.tables[0], key }).collect();
+            let (stop, transfers) = (AtomicBool::new(false), AtomicU64::new(0));
+            let sums = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut w = h.sys.worker(writer_node, 1);
+                    let spec = if writer_node == 0 {
+                        TxnSpec { keyed_writes: pair.clone(), ..Default::default() }
+                    } else {
+                        TxnSpec {
+                            remote_writes: vec![h.rec(0, 0), h.rec(0, 1)],
+                            ..Default::default()
+                        }
+                    };
+                    while !stop.load(Relaxed) {
+                        w.execute(&spec, |ctx| {
+                            if writer_node == 0 {
+                                let x = vu64(&ctx.keyed_write_cur(0)?.expect("populated"));
+                                let y = vu64(&ctx.keyed_write_cur(1)?.expect("populated"));
+                                ctx.keyed_write(0, &u64v(x.wrapping_sub(1)))?;
+                                ctx.keyed_write(1, &u64v(y.wrapping_add(1)))?;
+                            } else {
+                                let x = vu64(ctx.remote_write_cur(0));
+                                let y = vu64(ctx.remote_write_cur(1));
+                                ctx.remote_write(0, u64v(x.wrapping_sub(1)));
+                                ctx.remote_write(1, u64v(y.wrapping_add(1)));
+                            }
+                            Ok(())
+                        })
+                        .unwrap();
+                        transfers.fetch_add(1, Relaxed);
+                    }
+                });
+                let mut r = h.sys.worker(0, 0);
+                let spec = TxnSpec { keyed_reads: pair.clone(), ..Default::default() };
+                let mut sums = Vec::new();
+                while transfers.load(Relaxed) < 50 || sums.len() < 50 {
+                    let read = r.execute(&spec, |ctx| {
+                        let x = vu64(&ctx.keyed_read(0)?.expect("populated"));
+                        let y = vu64(&ctx.keyed_read(1)?.expect("populated"));
+                        Ok((x, x.wrapping_add(y)))
+                    });
+                    sums.push(read.unwrap());
+                }
+                stop.store(true, Relaxed);
+                sums
+            });
+            let case = format!("max_retries {max_retries:?}, writer on machine {writer_node}");
+            assert!(sums.iter().all(|&(_, sum)| sum == 200), "{case}: a torn pair in {sums:?}");
+            assert!(sums.iter().any(|&(x, _)| x != sums[0].0), "{case}: the writer never ran");
+            let snap = h.sys.stats().snapshot();
+            assert_eq!(snap.ro_committed, 0, "{case}");
+            assert_eq!(snap.fallback_committed == snap.committed, max_retries == Some(0), "{case}");
+        }
+    }
+
+    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "write set contains a duplicate record")]
     fn a_duplicate_keyed_write_is_refused_like_a_duplicate_address() {

@@ -165,101 +165,83 @@ impl MicroWorker {
         (node, HOT_BASE + h)
     }
 
+    /// The address of `key`'s record on another machine, through the
+    /// location cache: what Start locks or leases with one-sided verbs.
+    fn remote(&self, node: NodeId, key: u64) -> RecordAddr {
+        debug_assert_ne!(node, self.w.node, "a local record is declared by key");
+        self.table.resolve(&self.w, node, key).expect("populated")
+    }
+
     /// The read-write transaction: `reads` of the 10 accesses are pure
     /// reads, the rest read-modify-write.
     pub fn read_write(&mut self, reads: usize) -> &'static str {
-        let mut spec = TxnSpec::default();
-        let mut ops: Vec<(bool, bool, usize)> = Vec::new(); // (is_read, remote, idx)
-        let mut seen = std::collections::HashSet::new();
+        let mut picks = Vec::with_capacity(self.cfg.accesses);
         for a in 0..self.cfg.accesses {
-            let (node, key) = loop {
-                let (n, k) = self.pick();
-                if seen.insert(k) {
-                    break (n, k);
-                }
-            };
-            let rec = self.table.resolve(&self.w, node, key).expect("populated");
-            let is_read = a < reads;
-            let remote = node != self.w.node;
-            let idx = self.place(&mut spec, rec, is_read, remote);
-            ops.push((is_read, remote, idx));
+            picks.push((self.pick_fresh(&picks), a < reads));
         }
-        self.execute(&spec, &ops);
+        self.run(&picks);
         "read_write"
     }
 
     /// The hotspot transaction: one access reads a globally hot record.
     pub fn hotspot(&mut self) -> &'static str {
-        let mut spec = TxnSpec::default();
-        let mut ops: Vec<(bool, bool, usize)> = Vec::new();
-        let (hn, hk) = self.pick_hot();
-        let hrec = self.table.resolve(&self.w, hn, hk).expect("hot record");
-        let hremote = hn != self.w.node;
-        let idx = self.place(&mut spec, hrec, true, hremote);
-        ops.push((true, hremote, idx));
-        let mut seen = std::collections::HashSet::from([hk]);
+        let mut picks = vec![(self.pick_hot(), true)];
         for _ in 1..self.cfg.accesses {
-            let (node, key) = loop {
-                let (n, k) = self.pick();
-                if seen.insert(k) {
-                    break (n, k);
-                }
-            };
-            let rec = self.table.resolve(&self.w, node, key).expect("populated");
-            let remote = node != self.w.node;
-            let idx = self.place(&mut spec, rec, false, remote);
-            ops.push((false, remote, idx));
+            picks.push((self.pick_fresh(&picks), false));
         }
-        self.execute(&spec, &ops);
+        self.run(&picks);
         "hotspot"
     }
 
-    /// Places a record into the spec honouring the read-lease switch:
-    /// without leases, remote reads are declared as exclusive writes.
-    fn place(&self, spec: &mut TxnSpec, rec: RecordAddr, is_read: bool, remote: bool) -> usize {
-        match (is_read, remote, self.cfg.read_lease) {
-            (true, true, true) => {
-                spec.remote_reads.push(rec);
-                spec.remote_reads.len() - 1
-            }
-            (true, true, false) | (false, true, _) => {
-                spec.remote_writes.push(rec);
-                spec.remote_writes.len() - 1
-            }
-            (true, false, _) => {
-                spec.local_reads.push(rec);
-                spec.local_reads.len() - 1
-            }
-            (false, false, _) => {
-                spec.local_writes.push(rec);
-                spec.local_writes.len() - 1
+    /// Draws until the key is none of `picks`': a transaction declares a
+    /// record once.
+    fn pick_fresh(&mut self, picks: &[Pick]) -> (NodeId, u64) {
+        loop {
+            let (node, key) = self.pick();
+            if picks.iter().all(|&((_, picked), _)| picked != key) {
+                break (node, key);
             }
         }
     }
 
-    fn execute(&mut self, spec: &TxnSpec, ops: &[(bool, bool, usize)]) {
-        let lease = self.cfg.read_lease;
-        let r = self.w.execute(spec, |ctx| {
-            for &(is_read, remote, idx) in ops {
-                match (is_read, remote) {
-                    (true, true) => {
-                        if lease {
-                            let _ = fields(ctx.remote_read(idx));
-                        } else {
-                            // Locked like a write but not written back.
-                            let _ = fields(ctx.remote_write_cur(idx));
-                        }
+    /// Declares every pick — a local record by key, a remote one by
+    /// address — and runs the transaction. Without the read lease a
+    /// remote read is declared as an exclusive write.
+    fn run(&mut self, picks: &[Pick]) {
+        fn push<T>(list: &mut Vec<T>, item: T) -> usize {
+            list.push(item);
+            list.len() - 1
+        }
+        // The spec borrows the `table` field alone, not `self` through
+        // the closure, so `self.w` is free for `execute` below.
+        let (table, mut spec) = (&self.table, TxnSpec::default());
+        let declare = |&((node, key), is_read): &Pick| match (is_read, node != self.w.node) {
+            (true, true) if self.cfg.read_lease => {
+                Slot::RemoteRead(push(&mut spec.remote_reads, self.remote(node, key)))
+            }
+            (true, true) => {
+                Slot::RemoteLocked(push(&mut spec.remote_writes, self.remote(node, key)))
+            }
+            (false, true) => {
+                Slot::RemoteWrite(push(&mut spec.remote_writes, self.remote(node, key)))
+            }
+            (true, false) => Slot::Read(push(&mut spec.keyed_reads, table.local(node, key))),
+            (false, false) => Slot::Write(push(&mut spec.keyed_writes, table.local(node, key))),
+        };
+        let slots: Vec<Slot> = picks.iter().map(declare).collect();
+        let r = self.w.execute(&spec, |ctx| {
+            for &slot in &slots {
+                match slot {
+                    Slot::RemoteRead(i) => drop(fields(ctx.remote_read(i))),
+                    Slot::RemoteLocked(i) => drop(fields(ctx.remote_write_cur(i))),
+                    Slot::Read(i) => drop(fields(&ctx.keyed_read(i)?.expect("populated"))),
+                    Slot::RemoteWrite(i) => {
+                        let v = fields(ctx.remote_write_cur(i))[0];
+                        ctx.remote_write(i, pack_fields(&[v.wrapping_add(1)]));
                     }
-                    (true, false) => {
-                        let _ = fields(&ctx.local_read(idx)?);
-                    }
-                    (false, true) => {
-                        let v = fields(ctx.remote_write_cur(idx))[0];
-                        ctx.remote_write(idx, pack_fields(&[v.wrapping_add(1)]));
-                    }
-                    (false, false) => {
-                        let v = fields(&ctx.local_write_cur(idx)?)[0];
-                        ctx.local_write(idx, &pack_fields(&[v.wrapping_add(1)]))?;
+                    Slot::Write(i) => {
+                        let v = fields(&ctx.keyed_write_cur(i)?.expect("populated"))[0];
+                        ctx.keyed_write(i, &pack_fields(&[v.wrapping_add(1)]))?;
                     }
                 }
             }
@@ -270,6 +252,20 @@ impl MicroWorker {
             Err(e) => panic!("unexpected transaction failure: {e:?}"),
         }
     }
+}
+
+/// One access drawn for a transaction: `((home, key), is_read)`.
+type Pick = ((NodeId, u64), bool);
+
+/// Where an access was declared: the list of the spec and the index in
+/// it. `RemoteLocked` is locked like a write but not written back.
+#[derive(Clone, Copy)]
+enum Slot {
+    RemoteRead(usize),
+    RemoteLocked(usize),
+    RemoteWrite(usize),
+    Read(usize),
+    Write(usize),
 }
 
 #[cfg(test)]
@@ -315,11 +311,26 @@ mod tests {
     }
 
     #[test]
+    fn an_all_local_transaction_is_one_region() {
+        // Nothing remote, one worker: HTM commits count regions — the
+        // transaction's own, with every key walk inside it.
+        let m = Micro::build(MicroConfig { remote_prob: 0.0, nodes: 1, ..tiny(true) });
+        let mut w = m.worker(0, 0);
+        for i in 0..40 {
+            let before = m.sys.htm_stats().snapshot();
+            let label = if i % 2 == 0 { w.read_write(5) } else { w.hotspot() };
+            let d = m.sys.htm_stats().snapshot().since(&before);
+            assert_eq!((d.commits, d.total_aborts()), (1, 0), "{label}");
+        }
+        assert_eq!(m.sys.stats().snapshot().committed, 40);
+    }
+
+    #[test]
     fn lease_mode_shares_reads() {
         // With leases, two workers remote-reading the same hot record
         // must not conflict at the lock level: the second read shares.
         let m = Micro::build(tiny(true));
-        let rec = m.table.resolve(&m.worker(0, 0).w, 1, 200).expect("record");
+        let rec = m.worker(0, 0).remote(1, 200);
         let mut w = m.sys.worker(0, 0);
         let spec = TxnSpec { remote_reads: vec![rec], ..Default::default() };
         w.execute(&spec, |ctx| Ok(fields(ctx.remote_read(0))[0])).unwrap();

@@ -11,8 +11,8 @@
 //!   inside the transaction's own HTM region, where strong atomicity
 //!   protects the walk. The address form of a local key
 //!   ([`Table::try_resolve`] against the worker's own machine: one
-//!   stand-alone region per lookup) remains for the workloads and probes
-//!   that still declare local records by address.
+//!   stand-alone region per lookup) remains for the probes and tests that
+//!   name a local record by address; no workload does.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -163,11 +163,6 @@ impl SmallBankWorker {
         &mut self.w
     }
 
-    fn pick_local_account(&mut self) -> (NodeId, u64) {
-        let node = self.w.node;
-        (node, self.pick_on(node))
-    }
-
     fn pick_on(&mut self, node: NodeId) -> u64 {
         let per = self.cfg.accounts_per_node;
         let local = if self.rng.gen_bool(self.cfg.hot_prob) {
@@ -195,7 +190,10 @@ impl SmallBankWorker {
         (node, acct)
     }
 
-    fn resolve(&self, table: &Table, node: NodeId, key: u64) -> Result<RecordAddr, TxnError> {
+    /// The address of `key`'s account on another machine, through the
+    /// location cache: what Start locks with one-sided verbs.
+    fn remote(&self, table: &Table, node: NodeId, key: u64) -> Result<RecordAddr, TxnError> {
+        debug_assert_ne!(node, self.w.node, "a local account is declared by key");
         Ok(table.try_resolve(&self.w, node, key)?.expect("populated account"))
     }
 
@@ -227,108 +225,114 @@ impl SmallBankWorker {
 
     /// SP: move money between two checking accounts (possibly remote).
     pub fn try_send_payment(&mut self) -> Result<(), TxnError> {
-        let (na, a) = self.pick_local_account();
+        let node = self.w.node;
+        let a = self.pick_on(node);
         let (nb, b) = self.pick_second(a);
         let amount = self.rng.gen_range(1..100u64);
-        let ra = self.resolve(&self.checking, na, a)?;
-        let rb = self.resolve(&self.checking, nb, b)?;
-        let mut spec = TxnSpec::default();
-        let b_remote = nb != self.w.node;
-        spec.local_writes.push(ra);
+        let mut spec =
+            TxnSpec { keyed_writes: vec![self.checking.local(node, a)], ..Default::default() };
+        let b_remote = nb != node;
         if b_remote {
-            spec.remote_writes.push(rb);
+            spec.remote_writes.push(self.remote(&self.checking, nb, b)?);
         } else {
-            spec.local_writes.push(rb);
+            spec.keyed_writes.push(self.checking.local(node, b));
         }
         tolerate_user_abort(self.w.execute(&spec, |ctx| {
-            let va = fields(&ctx.local_write_cur(0)?)[0];
-            ctx.local_write(0, &pack_fields(&[va.wrapping_sub(amount)]))?;
+            let va = balance(ctx.keyed_write_cur(0)?);
+            ctx.keyed_write(0, &pack_fields(&[va.wrapping_sub(amount)]))?;
             if b_remote {
                 let vb = fields(ctx.remote_write_cur(0))[0];
                 ctx.remote_write(0, pack_fields(&[vb.wrapping_add(amount)]));
             } else {
-                let vb = fields(&ctx.local_write_cur(1)?)[0];
-                ctx.local_write(1, &pack_fields(&[vb.wrapping_add(amount)]))?;
+                let vb = balance(ctx.keyed_write_cur(1)?);
+                ctx.keyed_write(1, &pack_fields(&[vb.wrapping_add(amount)]))?;
             }
             Ok(())
         }))
     }
 
-    /// BAL: read-only sum of a customer's two balances.
+    /// BAL: read-only sum of a customer's two balances. Two reads fit an
+    /// HTM region, so this is an ordinary transaction with an empty write
+    /// set: no lease, no log, no verb (leases are for read sets that
+    /// would not fit, §4.5).
     pub fn try_balance(&mut self) -> Result<(), TxnError> {
-        let (n, a) = self.pick_local_account();
-        let rc = self.resolve(&self.checking, n, a)?;
-        let rs = self.resolve(&self.savings, n, a)?;
-        let _ = self.w.try_read_only_records(&[rc, rs])?;
+        let node = self.w.node;
+        let a = self.pick_on(node);
+        let spec = TxnSpec {
+            keyed_reads: vec![self.checking.local(node, a), self.savings.local(node, a)],
+            ..Default::default()
+        };
+        self.w.execute(&spec, |ctx| {
+            Ok(balance(ctx.keyed_read(0)?).wrapping_add(balance(ctx.keyed_read(1)?)))
+        })?;
         Ok(())
     }
 
     /// DC: deposit into checking.
     pub fn try_deposit_checking(&mut self) -> Result<(), TxnError> {
-        let (n, a) = self.pick_local_account();
-        let amount = self.rng.gen_range(1..100u64);
-        let rec = self.resolve(&self.checking, n, a)?;
-        let spec = TxnSpec { local_writes: vec![rec], ..Default::default() };
-        tolerate_user_abort(self.w.execute(&spec, |ctx| {
-            let v = fields(&ctx.local_write_cur(0)?)[0];
-            ctx.local_write(0, &pack_fields(&[v.wrapping_add(amount)]))
-        }))
+        self.adjust(false, u64::wrapping_add)
     }
 
     /// WC: withdraw from checking.
     pub fn try_withdraw_from_checking(&mut self) -> Result<(), TxnError> {
-        let (n, a) = self.pick_local_account();
-        let amount = self.rng.gen_range(1..100u64);
-        let rec = self.resolve(&self.checking, n, a)?;
-        let spec = TxnSpec { local_writes: vec![rec], ..Default::default() };
-        tolerate_user_abort(self.w.execute(&spec, |ctx| {
-            let v = fields(&ctx.local_write_cur(0)?)[0];
-            ctx.local_write(0, &pack_fields(&[v.wrapping_sub(amount)]))
-        }))
+        self.adjust(false, u64::wrapping_sub)
     }
 
     /// TS: transfer into savings.
     pub fn try_transfer_to_savings(&mut self) -> Result<(), TxnError> {
-        let (n, a) = self.pick_local_account();
+        self.adjust(true, u64::wrapping_add)
+    }
+
+    /// The one-account transactions: `op` applied to one local balance
+    /// and an amount of 1..100.
+    fn adjust(&mut self, savings: bool, op: fn(u64, u64) -> u64) -> Result<(), TxnError> {
+        let node = self.w.node;
+        let a = self.pick_on(node);
         let amount = self.rng.gen_range(1..100u64);
-        let rec = self.resolve(&self.savings, n, a)?;
-        let spec = TxnSpec { local_writes: vec![rec], ..Default::default() };
+        let table = if savings { &self.savings } else { &self.checking };
+        let spec = TxnSpec { keyed_writes: vec![table.local(node, a)], ..Default::default() };
         tolerate_user_abort(self.w.execute(&spec, |ctx| {
-            let v = fields(&ctx.local_write_cur(0)?)[0];
-            ctx.local_write(0, &pack_fields(&[v.wrapping_add(amount)]))
+            let v = balance(ctx.keyed_write_cur(0)?);
+            ctx.keyed_write(0, &pack_fields(&[op(v, amount)]))
         }))
     }
 
     /// AMG: move all funds of account A into account B's checking.
     pub fn try_amalgamate(&mut self) -> Result<(), TxnError> {
-        let (na, a) = self.pick_local_account();
+        let node = self.w.node;
+        let a = self.pick_on(node);
         let (nb, b) = self.pick_second(a);
-        let rs = self.resolve(&self.savings, na, a)?;
-        let rc = self.resolve(&self.checking, na, a)?;
-        let rb = self.resolve(&self.checking, nb, b)?;
-        let mut spec = TxnSpec { local_writes: vec![rs, rc], ..Default::default() };
-        let b_remote = nb != self.w.node;
+        let mut spec = TxnSpec {
+            keyed_writes: vec![self.savings.local(node, a), self.checking.local(node, a)],
+            ..Default::default()
+        };
+        let b_remote = nb != node;
         if b_remote {
-            spec.remote_writes.push(rb);
+            spec.remote_writes.push(self.remote(&self.checking, nb, b)?);
         } else {
-            spec.local_writes.push(rb);
+            spec.keyed_writes.push(self.checking.local(node, b));
         }
         tolerate_user_abort(self.w.execute(&spec, |ctx| {
-            let vs = fields(&ctx.local_write_cur(0)?)[0];
-            let vc = fields(&ctx.local_write_cur(1)?)[0];
-            ctx.local_write(0, &pack_fields(&[0]))?;
-            ctx.local_write(1, &pack_fields(&[0]))?;
-            let total = vs.wrapping_add(vc);
+            let total =
+                balance(ctx.keyed_write_cur(0)?).wrapping_add(balance(ctx.keyed_write_cur(1)?));
+            ctx.keyed_write(0, &pack_fields(&[0]))?;
+            ctx.keyed_write(1, &pack_fields(&[0]))?;
             if b_remote {
                 let vb = fields(ctx.remote_write_cur(0))[0];
                 ctx.remote_write(0, pack_fields(&[vb.wrapping_add(total)]));
             } else {
-                let vb = fields(&ctx.local_write_cur(2)?)[0];
-                ctx.local_write(2, &pack_fields(&[vb.wrapping_add(total)]))?;
+                let vb = balance(ctx.keyed_write_cur(2)?);
+                ctx.keyed_write(2, &pack_fields(&[vb.wrapping_add(total)]))?;
             }
             Ok(())
         }))
     }
+}
+
+/// The balance in an account's row; population creates every account
+/// and nothing deletes one.
+fn balance(row: Option<Vec<u8>>) -> u64 {
+    fields(&row.expect("populated account"))[0]
 }
 
 #[cfg(test)]
@@ -392,9 +396,60 @@ mod tests {
             }
         });
         assert_eq!(sb.total_balance(), expected, "balance conservation violated");
+        // A balance is a read-write transaction with an empty write set:
+        // it commits like the other two, and nothing here takes the
+        // leased read-only path.
         let snap = sb.sys.stats().snapshot();
-        assert!(snap.committed > 0);
-        assert!(snap.ro_committed > 0, "balance transactions should have run");
+        assert_eq!((snap.committed, snap.ro_committed), (4 * 120, 0));
+    }
+
+    #[test]
+    fn each_transaction_type_is_one_region_and_balance_leaves_nothing_behind() {
+        // One machine, one worker: every account is local and nothing
+        // conflicts, so HTM commits count regions — the transaction's
+        // own and no stand-alone one, the key walks being inside it.
+        let mut cfg = SmallBankConfig { nodes: 1, workers: 1, ..tiny() };
+        cfg.drtm.logging = true;
+        let sb = SmallBank::build(cfg);
+        let mut w = sb.worker(0, 0);
+        type Txn = fn(&mut SmallBankWorker) -> Result<(), TxnError>;
+        let types: [(&str, Txn); 6] = [
+            ("send_payment", SmallBankWorker::try_send_payment),
+            ("balance", SmallBankWorker::try_balance),
+            ("deposit_checking", SmallBankWorker::try_deposit_checking),
+            ("withdraw_from_checking", SmallBankWorker::try_withdraw_from_checking),
+            ("transfer_to_savings", SmallBankWorker::try_transfer_to_savings),
+            ("amalgamate", SmallBankWorker::try_amalgamate),
+        ];
+        for (name, txn) in types {
+            for _ in 0..20 {
+                let before = sb.sys.htm_stats().snapshot();
+                txn(&mut w).unwrap();
+                let d = sb.sys.htm_stats().snapshot().since(&before);
+                assert_eq!((d.commits, d.total_aborts()), (1, 0), "{name}");
+            }
+        }
+        // balance reads inside its region and takes no lease: both state
+        // words stay INIT, no verb is issued (a local lease is a
+        // loop-back CAS) and, with logging on, nothing is logged.
+        for _ in 0..20 {
+            let draws = w.rng.clone();
+            let account = w.pick_on(0);
+            w.rng = draws;
+            let stats = sb.sys.stats().snapshot();
+            let verbs = sb.sys.cluster().counters().snapshot();
+            w.try_balance().unwrap();
+            let d = sb.sys.stats().snapshot().since(&stats);
+            assert_eq!((d.committed, d.ro_committed), (1, 0));
+            assert_eq!((d.log_writes, d.log_bytes, d.log_done_waits), (0, 0, 0));
+            assert_eq!(sb.sys.cluster().counters().snapshot().since(&verbs).fabric_ops(), 0);
+            for table in [&sb.checking, &sb.savings] {
+                let (exec, region) = (sb.sys.executor(), w.w.region());
+                let found = exec.run(region, |txn| table.local(0, account).find(txn)).unwrap();
+                let header = found.expect("populated account").entry().read_header_nt(region);
+                assert_eq!(header.state, drtm_core::INIT, "account {account}");
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Quickstart: a two-machine DrTM cluster in ~80 lines.
+//! Quickstart: a two-machine DrTM cluster in ~100 lines.
 //!
 //! Assembles the deployment (cluster config → declare the stores →
 //! populate → start), then runs (1) a local transaction, (2) a
 //! distributed read-write transaction that locks a remote record over
-//! simulated RDMA, and (3) a lease-based read-only transaction.
+//! simulated RDMA, (3) a small local read-only transaction in one HTM
+//! region and (4) a lease-based read-only transaction across machines.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -41,45 +42,62 @@ fn main() {
     let read_u64 = |b: &[u8]| u64::from_le_bytes(b[..8].try_into().unwrap());
 
     // 5. Local transaction: move 100 coins between two local accounts.
+    //    A local record is declared by key and looked up inside the
+    //    transaction's own HTM region.
     let spec = TxnSpec {
-        local_writes: vec![
-            accounts.resolve(&worker, 0, 1).unwrap(),
-            accounts.resolve(&worker, 0, 2).unwrap(),
-        ],
+        keyed_writes: vec![accounts.local(0, 1), accounts.local(0, 2)],
         ..Default::default()
     };
     worker
         .execute(&spec, |ctx| {
-            let a = read_u64(&ctx.local_write_cur(0)?);
-            let b = read_u64(&ctx.local_write_cur(1)?);
-            ctx.local_write(0, &(a - 100).to_le_bytes())?;
-            ctx.local_write(1, &(b + 100).to_le_bytes())?;
+            let a = read_u64(&ctx.keyed_write_cur(0)?.expect("populated"));
+            let b = read_u64(&ctx.keyed_write_cur(1)?.expect("populated"));
+            ctx.keyed_write(0, &(a - 100).to_le_bytes())?;
+            ctx.keyed_write(1, &(b + 100).to_le_bytes())?;
             Ok(())
         })
         .expect("local transaction");
     println!("local transfer committed (HTM path)");
 
     // 6. Distributed transaction: machine 0 debits its account 1 and
-    //    credits account 7 on machine 1 (locked with RDMA CAS).
+    //    credits account 7 on machine 1. Only the remote record needs an
+    //    address up front: Start locks it with an RDMA CAS.
     let remote: RecordAddr = accounts.resolve(&worker, 1, 7).unwrap();
     let spec = TxnSpec {
-        local_writes: vec![accounts.resolve(&worker, 0, 1).unwrap()],
+        keyed_writes: vec![accounts.local(0, 1)],
         remote_writes: vec![remote],
         ..Default::default()
     };
     worker
         .execute(&spec, |ctx| {
-            let mine = read_u64(&ctx.local_write_cur(0)?);
+            let mine = read_u64(&ctx.keyed_write_cur(0)?.expect("populated"));
             let theirs = read_u64(ctx.remote_write_cur(0));
-            ctx.local_write(0, &(mine - 50).to_le_bytes())?;
+            ctx.keyed_write(0, &(mine - 50).to_le_bytes())?;
             ctx.remote_write(0, (theirs + 50).to_le_bytes().to_vec());
             Ok(())
         })
         .expect("distributed transaction");
     println!("distributed transfer committed (HTM + RDMA 2PL)");
 
-    // 7. Read-only transaction: lease-protected consistent reads of both
-    //    machines' accounts.
+    // 7. A small local read-only transaction is the same `execute` with
+    //    an empty write set: two reads in one region are one snapshot —
+    //    no lease, no log, no verb.
+    let spec = TxnSpec {
+        keyed_reads: vec![accounts.local(0, 1), accounts.local(0, 2)],
+        ..Default::default()
+    };
+    let sum = worker
+        .execute(&spec, |ctx| {
+            let a = read_u64(&ctx.keyed_read(0)?.expect("populated"));
+            let b = read_u64(&ctx.keyed_read(1)?.expect("populated"));
+            Ok(a + b)
+        })
+        .expect("local read-only transaction");
+    println!("local read-only sum of accounts 1 and 2: {sum}");
+    assert_eq!(sum, 850 + 1100);
+
+    // 8. Lease-based read-only transaction (§4.5): for reads on other
+    //    machines, or a read set too large for one region.
     let r0 = accounts.resolve(&worker, 0, 1).unwrap();
     let r1 = accounts.resolve(&worker, 1, 7).unwrap();
     let values = worker.read_only_records(&[r0, r1]);
