@@ -34,6 +34,11 @@
 # registration with the membership coordinator — and one monitor thread
 # in core/src/failure.rs; and the deleted criterion micro bench, whose
 # rows are `*.probe.*_host_ns` metrics of the repo benchmark
+# plus a `git grep` gate that keeps one-value settings constants (DESIGN.md
+# §4 "Virtual-time calibration"): none of the fourteen deleted config
+# fields, parameters and environment reads by name (`delta_us` in field
+# form only), no FAA verb, no IPoIB profile, no `Backoff` deadline and
+# no `too_many_arguments` allowance
 # plus `cargo run --release --example crash_recovery`, which must end in
 # `all crash/recovery scenarios passed`
 # plus `cargo run --release --example abort_diagnosis`, whose StatsReport
@@ -163,6 +168,27 @@ if git grep -n --untracked -e '\bcrash_point\b' -e 'set_crash_point' -e 'set_det
 fi
 [ "$(git grep -c --untracked 'thread::Builder' -- crates/core/src/failure.rs | cut -d: -f2)" = 1 ] \
   || { echo "crates/core/src/failure.rs must spawn exactly one thread (the monitor)" >&2; exit 1; }
+
+echo "== one value, one constant: the deleted settings, verbs and escape hatches stay gone =="
+# A cost that only ever took one value is a constant beside its
+# derivation (DESIGN.md §4's table), not a field or an environment read;
+# the fabric has the paper's three one-sided verbs and one profile.
+# delta_us stays as the lease predicates' argument, so only its field
+# form is matched. benchmark/ is frozen (its README names DRTM_OS_THREADS).
+if git grep -n -w --untracked \
+  -e cost_access_ns -e cost_commit_ns -e ro_lease_us -e nvram_write_ns \
+  -e epoch_us -e seq_ns_per_txn -e lock_ns -e op_ns -e msg_ns \
+  -e table_idx -e barrier_key -e DRTM_OS_THREADS -e too_many_arguments \
+  -e faa -e faa_u64 -e try_faa_u64 -e faa_u64_nt -e ipoib -e with_deadline \
+  -- crates tests examples src; then
+  echo "a deleted one-value setting, the FAA verb or the IPoIB profile is back: use the constant" >&2
+  exit 1
+fi
+if git grep -n --untracked -E -e '\.delta_us([^A-Za-z0-9_]|$)' -e 'delta_us: *[^u ]' \
+  -- crates tests examples src; then
+  echo "delta_us is a field again: the protocol's δ is drtm_core::DELTA_US" >&2
+  exit 1
+fi
 
 echo "== example: crash_recovery arms the fault plan and recovers every scenario =="
 [ "$(cargo run -q --release --example crash_recovery | tail -n 1)" \

@@ -174,10 +174,6 @@ pub struct DrTmConfig {
     /// blocking; a failed confirmation is cheap (restart the Start
     /// phase), so the default stays close to the paper's value).
     pub lease_us: u64,
-    /// Read-lease duration for read-only transactions (paper: 1.0 ms).
-    pub ro_lease_us: u64,
-    /// Clock-skew tolerance added around lease ends (paper: PTP-derived).
-    pub delta_us: u64,
     /// Start-phase retries (whole-transaction restarts on remote lock
     /// conflicts) before switching to the ordered fallback path.
     pub start_retries: u32,
@@ -185,8 +181,6 @@ pub struct DrTmConfig {
     pub softtime: SofttimeStrategy,
     /// Whether durability logging is enabled (Table 6).
     pub logging: bool,
-    /// Virtual-time cost of persisting one log record to NVRAM.
-    pub nvram_write_ns: u64,
     /// Capacity of each worker's abort-trace ring buffer (the most
     /// recent events kept for [`crate::TraceDump`]).
     pub trace_capacity: usize,
@@ -197,12 +191,9 @@ impl Default for DrTmConfig {
         DrTmConfig {
             htm: HtmConfig::default(),
             lease_us: 1_000,
-            ro_lease_us: 2_000,
-            delta_us: 100,
             start_retries: 50,
             softtime: SofttimeStrategy::ReuseStart,
             logging: false,
-            nvram_write_ns: 2_000,
             trace_capacity: 256,
         }
     }
@@ -215,8 +206,8 @@ mod tests {
     #[test]
     fn defaults_are_paper_shaped() {
         let c = DrTmConfig::default();
-        assert!(c.ro_lease_us >= c.lease_us, "RO leases are at least as long (§4.3)");
-        assert!(c.delta_us <= c.lease_us / 10, "delta must be small vs lease");
+        assert!(crate::ro::RO_LEASE_US >= c.lease_us, "RO leases are at least as long (§4.3)");
+        assert!(crate::state::DELTA_US <= c.lease_us / 10, "delta must be small vs lease");
         assert_eq!(c.softtime, SofttimeStrategy::ReuseStart);
         assert!(!c.logging);
     }

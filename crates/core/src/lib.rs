@@ -40,7 +40,7 @@ pub use drtm_htm::Abort;
 pub use failure::FailureDetector;
 pub use log::{
     recovering_parts, recovering_status, ChopInfo, LogSlot, LoggedUpdate, LOG_EMPTY,
-    LOG_LOCK_AHEAD, LOG_RECOVERING, LOG_WRITE_AHEAD,
+    LOG_LOCK_AHEAD, LOG_RECOVERING, LOG_WRITE_AHEAD, NVRAM_WRITE_NS,
 };
 pub use membership::{
     JoinReport, LeaveReport, MembershipCoordinator, MembershipError, MembershipJournal,
@@ -53,8 +53,8 @@ pub use record::{
     ABORT_LEASE_EXPIRED, ABORT_LOCKED,
 };
 pub use recovery::{recover_node, RecoveryReport};
-pub use ro::{RoCtx, RoRestart};
-pub use state::{LockState, INIT};
+pub use ro::{RoCtx, RoRestart, RO_LEASE_US};
+pub use state::{LockState, DELTA_US, INIT};
 pub use stats::{TxnStats, TxnStatsSnapshot};
 pub use time::{
     softtime_nt, softtime_txn, wall_now_us, SoftTimer, SOFTTIME_INTERVAL, SOFTTIME_OFF,

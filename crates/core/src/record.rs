@@ -79,11 +79,12 @@ pub enum LockConflict {
     },
 }
 
-/// Maps a fabric failure to the conflict the Start phase reports.
-/// A timeout is conservatively treated as a dead peer: the failure
-/// detector owns the difference. Retirement is kept distinct — it is
-/// a routing error, not a crash.
-fn conflict_of(e: FabricError) -> LockConflict {
+/// Maps a fabric failure to the conflict it is — the one statement of
+/// the rule every caller follows, inside a transaction or outside (see
+/// `TxnError`'s `From<FabricError>`). A timeout is conservatively
+/// treated as a dead peer: the failure detector owns the difference.
+/// Retirement is kept distinct — it is a routing error, not a crash.
+pub(crate) fn conflict_of(e: FabricError) -> LockConflict {
     match e {
         FabricError::PeerDead { node } | FabricError::Timeout { node } => {
             LockConflict::PeerDead { node }

@@ -85,7 +85,7 @@ pub fn recover_node(
     };
 
     for journal in &layout.log_slots {
-        let slot = LogSlot::new(*journal, 0);
+        let slot = LogSlot::new(*journal);
         if let Some(info) = slot.read_chop(region) {
             report.pending_pieces.push(info);
         }

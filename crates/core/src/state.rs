@@ -45,6 +45,14 @@
 //! waiting out the window makes progress after at most
 //! `2·delta` + one timer tick (no livelock; see the boundary tests).
 
+/// The clock-skew bound δ every lease decision of the protocol passes
+/// to [`LockState::lease_valid`] / [`LockState::lease_expired`], in µs.
+/// δ stands for the clock synchronisation PTP gives, 50 µs precision
+/// (§4.3, §6.1); 100 µs is twice that, and a tenth of the default
+/// `DrTmConfig::lease_us`. The predicates keep δ as an argument so that
+/// tests and Table 2 can sweep it.
+pub const DELTA_US: u64 = 100;
+
 /// Decoded view of the state word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LockState(pub u64);

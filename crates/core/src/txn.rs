@@ -34,7 +34,7 @@ use crate::record::{
     self, lease_unconfirmed, Claim, FetchedRecord, LockConflict, RecordAddr, ABORT_LEASE_EXPIRED,
     ABORT_LOCKED,
 };
-use crate::state::LockState;
+use crate::state::{LockState, DELTA_US};
 use crate::stats::TxnStats;
 use crate::time::{softtime_nt, softtime_txn, SoftTimer};
 use crate::trace::{
@@ -81,16 +81,11 @@ impl TxnError {
 }
 
 /// What a fabric failure outside `execute` (resolving a key, say) means
-/// to a transaction. A timeout is conservatively a dead peer: the failure
-/// detector owns the difference. Retirement stays distinct — a routing
-/// error, not a crash.
+/// to a transaction: the conflict `record::conflict_of` maps it to.
 impl From<drtm_rdma::FabricError> for TxnError {
     fn from(e: drtm_rdma::FabricError) -> Self {
-        use drtm_rdma::FabricError::{NodeRetired, PeerDead, Timeout};
-        match e {
-            PeerDead { node } | Timeout { node } => TxnError::PeerDead(node),
-            NodeRetired { node } => TxnError::Retired(node),
-        }
+        TxnError::of_conflict(record::conflict_of(e))
+            .expect("every fabric failure is a dead or retired peer")
     }
 }
 
@@ -193,11 +188,11 @@ fn wal_updates(writes: &[WriteItem], local_log: Vec<LoggedUpdate>) -> Vec<Logged
 /// took (or shared) must still be `VALID`. The first stale one is
 /// returned for the strategy to account.
 fn stale_lease<'a>(env: Env<'a>, locks: &LockSet, now: u64) -> Option<&'a RecordAddr> {
-    let Env { sys, spec, .. } = env;
+    let spec = env.spec;
     let local = spec.local_reads.iter().zip(locks.list(List::LocalRead));
     let remote = spec.remote_reads.iter().zip(locks.list(List::RemoteRead));
     let mut leases = local.chain(remote);
-    leases.find(|(_, f)| lease_unconfirmed(f.lease_end_us, now, sys.cfg.delta_us)).map(|l| l.0)
+    leases.find(|(_, f)| lease_unconfirmed(f.lease_end_us, now, DELTA_US)).map(|l| l.0)
 }
 
 /// The per-transaction constants every pipeline step reads. Borrowed
@@ -422,7 +417,7 @@ impl DrTm {
         Worker {
             qp: self.cluster.qp(node),
             exec: self.executor(),
-            log: LogSlot::new(self.layout.log_slots[worker_id], self.cfg.nvram_write_ns),
+            log: LogSlot::new(self.layout.log_slots[worker_id]),
             ring: self.trace.register(),
             txn_seq: 0,
             sys: Arc::clone(self),
@@ -812,7 +807,7 @@ impl Worker {
             };
             Claim { rec, desired, local }
         };
-        record::acquire_wave(&self.qp, wants.map(claim), now_us, self.sys.cfg.delta_us)
+        record::acquire_wave(&self.qp, wants.map(claim), now_us, DELTA_US)
     }
 
     /// What a lost claim means to a caller that *waits* for the record
@@ -1366,15 +1361,14 @@ impl<'r> TxnCtx<'r> {
     /// `LOCAL_WRITE` of `rec` inside the open HTM region.
     fn htm_write(&mut self, rec: RecordAddr, value: &[u8]) -> Result<(), Abort> {
         let now = self.op_now()?;
-        let cfg = &self.env.sys.cfg;
         // The XEND makes this store durable, so it is logged with
         // version 0 — recovery's at-most-once check always sees it as
         // already applied (§4.6).
-        if cfg.logging {
+        if self.env.sys.cfg.logging {
             self.local_log.push(LoggedUpdate { rec, version: 0, value: value.to_vec() });
         }
         let txn = self.txn.as_mut().expect("the HTM strategy's region is open");
-        record::local_write(txn, rec.addr.offset, value, now, cfg.delta_us)
+        record::local_write(txn, rec.addr.offset, value, now, DELTA_US)
     }
 
     /// Where keyed slot `i` of `list` is. Under the HTM strategy a
@@ -1502,6 +1496,20 @@ mod tests {
     }
 
     const VAL_CAP: usize = 16;
+
+    #[test]
+    fn a_timeout_is_a_dead_peer_and_retirement_is_not() {
+        use drtm_rdma::FabricError::{NodeRetired, PeerDead, Timeout};
+        let cases = [
+            (PeerDead { node: 3 }, LockConflict::PeerDead { node: 3 }, TxnError::PeerDead(3)),
+            (Timeout { node: 4 }, LockConflict::PeerDead { node: 4 }, TxnError::PeerDead(4)),
+            (NodeRetired { node: 5 }, LockConflict::Retired { node: 5 }, TxnError::Retired(5)),
+        ];
+        for (e, conflict, err) in cases {
+            assert_eq!(record::conflict_of(e), conflict, "{e:?} inside a transaction");
+            assert_eq!(TxnError::from(e), err, "{e:?} outside one");
+        }
+    }
 
     fn u64v(x: u64) -> Vec<u8> {
         x.to_le_bytes().to_vec()

@@ -9,19 +9,13 @@
 //! oversubscription-hygiene rule of DESIGN.md §4 while decorrelating
 //! retry timing between symmetric contenders.
 
-use std::time::{Duration, Instant};
-
 /// Exponential spin-then-yield backoff. Create one per retry loop and
-/// call [`Backoff::snooze`] after each failed attempt.
-///
-/// A loop that may be waiting on a *dead* peer should construct with
-/// [`Backoff::with_deadline`] and check [`Backoff::expired`] each
-/// iteration: past the deadline the loop must turn the wait into an
-/// abort instead of spinning forever on state nobody will ever release.
+/// call [`Backoff::snooze`] after each failed attempt. A loop that may
+/// be waiting on a dead peer bounds itself (against
+/// `drtm_rdma::rpc::DEAD_PEER_GRACE`); the backoff only paces it.
 #[derive(Debug, Default)]
 pub struct Backoff {
     attempt: u32,
-    deadline: Option<Instant>,
 }
 
 /// Spins double each retry until `1 << MAX_SHIFT` iterations (the
@@ -38,25 +32,6 @@ impl Backoff {
         Backoff::default()
     }
 
-    /// A backoff with an escape hatch: [`Backoff::expired`] turns true
-    /// once `budget` of host wall-clock has elapsed. The deadline does
-    /// not change how long [`Backoff::snooze`] waits — it only gives
-    /// the surrounding loop a bounded reason to give up.
-    pub fn with_deadline(budget: Duration) -> Self {
-        Backoff { attempt: 0, deadline: Some(Instant::now() + budget) }
-    }
-
-    /// Whether the deadline (if any) has passed. Always `false` for a
-    /// deadline-less backoff.
-    pub fn expired(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// Number of failed attempts so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
-
     /// Waits an exponentially growing, bounded amount: spin for
     /// `2^min(attempt, MAX_SHIFT)` iterations, and from the fourth
     /// attempt on also yield the OS thread so a descheduled peer can
@@ -71,13 +46,6 @@ impl Backoff {
         }
         self.attempt = self.attempt.saturating_add(1);
     }
-
-    /// Resets to the shortest wait (call after a successful attempt in
-    /// long-lived loops). Keeps the deadline: progress resets the spin
-    /// curve, not the loop's overall time budget.
-    pub fn reset(&mut self) {
-        self.attempt = 0;
-    }
 }
 
 #[cfg(test)]
@@ -90,29 +58,10 @@ mod tests {
         for _ in 0..64 {
             b.snooze();
         }
-        assert_eq!(b.attempts(), 64);
+        assert_eq!(b.attempt, 64);
         // A bounded snooze at high attempt counts must return promptly.
         let t0 = std::time::Instant::now();
         b.snooze();
         assert!(t0.elapsed() < std::time::Duration::from_millis(100));
-        b.reset();
-        assert_eq!(b.attempts(), 0);
-    }
-
-    #[test]
-    fn deadline_expires_and_survives_reset() {
-        let mut b = Backoff::with_deadline(Duration::from_millis(5));
-        assert!(!Backoff::new().expired(), "deadline-less backoff never expires");
-        while !b.expired() {
-            b.snooze();
-        }
-        b.reset();
-        assert!(b.expired(), "reset must not extend the time budget");
-    }
-
-    #[test]
-    fn generous_deadline_does_not_fire_early() {
-        let b = Backoff::with_deadline(Duration::from_secs(3600));
-        assert!(!b.expired());
     }
 }

@@ -68,7 +68,7 @@ pub use counters::{Counter, CounterArray};
 pub use exec::{Executor, Steps};
 pub use region::{Region, LINE_SIZE};
 pub use stats::{HtmStats, StatsSnapshot};
-pub use txn::{Abort, HtmConfig, HtmTxn};
+pub use txn::{Abort, HtmConfig, HtmTxn, ACCESS_NS, COMMIT_NS};
 
 /// Error returned by region-level operations on malformed addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -258,26 +258,6 @@ impl Region {
         }
         cur
     }
-
-    /// Atomic fetch-and-add on an aligned `u64` (the RDMA FAA verb).
-    ///
-    /// Returns the pre-add value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset` is out of bounds or not 8-byte aligned.
-    pub fn faa_u64_nt(&self, offset: usize, delta: u64) -> u64 {
-        assert_eq!(offset % 8, 0, "misaligned u64 FAA at {offset}");
-        self.check(offset, 8).expect("faa_u64_nt out of bounds");
-        let line = Self::line_of(offset);
-        let pre = self.lock_line(line);
-        // SAFETY: Line lock held; aligned in-bounds u64 access.
-        let cur = unsafe { (self.byte_ptr(offset) as *const u64).read() };
-        // SAFETY: As above.
-        unsafe { (self.byte_ptr(offset) as *mut u64).write(cur.wrapping_add(delta)) };
-        self.unlock_line_bump(line, pre);
-        cur
-    }
 }
 
 impl std::fmt::Debug for Region {
@@ -319,14 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn faa_accumulates() {
-        let r = Region::new(64);
-        assert_eq!(r.faa_u64_nt(0, 5), 0);
-        assert_eq!(r.faa_u64_nt(0, 3), 5);
-        assert_eq!(r.read_u64_nt(0), 8);
-    }
-
-    #[test]
     fn failed_cas_does_not_bump_version() {
         let r = Region::new(64);
         let before = r.load_meta(0);
@@ -337,14 +309,20 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_faa_is_atomic() {
+    fn concurrent_cas_increments_are_atomic() {
         let r = std::sync::Arc::new(Region::new(64));
         let mut handles = Vec::new();
         for _ in 0..4 {
             let r = r.clone();
             handles.push(std::thread::spawn(move || {
                 for _ in 0..1000 {
-                    r.faa_u64_nt(0, 1);
+                    let mut cur = r.read_u64_nt(0);
+                    loop {
+                        match r.cas_u64_nt(0, cur, cur + 1) {
+                            seen if seen == cur => break,
+                            seen => cur = seen,
+                        }
+                    }
                 }
             }));
         }

@@ -51,23 +51,24 @@ pub struct HtmConfig {
     /// Retries before the executor falls back to the non-transactional
     /// path (§6.2 of the paper).
     pub max_retries: u32,
-    /// Virtual-time cost charged per transactional line access.
-    pub cost_access_ns: u64,
-    /// Virtual-time cost charged per commit (plus one access per dirty line).
-    pub cost_commit_ns: u64,
 }
 
 impl Default for HtmConfig {
     fn default() -> Self {
-        HtmConfig {
-            read_capacity_lines: 4096,
-            write_capacity_lines: 400,
-            max_retries: 8,
-            cost_access_ns: 40,
-            cost_commit_ns: 300,
-        }
+        HtmConfig { read_capacity_lines: 4096, write_capacity_lines: 400, max_retries: 8 }
     }
 }
+
+/// Virtual ns charged per line a transactional read or write fills
+/// (`⌈len / 64⌉` per call, no first-touch discount), and again per dirty
+/// line at commit. Sized with [`COMMIT_NS`] so a local TPC-C new-order
+/// costs 15–30 µs of virtual time, the paper's measured new-order
+/// latencies (Table 6); DESIGN.md §4 has the calibration table.
+pub const ACCESS_NS: u64 = 40;
+
+/// Virtual ns charged per commit (`XEND`), on top of [`ACCESS_NS`] per
+/// dirty line. Sized with [`ACCESS_NS`] (above).
+pub const COMMIT_NS: u64 = 300;
 
 /// One staged write-set line: a shadow copy of dirty bytes plus a dirty
 /// mask (bit *i* set means byte *i* of the line has been written) and the
@@ -309,7 +310,7 @@ impl<'r> HtmTxn<'r> {
     /// Reads observe this transaction's own buffered writes.
     pub fn read(&mut self, offset: usize, buf: &mut [u8]) -> Result<(), Abort> {
         self.region.check(offset, buf.len()).map_err(|_| Abort::Explicit(0xFE))?;
-        vtime::charge(self.cfg.cost_access_ns * buf.len().div_ceil(LINE_SIZE) as u64);
+        vtime::charge(ACCESS_NS * buf.len().div_ceil(LINE_SIZE) as u64);
         let mut done = 0;
         while done < buf.len() {
             let at = offset + done;
@@ -394,7 +395,7 @@ impl<'r> HtmTxn<'r> {
     /// Transactionally (buffered) writes `data` at `offset`.
     pub fn write(&mut self, offset: usize, data: &[u8]) -> Result<(), Abort> {
         self.region.check(offset, data.len()).map_err(|_| Abort::Explicit(0xFE))?;
-        vtime::charge(self.cfg.cost_access_ns * data.len().div_ceil(LINE_SIZE) as u64);
+        vtime::charge(ACCESS_NS * data.len().div_ceil(LINE_SIZE) as u64);
         let mut done = 0;
         while done < data.len() {
             let at = offset + done;
@@ -435,7 +436,7 @@ impl<'r> HtmTxn<'r> {
     pub fn commit(mut self) -> Result<(), Abort> {
         let region = self.region;
         let Descriptor { slots, reads, writes, order, .. } = live(&mut self.desc);
-        vtime::charge(self.cfg.cost_commit_ns + self.cfg.cost_access_ns * writes.len() as u64);
+        vtime::charge(COMMIT_NS + ACCESS_NS * writes.len() as u64);
 
         // Phase 1: lock the write set in address order (no deadlock). A
         // line stays locked only if it still had its first-touch

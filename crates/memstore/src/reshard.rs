@@ -69,6 +69,14 @@ pub const MIGRATE_MID_COPY_SITE: &str = "migrate-mid-copy";
 /// the range (`CrashPoint::MigrateBeforeCutover`).
 pub const MIGRATE_BEFORE_CUTOVER_SITE: &str = "migrate-before-cutover";
 
+/// Index of the elastic table in every host's store-service registry:
+/// the one table a host serves there.
+const TABLE: u16 = 0;
+
+/// Key shipped through the source's store queue as the cutover barrier:
+/// a delete that must find nothing, so never a data key.
+const BARRIER_KEY: u64 = u64::MAX;
+
 /// The purge-lock journal in a migration destination's durable region:
 /// the one source-side lock a migration may hold, recorded before it is
 /// taken. A [`Journal`] client — status 1 while the lock may be held,
@@ -532,17 +540,12 @@ pub struct Resharder {
     /// Grows when a membership join provisions a new node's shard
     /// ([`Resharder::add_shard`]).
     shards: RwLock<Vec<Arc<ElasticHash>>>,
-    /// Index of the elastic table in every host's store-service registry.
-    table_idx: u16,
     /// The purge-lock journal (same place on every node).
     journal: PurgeLock,
     /// State-word value that locks an entry for migration. The caller
     /// provides it (`LockState::write_locked(driver)` in core terms)
     /// so this crate stays free of the transaction layer.
     lock_word: u64,
-    /// Key shipped through the source's store queue as the cutover
-    /// barrier; must never be a data key.
-    barrier_key: u64,
     /// Reply queue for shipped operations issued by the resharder.
     reply_q: QueueId,
     exec: Executor,
@@ -553,24 +556,18 @@ pub struct Resharder {
 
 impl std::fmt::Debug for Resharder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Resharder")
-            .field("shards", &self.shards.read().len())
-            .field("table_idx", &self.table_idx)
-            .finish()
+        f.debug_struct("Resharder").field("shards", &self.shards.read().len()).finish()
     }
 }
 
 impl Resharder {
     /// Builds a resharder over one logical elastic table.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         cluster: Arc<Cluster>,
         map: Arc<RangeMap>,
         shards: Vec<Arc<ElasticHash>>,
-        table_idx: u16,
         journal: PurgeLock,
         lock_word: u64,
-        barrier_key: u64,
         reply_q: QueueId,
         exec: Executor,
     ) -> Self {
@@ -579,10 +576,8 @@ impl Resharder {
             cluster,
             map,
             shards: RwLock::new(shards),
-            table_idx,
             journal,
             lock_word,
-            barrier_key,
             reply_q,
             exec,
             caches: RwLock::new(Vec::new()),
@@ -667,7 +662,7 @@ impl Resharder {
     /// or a purge) the function returns immediately with *no cleanup* —
     /// exactly the garbage state [`Resharder::recover`] collects.
     pub fn migrate(&self, lo: u64, hi: u64, dst: NodeId) -> Result<MigrationReport, FabricError> {
-        assert!(self.barrier_key < lo || self.barrier_key > hi, "barrier key inside range");
+        assert!(hi < BARRIER_KEY, "barrier key inside range");
         let src = self.map.owner_of(lo).expect("range not mapped");
         assert_ne!(src, dst);
         let faults = self.cluster.faults();
@@ -702,7 +697,7 @@ impl Resharder {
         // Phase 2: freeze writes, then drain the source's FIFO store
         // queue so no shipped insert/delete is still in flight.
         self.map.begin_cutover(lo, hi);
-        let barrier = StoreOp::Delete { table: self.table_idx, key: self.barrier_key };
+        let barrier = StoreOp::Delete { table: TABLE, key: BARRIER_KEY };
         let r = ship_store_op(&qp, src, self.reply_q, &barrier)?;
         debug_assert_eq!(r, StoreReply::NotFound, "barrier key must not exist");
         self.phase(MigratePhase::CutoverDrained);
@@ -756,7 +751,7 @@ impl Resharder {
             // Purge from the source. The host-side delete runs in HTM,
             // clears the state word (releasing our lock) and bumps the
             // incarnation — stale cached locations now fail their check.
-            let purge = StoreOp::Delete { table: self.table_idx, key: e.key };
+            let purge = StoreOp::Delete { table: TABLE, key: e.key };
             let r = ship_store_op(&qp, src, self.reply_q, &purge)?;
             debug_assert_eq!(r, StoreReply::Ok, "purged key vanished while locked");
             self.journal.clear(dst_region);
@@ -846,7 +841,6 @@ mod tests {
     use drtm_rdma::{ClusterConfig, LatencyProfile};
 
     const LOCK_WORD: u64 = 0x8000_0000_0000_0001;
-    const BARRIER: u64 = u64::MAX;
 
     struct Rig {
         cluster: Arc<Cluster>,
@@ -890,10 +884,8 @@ mod tests {
             cluster.clone(),
             map,
             shards.clone(),
-            0,
             journal,
             LOCK_WORD,
-            BARRIER,
             0x5000,
             exec.clone(),
         );

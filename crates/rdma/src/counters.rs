@@ -19,8 +19,6 @@ drtm_htm::counter_set! {
         pub(crate) write_bytes,
         /// One-sided compare-and-swap verbs issued.
         pub(crate) cas,
-        /// One-sided fetch-and-add verbs issued.
-        pub(crate) faa,
         /// SEND verbs issued.
         pub(crate) sends,
         /// Total bytes carried by SENDs.
@@ -36,9 +34,9 @@ drtm_htm::counter_set! {
 }
 
 impl CounterSnapshot {
-    /// Total one-sided operations (READ + WRITE + CAS + FAA).
+    /// Total one-sided operations (READ + WRITE + CAS).
     pub fn one_sided(&self) -> u64 {
-        self.reads + self.writes + self.cas + self.faa
+        self.reads + self.writes + self.cas
     }
 
     /// All outbound fabric ops that ring or ride a doorbell.

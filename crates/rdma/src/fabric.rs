@@ -504,23 +504,6 @@ impl Qp {
         self.cas_wr(addr, expected, new, Issue::Sync)
     }
 
-    /// One-sided RDMA fetch-and-add; returns the pre-operation value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either end is crashed (see [`Qp::read`]).
-    pub fn faa_u64(&self, addr: GlobalAddr, delta: u64) -> u64 {
-        self.try_faa_u64(addr, delta).expect("RDMA FAA against a crashed node")
-    }
-
-    /// Fallible [`Qp::faa_u64`].
-    pub fn try_faa_u64(&self, addr: GlobalAddr, delta: u64) -> Result<u64, FabricError> {
-        let atomic_ns = self.cluster.profile.atomic_ns;
-        self.issue(addr.node, atomic_ns, atomic_ns, Issue::Sync)?;
-        self.cluster.counters.faa.inc();
-        Ok(self.cluster.node(addr.node).region.faa_u64_nt(addr.offset, delta))
-    }
-
     /// Local CPU compare-and-swap on this machine's own region.
     ///
     /// Only meaningful under [`AtomicityLevel::Glob`]; under `Hca` the
@@ -612,10 +595,9 @@ mod tests {
         qp.write_u64(addr, 3);
         qp.read_u64(addr);
         qp.cas_u64(addr, 3, 4);
-        qp.faa_u64(addr, 1);
         let s = c.counters().snapshot();
-        assert_eq!((s.reads, s.writes, s.cas, s.faa), (1, 1, 1, 1));
-        assert_eq!(s.one_sided(), 4);
+        assert_eq!((s.reads, s.writes, s.cas), (1, 1, 1));
+        assert_eq!(s.one_sided(), 3);
     }
 
     #[test]
@@ -756,7 +738,6 @@ mod tests {
         assert_eq!(qp.try_write_u64(addr, 1), Err(dead));
         assert_eq!(qp.try_read_u64(addr), Err(dead));
         assert_eq!(qp.try_cas_u64(addr, 77, 1), Err(dead));
-        assert_eq!(qp.try_faa_u64(addr, 1), Err(dead));
         assert_eq!(qp.try_send(1, 3, vec![1]), Err(dead));
         // The corpse's memory is untouched (NVRAM survives the crash).
         assert_eq!(c.node(1).region().read_u64_nt(0), 77);

@@ -2,11 +2,9 @@
 
 /// Virtual-time costs of the simulated network operations, in nanoseconds.
 ///
-/// Two stock profiles are provided: [`LatencyProfile::rdma`] models the
-/// paper's ConnectX-3 56 Gbps InfiniBand with one-sided verbs, and
-/// [`LatencyProfile::ipoib`] models IP-over-InfiniBand (the transport the
-/// paper runs Calvin on), which pays the kernel network stack on every
-/// message.
+/// [`LatencyProfile::rdma`] models the paper's ConnectX-3 56 Gbps
+/// InfiniBand with one-sided verbs; [`LatencyProfile::zero`] is for
+/// functional tests that measure no time.
 ///
 /// The split between `*_base_ns` and `*_byte_ns_x1000` matters for
 /// doorbell batching (`crate::DoorbellConfig`): ops riding an open
@@ -20,7 +18,7 @@
 /// Figure 10(a)/(c): small one-sided READ round trip ≈ 3 µs, bandwidth
 /// ≈ 7 GB/s) and from common ConnectX-3 microbenchmarks elsewhere. The
 /// harnesses only depend on the *ratios* (remote ≫ local, CAS > READ >
-/// WRITE, IPoIB ≫ RDMA), which are faithful.
+/// WRITE), which are faithful.
 #[derive(Debug, Clone)]
 pub struct LatencyProfile {
     /// Base round-trip cost of a one-sided READ.
@@ -31,7 +29,7 @@ pub struct LatencyProfile {
     pub write_base_ns: u64,
     /// Additional WRITE cost per byte of payload.
     pub write_byte_ns_x1000: u64,
-    /// Cost of a one-sided atomic (CAS / fetch-and-add).
+    /// Cost of a one-sided CAS.
     pub atomic_ns: u64,
     /// Cost of a local CPU CAS (used when the fallback handler may lock
     /// local records without the NIC, §6.3).
@@ -66,22 +64,6 @@ impl LatencyProfile {
             send_base_ns: 5_000,
             send_byte_ns_x1000: 600,
             post_ns: 200,
-        }
-    }
-
-    /// IP-over-InfiniBand profile (the Calvin transport): every message
-    /// traverses the kernel stack.
-    pub fn ipoib() -> Self {
-        LatencyProfile {
-            read_base_ns: 60_000,
-            read_byte_ns_x1000: 2_000,
-            write_base_ns: 60_000,
-            write_byte_ns_x1000: 2_000,
-            atomic_ns: 60_000,
-            local_atomic_ns: 80,
-            send_base_ns: 30_000, // one-way ≈ 60 µs RTT
-            send_byte_ns_x1000: 2_000,
-            post_ns: 2_000, // a syscall per message
         }
     }
 
@@ -133,13 +115,6 @@ mod tests {
         assert_eq!(p.read_ns(0), p.read_base_ns);
         // 8 KB adds tens of µs of wire + occupancy cost.
         assert_eq!(p.read_ns(8192), 3_000 + 3_500 * 8192 / 1000);
-    }
-
-    #[test]
-    fn ipoib_is_much_slower() {
-        let rdma = LatencyProfile::rdma();
-        let ipoib = LatencyProfile::ipoib();
-        assert!(ipoib.send_ns(64) > 5 * rdma.send_ns(64));
     }
 
     #[test]

@@ -1,19 +1,17 @@
 //! Simulated RDMA fabric for the DrTM reproduction.
 //!
 //! The paper runs on a 6-node cluster connected by ConnectX-3 56 Gbps
-//! InfiniBand and uses three networking primitives:
+//! InfiniBand and uses two kinds of networking primitive:
 //!
-//! * **One-sided verbs** — READ, WRITE and the two atomics (CAS,
-//!   fetch-and-add) that access a remote machine's registered memory
-//!   without involving its CPU. DrTM builds its 2PL locks and its
-//!   key-value store accesses out of these.
+//! * **One-sided verbs** — READ, WRITE and compare-and-swap (CAS), which
+//!   access a remote machine's registered memory without involving its
+//!   CPU (Figure 5). DrTM builds its 2PL locks and its key-value store
+//!   accesses out of these three.
 //! * **SEND/RECV verbs** — kernel-bypass message passing, used for the
 //!   ordered-store remote accesses and for shipping INSERT/DELETE to the
 //!   host machine ([`rpc`] is the request/reply exchange both share).
-//! * **IPoIB** — IP emulation over InfiniBand, slow due to kernel
-//!   involvement; the paper runs Calvin over it.
 //!
-//! This crate reproduces all three in-process. A [`Cluster`] owns one
+//! This crate reproduces both in-process. A [`Cluster`] owns one
 //! [`Node`] per simulated machine; each node's memory is a
 //! [`drtm_htm::Region`], so one-sided operations go through the *same*
 //! per-line metadata as the software HTM — reproducing the

@@ -2,13 +2,12 @@
 //!
 //! DrTM uses two-sided verbs where one-sided operations do not suffice:
 //! shipping INSERT/DELETE to the host machine (§5.1, footnote 5), remote
-//! range queries on ordered stores (§6.5), and the entire Calvin baseline
-//! (over the IPoIB cost profile).
+//! range queries on ordered stores (§6.5).
 //!
 //! # Concurrency
 //!
-//! SEND/RECV is the Calvin baseline's entire network path and the
-//! ordered-store RPC path, so queue resolution must not serialize
+//! SEND/RECV is the ordered-store and shipped-operation RPC path, so
+//! queue resolution must not serialize
 //! senders behind a map-wide lock. The endpoint table is preallocated at
 //! cluster construction as a fixed per-node array indexed by queue id:
 //! a node's 2¹⁶ queue-id space is split into 256 slabs of 256 endpoints,

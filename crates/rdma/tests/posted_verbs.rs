@@ -71,7 +71,6 @@ enum Verb {
     Read(usize),
     Write(usize),
     Cas,
-    Faa,
     Send(usize),
 }
 
@@ -81,8 +80,7 @@ impl Verb {
         match xorshift(s) % 5 {
             0 => Verb::Read(len),
             1 => Verb::Write(len),
-            2 => Verb::Cas,
-            3 => Verb::Faa,
+            2 | 3 => Verb::Cas,
             _ => Verb::Send(len),
         }
     }
@@ -92,7 +90,7 @@ impl Verb {
         match self {
             Verb::Read(n) => (p.read_ns(n), p.read_base_ns),
             Verb::Write(n) => (p.write_ns(n), p.write_base_ns),
-            Verb::Cas | Verb::Faa => (p.atomic_ns, p.atomic_ns),
+            Verb::Cas => (p.atomic_ns, p.atomic_ns),
             Verb::Send(n) => (p.send_ns(n), p.send_base_ns),
         }
     }
@@ -103,20 +101,18 @@ impl Verb {
             Verb::Read(n) => qp.read(addr, &mut vec![0u8; n]),
             Verb::Write(n) => qp.write(addr, &vec![0u8; n]),
             Verb::Cas => drop(qp.cas_u64(addr, 0, 0)),
-            Verb::Faa => drop(qp.faa_u64(addr, 0)),
             Verb::Send(n) => qp.send(to, 9, vec![0u8; n]),
         }
     }
 
-    /// Posts the verb; `None` for the two verbs that only exist
-    /// synchronously.
+    /// Posts the verb; `None` for SEND, which only exists synchronously.
     fn post(self, qp: &Qp, to: NodeId) -> Option<Result<(), FabricError>> {
         let addr = GlobalAddr::new(to, 1024);
         match self {
             Verb::Read(n) => Some(qp.post_read(addr, &mut vec![0u8; n])),
             Verb::Write(n) => Some(qp.post_write(addr, &vec![0u8; n])),
             Verb::Cas => Some(qp.post_cas_u64(addr, 0, 0).map(drop)),
-            Verb::Faa | Verb::Send(_) => None,
+            Verb::Send(_) => None,
         }
     }
 }
@@ -208,7 +204,7 @@ fn a_wave_costs_its_longest_chain_and_at_most_the_serial_sum() {
         for _ in 0..300 {
             let wave: Vec<(Verb, NodeId)> = (0..1 + xorshift(&mut seed) % 12)
                 .map(|_| (Verb::random(&mut seed), (xorshift(&mut seed) % NODES as u64) as NodeId))
-                .filter(|(v, _)| !matches!(v, Verb::Faa | Verb::Send(_)))
+                .filter(|(v, _)| !matches!(v, Verb::Send(_)))
                 .collect();
             let c = cluster(cfg.clone(), FaultConfig::default());
             let (posting, serial) = (c.qp(0), c.qp(0));

@@ -148,16 +148,10 @@ impl Report {
     }
 }
 
-/// Pool size for [`run`]: the `DRTM_OS_THREADS` environment variable
-/// when set, otherwise the host's available parallelism clamped to
+/// Pool size for [`run`]: the host's available parallelism clamped to
 /// [2, 8] — at least two so logical workers genuinely contend, bounded
 /// so hundreds of logical workers never mean hundreds of threads.
 pub fn default_os_threads() -> usize {
-    if let Some(n) = std::env::var("DRTM_OS_THREADS").ok().and_then(|v| v.parse::<usize>().ok()) {
-        if n > 0 {
-            return n;
-        }
-    }
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).clamp(2, 8)
 }
 

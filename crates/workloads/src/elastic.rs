@@ -133,10 +133,8 @@ impl ElasticKv {
             cluster.clone(),
             map,
             Vec::new(),
-            0,
             dep.layout().purge_lock,
             LockState::write_locked(u8::MAX).0,
-            u64::MAX,
             RESHARD_REPLY_Q,
             exec.clone(),
         ));

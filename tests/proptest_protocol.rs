@@ -131,7 +131,7 @@ fn final_state(sys: &Arc<DrTm>, table: &Table, nodes: usize) -> (Vec<(u64, u32, 
             ));
         }
         for slot in &sys.layout().log_slots {
-            slots.push(LogSlot::new(*slot, 0).read_status(region));
+            slots.push(LogSlot::new(*slot).read_status(region));
         }
     }
     (records, slots)
