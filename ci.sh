@@ -39,6 +39,10 @@
 # fields, parameters and environment reads by name (`delta_us` in field
 # form only), no FAA verb, no IPoIB profile, no `Backoff` deadline and
 # no `too_many_arguments` allowance
+# plus a `git grep` gate that keeps the elastic world on the paper's
+# table and cache (DESIGN.md §9): none of the deleted address cache,
+# table-kind fork, resize counters, cache registry and bucket settings by
+# name, and `ElasticHash` nowhere but split_ordered.rs and its export
 # plus `cargo run --release --example crash_recovery`, which must end in
 # `all crash/recovery scenarios passed`
 # plus `cargo run --release --example abort_diagnosis`, whose StatsReport
@@ -187,6 +191,25 @@ fi
 if git grep -n --untracked -E -e '\.delta_us([^A-Za-z0-9_]|$)' -e 'delta_us: *[^u ]' \
   -- crates tests examples src; then
   echo "delta_us is a field again: the protocol's δ is drtm_core::DELTA_US" >&2
+  exit 1
+fi
+
+echo "== one table, one cache: the elastic world runs on ClusterHash + LocationCache =="
+# A second address cache, a store service that forks on the table kind,
+# a resize counter set or a cache registry in the resharder has forked
+# DESIGN.md §9 again: a migration tells no cache anything, because a
+# purged key fails its incarnation check (§5.3). The split-ordered table
+# stays only for the repo benchmark's probes (benchmark/src is exempt).
+if git grep -n -w --untracked \
+  -e AddrCache -e AnyTable -e ElasticStats -e invalidate_range -e note_forced_miss \
+  -e register_cache -e init_buckets -e max_buckets -e migration_invalidations \
+  -e forced_misses -- crates tests examples; then
+  echo "a deleted elastic-only twin is back: use ClusterHash and LocationCache" >&2
+  exit 1
+fi
+if git grep -n -w --untracked ElasticHash -- crates tests examples \
+  | grep -v '^crates/memstore/src/\(split_ordered\|lib\)\.rs:'; then
+  echo "ElasticHash used outside split_ordered.rs: the elastic world runs on ClusterHash" >&2
   exit 1
 fi
 

@@ -182,8 +182,6 @@ fn main() {
         max_nodes: 26,
         workers: 4,
         keys_per_node: per,
-        init_buckets: 64,
-        max_buckets: 8_192,
         region_size: 8 << 20,
         ..ElasticKvConfig::default()
     };

@@ -44,9 +44,7 @@ use drtm_rdma::{FabricError, GlobalAddr, Qp};
 use crate::cluster_hash::{
     read_bucket, walk_chain, BucketImage, ClusterHash, LookupResult, BUCKET_BYTES,
 };
-use crate::entry::EntryHeader;
 use crate::slot::{Slot, SlotType};
-use crate::split_ordered::ElasticHash;
 use crate::ASSOC;
 
 drtm_htm::counter_set! {
@@ -62,14 +60,10 @@ drtm_htm::counter_set! {
         /// the uncached tail of a walk that outran the pool, and the
         /// remote re-verification of a cached NotFound.
         fetches,
-        /// Explicit invalidations (stale incarnation detected by the caller).
+        /// Explicit invalidations (stale incarnation detected by the
+        /// caller) — a key a migration purged or moved included: a
+        /// migration invalidates nothing itself (§5.3).
         invalidations,
-        /// Invalidations forced by a range migration's cutover (the resharder
-        /// clearing locations that now point at the old owner).
-        migration_invalidations,
-        /// Lookups the router answered remotely *despite* a warm entry
-        /// because the key's range was mid-cutover (cache bypassed).
-        forced_misses,
     }
 }
 
@@ -436,143 +430,6 @@ impl LocationCache {
             self.pool[p].publish(&CachedBucket::EMPTY);
             pool_free.push(p);
         }
-    }
-}
-
-/// One resolved location held by an [`AddrCache`].
-#[derive(Debug, Clone, Copy)]
-struct CachedAddr {
-    key: u64,
-    addr: GlobalAddr,
-    slot: Slot,
-}
-
-/// A location an [`AddrCache`] resolved.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Resolved {
-    /// Global address of the entry.
-    pub addr: GlobalAddr,
-    /// The slot (key, offset, incarnation) the entry was found under.
-    pub slot: Slot,
-    /// The entry as READ by the incarnation check of a cache hit; `None`
-    /// after a miss, which reads the chain but not the value.
-    pub entry: Option<(EntryHeader, Vec<u8>)>,
-}
-
-/// Key → location cache for the elastic split-ordered table.
-///
-/// [`LocationCache`] mirrors the cluster-chaining table's *bucket*
-/// geometry, which a split-ordered table does not have (its buckets are
-/// chain positions that move on every split). The elastic path caches
-/// resolved *entries* instead: a direct-mapped key → `(address, slot)`
-/// map whose hits skip the remote chain walk entirely and whose
-/// staleness is caught by the usual incarnation check on first use.
-///
-/// The resharder invalidates ranges at cutover
-/// ([`AddrCache::invalidate_range`]); the router records cutover-window
-/// bypasses with [`AddrCache::note_forced_miss`]. Both show up in
-/// [`CacheStats`] so the bench diagnostics can print migration costs.
-#[derive(Debug)]
-pub struct AddrCache {
-    cells: Box<[Mutex<Option<CachedAddr>>]>,
-    mask: usize,
-    stats: CacheCounters,
-}
-
-impl AddrCache {
-    /// Creates a cache with `cells` entries (rounded up to a power of
-    /// two).
-    pub fn new(cells: usize) -> Self {
-        let cells = cells.next_power_of_two().max(1);
-        AddrCache {
-            cells: (0..cells).map(|_| Mutex::new(None)).collect(),
-            mask: cells - 1,
-            stats: CacheCounters::default(),
-        }
-    }
-
-    fn cell(&self, key: u64) -> &Mutex<Option<CachedAddr>> {
-        &self.cells[(crate::hash64(key) as usize) & self.mask]
-    }
-
-    /// Resolves `key` on `shard`'s machine: a cached location is verified
-    /// by reading the entry under its incarnation check; a stale one (the
-    /// key was deleted or migrated away) is invalidated and, like a miss,
-    /// falls through to a one-sided lookup whose answer is installed.
-    /// `None` if the key does not exist there.
-    pub fn try_lookup(
-        &self,
-        qp: &Qp,
-        shard: &ElasticHash,
-        key: u64,
-    ) -> Result<Option<Resolved>, FabricError> {
-        if let Some((addr, slot)) = self.lookup(key) {
-            if addr.node == shard.desc().node {
-                if let Some(entry) = shard.remote_read_entry(qp, addr, &slot) {
-                    return Ok(Some(Resolved { addr, slot, entry: Some(entry) }));
-                }
-            }
-            self.invalidate(key);
-        }
-        Ok(match shard.try_remote_lookup(qp, key)? {
-            LookupResult::Found { addr, slot, .. } => {
-                self.install(key, addr, slot);
-                Some(Resolved { addr, slot, entry: None })
-            }
-            LookupResult::NotFound { .. } => None,
-        })
-    }
-
-    /// Returns the cached location of `key`, if present.
-    pub fn lookup(&self, key: u64) -> Option<(GlobalAddr, Slot)> {
-        let hit = self.cell(key).lock().filter(|c| c.key == key).map(|c| (c.addr, c.slot));
-        match hit {
-            Some(_) => self.stats.hits.inc(),
-            None => self.stats.misses.inc(),
-        }
-        hit
-    }
-
-    /// Installs a freshly resolved location.
-    pub fn install(&self, key: u64, addr: GlobalAddr, slot: Slot) {
-        self.stats.fetches.inc();
-        *self.cell(key).lock() = Some(CachedAddr { key, addr, slot });
-    }
-
-    /// Drops `key`'s entry (stale incarnation detected by the caller).
-    /// Returns whether an entry was dropped.
-    pub fn invalidate(&self, key: u64) -> bool {
-        let mut cell = self.cell(key).lock();
-        if cell.map(|c| c.key == key).unwrap_or(false) {
-            *cell = None;
-            self.stats.invalidations.inc();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Cutover invalidation: drops every cached key in `[lo, hi]` and
-    /// counts them as migration invalidations.
-    pub fn invalidate_range(&self, lo: u64, hi: u64) {
-        for cell in self.cells.iter() {
-            let mut cell = cell.lock();
-            if cell.map(|c| c.key >= lo && c.key <= hi).unwrap_or(false) {
-                *cell = None;
-                self.stats.migration_invalidations.inc();
-            }
-        }
-    }
-
-    /// Records a lookup the router answered remotely despite a possible
-    /// warm entry, because the key's range was mid-cutover.
-    pub fn note_forced_miss(&self) {
-        self.stats.forced_misses.inc();
-    }
-
-    /// Returns a copy of the hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats.snapshot()
     }
 }
 

@@ -17,11 +17,13 @@
 //! candidate slots, the property behind Table 4); remote value reads and
 //! writes are one-sided READ/WRITE of the entry.
 
+use std::convert::Infallible;
+
 use drtm_htm::{Abort, Executor, HtmTxn, Region, LINE_SIZE};
 use drtm_rdma::{FabricError, GlobalAddr, NodeId, Qp};
 
 use crate::alloc::{Arena, FreeList, ABORT_POOL_FULL};
-use crate::entry::{Entry, EntryHeader};
+use crate::entry::{Entry, EntryHeader, ENTRY_HEADER_BYTES};
 use crate::slot::{Slot, SlotType, SLOT_BYTES};
 use crate::words::{self, read_words, write_words};
 use crate::{hash64, ASSOC};
@@ -237,6 +239,32 @@ impl ClusterHash {
         key: u64,
         value: &[u8],
     ) -> Result<(), InsertError> {
+        self.insert_or_upsert(exec, region, key, value, None)
+    }
+
+    /// Migration-stream upsert: inserts `key → value` at entry version
+    /// `version`, or overwrites the value and version of the key's entry
+    /// in place. The resharder replays a source's rows (and their delta
+    /// re-copies) into the destination with it, idempotently.
+    pub fn upsert(
+        &self,
+        exec: &Executor,
+        region: &Region,
+        key: u64,
+        value: &[u8],
+        version: u32,
+    ) -> Result<(), InsertError> {
+        self.insert_or_upsert(exec, region, key, value, Some(version))
+    }
+
+    fn insert_or_upsert(
+        &self,
+        exec: &Executor,
+        region: &Region,
+        key: u64,
+        value: &[u8],
+        upsert: Option<u32>,
+    ) -> Result<(), InsertError> {
         assert!(value.len() <= self.desc.value_cap, "value exceeds table capacity");
         let entry_off = self.entries.alloc().ok_or(InsertError::Full)?;
         // The indirect bucket of the attempt in flight: a commit takes
@@ -246,34 +274,48 @@ impl ClusterHash {
             if let Some(b) = ind.take() {
                 self.indirect.free(b);
             }
-            let (duplicate, bucket) = self.try_insert(txn, key, entry_off, value)?;
+            let (existing, bucket) = self.try_insert(txn, key, entry_off, value, upsert)?;
             ind = bucket;
-            Ok(duplicate)
+            Ok(existing)
         });
         let refused = match outcome {
             Ok(false) => return Ok(()),
-            Ok(true) => InsertError::Duplicate,
-            Err(Abort::Explicit(ABORT_POOL_FULL)) => InsertError::Full,
+            // Overwritten in place: the cell taken for a new entry is spare.
+            Ok(true) if upsert.is_some() => None,
+            Ok(true) => Some(InsertError::Duplicate),
+            Err(Abort::Explicit(ABORT_POOL_FULL)) => Some(InsertError::Full),
             Err(a) => panic!("insert aborted for good ({a}); raise write_capacity_lines"),
         };
         self.undo_insert(PreparedInsert { entry_off, ind });
-        Err(refused)
+        refused.map_or(Ok(()), Err)
     }
 
-    /// One insert attempt inside `txn`. Returns `(duplicate,
+    /// One insert attempt inside `txn`. Returns `(existing,
     /// allocated_indirect_bucket)`; the caller frees the bucket if the
-    /// commit subsequently fails. An exhausted indirect pool is the
-    /// explicit abort [`ABORT_POOL_FULL`]: the entry is staged by then.
+    /// commit subsequently fails. An existing key is left alone, or with
+    /// `upsert` its value and version are overwritten. An exhausted
+    /// indirect pool is the explicit abort [`ABORT_POOL_FULL`]: the entry
+    /// is staged by then.
     fn try_insert(
         &self,
         txn: &mut HtmTxn<'_>,
         key: u64,
         entry_off: usize,
         value: &[u8],
+        upsert: Option<u32>,
     ) -> Result<(bool, Option<usize>), Abort> {
         // Phase 1: scan the whole chain for the key and the first hole.
         let (free_slot, last_slot_off, resident) = match self.find_local(txn, key)? {
-            Place::At { .. } => return Ok((true, None)),
+            Place::At { slot, .. } => {
+                if let Some(version) = upsert {
+                    let entry = Entry::at(slot.offset as usize);
+                    let mut h = entry.read_header(txn)?;
+                    (h.version, h.value_len) = (version, value.len() as u32);
+                    entry.write_header(txn, &h)?;
+                    txn.write(entry.value_off(), value)?;
+                }
+                return Ok((true, None));
+            }
             Place::Absent { free, last_slot_off, last } => (free, last_slot_off, last),
         };
         // Phase 2: initialise the entry (incarnation survives cell reuse).
@@ -285,7 +327,7 @@ impl ClusterHash {
             &EntryHeader {
                 state: 0,
                 incarnation: inc,
-                version: 0,
+                version: upsert.unwrap_or(0),
                 key,
                 value_len: value.len() as u32,
             },
@@ -331,7 +373,7 @@ impl ClusterHash {
         let Some(entry_off) = self.entries.alloc() else {
             return Ok(Err(InsertError::Full));
         };
-        match self.try_insert(txn, key, entry_off, value) {
+        match self.try_insert(txn, key, entry_off, value, None) {
             Ok((true, _)) => {
                 self.entries.free(entry_off);
                 Ok(Err(InsertError::Duplicate))
@@ -360,8 +402,10 @@ impl ClusterHash {
     ///
     /// Deletion is logical-then-physical: the entry's incarnation is
     /// bumped inside the HTM region (so stale cached locations fail the
-    /// incarnation check, §5.3) and the header slot is freed. Returns
-    /// whether the key was present.
+    /// incarnation check, §5.3) and the header slot is freed. The same
+    /// header store clears the entry's state word: a caller that deletes
+    /// under its own lock — the resharder's purge — releases the lock
+    /// with it. Returns whether the key was present.
     pub fn delete(&self, exec: &Executor, region: &Region, key: u64) -> bool {
         let found = exec.run(region, |txn| self.try_delete(txn, key));
         let found = found.expect("a delete never aborts itself");
@@ -375,7 +419,7 @@ impl ClusterHash {
         let Place::At { slot_off, slot } = self.find_local(txn, key)? else { return Ok(None) };
         let entry = Entry::at(slot.offset as usize);
         let mut h = entry.read_header(txn)?;
-        h.incarnation = h.incarnation.wrapping_add(1);
+        (h.state, h.incarnation) = (0, h.incarnation.wrapping_add(1));
         entry.write_header(txn, &h)?;
         Self::write_slot(txn, slot_off, Slot::FREE)?;
         Ok(Some(slot.offset as usize))
@@ -427,13 +471,101 @@ impl ClusterHash {
     /// Remote read of an entry's header and value in a single RDMA READ,
     /// with incarnation check against `expect_slot`: see
     /// [`Entry::remote_read`].
+    ///
+    /// # Panics
+    ///
+    /// If the table's machine is crashed (use
+    /// [`ClusterHash::try_remote_read_entry`] under the chaos harness).
     pub fn remote_read_entry(
         &self,
         qp: &Qp,
         addr: GlobalAddr,
         expect_slot: &Slot,
     ) -> Option<(EntryHeader, Vec<u8>)> {
+        self.try_remote_read_entry(qp, addr, expect_slot).expect("RDMA READ against a crashed node")
+    }
+
+    /// [`ClusterHash::remote_read_entry`] with typed dead-peer reporting.
+    pub fn try_remote_read_entry(
+        &self,
+        qp: &Qp,
+        addr: GlobalAddr,
+        expect_slot: &Slot,
+    ) -> Result<Option<(EntryHeader, Vec<u8>)>, FabricError> {
         Entry::remote_read(qp, addr, self.desc.value_cap, expect_slot)
+    }
+
+    /// Every live entry with key in `[lo, hi]`, collected over the fabric
+    /// with one-sided READs, and the bytes those READs moved — the
+    /// resharder's copy stream. See [`ClusterHash::collect_range_nt`] for
+    /// the walk.
+    pub fn try_remote_collect_range(
+        &self,
+        qp: &Qp,
+        lo: u64,
+        hi: u64,
+    ) -> Result<(Vec<CollectedEntry>, u64), FabricError> {
+        let mut bytes = 0;
+        let rows = self.collect_range(lo, hi, |off, buf| {
+            bytes += buf.len() as u64;
+            qp.try_read(GlobalAddr::new(self.desc.node, off), buf)
+        })?;
+        Ok((rows, bytes))
+    }
+
+    /// Every live entry with key in `[lo, hi]`, read straight from
+    /// `region` (the owner's NVRAM, crashed or not) — what recovery and
+    /// evacuation read.
+    ///
+    /// One walk serves both forms: each main bucket and the chain behind
+    /// it, then each in-range entry under the incarnation of the slot that
+    /// named it. A row deleted, or its cell reused, after its bucket was
+    /// read fails that check and is skipped, never copied wrong.
+    pub fn collect_range_nt(&self, region: &Region, lo: u64, hi: u64) -> Vec<CollectedEntry> {
+        let rows = self.collect_range(lo, hi, |off, buf| {
+            region.read_nt(off, buf);
+            Ok::<(), Infallible>(())
+        });
+        let Ok(rows) = rows;
+        rows
+    }
+
+    fn collect_range<E>(
+        &self,
+        lo: u64,
+        hi: u64,
+        mut read: impl FnMut(usize, &mut [u8]) -> Result<(), E>,
+    ) -> Result<Vec<CollectedEntry>, E> {
+        let mut rows = Vec::new();
+        let (mut bucket, mut img) = ([0u8; BUCKET_BYTES], [0; ASSOC * 2]);
+        let mut entry = vec![0u8; ENTRY_HEADER_BYTES + self.desc.value_cap];
+        for i in 0..self.desc.main_buckets {
+            let mut off = self.desc.main_bucket_off(i);
+            loop {
+                read(off, &mut bucket)?;
+                words::decode(&bucket, &mut img);
+                for slot in slots(&img) {
+                    if slot.typ != SlotType::Entry || !(lo..=hi).contains(&slot.key) {
+                        continue;
+                    }
+                    read(slot.offset as usize, &mut entry)?;
+                    if let Some((h, value)) = Entry::checked(&entry, &slot) {
+                        let entry_off = slot.offset as usize;
+                        rows.push(CollectedEntry {
+                            key: h.key,
+                            version: h.version,
+                            value,
+                            entry_off,
+                        });
+                    }
+                }
+                match slots(&img).next_back() {
+                    Some(last) if last.typ == SlotType::Header => off = last.offset as usize,
+                    _ => break,
+                }
+            }
+        }
+        Ok(rows)
     }
 
     /// Remote overwrite of an entry's value and version with one-sided
@@ -535,6 +667,19 @@ enum Place {
 pub struct PreparedInsert {
     entry_off: usize,
     ind: Option<usize>,
+}
+
+/// One entry lifted off a table by a range collection.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CollectedEntry {
+    /// The entry's key.
+    pub key: u64,
+    /// The entry's value version at collection time.
+    pub version: u32,
+    /// The value bytes.
+    pub value: Vec<u8>,
+    /// Region offset of the entry (state word) on the scanned node.
+    pub entry_off: usize,
 }
 
 #[cfg(test)]
@@ -675,6 +820,79 @@ mod tests {
         };
         table.delete(&exec, region, 9);
         assert!(table.remote_read_entry(&qp, addr, &slot).is_none(), "stale location detected");
+    }
+
+    /// The purge deletes an entry under its own migration lock: the
+    /// delete's header store is that lock's release.
+    #[test]
+    fn delete_clears_a_held_lock_and_bumps_the_incarnation() {
+        let (cluster, table, exec) = setup(64, 1000);
+        let region = cluster.node(0).region();
+        table.insert(&exec, region, 9, b"v").unwrap();
+        let entry = Entry::at(table.collect_range_nt(region, 9, 9)[0].entry_off);
+        let before = entry.read_header_nt(region);
+        const LOCK: u64 = 0x8000_0000_0000_0001;
+        assert_eq!(region.cas_u64_nt(entry.state_off(), 0, LOCK), 0);
+        assert!(table.delete(&exec, region, 9));
+        let after = entry.read_header_nt(region);
+        assert_eq!(after.state, 0, "the lock word survived the delete");
+        assert_eq!(after.incarnation, before.incarnation.wrapping_add(1));
+    }
+
+    #[test]
+    fn upsert_inserts_at_a_version_then_overwrites_in_place() {
+        let (cluster, table, exec) = setup(1, 1000);
+        let region = cluster.node(0).region();
+        for k in 0..20u64 {
+            table.insert(&exec, region, k, b"x").unwrap();
+        }
+        table.upsert(&exec, region, 42, b"first", 5).unwrap();
+        let at = table.collect_range_nt(region, 42, 42)[0].entry_off;
+        table.upsert(&exec, region, 42, b"second", 9).unwrap();
+        assert_eq!(table.len(), 21, "the overwrite took no cell");
+        let rows = table.collect_range_nt(region, 42, 42);
+        let want = CollectedEntry { key: 42, version: 9, value: b"second".to_vec(), entry_off: at };
+        assert_eq!(rows, vec![want]);
+    }
+
+    #[test]
+    fn range_collection_walks_chains_in_both_forms() {
+        let (cluster, table, exec) = setup(1, 1000);
+        let region = cluster.node(0).region();
+        for k in 0..40u64 {
+            table.insert(&exec, region, k, &(k * 10).to_le_bytes()).unwrap();
+        }
+        let qp = cluster.qp(1);
+        let (remote, bytes) = table.try_remote_collect_range(&qp, 10, 19).unwrap();
+        assert_eq!(remote, table.collect_range_nt(region, 10, 19));
+        let mut keys: Vec<u64> = remote.iter().map(|e| e.key).collect();
+        keys.sort_unstable();
+        assert_eq!(keys, (10..20).collect::<Vec<u64>>(), "keys deep in the chain included");
+        assert!(remote.iter().all(|e| e.value == (e.key * 10).to_le_bytes()));
+        // Six buckets (seven entries and a link each, five in the last)
+        // and the ten entries in range.
+        assert_eq!(bytes, 6 * BUCKET_BYTES as u64 + 10 * (ENTRY_HEADER_BYTES + 64) as u64);
+        cluster.faults().kill(0);
+        assert_eq!(
+            table.try_remote_collect_range(&qp, 10, 19),
+            Err(FabricError::PeerDead { node: 0 })
+        );
+        assert_eq!(table.collect_range_nt(region, 10, 19), remote, "a corpse's NVRAM still reads");
+    }
+
+    #[test]
+    fn remote_entry_read_of_a_lost_owner_is_typed() {
+        let (cluster, table, exec) = setup(64, 1000);
+        table.insert(&exec, cluster.node(0).region(), 3, b"v").unwrap();
+        let qp = cluster.qp(1);
+        let LookupResult::Found { addr, slot, .. } = table.remote_lookup(&qp, 3) else {
+            panic!("must find")
+        };
+        cluster.faults().kill(0);
+        let dead = table.try_remote_read_entry(&qp, addr, &slot);
+        assert_eq!(dead, Err(FabricError::PeerDead { node: 0 }));
+        cluster.faults().revive(0);
+        assert_eq!(table.try_remote_read_entry(&qp, addr, &slot).unwrap().unwrap().1, b"v");
     }
 
     #[test]

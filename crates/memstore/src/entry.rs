@@ -19,7 +19,7 @@
 //! READ fetches state + metadata + value.
 
 use drtm_htm::{Abort, HtmTxn, Region};
-use drtm_rdma::{GlobalAddr, Qp};
+use drtm_rdma::{FabricError, GlobalAddr, Qp};
 
 use crate::slot::Slot;
 
@@ -148,25 +148,31 @@ impl Entry {
 
     /// Remote read of the header and value of the entry at `addr` in a
     /// single RDMA READ, with incarnation check against `expect_slot`.
-    /// Both tables store this layout, so both read it through here.
     ///
-    /// Returns `None` when the incarnation no longer matches (the entry
-    /// was deleted or recycled since the location was obtained) — the
-    /// caller treats this as a cache miss and retries the lookup.
+    /// `Ok(None)` when the incarnation no longer matches (the entry was
+    /// deleted or recycled since the location was obtained) — the caller
+    /// treats this as a cache miss and retries the lookup. A crashed or
+    /// retired owner is the fabric's typed error.
     pub fn remote_read(
         qp: &Qp,
         addr: GlobalAddr,
         value_cap: usize,
         expect_slot: &Slot,
-    ) -> Option<(EntryHeader, Vec<u8>)> {
+    ) -> Result<Option<(EntryHeader, Vec<u8>)>, FabricError> {
         let mut buf = vec![0u8; ENTRY_HEADER_BYTES + value_cap];
-        qp.read(addr, &mut buf);
-        let h = EntryHeader::decode(&buf[..ENTRY_HEADER_BYTES]);
-        if !expect_slot.incarnation_matches(h.incarnation) {
+        qp.try_read(addr, &mut buf)?;
+        Ok(Entry::checked(&buf, expect_slot))
+    }
+
+    /// The header and value in `image` (an entry's header followed by its
+    /// value capacity, as READ) if its incarnation still matches `slot`.
+    pub(crate) fn checked(image: &[u8], slot: &Slot) -> Option<(EntryHeader, Vec<u8>)> {
+        let h = EntryHeader::decode(&image[..ENTRY_HEADER_BYTES]);
+        if !slot.incarnation_matches(h.incarnation) {
             return None;
         }
-        let len = (h.value_len as usize).min(value_cap);
-        Some((h, buf[ENTRY_HEADER_BYTES..ENTRY_HEADER_BYTES + len].to_vec()))
+        let len = (h.value_len as usize).min(image.len() - ENTRY_HEADER_BYTES);
+        Some((h, image[ENTRY_HEADER_BYTES..ENTRY_HEADER_BYTES + len].to_vec()))
     }
 
     /// Remote overwrite of the value and version of the entry at `addr`

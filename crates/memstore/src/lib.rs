@@ -15,10 +15,9 @@
 //!   (the DBX-style tree of §5, used for TPC-C's ordered tables), with
 //!   range scans and a mutex fallback for capacity aborts.
 //!
-//! The elastic deployment's table is the split-ordered [`ElasticHash`]
-//! with its key → location [`AddrCache`], resharded live by [`reshard`].
-//! Both tables store the same [`Entry`] and read it remotely through the
-//! same accessor.
+//! The elastic deployment runs on the same table and cache, resharded
+//! live by [`reshard`]. The split-ordered [`ElasticHash`] remains only
+//! for the repo benchmark's probes; it stores the same [`Entry`].
 //!
 //! [`journal`] is the durable-record primitive: the one NVRAM record
 //! format (payload first, status word last) behind the transaction log,
@@ -43,9 +42,10 @@ mod words;
 
 pub use alloc::{Arena, FreeList};
 pub use btree::{BTree, BTreeDesc};
-pub use cache::{AddrCache, CacheStats, LocationCache, Resolved};
+pub use cache::{CacheStats, LocationCache};
 pub use cluster_hash::{
-    ClusterHash, ClusterHashDesc, InsertError, LookupResult, PreparedInsert, BUCKET_BYTES,
+    ClusterHash, ClusterHashDesc, CollectedEntry, InsertError, LookupResult, PreparedInsert,
+    BUCKET_BYTES,
 };
 pub use entry::{Entry, EntryHeader, ENTRY_HEADER_BYTES};
 pub use journal::Journal;
@@ -54,9 +54,7 @@ pub use reshard::{
     Resharder, RouteDecision,
 };
 pub use slot::{Slot, SlotType, SLOT_BYTES};
-pub use split_ordered::{
-    CollectedEntry, ElasticHash, ElasticHashDesc, ElasticStats, NODE_HEADER_BYTES,
-};
+pub use split_ordered::ElasticHash;
 
 /// Default associativity of cluster-hash buckets (slots per bucket, §5.2).
 pub const ASSOC: usize = 8;

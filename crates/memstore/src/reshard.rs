@@ -15,7 +15,7 @@
 //!
 //! * **Copying** — the source stays authoritative *and writable*; the
 //!   resharder bulk-copies the range with one-sided READs
-//!   ([`crate::ElasticHash::try_remote_collect_range`]) and upserts into
+//!   ([`crate::ClusterHash::try_remote_collect_range`]) and upserts into
 //!   the destination. Writes racing the copy are caught later.
 //! * **Cutover** — the range is frozen for writes: the router hands
 //!   transactions a `writable = false` decision and they abort with a
@@ -34,9 +34,10 @@
 //!   incarnation check, re-resolves, and lands at the new owner. Reads
 //!   during this window are *dual-read*: source primary, destination
 //!   fallback, because keys vanish from the source one at a time.
-//! * **Publish** — the map flips the owner; caches were invalidated per
-//!   key during the purge, so the next lookup re-resolves at the new
-//!   owner.
+//! * **Publish** — the map flips the owner. No client cache is told
+//!   about any of it: a cached location of a purged key fails its
+//!   incarnation check on first use (§5.3), and the lookup behind it
+//!   re-resolves — at the new owner once the route says so.
 //!
 //! Crash safety: the purge lock is journaled ([`PurgeLock`], a
 //! [`Journal`] client on the *destination*'s region) before the CAS, one
@@ -54,10 +55,9 @@ use drtm_htm::{Executor, Region};
 use drtm_rdma::{Cluster, FabricError, GlobalAddr, NodeId, Qp, QueueId};
 
 use crate::alloc::Arena;
-use crate::cache::AddrCache;
+use crate::cluster_hash::ClusterHash;
 use crate::journal::{put_u16, put_u64, Journal, Reader};
 use crate::rpc::{ship_store_op, StoreOp, StoreReply};
-use crate::split_ordered::ElasticHash;
 use crate::ENTRY_HEADER_BYTES;
 
 /// Crash site inside the bulk-copy loop (armed on the *destination*,
@@ -69,7 +69,7 @@ pub const MIGRATE_MID_COPY_SITE: &str = "migrate-mid-copy";
 /// the range (`CrashPoint::MigrateBeforeCutover`).
 pub const MIGRATE_BEFORE_CUTOVER_SITE: &str = "migrate-before-cutover";
 
-/// Index of the elastic table in every host's store-service registry:
+/// Index of the sharded table in every host's store-service registry:
 /// the one table a host serves there.
 const TABLE: u16 = 0;
 
@@ -146,9 +146,9 @@ pub enum MigratePhase {
     /// The range is frozen and the source's store queue drained; the
     /// delta + purge pass is about to run (dual-read window).
     CutoverDrained,
-    /// One key finished its delta + purge step: gone from the source,
-    /// caches invalidated — a read of exactly this key now exercises the
-    /// dual-read forward to the destination.
+    /// One key finished its delta + purge step: gone from the source —
+    /// a read of exactly this key now exercises the dual-read forward to
+    /// the destination.
     KeyPurged(u64),
 }
 
@@ -536,10 +536,10 @@ pub struct MigrationReport {
 pub struct Resharder {
     cluster: Arc<Cluster>,
     map: Arc<RangeMap>,
-    /// Per-node elastic shards (identical geometry), indexed by node id.
-    /// Grows when a membership join provisions a new node's shard
+    /// Per-node shards (identical geometry), indexed by node id. Grows
+    /// when a membership join provisions a new node's shard
     /// ([`Resharder::add_shard`]).
-    shards: RwLock<Vec<Arc<ElasticHash>>>,
+    shards: RwLock<Vec<Arc<ClusterHash>>>,
     /// The purge-lock journal (same place on every node).
     journal: PurgeLock,
     /// State-word value that locks an entry for migration. The caller
@@ -549,7 +549,6 @@ pub struct Resharder {
     /// Reply queue for shipped operations issued by the resharder.
     reply_q: QueueId,
     exec: Executor,
-    caches: RwLock<Vec<Arc<AddrCache>>>,
     phase_hook: RwLock<Option<PhaseHook>>,
     stats: ReshardCounters,
 }
@@ -561,11 +560,11 @@ impl std::fmt::Debug for Resharder {
 }
 
 impl Resharder {
-    /// Builds a resharder over one logical elastic table.
+    /// Builds a resharder over one logical sharded table.
     pub fn new(
         cluster: Arc<Cluster>,
         map: Arc<RangeMap>,
-        shards: Vec<Arc<ElasticHash>>,
+        shards: Vec<Arc<ClusterHash>>,
         journal: PurgeLock,
         lock_word: u64,
         reply_q: QueueId,
@@ -580,31 +579,15 @@ impl Resharder {
             lock_word,
             reply_q,
             exec,
-            caches: RwLock::new(Vec::new()),
             phase_hook: RwLock::new(None),
             stats: ReshardCounters::default(),
         }
     }
 
-    /// Registers a location cache to invalidate at cutover.
-    pub fn register_cache(&self, cache: Arc<AddrCache>) {
-        self.caches.write().push(cache);
-    }
-
-    /// The `i`-th registered cache (a deployment registers one per
-    /// client machine, in node-id order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `i + 1` caches were registered.
-    pub fn cache(&self, i: usize) -> Arc<AddrCache> {
-        self.caches.read()[i].clone()
-    }
-
     /// Registers the shard of a newly joined node. Must be called in
     /// node-id order (shard `n` belongs to node `n`), before any range
     /// is migrated towards the node.
-    pub fn add_shard(&self, shard: Arc<ElasticHash>) {
+    pub fn add_shard(&self, shard: Arc<ClusterHash>) {
         self.shards.write().push(shard);
     }
 
@@ -613,13 +596,8 @@ impl Resharder {
     /// # Panics
     ///
     /// Panics if no shard was registered for `node`.
-    pub fn shard(&self, node: NodeId) -> Arc<ElasticHash> {
+    pub fn shard(&self, node: NodeId) -> Arc<ClusterHash> {
         self.shards.read()[node as usize].clone()
-    }
-
-    /// Every registered shard, indexed by node id.
-    pub fn shards(&self) -> Vec<Arc<ElasticHash>> {
-        self.shards.read().clone()
     }
 
     /// Installs a hook called at each [`MigratePhase`] boundary of every
@@ -628,14 +606,6 @@ impl Resharder {
     /// deterministically ordered against the protocol phases.
     pub fn set_phase_hook(&self, hook: impl Fn(MigratePhase) + Send + Sync + 'static) {
         *self.phase_hook.write() = Some(Box::new(hook));
-    }
-
-    /// Drops `[lo, hi]` from every registered cache (each counts its
-    /// drops as [`crate::CacheStats::migration_invalidations`]).
-    fn invalidate_caches(&self, lo: u64, hi: u64) {
-        for cache in self.caches.read().iter() {
-            cache.invalidate_range(lo, hi);
-        }
     }
 
     fn phase(&self, p: MigratePhase) {
@@ -719,7 +689,8 @@ impl Resharder {
             }
             // Re-read under the lock: a write may have landed since the
             // bulk copy (the source was writable through phase 1).
-            let mut buf = vec![0u8; src_shard.desc().entry_read_bytes()];
+            let value_cap = src_shard.desc().value_cap;
+            let mut buf = vec![0u8; ENTRY_HEADER_BYTES + value_cap];
             qp.try_read(state_addr, &mut buf)?;
             bytes += buf.len() as u64;
             let h = crate::EntryHeader::decode(&buf[..ENTRY_HEADER_BYTES]);
@@ -736,7 +707,7 @@ impl Resharder {
             if on_dst.get(&h.key).copied() != Some(h.version) {
                 // The destination's copy is stale or missing: the key
                 // was inserted or updated after the bulk collect.
-                let len = (h.value_len as usize).min(src_shard.desc().value_cap);
+                let len = (h.value_len as usize).min(value_cap);
                 dst_shard
                     .upsert(
                         &self.exec,
@@ -755,11 +726,6 @@ impl Resharder {
             let r = ship_store_op(&qp, src, self.reply_q, &purge)?;
             debug_assert_eq!(r, StoreReply::Ok, "purged key vanished while locked");
             self.journal.clear(dst_region);
-            // Invalidate cached locations *after* the source entry is
-            // gone: a lookup between invalidation and re-resolution must
-            // find either nothing on src (dual-read forwards to dst) or
-            // the bumped incarnation.
-            self.invalidate_caches(e.key, e.key);
             self.phase(MigratePhase::KeyPurged(e.key));
         }
 
@@ -801,9 +767,8 @@ impl Resharder {
     /// retired* node's durable region into `to`'s shard: rows are read
     /// off `from`'s NVRAM directly (never through the fabric — `from`
     /// answers nothing), upserted into the receiver at their recorded
-    /// versions, deleted from the corpse's shard so a repeated
-    /// evacuation is idempotent, and every registered cache drops its
-    /// locations for the range. The caller flips routing afterwards
+    /// versions, and deleted from the corpse's shard so a repeated
+    /// evacuation is idempotent. The caller flips routing afterwards
     /// ([`RangeMap::reassign`]); until then readers still resolve to
     /// `from` and fail typed, exactly like any op against it.
     ///
@@ -824,7 +789,6 @@ impl Resharder {
                 .expect("receiver shard out of space during evacuation");
             from_shard.delete(&self.exec, from_region, row.key);
         }
-        self.invalidate_caches(lo, hi);
         self.stats.keys_moved.add(moved);
         moved
     }
@@ -835,7 +799,7 @@ mod tests {
     use super::*;
     use crate::alloc::Arena;
     use crate::rpc::spawn_store_service;
-    use crate::split_ordered::ElasticHash;
+    use crate::{LocationCache, LookupResult};
     use drtm_htm::{HtmConfig, HtmStats};
     use drtm_rdma::rpc::{Service, DEAD_PEER_GRACE, RPC_MID_REQUEST_SITE};
     use drtm_rdma::{ClusterConfig, LatencyProfile};
@@ -844,7 +808,7 @@ mod tests {
 
     struct Rig {
         cluster: Arc<Cluster>,
-        shards: Vec<Arc<ElasticHash>>,
+        shards: Vec<Arc<ClusterHash>>,
         journal: PurgeLock,
         resharder: Resharder,
         exec: Executor,
@@ -865,15 +829,7 @@ mod tests {
         for n in 0..2u16 {
             let mut arena = Arena::new(0, 8 << 20);
             journal = Some(PurgeLock::reserve(&mut arena)); // same place on both nodes
-            let t = Arc::new(ElasticHash::create(
-                &mut arena,
-                cluster.node(n).region(),
-                n,
-                4,
-                64,
-                2000,
-                64,
-            ));
+            let t = Arc::new(ClusterHash::create(&mut arena, n, 4, 2000, 64));
             services.push(spawn_store_service(cluster.clone(), n, vec![t.clone()], exec.clone()));
             shards.push(t);
         }
@@ -1120,26 +1076,28 @@ mod tests {
     }
 
     #[test]
-    fn cutover_invalidates_registered_caches() {
+    fn cutover_tells_no_cache_and_the_incarnation_check_catches_every_key() {
         let rig = rig();
         fill(&rig, 0, 0..20);
-        let cache = Arc::new(AddrCache::new(64));
-        // Warm the cache with locations on the source.
+        // Warm a client's cache with locations on the source.
         let qp = rig.cluster.qp(1);
-        for k in 0..20u64 {
-            assert!(cache.try_lookup(&qp, &rig.shards[0], k).unwrap().is_some());
-        }
-        // Direct-mapped: colliding installs overwrite, so count what is
-        // actually warm before the cutover.
-        let warm = (0..20u64).filter(|k| cache.lookup(*k).is_some()).count() as u64;
-        assert!(warm > 0);
-        rig.resharder.register_cache(cache.clone());
+        let cache = LocationCache::new(4, 16);
+        let warm: Vec<_> = (0..20u64).map(|k| cache.lookup(&qp, &rig.shards[0], k)).collect();
         rig.resharder.migrate(0, 19, 1).unwrap();
-        let s = cache.stats();
-        assert_eq!(s.migration_invalidations, warm, "every warm key invalidated at cutover");
-        for k in 0..20u64 {
-            assert!(cache.lookup(k).is_none(), "stale location for {k} survived cutover");
+        for (k, &found) in (0..20u64).zip(&warm) {
+            let (addr, slot, _) = found.expect("populated");
+            // The cache still answers with the old location, with no READ…
+            assert_eq!(cache.lookup(&qp, &rig.shards[0], k), Some((addr, slot, 0)));
+            // …which fails its incarnation check: the purge deleted it.
+            assert_eq!(rig.shards[0].remote_read_entry(&qp, addr, &slot), None, "key {k}");
         }
+        for k in 0..20u64 {
+            cache.invalidate(&rig.shards[0], k);
+            assert_eq!(cache.lookup(&qp, &rig.shards[0], k), None, "key {k} left the source");
+            let moved = rig.shards[1].remote_lookup(&qp, k);
+            assert!(matches!(moved, LookupResult::Found { .. }), "key {k} on the destination");
+        }
+        assert_eq!(cache.stats().invalidations, 20, "every invalidation is the caller's own");
     }
 
     #[test]

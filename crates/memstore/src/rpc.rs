@@ -10,58 +10,12 @@
 
 use std::sync::Arc;
 
-use drtm_htm::{Executor, Region};
+use drtm_htm::Executor;
 use drtm_rdma::rpc::{self, Service};
 use drtm_rdma::{Cluster, FabricError, NodeId, Qp, QueueId};
 
 use crate::cluster_hash::{ClusterHash, InsertError};
 use crate::journal::{put_u16, put_u32, put_u64, Reader};
-use crate::split_ordered::ElasticHash;
-
-/// A table kind the host-side store service can execute shipped
-/// operations against. The wire format is table-kind-agnostic; the
-/// host's registry decides how each index is backed.
-#[derive(Debug, Clone)]
-pub enum AnyTable {
-    /// Fixed-size cluster-chaining table.
-    Cluster(Arc<ClusterHash>),
-    /// Elastic split-ordered table (online-resizable).
-    Elastic(Arc<ElasticHash>),
-}
-
-impl AnyTable {
-    fn insert(
-        &self,
-        exec: &Executor,
-        region: &Region,
-        key: u64,
-        value: &[u8],
-    ) -> Result<(), InsertError> {
-        match self {
-            AnyTable::Cluster(t) => t.insert(exec, region, key, value),
-            AnyTable::Elastic(t) => t.insert(exec, region, key, value),
-        }
-    }
-
-    fn delete(&self, exec: &Executor, region: &Region, key: u64) -> bool {
-        match self {
-            AnyTable::Cluster(t) => t.delete(exec, region, key),
-            AnyTable::Elastic(t) => t.delete(exec, region, key),
-        }
-    }
-}
-
-impl From<Arc<ClusterHash>> for AnyTable {
-    fn from(t: Arc<ClusterHash>) -> Self {
-        AnyTable::Cluster(t)
-    }
-}
-
-impl From<Arc<ElasticHash>> for AnyTable {
-    fn from(t: Arc<ElasticHash>) -> Self {
-        AnyTable::Elastic(t)
-    }
-}
 
 /// Queue id of a machine's store-operation service.
 pub const STORE_RPC_QUEUE: QueueId = 0xFFEE;
@@ -165,10 +119,9 @@ pub fn ship_store_op(
 pub fn spawn_store_service(
     cluster: Arc<Cluster>,
     host: NodeId,
-    tables: Vec<impl Into<AnyTable>>,
+    tables: Vec<Arc<ClusterHash>>,
     exec: Executor,
 ) -> Service {
-    let tables: Vec<AnyTable> = tables.into_iter().map(Into::into).collect();
     let region = cluster.node(host).region().clone();
     rpc::serve(cluster, host, STORE_RPC_QUEUE, "store-rpc", move |request| {
         encode_reply(match decode_op(request) {

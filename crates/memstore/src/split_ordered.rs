@@ -1,5 +1,8 @@
-//! Elastic hash table on a recursively split-ordered list (Shalev &
-//! Shavit), the online-resizable successor to [`crate::ClusterHash`].
+//! Hash table on a recursively split-ordered list (Shalev & Shavit),
+//! kept for the repo benchmark's two `memstore.probe.elastic_*` probes
+//! (`benchmark/src/layers.rs`), which pin `create`, `insert`, `get_local`
+//! and `remote_lookup`. No deployment uses it: the elastic world runs on
+//! the paper's [`crate::ClusterHash`], sized at creation.
 //!
 //! All entries live on **one** linked list sorted by *split-order key*:
 //! the bit-reversed hash. Buckets are nothing but lazy shortcut pointers
@@ -10,9 +13,7 @@
 //! * a bucket that has not been split yet simply has a zero directory
 //!   word, and a reader falls back to the bucket's *parent* (clear the
 //!   highest set bit of the index), whose sentinel provably precedes
-//!   every key of the child bucket in split order — the fallback costs
-//!   at most a few extra chain hops, which this module counts so the
-//!   perf ledger can gate on them;
+//!   every key of the child bucket in split order;
 //! * sentinels are inserted lazily by the first INSERT that needs the
 //!   bucket, inside the same HTM transaction as the insert itself.
 //!
@@ -20,27 +21,22 @@
 //!
 //! ```text
 //! meta      8 words   [0] = published bucket count (remote readers RDMA-READ this)
-//! dir       max_buckets words   dir[i] = sentinel offset of bucket i, 0 = not yet split
+//! dir       dir_len words   dir[i] = sentinel offset of bucket i, 0 = not yet split
 //! nodes     pool of fixed cells: next(8) sokey(8) entry(header+value)
 //! ```
-//!
-//! The directory is reserved at its maximum size up front — the memory
-//! must be RDMA-registered before clients can READ it, so reserving the
-//! worst case at table-create time is exactly what a real deployment
-//! does; growth only flips the published count.
 //!
 //! Local operations run inside HTM transactions (same race-freedom
 //! argument as [`crate::ClusterHash`], §5.1); remote lookups walk the
 //! chain with one-sided READs of 16-byte node headers and verify the
-//! entry's key and incarnation, so a stale (smaller) size hint or a
-//! concurrently-split bucket is always *correct*, merely slower.
+//! entry's key, so a stale (smaller) size hint or a concurrently-split
+//! bucket is always *correct*, merely slower.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
 use drtm_htm::{Abort, Executor, HtmTxn, Region};
-use drtm_rdma::{FabricError, GlobalAddr, NodeId, Qp};
+use drtm_rdma::{GlobalAddr, NodeId, Qp};
 
 use crate::alloc::{Arena, FreeList, ABORT_POOL_FULL};
 use crate::cluster_hash::{InsertError, LookupResult};
@@ -51,7 +47,7 @@ use crate::words::{read_words, write_words};
 
 /// Bytes of a list node's header (`next` pointer + split-order key); the
 /// entry follows immediately.
-pub const NODE_HEADER_BYTES: usize = 16;
+const NODE_HEADER_BYTES: usize = 16;
 
 /// Null link. Offset 0 is always inside the meta words, never a node.
 const NIL: u64 = 0;
@@ -71,81 +67,22 @@ fn read_cell(txn: &mut HtmTxn<'_>, cell: usize) -> Result<(u64, u64), Abort> {
 /// forced to 1 (the MSB is sacrificed before reversal, so data keys are
 /// odd and sentinels even — the classic split-ordered encoding).
 #[inline]
-pub fn so_data_key(key: u64) -> u64 {
+fn so_data_key(key: u64) -> u64 {
     (hash64(key) | 1 << 63).reverse_bits()
 }
 
 /// Split-order key of bucket `b`'s sentinel (bit-reversed index, even).
 #[inline]
-pub fn so_sentinel_key(bucket: usize) -> u64 {
+fn so_sentinel_key(bucket: usize) -> u64 {
     (bucket as u64).reverse_bits()
 }
 
 /// Parent of bucket `b` in the recursive split: clear the highest set
 /// bit. The parent's sentinel precedes every key of `b` in split order.
 #[inline]
-pub fn so_parent(bucket: usize) -> usize {
+fn so_parent(bucket: usize) -> usize {
     debug_assert!(bucket > 0, "bucket 0 has no parent");
     bucket & !(1usize << (usize::BITS as usize - 1 - bucket.leading_zeros() as usize))
-}
-
-/// Geometry of an [`ElasticHash`] inside its owner's region.
-///
-/// As with [`crate::ClusterHashDesc`], every machine constructs the same
-/// descriptor so clients compute remote addresses with no metadata
-/// traffic; only the *published bucket count* is dynamic, and that is a
-/// region word clients RDMA-READ.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ElasticHashDesc {
-    /// Owning machine.
-    pub node: NodeId,
-    /// Region offset of the meta words (word 0 = published bucket count).
-    pub meta_base: usize,
-    /// Region offset of the segment directory.
-    pub dir_base: usize,
-    /// Bucket count at creation (power of two).
-    pub init_buckets: usize,
-    /// Directory capacity — the table can double until here (power of two).
-    pub max_buckets: usize,
-    /// Region offset of the node pool.
-    pub node_base: usize,
-    /// Number of node cells (entries + sentinels).
-    pub node_capacity: usize,
-    /// Fixed value capacity in bytes.
-    pub value_cap: usize,
-}
-
-impl ElasticHashDesc {
-    /// Region offset of the published-bucket-count word.
-    pub fn size_off(&self) -> usize {
-        self.meta_base
-    }
-
-    /// Region offset of bucket `b`'s directory word.
-    pub fn dir_off(&self, b: usize) -> usize {
-        self.dir_base + b * 8
-    }
-
-    /// Bytes fetched by one remote entry READ (header + value capacity).
-    pub fn entry_read_bytes(&self) -> usize {
-        ENTRY_HEADER_BYTES + self.value_cap
-    }
-}
-
-drtm_htm::counter_set! {
-    /// The shared cells behind [`ElasticHash::stats`].
-    struct ElasticCounters;
-    /// Resize/lookup counters of one [`ElasticHash`] (see
-    /// [`ElasticHash::stats`]).
-    pub struct ElasticStats {
-        /// Completed doublings of the bucket array.
-        grows,
-        /// Remote lookups served.
-        lookups,
-        /// Parent-bucket fallback hops taken by remote lookups (the resize
-        /// cost the perf ledger gates on).
-        extra_hops,
-    }
 }
 
 /// How full a bucket may get (entries per published bucket) before an
@@ -158,7 +95,16 @@ const WALK_RESTARTS: usize = 8;
 /// The split-ordered, online-resizable hash table.
 #[derive(Debug)]
 pub struct ElasticHash {
-    desc: ElasticHashDesc,
+    /// Owning machine.
+    node: NodeId,
+    /// Region offset of the published-bucket-count word.
+    size_off: usize,
+    /// Region offset of the segment directory.
+    dir_base: usize,
+    /// Directory capacity — the table can double until here.
+    dir_len: usize,
+    /// Fixed value capacity in bytes.
+    value_cap: usize,
     /// One pool serves data nodes and sentinels alike.
     pool: FreeList,
     /// Host-side mirror of the published bucket count (local readers
@@ -168,88 +114,59 @@ pub struct ElasticHash {
     count: AtomicU64,
     /// Serialises doublings; never taken by readers.
     grow_lock: Mutex<()>,
-    stats: ElasticCounters,
 }
 
 impl ElasticHash {
     /// Carves a table for `node` out of `arena` and initialises bucket
     /// 0's sentinel in `region`.
     ///
-    /// `init_buckets`/`max_buckets` are rounded up to powers of two; the
-    /// node pool holds `entry_capacity` data nodes plus one sentinel per
-    /// possible bucket.
+    /// The table starts with `buckets` buckets and can double until
+    /// `dir_len`, both rounded up to powers of two; the node pool holds
+    /// `entry_capacity` data nodes plus one sentinel per possible bucket.
     pub fn create(
         arena: &mut Arena,
         region: &Region,
         node: NodeId,
-        init_buckets: usize,
-        max_buckets: usize,
+        buckets: usize,
+        dir_len: usize,
         entry_capacity: usize,
         value_cap: usize,
     ) -> Self {
-        let init_buckets = init_buckets.next_power_of_two();
-        let max_buckets = max_buckets.next_power_of_two().max(init_buckets);
-        let meta_base = arena.reserve(64);
-        let dir_base = arena.reserve(max_buckets * 8);
-        let node_capacity = entry_capacity + max_buckets;
+        let buckets = buckets.next_power_of_two();
+        let dir_len = dir_len.next_power_of_two().max(buckets);
+        let size_off = arena.reserve(64);
+        let dir_base = arena.reserve(dir_len * 8);
+        let node_capacity = entry_capacity + dir_len;
         let cell = NODE_HEADER_BYTES + Entry::footprint(value_cap);
-        let node_base = arena.reserve(cell * node_capacity);
-        let desc = ElasticHashDesc {
-            node,
-            meta_base,
-            dir_base,
-            init_buckets,
-            max_buckets,
-            node_base,
-            node_capacity,
-            value_cap,
-        };
-        let pool = FreeList::new(node_base, cell, node_capacity);
+        let pool = FreeList::new(arena.reserve(cell * node_capacity), cell, node_capacity);
         // Bucket 0 is the root of the recursive split: always present, so
         // every parent-fallback walk terminates.
         let s0 = pool.alloc().expect("fresh pool");
         region.write_u64_nt(s0, NIL);
         region.write_u64_nt(s0 + 8, so_sentinel_key(0));
-        region.write_u64_nt(desc.dir_off(0), s0 as u64);
-        region.write_u64_nt(desc.size_off(), init_buckets as u64);
+        region.write_u64_nt(dir_base, s0 as u64);
+        region.write_u64_nt(size_off, buckets as u64);
         ElasticHash {
-            desc,
+            node,
+            size_off,
+            dir_base,
+            dir_len,
+            value_cap,
             pool,
-            size_hint: AtomicU64::new(init_buckets as u64),
+            size_hint: AtomicU64::new(buckets as u64),
             count: AtomicU64::new(0),
             grow_lock: Mutex::new(()),
-            stats: ElasticCounters::default(),
         }
     }
 
-    /// The table geometry.
-    pub fn desc(&self) -> &ElasticHashDesc {
-        &self.desc
+    /// Region offset of bucket `b`'s directory word.
+    fn dir_off(&self, b: usize) -> usize {
+        self.dir_base + b * 8
     }
 
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.count.load(Ordering::Relaxed) as usize
-    }
-
-    /// True if no entries are live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Currently published bucket count.
-    pub fn buckets(&self) -> usize {
-        self.size_hint.load(Ordering::Relaxed) as usize
-    }
-
-    /// Live node cells (entries + sentinels) — for leak accounting.
-    pub fn pool_live(&self) -> usize {
-        self.pool.live()
-    }
-
-    /// Returns a copy of the resize/lookup counters.
-    pub fn stats(&self) -> ElasticStats {
-        self.stats.snapshot()
+    /// The bucket `key` hashes to under the published count.
+    fn bucket(&self, key: u64) -> usize {
+        (hash64(key) as usize) & (self.size_hint.load(Ordering::Relaxed) as usize - 1)
     }
 
     /// Doubles the published bucket count. Returns `false` when the
@@ -258,23 +175,22 @@ impl ElasticHash {
     /// The publish is a single CAS on the meta word; readers racing it
     /// use either count correctly (a smaller count routes to an ancestor
     /// bucket whose chain contains the key — the split-order invariant).
-    pub fn grow(&self, region: &Region) -> bool {
+    fn grow(&self, region: &Region) -> bool {
         let _g = self.grow_lock.lock();
         let cur = self.size_hint.load(Ordering::Relaxed);
-        if cur as usize * 2 > self.desc.max_buckets {
+        if cur as usize * 2 > self.dir_len {
             return false;
         }
-        let prev = region.cas_u64_nt(self.desc.size_off(), cur, cur * 2);
+        let prev = region.cas_u64_nt(self.size_off, cur, cur * 2);
         debug_assert_eq!(prev, cur, "size word is only written under grow_lock");
         self.size_hint.store(cur * 2, Ordering::Release);
-        self.stats.grows.inc();
         true
     }
 
     fn maybe_grow(&self, region: &Region) {
         loop {
             let size = self.size_hint.load(Ordering::Relaxed);
-            if size as usize * 2 > self.desc.max_buckets
+            if size as usize * 2 > self.dir_len
                 || self.count.load(Ordering::Relaxed) <= size * GROW_LOAD_FACTOR
                 || !self.grow(region)
             {
@@ -287,7 +203,7 @@ impl ElasticHash {
     /// anything: read paths fall back to the nearest split ancestor.
     fn find_bucket_ro(&self, txn: &mut HtmTxn<'_>, mut bucket: usize) -> Result<usize, Abort> {
         loop {
-            let off = txn.read_u64(self.desc.dir_off(bucket))?;
+            let off = txn.read_u64(self.dir_off(bucket))?;
             if off != NIL {
                 return Ok(off as usize);
             }
@@ -305,7 +221,7 @@ impl ElasticHash {
         bucket: usize,
         fresh: &mut Vec<usize>,
     ) -> Result<usize, Abort> {
-        let off = txn.read_u64(self.desc.dir_off(bucket))?;
+        let off = txn.read_u64(self.dir_off(bucket))?;
         if off != NIL {
             return Ok(off as usize);
         }
@@ -314,7 +230,7 @@ impl ElasticHash {
         let mut anchor;
         loop {
             b = so_parent(b);
-            anchor = txn.read_u64(self.desc.dir_off(b))?;
+            anchor = txn.read_u64(self.dir_off(b))?;
             if anchor != NIL {
                 break;
             }
@@ -350,7 +266,7 @@ impl ElasticHash {
         fresh.push(cell);
         write_words(txn, cell, &[succ, target])?;
         txn.write_u64(prev, cell as u64)?;
-        txn.write_u64(self.desc.dir_off(child), cell as u64)?;
+        txn.write_u64(self.dir_off(child), cell as u64)?;
         Ok(cell)
     }
 
@@ -360,9 +276,7 @@ impl ElasticHash {
     /// ancestor's sentinel (at most a few extra hops), so readers never
     /// block on — or write during — a resize.
     pub fn get_local(&self, txn: &mut HtmTxn<'_>, key: u64) -> Result<Option<Entry>, Abort> {
-        let size = self.size_hint.load(Ordering::Relaxed) as usize;
-        let bucket = (hash64(key) as usize) & (size - 1);
-        let sent = self.find_bucket_ro(txn, bucket)?;
+        let sent = self.find_bucket_ro(txn, self.bucket(key))?;
         let target = so_data_key(key);
         let mut cur = txn.read_u64(sent)?;
         while cur != NIL {
@@ -393,54 +307,22 @@ impl ElasticHash {
         key: u64,
         value: &[u8],
     ) -> Result<(), InsertError> {
-        self.insert_impl(exec, region, key, value, None)
-    }
-
-    /// Migration-stream upsert: inserts `key → value` with an explicit
-    /// entry version, or overwrites value and version if the key exists.
-    /// The resharder uses this to replay source entries (and delta
-    /// re-copies) into the destination shard idempotently.
-    pub fn upsert(
-        &self,
-        exec: &Executor,
-        region: &Region,
-        key: u64,
-        value: &[u8],
-        version: u32,
-    ) -> Result<(), InsertError> {
-        self.insert_impl(exec, region, key, value, Some(version))
-    }
-
-    fn insert_impl(
-        &self,
-        exec: &Executor,
-        region: &Region,
-        key: u64,
-        value: &[u8],
-        upsert_version: Option<u32>,
-    ) -> Result<(), InsertError> {
-        assert!(value.len() <= self.desc.value_cap, "value exceeds table capacity");
+        assert!(value.len() <= self.value_cap, "value exceeds table capacity");
         let cell = self.pool.alloc().ok_or(InsertError::Full)?;
         // Sentinel cells of the attempt in flight: a commit takes them,
         // anything else gives them back — here, or below.
         let mut fresh = Vec::new();
         let outcome = exec.run(region, |txn| {
             self.free_fresh(&mut fresh);
-            self.try_insert(txn, key, value, cell, upsert_version, &mut fresh)
+            self.try_insert(txn, key, value, cell, &mut fresh)
         });
         let refused = match outcome {
-            Ok(TryInsert::Inserted) => {
+            Ok(true) => {
                 self.count.fetch_add(1, Ordering::Relaxed);
                 self.maybe_grow(region);
                 return Ok(());
             }
-            Ok(TryInsert::Existing) => {
-                self.pool.free(cell);
-                return match upsert_version {
-                    Some(_) => Ok(()),
-                    None => Err(InsertError::Duplicate),
-                };
-            }
+            Ok(false) => InsertError::Duplicate,
             Err(Abort::Explicit(ABORT_POOL_FULL)) => InsertError::Full,
             Err(a) => panic!("insert aborted for good ({a}); raise write_capacity_lines"),
         };
@@ -455,18 +337,16 @@ impl ElasticHash {
         }
     }
 
+    /// One insert attempt inside `txn`: `false` if the key exists.
     fn try_insert(
         &self,
         txn: &mut HtmTxn<'_>,
         key: u64,
         value: &[u8],
         cell: usize,
-        upsert_version: Option<u32>,
         fresh: &mut Vec<usize>,
-    ) -> Result<TryInsert, Abort> {
-        let size = self.size_hint.load(Ordering::Relaxed) as usize;
-        let bucket = (hash64(key) as usize) & (size - 1);
-        let sent = self.ensure_bucket(txn, bucket, fresh)?;
+    ) -> Result<bool, Abort> {
+        let sent = self.ensure_bucket(txn, self.bucket(key), fresh)?;
         let target = so_data_key(key);
         let mut prev = sent;
         let mut succ = txn.read_u64(prev)?;
@@ -478,14 +358,7 @@ impl ElasticHash {
             if sokey == target {
                 let entry = Entry::at(succ as usize + NODE_HEADER_BYTES);
                 if txn.read_u64(entry.key_off())? == key {
-                    if let Some(v) = upsert_version {
-                        let mut h = entry.read_header(txn)?;
-                        h.version = v;
-                        h.value_len = value.len() as u32;
-                        entry.write_header(txn, &h)?;
-                        txn.write(entry.value_off(), value)?;
-                    }
-                    return Ok(TryInsert::Existing);
+                    return Ok(false);
                 }
             }
             (prev, succ) = (succ as usize, next);
@@ -499,7 +372,7 @@ impl ElasticHash {
             &EntryHeader {
                 state: 0,
                 incarnation: old.incarnation.wrapping_add(1),
-                version: upsert_version.unwrap_or(0),
+                version: 0,
                 key,
                 value_len: value.len() as u32,
             },
@@ -507,97 +380,41 @@ impl ElasticHash {
         txn.write(entry.value_off(), value)?;
         write_words(txn, cell, &[succ, target])?;
         txn.write_u64(prev, cell as u64)?;
-        Ok(TryInsert::Inserted)
-    }
-
-    /// Deletes `key` as a self-contained HTM transaction. Returns whether
-    /// the key was present.
-    ///
-    /// The entry's incarnation is bumped and its state word cleared
-    /// inside the transaction — clearing the state releases any lock the
-    /// caller holds on the entry, which is exactly what the resharder's
-    /// purge pass relies on (delete-under-migration-lock leaks nothing).
-    pub fn delete(&self, exec: &Executor, region: &Region, key: u64) -> bool {
-        let found = exec.run(region, |txn| self.try_delete(txn, key));
-        let found = found.expect("a delete never aborts itself");
-        if let Some(cell) = found {
-            self.pool.free(cell);
-            self.count.fetch_sub(1, Ordering::Relaxed);
-        }
-        found.is_some()
-    }
-
-    fn try_delete(&self, txn: &mut HtmTxn<'_>, key: u64) -> Result<Option<usize>, Abort> {
-        let size = self.size_hint.load(Ordering::Relaxed) as usize;
-        let bucket = (hash64(key) as usize) & (size - 1);
-        let sent = self.find_bucket_ro(txn, bucket)?;
-        let target = so_data_key(key);
-        let mut prev = sent;
-        let mut cur = txn.read_u64(prev)?;
-        while cur != NIL {
-            let (next, sokey) = read_cell(txn, cur as usize)?;
-            if sokey > target {
-                break;
-            }
-            if sokey == target {
-                let entry = Entry::at(cur as usize + NODE_HEADER_BYTES);
-                if txn.read_u64(entry.key_off())? == key {
-                    let mut h = entry.read_header(txn)?;
-                    h.incarnation = h.incarnation.wrapping_add(1);
-                    h.state = 0;
-                    entry.write_header(txn, &h)?;
-                    txn.write_u64(prev, next)?;
-                    return Ok(Some(cur as usize));
-                }
-            }
-            (prev, cur) = (cur as usize, next);
-        }
-        Ok(None)
+        Ok(true)
     }
 
     /// Remote lookup of `key` by one-sided READs of the size word, the
     /// directory and 16-byte node headers.
     ///
+    /// A resize in progress is invisible except in cost: an unsplit
+    /// bucket falls back to its parent; a size hint published between the
+    /// size READ and the walk only makes the chosen bucket an ancestor of
+    /// the real one, which still contains the key. A walk torn by a
+    /// concurrent unlink (split-order keys going backwards) restarts.
+    ///
     /// # Panics
     ///
-    /// If the table's machine is crashed (use
-    /// [`ElasticHash::try_remote_lookup`] under the chaos harness).
+    /// If the table's machine is crashed.
     pub fn remote_lookup(&self, qp: &Qp, key: u64) -> LookupResult {
-        self.try_remote_lookup(qp, key).expect("remote lookup against a crashed node")
-    }
-
-    /// [`ElasticHash::remote_lookup`] with typed dead-peer reporting.
-    ///
-    /// A resize in progress is invisible except in cost: an unsplit
-    /// bucket falls back to its parent (counted in
-    /// [`ElasticStats::extra_hops`]); a size hint published between the
-    /// size READ and the walk only makes the chosen bucket an ancestor
-    /// of the real one, which still contains the key. A walk torn by a
-    /// concurrent unlink (split-order keys going backwards) restarts.
-    pub fn try_remote_lookup(&self, qp: &Qp, key: u64) -> Result<LookupResult, FabricError> {
-        self.stats.lookups.inc();
-        let node = self.desc.node;
-        let size = qp.try_read_u64(GlobalAddr::new(node, self.desc.size_off()))?.max(1) as usize;
+        let at = |off| GlobalAddr::new(self.node, off);
+        let size = qp.read_u64(at(self.size_off)).max(1) as usize;
         let mut reads = 1u32;
         let target = so_data_key(key);
         for _ in 0..WALK_RESTARTS {
             let mut bucket = (hash64(key) as usize) & (size - 1);
-            let sent;
-            loop {
-                let d = qp.try_read_u64(GlobalAddr::new(node, self.desc.dir_off(bucket)))?;
+            let sent = loop {
+                let d = qp.read_u64(at(self.dir_off(bucket)));
                 reads += 1;
                 if d != NIL {
-                    sent = d as usize;
-                    break;
+                    break d as usize;
                 }
-                self.stats.extra_hops.inc();
                 bucket = so_parent(bucket);
-            }
+            };
             let mut cur = sent;
             let mut last_sokey = 0u64;
             loop {
                 let mut hdr = [0u8; NODE_HEADER_BYTES];
-                qp.try_read(GlobalAddr::new(node, cur), &mut hdr)?;
+                qp.read(at(cur), &mut hdr);
                 reads += 1;
                 let next = u64::from_le_bytes(hdr[0..8].try_into().expect("node header"));
                 let sokey = u64::from_le_bytes(hdr[8..16].try_into().expect("node header"));
@@ -608,130 +425,33 @@ impl ElasticHash {
                     }
                     last_sokey = sokey;
                     if sokey > target {
-                        return Ok(LookupResult::NotFound { reads });
+                        return LookupResult::NotFound { reads };
                     }
                     if sokey == target {
                         let entry_off = cur + NODE_HEADER_BYTES;
                         let mut h = [0u8; ENTRY_HEADER_BYTES];
-                        qp.try_read(GlobalAddr::new(node, entry_off), &mut h)?;
+                        qp.read(at(entry_off), &mut h);
                         reads += 1;
                         let h = EntryHeader::decode(&h);
                         if h.key == key {
-                            return Ok(LookupResult::Found {
-                                addr: GlobalAddr::new(node, entry_off),
+                            return LookupResult::Found {
+                                addr: at(entry_off),
                                 slot: Slot::entry(key, entry_off as u64, h.incarnation),
                                 reads,
-                            });
+                            };
                         }
                     }
                 }
                 if next == NIL {
-                    return Ok(LookupResult::NotFound { reads });
+                    return LookupResult::NotFound { reads };
                 }
                 cur = next as usize;
             }
         }
         // Persistently torn chain: report a (verifiable) miss — locations
         // are hints, and callers re-verify Found results by incarnation.
-        Ok(LookupResult::NotFound { reads })
+        LookupResult::NotFound { reads }
     }
-
-    /// Remote read of an entry's header and value in a single RDMA READ,
-    /// with incarnation check against `expect_slot`: see
-    /// [`Entry::remote_read`].
-    pub fn remote_read_entry(
-        &self,
-        qp: &Qp,
-        addr: GlobalAddr,
-        expect_slot: &Slot,
-    ) -> Option<(EntryHeader, Vec<u8>)> {
-        Entry::remote_read(qp, addr, self.desc.value_cap, expect_slot)
-    }
-
-    /// Streams every live entry with key in `[lo, hi]` over the fabric:
-    /// a full chain walk from bucket 0 with one-sided READs. Returns the
-    /// collected `(key, version, value, entry_offset)` tuples and the
-    /// bytes moved — the resharder's copy stream.
-    pub fn try_remote_collect_range(
-        &self,
-        qp: &Qp,
-        lo: u64,
-        hi: u64,
-    ) -> Result<(Vec<CollectedEntry>, u64), FabricError> {
-        let node = self.desc.node;
-        let mut out = Vec::new();
-        let mut bytes = 0u64;
-        let root = qp.try_read_u64(GlobalAddr::new(node, self.desc.dir_off(0)))? as usize;
-        bytes += 8;
-        let mut cur = qp.try_read_u64(GlobalAddr::new(node, root))?;
-        bytes += 8;
-        while cur != NIL {
-            let mut hdr = [0u8; NODE_HEADER_BYTES];
-            qp.try_read(GlobalAddr::new(node, cur as usize), &mut hdr)?;
-            bytes += NODE_HEADER_BYTES as u64;
-            let next = u64::from_le_bytes(hdr[0..8].try_into().expect("node header"));
-            let sokey = u64::from_le_bytes(hdr[8..16].try_into().expect("node header"));
-            if sokey & 1 == 1 {
-                let entry_off = cur as usize + NODE_HEADER_BYTES;
-                let mut buf = vec![0u8; self.desc.entry_read_bytes()];
-                qp.try_read(GlobalAddr::new(node, entry_off), &mut buf)?;
-                bytes += buf.len() as u64;
-                let h = EntryHeader::decode(&buf[..ENTRY_HEADER_BYTES]);
-                if h.key >= lo && h.key <= hi {
-                    let len = (h.value_len as usize).min(self.desc.value_cap);
-                    out.push(CollectedEntry {
-                        key: h.key,
-                        version: h.version,
-                        value: buf[ENTRY_HEADER_BYTES..ENTRY_HEADER_BYTES + len].to_vec(),
-                        entry_off,
-                    });
-                }
-            }
-            cur = next;
-        }
-        Ok((out, bytes))
-    }
-
-    /// Non-transactional range scan of a (possibly crashed) node's region
-    /// — the NVRAM-model read used by migration recovery and validation.
-    pub fn collect_range_nt(&self, region: &Region, lo: u64, hi: u64) -> Vec<CollectedEntry> {
-        let mut out = Vec::new();
-        let root = region.read_u64_nt(self.desc.dir_off(0)) as usize;
-        let mut cur = region.read_u64_nt(root);
-        while cur != NIL {
-            let next = region.read_u64_nt(cur as usize);
-            let sokey = region.read_u64_nt(cur as usize + 8);
-            if sokey & 1 == 1 {
-                let entry_off = cur as usize + NODE_HEADER_BYTES;
-                let h = Entry::at(entry_off).read_header_nt(region);
-                if h.key >= lo && h.key <= hi {
-                    let mut value = vec![0u8; (h.value_len as usize).min(self.desc.value_cap)];
-                    region.read_nt(entry_off + ENTRY_HEADER_BYTES, &mut value);
-                    out.push(CollectedEntry { key: h.key, version: h.version, value, entry_off });
-                }
-            }
-            cur = next;
-        }
-        out
-    }
-}
-
-/// One entry lifted off a chain by a range collection.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CollectedEntry {
-    /// The entry's key.
-    pub key: u64,
-    /// The entry's value version at collection time.
-    pub version: u32,
-    /// The value bytes.
-    pub value: Vec<u8>,
-    /// Region offset of the entry (state word) on the scanned node.
-    pub entry_off: usize,
-}
-
-enum TryInsert {
-    Inserted,
-    Existing,
 }
 
 #[cfg(test)]
@@ -753,6 +473,10 @@ mod tests {
             ElasticHash::create(&mut arena, cluster.node(0).region(), 0, init, max, cap, 64);
         let exec = Executor::new(HtmConfig::default(), Arc::new(HtmStats::new()));
         (cluster, table, exec)
+    }
+
+    fn buckets(table: &ElasticHash) -> u64 {
+        table.size_hint.load(Ordering::Relaxed)
     }
 
     #[test]
@@ -789,7 +513,7 @@ mod tests {
         let region = cluster.node(0).region();
         table.insert(&exec, region, 1, b"a").unwrap();
         assert_eq!(table.insert(&exec, region, 1, b"b"), Err(InsertError::Duplicate));
-        assert_eq!(table.len(), 1);
+        assert_eq!(table.count.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -800,7 +524,7 @@ mod tests {
         for k in 0..100u64 {
             table.insert(&exec, region, k, &k.to_le_bytes()).unwrap();
         }
-        assert_eq!(table.buckets(), 1, "growth must be capped by max_buckets");
+        assert_eq!(buckets(&table), 1, "growth must be capped by dir_len");
         let mut txn = region.begin(exec.config());
         for k in 0..100u64 {
             let e = table.get_local(&mut txn, k).unwrap().expect("found");
@@ -815,8 +539,7 @@ mod tests {
         for k in 0..500u64 {
             table.insert(&exec, region, k, &k.to_le_bytes()).unwrap();
         }
-        assert!(table.stats().grows >= 4, "load factor should have forced doublings");
-        assert!(table.buckets() > 1);
+        assert!(buckets(&table) >= 16, "load factor should have forced doublings");
         let mut txn = region.begin(exec.config());
         for k in 0..500u64 {
             let e = table.get_local(&mut txn, k).unwrap().expect("found after grow");
@@ -827,8 +550,8 @@ mod tests {
         for k in 0..500u64 {
             match table.remote_lookup(&qp, k) {
                 LookupResult::Found { addr, slot, .. } => {
-                    let (_, v) = table.remote_read_entry(&qp, addr, &slot).unwrap();
-                    assert_eq!(v, k.to_le_bytes());
+                    assert_eq!(slot.key, k);
+                    assert_eq!(Entry::at(addr.offset).read_header_nt(region).key, k);
                 }
                 other => panic!("key {k}: {other:?}"),
             }
@@ -839,12 +562,12 @@ mod tests {
     fn explicit_grow_is_a_published_doubling() {
         let (cluster, table, _exec) = setup(2, 8, 100);
         let region = cluster.node(0).region();
-        assert_eq!(table.buckets(), 2);
+        assert_eq!(buckets(&table), 2);
         assert!(table.grow(region));
         assert!(table.grow(region));
-        assert!(!table.grow(region), "at max_buckets");
-        assert_eq!(table.buckets(), 8);
-        assert_eq!(region.read_u64_nt(table.desc().size_off()), 8);
+        assert!(!table.grow(region), "at dir_len");
+        assert_eq!(buckets(&table), 8);
+        assert_eq!(region.read_u64_nt(table.size_off), 8);
     }
 
     #[test]
@@ -856,70 +579,17 @@ mod tests {
         for k in 0..100u64 {
             table.insert(&exec, region, k, b"v").unwrap();
         }
-        assert!(table.buckets() > 1);
+        assert!(buckets(&table) > 1);
         // A remote walk *after* growth but before any new bucket's
         // sentinel exists must fall back through parents.
         let qp = cluster.qp(1);
-        table.grow(region); // publish another doubling; no sentinels yet
-        let before = table.stats();
+        assert!(table.grow(region), "publish another doubling; no sentinels yet");
         for k in 0..100u64 {
             assert!(
                 matches!(table.remote_lookup(&qp, k), LookupResult::Found { .. }),
                 "key {k} lost after grow"
             );
         }
-        let after = table.stats();
-        assert!(after.extra_hops > before.extra_hops, "fallback hops must be counted");
-    }
-
-    #[test]
-    fn delete_then_lookup_misses_and_node_is_reused() {
-        let (cluster, table, exec) = setup(4, 4, 100);
-        let region = cluster.node(0).region();
-        table.insert(&exec, region, 7, b"x").unwrap();
-        let live = table.pool_live();
-        assert!(table.delete(&exec, region, 7));
-        assert!(!table.delete(&exec, region, 7));
-        assert_eq!(table.pool_live(), live - 1);
-        let mut txn = region.begin(exec.config());
-        assert!(table.get_local(&mut txn, 7).unwrap().is_none());
-        drop(txn);
-        table.insert(&exec, region, 8, b"y").unwrap();
-        // At most one extra live cell (a lazily created sentinel): the
-        // data node count is back to one.
-        assert!(table.pool_live() <= live + 1, "data cell not returned to the pool");
-        assert_eq!(table.len(), 1);
-    }
-
-    #[test]
-    fn incarnation_check_catches_delete() {
-        let (cluster, table, exec) = setup(4, 4, 100);
-        let region = cluster.node(0).region();
-        table.insert(&exec, region, 5, b"old").unwrap();
-        let qp = cluster.qp(1);
-        let (addr, slot) = match table.remote_lookup(&qp, 5) {
-            LookupResult::Found { addr, slot, .. } => (addr, slot),
-            other => panic!("{other:?}"),
-        };
-        table.delete(&exec, region, 5);
-        table.insert(&exec, region, 5, b"new").unwrap();
-        assert!(
-            table.remote_read_entry(&qp, addr, &slot).is_none(),
-            "stale location must fail the incarnation check"
-        );
-    }
-
-    #[test]
-    fn upsert_overwrites_and_sets_version() {
-        let (cluster, table, exec) = setup(4, 4, 100);
-        let region = cluster.node(0).region();
-        table.upsert(&exec, region, 1, b"first", 5).unwrap();
-        table.upsert(&exec, region, 1, b"second", 9).unwrap();
-        assert_eq!(table.len(), 1);
-        let mut txn = region.begin(exec.config());
-        let e = table.get_local(&mut txn, 1).unwrap().expect("found");
-        assert_eq!(e.read_value(&mut txn).unwrap(), b"second");
-        assert_eq!(e.read_header(&mut txn).unwrap().version, 9);
     }
 
     #[test]
@@ -930,26 +600,6 @@ mod tests {
             table.insert(&exec, region, k, b"v").unwrap();
         }
         assert_eq!(table.insert(&exec, region, 99, b"v"), Err(InsertError::Full));
-    }
-
-    #[test]
-    fn collect_range_streams_the_chain() {
-        let (cluster, table, exec) = setup(2, 16, 200);
-        let region = cluster.node(0).region();
-        for k in 0..50u64 {
-            table.insert(&exec, region, k, &(k * 10).to_le_bytes()).unwrap();
-        }
-        let qp = cluster.qp(1);
-        let (got, bytes) = table.try_remote_collect_range(&qp, 10, 19).unwrap();
-        assert!(bytes > 0);
-        let mut keys: Vec<u64> = got.iter().map(|e| e.key).collect();
-        keys.sort_unstable();
-        assert_eq!(keys, (10..20).collect::<Vec<u64>>());
-        for e in &got {
-            assert_eq!(e.value, (e.key * 10).to_le_bytes());
-        }
-        let nt = table.collect_range_nt(region, 10, 19);
-        assert_eq!(nt.len(), 10);
     }
 
     #[test]
@@ -969,8 +619,8 @@ mod tests {
                 });
             }
         });
-        assert_eq!(table.len(), 800);
-        assert!(table.stats().grows > 0);
+        assert_eq!(table.count.load(Ordering::Relaxed), 800);
+        assert!(buckets(&table) > 1);
         let region = cluster.node(0).region();
         let mut txn = region.begin(exec.config());
         for t in 0..4u64 {

@@ -1,20 +1,19 @@
-//! Elastic KV workload: transactions over the resizable, reshardable
-//! memstore.
+//! Elastic KV workload: transactions over the reshardable memstore.
 //!
 //! Unlike the static workloads ([`crate::smallbank`], [`crate::tpcc`]),
 //! a key's home here is decided by a live [`RangeMap`] instead of a
-//! fixed modulus, and two things can change mid-run:
+//! fixed modulus, and a key range can migrate between machines
+//! ([`ElasticKv::migrate`]) while transactions keep running. During the
+//! cutover window the router reports `writable = false` and writers abort
+//! with the typed [`AbortCause::Migrated`] cause, to retry after publish;
+//! reads dual-read source-then-destination ([`ElasticKvWorker::read`]).
 //!
-//! * **resize** — any node's [`ElasticHash`] can double its bucket
-//!   array ([`ElasticKv::grow`]) without blocking readers; lookups pay
-//!   at most extra chain hops (measured in [`ElasticStats`]);
-//! * **resharding** — a key range can migrate between machines
-//!   ([`ElasticKv::migrate`]) while transactions keep running. During
-//!   the cutover window the router reports `writable = false` and
-//!   writers abort with the typed [`AbortCause::Migrated`] cause, to
-//!   retry after publish; reads dual-read source-then-destination
-//!   ([`ElasticKvWorker::read`]), counting forced misses in the
-//!   client-side [`AddrCache`].
+//! Every machine's shard is the paper's [`ClusterHash`], sized at
+//! creation for every key of the deployment, and a client finds a remote
+//! key through its [`LocationCache`] for that server (§5.3). A cached
+//! location is checked by the incarnation of the entry it names, so a key
+//! a migration purged fails its check and re-resolves: the resharder
+//! tells no cache anything.
 //!
 //! The canonical transaction is a two-key `transfer` that conserves the
 //! total value — the invariant the chaos harness checks across crashes
@@ -23,20 +22,22 @@
 use std::sync::{Arc, Mutex};
 
 use drtm_core::{
-    Abort, AbortCause, Deployment, DrTm, DrTmConfig, JoinReport, LeaveReport, LockState,
+    Abort, AbortCause, Deployment, DrTm, DrTmConfig, JoinReport, LeaveReport, LocalKey, LockState,
     MembershipCoordinator, MembershipError, MembershipTable, NodeRecovery, NodeState, RecordAddr,
-    TxnCtx, TxnError, TxnSpec, Worker, SOFTTIME_INTERVAL,
+    TxnCtx, TxnError, TxnSpec, Worker, SOFTTIME_INTERVAL, USER_ABORT,
 };
 use drtm_htm::{Executor, HtmStats, Region};
 use drtm_memstore::rpc::spawn_store_service;
 use drtm_memstore::{
-    AddrCache, Arena, ElasticHash, ElasticStats, MigrationReport, RangeMap, ReshardStats, Resharder,
+    Arena, ClusterHash, LocationCache, MigrationReport, RangeMap, ReshardStats, Resharder,
+    RouteDecision,
 };
 use drtm_rdma::rpc::Service;
 use drtm_rdma::{
     ClusterConfig, DoorbellConfig, FabricError, FaultConfig, GlobalAddr, LatencyProfile, NodeId,
 };
 
+use crate::resolve::Caches;
 use crate::{fields, pack_fields};
 
 /// Initial value of every key.
@@ -60,11 +61,6 @@ pub struct ElasticKvConfig {
     pub workers: usize,
     /// Keys initially owned by each machine (`[n·per, (n+1)·per)`).
     pub keys_per_node: u64,
-    /// Initial bucket count of every shard (small on purpose: inserts
-    /// drive online doublings).
-    pub init_buckets: usize,
-    /// Bucket-directory capacity (upper bound of doubling).
-    pub max_buckets: usize,
     /// Region bytes per machine.
     pub region_size: usize,
     /// Network cost model.
@@ -84,8 +80,6 @@ impl Default for ElasticKvConfig {
             max_nodes: 0,
             workers: 2,
             keys_per_node: 1_000,
-            init_buckets: 16,
-            max_buckets: 4_096,
             region_size: 32 << 20,
             profile: LatencyProfile::rdma(),
             faults: FaultConfig::default(),
@@ -99,10 +93,11 @@ impl Default for ElasticKvConfig {
 pub struct ElasticKv {
     /// The transaction system.
     pub sys: Arc<DrTm>,
-    /// Owns the range map and the per-node registries: shard `n` and
-    /// address cache `n` belong to machine `n`; both grow under a join.
+    /// Owns the range map and the per-node shard registry: shard `n`
+    /// belongs to machine `n`, and a join appends one.
     resharder: Arc<Resharder>,
     coordinator: Arc<MembershipCoordinator>,
+    caches: Arc<Caches>,
     /// The configuration it was built with.
     pub cfg: ElasticKvConfig,
     _services: Arc<Mutex<Vec<Service>>>,
@@ -139,22 +134,18 @@ impl ElasticKv {
             exec.clone(),
         ));
         let services = Arc::new(Mutex::new(Vec::new()));
+        // A shard must be able to absorb every other node's ranges; its
+        // buckets hold four rows each, as TPC-C's tables do.
+        let capacity = cfg.keys_per_node as usize * cfg.nodes + 64;
+        let buckets = capacity / 4;
         // What every machine gets, founding or joined later: an (empty)
-        // shard at the head of its store arena, its store service, shard
-        // and address cache registered with the resharder.
+        // shard at the head of its store arena, its store service, and
+        // the shard registered with the resharder.
         let provision = {
-            let (resharder, services, cfg) = (resharder.clone(), services.clone(), cfg.clone());
+            let (resharder, services) = (resharder.clone(), services.clone());
             move |node: NodeId, mut arena: Arena| {
-                let shard = Arc::new(ElasticHash::create(
-                    &mut arena,
-                    cluster.node(node).region(),
-                    node,
-                    cfg.init_buckets,
-                    cfg.max_buckets,
-                    // A shard must be able to absorb every other node's ranges.
-                    (cfg.keys_per_node as usize) * cfg.nodes + 64,
-                    VALUE_BYTES,
-                ));
+                let shard = ClusterHash::create(&mut arena, node, buckets, capacity, VALUE_BYTES);
+                let shard = Arc::new(shard);
                 services.lock().expect("service lock poisoned").push(spawn_store_service(
                     cluster.clone(),
                     node,
@@ -162,8 +153,6 @@ impl ElasticKv {
                     exec.clone(),
                 ));
                 resharder.add_shard(shard);
-                let cells = (cfg.keys_per_node as usize).next_power_of_two();
-                resharder.register_cache(Arc::new(AddrCache::new(cells)));
             }
         };
         for n in dep.nodes() {
@@ -182,14 +171,15 @@ impl ElasticKv {
             membership,
             provision,
         ));
-        ElasticKv { sys, resharder, coordinator, cfg, _services: services }
+        let caches = Arc::new(Caches::new(buckets));
+        ElasticKv { sys, resharder, coordinator, caches, cfg, _services: services }
     }
 
     /// Creates a per-thread workload driver for `(node, worker_id)`.
     pub fn worker(&self, node: NodeId, worker_id: usize) -> ElasticKvWorker {
         ElasticKvWorker {
             w: self.sys.worker(node, worker_id),
-            cache: self.cache(node),
+            caches: self.caches.clone(),
             resharder: self.resharder.clone(),
             membership: self.coordinator.table().clone(),
         }
@@ -206,13 +196,14 @@ impl ElasticKv {
     }
 
     /// The shard owned by `node`.
-    pub fn shard(&self, node: NodeId) -> Arc<ElasticHash> {
+    pub fn shard(&self, node: NodeId) -> Arc<ClusterHash> {
         self.resharder.shard(node)
     }
 
-    /// The address cache of client machine `node`.
-    pub fn cache(&self, node: NodeId) -> Arc<AddrCache> {
-        self.resharder.cache(node as usize)
+    /// The location cache client machine `client` uses for `server`'s
+    /// shard.
+    pub fn cache(&self, client: NodeId, server: NodeId) -> Arc<LocationCache> {
+        self.caches.get(client, server)
     }
 
     /// The cluster membership table (lifecycle state per machine).
@@ -249,12 +240,6 @@ impl ElasticKv {
         self.coordinator.recover(crashed, via)
     }
 
-    /// Driver hook: doubles `node`'s bucket array once (readers never
-    /// block). Returns whether the doubling happened.
-    pub fn grow(&self, node: NodeId) -> bool {
-        self.shard(node).grow(self.sys.cluster().node(node).region())
-    }
-
     /// Driver hook: migrates `[lo, hi]` to `dst` while traffic runs.
     pub fn migrate(&self, lo: u64, hi: u64, dst: NodeId) -> Result<MigrationReport, FabricError> {
         self.resharder.migrate(lo, hi, dst)
@@ -263,12 +248,6 @@ impl ElasticKv {
     /// Migration counters.
     pub fn reshard_stats(&self) -> ReshardStats {
         self.resharder.stats()
-    }
-
-    /// Sum of per-shard resize counters (grows, lookups, extra hops).
-    pub fn elastic_stats(&self) -> ElasticStats {
-        let total = ElasticStats::default();
-        self.resharder.shards().iter().fold(total, |total, s| total.merge(&s.stats()))
     }
 
     /// Sum of every key's value — the conservation invariant. Call on a
@@ -301,8 +280,8 @@ pub enum WriteOutcome {
 /// Per-thread elastic KV driver.
 pub struct ElasticKvWorker {
     w: Worker,
-    /// This machine's address cache.
-    cache: Arc<AddrCache>,
+    /// The deployment's location caches; this machine uses its own.
+    caches: Arc<Caches>,
     resharder: Arc<Resharder>,
     /// Lifecycle state of every machine; writes are gated on it.
     membership: Arc<MembershipTable>,
@@ -319,34 +298,55 @@ impl ElasticKvWorker {
         &mut self.w
     }
 
+    /// Finds `key` in `shard`, on another machine, through this
+    /// machine's location cache for it; with `read`, also READs the
+    /// entry's value. A location the cache answered without a READ is
+    /// checked by reading the entry under its incarnation (§5.3) — the one
+    /// READ a verified hit costs, which brings the value along. One that
+    /// fails its check (the key was purged by a migration, or deleted) is
+    /// dropped and looked up again, at the owner.
+    fn locate(
+        &self,
+        shard: &ClusterHash,
+        key: u64,
+        read: bool,
+    ) -> Result<Option<Located>, FabricError> {
+        let (qp, cache) = (self.w.qp(), self.caches.get(self.w.node, shard.desc().node));
+        loop {
+            let Some((addr, slot, reads)) = cache.try_lookup(qp, shard, key)? else {
+                return Ok(None);
+            };
+            let hit = reads == 0;
+            if !hit && !read {
+                return Ok(Some((addr, None)));
+            }
+            match shard.try_remote_read_entry(qp, addr, &slot)? {
+                Some((_, value)) => return Ok(Some((addr, Some(value)))),
+                None if hit => cache.invalidate(shard, key),
+                // Deleted since the lookup READ it.
+                None => return Ok(None),
+            }
+        }
+    }
+
     /// Reads the raw value bytes of `key` on `server` (no routing):
-    /// local keys by validated HTM lookup, remote keys through this
-    /// machine's address cache ([`AddrCache::try_lookup`]: a hit comes
-    /// back with the entry its verification read, a miss is read here).
+    /// local keys by validated HTM lookup, remote keys through
+    /// [`ElasticKvWorker::locate`].
     fn value_on(&self, server: NodeId, key: u64) -> Result<Option<Vec<u8>>, TxnError> {
         let shard = self.resharder.shard(server);
         if server == self.w.node {
             return Ok(read_local(self.w.executor(), self.w.region(), &shard, key));
         }
-        let Some(found) = self.cache.try_lookup(self.w.qp(), &shard, key)? else {
-            return Ok(None);
-        };
-        let entry =
-            found.entry.or_else(|| shard.remote_read_entry(self.w.qp(), found.addr, &found.slot));
-        Ok(entry.map(|(_, v)| v))
+        Ok(self.locate(&shard, key, true)?.and_then(|(_, value)| value))
     }
 
     /// Reads `key` through the range map, dual-reading during a cutover
     /// window: a miss on the (still primary) source forwards to the
-    /// destination and counts a forced miss.
+    /// destination.
     pub fn read(&self, key: u64) -> Result<Option<u64>, TxnError> {
         let d = self.resharder.map().route(key).expect("unmapped key");
-        if let Some(v) = self.value_on(d.primary, key)? {
-            return Ok(Some(fields(&v)[0]));
-        }
-        if let Some(fwd) = d.forward {
-            self.cache.note_forced_miss();
-            if let Some(v) = self.value_on(fwd, key)? {
+        for server in std::iter::once(d.primary).chain(d.forward) {
+            if let Some(v) = self.value_on(server, key)? {
                 return Ok(Some(fields(&v)[0]));
             }
         }
@@ -356,19 +356,21 @@ impl ElasticKvWorker {
     /// Resolves `key` to a record address on `server`.
     fn resolve(&self, server: NodeId, key: u64) -> Result<Option<RecordAddr>, TxnError> {
         let shard = self.resharder.shard(server);
-        let addr = if server == self.w.node {
-            let found = self.w.executor().run(self.w.region(), |txn| shard.get_local(txn, key));
-            found.expect("a lookup never aborts itself").map(|e| GlobalAddr::new(server, e.offset))
-        } else {
-            self.cache.try_lookup(self.w.qp(), &shard, key)?.map(|found| found.addr)
-        };
-        Ok(addr.map(|a| RecordAddr::new(a, VALUE_BYTES)))
+        if server == self.w.node {
+            let row = LocalKey { table: &shard, key };
+            let found = self.w.executor().run(self.w.region(), |txn| row.find(txn));
+            return Ok(found.expect("a lookup never aborts itself"));
+        }
+        let found = self.locate(&shard, key, false)?;
+        Ok(found.map(|(addr, _)| RecordAddr::new(addr, VALUE_BYTES)))
     }
 
     /// One attempt at moving `amount` from `a` to `b` (wrapping; the
     /// sum is conserved). A frozen route records a `Migrated` abort and
     /// returns [`WriteOutcome::Frozen`] without blocking, so drivers
-    /// can keep pumping other traffic during a cutover and retry later.
+    /// can keep pumping other traffic during a cutover and retry later;
+    /// so does a range that moved between routing and the body (traced
+    /// as the body's user abort).
     pub fn try_transfer(&mut self, a: u64, b: u64, amount: u64) -> Result<WriteOutcome, TxnError> {
         let da = self.resharder.map().route(a).expect("unmapped key");
         let db = self.resharder.map().route(b).expect("unmapped key");
@@ -413,13 +415,26 @@ impl ElasticKvWorker {
             (local, list.len() - 1)
         };
         let (sa, sb) = (declare(ra), declare(rb));
+        let map = self.resharder.map();
         let r = self.w.execute(&spec, |ctx| {
             let (va, vb) = (cur(ctx, sa)?, cur(ctx, sb)?);
+            // A purge deletes a row under its migration lock, and the
+            // delete hands that lock to whoever waits for it: a writer
+            // resolved before the cutover would hold a dead row. Both
+            // rows are locked or in the region's read set by now, and a
+            // cutover moves its range's epoch before it purges a row, so
+            // unmoved epochs mean both rows are live.
+            let moved = |k, d: RouteDecision| map.route(k).map(|r| r.epoch) != Some(d.epoch);
+            if moved(a, da) || moved(b, db) {
+                return Err(Abort::Explicit(USER_ABORT));
+            }
             put(ctx, sa, va.wrapping_sub(amount))?;
             put(ctx, sb, vb.wrapping_add(amount))
         });
         match r {
-            Ok(_) | Err(TxnError::UserAborted) => Ok(WriteOutcome::Committed),
+            Ok(_) => Ok(WriteOutcome::Committed),
+            // The epoch check: route again.
+            Err(TxnError::UserAborted) => Ok(WriteOutcome::Frozen),
             Err(e) => Err(e),
         }
     }
@@ -436,6 +451,9 @@ impl ElasticKvWorker {
         }
     }
 }
+
+/// A remote entry's address, and its value when a READ brought it.
+type Located = (GlobalAddr, Option<Vec<u8>>);
 
 /// Where a transfer declared one of its keys: `(local, index)` in the
 /// spec's local or remote write list.
@@ -455,26 +473,22 @@ fn put(ctx: &mut TxnCtx<'_>, (local, i): WriteSlot, v: u64) -> Result<(), Abort>
 }
 
 /// Validated read of `key`'s value bytes in the shard of `region`'s node.
-fn read_local(exec: &Executor, region: &Region, shard: &ElasticHash, key: u64) -> Option<Vec<u8>> {
-    let value = exec.run(region, |txn| match shard.get_local(txn, key)? {
-        Some(e) => e.read_value(txn).map(Some),
-        None => Ok(None),
-    });
-    value.expect("a read never aborts itself")
+fn read_local(exec: &Executor, region: &Region, shard: &ClusterHash, key: u64) -> Option<Vec<u8>> {
+    let row = LocalKey { table: shard, key };
+    let found = exec.run(region, |txn| row.read(txn));
+    found.expect("a read never aborts itself").map(|(_, value)| value)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drtm_memstore::{ElasticHashDesc, MigratePhase};
+    use drtm_memstore::{ClusterHashDesc, MigratePhase};
 
     fn tiny() -> ElasticKvConfig {
         ElasticKvConfig {
             nodes: 2,
             workers: 2,
             keys_per_node: 200,
-            init_buckets: 4,
-            max_buckets: 1024,
             region_size: 16 << 20,
             profile: LatencyProfile::zero(),
             drtm: DrTmConfig::default(),
@@ -490,7 +504,7 @@ mod tests {
         assert_eq!(w.read(7).unwrap(), Some(INIT_VALUE));
         assert_eq!(w.read(207).unwrap(), Some(INIT_VALUE), "remote read");
         assert_eq!(w.read(207).unwrap(), Some(INIT_VALUE), "cached remote read");
-        assert!(kv.cache(0).stats().hits > 0, "second remote read was cached");
+        assert!(kv.cache(0, 1).stats().hits > 0, "second remote read was cached");
     }
 
     #[test]
@@ -518,17 +532,40 @@ mod tests {
     }
 
     #[test]
-    fn online_grow_keeps_lookups_correct() {
+    fn a_warm_remote_read_of_a_lost_owner_fails_typed() {
         let kv = ElasticKv::build(tiny());
-        let w = kv.worker(1, 0);
-        let before = kv.shard(0).buckets();
-        assert!(kv.grow(0));
-        assert!(kv.grow(0));
-        assert_eq!(kv.shard(0).buckets(), before * 4);
-        for k in (0..200).step_by(17) {
-            assert_eq!(w.read(k).unwrap(), Some(INIT_VALUE), "key {k} after doubling");
-        }
-        assert!(kv.elastic_stats().grows >= 2);
+        let w = kv.worker(0, 0);
+        assert_eq!(w.read(207).unwrap(), Some(INIT_VALUE), "warms node 0's cache for node 1");
+        let faults = kv.sys.cluster().faults();
+        faults.kill(1);
+        assert_eq!(w.read(207), Err(TxnError::PeerDead(1)), "the hit's check READ fails typed");
+        faults.revive(1);
+        assert_eq!(w.read(207).unwrap(), Some(INIT_VALUE));
+        faults.retire(1);
+        assert_eq!(w.read(207), Err(TxnError::Retired(1)));
+    }
+
+    #[test]
+    fn a_cached_location_of_a_purged_key_re_resolves_at_its_owner() {
+        // Node 0 caches key 250's location on node 1. The key moves to
+        // node 2 and back, so the cached cell is purged and the row lands
+        // under a new incarnation. Nothing tells the cache: its next hit
+        // fails the incarnation check and looks the key up again.
+        let kv = ElasticKv::build(ElasticKvConfig { nodes: 3, ..tiny() });
+        let mut w = kv.worker(0, 0);
+        assert_eq!(w.read(250).unwrap(), Some(INIT_VALUE));
+        kv.migrate(200, 299, 2).unwrap();
+        w.transfer(250, 10, 7).unwrap();
+        assert_eq!(w.read(250).unwrap(), Some(INIT_VALUE - 7), "answered by the new owner");
+        kv.migrate(200, 299, 1).unwrap();
+        let cache = kv.cache(0, 1);
+        let before = cache.stats();
+        assert_eq!(w.read(250).unwrap(), Some(INIT_VALUE - 7));
+        let d = cache.stats().since(&before);
+        assert_eq!((d.hits, d.invalidations, d.misses), (1, 1, 1), "one stale hit, re-resolved");
+        w.transfer(250, 10, 3).unwrap();
+        assert_eq!(w.read(250).unwrap(), Some(INIT_VALUE - 10));
+        assert_eq!(kv.total_value(), 3 * 200 * INIT_VALUE);
     }
 
     #[test]
@@ -575,11 +612,10 @@ mod tests {
         let mut w0 = kv.worker(0, 0);
         assert_eq!(w0.try_transfer(50, 350, 2).unwrap(), WriteOutcome::Committed);
         assert_eq!(kv.total_value(), total);
-        // Typed Migrated aborts were recorded, and forced misses counted.
+        // Typed Migrated aborts were recorded, and the hook's reads of
+        // purged keys found their cached locations stale by incarnation.
         assert!(kv.sys.trace().causes().get(AbortCause::Migrated) >= 1);
-        let cs = kv.cache(1).stats();
-        assert!(cs.forced_misses > 0, "dual-read window exercised");
-        assert!(cs.migration_invalidations > 0, "cutover invalidated client cache");
+        assert!(kv.cache(1, 0).stats().invalidations > 0, "a stale hit failed its check");
         // No leaked migration locks on either shard.
         for n in 0..2u16 {
             let region = kv.sys.cluster().node(n).region();
@@ -636,6 +672,41 @@ mod tests {
         );
     }
 
+    /// A writer routed before a cutover that takes a purged row's lock
+    /// after the purge's delete released it holds a dead cell: it must
+    /// write nothing there. Node 0's writer moves 1 from key 205 (node 1)
+    /// to its own key 5, whose lock the test parks, so ordered 2PL waits
+    /// on key 5 first, holding nothing, while all of 205's range moves.
+    #[test]
+    fn a_writer_that_waited_out_a_purge_writes_no_dead_row() {
+        let kv = ElasticKv::build(tiny());
+        let region0 = kv.sys.cluster().node(0).region();
+        let five = kv.shard(0).collect_range_nt(region0, 5, 5)[0].entry_off;
+        let parked = LockState::write_locked(1).0;
+        assert_eq!(region0.cas_u64_nt(five, 0, parked), 0);
+        let mut w = kv.worker(0, 0);
+        std::thread::scope(|s| {
+            let writer = s.spawn(move || w.try_transfer(205, 5, 1));
+            let trace = kv.sys.trace();
+            let t0 = std::time::Instant::now();
+            while trace.causes().get(AbortCause::FallbackWait) == 0 {
+                assert!(t0.elapsed().as_secs() < 5, "the writer never waited on key 5");
+                std::thread::yield_now();
+            }
+            kv.migrate(200, 209, 0).unwrap();
+            assert_eq!(region0.cas_u64_nt(five, parked, 0), parked);
+            let outcome = writer.join().expect("writer thread").unwrap();
+            assert_eq!(outcome, WriteOutcome::Frozen, "the range moved since routing");
+        });
+        assert_eq!(kv.total_value(), 2 * 200 * INIT_VALUE, "a write landed in a purged row");
+        let mut w = kv.worker(0, 0);
+        w.transfer(205, 5, 1).unwrap();
+        assert_eq!(
+            (w.read(205).unwrap(), w.read(5).unwrap()),
+            (Some(INIT_VALUE - 1), Some(INIT_VALUE + 1))
+        );
+    }
+
     #[test]
     fn a_joined_machine_carves_its_shard_where_the_founders_did() {
         // The joiner's store arena comes from the function the founders'
@@ -643,7 +714,7 @@ mod tests {
         let kv = ElasticKv::build(ElasticKvConfig { max_nodes: 3, ..tiny() });
         let joined = kv.join_node().expect("join").node;
         let founder = kv.shard(0).desc().clone();
-        assert_eq!(*kv.shard(joined).desc(), ElasticHashDesc { node: joined, ..founder });
+        assert_eq!(*kv.shard(joined).desc(), ClusterHashDesc { node: joined, ..founder });
     }
 
     #[test]

@@ -29,11 +29,37 @@ use drtm_rdma::{FabricError, NodeId};
 pub struct Table {
     /// Table instances indexed by owning node.
     pub shards: Vec<Arc<ClusterHash>>,
-    /// `caches[client][server]`, created lazily.
-    caches: RwLock<HashMap<(NodeId, NodeId), Arc<LocationCache>>>,
-    /// Cache geometry for lazily created caches.
-    cache_buckets: usize,
-    cache_pool: usize,
+    caches: Caches,
+}
+
+/// The location caches of one logical table: one per `(client, server)`
+/// pair of machines, created on first use, each enough for the whole
+/// remote main-header array.
+#[derive(Debug)]
+pub(crate) struct Caches {
+    map: RwLock<HashMap<(NodeId, NodeId), Arc<LocationCache>>>,
+    /// Main ways and indirect pool buckets of every cache.
+    buckets: usize,
+    pool: usize,
+}
+
+impl Caches {
+    /// Caches for a table whose shards have `main_buckets` main buckets.
+    pub(crate) fn new(main_buckets: usize) -> Self {
+        let map = RwLock::new(HashMap::new());
+        Caches { map, buckets: main_buckets, pool: (main_buckets / 4).max(16) }
+    }
+
+    /// The location cache used by `client` for `server`'s shard.
+    pub(crate) fn get(&self, client: NodeId, server: NodeId) -> Arc<LocationCache> {
+        if let Some(c) = self.map.read().get(&(client, server)) {
+            return c.clone();
+        }
+        let mut w = self.map.write();
+        w.entry((client, server))
+            .or_insert_with(|| Arc::new(LocationCache::new(self.buckets, self.pool)))
+            .clone()
+    }
 }
 
 impl std::fmt::Debug for Table {
@@ -47,12 +73,7 @@ impl Table {
     /// whole remote main-header array).
     pub fn new(shards: Vec<Arc<ClusterHash>>) -> Self {
         let buckets = shards.first().map(|s| s.desc().main_buckets).unwrap_or(1);
-        Table {
-            shards,
-            caches: RwLock::new(HashMap::new()),
-            cache_buckets: buckets,
-            cache_pool: (buckets / 4).max(16),
-        }
+        Table { shards, caches: Caches::new(buckets) }
     }
 
     /// Value capacity of this table.
@@ -73,13 +94,7 @@ impl Table {
 
     /// The location cache used by `client` for `server`'s shard.
     pub fn cache(&self, client: NodeId, server: NodeId) -> Arc<LocationCache> {
-        if let Some(c) = self.caches.read().get(&(client, server)) {
-            return c.clone();
-        }
-        let mut w = self.caches.write();
-        w.entry((client, server))
-            .or_insert_with(|| Arc::new(LocationCache::new(self.cache_buckets, self.cache_pool)))
-            .clone()
+        self.caches.get(client, server)
     }
 
     /// Resolves `key` on `server` from `worker`'s machine.

@@ -689,8 +689,6 @@ fn migration_crash_run(
         nodes: 2,
         workers: 2,
         keys_per_node: 100,
-        init_buckets: 4,
-        max_buckets: 512,
         region_size: 16 << 20,
         profile: LatencyProfile::zero(),
         doorbell,
@@ -761,8 +759,6 @@ fn membership_kv(nodes: usize, max_nodes: usize, doorbell: DoorbellConfig) -> El
         max_nodes,
         workers: 2,
         keys_per_node: 100,
-        init_buckets: 4,
-        max_buckets: 512,
         region_size: 16 << 20,
         profile: LatencyProfile::zero(),
         doorbell,

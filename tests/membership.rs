@@ -55,8 +55,6 @@ fn build() -> ElasticKv {
         max_nodes: MAX_NODES,
         workers: 1,
         keys_per_node: KEYS_PER_NODE,
-        init_buckets: 4,
-        max_buckets: 64,
         region_size: 8 << 20,
         profile: LatencyProfile::zero(),
         drtm: DrTmConfig { logging: true, ..Default::default() },

@@ -8,170 +8,102 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use drtm::htm::{Executor, HtmConfig, HtmStats, Region};
-use drtm::memstore::{hash64, Arena, BTree, ClusterHash, ElasticHash, InsertError, Slot, SlotType};
+use drtm::memstore::{hash64, Arena, BTree, ClusterHash, InsertError, Slot, SlotType};
+use drtm::rdma::{Cluster, ClusterConfig, LatencyProfile};
 use drtm::txn::LockState;
 
 /// Operations the hash-table model understands.
 #[derive(Debug, Clone)]
 enum HashOp {
     Insert(u64, Vec<u8>),
+    Upsert(u64, Vec<u8>, u32),
     Delete(u64),
     Get(u64),
+    Collect(u64, u64),
 }
 
 fn hash_op() -> impl Strategy<Value = HashOp> {
+    let value = || proptest::collection::vec(any::<u8>(), 0..16);
     prop_oneof![
-        (0u64..64, proptest::collection::vec(any::<u8>(), 0..16))
-            .prop_map(|(k, v)| HashOp::Insert(k, v)),
+        (0u64..64, value()).prop_map(|(k, v)| HashOp::Insert(k, v)),
+        (0u64..64, value(), any::<u32>()).prop_map(|(k, v, n)| HashOp::Upsert(k, v, n)),
         (0u64..64).prop_map(HashOp::Delete),
         (0u64..64).prop_map(HashOp::Get),
+        (0u64..64, 0u64..64).prop_map(|(a, b)| HashOp::Collect(a.min(b), a.max(b))),
     ]
-}
-
-/// [`HashOp`] plus an explicit online bucket doubling — only the
-/// split-ordered table understands `Grow`; observable behaviour must
-/// not change across it.
-#[derive(Debug, Clone)]
-enum ElasticOp {
-    Hash(HashOp),
-    Grow,
-}
-
-fn elastic_op() -> impl Strategy<Value = ElasticOp> {
-    // No weighted arms in the vendored proptest: bias towards data ops
-    // by folding the grow choice into a wider integer draw.
-    (0u8..8, hash_op()).prop_map(
-        |(roll, op)| {
-            if roll == 0 {
-                ElasticOp::Grow
-            } else {
-                ElasticOp::Hash(op)
-            }
-        },
-    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// The cluster-chaining hash table behaves exactly like a HashMap
-    /// under arbitrary insert/delete/get sequences (single node; keys
-    /// deliberately colliding into one bucket chain now and then).
+    /// The cluster-chaining hash table behaves exactly like a HashMap of
+    /// `key → (value, version)` under arbitrary insert / upsert / delete /
+    /// get / range-collect sequences (single owner; 4 main buckets, so
+    /// chains run through indirect buckets). The range walk's two forms —
+    /// one-sided READs from another machine and the owner's NVRAM read
+    /// directly — return the same rows as each other and as the model.
     #[test]
     fn cluster_hash_matches_model(ops in proptest::collection::vec(hash_op(), 1..120)) {
-        let region = Region::new(4 << 20);
+        let cluster = Cluster::new(ClusterConfig {
+            nodes: 2,
+            region_size: 4 << 20,
+            profile: LatencyProfile::zero(),
+            ..Default::default()
+        });
+        let (region, qp) = (cluster.node(0).region(), cluster.qp(1));
         let mut arena = Arena::new(64, (4 << 20) - 64);
-        // 4 main buckets force heavy chaining.
         let table = ClusterHash::create(&mut arena, 0, 4, 256, 16);
         let exec = Executor::new(HtmConfig::default(), Arc::new(HtmStats::new()));
-        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+        let mut model: HashMap<u64, (Vec<u8>, u32)> = HashMap::new();
         for op in ops {
             match op {
                 HashOp::Insert(k, v) => {
-                    let got = table.insert(&exec, &region, k, &v);
+                    let got = table.insert(&exec, region, k, &v);
                     match model.entry(k) {
                         Entry::Occupied(_) => {
                             prop_assert_eq!(got, Err(InsertError::Duplicate));
                         }
                         Entry::Vacant(e) => {
                             prop_assert!(got.is_ok());
-                            e.insert(v);
+                            e.insert((v, 0));
                         }
                     }
                 }
+                HashOp::Upsert(k, v, version) => {
+                    prop_assert_eq!(table.upsert(&exec, region, k, &v, version), Ok(()));
+                    model.insert(k, (v, version));
+                }
                 HashOp::Delete(k) => {
-                    let got = table.delete(&exec, &region, k);
+                    let got = table.delete(&exec, region, k);
                     prop_assert_eq!(got, model.remove(&k).is_some());
                 }
                 HashOp::Get(k) => {
                     let mut txn = region.begin(exec.config());
-                    let got = table
-                        .get_local(&mut txn, k)
-                        .unwrap()
-                        .map(|e| e.read_value(&mut txn).unwrap());
+                    let got = table.get_local(&mut txn, k).unwrap().map(|e| {
+                        let version = e.read_header(&mut txn).unwrap().version;
+                        (e.read_value(&mut txn).unwrap(), version)
+                    });
                     prop_assert_eq!(got, model.get(&k).cloned());
+                }
+                HashOp::Collect(lo, hi) => {
+                    let (remote, bytes) = table.try_remote_collect_range(&qp, lo, hi).unwrap();
+                    let nt = table.collect_range_nt(region, lo, hi);
+                    prop_assert_eq!(&remote, &nt, "remote and NVRAM walks differ");
+                    prop_assert!(bytes > 0);
+                    let mut got: Vec<_> =
+                        nt.into_iter().map(|r| (r.key, (r.value, r.version))).collect();
+                    got.sort_unstable();
+                    let mut want: Vec<_> = model
+                        .iter()
+                        .filter(|(k, _)| (lo..=hi).contains(*k))
+                        .map(|(k, v)| (*k, v.clone()))
+                        .collect();
+                    want.sort_unstable();
+                    prop_assert_eq!(got, want, "collect {}..={}", lo, hi);
                 }
             }
         }
         prop_assert_eq!(table.len(), model.len());
-    }
-
-    /// Observational equivalence: the split-ordered elastic hash behaves
-    /// exactly like the fixed-size cluster hash (and both like a
-    /// HashMap) under arbitrary insert/delete/get/grow sequences — in a
-    /// roomy geometry and in the degenerate one-bucket geometry where
-    /// every chain grows far past any bucket's nominal capacity.
-    #[test]
-    fn elastic_hash_matches_cluster_hash(
-        ops in proptest::collection::vec(elastic_op(), 1..120),
-        tight in any::<bool>(),
-    ) {
-        let (init_buckets, max_buckets) = if tight { (1, 1) } else { (2, 64) };
-        let elastic_region = Region::new(4 << 20);
-        let mut elastic_arena = Arena::new(0, 4 << 20);
-        let elastic = ElasticHash::create(
-            &mut elastic_arena,
-            &elastic_region,
-            0,
-            init_buckets,
-            max_buckets,
-            256,
-            16,
-        );
-        let baseline_region = Region::new(4 << 20);
-        let mut baseline_arena = Arena::new(64, (4 << 20) - 64);
-        let baseline = ClusterHash::create(&mut baseline_arena, 0, 4, 256, 16);
-        let exec = Executor::new(HtmConfig::default(), Arc::new(HtmStats::new()));
-        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
-        for op in ops {
-            match op {
-                ElasticOp::Hash(HashOp::Insert(k, v)) => {
-                    let got_e = elastic.insert(&exec, &elastic_region, k, &v);
-                    let got_b = baseline.insert(&exec, &baseline_region, k, &v);
-                    prop_assert_eq!(&got_e, &got_b, "insert({}) diverged", k);
-                    match model.entry(k) {
-                        Entry::Occupied(_) => {
-                            prop_assert_eq!(got_e, Err(InsertError::Duplicate));
-                        }
-                        Entry::Vacant(e) => {
-                            prop_assert!(got_e.is_ok());
-                            e.insert(v);
-                        }
-                    }
-                }
-                ElasticOp::Hash(HashOp::Delete(k)) => {
-                    let got_e = elastic.delete(&exec, &elastic_region, k);
-                    let got_b = baseline.delete(&exec, &baseline_region, k);
-                    prop_assert_eq!(got_e, got_b, "delete({}) diverged", k);
-                    prop_assert_eq!(got_e, model.remove(&k).is_some());
-                }
-                ElasticOp::Hash(HashOp::Get(k)) => {
-                    let mut txn = elastic_region.begin(exec.config());
-                    let got_e = elastic
-                        .get_local(&mut txn, k)
-                        .unwrap()
-                        .map(|e| e.read_value(&mut txn).unwrap());
-                    drop(txn);
-                    let mut txn = baseline_region.begin(exec.config());
-                    let got_b = baseline
-                        .get_local(&mut txn, k)
-                        .unwrap()
-                        .map(|e| e.read_value(&mut txn).unwrap());
-                    prop_assert_eq!(&got_e, &got_b, "get({}) diverged", k);
-                    prop_assert_eq!(got_e, model.get(&k).cloned());
-                }
-                ElasticOp::Grow => {
-                    // Invisible to the baseline; the elastic table keeps
-                    // serving the same contents across the doubling.
-                    elastic.grow(&elastic_region);
-                }
-            }
-        }
-        prop_assert_eq!(elastic.len(), model.len());
-        prop_assert_eq!(baseline.len(), model.len());
-        if tight {
-            prop_assert_eq!(elastic.buckets(), 1, "one-bucket geometry must never double");
-        }
     }
 
     /// The HTM B+ tree behaves exactly like a BTreeMap, including range
