@@ -27,6 +27,12 @@
 # `local_reads`, lease no local record (`try_read_only_records`) and
 # resolve an address in one remote-only helper each. The behavioural
 # gate, regions per transaction type, is a tier-1 test per workload.
+# plus a `git grep` gate that keeps one slot table per transaction
+# (DESIGN.md §2 "Commit pipeline"): no local read declared by address
+# (`local_reads`, `TxnCtx::local_read`; Figure 6's `record::local_read`
+# verb stays) and none of txn.rs's deleted parallel structures — the
+# lock-order list enum, `LockSet`, `Found`, `Keyed`, `declared` — nor
+# ordered 2PL's rewritten `TxnSpec<'static>`
 # plus a `git grep` gate that keeps failure state written once (DESIGN.md
 # §8 "Failure model"): the fabric's FaultPlan owns dead / retired / armed
 # crash sites, so none of the deleted second copies by name — the
@@ -159,6 +165,22 @@ for f in crates/workloads/src/smallbank.rs crates/workloads/src/micro.rs; do
   [ "$(git grep -c --untracked 'try_resolve(\|\.resolve(' -- "$f" | cut -d: -f2)" = 1 ] \
     || { echo "$f must resolve an address once: in the remote-record helper" >&2; exit 1; }
 done
+
+echo "== one slot table: every declared record of a transaction in one place =="
+# A second copy of the declared records beside txn.rs's slot table has
+# forked DESIGN.md §2 "Commit pipeline": every phase walks that one
+# table, in the order the write-ahead log records.
+if git grep -n -w --untracked -e local_reads -e local_read -- crates tests examples src \
+  | grep -v -e '^crates/core/src/record\.rs:' -e '^crates/core/src/lib\.rs:[0-9]*: *local_read, ' \
+    -e 'record::local_read(' -e 'ops::local_read('; then
+  echo "a local record read by address is back: declare it by key (TxnSpec::keyed_reads)" >&2
+  exit 1
+fi
+if git grep -n --untracked -E -e 'enum List\b' -e 'struct LockSet\b' -e 'enum Found\b' \
+  -e 'type Keyed\b' -e 'fn declared\b' -e "TxnSpec<'static>" -- crates/core/src/txn.rs; then
+  echo "crates/core/src/txn.rs keeps declared records outside its one slot table" >&2
+  exit 1
+fi
 
 echo "== written once: the fault plan owns who is dead and where a crash fires =="
 # A liveness bit or a crash knob beside drtm_rdma::FaultPlan has forked

@@ -57,17 +57,11 @@ impl RoCtx<'_> {
         self.worker
     }
 
-    /// Lease-locks `rec` in shared mode and returns its value: the
-    /// lease half of the read-write pipeline's Start step, one record
-    /// at a time (scans discover their read set as they go).
-    pub fn acquire(&mut self, rec: &RecordAddr) -> Result<Vec<u8>, RoRestart> {
-        let mut values = self.acquire_all(std::slice::from_ref(rec))?;
-        Ok(values.pop().expect("one record, one value"))
-    }
-
     /// Lease-locks every record of `recs` in shared mode as one wave —
     /// all CASes and fetches posted, then awaited once — and returns
-    /// their values in order.
+    /// their values in order: the lease half of the read-write
+    /// pipeline's Start step, one wave per call (scans discover their
+    /// read set as they go).
     ///
     /// Local records go through the same CAS path as remote ones unless
     /// the NIC provides GLOB-level atomics (§6.3).
@@ -237,7 +231,7 @@ mod tests {
                 for (k, v) in pairs {
                     assert_eq!(v, k * 100);
                     let rec = rec_of(ctx.worker().system(), &table2, k);
-                    sum += u64::from_le_bytes(ctx.acquire(&rec)?[..8].try_into().unwrap());
+                    sum += u64::from_le_bytes(ctx.acquire_all(&[rec])?[0][..8].try_into().unwrap());
                 }
                 Ok(sum)
             })
@@ -304,7 +298,7 @@ mod tests {
                 let mut sum = 0u64;
                 for (k, _) in pairs {
                     let rec = rec_of(ctx.worker().system(), &table2, k);
-                    sum += u64::from_le_bytes(ctx.acquire(&rec)?[..8].try_into().unwrap());
+                    sum += u64::from_le_bytes(ctx.acquire_all(&[rec])?[0][..8].try_into().unwrap());
                 }
                 Ok(sum)
             })

@@ -101,63 +101,85 @@ enum Strategy {
     Ordered2pl,
 }
 
-/// Which declared list of the [`TxnSpec`] a lock-order item came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum List {
-    LocalWrite,
-    RemoteWrite,
-    LocalRead,
-    RemoteRead,
+/// How a slot's record was declared.
+#[derive(Clone, Copy)]
+enum Decl<'a> {
+    /// A local record, by entry address.
+    Local(RecordAddr),
+    /// A local record, by key.
+    Key(LocalKey<'a>),
+    /// A remote record, by entry address: Start locks or leases it.
+    Remote(RecordAddr),
 }
 
-/// One record of a strategy's lock order.
-#[derive(Debug, Clone, Copy)]
-struct Item {
-    rec: RecordAddr,
-    list: List,
-    /// Index into the spec list it came from.
-    idx: usize,
+/// One declared record of a transaction and what each step learned of
+/// it.
+struct Slot<'a> {
+    decl: Decl<'a>,
+    write: bool,
+    /// The record, once known: a keyed slot's is found at its first
+    /// access in an HTM region, or by ordered 2PL before its pass;
+    /// `Some(None)` is a key with no row.
+    rec: Option<Option<RecordAddr>>,
+    /// What Start fetched under the slot's lock or lease, if it took one.
+    fetched: Option<FetchedRecord>,
+    /// The body's buffered value (a remote write, or any local write
+    /// under ordered 2PL).
+    value: Option<Vec<u8>>,
 }
 
-impl Item {
-    fn is_write(&self) -> bool {
-        matches!(self.list, List::LocalWrite | List::RemoteWrite)
+impl<'a> Slot<'a> {
+    fn new(decl: Decl<'a>, write: bool) -> Self {
+        let rec = match decl {
+            Decl::Local(r) | Decl::Remote(r) => Some(Some(r)),
+            Decl::Key(_) => None,
+        };
+        Slot { decl, write, rec, fetched: None, value: None }
+    }
+
+    fn key(&self) -> Option<LocalKey<'a>> {
+        match self.decl {
+            Decl::Key(k) => Some(k),
+            _ => None,
+        }
+    }
+
+    fn record(&self) -> Option<RecordAddr> {
+        self.rec.flatten()
     }
 
     fn is_remote(&self) -> bool {
-        matches!(self.list, List::RemoteWrite | List::RemoteRead)
+        matches!(self.decl, Decl::Remote(_))
+    }
+
+    fn fetched(&self) -> &FetchedRecord {
+        self.fetched.as_ref().expect("Start fetched the record")
     }
 }
 
-/// Every declared record: writes before reads, in declared order within
-/// a list. The HTM strategy's lock order is the remote ones of these
-/// (local records are guarded by the HTM region itself); ordered 2PL
-/// sorts all of them by `(node, offset)` — a total order, so waiting
-/// cannot deadlock.
-fn declared<'s>(spec: &'s TxnSpec<'_>) -> impl Iterator<Item = Item> + Clone + 's {
-    fn of(list: List, recs: &[RecordAddr]) -> impl Iterator<Item = Item> + Clone + '_ {
-        recs.iter().enumerate().map(move |(idx, rec)| Item { rec: *rec, list, idx })
-    }
-    of(List::LocalWrite, &spec.local_writes)
-        .chain(of(List::RemoteWrite, &spec.remote_writes))
-        .chain(of(List::LocalRead, &spec.local_reads))
-        .chain(of(List::RemoteRead, &spec.remote_reads))
+/// The declared lists of a [`TxnSpec`], in slot-table order.
+enum Kind {
+    LocalWrite,
+    KeyedWrite,
+    RemoteWrite,
+    KeyedRead,
+    RemoteRead,
 }
 
-/// What Start acquired: every record fetched under its lock or lease,
-/// by declared [`List`]. Under the HTM strategy the local lists stay
-/// empty.
-#[derive(Debug)]
-struct LockSet {
-    fetched: [Vec<FetchedRecord>; 4],
-    /// Softtime sampled when Start began.
-    now_us: u64,
-}
-
-impl LockSet {
-    fn list(&self, list: List) -> &[FetchedRecord] {
-        &self.fetched[list as usize]
-    }
+/// The slot table of one transaction, built once per
+/// [`Worker::execute`]: local writes by address, keyed writes, remote
+/// writes, keyed reads, remote reads, each list in declared order. Every
+/// step walks it in this order — it is the write-ahead log's update
+/// order and ordered 2PL's tie-break — and the HTM strategy's lock order
+/// is its remote slots.
+fn slot_table<'a>(spec: &TxnSpec<'a>) -> Vec<Slot<'a>> {
+    let local = spec.local_writes.iter().map(|r| Slot::new(Decl::Local(*r), true));
+    let keyed_writes = spec.keyed_writes.iter().map(|k| Slot::new(Decl::Key(*k), true));
+    let remote_writes = spec.remote_writes.iter().map(|r| Slot::new(Decl::Remote(*r), true));
+    let keyed_reads = spec.keyed_reads.iter().map(|k| Slot::new(Decl::Key(*k), false));
+    let remote_reads = spec.remote_reads.iter().map(|r| Slot::new(Decl::Remote(*r), false));
+    let writes = local.chain(keyed_writes).chain(remote_writes);
+    writes.chain(keyed_reads).chain(remote_reads).collect()
 }
 
 /// One write-locked record and what Commit decided for it: the unit of
@@ -187,12 +209,10 @@ fn wal_updates(writes: &[WriteItem], local_log: Vec<LoggedUpdate>) -> Vec<Logged
 /// Commit's lease confirmation at softtime `now`: every lease Start
 /// took (or shared) must still be `VALID`. The first stale one is
 /// returned for the strategy to account.
-fn stale_lease<'a>(env: Env<'a>, locks: &LockSet, now: u64) -> Option<&'a RecordAddr> {
-    let spec = env.spec;
-    let local = spec.local_reads.iter().zip(locks.list(List::LocalRead));
-    let remote = spec.remote_reads.iter().zip(locks.list(List::RemoteRead));
-    let mut leases = local.chain(remote);
-    leases.find(|(_, f)| lease_unconfirmed(f.lease_end_us, now, DELTA_US)).map(|l| l.0)
+fn stale_lease(slots: &[Slot<'_>], now: u64) -> Option<RecordAddr> {
+    let leased = slots.iter().filter(|s| !s.write && s.fetched.is_some());
+    let mut stale = leased.filter(|s| lease_unconfirmed(s.fetched().lease_end_us, now, DELTA_US));
+    stale.next().and_then(Slot::record)
 }
 
 /// The per-transaction constants every pipeline step reads. Borrowed
@@ -267,16 +287,16 @@ impl LocalKey<'_> {
 
 /// The declared access sets of one transaction. Remote records are
 /// declared by entry address — Start locks or leases them before the
-/// body runs (§4) — and local ones by address or by key; a keyed record
-/// is looked up where its strategy isolates the body (DESIGN.md
-/// "Local records by key"). A local record is declared once: not in two
-/// write slots, not as a read and a write, not by key and by address —
-/// ordered 2PL would wait on its own lock (debug builds assert it).
+/// body runs (§4) — and local ones by key (writes also by address); a
+/// keyed record is looked up where its strategy isolates the body
+/// (DESIGN.md "Local records by key"). A local record is declared once:
+/// not in two write slots, not as a read and a write, not by key and by
+/// address — ordered 2PL would wait on its own lock (debug builds assert
+/// it).
 #[derive(Debug, Clone, Default)]
 pub struct TxnSpec<'a> {
-    /// Local records read (must live on the executing machine).
-    pub local_reads: Vec<RecordAddr>,
-    /// Local records written.
+    /// Local records written, by address (must live on the executing
+    /// machine).
     pub local_writes: Vec<RecordAddr>,
     /// Remote records read (leased).
     pub remote_reads: Vec<RecordAddr>,
@@ -289,33 +309,10 @@ pub struct TxnSpec<'a> {
     pub keyed_writes: Vec<LocalKey<'a>>,
 }
 
-/// Where a keyed slot of a [`TxnSpec`] was found in one attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Found {
-    /// No such row.
-    Absent,
-    /// HTM: the entry's offset in this machine's region, from the walk
-    /// of the transaction's own region.
-    Entry(usize),
-    /// Ordered 2PL: the record's index in the local list of the pass's
-    /// effective spec, where Start locked and fetched it.
-    Listed(usize),
-}
-
-/// The keyed slots of one attempt, `[keyed_writes, keyed_reads]`; `None`
-/// is a slot not accessed yet: the HTM strategy walks at a slot's first
-/// access (ordered 2PL resolves every slot before the body).
-type Keyed = [Vec<Option<Found>>; 2];
-
 /// Whether no two of `items` are equal.
 fn distinct<T: Ord>(mut items: Vec<T>) -> bool {
     items.sort_unstable();
     items.windows(2).all(|w| w[0] != w[1])
-}
-
-/// Every keyed slot of `spec`, not accessed yet.
-fn not_yet(spec: &TxnSpec<'_>) -> Keyed {
-    [vec![None; spec.keyed_writes.len()], vec![None; spec.keyed_reads.len()]]
 }
 
 /// A DrTM instance shared by all workers of a simulated cluster.
@@ -324,7 +321,9 @@ pub struct DrTm {
     cluster: Arc<Cluster>,
     cfg: DrTmConfig,
     stats: Arc<TxnStats>,
-    htm_stats: Arc<HtmStats>,
+    /// The executor every worker runs its stand-alone regions on; its
+    /// stats are [`DrTm::htm_stats`].
+    exec: Executor,
     trace: TraceHub,
     /// Every machine's region layout, founding or joined later.
     layout: NodeLayout,
@@ -342,11 +341,12 @@ impl DrTm {
         timer: Option<SoftTimer>,
     ) -> Arc<Self> {
         let trace = TraceHub::new(cfg.trace_capacity);
+        let exec = Executor::new(cfg.htm.clone(), Arc::new(HtmStats::new()));
         Arc::new(DrTm {
             cluster,
             cfg,
             stats: Arc::new(TxnStats::default()),
-            htm_stats: Arc::new(HtmStats::new()),
+            exec,
             trace,
             layout,
             _timer: timer,
@@ -377,7 +377,7 @@ impl DrTm {
 
     /// HTM-layer counters.
     pub fn htm_stats(&self) -> &Arc<HtmStats> {
-        &self.htm_stats
+        self.exec.stats()
     }
 
     /// The abort-cause diagnostics hub.
@@ -397,7 +397,7 @@ impl DrTm {
     pub fn stats_report(&self) -> StatsReport {
         StatsReport {
             txn: self.stats.snapshot(),
-            htm: self.htm_stats.snapshot(),
+            htm: self.htm_stats().snapshot(),
             rdma: self.cluster.counters().snapshot(),
             causes: self.trace.causes(),
             phases: self.trace.phases(),
@@ -409,14 +409,13 @@ impl DrTm {
     /// regions on, and what code outside any worker (an invariant check,
     /// a shipped-operation service) runs its own on.
     pub fn executor(&self) -> Executor {
-        Executor::new(self.cfg.htm.clone(), self.htm_stats.clone())
+        self.exec.clone()
     }
 
     /// Creates the handle a worker thread drives transactions through.
     pub fn worker(self: &Arc<Self>, node: NodeId, worker_id: usize) -> Worker {
         Worker {
             qp: self.cluster.qp(node),
-            exec: self.executor(),
             log: LogSlot::new(self.layout.log_slots[worker_id]),
             ring: self.trace.register(),
             txn_seq: 0,
@@ -438,7 +437,6 @@ pub struct Worker {
     /// Worker index within the machine.
     pub worker_id: usize,
     qp: Qp,
-    exec: Executor,
     log: LogSlot,
     ring: Arc<TraceBuf>,
     txn_seq: u64,
@@ -461,7 +459,7 @@ impl Worker {
 
     /// The HTM executor (shared stats) for standalone store operations.
     pub fn executor(&self) -> &Executor {
-        &self.exec
+        &self.sys.exec
     }
 
     /// The owning DrTM instance.
@@ -604,16 +602,9 @@ impl Worker {
         spec: &TxnSpec<'_>,
         mut body: impl FnMut(&mut TxnCtx<'_>) -> Result<T, Abort>,
     ) -> Result<T, TxnError> {
-        debug_assert!(spec
-            .local_reads
-            .iter()
-            .chain(&spec.local_writes)
-            .all(|r| r.addr.node == self.node));
-        debug_assert!(spec.keyed_reads.iter().chain(&spec.keyed_writes).all(|k| k
-            .table
-            .desc()
-            .node
-            == self.node));
+        let mut keys = spec.keyed_reads.iter().chain(&spec.keyed_writes);
+        debug_assert!(keys.all(|k| k.table.desc().node == self.node));
+        debug_assert!(spec.local_writes.iter().all(|r| r.addr.node == self.node));
         debug_assert!(
             {
                 let by_addr = spec.local_writes.iter().chain(&spec.remote_writes);
@@ -633,6 +624,7 @@ impl Worker {
         let sys = Arc::clone(&self.sys);
         let region = sys.cluster.node(self.node).region();
         let env = Env { sys: &sys, region, spec, txn_id: self.next_txn_id() };
+        let mut slots = slot_table(spec);
         // The HTM strategy, until its restart budget is spent or a
         // region gives up; then ordered 2PL, which always finishes.
         let mut restarts = 0u32;
@@ -643,7 +635,7 @@ impl Worker {
             if restarts > sys.cfg.start_retries {
                 break;
             }
-            match self.htm(env, &mut body) {
+            match self.htm(env, &mut slots, &mut body) {
                 Ok(v) => return Ok(v),
                 Err(Stop::GiveUp) => break,
                 Err(Stop::Restart) => {
@@ -653,22 +645,23 @@ impl Worker {
                 Err(stop) => return Err(stop.into_terminal()),
             }
         }
-        self.ordered_2pl(env, &mut body).map_err(Stop::into_terminal)
+        self.ordered_2pl(env, &mut slots, &mut body).map_err(Stop::into_terminal)
     }
 
     /// One pass of the pipeline under [`Strategy::Htm`]: Start over the
     /// remote records, then HTM regions over the same locks until one
     /// commits or the retry budget is spent.
-    fn htm<T>(
+    fn htm<'e, T>(
         &mut self,
-        env: Env<'_>,
+        env: Env<'e>,
+        slots: &mut Vec<Slot<'e>>,
         body: &mut impl FnMut(&mut TxnCtx<'_>) -> Result<T, Abort>,
     ) -> Result<T, Stop> {
         let Env { sys, spec, .. } = env;
-        let order: Vec<Item> = declared(spec).filter(Item::is_remote).collect();
-        let locks = {
+        let order: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_remote()).collect();
+        let now = {
             let mut t = PhaseTimer::start(&sys.trace, Phase::Start);
-            self.start(Strategy::Htm, env, &order, &spec.remote_writes, &mut t.ops)?
+            self.start(Strategy::Htm, env, slots, &order, &spec.remote_writes, &mut t.ops)?
         };
         if self.crashes_at(CrashPoint::AfterRemoteLocks) {
             return Err(CRASH);
@@ -679,7 +672,7 @@ impl Worker {
                 break Stop::GiveUp;
             }
             attempts += 1;
-            match self.run(Strategy::Htm, env, &locks, &spec.remote_writes, not_yet(spec), body) {
+            match self.run(Strategy::Htm, env, slots, &spec.remote_writes, now, body) {
                 Ok(v) => return Ok(v),
                 Err(Stop::Retry) => self.backoff(attempts),
                 Err(stop) => break stop,
@@ -689,7 +682,7 @@ impl Worker {
             // Nothing was published: release the locks, charging the
             // unlock WRITEs to the Commit phase.
             let mut t = PhaseTimer::start(&sys.trace, Phase::Commit);
-            t.ops += self.release_held(Strategy::Htm, order.into_iter());
+            t.ops += self.release_held(Strategy::Htm, slots, order.into_iter());
         }
         Err(stop)
     }
@@ -697,9 +690,10 @@ impl Worker {
     /// The pipeline under [`Strategy::Ordered2pl`] (the fallback handler,
     /// §6.2), rerun until it commits; reported as one Fallback phase
     /// line.
-    fn ordered_2pl<T>(
+    fn ordered_2pl<'e, T>(
         &mut self,
-        env: Env<'_>,
+        env: Env<'e>,
+        slots: &mut Vec<Slot<'e>>,
         body: &mut impl FnMut(&mut TxnCtx<'_>) -> Result<T, Abort>,
     ) -> Result<T, Stop> {
         let sys = env.sys;
@@ -711,21 +705,21 @@ impl Worker {
                 return Err(CRASH);
             }
             // Local records are locked before the body here, so a pass
-            // first finds the keyed ones; from there on they are local
-            // records declared by address.
-            let (spec, keyed) = self.resolve_keyed(env);
-            let env = Env { spec: &spec, ..env };
-            let mut order: Vec<Item> = declared(&spec).collect();
-            order.sort_by_key(|it| (it.rec.addr.node, it.rec.addr.offset));
+            // first finds the keyed ones; a key with no row is not
+            // locked.
+            self.find_keyed(env, slots);
+            let addr = |i: usize| slots[i].record().map(|r| (r.addr.node, r.addr.offset));
+            let mut order: Vec<usize> = (0..slots.len()).filter(|&i| addr(i).is_some()).collect();
+            order.sort_by_key(|&i| addr(i));
             // Lock-ahead and WAL name the FULL write set (local and
             // remote, in acquisition order): unlike the HTM strategy,
             // local records are CPU/loopback-locked here too, and
             // recovery must be able to release them if this machine
             // dies before the WAL.
-            let write_set: Vec<RecordAddr> =
-                order.iter().filter(|it| it.is_write()).map(|it| it.rec).collect();
-            let locks = self.start(strategy, env, &order, &write_set, &mut t.ops)?;
-            match self.run(strategy, env, &locks, &write_set, keyed, body) {
+            let writes = order.iter().filter(|&&i| slots[i].write);
+            let write_set: Vec<RecordAddr> = writes.filter_map(|&i| slots[i].record()).collect();
+            let now = self.start(strategy, env, slots, &order, &write_set, &mut t.ops)?;
+            match self.run(strategy, env, slots, &write_set, now, body) {
                 Ok(v) => {
                     t.ops += write_set.len() as u64;
                     return Ok(v);
@@ -733,7 +727,7 @@ impl Worker {
                 Err(CRASH) => return Err(CRASH),
                 Err(stop) => {
                     // Nothing was published: release every lock.
-                    t.ops += self.release_held(strategy, order.iter().copied());
+                    t.ops += self.release_held(strategy, slots, order.into_iter());
                     match stop {
                         Stop::Restart => self.backoff(8),
                         terminal => return Err(terminal),
@@ -743,49 +737,32 @@ impl Worker {
         }
     }
 
-    /// The effective spec of one ordered-2PL pass: every keyed record
-    /// of `env.spec` that exists, appended to the local list of its
-    /// kind by the address found, and where each keyed slot went. All
-    /// walks of a pass share one stand-alone region
-    /// ([`Executor::run_steps`]: halved if it overflows). A key with no
-    /// row is not locked, and reads as `None` for this pass.
-    fn resolve_keyed(&self, env: Env<'_>) -> (TxnSpec<'static>, Keyed) {
-        let Env { region, spec, .. } = env;
-        let keys = || spec.keyed_writes.iter().chain(&spec.keyed_reads);
-        let found: Result<Vec<Option<RecordAddr>>, Abort> = self
-            .exec
-            .run_steps(region, |steps| keys().map(|k| steps.step(|txn| k.find(txn))).collect());
-        let mut found = found.expect("a bucket chain fits a region of its own").into_iter();
-        let mut eff = TxnSpec {
-            local_reads: spec.local_reads.clone(),
-            local_writes: spec.local_writes.clone(),
-            remote_reads: spec.remote_reads.clone(),
-            remote_writes: spec.remote_writes.clone(),
-            ..Default::default()
-        };
-        let mut place = |list: &mut Vec<RecordAddr>, slots: usize| -> Vec<Option<Found>> {
-            let slot = |rec: Option<RecordAddr>| {
-                Some(rec.map_or(Found::Absent, |rec| {
-                    list.push(rec);
-                    Found::Listed(list.len() - 1)
-                }))
-            };
-            found.by_ref().take(slots).map(slot).collect()
-        };
-        let writes = place(&mut eff.local_writes, spec.keyed_writes.len());
-        let reads = place(&mut eff.local_reads, spec.keyed_reads.len());
+    /// Ordered 2PL's lookup of every keyed slot for one pass: all walks
+    /// share one stand-alone region ([`Executor::run_steps`]: halved if
+    /// it overflows).
+    fn find_keyed(&self, env: Env<'_>, slots: &mut [Slot<'_>]) {
+        let found: Result<Vec<Option<RecordAddr>>, Abort> =
+            env.sys.exec.run_steps(env.region, |steps| {
+                slots.iter().filter_map(Slot::key).map(|k| steps.step(|txn| k.find(txn))).collect()
+            });
+        let found = found.expect("a bucket chain fits a region of its own");
+        for (slot, rec) in slots.iter_mut().filter(|s| s.key().is_some()).zip(found) {
+            slot.rec = Some(rec);
+        }
         // Only here are a keyed record and an address-declared one, or a
         // keyed read and a keyed write, known to be the same record; the
         // HTM strategy tolerates that, this one would wait on itself.
         debug_assert!(
             {
-                let local = |list: &[RecordAddr]| list.iter().map(|r| r.addr.offset).collect();
-                let (w, r): (Vec<_>, Vec<_>) = (local(&eff.local_writes), local(&eff.local_reads));
+                let local = |write: bool| -> Vec<usize> {
+                    let of = slots.iter().filter(|s| s.write == write && !s.is_remote());
+                    of.filter_map(Slot::record).map(|r| r.addr.offset).collect()
+                };
+                let (w, r) = (local(true), local(false));
                 distinct(w.clone()) && r.iter().all(|off| !w.contains(off))
             },
             "a local record is locked twice in one pass (self-deadlock)"
         );
-        (eff, [writes, reads])
     }
 
     /// One acquisition wave (Figure 5) — a write lock or a lease ending
@@ -832,9 +809,10 @@ impl Worker {
     }
 
     /// **Start**: persist the lock-ahead log, then lock (writes) or
-    /// lease (reads) and fetch every record of `order`, in *waves*: a
+    /// lease (reads) and fetch every slot of `order`, in *waves*: a
     /// wave's CASes and fetches are posted together and awaited once.
-    /// Record ops are counted into `ops`.
+    /// Record ops are counted into `ops`. Returns the softtime Start
+    /// began at.
     ///
     /// The strategies differ in the wave and in what a conflict means.
     /// HTM takes its whole lock order as one wave and fails fast:
@@ -849,11 +827,12 @@ impl Worker {
         &mut self,
         strategy: Strategy,
         env: Env<'_>,
-        order: &[Item],
+        slots: &mut [Slot<'_>],
+        order: &[usize],
         write_set: &[RecordAddr],
         ops: &mut u64,
-    ) -> Result<LockSet, Stop> {
-        let Env { sys, region, spec, txn_id } = env;
+    ) -> Result<u64, Stop> {
+        let Env { sys, region, txn_id, .. } = env;
         let waits = strategy == Strategy::Ordered2pl;
         let (phase, after_lock_ahead) = match strategy {
             Strategy::Htm => (Phase::Start, CrashPoint::AfterLockAhead),
@@ -870,20 +849,7 @@ impl Worker {
         if self.crashes_at(after_lock_ahead) {
             return Err(CRASH);
         }
-        // Only ordered 2PL locks (and so fetches) local records.
-        let slots = |list: &[RecordAddr], taken: bool| -> Vec<FetchedRecord> {
-            let n = if taken { list.len() } else { 0 };
-            std::iter::repeat_with(FetchedRecord::default).take(n).collect()
-        };
-        let mut locks = LockSet {
-            fetched: [
-                slots(&spec.local_writes, waits),
-                slots(&spec.remote_writes, true),
-                slots(&spec.local_reads, waits),
-                slots(&spec.remote_reads, true),
-            ],
-            now_us: now,
-        };
+        slots.iter_mut().for_each(|s| s.fetched = None);
         let wave_len = if waits { 1 } else { order.len().max(1) };
         for (nth, wave) in order.chunks(wave_len).enumerate() {
             let mut give_up_at: Option<Instant> = None;
@@ -892,64 +858,73 @@ impl Worker {
                 // while it waits.
                 let now = if waits { softtime_nt(region) } else { now };
                 *ops += wave.len() as u64;
-                let wants =
-                    wave.iter().map(|it| (it.rec, it.is_write(), self.cpu_path(strategy, &it.rec)));
+                let wants = wave.iter().map(|&i| {
+                    let rec = slots[i].record().expect("every slot of a lock order has a record");
+                    (rec, slots[i].write, self.cpu_path(strategy, &rec))
+                });
                 let got = self.acquire_wave(wants, end, now);
                 let Some(lost) = got.iter().position(Result::is_err) else {
-                    for (it, fetched) in wave.iter().zip(got) {
-                        locks.fetched[it.list as usize][it.idx] = fetched.expect("no claim lost");
+                    for (&i, fetched) in wave.iter().zip(got) {
+                        slots[i].fetched = Some(fetched.expect("no claim lost"));
                     }
                     break;
                 };
-                let rec = &wave[lost].rec;
+                let lost_rec = slots[wave[lost]].record().expect("a claimed record");
                 let mut conflict = *got[lost].as_ref().expect_err("the lost claim");
                 if waits {
                     let deadline =
                         *give_up_at.get_or_insert_with(|| Instant::now() + DEAD_PEER_GRACE);
                     conflict = self.waited_on(conflict);
                     if TxnError::of_conflict(conflict).is_none() && Instant::now() >= deadline {
-                        conflict = LockConflict::PeerDead { node: rec.addr.node };
+                        conflict = LockConflict::PeerDead { node: lost_rec.addr.node };
                     }
                 }
                 let terminal = TxnError::of_conflict(conflict);
                 if waits && terminal.is_none() {
                     // A one-record wave: nothing was won, wait and retry.
-                    self.trace_abort(txn_id, phase, AbortCause::FallbackWait, Some(rec));
+                    self.trace_abort(txn_id, phase, AbortCause::FallbackWait, Some(&lost_rec));
                     self.backoff(4);
                     continue;
                 }
-                self.trace_abort(txn_id, phase, AbortCause::from_conflict(conflict), Some(rec));
+                let cause = AbortCause::from_conflict(conflict);
+                self.trace_abort(txn_id, phase, cause, Some(&lost_rec));
                 if self.self_crashed() {
                     // Our own machine died: stop dead, leave everything.
                     return Err(CRASH);
                 }
                 // Release the earlier waves and what this one won.
-                let won = wave.iter().zip(&got).filter(|(_, r)| r.is_ok()).map(|(it, _)| *it);
+                let won = wave.iter().zip(&got).filter(|(_, r)| r.is_ok()).map(|(&i, _)| i);
                 let held = order[..nth * wave_len].iter().copied().chain(won);
-                *ops += self.release_held(strategy, held);
+                *ops += self.release_held(strategy, slots, held);
                 if !waits {
                     sys.stats.start_conflicts.inc();
                 }
                 return Err(terminal.map_or(Stop::Restart, |e| Stop::Terminal(self.terminal(e))));
             }
         }
-        Ok(locks)
+        Ok(now)
     }
 
-    /// Releases the write locks among `held` without writing data
-    /// (abort cleanup; leases need no release, §4.2) through the one
-    /// delivery loop — one posted wave of unlock WRITEs; returns how
+    /// Releases the write locks among the `held` slots without writing
+    /// data (abort cleanup; leases need no release, §4.2) through the
+    /// one delivery loop — one posted wave of unlock WRITEs; returns how
     /// many record ops that took. A release a dead peer cannot take is
     /// parked for [`Worker::flush_pending`], so the lock is still
     /// released exactly once when the peer comes back.
     /// (If *this* machine is the dead one, nothing is parked: sweeping
     /// its locks is the recovery protocol's job.)
-    fn release_held(&mut self, strategy: Strategy, held: impl Iterator<Item = Item>) -> u64 {
-        let unlock = |it: Item| {
-            let local = self.cpu_path(strategy, &it.rec);
-            WriteItem { rec: it.rec, version: 0, value: None, local }
+    fn release_held(
+        &mut self,
+        strategy: Strategy,
+        slots: &[Slot<'_>],
+        held: impl Iterator<Item = usize>,
+    ) -> u64 {
+        let unlock = |rec: RecordAddr| {
+            let local = self.cpu_path(strategy, &rec);
+            WriteItem { rec, version: 0, value: None, local }
         };
-        let unlocks: Vec<WriteItem> = held.filter(Item::is_write).map(unlock).collect();
+        let writes = held.map(|i| &slots[i]).filter(|s| s.write);
+        let unlocks: Vec<WriteItem> = writes.filter_map(Slot::record).map(unlock).collect();
         let released = unlocks.len() as u64;
         let undelivered = self.write_back(unlocks, None).expect("no crash point to honour");
         if !self.self_crashed() {
@@ -974,7 +949,8 @@ impl Worker {
         Stop::Retry
     }
 
-    /// **LocalTX → Commit → WriteBack** over the records `locks` holds.
+    /// **LocalTX → Commit → WriteBack** over the records Start holds,
+    /// which it began at softtime `now_us`.
     ///
     /// The strategy decides how the body is isolated and what the
     /// commit point is. HTM: body, lease confirmation and write-ahead
@@ -986,40 +962,49 @@ impl Worker {
     /// redo it is persistent (log-persist-before-unlock, the HTPM
     /// ordering): staging sits in this one place, above the only call
     /// of [`Worker::publish`].
-    fn run<T>(
+    fn run<'e, T>(
         &mut self,
         strategy: Strategy,
-        env: Env<'_>,
-        locks: &LockSet,
+        env: Env<'e>,
+        slots: &mut Vec<Slot<'e>>,
         write_set: &[RecordAddr],
-        keyed: Keyed,
+        now_us: u64,
         body: &mut impl FnMut(&mut TxnCtx<'_>) -> Result<T, Abort>,
     ) -> Result<T, Stop> {
         let Env { sys, region, spec, txn_id } = env;
         let htm = strategy == Strategy::Htm;
 
         // ---------------- LocalTX ----------------
+        // An attempt starts with nothing buffered; a region finds its
+        // keyed rows again (ordered 2PL found them for this pass).
+        for slot in slots.iter_mut() {
+            slot.value = None;
+            if htm && slot.key().is_some() {
+                slot.rec = None;
+            }
+        }
         let isolation = if htm {
             Some(region.begin(&sys.cfg.htm))
         } else {
             // A buffered body's store operations run as standalone
             // micro-transactions nothing rolls back (§6.2), so leases
             // are confirmed before it runs, not after.
-            if let Some(rec) = stale_lease(env, locks, softtime_nt(region)) {
-                self.trace_abort(txn_id, Phase::Fallback, AbortCause::LeaseConfirmFail, Some(rec));
+            if let Some(rec) = stale_lease(slots, softtime_nt(region)) {
+                let cause = AbortCause::LeaseConfirmFail;
+                self.trace_abort(txn_id, Phase::Fallback, cause, Some(&rec));
                 return Err(Stop::Restart);
             }
             None
         };
-        // Ordered 2PL delivers its local writes (all on this machine)
-        // the way it locked them.
-        let cpu_stores = sys.cluster.atomicity() == AtomicityLevel::Glob;
-        let mut ctx = TxnCtx::new(isolation, env, locks, &self.exec, cpu_stores, keyed);
+        // The body's context borrows the slot table for the attempt.
+        let (table, allocs, local_log) = (std::mem::take(slots), Vec::new(), Vec::new());
+        let mut ctx = TxnCtx { env, txn: isolation, slots: table, now_us, allocs, local_log };
         let out = {
             let _t = htm.then(|| PhaseTimer::start(&sys.trace, Phase::LocalTx));
             body(&mut ctx)
         };
-        let (mut txn, writes, mut allocs, local_log) = ctx.finish();
+        let TxnCtx { mut txn, slots: table, mut allocs, local_log, .. } = ctx;
+        *slots = table;
         let value = match out {
             Ok(v) => v,
             Err(Abort::Explicit(USER_ABORT)) => {
@@ -1046,9 +1031,9 @@ impl Worker {
             if !spec.remote_reads.is_empty() {
                 let now = softtime_txn(txn)
                     .map_err(|a| self.htm_abort(env, Phase::Commit, a, None, &mut allocs))?;
-                if let Some(rec) = stale_lease(env, locks, now) {
+                if let Some(rec) = stale_lease(slots, now) {
                     let stale = Abort::Explicit(ABORT_LEASE_EXPIRED);
-                    self.htm_abort(env, Phase::Commit, stale, Some(rec), &mut allocs);
+                    self.htm_abort(env, Phase::Commit, stale, Some(&rec), &mut allocs);
                     return Err(Stop::Restart);
                 }
             }
@@ -1057,6 +1042,18 @@ impl Worker {
             // back from the lock-ahead record.
             return Err(CRASH);
         }
+        // One item per write Start locked, in table order: a region's
+        // remote writes, or every write ordered 2PL found (it delivers
+        // its local ones, all on this machine, the way it locked them).
+        let cpu_stores = sys.cluster.atomicity() == AtomicityLevel::Glob;
+        let locked = slots.iter_mut().filter(|s| s.write && s.fetched.is_some());
+        let item = |s: &mut Slot<'_>| WriteItem {
+            rec: s.record().expect("a locked record"),
+            version: s.fetched().header.version.wrapping_add(1),
+            value: s.value.take(),
+            local: cpu_stores && !s.is_remote(),
+        };
+        let writes: Vec<WriteItem> = locked.map(item).collect();
         // The write-ahead log carries every update — for redo — and the
         // lock list, so recovery can release declared-but-unwritten
         // locks from the log alone. An HTM region's local updates are
@@ -1083,9 +1080,6 @@ impl Worker {
             txn.commit().map_err(|a| self.htm_abort(env, Phase::Commit, a, None, &mut allocs))?;
             sys.htm_stats().commits.inc();
         }
-        // The region's lifetime is `TxnCtx`'s, which also spans the
-        // borrow of `self.exec`; `publish` needs that borrow ended.
-        drop(txn);
         // Committed: the log is persistent, nothing is applied yet and
         // every lock is still held — recovery must redo every update.
         let committed =
@@ -1238,180 +1232,79 @@ pub struct TxnCtx<'r> {
     /// The open HTM region the body runs in; `None` under ordered 2PL,
     /// where every lock is held and writes are buffered instead.
     txn: Option<HtmTxn<'r>>,
-    /// Every record Start fetched under its lock or lease.
-    locks: &'r LockSet,
-    /// One item per write-locked record, carrying the body's buffered
-    /// value once it writes one: local writes (ordered 2PL only — the
-    /// HTM strategy locked none), then remote writes, each as declared.
-    writes: Vec<WriteItem>,
+    /// The transaction's slot table, lent to this attempt.
+    slots: Vec<Slot<'r>>,
+    /// Softtime sampled when Start began.
+    now_us: u64,
     allocs: Allocs,
-    exec: &'r Executor,
     /// HTM region with durability on: local updates for the write-ahead
     /// log (§4.6 logs local *and* remote updates).
     local_log: Vec<LoggedUpdate>,
-    /// Where this attempt's keyed slots are.
-    keyed: Keyed,
 }
 
 impl<'r> TxnCtx<'r> {
-    fn new(
-        txn: Option<HtmTxn<'r>>,
-        env: Env<'r>,
-        locks: &'r LockSet,
-        exec: &'r Executor,
-        cpu_stores: bool,
-        keyed: Keyed,
-    ) -> Self {
-        let items = |recs: &'r [RecordAddr], list: List, local: bool| {
-            recs.iter().zip(locks.list(list)).map(move |(rec, f)| WriteItem {
-                rec: *rec,
-                version: f.header.version.wrapping_add(1),
-                value: None,
-                local,
-            })
-        };
-        TxnCtx {
-            env,
-            txn,
-            locks,
-            writes: items(&env.spec.local_writes, List::LocalWrite, cpu_stores)
-                .chain(items(&env.spec.remote_writes, List::RemoteWrite, false))
-                .collect(),
-            allocs: Vec::new(),
-            exec,
-            local_log: Vec::new(),
-            keyed,
-        }
-    }
-
-    /// Ends the body: the open region, write items, allocations and
-    /// local log it leaves for Commit. Consuming the context ends its
-    /// borrows with it — an `HtmTxn` runs code when dropped, so a
-    /// half-destructured context would hold them to the end of scope.
-    fn finish(self) -> (Option<HtmTxn<'r>>, Vec<WriteItem>, Allocs, Vec<LoggedUpdate>) {
-        (self.txn, self.writes, self.allocs, self.local_log)
-    }
-
     fn op_now(&mut self) -> Result<u64, Abort> {
         match (self.env.sys.cfg.softtime, &mut self.txn) {
             (SofttimeStrategy::PerOp, Some(txn)) => softtime_txn(txn),
-            _ => Ok(self.locks.now_us),
+            _ => Ok(self.now_us),
         }
     }
 
-    /// Where remote-write record `i` sits in `writes`: after the locals.
-    fn remote_slot(&self, i: usize) -> usize {
-        self.locks.list(List::LocalWrite).len() + i
+    /// The slot of entry `i` of the declared `kind` list.
+    fn at(&self, kind: Kind, i: usize) -> usize {
+        let s = self.env.spec;
+        let lens = [
+            s.local_writes.len(),
+            s.keyed_writes.len(),
+            s.remote_writes.len(),
+            s.keyed_reads.len(),
+        ];
+        lens[..kind as usize].iter().sum::<usize>() + i
     }
 
     /// Value of remote-read record `i`, prefetched in the Start phase.
     pub fn remote_read(&self, i: usize) -> &[u8] {
-        &self.locks.list(List::RemoteRead)[i].value
+        &self.slots[self.at(Kind::RemoteRead, i)].fetched().value
     }
 
     /// Current value of remote-write record `i`: the buffered update if
     /// one exists, else the value fetched under the exclusive lock.
     pub fn remote_write_cur(&self, i: usize) -> &[u8] {
-        let buffered = self.writes[self.remote_slot(i)].value.as_deref();
-        buffered.unwrap_or(&self.locks.list(List::RemoteWrite)[i].value)
+        let slot = &self.slots[self.at(Kind::RemoteWrite, i)];
+        slot.value.as_deref().unwrap_or(&slot.fetched().value)
     }
 
     /// Buffers the new value of remote-write record `i` (pushed with
     /// one-sided WRITEs once the transaction is past its commit point).
     pub fn remote_write(&mut self, i: usize, value: Vec<u8>) {
         debug_assert!(value.len() <= self.env.spec.remote_writes[i].value_cap);
-        let slot = self.remote_slot(i);
-        self.writes[slot].value = Some(value);
-    }
-
-    /// Reads local-read record `i` (Figure 6 LOCAL_READ).
-    pub fn local_read(&mut self, i: usize) -> Result<Vec<u8>, Abort> {
-        // The naive strategy touches softtime on reads too (Fig. 11).
-        self.op_now()?;
-        match &mut self.txn {
-            Some(txn) => Ok(record::local_read(txn, self.env.spec.local_reads[i].addr.offset)?.1),
-            None => Ok(self.locks.list(List::LocalRead)[i].value.clone()),
-        }
+        let at = self.at(Kind::RemoteWrite, i);
+        self.slots[at].value = Some(value);
     }
 
     /// Reads the current value of local-write record `i` (including this
     /// transaction's own buffered/staged update).
     pub fn local_write_cur(&mut self, i: usize) -> Result<Vec<u8>, Abort> {
-        match &mut self.txn {
-            Some(txn) => Ok(record::local_read(txn, self.env.spec.local_writes[i].addr.offset)?.1),
-            None => {
-                let fetched = &self.locks.list(List::LocalWrite)[i].value;
-                Ok(self.writes[i].value.as_ref().unwrap_or(fetched).clone())
-            }
-        }
+        Ok(self.local_cur(self.at(Kind::LocalWrite, i))?.expect("declared by address"))
     }
 
     /// Writes local-write record `i` (Figure 6 LOCAL_WRITE).
     pub fn local_write(&mut self, i: usize, value: &[u8]) -> Result<(), Abort> {
-        if self.txn.is_some() {
-            return self.htm_write(self.env.spec.local_writes[i], value);
-        }
-        self.op_now()?;
-        // Buffered: logged at the commit point with its real version
-        // (log-before-unlock) — no per-op entry here.
-        self.writes[i].value = Some(value.to_vec());
-        Ok(())
+        self.local_put(self.at(Kind::LocalWrite, i), value)
     }
 
-    /// `LOCAL_WRITE` of `rec` inside the open HTM region.
-    fn htm_write(&mut self, rec: RecordAddr, value: &[u8]) -> Result<(), Abort> {
-        let now = self.op_now()?;
-        // The XEND makes this store durable, so it is logged with
-        // version 0 — recovery's at-most-once check always sees it as
-        // already applied (§4.6).
-        if self.env.sys.cfg.logging {
-            self.local_log.push(LoggedUpdate { rec, version: 0, value: value.to_vec() });
-        }
-        let txn = self.txn.as_mut().expect("the HTM strategy's region is open");
-        record::local_write(txn, rec.addr.offset, value, now, DELTA_US)
-    }
-
-    /// Where keyed slot `i` of `list` is. Under the HTM strategy a
-    /// slot's first access walks the table on the transaction's own
-    /// region: the bucket lines it looked at join the read set, so an
-    /// INSERT or DELETE of the key that commits before this region does
-    /// aborts it (strong atomicity).
-    fn keyed_at(&mut self, list: List, i: usize) -> Result<Found, Abort> {
-        let (slots, keys) = match list {
-            List::LocalWrite => (&mut self.keyed[0], &self.env.spec.keyed_writes),
-            _ => (&mut self.keyed[1], &self.env.spec.keyed_reads),
-        };
-        if let (None, Some(txn)) = (slots[i], &mut self.txn) {
-            let found = keys[i].find(txn)?;
-            slots[i] = Some(found.map_or(Found::Absent, |rec| Found::Entry(rec.addr.offset)));
-        }
-        Ok(slots[i].expect("ordered 2PL resolves every keyed slot before the body"))
-    }
-
-    /// `LOCAL_READ` of the entry at `off` inside the open HTM region.
-    fn htm_read(&mut self, off: usize) -> Result<Vec<u8>, Abort> {
-        let txn = self.txn.as_mut().expect("the HTM strategy's region is open");
-        Ok(record::local_read(txn, off)?.1)
-    }
-
-    /// Reads keyed-read record `i`; `None`: the key has no row.
+    /// Reads keyed-read record `i` (Figure 6 LOCAL_READ); `None`: the key
+    /// has no row.
     pub fn keyed_read(&mut self, i: usize) -> Result<Option<Vec<u8>>, Abort> {
+        // The naive strategy touches softtime on reads too (Fig. 11).
         self.op_now()?;
-        match self.keyed_at(List::LocalRead, i)? {
-            Found::Entry(off) => self.htm_read(off).map(Some),
-            Found::Listed(at) => self.local_read(at).map(Some),
-            Found::Absent => Ok(None),
-        }
+        self.local_cur(self.at(Kind::KeyedRead, i))
     }
 
     /// Reads the current value of keyed-write record `i` (including this
     /// transaction's own update); `None`: the key has no row.
     pub fn keyed_write_cur(&mut self, i: usize) -> Result<Option<Vec<u8>>, Abort> {
-        match self.keyed_at(List::LocalWrite, i)? {
-            Found::Entry(off) => self.htm_read(off).map(Some),
-            Found::Listed(at) => self.local_write_cur(at).map(Some),
-            Found::Absent => Ok(None),
-        }
+        self.local_cur(self.at(Kind::KeyedWrite, i))
     }
 
     /// Writes keyed-write record `i`.
@@ -1421,11 +1314,51 @@ impl<'r> TxnCtx<'r> {
     /// If the key has no row: a body learns that from
     /// [`TxnCtx::keyed_write_cur`] and inserts instead.
     pub fn keyed_write(&mut self, i: usize, value: &[u8]) -> Result<(), Abort> {
-        match self.keyed_at(List::LocalWrite, i)? {
-            Found::Entry(off) => self.htm_write(self.env.spec.keyed_writes[i].record(off), value),
-            Found::Listed(at) => self.local_write(at, value),
-            Found::Absent => panic!("a keyed write needs its row"),
+        self.local_put(self.at(Kind::KeyedWrite, i), value)
+    }
+
+    /// The record of local slot `at`. Under the HTM strategy a keyed
+    /// slot's first access walks the table on the transaction's own
+    /// region: the bucket lines it looked at join the read set, so an
+    /// INSERT or DELETE of the key that commits before this region does
+    /// aborts it (strong atomicity).
+    fn local_record(&mut self, at: usize) -> Result<Option<RecordAddr>, Abort> {
+        let slot = &mut self.slots[at];
+        if let (None, Decl::Key(key), Some(txn)) = (slot.rec, slot.decl, &mut self.txn) {
+            slot.rec = Some(key.find(txn)?);
         }
+        Ok(slot.rec.expect("ordered 2PL finds every keyed slot before the body"))
+    }
+
+    /// `LOCAL_READ` of local slot `at`, this transaction's own update
+    /// included: in the open region, or what ordered 2PL fetched or
+    /// buffered. `None`: the key has no row.
+    fn local_cur(&mut self, at: usize) -> Result<Option<Vec<u8>>, Abort> {
+        let Some(rec) = self.local_record(at)? else { return Ok(None) };
+        let slot = &self.slots[at];
+        Ok(Some(match &mut self.txn {
+            Some(txn) => record::local_read(txn, rec.addr.offset)?.1,
+            None => slot.value.as_ref().unwrap_or(&slot.fetched().value).clone(),
+        }))
+    }
+
+    /// `LOCAL_WRITE` of local slot `at`, whose row must exist.
+    fn local_put(&mut self, at: usize, value: &[u8]) -> Result<(), Abort> {
+        let rec = self.local_record(at)?.expect("a keyed write needs its row");
+        let now = self.op_now()?;
+        let Some(txn) = &mut self.txn else {
+            // Buffered: logged at the commit point with its real version
+            // (log-before-unlock) — no per-op entry here.
+            self.slots[at].value = Some(value.to_vec());
+            return Ok(());
+        };
+        // The XEND makes this store durable, so it is logged with
+        // version 0 — recovery's at-most-once check always sees it as
+        // already applied (§4.6).
+        if self.env.sys.cfg.logging {
+            self.local_log.push(LoggedUpdate { rec, version: 0, value: value.to_vec() });
+        }
+        record::local_write(txn, rec.addr.offset, value, now, DELTA_US)
     }
 
     /// Inserts into a local hash table atomically with this transaction.
@@ -1443,7 +1376,7 @@ impl<'r> TxnCtx<'r> {
             Some(txn) => {
                 table.insert_txn(txn, key, value)?.map(|p| self.allocs.push((Arc::clone(table), p)))
             }
-            None => table.insert(self.exec, self.env.region, key, value),
+            None => table.insert(&self.env.sys.exec, self.env.region, key, value),
         };
         inserted.map_err(|e| match e {
             InsertError::Duplicate => Abort::Explicit(ABORT_LOCKED),
@@ -1461,7 +1394,7 @@ impl<'r> TxnCtx<'r> {
     ) -> Result<T, Abort> {
         match &mut self.txn {
             Some(txn) => f(txn),
-            None => self.exec.run(self.env.region, f),
+            None => self.env.sys.exec.run(self.env.region, f),
         }
     }
 
@@ -1569,13 +1502,13 @@ mod tests {
         let h = harness(1, 1, 4, DrTmConfig::default());
         let mut w = h.sys.worker(0, 0);
         let spec = TxnSpec {
-            local_reads: vec![h.rec(0, 0)],
+            keyed_reads: vec![LocalKey { table: &h.tables[0], key: 0 }],
             local_writes: vec![h.rec(0, 1)],
             ..Default::default()
         };
         let got = w
             .execute(&spec, |ctx| {
-                let a = vu64(&ctx.local_read(0)?);
+                let a = vu64(&ctx.keyed_read(0)?.expect("populated"));
                 let b = vu64(&ctx.local_write_cur(0)?);
                 ctx.local_write(0, &u64v(b + a))?;
                 Ok(a + b)
@@ -1760,8 +1693,8 @@ mod tests {
         for _ in 0..50 {
             let (x, y) = r
                 .try_read_only(|ctx| {
-                    let x = vu64(&ctx.acquire(&a)?);
-                    let y = vu64(&ctx.acquire(&b)?);
+                    let x = vu64(&ctx.acquire_all(&[a])?[0]);
+                    let y = vu64(&ctx.acquire_all(&[b])?[0]);
                     Ok((x, y))
                 })
                 .unwrap();
@@ -1914,13 +1847,15 @@ mod tests {
         };
         let sys = Arc::clone(&h.sys);
         let env = Env { sys: &sys, region: sys.cluster().node(0).region(), spec: &spec, txn_id: 1 };
-        let order: Vec<Item> = declared(&spec).filter(Item::is_remote).collect();
+        let mut slots = slot_table(&spec);
+        let order: Vec<usize> = (0..5).collect();
         let before = sys.stats_report();
         let mut ops = 0;
-        // No lock set comes back: nothing the wave fetched — least of
-        // all b's bytes, read behind the lost CAS — can reach a body.
-        let lost = w.start(Strategy::Htm, env, &order, &spec.remote_writes, &mut ops);
+        let lost = w.start(Strategy::Htm, env, &mut slots, &order, &spec.remote_writes, &mut ops);
         assert_eq!(lost.err(), Some(Stop::Restart));
+        // Nothing the wave fetched — least of all b's bytes, read behind
+        // the lost CAS — stays in the table for a body to read.
+        assert!(slots.iter().all(|s| s.fetched.is_none()));
         let d_report = sys.stats_report().since(&before);
         assert_eq!(d_report.txn.start_conflicts, 1);
         assert_eq!(d_report.causes.get(AbortCause::StartWriteLocked { owner: 2 }), 1);
@@ -1969,14 +1904,14 @@ mod tests {
         let h = harness(2, 1, 2, cfg);
         let mut w = h.sys.worker(0, 0);
         let spec = TxnSpec {
-            local_reads: vec![h.rec(0, 0)],
+            keyed_reads: vec![LocalKey { table: &h.tables[0], key: 0 }],
             local_writes: vec![h.rec(0, 1)],
             remote_reads: vec![h.rec(1, 0)],
             ..Default::default()
         };
         let v = w
             .execute(&spec, |ctx| {
-                let a = vu64(&ctx.local_read(0)?);
+                let a = vu64(&ctx.keyed_read(0)?.expect("populated"));
                 let b = vu64(ctx.remote_read(0));
                 ctx.local_write(0, &u64v(a + b))?;
                 Ok(a + b)
@@ -2150,8 +2085,16 @@ mod tests {
                 });
                 let mut r = h.sys.worker(0, 0);
                 let spec = TxnSpec { keyed_reads: pair.clone(), ..Default::default() };
-                let mut sums = Vec::new();
-                while transfers.load(Relaxed) < 50 || sums.len() < 50 {
+                let mut sums: Vec<(u64, u64)> = Vec::new();
+                // Until the reader has seen the writer move the pair too:
+                // under ordered 2PL fifty reads can all fall inside one
+                // lease, which holds the writer off, after it did its
+                // fifty transfers while the reader was descheduled.
+                let moved = |sums: &[(u64, u64)]| sums.iter().any(|&(x, _)| x != sums[0].0);
+                let give_up = Instant::now() + Duration::from_secs(30);
+                while (transfers.load(Relaxed) < 50 || sums.len() < 50 || !moved(&sums))
+                    && Instant::now() < give_up
+                {
                     let read = r.execute(&spec, |ctx| {
                         let x = vu64(&ctx.keyed_read(0)?.expect("populated"));
                         let y = vu64(&ctx.keyed_read(1)?.expect("populated"));
@@ -2196,6 +2139,115 @@ mod tests {
             ..Default::default()
         };
         let _ = h.sys.worker(0, 0).execute(&spec, |_| Ok(()));
+    }
+
+    /// One transaction declaring one record of each kind the engine
+    /// keeps — a local write by address, a keyed write, a remote write, a
+    /// keyed read and a remote read — on three machines with logging on
+    /// and a frozen clock, in a region and down ordered 2PL: what the body
+    /// reads, the verbs and virtual time a clean run costs, and the
+    /// lock-ahead and write-ahead records a run that dies past its commit
+    /// point leaves in the worker's log slot. The declaration order is
+    /// the lock order's tie-break and the WAL's update order, so none of
+    /// it may move under a refactor of how the engine keeps the records.
+    #[test]
+    fn one_record_of_each_kind_reads_costs_and_logs_as_recorded() {
+        // Value of (node, key): node·1000 + key·10, so a body that reads
+        // the wrong slot reads a wrong number.
+        let build = |max_retries: u32| {
+            let cluster = ClusterConfig {
+                nodes: 3,
+                region_size: 8 << 20,
+                profile: LatencyProfile::rdma(),
+                ..Default::default()
+            };
+            let mut cfg = DrTmConfig { logging: true, ..Default::default() };
+            cfg.htm.max_retries = max_retries;
+            let mut dep = Deployment::new(cluster, cfg, 1);
+            let tables = dep.hash(64, 256, VAL_CAP);
+            for n in dep.nodes() {
+                for k in 0..4 {
+                    let v = u64v(n as u64 * 1000 + k * 10);
+                    tables[n as usize].insert(dep.exec(), dep.region(n), k, &v).unwrap();
+                }
+            }
+            Harness { sys: dep.start_frozen(), tables, trees: Vec::new() }
+        };
+        fn spec(h: &Harness) -> TxnSpec<'_> {
+            let mut spec = TxnSpec::default();
+            spec.local_writes.push(h.rec(0, 1));
+            spec.keyed_writes.push(LocalKey { table: &h.tables[0], key: 0 });
+            spec.remote_writes.push(h.rec(1, 2));
+            spec.keyed_reads.push(LocalKey { table: &h.tables[0], key: 3 });
+            spec.remote_reads.push(h.rec(2, 1));
+            spec
+        }
+        // Reads every slot, then adds 1, 2 and 3 to the three writes.
+        let run = |h: &Harness, spec: &TxnSpec<'_>| {
+            h.sys.worker(0, 0).execute(spec, |ctx| {
+                let read = [
+                    vu64(&ctx.local_write_cur(0)?),
+                    vu64(&ctx.keyed_write_cur(0)?.expect("populated")),
+                    vu64(ctx.remote_write_cur(0)),
+                    vu64(&ctx.keyed_read(0)?.expect("populated")),
+                    vu64(ctx.remote_read(0)),
+                ];
+                ctx.local_write(0, &u64v(read[0] + 1))?;
+                ctx.keyed_write(0, &u64v(read[1] + 2))?;
+                ctx.remote_write(0, u64v(read[2] + 3));
+                Ok(read)
+            })
+        };
+        let clean = |max_retries| {
+            let h = build(max_retries);
+            let spec = spec(&h);
+            let before = h.sys.stats_report();
+            let t0 = vtime::read();
+            let read = run(&h, &spec).unwrap();
+            let vtime_ns = vtime::read() - t0;
+            let d = h.sys.stats_report().since(&before);
+            (read, [d.rdma.reads, d.rdma.writes, d.rdma.cas], vtime_ns)
+        };
+        type Logged = (Vec<(NodeId, u64)>, Vec<(NodeId, u64)>, Vec<((NodeId, u64), u32, u64)>);
+        let crashed = |max_retries, point: CrashPoint| -> Logged {
+            let h = build(max_retries);
+            let spec = spec(&h);
+            h.sys.cluster().faults().arm_crash(0, point.name());
+            assert_eq!(run(&h, &spec), Err(TxnError::SimulatedCrash));
+            let key = |r: &RecordAddr| {
+                let node = r.addr.node;
+                (node, (0..4).find(|&k| h.rec(node, k) == *r).expect("a populated record"))
+            };
+            let (slot, region) =
+                (LogSlot::new(h.sys.layout().log_slots[0]), h.sys.cluster().node(0).region());
+            let wal = slot.read_write_ahead(region);
+            (
+                slot.read_lock_ahead(region).iter().map(key).collect(),
+                wal.locks.iter().map(key).collect(),
+                wal.updates.iter().map(|u| (key(&u.rec), u.version, vu64(&u.value))).collect(),
+            )
+        };
+        let read = [10, 0, 1020, 30, 2010];
+        let htm = HtmConfig::default().max_retries;
+        // A region: Start leases (2, 1) and locks (1, 2), a CAS and a
+        // READ each; WriteBack is (1, 2)'s value, version and unlock.
+        assert_eq!(clean(htm), (read, [2, 3, 2], 17_041));
+        // Ordered 2PL, after the HTM pass's Start and its release: all
+        // five records by loopback CAS + READ, one record a wave, in
+        // (node, offset) order, and three write-backs.
+        assert_eq!(clean(0), (read, [7, 10, 7], 52_232));
+        // The region logs its remote write with the version it installs,
+        // then its local writes as it made them, at version 0.
+        let updates = vec![((1, 2), 1, 1023), ((0, 1), 0, 11), ((0, 0), 0, 2)];
+        assert_eq!(crashed(htm, CrashPoint::AfterHtmCommit), (vec![(1, 2)], vec![(1, 2)], updates));
+        // Ordered 2PL locks in (node, offset) order and logs its writes in
+        // declaration order: by address, by key, remote.
+        let locks = vec![(0, 0), (0, 1), (1, 2)];
+        let updates = vec![((0, 1), 1, 11), ((0, 0), 1, 2), ((1, 2), 1, 1023)];
+        assert_eq!(
+            crashed(0, CrashPoint::FallbackAfterWalBeforeApply),
+            (locks.clone(), locks, updates)
+        );
     }
 
     #[test]

@@ -29,8 +29,7 @@ use drtm_core::{
 use drtm_htm::{Executor, HtmStats, Region};
 use drtm_memstore::rpc::spawn_store_service;
 use drtm_memstore::{
-    Arena, ClusterHash, LocationCache, MigrationReport, RangeMap, ReshardStats, Resharder,
-    RouteDecision,
+    Arena, ClusterHash, LocationCache, MigrationReport, RangeMap, Resharder, RouteDecision,
 };
 use drtm_rdma::rpc::Service;
 use drtm_rdma::{
@@ -245,11 +244,6 @@ impl ElasticKv {
         self.resharder.migrate(lo, hi, dst)
     }
 
-    /// Migration counters.
-    pub fn reshard_stats(&self) -> ReshardStats {
-        self.resharder.stats()
-    }
-
     /// Sum of every key's value — the conservation invariant. Call on a
     /// quiesced deployment (no in-flight transactions or migrations).
     pub fn total_value(&self) -> u64 {
@@ -353,15 +347,9 @@ impl ElasticKvWorker {
         Ok(None)
     }
 
-    /// Resolves `key` to a record address on `server`.
+    /// Resolves `key` to a record address on `server`, another machine.
     fn resolve(&self, server: NodeId, key: u64) -> Result<Option<RecordAddr>, TxnError> {
-        let shard = self.resharder.shard(server);
-        if server == self.w.node {
-            let row = LocalKey { table: &shard, key };
-            let found = self.w.executor().run(self.w.region(), |txn| row.find(txn));
-            return Ok(found.expect("a lookup never aborts itself"));
-        }
-        let found = self.locate(&shard, key, false)?;
+        let found = self.locate(&self.resharder.shard(server), key, false)?;
         Ok(found.map(|(addr, _)| RecordAddr::new(addr, VALUE_BYTES)))
     }
 
@@ -369,8 +357,8 @@ impl ElasticKvWorker {
     /// sum is conserved). A frozen route records a `Migrated` abort and
     /// returns [`WriteOutcome::Frozen`] without blocking, so drivers
     /// can keep pumping other traffic during a cutover and retry later;
-    /// so does a range that moved between routing and the body (traced
-    /// as the body's user abort).
+    /// so does a range that moved between routing and the body, or a
+    /// local row gone by then (traced as the body's user abort).
     pub fn try_transfer(&mut self, a: u64, b: u64, amount: u64) -> Result<WriteOutcome, TxnError> {
         let da = self.resharder.map().route(a).expect("unmapped key");
         let db = self.resharder.map().route(b).expect("unmapped key");
@@ -397,27 +385,33 @@ impl ElasticKvWorker {
             self.w.note_abort(AbortCause::Migrated);
             return Ok(WriteOutcome::Frozen);
         }
-        let ra = self.resolve(da.primary, a)?;
-        let rb = self.resolve(db.primary, b)?;
-        let (Some(ra), Some(rb)) = (ra, rb) else {
-            // The key vanished from its primary between routing and
+        // Each key is written where it lives: a local one by key, found
+        // inside the transaction, a remote one at the address its
+        // location cache gives.
+        let shard = self.resharder.shard(self.w.node);
+        let mut spec = TxnSpec::default();
+        let mut declare = |key: u64, server: NodeId| -> Result<Option<WriteSlot>, TxnError> {
+            if server == self.w.node {
+                spec.keyed_writes.push(LocalKey { table: &shard, key });
+                return Ok(Some((true, spec.keyed_writes.len() - 1)));
+            }
+            let Some(rec) = self.resolve(server, key)? else { return Ok(None) };
+            spec.remote_writes.push(rec);
+            Ok(Some((false, spec.remote_writes.len() - 1)))
+        };
+        let (Some(sa), Some(sb)) = (declare(a, da.primary)?, declare(b, db.primary)?) else {
+            // A remote key vanished from its primary between routing and
             // resolution: a cutover raced us. Same story as a frozen
             // route — typed abort, caller retries.
             self.w.note_abort(AbortCause::Migrated);
             return Ok(WriteOutcome::Frozen);
         };
-        // Each key is written where it lives.
-        let mut spec = TxnSpec::default();
-        let mut declare = |rec: RecordAddr| {
-            let local = rec.addr.node == self.w.node;
-            let list = if local { &mut spec.local_writes } else { &mut spec.remote_writes };
-            list.push(rec);
-            (local, list.len() - 1)
-        };
-        let (sa, sb) = (declare(ra), declare(rb));
         let map = self.resharder.map();
         let r = self.w.execute(&spec, |ctx| {
-            let (va, vb) = (cur(ctx, sa)?, cur(ctx, sb)?);
+            let (Some(va), Some(vb)) = (cur(ctx, sa)?, cur(ctx, sb)?) else {
+                // A local row purged since routing: route again.
+                return Err(Abort::Explicit(USER_ABORT));
+            };
             // A purge deletes a row under its migration lock, and the
             // delete hands that lock to whoever waits for it: a writer
             // resolved before the cutover would hold a dead row. Both
@@ -456,16 +450,20 @@ impl ElasticKvWorker {
 type Located = (GlobalAddr, Option<Vec<u8>>);
 
 /// Where a transfer declared one of its keys: `(local, index)` in the
-/// spec's local or remote write list.
+/// spec's keyed or remote write list.
 type WriteSlot = (bool, usize);
 
-fn cur(ctx: &mut TxnCtx<'_>, (local, i): WriteSlot) -> Result<u64, Abort> {
-    Ok(if local { fields(&ctx.local_write_cur(i)?)[0] } else { fields(ctx.remote_write_cur(i))[0] })
+/// The value of a transfer's key; `None`: a local key with no row.
+fn cur(ctx: &mut TxnCtx<'_>, (local, i): WriteSlot) -> Result<Option<u64>, Abort> {
+    if local {
+        return Ok(ctx.keyed_write_cur(i)?.map(|v| fields(&v)[0]));
+    }
+    Ok(Some(fields(ctx.remote_write_cur(i))[0]))
 }
 
 fn put(ctx: &mut TxnCtx<'_>, (local, i): WriteSlot, v: u64) -> Result<(), Abort> {
     if local {
-        ctx.local_write(i, &pack_fields(&[v]))
+        ctx.keyed_write(i, &pack_fields(&[v]))
     } else {
         ctx.remote_write(i, pack_fields(&[v]));
         Ok(())

@@ -8,7 +8,7 @@ use std::time::Duration;
 use drtm::memstore::{ClusterHash, LookupResult};
 use drtm::rdma::{ClusterConfig, LatencyProfile, NodeId};
 use drtm::txn::{
-    record_ops, AbortCause, Deployment, DrTm, DrTmConfig, Phase, RecordAddr, TxnSpec,
+    record_ops, AbortCause, Deployment, DrTm, DrTmConfig, LocalKey, Phase, RecordAddr, TxnSpec,
     SOFTTIME_INTERVAL,
 };
 
@@ -91,8 +91,9 @@ fn local_read_under_remote_lock_is_htm_locked() {
         s.spawn(|| hold_lock_then_release(&f, 1, rec, Duration::from_millis(30)));
         std::thread::sleep(Duration::from_millis(5));
         let mut w = f.sys.worker(0, 0);
-        let spec = TxnSpec { local_reads: vec![rec], ..Default::default() };
-        let v = w.execute(&spec, |ctx| Ok(u(&ctx.local_read(0)?))).unwrap();
+        let key = LocalKey { table: &f.tables[0], key: 0 };
+        let spec = TxnSpec { keyed_reads: vec![key], ..Default::default() };
+        let v = w.execute(&spec, |ctx| Ok(u(&ctx.keyed_read(0)?.expect("populated")))).unwrap();
         assert_eq!(v, 100);
     });
     let dump = f.sys.trace_dump();
