@@ -49,6 +49,11 @@
 # table and cache (DESIGN.md §9): none of the deleted address cache,
 # table-kind fork, resize counters, cache registry and bucket settings by
 # name, and `ElasticHash` nowhere but split_ordered.rs and its export
+# plus a `git grep` gate that keeps one TPC-C for both systems of Figure
+# 12 (DESIGN.md §1): the Calvin baseline runs on tpcc's sizing, rows and
+# requests, so none of its deleted twins by name — the Calvin sizing
+# struct, its request enum and its mix generator — nor the resharder's
+# deleted counter set
 # plus `cargo run --release --example crash_recovery`, which must end in
 # `all crash/recovery scenarios passed`
 # plus `cargo run --release --example abort_diagnosis`, whose StatsReport
@@ -232,6 +237,15 @@ fi
 if git grep -n -w --untracked ElasticHash -- crates tests examples \
   | grep -v '^crates/memstore/src/\(split_ordered\|lib\)\.rs:'; then
   echo "ElasticHash used outside split_ordered.rs: the elastic world runs on ClusterHash" >&2
+  exit 1
+fi
+
+echo "== one TPC-C: Calvin runs on tpcc's TpccConfig, seed rows and StdMix requests =="
+# A sizing struct, a request type or a mix generator of Calvin's own lets
+# the two systems of Figure 12 run different inputs again.
+if git grep -n -w --untracked \
+  -e CalvinConfig -e CalvinTxn -e calvin_mix -e ReshardStats -- crates tests examples src; then
+  echo "a deleted second copy of TPC-C (or ReshardStats) is back: use drtm_workloads::tpcc" >&2
   exit 1
 fi
 

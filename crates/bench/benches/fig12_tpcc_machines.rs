@@ -16,7 +16,7 @@ use std::time::Instant;
 use drtm_bench::ledger::{cell, quiet, text, tput, Kind, Ledger};
 use drtm_bench::runners::{calvin_run, tpcc_run_with};
 use drtm_bench::{banner, diagnostics, f, row, scaled, stats_cells};
-use drtm_calvin::{Calvin, CalvinConfig};
+use drtm_calvin::Calvin;
 use drtm_core::{MembershipError, TxnError};
 use drtm_rdma::{DoorbellConfig, NodeId};
 use drtm_workloads::dist::{rng, KeyDist};
@@ -67,20 +67,13 @@ fn main() {
     let mut drtm_curve = Vec::new();
     let mut ledger = Ledger::new("fig12_tpcc_machines");
     for nodes in 1..=6usize {
-        let (rep, diag) = tpcc_run_with(drtm_cfg(nodes), iters, warmup);
+        let cfg = drtm_cfg(nodes);
+        let (rep, diag) = tpcc_run_with(cfg.clone(), iters, warmup);
         let std_mix = rep.throughput();
         let new_order = rep.throughput_of("new_order");
-        let ccfg = CalvinConfig {
-            nodes,
-            workers: 8,
-            warehouses_per_node: 8,
-            customers_per_district: 60,
-            items: 1_000,
-            ..Default::default()
-        };
-        let calvin = Calvin::build(ccfg);
-        let per_epoch = nodes * 8 * 40;
-        let (calvin_std, _, _) = calvin_run(calvin, 8, per_epoch, 0.01, 0.15);
+        // Calvin on the same deployment: 8 epochs of 40 requests per
+        // warehouse, the first 320 its DrTM worker draws.
+        let (calvin_std, _) = calvin_run(Calvin::build(&cfg), 8, 40);
         last_ratio = std_mix / calvin_std;
         drtm_curve.push(std_mix);
         // The paper quotes the 6-machine point: 3.67 M, 17.9x over Calvin.

@@ -1,16 +1,15 @@
 //! Workload runners shared by the TPC-C / SmallBank / micro harnesses.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 
-use rand::Rng;
-
-use drtm_calvin::{Calvin, CalvinConfig, CalvinTxn};
+use drtm_calvin::Calvin;
 use drtm_core::StatsReport;
-use drtm_workloads::dist::rng;
+use drtm_rdma::NodeId;
 use drtm_workloads::driver::{diagnosed, run, run_dedicated, Report};
 use drtm_workloads::micro::{Micro, MicroConfig};
 use drtm_workloads::smallbank::{SmallBank, SmallBankConfig};
-use drtm_workloads::tpcc::{Tpcc, TpccConfig};
+use drtm_workloads::tpcc::{seed, StdMix, Tpcc, TpccConfig};
 
 /// Builds a TPC-C deployment and runs the standard mix. Returns the
 /// run's report and the joined diagnostics report (transaction/HTM/RDMA
@@ -107,105 +106,38 @@ pub fn micro_run_with(
     })
 }
 
-/// Generates `n` standard-mix Calvin transactions (same probabilities as
-/// the DrTM TPC-C worker) for warehouses owned by all nodes.
-pub fn calvin_mix(
-    cfg: &CalvinConfig,
-    n: usize,
-    seed: u64,
-    cross_no: f64,
-    cross_pay: f64,
-) -> Vec<CalvinTxn> {
-    let mut r = rng(seed);
-    let whs = cfg.warehouses();
-    (0..n)
-        .map(|_| {
-            let w = r.gen_range(0..whs);
-            match r.gen_range(0..100u32) {
-                0..=44 => {
-                    let ol = r.gen_range(5..=15);
-                    let mut seen = std::collections::HashSet::new();
-                    let lines = (0..ol)
-                        .map(|_| {
-                            let i = loop {
-                                let i = r.gen_range(0..cfg.items);
-                                if seen.insert(i) {
-                                    break i;
-                                }
-                            };
-                            let supply = if whs > 1 && r.gen_bool(cross_no) {
-                                let mut s = r.gen_range(0..whs);
-                                if s == w {
-                                    s = (s + 1) % whs;
-                                }
-                                s
-                            } else {
-                                w
-                            };
-                            (i, supply, r.gen_range(1..=10))
-                        })
-                        .collect();
-                    CalvinTxn::NewOrder {
-                        w,
-                        d: r.gen_range(0..cfg.districts),
-                        c: r.gen_range(0..cfg.customers_per_district),
-                        lines,
-                    }
-                }
-                45..=87 => {
-                    let (c_w, c_d) = if whs > 1 && r.gen_bool(cross_pay) {
-                        let mut cw = r.gen_range(0..whs);
-                        if cw == w {
-                            cw = (cw + 1) % whs;
-                        }
-                        (cw, r.gen_range(0..cfg.districts))
-                    } else {
-                        (w, r.gen_range(0..cfg.districts))
-                    };
-                    CalvinTxn::Payment {
-                        w,
-                        d: r.gen_range(0..cfg.districts),
-                        c_w,
-                        c_d,
-                        c: r.gen_range(0..cfg.customers_per_district),
-                        h: r.gen_range(100..=500_000),
-                    }
-                }
-                88..=91 => CalvinTxn::OrderStatus {
-                    w,
-                    d: r.gen_range(0..cfg.districts),
-                    c: r.gen_range(0..cfg.customers_per_district),
-                },
-                92..=95 => CalvinTxn::Delivery { w, carrier: r.gen_range(1..=10) },
-                _ => CalvinTxn::StockLevel {
-                    w,
-                    d: r.gen_range(0..cfg.districts),
-                    threshold: r.gen_range(10..=20),
-                },
-            }
-        })
-        .collect()
-}
-
-/// Runs `epochs` sequencer epochs of `per_epoch` standard-mix txns and
-/// returns `(standard-mix tps, new-order tps, latencies by label)`.
+/// Runs the Calvin baseline for `epochs` sequencer epochs. In each one,
+/// every warehouse sends `per_warehouse` requests, one warehouse after
+/// the other in turn. They are the requests its DrTM worker draws
+/// ([`StdMix`]), and a payment by last name finds the customer DrTM's
+/// index scan finds. Returns the standard-mix throughput and every
+/// request's `(label, latency ns)`.
+///
+/// # Panics
+///
+/// If TPC-C consistency condition 1 fails on the Calvin stores.
 pub fn calvin_run(
     mut calvin: Calvin,
     epochs: usize,
-    per_epoch: usize,
-    cross_no: f64,
-    cross_pay: f64,
-) -> (f64, f64, Vec<(&'static str, u64)>) {
-    let mut total = 0u64;
-    let mut new_orders = 0u64;
+    per_warehouse: usize,
+) -> (f64, Vec<(&'static str, u64)>) {
+    let cfg = calvin.cfg.clone();
+    let mut mixes: Vec<StdMix> = (0..cfg.nodes as NodeId)
+        .flat_map(|n| (0..cfg.workers).map(move |i| (n, i)))
+        .map(|(n, i)| StdMix::new(&cfg, n, i))
+        .collect();
+    let by_name = |_, _, name| Ok::<_, Infallible>(seed::customer_by_name(&cfg, name));
     let mut lats = Vec::new();
-    for e in 0..epochs {
-        let txns = calvin_mix(&calvin.cfg, per_epoch, e as u64, cross_no, cross_pay);
-        let rep = calvin.run_epoch(&txns);
-        total += rep.executed as u64;
-        new_orders += rep.latencies.iter().filter(|(l, _)| *l == "new_order").count() as u64;
-        lats.extend(rep.latencies);
+    for _ in 0..epochs {
+        let mut batch = Vec::with_capacity(per_warehouse * mixes.len());
+        for _ in 0..per_warehouse {
+            for mix in &mut mixes {
+                let Ok(req) = mix.next(&cfg, by_name);
+                batch.push(req);
+            }
+        }
+        lats.extend(calvin.run_epoch(&batch));
     }
-    let secs = calvin.now_ns() as f64 / 1e9;
-    (total as f64 / secs, new_orders as f64 / secs, lats)
+    assert!(calvin.check_ytd_consistency(), "Calvin: W_YTD must equal the sum of D_YTD");
+    (lats.len() as f64 / (calvin.now_ns() as f64 / 1e9), lats)
 }

@@ -19,10 +19,10 @@
 
 use std::collections::HashMap;
 
-use drtm_workloads::tpcc::keys;
+use drtm_workloads::tpcc::{keys, seed, Request, TpccConfig};
 
 use crate::store::{gkey, table, NodeStore};
-use crate::txns::CalvinTxn;
+use crate::txns::{locks, op_count};
 
 /// Epoch length in ns: Calvin's sequencer batches every 10 ms (Thomson
 /// et al., SIGMOD'12). A transaction also waits half an epoch, on
@@ -37,53 +37,12 @@ pub const LOCK_NS: u64 = 1_500;
 /// Executor cost per record operation: the local index work of a
 /// Calvin operation, calibrated against DrTM's walkers before PR 18
 /// halved their cost and not retuned since, so fig12's DrTM/Calvin
-/// ratio now reads above the paper's band (ROADMAP item 5).
+/// ratio, measured on the requests DrTM runs, reads above the paper's
+/// band.
 pub const OP_NS: u64 = 400;
 /// One-way cost of a read-result message between participants: the
 /// kernel path of IPoIB, the transport the paper runs Calvin over.
 pub const MSG_NS: u64 = 60_000;
-
-/// Calvin deployment parameters.
-#[derive(Debug, Clone)]
-pub struct CalvinConfig {
-    /// Machines in the cluster.
-    pub nodes: usize,
-    /// Executor threads per machine (the released Calvin hard-codes 8).
-    pub workers: usize,
-    /// Warehouses per machine.
-    pub warehouses_per_node: usize,
-    /// Districts per warehouse.
-    pub districts: u64,
-    /// Customers per district.
-    pub customers_per_district: u64,
-    /// Catalogue size.
-    pub items: u64,
-}
-
-impl Default for CalvinConfig {
-    fn default() -> Self {
-        CalvinConfig {
-            nodes: 2,
-            workers: 8,
-            warehouses_per_node: 8,
-            districts: 10,
-            customers_per_district: 120,
-            items: 2_000,
-        }
-    }
-}
-
-impl CalvinConfig {
-    /// Total warehouses.
-    pub fn warehouses(&self) -> u64 {
-        (self.nodes * self.warehouses_per_node) as u64
-    }
-
-    /// Owning node of a warehouse.
-    pub fn node_of(&self, w: u64) -> usize {
-        (w / self.warehouses_per_node as u64) as usize
-    }
-}
 
 #[derive(Debug, Clone, Copy, Default)]
 struct LockClock {
@@ -91,22 +50,11 @@ struct LockClock {
     write_release: u64,
 }
 
-/// Results of one executed epoch.
-#[derive(Debug, Clone, Default)]
-pub struct EpochReport {
-    /// Transactions executed.
-    pub executed: usize,
-    /// Virtual time when the epoch's last effect finished.
-    pub epoch_end_ns: u64,
-    /// Per-transaction `(label, latency ns)` including the average
-    /// half-epoch batching wait.
-    pub latencies: Vec<(&'static str, u64)>,
-}
-
 /// The Calvin baseline system.
 pub struct Calvin {
-    /// Deployment parameters.
-    pub cfg: CalvinConfig,
+    /// The TPC-C deployment it runs: DrTM's sizing, one warehouse per
+    /// executor (§7.2).
+    pub cfg: TpccConfig,
     stores: Vec<NodeStore>,
     sched_clock: Vec<u64>,
     worker_clock: Vec<Vec<u64>>,
@@ -115,51 +63,49 @@ pub struct Calvin {
 }
 
 impl Calvin {
-    /// Builds and populates a TPC-C database mirroring the DrTM layout.
-    pub fn build(cfg: CalvinConfig) -> Calvin {
+    /// Builds the TPC-C deployment `cfg` describes: `cfg.workers`
+    /// executors and warehouses per machine, loaded with the rows
+    /// [`drtm_workloads::tpcc::Tpcc::build`] populates.
+    pub fn build(cfg: &TpccConfig) -> Calvin {
         let stores: Vec<NodeStore> = (0..cfg.nodes).map(|_| NodeStore::default()).collect();
-        for (n, s) in stores.iter().enumerate() {
+        let per_node = cfg.workers as u64;
+        for (n, s) in (0u64..).zip(&stores) {
             for i in 0..cfg.items {
-                s.write(gkey(table::ITEM, i), vec![100 + (i * 37) % 9900, 0, 0]);
+                s.write(gkey(table::ITEM, i), &seed::item(i));
             }
-            for wl in 0..cfg.warehouses_per_node as u64 {
-                let w = n as u64 * cfg.warehouses_per_node as u64 + wl;
-                s.write(gkey(table::WAREHOUSE, keys::warehouse(w)), vec![0, 750]);
+            for w in n * per_node..(n + 1) * per_node {
+                s.write(gkey(table::WAREHOUSE, keys::warehouse(w)), &seed::warehouse());
                 for i in 0..cfg.items {
-                    s.write(gkey(table::STOCK, keys::stock(w, i)), vec![50 + (i % 50), 0, 0, 0]);
+                    s.write(gkey(table::STOCK, keys::stock(w, i)), &seed::stock(i));
                 }
                 for d in 0..cfg.districts {
-                    s.write(
-                        gkey(table::DISTRICT, keys::district(w, d)),
-                        vec![0, 850, cfg.customers_per_district],
-                    );
+                    s.write(gkey(table::DISTRICT, keys::district(w, d)), &seed::district(cfg));
                     for c in 0..cfg.customers_per_district {
-                        s.write(
-                            gkey(table::CUSTOMER, keys::customer(w, d, c)),
-                            vec![0, 0, 0, 0, c % 97],
-                        );
-                        let o = c;
-                        s.write(gkey(table::ORDER, keys::order(w, d, o)), vec![c, 0, 1, 1]);
-                        s.write(
-                            gkey(table::ORDER_LINE, keys::order_line(w, d, o, 0)),
-                            vec![o % cfg.items, w, 5, 500, 1],
-                        );
-                        if c * 3 >= cfg.customers_per_district * 2 {
-                            s.new_orders.lock().insert(keys::order(w, d, o));
+                        s.write(gkey(table::CUSTOMER, keys::customer(w, d, c)), &seed::customer(c));
+                        // Customer `c`'s one seed order has id `c`.
+                        s.write(gkey(table::ORDER, keys::order(w, d, c)), &seed::order(c));
+                        let line = seed::order_line(cfg, w, c);
+                        s.write(gkey(table::ORDER_LINE, keys::order_line(w, d, c, 0)), &line);
+                        if seed::undelivered(cfg, c) {
+                            s.new_orders.lock().insert(keys::order(w, d, c));
                         }
                     }
                 }
             }
         }
-        let worker_clock = vec![vec![0u64; cfg.workers]; cfg.nodes];
         Calvin {
             sched_clock: vec![0; cfg.nodes],
-            worker_clock,
+            worker_clock: vec![vec![0u64; cfg.workers]; cfg.nodes],
             locks: HashMap::new(),
             now_ns: 0,
             stores,
-            cfg,
+            cfg: cfg.clone(),
         }
+    }
+
+    /// The machine owning warehouse `w`.
+    fn node_of(&self, w: u64) -> usize {
+        self.cfg.node_of_warehouse(w) as usize
     }
 
     /// Current virtual time (total elapsed ns since start).
@@ -172,8 +118,10 @@ impl Calvin {
         &self.stores[n]
     }
 
-    /// Runs one sequencer epoch over `txns` (already in global order).
-    pub fn run_epoch(&mut self, txns: &[CalvinTxn]) -> EpochReport {
+    /// Runs one sequencer epoch over `txns` (already in global order);
+    /// returns every transaction's `(label, latency ns)`, the latency
+    /// including the average half-epoch batching wait.
+    pub fn run_epoch(&mut self, txns: &[Request]) -> Vec<(&'static str, u64)> {
         let epoch_start = self.now_ns;
         // The batch closes a full epoch after it opened, then the
         // sequencer replicates/dispatches it.
@@ -181,115 +129,75 @@ impl Calvin {
         for c in &mut self.sched_clock {
             *c = (*c).max(seq_done);
         }
-        let mut report = EpochReport::default();
-
+        let mut latencies = Vec::with_capacity(txns.len());
         for txn in txns {
-            let locks = txn.locks();
+            let locks = locks(txn, self.cfg.districts);
             // Participant nodes and their lock shares.
             let mut per_node: HashMap<usize, Vec<(u64, bool)>> = HashMap::new();
             for &(w, key, write) in &locks {
-                per_node.entry(self.cfg.node_of(w)).or_default().push((key, write));
+                per_node.entry(self.node_of(w)).or_default().push((key, write));
             }
-            // Serial lock manager grant on each participant.
-            let mut grant: HashMap<usize, u64> = HashMap::new();
-            for (&n, ls) in &per_node {
+            // Each participant: the serial lock manager's grant, then an
+            // executor once it is free and the lock queues let it start,
+            // then the local reads, costed by the node's share of locks.
+            let exec_cost = op_count(txn, self.cfg.districts) * OP_NS;
+            let mut parts = Vec::with_capacity(per_node.len());
+            for (n, ls) in per_node {
                 self.sched_clock[n] += LOCK_NS * ls.len() as u64;
-                grant.insert(n, self.sched_clock[n]);
-            }
-            // Start: worker availability + lock queues.
-            let mut start: HashMap<usize, u64> = HashMap::new();
-            let mut picked: HashMap<usize, usize> = HashMap::new();
-            for (&n, ls) in &per_node {
                 let (wid, &free) = self.worker_clock[n]
                     .iter()
                     .enumerate()
                     .min_by_key(|&(_, &t)| t)
                     .expect("workers > 0");
-                let mut s = free.max(grant[&n]);
-                for &(key, write) in ls {
+                let mut start = free.max(self.sched_clock[n]);
+                for &(key, write) in &ls {
                     let lc = self.locks.entry((n, key)).or_default();
-                    s = s.max(lc.write_release);
+                    start = start.max(lc.write_release);
                     if write {
-                        s = s.max(lc.read_release);
+                        start = start.max(lc.read_release);
                     }
                 }
-                start.insert(n, s);
-                picked.insert(n, wid);
+                let share = exec_cost * ls.len() as u64 / locks.len() as u64;
+                parts.push((n, wid, start + share.max(OP_NS), ls));
             }
-            // Local read/execute phase: cost split by lock share.
-            let total_locks = locks.len().max(1) as u64;
-            let exec_cost = txn.op_count() * OP_NS;
-            let mut read_done: HashMap<usize, u64> = HashMap::new();
-            for (&n, ls) in &per_node {
-                let share = exec_cost * ls.len() as u64 / total_locks;
-                read_done.insert(n, start[&n] + share.max(OP_NS));
-            }
-            // Read exchange among participants (one message per pair).
-            let multi = per_node.len() > 1;
-            let mut finish: HashMap<usize, u64> = HashMap::new();
-            for &n in per_node.keys() {
-                let mut f = read_done[&n];
-                if multi {
-                    for (&m, &rd) in &read_done {
-                        if m != n {
-                            f = f.max(rd + MSG_NS);
-                        }
-                    }
-                }
-                finish.insert(n, f);
-            }
-            // Release locks and occupy workers.
-            for (&n, ls) in &per_node {
-                let f = finish[&n];
-                self.worker_clock[n][picked[&n]] = f;
+            // Read exchange (one message per pair of participants), then
+            // the locks are released and the executors freed.
+            let home = self.node_of(txn.warehouse());
+            for (n, wid, read_done, ls) in &parts {
+                let others = parts.iter().filter(|p| p.0 != *n).map(|p| p.2 + MSG_NS);
+                let finish = others.fold(*read_done, u64::max);
+                self.worker_clock[*n][*wid] = finish;
                 for &(key, write) in ls {
-                    let lc = self.locks.entry((n, key)).or_default();
-                    if write {
-                        lc.write_release = lc.write_release.max(f);
-                    } else {
-                        lc.read_release = lc.read_release.max(f);
-                    }
+                    let lc = self.locks.entry((*n, key)).or_default();
+                    let release = if write { &mut lc.write_release } else { &mut lc.read_release };
+                    *release = (*release).max(finish);
+                }
+                if *n == home {
+                    latencies.push((txn.label(), finish - epoch_start + EPOCH_NS / 2));
                 }
             }
             // Apply the data operations for real.
             self.apply(txn);
-            let home = self.cfg.node_of(match txn {
-                CalvinTxn::NewOrder { w, .. }
-                | CalvinTxn::Payment { w, .. }
-                | CalvinTxn::OrderStatus { w, .. }
-                | CalvinTxn::Delivery { w, .. }
-                | CalvinTxn::StockLevel { w, .. } => *w,
-            });
-            let lat = finish[&home] - epoch_start + EPOCH_NS / 2;
-            report.latencies.push((txn.label(), lat));
-            report.executed += 1;
         }
-
-        let end = self
-            .worker_clock
-            .iter()
-            .flatten()
-            .copied()
-            .chain(self.sched_clock.iter().copied())
-            .max()
-            .unwrap_or(epoch_start);
-        self.now_ns = end;
-        report.epoch_end_ns = end;
-        report
+        let clocks = self.worker_clock.iter().flatten().chain(&self.sched_clock);
+        self.now_ns = clocks.copied().max().unwrap_or(epoch_start);
+        latencies
     }
 
     /// Applies a transaction's data operations.
-    fn apply(&self, txn: &CalvinTxn) {
+    fn apply(&self, txn: &Request) {
         match txn {
-            CalvinTxn::NewOrder { w, d, c, lines } => {
-                let home = &self.stores[self.cfg.node_of(*w)];
+            // An unused item number rolls the order back before it writes.
+            Request::NewOrder { invalid: true, .. } => {}
+            Request::NewOrder { w, d, c, lines, .. } => {
+                let home = &self.stores[self.node_of(*w)];
                 let mut o_id = 0;
                 home.update(gkey(table::DISTRICT, keys::district(*w, *d)), |v| {
                     o_id = v[2];
                     v[2] += 1;
                 });
                 for &(i, supply, qty) in lines {
-                    let s = &self.stores[self.cfg.node_of(supply)];
+                    let s = &self.stores[self.node_of(supply)];
                     s.update(gkey(table::STOCK, keys::stock(supply, i)), |v| {
                         v[0] = if v[0] >= qty + 10 { v[0] - qty } else { v[0] + 91 - qty };
                         v[1] = v[1].wrapping_add(qty);
@@ -301,37 +209,37 @@ impl Calvin {
                 }
                 home.write(
                     gkey(table::ORDER, keys::order(*w, *d, o_id)),
-                    vec![*c, 0, 0, lines.len() as u64],
+                    &[*c, 0, 0, lines.len() as u64],
                 );
                 for (k, &(i, supply, qty)) in lines.iter().enumerate() {
                     home.write(
                         gkey(table::ORDER_LINE, keys::order_line(*w, *d, o_id, k as u64)),
-                        vec![i, supply, qty, qty * 100, 0],
+                        &[i, supply, qty, qty * 100, 0],
                     );
                 }
                 home.new_orders.lock().insert(keys::order(*w, *d, o_id));
             }
-            CalvinTxn::Payment { w, d, c_w, c_d, c, h } => {
-                let home = &self.stores[self.cfg.node_of(*w)];
+            Request::Payment { w, d, c_w, c_d, c, h } => {
+                let home = &self.stores[self.node_of(*w)];
                 home.update(gkey(table::WAREHOUSE, keys::warehouse(*w)), |v| {
                     v[0] = v[0].wrapping_add(*h)
                 });
                 home.update(gkey(table::DISTRICT, keys::district(*w, *d)), |v| {
                     v[0] = v[0].wrapping_add(*h)
                 });
-                let cs = &self.stores[self.cfg.node_of(*c_w)];
+                let cs = &self.stores[self.node_of(*c_w)];
                 cs.update(gkey(table::CUSTOMER, keys::customer(*c_w, *c_d, *c)), |v| {
                     v[0] = v[0].wrapping_sub(*h);
                     v[1] = v[1].wrapping_add(*h);
                     v[2] += 1;
                 });
             }
-            CalvinTxn::OrderStatus { w, d, c } => {
-                let home = &self.stores[self.cfg.node_of(*w)];
+            Request::OrderStatus { w, d, c } => {
+                let home = &self.stores[self.node_of(*w)];
                 let _ = home.read(gkey(table::CUSTOMER, keys::customer(*w, *d, *c)));
             }
-            CalvinTxn::Delivery { w, carrier } => {
-                let home = &self.stores[self.cfg.node_of(*w)];
+            Request::Delivery { w, carrier } => {
+                let home = &self.stores[self.node_of(*w)];
                 for d in 0..self.cfg.districts {
                     let (lo, hi) = keys::new_order_range(*w, d);
                     let picked = {
@@ -350,8 +258,8 @@ impl Calvin {
                     });
                 }
             }
-            CalvinTxn::StockLevel { w, d, .. } => {
-                let home = &self.stores[self.cfg.node_of(*w)];
+            Request::StockLevel { w, d, .. } => {
+                let home = &self.stores[self.node_of(*w)];
                 let _ = home.read(gkey(table::DISTRICT, keys::district(*w, *d)));
             }
         }
@@ -360,7 +268,7 @@ impl Calvin {
     /// TPC-C consistency condition 1 on the Calvin stores.
     pub fn check_ytd_consistency(&self) -> bool {
         for w in 0..self.cfg.warehouses() {
-            let s = &self.stores[self.cfg.node_of(w)];
+            let s = &self.stores[self.node_of(w)];
             let w_ytd = s.read(gkey(table::WAREHOUSE, keys::warehouse(w))).expect("warehouse")[0];
             let d_sum: u64 = (0..self.cfg.districts)
                 .map(|d| s.read(gkey(table::DISTRICT, keys::district(w, d))).expect("district")[0])
@@ -377,58 +285,61 @@ impl Calvin {
 mod tests {
     use super::*;
 
-    fn tiny() -> CalvinConfig {
-        CalvinConfig {
+    fn tiny() -> Calvin {
+        Calvin::build(&TpccConfig {
             nodes: 2,
             workers: 2,
-            warehouses_per_node: 2,
             districts: 3,
             customers_per_district: 10,
             items: 50,
-        }
+            ..Default::default()
+        })
+    }
+
+    fn pay(w: u64, d: u64, c: u64, h: u64) -> Request {
+        Request::Payment { w, d, c_w: w, c_d: d, c, h }
+    }
+
+    fn new_order(d: u64, c: u64, lines: Vec<(u64, u64, u64)>) -> Request {
+        Request::NewOrder { w: 0, d, c, lines, invalid: false }
     }
 
     #[test]
     fn epoch_executes_and_time_advances() {
-        let mut c = Calvin::build(tiny());
-        let txns: Vec<CalvinTxn> = (0..20)
-            .map(|k| CalvinTxn::Payment { w: k % 4, d: 0, c_w: k % 4, c_d: 0, c: k % 10, h: 10 })
-            .collect();
+        let mut c = tiny();
+        let txns: Vec<Request> = (0..20).map(|k| pay(k % 4, 0, k % 10, 10)).collect();
         let r = c.run_epoch(&txns);
-        assert_eq!(r.executed, 20);
+        assert_eq!(r.len(), 20);
         assert!(c.now_ns() >= EPOCH_NS, "epoch batching dominates");
         assert!(c.check_ytd_consistency());
     }
 
     #[test]
     fn latency_is_epoch_bound() {
-        let mut c = Calvin::build(tiny());
-        let r = c.run_epoch(&[CalvinTxn::OrderStatus { w: 0, d: 0, c: 1 }]);
+        let mut c = tiny();
+        let r = c.run_epoch(&[Request::OrderStatus { w: 0, d: 0, c: 1 }]);
         // Even a trivial transaction pays the batching latency (the paper
         // reports ~6 ms p50 for Calvin vs µs for DrTM, Table 6).
-        assert!(r.latencies[0].1 >= EPOCH_NS / 2);
+        assert!(r[0].1 >= EPOCH_NS / 2);
     }
 
     #[test]
     fn conflicting_txns_serialize_in_virtual_time() {
-        let mut c = Calvin::build(tiny());
+        let mut c = tiny();
         // Two payments on the same warehouse row must not overlap.
-        let txns = vec![
-            CalvinTxn::Payment { w: 0, d: 0, c_w: 0, c_d: 0, c: 0, h: 1 },
-            CalvinTxn::Payment { w: 0, d: 1, c_w: 0, c_d: 1, c: 1, h: 1 },
-        ];
+        let txns = vec![pay(0, 0, 0, 1), pay(0, 1, 1, 1)];
         let r = c.run_epoch(&txns);
-        let gap = r.latencies[1].1 as i64 - r.latencies[0].1 as i64;
+        let gap = r[1].1 as i64 - r[0].1 as i64;
         assert!(gap > 0, "second conflicting txn must finish later (gap {gap})");
     }
 
     #[test]
     fn distributed_txn_pays_message_latency() {
-        let mut c = Calvin::build(tiny());
-        let local = CalvinTxn::NewOrder { w: 0, d: 0, c: 0, lines: vec![(1, 0, 1)] };
-        let dist = CalvinTxn::NewOrder { w: 0, d: 1, c: 0, lines: vec![(1, 2, 1)] }; // wh 2 = node 1
+        let mut c = tiny();
+        let local = new_order(0, 0, vec![(1, 0, 1)]);
+        let dist = new_order(1, 0, vec![(1, 2, 1)]); // wh 2 = node 1
         let r = c.run_epoch(&[local, dist]);
-        let (l_lat, d_lat) = (r.latencies[0].1, r.latencies[1].1);
+        let (l_lat, d_lat) = (r[0].1, r[1].1);
         assert!(
             d_lat >= l_lat + MSG_NS / 2,
             "distributed txn must pay messaging: {l_lat} vs {d_lat}"
@@ -437,18 +348,13 @@ mod tests {
 
     #[test]
     fn new_order_then_delivery_consistent() {
-        let mut c = Calvin::build(tiny());
-        let no: Vec<CalvinTxn> = (0..6)
-            .map(|k| CalvinTxn::NewOrder {
-                w: 0,
-                d: k % 3,
-                c: k % 10,
-                lines: vec![(k % 50, 0, 2), ((k + 1) % 50, 0, 1)],
-            })
+        let mut c = tiny();
+        let no: Vec<Request> = (0..6)
+            .map(|k| new_order(k % 3, k % 10, vec![(k % 50, 0, 2), ((k + 1) % 50, 0, 1)]))
             .collect();
         c.run_epoch(&no);
         let before = c.store(0).new_orders.lock().len();
-        c.run_epoch(&[CalvinTxn::Delivery { w: 0, carrier: 3 }]);
+        c.run_epoch(&[Request::Delivery { w: 0, carrier: 3 }]);
         let after = c.store(0).new_orders.lock().len();
         assert_eq!(after, before - 3, "one delivered per non-empty district");
     }

@@ -13,6 +13,12 @@
 //! constants of the engine ([`EPOCH_NS`], [`LOCK_NS`], [`MSG_NS`]). The
 //! engine charges its own clocks and uses no fabric.
 //!
+//! It runs DrTM's TPC-C, not a copy: [`Calvin::build`] takes the
+//! [`TpccConfig`](drtm_workloads::tpcc::TpccConfig) the DrTM legs get and
+//! loads the rows of `tpcc::seed`, and [`Calvin::run_epoch`] sequences
+//! the [`Request`](drtm_workloads::tpcc::Request)s a `tpcc::StdMix`
+//! draws, so both systems of Figure 12 run the same inputs.
+//!
 //! The engine executes *real* data operations against per-node stores
 //! (so TPC-C consistency is checkable) while tracking time with explicit
 //! per-worker/per-lock virtual clocks — a discrete-event treatment that
@@ -24,8 +30,5 @@ mod engine;
 mod store;
 mod txns;
 
-pub use engine::{
-    Calvin, CalvinConfig, EpochReport, EPOCH_NS, LOCK_NS, MSG_NS, OP_NS, SEQ_NS_PER_TXN,
-};
+pub use engine::{Calvin, EPOCH_NS, LOCK_NS, MSG_NS, OP_NS, SEQ_NS_PER_TXN};
 pub use store::gkey;
-pub use txns::CalvinTxn;

@@ -48,8 +48,8 @@ impl NodeStore {
     }
 
     /// Writes (or creates) a row.
-    pub fn write(&self, key: u64, fields: Vec<u64>) {
-        self.kv.write().insert(key, fields);
+    pub fn write(&self, key: u64, fields: &[u64]) {
+        self.kv.write().insert(key, fields.to_vec());
     }
 
     /// Applies `f` to a row in place; returns false if absent.
@@ -61,16 +61,6 @@ impl NodeStore {
             }
             None => false,
         }
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.kv.read().len()
-    }
-
-    /// True if the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -87,7 +77,7 @@ mod tests {
     #[test]
     fn store_roundtrip_and_update() {
         let s = NodeStore::default();
-        s.write(1, vec![10, 20]);
+        s.write(1, &[10, 20]);
         assert_eq!(s.read(1), Some(vec![10, 20]));
         assert!(s.update(1, |v| v[0] += 1));
         assert_eq!(s.read(1).unwrap()[0], 11);

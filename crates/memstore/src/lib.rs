@@ -50,8 +50,8 @@ pub use cluster_hash::{
 pub use entry::{Entry, EntryHeader, ENTRY_HEADER_BYTES};
 pub use journal::Journal;
 pub use reshard::{
-    MigratePhase, MigrationReport, PurgeLock, RangeMap, RangeMapError, RangeState, ReshardStats,
-    Resharder, RouteDecision,
+    MigratePhase, MigrationReport, PurgeLock, RangeMap, RangeMapError, RangeState, Resharder,
+    RouteDecision,
 };
 pub use slot::{Slot, SlotType, SLOT_BYTES};
 pub use split_ordered::ElasticHash;

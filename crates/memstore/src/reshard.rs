@@ -501,20 +501,6 @@ impl RangeMap {
     }
 }
 
-drtm_htm::counter_set! {
-    /// The shared cells behind [`Resharder::stats`].
-    struct ReshardCounters;
-    /// Counters of one [`Resharder`] (monotonic across migrations).
-    pub struct ReshardStats {
-        /// Completed migrations.
-        migrations,
-        /// Keys moved (bulk copy + delta).
-        keys_moved,
-        /// Bytes moved over the fabric by copy and delta passes.
-        bytes_moved,
-    }
-}
-
 /// Report of one completed migration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationReport {
@@ -550,7 +536,6 @@ pub struct Resharder {
     reply_q: QueueId,
     exec: Executor,
     phase_hook: RwLock<Option<PhaseHook>>,
-    stats: ReshardCounters,
 }
 
 impl std::fmt::Debug for Resharder {
@@ -580,7 +565,6 @@ impl Resharder {
             reply_q,
             exec,
             phase_hook: RwLock::new(None),
-            stats: ReshardCounters::default(),
         }
     }
 
@@ -617,11 +601,6 @@ impl Resharder {
     /// The range map this resharder transitions.
     pub fn map(&self) -> &Arc<RangeMap> {
         &self.map
-    }
-
-    /// Returns a copy of the migration counters.
-    pub fn stats(&self) -> ReshardStats {
-        self.stats.snapshot()
     }
 
     /// Migrates `[lo, hi]` from its current owner to `dst`, driven from
@@ -732,9 +711,6 @@ impl Resharder {
         // Phase 4: publish. New resolutions route to dst; writers that
         // aborted Migrated during cutover retry against the new owner.
         let epoch = self.map.publish(lo, hi);
-        self.stats.migrations.inc();
-        self.stats.keys_moved.add(purged as u64);
-        self.stats.bytes_moved.add(bytes);
         Ok(MigrationReport { copied, purged, recopied, bytes, epoch })
     }
 
@@ -789,7 +765,6 @@ impl Resharder {
                 .expect("receiver shard out of space during evacuation");
             from_shard.delete(&self.exec, from_region, row.key);
         }
-        self.stats.keys_moved.add(moved);
         moved
     }
 }
@@ -1031,9 +1006,6 @@ mod tests {
                 );
             }
         }
-        let s = rig.resharder.stats();
-        assert_eq!(s.migrations, 1);
-        assert_eq!(s.keys_moved, 50);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use drtm_core::{
     MembershipCoordinator, MembershipError, MembershipTable, NodeRecovery, NodeState, RecordAddr,
     TxnCtx, TxnError, TxnSpec, Worker, SOFTTIME_INTERVAL, USER_ABORT,
 };
-use drtm_htm::{Executor, HtmStats, Region};
+use drtm_htm::{Executor, HtmStats};
 use drtm_memstore::rpc::spawn_store_service;
 use drtm_memstore::{
     Arena, ClusterHash, LocationCache, MigrationReport, RangeMap, Resharder, RouteDecision,
@@ -36,7 +36,7 @@ use drtm_rdma::{
     ClusterConfig, DoorbellConfig, FabricError, FaultConfig, GlobalAddr, LatencyProfile, NodeId,
 };
 
-use crate::resolve::Caches;
+use crate::resolve::{read_local, Caches};
 use crate::{fields, pack_fields};
 
 /// Initial value of every key.
@@ -189,7 +189,7 @@ impl ElasticKv {
         self.resharder.map()
     }
 
-    /// The resharder (phase hooks, migration stats).
+    /// The resharder (phase hooks).
     pub fn resharder(&self) -> &Arc<Resharder> {
         &self.resharder
     }
@@ -468,13 +468,6 @@ fn put(ctx: &mut TxnCtx<'_>, (local, i): WriteSlot, v: u64) -> Result<(), Abort>
         ctx.remote_write(i, pack_fields(&[v]));
         Ok(())
     }
-}
-
-/// Validated read of `key`'s value bytes in the shard of `region`'s node.
-fn read_local(exec: &Executor, region: &Region, shard: &ClusterHash, key: u64) -> Option<Vec<u8>> {
-    let row = LocalKey { table: shard, key };
-    let found = exec.run(region, |txn| row.read(txn));
-    found.expect("a read never aborts itself").map(|(_, value)| value)
 }
 
 #[cfg(test)]

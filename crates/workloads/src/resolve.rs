@@ -119,9 +119,7 @@ impl Table {
         node: NodeId,
         key: u64,
     ) -> Option<Vec<u8>> {
-        let row = self.local(node, key);
-        let found = exec.run(region, |txn| row.read(txn));
-        found.expect("a read never aborts itself").map(|(_, value)| value)
+        read_local(exec, region, self.shard(node), key)
     }
 
     /// [`Table::resolve`] with typed dead-peer reporting: a warm cache
@@ -146,6 +144,19 @@ impl Table {
                 .map(|(addr, _slot, _reads)| RecordAddr::new(addr, cap)))
         }
     }
+}
+
+/// Validated read of `key`'s value bytes in `shard`, the shard of
+/// `region`'s machine, outside any worker: one stand-alone region.
+pub(crate) fn read_local(
+    exec: &Executor,
+    region: &Region,
+    shard: &ClusterHash,
+    key: u64,
+) -> Option<Vec<u8>> {
+    let row = LocalKey { table: shard, key };
+    let found = exec.run(region, |txn| row.read(txn));
+    found.expect("a read never aborts itself").map(|(_, value)| value)
 }
 
 #[cfg(test)]

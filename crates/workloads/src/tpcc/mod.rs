@@ -13,9 +13,11 @@
 //! scale knob is in [`TpccConfig`].
 
 pub mod keys;
+mod mix;
 pub mod scan_rpc;
 mod txns;
 
+pub use mix::{Request, StdMix};
 pub use txns::TpccWorker;
 
 use std::sync::Arc;
@@ -129,6 +131,73 @@ pub mod val {
     pub const HISTORY: usize = 40;
 }
 
+/// The initial database, one function per table: what [`Tpcc::build`]
+/// populates and the Calvin baseline loads into its own stores, so the
+/// two systems of Figure 12 start from the same rows.
+pub mod seed {
+    use super::{hash16, TpccConfig};
+
+    /// Item `i`, replicated on every machine.
+    pub fn item(i: u64) -> [u64; 3] {
+        [100 + (i * 37) % 9900, hash16(i), hash16(i * 3)] // price in cents
+    }
+
+    /// Every warehouse.
+    pub fn warehouse() -> [u64; 2] {
+        [0, 750]
+    }
+
+    /// Every district: the next order id follows the seed orders.
+    pub fn district(cfg: &TpccConfig) -> [u64; 3] {
+        [0, 850, cfg.customers_per_district]
+    }
+
+    /// Customer `c`'s last-name id: clustered last names, like the spec's
+    /// NURand.
+    pub fn last_name(c: u64) -> u64 {
+        c % 97
+    }
+
+    /// Customer `c` of any district.
+    pub fn customer(c: u64) -> [u64; 5] {
+        [0, 0, 0, 0, last_name(c)]
+    }
+
+    /// Item `i`'s stock in any warehouse.
+    pub fn stock(i: u64) -> [u64; 4] {
+        [50 + (i % 50), 0, 0, 0]
+    }
+
+    /// Customer `c`'s one seed order, whose id is `c`.
+    pub fn order(c: u64) -> [u64; 4] {
+        [c, 0, 1, 1]
+    }
+
+    /// The one line of warehouse `w`'s seed order `o`.
+    pub fn order_line(cfg: &TpccConfig, w: u64, o: u64) -> [u64; 5] {
+        [o % cfg.items, w, 5, 500, 1]
+    }
+
+    /// Whether seed order `o` is undelivered: the youngest third are.
+    pub fn undelivered(cfg: &TpccConfig, o: u64) -> bool {
+        o * 3 >= cfg.customers_per_district * 2
+    }
+
+    /// The customer a payment by last name `name_id` selects in any
+    /// district: the middle one of the first 64 the customer-name index
+    /// lists under the name's hash, in id order, which is what
+    /// `TpccWorker`'s index scan finds (nothing inserts into that index
+    /// after population). `None`: no customer carries the name.
+    pub fn customer_by_name(cfg: &TpccConfig, name_id: u64) -> Option<u64> {
+        let h = hash16(name_id);
+        let named: Vec<u64> = (0..cfg.customers_per_district)
+            .filter(|&c| hash16(last_name(c)) == h)
+            .take(64)
+            .collect();
+        named.get(named.len() / 2).copied()
+    }
+}
+
 /// A built TPC-C deployment.
 pub struct Tpcc {
     /// The transaction system.
@@ -195,21 +264,42 @@ impl Tpcc {
         let cust_order_idx = dep.tree(BTree::pool_for(order_cap));
         let cust_name_idx = dep.tree(BTree::pool_for(custs));
 
+        // Population, machine by machine: the replicated item catalogue,
+        // then its warehouses' rows and index entries.
         for n in dep.nodes() {
-            let i = n as usize;
-            let pop = Pop {
-                w: &warehouse[i],
-                d: &district[i],
-                c: &customer[i],
-                s: &stock[i],
-                i: &item[i],
-                o: &order[i],
-                ol: &order_line[i],
-                no: &new_order_idx[i],
-                co: &cust_order_idx[i],
-                cn: &cust_name_idx[i],
+            let (i, region, exec) = (n as usize, dep.region(n), dep.exec());
+            let put = |table: &[Arc<ClusterHash>], key: u64, row: &[u64]| {
+                table[i].insert(exec, region, key, &pack_fields(row)).expect("table full");
             };
-            populate_node(&cfg, n, dep.region(n), dep.exec(), pop);
+            let index = |tree: &[Arc<BTree>], k: u64, v: u64| {
+                exec.run(region, |txn| tree[i].insert(txn, k, v)).expect("tree pool exhausted");
+            };
+            for it in 0..cfg.items {
+                put(&item, it, &seed::item(it));
+            }
+            let per_node = wh_per_node as u64;
+            for w in n as u64 * per_node..(n as u64 + 1) * per_node {
+                put(&warehouse, keys::warehouse(w), &seed::warehouse());
+                for d in 0..cfg.districts {
+                    put(&district, keys::district(w, d), &seed::district(&cfg));
+                    for c in 0..cfg.customers_per_district {
+                        put(&customer, keys::customer(w, d, c), &seed::customer(c));
+                        let name = hash16(seed::last_name(c));
+                        index(&cust_name_idx, keys::cust_name(w, d, name, c), c);
+                        // Customer `c`'s one seed order has id `c`.
+                        put(&order, keys::order(w, d, c), &seed::order(c));
+                        let line = seed::order_line(&cfg, w, c);
+                        put(&order_line, keys::order_line(w, d, c, 0), &line);
+                        index(&cust_order_idx, keys::cust_order(w, d, c, c), c);
+                        if seed::undelivered(&cfg, c) {
+                            index(&new_order_idx, keys::order(w, d, c), c);
+                        }
+                    }
+                }
+                for it in 0..cfg.items {
+                    put(&stock, keys::stock(w, it), &seed::stock(it));
+                }
+            }
         }
 
         let sys = dep.start(SOFTTIME_INTERVAL);
@@ -297,87 +387,6 @@ impl Tpcc {
     }
 }
 
-struct Pop<'a> {
-    w: &'a ClusterHash,
-    d: &'a ClusterHash,
-    c: &'a ClusterHash,
-    s: &'a ClusterHash,
-    i: &'a ClusterHash,
-    o: &'a ClusterHash,
-    ol: &'a ClusterHash,
-    no: &'a BTree,
-    co: &'a BTree,
-    cn: &'a BTree,
-}
-
-/// Standard TPC-C population for one machine (its warehouses + the
-/// replicated item catalogue).
-fn populate_node(
-    cfg: &TpccConfig,
-    n: NodeId,
-    region: &drtm_htm::Region,
-    exec: &Executor,
-    t: Pop<'_>,
-) {
-    use keys::*;
-    // Item catalogue: replicated identically on every machine.
-    for i in 0..cfg.items {
-        let price = 100 + (i * 37) % 9900; // cents
-        t.i.insert(exec, region, i, &pack_fields(&[price, hash16(i), hash16(i * 3)]))
-            .expect("item");
-    }
-    let wh_per_node = cfg.workers as u64;
-    for wl in 0..wh_per_node {
-        let w = n as u64 * wh_per_node + wl;
-        t.w.insert(exec, region, warehouse(w), &pack_fields(&[0, 750])).expect("warehouse");
-        for d in 0..cfg.districts {
-            t.d.insert(
-                exec,
-                region,
-                district(w, d),
-                &pack_fields(&[0, 850, cfg.customers_per_district]),
-            )
-            .expect("district");
-            for c in 0..cfg.customers_per_district {
-                let last_name_id = c % 97; // clustered last names, like the spec's NURand
-                t.c.insert(
-                    exec,
-                    region,
-                    customer(w, d, c),
-                    &pack_fields(&[0, 0, 0, 0, last_name_id]),
-                )
-                .expect("customer");
-                tree_insert(region, exec, t.cn, cust_name(w, d, hash16(last_name_id), c), c);
-                // One seed order per customer (order id = customer id).
-                let o = c;
-                t.o.insert(exec, region, order(w, d, o), &pack_fields(&[c, 0, 1, 1]))
-                    .expect("order");
-                t.ol.insert(
-                    exec,
-                    region,
-                    order_line(w, d, o, 0),
-                    &pack_fields(&[o % cfg.items, w, 5, 500, 1]),
-                )
-                .expect("order line");
-                tree_insert(region, exec, t.co, cust_order(w, d, c, o), o);
-                // The youngest third of seed orders are undelivered.
-                if c * 3 >= cfg.customers_per_district * 2 {
-                    tree_insert(region, exec, t.no, order(w, d, o), o);
-                }
-            }
-        }
-        for i in 0..cfg.items {
-            t.s.insert(exec, region, stock(w, i), &pack_fields(&[50 + (i % 50), 0, 0, 0]))
-                .expect("stock");
-        }
-    }
-}
-
-/// Committed standalone tree insert (population only).
-fn tree_insert(region: &drtm_htm::Region, exec: &Executor, tree: &BTree, k: u64, v: u64) {
-    exec.run(region, |txn| tree.insert(txn, k, v)).expect("tree pool exhausted");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,6 +459,27 @@ mod tests {
             for (tree, want) in trees.iter().zip(TREES) {
                 let d = tree[n as usize].desc();
                 assert_eq!((d.node, [d.meta_base, d.pool_base, d.pool_cap]), (n, want));
+            }
+        }
+    }
+
+    /// The by-name rule written once for the Calvin baseline answers what
+    /// DrTM's scan of the customer-name index does, for every last name,
+    /// at the harnesses' 60 customers per district and the default 120.
+    #[test]
+    fn the_by_name_rule_is_the_name_index_scan() {
+        for customers_per_district in [60, 120] {
+            let cfg = TpccConfig { nodes: 1, workers: 1, customers_per_district, ..tiny() };
+            let t = Tpcc::build(cfg.clone());
+            let (exec, region) = (t.sys.executor(), t.sys.cluster().node(0).region());
+            let names = &t.cust_name_idx[0];
+            for name_id in 0..97 {
+                let (lo, hi) = keys::cust_name_range(0, 2, hash16(name_id));
+                let scan = exec.run(region, |txn| names.scan_range(txn, lo, hi, 64));
+                let scan = scan.expect("a scan never aborts itself");
+                let want = scan.get(scan.len() / 2).map(|&(_, c)| c);
+                assert_eq!(seed::customer_by_name(&cfg, name_id), want, "name {name_id}");
+                assert_eq!(want.is_some(), name_id < customers_per_district);
             }
         }
     }

@@ -1,4 +1,5 @@
-//! The five TPC-C transactions on DrTM (§7.1–§7.3).
+//! The five TPC-C transactions on DrTM (§7.1–§7.3), each running a
+//! [`Request`] its worker's [`StdMix`] drew.
 //!
 //! Local rows are declared by key and looked up inside the transaction's
 //! own HTM region; only a remote row needs an address before Start.
@@ -9,10 +10,10 @@
 //!   HTM region, and aborts ~1 % of the time on an invalid item (the
 //!   user-initiated abort allowed in the first transaction piece).
 //! * **payment** — updates warehouse/district YTD and a customer that is
-//!   remote 15 % of the time; 60 % of local payments select the customer
-//!   by last name through the ordered index (remote ones use the
-//!   customer id — the paper instead ships the whole transaction to the
-//!   remote machine, §6.5; both keep ordered-store accesses local).
+//!   remote 15 % of the time; 60 % of payments select the customer by
+//!   last name through the ordered index, a remote customer's by a scan
+//!   shipped to their machine (the paper ships the whole transaction,
+//!   §6.5; both keep ordered-store accesses local).
 //! * **order-status** — read-only (§4.5): one reconnaissance region
 //!   finds the customer, their last order and its lines, one wave leases
 //!   them all.
@@ -25,23 +26,18 @@
 
 use std::sync::Arc;
 
-use rand::rngs::SmallRng;
-use rand::Rng;
-
 use drtm_core::{Abort, ChopInfo, RecordAddr, TxnError, TxnSpec, Worker, USER_ABORT};
 use drtm_rdma::NodeId;
 
-use crate::dist::rng;
 use crate::resolve::Table;
-use crate::tpcc::{hash16, keys, read_row, Tpcc};
+use crate::tpcc::{hash16, keys, read_row, Request, StdMix, Tpcc};
 use crate::{fields, pack_fields, tolerate_user_abort};
 
 /// Per-thread TPC-C driver bound to one home warehouse.
 pub struct TpccWorker {
     t: Arc<Tpcc>,
     w: Worker,
-    rng: SmallRng,
-    home_w: u64,
+    mix: StdMix,
     hseq: u64,
 }
 
@@ -57,12 +53,10 @@ fn row(value: Option<Vec<u8>>) -> Vec<u64> {
 
 impl TpccWorker {
     pub(crate) fn new(t: Arc<Tpcc>, node: NodeId, worker_id: usize) -> TpccWorker {
-        let home_w = node as u64 * t.cfg.workers as u64 + worker_id as u64;
         TpccWorker {
             w: t.sys.worker(node, worker_id),
-            rng: rng((node as u64) << 32 | worker_id as u64 | 0x7AC0_5EED),
+            mix: StdMix::new(&t.cfg, node, worker_id),
             t,
-            home_w,
             hseq: 0,
         }
     }
@@ -78,10 +72,6 @@ impl TpccWorker {
         debug_assert_ne!(node, self.w.node, "a local row is declared by key");
         let found = table.try_resolve(&self.w, node, key)?;
         Ok(found.unwrap_or_else(|| panic!("missing row {key:#x}")))
-    }
-
-    fn node_of(&self, w: u64) -> NodeId {
-        self.t.cfg.node_of_warehouse(w)
     }
 
     /// Runs one transaction from the standard mix (NEW 45 %, PAY 43 %,
@@ -101,49 +91,70 @@ impl TpccWorker {
     /// aborts (new-order's invalid item, a lost delivery race) are a
     /// normal outcome of the mix, as in the `try_*` functions below.
     pub fn try_run_one(&mut self) -> Result<&'static str, TxnError> {
-        match self.rng.gen_range(0..100u32) {
-            0..=44 => self.try_new_order().map(|_| "new_order"),
-            45..=87 => self.try_payment().map(|_| "payment"),
-            88..=91 => self.try_order_status().map(|_| "order_status"),
-            92..=95 => self.try_delivery().map(|_| "delivery"),
-            _ => self.try_stock_level().map(|_| "stock_level"),
+        let t = Arc::clone(&self.t);
+        let w = &self.w;
+        let req = self.mix.next(&t.cfg, |c_w, c_d, name| customer_named(&t, w, c_w, c_d, name))?;
+        let label = req.label();
+        self.try_execute(req).map(|_| label)
+    }
+
+    /// NEW: one order of the mix, 5–15 lines.
+    pub fn try_new_order(&mut self) -> Result<(), TxnError> {
+        let req = self.mix.new_order(&self.t.cfg);
+        self.try_execute(req)
+    }
+
+    /// PAY: one payment of the mix, by last name 60 % of the time.
+    pub fn try_payment(&mut self) -> Result<(), TxnError> {
+        let t = Arc::clone(&self.t);
+        let w = &self.w;
+        let req =
+            self.mix.payment(&t.cfg, |c_w, c_d, name| customer_named(&t, w, c_w, c_d, name))?;
+        self.try_execute(req)
+    }
+
+    /// OS: one order-status of the mix.
+    pub fn try_order_status(&mut self) -> Result<(), TxnError> {
+        let req = self.mix.order_status(&self.t.cfg);
+        self.try_execute(req)
+    }
+
+    /// DLY: one delivery of the mix.
+    pub fn try_delivery(&mut self) -> Result<(), TxnError> {
+        let req = self.mix.delivery();
+        self.try_execute(req)
+    }
+
+    /// SL: one stock-level of the mix.
+    pub fn try_stock_level(&mut self) -> Result<(), TxnError> {
+        let req = self.mix.stock_level(&self.t.cfg);
+        self.try_execute(req)
+    }
+
+    fn try_execute(&mut self, req: Request) -> Result<(), TxnError> {
+        match req {
+            Request::NewOrder { w, d, c, lines, invalid } => {
+                self.new_order(w, d, c, lines, invalid)
+            }
+            Request::Payment { w, d, c_w, c_d, c, h } => self.payment(w, d, (c_w, c_d, c), h),
+            Request::OrderStatus { w, d, c } => self.order_status(w, d, c).map(drop),
+            Request::Delivery { w, carrier } => self.delivery(w, carrier),
+            Request::StockLevel { w, d, threshold } => self.stock_level(w, d, threshold),
         }
     }
 
-    /// NEW: order `ol_cnt` items, some possibly from remote warehouses.
-    pub fn try_new_order(&mut self) -> Result<(), TxnError> {
+    /// NEW: order `lines`, some possibly from remote warehouses.
+    fn new_order(
+        &mut self,
+        w: u64,
+        d: u64,
+        c: u64,
+        lines: Vec<(u64, u64, u64)>,
+        invalid: bool,
+    ) -> Result<(), TxnError> {
         let t = Arc::clone(&self.t);
-        let cfg = &t.cfg;
-        let w = self.home_w;
         let node = self.w.node;
-        let d = self.rng.gen_range(0..cfg.districts);
-        let c = self.rng.gen_range(0..cfg.customers_per_district);
-        let ol_cnt = self.rng.gen_range(5..=15u64);
-        let invalid = self.rng.gen_bool(0.01);
-        let mut lines: Vec<(u64, u64, u64)> = Vec::new(); // (i, supply_w, qty)
-        let mut seen_items = std::collections::HashSet::new();
-        for _ in 0..ol_cnt {
-            // Items within one order are distinct so no record appears
-            // twice in the declared write set (a duplicate would make
-            // the transaction block on its own exclusive lock).
-            let i = loop {
-                let i = self.rng.gen_range(0..cfg.items);
-                if seen_items.insert(i) {
-                    break i;
-                }
-            };
-            let supply = if cfg.warehouses() > 1 && self.rng.gen_bool(cfg.cross_warehouse_new_order)
-            {
-                let mut s = self.rng.gen_range(0..cfg.warehouses());
-                if s == w {
-                    s = (s + 1) % cfg.warehouses();
-                }
-                s
-            } else {
-                w
-            };
-            lines.push((i, supply, self.rng.gen_range(1..=10)));
-        }
+        let ol_cnt = lines.len() as u64;
 
         // Declare the read/write sets: local rows by key, a remote
         // warehouse's stock by the address Start will lock.
@@ -154,7 +165,7 @@ impl TpccWorker {
         let mut stock_refs = Vec::with_capacity(lines.len());
         for &(i, supply, _) in &lines {
             spec.keyed_reads.push(t.item.local(node, i));
-            let sn = self.node_of(supply);
+            let sn = t.cfg.node_of_warehouse(supply);
             if sn == node {
                 stock_refs.push(StockRef::Local(spec.keyed_writes.len()));
                 spec.keyed_writes.push(t.stock.local(node, keys::stock(supply, i)));
@@ -221,51 +232,18 @@ impl TpccWorker {
         tolerate_user_abort(r)
     }
 
-    /// PAY: pay `h` into warehouse/district YTD, debit a customer.
-    pub fn try_payment(&mut self) -> Result<(), TxnError> {
+    /// PAY: pay `h` into warehouse/district YTD, debit customer
+    /// `(c_w, c_d, c)`.
+    fn payment(
+        &mut self,
+        w: u64,
+        d: u64,
+        (c_w, c_d, c): (u64, u64, u64),
+        h: u64,
+    ) -> Result<(), TxnError> {
         let t = Arc::clone(&self.t);
-        let cfg = &t.cfg;
-        let w = self.home_w;
         let node = self.w.node;
-        let d = self.rng.gen_range(0..cfg.districts);
-        let h = self.rng.gen_range(100..=500_000u64); // cents
-        let remote_cust = cfg.warehouses() > 1 && self.rng.gen_bool(cfg.cross_warehouse_payment);
-        let (c_w, c_d) = if remote_cust {
-            let mut cw = self.rng.gen_range(0..cfg.warehouses());
-            if cw == w {
-                cw = (cw + 1) % cfg.warehouses();
-            }
-            (cw, self.rng.gen_range(0..cfg.districts))
-        } else {
-            (w, d)
-        };
-        let c_node = self.node_of(c_w);
-        let by_name = self.rng.gen_bool(0.6);
-        let c = if by_name {
-            // Secondary-index lookup (the dependency the paper resolves
-            // with chopping: the index scan feeds the next piece). A
-            // remote customer's name index lives on their home machine,
-            // so the scan ships there over SEND/RECV verbs (§3, §6.5).
-            let name_id = self.rng.gen_range(0..97u64);
-            let (lo, hi) = keys::cust_name_range(c_w, c_d, hash16(name_id));
-            let matches = if c_node == node {
-                let tree = &t.cust_name_idx[node as usize];
-                self.w.recon(|s| s.step(|txn| tree.scan_range(txn, lo, hi, 64)))
-            } else {
-                let reply_q = 0x8000 | (node << 8) | self.w.worker_id as u16;
-                // A queue pair of its own: the scan's SEND must not ride
-                // the transaction's doorbells. Tree 2 is the name index.
-                let qp = t.sys.cluster().qp(node);
-                crate::tpcc::scan_rpc::remote_scan(&qp, c_node, reply_q, 2, lo, hi, 64)?
-            };
-            match matches.get(matches.len() / 2) {
-                Some(&(_, c)) => c,
-                None => self.rng.gen_range(0..cfg.customers_per_district),
-            }
-        } else {
-            self.rng.gen_range(0..cfg.customers_per_district)
-        };
-
+        let c_node = t.cfg.node_of_warehouse(c_w);
         let mut spec = TxnSpec::default();
         spec.keyed_writes.push(t.warehouse.local(node, keys::warehouse(w)));
         spec.keyed_writes.push(t.district.local(node, keys::district(w, d)));
@@ -307,12 +285,9 @@ impl TpccWorker {
 
     /// OS: read-only status of a customer's most recent order; returns
     /// the order's total.
-    pub fn try_order_status(&mut self) -> Result<u64, TxnError> {
+    fn order_status(&mut self, w: u64, d: u64, c: u64) -> Result<u64, TxnError> {
         let t = Arc::clone(&self.t);
-        let w = self.home_w;
         let node = self.w.node;
-        let d = self.rng.gen_range(0..t.cfg.districts);
-        let c = self.rng.gen_range(0..t.cfg.customers_per_district);
         let customer = t.customer.local(node, keys::customer(w, d, c));
         let co_idx = &t.cust_order_idx[node as usize];
         let (lo, hi) = keys::cust_order_range(w, d, c);
@@ -345,11 +320,9 @@ impl TpccWorker {
     /// DLY: deliver the oldest undelivered order of each district —
     /// chopped into one DrTM transaction per district (§3). An error
     /// leaves the chopping information logged, as a crash would.
-    pub fn try_delivery(&mut self) -> Result<(), TxnError> {
+    fn delivery(&mut self, w: u64, carrier: u64) -> Result<(), TxnError> {
         let t = Arc::clone(&self.t);
-        let w = self.home_w;
         let node = self.w.node;
-        let carrier = self.rng.gen_range(1..=10u64);
         let orders = t.order.shard(node);
         let no_idx = &t.new_order_idx[node as usize];
         for d in 0..t.cfg.districts {
@@ -415,12 +388,9 @@ impl TpccWorker {
     /// so each of the 20 orders examined is read — its row, its lines
     /// and their stock rows — in a validated region of its own. Purely
     /// local: it cannot fail, and is fallible only to match its siblings.
-    pub fn try_stock_level(&mut self) -> Result<(), TxnError> {
+    fn stock_level(&mut self, w: u64, d: u64, threshold: u64) -> Result<(), TxnError> {
         let t = Arc::clone(&self.t);
-        let w = self.home_w;
         let node = self.w.node;
-        let d = self.rng.gen_range(0..t.cfg.districts);
-        let threshold = self.rng.gen_range(10..=20u64);
         let (districts, orders) = (t.district.shard(node), t.order.shard(node));
         let (order_lines, stock) = (t.order_line.shard(node), t.stock.shard(node));
         let district =
@@ -446,6 +416,34 @@ impl TpccWorker {
         }
         Ok(())
     }
+}
+
+/// The customer a payment by last name selects: the middle of what the
+/// customer-name index of `(c_w, c_d)` lists under the name's hash, read
+/// in a reconnaissance region at home or shipped to the customer's
+/// machine. This is the dependency the paper resolves with chopping (the
+/// index scan feeds the next piece); the scan of a remote customer's
+/// index goes over SEND/RECV verbs (§3, §6.5).
+fn customer_named(
+    t: &Tpcc,
+    w: &Worker,
+    c_w: u64,
+    c_d: u64,
+    name_id: u64,
+) -> Result<Option<u64>, TxnError> {
+    let (node, c_node) = (w.node, t.cfg.node_of_warehouse(c_w));
+    let (lo, hi) = keys::cust_name_range(c_w, c_d, hash16(name_id));
+    let matches = if c_node == node {
+        let tree = &t.cust_name_idx[node as usize];
+        w.recon(|s| s.step(|txn| tree.scan_range(txn, lo, hi, 64)))
+    } else {
+        let reply_q = 0x8000 | (node << 8) | w.worker_id as u16;
+        // A queue pair of its own: the scan's SEND must not ride the
+        // transaction's doorbells. Tree 2 is the name index.
+        let qp = t.sys.cluster().qp(node);
+        crate::tpcc::scan_rpc::remote_scan(&qp, c_node, reply_q, 2, lo, hi, 64)?
+    };
+    Ok(matches.get(matches.len() / 2).map(|&(_, c)| c))
 }
 
 #[cfg(test)]
@@ -566,13 +564,15 @@ mod tests {
         }
         assert!(placed >= 35);
         // payment: its own region, plus the name-index scan of the 60 %
-        // that select the customer by name (the worker's next draws:
-        // district, amount — no warehouse to cross to — then the coin).
+        // that select the customer by name.
         let (mut by_id, mut by_name) = (0, 0);
         for _ in 0..40 {
-            let mut peek = w.rng.clone();
-            let _: (u64, u64) = (peek.gen_range(0..districts), peek.gen_range(100..=500_000u64));
-            let scans = peek.gen_bool(0.6);
+            let mut scans = false;
+            let peek = w.mix.clone().payment(&t.cfg, |_, _, _| {
+                scans = true;
+                Ok::<_, TxnError>(None)
+            });
+            assert!(peek.is_ok());
             let got = regions(&t, || w.try_payment().unwrap());
             assert_eq!(got, (1 + scans as u64, 0), "payment, by name: {scans}");
             *(if scans { &mut by_name } else { &mut by_id }) += 1;
@@ -592,6 +592,54 @@ mod tests {
             assert!((2..=22).contains(&commits) && aborts == 0, "stock-level: {commits}");
         }
         assert!(t.check_ytd_consistency() && t.check_order_consistency());
+    }
+
+    /// The standard mix's request stream, pinned: one worker on machine 0
+    /// of two, alone, runs 300 transactions at [`tiny`]'s cross-warehouse
+    /// rates (remote stock lines, remote and by-name payments). What it
+    /// drew shows in the labels, one letter each, and in every
+    /// warehouse, district, customer and stock row of both machines.
+    #[test]
+    fn the_standard_mix_draws_the_recorded_requests() {
+        const LABELS: [&str; 5] = [
+            "pppnpnnpsnnnnonpnnnnnnpdpnpsnnnppnpnpnnnpnnpnndoppspnpnnnnpp",
+            "pnnpnsnnnnpppnnpppnspnnnpnsppnnppppnonsppddnnnnspnppnpnonpnn",
+            "nnnnpnnppnpoppnnnnnppppppsnpnpnnnppppnpppnpdnnppspnonppponnp",
+            "dnpppnnpnpsnpppppnnnnsnpnnppnnpnnnnnnnnssonnnpnpnndnnpnpnnnp",
+            "nnpnpndnpppnpnnppppopnnppnpppndnpppdpnnppppnpnnpppdpnpnndppn",
+        ];
+        // [warehouse, district, customer, stock] per machine.
+        const DIGESTS: [[u64; 4]; 2] = [
+            [0xa8b7de4b234e47cf, 0x0c9c46c46e3c490b, 0x1de4f1391df3fa7c, 0x7eacab8d1ad17cde],
+            [0x082fda07b4e6e243, 0x17955ba33233f8eb, 0xbf444b6be1a18d7e, 0xf2d8e1853cb206e9],
+        ];
+        let t = Arc::new(Tpcc::build(TpccConfig { workers: 1, ..tiny() }));
+        let mut w = t.worker(0, 0);
+        let labels: String = (0..300).map(|_| w.run_one()[..1].to_string()).collect();
+        let digests = [0u16, 1].map(|n| {
+            let exec = t.sys.executor();
+            let region = t.sys.cluster().node(n).region();
+            let (wh, cfg) = (n as u64, &t.cfg);
+            let digest = |table: &Table, keys: &mut dyn Iterator<Item = u64>| {
+                keys.flat_map(|k| fields(&table.read_local(&exec, region, n, k).expect("row")))
+                    .fold(0xCBF2_9CE4_8422_2325u64, |h, x| (h ^ x).wrapping_mul(0x100_0000_01B3))
+            };
+            let dists = || 0..cfg.districts;
+            [
+                digest(&t.warehouse, &mut std::iter::once(keys::warehouse(wh))),
+                digest(&t.district, &mut dists().map(|d| keys::district(wh, d))),
+                digest(
+                    &t.customer,
+                    &mut dists().flat_map(|d| {
+                        (0..cfg.customers_per_district).map(move |c| keys::customer(wh, d, c))
+                    }),
+                ),
+                digest(&t.stock, &mut (0..cfg.items).map(|i| keys::stock(wh, i))),
+            ]
+        });
+        println!("{labels}\n{digests:#x?}");
+        assert_eq!(labels, LABELS.concat());
+        assert_eq!(digests, DIGESTS);
     }
 
     #[test]
