@@ -17,7 +17,7 @@
 # plus a `git grep` gate that keeps the host-side operation path written
 # once (DESIGN.md §2 "Host-side operations"): no `standalone` loop, HTM
 # outcomes counted in htm/src/{exec,stats}.rs and core/src/txn.rs only,
-# service threads spawned in rdma/src/rpc.rs and the two clocks only,
+# service threads spawned in rdma/src/rpc.rs and htm/src/clock.rs only,
 # and none of the deleted request/reply twins by name
 # plus a `git grep` gate that keeps TPC-C's local rows declared by key
 # (DESIGN.md §2 "Commit pipeline", "Local records by key"): tpcc/txns.rs has no per-record
@@ -37,9 +37,17 @@
 # §8 "Failure model"): the fabric's FaultPlan owns dead / retired / armed
 # crash sites, so none of the deleted second copies by name — the
 # worker-local crash point, the detector's own kill/revive and its
-# registration with the membership coordinator — and one monitor thread
-# in core/src/failure.rs; and the deleted criterion micro bench, whose
-# rows are `*.probe.*_host_ns` metrics of the repo benchmark
+# registration with the membership coordinator — and one monitor in
+# core/src/failure.rs (no thread of its own: one `clock::every` call);
+# and the deleted criterion micro bench, whose rows are
+# `*.probe.*_host_ns` metrics of the repo benchmark
+# plus a wall-clock gate (DESIGN.md §2 "One wall clock"): non-test
+# library code (crates/*/src, each file up to its first #[cfg(test)])
+# reads, waits on and ticks wall time in crates/htm/src/clock.rs only —
+# no `Instant::now`, `thread::sleep`, `SystemTime` or `wait_timeout`
+# elsewhere — and the deleted `wall_now_us` and `coop::` stay gone; then
+# the gate's self-test: a scratch file under target/ with a sleep above
+# its #[cfg(test)] must fail it, the same sleep below must pass
 # plus a `git grep` gate that keeps one-value settings constants (DESIGN.md
 # §4 "Virtual-time calibration"): none of the fourteen deleted config
 # fields, parameters and environment reads by name (`delta_us` in field
@@ -139,8 +147,8 @@ if git grep -n --untracked 'record_abort(\|\.commits\.inc()' -- 'crates/*/src/*'
   exit 1
 fi
 if git grep -n --untracked 'thread::Builder' -- 'crates/*/src/*' \
-  | grep -v '^crates/rdma/src/rpc\.rs:\|^crates/core/src/\(time\|failure\)\.rs:'; then
-  echo "a service thread outside drtm_rdma::rpc::serve (and the two clocks)" >&2
+  | grep -v '^crates/rdma/src/rpc\.rs:\|^crates/htm/src/clock\.rs:'; then
+  echo "a thread outside drtm_rdma::rpc::serve and drtm_htm::clock::every" >&2
   exit 1
 fi
 if git grep -n --untracked 'try_remote_scan\|StoreServiceGuard\|ScanServiceGuard\|serve_store_ops' \
@@ -197,8 +205,46 @@ if git grep -n --untracked -e '\bcrash_point\b' -e 'set_crash_point' -e 'set_det
   echo "a deleted second copy of failure state (or the criterion bench) is back" >&2
   exit 1
 fi
-[ "$(git grep -c --untracked 'thread::Builder' -- crates/core/src/failure.rs | cut -d: -f2)" = 1 ] \
-  || { echo "crates/core/src/failure.rs must spawn exactly one thread (the monitor)" >&2; exit 1; }
+if git grep -n --untracked 'thread::Builder' -- crates/core/src/failure.rs; then
+  echo "crates/core/src/failure.rs spawns a thread of its own: the monitor is clock::every" >&2
+  exit 1
+fi
+[ "$(git grep -c --untracked 'every(' -- crates/core/src/failure.rs | cut -d: -f2)" = 1 ] \
+  || { echo "crates/core/src/failure.rs must call every( exactly once (the monitor)" >&2; exit 1; }
+
+echo "== one wall clock: wall time is read, waited on and ticked in drtm_htm::clock only =="
+# A wall-clock read or wait elsewhere in library code is a second clock
+# that a virtual cluster clock would have to find and replace too.
+# Prints each non-test line of the given files (a file is read up to its
+# first #[cfg(test)]) that uses wall time, and fails if there is one.
+wall_clock_gate() {
+  local hits
+  hits="$(awk 'FNR == 1 { live = 1 }
+    /#\[cfg\(test\)\]/ { live = 0 }
+    live && /Instant::now|thread::sleep|SystemTime|wait_timeout/ { print FILENAME ":" FNR ": " $0 }' \
+    "$@")" || return 2
+  [ -z "$hits" ] || { echo "$hits" >&2; return 1; }
+}
+mapfile -t LIB_RS < <(git ls-files -co --exclude-standard -- 'crates/*/src/*.rs' \
+  | grep -v '^crates/htm/src/clock\.rs$')
+wall_clock_gate "${LIB_RS[@]}" \
+  || { echo "wall time used outside drtm_htm::clock: call clock::{now_us, wait, every}" >&2; exit 1; }
+if git grep -n --untracked -e wall_now_us -e 'coop::' -- crates tests examples src; then
+  echo "a deleted second clock (wall_now_us, drtm_htm::coop) is back: use drtm_htm::clock" >&2
+  exit 1
+fi
+
+echo "== one wall clock: the gate can fail =="
+PROBE=target/wall_clock_gate_probe.rs
+printf 'fn f() {\n    std::thread::sleep(d);\n}\n#[cfg(test)]\nmod tests {}\n' > "$PROBE"
+if wall_clock_gate "$PROBE" 2>/dev/null; then
+  echo "the wall-clock gate passed a sleep above #[cfg(test)]" >&2
+  exit 1
+fi
+printf '#[cfg(test)]\nmod tests {\n    fn f() {\n        std::thread::sleep(d);\n    }\n}\n' > "$PROBE"
+wall_clock_gate "$PROBE" \
+  || { echo "the wall-clock gate failed a sleep below #[cfg(test)]" >&2; exit 1; }
+rm "$PROBE"
 
 echo "== one value, one constant: the deleted settings, verbs and escape hatches stay gone =="
 # A cost that only ever took one value is a constant beside its

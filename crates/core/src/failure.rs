@@ -19,9 +19,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use drtm_htm::clock::{self, Ticker};
 use drtm_rdma::{Cluster, NodeId};
-
-use crate::time::wall_now_us;
 
 /// The heartbeat-based failure detector.
 ///
@@ -31,8 +30,7 @@ pub struct FailureDetector {
     /// Machines reported to the callback and not seen alive since; one
     /// slot per machine the fabric can ever hold.
     reported: Arc<Vec<AtomicBool>>,
-    stop: Arc<AtomicBool>,
-    monitor: Option<std::thread::JoinHandle<()>>,
+    _monitor: Option<Ticker>,
 }
 
 impl FailureDetector {
@@ -62,57 +60,41 @@ impl FailureDetector {
         assert!(timeout > heartbeat, "timeout must exceed the heartbeat period");
         let cap = cluster.max_nodes();
         let reported: Arc<Vec<_>> = Arc::new((0..cap).map(|_| AtomicBool::new(false)).collect());
-        let stop = Arc::new(AtomicBool::new(false));
-        let (reported2, stop2) = (reported.clone(), stop.clone());
-        let watch = move || {
-            // When each machine was last seen alive (µs). A slot not yet
-            // provisioned keeps the start time: a joiner is stamped
-            // before it is first checked.
-            let mut stamps = vec![wall_now_us(); cap];
+        let reported2 = reported.clone();
+        // When each machine was last seen alive (µs). A slot not yet
+        // provisioned keeps the start time: a joiner is stamped before
+        // it is first checked.
+        let mut stamps = vec![clock::now_us(); cap];
+        let pass = move || {
             let faults = cluster.faults();
             let retired = |m: usize| faults.is_retired(m as NodeId);
             let crashed = |m: usize| faults.is_crashed(m as NodeId);
             let alive = |m: usize| !crashed(m) && !retired(m);
-            // Neither flag publishes anything but itself: Relaxed.
-            while !stop2.load(Ordering::Relaxed) {
-                let now = wall_now_us();
-                let nodes = cluster.num_nodes();
-                let mut survivor = None;
-                for m in (0..nodes).filter(|&m| alive(m)) {
-                    stamps[m] = now;
-                    reported2[m].store(false, Ordering::Relaxed);
-                    survivor.get_or_insert(m);
-                }
-                for m in (0..nodes).filter(|&m| crashed(m) && !retired(m)) {
-                    let late = now.saturating_sub(stamps[m]) > timeout.as_micros() as u64;
-                    if late && !reported2[m].swap(true, Ordering::Relaxed) {
-                        if let Some(s) = survivor {
-                            on_failure(m as NodeId, s as NodeId);
-                        }
+            let now = clock::now_us();
+            let nodes = cluster.num_nodes();
+            let mut survivor = None;
+            // The flag publishes nothing but itself: Relaxed.
+            for m in (0..nodes).filter(|&m| alive(m)) {
+                stamps[m] = now;
+                reported2[m].store(false, Ordering::Relaxed);
+                survivor.get_or_insert(m);
+            }
+            for m in (0..nodes).filter(|&m| crashed(m) && !retired(m)) {
+                let late = now.saturating_sub(stamps[m]) > timeout.as_micros() as u64;
+                if late && !reported2[m].swap(true, Ordering::Relaxed) {
+                    if let Some(s) = survivor {
+                        on_failure(m as NodeId, s as NodeId);
                     }
                 }
-                std::thread::sleep(heartbeat);
             }
         };
-        let monitor = (cap >= 2).then(|| {
-            let named = std::thread::Builder::new().name("drtm-failure-monitor".into());
-            named.spawn(watch).expect("spawn monitor")
-        });
-        FailureDetector { reported, stop, monitor }
+        let _monitor = (cap >= 2).then(|| clock::every("drtm-failure-monitor", heartbeat, pass));
+        FailureDetector { reported, _monitor }
     }
 
     /// True if `node` has been reported crashed and not seen alive since.
     pub fn is_suspected(&self, node: NodeId) -> bool {
         self.reported.get(node as usize).is_some_and(|r| r.load(Ordering::Relaxed))
-    }
-}
-
-impl Drop for FailureDetector {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.monitor.take() {
-            let _ = t.join();
-        }
     }
 }
 
@@ -177,6 +159,28 @@ mod tests {
     }
 
     #[test]
+    fn drop_returns_well_under_the_heartbeat() {
+        // The monitor parks on the clock's condvar; drop must not wait
+        // out a heartbeat.
+        let cluster = Cluster::new(ClusterConfig {
+            nodes: 2,
+            region_size: 4096,
+            profile: LatencyProfile::zero(),
+            ..Default::default()
+        });
+        let heartbeat = Duration::from_secs(30);
+        let fd = FailureDetector::start(cluster, heartbeat, 2 * heartbeat, |_, _| {});
+        std::thread::sleep(Duration::from_millis(5));
+        let t0 = Instant::now();
+        drop(fd);
+        assert!(
+            t0.elapsed() < Duration::from_millis(500),
+            "drop took {:?} against a 30 s heartbeat",
+            t0.elapsed()
+        );
+    }
+
+    #[test]
     fn healthy_cluster_reports_nothing() {
         let (_cluster, _fd, rx) = watched(2, 2, 500);
         assert!(rx.recv_timeout(Duration::from_millis(300)).is_err());
@@ -187,7 +191,7 @@ mod tests {
         // A 1-node cluster that cannot grow has nobody to recover from:
         // the detector must simply never report.
         let (cluster, fd, rx) = watched(1, 1, 50);
-        assert!(fd.monitor.is_none());
+        assert!(fd._monitor.is_none());
         cluster.faults().kill(0);
         assert!(rx.recv_timeout(Duration::from_millis(150)).is_err());
         assert!(!fd.is_suspected(0));

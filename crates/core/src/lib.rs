@@ -56,9 +56,7 @@ pub use recovery::{recover_node, RecoveryReport};
 pub use ro::{RoCtx, RoRestart, RO_LEASE_US};
 pub use state::{LockState, DELTA_US, INIT};
 pub use stats::{TxnStats, TxnStatsSnapshot};
-pub use time::{
-    softtime_nt, softtime_txn, wall_now_us, SoftTimer, SOFTTIME_INTERVAL, SOFTTIME_OFF,
-};
+pub use time::{softtime_nt, softtime_txn, SoftTimer, SOFTTIME_INTERVAL, SOFTTIME_OFF};
 pub use trace::{
     AbortCause, CauseSnapshot, Phase, PhaseLine, PhaseSnapshot, PhaseStats, StatsReport, TraceBuf,
     TraceDump, TraceEvent, TraceHub, CAUSE_NAMES, NUM_CAUSES,

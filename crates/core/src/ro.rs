@@ -27,7 +27,8 @@ use crate::txn::{TxnError, Worker};
 /// Length of the lease every read-only transaction takes, in µs: the
 /// paper's 1.0 ms (§4.5) stretched 2×, as `DrTmConfig::lease_us`
 /// stretches the paper's 0.4 ms read-write lease, because leases end in
-/// wall time on an oversubscribed host (ROADMAP item 2(A)). At least
+/// wall time on an oversubscribed host (until ROADMAP's virtual
+/// softtime gives leases the paper's lengths). At least
 /// `lease_us`, as §4.3 has it.
 pub const RO_LEASE_US: u64 = 2_000;
 

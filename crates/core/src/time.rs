@@ -14,9 +14,10 @@
 //! same wall clock, so the inter-machine skew equals the update interval
 //! (standing in for PTP's 50 µs precision).
 
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
+use drtm_htm::clock::{self, Ticker};
 use drtm_htm::{Abort, HtmTxn, Region};
 use drtm_rdma::Cluster;
 
@@ -27,16 +28,6 @@ pub const SOFTTIME_OFF: usize = 0;
 /// The update interval of every deployment that does not sweep it
 /// (Figure 11's x-axis does): what `Deployment::start` is handed.
 pub const SOFTTIME_INTERVAL: Duration = Duration::from_micros(200);
-
-static EPOCH: OnceLock<Instant> = OnceLock::new();
-
-/// Wall-clock microseconds since the (lazily initialised) cluster epoch.
-///
-/// Starts at 1 000 000 so that 0 can mean "no lease" in the state word.
-pub fn wall_now_us() -> u64 {
-    let epoch = EPOCH.get_or_init(Instant::now);
-    1_000_000 + epoch.elapsed().as_micros() as u64
-}
 
 /// Reads a machine's softtime non-transactionally (Start phase).
 pub fn softtime_nt(region: &Region) -> u64 {
@@ -53,69 +44,33 @@ pub fn softtime_txn(txn: &mut HtmTxn<'_>) -> Result<u64, Abort> {
 }
 
 /// The cluster-wide softtime updater, started by `Deployment::start`
-/// and owned by the [`crate::DrTm`] it returns.
-///
-/// Dropping the handle stops the thread *promptly*: the timer waits on a
-/// condition variable instead of sleeping, so `drop` wakes it
-/// immediately and returns well under one interval even for coarse
-/// intervals (short-lived test harnesses must not pay a full tick).
+/// and owned by the [`crate::DrTm`] it returns: a [`clock::every`]
+/// ticker, so dropping the handle stops it promptly.
 #[derive(Debug)]
 pub struct SoftTimer {
-    shared: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    _ticker: Ticker,
 }
 
 impl SoftTimer {
-    /// Spawns a timer thread that writes `wall_now_us()` to every node's
-    /// softtime word every `interval`.
+    /// Publishes the softtime at once (readers never observe 0), then
+    /// writes [`clock::now_us`] to every node's softtime word every
+    /// `interval`.
     ///
     /// The update is a non-transactional store, so it conflicts with any
     /// in-flight HTM transaction whose read set contains the softtime
     /// line — deliberately reproducing the paper's behaviour.
     pub(crate) fn start(cluster: Arc<Cluster>, interval: Duration) -> SoftTimer {
-        let shared = Arc::new((Mutex::new(false), Condvar::new()));
-        let shared2 = shared.clone();
-        // Publish an initial value so readers never observe 0.
         Self::tick_now(&cluster);
-        let handle = std::thread::Builder::new()
-            .name("drtm-softtime".into())
-            .spawn(move || {
-                let (stop, cv) = &*shared2;
-                let mut stopped = stop.lock().expect("softtime lock poisoned");
-                loop {
-                    let (guard, timeout) = cv
-                        .wait_timeout_while(stopped, interval, |s| !*s)
-                        .expect("softtime lock poisoned");
-                    stopped = guard;
-                    if *stopped {
-                        return;
-                    }
-                    if timeout.timed_out() {
-                        Self::tick_now(&cluster);
-                    }
-                }
-            })
-            .expect("spawn softtime timer");
-        SoftTimer { shared, handle: Some(handle) }
+        let _ticker = clock::every("drtm-softtime", interval, move || Self::tick_now(&cluster));
+        SoftTimer { _ticker }
     }
 
     /// One update of every node's softtime word, now: the timer's tick,
     /// a frozen clock's only one, a joined machine's first.
     pub fn tick_now(cluster: &Cluster) {
-        let now = wall_now_us();
+        let now = clock::now_us();
         for n in 0..cluster.num_nodes() {
             cluster.node(n as u16).region().write_u64_nt(SOFTTIME_OFF, now);
-        }
-    }
-}
-
-impl Drop for SoftTimer {
-    fn drop(&mut self) {
-        let (stop, cv) = &*self.shared;
-        *stop.lock().expect("softtime lock poisoned") = true;
-        cv.notify_all();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
         }
     }
 }
@@ -132,14 +87,6 @@ mod tests {
             profile: LatencyProfile::zero(),
             ..Default::default()
         })
-    }
-
-    #[test]
-    fn wall_clock_is_monotonic_and_nonzero() {
-        let a = wall_now_us();
-        let b = wall_now_us();
-        assert!(a >= 1_000_000);
-        assert!(b >= a);
     }
 
     #[test]
@@ -163,21 +110,6 @@ mod tests {
         softtime_txn(&mut txn).unwrap();
         SoftTimer::tick_now(&c); // timer fires mid-transaction
         assert_eq!(txn.commit(), Err(Abort::Conflict));
-    }
-
-    #[test]
-    fn drop_returns_well_under_the_interval() {
-        // The timer parks on a condvar; drop must not wait out a tick.
-        let c = cluster(1);
-        let t = SoftTimer::start(c, Duration::from_secs(30));
-        std::thread::sleep(Duration::from_millis(5));
-        let t0 = Instant::now();
-        drop(t);
-        assert!(
-            t0.elapsed() < Duration::from_millis(500),
-            "drop took {:?} against a 30 s interval",
-            t0.elapsed()
-        );
     }
 
     #[test]

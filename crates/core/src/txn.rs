@@ -20,9 +20,9 @@
 //! durable.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use drtm_htm::{vtime, Abort, Executor, HtmStats, HtmTxn, Region};
+use drtm_htm::{clock, vtime, Abort, Executor, HtmStats, HtmTxn, Region};
 use drtm_memstore::{BTree, ClusterHash, InsertError, PreparedInsert};
 use drtm_rdma::rpc::DEAD_PEER_GRACE;
 use drtm_rdma::{AtomicityLevel, Cluster, FaultPlan, GlobalAddr, NodeId, Qp};
@@ -568,27 +568,13 @@ impl Worker {
             // stay as short in wall time as on real hardware.
             std::thread::yield_now();
         } else {
-            // Longer waits (a lease that must expire, a held lock): wait
-            // one fixed wall slice per attempt and charge exactly that
-            // slice, so the virtual cost of waiting tracks the wall
-            // duration of the wait instead of the scheduler-dependent
-            // number of retry iterations. A cooperative engine thread
-            // yields through the slice instead of sleeping, so sibling
-            // pool threads (possibly running the conflicting logical
-            // worker) get the quantum — but the slice must still elapse
-            // in wall time, or lease-expiry waits degenerate into
-            // thousands of instant retries that each charge a full
-            // slice.
+            // Longer waits (a lease that must expire, a held lock): one
+            // fixed wall slice per attempt, charged exactly, so the
+            // virtual cost of waiting tracks the wall duration of the
+            // wait instead of the scheduler-dependent number of retry
+            // iterations.
             const SLICE_US: u64 = 100;
-            if drtm_htm::coop::enabled() {
-                let t0 = Instant::now();
-                while t0.elapsed().as_micros() < SLICE_US as u128 {
-                    std::thread::yield_now();
-                }
-            } else {
-                std::thread::sleep(Duration::from_micros(SLICE_US));
-            }
-            vtime::charge(SLICE_US * 1_000);
+            clock::wait(Duration::from_micros(SLICE_US));
         }
     }
 
@@ -852,7 +838,7 @@ impl Worker {
         slots.iter_mut().for_each(|s| s.fetched = None);
         let wave_len = if waits { 1 } else { order.len().max(1) };
         for (nth, wave) in order.chunks(wave_len).enumerate() {
-            let mut give_up_at: Option<Instant> = None;
+            let mut waiting_since: Option<u64> = None;
             loop {
                 // A waiting strategy re-reads softtime: leases expire
                 // while it waits.
@@ -872,10 +858,10 @@ impl Worker {
                 let lost_rec = slots[wave[lost]].record().expect("a claimed record");
                 let mut conflict = *got[lost].as_ref().expect_err("the lost claim");
                 if waits {
-                    let deadline =
-                        *give_up_at.get_or_insert_with(|| Instant::now() + DEAD_PEER_GRACE);
+                    let since = *waiting_since.get_or_insert_with(clock::now_us);
                     conflict = self.waited_on(conflict);
-                    if TxnError::of_conflict(conflict).is_none() && Instant::now() >= deadline {
+                    let waited = Duration::from_micros(clock::now_us() - since);
+                    if TxnError::of_conflict(conflict).is_none() && waited > DEAD_PEER_GRACE {
                         conflict = LockConflict::PeerDead { node: lost_rec.addr.node };
                     }
                 }
@@ -1419,6 +1405,7 @@ mod tests {
     use crate::time::SOFTTIME_INTERVAL;
     use drtm_htm::HtmConfig;
     use drtm_rdma::{ClusterConfig, LatencyProfile};
+    use std::time::Instant;
 
     /// Two machines, one hash table each (identical geometry), populated
     /// with `keys` accounts holding 100 units each.

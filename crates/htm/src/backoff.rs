@@ -10,9 +10,11 @@
 //! retry timing between symmetric contenders.
 
 /// Exponential spin-then-yield backoff. Create one per retry loop and
-/// call [`Backoff::snooze`] after each failed attempt. A loop that may
-/// be waiting on a dead peer bounds itself (against
-/// `drtm_rdma::rpc::DEAD_PEER_GRACE`); the backoff only paces it.
+/// call [`Backoff::snooze`] after each failed attempt. It reads and
+/// waits on no wall time — that is [`crate::clock`]'s — so a loop that
+/// may be waiting on a dead peer bounds itself (against
+/// `drtm_rdma::rpc::DEAD_PEER_GRACE` on [`crate::clock::now_us`]); the
+/// backoff only paces it.
 #[derive(Debug, Default)]
 pub struct Backoff {
     attempt: u32,

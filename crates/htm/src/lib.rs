@@ -27,7 +27,9 @@
 //! benchmark harnesses: on a single-core host, wall-clock throughput of a
 //! simulated 48-worker cluster is meaningless, so every simulated hardware
 //! operation *charges* its modelled latency to a per-thread accumulator
-//! and throughput is computed in virtual time.
+//! and throughput is computed in virtual time — and [`clock`], the one
+//! wall clock, where everything that still ends in wall time is read,
+//! waited out and ticked.
 //!
 //! As the lowest crate it also hosts [`counters`], the one primitive every
 //! layer's statistics are declared with ([`Counter`], [`CounterArray`],
@@ -56,7 +58,7 @@
 //! ```
 
 pub mod backoff;
-pub mod coop;
+pub mod clock;
 pub mod counters;
 mod exec;
 mod region;

@@ -25,7 +25,9 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+use drtm_htm::clock;
 
 use crate::fabric::{Cluster, NodeId, Qp};
 use crate::fault::FabricError;
@@ -65,7 +67,7 @@ pub fn call(
     msg.extend_from_slice(request);
     qp.try_send(host, queue, msg)?;
     let cluster = qp.cluster();
-    let give_up_at = Instant::now() + DEAD_PEER_GRACE;
+    let since = clock::now_us();
     loop {
         if let Some(reply) = cluster.verbs().recv_timeout(qp.node(), reply_q, POLL) {
             return Ok(reply.payload);
@@ -73,7 +75,7 @@ pub fn call(
         if cluster.faults().is_crashed(host) {
             return Err(FabricError::PeerDead { node: host });
         }
-        if Instant::now() >= give_up_at {
+        if Duration::from_micros(clock::now_us() - since) > DEAD_PEER_GRACE {
             return Err(FabricError::Timeout { node: host });
         }
     }
@@ -138,6 +140,7 @@ impl Drop for Service {
 mod tests {
     use super::*;
     use crate::{ClusterConfig, LatencyProfile};
+    use std::time::Instant;
 
     const ECHO_Q: QueueId = 0xFF00;
 

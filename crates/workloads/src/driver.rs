@@ -8,8 +8,9 @@
 //! 64-node × 8-worker cluster needs 512 state machines but only a
 //! handful of OS threads — the host's physical core count caps wall
 //! speed, never the simulated cluster size. Pool threads run in
-//! cooperative mode ([`drtm_htm::coop`]): waits are charged to virtual
-//! time and the quantum is yielded instead of slept away.
+//! cooperative mode ([`drtm_htm::clock::set_cooperative`]): waits are
+//! charged to virtual time and the quantum is yielded instead of slept
+//! away.
 //!
 //! Cluster throughput is the median per-worker rate times the number of
 //! workers that contributed a rate — workers run concurrently in
@@ -20,7 +21,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 
 use drtm_core::{DrTm, StatsReport};
-use drtm_htm::{coop, vtime};
+use drtm_htm::{clock, vtime};
 use drtm_rdma::NodeId;
 
 /// One worker's measured output.
@@ -170,7 +171,7 @@ struct LogicalWorker<F> {
 #[derive(Debug, Clone, Copy)]
 enum Threads {
     /// A cooperative pool of this many threads: waits are charged to
-    /// virtual time and the quantum is yielded ([`drtm_htm::coop`]).
+    /// virtual time and the quantum is yielded ([`drtm_htm::clock::wait`]).
     Pool(usize),
     /// As many threads as logical workers, with wall-clock (sleeping)
     /// waits: every worker's wait overlaps every other's.
@@ -218,7 +219,7 @@ where
     std::thread::scope(|s| {
         for _ in 0..os_threads {
             s.spawn(|| {
-                coop::set(cooperative);
+                clock::set_cooperative(cooperative);
                 vtime::take();
                 loop {
                     let next = ready.lock().expect("ready queue poisoned").pop_front();
@@ -238,7 +239,6 @@ where
                         ready.lock().expect("ready queue poisoned").push_back(i);
                     }
                 }
-                coop::set(false);
             });
         }
     });
