@@ -62,6 +62,10 @@
 # requests, so none of its deleted twins by name — the Calvin sizing
 # struct, its request enum and its mix generator — nor the resharder's
 # deleted counter set
+# plus a `git grep` gate that keeps one thread-shard index (DESIGN.md §2
+# "Counters"): `shard_id` and `NSHARDS` are defined in
+# crates/htm/src/counters.rs only, and no other `thread_local!`
+# enumerates threads with a `fetch_add`
 # plus `cargo run --release --example crash_recovery`, which must end in
 # `all crash/recovery scenarios passed`
 # plus `cargo run --release --example abort_diagnosis`, whose StatsReport
@@ -143,7 +147,7 @@ if git grep -n --untracked 'standalone(\|fn standalone' -- crates tests examples
 fi
 if git grep -n --untracked 'record_abort(\|\.commits\.inc()' -- 'crates/*/src/*' \
   | grep -v '^crates/htm/src/\(exec\|stats\)\.rs:\|^crates/core/src/txn\.rs:'; then
-  echo "HTM outcomes counted outside Executor::run / Worker::run" >&2
+  echo "HTM outcomes counted outside Executor::run / Pipeline::run" >&2
   exit 1
 fi
 if git grep -n --untracked 'thread::Builder' -- 'crates/*/src/*' \
@@ -292,6 +296,21 @@ echo "== one TPC-C: Calvin runs on tpcc's TpccConfig, seed rows and StdMix reque
 if git grep -n -w --untracked \
   -e CalvinConfig -e CalvinTxn -e calvin_mix -e ReshardStats -- crates tests examples src; then
   echo "a deleted second copy of TPC-C (or ReshardStats) is back: use drtm_workloads::tpcc" >&2
+  exit 1
+fi
+
+echo "== one thread-shard index: threads enumerate themselves in drtm_htm::counters only =="
+# The counters and the entry pools' free lists shard by the same index;
+# a second enumeration (the free list had its own) lets two structures
+# disagree again on which threads share a shard.
+if git grep -n --untracked -E 'fn shard_id\b|const NSHARDS\b' -- crates tests examples src \
+  | grep -v '^crates/htm/src/counters\.rs:'; then
+  echo "a second thread-shard index: use drtm_htm::counters::{shard_id, NSHARDS}" >&2
+  exit 1
+fi
+if git grep -n --untracked -A3 'thread_local!' -- crates tests examples src \
+  | grep 'fetch_add' | grep -v '^crates/htm/src/counters\.rs[-:]'; then
+  echo "a thread_local! enumerates threads outside drtm_htm::counters::shard_id" >&2
   exit 1
 fi
 

@@ -39,7 +39,7 @@ pub struct RoRestart;
 
 /// Context for one attempt of a read-only transaction.
 pub struct RoCtx<'w> {
-    worker: &'w Worker,
+    worker: &'w mut Worker,
     /// Common lease end time of this attempt.
     pub end_us: u64,
     now_us: u64,
@@ -67,7 +67,7 @@ impl RoCtx<'_> {
     /// Local records go through the same CAS path as remote ones unless
     /// the NIC provides GLOB-level atomics (§6.3).
     pub fn acquire_all(&mut self, recs: &[RecordAddr]) -> Result<Vec<Vec<u8>>, RoRestart> {
-        let w = self.worker;
+        let w = self.worker.pipeline();
         let wants = recs.iter().map(|rec| (*rec, false, w.can_local_cas(rec)));
         let mut values = Vec::with_capacity(recs.len());
         for got in w.acquire_wave(wants, self.end_us, self.now_us) {
@@ -123,7 +123,7 @@ impl Worker {
     ) -> Result<T, TxnError> {
         let region = self.region().clone();
         loop {
-            if self.self_crashed() {
+            if self.pipeline().self_crashed() {
                 return Err(TxnError::SimulatedCrash);
             }
             // Each attempt is a fresh posting wave: the previous
@@ -148,10 +148,10 @@ impl Worker {
                 }
                 Err(RoRestart) => {
                     if let Some(err) = fatal {
-                        return Err(self.terminal(err));
+                        return Err(self.pipeline().terminal(err));
                     }
                     stats.ro_retries.inc();
-                    self.backoff(4);
+                    self.pipeline().backoff(4);
                 }
             }
         }

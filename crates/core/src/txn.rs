@@ -5,11 +5,11 @@
 //! A transaction declares its read/write sets up front (§4.1 — the same
 //! requirement as Sinfonia/Calvin; typical OLTP workloads satisfy it).
 //! [`Worker::execute`] then drives it through steps written once each:
-//! **Start** ([`Worker::start`]) logs ahead, then locks or leases and
+//! **Start** ([`Pipeline::start`]) logs ahead, then locks or leases and
 //! fetches every record of the strategy's lock order; **LocalTX** runs
 //! the body against a [`TxnCtx`]; **Commit** confirms the leases and
-//! stages the write-ahead log up to the commit point ([`Worker::run`]);
-//! **WriteBack** ([`Worker::publish`]) applies, unlocks, parks what a
+//! stages the write-ahead log up to the commit point ([`Pipeline::run`]);
+//! **WriteBack** ([`Pipeline::publish`]) applies, unlocks, parks what a
 //! dead peer cannot take and reclaims the log.
 //!
 //! The only fork is the [`Strategy`]: the **HTM** region of the paper's
@@ -215,9 +215,10 @@ fn stale_lease(slots: &[Slot<'_>], now: u64) -> Option<RecordAddr> {
     stale.next().and_then(Slot::record)
 }
 
-/// The per-transaction constants every pipeline step reads. Borrowed
-/// from locals of [`Worker::execute`], not from the worker, so phase
-/// timers can stay alive across steps that mutate the worker.
+/// The per-transaction constants every pipeline step reads. Copied out
+/// of the [`Pipeline`] (the system outlives it) rather than borrowed
+/// through it, so phase timers can stay alive across steps that mutate
+/// the worker's lane.
 #[derive(Clone, Copy)]
 struct Env<'a> {
     sys: &'a DrTm,
@@ -414,17 +415,15 @@ impl DrTm {
 
     /// Creates the handle a worker thread drives transactions through.
     pub fn worker(self: &Arc<Self>, node: NodeId, worker_id: usize) -> Worker {
-        Worker {
+        let lane = Lane {
             qp: self.cluster.qp(node),
             log: LogSlot::new(self.layout.log_slots[worker_id]),
             ring: self.trace.register(),
             txn_seq: 0,
-            sys: Arc::clone(self),
-            node,
-            worker_id,
             rng: 0x9E37_79B9u64.wrapping_mul(node as u64 + 1).wrapping_add(worker_id as u64),
             pending: Vec::new(),
-        }
+        };
+        Worker { sys: Arc::clone(self), node, worker_id, lane }
     }
 }
 
@@ -436,6 +435,15 @@ pub struct Worker {
     pub node: NodeId,
     /// Worker index within the machine.
     pub worker_id: usize,
+    lane: Lane,
+}
+
+/// What a worker owns and its transactions mutate, kept apart from its
+/// `Arc<DrTm>` so that a transaction borrows the system ([`Pipeline`])
+/// instead of taking a reference on it: every worker thread would
+/// otherwise write the one reference count twice per transaction.
+#[derive(Debug)]
+struct Lane {
     qp: Qp,
     log: LogSlot,
     ring: Arc<TraceBuf>,
@@ -446,10 +454,19 @@ pub struct Worker {
     pending: Vec<WriteItem>,
 }
 
+/// A worker for the length of one call: its system borrowed, its lane
+/// mutably. Every step of the commit pipeline is a method of this.
+pub(crate) struct Pipeline<'w> {
+    sys: &'w DrTm,
+    node: NodeId,
+    worker_id: usize,
+    lane: &'w mut Lane,
+}
+
 impl Worker {
     /// The queue pair this worker issues one-sided operations on.
     pub fn qp(&self) -> &Qp {
-        &self.qp
+        &self.lane.qp
     }
 
     /// This worker's machine region.
@@ -472,7 +489,7 @@ impl Worker {
     /// off. Pair with [`Worker::clear_chop`] after the last piece.
     pub fn log_chop(&self, info: crate::log::ChopInfo) {
         if self.sys.cfg.logging {
-            self.log.log_chop(self.region(), info);
+            self.lane.log.log_chop(self.region(), info);
             self.sys.stats.add_log_write(8);
         }
     }
@@ -480,15 +497,69 @@ impl Worker {
     /// Clears this worker's chopping information.
     pub fn clear_chop(&self) {
         if self.sys.cfg.logging {
-            self.log.clear_chop(self.region());
+            self.lane.log.clear_chop(self.region());
         }
     }
 
+    /// Records an abort decided *outside* the commit protocol — e.g. the
+    /// elastic router aborting with [`AbortCause::Migrated`] when a key's
+    /// range is mid-cutover — so cross-layer retries show up in the same
+    /// per-cause counters and trace rings as protocol aborts.
+    pub fn note_abort(&mut self, cause: AbortCause) {
+        let mut p = self.pipeline();
+        let txn_id = p.next_txn_id();
+        p.trace_abort(txn_id, Phase::Start, cause, None);
+    }
+
+    /// This worker for the length of one call, its system borrowed.
+    pub(crate) fn pipeline(&mut self) -> Pipeline<'_> {
+        Pipeline {
+            sys: &self.sys,
+            node: self.node,
+            worker_id: self.worker_id,
+            lane: &mut self.lane,
+        }
+    }
+
+    /// Executes one strictly-serializable read-write transaction.
+    ///
+    /// `body` runs with all remote records prefetched; it may be retried
+    /// many times and must therefore be idempotent apart from its context
+    /// operations. Returns the body's value once durably committed.
+    pub fn execute<T>(
+        &mut self,
+        spec: &TxnSpec<'_>,
+        body: impl FnMut(&mut TxnCtx<'_>) -> Result<T, Abort>,
+    ) -> Result<T, TxnError> {
+        self.pipeline().execute(spec, body)
+    }
+
+    /// Whether this worker still holds undelivered write-backs/unlocks
+    /// for a dead peer ([`Worker::execute`] refuses new transactions
+    /// until [`Worker::flush_pending`] drains them).
+    pub fn has_pending(&self) -> bool {
+        !self.lane.pending.is_empty()
+    }
+
+    /// Re-delivers write-backs and unlocks that were parked when their
+    /// target machine died mid-commit. Call after the failed node is
+    /// recovered (or revived): on success the worker's write-ahead log
+    /// is reclaimed and new transactions may run; on `PeerDead` the
+    /// still-undeliverable ops stay parked for the next attempt. (A
+    /// graceful leave quiesces pending write-backs *before* retiring, so
+    /// a retired target only shows up here under chaos; its ops stay
+    /// parked like any other.)
+    pub fn flush_pending(&mut self) -> Result<(), TxnError> {
+        self.pipeline().flush_pending()
+    }
+}
+
+impl Pipeline<'_> {
     /// Allocates the next transaction id:
     /// `node << 40 | worker << 32 | per-worker sequence`.
     fn next_txn_id(&mut self) -> u64 {
-        self.txn_seq += 1;
-        (self.node as u64) << 40 | (self.worker_id as u64) << 32 | self.txn_seq
+        self.lane.txn_seq += 1;
+        (self.node as u64) << 40 | (self.worker_id as u64) << 32 | self.lane.txn_seq
     }
 
     /// Records one abort event in this worker's trace ring.
@@ -500,7 +571,7 @@ impl Worker {
         record: Option<&RecordAddr>,
     ) {
         self.sys.trace.record(
-            &self.ring,
+            &self.lane.ring,
             TraceEvent {
                 txn_id,
                 node: self.node,
@@ -511,15 +582,6 @@ impl Worker {
                 vtime_ns: vtime::read(),
             },
         );
-    }
-
-    /// Records an abort decided *outside* the commit protocol — e.g. the
-    /// elastic router aborting with [`AbortCause::Migrated`] when a key's
-    /// range is mid-cutover — so cross-layer retries show up in the same
-    /// per-cause counters and trace rings as protocol aborts.
-    pub fn note_abort(&mut self, cause: AbortCause) {
-        let txn_id = self.next_txn_id();
-        self.trace_abort(txn_id, Phase::Start, cause, None);
     }
 
     /// The cluster's fault plan (chaos-harness hooks).
@@ -554,10 +616,10 @@ impl Worker {
 
     pub(crate) fn backoff(&mut self, attempt: u32) {
         // Xorshift jitter: livelock-avoidance for symmetric lock retries.
-        self.rng ^= self.rng << 13;
-        self.rng ^= self.rng >> 7;
-        self.rng ^= self.rng << 17;
-        let spins = (self.rng % 64 + 1) * attempt.min(16) as u64;
+        self.lane.rng ^= self.lane.rng << 13;
+        self.lane.rng ^= self.lane.rng >> 7;
+        self.lane.rng ^= self.lane.rng << 17;
+        let spins = (self.lane.rng % 64 + 1) * attempt.min(16) as u64;
         vtime::charge(spins * 4);
         for _ in 0..spins {
             std::hint::spin_loop();
@@ -578,12 +640,8 @@ impl Worker {
         }
     }
 
-    /// Executes one strictly-serializable read-write transaction.
-    ///
-    /// `body` runs with all remote records prefetched; it may be retried
-    /// many times and must therefore be idempotent apart from its context
-    /// operations. Returns the body's value once durably committed.
-    pub fn execute<T>(
+    /// [`Worker::execute`].
+    fn execute<T>(
         &mut self,
         spec: &TxnSpec<'_>,
         mut body: impl FnMut(&mut TxnCtx<'_>) -> Result<T, Abort>,
@@ -602,14 +660,14 @@ impl Worker {
         );
         // A transaction boundary is a completion wait: ops from the
         // previous transaction cannot share a doorbell with this one.
-        self.qp.doorbell_flush();
+        self.lane.qp.doorbell_flush();
         // The log slot still carries the previous transaction's
         // write-ahead record while write-backs to a dead peer are
         // parked; it must be drained before the slot can be reused.
         self.flush_pending()?;
-        let sys = Arc::clone(&self.sys);
+        let sys = self.sys;
         let region = sys.cluster.node(self.node).region();
-        let env = Env { sys: &sys, region, spec, txn_id: self.next_txn_id() };
+        let env = Env { sys, region, spec, txn_id: self.next_txn_id() };
         let mut slots = slot_table(spec);
         // The HTM strategy, until its restart budget is spent or a
         // region gives up; then ordered 2PL, which always finishes.
@@ -754,7 +812,7 @@ impl Worker {
     /// One acquisition wave (Figure 5) — a write lock or a lease ending
     /// at `end_us` on each of `wants`, as `(record, write, local)` with
     /// `local` selecting the CPU CAS path — posted together and awaited
-    /// once: the primitive under [`Worker::start`] and under every
+    /// once: the primitive under [`Pipeline::start`] and under every
     /// read-only lease. One outcome per record, in order.
     pub(crate) fn acquire_wave(
         &self,
@@ -770,7 +828,7 @@ impl Worker {
             };
             Claim { rec, desired, local }
         };
-        record::acquire_wave(&self.qp, wants.map(claim), now_us, DELTA_US)
+        record::acquire_wave(&self.lane.qp, wants.map(claim), now_us, DELTA_US)
     }
 
     /// What a lost claim means to a caller that *waits* for the record
@@ -829,7 +887,7 @@ impl Worker {
         // The lock-ahead log names every record about to be locked, so
         // recovery can release them if this machine dies holding them.
         if sys.cfg.logging && !write_set.is_empty() {
-            let n = self.log.log_lock_ahead(region, write_set);
+            let n = self.lane.log.log_lock_ahead(region, write_set);
             sys.stats.add_log_write(n);
         }
         if self.crashes_at(after_lock_ahead) {
@@ -914,7 +972,7 @@ impl Worker {
         let released = unlocks.len() as u64;
         let undelivered = self.write_back(unlocks, None).expect("no crash point to honour");
         if !self.self_crashed() {
-            self.pending.extend(undelivered);
+            self.lane.pending.extend(undelivered);
         }
         released
     }
@@ -947,7 +1005,7 @@ impl Worker {
     /// nothing is applied and no lock released before the log that can
     /// redo it is persistent (log-persist-before-unlock, the HTPM
     /// ordering): staging sits in this one place, above the only call
-    /// of [`Worker::publish`].
+    /// of [`Pipeline::publish`].
     fn run<'e, T>(
         &mut self,
         strategy: Strategy,
@@ -1053,6 +1111,7 @@ impl Worker {
             sys.cfg.logging && if htm { !updates.is_empty() } else { !write_set.is_empty() };
         if wal_staged {
             let n = self
+                .lane
                 .log
                 .log_write_ahead(txn.as_mut(), region, write_set, &updates)
                 .map_err(|a| self.htm_abort(env, Phase::Commit, a, None, &mut allocs))?;
@@ -1111,17 +1170,17 @@ impl Worker {
         let mut undelivered = Vec::new();
         for w in writes {
             let posted = match &w.value {
-                Some(v) => record::post_write_back(&self.qp, &w.rec, w.version, v, w.local),
-                None => record::post_unlock(&self.qp, &w.rec, w.local),
+                Some(v) => record::post_write_back(&self.lane.qp, &w.rec, w.version, v, w.local),
+                None => record::post_unlock(&self.lane.qp, &w.rec, w.local),
             };
             if posted.is_err() {
                 undelivered.push(WriteItem { local: false, ..w });
             } else if crash.is_some_and(|p| self.crashes_at(p)) {
-                self.qp.wait();
+                self.lane.qp.wait();
                 return Err(TxnError::SimulatedCrash);
             }
         }
-        self.qp.wait();
+        self.lane.qp.wait();
         Ok(undelivered)
     }
 
@@ -1148,7 +1207,7 @@ impl Worker {
                 // stays parked here.
                 return Err(TxnError::SimulatedCrash);
             }
-            self.pending.extend(undelivered);
+            self.lane.pending.extend(undelivered);
         }
         // Crash before the write-ahead log is reclaimed: recovery must
         // replay the log and skip every already-applied update.
@@ -1164,34 +1223,20 @@ impl Worker {
     /// parked: parked write-backs still need the write-ahead log for
     /// redo should this machine die before delivering them.
     fn reclaim_log(&self, log_live: bool) {
-        if log_live && self.pending.is_empty() {
-            self.log.log_done(self.region());
+        if log_live && self.lane.pending.is_empty() {
+            self.lane.log.log_done(self.sys.cluster.node(self.node).region());
             self.sys.stats.log_done_waits.inc();
         }
     }
 
-    /// Whether this worker still holds undelivered write-backs/unlocks
-    /// for a dead peer ([`Worker::execute`] refuses new transactions
-    /// until [`Worker::flush_pending`] drains them).
-    pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
-    /// Re-delivers write-backs and unlocks that were parked when their
-    /// target machine died mid-commit. Call after the failed node is
-    /// recovered (or revived): on success the worker's write-ahead log
-    /// is reclaimed and new transactions may run; on `PeerDead` the
-    /// still-undeliverable ops stay parked for the next attempt. (A
-    /// graceful leave quiesces pending write-backs *before* retiring, so
-    /// a retired target only shows up here under chaos; its ops stay
-    /// parked like any other.)
-    pub fn flush_pending(&mut self) -> Result<(), TxnError> {
-        if self.pending.is_empty() {
+    /// [`Worker::flush_pending`].
+    fn flush_pending(&mut self) -> Result<(), TxnError> {
+        if self.lane.pending.is_empty() {
             return Ok(());
         }
-        let parked = std::mem::take(&mut self.pending);
-        self.pending = self.write_back(parked, None)?;
-        match self.pending.first() {
+        let parked = std::mem::take(&mut self.lane.pending);
+        self.lane.pending = self.write_back(parked, None)?;
+        match self.lane.pending.first() {
             Some(op) => Err(TxnError::PeerDead(op.rec.addr.node)),
             None => {
                 self.reclaim_log(self.sys.cfg.logging);
@@ -1505,6 +1550,25 @@ mod tests {
         assert_eq!(h.value(0, 1), 200);
         assert_eq!(h.sys.stats().snapshot().committed, 1);
         assert_eq!(h.sys.stats().snapshot().fallback_committed, 0);
+    }
+
+    #[test]
+    fn a_transaction_borrows_its_system_and_takes_no_reference() {
+        let h = harness(1, 1, 4, DrTmConfig::default());
+        let mut w = h.sys.worker(0, 0);
+        let before = Arc::strong_count(w.system());
+        let spec = TxnSpec {
+            keyed_writes: vec![LocalKey { table: &h.tables[0], key: 0 }],
+            ..Default::default()
+        };
+        let inside = w
+            .execute(&spec, |ctx| {
+                let v = vu64(&ctx.keyed_write_cur(0)?.expect("populated"));
+                ctx.keyed_write(0, &u64v(v + 1))?;
+                Ok(Arc::strong_count(&h.sys))
+            })
+            .unwrap();
+        assert_eq!(inside, before, "execute took a reference on the system");
     }
 
     #[test]
@@ -1838,7 +1902,14 @@ mod tests {
         let order: Vec<usize> = (0..5).collect();
         let before = sys.stats_report();
         let mut ops = 0;
-        let lost = w.start(Strategy::Htm, env, &mut slots, &order, &spec.remote_writes, &mut ops);
+        let lost = w.pipeline().start(
+            Strategy::Htm,
+            env,
+            &mut slots,
+            &order,
+            &spec.remote_writes,
+            &mut ops,
+        );
         assert_eq!(lost.err(), Some(Stop::Restart));
         // Nothing the wave fetched — least of all b's bytes, read behind
         // the lost CAS — stays in the table for a body to read.

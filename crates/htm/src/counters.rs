@@ -1,10 +1,16 @@
 //! The one counter primitive every layer's statistics are declared with.
 //!
-//! A counter *set* is a struct of relaxed atomic cells shared by the
-//! threads that count, and a plain `Copy` snapshot struct with the same
-//! field names that readers take, diff and fold. [`counter_set!`](crate::counter_set) turns
-//! one documented field list into both, so a counter is one line to add
-//! and cannot be left out of `snapshot`, `since` or `merge`.
+//! A counter *set* is a struct of [`Counter`]s and a plain `Copy`
+//! snapshot struct with the same field names that readers take, diff and
+//! fold. [`counter_set!`](crate::counter_set) turns one documented field
+//! list into both, so a counter is one line to add and cannot be left
+//! out of `snapshot`, `since` or `merge`.
+//!
+//! A counter is sharded per thread: [`NSHARDS`] relaxed atomic cells,
+//! each on a cache line of its own. A thread adds to the cell its
+//! [`shard_id`] names and reading sums the cells, so threads that count
+//! the same event at the same time write no shared cache line. The price
+//! is memory: `NSHARDS` × 64 B = 512 B per counter.
 //!
 //! Three rules hold for every set in the workspace:
 //!
@@ -41,12 +47,35 @@
 //! assert_eq!(window.merge(&window), IoSnapshot { requests: 2, bytes: 128 });
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// One monotonic event counter. Every access is `Relaxed`: a counter
-/// publishes no other data.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+/// Number of per-thread shards of a [`Counter`] and of an entry pool's
+/// free list (a power of two). Threads spread across them round-robin,
+/// so up to this many count and allocate with no shared cache line.
+pub const NSHARDS: usize = 8;
+
+/// The calling thread's shard, in `0..NSHARDS`: threads enumerate
+/// themselves on first use and keep their shard for life. The one
+/// thread-shard index of the workspace.
+#[inline]
+pub fn shard_id() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static SHARD: usize = NEXT.fetch_add(1, Ordering::Relaxed) & (NSHARDS - 1);
+    }
+    SHARD.with(|s| *s)
+}
+
+/// One shard's cell, alone on its cache line.
+#[derive(Default)]
+#[repr(align(64))]
+struct Shard(AtomicU64);
+
+/// One monotonic event counter, sharded per thread (see the
+/// [module docs](self)). Every access is `Relaxed`: a counter publishes
+/// no other data.
+#[derive(Default)]
+pub struct Counter([Shard; NSHARDS]);
 
 impl Counter {
     /// Counts one event.
@@ -55,16 +84,24 @@ impl Counter {
         self.add(1);
     }
 
-    /// Counts `n` events (or `n` bytes, nanoseconds, ...).
+    /// Counts `n` events (or `n` bytes, nanoseconds, ...) into the
+    /// calling thread's cell.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0[shard_id()].0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// The current count.
-    #[inline]
+    /// The current count: the sum of the cells. Each cell only grows and
+    /// one reader sees each cell's values in order, so a later `get` on
+    /// the same thread never returns less.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
+    }
+}
+
+impl std::fmt::Debug for Counter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Counter").field(&self.get()).finish()
     }
 }
 
@@ -220,5 +257,61 @@ mod tests {
         });
         assert_eq!(cells.snapshot(), Snap { a: 40_000, b: 80_000, c: 0 });
         assert_eq!(arr.snapshot(), [20_000, 20_000]);
+    }
+
+    #[test]
+    fn four_threads_counting_one_counter_sum_exactly() {
+        let counter = Counter::default();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| (0..100_000).for_each(|_| counter.inc()));
+            }
+        });
+        assert_eq!(counter.get(), 400_000);
+    }
+
+    #[test]
+    fn a_window_taken_while_two_threads_count_never_underflows() {
+        let cells = Cells::default();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            let counters: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        for _ in 0..100_000 {
+                            cells.a.inc();
+                            cells.b.add(3);
+                        }
+                    })
+                })
+                .collect();
+            s.spawn(|| {
+                start.wait();
+                // `since` subtracts field by field and panics on an
+                // underflow in a test build.
+                let mut last = cells.snapshot();
+                while !done.load(Ordering::Relaxed) {
+                    let now = cells.snapshot();
+                    let window = now.since(&last);
+                    assert!(window.a <= 200_000 && window.b <= 600_000);
+                    last = now;
+                }
+            });
+            counters.into_iter().for_each(|t| t.join().unwrap());
+            done.store(true, Ordering::Relaxed);
+        });
+        assert_eq!(cells.snapshot(), Snap { a: 200_000, b: 600_000, c: 0 });
+    }
+
+    #[test]
+    fn two_threads_enumerated_one_after_the_other_get_different_shards() {
+        let first = std::thread::spawn(shard_id).join().unwrap();
+        let second = std::thread::spawn(shard_id).join().unwrap();
+        assert!(first < NSHARDS && second < NSHARDS);
+        assert_ne!(first, second);
+        // A thread keeps its shard.
+        assert_eq!(shard_id(), shard_id());
     }
 }

@@ -14,15 +14,18 @@
 //!
 //! The free list used to be one global mutex, which serialized every
 //! inserting worker on the machine. It is now sharded: each worker
-//! thread maps to a shard holding its own free-cell stack, and a shard
-//! that runs dry carves a *slab* of fresh cells from the shared bump
-//! cursor (a single atomic) in one step. Allocation and free are
+//! thread maps to a shard holding its own free-cell stack (by the
+//! workspace's one thread-shard index, [`drtm_htm::counters::shard_id`],
+//! which the counters share), and a shard that runs dry carves a *slab*
+//! of fresh cells from the shared bump cursor (a single atomic) in one
+//! step. Allocation and free are
 //! therefore local to the worker's shard — the only cross-shard traffic
 //! is slab carving (amortized over [`SLAB_CELLS`] allocations) and
 //! end-of-pool stealing when the bump region is exhausted.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use drtm_htm::counters::{shard_id, NSHARDS};
 use parking_lot::Mutex;
 
 /// Explicit-abort code of a store operation whose cell pool ran dry
@@ -65,25 +68,9 @@ impl Arena {
     }
 }
 
-/// Number of free-list shards (power of two). Worker threads spread
-/// across shards round-robin, so up to this many workers allocate with
-/// zero contention.
-const NSHARDS: usize = 8;
-
 /// Cells carved from the shared bump cursor per refill. One atomic RMW
 /// buys this many lock-free local allocations.
 const SLAB_CELLS: usize = 32;
-
-/// Per-worker shard id: threads enumerate themselves on first use and
-/// keep their shard for life, so a worker's alloc/free traffic stays on
-/// one uncontended stack.
-fn shard_id() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: usize = NEXT.fetch_add(1, Ordering::Relaxed) & (NSHARDS - 1);
-    }
-    SHARD.with(|s| *s)
-}
 
 /// Run-time allocator of fixed-size cells within a reserved range.
 ///

@@ -24,7 +24,7 @@ use drtm_rdma::{ClusterConfig, LatencyProfile, NodeId};
 
 use crate::dist::rng;
 use crate::resolve::Table;
-use crate::{fields, pack_fields, tolerate_user_abort};
+use crate::tolerate_user_abort;
 
 /// SmallBank sizing and behaviour.
 #[derive(Debug, Clone)]
@@ -134,7 +134,7 @@ impl SmallBank {
                     let v = table
                         .read_local(&exec, region, n, gid)
                         .unwrap_or_else(|| panic!("account {gid} missing on node {n}"));
-                    total = total.wrapping_add(fields(&v)[0]);
+                    total = total.wrapping_add(balance_of(&v));
                 }
             }
         }
@@ -239,13 +239,13 @@ impl SmallBankWorker {
         }
         tolerate_user_abort(self.w.execute(&spec, |ctx| {
             let va = balance(ctx.keyed_write_cur(0)?);
-            ctx.keyed_write(0, &pack_fields(&[va.wrapping_sub(amount)]))?;
+            ctx.keyed_write(0, &va.wrapping_sub(amount).to_le_bytes())?;
             if b_remote {
-                let vb = fields(ctx.remote_write_cur(0))[0];
-                ctx.remote_write(0, pack_fields(&[vb.wrapping_add(amount)]));
+                let vb = balance_of(ctx.remote_write_cur(0));
+                ctx.remote_write(0, vb.wrapping_add(amount).to_le_bytes().to_vec());
             } else {
                 let vb = balance(ctx.keyed_write_cur(1)?);
-                ctx.keyed_write(1, &pack_fields(&[vb.wrapping_add(amount)]))?;
+                ctx.keyed_write(1, &vb.wrapping_add(amount).to_le_bytes())?;
             }
             Ok(())
         }))
@@ -293,7 +293,7 @@ impl SmallBankWorker {
         let spec = TxnSpec { keyed_writes: vec![table.local(node, a)], ..Default::default() };
         tolerate_user_abort(self.w.execute(&spec, |ctx| {
             let v = balance(ctx.keyed_write_cur(0)?);
-            ctx.keyed_write(0, &pack_fields(&[op(v, amount)]))
+            ctx.keyed_write(0, &op(v, amount).to_le_bytes())
         }))
     }
 
@@ -315,24 +315,29 @@ impl SmallBankWorker {
         tolerate_user_abort(self.w.execute(&spec, |ctx| {
             let total =
                 balance(ctx.keyed_write_cur(0)?).wrapping_add(balance(ctx.keyed_write_cur(1)?));
-            ctx.keyed_write(0, &pack_fields(&[0]))?;
-            ctx.keyed_write(1, &pack_fields(&[0]))?;
+            ctx.keyed_write(0, &0u64.to_le_bytes())?;
+            ctx.keyed_write(1, &0u64.to_le_bytes())?;
             if b_remote {
-                let vb = fields(ctx.remote_write_cur(0))[0];
-                ctx.remote_write(0, pack_fields(&[vb.wrapping_add(total)]));
+                let vb = balance_of(ctx.remote_write_cur(0));
+                ctx.remote_write(0, vb.wrapping_add(total).to_le_bytes().to_vec());
             } else {
                 let vb = balance(ctx.keyed_write_cur(2)?);
-                ctx.keyed_write(2, &pack_fields(&[vb.wrapping_add(total)]))?;
+                ctx.keyed_write(2, &vb.wrapping_add(total).to_le_bytes())?;
             }
             Ok(())
         }))
     }
 }
 
-/// The balance in an account's row; population creates every account
-/// and nothing deletes one.
+/// The balance in an account's row, which is that one `u64`.
+fn balance_of(row: &[u8]) -> u64 {
+    u64::from_le_bytes(row[..8].try_into().expect("an account row is 8 bytes"))
+}
+
+/// The balance in a local account's row; population creates every
+/// account and nothing deletes one.
 fn balance(row: Option<Vec<u8>>) -> u64 {
-    fields(&row.expect("populated account"))[0]
+    balance_of(&row.expect("populated account"))
 }
 
 #[cfg(test)]
