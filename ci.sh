@@ -83,8 +83,12 @@
 # nothing reads them. `ab.sh`, the paired A/B runner for host-time
 # claims, is only syntax-checked (`bash -n`).
 # plus the figure ledger (EXPERIMENTS.md "Machine-readable baselines"):
-# the seven ledgered harnesses at their committed operation counts, about
-# 35 s, each holding its own invariants by `assert!`; then check_ledger,
+# a gate that every `[[bench]]` of crates/bench/Cargo.toml has a committed
+# ledger/BENCH_<name>.json and every such file a `[[bench]]`, with its
+# self-test (a probe manifest under target/ with one more `[[bench]]`
+# must fail it); then every harness that manifest names, at its committed
+# operation counts, about 70 s, each holding its own invariants by
+# `assert!`; then check_ledger,
 # which fails on any row of target/ledger/ outside the band its
 # committed row under ledger/ carries, on a row on one side only and on
 # a differing operation count; then the gate's own self-test (a copy of
@@ -340,12 +344,44 @@ echo "== tooling: ab.sh parses =="
 # binaries, so CI only checks that it is still a shell script.
 bash -n ab.sh
 
-echo "== figure ledger: seven harnesses at their committed operation counts =="
+echo "== figure ledger: one committed ledger per harness, one harness per ledger =="
+# A harness without a committed ledger reports numbers nothing checks; a
+# ledger without a harness is a baseline nothing reproduces.
+# Prints the `[[bench]]` names of a manifest, one a line, sorted.
+bench_names() {
+  awk '/^\[\[bench\]\]/ { b = 1; next }
+    b && /^name *=/ { gsub(/^name *= *"|"$/, ""); print; b = 0 }' "$1" | sort
+}
+# Fails, naming them, on a `[[bench]]` of manifest $1 with no BENCH_<name>.json
+# in directory $2 and on a BENCH_<name>.json there with no `[[bench]]`.
+bench_ledger_gate() {
+  local benches ledgers unledgered orphaned
+  benches="$(bench_names "$1")"
+  ledgers="$(find "$2" -maxdepth 1 -name 'BENCH_*.json' -printf '%f\n' \
+    | sed 's/^BENCH_//; s/\.json$//' | sort)"
+  unledgered="$(comm -23 <(echo "$benches") <(echo "$ledgers"))"
+  orphaned="$(comm -13 <(echo "$benches") <(echo "$ledgers"))"
+  [ -z "$unledgered" ] || echo "[[bench]] with no $2/BENCH_<name>.json:" $unledgered >&2
+  [ -z "$orphaned" ] || echo "$2/BENCH_<name>.json with no [[bench]]:" $orphaned >&2
+  [ -z "$unledgered$orphaned" ]
+}
+bench_ledger_gate crates/bench/Cargo.toml ledger \
+  || { echo "every harness reports through a committed ledger (crates/bench/src/ledger.rs)" >&2; exit 1; }
+
+echo "== figure ledger: the harness gate can fail =="
+PROBE=target/bench_ledger_gate_probe.toml
+{ cat crates/bench/Cargo.toml; printf '\n[[bench]]\nname = "gate_probe"\nharness = false\n'; } > "$PROBE"
+if bench_ledger_gate "$PROBE" ledger 2>/dev/null; then
+  echo "the harness gate passed a [[bench]] with no committed ledger" >&2
+  exit 1
+fi
+rm "$PROBE"
+
+echo "== figure ledger: every harness at its committed operation counts =="
 # DRTM_SCALE would change every leg's operation count, which the check
 # below reports row by row; unset, a stray value cannot do that.
 rm -rf target/ledger
-for bench in fig10d_cache_size fig12_tpcc_machines fig15_smallbank \
-  fig16_cross_warehouse fig17_read_lease tab6_durability ablate_capacity; do
+for bench in $(bench_names crates/bench/Cargo.toml); do
   env -u DRTM_SCALE cargo bench -q -p drtm-bench --bench "$bench" > /dev/null
 done
 

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use drtm_bench::ledger::{cell, quiet, text, tput, Kind, Ledger};
-use drtm_bench::{banner, f, row, scaled};
+use drtm_bench::{f, scaled};
 use drtm_workloads::driver::{diagnosed, run};
 use drtm_workloads::tpcc::{Tpcc, TpccConfig};
 
@@ -24,12 +24,11 @@ const NODES: usize = 2;
 const WORKERS: usize = 4;
 
 fn main() {
-    banner("ablate_capacity", "TPC-C standard mix vs HTM read-set limit");
+    let mut ledger = Ledger::new("ablate_capacity", "TPC-C standard mix vs HTM read-set limit");
     let wall = std::time::Instant::now();
-    let mut ledger = Ledger::new("ablate_capacity");
     let iters = scaled(300, 40);
     let warmup = iters / 5;
-    row(&["read lines".into(), "cap aborts/kop".into(), "fallback %".into(), "std-mix".into()]);
+    ledger.row(iters, ["read lines", "cap aborts/kop", "fallback %", "std-mix"].map(text));
     let mut knee = None;
     for lines in [64usize, 128, 256, 512, 1_024, 4_096] {
         let mut cfg = TpccConfig {

@@ -10,7 +10,8 @@
 
 use std::sync::Arc;
 
-use drtm_bench::{banner, f, mops, row, scaled};
+use drtm_bench::ledger::{cell, text, Kind, Ledger};
+use drtm_bench::{f, mops, scaled};
 use drtm_htm::{vtime, Executor, HtmConfig, HtmStats};
 use drtm_memstore::{
     rpc::{ship_store_op, spawn_store_service, StoreOp, StoreReply},
@@ -19,7 +20,8 @@ use drtm_memstore::{
 use drtm_rdma::{Cluster, ClusterConfig, LatencyProfile};
 
 fn main() {
-    banner("ablate_write_path", "remote updates: one-sided WRITE vs shipped PUT");
+    let mut ledger =
+        Ledger::new("ablate_write_path", "remote updates: one-sided WRITE vs shipped PUT");
     let keys = scaled(20_000, 2_000);
     let cluster = Cluster::new(ClusterConfig {
         nodes: 2,
@@ -65,13 +67,21 @@ fn main() {
 
     let one_sided_us = one_sided_ns as f64 / n as f64 / 1e3;
     let shipped_us = shipped_ns as f64 / (n / 10) as f64 / 2.0 / 1e3;
-    row(&["path".into(), "µs/update".into(), "Mops (1 thread)".into()]);
-    row(&["one-sided WRITE".into(), f(one_sided_us), mops(1e9 / (one_sided_us * 1e3))]);
-    row(&["shipped PUT".into(), f(shipped_us), mops(1e9 / (shipped_us * 1e3))]);
+    ledger.row(n, ["path", "µs/update", "Mops (1 thread)"].map(text));
+    for (path, point, us, ops) in [
+        ("one-sided WRITE", "one_sided_us", one_sided_us, n),
+        ("shipped PUT", "shipped_us", shipped_us, n / 10),
+    ] {
+        let per_update = cell(point, Kind::Virtual, us, f(us));
+        ledger.row(ops, [text(path), per_update, text(mops(1e9 / (us * 1e3)))]);
+    }
+    let x = shipped_us / one_sided_us;
+    let ratio = cell("shipped_over_one_sided_x", Kind::Virtual, x, f(x));
+    ledger.row(n, [text("shipped/WRITE"), ratio]);
     println!(
-        "one-sided remote updates are {:.1}x cheaper — the §5.1 motivation for \
-         decoupling race detection from the table design",
-        shipped_us / one_sided_us
+        "one-sided remote updates are {x:.1}x cheaper — the §5.1 motivation for \
+         decoupling race detection from the table design"
     );
     assert!(shipped_us > one_sided_us, "shipping must cost more than one-sided WRITE");
+    ledger.write();
 }

@@ -3,14 +3,16 @@
 //! Measures the raw simulated fabric: 5 client machines × 8 threads
 //! issuing random READs of a fixed payload against the server's region.
 
-use drtm_bench::{banner, f, mops, row, scaled};
+use drtm_bench::ledger::{cell, text, tput, Kind, Ledger};
+use drtm_bench::{f, scaled};
 use drtm_htm::vtime;
 use drtm_rdma::{Cluster, ClusterConfig, GlobalAddr, LatencyProfile};
 use drtm_workloads::dist::rng;
 use rand::Rng;
 
 fn main() {
-    banner("fig10a", "one-sided RDMA READ throughput vs payload size");
+    let mut ledger =
+        Ledger::new("fig10a_rdma_payload", "one-sided RDMA READ throughput vs payload size");
     let region_size = 64 << 20;
     let cluster = Cluster::new(ClusterConfig {
         nodes: 6,
@@ -18,8 +20,8 @@ fn main() {
         profile: LatencyProfile::rdma(),
         ..Default::default()
     });
-    row(&["payload B".into(), "Mops/s".into(), "lat µs".into()]);
     let per_thread = scaled(20_000, 2_000);
+    ledger.row(per_thread, ["payload B", "Mops/s", "lat µs"].map(text));
     for payload in [16usize, 64, 256, 1024, 4096, 8192] {
         let mut rates = Vec::new();
         let mut lat = 0.0;
@@ -47,8 +49,13 @@ fn main() {
                 lat = ns / per_thread as f64 / 1e3;
             }
         });
-        let tput: f64 = rates.iter().sum();
-        row(&[payload.to_string(), mops(tput), f(lat)]);
+        let total: f64 = rates.iter().sum();
+        // The paper's ~26 Mops is its smallest payload's.
+        let paper = (payload == 16).then_some(26.0);
+        let lat = cell(format!("read_{payload}b_lat_us"), Kind::Virtual, lat, f(lat));
+        let total = tput(format!("read_{payload}b_mops"), total).paper(paper);
+        ledger.row(per_thread, [text(payload), total, lat]);
     }
     println!("(paper: ~26 Mops at small payloads, falling with size; shape must match)");
+    ledger.write();
 }

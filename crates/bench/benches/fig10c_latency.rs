@@ -7,17 +7,18 @@
 //! reproduced property.
 
 use drtm_bench::kv::{KvBench, KvSystem};
-use drtm_bench::{banner, f, mops, row, scaled};
+use drtm_bench::ledger::{cell, text, tput, Kind, Ledger};
+use drtm_bench::{f, scaled};
 use drtm_workloads::dist::KeyDist;
 
 fn main() {
-    banner("fig10c", "latency vs throughput, 64 B values (uniform)");
+    let mut ledger = Ledger::new("fig10c_latency", "latency vs throughput, 64 B values (uniform)");
     let keys = scaled(100_000, 10_000);
     let dist = KeyDist::uniform(keys);
     let per_thread = scaled(4_000, 500);
     let loads: &[(usize, usize)] = &[(1, 1), (1, 4), (1, 8), (2, 8), (5, 8)];
-    row(&["system".into(), "clients".into(), "Mops/s".into(), "lat µs".into()]);
-    let mut summary: Vec<(&str, f64, f64)> = Vec::new();
+    ledger.row(per_thread, ["system", "clients", "Mops/s", "lat µs"].map(text));
+    let mut summary: Vec<(KvSystem, f64, f64)> = Vec::new();
     for sys in [
         KvSystem::Pilaf,
         KvSystem::FarmInline,
@@ -29,21 +30,27 @@ fn main() {
         let mut peak = (0.0f64, 0.0f64);
         for &(machines, threads) in loads {
             let run = b.run(machines, threads, per_thread, &dist);
-            row(&[
-                sys.name().into(),
-                format!("{machines}x{threads}"),
-                mops(run.throughput),
-                f(run.latency_us),
-            ]);
+            let point = format!("{}_{machines}x{threads}", sys.key());
+            let lat =
+                cell(format!("{point}_lat_us"), Kind::Virtual, run.latency_us, f(run.latency_us));
+            let load = [text(sys.name()), text(format!("{machines}x{threads}"))];
+            ledger.row(
+                per_thread,
+                load.into_iter().chain([tput(format!("{point}_mops"), run.throughput), lat]),
+            );
             if run.throughput > peak.0 {
                 peak = (run.throughput, run.latency_us);
             }
         }
-        summary.push((sys.name(), peak.0, peak.1));
+        summary.push((sys, peak.0, peak.1));
     }
     println!("\npeak throughput and latency per system:");
-    for (name, tput, lat) in &summary {
-        row(&[(*name).into(), mops(*tput), f(*lat)]);
+    for &(sys, mops, lat) in &summary {
+        // The paper's DrTM-KV/$ peaks at 3.4 µs.
+        let paper = matches!(sys, KvSystem::DrtmKvCache { .. }).then_some(3.4);
+        let lat = cell(format!("{}_peak_lat_us", sys.key()), Kind::Virtual, lat, f(lat));
+        let peak = [tput(format!("{}_peak_mops", sys.key()), mops), lat.paper(paper)];
+        ledger.row(per_thread, std::iter::once(text(sys.name())).chain(peak));
     }
     let cached = summary.last().expect("five systems");
     let pilaf = &summary[0];
@@ -60,4 +67,5 @@ fn main() {
         pilaf.2
     );
     println!("(paper: DrTM-KV/$ lowest latency AND highest throughput)");
+    ledger.write();
 }

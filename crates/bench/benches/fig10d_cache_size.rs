@@ -7,11 +7,11 @@
 
 use drtm_bench::kv::{KvBench, KvSystem};
 use drtm_bench::ledger::{quiet, text, tput, Kind, Ledger};
-use drtm_bench::{banner, row, scaled};
+use drtm_bench::scaled;
 use drtm_workloads::dist::KeyDist;
 
 fn main() {
-    banner("fig10d", "cache size vs throughput (64 B values)");
+    let mut ledger = Ledger::new("fig10d_cache_size", "cache size vs throughput (64 B values)");
     let wall = std::time::Instant::now();
     let keys = scaled(100_000, 10_000);
     let per_thread = scaled(4_000, 500);
@@ -20,17 +20,13 @@ fn main() {
     let buckets = ((keys as f64 / 0.75).ceil() as usize / 8).next_power_of_two();
     let full = buckets * 160 * 5 / 4 * 11 / 10;
     let budgets = [full / 16, full / 8, full / 4, full / 2, full];
-    row(&[
-        "cache".into(),
-        "uniform/cold".into(),
-        "uniform/warm".into(),
-        "zipf/cold".into(),
-        "zipf/warm".into(),
-    ]);
+    ledger.row(
+        per_thread,
+        ["cache", "uniform/cold", "uniform/warm", "zipf/cold", "zipf/warm"].map(text),
+    );
     let mut uniform_small = 0.0;
     let mut uniform_full = 0.0;
     let mut zipf_small = 0.0;
-    let mut ledger = Ledger::new("fig10d_cache_size");
     let mut full_warm_stats = drtm_memstore::CacheStats::default();
     for &budget in &budgets {
         let kb = budget >> 10;

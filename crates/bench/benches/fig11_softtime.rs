@@ -8,7 +8,8 @@
 //! from every timer tick; reuse-start narrows the window to the
 //! confirmation only, and purely local transactions never touch softtime.
 
-use drtm_bench::{banner, mops, row, scaled};
+use drtm_bench::ledger::{cell, text, tput, Kind, Ledger};
+use drtm_bench::{f, scaled};
 use drtm_core::SofttimeStrategy;
 use drtm_workloads::driver::run;
 use drtm_workloads::micro::{Micro, MicroConfig};
@@ -50,15 +51,13 @@ fn run_one(strategy: SofttimeStrategy, interval_us: u64, iters: u64) -> (f64, f6
 }
 
 fn main() {
-    banner("fig11", "softtime strategies: timer-induced false aborts");
-    let iters = scaled(400, 60);
-    row(&[
-        "interval µs".into(),
-        "per-op tput".into(),
-        "per-op conf%".into(),
-        "reuse tput".into(),
-        "reuse conf%".into(),
-    ]);
+    let mut ledger =
+        Ledger::new("fig11_softtime", "softtime strategies: timer-induced false aborts");
+    // Leases end in wall time, so throughput is noisy: at 400 operations
+    // per worker no row repeated to within 30 %, at 1 600 three do.
+    let iters = scaled(1_600, 60);
+    let heading = ["interval µs", "per-op tput", "per-op conf%", "reuse tput", "reuse conf%"];
+    ledger.row(iters, heading.map(text));
     let mut perop_fast = Vec::new();
     let mut reuse_fast = Vec::new();
     for interval in [50u64, 200, 1_000, 5_000] {
@@ -68,13 +67,14 @@ fn main() {
             perop_fast.push(a1);
             reuse_fast.push(a2);
         }
-        row(&[
-            interval.to_string(),
-            mops(t1),
-            format!("{:.2}", a1 * 100.0),
-            mops(t2),
-            format!("{:.2}", a2 * 100.0),
-        ]);
+        let mut cells = vec![text(interval)];
+        for (strategy, t, a) in [("perop", t1, a1), ("reuse", t2, a2)] {
+            let point = format!("{strategy}_{interval}us");
+            cells.push(tput(format!("{point}_mops"), t));
+            let pct = a * 100.0;
+            cells.push(cell(format!("{point}_conflict_pct"), Kind::Count, pct, f(pct)));
+        }
+        ledger.row(iters, cells);
     }
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     let (p, r) = (mean(&perop_fast), mean(&reuse_fast));
@@ -87,4 +87,5 @@ fn main() {
         r <= p * 1.5,
         "reuse-start must not abort substantially more than per-op under fast timers"
     );
+    ledger.write();
 }

@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use drtm_bench::ledger::{cell, quiet, text, tput, Kind, Ledger};
 use drtm_bench::runners::{calvin_run, tpcc_run_with};
-use drtm_bench::{banner, diagnostics, f, row, scaled, stats_cells};
+use drtm_bench::{diagnostics, f, scaled, stats_cells};
 use drtm_calvin::Calvin;
 use drtm_core::{MembershipError, TxnError};
 use drtm_rdma::{DoorbellConfig, NodeId};
@@ -52,20 +52,17 @@ fn scaleout_cfg(nodes: usize, workers: usize, iters: u64, doorbell: DoorbellConf
 }
 
 fn main() {
-    banner("fig12", "TPC-C throughput vs machines (8 workers each)");
+    let mut ledger =
+        Ledger::new("fig12_tpcc_machines", "TPC-C throughput vs machines (8 workers each)");
     let wall = std::time::Instant::now();
     let iters = scaled(220, 40);
     let warmup = iters / 5;
-    row(&[
-        "machines".into(),
-        "DrTM new-order".into(),
-        "DrTM std-mix".into(),
-        "Calvin std-mix".into(),
-        "speedup".into(),
-    ]);
+    ledger.row(
+        iters,
+        ["machines", "DrTM new-order", "DrTM std-mix", "Calvin std-mix", "speedup"].map(text),
+    );
     let mut last_ratio = 0.0;
     let mut drtm_curve = Vec::new();
-    let mut ledger = Ledger::new("fig12_tpcc_machines");
     for nodes in 1..=6usize {
         let cfg = drtm_cfg(nodes);
         let (rep, diag) = tpcc_run_with(cfg.clone(), iters, warmup);
@@ -114,8 +111,8 @@ fn main() {
     let so_workers = 8;
     let so_iters = scaled(40, 12);
     let so_warmup = so_iters / 4;
-    banner("fig12+", &format!("scale-out: {so_nodes} machines x {so_workers} workers"));
-    row(&["batching".into(), "std-mix".into(), "op cost".into(), "ops/doorbell".into()]);
+    println!("\n-- scale-out: {so_nodes} machines x {so_workers} workers --");
+    ledger.row(so_iters, ["batching", "std-mix", "op cost", "ops/doorbell"].map(text));
     let mut op_cost = [0.0f64; 2];
     for (arm, doorbell) in [(0, DoorbellConfig::disabled()), (1, DoorbellConfig::default())] {
         let batch_size = doorbell.max_batch;
@@ -182,7 +179,7 @@ fn main() {
     let kv = ElasticKv::build(mcfg);
     let total_keys = 2 * per;
     let miters = scaled(2_400, 200);
-    banner("fig12m", "membership churn: join/leave under load");
+    println!("\n-- membership churn: join/leave under load --");
     let kvref = &kv;
     let mix = |salt: u64| {
         move |node: NodeId, wid: usize| {
@@ -250,7 +247,7 @@ fn main() {
     let d_tput = during.throughput();
     let join_ms = joins.iter().sum::<f64>() / joins.len() as f64;
     let drain_ms = drains.iter().sum::<f64>() / drains.len() as f64;
-    row(&["membership".into(), "steady".into(), "during".into(), "ratio".into()]);
+    ledger.row(miters, ["membership", "steady", "during", "ratio"].map(text));
     ledger.row(
         miters,
         [

@@ -3,15 +3,17 @@
 //! The paper overcomes its 6-machine cluster by running multiple logical
 //! DrTM nodes per machine; this simulation does the same thing natively.
 
+use drtm_bench::ledger::{cell, text, tput, Kind, Ledger};
 use drtm_bench::runners::tpcc_run_with;
-use drtm_bench::{banner, mops, row, scaled};
+use drtm_bench::scaled;
 use drtm_workloads::tpcc::TpccConfig;
 
 fn main() {
-    banner("fig14", "TPC-C throughput vs logical nodes (4 workers each)");
+    let mut ledger =
+        Ledger::new("fig14_logical_nodes", "TPC-C throughput vs logical nodes (4 workers each)");
     let iters = scaled(200, 40);
     let warmup = iters / 5;
-    row(&["nodes".into(), "new-order".into(), "std-mix".into()]);
+    ledger.row(iters, ["nodes", "new-order", "std-mix"].map(text));
     let mut curve = Vec::new();
     for nodes in [1usize, 2, 4, 8, 16, 24] {
         let cfg = TpccConfig {
@@ -25,10 +27,19 @@ fn main() {
         };
         let (rep, _) = tpcc_run_with(cfg, iters, warmup);
         curve.push(rep.throughput());
-        row(&[nodes.to_string(), mops(rep.throughput_of("new_order")), mops(rep.throughput())]);
+        // The paper's 24 logical nodes reach 2.42 M new-order, 5.38 M std-mix.
+        let paper = |p: f64| (nodes == 24).then_some(p);
+        let new_order = format!("new_order_{nodes}n_mops");
+        let new_order = tput(new_order, rep.throughput_of("new_order")).paper(paper(2.42));
+        let std_mix = tput(format!("std_mix_{nodes}n_mops"), rep.throughput()).paper(paper(5.38));
+        ledger.row(iters, [text(nodes), new_order, std_mix]);
     }
+    let growth = curve[curve.len() - 1] / curve[0];
+    let growth = cell("std_mix_24n_over_1n_x", Kind::Virtual, growth, format!("{growth:.2}x"));
+    ledger.row(iters, [text("24 / 1"), text(""), growth]);
     assert!(
         curve.last().expect("points") > &(curve[0] * 6.0),
         "throughput must keep growing to 24 logical nodes (paper: 5.38M std-mix)"
     );
+    ledger.write();
 }

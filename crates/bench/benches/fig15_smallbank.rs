@@ -4,7 +4,7 @@
 
 use drtm_bench::ledger::{quiet, text, tput, Kind, Ledger};
 use drtm_bench::runners::smallbank_run_with;
-use drtm_bench::{banner, row, scaled, stats_cells};
+use drtm_bench::{scaled, stats_cells};
 use drtm_workloads::smallbank::SmallBankConfig;
 
 fn cfg(nodes: usize, workers: usize, dist_prob: f64) -> SmallBankConfig {
@@ -21,7 +21,7 @@ fn cfg(nodes: usize, workers: usize, dist_prob: f64) -> SmallBankConfig {
 }
 
 fn main() {
-    banner("fig15", "SmallBank throughput (std-mix)");
+    let mut ledger = Ledger::new("fig15_smallbank", "SmallBank throughput (std-mix)");
     let wall = std::time::Instant::now();
     // Every leg runs the same total (the widest legs a little more), so
     // a leg of few workers runs each of them longer: a SmallBank
@@ -32,9 +32,8 @@ fn main() {
     let total = 24_000u64;
     let iters_of =
         |nodes: usize, workers: usize| scaled((total / (nodes * workers) as u64).max(500), 150);
-    let mut ledger = Ledger::new("fig15_smallbank");
     println!("-- machines sweep (4 workers each) --");
-    row(&["machines".into(), "1% dist".into(), "5% dist".into(), "10% dist".into()]);
+    ledger.row(total, ["machines", "1% dist", "5% dist", "10% dist"].map(text));
     let mut one_pct = Vec::new();
     for nodes in 1..=6usize {
         let iters = iters_of(nodes, 4);
@@ -57,7 +56,7 @@ fn main() {
     assert!(machines_x > 2.5, "low-distribution SmallBank must scale with machines");
 
     println!("-- threads sweep (6 machines, 1% dist) --");
-    row(&["threads".into(), "std-mix".into()]);
+    ledger.row(total, ["threads", "std-mix"].map(text));
     let mut base = 0.0;
     let mut last = 0.0;
     for workers in [1usize, 2, 4, 8, 16] {

@@ -11,16 +11,16 @@
 
 use drtm_bench::ledger::{cell, quiet, text, tput, Kind, Ledger};
 use drtm_bench::runners::tpcc_run_new_order;
-use drtm_bench::{banner, row, scaled};
+use drtm_bench::scaled;
 use drtm_workloads::tpcc::TpccConfig;
 
 fn main() {
-    banner("fig16", "new-order throughput vs cross-warehouse probability");
+    let mut ledger =
+        Ledger::new("fig16_cross_warehouse", "new-order throughput vs cross-warehouse probability");
     let wall = std::time::Instant::now();
-    let mut ledger = Ledger::new("fig16_cross_warehouse");
     let iters = scaled(440, 40);
     let warmup = iters / 5;
-    row(&["cross %".into(), "new-order tput".into(), "slowdown".into()]);
+    ledger.row(iters, ["cross %", "new-order tput", "slowdown"].map(text));
     let mut base = 0.0;
     let mut at5 = 0.0;
     let mut at100 = 0.0;

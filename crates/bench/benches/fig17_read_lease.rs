@@ -7,7 +7,7 @@
 
 use drtm_bench::ledger::{cell, quiet, text, tput, Kind, Ledger};
 use drtm_bench::runners::micro_run_with;
-use drtm_bench::{banner, diagnostics, row, scaled};
+use drtm_bench::{diagnostics, scaled};
 use drtm_core::{AbortCause, StatsReport};
 use drtm_workloads::micro::MicroConfig;
 
@@ -30,14 +30,13 @@ fn cfg(nodes: usize, lease: bool) -> MicroConfig {
 }
 
 fn main() {
-    banner("fig17", "read-lease benefit (per-node throughput)");
+    let mut ledger = Ledger::new("fig17_read_lease", "read-lease benefit (per-node throughput)");
     let wall = std::time::Instant::now();
-    let mut ledger = Ledger::new("fig17_read_lease");
     let iters = scaled(400, 60);
     let warmup = iters / 5;
 
     println!("-- read-write transaction, 6 machines, reads of 10 accesses --");
-    row(&["reads".into(), "w/ lease".into(), "w/o lease".into(), "gain".into()]);
+    ledger.row(iters, ["reads", "w/ lease", "w/o lease", "gain"].map(text));
     let mut gain_hi = 0.0;
     let mut gain_lo = 0.0;
     for reads in [0usize, 2, 4, 6, 8, 10] {
@@ -67,13 +66,7 @@ fn main() {
     );
 
     println!("-- hotspot transaction, 120 hot records --");
-    row(&[
-        "machines".into(),
-        "w/ lease".into(),
-        "w/o lease".into(),
-        "gain".into(),
-        "conflicts/ktxn".into(),
-    ]);
+    ledger.row(iters, ["machines", "w/ lease", "w/o lease", "gain", "conflicts/ktxn"].map(text));
     let mut last_gain = 0.0;
     for nodes in [1usize, 2, 4, 6] {
         let (rep_w, st_w) = micro_run_with(cfg(nodes, true), 0, true, iters, warmup);

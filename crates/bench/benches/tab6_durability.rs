@@ -13,7 +13,7 @@
 
 use drtm_bench::ledger::{cell, quiet, text, tput, Kind, Ledger};
 use drtm_bench::runners::{calvin_run, tpcc_run_with};
-use drtm_bench::{banner, diagnostics, f, mops, row, scaled, stats_cells};
+use drtm_bench::{diagnostics, f, mops, scaled, stats_cells};
 use drtm_calvin::Calvin;
 use drtm_core::{recover_node, CrashPoint, DrTmConfig, TxnError};
 use drtm_htm::vtime;
@@ -22,20 +22,15 @@ use drtm_workloads::smallbank::{SmallBank, SmallBankConfig};
 use drtm_workloads::tpcc::TpccConfig;
 
 fn main() {
-    banner("tab6", "impact of durability on TPC-C (6 machines, 8 workers)");
+    let mut ledger =
+        Ledger::new("tab6_durability", "impact of durability on TPC-C (6 machines, 8 workers)");
     let wall = std::time::Instant::now();
-    let mut ledger = Ledger::new("tab6_durability");
     let iters = scaled(660, 40);
     let warmup = iters / 5;
-    row(&[
-        "logging".into(),
-        "new-order".into(),
-        "cap abort%".into(),
-        "fallback%".into(),
-        "p50 µs".into(),
-        "p90 µs".into(),
-        "p99 µs".into(),
-    ]);
+    ledger.row(
+        iters,
+        ["logging", "new-order", "cap abort%", "fallback%", "p50 µs", "p90 µs", "p99 µs"].map(text),
+    );
     let mut rates = [0.0f64; 2];
     let tpcc = TpccConfig {
         nodes: 6,

@@ -46,6 +46,11 @@ impl KvSystem {
             KvSystem::DrtmKvCache { .. } => "DrTM-KV/$",
         }
     }
+
+    /// The name as a ledger point's prefix: `farm_kv_i`, `drtm_kv_cache`.
+    pub fn key(&self) -> String {
+        self.name().to_lowercase().replace(['-', '/'], "_").replace('$', "cache")
+    }
 }
 
 enum TableImpl {

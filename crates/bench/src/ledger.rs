@@ -1,9 +1,11 @@
 //! The figure ledger: every number a harness claims, beside the paper's.
 //!
-//! The only unit is the [`Row`]. [`Ledger::row`] prints a harness's
-//! table line and records its measured cells, [`Ledger::write`] puts the
-//! rows in `target/ledger/BENCH_<figure>.json`, and [`check`] holds such
-//! a file, row for row, to the one committed under `ledger/`.
+//! The only unit is the [`Row`]. [`Ledger::new`] prints a harness's
+//! banner, [`Ledger::row`] prints each of its table lines — headings
+//! included: a line of [`text`] cells records nothing — and records its
+//! measured cells, [`Ledger::write`] puts the rows in
+//! `target/ledger/BENCH_<figure>.json`, and [`check`] holds such a file,
+//! row for row, to the one committed under `ledger/`.
 //!
 //! Bands are data, not code: a harness says what it measured, and how
 //! tightly a row is held is the committed row's `band`, which
@@ -107,9 +109,11 @@ fn repo_root() -> PathBuf {
 }
 
 impl Ledger {
-    /// An empty ledger for `figure`, with the bands of its committed
+    /// Prints the harness's banner and returns an empty ledger for
+    /// `figure`, with the bands of its committed
     /// `ledger/BENCH_<figure>.json` (a figure without one records only).
-    pub fn new(figure: &str) -> Ledger {
+    pub fn new(figure: &str, title: &str) -> Ledger {
+        println!("\n=== {figure}: {title} ===");
         let path = repo_root().join("ledger").join(format!("BENCH_{figure}.json"));
         let committed = if path.exists() { load(&path).expect("committed ledger") } else { vec![] };
         Ledger { figure: figure.to_string(), committed, rows: Vec::new() }
@@ -133,7 +137,7 @@ impl Ledger {
             self.rows.push(Row { figure, point, kind, ops, paper, measured, band });
         }
         if !shown.is_empty() {
-            crate::row(&shown);
+            println!("{}", shown.iter().map(|c| format!("{c:>14} ")).collect::<String>());
         }
     }
 
@@ -421,7 +425,7 @@ mod tests {
 
     #[test]
     fn a_table_line_records_its_measured_cells_with_the_committed_bands() {
-        let mut l = Ledger::new("no_such_figure");
+        let mut l = Ledger::new("no_such_figure", "a unit test");
         l.committed = committed();
         assert_eq!(l.band("tput_mops"), Some(0.05));
         l.row(

@@ -1,10 +1,12 @@
 //! Shared infrastructure for the paper-reproduction benchmark harnesses.
 //!
-//! Every table and figure of the paper's evaluation has one bench target
-//! under `benches/` (registered with `harness = false`) that prints the
-//! same rows/series the paper reports. `cargo bench -p drtm-bench`
+//! Every table and figure of the paper's evaluation but Table 2 (a unit
+//! test of `drtm_core`'s record operations) has one bench target under
+//! `benches/` (registered with `harness = false`) that prints the same
+//! rows/series the paper reports through [`ledger::Ledger::row`], and
+//! records them in the figure's ledger. `cargo bench -p drtm-bench`
 //! regenerates everything; set `DRTM_SCALE` (default 1.0) to trade
-//! precision for runtime (EXPERIMENTS.md was produced with the default).
+//! precision for runtime (the committed ledgers are at the default).
 //!
 //! The two state-of-the-art RDMA-friendly tables DrTM's cluster chaining
 //! is compared with (Table 4, Figure 10) live here too, as they serve
@@ -25,20 +27,6 @@ pub fn scale() -> f64 {
 /// Scales an iteration count, keeping at least `min`.
 pub fn scaled(base: u64, min: u64) -> u64 {
     ((base as f64 * scale()) as u64).max(min)
-}
-
-/// Prints a benchmark banner.
-pub fn banner(id: &str, title: &str) {
-    println!("\n=== {id}: {title} ===");
-}
-
-/// Prints one aligned row.
-pub fn row(cols: &[String]) {
-    let mut line = String::new();
-    for c in cols {
-        line.push_str(&format!("{c:>14} "));
-    }
-    println!("{line}");
 }
 
 /// Formats a float with sensible precision.

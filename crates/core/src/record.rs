@@ -616,18 +616,77 @@ mod tests {
         assert_eq!(r.value, b"v0");
     }
 
-    #[test]
-    fn remote_cas_aborts_local_reader_false_conflict() {
-        // Table 2's single false conflict: R RD writes the state word a
-        // local reader has in its read set (Figure 2(b)).
+    /// One cell of Table 2: a local access inside HTM and a remote one to
+    /// the same record, the local one first (`local_first`) or second.
+    /// Returns how the local transaction ends; the remote access always
+    /// succeeds, as the NIC does not see HTM.
+    fn table2_cell(local_wr: bool, remote_wr: bool, local_first: bool) -> Result<(), Abort> {
         let (cluster, table, rec) = setup();
         let qp = cluster.qp(1);
+        let remote = || {
+            if remote_wr {
+                remote_lock_write(&qp, &rec, 1, 1_000, DELTA, false).map(drop)
+            } else {
+                // A read installs its lease with a CAS on the state word.
+                remote_read(&qp, &rec, 50_000, 1_000, DELTA, false).map(drop)
+            }
+        };
+        if !local_first {
+            remote().unwrap();
+        }
         let region = cluster.node(0).region();
         let cfg = HtmConfig::default();
         let mut txn = region.begin(&cfg);
         let e = table.get_local(&mut txn, 1).unwrap().unwrap();
-        local_read(&mut txn, e.offset).unwrap();
-        remote_read(&qp, &rec, 5000, 1000, DELTA, false).unwrap(); // CAS installs lease
-        assert_eq!(txn.commit(), Err(Abort::Conflict));
+        let local = if local_wr {
+            local_write(&mut txn, e.offset, b"w", 1_000, DELTA).map(drop)
+        } else {
+            local_read(&mut txn, e.offset).map(drop)
+        };
+        if local_first {
+            assert!(local.is_ok(), "record starts unlocked");
+            remote().unwrap();
+        }
+        local.and_then(|()| txn.commit())
+    }
+
+    #[test]
+    fn table2_conflict_matrix() {
+        use Abort::{Conflict, Explicit};
+        // Rows L_RD, L_WR; columns R_RD after, R_RD before, R_WR after,
+        // R_WR before ("after": the remote access comes second). A local
+        // access that comes first is aborted by the NIC's write to its
+        // read set; one that comes second aborts itself on the lock or
+        // lease it finds.
+        let table: [[(Result<(), Abort>, &str); 4]; 2] = [
+            [
+                // The single false conflict (Figure 2(b)): R_RD writes the
+                // state word a local reader has in its read set.
+                (Err(Conflict), "R_RD's lease CAS aborts an earlier local reader"),
+                (Ok(()), "a lease is shared with a local reader"),
+                (Err(Conflict), "a remote lock aborts an earlier local reader"),
+                (Err(Explicit(ABORT_LOCKED)), "a local read finds the remote lock"),
+            ],
+            [
+                (Err(Conflict), "a remote lease aborts an earlier local writer"),
+                (Err(Explicit(ABORT_LEASED)), "a local write finds the remote lease"),
+                (Err(Conflict), "a remote lock aborts an earlier local writer"),
+                (Err(Explicit(ABORT_LOCKED)), "a local write finds the remote lock"),
+            ],
+        ];
+        let mut shown = [['?'; 4]; 2];
+        for (local_wr, row) in [false, true].into_iter().zip(&table) {
+            for (col, (want, case)) in row.iter().enumerate() {
+                let (remote_wr, local_first) = (col >= 2, col % 2 == 0);
+                let got = table2_cell(local_wr, remote_wr, local_first);
+                assert_eq!(&got, want, "{case}");
+                shown[local_wr as usize][col] = if got.is_ok() { 'S' } else { 'C' };
+            }
+        }
+        let [l_rd, l_wr] = shown;
+        // Paper values: L_RD row = C S C C ... with the first C being the
+        // false conflict of Figure 2(b); L_WR row = C C C C.
+        assert_eq!(l_rd, ['C', 'S', 'C', 'C'], "L_RD row must match Table 2");
+        assert_eq!(l_wr, ['C', 'C', 'C', 'C'], "L_WR row must match Table 2");
     }
 }
