@@ -5,6 +5,7 @@
 # changes do.
 #
 #   ab.sh <parent-binary> <change-binary> <workload> [pairs=10]
+#   ab.sh <parent-binary> <change-binary> all [pairs=10]
 #
 # Both arguments are prebuilt `drtm-benchmark` executables (build each
 # commit into a CARGO_TARGET_DIR of its own; see
@@ -15,20 +16,36 @@
 # end-to-end metric of BENCHMARK.json each side's quartiles and median,
 # the move of the median beside the parent's own quartile distance (a
 # gain is claimed only past it), and the pairs each side won (a tie
-# counts for neither). Exits non-zero if a run does, which is also what
-# a failed operation or output check makes it do.
+# counts for neither), and each side's failed operations, also as a share
+# of those attempted. Exits non-zero if a run does, which is also what
+# a failed operation or output check makes it do. `all` runs every
+# workload BENCHMARK.json names in turn, one table each, and exits
+# non-zero if any of them does.
 #
 # bash + awk only; about 50 s per pair.
 set -euo pipefail
 if [ $# -lt 3 ] || [ $# -gt 4 ]; then
-    echo "usage: ab.sh <parent-binary> <change-binary> <workload> [pairs=10]" >&2
+    echo "usage: ab.sh <parent-binary> <change-binary> <workload|all> [pairs=10]" >&2
     exit 2
+fi
+here="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
+
+if [ "$3" = all ]; then
+    status=0
+    for w in $(awk '
+        /"workloads"/ { on = 1 }
+        on && /"name"/ { gsub(/[",]/, ""); print $2 }
+        on && /^ *\]/ { on = 0 }
+    ' "$here/BENCHMARK.json"); do
+        "$here/ab.sh" "$1" "$2" "$w" "${4:-10}" || status=1
+        echo
+    done
+    exit "$status"
 fi
 parent="$1"
 change="$2"
 workload="$3"
 pairs="${4:-10}"
-here="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 
 # "name better" for each end-to-end metric, from the declaration itself.
 metrics="$(awk '
@@ -59,6 +76,8 @@ run() {
             }
             if (match($0, /"failed": [0-9]+/))
                 print pair, side, "failed", substr($0, RSTART + 10, RLENGTH - 10)
+            if (match($0, /"attempted": [0-9]+/))
+                print pair, side, "attempted", substr($0, RSTART + 13, RLENGTH - 13)
         }
     ' <<<"$result" >>"$rows"
 }
@@ -99,12 +118,17 @@ awk -v metrics="$metrics" -v pairs="$pairs" '
             for (i = 1; i <= pairs; i++) printf " %s", raw[i, "change", f[1]]
             printf "\n"
         }
-        failed_p = failed_c = 0
+        failed_p = failed_c = tried_p = tried_c = 0
         for (i = 1; i <= pairs; i++) {
             failed_p += val[i, "parent", "failed"]
             failed_c += val[i, "change", "failed"]
+            tried_p += val[i, "parent", "attempted"]
+            tried_c += val[i, "change", "attempted"]
         }
-        printf "  failed operations: parent %d, change %d\n\n", failed_p, failed_c
+        printf "  failed operations: parent %d, change %d\n", failed_p, failed_c
+        printf "  failed share:      parent %d / %d = %.3g, change %d / %d = %.3g\n\n",
+            failed_p, tried_p, tried_p ? failed_p / tried_p : 0,
+            failed_c, tried_c, tried_c ? failed_c / tried_c : 0
         printf "%-15s %-6s %-34s %-34s %9s %11s %s\n", "metric", "better",
             "parent q1 / median / q3", "change q1 / median / q3", "median +-", "parent IQR", "pairs won"
         for (k = 1; k <= n; k++) {

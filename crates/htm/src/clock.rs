@@ -4,10 +4,10 @@
 //! [`wait`] spends it, [`every`] ticks on it — so one file is what a
 //! virtual cluster clock (§6.1's softtime) has to replace.
 //!
-//! A pipelined-driver pool thread multiplexes many logical workers and
-//! must not *sleep* for one while others wait in its ready queue: it
-//! marks itself with [`set_cooperative`] (per OS thread, off by
-//! default), and [`wait`] then yields through the slice instead.
+//! A pipelined-driver pool thread multiplexes the logical workers it
+//! owns and must not *sleep* for one while the others wait for their
+//! next slice: it marks itself with [`set_cooperative`] (per OS thread,
+//! off by default), and [`wait`] then yields through the slice instead.
 
 use std::cell::Cell;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};

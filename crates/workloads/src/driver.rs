@@ -2,23 +2,22 @@
 //!
 //! Every throughput experiment follows the same shape: run a workload
 //! closure a fixed number of iterations per *logical worker* and read
-//! each worker's virtual-time meter ([`drtm_htm::vtime`]). Logical
-//! workers are multiplexed onto a small OS thread pool: each in-flight
+//! each worker's virtual-time meter ([`drtm_htm::vtime`]). Each logical
+//! worker is owned by one thread of a small OS pool: each in-flight
 //! transaction is one slice of a per-worker state machine, so a
 //! 64-node × 8-worker cluster needs 512 state machines but only a
 //! handful of OS threads — the host's physical core count caps wall
 //! speed, never the simulated cluster size. Pool threads run in
 //! cooperative mode ([`drtm_htm::clock::set_cooperative`]): waits are
 //! charged to virtual time and the quantum is yielded instead of slept
-//! away.
+//! away. A worker never changes threads.
 //!
 //! Cluster throughput is the median per-worker rate times the number of
 //! workers that contributed a rate — workers run concurrently in
 //! virtual time by construction, so wall-clock multiplexing does not
 //! distort the scaling curves.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::Mutex;
+use std::collections::BTreeMap;
 
 use drtm_core::{DrTm, StatsReport};
 use drtm_htm::{clock, vtime};
@@ -157,14 +156,10 @@ pub fn default_os_threads() -> usize {
 }
 
 /// One logical worker's state machine: its workload closure plus the
-/// progress and measurements of the transactions it has run so far.
+/// measurements of the transactions it has run so far.
 struct LogicalWorker<F> {
-    node: NodeId,
     f: F,
-    /// Transactions completed, warmup included.
-    done: u64,
-    samples: Vec<(&'static str, u64)>,
-    vtime_ns: u64,
+    run: WorkerRun,
 }
 
 /// How logical workers map onto OS threads — the engine's one parameter.
@@ -181,11 +176,11 @@ enum Threads {
 /// The engine behind every runner: `iters` measured transactions (after
 /// `warmup` discarded ones) on each of `nodes × workers` logical workers.
 ///
-/// A slice is one whole transaction: a thread pops a logical worker off
-/// the shared ready queue, runs one slice, reads the virtual-time meter
-/// and puts the worker at the back of the queue. A thread that finds the
-/// queue empty leaves: every unfinished worker is then in another
-/// thread's hands, and those threads suffice from there on.
+/// Thread `i % threads` owns worker `i` as a plain value and runs rounds
+/// over its workers, one lock-free slice each, until all of them are
+/// done; then it returns them. A thread that finishes first idles: a
+/// tail handoff of whole workers was measured and bought too little host
+/// time to keep.
 fn engine<F>(
     nodes: usize,
     workers: usize,
@@ -197,58 +192,50 @@ fn engine<F>(
 where
     F: FnMut(u64) -> &'static str + Send,
 {
-    let total_iters = warmup + iters;
-    let mut slots: Vec<Mutex<LogicalWorker<F>>> = Vec::with_capacity(nodes * workers);
+    let (os_threads, cooperative) = match threads {
+        Threads::Pool(n) => (n.max(1).min(nodes * workers), true),
+        Threads::PerWorker => (nodes * workers, false),
+    };
+    let mut owned: Vec<Vec<LogicalWorker<F>>> = (0..os_threads).map(|_| Vec::new()).collect();
     for node in 0..nodes as NodeId {
         for wid in 0..workers {
-            slots.push(Mutex::new(LogicalWorker {
-                node,
-                f: make(node, wid),
-                done: 0,
-                samples: Vec::with_capacity(iters as usize),
-                vtime_ns: 0,
-            }));
+            let run = WorkerRun { node, samples: Vec::with_capacity(iters as usize), vtime_ns: 0 };
+            owned[(node as usize * workers + wid) % os_threads]
+                .push(LogicalWorker { f: make(node, wid), run });
         }
     }
-    let (os_threads, cooperative) = match threads {
-        Threads::Pool(n) => (n.max(1), true),
-        Threads::PerWorker => (slots.len(), false),
-    };
-    let ready: Mutex<VecDeque<usize>> =
-        Mutex::new(if total_iters > 0 { (0..slots.len()).collect() } else { VecDeque::new() });
-    std::thread::scope(|s| {
-        for _ in 0..os_threads {
-            s.spawn(|| {
-                clock::set_cooperative(cooperative);
-                vtime::take();
-                loop {
-                    let next = ready.lock().expect("ready queue poisoned").pop_front();
-                    let Some(i) = next else { break };
-                    let mut lw = slots[i].lock().expect("logical worker poisoned");
-                    let k = lw.done;
-                    let label = (lw.f)(k);
-                    let spent = vtime::take();
-                    lw.done += 1;
-                    if k >= warmup {
-                        lw.samples.push((label, spent));
-                        lw.vtime_ns += spent;
+    let runs: Vec<Vec<WorkerRun>> = std::thread::scope(|s| {
+        let pool: Vec<_> = owned
+            .into_iter()
+            .map(|given| {
+                s.spawn(move || {
+                    clock::set_cooperative(cooperative);
+                    // Allocated here, so it shares no line with another list.
+                    let mut mine = Vec::with_capacity(given.len());
+                    mine.extend(given);
+                    vtime::take();
+                    for k in 0..warmup + iters {
+                        for lw in &mut mine {
+                            let label = (lw.f)(k);
+                            let spent = vtime::take();
+                            if k >= warmup {
+                                lw.run.samples.push((label, spent));
+                                lw.run.vtime_ns += spent;
+                            }
+                        }
                     }
-                    let all_done = lw.done == total_iters;
-                    drop(lw);
-                    if !all_done {
-                        ready.lock().expect("ready queue poisoned").push_back(i);
-                    }
-                }
-            });
-        }
+                    mine.into_iter().map(|lw| lw.run).collect()
+                })
+            })
+            .collect();
+        pool.into_iter()
+            .map(|t| t.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
     });
-    let workers = slots
-        .into_iter()
-        .map(|m| {
-            let lw = m.into_inner().expect("logical worker poisoned");
-            WorkerRun { node: lw.node, samples: lw.samples, vtime_ns: lw.vtime_ns }
-        })
-        .collect();
+    // Worker `i` is entry `i / os_threads` of thread `i % os_threads`'s list.
+    let mut lists: Vec<_> = runs.into_iter().map(Vec::into_iter).collect();
+    let workers =
+        (0..nodes * workers).map(|i| lists[i % os_threads].next().expect("one run each")).collect();
     Report { workers, os_threads }
 }
 
@@ -448,6 +435,106 @@ mod tests {
             let per_txn = 1_000 + (idx / 8 * 8) as u64 + (idx % 8) as u64;
             assert_eq!(w.vtime_ns, 4 * per_txn, "worker accrues exactly its own charges");
         }
+    }
+
+    /// Spins `us` µs of wall time.
+    fn spin(us: u64) {
+        let start = std::time::Instant::now();
+        while start.elapsed() < std::time::Duration::from_micros(us) {
+            std::hint::spin_loop();
+        }
+    }
+
+    /// Runs `iters` slices after `warmup` on each of `nodes × per_node`
+    /// workers, slice `k` of worker `i` calling `body(i, k)` and charging
+    /// `1_000 + i` ns; returns the report and, per worker, the
+    /// `(k, thread)` of every slice in the order they ran. Panics if two
+    /// slices of one worker ever overlap.
+    fn run_logged(
+        (nodes, per_node): (usize, usize),
+        (iters, warmup): (u64, u64),
+        os_threads: usize,
+        body: impl Fn(usize, u64) + Sync,
+    ) -> (Report, Vec<Vec<(u64, std::thread::ThreadId)>>) {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::Ordering::SeqCst;
+        use std::sync::Mutex;
+        let n = nodes * per_node;
+        let running: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+        let logs: Vec<Mutex<Vec<_>>> = (0..n).map(|_| Mutex::default()).collect();
+        let (running, logs_ref, body) = (&running, &logs, &body);
+        let r = run_pipelined(
+            nodes,
+            per_node,
+            iters,
+            |node, wid| {
+                let i = node as usize * per_node + wid;
+                move |k: u64| {
+                    assert!(!running[i].swap(true, SeqCst), "worker {i} ran two slices at once");
+                    logs_ref[i].lock().unwrap().push((k, std::thread::current().id()));
+                    body(i, k);
+                    vtime::charge(1_000 + i as u64);
+                    running[i].store(false, SeqCst);
+                    "t"
+                }
+            },
+            warmup,
+            os_threads,
+        );
+        (r, logs.into_iter().map(|l| l.into_inner().unwrap()).collect())
+    }
+
+    /// Every worker ran its slices `k = 0, 1, …` in order, and the report
+    /// lists the workers node-major with exactly their own charges.
+    fn assert_ran_in_order(
+        r: &Report,
+        logs: &[Vec<(u64, std::thread::ThreadId)>],
+        per_node: usize,
+        iters: u64,
+        warmup: u64,
+    ) {
+        assert_eq!(r.workers.len(), logs.len());
+        for (i, (w, log)) in r.workers.iter().zip(logs).enumerate() {
+            let ks: Vec<u64> = log.iter().map(|&(k, _)| k).collect();
+            assert_eq!(ks, (0..warmup + iters).collect::<Vec<_>>(), "worker {i}'s slices");
+            assert_eq!(w.node as usize, i / per_node, "the report is node-major");
+            assert_eq!(w.samples.len() as u64, iters);
+            assert_eq!(w.vtime_ns, iters * (1_000 + i as u64), "worker {i}'s own charges");
+        }
+    }
+
+    #[test]
+    fn each_worker_stays_on_its_owner_and_never_runs_twice_at_once() {
+        // Thread 0 owns the even workers, which spin 20 µs a slice; thread
+        // 1 runs its instant odd ones to the end long before, and must
+        // not take over the slow ones.
+        let (iters, warmup) = (200, 2);
+        let body = |i: usize, _| {
+            if i.is_multiple_of(2) {
+                spin(20);
+            }
+        };
+        let (r, logs) = run_logged((2, 4), (iters, warmup), 2, body);
+        assert_eq!(r.os_threads, 2);
+        assert_ran_in_order(&r, &logs, 4, iters, warmup);
+        let owner = |log: &Vec<(u64, std::thread::ThreadId)>| {
+            assert!(log.iter().all(|&(_, t)| t == log[0].1), "a worker changed threads");
+            log[0].1
+        };
+        let owners: Vec<_> = logs.iter().map(owner).collect();
+        for (i, t) in owners.iter().enumerate() {
+            assert_eq!(*t == owners[0], i % 2 == 0, "worker {i} is not thread {}'s", i % 2);
+        }
+    }
+
+    #[test]
+    fn a_pool_larger_than_the_workers_spawns_one_thread_per_worker() {
+        let (r, logs) = run_logged((1, 3), (5, 1), 8, |i, _| spin(i as u64));
+        assert_eq!(r.os_threads, 3, "threads that would own no worker are not spawned");
+        assert_ran_in_order(&r, &logs, 3, 5, 1);
+        let (r, logs) = run_logged((1, 1), (4, 0), 8, |_, _| {});
+        assert_eq!(r.os_threads, 1);
+        assert_ran_in_order(&r, &logs, 1, 4, 0);
     }
 
     #[test]

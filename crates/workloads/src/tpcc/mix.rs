@@ -72,7 +72,7 @@ impl StdMix {
     /// is `node × workers + worker_id` (one warehouse per worker, §7.2).
     pub fn new(cfg: &TpccConfig, node: NodeId, worker_id: usize) -> StdMix {
         let w = node as u64 * cfg.workers as u64 + worker_id as u64;
-        StdMix { rng: rng((node as u64) << 32 | worker_id as u64 | 0x7AC0_5EED), w }
+        StdMix { rng: rng((node as u64) << 32 ^ (worker_id as u64) << 16 ^ 0x7AC0_5EED), w }
     }
 
     /// The next request of the mix. A payment by last name (60 %) asks
@@ -173,5 +173,27 @@ impl StdMix {
         let d = self.rng.gen_range(0..cfg.districts);
         let threshold = self.rng.gen_range(10..=20u64);
         Request::StockLevel { w: self.w, d, threshold }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tpcc::tests::tiny;
+
+    #[test]
+    fn no_two_workers_of_a_cluster_draw_one_stream() {
+        // ORing the worker id into the constant's set bits would give
+        // workers 0, 1, 4 and 5 of a machine one stream, and TPC-C's
+        // figures would depend on which workers run side by side.
+        let cfg = TpccConfig { nodes: 4, workers: 16, ..tiny() };
+        let streams: HashSet<Vec<u64>> = (0..cfg.nodes as NodeId)
+            .flat_map(|n| (0..cfg.workers).map(move |i| (n, i)))
+            .map(|(n, i)| {
+                let mut mix = StdMix::new(&cfg, n, i);
+                (0..8).map(|_| mix.rng.gen()).collect()
+            })
+            .collect();
+        assert_eq!(streams.len(), cfg.nodes * cfg.workers);
     }
 }
