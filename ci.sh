@@ -339,10 +339,12 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 echo "== output checks: all four benchmark workloads at 1/20 size =="
 bash benchmark/run.sh --quick > /dev/null
 
-echo "== tooling: ab.sh parses =="
+echo "== tooling: ab.sh and ledger_tally.sh parse =="
 # The paired A/B runner takes ten minutes per workload and two prebuilt
-# binaries, so CI only checks that it is still a shell script.
+# binaries, and the ledger tally a minute per run of every harness, so
+# CI only checks that they are still shell scripts.
 bash -n ab.sh
+bash -n ledger_tally.sh
 
 echo "== figure ledger: one committed ledger per harness, one harness per ledger =="
 # A harness without a committed ledger reports numbers nothing checks; a

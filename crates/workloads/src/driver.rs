@@ -7,10 +7,12 @@
 //! transaction is one slice of a per-worker state machine, so a
 //! 64-node × 8-worker cluster needs 512 state machines but only a
 //! handful of OS threads — the host's physical core count caps wall
-//! speed, never the simulated cluster size. Pool threads run in
-//! cooperative mode ([`drtm_htm::clock::set_cooperative`]): waits are
-//! charged to virtual time and the quantum is yielded instead of slept
-//! away. A worker never changes threads.
+//! speed, never the simulated cluster size. A pool thread owns whole
+//! machines where it can: a DrTM machine's memory is touched only by its
+//! own cores and by remote NICs. Pool threads run in cooperative mode
+//! ([`drtm_htm::clock::set_cooperative`]): waits are charged to virtual
+//! time and the quantum is yielded instead of slept away. A worker never
+//! changes threads.
 //!
 //! Cluster throughput is the median per-worker rate times the number of
 //! workers that contributed a rate — workers run concurrently in
@@ -176,11 +178,15 @@ enum Threads {
 /// The engine behind every runner: `iters` measured transactions (after
 /// `warmup` discarded ones) on each of `nodes × workers` logical workers.
 ///
-/// Thread `i % threads` owns worker `i` as a plain value and runs rounds
-/// over its workers, one lock-free slice each, until all of them are
-/// done; then it returns them. A thread that finishes first idles: a
-/// tail handoff of whole workers was measured and bought too little host
-/// time to keep.
+/// Thread `t` owns the node-major block of workers `i` with
+/// `i * threads / total == t`, as plain values: blocks differ by at most
+/// one worker, and a machine is split between threads only where a block
+/// edge falls inside it (never when the thread count divides the machine
+/// count). Two workers of an unsplit machine thus never run at once, and
+/// its lines stay in one core's cache. Each thread runs rounds over its
+/// block, one lock-free slice each, until all of it is done, then returns
+/// it. A thread that finishes first idles: a tail handoff of whole
+/// workers was measured and bought too little host time to keep.
 fn engine<F>(
     nodes: usize,
     workers: usize,
@@ -192,15 +198,16 @@ fn engine<F>(
 where
     F: FnMut(u64) -> &'static str + Send,
 {
+    let total = nodes * workers;
     let (os_threads, cooperative) = match threads {
-        Threads::Pool(n) => (n.max(1).min(nodes * workers), true),
-        Threads::PerWorker => (nodes * workers, false),
+        Threads::Pool(n) => (n.max(1).min(total), true),
+        Threads::PerWorker => (total, false),
     };
     let mut owned: Vec<Vec<LogicalWorker<F>>> = (0..os_threads).map(|_| Vec::new()).collect();
     for node in 0..nodes as NodeId {
         for wid in 0..workers {
             let run = WorkerRun { node, samples: Vec::with_capacity(iters as usize), vtime_ns: 0 };
-            owned[(node as usize * workers + wid) % os_threads]
+            owned[(node as usize * workers + wid) * os_threads / total]
                 .push(LogicalWorker { f: make(node, wid), run });
         }
     }
@@ -232,11 +239,8 @@ where
             .map(|t| t.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
             .collect()
     });
-    // Worker `i` is entry `i / os_threads` of thread `i % os_threads`'s list.
-    let mut lists: Vec<_> = runs.into_iter().map(Vec::into_iter).collect();
-    let workers =
-        (0..nodes * workers).map(|i| lists[i % os_threads].next().expect("one run each")).collect();
-    Report { workers, os_threads }
+    // The blocks are node-major and in thread order: joined, they are the report.
+    Report { workers: runs.into_iter().flatten().collect(), os_threads }
 }
 
 /// Runs `iters` transactions on each of `nodes × workers` logical
@@ -260,11 +264,12 @@ where
 
 /// [`run`] with an explicit OS thread-pool size.
 ///
-/// Scheduling is cooperative and non-preemptive. Locks are only ever
-/// held by a currently-running slice (the transaction layer releases
-/// them before committing or aborting), so with ≥ 2 pool threads a
-/// waiting slice's conflict partner is always running and lock waits
-/// stay bounded.
+/// Scheduling is cooperative and non-preemptive. A slice releases its
+/// locks before it commits or aborts — except a release or write-back to
+/// a dead machine, which stays parked with its worker until a later slice
+/// delivers it ([`drtm_core::Worker::flush_pending`], after recovery).
+/// Any other lock a slice waits on is held by a slice running on another
+/// thread, so with ≥ 2 pool threads lock waits stay bounded.
 pub fn run_pipelined<F>(
     nodes: usize,
     workers: usize,
@@ -503,28 +508,53 @@ mod tests {
         }
     }
 
+    /// The one thread each worker ran on, asserting it never changed.
+    fn owners(logs: &[Vec<(u64, std::thread::ThreadId)>]) -> Vec<std::thread::ThreadId> {
+        let owner = |log: &Vec<(u64, std::thread::ThreadId)>| {
+            assert!(log.iter().all(|&(_, t)| t == log[0].1), "a worker changed threads");
+            log[0].1
+        };
+        logs.iter().map(owner).collect()
+    }
+
     #[test]
     fn each_worker_stays_on_its_owner_and_never_runs_twice_at_once() {
-        // Thread 0 owns the even workers, which spin 20 µs a slice; thread
-        // 1 runs its instant odd ones to the end long before, and must
-        // not take over the slow ones.
+        // Thread 0 owns machine 0, whose workers spin 20 µs a slice;
+        // thread 1 runs machine 1's instant ones to the end long before,
+        // and must not take over the slow ones.
         let (iters, warmup) = (200, 2);
         let body = |i: usize, _| {
-            if i.is_multiple_of(2) {
+            if i < 4 {
                 spin(20);
             }
         };
         let (r, logs) = run_logged((2, 4), (iters, warmup), 2, body);
         assert_eq!(r.os_threads, 2);
         assert_ran_in_order(&r, &logs, 4, iters, warmup);
-        let owner = |log: &Vec<(u64, std::thread::ThreadId)>| {
-            assert!(log.iter().all(|&(_, t)| t == log[0].1), "a worker changed threads");
-            log[0].1
-        };
-        let owners: Vec<_> = logs.iter().map(owner).collect();
+        let owners = owners(&logs);
         for (i, t) in owners.iter().enumerate() {
-            assert_eq!(*t == owners[0], i % 2 == 0, "worker {i} is not thread {}'s", i % 2);
+            assert_eq!(*t == owners[0], i < 4, "worker {i} is not thread {}'s", i / 4);
         }
+    }
+
+    #[test]
+    fn a_pool_thread_owns_whole_machines() {
+        // `(machines, workers per machine)` on 2 threads: each worker's
+        // thread as 0 for the first block's and 1 for the second's.
+        let blocks = |shape: (usize, usize)| {
+            let (r, logs) = run_logged(shape, (3, 1), 2, |_, _| {});
+            assert_ran_in_order(&r, &logs, shape.1, 3, 1);
+            let owners = owners(&logs);
+            owners.iter().map(|t| usize::from(t != &owners[0])).collect::<Vec<_>>()
+        };
+        let split = |n: usize, first: usize| [vec![0; first], vec![1; n - first]].concat();
+        // 6 machines × 4: machines 0–2 on one thread, 3–5 on the other.
+        assert_eq!(blocks((6, 4)), split(24, 12));
+        // One machine × 8 (fig12's first leg): workers 0–3 and 4–7.
+        assert_eq!(blocks((1, 8)), split(8, 4));
+        // 3 machines × 8: two blocks of 12, so machine 1 (workers 8–15)
+        // is split 4/4.
+        assert_eq!(blocks((3, 8)), split(24, 12));
     }
 
     #[test]
