@@ -81,7 +81,8 @@
 # git-ignored benchmark/out — so a protocol change that breaks one of
 # them fails here too. Its numbers are stamped not comparable and
 # nothing reads them. `ab.sh`, the paired A/B runner for host-time
-# claims, is only syntax-checked (`bash -n`).
+# claims, and `prof.sh`, the sampling profiler, are only syntax-checked
+# (`bash -n`).
 # plus the figure ledger (EXPERIMENTS.md "Machine-readable baselines"):
 # a gate that every `[[bench]]` of crates/bench/Cargo.toml has a committed
 # ledger/BENCH_<name>.json and every such file a `[[bench]]`, with its
@@ -91,8 +92,10 @@
 # `assert!`; then check_ledger,
 # which fails on any row of target/ledger/ outside the band its
 # committed row under ledger/ carries, on a row on one side only and on
-# a differing operation count; then the gate's own self-test (a copy of
-# ledger/ with one gated row pushed out by twice its band must fail);
+# a differing operation count; then the gate's own two self-tests (a
+# copy of ledger/ with one gated row pushed out by twice its band must
+# fail, and one with a `band: 0` row moved by one part in 10^6 must fail
+# on exactly that row);
 # then a `git grep` gate that keeps the ledger written once: the parent
 # schema's names stay gone, and ledger.rs / check_ledger.rs name no
 # figure, no segment and no invariant.
@@ -339,12 +342,14 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 echo "== output checks: all four benchmark workloads at 1/20 size =="
 bash benchmark/run.sh --quick > /dev/null
 
-echo "== tooling: ab.sh and ledger_tally.sh parse =="
+echo "== tooling: ab.sh, ledger_tally.sh and prof.sh parse =="
 # The paired A/B runner takes ten minutes per workload and two prebuilt
-# binaries, and the ledger tally a minute per run of every harness, so
-# CI only checks that they are still shell scripts.
+# binaries, the ledger tally a minute per run of every harness, and the
+# profiler its own frame-pointer build, so CI only checks that they are
+# still shell scripts.
 bash -n ab.sh
 bash -n ledger_tally.sh
+bash -n prof.sh
 
 echo "== figure ledger: one committed ledger per harness, one harness per ledger =="
 # A harness without a committed ledger reports numbers nothing checks; a
@@ -414,6 +419,35 @@ if cargo run -q --release -p drtm-bench --bin check_ledger -- "$PERTURBED" targe
 fi
 [ "$(grep -c '^FAILED' "$PERTURBED/out")" = 1 ] \
   || { echo "the moved row should be the one failure:" >&2; cat "$PERTURBED/out" >&2; exit 1; }
+
+echo "== figure ledger: a band-0 row fails on one part in a million =="
+# A fresh copy of ledger/ in which the first `band: 0` row with a
+# non-zero value has it moved by one part in 10^6: a deterministic row
+# gates on equality, so check_ledger must fail on that row and no other.
+EXACT="$PERTURBED/exact"
+mkdir "$EXACT"
+cp ledger/BENCH_*.json "$EXACT"/
+NONZERO='"measured": [^0,][^,]*, "band": 0[,}]'
+VICTIM="$(grep -l "$NONZERO" "$EXACT"/BENCH_*.json | head -1)"
+awk -v pattern="$NONZERO" -v named="$EXACT/point" 'BEGIN { done = 0 }
+  !done && match($0, pattern) {
+    split(substr($0, RSTART, RLENGTH), kv, /[:,] /)
+    sub(/"measured": [^,]+/, "\"measured\": " sprintf("%.17g", kv[2] * (1 + 1e-6)))
+    point = $0
+    sub(/.*"point": "/, "", point)
+    sub(/".*/, "", point)
+    print point > named
+    done = 1
+  }
+  { print }' "$VICTIM" > "$VICTIM.moved"
+mv "$VICTIM.moved" "$VICTIM"
+if cargo run -q --release -p drtm-bench --bin check_ledger -- "$EXACT" target/ledger \
+  > "$EXACT/out"; then
+  echo "check_ledger passed a band-0 row moved by one part in 10^6" >&2
+  exit 1
+fi
+[ "$(grep -c '^FAILED' "$EXACT/out")" = 1 ] && grep '^FAILED' "$EXACT/out" | grep -qF "$(cat "$EXACT/point"):" \
+  || { echo "the moved band-0 row should be the one failure:" >&2; cat "$EXACT/out" >&2; exit 1; }
 
 echo "== written once: one row type, one writer, one figure-agnostic check =="
 # The parent ledger's schema, options and per-harness key rules by name,

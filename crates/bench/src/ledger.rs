@@ -261,8 +261,12 @@ pub fn check(committed: &[Row], fresh: &[Row]) -> Checked {
         let held = c.band.map_or("recorded only".into(), |b| format!("band {:.1}%", b * 100.0));
         let beside = |p| format!("  paper {p} (measured/paper {:.2})", f.measured / p);
         let paper = c.paper.map_or(String::new(), beside);
+        // How far into its band a gated row sits: past 1 it fails.
+        let off = (f.measured - c.measured).abs();
+        let into = |b: f64| if off == 0.0 { 0.0 } else { off / (b * c.measured.abs()) };
+        let place = c.band.map_or(String::new(), |b| format!(", {:.2} of band", into(b)));
         out.lines.push(format!(
-            "  {:<34} {:<7} {:>14.6} -> {:>14.6} {:>+8.2}%  {held}{paper}",
+            "  {:<34} {:<7} {:>14.6} -> {:>14.6} {:>+8.2}%  {held}{place}{paper}",
             c.point,
             c.kind.name(),
             c.measured,
@@ -344,6 +348,16 @@ mod tests {
             let c = check(&committed(), &fresh_with("tput_mops", |r| r.measured = measured));
             assert!(only_failure(&c).contains("band 5.0%"), "{:?}", c.failures);
         }
+    }
+
+    #[test]
+    fn each_gated_line_shows_its_place_in_the_band() {
+        let c = check(&committed(), &fresh_with("tput_mops", |r| r.measured = 1.957));
+        assert!(c.lines[0].ends_with("band 5.0%, 0.43 of band"), "{}", c.lines[0]);
+        assert!(c.lines[1].ends_with("band 0.0%, 0.00 of band"), "{}", c.lines[1]);
+        assert!(c.lines[2].ends_with("recorded only"), "{}", c.lines[2]);
+        let c = check(&committed(), &fresh_with("log_bytes", |r| r.measured = 8.0));
+        assert!(c.lines[1].ends_with("band 0.0%, inf of band"), "{}", c.lines[1]);
     }
 
     #[test]

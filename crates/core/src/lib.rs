@@ -61,7 +61,7 @@ pub use trace::{
     AbortCause, CauseSnapshot, Phase, PhaseLine, PhaseSnapshot, PhaseStats, StatsReport, TraceBuf,
     TraceDump, TraceEvent, TraceHub, CAUSE_NAMES, NUM_CAUSES,
 };
-pub use txn::{DrTm, LocalKey, TxnCtx, TxnError, TxnSpec, Worker, USER_ABORT};
+pub use txn::{DrTm, LocalKey, TxnCtx, TxnError, TxnSpec, Value, Worker, USER_ABORT};
 
 /// Re-export of the record module for protocol-level access.
 pub mod record_ops {

@@ -160,9 +160,12 @@ pub const NVRAM_WRITE_NS: u64 = 2_000;
 /// which record is valid (`LOG_*`), the journal's client word holds the
 /// chopping information, its two areas the lock-ahead and the write-ahead
 /// record. The virtual cost of persisting to NVRAM is charged here.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct LogSlot {
     journal: Journal,
+    /// A record is encoded here, then stored with one write: the buffer
+    /// keeps its capacity, so a warm slot logs without allocating.
+    buf: Vec<u8>,
 }
 
 impl LogSlot {
@@ -174,20 +177,21 @@ impl LogSlot {
 
     /// Creates a handle over a reserved slot.
     pub fn new(journal: Journal) -> Self {
-        LogSlot { journal }
+        LogSlot { journal, buf: Vec::new() }
     }
 
     /// Persists the lock-ahead log (non-transactional: happens before the
     /// HTM region, Figure 7 left). Returns the bytes persisted.
-    pub fn log_lock_ahead(&self, region: &Region, write_set: &[RecordAddr]) -> usize {
-        let mut buf = Vec::with_capacity(2 + write_set.len() * 18);
-        put_addrs(&mut buf, write_set);
+    pub fn log_lock_ahead(&mut self, region: &Region, write_set: &[RecordAddr]) -> usize {
+        self.buf.clear();
+        put_addrs(&mut self.buf, write_set);
         vtime::charge(NVRAM_WRITE_NS);
-        self.journal.arm(region, LOCK_AHEAD, &buf, LOG_LOCK_AHEAD)
+        self.journal.arm(region, LOCK_AHEAD, &self.buf, LOG_LOCK_AHEAD)
     }
 
-    /// Stages the write-ahead log: every update, for redo, after the
-    /// list of locks the transaction holds. Returns the bytes staged.
+    /// Stages the write-ahead log: every update — `(record, version,
+    /// value)` — for redo, after the list of locks the transaction
+    /// holds. Returns the bytes staged.
     ///
     /// With `txn`, *inside* that HTM transaction: the log bytes and the
     /// status word become visible atomically with `XEND`. Without — the
@@ -195,26 +199,32 @@ impl LogSlot {
     /// which the caller must order strictly before applying any update
     /// or releasing any lock (§6.2, the HTPM log-before-unlock ordering);
     /// this variant cannot fail.
-    pub fn log_write_ahead(
-        &self,
+    pub fn log_write_ahead<'v>(
+        &mut self,
         txn: Option<&mut HtmTxn<'_>>,
         region: &Region,
         locks: &[RecordAddr],
-        updates: &[LoggedUpdate],
+        updates: impl Iterator<Item = (RecordAddr, u32, &'v [u8])>,
     ) -> Result<usize, Abort> {
-        let mut buf = Vec::new();
-        put_addrs(&mut buf, locks);
-        put_u16(&mut buf, updates.len() as u16);
-        for u in updates {
-            put_addr(&mut buf, &u.rec);
-            put_u32(&mut buf, u.version);
-            put_u32(&mut buf, u.value.len() as u32);
-            buf.extend_from_slice(&u.value);
+        let buf = &mut self.buf;
+        buf.clear();
+        put_addrs(buf, locks);
+        // The update count goes first; it is known once they are encoded.
+        let count_at = buf.len();
+        put_u16(buf, 0);
+        let mut n = 0u16;
+        for (rec, version, value) in updates {
+            put_addr(buf, &rec);
+            put_u32(buf, version);
+            put_u32(buf, value.len() as u32);
+            buf.extend_from_slice(value);
+            n += 1;
         }
+        buf[count_at..count_at + 2].copy_from_slice(&n.to_le_bytes());
         vtime::charge(NVRAM_WRITE_NS + buf.len() as u64 / 8);
         match txn {
-            Some(txn) => self.journal.arm_in(txn, WRITE_AHEAD, &buf, LOG_WRITE_AHEAD),
-            None => Ok(self.journal.arm(region, WRITE_AHEAD, &buf, LOG_WRITE_AHEAD)),
+            Some(txn) => self.journal.arm_in(txn, WRITE_AHEAD, buf, LOG_WRITE_AHEAD),
+            None => Ok(self.journal.arm(region, WRITE_AHEAD, buf, LOG_WRITE_AHEAD)),
         }
     }
 
@@ -310,9 +320,13 @@ mod tests {
         RecordAddr::new(GlobalAddr::new(node, off), 64)
     }
 
+    fn parts(ups: &[LoggedUpdate]) -> impl Iterator<Item = (RecordAddr, u32, &[u8])> {
+        ups.iter().map(|u| (u.rec, u.version, &u.value[..]))
+    }
+
     #[test]
     fn lock_ahead_roundtrip() {
-        let (region, slot) = slot();
+        let (region, mut slot) = slot();
         let recs = vec![rec(1, 4096), rec(3, 8192)];
         let n = slot.log_lock_ahead(&region, &recs);
         assert_eq!(n, 4 + 2 + 2 * 18, "length prefix + count + 2 addrs");
@@ -324,18 +338,18 @@ mod tests {
 
     #[test]
     fn write_ahead_is_atomic_with_htm_commit() {
-        let (region, slot) = slot();
+        let (region, mut slot) = slot();
         let locks = vec![rec(2, 256), rec(4, 512)];
         let ups = vec![LoggedUpdate { rec: rec(2, 256), version: 7, value: b"abc".to_vec() }];
         // Aborted transaction: no write-ahead log appears (Figure 7(a)).
         let cfg = HtmConfig::default();
         let mut txn = region.begin(&cfg);
-        slot.log_write_ahead(Some(&mut txn), &region, &locks, &ups).unwrap();
+        slot.log_write_ahead(Some(&mut txn), &region, &locks, parts(&ups)).unwrap();
         drop(txn); // abort
         assert_eq!(slot.read_status(&region), LOG_EMPTY);
         // Committed transaction: log and status appear together.
         let mut txn = region.begin(&cfg);
-        let n = slot.log_write_ahead(Some(&mut txn), &region, &locks, &ups).unwrap();
+        let n = slot.log_write_ahead(Some(&mut txn), &region, &locks, parts(&ups)).unwrap();
         assert!(n > 0);
         txn.commit().unwrap();
         assert_eq!(slot.read_status(&region), LOG_WRITE_AHEAD);
@@ -346,7 +360,7 @@ mod tests {
 
     #[test]
     fn nt_write_ahead_for_fallback() {
-        let (region, slot) = slot();
+        let (region, mut slot) = slot();
         let ups = vec![
             LoggedUpdate { rec: rec(0, 128), version: 1, value: vec![9; 40] },
             LoggedUpdate { rec: rec(5, 640), version: 2, value: vec![] },
@@ -354,7 +368,7 @@ mod tests {
         // The lock list may name records absent from the updates
         // (declared-but-unwritten buffers) — they round-trip too.
         let locks = vec![rec(0, 128), rec(5, 640), rec(7, 960)];
-        let n = slot.log_write_ahead(None, &region, &locks, &ups).unwrap();
+        let n = slot.log_write_ahead(None, &region, &locks, parts(&ups)).unwrap();
         assert!(n > 0);
         assert_eq!(slot.read_status(&region), LOG_WRITE_AHEAD);
         let wal = slot.read_write_ahead(&region);
@@ -401,7 +415,7 @@ mod tests {
             ..Default::default()
         });
         let layout = NodeLayout::reserve(&mut Arena::new(0, 1 << 20), 1);
-        let slot = LogSlot::new(layout.log_slots[0]);
+        let mut slot = LogSlot::new(layout.log_slots[0]);
         let region = cluster.node(0).region();
         // A record on machine 1 that machine 0 holds locked, and the
         // write-ahead payload of an update to it.
@@ -410,7 +424,7 @@ mod tests {
         let held = cluster.node(1).region();
         assert_eq!(held.cas_u64_nt(target.addr.offset, 0, locked), 0);
         let ups = vec![LoggedUpdate { rec: target, version: 5, value: vec![7; 8] }];
-        slot.log_write_ahead(None, region, &[target], &ups).unwrap();
+        slot.log_write_ahead(None, region, &[target], parts(&ups)).unwrap();
         let payload = slot.journal.payload(region, WRITE_AHEAD);
         slot.log_done(region);
         // The crash window of the non-transactional stage: payload
@@ -427,12 +441,12 @@ mod tests {
 
     #[test]
     fn empty_sets_encode() {
-        let (region, slot) = slot();
+        let (region, mut slot) = slot();
         slot.log_lock_ahead(&region, &[]);
         assert!(slot.read_lock_ahead(&region).is_empty());
         let cfg = HtmConfig::default();
         let mut txn = region.begin(&cfg);
-        slot.log_write_ahead(Some(&mut txn), &region, &[], &[]).unwrap();
+        slot.log_write_ahead(Some(&mut txn), &region, &[], parts(&[])).unwrap();
         txn.commit().unwrap();
         let wal = slot.read_write_ahead(&region);
         assert!(wal.locks.is_empty());

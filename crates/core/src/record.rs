@@ -6,6 +6,8 @@
 //! remote transaction holds the record. Together these implement the
 //! hybrid HTM + 2PL concurrency control of §4.
 
+use std::ops::Range;
+
 use drtm_htm::{Abort, HtmTxn};
 use drtm_memstore::{Entry, EntryHeader, ENTRY_HEADER_BYTES};
 use drtm_rdma::{FabricError, GlobalAddr, Qp};
@@ -41,7 +43,7 @@ impl RecordAddr {
     }
 
     /// Bytes of one full-entry fetch.
-    fn fetch_len(&self) -> usize {
+    pub(crate) fn fetch_len(&self) -> usize {
         ENTRY_HEADER_BYTES + self.value_cap
     }
 }
@@ -93,17 +95,20 @@ pub(crate) fn conflict_of(e: FabricError) -> LockConflict {
     }
 }
 
-/// A record fetched under its lock or lease during the Start phase
-/// (the default value is the placeholder of a slot not yet acquired).
+/// A record fetched under its lock or lease during the Start phase; a
+/// worker's own fetches keep the value as a span of its arena.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FetchedRecord {
+pub struct FetchedRecord<V = Vec<u8>> {
     /// The record's entry header as fetched.
     pub header: EntryHeader,
     /// The value bytes.
-    pub value: Vec<u8>,
+    pub value: V,
     /// For shared locks: the lease end this reader is covered by.
     pub lease_end_us: u64,
 }
+
+/// A fetched record whose value is a span of the caller's arena.
+pub(crate) type Held = FetchedRecord<Range<usize>>;
 
 /// Lease confirmation (§4.3, Figure 8): whether a lease ending at
 /// `lease_end_us` can no longer be vouched for at softtime `now_us` —
@@ -129,43 +134,62 @@ pub(crate) struct Claim {
 }
 
 /// Where one claim of a wave stands.
-enum Attempt {
+#[derive(Debug)]
+pub(crate) enum Attempt {
     /// CAS next, expecting this state word: `INIT` first, then whatever
     /// expired lease the previous CAS met.
     Cas {
         expected: u64,
     },
-    Held(FetchedRecord),
+    Held(Held),
 }
 
-/// Posts the full-entry fetch of `rec`.
-fn post_fetch(qp: &Qp, rec: &RecordAddr) -> Result<(EntryHeader, Vec<u8>), LockConflict> {
-    let mut buf = vec![0u8; rec.fetch_len()];
-    qp.post_read(rec.addr, &mut buf).map_err(conflict_of)?;
-    let h = EntryHeader::decode(&buf[..ENTRY_HEADER_BYTES]);
-    buf.drain(..ENTRY_HEADER_BYTES);
-    buf.truncate((h.value_len as usize).min(rec.value_cap));
-    Ok((h, buf))
+/// One claim of a wave and where it stands; reused across waves.
+pub(crate) type Wave = Vec<(Claim, Result<Attempt, LockConflict>)>;
+
+/// The outcome of a claim once [`acquire_wave`] returned.
+pub(crate) fn held(at: &Result<Attempt, LockConflict>) -> Result<&Held, LockConflict> {
+    match at {
+        Ok(Attempt::Held(h)) => Ok(h),
+        Ok(Attempt::Cas { .. }) => unreachable!("the wave loop ends with no CAS left to post"),
+        Err(c) => Err(*c),
+    }
+}
+
+/// Posts the full-entry fetch of `rec` into the end of `out`.
+fn post_fetch(
+    qp: &Qp,
+    rec: &RecordAddr,
+    out: &mut Vec<u8>,
+) -> Result<(EntryHeader, Range<usize>), LockConflict> {
+    let at = out.len();
+    out.resize(at + rec.fetch_len(), 0);
+    qp.post_read(rec.addr, &mut out[at..]).map_err(conflict_of)?;
+    let h = EntryHeader::decode(&out[at..at + ENTRY_HEADER_BYTES]);
+    let value = at + ENTRY_HEADER_BYTES;
+    Ok((h, value..value + (h.value_len as usize).min(rec.value_cap)))
 }
 
 /// One step of Figure 5's lock loop: posts the CAS driving the state
 /// word from `expected` to the claim's and, chained behind it on the same
 /// queue pair, the fetch — speculatively: when the CAS loses, the fetched
-/// bytes are dropped here and never reach the transaction. (A refused
-/// CAS leaves the queue pair in error: nothing is posted behind it.)
+/// bytes are left unreferenced in `out` and never reach the transaction.
+/// (A refused CAS leaves the queue pair in error: nothing is posted
+/// behind it.)
 fn post_attempt(
     qp: &Qp,
     c: &Claim,
     expected: u64,
     now_us: u64,
     delta_us: u64,
+    out: &mut Vec<u8>,
 ) -> Result<Attempt, LockConflict> {
     let old = if c.local {
         qp.local_cas_u64(c.rec.addr.offset, expected, c.desired.0)
     } else {
         qp.post_cas_u64(c.rec.addr, expected, c.desired.0).map_err(conflict_of)?
     };
-    let fetched = post_fetch(qp, &c.rec);
+    let fetched = post_fetch(qp, &c.rec, out);
     let st = LockState(old);
     // The lease end now covering the record (0 under a write lock: its
     // word carries no lease bits).
@@ -184,27 +208,31 @@ fn post_attempt(
         return Ok(Attempt::Cas { expected: old });
     };
     let (header, value) = fetched?;
-    Ok(Attempt::Held(FetchedRecord { header, value, lease_end_us }))
+    Ok(Attempt::Held(Held { header, value, lease_end_us }))
 }
 
 /// Acquires every claim (Figure 5) in waves: posts each record's CAS and
 /// fetch, waits once, then posts the next wave for the records whose CAS
 /// met an expired lease — it reclaims the lease by expecting it — until
-/// every claim is held or has conflicted. One outcome per claim, in
-/// order; a claim's outcome says nothing about its neighbours: the
+/// every claim is held or has conflicted. Leaves one outcome per claim in
+/// `wave`, in order (read it with [`held`]), and the fetched bytes in
+/// `out`; a claim's outcome says nothing about its neighbours: the
 /// caller releases what a failed wave won.
 pub(crate) fn acquire_wave(
     qp: &Qp,
+    wave: &mut Wave,
     claims: impl Iterator<Item = Claim>,
     now_us: u64,
     delta_us: u64,
-) -> Vec<Result<FetchedRecord, LockConflict>> {
-    let mut wave: Vec<_> = claims.map(|c| (c, Ok(Attempt::Cas { expected: INIT }))).collect();
+    out: &mut Vec<u8>,
+) {
+    wave.clear();
+    wave.extend(claims.map(|c| (c, Ok(Attempt::Cas { expected: INIT }))));
     loop {
         let mut posted = false;
-        for (c, at) in &mut wave {
+        for (c, at) in wave.iter_mut() {
             if let Ok(Attempt::Cas { expected }) = *at {
-                *at = post_attempt(qp, c, expected, now_us, delta_us);
+                *at = post_attempt(qp, c, expected, now_us, delta_us, out);
                 posted = true;
             }
         }
@@ -213,11 +241,15 @@ pub(crate) fn acquire_wave(
         }
         qp.wait();
     }
-    let held = |at| match at {
-        Attempt::Held(fetched) => fetched,
-        Attempt::Cas { .. } => unreachable!("the wave loop ends with no CAS left to post"),
-    };
-    wave.into_iter().map(|(_, at)| at.map(held)).collect()
+}
+
+/// One claim, acquired on its own, its value copied out.
+fn one(qp: &Qp, claim: Claim, now_us: u64, delta_us: u64) -> Result<FetchedRecord, LockConflict> {
+    let (mut wave, mut out) = (Vec::new(), Vec::new());
+    acquire_wave(qp, &mut wave, [claim].into_iter(), now_us, delta_us, &mut out);
+    let h = held(&wave[0].1)?;
+    let value = out[h.value.clone()].to_vec();
+    Ok(FetchedRecord { header: h.header, value, lease_end_us: h.lease_end_us })
 }
 
 /// `REMOTE_READ` (Figure 5): acquire, share, or — once expired — reclaim
@@ -234,8 +266,7 @@ pub fn remote_read(
     delta_us: u64,
     local: bool,
 ) -> Result<FetchedRecord, LockConflict> {
-    let claim = Claim { rec: *rec, desired: LockState::leased(end_us), local };
-    acquire_wave(qp, [claim].into_iter(), now_us, delta_us).pop().expect("one claim, one outcome")
+    one(qp, Claim { rec: *rec, desired: LockState::leased(end_us), local }, now_us, delta_us)
 }
 
 /// The locking half of `REMOTE_WRITE` (Figure 5): acquire the exclusive
@@ -249,8 +280,8 @@ pub fn remote_lock_write(
     delta_us: u64,
     local: bool,
 ) -> Result<FetchedRecord, LockConflict> {
-    let claim = Claim { rec: *rec, desired: LockState::write_locked(owner), local };
-    acquire_wave(qp, [claim].into_iter(), now_us, delta_us).pop().expect("one claim, one outcome")
+    let desired = LockState::write_locked(owner);
+    one(qp, Claim { rec: *rec, desired, local }, now_us, delta_us)
 }
 
 /// Posts `bytes` at region offset `off` of the record's machine: a
@@ -386,15 +417,19 @@ pub fn release_if_owned(
 
 /// `LOCAL_READ` (Figure 6): inside the HTM region, check the state word
 /// (abort if write-locked; leases are overlooked — HTM protects the
-/// read) and read the value.
-pub fn local_read(txn: &mut HtmTxn<'_>, entry_off: usize) -> Result<(EntryHeader, Vec<u8>), Abort> {
-    let entry = Entry::at(entry_off);
+/// read) and append the value to `out`.
+pub fn local_read(
+    txn: &mut HtmTxn<'_>,
+    off: usize,
+    out: &mut Vec<u8>,
+) -> Result<EntryHeader, Abort> {
+    let entry = Entry::at(off);
     let h = entry.read_header(txn)?;
     if LockState(h.state).is_write_locked() {
         return Err(Abort::Explicit(ABORT_LOCKED));
     }
-    let v = entry.read_value(txn)?;
-    Ok((h, v))
+    entry.read_value(txn, out)?;
+    Ok(h)
 }
 
 /// `LOCAL_WRITE` (Figure 6): inside the HTM region, check both lock
@@ -522,8 +557,15 @@ mod tests {
         let cfg = HtmConfig::default();
         let mut txn = region.begin(&cfg);
         let e = table.get_local(&mut txn, 1).unwrap().unwrap();
-        assert_eq!(e.read_value(&mut txn).unwrap(), b"new value!");
-        let (h, _) = local_read(&mut txn, e.offset).unwrap();
+        assert_eq!(
+            {
+                let mut v = Vec::new();
+                e.read_value(&mut txn, &mut v).unwrap();
+                v
+            },
+            b"new value!"
+        );
+        let h = local_read(&mut txn, e.offset, &mut Vec::new()).unwrap();
         assert_eq!(h.version, w.header.version + 1);
     }
 
@@ -565,13 +607,16 @@ mod tests {
         remote_read(&qp, &rec, 5000, 1000, DELTA, false).unwrap();
         let mut txn = region.begin(&cfg);
         let e = table.get_local(&mut txn, 1).unwrap().unwrap();
-        assert!(local_read(&mut txn, e.offset).is_ok());
+        assert!(local_read(&mut txn, e.offset, &mut Vec::new()).is_ok());
         drop(txn);
         // Write-locked: local read explicitly aborts.
         remote_lock_write(&qp, &rec, 2, 20_000, DELTA, false).unwrap();
         let mut txn = region.begin(&cfg);
         let e = table.get_local(&mut txn, 1).unwrap().unwrap();
-        assert_eq!(local_read(&mut txn, e.offset), Err(Abort::Explicit(ABORT_LOCKED)));
+        assert_eq!(
+            local_read(&mut txn, e.offset, &mut Vec::new()),
+            Err(Abort::Explicit(ABORT_LOCKED))
+        );
     }
 
     #[test]
@@ -597,7 +642,14 @@ mod tests {
         assert!(LockState(qp.read_u64(rec.addr)).is_init(), "expired lease cleared");
         let mut txn = region.begin(&cfg);
         let e = table.get_local(&mut txn, 1).unwrap().unwrap();
-        assert_eq!(local_read(&mut txn, e.offset).unwrap().1, b"w");
+        assert_eq!(
+            {
+                let mut v = Vec::new();
+                local_read(&mut txn, e.offset, &mut v).unwrap();
+                v
+            },
+            b"w"
+        );
     }
 
     #[test]
@@ -641,7 +693,7 @@ mod tests {
         let local = if local_wr {
             local_write(&mut txn, e.offset, b"w", 1_000, DELTA).map(drop)
         } else {
-            local_read(&mut txn, e.offset).map(drop)
+            local_read(&mut txn, e.offset, &mut Vec::new()).map(drop)
         };
         if local_first {
             assert!(local.is_ok(), "record starts unlocked");

@@ -19,7 +19,7 @@
 
 use drtm_htm::{Abort, Steps};
 
-use crate::record::{lease_unconfirmed, RecordAddr};
+use crate::record::{self, lease_unconfirmed, RecordAddr};
 use crate::state::DELTA_US;
 use crate::time::softtime_nt;
 use crate::txn::{TxnError, Worker};
@@ -69,12 +69,15 @@ impl RoCtx<'_> {
     pub fn acquire_all(&mut self, recs: &[RecordAddr]) -> Result<Vec<Vec<u8>>, RoRestart> {
         let w = self.worker.pipeline();
         let wants = recs.iter().map(|rec| (*rec, false, w.can_local_cas(rec)));
+        let bytes = recs.iter().map(RecordAddr::fetch_len).sum();
+        let (mut wave, mut fetched) = (Vec::with_capacity(recs.len()), Vec::with_capacity(bytes));
+        w.acquire_wave(&mut wave, &mut fetched, wants, self.end_us, self.now_us);
         let mut values = Vec::with_capacity(recs.len());
-        for got in w.acquire_wave(wants, self.end_us, self.now_us) {
-            match got {
+        for (_, got) in &wave {
+            match record::held(got) {
                 Ok(f) => {
                     self.min_end_us = self.min_end_us.min(f.lease_end_us);
-                    values.push(f.value);
+                    values.push(fetched[f.value.clone()].to_vec());
                 }
                 // A machine that is gone (the record's, or its write
                 // lock's owner) outranks a lock that will be released:
@@ -271,7 +274,7 @@ mod tests {
         let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
         rw.execute(&spec, |ctx| {
             let v = u64::from_le_bytes(ctx.remote_write_cur(0)[..8].try_into().unwrap());
-            ctx.remote_write(0, (v + 1).to_le_bytes().to_vec());
+            ctx.remote_write(0, (v + 1).to_le_bytes());
             Ok(())
         })
         .unwrap();
@@ -315,7 +318,7 @@ mod tests {
         let rec = rec_of(&sys, &table, 3);
         let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
         w.execute(&spec, |ctx| {
-            ctx.remote_write(0, 77u64.to_le_bytes().to_vec());
+            ctx.remote_write(0, 77u64.to_le_bytes());
             Ok(())
         })
         .unwrap();

@@ -294,9 +294,11 @@ impl TraceBuf {
 
     /// Appends an event, evicting the oldest once full.
     pub fn push(&self, ev: TraceEvent) {
-        let mut g = self.inner.lock().expect("trace ring poisoned");
+        let g = &mut *self.inner.lock().expect("trace ring poisoned");
         let slot = (g.pushed % self.cap as u64) as usize;
         if g.buf.len() < self.cap {
+            // The whole ring at its first event: no push allocates after.
+            g.buf.reserve_exact(self.cap - g.buf.len());
             g.buf.push(ev);
         } else {
             g.buf[slot] = ev;

@@ -19,6 +19,7 @@
 //! visible and no lock is released before the log that can redo it is
 //! durable.
 
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -29,9 +30,9 @@ use drtm_rdma::{AtomicityLevel, Cluster, FaultPlan, GlobalAddr, NodeId, Qp};
 
 use crate::alloc_layout::NodeLayout;
 use crate::config::{CrashPoint, DrTmConfig, SofttimeStrategy};
-use crate::log::{LogSlot, LoggedUpdate};
+use crate::log::LogSlot;
 use crate::record::{
-    self, lease_unconfirmed, Claim, FetchedRecord, LockConflict, RecordAddr, ABORT_LEASE_EXPIRED,
+    self, lease_unconfirmed, Claim, Held, LockConflict, RecordAddr, Wave, ABORT_LEASE_EXPIRED,
     ABORT_LOCKED,
 };
 use crate::state::{LockState, DELTA_US};
@@ -101,45 +102,42 @@ enum Strategy {
     Ordered2pl,
 }
 
-/// How a slot's record was declared.
-#[derive(Clone, Copy)]
-enum Decl<'a> {
-    /// A local record, by entry address.
-    Local(RecordAddr),
-    /// A local record, by key.
-    Key(LocalKey<'a>),
-    /// A remote record, by entry address: Start locks or leases it.
-    Remote(RecordAddr),
-}
-
 /// One declared record of a transaction and what each step learned of
-/// it.
-struct Slot<'a> {
-    decl: Decl<'a>,
+/// it. It names its declaration by list and index into the [`TxnSpec`],
+/// so the table borrows nothing and lives in the worker's [`Scratch`].
+#[derive(Debug)]
+struct Slot {
+    kind: Kind,
+    /// Index into the `kind` list of the spec.
+    i: usize,
     write: bool,
     /// The record, once known: a keyed slot's is found at its first
     /// access in an HTM region, or by ordered 2PL before its pass;
     /// `Some(None)` is a key with no row.
     rec: Option<Option<RecordAddr>>,
     /// What Start fetched under the slot's lock or lease, if it took one.
-    fetched: Option<FetchedRecord>,
+    fetched: Option<Held>,
     /// The body's buffered value (a remote write, or any local write
-    /// under ordered 2PL).
-    value: Option<Vec<u8>>,
+    /// under ordered 2PL), a span of [`Scratch::values`].
+    value: Option<Range<usize>>,
 }
 
-impl<'a> Slot<'a> {
-    fn new(decl: Decl<'a>, write: bool) -> Self {
-        let rec = match decl {
-            Decl::Local(r) | Decl::Remote(r) => Some(Some(r)),
-            Decl::Key(_) => None,
+impl Slot {
+    fn new(kind: Kind, i: usize, spec: &TxnSpec<'_>) -> Self {
+        let rec = match kind {
+            Kind::LocalWrite => Some(Some(spec.local_writes[i])),
+            Kind::RemoteWrite => Some(Some(spec.remote_writes[i])),
+            Kind::RemoteRead => Some(Some(spec.remote_reads[i])),
+            Kind::KeyedWrite | Kind::KeyedRead => None,
         };
-        Slot { decl, write, rec, fetched: None, value: None }
+        let write = matches!(kind, Kind::LocalWrite | Kind::KeyedWrite | Kind::RemoteWrite);
+        Slot { kind, i, write, rec, fetched: None, value: None }
     }
 
-    fn key(&self) -> Option<LocalKey<'a>> {
-        match self.decl {
-            Decl::Key(k) => Some(k),
+    fn key<'a>(&self, spec: &TxnSpec<'a>) -> Option<LocalKey<'a>> {
+        match self.kind {
+            Kind::KeyedWrite => Some(spec.keyed_writes[self.i]),
+            Kind::KeyedRead => Some(spec.keyed_reads[self.i]),
             _ => None,
         }
     }
@@ -149,15 +147,16 @@ impl<'a> Slot<'a> {
     }
 
     fn is_remote(&self) -> bool {
-        matches!(self.decl, Decl::Remote(_))
+        matches!(self.kind, Kind::RemoteWrite | Kind::RemoteRead)
     }
 
-    fn fetched(&self) -> &FetchedRecord {
+    fn fetched(&self) -> &Held {
         self.fetched.as_ref().expect("Start fetched the record")
     }
 }
 
 /// The declared lists of a [`TxnSpec`], in slot-table order.
+#[derive(Debug, Clone, Copy)]
 enum Kind {
     LocalWrite,
     KeyedWrite,
@@ -166,50 +165,110 @@ enum Kind {
     RemoteRead,
 }
 
-/// The slot table of one transaction, built once per
+/// Each declared list of `spec` and its length, in slot-table order.
+fn lists(spec: &TxnSpec<'_>) -> [(Kind, usize); 5] {
+    [
+        (Kind::LocalWrite, spec.local_writes.len()),
+        (Kind::KeyedWrite, spec.keyed_writes.len()),
+        (Kind::RemoteWrite, spec.remote_writes.len()),
+        (Kind::KeyedRead, spec.keyed_reads.len()),
+        (Kind::RemoteRead, spec.remote_reads.len()),
+    ]
+}
+
+/// Fills `slots` with the slot table of one transaction, once per
 /// [`Worker::execute`]: local writes by address, keyed writes, remote
 /// writes, keyed reads, remote reads, each list in declared order. Every
 /// step walks it in this order — it is the write-ahead log's update
 /// order and ordered 2PL's tie-break — and the HTM strategy's lock order
 /// is its remote slots.
-fn slot_table<'a>(spec: &TxnSpec<'a>) -> Vec<Slot<'a>> {
-    let local = spec.local_writes.iter().map(|r| Slot::new(Decl::Local(*r), true));
-    let keyed_writes = spec.keyed_writes.iter().map(|k| Slot::new(Decl::Key(*k), true));
-    let remote_writes = spec.remote_writes.iter().map(|r| Slot::new(Decl::Remote(*r), true));
-    let keyed_reads = spec.keyed_reads.iter().map(|k| Slot::new(Decl::Key(*k), false));
-    let remote_reads = spec.remote_reads.iter().map(|r| Slot::new(Decl::Remote(*r), false));
-    let writes = local.chain(keyed_writes).chain(remote_writes);
-    writes.chain(keyed_reads).chain(remote_reads).collect()
+fn slot_table(slots: &mut Vec<Slot>, spec: &TxnSpec<'_>) {
+    slots.clear();
+    for (kind, n) in lists(spec) {
+        slots.extend((0..n).map(|i| Slot::new(kind, i, spec)));
+    }
 }
 
 /// One write-locked record and what Commit decided for it: the unit of
-/// WriteBack and of the write-ahead log, and the parked form of a
-/// write-back or unlock its (dead) target could not take.
+/// WriteBack and of the write-ahead log. Its value is a span of the
+/// arena while the transaction runs, borrowed bytes on their way out, and
+/// owned once parked for a dead target ([`Lane::pending`]).
 #[derive(Debug, Clone)]
-struct WriteItem {
+struct WriteItem<V = Range<usize>> {
     rec: RecordAddr,
     /// Version the record carries once `value` is applied.
     version: u32,
     /// `Some` = write back then unlock; `None` = declared but never
     /// written, plain unlock.
-    value: Option<Vec<u8>>,
+    value: Option<V>,
     /// Deliver with CPU stores instead of one-sided WRITEs.
     local: bool,
 }
 
-/// The redo records of a write set — one per item actually written —
-/// followed by the local updates an HTM region logged as it ran.
-fn wal_updates(writes: &[WriteItem], local_log: Vec<LoggedUpdate>) -> Vec<LoggedUpdate> {
-    let logged = |w: &WriteItem| {
-        Some(LoggedUpdate { rec: w.rec, version: w.version, value: w.value.clone()? })
-    };
-    writes.iter().filter_map(logged).chain(local_log).collect()
+impl<V> WriteItem<V> {
+    /// This item with `value` in place of its own.
+    fn with<U>(&self, value: Option<U>) -> WriteItem<U> {
+        WriteItem { rec: self.rec, version: self.version, value, local: self.local }
+    }
+}
+
+/// One item per write Start locked, in table order: a region's remote
+/// writes, or every write ordered 2PL found (it delivers its local ones,
+/// all on this machine, the way it locked them).
+fn write_items(slots: &[Slot], cpu_stores: bool) -> impl Iterator<Item = WriteItem> + Clone + '_ {
+    let locked = slots.iter().filter(|s| s.write && s.fetched.is_some());
+    locked.map(move |s| WriteItem {
+        rec: s.record().expect("a locked record"),
+        version: s.fetched().header.version.wrapping_add(1),
+        value: s.value.clone(),
+        local: cpu_stores && !s.is_remote(),
+    })
+}
+
+/// A worker's working storage for one transaction: [`Worker::execute`]
+/// refills it, and it keeps its capacity, so a warm worker's transaction
+/// allocates nothing. Values live in one byte arena that slots hold spans
+/// of; they are valid for the transaction only (DESIGN.md "Commit
+/// pipeline").
+#[derive(Debug, Default)]
+struct Scratch {
+    slots: Vec<Slot>,
+    /// The strategy's lock order, as slot indices.
+    order: Vec<usize>,
+    /// The records the strategy write-locks, for both logs.
+    write_set: Vec<RecordAddr>,
+    /// One acquisition wave's claims and outcomes.
+    wave: Wave,
+    /// Every value the transaction fetches, reads or buffers.
+    values: Vec<u8>,
+    /// Where an attempt's values begin: below it, what Start fetched.
+    fetched_end: usize,
+    /// An HTM region's local updates, for the write-ahead log (§4.6 logs
+    /// local *and* remote updates).
+    local_log: Vec<(RecordAddr, Range<usize>)>,
+    allocs: Allocs,
+}
+
+impl Scratch {
+    /// Appends `bytes` to the arena; returns their span.
+    fn push(&mut self, bytes: &[u8]) -> Range<usize> {
+        let at = self.values.len();
+        self.values.extend_from_slice(bytes);
+        at..self.values.len()
+    }
+
+    /// The value slot `at` holds under Start's lock or lease: the body's
+    /// buffered update, else what Start fetched.
+    fn held_value(&self, at: usize) -> Range<usize> {
+        let slot = &self.slots[at];
+        slot.value.clone().unwrap_or_else(|| slot.fetched().value.clone())
+    }
 }
 
 /// Commit's lease confirmation at softtime `now`: every lease Start
 /// took (or shared) must still be `VALID`. The first stale one is
 /// returned for the strategy to account.
-fn stale_lease(slots: &[Slot<'_>], now: u64) -> Option<RecordAddr> {
+fn stale_lease(slots: &[Slot], now: u64) -> Option<RecordAddr> {
     let leased = slots.iter().filter(|s| !s.write && s.fetched.is_some());
     let mut stale = leased.filter(|s| lease_unconfirmed(s.fetched().lease_end_us, now, DELTA_US));
     stale.next().and_then(Slot::record)
@@ -282,7 +341,9 @@ impl LocalKey<'_> {
     /// or read-committed read).
     pub fn read(&self, txn: &mut HtmTxn<'_>) -> Result<Option<(RecordAddr, Vec<u8>)>, Abort> {
         let Some(rec) = self.find(txn)? else { return Ok(None) };
-        Ok(Some((rec, rec.entry().read_value(txn)?)))
+        let mut value = Vec::new();
+        rec.entry().read_value(txn, &mut value)?;
+        Ok(Some((rec, value)))
     }
 }
 
@@ -310,10 +371,10 @@ pub struct TxnSpec<'a> {
     pub keyed_writes: Vec<LocalKey<'a>>,
 }
 
-/// Whether no two of `items` are equal.
-fn distinct<T: Ord>(mut items: Vec<T>) -> bool {
-    items.sort_unstable();
-    items.windows(2).all(|w| w[0] != w[1])
+/// Whether no two of `items` are equal: pairwise, as declared sets are
+/// short, and without allocating.
+fn distinct<T: PartialEq>(items: impl Iterator<Item = T> + Clone) -> bool {
+    items.clone().enumerate().all(|(i, a)| items.clone().take(i).all(|b| a != b))
 }
 
 /// A DrTM instance shared by all workers of a simulated cluster.
@@ -422,6 +483,7 @@ impl DrTm {
             txn_seq: 0,
             rng: 0x9E37_79B9u64.wrapping_mul(node as u64 + 1).wrapping_add(worker_id as u64),
             pending: Vec::new(),
+            scratch: Scratch::default(),
         };
         Worker { sys: Arc::clone(self), node, worker_id, lane }
     }
@@ -450,8 +512,10 @@ struct Lane {
     txn_seq: u64,
     rng: u64,
     /// Write-backs/unlocks whose target died mid-commit; drained by
-    /// [`Worker::flush_pending`] once the peer is recovered.
-    pending: Vec<WriteItem>,
+    /// [`Worker::flush_pending`] once the peer is recovered. They outlive
+    /// their transaction, so they own their values.
+    pending: Vec<WriteItem<Vec<u8>>>,
+    scratch: Scratch,
 }
 
 /// A worker for the length of one call: its system borrowed, its lane
@@ -531,7 +595,12 @@ impl Worker {
         spec: &TxnSpec<'_>,
         body: impl FnMut(&mut TxnCtx<'_>) -> Result<T, Abort>,
     ) -> Result<T, TxnError> {
-        self.pipeline().execute(spec, body)
+        // The scratch leaves the lane for the call, so that every step
+        // can borrow it beside the pipeline.
+        let mut s = std::mem::take(&mut self.lane.scratch);
+        let out = self.pipeline().execute(&mut s, spec, body);
+        self.lane.scratch = s;
+        out
     }
 
     /// Whether this worker still holds undelivered write-backs/unlocks
@@ -643,6 +712,7 @@ impl Pipeline<'_> {
     /// [`Worker::execute`].
     fn execute<T>(
         &mut self,
+        s: &mut Scratch,
         spec: &TxnSpec<'_>,
         mut body: impl FnMut(&mut TxnCtx<'_>) -> Result<T, Abort>,
     ) -> Result<T, TxnError> {
@@ -653,8 +723,8 @@ impl Pipeline<'_> {
             {
                 let by_addr = spec.local_writes.iter().chain(&spec.remote_writes);
                 let by_key = spec.keyed_writes.iter();
-                distinct(by_addr.map(|r| (r.addr.node, r.addr.offset)).collect())
-                    && distinct(by_key.map(|k| (std::ptr::from_ref(k.table), k.key)).collect())
+                distinct(by_addr.map(|r| (r.addr.node, r.addr.offset)))
+                    && distinct(by_key.map(|k| (std::ptr::from_ref(k.table), k.key)))
             },
             "write set contains a duplicate record (self-deadlock)"
         );
@@ -668,7 +738,7 @@ impl Pipeline<'_> {
         let sys = self.sys;
         let region = sys.cluster.node(self.node).region();
         let env = Env { sys, region, spec, txn_id: self.next_txn_id() };
-        let mut slots = slot_table(spec);
+        slot_table(&mut s.slots, spec);
         // The HTM strategy, until its restart budget is spent or a
         // region gives up; then ordered 2PL, which always finishes.
         let mut restarts = 0u32;
@@ -679,7 +749,7 @@ impl Pipeline<'_> {
             if restarts > sys.cfg.start_retries {
                 break;
             }
-            match self.htm(env, &mut slots, &mut body) {
+            match self.htm(env, s, &mut body) {
                 Ok(v) => return Ok(v),
                 Err(Stop::GiveUp) => break,
                 Err(Stop::Restart) => {
@@ -689,23 +759,26 @@ impl Pipeline<'_> {
                 Err(stop) => return Err(stop.into_terminal()),
             }
         }
-        self.ordered_2pl(env, &mut slots, &mut body).map_err(Stop::into_terminal)
+        self.ordered_2pl(env, s, &mut body).map_err(Stop::into_terminal)
     }
 
     /// One pass of the pipeline under [`Strategy::Htm`]: Start over the
     /// remote records, then HTM regions over the same locks until one
     /// commits or the retry budget is spent.
-    fn htm<'e, T>(
+    fn htm<T>(
         &mut self,
-        env: Env<'e>,
-        slots: &mut Vec<Slot<'e>>,
+        env: Env<'_>,
+        s: &mut Scratch,
         body: &mut impl FnMut(&mut TxnCtx<'_>) -> Result<T, Abort>,
     ) -> Result<T, Stop> {
-        let Env { sys, spec, .. } = env;
-        let order: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_remote()).collect();
+        let sys = env.sys;
+        s.order.clear();
+        s.order.extend((0..s.slots.len()).filter(|&i| s.slots[i].is_remote()));
+        s.write_set.clear();
+        s.write_set.extend_from_slice(&env.spec.remote_writes);
         let now = {
             let mut t = PhaseTimer::start(&sys.trace, Phase::Start);
-            self.start(Strategy::Htm, env, slots, &order, &spec.remote_writes, &mut t.ops)?
+            self.start(Strategy::Htm, env, s, &mut t.ops)?
         };
         if self.crashes_at(CrashPoint::AfterRemoteLocks) {
             return Err(CRASH);
@@ -716,7 +789,7 @@ impl Pipeline<'_> {
                 break Stop::GiveUp;
             }
             attempts += 1;
-            match self.run(Strategy::Htm, env, slots, &spec.remote_writes, now, body) {
+            match self.run(Strategy::Htm, env, s, now, body) {
                 Ok(v) => return Ok(v),
                 Err(Stop::Retry) => self.backoff(attempts),
                 Err(stop) => break stop,
@@ -726,7 +799,7 @@ impl Pipeline<'_> {
             // Nothing was published: release the locks, charging the
             // unlock WRITEs to the Commit phase.
             let mut t = PhaseTimer::start(&sys.trace, Phase::Commit);
-            t.ops += self.release_held(Strategy::Htm, slots, order.into_iter());
+            t.ops += self.release_held(Strategy::Htm, &s.slots, s.order.iter().copied());
         }
         Err(stop)
     }
@@ -734,10 +807,10 @@ impl Pipeline<'_> {
     /// The pipeline under [`Strategy::Ordered2pl`] (the fallback handler,
     /// §6.2), rerun until it commits; reported as one Fallback phase
     /// line.
-    fn ordered_2pl<'e, T>(
+    fn ordered_2pl<T>(
         &mut self,
-        env: Env<'e>,
-        slots: &mut Vec<Slot<'e>>,
+        env: Env<'_>,
+        s: &mut Scratch,
         body: &mut impl FnMut(&mut TxnCtx<'_>) -> Result<T, Abort>,
     ) -> Result<T, Stop> {
         let sys = env.sys;
@@ -751,27 +824,29 @@ impl Pipeline<'_> {
             // Local records are locked before the body here, so a pass
             // first finds the keyed ones; a key with no row is not
             // locked.
-            self.find_keyed(env, slots);
-            let addr = |i: usize| slots[i].record().map(|r| (r.addr.node, r.addr.offset));
-            let mut order: Vec<usize> = (0..slots.len()).filter(|&i| addr(i).is_some()).collect();
-            order.sort_by_key(|&i| addr(i));
+            self.find_keyed(env, &mut s.slots);
+            let addr = |s: &Slot| s.record().map(|r| (r.addr.node, r.addr.offset));
+            s.order.clear();
+            s.order.extend((0..s.slots.len()).filter(|&i| addr(&s.slots[i]).is_some()));
+            s.order.sort_unstable_by_key(|&i| (addr(&s.slots[i]), i));
             // Lock-ahead and WAL name the FULL write set (local and
             // remote, in acquisition order): unlike the HTM strategy,
             // local records are CPU/loopback-locked here too, and
             // recovery must be able to release them if this machine
             // dies before the WAL.
-            let writes = order.iter().filter(|&&i| slots[i].write);
-            let write_set: Vec<RecordAddr> = writes.filter_map(|&i| slots[i].record()).collect();
-            let now = self.start(strategy, env, slots, &order, &write_set, &mut t.ops)?;
-            match self.run(strategy, env, slots, &write_set, now, body) {
+            let writes = s.order.iter().filter(|&&i| s.slots[i].write);
+            s.write_set.clear();
+            s.write_set.extend(writes.filter_map(|&i| s.slots[i].record()));
+            let now = self.start(strategy, env, s, &mut t.ops)?;
+            match self.run(strategy, env, s, now, body) {
                 Ok(v) => {
-                    t.ops += write_set.len() as u64;
+                    t.ops += s.write_set.len() as u64;
                     return Ok(v);
                 }
                 Err(CRASH) => return Err(CRASH),
                 Err(stop) => {
                     // Nothing was published: release every lock.
-                    t.ops += self.release_held(strategy, slots, order.into_iter());
+                    t.ops += self.release_held(strategy, &s.slots, s.order.iter().copied());
                     match stop {
                         Stop::Restart => self.backoff(8),
                         terminal => return Err(terminal),
@@ -784,13 +859,15 @@ impl Pipeline<'_> {
     /// Ordered 2PL's lookup of every keyed slot for one pass: all walks
     /// share one stand-alone region ([`Executor::run_steps`]: halved if
     /// it overflows).
-    fn find_keyed(&self, env: Env<'_>, slots: &mut [Slot<'_>]) {
+    fn find_keyed(&self, env: Env<'_>, slots: &mut [Slot]) {
+        let spec = env.spec;
         let found: Result<Vec<Option<RecordAddr>>, Abort> =
             env.sys.exec.run_steps(env.region, |steps| {
-                slots.iter().filter_map(Slot::key).map(|k| steps.step(|txn| k.find(txn))).collect()
+                let keys = slots.iter().filter_map(|s| s.key(spec));
+                keys.map(|k| steps.step(|txn| k.find(txn))).collect()
             });
         let found = found.expect("a bucket chain fits a region of its own");
-        for (slot, rec) in slots.iter_mut().filter(|s| s.key().is_some()).zip(found) {
+        for (slot, rec) in slots.iter_mut().filter(|s| s.key(spec).is_some()).zip(found) {
             slot.rec = Some(rec);
         }
         // Only here are a keyed record and an address-declared one, or a
@@ -798,12 +875,11 @@ impl Pipeline<'_> {
         // HTM strategy tolerates that, this one would wait on itself.
         debug_assert!(
             {
-                let local = |write: bool| -> Vec<usize> {
-                    let of = slots.iter().filter(|s| s.write == write && !s.is_remote());
-                    of.filter_map(Slot::record).map(|r| r.addr.offset).collect()
+                let local = |write: bool| {
+                    let of = slots.iter().filter(move |s| s.write == write && !s.is_remote());
+                    of.filter_map(Slot::record).map(|r| r.addr.offset)
                 };
-                let (w, r) = (local(true), local(false));
-                distinct(w.clone()) && r.iter().all(|off| !w.contains(off))
+                distinct(local(true)) && local(false).all(|off| local(true).all(|w| w != off))
             },
             "a local record is locked twice in one pass (self-deadlock)"
         );
@@ -813,13 +889,16 @@ impl Pipeline<'_> {
     /// at `end_us` on each of `wants`, as `(record, write, local)` with
     /// `local` selecting the CPU CAS path — posted together and awaited
     /// once: the primitive under [`Pipeline::start`] and under every
-    /// read-only lease. One outcome per record, in order.
+    /// read-only lease. One outcome per record, in order, in `wave`; the
+    /// fetched bytes are appended to `out`.
     pub(crate) fn acquire_wave(
         &self,
+        wave: &mut Wave,
+        out: &mut Vec<u8>,
         wants: impl Iterator<Item = (RecordAddr, bool, bool)>,
         end_us: u64,
         now_us: u64,
-    ) -> Vec<Result<FetchedRecord, LockConflict>> {
+    ) {
         let claim = |(rec, write, local)| {
             let desired = if write {
                 LockState::write_locked(self.node as u8)
@@ -828,7 +907,7 @@ impl Pipeline<'_> {
             };
             Claim { rec, desired, local }
         };
-        record::acquire_wave(&self.lane.qp, wants.map(claim), now_us, DELTA_US)
+        record::acquire_wave(&self.lane.qp, wave, wants.map(claim), now_us, DELTA_US, out)
     }
 
     /// What a lost claim means to a caller that *waits* for the record
@@ -871,9 +950,7 @@ impl Pipeline<'_> {
         &mut self,
         strategy: Strategy,
         env: Env<'_>,
-        slots: &mut [Slot<'_>],
-        order: &[usize],
-        write_set: &[RecordAddr],
+        s: &mut Scratch,
         ops: &mut u64,
     ) -> Result<u64, Stop> {
         let Env { sys, region, txn_id, .. } = env;
@@ -886,35 +963,42 @@ impl Pipeline<'_> {
         let end = now + sys.cfg.lease_us;
         // The lock-ahead log names every record about to be locked, so
         // recovery can release them if this machine dies holding them.
-        if sys.cfg.logging && !write_set.is_empty() {
-            let n = self.lane.log.log_lock_ahead(region, write_set);
+        if sys.cfg.logging && !s.write_set.is_empty() {
+            let n = self.lane.log.log_lock_ahead(region, &s.write_set);
             sys.stats.add_log_write(n);
         }
         if self.crashes_at(after_lock_ahead) {
             return Err(CRASH);
         }
-        slots.iter_mut().for_each(|s| s.fetched = None);
-        let wave_len = if waits { 1 } else { order.len().max(1) };
-        for (nth, wave) in order.chunks(wave_len).enumerate() {
+        // Every value of an earlier pass is dead: the arena starts over.
+        s.values.clear();
+        s.slots.iter_mut().for_each(|s| s.fetched = None);
+        let wave_len = if waits { 1 } else { s.order.len().max(1) };
+        for (nth, wave) in s.order.chunks(wave_len).enumerate() {
             let mut waiting_since: Option<u64> = None;
             loop {
                 // A waiting strategy re-reads softtime: leases expire
                 // while it waits.
                 let now = if waits { softtime_nt(region) } else { now };
                 *ops += wave.len() as u64;
+                let slots = &s.slots;
                 let wants = wave.iter().map(|&i| {
                     let rec = slots[i].record().expect("every slot of a lock order has a record");
                     (rec, slots[i].write, self.cpu_path(strategy, &rec))
                 });
-                let got = self.acquire_wave(wants, end, now);
-                let Some(lost) = got.iter().position(Result::is_err) else {
-                    for (&i, fetched) in wave.iter().zip(got) {
-                        slots[i].fetched = Some(fetched.expect("no claim lost"));
+                let mark = s.values.len();
+                self.acquire_wave(&mut s.wave, &mut s.values, wants, end, now);
+                let got = || s.wave.iter().map(|(_, at)| record::held(at));
+                let Some(lost) = got().position(|h| h.is_err()) else {
+                    for (&i, fetched) in wave.iter().zip(got()) {
+                        s.slots[i].fetched = Some(fetched.expect("no claim lost").clone());
                     }
                     break;
                 };
-                let lost_rec = slots[wave[lost]].record().expect("a claimed record");
-                let mut conflict = *got[lost].as_ref().expect_err("the lost claim");
+                // A lost wave keeps nothing it fetched.
+                s.values.truncate(mark);
+                let lost_rec = s.slots[wave[lost]].record().expect("a claimed record");
+                let mut conflict = record::held(&s.wave[lost].1).expect_err("the lost claim");
                 if waits {
                     let since = *waiting_since.get_or_insert_with(clock::now_us);
                     conflict = self.waited_on(conflict);
@@ -937,15 +1021,16 @@ impl Pipeline<'_> {
                     return Err(CRASH);
                 }
                 // Release the earlier waves and what this one won.
-                let won = wave.iter().zip(&got).filter(|(_, r)| r.is_ok()).map(|(&i, _)| i);
-                let held = order[..nth * wave_len].iter().copied().chain(won);
-                *ops += self.release_held(strategy, slots, held);
+                let won = wave.iter().zip(got()).filter(|(_, h)| h.is_ok()).map(|(&i, _)| i);
+                let held = s.order[..nth * wave_len].iter().copied().chain(won);
+                *ops += self.release_held(strategy, &s.slots, held);
                 if !waits {
                     sys.stats.start_conflicts.inc();
                 }
                 return Err(terminal.map_or(Stop::Restart, |e| Stop::Terminal(self.terminal(e))));
             }
         }
+        s.fetched_end = s.values.len();
         Ok(now)
     }
 
@@ -960,17 +1045,17 @@ impl Pipeline<'_> {
     fn release_held(
         &mut self,
         strategy: Strategy,
-        slots: &[Slot<'_>],
+        slots: &[Slot],
         held: impl Iterator<Item = usize>,
     ) -> u64 {
         let unlock = |rec: RecordAddr| {
             let local = self.cpu_path(strategy, &rec);
-            WriteItem { rec, version: 0, value: None, local }
+            WriteItem::<&[u8]> { rec, version: 0, value: None, local }
         };
         let writes = held.map(|i| &slots[i]).filter(|s| s.write);
-        let unlocks: Vec<WriteItem> = writes.filter_map(Slot::record).map(unlock).collect();
-        let released = unlocks.len() as u64;
-        let undelivered = self.write_back(unlocks, None).expect("no crash point to honour");
+        let (mut released, mut undelivered) = (0, Vec::new());
+        let unlocks = writes.filter_map(Slot::record).map(unlock).inspect(|_| released += 1);
+        self.write_back(unlocks, None, &mut undelivered).expect("no crash point to honour");
         if !self.self_crashed() {
             self.lane.pending.extend(undelivered);
         }
@@ -1006,12 +1091,11 @@ impl Pipeline<'_> {
     /// redo it is persistent (log-persist-before-unlock, the HTPM
     /// ordering): staging sits in this one place, above the only call
     /// of [`Pipeline::publish`].
-    fn run<'e, T>(
+    fn run<T>(
         &mut self,
         strategy: Strategy,
-        env: Env<'e>,
-        slots: &mut Vec<Slot<'e>>,
-        write_set: &[RecordAddr],
+        env: Env<'_>,
+        s: &mut Scratch,
         now_us: u64,
         body: &mut impl FnMut(&mut TxnCtx<'_>) -> Result<T, Abort>,
     ) -> Result<T, Stop> {
@@ -1019,11 +1103,15 @@ impl Pipeline<'_> {
         let htm = strategy == Strategy::Htm;
 
         // ---------------- LocalTX ----------------
-        // An attempt starts with nothing buffered; a region finds its
-        // keyed rows again (ordered 2PL found them for this pass).
-        for slot in slots.iter_mut() {
+        // An attempt starts with nothing buffered or read but what Start
+        // fetched; a region finds its keyed rows again (ordered 2PL found
+        // them for this pass).
+        s.values.truncate(s.fetched_end);
+        s.local_log.clear();
+        s.allocs.clear();
+        for slot in s.slots.iter_mut() {
             slot.value = None;
-            if htm && slot.key().is_some() {
+            if htm && slot.key(spec).is_some() {
                 slot.rec = None;
             }
         }
@@ -1033,32 +1121,32 @@ impl Pipeline<'_> {
             // A buffered body's store operations run as standalone
             // micro-transactions nothing rolls back (§6.2), so leases
             // are confirmed before it runs, not after.
-            if let Some(rec) = stale_lease(slots, softtime_nt(region)) {
+            if let Some(rec) = stale_lease(&s.slots, softtime_nt(region)) {
                 let cause = AbortCause::LeaseConfirmFail;
                 self.trace_abort(txn_id, Phase::Fallback, cause, Some(&rec));
                 return Err(Stop::Restart);
             }
             None
         };
-        // The body's context borrows the slot table for the attempt.
-        let (table, allocs, local_log) = (std::mem::take(slots), Vec::new(), Vec::new());
-        let mut ctx = TxnCtx { env, txn: isolation, slots: table, now_us, allocs, local_log };
+        // The body's context borrows the scratch for the attempt; the
+        // region it opened lives on to the commit, and so does that borrow.
+        let mut ctx = TxnCtx { env, txn: isolation, s, now_us };
         let out = {
             let _t = htm.then(|| PhaseTimer::start(&sys.trace, Phase::LocalTx));
             body(&mut ctx)
         };
-        let TxnCtx { mut txn, slots: table, mut allocs, local_log, .. } = ctx;
-        *slots = table;
+        let TxnCtx { mut txn, s, .. } = ctx;
+        let allocs = &mut s.allocs;
         let value = match out {
             Ok(v) => v,
             Err(Abort::Explicit(USER_ABORT)) => {
                 let phase = if htm { Phase::LocalTx } else { Phase::Fallback };
                 self.trace_abort(txn_id, phase, AbortCause::UserAbort, None);
-                undo_allocs(&mut allocs);
+                undo_allocs(allocs);
                 return Err(Stop::Terminal(TxnError::UserAborted));
             }
             Err(a) if htm => {
-                self.htm_abort(env, Phase::LocalTx, a, None, &mut allocs);
+                self.htm_abort(env, Phase::LocalTx, a, None, allocs);
                 return Err(if a == Abort::Capacity { Stop::GiveUp } else { Stop::Retry });
             }
             // Every lock is held, so a body abort can only be resource
@@ -1074,10 +1162,10 @@ impl Pipeline<'_> {
             // transactions never touch softtime inside HTM, §6.1).
             if !spec.remote_reads.is_empty() {
                 let now = softtime_txn(txn)
-                    .map_err(|a| self.htm_abort(env, Phase::Commit, a, None, &mut allocs))?;
-                if let Some(rec) = stale_lease(slots, now) {
+                    .map_err(|a| self.htm_abort(env, Phase::Commit, a, None, allocs))?;
+                if let Some(rec) = stale_lease(&s.slots, now) {
                     let stale = Abort::Explicit(ABORT_LEASE_EXPIRED);
-                    self.htm_abort(env, Phase::Commit, stale, Some(&rec), &mut allocs);
+                    self.htm_abort(env, Phase::Commit, stale, Some(&rec), allocs);
                     return Err(Stop::Restart);
                 }
             }
@@ -1086,18 +1174,9 @@ impl Pipeline<'_> {
             // back from the lock-ahead record.
             return Err(CRASH);
         }
-        // One item per write Start locked, in table order: a region's
-        // remote writes, or every write ordered 2PL found (it delivers
-        // its local ones, all on this machine, the way it locked them).
         let cpu_stores = sys.cluster.atomicity() == AtomicityLevel::Glob;
-        let locked = slots.iter_mut().filter(|s| s.write && s.fetched.is_some());
-        let item = |s: &mut Slot<'_>| WriteItem {
-            rec: s.record().expect("a locked record"),
-            version: s.fetched().header.version.wrapping_add(1),
-            value: s.value.take(),
-            local: cpu_stores && !s.is_remote(),
-        };
-        let writes: Vec<WriteItem> = locked.map(item).collect();
+        let writes = write_items(&s.slots, cpu_stores);
+        let values = &s.values;
         // The write-ahead log carries every update — for redo — and the
         // lock list, so recovery can release declared-but-unwritten
         // locks from the log alone. An HTM region's local updates are
@@ -1106,23 +1185,25 @@ impl Pipeline<'_> {
         // check must always see them as applied. Ordered 2PL has no
         // XEND: its local updates carry real versions, and redo is
         // their only crash story.
-        let updates = if sys.cfg.logging { wal_updates(&writes, local_log) } else { Vec::new() };
-        let wal_staged =
-            sys.cfg.logging && if htm { !updates.is_empty() } else { !write_set.is_empty() };
+        let written = writes.clone().filter_map(|w| Some((w.rec, w.version, &values[w.value?])));
+        let local = s.local_log.iter().map(|(rec, v)| (*rec, 0, &values[v.clone()]));
+        let updates = written.chain(local);
+        let wal_staged = sys.cfg.logging
+            && if htm { updates.clone().next().is_some() } else { !s.write_set.is_empty() };
         if wal_staged {
             let n = self
                 .lane
                 .log
-                .log_write_ahead(txn.as_mut(), region, write_set, &updates)
-                .map_err(|a| self.htm_abort(env, Phase::Commit, a, None, &mut allocs))?;
+                .log_write_ahead(txn.as_mut(), region, &s.write_set, updates)
+                .map_err(|a| self.htm_abort(env, Phase::Commit, a, None, allocs))?;
             sys.stats.add_log_write(n);
         }
         if let Some(txn) = txn.take() {
             if self.crashes_at(CrashPoint::BeforeHtmCommit) {
-                undo_allocs(&mut allocs);
+                undo_allocs(allocs);
                 return Err(CRASH);
             }
-            txn.commit().map_err(|a| self.htm_abort(env, Phase::Commit, a, None, &mut allocs))?;
+            txn.commit().map_err(|a| self.htm_abort(env, Phase::Commit, a, None, allocs))?;
             sys.htm_stats().commits.inc();
         }
         // Committed: the log is persistent, nothing is applied yet and
@@ -1135,12 +1216,13 @@ impl Pipeline<'_> {
 
         // ---------------- WriteBack ----------------
         if let Some(t) = &mut commit_t {
-            t.ops += writes.len() as u64;
+            t.ops += writes.clone().count() as u64;
         }
         // A log record is live if the WAL was staged or Start wrote a
         // lock-ahead: transactions that never touched the log — notably
         // read-only shapes — pay no completion marker either.
-        let log_live = wal_staged || (sys.cfg.logging && !write_set.is_empty());
+        let log_live = wal_staged || (sys.cfg.logging && !s.write_set.is_empty());
+        let writes = writes.map(|w| w.with(w.value.clone().map(|v| &values[v])));
         self.publish(strategy, writes, log_live).map_err(Stop::Terminal)?;
         Ok(value)
     }
@@ -1159,29 +1241,36 @@ impl Pipeline<'_> {
     /// the first post here and is reclaimed only after this returns —
     /// after the last completion (log-persist-before-unlock).
     ///
-    /// Returns the items a dead target could not take, to be
-    /// re-delivered over the fabric. The caller is past its commit
-    /// point, so they must be parked, never dropped.
-    fn write_back(
+    /// Adds the items a dead target could not take to `undelivered`, to
+    /// be re-delivered over the fabric: the one copy of a value into
+    /// owned storage. The caller is past its commit point, so they must
+    /// be parked, never dropped.
+    fn write_back<'v>(
         &self,
-        writes: Vec<WriteItem>,
+        writes: impl Iterator<Item = WriteItem<&'v [u8]>>,
         crash: Option<CrashPoint>,
-    ) -> Result<Vec<WriteItem>, TxnError> {
-        let mut undelivered = Vec::new();
+        undelivered: &mut Vec<WriteItem<Vec<u8>>>,
+    ) -> Result<(), TxnError> {
+        let mut posted_any = false;
         for w in writes {
-            let posted = match &w.value {
+            posted_any = true;
+            let posted = match w.value {
                 Some(v) => record::post_write_back(&self.lane.qp, &w.rec, w.version, v, w.local),
                 None => record::post_unlock(&self.lane.qp, &w.rec, w.local),
             };
             if posted.is_err() {
-                undelivered.push(WriteItem { local: false, ..w });
+                undelivered.push(WriteItem { local: false, ..w.with(w.value.map(<[u8]>::to_vec)) });
             } else if crash.is_some_and(|p| self.crashes_at(p)) {
                 self.lane.qp.wait();
                 return Err(TxnError::SimulatedCrash);
             }
         }
-        self.lane.qp.wait();
-        Ok(undelivered)
+        // Every earlier post was awaited where it was made, so with
+        // nothing posted here there is nothing to wait for.
+        if posted_any {
+            self.lane.qp.wait();
+        }
+        Ok(())
     }
 
     /// **WriteBack**: the transaction is past its commit point — a dead
@@ -1189,17 +1278,18 @@ impl Pipeline<'_> {
     /// (one posted wave, awaited once: the WRITEs to one machine share a
     /// doorbell, those to different machines overlap), park what cannot
     /// be delivered, reclaim the log slot, count the commit.
-    fn publish(
+    fn publish<'v>(
         &mut self,
         strategy: Strategy,
-        writes: Vec<WriteItem>,
+        writes: impl Iterator<Item = WriteItem<&'v [u8]>>,
         log_live: bool,
     ) -> Result<(), TxnError> {
         let (mid, after) = match strategy {
             Strategy::Htm => (CrashPoint::MidWriteBack, Some(CrashPoint::AfterWriteBacks)),
             Strategy::Ordered2pl => (CrashPoint::FallbackMidUnlock, None),
         };
-        let undelivered = self.write_back(writes, Some(mid))?;
+        let mut undelivered = Vec::new();
+        self.write_back(writes, Some(mid), &mut undelivered)?;
         if !undelivered.is_empty() {
             if self.self_crashed() {
                 // Our own machine died mid-write-back: stop dead. Its
@@ -1235,7 +1325,9 @@ impl Pipeline<'_> {
             return Ok(());
         }
         let parked = std::mem::take(&mut self.lane.pending);
-        self.lane.pending = self.write_back(parked, None)?;
+        let mut still = Vec::new();
+        self.write_back(parked.iter().map(|p| p.with(p.value.as_deref())), None, &mut still)?;
+        self.lane.pending = still;
         match self.lane.pending.first() {
             Some(op) => Err(TxnError::PeerDead(op.rec.addr.node)),
             None => {
@@ -1256,21 +1348,37 @@ fn undo_allocs(allocs: &mut Allocs) {
     }
 }
 
+/// A record value handed out by copy ([`TxnCtx::keyed_write_cur`]),
+/// inline up to 64 bytes: unlike a borrowed slice, a body may hold it
+/// across its next write.
+#[derive(Debug, Clone)]
+pub struct Value {
+    len: usize,
+    inline: [u8; 64],
+    spilled: Vec<u8>,
+}
+
+impl Deref for Value {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        self.inline.get(..self.len).unwrap_or(&self.spilled)
+    }
+}
+
 /// The handle a transaction body uses to access records and ordered
-/// stores, independent of the strategy that isolates it.
+/// stores, independent of the strategy that isolates it. The values it
+/// hands out borrow it: they live in the worker's arena, valid until
+/// the body's next call on the context.
 pub struct TxnCtx<'r> {
     env: Env<'r>,
     /// The open HTM region the body runs in; `None` under ordered 2PL,
     /// where every lock is held and writes are buffered instead.
     txn: Option<HtmTxn<'r>>,
-    /// The transaction's slot table, lent to this attempt.
-    slots: Vec<Slot<'r>>,
+    /// The worker's scratch, lent to this attempt.
+    s: &'r mut Scratch,
     /// Softtime sampled when Start began.
     now_us: u64,
-    allocs: Allocs,
-    /// HTM region with durability on: local updates for the write-ahead
-    /// log (§4.6 logs local *and* remote updates).
-    local_log: Vec<LoggedUpdate>,
 }
 
 impl<'r> TxnCtx<'r> {
@@ -1283,40 +1391,34 @@ impl<'r> TxnCtx<'r> {
 
     /// The slot of entry `i` of the declared `kind` list.
     fn at(&self, kind: Kind, i: usize) -> usize {
-        let s = self.env.spec;
-        let lens = [
-            s.local_writes.len(),
-            s.keyed_writes.len(),
-            s.remote_writes.len(),
-            s.keyed_reads.len(),
-        ];
-        lens[..kind as usize].iter().sum::<usize>() + i
+        lists(self.env.spec)[..kind as usize].iter().map(|(_, n)| n).sum::<usize>() + i
     }
 
     /// Value of remote-read record `i`, prefetched in the Start phase.
     pub fn remote_read(&self, i: usize) -> &[u8] {
-        &self.slots[self.at(Kind::RemoteRead, i)].fetched().value
+        &self.s.values[self.s.held_value(self.at(Kind::RemoteRead, i))]
     }
 
     /// Current value of remote-write record `i`: the buffered update if
     /// one exists, else the value fetched under the exclusive lock.
     pub fn remote_write_cur(&self, i: usize) -> &[u8] {
-        let slot = &self.slots[self.at(Kind::RemoteWrite, i)];
-        slot.value.as_deref().unwrap_or(&slot.fetched().value)
+        &self.s.values[self.s.held_value(self.at(Kind::RemoteWrite, i))]
     }
 
     /// Buffers the new value of remote-write record `i` (pushed with
     /// one-sided WRITEs once the transaction is past its commit point).
-    pub fn remote_write(&mut self, i: usize, value: Vec<u8>) {
+    pub fn remote_write(&mut self, i: usize, value: impl AsRef<[u8]>) {
+        let value = value.as_ref();
         debug_assert!(value.len() <= self.env.spec.remote_writes[i].value_cap);
         let at = self.at(Kind::RemoteWrite, i);
-        self.slots[at].value = Some(value);
+        self.s.slots[at].value = Some(self.s.push(value));
     }
 
     /// Reads the current value of local-write record `i` (including this
     /// transaction's own buffered/staged update).
     pub fn local_write_cur(&mut self, i: usize) -> Result<Vec<u8>, Abort> {
-        Ok(self.local_cur(self.at(Kind::LocalWrite, i))?.expect("declared by address"))
+        let value = self.local_cur(self.at(Kind::LocalWrite, i))?.expect("declared by address");
+        Ok(self.s.values[value].to_vec())
     }
 
     /// Writes local-write record `i` (Figure 6 LOCAL_WRITE).
@@ -1326,16 +1428,24 @@ impl<'r> TxnCtx<'r> {
 
     /// Reads keyed-read record `i` (Figure 6 LOCAL_READ); `None`: the key
     /// has no row.
-    pub fn keyed_read(&mut self, i: usize) -> Result<Option<Vec<u8>>, Abort> {
+    pub fn keyed_read(&mut self, i: usize) -> Result<Option<&[u8]>, Abort> {
         // The naive strategy touches softtime on reads too (Fig. 11).
         self.op_now()?;
-        self.local_cur(self.at(Kind::KeyedRead, i))
+        let value = self.local_cur(self.at(Kind::KeyedRead, i))?;
+        Ok(value.map(|v| &self.s.values[v]))
     }
 
-    /// Reads the current value of keyed-write record `i` (including this
-    /// transaction's own update); `None`: the key has no row.
-    pub fn keyed_write_cur(&mut self, i: usize) -> Result<Option<Vec<u8>>, Abort> {
-        self.local_cur(self.at(Kind::KeyedWrite, i))
+    /// A copy of the current value of keyed-write record `i` (including
+    /// this transaction's own update); `None`: the key has no row.
+    pub fn keyed_write_cur(&mut self, i: usize) -> Result<Option<Value>, Abort> {
+        let Some(span) = self.local_cur(self.at(Kind::KeyedWrite, i))? else { return Ok(None) };
+        let bytes = &self.s.values[span];
+        let mut v = Value { len: bytes.len(), inline: [0; 64], spilled: Vec::new() };
+        match v.inline.get_mut(..bytes.len()) {
+            Some(inline) => inline.copy_from_slice(bytes),
+            None => v.spilled = bytes.to_vec(),
+        }
+        Ok(Some(v))
     }
 
     /// Writes keyed-write record `i`.
@@ -1354,23 +1464,23 @@ impl<'r> TxnCtx<'r> {
     /// INSERT or DELETE of the key that commits before this region does
     /// aborts it (strong atomicity).
     fn local_record(&mut self, at: usize) -> Result<Option<RecordAddr>, Abort> {
-        let slot = &mut self.slots[at];
-        if let (None, Decl::Key(key), Some(txn)) = (slot.rec, slot.decl, &mut self.txn) {
+        let slot = &mut self.s.slots[at];
+        if let (None, Some(key), Some(txn)) = (slot.rec, slot.key(self.env.spec), &mut self.txn) {
             slot.rec = Some(key.find(txn)?);
         }
         Ok(slot.rec.expect("ordered 2PL finds every keyed slot before the body"))
     }
 
     /// `LOCAL_READ` of local slot `at`, this transaction's own update
-    /// included: in the open region, or what ordered 2PL fetched or
-    /// buffered. `None`: the key has no row.
-    fn local_cur(&mut self, at: usize) -> Result<Option<Vec<u8>>, Abort> {
+    /// included: read from the open region into the arena, or what
+    /// ordered 2PL fetched or buffered. Returns its span of the arena;
+    /// `None`: the key has no row.
+    fn local_cur(&mut self, at: usize) -> Result<Option<Range<usize>>, Abort> {
         let Some(rec) = self.local_record(at)? else { return Ok(None) };
-        let slot = &self.slots[at];
-        Ok(Some(match &mut self.txn {
-            Some(txn) => record::local_read(txn, rec.addr.offset)?.1,
-            None => slot.value.as_ref().unwrap_or(&slot.fetched().value).clone(),
-        }))
+        let Some(txn) = &mut self.txn else { return Ok(Some(self.s.held_value(at))) };
+        let from = self.s.values.len();
+        record::local_read(txn, rec.addr.offset, &mut self.s.values)?;
+        Ok(Some(from..self.s.values.len()))
     }
 
     /// `LOCAL_WRITE` of local slot `at`, whose row must exist.
@@ -1380,14 +1490,15 @@ impl<'r> TxnCtx<'r> {
         let Some(txn) = &mut self.txn else {
             // Buffered: logged at the commit point with its real version
             // (log-before-unlock) — no per-op entry here.
-            self.slots[at].value = Some(value.to_vec());
+            self.s.slots[at].value = Some(self.s.push(value));
             return Ok(());
         };
         // The XEND makes this store durable, so it is logged with
         // version 0 — recovery's at-most-once check always sees it as
         // already applied (§4.6).
         if self.env.sys.cfg.logging {
-            self.local_log.push(LoggedUpdate { rec, version: 0, value: value.to_vec() });
+            let value = self.s.push(value);
+            self.s.local_log.push((rec, value));
         }
         record::local_write(txn, rec.addr.offset, value, now, DELTA_US)
     }
@@ -1404,9 +1515,9 @@ impl<'r> TxnCtx<'r> {
         value: &[u8],
     ) -> Result<(), Abort> {
         let inserted = match &mut self.txn {
-            Some(txn) => {
-                table.insert_txn(txn, key, value)?.map(|p| self.allocs.push((Arc::clone(table), p)))
-            }
+            Some(txn) => table
+                .insert_txn(txn, key, value)?
+                .map(|p| self.s.allocs.push((Arc::clone(table), p))),
             None => table.insert(&self.env.sys.exec, self.env.region, key, value),
         };
         inserted.map_err(|e| match e {
@@ -1540,7 +1651,7 @@ mod tests {
         };
         let got = w
             .execute(&spec, |ctx| {
-                let a = vu64(&ctx.keyed_read(0)?.expect("populated"));
+                let a = vu64(ctx.keyed_read(0)?.expect("populated"));
                 let b = vu64(&ctx.local_write_cur(0)?);
                 ctx.local_write(0, &u64v(b + a))?;
                 Ok(a + b)
@@ -1898,22 +2009,18 @@ mod tests {
         };
         let sys = Arc::clone(&h.sys);
         let env = Env { sys: &sys, region: sys.cluster().node(0).region(), spec: &spec, txn_id: 1 };
-        let mut slots = slot_table(&spec);
-        let order: Vec<usize> = (0..5).collect();
+        let mut s = Scratch::default();
+        slot_table(&mut s.slots, &spec);
+        s.order.extend(0..5);
+        s.write_set.extend_from_slice(&spec.remote_writes);
         let before = sys.stats_report();
         let mut ops = 0;
-        let lost = w.pipeline().start(
-            Strategy::Htm,
-            env,
-            &mut slots,
-            &order,
-            &spec.remote_writes,
-            &mut ops,
-        );
+        let lost = w.pipeline().start(Strategy::Htm, env, &mut s, &mut ops);
         assert_eq!(lost.err(), Some(Stop::Restart));
         // Nothing the wave fetched — least of all b's bytes, read behind
         // the lost CAS — stays in the table for a body to read.
-        assert!(slots.iter().all(|s| s.fetched.is_none()));
+        assert!(s.slots.iter().all(|s| s.fetched.is_none()));
+        assert!(s.values.is_empty(), "a lost wave keeps no fetched bytes");
         let d_report = sys.stats_report().since(&before);
         assert_eq!(d_report.txn.start_conflicts, 1);
         assert_eq!(d_report.causes.get(AbortCause::StartWriteLocked { owner: 2 }), 1);
@@ -1969,7 +2076,7 @@ mod tests {
         };
         let v = w
             .execute(&spec, |ctx| {
-                let a = vu64(&ctx.keyed_read(0)?.expect("populated"));
+                let a = vu64(ctx.keyed_read(0)?.expect("populated"));
                 let b = vu64(ctx.remote_read(0));
                 ctx.local_write(0, &u64v(a + b))?;
                 Ok(a + b)
@@ -2042,7 +2149,7 @@ mod tests {
         let got = w
             .execute(&spec, |ctx| {
                 attempts += 1;
-                let v = ctx.keyed_read(0)?;
+                let v = ctx.keyed_read(0)?.map(<[u8]>::to_vec);
                 if attempts == 1 {
                     assert_eq!(v.as_deref().map(vu64), Some(100));
                     assert!(table.delete(&outside, region, 2));
@@ -2074,7 +2181,7 @@ mod tests {
                 .execute(&spec, |ctx| {
                     let locked = h.state_of(0, 1).is_write_locked();
                     assert_eq!(ctx.keyed_read(1)?, None, "key 77 was never inserted");
-                    let a = vu64(&ctx.keyed_read(0)?.expect("populated"));
+                    let a = vu64(ctx.keyed_read(0)?.expect("populated"));
                     let b = vu64(&ctx.keyed_write_cur(0)?.expect("populated"));
                     ctx.keyed_write(0, &u64v(a + b + 1))?;
                     let seen = vu64(&ctx.keyed_write_cur(0)?.expect("populated"));
@@ -2154,8 +2261,8 @@ mod tests {
                     && Instant::now() < give_up
                 {
                     let read = r.execute(&spec, |ctx| {
-                        let x = vu64(&ctx.keyed_read(0)?.expect("populated"));
-                        let y = vu64(&ctx.keyed_read(1)?.expect("populated"));
+                        let x = vu64(ctx.keyed_read(0)?.expect("populated"));
+                        let y = vu64(ctx.keyed_read(1)?.expect("populated"));
                         Ok((x, x.wrapping_add(y)))
                     });
                     sums.push(read.unwrap());
@@ -2247,7 +2354,7 @@ mod tests {
                     vu64(&ctx.local_write_cur(0)?),
                     vu64(&ctx.keyed_write_cur(0)?.expect("populated")),
                     vu64(ctx.remote_write_cur(0)),
-                    vu64(&ctx.keyed_read(0)?.expect("populated")),
+                    vu64(ctx.keyed_read(0)?.expect("populated")),
                     vu64(ctx.remote_read(0)),
                 ];
                 ctx.local_write(0, &u64v(read[0] + 1))?;

@@ -87,7 +87,7 @@ fn slot_image_after(crash: CrashPoint, force_fallback: bool) {
     let r: Result<(), _> = w.execute(&spec, |ctx| {
         let _ = ctx.remote_read(0);
         let v = u64::from_le_bytes(ctx.remote_write_cur(0)[..8].try_into().unwrap()) + 1;
-        ctx.remote_write(0, v.to_le_bytes().to_vec());
+        ctx.remote_write(0, v.to_le_bytes());
         Ok(())
     });
     assert_eq!(r, Err(TxnError::SimulatedCrash), "{crash:?} must fire");

@@ -85,10 +85,13 @@ impl Counter {
     }
 
     /// Counts `n` events (or `n` bytes, nanoseconds, ...) into the
-    /// calling thread's cell.
+    /// calling thread's cell. Adding 0 changes nothing, so it skips the
+    /// locked read-modify-write (a phase line with nothing to charge).
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0[shard_id()].0.fetch_add(n, Ordering::Relaxed);
+        if n != 0 {
+            self.0[shard_id()].0.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// The current count: the sum of the cells. Each cell only grows and

@@ -354,13 +354,6 @@ impl<'r> HtmTxn<'r> {
         Ok(u64::from_le_bytes(buf))
     }
 
-    /// Transactionally reads `len` bytes at `offset` into a fresh vector.
-    pub fn read_vec(&mut self, offset: usize, len: usize) -> Result<Vec<u8>, Abort> {
-        let mut buf = vec![0u8; len];
-        self.read(offset, &mut buf)?;
-        Ok(buf)
-    }
-
     /// The staged copy of `line`, entering it into the write set at its
     /// first touch.
     fn stage(&mut self, line: usize) -> Result<&mut WriteLine, Abort> {
@@ -573,7 +566,8 @@ mod tests {
         r.write_nt(0, &[1u8; 64]);
         let mut t = r.begin(&cfg());
         t.write(10, &[9u8; 4]).unwrap();
-        let v = t.read_vec(8, 8).unwrap();
+        let mut v = [0u8; 8];
+        t.read(8, &mut v).unwrap();
         assert_eq!(v, [1, 1, 9, 9, 9, 9, 1, 1]);
         t.commit().unwrap();
         let mut out = [0u8; 8];

@@ -65,7 +65,8 @@ proptest! {
             for o in ops {
                 match o {
                     Op::Read { offset, len } => {
-                        let got = txn.read_vec(*offset, *len).expect("no conflicts possible");
+                        let mut got = vec![0u8; *len];
+                        txn.read(*offset, &mut got).expect("no conflicts possible");
                         prop_assert_eq!(&got[..], &staged[*offset..*offset + *len]);
                     }
                     Op::Write { offset, data } => {

@@ -709,7 +709,14 @@ mod tests {
         table.insert(&exec, region, 42, b"hello").unwrap();
         let mut txn = region.begin(exec.config());
         let e = table.get_local(&mut txn, 42).unwrap().expect("found");
-        assert_eq!(e.read_value(&mut txn).unwrap(), b"hello");
+        assert_eq!(
+            {
+                let mut v = Vec::new();
+                e.read_value(&mut txn, &mut v).unwrap();
+                v
+            },
+            b"hello"
+        );
         assert!(table.get_local(&mut txn, 43).unwrap().is_none());
     }
 
@@ -733,7 +740,14 @@ mod tests {
         let mut txn = region.begin(exec.config());
         for k in 0..100u64 {
             let e = table.get_local(&mut txn, k).unwrap().expect("found");
-            assert_eq!(e.read_value(&mut txn).unwrap(), k.to_le_bytes());
+            assert_eq!(
+                {
+                    let mut v = Vec::new();
+                    e.read_value(&mut txn, &mut v).unwrap();
+                    v
+                },
+                k.to_le_bytes()
+            );
         }
     }
 
@@ -908,7 +922,14 @@ mod tests {
         table.remote_write_value(&qp, addr, 1, b"after!");
         let mut txn = region.begin(exec.config());
         let e = table.get_local(&mut txn, 3).unwrap().unwrap();
-        assert_eq!(e.read_value(&mut txn).unwrap(), b"after!");
+        assert_eq!(
+            {
+                let mut v = Vec::new();
+                e.read_value(&mut txn, &mut v).unwrap();
+                v
+            },
+            b"after!"
+        );
     }
 
     /// An update cut short after any prefix of its WRITEs must never show

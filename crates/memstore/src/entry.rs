@@ -122,11 +122,13 @@ impl Entry {
         txn.write(self.offset, &h.encode())
     }
 
-    /// Transactionally reads the value.
-    pub fn read_value(&self, txn: &mut HtmTxn<'_>) -> Result<Vec<u8>, Abort> {
+    /// Transactionally reads the value, appending it to `out`.
+    pub fn read_value(&self, txn: &mut HtmTxn<'_>, out: &mut Vec<u8>) -> Result<(), Abort> {
         let mut len = [0u8; 4];
         txn.read(self.len_off(), &mut len)?;
-        txn.read_vec(self.value_off(), u32::from_le_bytes(len) as usize)
+        let at = out.len();
+        out.resize(at + u32::from_le_bytes(len) as usize, 0);
+        txn.read(self.value_off(), &mut out[at..])
     }
 
     /// Transactionally overwrites the value and bumps the version.
@@ -236,7 +238,14 @@ mod tests {
         t.commit().unwrap();
 
         let mut t = r.begin(&cfg);
-        assert_eq!(e.read_value(&mut t).unwrap(), b"abc");
+        assert_eq!(
+            {
+                let mut v = Vec::new();
+                e.read_value(&mut t, &mut v).unwrap();
+                v
+            },
+            b"abc"
+        );
         let h = e.read_header(&mut t).unwrap();
         assert_eq!(h.version, 1);
         e.write_value(&mut t, b"defg").unwrap();
@@ -264,7 +273,14 @@ mod more_tests {
         e.write_value(&mut t, b"x").unwrap();
         t.commit().unwrap();
         let mut t = r.begin(&cfg);
-        assert_eq!(e.read_value(&mut t).unwrap(), b"x");
+        assert_eq!(
+            {
+                let mut v = Vec::new();
+                e.read_value(&mut t, &mut v).unwrap();
+                v
+            },
+            b"x"
+        );
         let h = e.read_header(&mut t).unwrap();
         assert_eq!(h.version, 2, "each write_value bumps the version");
         assert_eq!(h.value_len, 1);

@@ -956,7 +956,14 @@ mod tests {
         let mut txn = region.begin(rig.exec.config());
         for k in 0..20u64 {
             let e = rig.shards[1].get_local(&mut txn, k).unwrap().expect("evacuated key");
-            assert_eq!(e.read_value(&mut txn).unwrap(), k.to_le_bytes());
+            assert_eq!(
+                {
+                    let mut v = Vec::new();
+                    e.read_value(&mut txn, &mut v).unwrap();
+                    v
+                },
+                k.to_le_bytes()
+            );
         }
         drop(txn);
         // Idempotent: a replayed evacuation finds nothing left.
@@ -991,7 +998,14 @@ mod tests {
         let mut txn = region.begin(rig.exec.config());
         for k in 0..50u64 {
             let e = rig.shards[1].get_local(&mut txn, k).unwrap().expect("migrated key");
-            assert_eq!(e.read_value(&mut txn).unwrap(), k.to_le_bytes());
+            assert_eq!(
+                {
+                    let mut v = Vec::new();
+                    e.read_value(&mut txn, &mut v).unwrap();
+                    v
+                },
+                k.to_le_bytes()
+            );
         }
         drop(txn);
         // No leaked migration locks on either shard.
@@ -1041,7 +1055,14 @@ mod tests {
             } else {
                 k
             };
-            assert_eq!(e.read_value(&mut txn).unwrap(), expect.to_le_bytes());
+            assert_eq!(
+                {
+                    let mut v = Vec::new();
+                    e.read_value(&mut txn, &mut v).unwrap();
+                    v
+                },
+                expect.to_le_bytes()
+            );
         }
         drop(txn);
         assert_eq!(rig.shards[0].len(), 0, "source fully purged, raced insert included");

@@ -503,7 +503,14 @@ mod tests {
         table.insert(&exec, region, 42, b"hello").unwrap();
         let mut txn = region.begin(exec.config());
         let e = table.get_local(&mut txn, 42).unwrap().expect("found");
-        assert_eq!(e.read_value(&mut txn).unwrap(), b"hello");
+        assert_eq!(
+            {
+                let mut v = Vec::new();
+                e.read_value(&mut txn, &mut v).unwrap();
+                v
+            },
+            b"hello"
+        );
         assert!(table.get_local(&mut txn, 43).unwrap().is_none());
     }
 
@@ -528,7 +535,14 @@ mod tests {
         let mut txn = region.begin(exec.config());
         for k in 0..100u64 {
             let e = table.get_local(&mut txn, k).unwrap().expect("found");
-            assert_eq!(e.read_value(&mut txn).unwrap(), k.to_le_bytes());
+            assert_eq!(
+                {
+                    let mut v = Vec::new();
+                    e.read_value(&mut txn, &mut v).unwrap();
+                    v
+                },
+                k.to_le_bytes()
+            );
         }
     }
 
@@ -543,7 +557,14 @@ mod tests {
         let mut txn = region.begin(exec.config());
         for k in 0..500u64 {
             let e = table.get_local(&mut txn, k).unwrap().expect("found after grow");
-            assert_eq!(e.read_value(&mut txn).unwrap(), k.to_le_bytes());
+            assert_eq!(
+                {
+                    let mut v = Vec::new();
+                    e.read_value(&mut txn, &mut v).unwrap();
+                    v
+                },
+                k.to_le_bytes()
+            );
         }
         drop(txn);
         let qp = cluster.qp(1);

@@ -37,7 +37,7 @@ use drtm_rdma::{
 };
 
 use crate::resolve::{read_local, Caches};
-use crate::{fields, pack_fields};
+use crate::{fields, first_field, pack_fields};
 
 /// Initial value of every key.
 pub const INIT_VALUE: u64 = 1_000_000;
@@ -456,16 +456,16 @@ type WriteSlot = (bool, usize);
 /// The value of a transfer's key; `None`: a local key with no row.
 fn cur(ctx: &mut TxnCtx<'_>, (local, i): WriteSlot) -> Result<Option<u64>, Abort> {
     if local {
-        return Ok(ctx.keyed_write_cur(i)?.map(|v| fields(&v)[0]));
+        return Ok(ctx.keyed_write_cur(i)?.map(|v| first_field(&v)));
     }
-    Ok(Some(fields(ctx.remote_write_cur(i))[0]))
+    Ok(Some(first_field(ctx.remote_write_cur(i))))
 }
 
 fn put(ctx: &mut TxnCtx<'_>, (local, i): WriteSlot, v: u64) -> Result<(), Abort> {
     if local {
-        ctx.keyed_write(i, &pack_fields(&[v]))
+        ctx.keyed_write(i, &v.to_le_bytes())
     } else {
-        ctx.remote_write(i, pack_fields(&[v]));
+        ctx.remote_write(i, v.to_le_bytes());
         Ok(())
     }
 }

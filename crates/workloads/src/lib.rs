@@ -31,6 +31,11 @@ pub fn fields(value: &[u8]) -> Vec<u64> {
     value.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().expect("chunk"))).collect()
 }
 
+/// The first `u64` field of a value, decoded in place.
+pub fn first_field(value: &[u8]) -> u64 {
+    u64::from_le_bytes(value[..8].try_into().expect("a value of at least one field"))
+}
+
 /// Packs `u64` fields into a value.
 pub fn pack_fields(fields: &[u64]) -> Vec<u8> {
     let mut v = Vec::with_capacity(fields.len() * 8);

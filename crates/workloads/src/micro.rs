@@ -26,7 +26,7 @@ use drtm_rdma::{ClusterConfig, LatencyProfile, NodeId};
 
 use crate::dist::rng;
 use crate::resolve::Table;
-use crate::{fields, pack_fields};
+use crate::{first_field, pack_fields};
 
 /// Key base of the dedicated hot-record range (disjoint from the
 /// uniform pool so hot leases never block ordinary writers, §7.4).
@@ -232,16 +232,16 @@ impl MicroWorker {
         let r = self.w.execute(&spec, |ctx| {
             for &slot in &slots {
                 match slot {
-                    Slot::RemoteRead(i) => drop(fields(ctx.remote_read(i))),
-                    Slot::RemoteLocked(i) => drop(fields(ctx.remote_write_cur(i))),
-                    Slot::Read(i) => drop(fields(&ctx.keyed_read(i)?.expect("populated"))),
+                    Slot::RemoteRead(i) => _ = first_field(ctx.remote_read(i)),
+                    Slot::RemoteLocked(i) => _ = first_field(ctx.remote_write_cur(i)),
+                    Slot::Read(i) => _ = first_field(ctx.keyed_read(i)?.expect("populated")),
                     Slot::RemoteWrite(i) => {
-                        let v = fields(ctx.remote_write_cur(i))[0];
-                        ctx.remote_write(i, pack_fields(&[v.wrapping_add(1)]));
+                        let v = first_field(ctx.remote_write_cur(i));
+                        ctx.remote_write(i, v.wrapping_add(1).to_le_bytes());
                     }
                     Slot::Write(i) => {
-                        let v = fields(&ctx.keyed_write_cur(i)?.expect("populated"))[0];
-                        ctx.keyed_write(i, &pack_fields(&[v.wrapping_add(1)]))?;
+                        let v = first_field(&ctx.keyed_write_cur(i)?.expect("populated"));
+                        ctx.keyed_write(i, &v.wrapping_add(1).to_le_bytes())?;
                     }
                 }
             }
@@ -333,9 +333,9 @@ mod tests {
         let rec = m.worker(0, 0).remote(1, 200);
         let mut w = m.sys.worker(0, 0);
         let spec = TxnSpec { remote_reads: vec![rec], ..Default::default() };
-        w.execute(&spec, |ctx| Ok(fields(ctx.remote_read(0))[0])).unwrap();
+        w.execute(&spec, |ctx| Ok(first_field(ctx.remote_read(0)))).unwrap();
         let before = m.sys.stats().snapshot().start_conflicts;
-        w.execute(&spec, |ctx| Ok(fields(ctx.remote_read(0))[0])).unwrap();
+        w.execute(&spec, |ctx| Ok(first_field(ctx.remote_read(0)))).unwrap();
         assert_eq!(m.sys.stats().snapshot().start_conflicts, before, "shared lease, no conflict");
     }
 }

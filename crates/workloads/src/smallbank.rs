@@ -24,7 +24,7 @@ use drtm_rdma::{ClusterConfig, LatencyProfile, NodeId};
 
 use crate::dist::rng;
 use crate::resolve::Table;
-use crate::tolerate_user_abort;
+use crate::{first_field, tolerate_user_abort};
 
 /// SmallBank sizing and behaviour.
 #[derive(Debug, Clone)]
@@ -134,7 +134,7 @@ impl SmallBank {
                     let v = table
                         .read_local(&exec, region, n, gid)
                         .unwrap_or_else(|| panic!("account {gid} missing on node {n}"));
-                    total = total.wrapping_add(balance_of(&v));
+                    total = total.wrapping_add(first_field(&v));
                 }
             }
         }
@@ -229,8 +229,9 @@ impl SmallBankWorker {
         let a = self.pick_on(node);
         let (nb, b) = self.pick_second(a);
         let amount = self.rng.gen_range(1..100u64);
-        let mut spec =
-            TxnSpec { keyed_writes: vec![self.checking.local(node, a)], ..Default::default() };
+        // Room for both accounts: the spec is this call's one allocation.
+        let mut spec = TxnSpec { keyed_writes: Vec::with_capacity(2), ..Default::default() };
+        spec.keyed_writes.push(self.checking.local(node, a));
         let b_remote = nb != node;
         if b_remote {
             spec.remote_writes.push(self.remote(&self.checking, nb, b)?);
@@ -238,13 +239,13 @@ impl SmallBankWorker {
             spec.keyed_writes.push(self.checking.local(node, b));
         }
         tolerate_user_abort(self.w.execute(&spec, |ctx| {
-            let va = balance(ctx.keyed_write_cur(0)?);
+            let va = balance(ctx.keyed_write_cur(0)?.as_deref());
             ctx.keyed_write(0, &va.wrapping_sub(amount).to_le_bytes())?;
             if b_remote {
-                let vb = balance_of(ctx.remote_write_cur(0));
-                ctx.remote_write(0, vb.wrapping_add(amount).to_le_bytes().to_vec());
+                let vb = first_field(ctx.remote_write_cur(0));
+                ctx.remote_write(0, vb.wrapping_add(amount).to_le_bytes());
             } else {
-                let vb = balance(ctx.keyed_write_cur(1)?);
+                let vb = balance(ctx.keyed_write_cur(1)?.as_deref());
                 ctx.keyed_write(1, &vb.wrapping_add(amount).to_le_bytes())?;
             }
             Ok(())
@@ -292,7 +293,7 @@ impl SmallBankWorker {
         let table = if savings { &self.savings } else { &self.checking };
         let spec = TxnSpec { keyed_writes: vec![table.local(node, a)], ..Default::default() };
         tolerate_user_abort(self.w.execute(&spec, |ctx| {
-            let v = balance(ctx.keyed_write_cur(0)?);
+            let v = balance(ctx.keyed_write_cur(0)?.as_deref());
             ctx.keyed_write(0, &op(v, amount).to_le_bytes())
         }))
     }
@@ -302,10 +303,9 @@ impl SmallBankWorker {
         let node = self.w.node;
         let a = self.pick_on(node);
         let (nb, b) = self.pick_second(a);
-        let mut spec = TxnSpec {
-            keyed_writes: vec![self.savings.local(node, a), self.checking.local(node, a)],
-            ..Default::default()
-        };
+        let mut spec = TxnSpec { keyed_writes: Vec::with_capacity(3), ..Default::default() };
+        spec.keyed_writes.push(self.savings.local(node, a));
+        spec.keyed_writes.push(self.checking.local(node, a));
         let b_remote = nb != node;
         if b_remote {
             spec.remote_writes.push(self.remote(&self.checking, nb, b)?);
@@ -313,15 +313,15 @@ impl SmallBankWorker {
             spec.keyed_writes.push(self.checking.local(node, b));
         }
         tolerate_user_abort(self.w.execute(&spec, |ctx| {
-            let total =
-                balance(ctx.keyed_write_cur(0)?).wrapping_add(balance(ctx.keyed_write_cur(1)?));
+            let total = balance(ctx.keyed_write_cur(0)?.as_deref())
+                .wrapping_add(balance(ctx.keyed_write_cur(1)?.as_deref()));
             ctx.keyed_write(0, &0u64.to_le_bytes())?;
             ctx.keyed_write(1, &0u64.to_le_bytes())?;
             if b_remote {
-                let vb = balance_of(ctx.remote_write_cur(0));
-                ctx.remote_write(0, vb.wrapping_add(total).to_le_bytes().to_vec());
+                let vb = first_field(ctx.remote_write_cur(0));
+                ctx.remote_write(0, vb.wrapping_add(total).to_le_bytes());
             } else {
-                let vb = balance(ctx.keyed_write_cur(2)?);
+                let vb = balance(ctx.keyed_write_cur(2)?.as_deref());
                 ctx.keyed_write(2, &vb.wrapping_add(total).to_le_bytes())?;
             }
             Ok(())
@@ -329,15 +329,10 @@ impl SmallBankWorker {
     }
 }
 
-/// The balance in an account's row, which is that one `u64`.
-fn balance_of(row: &[u8]) -> u64 {
-    u64::from_le_bytes(row[..8].try_into().expect("an account row is 8 bytes"))
-}
-
-/// The balance in a local account's row; population creates every
-/// account and nothing deletes one.
-fn balance(row: Option<Vec<u8>>) -> u64 {
-    balance_of(&row.expect("populated account"))
+/// The balance in a local account's row, which is that one `u64`;
+/// population creates every account and nothing deletes one.
+fn balance(row: Option<&[u8]>) -> u64 {
+    first_field(row.expect("populated account"))
 }
 
 #[cfg(test)]

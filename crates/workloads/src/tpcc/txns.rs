@@ -47,8 +47,8 @@ enum StockRef {
 }
 
 /// The fields of a row that population put there and nothing deletes.
-fn row(value: Option<Vec<u8>>) -> Vec<u64> {
-    fields(&value.expect("a populated row"))
+fn row(value: Option<&[u8]>) -> Vec<u64> {
+    fields(value.expect("a populated row"))
 }
 
 impl TpccWorker {
@@ -186,7 +186,7 @@ impl TpccWorker {
                 return Err(Abort::Explicit(USER_ABORT));
             }
             // District: allocate the order id.
-            let mut df = row(ctx.keyed_write_cur(0)?);
+            let mut df = row(ctx.keyed_write_cur(0)?.as_deref());
             let o_id = df[2];
             df[2] = o_id + 1;
             ctx.keyed_write(0, &pack_fields(&df))?;
@@ -195,7 +195,7 @@ impl TpccWorker {
             for (k, &(_, supply, qty)) in lines.iter().enumerate() {
                 let price = row(ctx.keyed_read(2 + k)?)[0];
                 let mut sf = match &stock_refs[k] {
-                    StockRef::Local(idx) => row(ctx.keyed_write_cur(*idx)?),
+                    StockRef::Local(idx) => row(ctx.keyed_write_cur(*idx)?.as_deref()),
                     StockRef::Remote(idx) => fields(ctx.remote_write_cur(*idx)),
                 };
                 sf[0] = if sf[0] >= qty + 10 { sf[0] - qty } else { sf[0] + 91 - qty };
@@ -258,16 +258,16 @@ impl TpccWorker {
         let hist_key = (node as u64) << 48 | (self.w.worker_id as u64) << 40 | self.hseq;
         self.hseq += 1;
         let r = self.w.execute(&spec, |ctx| {
-            let mut wf = row(ctx.keyed_write_cur(0)?);
+            let mut wf = row(ctx.keyed_write_cur(0)?.as_deref());
             wf[0] = wf[0].wrapping_add(h);
             ctx.keyed_write(0, &pack_fields(&wf))?;
-            let mut df = row(ctx.keyed_write_cur(1)?);
+            let mut df = row(ctx.keyed_write_cur(1)?.as_deref());
             df[0] = df[0].wrapping_add(h);
             ctx.keyed_write(1, &pack_fields(&df))?;
             let mut cf = if cust_remote {
                 fields(ctx.remote_write_cur(0))
             } else {
-                row(ctx.keyed_write_cur(2)?)
+                row(ctx.keyed_write_cur(2)?.as_deref())
             };
             cf[0] = cf[0].wrapping_sub(h);
             cf[1] = cf[1].wrapping_add(h);
@@ -359,7 +359,7 @@ impl TpccWorker {
                 if !ctx.tree_remove(no_idx, no_key)? {
                     return Err(Abort::Explicit(USER_ABORT));
                 }
-                let mut of = row(ctx.keyed_write_cur(0)?);
+                let mut of = row(ctx.keyed_write_cur(0)?.as_deref());
                 of[2] = carrier;
                 ctx.keyed_write(0, &pack_fields(&of))?;
                 let mut total = 0u64;
@@ -370,7 +370,7 @@ impl TpccWorker {
                     lf[4] = 1; // delivery timestamp
                     ctx.keyed_write(i, &pack_fields(&lf))?;
                 }
-                let mut cf = row(ctx.keyed_write_cur(1)?);
+                let mut cf = row(ctx.keyed_write_cur(1)?.as_deref());
                 cf[0] = cf[0].wrapping_add(total);
                 cf[3] += 1;
                 ctx.keyed_write(1, &pack_fields(&cf))?;

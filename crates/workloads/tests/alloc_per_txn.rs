@@ -1,12 +1,18 @@
-//! Ceiling: the heap allocations of one warm SmallBank transaction.
+//! Ceiling: the heap allocations of one warm workload transaction.
 //!
-//! `Worker::execute` is meant to reach a fixed, allocation-free cost
-//! (ROADMAP "A fixed-cost, allocation-free `Worker::execute`"). This
-//! binary records where each of the six SmallBank transaction types
-//! stands: one call on a warm one-machine deployment, its accounts drawn
-//! from the worker's fixed RNG, counted by a per-thread counting
-//! allocator. Each recorded count is a ceiling that may only go down;
-//! the test prints the counts it saw (`--nocapture`).
+//! A warm `Worker::execute` allocates nothing (`drtm-core`'s
+//! `no_alloc_execute.rs`); what a workload transaction still allocates
+//! is its own. This binary records where each of the six SmallBank
+//! transaction types, TPC-C's five and `micro`'s `read_write` stand: the
+//! most allocations one of 20 calls made on a warm one-machine
+//! deployment, its inputs drawn from the worker's fixed RNG, counted by a
+//! per-thread counting allocator. Each recorded count is a ceiling that
+//! may only go down; the test prints the counts it saw (`--nocapture`).
+//!
+//! SmallBank's 1 is the `TxnSpec` the workload builds, whose `Vec`
+//! fields the repo benchmark pins. TPC-C's bodies still decode rows into
+//! `Vec<u64>` and pack them with `pack_fields`, and its reconnaissance
+//! and index work allocate.
 //!
 //! This file is its own test binary, so its allocator counts nothing
 //! else; the count is per thread, so the harness's other threads and the
@@ -15,8 +21,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use std::sync::Arc;
+
 use drtm_rdma::LatencyProfile;
+use drtm_workloads::micro::{Micro, MicroConfig};
 use drtm_workloads::smallbank::{SmallBank, SmallBankConfig, SmallBankWorker};
+use drtm_workloads::tpcc::{Tpcc, TpccConfig, TpccWorker};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -58,6 +68,20 @@ fn allocations(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(Cell::get) - before
 }
 
+/// The most allocations one of 20 calls of `run` made, after 50 calls
+/// of warm-up (the thread's first regions, descriptors and caches);
+/// printed beside `ceiling`, and added to `over` above it.
+fn check(name: &str, ceiling: u64, mut run: impl FnMut(), over: &mut Vec<String>) {
+    for _ in 0..50 {
+        run();
+    }
+    let most = (0..20).map(|_| allocations(&mut run)).max().expect("twenty calls");
+    println!("{name:<24} {most} allocations per call (ceiling {ceiling})");
+    if most > ceiling {
+        over.push(format!("{name}: {most} > {ceiling}"));
+    }
+}
+
 /// A SmallBank transaction type and its recorded ceiling.
 type Txn = (&'static str, fn(&mut SmallBankWorker) -> Result<(), drtm_core::TxnError>, u64);
 
@@ -65,13 +89,28 @@ type Txn = (&'static str, fn(&mut SmallBankWorker) -> Result<(), drtm_core::TxnE
 /// recorded. Lower a number when a change takes allocations out; never
 /// raise one.
 const CEILINGS: [Txn; 6] = [
-    ("send_payment", SmallBankWorker::try_send_payment, 6),
-    ("balance", SmallBankWorker::try_balance, 4),
-    ("deposit_checking", SmallBankWorker::try_deposit_checking, 4),
-    ("withdraw_from_checking", SmallBankWorker::try_withdraw_from_checking, 4),
-    ("transfer_to_savings", SmallBankWorker::try_transfer_to_savings, 4),
-    ("amalgamate", SmallBankWorker::try_amalgamate, 7),
+    ("send_payment", SmallBankWorker::try_send_payment, 1),
+    ("balance", SmallBankWorker::try_balance, 1),
+    ("deposit_checking", SmallBankWorker::try_deposit_checking, 1),
+    ("withdraw_from_checking", SmallBankWorker::try_withdraw_from_checking, 1),
+    ("transfer_to_savings", SmallBankWorker::try_transfer_to_savings, 1),
+    ("amalgamate", SmallBankWorker::try_amalgamate, 1),
 ];
+
+/// A TPC-C transaction type and its recorded ceiling.
+type TpccTxn = (&'static str, fn(&mut TpccWorker) -> Result<(), drtm_core::TxnError>, u64);
+
+/// TPC-C's five types, recorded as [`CEILINGS`] is.
+const TPCC_CEILINGS: [TpccTxn; 5] = [
+    ("new_order", TpccWorker::try_new_order, 76),
+    ("payment", TpccWorker::try_payment, 9),
+    ("order_status", TpccWorker::try_order_status, 39),
+    ("delivery", TpccWorker::try_delivery, 3),
+    ("stock_level", TpccWorker::try_stock_level, 986),
+];
+
+/// `micro`'s `read_write(5)`, recorded as [`CEILINGS`] is.
+const MICRO_READ_WRITE: u64 = 6;
 
 #[test]
 fn a_warm_smallbank_transaction_allocates_no_more_than_recorded() {
@@ -86,17 +125,44 @@ fn a_warm_smallbank_transaction_allocates_no_more_than_recorded() {
     let mut w = bank.worker(0, 0);
     let mut over = Vec::new();
     for (name, run, ceiling) in CEILINGS {
-        // Warm-up: the thread's first regions, descriptors and caches.
-        for _ in 0..50 {
-            run(&mut w).expect("one machine, nothing fails");
-        }
-        let counts: Vec<u64> =
-            (0..20).map(|_| allocations(|| run(&mut w).expect("nothing fails"))).collect();
-        let most = *counts.iter().max().expect("twenty calls");
-        println!("{name:<24} {most} allocations per call (ceiling {ceiling})");
-        if most > ceiling {
-            over.push(format!("{name}: {most} > {ceiling}"));
-        }
+        check(name, ceiling, || run(&mut w).expect("one machine, nothing fails"), &mut over);
     }
     assert!(over.is_empty(), "above the recorded ceilings: {over:?}");
+}
+
+#[test]
+fn a_warm_tpcc_transaction_allocates_no_more_than_recorded() {
+    let tpcc = Arc::new(Tpcc::build(TpccConfig {
+        nodes: 1,
+        workers: 1,
+        districts: 3,
+        customers_per_district: 30,
+        items: 200,
+        max_new_orders_per_node: 5_000,
+        region_size: 48 << 20,
+        profile: LatencyProfile::zero(),
+        ..Default::default()
+    }));
+    let mut w = tpcc.worker(0, 0);
+    let mut over = Vec::new();
+    for (name, run, ceiling) in TPCC_CEILINGS {
+        check(name, ceiling, || run(&mut w).expect("one machine, nothing fails"), &mut over);
+    }
+    assert!(over.is_empty(), "above the recorded ceilings: {over:?}");
+}
+
+#[test]
+fn a_warm_micro_transaction_allocates_no_more_than_recorded() {
+    let micro = Micro::build(MicroConfig {
+        nodes: 1,
+        workers: 1,
+        records_per_node: 1_000,
+        region_size: 8 << 20,
+        profile: LatencyProfile::zero(),
+        ..Default::default()
+    });
+    let mut w = micro.worker(0, 0);
+    let mut over = Vec::new();
+    check("read_write", MICRO_READ_WRITE, || _ = w.read_write(5), &mut over);
+    assert!(over.is_empty(), "above the recorded ceiling: {over:?}");
 }

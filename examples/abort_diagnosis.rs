@@ -57,7 +57,7 @@ fn main() {
         for _ in 0..3 {
             w.execute(&spec, |ctx| {
                 let v = u64::from_le_bytes(ctx.remote_write_cur(0)[..8].try_into().unwrap());
-                ctx.remote_write(0, (v + 1).to_le_bytes().to_vec());
+                ctx.remote_write(0, (v + 1).to_le_bytes());
                 Ok(())
             })
             .expect("fallback eventually commits");

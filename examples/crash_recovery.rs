@@ -49,7 +49,7 @@ fn run_scenario(crash: CrashPoint) {
     let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
     let r: Result<(), _> = w.execute(&spec, |ctx| {
         let v = u64::from_le_bytes(ctx.remote_write_cur(0)[..8].try_into().unwrap());
-        ctx.remote_write(0, (v + 11).to_le_bytes().to_vec());
+        ctx.remote_write(0, (v + 11).to_le_bytes());
         Ok(())
     });
     assert_eq!(r, Err(TxnError::SimulatedCrash));

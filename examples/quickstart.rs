@@ -73,7 +73,7 @@ fn main() {
             let mine = read_u64(&ctx.keyed_write_cur(0)?.expect("populated"));
             let theirs = read_u64(ctx.remote_write_cur(0));
             ctx.keyed_write(0, &(mine - 50).to_le_bytes())?;
-            ctx.remote_write(0, (theirs + 50).to_le_bytes().to_vec());
+            ctx.remote_write(0, (theirs + 50).to_le_bytes());
             Ok(())
         })
         .expect("distributed transaction");
@@ -88,8 +88,8 @@ fn main() {
     };
     let sum = worker
         .execute(&spec, |ctx| {
-            let a = read_u64(&ctx.keyed_read(0)?.expect("populated"));
-            let b = read_u64(&ctx.keyed_read(1)?.expect("populated"));
+            let a = read_u64(ctx.keyed_read(0)?.expect("populated"));
+            let b = read_u64(ctx.keyed_read(1)?.expect("populated"));
             Ok(a + b)
         })
         .expect("local read-only transaction");

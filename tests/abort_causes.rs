@@ -93,7 +93,7 @@ fn local_read_under_remote_lock_is_htm_locked() {
         let mut w = f.sys.worker(0, 0);
         let key = LocalKey { table: &f.tables[0], key: 0 };
         let spec = TxnSpec { keyed_reads: vec![key], ..Default::default() };
-        let v = w.execute(&spec, |ctx| Ok(u(&ctx.keyed_read(0)?.expect("populated")))).unwrap();
+        let v = w.execute(&spec, |ctx| Ok(u(ctx.keyed_read(0)?.expect("populated")))).unwrap();
         assert_eq!(v, 100);
     });
     let dump = f.sys.trace_dump();
@@ -157,7 +157,7 @@ fn start_lock_conflict_carries_owner() {
         let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
         w.execute(&spec, |ctx| {
             let v = u(ctx.remote_write_cur(0));
-            ctx.remote_write(0, (v + 1).to_le_bytes().to_vec());
+            ctx.remote_write(0, (v + 1).to_le_bytes());
             Ok(())
         })
         .unwrap();
@@ -187,7 +187,7 @@ fn start_write_blocked_by_lease_is_start_leased() {
     let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
     w.execute(&spec, |ctx| {
         let v = u(ctx.remote_write_cur(0));
-        ctx.remote_write(0, (v + 1).to_le_bytes().to_vec());
+        ctx.remote_write(0, (v + 1).to_le_bytes());
         Ok(())
     })
     .unwrap();
@@ -285,7 +285,7 @@ fn fallback_waits_are_traced() {
         let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
         w.execute(&spec, |ctx| {
             let v = u(ctx.remote_write_cur(0));
-            ctx.remote_write(0, (v + 1).to_le_bytes().to_vec());
+            ctx.remote_write(0, (v + 1).to_le_bytes());
             Ok(())
         })
         .unwrap();
@@ -336,7 +336,7 @@ fn worker_ring_wraps_under_an_abort_storm() {
         let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
         w.execute(&spec, |ctx| {
             let v = u(ctx.remote_write_cur(0));
-            ctx.remote_write(0, (v + 1).to_le_bytes().to_vec());
+            ctx.remote_write(0, (v + 1).to_le_bytes());
             Ok(())
         })
         .unwrap();
@@ -364,7 +364,7 @@ fn concurrent_workers_trace_safely_while_dumped() {
                 for _ in 0..50 {
                     w.execute(&spec, |ctx| {
                         let v = u(ctx.remote_write_cur(0));
-                        ctx.remote_write(0, (v + 1).to_le_bytes().to_vec());
+                        ctx.remote_write(0, (v + 1).to_le_bytes());
                         Ok(())
                     })
                     .unwrap();
@@ -408,7 +408,7 @@ fn stats_report_diffs_a_window() {
         for _ in 0..n {
             w.execute(&spec, |ctx| {
                 let v = u(ctx.remote_write_cur(0));
-                ctx.remote_write(0, (v + 1).to_le_bytes().to_vec());
+                ctx.remote_write(0, (v + 1).to_le_bytes());
                 Ok(())
             })
             .unwrap();

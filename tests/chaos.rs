@@ -200,7 +200,7 @@ fn crash_and_recover_with_doorbell(
     let r: Result<(), _> = w.execute(&spec, |ctx| {
         for i in 0..2 {
             let v = u64::from_le_bytes(ctx.remote_write_cur(i)[..8].try_into().unwrap());
-            ctx.remote_write(i, (v + 7).to_le_bytes().to_vec());
+            ctx.remote_write(i, (v + 7).to_le_bytes());
         }
         Ok(())
     });
@@ -242,7 +242,7 @@ fn crash_matrix_every_point_recovers_to_the_exact_report() {
         let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
         w.execute(&spec, |ctx| {
             let v = u64::from_le_bytes(ctx.remote_write_cur(0)[..8].try_into().unwrap());
-            ctx.remote_write(0, (v + 1).to_le_bytes().to_vec());
+            ctx.remote_write(0, (v + 1).to_le_bytes());
             Ok(())
         })
         .unwrap();
@@ -302,7 +302,7 @@ fn fallback_crash_and_recover(p: CrashPoint) -> (Fixture, RecoveryReport) {
         ctx.local_write(0, &(v + 7).to_le_bytes())?;
         for i in 0..2 {
             let v = u64::from_le_bytes(ctx.remote_write_cur(i)[..8].try_into().unwrap());
-            ctx.remote_write(i, (v + 7).to_le_bytes().to_vec());
+            ctx.remote_write(i, (v + 7).to_le_bytes());
         }
         Ok(())
     });
@@ -379,7 +379,7 @@ fn ops_against_a_corpse_fail_typed_and_bounded() {
     let mut w = f.sys.worker(0, 0);
     let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
     let r: Result<(), _> = w.execute(&spec, |ctx| {
-        ctx.remote_write(0, 0u64.to_le_bytes().to_vec());
+        ctx.remote_write(0, 0u64.to_le_bytes());
         Ok(())
     });
     assert_eq!(r, Err(TxnError::PeerDead(1)));
@@ -405,7 +405,7 @@ fn ops_against_a_corpse_fail_typed_and_bounded() {
     let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
     w.execute(&spec, |ctx| {
         let v = u64::from_le_bytes(ctx.remote_write_cur(0)[..8].try_into().unwrap());
-        ctx.remote_write(0, (v + 1).to_le_bytes().to_vec());
+        ctx.remote_write(0, (v + 1).to_le_bytes());
         Ok(())
     })
     .unwrap();
@@ -425,7 +425,7 @@ fn fallback_waiters_escape_a_dead_lock_owner() {
         let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
         let r: Result<(), _> = w.execute(&spec, |ctx| {
             let v = u64::from_le_bytes(ctx.remote_write_cur(0)[..8].try_into().unwrap());
-            ctx.remote_write(0, (v + 7).to_le_bytes().to_vec());
+            ctx.remote_write(0, (v + 7).to_le_bytes());
             Ok(())
         });
         assert_eq!(r, Err(TxnError::SimulatedCrash));
@@ -439,7 +439,7 @@ fn fallback_waiters_escape_a_dead_lock_owner() {
     let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
     let t0 = std::time::Instant::now();
     let r: Result<(), _> = w2.execute(&spec, |ctx| {
-        ctx.remote_write(0, 0u64.to_le_bytes().to_vec());
+        ctx.remote_write(0, 0u64.to_le_bytes());
         Ok(())
     });
     assert_eq!(r, Err(TxnError::PeerDead(0)));
@@ -450,7 +450,7 @@ fn fallback_waiters_escape_a_dead_lock_owner() {
     assert_eq!(report.redone_txns, 1);
     let r: Result<(), _> = w2.execute(&spec, |ctx| {
         let v = u64::from_le_bytes(ctx.remote_write_cur(0)[..8].try_into().unwrap());
-        ctx.remote_write(0, (v + 1).to_le_bytes().to_vec());
+        ctx.remote_write(0, (v + 1).to_le_bytes());
         Ok(())
     });
     assert_eq!(r, Ok(()));
@@ -546,7 +546,7 @@ fn crash_and_recover_raw(p: CrashPoint, seed: u64) -> Fixture {
     let r: Result<(), _> = w.execute(&spec, |ctx| {
         for i in 0..2 {
             let v = u64::from_le_bytes(ctx.remote_write_cur(i)[..8].try_into().unwrap());
-            ctx.remote_write(i, (v + 7).to_le_bytes().to_vec());
+            ctx.remote_write(i, (v + 7).to_le_bytes());
         }
         Ok(())
     });

@@ -97,12 +97,12 @@ fn run_transfers(
             if src_ix.0 {
                 ctx.local_write(src_ix.1, &sv.wrapping_sub(amount).to_le_bytes())?;
             } else {
-                ctx.remote_write(src_ix.1, sv.wrapping_sub(amount).to_le_bytes().to_vec());
+                ctx.remote_write(src_ix.1, sv.wrapping_sub(amount).to_le_bytes());
             }
             if dst_ix.0 {
                 ctx.local_write(dst_ix.1, &dv.wrapping_add(amount).to_le_bytes())?;
             } else {
-                ctx.remote_write(dst_ix.1, dv.wrapping_add(amount).to_le_bytes().to_vec());
+                ctx.remote_write(dst_ix.1, dv.wrapping_add(amount).to_le_bytes());
             }
             Ok(())
         })

@@ -81,7 +81,11 @@ proptest! {
                     let mut txn = region.begin(exec.config());
                     let got = table.get_local(&mut txn, k).unwrap().map(|e| {
                         let version = e.read_header(&mut txn).unwrap().version;
-                        (e.read_value(&mut txn).unwrap(), version)
+                        ({
+            let mut v = Vec::new();
+            e.read_value(&mut txn, &mut v).unwrap();
+            v
+        }, version)
                     });
                     prop_assert_eq!(got, model.get(&k).cloned());
                 }

@@ -59,7 +59,7 @@ fn crash_and_recover(crash: CrashPoint) -> Fixture {
     let r: Result<(), _> = w.execute(&spec, |ctx| {
         for i in 0..2 {
             let v = u64::from_le_bytes(ctx.remote_write_cur(i)[..8].try_into().unwrap());
-            ctx.remote_write(i, (v + 7).to_le_bytes().to_vec());
+            ctx.remote_write(i, (v + 7).to_le_bytes());
         }
         Ok(())
     });
@@ -112,7 +112,7 @@ fn recovery_is_idempotent_and_cluster_stays_usable() {
     let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
     w.execute(&spec, |ctx| {
         let v = u64::from_le_bytes(ctx.remote_write_cur(0)[..8].try_into().unwrap());
-        ctx.remote_write(0, (v + 1).to_le_bytes().to_vec());
+        ctx.remote_write(0, (v + 1).to_le_bytes());
         Ok(())
     })
     .unwrap();
@@ -128,7 +128,7 @@ fn clean_execution_leaves_empty_logs() {
     for _ in 0..5 {
         w.execute(&spec, |ctx| {
             let v = u64::from_le_bytes(ctx.remote_write_cur(0)[..8].try_into().unwrap());
-            ctx.remote_write(0, (v + 1).to_le_bytes().to_vec());
+            ctx.remote_write(0, (v + 1).to_le_bytes());
             Ok(())
         })
         .unwrap();
@@ -151,7 +151,7 @@ fn failure_detector_drives_recovery_end_to_end() {
     let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
     let r: Result<(), _> = w.execute(&spec, |ctx| {
         let v = u64::from_le_bytes(ctx.remote_write_cur(0)[..8].try_into().unwrap());
-        ctx.remote_write(0, (v + 5).to_le_bytes().to_vec());
+        ctx.remote_write(0, (v + 5).to_le_bytes());
         Ok(())
     });
     assert_eq!(r, Err(TxnError::SimulatedCrash));
@@ -190,7 +190,7 @@ fn chop_info_survives_a_crash() {
     let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
     let r: Result<(), _> = w.execute(&spec, |ctx| {
         let v = u64::from_le_bytes(ctx.remote_write_cur(0)[..8].try_into().unwrap());
-        ctx.remote_write(0, (v + 1).to_le_bytes().to_vec());
+        ctx.remote_write(0, (v + 1).to_le_bytes());
         Ok(())
     });
     assert_eq!(r, Err(TxnError::SimulatedCrash));
@@ -215,7 +215,7 @@ fn read_only_does_not_wait_out_a_dead_owners_write_lock() {
     let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
     let r: Result<(), _> = owner.execute(&spec, |ctx| {
         let v = u64::from_le_bytes(ctx.remote_write_cur(0)[..8].try_into().unwrap());
-        ctx.remote_write(0, (v + 7).to_le_bytes().to_vec());
+        ctx.remote_write(0, (v + 7).to_le_bytes());
         Ok(())
     });
     assert_eq!(r, Err(TxnError::SimulatedCrash));

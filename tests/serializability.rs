@@ -91,7 +91,7 @@ fn distributed_transfers_conserve_total() {
                             ctx.local_write(0, &a.wrapping_sub(amt).to_le_bytes())?;
                             if dst_remote {
                                 let b = u(ctx.remote_write_cur(0));
-                                ctx.remote_write(0, b.wrapping_add(amt).to_le_bytes().to_vec());
+                                ctx.remote_write(0, b.wrapping_add(amt).to_le_bytes());
                             } else {
                                 let b = u(&ctx.local_write_cur(1)?);
                                 ctx.local_write(1, &b.wrapping_add(amt).to_le_bytes())?;
@@ -132,7 +132,7 @@ fn read_only_snapshots_are_consistent() {
                         let x = u(&ctx.local_write_cur(0)?);
                         let y = u(ctx.remote_write_cur(0));
                         ctx.local_write(0, &x.wrapping_sub(3).to_le_bytes())?;
-                        ctx.remote_write(0, y.wrapping_add(3).to_le_bytes().to_vec());
+                        ctx.remote_write(0, y.wrapping_add(3).to_le_bytes());
                         Ok(())
                     })
                     .unwrap();
@@ -174,7 +174,7 @@ fn cached_resolution_stays_correct() {
         let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
         w.execute(&spec, |ctx| {
             let v = u(ctx.remote_write_cur(0));
-            ctx.remote_write(0, (v + 1).to_le_bytes().to_vec());
+            ctx.remote_write(0, (v + 1).to_le_bytes());
             Ok(())
         })
         .unwrap();
