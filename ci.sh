@@ -48,6 +48,11 @@
 # elsewhere — and the deleted `wall_now_us` and `coop::` stay gone; then
 # the gate's self-test: a scratch file under target/ with a sleep above
 # its #[cfg(test)] must fail it, the same sleep below must pass
+# plus a no-unsafe gate (DESIGN.md §2 "Concurrency of the simulation
+# substrate"): every library crate root (crates/*/src/lib.rs and the
+# umbrella src/lib.rs) carries `#![forbid(unsafe_code)]`; then the gate's
+# self-test: a copy of a lib.rs under target/ without the attribute must
+# fail it
 # plus a `git grep` gate that keeps one-value settings constants (DESIGN.md
 # §4 "Virtual-time calibration"): none of the fourteen deleted config
 # fields, parameters and environment reads by name (`delta_us` in field
@@ -255,6 +260,30 @@ fi
 printf '#[cfg(test)]\nmod tests {\n    fn f() {\n        std::thread::sleep(d);\n    }\n}\n' > "$PROBE"
 wall_clock_gate "$PROBE" \
   || { echo "the wall-clock gate failed a sleep below #[cfg(test)]" >&2; exit 1; }
+rm "$PROBE"
+
+echo "== no unsafe: every library crate forbids unsafe_code =="
+# The region's bytes are atomic words behind one seqlock, so no library
+# code needs `unsafe`; a crate root without the attribute lets it back.
+# Prints each given crate root that lacks the attribute line (or is
+# missing), and fails if there is one.
+forbid_unsafe_gate() {
+  local root status=0
+  for root in "$@"; do
+    grep -q -x '#!\[forbid(unsafe_code)\]' "$root" 2>/dev/null || { echo "$root" >&2; status=1; }
+  done
+  return "$status"
+}
+forbid_unsafe_gate crates/*/src/lib.rs src/lib.rs \
+  || { echo "a library crate root without #![forbid(unsafe_code)]" >&2; exit 1; }
+
+echo "== no unsafe: the gate can fail =="
+PROBE=target/forbid_unsafe_gate_probe.rs
+grep -v -x '#!\[forbid(unsafe_code)\]' crates/htm/src/lib.rs > "$PROBE"
+if forbid_unsafe_gate "$PROBE" 2>/dev/null; then
+  echo "the no-unsafe gate passed a crate root without the attribute" >&2
+  exit 1
+fi
 rm "$PROBE"
 
 echo "== one value, one constant: the deleted settings, verbs and escape hatches stay gone =="

@@ -12,6 +12,7 @@
 //! is compared with (Table 4, Figure 10) live here too, as they serve
 //! no one but [`kv`]: Pilaf's 3-way Cuckoo hashing ([`cuckoo`]) and
 //! FaRM-KV's Hopscotch hashing ([`hopscotch`]).
+#![forbid(unsafe_code)]
 
 pub mod cuckoo;
 pub mod hopscotch;

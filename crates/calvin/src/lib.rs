@@ -25,6 +25,7 @@
 //! models lock-wait and message-wait stalls exactly, which thread-local
 //! meters cannot (a blocked Calvin executor consumes wall time without
 //! doing work).
+#![forbid(unsafe_code)]
 
 mod engine;
 mod store;

@@ -19,6 +19,7 @@
 //!   durability (§4.6, Figure 7);
 //! * the per-record [`LockState`] word of Figure 4 and the record-level
 //!   operations of Figures 5/6 in [`record_ops`].
+#![forbid(unsafe_code)]
 
 mod alloc_layout;
 mod config;

@@ -13,15 +13,16 @@
 //!
 //! This crate reproduces both properties in software so the full DrTM
 //! protocol can run on machines without TSX. Memory lives in a [`Region`]
-//! divided into 64-byte lines, each guarded by a versioned lock word
-//! (TL2-style: even = version, odd bit = locked). Transactions
-//! ([`HtmTxn`]) buffer writes, record a `(line, version)` read set, and
-//! validate at commit; non-transactional stores ([`Region::write_nt`],
-//! [`Region::cas_u64_nt`], ...) bump line versions and therefore abort any
-//! in-flight transaction that has read or written the line — the same
-//! observable effect as RTM strong atomicity, with the abort delivered at
-//! validation time instead of eagerly. Capacity aborts are emulated with
-//! configurable read/write-set limits (see [`HtmConfig`]).
+//! of atomic words divided into 64-byte lines, each guarded by a versioned
+//! lock word (TL2-style: even = version, odd bit = locked) that makes the
+//! line a seqlock, so the crate needs no `unsafe` and forbids it.
+//! Transactions ([`HtmTxn`]) buffer writes, record a `(line, version)` read
+//! set, and validate at commit; non-transactional stores
+//! ([`Region::write_nt`], [`Region::cas_u64_nt`], ...) bump line versions
+//! and therefore abort any in-flight transaction that has read or written
+//! the line — the same observable effect as RTM strong atomicity, with the
+//! abort delivered at validation time instead of eagerly. Capacity aborts
+//! are emulated with configurable read/write-set limits (see [`HtmConfig`]).
 //!
 //! The crate also hosts [`vtime`], the virtual-time meter used by the
 //! benchmark harnesses: on a single-core host, wall-clock throughput of a
@@ -56,6 +57,7 @@
 //! region.write_u64_nt(128, 99); // "RDMA" write from another machine
 //! assert_eq!(txn.commit(), Err(Abort::Conflict));
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod backoff;
 pub mod clock;
@@ -84,11 +86,6 @@ pub enum MemError {
         /// Size of the region.
         size: usize,
     },
-    /// A 64-bit atomic access was not 8-byte aligned.
-    Misaligned {
-        /// Offset of the access.
-        offset: usize,
-    },
 }
 
 impl std::fmt::Display for MemError {
@@ -97,7 +94,6 @@ impl std::fmt::Display for MemError {
             MemError::OutOfBounds { offset, len, size } => {
                 write!(f, "access [{offset}, {}) out of bounds (size {size})", offset + len)
             }
-            MemError::Misaligned { offset } => write!(f, "misaligned 8-byte access at {offset}"),
         }
     }
 }

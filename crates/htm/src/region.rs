@@ -5,9 +5,13 @@
 //! one-sided RDMA operations: both go through the same per-line metadata,
 //! which is exactly the role the cache-coherence protocol plays between
 //! RTM and the NIC's DMA engine in the paper.
+//!
+//! It is also the one owner of the bytes: atomic words, read and written
+//! only by the two halves of a seqlock below, in the form Boehm shows
+//! sound under the C++ memory model, which Rust shares (MSPC 2012).
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use crate::txn::{HtmConfig, HtmTxn};
 use crate::MemError;
@@ -20,6 +24,19 @@ pub const LINE_SIZE: usize = 64;
 
 /// Bit set in a line's metadata word while a writer holds the line.
 const LOCKED: u64 = 1;
+
+/// The pieces of `[offset, offset + len)` that lie in one line each: a
+/// piece's first address and its range within the span.
+pub(crate) fn line_spans(offset: usize, len: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let n = (LINE_SIZE - (offset + done) % LINE_SIZE).min(len - done);
+            done += n;
+            (offset + done - n, done - n..done)
+        })
+    })
+}
 
 /// One machine's shared memory region.
 ///
@@ -36,34 +53,27 @@ const LOCKED: u64 = 1;
 ///   plus local fallback-handler accesses; these take line locks directly
 ///   and bump versions on mutation, thereby aborting conflicting
 ///   transactions (strong atomicity).
-/// * **Snapshot reads** — seqlock-style consistent reads used by `read_nt`.
+/// * **Snapshot reads** — seqlock-style reads used by `read_nt`,
+///   consistent within each line, as a NIC's DMA read is.
 pub struct Region {
-    data: Box<[UnsafeCell<u8>]>,
+    /// Little-endian words: byte `b` is bits `8 * (b % 8)..` of word `b / 8`.
+    data: Box<[AtomicU64]>,
     meta: Box<[AtomicU64]>,
 }
-
-// SAFETY: All mutable access to `data` is guarded by the per-line
-// versioned locks in `meta`: writers (transaction commit and `*_nt`
-// mutators) hold the line lock for every line they touch, and readers
-// either validate the version/lock word around the copy (seqlock) or hold
-// the lock themselves. `meta` itself is atomic.
-unsafe impl Sync for Region {}
-// SAFETY: `Region` owns its storage; moving it between threads is safe.
-unsafe impl Send for Region {}
 
 impl Region {
     /// Creates a zero-initialised region of `size` bytes (rounded up to a
     /// whole number of lines).
     pub fn new(size: usize) -> Self {
-        let size = size.div_ceil(LINE_SIZE) * LINE_SIZE;
-        let data = (0..size).map(|_| UnsafeCell::new(0u8)).collect();
-        let meta = (0..size / LINE_SIZE).map(|_| AtomicU64::new(0)).collect();
+        let lines = size.div_ceil(LINE_SIZE);
+        let data = (0..lines * LINE_SIZE / 8).map(|_| AtomicU64::new(0)).collect();
+        let meta = (0..lines).map(|_| AtomicU64::new(0)).collect();
         Region { data, meta }
     }
 
     /// Returns the region size in bytes.
     pub fn size(&self) -> usize {
-        self.data.len()
+        self.data.len() * 8
     }
 
     /// Returns the number of lines in the region.
@@ -84,8 +94,8 @@ impl Region {
 
     #[inline]
     pub(crate) fn check(&self, offset: usize, len: usize) -> Result<(), MemError> {
-        if offset.checked_add(len).is_none_or(|end| end > self.data.len()) {
-            return Err(MemError::OutOfBounds { offset, len, size: self.data.len() });
+        if offset.checked_add(len).is_none_or(|end| end > self.size()) {
+            return Err(MemError::OutOfBounds { offset, len, size: self.size() });
         }
         Ok(())
     }
@@ -129,23 +139,67 @@ impl Region {
         self.meta[line].store(pre, Ordering::Release);
     }
 
-    /// Raw pointer to byte `offset`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure `offset < self.size()` and that the per-line
-    /// locking discipline is upheld for any access through the pointer.
+    /// The reader half of the seqlock: copies the bytes at `at`, all in
+    /// one line, into `out` with relaxed loads and returns whether the
+    /// line still has version `ver` (loaded unlocked before the call).
+    /// The fence orders the loads before the re-check; on `false` the
+    /// copy may be torn.
     #[inline]
-    pub(crate) unsafe fn byte_ptr(&self, offset: usize) -> *mut u8 {
-        self.data[offset].get()
+    pub(crate) fn load_span(&self, at: usize, out: &mut [u8], ver: u64) -> bool {
+        let head = ((8 - at % 8) % 8).min(out.len());
+        let (first, rest) = out.split_at_mut(head);
+        self.load_within_word(at, first);
+        let whole = rest.len() / 8;
+        for (chunk, word) in rest.chunks_exact_mut(8).zip(&self.data[at.div_ceil(8)..]) {
+            chunk.copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
+        }
+        self.load_within_word(at + head + whole * 8, &mut rest[whole * 8..]);
+        fence(Ordering::Acquire);
+        self.meta[Self::line_of(at)].load(Ordering::Relaxed) == ver
+    }
+
+    /// The writer half of the seqlock: stores `data` at `at`, all in one
+    /// line whose lock the caller holds. The fence orders the lock
+    /// before the relaxed stores: a reader that loads one fails its re-check.
+    #[inline]
+    pub(crate) fn store_span(&self, at: usize, data: &[u8]) {
+        fence(Ordering::Release);
+        let head = ((8 - at % 8) % 8).min(data.len());
+        let (first, rest) = data.split_at(head);
+        self.store_within_word(at, first);
+        let whole = rest.len() / 8;
+        for (chunk, word) in rest.chunks_exact(8).zip(&self.data[at.div_ceil(8)..]) {
+            word.store(u64::from_le_bytes(chunk.try_into().expect("8 bytes")), Ordering::Relaxed);
+        }
+        self.store_within_word(at + head + whole * 8, &rest[whole * 8..]);
+    }
+
+    /// Copies the fewer than eight bytes at `at`, all in one word.
+    fn load_within_word(&self, at: usize, out: &mut [u8]) {
+        if !out.is_empty() {
+            let bytes = self.data[at / 8].load(Ordering::Relaxed).to_le_bytes();
+            out.copy_from_slice(&bytes[at % 8..at % 8 + out.len()]);
+        }
+    }
+
+    /// Stores the fewer than eight bytes at `at`, all in one word, keeping
+    /// the word's other bytes (the line lock excludes other writers).
+    fn store_within_word(&self, at: usize, data: &[u8]) {
+        if !data.is_empty() {
+            let word = &self.data[at / 8];
+            let mut bytes = word.load(Ordering::Relaxed).to_le_bytes();
+            bytes[at % 8..at % 8 + data.len()].copy_from_slice(data);
+            word.store(u64::from_le_bytes(bytes), Ordering::Relaxed);
+        }
     }
 
     /// Copies `[offset, offset + buf.len())` into `buf` while holding no
     /// locks, retrying per line until a consistent (unlocked, unchanged
-    /// version) snapshot is observed.
+    /// version) snapshot of that line is observed.
     ///
     /// This is the simulated one-sided RDMA READ data path: it never
-    /// blocks writers and never observes a half-applied HTM commit.
+    /// blocks writers. Like a NIC's DMA read, a span of several lines is
+    /// consistent line by line, not as a whole.
     ///
     /// # Panics
     ///
@@ -153,59 +207,33 @@ impl Region {
     /// simulator harness, not a recoverable condition).
     pub fn read_nt(&self, offset: usize, buf: &mut [u8]) {
         self.check(offset, buf.len()).expect("read_nt out of bounds");
-        let mut done = 0;
-        while done < buf.len() {
-            let at = offset + done;
-            let line = Self::line_of(at);
-            let in_line = (LINE_SIZE - at % LINE_SIZE).min(buf.len() - done);
+        for (at, span) in line_spans(offset, buf.len()) {
             loop {
-                let v1 = self.load_meta(line);
-                if v1 & LOCKED != 0 {
-                    std::hint::spin_loop();
-                    continue;
-                }
-                // SAFETY: Bounds checked above; the seqlock re-validation
-                // below detects any concurrent mutation, and u8 reads can
-                // observe torn data without UB only through volatile/raw
-                // copies — we use raw pointer copies of plain bytes.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        self.byte_ptr(at) as *const u8,
-                        buf[done..].as_mut_ptr(),
-                        in_line,
-                    );
-                }
-                if self.load_meta(line) == v1 {
+                let ver = self.load_meta(Self::line_of(at));
+                if ver & LOCKED == 0 && self.load_span(at, &mut buf[span.clone()], ver) {
                     break;
                 }
+                std::hint::spin_loop();
             }
-            done += in_line;
         }
     }
 
     /// Writes `data` at `offset` non-transactionally, locking each line and
     /// bumping its version (aborting conflicting HTM transactions).
     ///
-    /// This is the simulated one-sided RDMA WRITE data path.
+    /// This is the simulated one-sided RDMA WRITE data path. Like a NIC's
+    /// DMA write, a span of several lines is stored line by line.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
     pub fn write_nt(&self, offset: usize, data: &[u8]) {
         self.check(offset, data.len()).expect("write_nt out of bounds");
-        let mut done = 0;
-        while done < data.len() {
-            let at = offset + done;
+        for (at, span) in line_spans(offset, data.len()) {
             let line = Self::line_of(at);
-            let in_line = (LINE_SIZE - at % LINE_SIZE).min(data.len() - done);
             let pre = self.lock_line(line);
-            // SAFETY: Bounds checked; line lock held, so no concurrent
-            // writer; concurrent seqlock readers will retry.
-            unsafe {
-                std::ptr::copy_nonoverlapping(data[done..].as_ptr(), self.byte_ptr(at), in_line);
-            }
+            self.store_span(at, &data[span]);
             self.unlock_line_bump(line, pre);
-            done += in_line;
         }
     }
 
@@ -247,11 +275,9 @@ impl Region {
         self.check(offset, 8).expect("cas_u64_nt out of bounds");
         let line = Self::line_of(offset);
         let pre = self.lock_line(line);
-        // SAFETY: Line lock held; aligned in-bounds u64 access.
-        let cur = unsafe { (self.byte_ptr(offset) as *const u64).read() };
+        let cur = self.data[offset / 8].load(Ordering::Relaxed);
         if cur == expected {
-            // SAFETY: As above.
-            unsafe { (self.byte_ptr(offset) as *mut u64).write(new) };
+            self.store_span(offset, &new.to_le_bytes());
             self.unlock_line_bump(line, pre);
         } else {
             self.unlock_line_nobump(line, pre);
@@ -330,6 +356,73 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(r.read_u64_nt(0), 4000);
+    }
+
+    /// No snapshot a reader accepts is torn. One writer fills a span that
+    /// starts and ends mid-word and crosses a line boundary with one
+    /// repeated byte, `write_nt` on even writes and a committed
+    /// transaction on odd ones, while two readers take snapshots with
+    /// `read_nt` and with read-only transactions that commit.
+    ///
+    /// Each line's part of every snapshot is one byte. A committed
+    /// transaction's snapshot is one byte throughout, or else the one
+    /// state a multi-line `write_nt` passes through: like a NIC's DMA
+    /// write it stores line by line, so the first line may hold the
+    /// `write_nt`'s byte while the second still holds the byte before it.
+    /// A `read_nt` snapshot is consistent line by line only, as a NIC's
+    /// DMA read is. The writer stops after a fixed count, so a reader
+    /// that fails cannot leave it running.
+    #[test]
+    fn accepted_snapshots_are_never_torn() {
+        const AT: usize = 3;
+        const LEN: usize = 122;
+        const SPLIT: usize = LINE_SIZE - AT;
+        const WRITES: u32 = 50_000;
+        let r = Region::new(2 * LINE_SIZE);
+        let writing = std::sync::atomic::AtomicBool::new(true);
+        let start = std::sync::Barrier::new(3);
+        let one_byte = |s: &[u8]| s.iter().all(|&b| b == s[0]);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let cfg = HtmConfig::default();
+                start.wait();
+                for i in 0..WRITES {
+                    let fill = [i as u8; LEN];
+                    if i % 2 == 0 {
+                        r.write_nt(AT, &fill);
+                        continue;
+                    }
+                    let mut t = r.begin(&cfg);
+                    t.write(AT, &fill).expect("the span fits the region");
+                    t.commit().expect("the only writer commits");
+                }
+                writing.store(false, Ordering::Release);
+            });
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let cfg = HtmConfig::default();
+                    let mut buf = [0u8; LEN];
+                    start.wait();
+                    while writing.load(Ordering::Acquire) {
+                        r.read_nt(AT, &mut buf);
+                        let (first, second) = buf.split_at(SPLIT);
+                        assert!(one_byte(first) && one_byte(second), "torn line: {buf:?}");
+                        let mut t = r.begin(&cfg);
+                        if t.read(AT, &mut buf).is_ok() && t.commit().is_ok() {
+                            let (first, second) = buf.split_at(SPLIT);
+                            let mid_write_nt =
+                                first[0] % 2 == 0 && second[0] == first[0].wrapping_sub(1);
+                            assert!(
+                                one_byte(first)
+                                    && one_byte(second)
+                                    && (first[0] == second[0] || mid_write_nt),
+                                "torn committed snapshot: {buf:?}"
+                            );
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]

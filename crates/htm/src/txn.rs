@@ -2,9 +2,8 @@
 
 use std::cell::Cell;
 
-use crate::region::{Region, LINE_SIZE};
+use crate::region::{line_spans, Region, LINE_SIZE};
 use crate::vtime;
-use crate::MemError;
 
 /// Why an HTM transaction aborted.
 ///
@@ -311,35 +310,21 @@ impl<'r> HtmTxn<'r> {
     pub fn read(&mut self, offset: usize, buf: &mut [u8]) -> Result<(), Abort> {
         self.region.check(offset, buf.len()).map_err(|_| Abort::Explicit(0xFE))?;
         vtime::charge(ACCESS_NS * buf.len().div_ceil(LINE_SIZE) as u64);
-        let mut done = 0;
-        while done < buf.len() {
-            let at = offset + done;
-            let line = Region::line_of(at);
-            let base = at % LINE_SIZE;
-            let in_line = (LINE_SIZE - base).min(buf.len() - done);
-            let (ver, write) = self.track_read(line)?;
-            let out = &mut buf[done..done + in_line];
-            // SAFETY: Bounds checked; the version re-validation below
-            // rejects any concurrently mutated (torn) copy.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    self.region.byte_ptr(at) as *const u8,
-                    out.as_mut_ptr(),
-                    in_line,
-                );
-            }
-            if self.region.load_meta(line) != ver {
+        for (at, span) in line_spans(offset, buf.len()) {
+            let (ver, write) = self.track_read(Region::line_of(at))?;
+            let out = &mut buf[span];
+            if !self.region.load_span(at, out, ver) {
                 return Err(Abort::Conflict);
             }
             // Read-your-writes: overlay staged dirty bytes.
             if write != 0 {
                 let w = &live(&mut self.desc).writes[write - 1];
-                for (start, len) in runs(w.mask >> base & low_bits(in_line)) {
+                let base = at % LINE_SIZE;
+                for (start, len) in runs(w.mask >> base & low_bits(out.len())) {
                     out[start..start + len]
                         .copy_from_slice(&w.bytes[base + start..base + start + len]);
                 }
             }
-            done += in_line;
         }
         Ok(())
     }
@@ -389,15 +374,11 @@ impl<'r> HtmTxn<'r> {
     pub fn write(&mut self, offset: usize, data: &[u8]) -> Result<(), Abort> {
         self.region.check(offset, data.len()).map_err(|_| Abort::Explicit(0xFE))?;
         vtime::charge(ACCESS_NS * data.len().div_ceil(LINE_SIZE) as u64);
-        let mut done = 0;
-        while done < data.len() {
-            let at = offset + done;
+        for (at, span) in line_spans(offset, data.len()) {
             let base = at % LINE_SIZE;
-            let in_line = (LINE_SIZE - base).min(data.len() - done);
             let w = self.stage(Region::line_of(at))?;
-            w.bytes[base..base + in_line].copy_from_slice(&data[done..done + in_line]);
-            w.mask |= low_bits(in_line) << base;
-            done += in_line;
+            w.bytes[base..base + span.len()].copy_from_slice(&data[span.clone()]);
+            w.mask |= low_bits(span.len()) << base;
         }
         Ok(())
     }
@@ -467,17 +448,8 @@ impl<'r> HtmTxn<'r> {
 
         // Phase 3: apply dirty bytes and publish.
         for w in writes.iter() {
-            let base = w.line * LINE_SIZE;
             for (start, len) in runs(w.mask) {
-                // SAFETY: Line lock held; `write` bounds-checked every
-                // byte it marked dirty, and a run ends within its line.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        w.bytes[start..start + len].as_ptr(),
-                        region.byte_ptr(base + start),
-                        len,
-                    );
-                }
+                region.store_span(w.line * LINE_SIZE + start, &w.bytes[start..start + len]);
             }
         }
         for &w in order.iter() {
@@ -502,13 +474,6 @@ impl std::fmt::Debug for HtmTxn<'_> {
         let (reads, writes) =
             self.desc.as_ref().map_or((0, 0), |d| (d.reads.len(), d.writes.len()));
         f.debug_struct("HtmTxn").field("read_lines", &reads).field("write_lines", &writes).finish()
-    }
-}
-
-/// Convenience conversion so protocol code can bubble up address errors.
-impl From<MemError> for Abort {
-    fn from(_: MemError) -> Self {
-        Abort::Explicit(0xFE)
     }
 }
 

@@ -3,7 +3,9 @@
 //! A transaction's buffered reads/writes over a region must behave like
 //! the same operation sequence over a plain byte array — committed
 //! all-or-nothing, with read-your-writes, regardless of operation
-//! interleaving, alignment or span. A thread's transactions share one
+//! interleaving, alignment or span — and so must the non-transactional
+//! operations run between transactions, whose stores merge partial
+//! words into the region's word array. A thread's transactions share one
 //! descriptor (line table, staged lines, lists), so each must also
 //! behave as if it were the thread's first: the properties run
 //! *sequences* of transactions, and the plain tests below them reach
@@ -18,6 +20,30 @@ use drtm_htm::{vtime, Abort, HtmConfig, Region, LINE_SIZE};
 enum Op {
     Read { offset: usize, len: usize },
     Write { offset: usize, data: Vec<u8> },
+}
+
+/// A non-transactional operation, run before a transaction of a sequence.
+#[derive(Debug, Clone)]
+enum Nt {
+    Read {
+        offset: usize,
+        len: usize,
+    },
+    Write {
+        offset: usize,
+        data: Vec<u8>,
+    },
+    /// A CAS on an aligned word that expects the word's value if `hit`,
+    /// else `miss` (which then fails unless it happens to match).
+    Cas {
+        word: usize,
+        hit: bool,
+        miss: u64,
+        new: u64,
+    },
+    ReadU64 {
+        word: usize,
+    },
 }
 
 /// How a transaction of a sequence ends.
@@ -38,9 +64,53 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn txn() -> impl Strategy<Value = (Vec<Op>, End)> {
+/// Unaligned spans up to 160 bytes long, so most straddle words and
+/// many straddle lines; CASes and `u64` reads on any word.
+fn nt() -> impl Strategy<Value = Nt> {
+    prop_oneof![
+        (0usize..SIZE - 160, 1usize..160).prop_map(|(offset, len)| Nt::Read { offset, len }),
+        (0usize..SIZE - 160, proptest::collection::vec(any::<u8>(), 1..160))
+            .prop_map(|(offset, data)| Nt::Write { offset, data }),
+        (0usize..SIZE / 8, any::<bool>(), any::<u64>(), any::<u64>())
+            .prop_map(|(word, hit, miss, new)| Nt::Cas { word, hit, miss, new }),
+        (0usize..SIZE / 8).prop_map(|word| Nt::ReadU64 { word }),
+    ]
+}
+
+fn txn() -> impl Strategy<Value = (Vec<Nt>, Vec<Op>, End)> {
     let end = prop_oneof![Just(End::Commit), Just(End::Abort), Just(End::Drop)];
-    (proptest::collection::vec(op(), 1..40), end)
+    (proptest::collection::vec(nt(), 0..6), proptest::collection::vec(op(), 1..40), end)
+}
+
+/// Runs `nt` on the region and the model, checking what it returns.
+fn apply_nt(region: &Region, model: &mut [u8], nt: &Nt) {
+    match nt {
+        Nt::Read { offset, len } => {
+            let mut got = vec![0u8; *len];
+            region.read_nt(*offset, &mut got);
+            prop_assert_eq!(&got[..], &model[*offset..*offset + *len]);
+        }
+        Nt::Write { offset, data } => {
+            region.write_nt(*offset, data);
+            model[*offset..*offset + data.len()].copy_from_slice(data);
+        }
+        Nt::Cas { word, hit, miss, new } => {
+            let bytes = &mut model[word * 8..word * 8 + 8];
+            let cur = u64::from_le_bytes(bytes.try_into().unwrap());
+            let expected = if *hit { cur } else { *miss };
+            prop_assert_eq!(region.cas_u64_nt(word * 8, expected, *new), cur);
+            if expected == cur {
+                bytes.copy_from_slice(&new.to_le_bytes());
+            }
+        }
+        Nt::ReadU64 { word } => {
+            let bytes = &model[word * 8..word * 8 + 8];
+            prop_assert_eq!(
+                region.read_u64_nt(word * 8),
+                u64::from_le_bytes(bytes.try_into().unwrap())
+            );
+        }
+    }
 }
 
 proptest! {
@@ -50,7 +120,9 @@ proptest! {
     /// transaction overlaid on the memory image its predecessors left,
     /// a commit publishes exactly the final overlay, and a transaction
     /// that aborts or is dropped publishes nothing — and leaves nothing
-    /// behind for the next one on the thread to trip over.
+    /// behind for the next one on the thread to trip over. The
+    /// non-transactional operations before each transaction read and
+    /// write the same image, byte for byte and word for word.
     #[test]
     fn txn_matches_model(init in proptest::collection::vec(any::<u8>(), SIZE),
                          txns in proptest::collection::vec(txn(), 1..6)) {
@@ -59,7 +131,10 @@ proptest! {
         let mut model = init;
 
         let cfg = HtmConfig { read_capacity_lines: 1 << 12, write_capacity_lines: 1 << 12, ..Default::default() };
-        for (ops, end) in &txns {
+        for (nts, ops, end) in &txns {
+            for nt in nts {
+                apply_nt(&region, &mut model, nt);
+            }
             let mut staged = model.clone();
             let mut txn = region.begin(&cfg);
             for o in ops {

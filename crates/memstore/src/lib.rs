@@ -27,6 +27,7 @@
 //! are HTM-protected and remote accesses are plain one-sided RDMA — race
 //! detection comes entirely from HTM strong atomicity plus incarnation
 //! checks, which is the design simplification §5.1 argues for.
+#![forbid(unsafe_code)]
 
 mod alloc;
 mod btree;

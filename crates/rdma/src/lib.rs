@@ -48,6 +48,7 @@
 //! assert_eq!(qp.cas_u64(addr, 7, 9), 7);
 //! assert_eq!(cluster.counters().snapshot().cas, 1);
 //! ```
+#![forbid(unsafe_code)]
 
 mod counters;
 mod doorbell;

@@ -16,6 +16,7 @@
 //!   by every throughput experiment.
 //! * [`resolve`] — key → record-address resolution through the location
 //!   cache (the client-side path of Figure 9).
+#![forbid(unsafe_code)]
 
 pub mod dist;
 pub mod driver;

@@ -9,6 +9,7 @@
 //! * [`txn`] — the DrTM transaction layer (HTM + 2PL + leases).
 //! * [`calvin`] — the Calvin-style baseline used for comparison.
 //! * [`workloads`] — TPC-C, SmallBank and micro-benchmark generators.
+#![forbid(unsafe_code)]
 
 pub use drtm_calvin as calvin;
 pub use drtm_core as txn;
