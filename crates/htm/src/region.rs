@@ -38,6 +38,22 @@ pub(crate) fn line_spans(offset: usize, len: usize) -> impl Iterator<Item = (usi
     })
 }
 
+/// Copies `words` into `out`, as many as both hold.
+#[inline]
+fn load_words(words: &[AtomicU64], out: &mut [u8]) {
+    for (chunk, word) in out.chunks_exact_mut(8).zip(words) {
+        chunk.copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
+    }
+}
+
+/// Stores `data` into `words`, as many words as both hold.
+#[inline]
+fn store_words(words: &[AtomicU64], data: &[u8]) {
+    for (chunk, word) in data.chunks_exact(8).zip(words) {
+        word.store(u64::from_le_bytes(chunk.try_into().expect("8 bytes")), Ordering::Relaxed);
+    }
+}
+
 /// One machine's shared memory region.
 ///
 /// All bytes are addressed by `offset` from the start of the region.
@@ -143,53 +159,38 @@ impl Region {
     /// one line, into `out` with relaxed loads and returns whether the
     /// line still has version `ver` (loaded unlocked before the call).
     /// The fence orders the loads before the re-check; on `false` the
-    /// copy may be torn.
+    /// copy may be torn. A span off word boundaries is cut from a copy.
     #[inline]
     pub(crate) fn load_span(&self, at: usize, out: &mut [u8], ver: u64) -> bool {
-        let head = ((8 - at % 8) % 8).min(out.len());
-        let (first, rest) = out.split_at_mut(head);
-        self.load_within_word(at, first);
-        let whole = rest.len() / 8;
-        for (chunk, word) in rest.chunks_exact_mut(8).zip(&self.data[at.div_ceil(8)..]) {
-            chunk.copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
+        let words = &self.data[at / 8..];
+        if (at | out.len()).is_multiple_of(8) {
+            load_words(words, out);
+        } else {
+            let mut bytes = [0u8; LINE_SIZE];
+            load_words(&words[..(at % 8 + out.len()).div_ceil(8)], &mut bytes);
+            out.copy_from_slice(&bytes[at % 8..at % 8 + out.len()]);
         }
-        self.load_within_word(at + head + whole * 8, &mut rest[whole * 8..]);
         fence(Ordering::Acquire);
         self.meta[Self::line_of(at)].load(Ordering::Relaxed) == ver
     }
 
     /// The writer half of the seqlock: stores `data` at `at`, all in one
     /// line whose lock the caller holds. The fence orders the lock
-    /// before the relaxed stores: a reader that loads one fails its re-check.
+    /// before the relaxed stores: a reader that loads one fails its
+    /// re-check. A span off word boundaries is written over a copy of
+    /// its words, which keep their other bytes (the lock bars writers).
     #[inline]
     pub(crate) fn store_span(&self, at: usize, data: &[u8]) {
         fence(Ordering::Release);
-        let head = ((8 - at % 8) % 8).min(data.len());
-        let (first, rest) = data.split_at(head);
-        self.store_within_word(at, first);
-        let whole = rest.len() / 8;
-        for (chunk, word) in rest.chunks_exact(8).zip(&self.data[at.div_ceil(8)..]) {
-            word.store(u64::from_le_bytes(chunk.try_into().expect("8 bytes")), Ordering::Relaxed);
-        }
-        self.store_within_word(at + head + whole * 8, &rest[whole * 8..]);
-    }
-
-    /// Copies the fewer than eight bytes at `at`, all in one word.
-    fn load_within_word(&self, at: usize, out: &mut [u8]) {
-        if !out.is_empty() {
-            let bytes = self.data[at / 8].load(Ordering::Relaxed).to_le_bytes();
-            out.copy_from_slice(&bytes[at % 8..at % 8 + out.len()]);
-        }
-    }
-
-    /// Stores the fewer than eight bytes at `at`, all in one word, keeping
-    /// the word's other bytes (the line lock excludes other writers).
-    fn store_within_word(&self, at: usize, data: &[u8]) {
-        if !data.is_empty() {
-            let word = &self.data[at / 8];
-            let mut bytes = word.load(Ordering::Relaxed).to_le_bytes();
+        let words = &self.data[at / 8..];
+        if (at | data.len()).is_multiple_of(8) {
+            store_words(words, data);
+        } else {
+            let words = &words[..(at % 8 + data.len()).div_ceil(8)];
+            let mut bytes = [0u8; LINE_SIZE];
+            load_words(words, &mut bytes);
             bytes[at % 8..at % 8 + data.len()].copy_from_slice(data);
-            word.store(u64::from_le_bytes(bytes), Ordering::Relaxed);
+            store_words(words, &bytes);
         }
     }
 
@@ -208,9 +209,10 @@ impl Region {
     pub fn read_nt(&self, offset: usize, buf: &mut [u8]) {
         self.check(offset, buf.len()).expect("read_nt out of bounds");
         for (at, span) in line_spans(offset, buf.len()) {
+            let out = &mut buf[span];
             loop {
                 let ver = self.load_meta(Self::line_of(at));
-                if ver & LOCKED == 0 && self.load_span(at, &mut buf[span.clone()], ver) {
+                if ver & LOCKED == 0 && self.load_span(at, out, ver) {
                     break;
                 }
                 std::hint::spin_loop();
@@ -275,9 +277,11 @@ impl Region {
         self.check(offset, 8).expect("cas_u64_nt out of bounds");
         let line = Self::line_of(offset);
         let pre = self.lock_line(line);
-        let cur = self.data[offset / 8].load(Ordering::Relaxed);
+        let word = &self.data[offset / 8];
+        let cur = word.load(Ordering::Relaxed);
         if cur == expected {
-            self.store_span(offset, &new.to_le_bytes());
+            fence(Ordering::Release);
+            word.store(new, Ordering::Relaxed);
             self.unlock_line_bump(line, pre);
         } else {
             self.unlock_line_nobump(line, pre);
