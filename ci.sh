@@ -53,6 +53,14 @@
 # umbrella src/lib.rs) carries `#![forbid(unsafe_code)]`; then the gate's
 # self-test: a copy of a lib.rs under target/ without the attribute must
 # fail it
+# plus an entry-image gate (DESIGN.md §2, memstore's "one remote entry
+# accessor"): non-test code (crates/*/src, crates/*/benches, examples and
+# src, each file up to its first #[cfg(test)]) names ENTRY_HEADER_BYTES
+# and calls EntryHeader::decode in crates/memstore/src/entry.rs only, so
+# the image's layout and its value → version store order are written
+# once (split_ordered.rs is exempt until it is deleted); then the gate's
+# self-test: a scratch file under target/ with such a line above its
+# #[cfg(test)] must fail it, the same line below must pass
 # plus a `git grep` gate that keeps one-value settings constants (DESIGN.md
 # §4 "Virtual-time calibration"): none of the fourteen deleted config
 # fields, parameters and environment reads by name (`delta_us` in field
@@ -284,6 +292,37 @@ if forbid_unsafe_gate "$PROBE" 2>/dev/null; then
   echo "the no-unsafe gate passed a crate root without the attribute" >&2
   exit 1
 fi
+rm "$PROBE"
+
+echo "== one entry image: memstore::entry alone lays out and parses an entry's bytes =="
+# A header size or a header decode elsewhere is a second copy of the
+# image, free to drift from the one store order recovery relies on.
+# Prints each non-test line of the given files (a file is read up to its
+# first #[cfg(test)]) that does either, and fails if there is one.
+entry_image_gate() {
+  local hits
+  hits="$(awk 'FNR == 1 { live = 1 }
+    /#\[cfg\(test\)\]/ { live = 0 }
+    live && /ENTRY_HEADER_BYTES|EntryHeader::decode/ { print FILENAME ":" FNR ": " $0 }' \
+    "$@")" || return 2
+  [ -z "$hits" ] || { echo "$hits" >&2; return 1; }
+}
+mapfile -t NON_TEST_RS < <(git ls-files -co --exclude-standard -- \
+  'crates/*/src/*.rs' 'crates/*/benches/*.rs' 'examples/*.rs' 'src/*.rs' \
+  | grep -v '^crates/memstore/src/\(entry\|split_ordered\)\.rs$')
+entry_image_gate "${NON_TEST_RS[@]}" \
+  || { echo "an entry image laid out outside memstore::entry: use Entry::{image_len, parse, store_value, init_nt}" >&2; exit 1; }
+
+echo "== one entry image: the gate can fail =="
+PROBE=target/entry_image_gate_probe.rs
+printf 'fn f(b: &[u8]) {\n    EntryHeader::decode(b);\n}\n#[cfg(test)]\nmod tests {}\n' > "$PROBE"
+if entry_image_gate "$PROBE" 2>/dev/null; then
+  echo "the entry-image gate passed a header decode above #[cfg(test)]" >&2
+  exit 1
+fi
+printf '#[cfg(test)]\nmod tests {\n    fn f(b: &[u8]) {\n        EntryHeader::decode(b);\n    }\n}\n' > "$PROBE"
+entry_image_gate "$PROBE" \
+  || { echo "the entry-image gate failed a header decode below #[cfg(test)]" >&2; exit 1; }
 rm "$PROBE"
 
 echo "== one value, one constant: the deleted settings, verbs and escape hatches stay gone =="

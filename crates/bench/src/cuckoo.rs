@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 use drtm_htm::Region;
 use drtm_rdma::{GlobalAddr, NodeId, Qp};
 
-use drtm_memstore::{hash64, Arena, Entry, EntryHeader, FreeList, ENTRY_HEADER_BYTES};
+use drtm_memstore::{hash64, Arena, Entry, FreeList};
 
 /// A second independent hash for multi-hash schemes (Cuckoo).
 #[inline]
@@ -117,18 +117,7 @@ impl CuckooHash {
         assert!(value.len() <= self.desc.value_cap, "value exceeds table capacity");
         let _g = self.write_lock.lock();
         let Some(entry_off) = self.entries.alloc() else { return false };
-        let e = Entry::at(entry_off);
-        let h = EntryHeader {
-            state: 0,
-            incarnation: 1,
-            version: 0,
-            key,
-            value_len: value.len() as u32,
-        };
-        let mut hb = vec![0u8; ENTRY_HEADER_BYTES + value.len()];
-        hb[..ENTRY_HEADER_BYTES].copy_from_slice(&h.encode());
-        hb[ENTRY_HEADER_BYTES..].copy_from_slice(value);
-        region.write_nt(e.offset, &hb);
+        Entry::at(entry_off).init_nt(region, key, value);
 
         // Standard cuckoo displacement with a bounded kick chain.
         let mut cur_key = key;
@@ -181,14 +170,10 @@ impl CuckooHash {
                     continue;
                 }
                 if off != 0 && k == key {
-                    let mut eb = vec![0u8; ENTRY_HEADER_BYTES + self.desc.value_cap];
-                    qp.read(GlobalAddr::new(self.desc.node, off as usize), &mut eb);
-                    let h = EntryHeader::decode(&eb[..ENTRY_HEADER_BYTES]);
-                    let len = (h.value_len as usize).min(self.desc.value_cap);
-                    return (
-                        Some(eb[ENTRY_HEADER_BYTES..ENTRY_HEADER_BYTES + len].to_vec()),
-                        reads,
-                    );
+                    let mut image = vec![0u8; Entry::image_len(self.desc.value_cap)];
+                    qp.read(GlobalAddr::new(self.desc.node, off as usize), &mut image);
+                    let (_, value) = Entry::parse(&image);
+                    return (Some(image[value].to_vec()), reads);
                 }
                 break;
             }

@@ -21,7 +21,7 @@ use parking_lot::Mutex;
 use drtm_htm::Region;
 use drtm_rdma::{GlobalAddr, NodeId, Qp};
 
-use drtm_memstore::{hash64, Arena, Entry, EntryHeader, FreeList, ENTRY_HEADER_BYTES};
+use drtm_memstore::{hash64, Arena, Entry, FreeList};
 
 /// Neighbourhood size (slots scanned by one READ).
 pub const NEIGHBOURHOOD: usize = 8;
@@ -210,18 +210,7 @@ impl HopscotchHash {
             HopscotchVariant::Inline => 0,
             HopscotchVariant::Offset => {
                 let Some(eo) = self.entries.alloc() else { return false };
-                let e = Entry::at(eo);
-                let h = EntryHeader {
-                    state: 0,
-                    incarnation: 1,
-                    version: 0,
-                    key,
-                    value_len: value.len() as u32,
-                };
-                let mut buf = vec![0u8; ENTRY_HEADER_BYTES + value.len()];
-                buf[..ENTRY_HEADER_BYTES].copy_from_slice(&h.encode());
-                buf[ENTRY_HEADER_BYTES..].copy_from_slice(value);
-                region.write_nt(e.offset, &buf);
+                Entry::at(eo).init_nt(region, key, value);
                 eo as u64
             }
         };
@@ -261,14 +250,10 @@ impl HopscotchHash {
                 HopscotchVariant::Offset => {
                     let off =
                         u64::from_le_bytes(buf[at + 8..at + 16].try_into().expect("off")) as usize;
-                    let mut eb = vec![0u8; ENTRY_HEADER_BYTES + self.desc.value_cap];
-                    qp.read(GlobalAddr::new(self.desc.node, off), &mut eb);
-                    let h = EntryHeader::decode(&eb[..ENTRY_HEADER_BYTES]);
-                    let len = (h.value_len as usize).min(self.desc.value_cap);
-                    return (
-                        Some(eb[ENTRY_HEADER_BYTES..ENTRY_HEADER_BYTES + len].to_vec()),
-                        reads,
-                    );
+                    let mut image = vec![0u8; Entry::image_len(self.desc.value_cap)];
+                    qp.read(GlobalAddr::new(self.desc.node, off), &mut image);
+                    let (_, value) = Entry::parse(&image);
+                    return (Some(image[value].to_vec()), reads);
                 }
             }
         }

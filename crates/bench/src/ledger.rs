@@ -103,9 +103,10 @@ pub struct Ledger {
     rows: Vec<Row>,
 }
 
+/// The checkout cargo runs the harness in, not the one it was built in.
 fn repo_root() -> PathBuf {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    root.canonicalize().expect("the repository this crate was built in")
+    let dir = std::env::var_os("CARGO_MANIFEST_DIR").expect("CARGO_MANIFEST_DIR: run via cargo");
+    PathBuf::from(dir).join("../..").canonicalize().expect("the repository the harness runs in")
 }
 
 impl Ledger {

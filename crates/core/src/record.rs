@@ -9,7 +9,7 @@
 use std::ops::Range;
 
 use drtm_htm::{Abort, HtmTxn};
-use drtm_memstore::{Entry, EntryHeader, ENTRY_HEADER_BYTES};
+use drtm_memstore::{Entry, EntryHeader};
 use drtm_rdma::{FabricError, GlobalAddr, Qp};
 
 use crate::state::{LockState, INIT};
@@ -44,7 +44,7 @@ impl RecordAddr {
 
     /// Bytes of one full-entry fetch.
     pub(crate) fn fetch_len(&self) -> usize {
-        ENTRY_HEADER_BYTES + self.value_cap
+        Entry::image_len(self.value_cap)
     }
 }
 
@@ -156,24 +156,11 @@ pub(crate) fn held(at: &Result<Attempt, LockConflict>) -> Result<&Held, LockConf
     }
 }
 
-/// Posts the full-entry fetch of `rec` into the end of `out`.
-fn post_fetch(
-    qp: &Qp,
-    rec: &RecordAddr,
-    out: &mut Vec<u8>,
-) -> Result<(EntryHeader, Range<usize>), LockConflict> {
-    let at = out.len();
-    out.resize(at + rec.fetch_len(), 0);
-    qp.post_read(rec.addr, &mut out[at..]).map_err(conflict_of)?;
-    let h = EntryHeader::decode(&out[at..at + ENTRY_HEADER_BYTES]);
-    let value = at + ENTRY_HEADER_BYTES;
-    Ok((h, value..value + (h.value_len as usize).min(rec.value_cap)))
-}
-
 /// One step of Figure 5's lock loop: posts the CAS driving the state
 /// word from `expected` to the claim's and, chained behind it on the same
-/// queue pair, the fetch — speculatively: when the CAS loses, the fetched
-/// bytes are left unreferenced in `out` and never reach the transaction.
+/// queue pair, the full-entry fetch into the end of `out` —
+/// speculatively: when the CAS loses, the fetched bytes are left
+/// unreferenced in `out` and never reach the transaction.
 /// (A refused CAS leaves the queue pair in error: nothing is posted
 /// behind it.)
 fn post_attempt(
@@ -189,7 +176,9 @@ fn post_attempt(
     } else {
         qp.post_cas_u64(c.rec.addr, expected, c.desired.0).map_err(conflict_of)?
     };
-    let fetched = post_fetch(qp, &c.rec, out);
+    let at = out.len();
+    out.resize(at + c.rec.fetch_len(), 0);
+    let fetched = qp.post_read(c.rec.addr, &mut out[at..]).map_err(conflict_of);
     let st = LockState(old);
     // The lease end now covering the record (0 under a write lock: its
     // word carries no lease bits).
@@ -207,8 +196,9 @@ fn post_attempt(
     } else {
         return Ok(Attempt::Cas { expected: old });
     };
-    let (header, value) = fetched?;
-    Ok(Attempt::Held(Held { header, value, lease_end_us }))
+    fetched?;
+    let (header, value) = Entry::parse(&out[at..]);
+    Ok(Attempt::Held(Held { header, value: at + value.start..at + value.end, lease_end_us }))
 }
 
 /// Acquires every claim (Figure 5) in waves: posts each record's CAS and
@@ -304,23 +294,16 @@ fn post_store(
     }
 }
 
-/// Value bytes a write-back assembles on the stack; longer values take
-/// one heap buffer.
-const INLINE_VALUE: usize = 120;
-
 /// Posts `REMOTE_WRITE_BACK` (Figure 5): the committed update, then the
 /// release of the exclusive lock (INIT into the state word). Fails if the
 /// target dies between stores.
 ///
 /// One ordering for both store paths — **value, version, state** — kept
-/// for posted WRITEs by the queue pair's per-destination FIFO:
-///
-/// * the value lands *before* the version, so an interrupted write-back
-///   is always redone by recovery's at-most-once check (a bumped version
-///   with a stale value would be *skipped*, leaving the record torn
-///   forever);
-/// * the state word goes last, so no reader can observe the new state
-///   with the old value: the record stays write-locked throughout.
+/// for posted WRITEs by the queue pair's per-destination FIFO: the value
+/// before the version is [`Entry::store_value`]'s rule (an interrupted
+/// write-back is always redone by recovery); the state word goes last,
+/// so no reader can observe the new state with the old value: the record
+/// stays write-locked throughout.
 pub(crate) fn post_write_back(
     qp: &Qp,
     rec: &RecordAddr,
@@ -329,18 +312,8 @@ pub(crate) fn post_write_back(
     local: bool,
 ) -> Result<(), FabricError> {
     debug_assert!(value.len() <= rec.value_cap, "value exceeds table capacity");
-    // Length, padding and value are contiguous: one store covers them.
-    let (mut inline, mut spilled) = ([0u8; 8 + INLINE_VALUE], Vec::new());
-    let buf = if value.len() <= INLINE_VALUE {
-        &mut inline[..8 + value.len()]
-    } else {
-        spilled.resize(8 + value.len(), 0);
-        &mut spilled[..]
-    };
-    buf[..4].copy_from_slice(&(value.len() as u32).to_le_bytes());
-    buf[8..].copy_from_slice(value);
-    post_store(qp, rec, rec.entry().len_off(), buf, local)?;
-    post_store(qp, rec, rec.entry().version_off(), &new_version.to_le_bytes(), local)?;
+    let store = |off, bytes: &[u8]| post_store(qp, rec, off, bytes, local);
+    rec.entry().store_value(new_version, value, store)?;
     post_unlock(qp, rec, local)
 }
 
@@ -473,6 +446,12 @@ mod tests {
     const DELTA: u64 = 10;
 
     fn setup() -> (Arc<Cluster>, ClusterHash, RecordAddr) {
+        setup_with(32)
+    }
+
+    /// Two machines; key 1 lives on machine 0 in a table of `value_cap`
+    /// value bytes and is resolved from machine 1.
+    fn setup_with(value_cap: usize) -> (Arc<Cluster>, ClusterHash, RecordAddr) {
         let cluster = Cluster::new(ClusterConfig {
             nodes: 2,
             region_size: 4 << 20,
@@ -480,7 +459,7 @@ mod tests {
             ..Default::default()
         });
         let mut arena = Arena::new(64, (4 << 20) - 64);
-        let table = ClusterHash::create(&mut arena, 0, 16, 100, 32);
+        let table = ClusterHash::create(&mut arena, 0, 16, 100, value_cap);
         let exec =
             drtm_htm::Executor::new(HtmConfig::default(), Arc::new(drtm_htm::HtmStats::new()));
         table.insert(&exec, cluster.node(0).region(), 1, b"v0").unwrap();
@@ -489,7 +468,7 @@ mod tests {
             drtm_memstore::LookupResult::Found { addr, .. } => addr,
             _ => panic!("populated"),
         };
-        let rec = RecordAddr::new(addr, 32);
+        let rec = RecordAddr::new(addr, value_cap);
         (cluster, table, rec)
     }
 
@@ -586,6 +565,35 @@ mod tests {
         let nic = image(false);
         assert_eq!(LockState(u64::from_le_bytes(nic[..8].try_into().unwrap())).0, INIT);
         assert_eq!(image(true), nic);
+    }
+
+    #[test]
+    fn kv_write_and_txn_write_back_leave_identical_entries() {
+        // The KV write (`remote_write_value`, then the unlock) and the
+        // transaction write-back store through one `Entry::store_value`:
+        // the same version and value leave the same bytes, for a value
+        // inside its stack buffer and one past it.
+        for value in [vec![7u8; 10], vec![9u8; 200]] {
+            let image = |kv: bool| {
+                let (cluster, table, rec) = setup_with(256);
+                let qp = cluster.qp(1);
+                let version =
+                    remote_lock_write(&qp, &rec, 3, 1000, DELTA, false).unwrap().header.version + 1;
+                if kv {
+                    table.remote_write_value(&qp, rec.addr, version, &value);
+                    remote_unlock(&qp, &rec, false).unwrap();
+                } else {
+                    remote_write_back(&qp, &rec, version, &value, false).unwrap();
+                }
+                let mut bytes = vec![0u8; rec.fetch_len()];
+                cluster.node(0).region().read_nt(rec.addr.offset, &mut bytes);
+                bytes
+            };
+            let kv = image(true);
+            assert_eq!(image(false), kv, "{} value bytes", value.len());
+            let (h, span) = Entry::parse(&kv);
+            assert_eq!((h.state, h.version, &kv[span]), (INIT, 1, &value[..]));
+        }
     }
 
     #[test]

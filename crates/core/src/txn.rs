@@ -861,15 +861,17 @@ impl Pipeline<'_> {
     /// it overflows).
     fn find_keyed(&self, env: Env<'_>, slots: &mut [Slot]) {
         let spec = env.spec;
-        let found: Result<Vec<Option<RecordAddr>>, Abort> =
-            env.sys.exec.run_steps(env.region, |steps| {
-                let keys = slots.iter().filter_map(|s| s.key(spec));
-                keys.map(|k| steps.step(|txn| k.find(txn))).collect()
-            });
-        let found = found.expect("a bucket chain fits a region of its own");
-        for (slot, rec) in slots.iter_mut().filter(|s| s.key(spec).is_some()).zip(found) {
-            slot.rec = Some(rec);
-        }
+        // A rerun writes every keyed slot again, so only validated
+        // results remain once the batch returns.
+        let found = env.sys.exec.run_steps(env.region, |steps| {
+            for slot in slots.iter_mut() {
+                if let Some(k) = slot.key(spec) {
+                    slot.rec = Some(steps.step(|txn| k.find(txn))?);
+                }
+            }
+            Ok(())
+        });
+        found.expect("a bucket chain fits a region of its own");
         // Only here are a keyed record and an address-declared one, or a
         // keyed read and a keyed write, known to be the same record; the
         // HTM strategy tolerates that, this one would wait on itself.

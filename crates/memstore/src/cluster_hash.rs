@@ -23,7 +23,7 @@ use drtm_htm::{Abort, Executor, HtmTxn, Region, LINE_SIZE};
 use drtm_rdma::{FabricError, GlobalAddr, NodeId, Qp};
 
 use crate::alloc::{Arena, FreeList, ABORT_POOL_FULL};
-use crate::entry::{Entry, EntryHeader, ENTRY_HEADER_BYTES};
+use crate::entry::{Entry, EntryHeader};
 use crate::slot::{Slot, SlotType, SLOT_BYTES};
 use crate::words::{self, read_words, write_words};
 use crate::{hash64, ASSOC};
@@ -538,7 +538,7 @@ impl ClusterHash {
     ) -> Result<Vec<CollectedEntry>, E> {
         let mut rows = Vec::new();
         let (mut bucket, mut img) = ([0u8; BUCKET_BYTES], [0; ASSOC * 2]);
-        let mut entry = vec![0u8; ENTRY_HEADER_BYTES + self.desc.value_cap];
+        let mut image = vec![0u8; Entry::image_len(self.desc.value_cap)];
         for i in 0..self.desc.main_buckets {
             let mut off = self.desc.main_bucket_off(i);
             loop {
@@ -548,14 +548,14 @@ impl ClusterHash {
                     if slot.typ != SlotType::Entry || !(lo..=hi).contains(&slot.key) {
                         continue;
                     }
-                    read(slot.offset as usize, &mut entry)?;
-                    if let Some((h, value)) = Entry::checked(&entry, &slot) {
-                        let entry_off = slot.offset as usize;
+                    read(slot.offset as usize, &mut image)?;
+                    let (h, value) = Entry::parse(&image);
+                    if slot.incarnation_matches(h.incarnation) {
                         rows.push(CollectedEntry {
                             key: h.key,
                             version: h.version,
-                            value,
-                            entry_off,
+                            value: image[value].to_vec(),
+                            entry_off: slot.offset as usize,
                         });
                     }
                 }
@@ -885,7 +885,7 @@ mod tests {
         assert!(remote.iter().all(|e| e.value == (e.key * 10).to_le_bytes()));
         // Six buckets (seven entries and a link each, five in the last)
         // and the ten entries in range.
-        assert_eq!(bytes, 6 * BUCKET_BYTES as u64 + 10 * (ENTRY_HEADER_BYTES + 64) as u64);
+        assert_eq!(bytes, 6 * BUCKET_BYTES as u64 + 10 * Entry::image_len(64) as u64);
         cluster.faults().kill(0);
         assert_eq!(
             table.try_remote_collect_range(&qp, 10, 19),

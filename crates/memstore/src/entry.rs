@@ -17,6 +17,13 @@
 //! HTM-tracked cache line covers both ("no false sharing between them;
 //! they will always be accessed together", §4.3), and so a single RDMA
 //! READ fetches state + metadata + value.
+//!
+//! Outside an HTM region only this module lays out, parses and stores
+//! that image: [`Entry::image_len`], [`Entry::parse`],
+//! [`Entry::store_value`] and [`Entry::init_nt`].
+
+use std::convert::Infallible;
+use std::ops::Range;
 
 use drtm_htm::{Abort, HtmTxn, Region};
 use drtm_rdma::{FabricError, GlobalAddr, Qp};
@@ -24,7 +31,22 @@ use drtm_rdma::{FabricError, GlobalAddr, Qp};
 use crate::slot::Slot;
 
 /// Byte size of the fixed entry header that precedes the value.
-pub const ENTRY_HEADER_BYTES: usize = 32;
+pub(crate) const ENTRY_HEADER_BYTES: usize = 32;
+
+/// Value bytes a store assembles on the stack; longer values take one
+/// heap buffer.
+const INLINE_VALUE: usize = 120;
+
+/// Calls `f` with `head` and `value` laid end to end, as one store.
+fn joined<R>(head: &[u8], value: &[u8], f: impl FnOnce(&[u8]) -> R) -> R {
+    if value.len() > INLINE_VALUE {
+        return f(&[head, value].concat());
+    }
+    let mut buf = [0u8; ENTRY_HEADER_BYTES + INLINE_VALUE];
+    buf[..head.len()].copy_from_slice(head);
+    buf[head.len()..][..value.len()].copy_from_slice(value);
+    f(&buf[..head.len() + value.len()])
+}
 
 /// Decoded fixed-size entry header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -107,7 +129,52 @@ impl Entry {
     /// Total entry footprint for a table with `value_cap` value bytes,
     /// rounded to 8 bytes.
     pub fn footprint(value_cap: usize) -> usize {
-        (ENTRY_HEADER_BYTES + value_cap).next_multiple_of(8)
+        Entry::image_len(value_cap).next_multiple_of(8)
+    }
+
+    /// Bytes of an entry's image for a table with `value_cap` value
+    /// bytes: the header, then the value capacity — what one READ of the
+    /// whole entry fetches.
+    pub fn image_len(value_cap: usize) -> usize {
+        ENTRY_HEADER_BYTES + value_cap
+    }
+
+    /// The header of an entry image (as READ, at least the header long)
+    /// and the span of its value bytes in it, `value_len` clamped to the
+    /// image.
+    pub fn parse(image: &[u8]) -> (EntryHeader, Range<usize>) {
+        let h = EntryHeader::decode(&image[..ENTRY_HEADER_BYTES]);
+        let len = (h.value_len as usize).min(image.len() - ENTRY_HEADER_BYTES);
+        (h, ENTRY_HEADER_BYTES..ENTRY_HEADER_BYTES + len)
+    }
+
+    /// Stores `value`, then `version`, into this entry through the
+    /// caller's `store(offset, bytes)`: length, padding and value as one
+    /// store, then the version alone, sparing the incarnation beside it.
+    /// The caller holds the exclusive lock and checks the capacity.
+    ///
+    /// Value before version is the one store order of every write-back:
+    /// an interrupted one never shows a new version over old bytes, so
+    /// recovery's at-most-once check redoes it (a bumped version over a
+    /// stale value would be *skipped*, leaving the record torn forever).
+    pub fn store_value<E>(
+        &self,
+        version: u32,
+        value: &[u8],
+        mut store: impl FnMut(usize, &[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let len_and_pad = u64::from(value.len() as u32).to_le_bytes();
+        joined(&len_and_pad, value, |buf| store(self.len_off(), buf))?;
+        store(self.version_off(), &version.to_le_bytes())
+    }
+
+    /// Lays a fresh entry for `key` down at this offset in one store:
+    /// unlocked, incarnation 1, version 0, then `value` (the host-side
+    /// insert of the Figure 10 baselines).
+    pub fn init_nt(&self, region: &Region, key: u64, value: &[u8]) {
+        let value_len = value.len() as u32;
+        let h = EntryHeader { state: 0, incarnation: 1, version: 0, key, value_len };
+        joined(&h.encode(), value, |image| region.write_nt(self.offset, image));
     }
 
     /// Transactionally reads the header.
@@ -155,36 +222,28 @@ impl Entry {
     /// deleted or recycled since the location was obtained) — the caller
     /// treats this as a cache miss and retries the lookup. A crashed or
     /// retired owner is the fabric's typed error.
+    ///
+    /// The READ is consistent per cache line only, as a NIC's DMA read
+    /// is, and only the incarnation is checked: a value longer than one
+    /// line, read while [`Entry::remote_write_value`] stores it, can come
+    /// back torn. No caller does that today (the KV harnesses only read,
+    /// and the elastic transfer's values are 8 bytes).
     pub fn remote_read(
         qp: &Qp,
         addr: GlobalAddr,
         value_cap: usize,
         expect_slot: &Slot,
     ) -> Result<Option<(EntryHeader, Vec<u8>)>, FabricError> {
-        let mut buf = vec![0u8; ENTRY_HEADER_BYTES + value_cap];
-        qp.try_read(addr, &mut buf)?;
-        Ok(Entry::checked(&buf, expect_slot))
-    }
-
-    /// The header and value in `image` (an entry's header followed by its
-    /// value capacity, as READ) if its incarnation still matches `slot`.
-    pub(crate) fn checked(image: &[u8], slot: &Slot) -> Option<(EntryHeader, Vec<u8>)> {
-        let h = EntryHeader::decode(&image[..ENTRY_HEADER_BYTES]);
-        if !slot.incarnation_matches(h.incarnation) {
-            return None;
-        }
-        let len = (h.value_len as usize).min(image.len() - ENTRY_HEADER_BYTES);
-        Some((h, image[ENTRY_HEADER_BYTES..ENTRY_HEADER_BYTES + len].to_vec()))
+        let mut image = vec![0u8; Entry::image_len(value_cap)];
+        qp.try_read(addr, &mut image)?;
+        let (h, value) = Entry::parse(&image);
+        Ok(expect_slot.incarnation_matches(h.incarnation).then(|| (h, image[value].to_vec())))
     }
 
     /// Remote overwrite of the value and version of the entry at `addr`
-    /// with two one-sided WRITEs; the caller holds the entry's exclusive
-    /// lock and supplies the new version.
-    ///
-    /// Length, padding and value are contiguous and go first; the
-    /// version (written alone, sparing the adjacent incarnation) goes
-    /// last, as in the transaction layer's write-back: an interrupted
-    /// update must never show a new version over old bytes.
+    /// with two synchronous one-sided WRITEs, in [`Entry::store_value`]'s
+    /// order; the caller holds the entry's exclusive lock and supplies
+    /// the new version.
     pub fn remote_write_value(
         qp: &Qp,
         addr: GlobalAddr,
@@ -193,13 +252,10 @@ impl Entry {
         value: &[u8],
     ) {
         assert!(value.len() <= value_cap, "value exceeds table capacity");
-        let mut buf = Vec::with_capacity(8 + value.len());
-        buf.extend_from_slice(&(value.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&[0u8; 4]);
-        buf.extend_from_slice(value);
-        let entry = Entry::at(addr.offset);
-        qp.write(GlobalAddr::new(addr.node, entry.len_off()), &buf);
-        qp.write(GlobalAddr::new(addr.node, entry.version_off()), &version.to_le_bytes());
+        let Ok(()) = Entry::at(addr.offset).store_value(version, value, |off, bytes| {
+            qp.write(GlobalAddr::new(addr.node, off), bytes);
+            Ok::<(), Infallible>(())
+        });
     }
 }
 
@@ -225,6 +281,26 @@ mod tests {
         assert_eq!(Entry::footprint(0), 32);
         assert_eq!(Entry::footprint(1), 40);
         assert_eq!(Entry::footprint(64), 96);
+    }
+
+    #[test]
+    fn parse_clamps_the_value_to_the_image() {
+        let h = EntryHeader { key: 3, value_len: 1000, ..Default::default() };
+        let mut image = vec![0u8; Entry::image_len(16)];
+        image[..ENTRY_HEADER_BYTES].copy_from_slice(&h.encode());
+        assert_eq!(Entry::parse(&image), (h, ENTRY_HEADER_BYTES..image.len()));
+    }
+
+    #[test]
+    fn init_nt_lays_a_fresh_unlocked_entry() {
+        let r = Region::new(4096);
+        let e = Entry::at(64);
+        e.init_nt(&r, 5, b"abc");
+        let mut image = vec![0u8; Entry::image_len(8)];
+        r.read_nt(e.offset, &mut image);
+        let (h, value) = Entry::parse(&image);
+        let fresh = EntryHeader { state: 0, incarnation: 1, version: 0, key: 5, value_len: 3 };
+        assert_eq!((h, &image[value]), (fresh, &b"abc"[..]));
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use cluster_hash::{
     ClusterHash, ClusterHashDesc, CollectedEntry, InsertError, LookupResult, PreparedInsert,
     BUCKET_BYTES,
 };
-pub use entry::{Entry, EntryHeader, ENTRY_HEADER_BYTES};
+pub use entry::{Entry, EntryHeader};
 pub use journal::Journal;
 pub use reshard::{
     MigratePhase, MigrationReport, PurgeLock, RangeMap, RangeMapError, RangeState, Resharder,

@@ -56,9 +56,9 @@ use drtm_rdma::{Cluster, FabricError, GlobalAddr, NodeId, Qp, QueueId};
 
 use crate::alloc::Arena;
 use crate::cluster_hash::ClusterHash;
+use crate::entry::Entry;
 use crate::journal::{put_u16, put_u64, Journal, Reader};
 use crate::rpc::{ship_store_op, StoreOp, StoreReply};
-use crate::ENTRY_HEADER_BYTES;
 
 /// Crash site inside the bulk-copy loop (armed on the *destination*,
 /// which drives the migration); the core crate's
@@ -668,11 +668,10 @@ impl Resharder {
             }
             // Re-read under the lock: a write may have landed since the
             // bulk copy (the source was writable through phase 1).
-            let value_cap = src_shard.desc().value_cap;
-            let mut buf = vec![0u8; ENTRY_HEADER_BYTES + value_cap];
-            qp.try_read(state_addr, &mut buf)?;
-            bytes += buf.len() as u64;
-            let h = crate::EntryHeader::decode(&buf[..ENTRY_HEADER_BYTES]);
+            let mut image = vec![0u8; Entry::image_len(src_shard.desc().value_cap)];
+            qp.try_read(state_addr, &mut image)?;
+            bytes += image.len() as u64;
+            let (h, value) = Entry::parse(&image);
             if h.key != e.key {
                 // The entry vanished (an in-flight writer's delete
                 // committed between the delta walk and our lock) and the
@@ -686,15 +685,8 @@ impl Resharder {
             if on_dst.get(&h.key).copied() != Some(h.version) {
                 // The destination's copy is stale or missing: the key
                 // was inserted or updated after the bulk collect.
-                let len = (h.value_len as usize).min(value_cap);
                 dst_shard
-                    .upsert(
-                        &self.exec,
-                        dst_region,
-                        h.key,
-                        &buf[ENTRY_HEADER_BYTES..ENTRY_HEADER_BYTES + len],
-                        h.version,
-                    )
+                    .upsert(&self.exec, dst_region, h.key, &image[value], h.version)
                     .expect("destination shard out of space mid-migration");
                 recopied += 1;
             }

@@ -1,7 +1,8 @@
 //! The simulated cluster: nodes, registered memory, queue pairs.
 
+use std::cell::{RefCell, RefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use drtm_htm::{vtime, Region};
 
@@ -235,7 +236,7 @@ impl Cluster {
     pub fn qp(self: &Arc<Self>, from: NodeId) -> Qp {
         // Doorbell slots cover the full capacity so a QP created before
         // a join can address nodes provisioned after it.
-        let nic = Mutex::new(Nic::new(self.nodes.len()));
+        let nic = RefCell::new(Nic::new(self.nodes.len()));
         Qp { cluster: Arc::clone(self), from, nic }
     }
 }
@@ -268,12 +269,13 @@ impl Cluster {
 /// latency, the rest only the pipeline fraction of it. A plain wait
 /// leaves doorbells open — a run of synchronous verbs keeps amortising —
 /// until [`Qp::doorbell_flush`], the wait the transaction layer issues
-/// at every transaction boundary.
+/// at every transaction boundary. The NIC state is a `RefCell`: a queue
+/// pair is `Send` but not `Sync`, owned by one lane at a time.
 #[derive(Debug)]
 pub struct Qp {
     cluster: Arc<Cluster>,
     from: NodeId,
-    nic: Mutex<Nic>,
+    nic: RefCell<Nic>,
 }
 
 impl Clone for Qp {
@@ -305,8 +307,8 @@ impl Qp {
         self.from
     }
 
-    fn nic(&self) -> MutexGuard<'_, Nic> {
-        self.nic.lock().expect("QP state poisoned")
+    fn nic(&self) -> RefMut<'_, Nic> {
+        self.nic.borrow_mut()
     }
 
     /// Advances the calling thread's virtual time to the wave's latest

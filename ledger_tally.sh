@@ -10,7 +10,9 @@
 # counts — `cargo bench -p drtm-bench --bench <harness>` with DRTM_SCALE
 # unset, as ci.sh's ledger stage does — and keeps run r's
 # target/ledger/BENCH_<harness>.json as target/ledger_tally/<harness>.<r>
-# (emptied first). Then prints, for each row of ledger/: the committed
+# (emptied first). Each run's file is deleted before the harness runs, so
+# a harness that writes none fails the tally instead of counting the
+# file a previous run left. Then prints, for each row of ledger/: the committed
 # value, the band, the min / median / max of the runs, the median's
 # offset from the committed value in % and, for a gated row, as a share
 # of the band (1.00 = on the band's edge) and how many runs fell outside
@@ -18,8 +20,9 @@
 # at least one row outside its band, per harness and over all of them:
 # a ledger stage over these harnesses would have failed in that many.
 #
-# Leaves target/ledger/ holding the last run. Exits non-zero if a
-# harness does; a row outside its band is reported, not an error.
+# Leaves target/ledger/ holding the last run. Exits non-zero, naming the
+# harness, if a harness fails or writes no ledger file; a row outside its
+# band is reported, not an error.
 # bash + awk only.
 set -euo pipefail
 if [ $# -lt 1 ] || ! [[ "$1" =~ ^[1-9][0-9]*$ ]]; then
@@ -44,7 +47,10 @@ cd "$here"
 for ((r = 1; r <= runs; r++)); do
     for h in $harnesses; do
         echo "run $r/$runs: $h" >&2
+        rm -f "target/ledger/BENCH_$h.json"
         env -u DRTM_SCALE cargo bench -q -p drtm-bench --bench "$h" > /dev/null
+        [ -f "target/ledger/BENCH_$h.json" ] \
+            || { echo "ledger_tally.sh: $h wrote no target/ledger/BENCH_$h.json" >&2; exit 1; }
         cp "target/ledger/BENCH_$h.json" "$kept/$h.$r"
     done
 done
