@@ -19,14 +19,19 @@
 # outcomes counted in htm/src/{exec,stats}.rs and core/src/txn.rs only,
 # service threads spawned in rdma/src/rpc.rs and htm/src/clock.rs only,
 # and none of the deleted request/reply twins by name
-# plus a `git grep` gate that keeps TPC-C's local rows declared by key
-# (DESIGN.md §2 "Commit pipeline", "Local records by key"): tpcc/txns.rs has no per-record
-# stand-alone read (`read_fields`) and resolves no address but a remote
-# row's, in one helper — `try_resolve(` once, `.resolve(` nowhere;
-# smallbank.rs and micro.rs likewise push to no `local_writes` /
-# `local_reads`, lease no local record (`try_read_only_records`) and
-# resolve an address in one remote-only helper each. The behavioural
-# gate, regions per transaction type, is a tier-1 test per workload.
+# plus a `git grep` gate that keeps one placement rule for a workload's
+# records (DESIGN.md §2 "Commit pipeline", "Local records by key"):
+# resolve.rs's `declare` (`Table::{declare_read, declare_write}`) alone
+# declares a record — by key on this machine, by address on another —
+# so no other workload file calls a `TxnSpec` declaring method or pushes
+# onto a declared list; tpcc/txns.rs, smallbank.rs and micro.rs call no
+# `resolve(` / `try_resolve(` and tpcc/txns.rs no per-record stand-alone
+# read (`read_fields`); no workload body reads or writes by list index
+# (`remote_read(`, `remote_write_cur(`, `remote_write(`: it uses the
+# handle's `get` / `put`), and the deleted per-workload slot copies stay
+# gone by name; smallbank.rs and micro.rs lease no local record
+# (`try_read_only_records`). The behavioural gate, regions per
+# transaction type, is a tier-1 test per workload.
 # plus a `git grep` gate that keeps one slot table per transaction
 # (DESIGN.md §2 "Commit pipeline"): no local read declared by address
 # (`local_reads`, `TxnCtx::local_read`; Figure 6's `record::local_read`
@@ -95,7 +100,9 @@
 # them fails here too. Its numbers are stamped not comparable and
 # nothing reads them. `ab.sh`, the paired A/B runner for host-time
 # claims, and `prof.sh`, the sampling profiler, are only syntax-checked
-# (`bash -n`).
+# (`bash -n`); `ledger_tally.sh` also runs once against a planted stale
+# ledger file with a no-op `cargo` first on PATH, and must fail naming
+# the harness.
 # plus the figure ledger (EXPERIMENTS.md "Machine-readable baselines"):
 # a gate that every `[[bench]]` of crates/bench/Cargo.toml has a committed
 # ledger/BENCH_<name>.json and every such file a `[[bench]]`, with its
@@ -181,26 +188,39 @@ if git grep -n --untracked 'try_remote_scan\|StoreServiceGuard\|ScanServiceGuard
   exit 1
 fi
 
-echo "== by key: no workload resolves a local row to an address =="
+echo "== by key: one rule places a workload's record, and bodies use its handle =="
 # A `resolve` back in a transaction is a stand-alone region per key
-# again: 36 regions per operation where the mix needs 3.
-TXNS=crates/workloads/src/tpcc/txns.rs
-if git grep -n --untracked 'read_fields\|\.resolve(' -- "$TXNS"; then
-  echo "tpcc/txns.rs reads or resolves a local row outside a region: declare it by key" >&2
+# again (36 regions per operation where the mix needs 3); a second place
+# that picks key or address, or a body that reads by list index, is a
+# workload's own copy of the slot table again.
+WL=crates/workloads/src
+if git grep -n --untracked 'read_fields\|resolve(' \
+  -- "$WL/tpcc/txns.rs" "$WL/smallbank.rs" "$WL/micro.rs"; then
+  echo "a workload reads or resolves a row itself: declare it with Table::declare_{read,write}" >&2
   exit 1
 fi
-[ "$(git grep -c --untracked 'try_resolve(' -- "$TXNS" | cut -d: -f2)" = 1 ] \
-  || { echo "$TXNS must call try_resolve once: in the remote-row helper" >&2; exit 1; }
-
-for f in crates/workloads/src/smallbank.rs crates/workloads/src/micro.rs; do
+if git grep -n --untracked -E \
+  -e '\b(read_key|write_key|read_at|write_at)\(' -e '(keyed|remote|local)_(reads|writes)(\.push|: vec!)' \
+  -- "$WL" | grep -v "^$WL/resolve\.rs:"; then
+  echo "a record declared outside resolve.rs's declare: the placement rule is written once" >&2
+  exit 1
+fi
+if git grep -n --untracked -e 'remote_read(' -e 'remote_write_cur(' -e 'remote_write(' -- "$WL"; then
+  echo "a workload reads or writes a record by list index: use TxnCtx::{get, put} on its Decl" >&2
+  exit 1
+fi
+if git grep -n -w --untracked -e StockRef -e WriteSlot -e keyed_write_cur -e keyed_read \
+  -e keyed_write -- crates tests examples src; then
+  echo "a deleted per-kind accessor or per-workload slot copy is back: use Decl, get and put" >&2
+  exit 1
+fi
+for f in "$WL/smallbank.rs" "$WL/micro.rs"; do
   # Neither takes a lease on a local record: `balance` is two keyed reads
   # in one region, where 2 ms leases on hot accounts cost a factor of ten.
-  if git grep -n --untracked 'local_writes\|local_reads\|try_read_only_records' -- "$f"; then
-    echo "$f declares a local record by address or leases it: declare it by key" >&2
+  if git grep -n --untracked 'try_read_only_records' -- "$f"; then
+    echo "$f leases a record: declare a local one by key" >&2
     exit 1
   fi
-  [ "$(git grep -c --untracked 'try_resolve(\|\.resolve(' -- "$f" | cut -d: -f2)" = 1 ] \
-    || { echo "$f must resolve an address once: in the remote-record helper" >&2; exit 1; }
 done
 
 echo "== one slot table: every declared record of a transaction in one place =="
@@ -210,7 +230,7 @@ echo "== one slot table: every declared record of a transaction in one place =="
 if git grep -n -w --untracked -e local_reads -e local_read -- crates tests examples src \
   | grep -v -e '^crates/core/src/record\.rs:' -e '^crates/core/src/lib\.rs:[0-9]*: *local_read, ' \
     -e 'record::local_read(' -e 'ops::local_read('; then
-  echo "a local record read by address is back: declare it by key (TxnSpec::keyed_reads)" >&2
+  echo "a local record read by address is back: declare it by key (TxnSpec::read_key)" >&2
   exit 1
 fi
 if git grep -n --untracked -E -e 'enum List\b' -e 'struct LockSet\b' -e 'enum Found\b' \
@@ -418,6 +438,26 @@ echo "== tooling: ab.sh, ledger_tally.sh and prof.sh parse =="
 bash -n ab.sh
 bash -n ledger_tally.sh
 bash -n prof.sh
+
+echo "== tooling: ledger_tally.sh fails on a harness that writes no ledger =="
+# A stale target/ledger/BENCH_<h>.json left by an earlier run must not be
+# tallied as this run's. With a `cargo` that runs nothing first on PATH,
+# the tally of a made-up harness whose stale file is planted must exit
+# non-zero and name the harness.
+PROBE=ledger_tally_probe
+FAKE_BIN=target/ledger_tally_probe_bin
+mkdir -p "$FAKE_BIN" target/ledger
+printf '#!/bin/sh\nexit 0\n' > "$FAKE_BIN/cargo"
+chmod +x "$FAKE_BIN/cargo"
+echo '{"figure": "probe", "point": "stale", "measured": 1, "band": null}' \
+  > "target/ledger/BENCH_$PROBE.json"
+if TALLY="$(PATH="$PWD/$FAKE_BIN:$PATH" ./ledger_tally.sh 1 "$PROBE" 2>&1)"; then
+  echo "ledger_tally.sh tallied a stale ledger file its run did not write" >&2
+  exit 1
+fi
+grep -q "$PROBE" <<<"$TALLY" \
+  || { echo "ledger_tally.sh failed without naming the harness:" >&2; echo "$TALLY" >&2; exit 1; }
+rm -rf "$FAKE_BIN" "target/ledger/BENCH_$PROBE.json"
 
 echo "== figure ledger: one committed ledger per harness, one harness per ledger =="
 # A harness without a committed ledger reports numbers nothing checks; a

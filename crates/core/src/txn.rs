@@ -19,7 +19,7 @@
 //! visible and no lock is released before the log that can redo it is
 //! durable.
 
-use std::ops::{Deref, Range};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -156,7 +156,7 @@ impl Slot {
 }
 
 /// The declared lists of a [`TxnSpec`], in slot-table order.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
     LocalWrite,
     KeyedWrite,
@@ -354,21 +354,57 @@ impl LocalKey<'_> {
 /// (DESIGN.md "Local records by key"). A local record is declared once:
 /// not in two write slots, not as a read and a write, not by key and by
 /// address — ordered 2PL would wait on its own lock (debug builds assert
-/// it).
+/// it). Each declaring method returns the [`Decl`] the body reads and
+/// writes the record through, wherever it lives.
 #[derive(Debug, Clone, Default)]
 pub struct TxnSpec<'a> {
     /// Local records written, by address (must live on the executing
     /// machine).
     pub local_writes: Vec<RecordAddr>,
-    /// Remote records read (leased).
+    /// Remote records read (leased): [`TxnSpec::read_at`].
     pub remote_reads: Vec<RecordAddr>,
-    /// Remote records written (exclusively locked).
+    /// Remote records written (exclusively locked): [`TxnSpec::write_at`].
     pub remote_writes: Vec<RecordAddr>,
-    /// Local records read, by key ([`TxnCtx::keyed_read`]).
+    /// Local records read, by key: [`TxnSpec::read_key`].
     pub keyed_reads: Vec<LocalKey<'a>>,
-    /// Local records written, by key ([`TxnCtx::keyed_write_cur`],
-    /// [`TxnCtx::keyed_write`]).
+    /// Local records written, by key: [`TxnSpec::write_key`].
     pub keyed_writes: Vec<LocalKey<'a>>,
+}
+
+/// One declared record of a [`TxnSpec`], as the body names it to
+/// [`TxnCtx::get`] and [`TxnCtx::put`]: its list and its index there.
+#[derive(Debug, Clone, Copy)]
+pub struct Decl {
+    kind: Kind,
+    i: usize,
+}
+
+impl<'a> TxnSpec<'a> {
+    /// Declares a local record read, by key.
+    pub fn read_key(&mut self, key: LocalKey<'a>) -> Decl {
+        Decl { kind: Kind::KeyedRead, i: push(&mut self.keyed_reads, key) }
+    }
+
+    /// Declares a local record written, by key.
+    pub fn write_key(&mut self, key: LocalKey<'a>) -> Decl {
+        Decl { kind: Kind::KeyedWrite, i: push(&mut self.keyed_writes, key) }
+    }
+
+    /// Declares a remote record read, by address: Start leases it.
+    pub fn read_at(&mut self, rec: RecordAddr) -> Decl {
+        Decl { kind: Kind::RemoteRead, i: push(&mut self.remote_reads, rec) }
+    }
+
+    /// Declares a remote record written, by address: Start locks it.
+    pub fn write_at(&mut self, rec: RecordAddr) -> Decl {
+        Decl { kind: Kind::RemoteWrite, i: push(&mut self.remote_writes, rec) }
+    }
+}
+
+/// Appends `item` to `list`; returns its index.
+fn push<T>(list: &mut Vec<T>, item: T) -> usize {
+    list.push(item);
+    list.len() - 1
 }
 
 /// Whether no two of `items` are equal: pairwise, as declared sets are
@@ -1350,24 +1386,6 @@ fn undo_allocs(allocs: &mut Allocs) {
     }
 }
 
-/// A record value handed out by copy ([`TxnCtx::keyed_write_cur`]),
-/// inline up to 64 bytes: unlike a borrowed slice, a body may hold it
-/// across its next write.
-#[derive(Debug, Clone)]
-pub struct Value {
-    len: usize,
-    inline: [u8; 64],
-    spilled: Vec<u8>,
-}
-
-impl Deref for Value {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        self.inline.get(..self.len).unwrap_or(&self.spilled)
-    }
-}
-
 /// The handle a transaction body uses to access records and ordered
 /// stores, independent of the strategy that isolates it. The values it
 /// hands out borrow it: they live in the worker's arena, valid until
@@ -1396,6 +1414,57 @@ impl<'r> TxnCtx<'r> {
         lists(self.env.spec)[..kind as usize].iter().map(|(_, n)| n).sum::<usize>() + i
     }
 
+    /// The current value of `d`, this transaction's own update included:
+    /// a local record as the open region reads it (`LOCAL_READ`), else
+    /// as Start fetched it or the body buffered it. `None`: a keyed record
+    /// whose key has no row.
+    pub fn get(&mut self, d: Decl) -> Result<Option<&[u8]>, Abort> {
+        let at = self.at(d.kind, d.i);
+        if d.kind == Kind::KeyedRead {
+            // The naive strategy touches softtime on reads too (Fig. 11).
+            self.op_now()?;
+        }
+        let Some(rec) = self.record(at)? else { return Ok(None) };
+        match &mut self.txn {
+            Some(txn) if !self.s.slots[at].is_remote() => {
+                let from = self.s.values.len();
+                record::local_read(txn, rec.addr.offset, &mut self.s.values)?;
+                Ok(Some(&self.s.values[from..]))
+            }
+            _ => Ok(Some(&self.s.values[self.s.held_value(at)])),
+        }
+    }
+
+    /// Writes `value` to `d`: a local record in the open region
+    /// (`LOCAL_WRITE`), else buffered for WriteBack.
+    ///
+    /// # Panics
+    ///
+    /// If `d` was declared a read, or is a keyed record whose key has no
+    /// row: a body learns that from [`TxnCtx::get`] and inserts instead.
+    pub fn put(&mut self, d: Decl, value: &[u8]) -> Result<(), Abort> {
+        let at = self.at(d.kind, d.i);
+        assert!(self.s.slots[at].write, "a put on a record declared read");
+        let rec = self.record(at)?.expect("a keyed write needs its row");
+        debug_assert!(value.len() <= rec.value_cap);
+        if self.s.slots[at].is_remote() || self.txn.is_none() {
+            // Logged at the commit point, a local write with its real
+            // version (log-before-unlock): no per-op entry here.
+            self.s.slots[at].value = Some(self.s.push(value));
+            return Ok(());
+        }
+        let now = self.op_now()?;
+        // The XEND makes this store durable, so it is logged with
+        // version 0 — recovery's at-most-once check always sees it as
+        // already applied (§4.6).
+        if self.env.sys.cfg.logging {
+            let value = self.s.push(value);
+            self.s.local_log.push((rec, value));
+        }
+        let txn = self.txn.as_mut().expect("an open region");
+        record::local_write(txn, rec.addr.offset, value, now, DELTA_US)
+    }
+
     /// Value of remote-read record `i`, prefetched in the Start phase.
     pub fn remote_read(&self, i: usize) -> &[u8] {
         &self.s.values[self.s.held_value(self.at(Kind::RemoteRead, i))]
@@ -1407,102 +1476,33 @@ impl<'r> TxnCtx<'r> {
         &self.s.values[self.s.held_value(self.at(Kind::RemoteWrite, i))]
     }
 
-    /// Buffers the new value of remote-write record `i` (pushed with
-    /// one-sided WRITEs once the transaction is past its commit point).
+    /// [`TxnCtx::put`] of remote-write record `i`.
     pub fn remote_write(&mut self, i: usize, value: impl AsRef<[u8]>) {
-        let value = value.as_ref();
-        debug_assert!(value.len() <= self.env.spec.remote_writes[i].value_cap);
-        let at = self.at(Kind::RemoteWrite, i);
-        self.s.slots[at].value = Some(self.s.push(value));
+        self.put(Decl { kind: Kind::RemoteWrite, i }, value.as_ref()).expect("buffered");
     }
 
-    /// Reads the current value of local-write record `i` (including this
-    /// transaction's own buffered/staged update).
+    /// [`TxnCtx::get`] of local-write record `i`, copied out.
     pub fn local_write_cur(&mut self, i: usize) -> Result<Vec<u8>, Abort> {
-        let value = self.local_cur(self.at(Kind::LocalWrite, i))?.expect("declared by address");
-        Ok(self.s.values[value].to_vec())
+        let value = self.get(Decl { kind: Kind::LocalWrite, i })?;
+        Ok(value.expect("declared by address").to_vec())
     }
 
-    /// Writes local-write record `i` (Figure 6 LOCAL_WRITE).
+    /// [`TxnCtx::put`] of local-write record `i`.
     pub fn local_write(&mut self, i: usize, value: &[u8]) -> Result<(), Abort> {
-        self.local_put(self.at(Kind::LocalWrite, i), value)
+        self.put(Decl { kind: Kind::LocalWrite, i }, value)
     }
 
-    /// Reads keyed-read record `i` (Figure 6 LOCAL_READ); `None`: the key
-    /// has no row.
-    pub fn keyed_read(&mut self, i: usize) -> Result<Option<&[u8]>, Abort> {
-        // The naive strategy touches softtime on reads too (Fig. 11).
-        self.op_now()?;
-        let value = self.local_cur(self.at(Kind::KeyedRead, i))?;
-        Ok(value.map(|v| &self.s.values[v]))
-    }
-
-    /// A copy of the current value of keyed-write record `i` (including
-    /// this transaction's own update); `None`: the key has no row.
-    pub fn keyed_write_cur(&mut self, i: usize) -> Result<Option<Value>, Abort> {
-        let Some(span) = self.local_cur(self.at(Kind::KeyedWrite, i))? else { return Ok(None) };
-        let bytes = &self.s.values[span];
-        let mut v = Value { len: bytes.len(), inline: [0; 64], spilled: Vec::new() };
-        match v.inline.get_mut(..bytes.len()) {
-            Some(inline) => inline.copy_from_slice(bytes),
-            None => v.spilled = bytes.to_vec(),
-        }
-        Ok(Some(v))
-    }
-
-    /// Writes keyed-write record `i`.
-    ///
-    /// # Panics
-    ///
-    /// If the key has no row: a body learns that from
-    /// [`TxnCtx::keyed_write_cur`] and inserts instead.
-    pub fn keyed_write(&mut self, i: usize, value: &[u8]) -> Result<(), Abort> {
-        self.local_put(self.at(Kind::KeyedWrite, i), value)
-    }
-
-    /// The record of local slot `at`. Under the HTM strategy a keyed
-    /// slot's first access walks the table on the transaction's own
-    /// region: the bucket lines it looked at join the read set, so an
-    /// INSERT or DELETE of the key that commits before this region does
-    /// aborts it (strong atomicity).
-    fn local_record(&mut self, at: usize) -> Result<Option<RecordAddr>, Abort> {
+    /// The record of slot `at`; `None`: a keyed slot whose key has no
+    /// row. Under the HTM strategy a keyed slot's first access walks the
+    /// table on the transaction's own region: the bucket lines it looked
+    /// at join the read set, so an INSERT or DELETE of the key that
+    /// commits before this region does aborts it (strong atomicity).
+    fn record(&mut self, at: usize) -> Result<Option<RecordAddr>, Abort> {
         let slot = &mut self.s.slots[at];
         if let (None, Some(key), Some(txn)) = (slot.rec, slot.key(self.env.spec), &mut self.txn) {
             slot.rec = Some(key.find(txn)?);
         }
         Ok(slot.rec.expect("ordered 2PL finds every keyed slot before the body"))
-    }
-
-    /// `LOCAL_READ` of local slot `at`, this transaction's own update
-    /// included: read from the open region into the arena, or what
-    /// ordered 2PL fetched or buffered. Returns its span of the arena;
-    /// `None`: the key has no row.
-    fn local_cur(&mut self, at: usize) -> Result<Option<Range<usize>>, Abort> {
-        let Some(rec) = self.local_record(at)? else { return Ok(None) };
-        let Some(txn) = &mut self.txn else { return Ok(Some(self.s.held_value(at))) };
-        let from = self.s.values.len();
-        record::local_read(txn, rec.addr.offset, &mut self.s.values)?;
-        Ok(Some(from..self.s.values.len()))
-    }
-
-    /// `LOCAL_WRITE` of local slot `at`, whose row must exist.
-    fn local_put(&mut self, at: usize, value: &[u8]) -> Result<(), Abort> {
-        let rec = self.local_record(at)?.expect("a keyed write needs its row");
-        let now = self.op_now()?;
-        let Some(txn) = &mut self.txn else {
-            // Buffered: logged at the commit point with its real version
-            // (log-before-unlock) — no per-op entry here.
-            self.s.slots[at].value = Some(self.s.push(value));
-            return Ok(());
-        };
-        // The XEND makes this store durable, so it is logged with
-        // version 0 — recovery's at-most-once check always sees it as
-        // already applied (§4.6).
-        if self.env.sys.cfg.logging {
-            let value = self.s.push(value);
-            self.s.local_log.push((rec, value));
-        }
-        record::local_write(txn, rec.addr.offset, value, now, DELTA_US)
     }
 
     /// Inserts into a local hash table atomically with this transaction.
@@ -1646,14 +1646,11 @@ mod tests {
     fn local_only_transaction_commits() {
         let h = harness(1, 1, 4, DrTmConfig::default());
         let mut w = h.sys.worker(0, 0);
-        let spec = TxnSpec {
-            keyed_reads: vec![LocalKey { table: &h.tables[0], key: 0 }],
-            local_writes: vec![h.rec(0, 1)],
-            ..Default::default()
-        };
+        let mut spec = TxnSpec { local_writes: vec![h.rec(0, 1)], ..Default::default() };
+        let k0 = spec.read_key(LocalKey { table: &h.tables[0], key: 0 });
         let got = w
             .execute(&spec, |ctx| {
-                let a = vu64(ctx.keyed_read(0)?.expect("populated"));
+                let a = vu64(ctx.get(k0)?.expect("populated"));
                 let b = vu64(&ctx.local_write_cur(0)?);
                 ctx.local_write(0, &u64v(b + a))?;
                 Ok(a + b)
@@ -1670,14 +1667,12 @@ mod tests {
         let h = harness(1, 1, 4, DrTmConfig::default());
         let mut w = h.sys.worker(0, 0);
         let before = Arc::strong_count(w.system());
-        let spec = TxnSpec {
-            keyed_writes: vec![LocalKey { table: &h.tables[0], key: 0 }],
-            ..Default::default()
-        };
+        let mut spec = TxnSpec::default();
+        let k0 = spec.write_key(LocalKey { table: &h.tables[0], key: 0 });
         let inside = w
             .execute(&spec, |ctx| {
-                let v = vu64(&ctx.keyed_write_cur(0)?.expect("populated"));
-                ctx.keyed_write(0, &u64v(v + 1))?;
+                let v = vu64(ctx.get(k0)?.expect("populated"));
+                ctx.put(k0, &u64v(v + 1))?;
                 Ok(Arc::strong_count(&h.sys))
             })
             .unwrap();
@@ -1704,6 +1699,47 @@ mod tests {
         assert_eq!(h.value(0, 0), 70);
         assert_eq!(h.value(1, 0), 130);
         assert!(h.state_of(1, 0).is_init(), "write lock released");
+    }
+
+    #[test]
+    fn one_body_moves_money_to_a_local_or_a_remote_account() {
+        // The same body, written once against handles: the second
+        // account is declared by key on this machine, or by address on
+        // another; in a region, then down the forced fallback.
+        fn transfer(ctx: &mut TxnCtx<'_>, from: Decl, to: Decl) -> Result<(), Abort> {
+            let a = vu64(ctx.get(from)?.expect("populated"));
+            let b = vu64(ctx.get(to)?.expect("populated"));
+            ctx.put(from, &u64v(a - 30))?;
+            ctx.put(to, &u64v(b + 30))?;
+            let seen = vu64(ctx.get(to)?.expect("populated"));
+            assert_eq!(seen, b + 30, "a body reads its own write");
+            Ok(())
+        }
+        let run = |remote: bool, max_retries: u32| {
+            let mut cfg = DrTmConfig::default();
+            cfg.htm.max_retries = max_retries;
+            let h = harness(2, 1, 4, cfg);
+            let mut spec = TxnSpec::default();
+            let from = spec.write_key(LocalKey { table: &h.tables[0], key: 0 });
+            let to = if remote {
+                spec.write_at(h.rec(1, 1))
+            } else {
+                spec.write_key(LocalKey { table: &h.tables[0], key: 1 })
+            };
+            let before = h.sys.stats_report();
+            h.sys.worker(0, 0).execute(&spec, |ctx| transfer(ctx, from, to)).unwrap();
+            let d = h.sys.stats_report().since(&before);
+            let to_node = if remote { 1 } else { 0 };
+            assert!(h.state_of(0, 0).is_init() && h.state_of(to_node, 1).is_init());
+            let counts = (d.txn.committed, d.htm.commits, d.htm.total_aborts());
+            ((h.value(0, 0), h.value(to_node, 1)), counts, d.txn.fallback_committed)
+        };
+        let htm = HtmConfig::default().max_retries;
+        for remote in [false, true] {
+            assert_eq!(run(remote, htm), ((70, 130), (1, 1, 0), 0), "remote {remote}, HTM");
+            let (balances, (committed, ..), fallback) = run(remote, 0);
+            assert_eq!((balances, committed, fallback), ((70, 130), 1, 1), "remote {remote}");
+        }
     }
 
     #[test]
@@ -2070,15 +2106,15 @@ mod tests {
             DrTmConfig { softtime: crate::config::SofttimeStrategy::PerOp, ..Default::default() };
         let h = harness(2, 1, 2, cfg);
         let mut w = h.sys.worker(0, 0);
-        let spec = TxnSpec {
-            keyed_reads: vec![LocalKey { table: &h.tables[0], key: 0 }],
+        let mut spec = TxnSpec {
             local_writes: vec![h.rec(0, 1)],
             remote_reads: vec![h.rec(1, 0)],
             ..Default::default()
         };
+        let k0 = spec.read_key(LocalKey { table: &h.tables[0], key: 0 });
         let v = w
             .execute(&spec, |ctx| {
-                let a = vu64(ctx.keyed_read(0)?.expect("populated"));
+                let a = vu64(ctx.get(k0)?.expect("populated"));
                 let b = vu64(ctx.remote_read(0));
                 ctx.local_write(0, &u64v(a + b))?;
                 Ok(a + b)
@@ -2145,13 +2181,14 @@ mod tests {
         let region = h.sys.cluster().node(0).region();
         let outside = Executor::new(HtmConfig::default(), Default::default());
         let mut w = h.sys.worker(0, 0);
-        let spec = TxnSpec { keyed_reads: vec![LocalKey { table, key: 2 }], ..Default::default() };
+        let mut spec = TxnSpec::default();
+        let k2 = spec.read_key(LocalKey { table, key: 2 });
         let before = h.sys.stats_report();
         let mut attempts = 0;
         let got = w
             .execute(&spec, |ctx| {
                 attempts += 1;
-                let v = ctx.keyed_read(0)?.map(<[u8]>::to_vec);
+                let v = ctx.get(k2)?.map(<[u8]>::to_vec);
                 if attempts == 1 {
                     assert_eq!(v.as_deref().map(vu64), Some(100));
                     assert!(table.delete(&outside, region, 2));
@@ -2171,22 +2208,18 @@ mod tests {
         let run = |cfg: DrTmConfig| {
             let h = harness(1, 1, 4, cfg);
             let mut w = h.sys.worker(0, 0);
-            let spec = TxnSpec {
-                keyed_writes: vec![LocalKey { table: &h.tables[0], key: 1 }],
-                keyed_reads: vec![
-                    LocalKey { table: &h.tables[0], key: 3 },
-                    LocalKey { table: &h.tables[0], key: 77 },
-                ],
-                ..Default::default()
-            };
+            let mut spec = TxnSpec::default();
+            let k1 = spec.write_key(LocalKey { table: &h.tables[0], key: 1 });
+            let k3 = spec.read_key(LocalKey { table: &h.tables[0], key: 3 });
+            let k77 = spec.read_key(LocalKey { table: &h.tables[0], key: 77 });
             let (sum, locked) = w
                 .execute(&spec, |ctx| {
                     let locked = h.state_of(0, 1).is_write_locked();
-                    assert_eq!(ctx.keyed_read(1)?, None, "key 77 was never inserted");
-                    let a = vu64(ctx.keyed_read(0)?.expect("populated"));
-                    let b = vu64(&ctx.keyed_write_cur(0)?.expect("populated"));
-                    ctx.keyed_write(0, &u64v(a + b + 1))?;
-                    let seen = vu64(&ctx.keyed_write_cur(0)?.expect("populated"));
+                    assert_eq!(ctx.get(k77)?, None, "key 77 was never inserted");
+                    let a = vu64(ctx.get(k3)?.expect("populated"));
+                    let b = vu64(ctx.get(k1)?.expect("populated"));
+                    ctx.put(k1, &u64v(a + b + 1))?;
+                    let seen = vu64(ctx.get(k1)?.expect("populated"));
                     assert_eq!(seen, a + b + 1, "a body reads its own keyed write");
                     Ok((seen, locked))
                 })
@@ -2218,40 +2251,31 @@ mod tests {
             let mut cfg = DrTmConfig::default();
             cfg.htm.max_retries = max_retries.unwrap_or(cfg.htm.max_retries);
             let h = harness(2, 2, 2, cfg);
-            let pair: Vec<_> = (0..2).map(|key| LocalKey { table: &h.tables[0], key }).collect();
+            let pair = [0, 1].map(|key| LocalKey { table: &h.tables[0], key });
             let (stop, transfers) = (AtomicBool::new(false), AtomicU64::new(0));
             let sums = std::thread::scope(|s| {
                 s.spawn(|| {
                     let mut w = h.sys.worker(writer_node, 1);
-                    let spec = if writer_node == 0 {
-                        TxnSpec { keyed_writes: pair.clone(), ..Default::default() }
+                    let mut spec = TxnSpec::default();
+                    let [x, y] = if writer_node == 0 {
+                        pair.map(|k| spec.write_key(k))
                     } else {
-                        TxnSpec {
-                            remote_writes: vec![h.rec(0, 0), h.rec(0, 1)],
-                            ..Default::default()
-                        }
+                        [0, 1].map(|k| spec.write_at(h.rec(0, k)))
                     };
                     while !stop.load(Relaxed) {
                         w.execute(&spec, |ctx| {
-                            if writer_node == 0 {
-                                let x = vu64(&ctx.keyed_write_cur(0)?.expect("populated"));
-                                let y = vu64(&ctx.keyed_write_cur(1)?.expect("populated"));
-                                ctx.keyed_write(0, &u64v(x.wrapping_sub(1)))?;
-                                ctx.keyed_write(1, &u64v(y.wrapping_add(1)))?;
-                            } else {
-                                let x = vu64(ctx.remote_write_cur(0));
-                                let y = vu64(ctx.remote_write_cur(1));
-                                ctx.remote_write(0, u64v(x.wrapping_sub(1)));
-                                ctx.remote_write(1, u64v(y.wrapping_add(1)));
-                            }
-                            Ok(())
+                            let vx = vu64(ctx.get(x)?.expect("populated"));
+                            let vy = vu64(ctx.get(y)?.expect("populated"));
+                            ctx.put(x, &u64v(vx.wrapping_sub(1)))?;
+                            ctx.put(y, &u64v(vy.wrapping_add(1)))
                         })
                         .unwrap();
                         transfers.fetch_add(1, Relaxed);
                     }
                 });
                 let mut r = h.sys.worker(0, 0);
-                let spec = TxnSpec { keyed_reads: pair.clone(), ..Default::default() };
+                let mut spec = TxnSpec::default();
+                let [x, y] = pair.map(|k| spec.read_key(k));
                 let mut sums: Vec<(u64, u64)> = Vec::new();
                 // Until the reader has seen the writer move the pair too:
                 // under ordered 2PL fifty reads can all fall inside one
@@ -2263,9 +2287,9 @@ mod tests {
                     && Instant::now() < give_up
                 {
                     let read = r.execute(&spec, |ctx| {
-                        let x = vu64(ctx.keyed_read(0)?.expect("populated"));
-                        let y = vu64(ctx.keyed_read(1)?.expect("populated"));
-                        Ok((x, x.wrapping_add(y)))
+                        let vx = vu64(ctx.get(x)?.expect("populated"));
+                        let vy = vu64(ctx.get(y)?.expect("populated"));
+                        Ok((vx, vx.wrapping_add(vy)))
                     });
                     sums.push(read.unwrap());
                 }
@@ -2340,28 +2364,27 @@ mod tests {
             }
             Harness { sys: dep.start_frozen(), tables, trees: Vec::new() }
         };
-        fn spec(h: &Harness) -> TxnSpec<'_> {
+        // The one local write by address has no declaring method.
+        fn spec(h: &Harness) -> (TxnSpec<'_>, [Decl; 5]) {
             let mut spec = TxnSpec::default();
             spec.local_writes.push(h.rec(0, 1));
-            spec.keyed_writes.push(LocalKey { table: &h.tables[0], key: 0 });
-            spec.remote_writes.push(h.rec(1, 2));
-            spec.keyed_reads.push(LocalKey { table: &h.tables[0], key: 3 });
-            spec.remote_reads.push(h.rec(2, 1));
-            spec
+            let local = Decl { kind: Kind::LocalWrite, i: 0 };
+            let keyed = spec.write_key(LocalKey { table: &h.tables[0], key: 0 });
+            let remote = spec.write_at(h.rec(1, 2));
+            let read_by_key = spec.read_key(LocalKey { table: &h.tables[0], key: 3 });
+            let remote_read = spec.read_at(h.rec(2, 1));
+            (spec, [local, keyed, remote, read_by_key, remote_read])
         }
         // Reads every slot, then adds 1, 2 and 3 to the three writes.
-        let run = |h: &Harness, spec: &TxnSpec<'_>| {
+        let run = |h: &Harness, (spec, decls): &(TxnSpec<'_>, [Decl; 5])| {
             h.sys.worker(0, 0).execute(spec, |ctx| {
-                let read = [
-                    vu64(&ctx.local_write_cur(0)?),
-                    vu64(&ctx.keyed_write_cur(0)?.expect("populated")),
-                    vu64(ctx.remote_write_cur(0)),
-                    vu64(ctx.keyed_read(0)?.expect("populated")),
-                    vu64(ctx.remote_read(0)),
-                ];
-                ctx.local_write(0, &u64v(read[0] + 1))?;
-                ctx.keyed_write(0, &u64v(read[1] + 2))?;
-                ctx.remote_write(0, u64v(read[2] + 3));
+                let mut read = [0; 5];
+                for (r, &d) in read.iter_mut().zip(decls) {
+                    *r = vu64(ctx.get(d)?.expect("populated"));
+                }
+                for (k, &d) in decls[..3].iter().enumerate() {
+                    ctx.put(d, &u64v(read[k] + k as u64 + 1))?;
+                }
                 Ok(read)
             })
         };

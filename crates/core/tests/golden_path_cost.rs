@@ -232,13 +232,13 @@ fn keyed_local_rmw_costs_the_address_row_plus_its_walk() {
         }
         let mut w = f.sys.worker(0, 0);
         for (key, walk_ns) in [(same[0], 40), (same[4], 80)] {
-            let spec =
-                TxnSpec { keyed_writes: vec![LocalKey { table, key }], ..Default::default() };
+            let mut spec = TxnSpec::default();
+            let row = spec.write_key(LocalKey { table, key });
             let commits = f.sys.htm_stats().snapshot().commits;
             let got = f.cost(|| {
                 w.execute(&spec, |ctx| {
-                    let v = ctx.keyed_write_cur(0)?.expect("inserted above");
-                    ctx.keyed_write(0, &bump(&v))
+                    let v = bump(ctx.get(row)?.expect("inserted above"));
+                    ctx.put(row, &v)
                 })
                 .unwrap();
             });

@@ -21,7 +21,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use drtm_core::{
-    Deployment, DrTm, DrTmConfig, LocalKey, RecordAddr, TxnCtx, TxnError, TxnSpec, USER_ABORT,
+    Decl, Deployment, DrTm, DrTmConfig, LocalKey, RecordAddr, TxnCtx, TxnError, TxnSpec, USER_ABORT,
 };
 use drtm_htm::Abort;
 use drtm_memstore::{ClusterHash, LookupResult};
@@ -102,10 +102,10 @@ fn u64_of(b: &[u8]) -> u64 {
     u64::from_le_bytes(b[..8].try_into().expect("8 value bytes"))
 }
 
-/// Adds 1 to keyed write 0.
-fn keyed_rmw(ctx: &mut TxnCtx<'_>) -> Result<(), Abort> {
-    let v = u64_of(&ctx.keyed_write_cur(0)?.expect("populated"));
-    ctx.keyed_write(0, &(v + 1).to_le_bytes())
+/// Adds 1 to keyed write `row`.
+fn keyed_rmw(ctx: &mut TxnCtx<'_>, row: Decl) -> Result<(), Abort> {
+    let v = u64_of(ctx.get(row)?.expect("populated"));
+    ctx.put(row, &(v + 1).to_le_bytes())
 }
 
 /// Adds 1 to remote write 0: locked and fetched by Start, written back.
@@ -128,18 +128,19 @@ fn a_warm_execute_allocates_nothing() {
     let (sys, tables) = deployment(8);
     let mut w = sys.worker(0, 0);
     let key = |key| LocalKey { table: &tables[0], key };
-    let rmw = TxnSpec { keyed_writes: vec![key(0)], ..Default::default() };
-    let two_reads = TxnSpec { keyed_reads: vec![key(1), key(2)], ..Default::default() };
+    let (mut rmw, mut two_reads) = (TxnSpec::default(), TxnSpec::default());
+    let row = rmw.write_key(key(0));
+    let [one, two] = [key(1), key(2)].map(|k| two_reads.read_key(k));
     let remote_write =
         TxnSpec { remote_writes: vec![remote(&sys, &tables[1], 3)], ..Default::default() };
     let counts = [
-        ("keyed local read-modify-write", most(|| w.execute(&rmw, keyed_rmw).unwrap())),
+        ("keyed local read-modify-write", most(|| w.execute(&rmw, |c| keyed_rmw(c, row)).unwrap())),
         (
             "keyed two-record read",
             most(|| {
                 let sum = w.execute(&two_reads, |ctx| {
-                    let a = u64_of(ctx.keyed_read(0)?.expect("populated"));
-                    Ok(a + u64_of(ctx.keyed_read(1)?.expect("populated")))
+                    let a = u64_of(ctx.get(one)?.expect("populated"));
+                    Ok(a + u64_of(ctx.get(two)?.expect("populated")))
                 });
                 assert_eq!(sum, Ok(200));
             }),
@@ -164,14 +165,12 @@ fn a_warm_execute_allocates_nothing() {
 fn a_warm_ordered_2pl_fallback_allocates_nothing() {
     let (sys, tables) = deployment(0);
     let mut w = sys.worker(0, 0);
-    let spec = TxnSpec {
-        keyed_writes: vec![LocalKey { table: &tables[0], key: 4 }],
-        remote_writes: vec![remote(&sys, &tables[1], 5)],
-        ..Default::default()
-    };
+    let mut spec =
+        TxnSpec { remote_writes: vec![remote(&sys, &tables[1], 5)], ..Default::default() };
+    let row = spec.write_key(LocalKey { table: &tables[0], key: 4 });
     let n = most(|| {
         w.execute(&spec, |ctx| {
-            keyed_rmw(ctx)?;
+            keyed_rmw(ctx, row)?;
             remote_rmw(ctx)
         })
         .unwrap()

@@ -282,18 +282,9 @@ pub struct RangeMap {
 
 impl RangeMap {
     /// Builds a map from disjoint `(lo, hi, owner)` triples (inclusive
-    /// bounds).
-    ///
-    /// # Panics
-    ///
-    /// On invalid input; see [`RangeMap::try_new`] for the typed form.
-    pub fn new(ranges: impl IntoIterator<Item = (u64, u64, NodeId)>) -> Self {
-        Self::try_new(ranges).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Builds a map, rejecting zero-width (`lo > hi`) and overlapping
-    /// ranges with a typed error instead of corrupting routing.
-    pub fn try_new(
+    /// bounds), rejecting zero-width (`lo > hi`) and overlapping ranges
+    /// with a typed error instead of corrupting routing.
+    pub fn new(
         ranges: impl IntoIterator<Item = (u64, u64, NodeId)>,
     ) -> Result<Self, RangeMapError> {
         let mut v = Vec::new();
@@ -346,20 +337,10 @@ impl RangeMap {
     }
 
     /// Splits the covering range as needed and moves `[lo, hi]` into
-    /// `Copying` towards `dst`. Returns the new epoch.
-    ///
-    /// # Panics
-    ///
-    /// On invalid input; see [`RangeMap::try_begin_copy`] for the typed
-    /// form.
-    pub fn begin_copy(&self, lo: u64, hi: u64, dst: NodeId) -> u64 {
-        self.try_begin_copy(lo, hi, dst).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`RangeMap::begin_copy`] with typed rejections: zero-width
+    /// `Copying` towards `dst`; returns the new epoch. Rejects zero-width
     /// bounds, an unmapped or entry-straddling range, a range already
     /// migrating, or a `dst` that already owns it.
-    pub fn try_begin_copy(&self, lo: u64, hi: u64, dst: NodeId) -> Result<u64, RangeMapError> {
+    pub fn begin_copy(&self, lo: u64, hi: u64, dst: NodeId) -> Result<u64, RangeMapError> {
         if lo > hi {
             return Err(RangeMapError::EmptyRange { lo, hi });
         }
@@ -622,7 +603,7 @@ impl Resharder {
 
         // Phase 1: bulk copy. Source stays writable; epoch bumps so
         // routing can tell "resolved before the migration" apart.
-        self.map.begin_copy(lo, hi, dst);
+        self.map.begin_copy(lo, hi, dst).unwrap_or_else(|e| panic!("{e}"));
         let (bulk, mut bytes) = src_shard.try_remote_collect_range(&qp, lo, hi)?;
         let copied = bulk.len();
         // What the destination will hold after the bulk pass: the delta
@@ -802,7 +783,7 @@ mod tests {
         }
         let journal = journal.expect("two nodes");
         // Node 0 owns the low half, node 1 the high half.
-        let map = Arc::new(RangeMap::new([(0, 499, 0), (500, 999, 1)]));
+        let map = Arc::new(RangeMap::new([(0, 499, 0), (500, 999, 1)]).unwrap());
         let resharder = Resharder::new(
             cluster.clone(),
             map,
@@ -824,12 +805,12 @@ mod tests {
 
     #[test]
     fn route_follows_state_transitions() {
-        let map = RangeMap::new([(0, 99, 0), (100, 199, 1)]);
+        let map = RangeMap::new([(0, 99, 0), (100, 199, 1)]).unwrap();
         let d = map.route(50).unwrap();
         assert_eq!((d.primary, d.forward, d.writable), (0, None, true));
         assert!(map.route(200).is_none());
 
-        map.begin_copy(0, 49, 1);
+        map.begin_copy(0, 49, 1).unwrap();
         let d = map.route(10).unwrap();
         assert_eq!((d.primary, d.writable), (0, true), "src writable during copy");
         // The split left [50,99] stable on node 0.
@@ -848,50 +829,44 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_zero_width_and_overlapping_ranges() {
+    fn new_rejects_zero_width_and_overlapping_ranges() {
         assert_eq!(
-            RangeMap::try_new([(10, 9, 0)]).err(),
+            RangeMap::new([(10, 9, 0)]).err(),
             Some(RangeMapError::EmptyRange { lo: 10, hi: 9 })
         );
         assert_eq!(
-            RangeMap::try_new([(0, 50, 0), (50, 99, 1)]).err(),
+            RangeMap::new([(0, 50, 0), (50, 99, 1)]).err(),
             Some(RangeMapError::Overlap { lo: 50 }),
             "inclusive bounds: sharing key 50 is an overlap"
         );
         assert_eq!(
-            RangeMap::try_new([(40, 60, 1), (0, 99, 0)]).err(),
+            RangeMap::new([(40, 60, 1), (0, 99, 0)]).err(),
             Some(RangeMapError::Overlap { lo: 40 }),
             "containment is an overlap regardless of input order"
         );
         // A one-key range is valid (inclusive bounds).
-        assert!(RangeMap::try_new([(5, 5, 0), (6, 9, 1)]).is_ok());
+        assert!(RangeMap::new([(5, 5, 0), (6, 9, 1)]).is_ok());
     }
 
     #[test]
-    fn try_begin_copy_rejects_each_invalid_transition() {
-        let map = RangeMap::new([(0, 99, 0), (200, 299, 1)]);
+    fn begin_copy_rejects_each_invalid_transition() {
+        let map = RangeMap::new([(0, 99, 0), (200, 299, 1)]).unwrap();
         assert_eq!(
-            map.try_begin_copy(30, 20, 1).err(),
+            map.begin_copy(30, 20, 1).err(),
             Some(RangeMapError::EmptyRange { lo: 30, hi: 20 })
         );
+        assert_eq!(map.begin_copy(150, 160, 1).err(), Some(RangeMapError::NotMapped { key: 150 }));
         assert_eq!(
-            map.try_begin_copy(150, 160, 1).err(),
-            Some(RangeMapError::NotMapped { key: 150 })
-        );
-        assert_eq!(
-            map.try_begin_copy(50, 250, 1).err(),
+            map.begin_copy(50, 250, 1).err(),
             Some(RangeMapError::SpansEntries { lo: 50, hi: 250 })
         );
         assert_eq!(
-            map.try_begin_copy(0, 99, 0).err(),
+            map.begin_copy(0, 99, 0).err(),
             Some(RangeMapError::DstIsOwner { dst: 0 }),
             "migrating to the current owner must be refused"
         );
-        assert!(map.try_begin_copy(0, 49, 1).is_ok());
-        assert_eq!(
-            map.try_begin_copy(0, 49, 1).err(),
-            Some(RangeMapError::AlreadyMigrating { lo: 0 })
-        );
+        assert!(map.begin_copy(0, 49, 1).is_ok());
+        assert_eq!(map.begin_copy(0, 49, 1).err(), Some(RangeMapError::AlreadyMigrating { lo: 0 }));
         // Routing is unharmed by all the rejections above.
         assert_eq!(map.owner_of(60), Some(0));
         assert_eq!(map.owner_of(250), Some(1));
@@ -899,7 +874,7 @@ mod tests {
 
     #[test]
     fn reassign_flips_exact_stable_entries_only() {
-        let map = RangeMap::new([(0, 99, 0), (100, 199, 1)]);
+        let map = RangeMap::new([(0, 99, 0), (100, 199, 1)]).unwrap();
         assert_eq!(
             map.reassign(0, 50, 2).err(),
             Some(RangeMapError::NotAnExactRange { lo: 0, hi: 50 })
@@ -908,7 +883,7 @@ mod tests {
         let e = map.reassign(0, 99, 2).unwrap();
         assert_eq!(map.owner_of(50), Some(2));
         assert_eq!(map.route(50).unwrap().epoch, e, "reassignment bumps the epoch");
-        map.begin_copy(100, 199, 0);
+        map.begin_copy(100, 199, 0).unwrap();
         assert_eq!(
             map.reassign(100, 199, 2).err(),
             Some(RangeMapError::AlreadyMigrating { lo: 100 }),
@@ -918,7 +893,7 @@ mod tests {
 
     #[test]
     fn owned_ranges_and_donor_selection() {
-        let map = RangeMap::new([(0, 99, 0), (100, 149, 1), (150, 199, 0), (200, 200, 2)]);
+        let map = RangeMap::new([(0, 99, 0), (100, 149, 1), (150, 199, 0), (200, 200, 2)]).unwrap();
         assert_eq!(map.ranges_owned_by(0), vec![(0, 99), (150, 199)]);
         // Donation: upper half of node 0's largest range.
         assert_eq!(map.donation_from(0), Some((50, 99)));
@@ -926,7 +901,7 @@ mod tests {
         assert_eq!(map.donation_from(2), None);
         // A range mid-migration is neither owned (for draining) nor
         // donated; recovery finds it, from either end, as in flight.
-        map.begin_copy(0, 99, 1);
+        map.begin_copy(0, 99, 1).unwrap();
         assert_eq!(map.ranges_owned_by(0), vec![(150, 199)]);
         assert_eq!(map.in_flight(0), vec![(0, 99, 1)]);
         assert_eq!(map.in_flight(1), vec![(0, 99, 1)]);
@@ -964,8 +939,8 @@ mod tests {
 
     #[test]
     fn abort_migration_restores_the_source() {
-        let map = RangeMap::new([(0, 99, 0)]);
-        map.begin_copy(20, 40, 1);
+        let map = RangeMap::new([(0, 99, 0)]).unwrap();
+        map.begin_copy(20, 40, 1).unwrap();
         map.abort_migration(20, 40);
         let d = map.route(30).unwrap();
         assert_eq!((d.primary, d.writable), (0, true));

@@ -22,9 +22,9 @@
 use std::sync::{Arc, Mutex};
 
 use drtm_core::{
-    Abort, AbortCause, Deployment, DrTm, DrTmConfig, JoinReport, LeaveReport, LocalKey, LockState,
+    Abort, AbortCause, Deployment, DrTm, DrTmConfig, JoinReport, LeaveReport, LockState,
     MembershipCoordinator, MembershipError, MembershipTable, NodeRecovery, NodeState, RecordAddr,
-    TxnCtx, TxnError, TxnSpec, Worker, SOFTTIME_INTERVAL, USER_ABORT,
+    TxnError, TxnSpec, Worker, SOFTTIME_INTERVAL, USER_ABORT,
 };
 use drtm_htm::{Executor, HtmStats};
 use drtm_memstore::rpc::spawn_store_service;
@@ -36,7 +36,7 @@ use drtm_rdma::{
     ClusterConfig, DoorbellConfig, FabricError, FaultConfig, GlobalAddr, LatencyProfile, NodeId,
 };
 
-use crate::resolve::{read_local, Caches};
+use crate::resolve::{declare, read_local, Caches};
 use crate::{fields, first_field, pack_fields};
 
 /// Initial value of every key.
@@ -120,9 +120,9 @@ impl ElasticKv {
         // Run-time services model the deployment's own hardware.
         let exec = Executor::new(cfg.drtm.htm.clone(), Arc::new(HtmStats::new()));
         let per = cfg.keys_per_node;
-        let map = Arc::new(RangeMap::new(
-            (0..cfg.nodes as NodeId).map(|n| (n as u64 * per, (n as u64 + 1) * per - 1, n)),
-        ));
+        let ranges =
+            (0..cfg.nodes as NodeId).map(|n| (n as u64 * per, (n as u64 + 1) * per - 1, n));
+        let map = Arc::new(RangeMap::new(ranges).unwrap_or_else(|e| panic!("{e}")));
         let resharder = Arc::new(Resharder::new(
             cluster.clone(),
             map,
@@ -385,21 +385,14 @@ impl ElasticKvWorker {
             self.w.note_abort(AbortCause::Migrated);
             return Ok(WriteOutcome::Frozen);
         }
-        // Each key is written where it lives: a local one by key, found
-        // inside the transaction, a remote one at the address its
-        // location cache gives.
-        let shard = self.resharder.shard(self.w.node);
+        // Each key is declared where its primary is, a remote one at the
+        // address this machine's location cache gives.
+        let (here, shard) = (self.w.node, self.resharder.shard(self.w.node));
         let mut spec = TxnSpec::default();
-        let mut declare = |key: u64, server: NodeId| -> Result<Option<WriteSlot>, TxnError> {
-            if server == self.w.node {
-                spec.keyed_writes.push(LocalKey { table: &shard, key });
-                return Ok(Some((true, spec.keyed_writes.len() - 1)));
-            }
-            let Some(rec) = self.resolve(server, key)? else { return Ok(None) };
-            spec.remote_writes.push(rec);
-            Ok(Some((false, spec.remote_writes.len() - 1)))
+        let mut place = |key: u64, node: NodeId| {
+            declare(&mut spec, here, &shard, (node, key), true, || self.resolve(node, key))
         };
-        let (Some(sa), Some(sb)) = (declare(a, da.primary)?, declare(b, db.primary)?) else {
+        let (Some(sa), Some(sb)) = (place(a, da.primary)?, place(b, db.primary)?) else {
             // A remote key vanished from its primary between routing and
             // resolution: a cutover raced us. Same story as a frozen
             // route — typed abort, caller retries.
@@ -408,7 +401,9 @@ impl ElasticKvWorker {
         };
         let map = self.resharder.map();
         let r = self.w.execute(&spec, |ctx| {
-            let (Some(va), Some(vb)) = (cur(ctx, sa)?, cur(ctx, sb)?) else {
+            let (Some(va), Some(vb)) =
+                (ctx.get(sa)?.map(first_field), ctx.get(sb)?.map(first_field))
+            else {
                 // A local row purged since routing: route again.
                 return Err(Abort::Explicit(USER_ABORT));
             };
@@ -422,8 +417,8 @@ impl ElasticKvWorker {
             if moved(a, da) || moved(b, db) {
                 return Err(Abort::Explicit(USER_ABORT));
             }
-            put(ctx, sa, va.wrapping_sub(amount))?;
-            put(ctx, sb, vb.wrapping_add(amount))
+            ctx.put(sa, &va.wrapping_sub(amount).to_le_bytes())?;
+            ctx.put(sb, &vb.wrapping_add(amount).to_le_bytes())
         });
         match r {
             Ok(_) => Ok(WriteOutcome::Committed),
@@ -448,27 +443,6 @@ impl ElasticKvWorker {
 
 /// A remote entry's address, and its value when a READ brought it.
 type Located = (GlobalAddr, Option<Vec<u8>>);
-
-/// Where a transfer declared one of its keys: `(local, index)` in the
-/// spec's keyed or remote write list.
-type WriteSlot = (bool, usize);
-
-/// The value of a transfer's key; `None`: a local key with no row.
-fn cur(ctx: &mut TxnCtx<'_>, (local, i): WriteSlot) -> Result<Option<u64>, Abort> {
-    if local {
-        return Ok(ctx.keyed_write_cur(i)?.map(|v| first_field(&v)));
-    }
-    Ok(Some(first_field(ctx.remote_write_cur(i))))
-}
-
-fn put(ctx: &mut TxnCtx<'_>, (local, i): WriteSlot, v: u64) -> Result<(), Abort> {
-    if local {
-        ctx.keyed_write(i, &v.to_le_bytes())
-    } else {
-        ctx.remote_write(i, v.to_le_bytes());
-        Ok(())
-    }
-}
 
 #[cfg(test)]
 mod tests {

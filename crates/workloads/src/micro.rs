@@ -21,7 +21,7 @@ use std::time::Duration;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use drtm_core::{Deployment, DrTm, DrTmConfig, RecordAddr, TxnError, TxnSpec};
+use drtm_core::{Decl, Deployment, DrTm, DrTmConfig, TxnError, TxnSpec};
 use drtm_rdma::{ClusterConfig, LatencyProfile, NodeId};
 
 use crate::dist::rng;
@@ -165,13 +165,6 @@ impl MicroWorker {
         (node, HOT_BASE + h)
     }
 
-    /// The address of `key`'s record on another machine, through the
-    /// location cache: what Start locks or leases with one-sided verbs.
-    fn remote(&self, node: NodeId, key: u64) -> RecordAddr {
-        debug_assert_ne!(node, self.w.node, "a local record is declared by key");
-        self.table.resolve(&self.w, node, key).expect("populated")
-    }
-
     /// The read-write transaction: `reads` of the 10 accesses are pure
     /// reads, the rest read-modify-write.
     pub fn read_write(&mut self, reads: usize) -> &'static str {
@@ -204,45 +197,27 @@ impl MicroWorker {
         }
     }
 
-    /// Declares every pick — a local record by key, a remote one by
-    /// address — and runs the transaction. Without the read lease a
-    /// remote read is declared as an exclusive write.
+    /// Declares every pick and runs the transaction: a read reads its
+    /// record, a write adds 1 to it. Without the read lease a remote read
+    /// is declared as an exclusive write, and only reads (a local read
+    /// takes no lease either way).
     fn run(&mut self, picks: &[Pick]) {
-        fn push<T>(list: &mut Vec<T>, item: T) -> usize {
-            list.push(item);
-            list.len() - 1
-        }
-        // The spec borrows the `table` field alone, not `self` through
-        // the closure, so `self.w` is free for `execute` below.
-        let (table, mut spec) = (&self.table, TxnSpec::default());
-        let declare = |&((node, key), is_read): &Pick| match (is_read, node != self.w.node) {
-            (true, true) if self.cfg.read_lease => {
-                Slot::RemoteRead(push(&mut spec.remote_reads, self.remote(node, key)))
-            }
-            (true, true) => {
-                Slot::RemoteLocked(push(&mut spec.remote_writes, self.remote(node, key)))
-            }
-            (false, true) => {
-                Slot::RemoteWrite(push(&mut spec.remote_writes, self.remote(node, key)))
-            }
-            (true, false) => Slot::Read(push(&mut spec.keyed_reads, table.local(node, key))),
-            (false, false) => Slot::Write(push(&mut spec.keyed_writes, table.local(node, key))),
+        let (w, mut spec) = (&self.w, TxnSpec::default());
+        let declare = |&((node, key), is_read): &Pick| {
+            let read = is_read && (self.cfg.read_lease || node == w.node);
+            let d = if read {
+                self.table.declare_read(w, &mut spec, node, key)
+            } else {
+                self.table.declare_write(w, &mut spec, node, key)
+            };
+            (d.expect("a live cluster"), is_read)
         };
-        let slots: Vec<Slot> = picks.iter().map(declare).collect();
+        let decls: Vec<(Decl, bool)> = picks.iter().map(declare).collect();
         let r = self.w.execute(&spec, |ctx| {
-            for &slot in &slots {
-                match slot {
-                    Slot::RemoteRead(i) => _ = first_field(ctx.remote_read(i)),
-                    Slot::RemoteLocked(i) => _ = first_field(ctx.remote_write_cur(i)),
-                    Slot::Read(i) => _ = first_field(ctx.keyed_read(i)?.expect("populated")),
-                    Slot::RemoteWrite(i) => {
-                        let v = first_field(ctx.remote_write_cur(i));
-                        ctx.remote_write(i, v.wrapping_add(1).to_le_bytes());
-                    }
-                    Slot::Write(i) => {
-                        let v = first_field(&ctx.keyed_write_cur(i)?.expect("populated"));
-                        ctx.keyed_write(i, &v.wrapping_add(1).to_le_bytes())?;
-                    }
+            for &(d, is_read) in &decls {
+                let v = first_field(ctx.get(d)?.expect("populated"));
+                if !is_read {
+                    ctx.put(d, &v.wrapping_add(1).to_le_bytes())?;
                 }
             }
             Ok(())
@@ -257,20 +232,10 @@ impl MicroWorker {
 /// One access drawn for a transaction: `((home, key), is_read)`.
 type Pick = ((NodeId, u64), bool);
 
-/// Where an access was declared: the list of the spec and the index in
-/// it. `RemoteLocked` is locked like a write but not written back.
-#[derive(Clone, Copy)]
-enum Slot {
-    RemoteRead(usize),
-    RemoteLocked(usize),
-    RemoteWrite(usize),
-    Read(usize),
-    Write(usize),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drtm_core::TxnCtx;
 
     fn tiny(lease: bool) -> MicroConfig {
         MicroConfig {
@@ -330,12 +295,13 @@ mod tests {
         // With leases, two workers remote-reading the same hot record
         // must not conflict at the lock level: the second read shares.
         let m = Micro::build(tiny(true));
-        let rec = m.worker(0, 0).remote(1, 200);
         let mut w = m.sys.worker(0, 0);
-        let spec = TxnSpec { remote_reads: vec![rec], ..Default::default() };
-        w.execute(&spec, |ctx| Ok(first_field(ctx.remote_read(0)))).unwrap();
+        let mut spec = TxnSpec::default();
+        let hot = m.table.declare_read(&w, &mut spec, 1, 200).unwrap();
+        let read = |ctx: &mut TxnCtx<'_>| Ok(first_field(ctx.get(hot)?.expect("populated")));
+        w.execute(&spec, read).unwrap();
         let before = m.sys.stats().snapshot().start_conflicts;
-        w.execute(&spec, |ctx| Ok(first_field(ctx.remote_read(0)))).unwrap();
+        w.execute(&spec, read).unwrap();
         assert_eq!(m.sys.stats().snapshot().start_conflicts, before, "shared lease, no conflict");
     }
 }

@@ -1,25 +1,28 @@
 //! Key → record resolution.
 //!
 //! A DrTM transaction needs the address of a record before Start only to
-//! lock or lease it from another machine:
+//! lock or lease it from another machine. `Table::{declare_read,
+//! declare_write}` apply that rule to every workload record (the elastic
+//! transfer through the same `declare`) and return the [`Decl`] the body
+//! reads and writes it through, wherever it lives:
 //!
 //! * **remote keys** — a one-sided lookup through the machine-shared
 //!   [`LocationCache`] (§5.3): a warm cache answers with zero RDMA READs,
 //!   and staleness is caught by the incarnation check on the first fetch
 //!   of the record;
-//! * **local keys** — declared by key ([`Table::local`]) and looked up
-//!   inside the transaction's own HTM region, where strong atomicity
-//!   protects the walk. The address form of a local key
-//!   ([`Table::try_resolve`] against the worker's own machine: one
-//!   stand-alone region per lookup) remains for the probes and tests that
-//!   name a local record by address; no workload does.
+//! * **local keys** — declared by key and looked up inside the
+//!   transaction's own HTM region, where strong atomicity protects the
+//!   walk. The address form of a local key ([`Table::try_resolve`]
+//!   against the worker's own machine: one stand-alone region per lookup)
+//!   remains for the probes and tests that name a local record by
+//!   address; no workload does.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use drtm_core::{LocalKey, RecordAddr, Worker};
+use drtm_core::{Decl, LocalKey, RecordAddr, TxnError, TxnSpec, Worker};
 use drtm_htm::{Executor, Region};
 use drtm_memstore::{ClusterHash, LocationCache};
 use drtm_rdma::{FabricError, NodeId};
@@ -92,6 +95,46 @@ impl Table {
         LocalKey { table: self.shard(node), key }
     }
 
+    /// Declares `key` of `node`'s shard written by a transaction of
+    /// `worker`'s: by key if `node` is the worker's machine, else by the
+    /// address the location cache gives.
+    ///
+    /// # Panics
+    ///
+    /// If a remote key has no row (a local one reads as `None`).
+    pub fn declare_write<'a>(
+        &'a self,
+        worker: &Worker,
+        spec: &mut TxnSpec<'a>,
+        node: NodeId,
+        key: u64,
+    ) -> Result<Decl, TxnError> {
+        self.declare(worker, spec, (node, key), true)
+    }
+
+    /// [`Table::declare_write`] for a record the transaction only reads.
+    pub fn declare_read<'a>(
+        &'a self,
+        worker: &Worker,
+        spec: &mut TxnSpec<'a>,
+        node: NodeId,
+        key: u64,
+    ) -> Result<Decl, TxnError> {
+        self.declare(worker, spec, (node, key), false)
+    }
+
+    fn declare<'a>(
+        &'a self,
+        w: &Worker,
+        spec: &mut TxnSpec<'a>,
+        (node, key): (NodeId, u64),
+        write: bool,
+    ) -> Result<Decl, TxnError> {
+        let remote = || Ok(self.try_resolve(w, node, key)?);
+        let found = declare(spec, w.node, self.shard(w.node), (node, key), write, remote)?;
+        Ok(found.unwrap_or_else(|| panic!("no row {key:#x} on machine {node}")))
+    }
+
     /// The location cache used by `client` for `server`'s shard.
     pub fn cache(&self, client: NodeId, server: NodeId) -> Arc<LocationCache> {
         self.caches.get(client, server)
@@ -144,6 +187,26 @@ impl Table {
                 .map(|(addr, _slot, _reads)| RecordAddr::new(addr, cap)))
         }
     }
+}
+
+/// The one rule of where a record is declared: `key` of machine `node`,
+/// for a transaction on machine `here`, whose shard of the table is
+/// `shard`, by key; another machine's by the address `remote` resolves,
+/// for Start to lock or lease. `None`: `remote` found no row.
+pub(crate) fn declare<'a>(
+    spec: &mut TxnSpec<'a>,
+    here: NodeId,
+    shard: &'a ClusterHash,
+    (node, key): (NodeId, u64),
+    write: bool,
+    remote: impl FnOnce() -> Result<Option<RecordAddr>, TxnError>,
+) -> Result<Option<Decl>, TxnError> {
+    if node == here {
+        let row = LocalKey { table: shard, key };
+        return Ok(Some(if write { spec.write_key(row) } else { spec.read_key(row) }));
+    }
+    let Some(rec) = remote()? else { return Ok(None) };
+    Ok(Some(if write { spec.write_at(rec) } else { spec.read_at(rec) }))
 }
 
 /// Validated read of `key`'s value bytes in `shard`, the shard of

@@ -17,9 +17,7 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use drtm_core::{
-    Deployment, DrTm, DrTmConfig, RecordAddr, TxnError, TxnSpec, Worker, SOFTTIME_INTERVAL,
-};
+use drtm_core::{Deployment, DrTm, DrTmConfig, TxnError, TxnSpec, Worker, SOFTTIME_INTERVAL};
 use drtm_rdma::{ClusterConfig, LatencyProfile, NodeId};
 
 use crate::dist::rng;
@@ -190,13 +188,6 @@ impl SmallBankWorker {
         (node, acct)
     }
 
-    /// The address of `key`'s account on another machine, through the
-    /// location cache: what Start locks with one-sided verbs.
-    fn remote(&self, table: &Table, node: NodeId, key: u64) -> Result<RecordAddr, TxnError> {
-        debug_assert_ne!(node, self.w.node, "a local account is declared by key");
-        Ok(table.try_resolve(&self.w, node, key)?.expect("populated account"))
-    }
-
     /// Runs one transaction drawn from the mix; returns its label.
     ///
     /// # Panics
@@ -231,24 +222,13 @@ impl SmallBankWorker {
         let amount = self.rng.gen_range(1..100u64);
         // Room for both accounts: the spec is this call's one allocation.
         let mut spec = TxnSpec { keyed_writes: Vec::with_capacity(2), ..Default::default() };
-        spec.keyed_writes.push(self.checking.local(node, a));
-        let b_remote = nb != node;
-        if b_remote {
-            spec.remote_writes.push(self.remote(&self.checking, nb, b)?);
-        } else {
-            spec.keyed_writes.push(self.checking.local(node, b));
-        }
+        let from = self.checking.declare_write(&self.w, &mut spec, node, a)?;
+        let to = self.checking.declare_write(&self.w, &mut spec, nb, b)?;
         tolerate_user_abort(self.w.execute(&spec, |ctx| {
-            let va = balance(ctx.keyed_write_cur(0)?.as_deref());
-            ctx.keyed_write(0, &va.wrapping_sub(amount).to_le_bytes())?;
-            if b_remote {
-                let vb = first_field(ctx.remote_write_cur(0));
-                ctx.remote_write(0, vb.wrapping_add(amount).to_le_bytes());
-            } else {
-                let vb = balance(ctx.keyed_write_cur(1)?.as_deref());
-                ctx.keyed_write(1, &vb.wrapping_add(amount).to_le_bytes())?;
-            }
-            Ok(())
+            let va = balance(ctx.get(from)?);
+            ctx.put(from, &va.wrapping_sub(amount).to_le_bytes())?;
+            let vb = balance(ctx.get(to)?);
+            ctx.put(to, &vb.wrapping_add(amount).to_le_bytes())
         }))
     }
 
@@ -259,12 +239,11 @@ impl SmallBankWorker {
     pub fn try_balance(&mut self) -> Result<(), TxnError> {
         let node = self.w.node;
         let a = self.pick_on(node);
-        let spec = TxnSpec {
-            keyed_reads: vec![self.checking.local(node, a), self.savings.local(node, a)],
-            ..Default::default()
-        };
+        let mut spec = TxnSpec { keyed_reads: Vec::with_capacity(2), ..Default::default() };
+        let checking = self.checking.declare_read(&self.w, &mut spec, node, a)?;
+        let savings = self.savings.declare_read(&self.w, &mut spec, node, a)?;
         self.w.execute(&spec, |ctx| {
-            Ok(balance(ctx.keyed_read(0)?).wrapping_add(balance(ctx.keyed_read(1)?)))
+            Ok(balance(ctx.get(checking)?).wrapping_add(balance(ctx.get(savings)?)))
         })?;
         Ok(())
     }
@@ -291,10 +270,11 @@ impl SmallBankWorker {
         let a = self.pick_on(node);
         let amount = self.rng.gen_range(1..100u64);
         let table = if savings { &self.savings } else { &self.checking };
-        let spec = TxnSpec { keyed_writes: vec![table.local(node, a)], ..Default::default() };
+        let mut spec = TxnSpec { keyed_writes: Vec::with_capacity(1), ..Default::default() };
+        let account = table.declare_write(&self.w, &mut spec, node, a)?;
         tolerate_user_abort(self.w.execute(&spec, |ctx| {
-            let v = balance(ctx.keyed_write_cur(0)?.as_deref());
-            ctx.keyed_write(0, &op(v, amount).to_le_bytes())
+            let v = balance(ctx.get(account)?);
+            ctx.put(account, &op(v, amount).to_le_bytes())
         }))
     }
 
@@ -304,33 +284,21 @@ impl SmallBankWorker {
         let a = self.pick_on(node);
         let (nb, b) = self.pick_second(a);
         let mut spec = TxnSpec { keyed_writes: Vec::with_capacity(3), ..Default::default() };
-        spec.keyed_writes.push(self.savings.local(node, a));
-        spec.keyed_writes.push(self.checking.local(node, a));
-        let b_remote = nb != node;
-        if b_remote {
-            spec.remote_writes.push(self.remote(&self.checking, nb, b)?);
-        } else {
-            spec.keyed_writes.push(self.checking.local(node, b));
-        }
+        let savings = self.savings.declare_write(&self.w, &mut spec, node, a)?;
+        let checking = self.checking.declare_write(&self.w, &mut spec, node, a)?;
+        let to = self.checking.declare_write(&self.w, &mut spec, nb, b)?;
         tolerate_user_abort(self.w.execute(&spec, |ctx| {
-            let total = balance(ctx.keyed_write_cur(0)?.as_deref())
-                .wrapping_add(balance(ctx.keyed_write_cur(1)?.as_deref()));
-            ctx.keyed_write(0, &0u64.to_le_bytes())?;
-            ctx.keyed_write(1, &0u64.to_le_bytes())?;
-            if b_remote {
-                let vb = first_field(ctx.remote_write_cur(0));
-                ctx.remote_write(0, vb.wrapping_add(total).to_le_bytes());
-            } else {
-                let vb = balance(ctx.keyed_write_cur(2)?.as_deref());
-                ctx.keyed_write(2, &vb.wrapping_add(total).to_le_bytes())?;
-            }
-            Ok(())
+            let total = balance(ctx.get(savings)?).wrapping_add(balance(ctx.get(checking)?));
+            ctx.put(savings, &0u64.to_le_bytes())?;
+            ctx.put(checking, &0u64.to_le_bytes())?;
+            let vb = balance(ctx.get(to)?);
+            ctx.put(to, &vb.wrapping_add(total).to_le_bytes())
         }))
     }
 }
 
-/// The balance in a local account's row, which is that one `u64`;
-/// population creates every account and nothing deletes one.
+/// The balance in an account's row, which is that one `u64`; population
+/// creates every account and nothing deletes one.
 fn balance(row: Option<&[u8]>) -> u64 {
     first_field(row.expect("populated account"))
 }

@@ -1,8 +1,8 @@
 //! The five TPC-C transactions on DrTM (§7.1–§7.3), each running a
 //! [`Request`] its worker's [`StdMix`] drew.
 //!
-//! Local rows are declared by key and looked up inside the transaction's
-//! own HTM region; only a remote row needs an address before Start.
+//! A body reads and writes each row through the handle `Table::declare_*`
+//! gives, wherever the row lives; only a remote row needs an address.
 //!
 //! * **new-order** — the throughput metric; declares district + stock
 //!   write sets in advance (remote stock lines become RDMA-locked remote
@@ -26,10 +26,9 @@
 
 use std::sync::Arc;
 
-use drtm_core::{Abort, ChopInfo, RecordAddr, TxnError, TxnSpec, Worker, USER_ABORT};
+use drtm_core::{Abort, ChopInfo, TxnError, TxnSpec, Worker, USER_ABORT};
 use drtm_rdma::NodeId;
 
-use crate::resolve::Table;
 use crate::tpcc::{hash16, keys, read_row, Request, StdMix, Tpcc};
 use crate::{fields, pack_fields, tolerate_user_abort};
 
@@ -39,11 +38,6 @@ pub struct TpccWorker {
     w: Worker,
     mix: StdMix,
     hseq: u64,
-}
-
-enum StockRef {
-    Local(usize),
-    Remote(usize),
 }
 
 /// The fields of a row that population put there and nothing deletes.
@@ -64,14 +58,6 @@ impl TpccWorker {
     /// The underlying DrTM worker.
     pub fn worker(&self) -> &Worker {
         &self.w
-    }
-
-    /// The address of `key`'s row on another machine, through the
-    /// location cache: what Start locks with one-sided verbs.
-    fn remote(&self, table: &Table, node: NodeId, key: u64) -> Result<RecordAddr, TxnError> {
-        debug_assert_ne!(node, self.w.node, "a local row is declared by key");
-        let found = table.try_resolve(&self.w, node, key)?;
-        Ok(found.unwrap_or_else(|| panic!("missing row {key:#x}")))
     }
 
     /// Runs one transaction from the standard mix (NEW 45 %, PAY 43 %,
@@ -139,7 +125,7 @@ impl TpccWorker {
             Request::Payment { w, d, c_w, c_d, c, h } => self.payment(w, d, (c_w, c_d, c), h),
             Request::OrderStatus { w, d, c } => self.order_status(w, d, c).map(drop),
             Request::Delivery { w, carrier } => self.delivery(w, carrier),
-            Request::StockLevel { w, d, threshold } => self.stock_level(w, d, threshold),
+            Request::StockLevel { w, d, threshold } => self.stock_level(w, d, threshold).map(drop),
         }
     }
 
@@ -156,23 +142,20 @@ impl TpccWorker {
         let node = self.w.node;
         let ol_cnt = lines.len() as u64;
 
-        // Declare the read/write sets: local rows by key, a remote
-        // warehouse's stock by the address Start will lock.
+        // Declare the read/write sets: a remote warehouse's stock is
+        // locked at Start, every other row found in the transaction.
         let mut spec = TxnSpec::default();
-        spec.keyed_writes.push(t.district.local(node, keys::district(w, d)));
-        spec.keyed_reads.push(t.warehouse.local(node, keys::warehouse(w)));
-        spec.keyed_reads.push(t.customer.local(node, keys::customer(w, d, c)));
-        let mut stock_refs = Vec::with_capacity(lines.len());
+        let district = t.district.declare_write(&self.w, &mut spec, node, keys::district(w, d))?;
+        t.warehouse.declare_read(&self.w, &mut spec, node, keys::warehouse(w))?;
+        t.customer.declare_read(&self.w, &mut spec, node, keys::customer(w, d, c))?;
+        let mut rows = Vec::with_capacity(lines.len());
         for &(i, supply, _) in &lines {
-            spec.keyed_reads.push(t.item.local(node, i));
+            let item = t.item.declare_read(&self.w, &mut spec, node, i)?;
             let sn = t.cfg.node_of_warehouse(supply);
-            if sn == node {
-                stock_refs.push(StockRef::Local(spec.keyed_writes.len()));
-                spec.keyed_writes.push(t.stock.local(node, keys::stock(supply, i)));
-            } else {
-                stock_refs.push(StockRef::Remote(spec.remote_writes.len()));
-                spec.remote_writes.push(self.remote(&t.stock, sn, keys::stock(supply, i))?);
-            }
+            rows.push((
+                item,
+                t.stock.declare_write(&self.w, &mut spec, sn, keys::stock(supply, i))?,
+            ));
         }
 
         let order_tab = t.order.shard(node);
@@ -186,28 +169,22 @@ impl TpccWorker {
                 return Err(Abort::Explicit(USER_ABORT));
             }
             // District: allocate the order id.
-            let mut df = row(ctx.keyed_write_cur(0)?.as_deref());
+            let mut df = row(ctx.get(district)?);
             let o_id = df[2];
             df[2] = o_id + 1;
-            ctx.keyed_write(0, &pack_fields(&df))?;
+            ctx.put(district, &pack_fields(&df))?;
             // Items and stock.
             let mut total = 0u64;
-            for (k, &(_, supply, qty)) in lines.iter().enumerate() {
-                let price = row(ctx.keyed_read(2 + k)?)[0];
-                let mut sf = match &stock_refs[k] {
-                    StockRef::Local(idx) => row(ctx.keyed_write_cur(*idx)?.as_deref()),
-                    StockRef::Remote(idx) => fields(ctx.remote_write_cur(*idx)),
-                };
+            for (&(_, supply, qty), &(item, stock)) in lines.iter().zip(&rows) {
+                let price = row(ctx.get(item)?)[0];
+                let mut sf = row(ctx.get(stock)?);
                 sf[0] = if sf[0] >= qty + 10 { sf[0] - qty } else { sf[0] + 91 - qty };
                 sf[1] = sf[1].wrapping_add(qty);
                 sf[2] += 1;
                 if supply != w {
                     sf[3] += 1;
                 }
-                match &stock_refs[k] {
-                    StockRef::Local(idx) => ctx.keyed_write(*idx, &pack_fields(&sf))?,
-                    StockRef::Remote(idx) => ctx.remote_write(*idx, pack_fields(&sf)),
-                }
+                ctx.put(stock, &pack_fields(&sf))?;
                 total = total.wrapping_add(qty.wrapping_mul(price));
             }
             // Order rows and indexes.
@@ -245,38 +222,25 @@ impl TpccWorker {
         let node = self.w.node;
         let c_node = t.cfg.node_of_warehouse(c_w);
         let mut spec = TxnSpec::default();
-        spec.keyed_writes.push(t.warehouse.local(node, keys::warehouse(w)));
-        spec.keyed_writes.push(t.district.local(node, keys::district(w, d)));
+        let warehouse = t.warehouse.declare_write(&self.w, &mut spec, node, keys::warehouse(w))?;
+        let district = t.district.declare_write(&self.w, &mut spec, node, keys::district(w, d))?;
         let cust_key = keys::customer(c_w, c_d, c);
-        let cust_remote = c_node != node;
-        if cust_remote {
-            spec.remote_writes.push(self.remote(&t.customer, c_node, cust_key)?);
-        } else {
-            spec.keyed_writes.push(t.customer.local(node, cust_key));
-        }
+        let customer = t.customer.declare_write(&self.w, &mut spec, c_node, cust_key)?;
         let hist_tab = t.history.shard(node);
         let hist_key = (node as u64) << 48 | (self.w.worker_id as u64) << 40 | self.hseq;
         self.hseq += 1;
         let r = self.w.execute(&spec, |ctx| {
-            let mut wf = row(ctx.keyed_write_cur(0)?.as_deref());
+            let mut wf = row(ctx.get(warehouse)?);
             wf[0] = wf[0].wrapping_add(h);
-            ctx.keyed_write(0, &pack_fields(&wf))?;
-            let mut df = row(ctx.keyed_write_cur(1)?.as_deref());
+            ctx.put(warehouse, &pack_fields(&wf))?;
+            let mut df = row(ctx.get(district)?);
             df[0] = df[0].wrapping_add(h);
-            ctx.keyed_write(1, &pack_fields(&df))?;
-            let mut cf = if cust_remote {
-                fields(ctx.remote_write_cur(0))
-            } else {
-                row(ctx.keyed_write_cur(2)?.as_deref())
-            };
+            ctx.put(district, &pack_fields(&df))?;
+            let mut cf = row(ctx.get(customer)?);
             cf[0] = cf[0].wrapping_sub(h);
             cf[1] = cf[1].wrapping_add(h);
             cf[2] += 1;
-            if cust_remote {
-                ctx.remote_write(0, pack_fields(&cf));
-            } else {
-                ctx.keyed_write(2, &pack_fields(&cf))?;
-            }
+            ctx.put(customer, &pack_fields(&cf))?;
             ctx.hash_insert(hist_tab, hist_key, &pack_fields(&[c_w, c_d, c, h, 0]))?;
             Ok(())
         });
@@ -348,10 +312,14 @@ impl TpccWorker {
                 continue;
             };
             let mut spec = TxnSpec::default();
-            spec.keyed_writes.push(t.order.local(node, keys::order(w, d, o_id)));
-            spec.keyed_writes.push(t.customer.local(node, keys::customer(w, d, c)));
-            for ol in 0..ol_cnt {
-                spec.keyed_writes.push(t.order_line.local(node, keys::order_line(w, d, o_id, ol)));
+            let order = t.order.declare_write(&self.w, &mut spec, node, keys::order(w, d, o_id))?;
+            let customer =
+                t.customer.declare_write(&self.w, &mut spec, node, keys::customer(w, d, c))?;
+            // At most 15 lines: the reconnaissance's bound.
+            let mut lines = [None; 15];
+            for (ol, line) in (0..ol_cnt).zip(&mut lines) {
+                let key = keys::order_line(w, d, o_id, ol);
+                *line = Some(t.order_line.declare_write(&self.w, &mut spec, node, key)?);
             }
             let r = self.w.execute(&spec, |ctx| {
                 // Re-verify the reconnaissance result by consuming the
@@ -359,21 +327,21 @@ impl TpccWorker {
                 if !ctx.tree_remove(no_idx, no_key)? {
                     return Err(Abort::Explicit(USER_ABORT));
                 }
-                let mut of = row(ctx.keyed_write_cur(0)?.as_deref());
+                let mut of = row(ctx.get(order)?);
                 of[2] = carrier;
-                ctx.keyed_write(0, &pack_fields(&of))?;
+                ctx.put(order, &pack_fields(&of))?;
                 let mut total = 0u64;
-                for i in 2..2 + ol_cnt as usize {
-                    let Some(line) = ctx.keyed_write_cur(i)? else { continue };
-                    let mut lf = fields(&line);
+                for &line in lines.iter().flatten() {
+                    let Some(lf) = ctx.get(line)? else { continue };
+                    let mut lf = fields(lf);
                     total = total.wrapping_add(lf[3]);
                     lf[4] = 1; // delivery timestamp
-                    ctx.keyed_write(i, &pack_fields(&lf))?;
+                    ctx.put(line, &pack_fields(&lf))?;
                 }
-                let mut cf = row(ctx.keyed_write_cur(1)?.as_deref());
+                let mut cf = row(ctx.get(customer)?);
                 cf[0] = cf[0].wrapping_add(total);
                 cf[3] += 1;
-                ctx.keyed_write(1, &pack_fields(&cf))?;
+                ctx.put(customer, &pack_fields(&cf))?;
                 Ok(())
             });
             tolerate_user_abort(r)?;
@@ -382,13 +350,14 @@ impl TpccWorker {
         Ok(())
     }
 
-    /// SL: count distinct recently-ordered items with low stock.
+    /// SL: the number of distinct recently-ordered items with stock
+    /// below `threshold`.
     ///
     /// TPC-C clause 3.5 explicitly relaxes stock-level to read-committed,
     /// so each of the 20 orders examined is read — its row, its lines
     /// and their stock rows — in a validated region of its own. Purely
     /// local: it cannot fail, and is fallible only to match its siblings.
-    fn stock_level(&mut self, w: u64, d: u64, threshold: u64) -> Result<(), TxnError> {
+    fn stock_level(&mut self, w: u64, d: u64, threshold: u64) -> Result<usize, TxnError> {
         let t = Arc::clone(&self.t);
         let node = self.w.node;
         let (districts, orders) = (t.district.shard(node), t.order.shard(node));
@@ -414,7 +383,7 @@ impl TpccWorker {
             });
             low.extend(lines.into_iter().filter(|&(_, qty)| qty < threshold).map(|(i, _)| i));
         }
-        Ok(())
+        Ok(low.len())
     }
 }
 
@@ -449,6 +418,7 @@ fn customer_named(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resolve::Table;
     use crate::tpcc::tests::tiny;
     use crate::tpcc::{Tpcc, TpccConfig};
 
@@ -484,6 +454,34 @@ mod tests {
         w.try_order_status().unwrap();
         w.try_stock_level().unwrap();
         assert!(t.sys.stats().snapshot().ro_committed >= 1);
+    }
+
+    #[test]
+    fn stock_level_counts_the_distinct_items_of_the_last_20_orders() {
+        // Below a threshold of u64::MAX every stock row is low, so the
+        // answer is the number of distinct items the district's last 20
+        // orders name: read here from the rows of a quiesced deployment.
+        let t = Arc::new(Tpcc::build(tiny()));
+        let mut w = t.worker(0, 0);
+        for _ in 0..10 {
+            w.try_new_order().unwrap();
+        }
+        let (wh, d) = (0, 1);
+        assert_eq!(t.cfg.node_of_warehouse(wh), 0);
+        let (exec, region) = (t.sys.executor(), t.sys.cluster().node(0).region());
+        let row = |table: &Table, key| table.read_local(&exec, region, 0, key).map(|r| fields(&r));
+        let next_o = row(&t.district, keys::district(wh, d)).expect("a district")[2];
+        let mut items = std::collections::HashSet::new();
+        for o in next_o.saturating_sub(20)..next_o {
+            let ol_cnt = row(&t.order, keys::order(wh, d, o)).map_or(0, |of| of[3].min(15));
+            for ol in 0..ol_cnt {
+                let Some(lf) = row(&t.order_line, keys::order_line(wh, d, o, ol)) else { continue };
+                assert!(row(&t.stock, keys::stock(wh, lf[0])).is_some(), "a stock row");
+                items.insert(lf[0]);
+            }
+        }
+        assert!(items.len() > 20, "20 orders of 5–15 lines: {}", items.len());
+        assert_eq!(w.stock_level(wh, d, u64::MAX), Ok(items.len()));
     }
 
     #[test]

@@ -1,16 +1,34 @@
 //! Quickstart: a two-machine DrTM cluster in ~100 lines.
 //!
 //! Assembles the deployment (cluster config → declare the stores →
-//! populate → start), then runs (1) a local transaction, (2) a
-//! distributed read-write transaction that locks a remote record over
-//! simulated RDMA, (3) a small local read-only transaction in one HTM
-//! region and (4) a lease-based read-only transaction across machines.
+//! populate → start), then runs one transfer body, written against
+//! record handles, as (1) a local transaction and (2) a distributed one
+//! that locks a remote record over simulated RDMA; then (3) a small
+//! local read-only transaction in one HTM region and (4) a lease-based
+//! read-only transaction across machines.
 //!
 //! Run with: `cargo run --example quickstart`
 
 use drtm::rdma::ClusterConfig;
-use drtm::txn::{Deployment, DrTmConfig, RecordAddr, TxnSpec, SOFTTIME_INTERVAL};
+use drtm::txn::{Abort, Decl, Deployment, DrTmConfig, TxnCtx, TxnSpec, SOFTTIME_INTERVAL};
 use drtm::workloads::resolve::Table;
+
+fn read_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().unwrap())
+}
+
+/// The balance of the account `d` declares, wherever it lives.
+fn balance(ctx: &mut TxnCtx<'_>, d: Decl) -> Result<u64, Abort> {
+    Ok(read_u64(ctx.get(d)?.expect("populated")))
+}
+
+/// Moves `amount` coins from account `from` to account `to`: one body
+/// for local and remote accounts alike.
+fn transfer(ctx: &mut TxnCtx<'_>, from: Decl, to: Decl, amount: u64) -> Result<(), Abort> {
+    let (a, b) = (balance(ctx, from)?, balance(ctx, to)?);
+    ctx.put(from, &(a - amount).to_le_bytes())?;
+    ctx.put(to, &(b + amount).to_le_bytes())
+}
 
 fn main() {
     // 1. Two simulated machines with 16 MB regions and one worker each.
@@ -39,59 +57,34 @@ fn main() {
     let sys = dep.start(SOFTTIME_INTERVAL);
     let mut worker = sys.worker(0, 0);
 
-    let read_u64 = |b: &[u8]| u64::from_le_bytes(b[..8].try_into().unwrap());
-
     // 5. Local transaction: move 100 coins between two local accounts.
-    //    A local record is declared by key and looked up inside the
-    //    transaction's own HTM region.
-    let spec = TxnSpec {
-        keyed_writes: vec![accounts.local(0, 1), accounts.local(0, 2)],
-        ..Default::default()
-    };
-    worker
-        .execute(&spec, |ctx| {
-            let a = read_u64(&ctx.keyed_write_cur(0)?.expect("populated"));
-            let b = read_u64(&ctx.keyed_write_cur(1)?.expect("populated"));
-            ctx.keyed_write(0, &(a - 100).to_le_bytes())?;
-            ctx.keyed_write(1, &(b + 100).to_le_bytes())?;
-            Ok(())
-        })
-        .expect("local transaction");
+    //    Declaring a record returns the handle the body reads and writes
+    //    it through; a record on this machine is declared by key and
+    //    looked up inside the transaction's own HTM region.
+    let mut spec = TxnSpec::default();
+    let one = accounts.declare_write(&worker, &mut spec, 0, 1).unwrap();
+    let two = accounts.declare_write(&worker, &mut spec, 0, 2).unwrap();
+    worker.execute(&spec, |ctx| transfer(ctx, one, two, 100)).expect("local transaction");
     println!("local transfer committed (HTM path)");
 
     // 6. Distributed transaction: machine 0 debits its account 1 and
-    //    credits account 7 on machine 1. Only the remote record needs an
-    //    address up front: Start locks it with an RDMA CAS.
-    let remote: RecordAddr = accounts.resolve(&worker, 1, 7).unwrap();
-    let spec = TxnSpec {
-        keyed_writes: vec![accounts.local(0, 1)],
-        remote_writes: vec![remote],
-        ..Default::default()
-    };
-    worker
-        .execute(&spec, |ctx| {
-            let mine = read_u64(&ctx.keyed_write_cur(0)?.expect("populated"));
-            let theirs = read_u64(ctx.remote_write_cur(0));
-            ctx.keyed_write(0, &(mine - 50).to_le_bytes())?;
-            ctx.remote_write(0, (theirs + 50).to_le_bytes());
-            Ok(())
-        })
-        .expect("distributed transaction");
+    //    credits account 7 on machine 1, with the same body. A record on
+    //    another machine is declared by the address its location cache
+    //    gives: Start locks it with an RDMA CAS.
+    let mut spec = TxnSpec::default();
+    let mine = accounts.declare_write(&worker, &mut spec, 0, 1).unwrap();
+    let theirs = accounts.declare_write(&worker, &mut spec, 1, 7).unwrap();
+    worker.execute(&spec, |ctx| transfer(ctx, mine, theirs, 50)).expect("distributed transaction");
     println!("distributed transfer committed (HTM + RDMA 2PL)");
 
     // 7. A small local read-only transaction is the same `execute` with
     //    an empty write set: two reads in one region are one snapshot —
     //    no lease, no log, no verb.
-    let spec = TxnSpec {
-        keyed_reads: vec![accounts.local(0, 1), accounts.local(0, 2)],
-        ..Default::default()
-    };
+    let mut spec = TxnSpec::default();
+    let one = accounts.declare_read(&worker, &mut spec, 0, 1).unwrap();
+    let two = accounts.declare_read(&worker, &mut spec, 0, 2).unwrap();
     let sum = worker
-        .execute(&spec, |ctx| {
-            let a = read_u64(ctx.keyed_read(0)?.expect("populated"));
-            let b = read_u64(ctx.keyed_read(1)?.expect("populated"));
-            Ok(a + b)
-        })
+        .execute(&spec, |ctx| Ok(balance(ctx, one)? + balance(ctx, two)?))
         .expect("local read-only transaction");
     println!("local read-only sum of accounts 1 and 2: {sum}");
     assert_eq!(sum, 850 + 1100);

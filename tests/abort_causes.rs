@@ -92,8 +92,9 @@ fn local_read_under_remote_lock_is_htm_locked() {
         std::thread::sleep(Duration::from_millis(5));
         let mut w = f.sys.worker(0, 0);
         let key = LocalKey { table: &f.tables[0], key: 0 };
-        let spec = TxnSpec { keyed_reads: vec![key], ..Default::default() };
-        let v = w.execute(&spec, |ctx| Ok(u(ctx.keyed_read(0)?.expect("populated")))).unwrap();
+        let mut spec = TxnSpec::default();
+        let row = spec.read_key(key);
+        let v = w.execute(&spec, |ctx| Ok(u(ctx.get(row)?.expect("populated")))).unwrap();
         assert_eq!(v, 100);
     });
     let dump = f.sys.trace_dump();
