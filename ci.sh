@@ -58,6 +58,11 @@
 # umbrella src/lib.rs) carries `#![forbid(unsafe_code)]`; then the gate's
 # self-test: a copy of a lib.rs under target/ without the attribute must
 # fail it
+# plus a public-surface gate (DESIGN.md §2 "Public surface"): every
+# library crate root carries `#![warn(unreachable_pub)]`, so clippy's
+# -D warnings fails a `pub` item nothing exports; then the gate's
+# self-test: a copy of a lib.rs under target/ without the attribute must
+# fail it
 # plus an entry-image gate (DESIGN.md §2, memstore's "one remote entry
 # accessor"): non-test code (crates/*/src, crates/*/benches, examples and
 # src, each file up to its first #[cfg(test)]) names ENTRY_HEADER_BYTES
@@ -228,8 +233,7 @@ echo "== one slot table: every declared record of a transaction in one place =="
 # forked DESIGN.md §2 "Commit pipeline": every phase walks that one
 # table, in the order the write-ahead log records.
 if git grep -n -w --untracked -e local_reads -e local_read -- crates tests examples src \
-  | grep -v -e '^crates/core/src/record\.rs:' -e '^crates/core/src/lib\.rs:[0-9]*: *local_read, ' \
-    -e 'record::local_read(' -e 'ops::local_read('; then
+  | grep -v -e '^crates/core/src/record\.rs:' -e 'record::local_read(' -e 'ops::local_read('; then
   echo "a local record read by address is back: declare it by key (TxnSpec::read_key)" >&2
   exit 1
 fi
@@ -310,6 +314,31 @@ PROBE=target/forbid_unsafe_gate_probe.rs
 grep -v -x '#!\[forbid(unsafe_code)\]' crates/htm/src/lib.rs > "$PROBE"
 if forbid_unsafe_gate "$PROBE" 2>/dev/null; then
   echo "the no-unsafe gate passed a crate root without the attribute" >&2
+  exit 1
+fi
+rm "$PROBE"
+
+echo "== pub means exported: every library crate warns on unreachable_pub =="
+# With the lint on (and clippy's -D warnings below), a `pub` item in a
+# private module that no crate root exports fails the build: what is
+# `pub` is what another crate can name. Prints each given crate root
+# that lacks the attribute line (or is missing), and fails if there is
+# one.
+unreachable_pub_gate() {
+  local root status=0
+  for root in "$@"; do
+    grep -q -x '#!\[warn(unreachable_pub)\]' "$root" 2>/dev/null || { echo "$root" >&2; status=1; }
+  done
+  return "$status"
+}
+unreachable_pub_gate crates/*/src/lib.rs src/lib.rs \
+  || { echo "a library crate root without #![warn(unreachable_pub)]" >&2; exit 1; }
+
+echo "== pub means exported: the gate can fail =="
+PROBE=target/unreachable_pub_gate_probe.rs
+grep -v -x '#!\[warn(unreachable_pub)\]' crates/htm/src/lib.rs > "$PROBE"
+if unreachable_pub_gate "$PROBE" 2>/dev/null; then
+  echo "the unreachable_pub gate passed a crate root without the attribute" >&2
   exit 1
 fi
 rm "$PROBE"

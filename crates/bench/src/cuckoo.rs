@@ -20,36 +20,32 @@ use drtm_memstore::{hash64, Arena, Entry, FreeList};
 
 /// A second independent hash for multi-hash schemes (Cuckoo).
 #[inline]
-pub fn hash64_alt(key: u64, salt: u64) -> u64 {
+pub(crate) fn hash64_alt(key: u64, salt: u64) -> u64 {
     hash64(key ^ salt.wrapping_mul(0xA24B_AED4_963E_E407))
 }
 
 /// Bytes per self-verifying bucket (key, offset, checksum, pad).
-pub const CUCKOO_BUCKET_BYTES: usize = 32;
+pub(crate) const CUCKOO_BUCKET_BYTES: usize = 32;
 
 /// Number of orthogonal hash functions.
-pub const CUCKOO_WAYS: usize = 3;
+pub(crate) const CUCKOO_WAYS: usize = 3;
 
 /// Geometry of a [`CuckooHash`].
 #[derive(Debug, Clone)]
-pub struct CuckooHashDesc {
+pub(crate) struct CuckooHashDesc {
     /// Owning machine.
     pub node: NodeId,
     /// Region offset of the bucket array.
     pub base: usize,
     /// Number of buckets (power of two).
     pub buckets: usize,
-    /// Region offset of the entry pool.
-    pub entry_base: usize,
-    /// Entry pool capacity.
-    pub entry_capacity: usize,
     /// Fixed value capacity in bytes.
     pub value_cap: usize,
 }
 
 /// The Pilaf-like baseline table.
 #[derive(Debug)]
-pub struct CuckooHash {
+pub(crate) struct CuckooHash {
     desc: CuckooHashDesc,
     entries: FreeList,
     /// Host-side write lock: all PUTs are shipped to the host (two-sided),
@@ -66,7 +62,7 @@ fn checksum(key: u64, off: u64) -> u64 {
 impl CuckooHash {
     /// Carves a table out of `arena`. `buckets` is rounded to a power of
     /// two; aim for ≤ 90 % occupancy or inserts may fail.
-    pub fn create(
+    pub(crate) fn create(
         arena: &mut Arena,
         node: NodeId,
         buckets: usize,
@@ -77,15 +73,10 @@ impl CuckooHash {
         let base = arena.reserve(buckets * CUCKOO_BUCKET_BYTES);
         let entry_base = arena.reserve(Entry::footprint(value_cap) * entry_capacity);
         CuckooHash {
-            desc: CuckooHashDesc { node, base, buckets, entry_base, entry_capacity, value_cap },
+            desc: CuckooHashDesc { node, base, buckets, value_cap },
             entries: FreeList::new(entry_base, Entry::footprint(value_cap), entry_capacity),
             write_lock: Mutex::new(()),
         }
-    }
-
-    /// The table geometry.
-    pub fn desc(&self) -> &CuckooHashDesc {
-        &self.desc
     }
 
     fn bucket_off(&self, way: usize, key: u64) -> usize {
@@ -113,7 +104,7 @@ impl CuckooHash {
 
     /// Host-side insert (the shipped PUT). Returns `false` when the table
     /// cannot place the key after the kick budget or pools are full.
-    pub fn insert(&self, region: &Region, key: u64, value: &[u8]) -> bool {
+    pub(crate) fn insert(&self, region: &Region, key: u64, value: &[u8]) -> bool {
         assert!(value.len() <= self.desc.value_cap, "value exceeds table capacity");
         let _g = self.write_lock.lock();
         let Some(entry_off) = self.entries.alloc() else { return false };
@@ -154,7 +145,7 @@ impl CuckooHash {
     ///
     /// Returns `(value, probe_reads)` where `probe_reads` excludes the
     /// final entry READ (Table 4 counts lookup READs).
-    pub fn remote_get(&self, qp: &Qp, key: u64) -> (Option<Vec<u8>>, u32) {
+    pub(crate) fn remote_get(&self, qp: &Qp, key: u64) -> (Option<Vec<u8>>, u32) {
         let mut reads = 0u32;
         for way in 0..CUCKOO_WAYS {
             let boff = self.bucket_off(way, key);

@@ -6,10 +6,10 @@
 //! whole neighbourhood answers any GET. Two layouts are modelled
 //! (Table 3 footnote):
 //!
-//! * [`HopscotchVariant::Inline`] (FaRM-KV/I) — the value lives inside
+//! * `HopscotchVariant::Inline` (FaRM-KV/I) — the value lives inside
 //!   the slot; one READ suffices but its size is 8 × (slot + value), so
 //!   throughput collapses as values grow (Figure 10(b)).
-//! * [`HopscotchVariant::Offset`] (FaRM-KV/O) — the slot holds an offset;
+//! * `HopscotchVariant::Offset` (FaRM-KV/O) — the slot holds an offset;
 //!   a second READ fetches the value.
 //!
 //! PUTs go to the host (FaRM uses a circular buffer + polling; a host
@@ -24,11 +24,11 @@ use drtm_rdma::{GlobalAddr, NodeId, Qp};
 use drtm_memstore::{hash64, Arena, Entry, FreeList};
 
 /// Neighbourhood size (slots scanned by one READ).
-pub const NEIGHBOURHOOD: usize = 8;
+pub(crate) const NEIGHBOURHOOD: usize = 8;
 
 /// Which FaRM-KV layout a table uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HopscotchVariant {
+pub(crate) enum HopscotchVariant {
     /// Value stored inline in the slot (FaRM-KV/I).
     Inline,
     /// Slot stores an offset into the entry pool (FaRM-KV/O).
@@ -37,7 +37,7 @@ pub enum HopscotchVariant {
 
 /// Geometry of a [`HopscotchHash`].
 #[derive(Debug, Clone)]
-pub struct HopscotchHashDesc {
+pub(crate) struct HopscotchHashDesc {
     /// Owning machine.
     pub node: NodeId,
     /// Layout variant.
@@ -48,15 +48,13 @@ pub struct HopscotchHashDesc {
     pub buckets: usize,
     /// Region offset of the entry pool (`Offset` variant only).
     pub entry_base: usize,
-    /// Entry pool capacity.
-    pub entry_capacity: usize,
     /// Fixed value capacity in bytes.
     pub value_cap: usize,
 }
 
 impl HopscotchHashDesc {
     /// Bytes per slot for this variant.
-    pub fn slot_bytes(&self) -> usize {
+    pub(crate) fn slot_bytes(&self) -> usize {
         match self.variant {
             // key(8) + len(4) + pad(4) + value.
             HopscotchVariant::Inline => (16 + self.value_cap).next_multiple_of(8),
@@ -66,14 +64,14 @@ impl HopscotchHashDesc {
     }
 
     /// Bytes fetched by one neighbourhood READ.
-    pub fn neighbourhood_bytes(&self) -> usize {
+    pub(crate) fn neighbourhood_bytes(&self) -> usize {
         self.slot_bytes() * NEIGHBOURHOOD
     }
 }
 
 /// The FaRM-KV-like baseline table.
 #[derive(Debug)]
-pub struct HopscotchHash {
+pub(crate) struct HopscotchHash {
     desc: HopscotchHashDesc,
     entries: FreeList,
     write_lock: Mutex<()>,
@@ -81,7 +79,7 @@ pub struct HopscotchHash {
 
 impl HopscotchHash {
     /// Carves a table out of `arena`.
-    pub fn create(
+    pub(crate) fn create(
         arena: &mut Arena,
         node: NodeId,
         variant: HopscotchVariant,
@@ -90,15 +88,8 @@ impl HopscotchHash {
         value_cap: usize,
     ) -> Self {
         let buckets = buckets.next_power_of_two();
-        let mut desc = HopscotchHashDesc {
-            node,
-            variant,
-            base: 0,
-            buckets,
-            entry_base: 0,
-            entry_capacity,
-            value_cap,
-        };
+        let mut desc =
+            HopscotchHashDesc { node, variant, base: 0, buckets, entry_base: 0, value_cap };
         desc.base = arena.reserve(buckets * desc.slot_bytes());
         desc.entry_base = match variant {
             HopscotchVariant::Offset => arena.reserve(Entry::footprint(value_cap) * entry_capacity),
@@ -106,11 +97,6 @@ impl HopscotchHash {
         };
         let entries = FreeList::new(desc.entry_base, Entry::footprint(value_cap), entry_capacity);
         HopscotchHash { desc, entries, write_lock: Mutex::new(()) }
-    }
-
-    /// The table geometry.
-    pub fn desc(&self) -> &HopscotchHashDesc {
-        &self.desc
     }
 
     fn home(&self, key: u64) -> usize {
@@ -153,7 +139,7 @@ impl HopscotchHash {
     /// Host-side insert. Returns `false` if displacement cannot restore
     /// the neighbourhood invariant (table effectively full) or on a
     /// duplicate key.
-    pub fn insert(&self, region: &Region, key: u64, value: &[u8]) -> bool {
+    pub(crate) fn insert(&self, region: &Region, key: u64, value: &[u8]) -> bool {
         assert!(key != 0, "key 0 is the empty-slot sentinel");
         assert!(value.len() <= self.desc.value_cap, "value exceeds table capacity");
         let _g = self.write_lock.lock();
@@ -221,7 +207,7 @@ impl HopscotchHash {
     /// Remote GET: one neighbourhood READ (+ one entry READ for the
     /// `Offset` variant). Returns `(value, lookup_reads)`; the entry READ
     /// is not counted as a lookup READ (Table 4 convention).
-    pub fn remote_get(&self, qp: &Qp, key: u64) -> (Option<Vec<u8>>, u32) {
+    pub(crate) fn remote_get(&self, qp: &Qp, key: u64) -> (Option<Vec<u8>>, u32) {
         let sb = self.desc.slot_bytes();
         let mut buf = vec![0u8; self.desc.neighbourhood_bytes()];
         let home = self.home(key);
@@ -356,8 +342,8 @@ mod tests {
         to.remote_get(&co.qp(1), 3);
         let bi = ci.counters().snapshot().read_bytes;
         // Offset lookup READ alone (first read) is 128 B vs inline ~640 B.
-        assert!(bi as usize >= ti.desc().neighbourhood_bytes());
-        assert!(ti.desc().neighbourhood_bytes() > to.desc().neighbourhood_bytes());
+        assert!(bi as usize >= ti.desc.neighbourhood_bytes());
+        assert!(ti.desc.neighbourhood_bytes() > to.desc.neighbourhood_bytes());
     }
 }
 

@@ -13,6 +13,7 @@
 //! no one but [`kv`]: Pilaf's 3-way Cuckoo hashing ([`cuckoo`]) and
 //! FaRM-KV's Hopscotch hashing ([`hopscotch`]).
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod cuckoo;
 pub mod hopscotch;

@@ -113,11 +113,6 @@ impl Calvin {
         self.now_ns
     }
 
-    /// The store of node `n` (for tests / consistency checks).
-    pub fn store(&self, n: usize) -> &NodeStore {
-        &self.stores[n]
-    }
-
     /// Runs one sequencer epoch over `txns` (already in global order);
     /// returns every transaction's `(label, latency ns)`, the latency
     /// including the average half-epoch batching wait.
@@ -353,9 +348,9 @@ mod tests {
             .map(|k| new_order(k % 3, k % 10, vec![(k % 50, 0, 2), ((k + 1) % 50, 0, 1)]))
             .collect();
         c.run_epoch(&no);
-        let before = c.store(0).new_orders.lock().len();
+        let before = c.stores[0].new_orders.lock().len();
         c.run_epoch(&[Request::Delivery { w: 0, carrier: 3 }]);
-        let after = c.store(0).new_orders.lock().len();
+        let after = c.stores[0].new_orders.lock().len();
         assert_eq!(after, before - 3, "one delivered per non-empty district");
     }
 }

@@ -26,10 +26,10 @@
 //! meters cannot (a blocked Calvin executor consumes wall time without
 //! doing work).
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod engine;
 mod store;
 mod txns;
 
 pub use engine::{Calvin, EPOCH_NS, LOCK_NS, MSG_NS, OP_NS, SEQ_NS_PER_TXN};
-pub use store::gkey;

@@ -10,32 +10,32 @@ use std::collections::{BTreeSet, HashMap};
 use parking_lot::{Mutex, RwLock};
 
 /// Table tags for the unified key space.
-pub mod table {
+pub(crate) mod table {
     /// Warehouse rows.
-    pub const WAREHOUSE: u64 = 1;
+    pub(crate) const WAREHOUSE: u64 = 1;
     /// District rows.
-    pub const DISTRICT: u64 = 2;
+    pub(crate) const DISTRICT: u64 = 2;
     /// Customer rows.
-    pub const CUSTOMER: u64 = 3;
+    pub(crate) const CUSTOMER: u64 = 3;
     /// Stock rows.
-    pub const STOCK: u64 = 4;
+    pub(crate) const STOCK: u64 = 4;
     /// Item rows.
-    pub const ITEM: u64 = 5;
+    pub(crate) const ITEM: u64 = 5;
     /// Order rows.
-    pub const ORDER: u64 = 6;
+    pub(crate) const ORDER: u64 = 6;
     /// Order-line rows.
-    pub const ORDER_LINE: u64 = 7;
+    pub(crate) const ORDER_LINE: u64 = 7;
 }
 
 /// Packs `(table, key)` into the unified 64-bit key space.
-pub fn gkey(table: u64, key: u64) -> u64 {
+pub(crate) fn gkey(table: u64, key: u64) -> u64 {
     debug_assert!(key < 1 << 60);
     table << 60 | key
 }
 
 /// One machine's store.
 #[derive(Debug, Default)]
-pub struct NodeStore {
+pub(crate) struct NodeStore {
     kv: RwLock<HashMap<u64, Vec<u64>>>,
     /// Undelivered orders, by packed order key.
     pub new_orders: Mutex<BTreeSet<u64>>,
@@ -43,17 +43,17 @@ pub struct NodeStore {
 
 impl NodeStore {
     /// Reads a row's fields.
-    pub fn read(&self, key: u64) -> Option<Vec<u64>> {
+    pub(crate) fn read(&self, key: u64) -> Option<Vec<u64>> {
         self.kv.read().get(&key).cloned()
     }
 
     /// Writes (or creates) a row.
-    pub fn write(&self, key: u64, fields: &[u64]) {
+    pub(crate) fn write(&self, key: u64, fields: &[u64]) {
         self.kv.write().insert(key, fields.to_vec());
     }
 
     /// Applies `f` to a row in place; returns false if absent.
-    pub fn update(&self, key: u64, f: impl FnOnce(&mut Vec<u64>)) -> bool {
+    pub(crate) fn update(&self, key: u64, f: impl FnOnce(&mut Vec<u64>)) -> bool {
         match self.kv.write().get_mut(&key) {
             Some(v) => {
                 f(v);

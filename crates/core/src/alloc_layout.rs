@@ -36,7 +36,7 @@ pub struct NodeLayout {
     /// phase transition here *before* it takes effect, so a survivor can
     /// roll a dead joiner back (or a dead leaver forward) from the
     /// subject's own NVRAM.
-    pub membership: MembershipJournal,
+    pub(crate) membership: MembershipJournal,
     /// Where the layout ends and the stores begin.
     end: usize,
 }

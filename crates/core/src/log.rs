@@ -39,13 +39,13 @@ use crate::record::RecordAddr;
 /// Slot status: no in-flight transaction.
 pub const LOG_EMPTY: u64 = 0;
 /// Slot status: lock-ahead log valid (transaction not yet committed).
-pub const LOG_LOCK_AHEAD: u64 = 1;
+pub(crate) const LOG_LOCK_AHEAD: u64 = 1;
 /// Slot status: write-ahead log valid (transaction committed).
 pub const LOG_WRITE_AHEAD: u64 = 2;
 /// Slot status low byte: a surviving machine has claimed this slot for
 /// recovery (the full claim word also carries the claimer and the
 /// original status — see [`recovering_status`]).
-pub const LOG_RECOVERING: u64 = 3;
+pub(crate) const LOG_RECOVERING: u64 = 3;
 
 /// The slot's two payload areas: the lock-ahead record and, behind it,
 /// the write-ahead record.
@@ -58,19 +58,19 @@ const WRITE_AHEAD: usize = 1;
 /// Racing survivors CAS this word over the original status; the winner
 /// repairs the slot, losers skip it, so each slot is repaired — and
 /// counted in a [`crate::RecoveryReport`] — exactly once.
-pub fn recovering_status(via: NodeId, orig: u64) -> u64 {
+pub(crate) fn recovering_status(via: NodeId, orig: u64) -> u64 {
     LOG_RECOVERING | (via as u64) << 8 | orig << 24
 }
 
 /// Decodes a claim word into `(claimer, original status)`; `None` if the
 /// word is not a recovery claim.
-pub fn recovering_parts(word: u64) -> Option<(NodeId, u64)> {
+pub(crate) fn recovering_parts(word: u64) -> Option<(NodeId, u64)> {
     (word & 0xFF == LOG_RECOVERING).then_some(((word >> 8) as u16, word >> 24))
 }
 
 /// One update in a write-ahead log.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoggedUpdate {
+pub(crate) struct LoggedUpdate {
     /// Record being updated.
     pub rec: RecordAddr,
     /// Version the record must carry after the update.
@@ -82,7 +82,7 @@ pub struct LoggedUpdate {
 /// Decoded write-ahead record: the updates to redo plus every lock the
 /// transaction held when the WAL became valid.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WalRecord {
+pub(crate) struct WalRecord {
     /// Every record the transaction held a write lock on (a superset of
     /// `updates`' records: buffers declared but never written appear
     /// here only).
@@ -182,7 +182,7 @@ impl LogSlot {
 
     /// Persists the lock-ahead log (non-transactional: happens before the
     /// HTM region, Figure 7 left). Returns the bytes persisted.
-    pub fn log_lock_ahead(&mut self, region: &Region, write_set: &[RecordAddr]) -> usize {
+    pub(crate) fn log_lock_ahead(&mut self, region: &Region, write_set: &[RecordAddr]) -> usize {
         self.buf.clear();
         put_addrs(&mut self.buf, write_set);
         vtime::charge(NVRAM_WRITE_NS);
@@ -199,7 +199,7 @@ impl LogSlot {
     /// which the caller must order strictly before applying any update
     /// or releasing any lock (§6.2, the HTPM log-before-unlock ordering);
     /// this variant cannot fail.
-    pub fn log_write_ahead<'v>(
+    pub(crate) fn log_write_ahead<'v>(
         &mut self,
         txn: Option<&mut HtmTxn<'_>>,
         region: &Region,
@@ -229,7 +229,7 @@ impl LogSlot {
     }
 
     /// Marks the transaction fully written back (slot reusable).
-    pub fn log_done(&self, region: &Region) {
+    pub(crate) fn log_done(&self, region: &Region) {
         self.journal.clear(region);
     }
 
@@ -247,7 +247,7 @@ impl LogSlot {
     }
 
     /// Recovery-side read of pending chopping information.
-    pub fn read_chop(&self, region: &Region) -> Option<ChopInfo> {
+    pub(crate) fn read_chop(&self, region: &Region) -> Option<ChopInfo> {
         ChopInfo::decode(self.journal.word(region))
     }
 
@@ -285,13 +285,13 @@ impl LogSlot {
     }
 
     /// Recovery-side decode of the lock-ahead record list.
-    pub fn read_lock_ahead(&self, region: &Region) -> Vec<RecordAddr> {
+    pub(crate) fn read_lock_ahead(&self, region: &Region) -> Vec<RecordAddr> {
         addrs(&mut Reader::new(&self.journal.payload(region, LOCK_AHEAD)))
     }
 
     /// Recovery-side decode of the write-ahead record (lock list plus
     /// updates).
-    pub fn read_write_ahead(&self, region: &Region) -> WalRecord {
+    pub(crate) fn read_write_ahead(&self, region: &Region) -> WalRecord {
         let payload = self.journal.payload(region, WRITE_AHEAD);
         let mut r = Reader::new(&payload);
         let locks = addrs(&mut r);

@@ -58,15 +58,15 @@ use crate::txn::DrTm;
 
 /// Crash site fired at the bottom of each join donation (the joiner dies
 /// with some donations landed and the next one about to start mid-copy).
-pub const JOIN_MID_STREAM_SITE: &str = "join-mid-stream";
+pub(crate) const JOIN_MID_STREAM_SITE: &str = "join-mid-stream";
 
 /// Crash site fired after every donation landed, before the journal
 /// records activation (the join never happened).
-pub const JOIN_BEFORE_ACTIVATE_SITE: &str = "join-before-activate";
+pub(crate) const JOIN_BEFORE_ACTIVATE_SITE: &str = "join-before-activate";
 
 /// Crash site fired at the bottom of each drain hand-off (the leaver
 /// dies with some ranges handed off and the next one mid-copy).
-pub const LEAVE_MID_DRAIN_SITE: &str = "leave-mid-drain";
+pub(crate) const LEAVE_MID_DRAIN_SITE: &str = "leave-mid-drain";
 
 /// Most ranges one join or leave can journal.
 pub const MAX_JOURNAL_RANGES: usize = 30;
@@ -88,14 +88,14 @@ type RangeRecord = (u64, u64, NodeId, bool);
 /// (status pending or done, payload `lo, hi, peer`). Appending a range
 /// arms the first idle range journal; the done mark is one store.
 #[derive(Debug, Clone, Copy)]
-pub struct MembershipJournal {
+pub(crate) struct MembershipJournal {
     header: Journal,
     ranges: [Journal; MAX_JOURNAL_RANGES],
 }
 
 impl MembershipJournal {
     /// Carves the journal out of `arena` (same place on every machine).
-    pub fn reserve(arena: &mut Arena) -> Self {
+    pub(crate) fn reserve(arena: &mut Arena) -> Self {
         MembershipJournal {
             header: Journal::reserve(arena, [64, 0]),
             ranges: std::array::from_fn(|_| Journal::reserve(arena, [64, 0])),
@@ -191,7 +191,7 @@ impl MembershipTable {
     }
 
     /// Node ids currently `Active`, ascending.
-    pub fn active_nodes(&self) -> Vec<NodeId> {
+    pub(crate) fn active_nodes(&self) -> Vec<NodeId> {
         let states = self.snapshot().into_iter();
         (0..).zip(states).filter(|(_, s)| *s == NodeState::Active).map(|(n, _)| n).collect()
     }

@@ -19,7 +19,7 @@ pub const ABORT_LOCKED: u8 = 0x10;
 /// Explicit-abort code: local write found an unexpired read lease.
 pub const ABORT_LEASED: u8 = 0x11;
 /// Explicit-abort code: lease confirmation failed at commit.
-pub const ABORT_LEASE_EXPIRED: u8 = 0x12;
+pub(crate) const ABORT_LEASE_EXPIRED: u8 = 0x12;
 
 /// A resolved record: the global address of its entry plus the table's
 /// fixed value capacity (the size of one-sided fetches).
@@ -328,7 +328,7 @@ pub(crate) fn post_unlock(qp: &Qp, rec: &RecordAddr, local: bool) -> Result<(), 
 
 /// `REMOTE_WRITE_BACK`: posts the write-back (value, version, state — see
 /// the crate-private `post_write_back`), then waits for its completions.
-pub fn remote_write_back(
+pub(crate) fn remote_write_back(
     qp: &Qp,
     rec: &RecordAddr,
     new_version: u32,
@@ -350,7 +350,7 @@ pub fn remote_unlock(qp: &Qp, rec: &RecordAddr, local: bool) -> Result<(), Fabri
 
 /// Recovery's read of the record's version: a load from the owning
 /// machine's (durable) region when `local`, a one-sided READ otherwise.
-pub fn read_version(qp: &Qp, rec: &RecordAddr, local: bool) -> Result<u32, FabricError> {
+pub(crate) fn read_version(qp: &Qp, rec: &RecordAddr, local: bool) -> Result<u32, FabricError> {
     let mut v = [0u8; 4];
     if local {
         qp.cluster().node(rec.addr.node).region().read_nt(rec.entry().version_off(), &mut v);
@@ -365,7 +365,7 @@ pub fn read_version(qp: &Qp, rec: &RecordAddr, local: bool) -> Result<u32, Fabri
 /// concurrent release is never clobbered and racing recoverers count each
 /// release once. Returns whether this call released the lock. `local` as
 /// for [`read_version`].
-pub fn release_if_owned(
+pub(crate) fn release_if_owned(
     qp: &Qp,
     rec: &RecordAddr,
     owner: u8,
@@ -391,7 +391,7 @@ pub fn release_if_owned(
 /// `LOCAL_READ` (Figure 6): inside the HTM region, check the state word
 /// (abort if write-locked; leases are overlooked — HTM protects the
 /// read) and append the value to `out`.
-pub fn local_read(
+pub(crate) fn local_read(
     txn: &mut HtmTxn<'_>,
     off: usize,
     out: &mut Vec<u8>,

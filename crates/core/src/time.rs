@@ -23,7 +23,7 @@ use drtm_rdma::Cluster;
 
 /// Region offset of a machine's softtime word (first 64-byte line is
 /// reserved for it by every layout in this reproduction).
-pub const SOFTTIME_OFF: usize = 0;
+pub(crate) const SOFTTIME_OFF: usize = 0;
 
 /// The update interval of every deployment that does not sweep it
 /// (Figure 11's x-axis does): what `Deployment::start` is handed.
@@ -39,7 +39,7 @@ pub fn softtime_nt(region: &Region) -> u64 {
 /// This puts the softtime line into the read set: the transaction will
 /// be aborted by the next timer update (strong atomicity) — the cost the
 /// paper's Figure 11(b) measures.
-pub fn softtime_txn(txn: &mut HtmTxn<'_>) -> Result<u64, Abort> {
+pub(crate) fn softtime_txn(txn: &mut HtmTxn<'_>) -> Result<u64, Abort> {
     txn.read_u64(SOFTTIME_OFF)
 }
 
@@ -47,7 +47,7 @@ pub fn softtime_txn(txn: &mut HtmTxn<'_>) -> Result<u64, Abort> {
 /// and owned by the [`crate::DrTm`] it returns: a [`clock::every`]
 /// ticker, so dropping the handle stops it promptly.
 #[derive(Debug)]
-pub struct SoftTimer {
+pub(crate) struct SoftTimer {
     _ticker: Ticker,
 }
 
@@ -67,7 +67,7 @@ impl SoftTimer {
 
     /// One update of every node's softtime word, now: the timer's tick,
     /// a frozen clock's only one, a joined machine's first.
-    pub fn tick_now(cluster: &Cluster) {
+    pub(crate) fn tick_now(cluster: &Cluster) {
         let now = clock::now_us();
         for n in 0..cluster.num_nodes() {
             cluster.node(n as u16).region().write_u64_nt(SOFTTIME_OFF, now);

@@ -167,7 +167,7 @@ impl AbortCause {
 
     /// Maps an HTM abort to its cause, decoding the protocol's explicit
     /// codes (Figure 6).
-    pub fn from_htm(a: Abort) -> AbortCause {
+    pub(crate) fn from_htm(a: Abort) -> AbortCause {
         match a {
             Abort::Conflict => AbortCause::HtmConflict,
             Abort::Capacity => AbortCause::HtmCapacity,
@@ -180,7 +180,7 @@ impl AbortCause {
     }
 
     /// Maps a Start-phase lock/lease conflict to its cause.
-    pub fn from_conflict(c: LockConflict) -> AbortCause {
+    pub(crate) fn from_conflict(c: LockConflict) -> AbortCause {
         match c {
             LockConflict::WriteLocked { owner } => AbortCause::StartWriteLocked { owner },
             LockConflict::Leased { end_us } => AbortCause::StartLeased { end_us },
@@ -276,24 +276,19 @@ struct RingInner {
 /// One ring per worker; pushes are a short critical section so the ring
 /// can also be shared (and dumped) across threads.
 #[derive(Debug)]
-pub struct TraceBuf {
+pub(crate) struct TraceBuf {
     cap: usize,
     inner: Mutex<RingInner>,
 }
 
 impl TraceBuf {
     /// Creates an empty ring holding at most `cap` events (min 1).
-    pub fn new(cap: usize) -> TraceBuf {
+    pub(crate) fn new(cap: usize) -> TraceBuf {
         TraceBuf { cap: cap.max(1), inner: Mutex::new(RingInner::default()) }
     }
 
-    /// The fixed capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Appends an event, evicting the oldest once full.
-    pub fn push(&self, ev: TraceEvent) {
+    pub(crate) fn push(&self, ev: TraceEvent) {
         let g = &mut *self.inner.lock().expect("trace ring poisoned");
         let slot = (g.pushed % self.cap as u64) as usize;
         if g.buf.len() < self.cap {
@@ -307,12 +302,12 @@ impl TraceBuf {
     }
 
     /// Total events ever recorded (≥ the ring's current length).
-    pub fn recorded(&self) -> u64 {
+    pub(crate) fn recorded(&self) -> u64 {
         self.inner.lock().expect("trace ring poisoned").pushed
     }
 
     /// The retained events, oldest first.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
+    pub(crate) fn snapshot(&self) -> Vec<TraceEvent> {
         let g = self.inner.lock().expect("trace ring poisoned");
         if g.buf.len() < self.cap {
             g.buf.clone()
@@ -366,9 +361,9 @@ drtm_htm::counter_set! {
 
 /// Per-phase accumulated virtual time and record-level remote operations.
 #[derive(Debug, Default)]
-pub struct PhaseStats([PhaseCounters; Phase::COUNT]);
+pub(crate) struct PhaseStats([PhaseCounters; Phase::COUNT]);
 
-/// Point-in-time copy of [`PhaseStats`], indexed by [`Phase`].
+/// Point-in-time copy of the per-phase accumulators, indexed by [`Phase`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseSnapshot {
     /// Per-phase lines, in [`Phase`] declaration order.
@@ -395,7 +390,7 @@ impl PhaseStats {
     }
 
     /// Takes a snapshot of the accumulators.
-    pub fn snapshot(&self) -> PhaseSnapshot {
+    pub(crate) fn snapshot(&self) -> PhaseSnapshot {
         PhaseSnapshot { phases: std::array::from_fn(|i| self.0[i].snapshot()) }
     }
 }
@@ -550,7 +545,7 @@ impl StatsReport {
     }
 
     /// Aborted attempts per committed transaction (0 when idle).
-    pub fn aborts_per_commit(&self) -> f64 {
+    pub(crate) fn aborts_per_commit(&self) -> f64 {
         if self.txn.committed == 0 {
             0.0
         } else {

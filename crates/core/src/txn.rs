@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use drtm_htm::{clock, vtime, Abort, Executor, HtmStats, HtmTxn, Region};
-use drtm_memstore::{BTree, ClusterHash, InsertError, PreparedInsert};
+use drtm_memstore::{BTree, ClusterHash, InsertError, PreparedInsert, ABORT_POOL_FULL};
 use drtm_rdma::rpc::DEAD_PEER_GRACE;
 use drtm_rdma::{AtomicityLevel, Cluster, FaultPlan, GlobalAddr, NodeId, Qp};
 
@@ -33,7 +33,6 @@ use crate::config::{CrashPoint, DrTmConfig, SofttimeStrategy};
 use crate::log::LogSlot;
 use crate::record::{
     self, lease_unconfirmed, Claim, Held, LockConflict, RecordAddr, Wave, ABORT_LEASE_EXPIRED,
-    ABORT_LOCKED,
 };
 use crate::state::{LockState, DELTA_US};
 use crate::stats::TxnStats;
@@ -1505,7 +1504,10 @@ impl<'r> TxnCtx<'r> {
         Ok(slot.rec.expect("ordered 2PL finds every keyed slot before the body"))
     }
 
-    /// Inserts into a local hash table atomically with this transaction.
+    /// Inserts into a local hash table atomically with this transaction;
+    /// `false` when the key is already present (nothing is written), as
+    /// [`TxnCtx::tree_insert`] answers. A full pool aborts with memstore's
+    /// [`ABORT_POOL_FULL`].
     ///
     /// Under ordered 2PL the insert runs as a standalone HTM
     /// micro-transaction; like the paper's fallback handler it must not
@@ -1515,17 +1517,18 @@ impl<'r> TxnCtx<'r> {
         table: &Arc<ClusterHash>,
         key: u64,
         value: &[u8],
-    ) -> Result<(), Abort> {
-        let inserted = match &mut self.txn {
-            Some(txn) => table
+    ) -> Result<bool, Abort> {
+        match &mut self.txn {
+            Some(txn) => Ok(table
                 .insert_txn(txn, key, value)?
-                .map(|p| self.s.allocs.push((Arc::clone(table), p))),
-            None => table.insert(&self.env.sys.exec, self.env.region, key, value),
-        };
-        inserted.map_err(|e| match e {
-            InsertError::Duplicate => Abort::Explicit(ABORT_LOCKED),
-            InsertError::Full => Abort::Explicit(0xF1),
-        })
+                .map(|p| self.s.allocs.push((Arc::clone(table), p)))
+                .is_some()),
+            None => match table.insert(&self.env.sys.exec, self.env.region, key, value) {
+                Ok(()) => Ok(true),
+                Err(InsertError::Duplicate) => Ok(false),
+                Err(InsertError::Full) => Err(Abort::Explicit(ABORT_POOL_FULL)),
+            },
+        }
     }
 
     /// Runs one ordered-store operation where the body is isolated:
@@ -1860,6 +1863,30 @@ mod tests {
         let region = h.sys.cluster().node(0).region().clone();
         let mut txn = region.begin(&h.sys.config().htm);
         assert!(table.get_local(&mut txn, 999).unwrap().is_none());
+    }
+
+    #[test]
+    fn hash_insert_of_a_present_key_commits_and_answers_false() {
+        for max_retries in [HtmConfig::default().max_retries, 0] {
+            let mut cfg = DrTmConfig::default();
+            cfg.htm.max_retries = max_retries;
+            let h = harness(1, 1, 2, cfg);
+            let table = h.tables[0].clone();
+            let before = h.sys.stats_report();
+            let got = h
+                .sys
+                .worker(0, 0)
+                .execute(&TxnSpec::default(), |ctx| ctx.hash_insert(&table, 1, &u64v(5)));
+            let d = h.sys.stats_report().since(&before);
+            let case = format!("max_retries {max_retries}");
+            assert_eq!(got, Ok(false), "{case}");
+            assert_eq!(h.value(0, 1), 100, "{case}: the present row is untouched");
+            assert_eq!(d.causes.get(AbortCause::HtmLocked), 0, "{case}");
+            // Under ordered 2PL the insert is a region of its own.
+            let fallback = u64::from(max_retries == 0);
+            let counts = (d.txn.committed, d.txn.fallback_committed, d.htm.commits);
+            assert_eq!(counts, (1, fallback, 1), "{case}");
+        }
     }
 
     #[test]

@@ -168,20 +168,20 @@ macro_rules! counter_set {
         impl $Cells {
             /// Copies every counter (each load is relaxed; the copy is
             /// not one atomic cut across fields).
-            pub fn snapshot(&self) -> $Snap {
+            $cells_vis fn snapshot(&self) -> $Snap {
                 $Snap { $( $field: self.$field.get(), )+ }
             }
         }
 
         impl $Snap {
             /// Field-wise `self - earlier`: what a window counted.
-            pub fn since(&self, earlier: &$Snap) -> $Snap {
+            $snap_vis fn since(&self, earlier: &$Snap) -> $Snap {
                 $Snap { $( $field: self.$field - earlier.$field, )+ }
             }
 
             /// Field-wise `self + other`: folds the sets of several
             /// instances into one.
-            pub fn merge(&self, other: &$Snap) -> $Snap {
+            $snap_vis fn merge(&self, other: &$Snap) -> $Snap {
                 $Snap { $( $field: self.$field + other.$field, )+ }
             }
         }

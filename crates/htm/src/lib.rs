@@ -58,6 +58,7 @@
 //! assert_eq!(txn.commit(), Err(Abort::Conflict));
 //! ```
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod backoff;
 pub mod clock;
@@ -73,29 +74,3 @@ pub use exec::{Executor, Steps};
 pub use region::{Region, LINE_SIZE};
 pub use stats::{HtmStats, StatsSnapshot};
 pub use txn::{Abort, HtmConfig, HtmTxn, ACCESS_NS, COMMIT_NS};
-
-/// Error returned by region-level operations on malformed addresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemError {
-    /// The access extends past the end of the region.
-    OutOfBounds {
-        /// Offset of the access.
-        offset: usize,
-        /// Length of the access.
-        len: usize,
-        /// Size of the region.
-        size: usize,
-    },
-}
-
-impl std::fmt::Display for MemError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MemError::OutOfBounds { offset, len, size } => {
-                write!(f, "access [{offset}, {}) out of bounds (size {size})", offset + len)
-            }
-        }
-    }
-}
-
-impl std::error::Error for MemError {}

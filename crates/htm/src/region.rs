@@ -14,7 +14,6 @@ use std::ops::Range;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use crate::txn::{HtmConfig, HtmTxn};
-use crate::MemError;
 
 /// Size in bytes of one emulated cache line.
 ///
@@ -99,7 +98,7 @@ impl Region {
 
     /// Returns the line index containing byte `offset`.
     #[inline]
-    pub fn line_of(offset: usize) -> usize {
+    pub(crate) fn line_of(offset: usize) -> usize {
         offset / LINE_SIZE
     }
 
@@ -108,12 +107,10 @@ impl Region {
         HtmTxn::new(self, cfg)
     }
 
+    /// Whether `[offset, offset + len)` lies inside the region.
     #[inline]
-    pub(crate) fn check(&self, offset: usize, len: usize) -> Result<(), MemError> {
-        if offset.checked_add(len).is_none_or(|end| end > self.size()) {
-            return Err(MemError::OutOfBounds { offset, len, size: self.size() });
-        }
-        Ok(())
+    pub(crate) fn in_bounds(&self, offset: usize, len: usize) -> bool {
+        offset.checked_add(len).is_some_and(|end| end <= self.size())
     }
 
     /// Loads a line's version word (acquire ordering).
@@ -207,7 +204,11 @@ impl Region {
     /// Panics if the range is out of bounds (programming error in the
     /// simulator harness, not a recoverable condition).
     pub fn read_nt(&self, offset: usize, buf: &mut [u8]) {
-        self.check(offset, buf.len()).expect("read_nt out of bounds");
+        assert!(
+            self.in_bounds(offset, buf.len()),
+            "read_nt [{offset}, +{}) out of bounds",
+            buf.len()
+        );
         for (at, span) in line_spans(offset, buf.len()) {
             let out = &mut buf[span];
             loop {
@@ -230,7 +231,11 @@ impl Region {
     ///
     /// Panics if the range is out of bounds.
     pub fn write_nt(&self, offset: usize, data: &[u8]) {
-        self.check(offset, data.len()).expect("write_nt out of bounds");
+        assert!(
+            self.in_bounds(offset, data.len()),
+            "write_nt [{offset}, +{}) out of bounds",
+            data.len()
+        );
         for (at, span) in line_spans(offset, data.len()) {
             let line = Self::line_of(at);
             let pre = self.lock_line(line);
@@ -274,7 +279,7 @@ impl Region {
     /// Panics if `offset` is out of bounds or not 8-byte aligned.
     pub fn cas_u64_nt(&self, offset: usize, expected: u64, new: u64) -> u64 {
         assert_eq!(offset % 8, 0, "misaligned u64 CAS at {offset}");
-        self.check(offset, 8).expect("cas_u64_nt out of bounds");
+        assert!(self.in_bounds(offset, 8), "cas_u64_nt at {offset} out of bounds");
         let line = Self::line_of(offset);
         let pre = self.lock_line(line);
         let word = &self.data[offset / 8];

@@ -308,7 +308,9 @@ impl<'r> HtmTxn<'r> {
     ///
     /// Reads observe this transaction's own buffered writes.
     pub fn read(&mut self, offset: usize, buf: &mut [u8]) -> Result<(), Abort> {
-        self.region.check(offset, buf.len()).map_err(|_| Abort::Explicit(0xFE))?;
+        if !self.region.in_bounds(offset, buf.len()) {
+            return Err(Abort::Explicit(0xFE));
+        }
         vtime::charge(ACCESS_NS * buf.len().div_ceil(LINE_SIZE) as u64);
         for (at, span) in line_spans(offset, buf.len()) {
             let (ver, write) = self.track_read(Region::line_of(at))?;
@@ -372,7 +374,9 @@ impl<'r> HtmTxn<'r> {
 
     /// Transactionally (buffered) writes `data` at `offset`.
     pub fn write(&mut self, offset: usize, data: &[u8]) -> Result<(), Abort> {
-        self.region.check(offset, data.len()).map_err(|_| Abort::Explicit(0xFE))?;
+        if !self.region.in_bounds(offset, data.len()) {
+            return Err(Abort::Explicit(0xFE));
+        }
         vtime::charge(ACCESS_NS * data.len().div_ceil(LINE_SIZE) as u64);
         for (at, span) in line_spans(offset, data.len()) {
             let base = at % LINE_SIZE;

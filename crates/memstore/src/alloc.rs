@@ -31,7 +31,7 @@ use parking_lot::Mutex;
 /// Explicit-abort code of a store operation whose cell pool ran dry
 /// inside an HTM region: by then the region may hold staged writes, so
 /// exhaustion leaves the way every other verdict of a body does.
-pub(crate) const ABORT_POOL_FULL: u8 = 0xF0;
+pub const ABORT_POOL_FULL: u8 = 0xF0;
 
 /// Setup-time carver of a region into table ranges.
 ///

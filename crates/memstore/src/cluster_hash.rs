@@ -29,7 +29,7 @@ use crate::words::{self, read_words, write_words};
 use crate::{hash64, ASSOC};
 
 /// Bytes per bucket (8 slots of 16 bytes): two cache lines, and aligned.
-pub const BUCKET_BYTES: usize = ASSOC * SLOT_BYTES;
+pub(crate) const BUCKET_BYTES: usize = ASSOC * SLOT_BYTES;
 
 /// Geometry of a [`ClusterHash`] inside its owner's region.
 ///
@@ -58,7 +58,7 @@ pub struct ClusterHashDesc {
 
 impl ClusterHashDesc {
     /// Region offset of main bucket `i`.
-    pub fn main_bucket_off(&self, i: usize) -> usize {
+    pub(crate) fn main_bucket_off(&self, i: usize) -> usize {
         self.main_base + i * BUCKET_BYTES
     }
 
@@ -68,7 +68,7 @@ impl ClusterHashDesc {
     }
 
     /// Entry footprint in bytes for this table.
-    pub fn entry_footprint(&self) -> usize {
+    pub(crate) fn entry_footprint(&self) -> usize {
         Entry::footprint(self.value_cap)
     }
 }
@@ -359,6 +359,9 @@ impl ClusterHash {
     /// insert commits or aborts atomically with the enclosing database
     /// transaction (TPC-C's new-order inserts, §5.1).
     ///
+    /// `None` when the key is already present (nothing is written). A
+    /// full pool is the explicit abort [`ABORT_POOL_FULL`].
+    ///
     /// Host-side allocator state is **not** transactional: on success the
     /// caller must keep the returned [`PreparedInsert`] and pass it to
     /// [`ClusterHash::undo_insert`] if the enclosing transaction later
@@ -368,23 +371,14 @@ impl ClusterHash {
         txn: &mut HtmTxn<'_>,
         key: u64,
         value: &[u8],
-    ) -> Result<Result<PreparedInsert, InsertError>, Abort> {
+    ) -> Result<Option<PreparedInsert>, Abort> {
         assert!(value.len() <= self.desc.value_cap, "value exceeds table capacity");
-        let Some(entry_off) = self.entries.alloc() else {
-            return Ok(Err(InsertError::Full));
-        };
+        let entry_off = self.entries.alloc().ok_or(Abort::Explicit(ABORT_POOL_FULL))?;
         match self.try_insert(txn, key, entry_off, value, None) {
-            Ok((true, _)) => {
+            Ok((false, ind)) => Ok(Some(PreparedInsert { entry_off, ind })),
+            outcome => {
                 self.entries.free(entry_off);
-                Ok(Err(InsertError::Duplicate))
-            }
-            Ok((false, ind)) => Ok(Ok(PreparedInsert { entry_off, ind })),
-            Err(a) => {
-                self.entries.free(entry_off);
-                match a {
-                    Abort::Explicit(ABORT_POOL_FULL) => Ok(Err(InsertError::Full)),
-                    a => Err(a),
-                }
+                outcome.map(|_| None)
             }
         }
     }
@@ -429,15 +423,14 @@ impl ClusterHash {
     ///
     /// # Panics
     ///
-    /// If the table's machine is crashed (use
-    /// [`ClusterHash::try_remote_lookup`] under the chaos harness).
+    /// If the table's machine is crashed.
     pub fn remote_lookup(&self, qp: &Qp, key: u64) -> LookupResult {
         self.try_remote_lookup(qp, key).expect("remote lookup against a crashed node")
     }
 
     /// [`ClusterHash::remote_lookup`] with typed dead-peer reporting
     /// instead of a panic or a stale read.
-    pub fn try_remote_lookup(&self, qp: &Qp, key: u64) -> Result<LookupResult, FabricError> {
+    pub(crate) fn try_remote_lookup(&self, qp: &Qp, key: u64) -> Result<LookupResult, FabricError> {
         let main = self.desc.main_bucket_off(self.desc.bucket_index(key));
         let mut img = [0; ASSOC * 2];
         read_bucket(qp, GlobalAddr::new(self.desc.node, main), &mut img)?;

@@ -112,12 +112,12 @@ impl Entry {
     }
 
     /// Region offset of the key.
-    pub fn key_off(&self) -> usize {
+    pub(crate) fn key_off(&self) -> usize {
         self.offset + 16
     }
 
     /// Region offset of the value-length field.
-    pub fn len_off(&self) -> usize {
+    pub(crate) fn len_off(&self) -> usize {
         self.offset + 24
     }
 

@@ -28,6 +28,7 @@
 //! detection comes entirely from HTM strong atomicity plus incarnation
 //! checks, which is the design simplification §5.1 argues for.
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod alloc;
 mod btree;
@@ -41,20 +42,18 @@ mod slot;
 mod split_ordered;
 mod words;
 
-pub use alloc::{Arena, FreeList};
+pub use alloc::{Arena, FreeList, ABORT_POOL_FULL};
 pub use btree::{BTree, BTreeDesc};
 pub use cache::{CacheStats, LocationCache};
 pub use cluster_hash::{
     ClusterHash, ClusterHashDesc, CollectedEntry, InsertError, LookupResult, PreparedInsert,
-    BUCKET_BYTES,
 };
 pub use entry::{Entry, EntryHeader};
 pub use journal::Journal;
 pub use reshard::{
-    MigratePhase, MigrationReport, PurgeLock, RangeMap, RangeMapError, RangeState, Resharder,
-    RouteDecision,
+    MigratePhase, MigrationReport, PurgeLock, RangeMap, RangeMapError, Resharder, RouteDecision,
 };
-pub use slot::{Slot, SlotType, SLOT_BYTES};
+pub use slot::{Slot, SlotType};
 pub use split_ordered::ElasticHash;
 
 /// Default associativity of cluster-hash buckets (slots per bucket, §5.2).

@@ -230,7 +230,7 @@ impl std::error::Error for RangeMapError {}
 
 /// Migration state of one key range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RangeState {
+pub(crate) enum RangeState {
     /// One owner, reads and writes served normally.
     Stable,
     /// Bulk copy in progress; the source is still authoritative and
@@ -340,7 +340,7 @@ impl RangeMap {
     /// `Copying` towards `dst`; returns the new epoch. Rejects zero-width
     /// bounds, an unmapped or entry-straddling range, a range already
     /// migrating, or a `dst` that already owns it.
-    pub fn begin_copy(&self, lo: u64, hi: u64, dst: NodeId) -> Result<u64, RangeMapError> {
+    pub(crate) fn begin_copy(&self, lo: u64, hi: u64, dst: NodeId) -> Result<u64, RangeMapError> {
         if lo > hi {
             return Err(RangeMapError::EmptyRange { lo, hi });
         }
@@ -379,7 +379,7 @@ impl RangeMap {
 
     /// The `Stable` ranges currently owned by `node`, sorted by `lo`.
     /// Ranges mid-migration are excluded — resolve them (publish or
-    /// [`RangeMap::abort_migration`]) before draining an owner.
+    /// abort the migration) before draining an owner.
     pub fn ranges_owned_by(&self, node: NodeId) -> Vec<(u64, u64)> {
         self.ranges
             .read()
@@ -392,7 +392,7 @@ impl RangeMap {
     /// The migrations in flight (`Copying` or `Cutover`) that `node`
     /// takes part in, as destination or as source: `(lo, hi, dst)` each,
     /// sorted by `lo`. What recovery rolls back when `node` dies.
-    pub fn in_flight(&self, node: NodeId) -> Vec<(u64, u64, NodeId)> {
+    pub(crate) fn in_flight(&self, node: NodeId) -> Vec<(u64, u64, NodeId)> {
         self.ranges
             .read()
             .iter()
@@ -436,7 +436,7 @@ impl RangeMap {
 
     /// Freezes `[lo, hi]` for writes (Copying → Cutover). Returns the
     /// new epoch.
-    pub fn begin_cutover(&self, lo: u64, hi: u64) -> u64 {
+    pub(crate) fn begin_cutover(&self, lo: u64, hi: u64) -> u64 {
         self.transition(lo, hi, RangeState::Copying, |r| {
             r.state = RangeState::Cutover;
         })
@@ -453,7 +453,7 @@ impl RangeMap {
 
     /// Rolls `[lo, hi]` back to `Stable` on its original owner (crash
     /// recovery; valid from `Copying` or `Cutover`). Idempotent.
-    pub fn abort_migration(&self, lo: u64, hi: u64) {
+    pub(crate) fn abort_migration(&self, lo: u64, hi: u64) {
         let mut ranges = self.ranges.write();
         let Some(i) = Self::locate(&ranges, lo) else { return };
         let r = &mut ranges[i];

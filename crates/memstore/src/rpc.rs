@@ -18,7 +18,7 @@ use crate::cluster_hash::{ClusterHash, InsertError};
 use crate::journal::{put_u16, put_u32, put_u64, Reader};
 
 /// Queue id of a machine's store-operation service.
-pub const STORE_RPC_QUEUE: QueueId = 0xFFEE;
+pub(crate) const STORE_RPC_QUEUE: QueueId = 0xFFEE;
 
 /// A shipped store operation.
 #[derive(Debug, Clone, PartialEq, Eq)]

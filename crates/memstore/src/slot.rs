@@ -7,7 +7,7 @@
 //! location (incarnation checking) without any invalidation traffic.
 
 /// Size in bytes of one header slot.
-pub const SLOT_BYTES: usize = 16;
+pub(crate) const SLOT_BYTES: usize = 16;
 
 /// What a header slot points at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

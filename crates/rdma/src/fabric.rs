@@ -287,15 +287,6 @@ impl Clone for Qp {
     }
 }
 
-/// Whether an op is awaited as part of issuing it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Issue {
-    /// Post only; the caller waits later, once for many ops.
-    Post,
-    /// Post, then wait for every outstanding completion.
-    Sync,
-}
-
 impl Qp {
     /// The cluster this queue pair belongs to.
     pub fn cluster(&self) -> &Arc<Cluster> {
@@ -335,81 +326,51 @@ impl Qp {
     /// Hands one outbound work request to the NIC and returns its
     /// service time (amortised when it rides an open doorbell).
     ///
-    /// The posting overhead is the head of the op's latency, not an
-    /// addition to it (hence the `min`), so `Issue::Sync` leaves the
-    /// meter exactly `delay + cost` past the post. A refused op charges
-    /// nothing now: its error completion is waited for like any other.
-    fn issue(
-        &self,
-        to: NodeId,
-        full_ns: u64,
-        base_ns: u64,
-        how: Issue,
-    ) -> Result<u64, FabricError> {
+    /// The issuer is charged the posting overhead only. It is the head of
+    /// the op's latency, not an addition to it (hence the `min`), so a
+    /// post followed by [`Qp::wait`] leaves the meter exactly
+    /// `delay + cost` past the post. A refused op charges nothing now:
+    /// its error completion is waited for like any other.
+    fn issue(&self, to: NodeId, full_ns: u64, base_ns: u64) -> Result<u64, FabricError> {
         let admitted = self.cluster.faults.admit(self.from, to);
         let now = vtime::read();
         let mut nic = self.nic();
-        let (issued, posting_ns) = match admitted {
+        match admitted {
             Ok(delay_ns) => {
                 let op = nic.post(to, &self.cluster.doorbell, now, delay_ns, full_ns, base_ns);
                 if op.rang {
                     self.cluster.counters.doorbells.inc();
                 }
                 self.cluster.counters.fabric_ns.add(op.cost_ns);
-                (Ok(op.cost_ns), self.cluster.profile.post_ns.min(op.cost_ns))
+                vtime::charge(self.cluster.profile.post_ns.min(op.cost_ns));
+                Ok(op.cost_ns)
             }
             Err(Refused { error, after_ns }) => {
                 nic.post_failed(now, after_ns);
-                (Err(error), 0)
+                Err(error)
             }
-        };
-        // The meter moves past the posting or, awaited, to the last
-        // completion of everything outstanding.
-        let done = if how == Issue::Sync { nic.wait() } else { 0 };
-        vtime::charge(posting_ns.max(done.saturating_sub(now)));
-        issued
+        }
     }
 
-    fn read_wr(&self, addr: GlobalAddr, buf: &mut [u8], how: Issue) -> Result<(), FabricError> {
+    /// Posts a one-sided RDMA READ of `buf.len()` bytes at `addr`; fails
+    /// (without delivering bytes) when either end is crashed or retired.
+    pub fn post_read(&self, addr: GlobalAddr, buf: &mut [u8]) -> Result<(), FabricError> {
         let p = &self.cluster.profile;
-        self.issue(addr.node, p.read_ns(buf.len()), p.read_base_ns, how)?;
+        self.issue(addr.node, p.read_ns(buf.len()), p.read_base_ns)?;
         self.cluster.counters.reads.inc();
         self.cluster.counters.read_bytes.add(buf.len() as u64);
         self.cluster.node(addr.node).region.read_nt(addr.offset, buf);
         Ok(())
     }
 
-    fn write_wr(&self, addr: GlobalAddr, data: &[u8], how: Issue) -> Result<(), FabricError> {
+    /// Posts a one-sided RDMA WRITE of `data` at `addr`.
+    pub fn post_write(&self, addr: GlobalAddr, data: &[u8]) -> Result<(), FabricError> {
         let p = &self.cluster.profile;
-        self.issue(addr.node, p.write_ns(data.len()), p.write_base_ns, how)?;
+        self.issue(addr.node, p.write_ns(data.len()), p.write_base_ns)?;
         self.cluster.counters.writes.inc();
         self.cluster.counters.write_bytes.add(data.len() as u64);
         self.cluster.node(addr.node).region.write_nt(addr.offset, data);
         Ok(())
-    }
-
-    fn cas_wr(
-        &self,
-        addr: GlobalAddr,
-        expected: u64,
-        new: u64,
-        how: Issue,
-    ) -> Result<u64, FabricError> {
-        let atomic_ns = self.cluster.profile.atomic_ns;
-        self.issue(addr.node, atomic_ns, atomic_ns, how)?;
-        self.cluster.counters.cas.inc();
-        Ok(self.cluster.node(addr.node).region.cas_u64_nt(addr.offset, expected, new))
-    }
-
-    /// Posts a one-sided RDMA READ of `buf.len()` bytes at `addr`; fails
-    /// (without delivering bytes) when either end is crashed or retired.
-    pub fn post_read(&self, addr: GlobalAddr, buf: &mut [u8]) -> Result<(), FabricError> {
-        self.read_wr(addr, buf, Issue::Post)
-    }
-
-    /// Posts a one-sided RDMA WRITE of `data` at `addr`.
-    pub fn post_write(&self, addr: GlobalAddr, data: &[u8]) -> Result<(), FabricError> {
-        self.write_wr(addr, data, Issue::Post)
     }
 
     /// Posts a one-sided RDMA compare-and-swap; returns the
@@ -420,7 +381,18 @@ impl Qp {
         expected: u64,
         new: u64,
     ) -> Result<u64, FabricError> {
-        self.cas_wr(addr, expected, new, Issue::Post)
+        let atomic_ns = self.cluster.profile.atomic_ns;
+        self.issue(addr.node, atomic_ns, atomic_ns)?;
+        self.cluster.counters.cas.inc();
+        Ok(self.cluster.node(addr.node).region.cas_u64_nt(addr.offset, expected, new))
+    }
+
+    /// Waits for the completion of everything posted, `posted` included,
+    /// and passes its result on: a refused post still waits out its
+    /// error completion.
+    fn waited<T>(&self, posted: Result<T, FabricError>) -> Result<T, FabricError> {
+        self.wait();
+        posted
     }
 
     /// One-sided RDMA READ of `buf.len()` bytes at `addr`.
@@ -438,7 +410,7 @@ impl Qp {
     /// Fallible [`Qp::read`]: fails within the configured deadline when
     /// either end is crashed instead of serving stale memory.
     pub fn try_read(&self, addr: GlobalAddr, buf: &mut [u8]) -> Result<(), FabricError> {
-        self.read_wr(addr, buf, Issue::Sync)
+        self.waited(self.post_read(addr, buf))
     }
 
     /// One-sided RDMA WRITE of `data` at `addr`.
@@ -447,12 +419,7 @@ impl Qp {
     ///
     /// Panics if either end is crashed (see [`Qp::read`]).
     pub fn write(&self, addr: GlobalAddr, data: &[u8]) {
-        self.try_write(addr, data).expect("RDMA WRITE against a crashed node");
-    }
-
-    /// Fallible [`Qp::write`].
-    pub fn try_write(&self, addr: GlobalAddr, data: &[u8]) -> Result<(), FabricError> {
-        self.write_wr(addr, data, Issue::Sync)
+        self.waited(self.post_write(addr, data)).expect("RDMA WRITE against a crashed node");
     }
 
     /// One-sided RDMA READ of an aligned `u64`.
@@ -482,11 +449,6 @@ impl Qp {
         self.write(addr, &value.to_le_bytes());
     }
 
-    /// Fallible [`Qp::write_u64`].
-    pub fn try_write_u64(&self, addr: GlobalAddr, value: u64) -> Result<(), FabricError> {
-        self.try_write(addr, &value.to_le_bytes())
-    }
-
     /// One-sided RDMA compare-and-swap; returns the pre-operation value.
     ///
     /// # Panics
@@ -503,7 +465,7 @@ impl Qp {
         expected: u64,
         new: u64,
     ) -> Result<u64, FabricError> {
-        self.cas_wr(addr, expected, new, Issue::Sync)
+        self.waited(self.post_cas_u64(addr, expected, new))
     }
 
     /// Local CPU compare-and-swap on this machine's own region.
@@ -541,7 +503,7 @@ impl Qp {
         payload: Vec<u8>,
     ) -> Result<(), FabricError> {
         let p = &self.cluster.profile;
-        let cost = self.issue(to, p.send_ns(payload.len()), p.send_base_ns, Issue::Sync)?;
+        let cost = self.waited(self.issue(to, p.send_ns(payload.len()), p.send_base_ns))?;
         self.cluster.counters.sends.inc();
         self.cluster.counters.send_bytes.add(payload.len() as u64);
         // The fate dice roll per logical SEND, never per doorbell: a
@@ -550,11 +512,11 @@ impl Qp {
         match self.cluster.faults.send_fate() {
             SendFate::Drop => {}
             SendFate::Duplicate => {
-                self.cluster.verbs.deliver_costed(self.from, to, qid, payload.clone(), cost);
-                self.cluster.verbs.deliver_costed(self.from, to, qid, payload, cost);
+                self.cluster.verbs.deliver(self.from, to, qid, payload.clone(), cost);
+                self.cluster.verbs.deliver(self.from, to, qid, payload, cost);
             }
             SendFate::Deliver => {
-                self.cluster.verbs.deliver_costed(self.from, to, qid, payload, cost);
+                self.cluster.verbs.deliver(self.from, to, qid, payload, cost);
             }
         }
         Ok(())
@@ -564,6 +526,13 @@ impl Qp {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Qp {
+        /// Fallible [`Qp::write_u64`]: a post of the word, then a wait.
+        fn try_write_u64(&self, addr: GlobalAddr, value: u64) -> Result<(), FabricError> {
+            self.waited(self.post_write(addr, &value.to_le_bytes()))
+        }
+    }
 
     fn two_nodes() -> Arc<Cluster> {
         Cluster::new(ClusterConfig {

@@ -49,6 +49,7 @@
 //! assert_eq!(cluster.counters().snapshot().cas, 1);
 //! ```
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod counters;
 mod doorbell;

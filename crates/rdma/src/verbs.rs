@@ -94,16 +94,10 @@ impl Verbs {
         self.nodes[node as usize].queue(qid)
     }
 
-    /// Delivers `payload` from `from` to queue `qid` on node `to`.
-    ///
-    /// Prefer [`crate::Qp::send`], which also charges latency and counts
-    /// the operation.
-    pub fn deliver(&self, from: NodeId, to: NodeId, qid: QueueId, payload: Vec<u8>) {
-        self.deliver_costed(from, to, qid, payload, 0);
-    }
-
-    /// [`Verbs::deliver`] with an explicit receive-side cost.
-    pub fn deliver_costed(
+    /// Delivers `payload` from `from` to queue `qid` on node `to`, to be
+    /// charged `recv_cost_ns` when it is taken off the queue ([`crate::Qp::send`]
+    /// charges the sender and counts the operation).
+    pub(crate) fn deliver(
         &self,
         from: NodeId,
         to: NodeId,
@@ -127,12 +121,6 @@ impl Verbs {
         Self::charge_recv(rx.recv().expect("verbs queue closed"))
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self, node: NodeId, qid: QueueId) -> Option<Message> {
-        let (_, rx) = self.queue(node, qid);
-        rx.try_recv().ok().map(Self::charge_recv)
-    }
-
     /// Receive with a timeout; `None` on timeout. Parks on the endpoint
     /// channel while waiting (no spinning).
     pub fn recv_timeout(&self, node: NodeId, qid: QueueId, timeout: Duration) -> Option<Message> {
@@ -143,18 +131,26 @@ impl Verbs {
             Err(RecvTimeoutError::Disconnected) => panic!("verbs queue closed"),
         }
     }
-
-    /// Number of messages currently waiting on a queue.
-    pub fn pending(&self, node: NodeId, qid: QueueId) -> usize {
-        let (_, rx) = self.queue(node, qid);
-        rx.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Cluster, ClusterConfig, LatencyProfile};
+
+    impl Verbs {
+        /// Non-blocking receive, for tests that drain a queue.
+        pub(crate) fn try_recv(&self, node: NodeId, qid: QueueId) -> Option<Message> {
+            let (_, rx) = self.queue(node, qid);
+            rx.try_recv().ok().map(Self::charge_recv)
+        }
+
+        /// Number of messages currently waiting on a queue.
+        fn pending(&self, node: NodeId, qid: QueueId) -> usize {
+            let (_, rx) = self.queue(node, qid);
+            rx.len()
+        }
+    }
 
     fn cluster(n: usize) -> std::sync::Arc<Cluster> {
         Cluster::new(ClusterConfig {

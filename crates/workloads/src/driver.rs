@@ -153,7 +153,7 @@ impl Report {
 /// Pool size for [`run`]: the host's available parallelism clamped to
 /// [2, 8] — at least two so logical workers genuinely contend, bounded
 /// so hundreds of logical workers never mean hundreds of threads.
-pub fn default_os_threads() -> usize {
+pub(crate) fn default_os_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).clamp(2, 8)
 }
 
@@ -244,7 +244,8 @@ where
 }
 
 /// Runs `iters` transactions on each of `nodes × workers` logical
-/// workers, multiplexed onto [`default_os_threads`] pool threads.
+/// workers, multiplexed onto a pool of the host's available parallelism
+/// clamped to [2, 8] threads.
 ///
 /// `make(node, worker_id)` builds the per-worker state; the returned
 /// closure executes one transaction and returns its label. Warmup slices

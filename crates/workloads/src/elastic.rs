@@ -43,7 +43,7 @@ use crate::{fields, first_field, pack_fields};
 pub const INIT_VALUE: u64 = 1_000_000;
 
 /// Value capacity (one packed u64 field).
-pub const VALUE_BYTES: usize = 8;
+pub(crate) const VALUE_BYTES: usize = 8;
 
 /// Reply queue used by the resharder's shipped purge deletes.
 const RESHARD_REPLY_Q: drtm_rdma::QueueId = 0x6000;
@@ -262,7 +262,7 @@ impl ElasticKv {
 
 /// Outcome of a single write attempt against a possibly-migrating key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteOutcome {
+pub(crate) enum WriteOutcome {
     /// The transaction committed.
     Committed,
     /// At least one key's range is frozen mid-cutover: the attempt was
@@ -359,7 +359,12 @@ impl ElasticKvWorker {
     /// can keep pumping other traffic during a cutover and retry later;
     /// so does a range that moved between routing and the body, or a
     /// local row gone by then (traced as the body's user abort).
-    pub fn try_transfer(&mut self, a: u64, b: u64, amount: u64) -> Result<WriteOutcome, TxnError> {
+    pub(crate) fn try_transfer(
+        &mut self,
+        a: u64,
+        b: u64,
+        amount: u64,
+    ) -> Result<WriteOutcome, TxnError> {
         let da = self.resharder.map().route(a).expect("unmapped key");
         let db = self.resharder.map().route(b).expect("unmapped key");
         // Membership gate: a primary still `Joining` owns nothing
@@ -428,9 +433,9 @@ impl ElasticKvWorker {
         }
     }
 
-    /// [`ElasticKvWorker::try_transfer`] that retries frozen routes
-    /// until the cutover publishes (for use when another thread drives
-    /// the migration).
+    /// Moves `amount` from `a` to `b` (wrapping; the sum is conserved),
+    /// retrying frozen routes until the cutover publishes (for use when
+    /// another thread drives the migration).
     pub fn transfer(&mut self, a: u64, b: u64, amount: u64) -> Result<(), TxnError> {
         loop {
             match self.try_transfer(a, b, amount)? {

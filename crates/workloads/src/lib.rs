@@ -17,6 +17,7 @@
 //! * [`resolve`] — key → record-address resolution through the location
 //!   cache (the client-side path of Figure 9).
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod dist;
 pub mod driver;
@@ -33,7 +34,7 @@ pub fn fields(value: &[u8]) -> Vec<u64> {
 }
 
 /// The first `u64` field of a value, decoded in place.
-pub fn first_field(value: &[u8]) -> u64 {
+pub(crate) fn first_field(value: &[u8]) -> u64 {
     u64::from_le_bytes(value[..8].try_into().expect("a value of at least one field"))
 }
 

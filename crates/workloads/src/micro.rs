@@ -30,7 +30,7 @@ use crate::{first_field, pack_fields};
 
 /// Key base of the dedicated hot-record range (disjoint from the
 /// uniform pool so hot leases never block ordinary writers, §7.4).
-pub const HOT_BASE: u64 = 1 << 40;
+pub(crate) const HOT_BASE: u64 = 1 << 40;
 
 /// Micro-benchmark sizing.
 #[derive(Debug, Clone)]

@@ -12,7 +12,7 @@
 //!   of the record;
 //! * **local keys** — declared by key and looked up inside the
 //!   transaction's own HTM region, where strong atomicity protects the
-//!   walk. The address form of a local key ([`Table::try_resolve`]
+//!   walk. The address form of a local key ([`Table::resolve`]
 //!   against the worker's own machine: one stand-alone region per lookup)
 //!   remains for the probes and tests that name a local record by
 //!   address; no workload does.
@@ -147,15 +147,14 @@ impl Table {
     ///
     /// # Panics
     ///
-    /// If `server` is crashed and the answer is not cached (use
-    /// [`Table::try_resolve`] under the chaos harness).
+    /// If `server` is crashed and the answer is not cached.
     pub fn resolve(&self, worker: &Worker, server: NodeId, key: u64) -> Option<RecordAddr> {
         self.try_resolve(worker, server, key).expect("resolve against a crashed node")
     }
 
     /// Validated read of `key`'s value bytes on its home `node`, outside
     /// any worker (the invariant checks of quiesced deployments).
-    pub fn read_local(
+    pub(crate) fn read_local(
         &self,
         exec: &Executor,
         region: &Region,
@@ -168,7 +167,7 @@ impl Table {
     /// [`Table::resolve`] with typed dead-peer reporting: a warm cache
     /// still answers without touching the fabric, but a lookup that must
     /// read a crashed machine's buckets surfaces the fabric error.
-    pub fn try_resolve(
+    pub(crate) fn try_resolve(
         &self,
         worker: &Worker,
         server: NodeId,

@@ -47,23 +47,23 @@ pub fn order_line(w: u64, d: u64, o: u64, ol: u64) -> u64 {
 }
 
 /// Customer-order index key (for "last order of customer").
-pub fn cust_order(w: u64, d: u64, c: u64, o: u64) -> u64 {
+pub(crate) fn cust_order(w: u64, d: u64, c: u64, o: u64) -> u64 {
     debug_assert!(o < 1 << 28);
     w << 44 | d << 40 | c << 28 | o
 }
 
 /// Inclusive key range of all orders of one customer.
-pub fn cust_order_range(w: u64, d: u64, c: u64) -> (u64, u64) {
+pub(crate) fn cust_order_range(w: u64, d: u64, c: u64) -> (u64, u64) {
     (cust_order(w, d, c, 0), cust_order(w, d, c, (1 << 28) - 1))
 }
 
 /// Customer-by-last-name index key.
-pub fn cust_name(w: u64, d: u64, last_hash16: u64, c: u64) -> u64 {
+pub(crate) fn cust_name(w: u64, d: u64, last_hash16: u64, c: u64) -> u64 {
     w << 44 | d << 40 | (last_hash16 & 0xFFFF) << 24 | c
 }
 
 /// Inclusive key range of all customers sharing a last name.
-pub fn cust_name_range(w: u64, d: u64, last_hash16: u64) -> (u64, u64) {
+pub(crate) fn cust_name_range(w: u64, d: u64, last_hash16: u64) -> (u64, u64) {
     (cust_name(w, d, last_hash16, 0), cust_name(w, d, last_hash16, (1 << 24) - 1))
 }
 

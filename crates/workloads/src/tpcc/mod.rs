@@ -42,7 +42,7 @@ fn read_row(
 }
 
 /// 16-bit mixing hash used for name indexing.
-pub fn hash16(x: u64) -> u64 {
+pub(crate) fn hash16(x: u64) -> u64 {
     drtm_memstore::hash64(x) & 0xFFFF
 }
 
@@ -128,7 +128,7 @@ pub mod val {
     /// order-line: `[i_id, supply_w, qty, amount_e2, delivery_ts]`.
     pub const ORDER_LINE: usize = 40;
     /// history: `[w, d, c, amount_e2, ts]`.
-    pub const HISTORY: usize = 40;
+    pub(crate) const HISTORY: usize = 40;
 }
 
 /// The initial database, one function per table: what [`Tpcc::build`]
@@ -154,7 +154,7 @@ pub mod seed {
 
     /// Customer `c`'s last-name id: clustered last names, like the spec's
     /// NURand.
-    pub fn last_name(c: u64) -> u64 {
+    pub(crate) fn last_name(c: u64) -> u64 {
         c % 97
     }
 

@@ -18,7 +18,7 @@ use drtm_rdma::rpc::{self, Service};
 use drtm_rdma::{Cluster, FabricError, NodeId, Qp, QueueId};
 
 /// Queue id of a machine's ordered-store scan service.
-pub const SCAN_RPC_QUEUE: QueueId = 0xFFDD;
+pub(crate) const SCAN_RPC_QUEUE: QueueId = 0xFFDD;
 
 /// Ships a range scan of `host`'s `tree` (its index in the host's
 /// registry) from `qp`'s machine and waits for at most `max` pairs;
@@ -27,7 +27,7 @@ pub const SCAN_RPC_QUEUE: QueueId = 0xFFDD;
 ///
 /// Wire: request `tree(2) lo(8) hi(8) max(4)`, reply `n(4) n × (key(8)
 /// value(8))`.
-pub fn remote_scan(
+pub(crate) fn remote_scan(
     qp: &Qp,
     host: NodeId,
     reply_q: QueueId,
@@ -49,7 +49,7 @@ pub fn remote_scan(
 /// Starts `host`'s scan service over `trees` (indexed by the wire `tree`
 /// field): each scan runs as its own validated HTM region on `exec`,
 /// until the returned [`Service`] is dropped.
-pub fn spawn_scan_service(
+pub(crate) fn spawn_scan_service(
     cluster: Arc<Cluster>,
     host: NodeId,
     trees: Vec<Arc<BTree>>,

@@ -10,6 +10,7 @@
 //! * [`calvin`] — the Calvin-style baseline used for comparison.
 //! * [`workloads`] — TPC-C, SmallBank and micro-benchmark generators.
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub use drtm_calvin as calvin;
 pub use drtm_core as txn;

@@ -2,14 +2,15 @@
 //! must surface the expected [`AbortCause`] in the trace subsystem, and
 //! the per-worker rings must survive wraparound and concurrent use.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::thread::Scope;
+use std::time::{Duration, Instant};
 
 use drtm::memstore::{ClusterHash, LookupResult};
 use drtm::rdma::{ClusterConfig, LatencyProfile, NodeId};
 use drtm::txn::{
-    record_ops, AbortCause, Deployment, DrTm, DrTmConfig, LocalKey, Phase, RecordAddr, TxnSpec,
-    SOFTTIME_INTERVAL,
+    record_ops, AbortCause, CauseSnapshot, Deployment, DrTm, DrTmConfig, LocalKey, Phase,
+    RecordAddr, TxnSpec, SOFTTIME_INTERVAL,
 };
 
 const VAL_CAP: usize = 16;
@@ -68,13 +69,36 @@ fn u(b: &[u8]) -> u64 {
     u64::from_le_bytes(b[..8].try_into().unwrap())
 }
 
-/// Holds a remote write lock on `rec` for `hold`, then releases it.
-fn hold_lock_then_release(f: &Fixture, holder: NodeId, rec: RecordAddr, hold: Duration) {
-    let qp = f.sys.cluster().qp(holder);
-    record_ops::remote_lock_write(&qp, &rec, holder as u8, f.now(holder), 100, false)
-        .expect("lock must be free");
-    std::thread::sleep(hold);
-    record_ops::remote_unlock(&qp, &rec, false).unwrap();
+/// How long a holder waits for the abort it exists to cause before it
+/// gives up: far past any host stall, short of a hung test.
+const BOUND: Duration = Duration::from_secs(10);
+
+/// Takes a remote write lock on `rec` for machine `holder` on a thread of
+/// `s`, and returns once the lock is held. The holder lets go once the
+/// fixture's cause counters satisfy `caused`; after [`BOUND`] without
+/// that, it lets go and fails the test.
+fn hold_lock<'s>(
+    s: &'s Scope<'s, '_>,
+    f: &'s Fixture,
+    holder: NodeId,
+    rec: RecordAddr,
+    caused: impl Fn(CauseSnapshot) -> bool + Send + 's,
+) {
+    let (held, locked) = mpsc::channel();
+    s.spawn(move || {
+        let qp = f.sys.cluster().qp(holder);
+        record_ops::remote_lock_write(&qp, &rec, holder as u8, f.now(holder), 100, false)
+            .expect("lock must be free");
+        held.send(()).unwrap();
+        let start = Instant::now();
+        while !caused(f.sys.trace().causes()) && start.elapsed() < BOUND {
+            std::thread::yield_now();
+        }
+        let causes = f.sys.trace().causes();
+        record_ops::remote_unlock(&qp, &rec, false).unwrap();
+        assert!(caused(causes), "not the abort expected within {BOUND:?}:\n{}", f.sys.trace_dump());
+    });
+    locked.recv().expect("the holder takes the lock");
 }
 
 // ---------------------------------------------------------------------
@@ -88,8 +112,7 @@ fn local_read_under_remote_lock_is_htm_locked() {
     let f = fixture(2, 2, DrTmConfig::default());
     let rec = f.rec(0, 0);
     std::thread::scope(|s| {
-        s.spawn(|| hold_lock_then_release(&f, 1, rec, Duration::from_millis(30)));
-        std::thread::sleep(Duration::from_millis(5));
+        hold_lock(s, &f, 1, rec, |c| c.get(AbortCause::HtmLocked) >= 1);
         let mut w = f.sys.worker(0, 0);
         let key = LocalKey { table: &f.tables[0], key: 0 };
         let mut spec = TxnSpec::default();
@@ -109,8 +132,7 @@ fn local_write_under_remote_lock_is_htm_locked() {
     let f = fixture(2, 2, DrTmConfig::default());
     let rec = f.rec(0, 1);
     std::thread::scope(|s| {
-        s.spawn(|| hold_lock_then_release(&f, 1, rec, Duration::from_millis(30)));
-        std::thread::sleep(Duration::from_millis(5));
+        hold_lock(s, &f, 1, rec, |c| c.get(AbortCause::HtmLocked) >= 1);
         let mut w = f.sys.worker(0, 0);
         let spec = TxnSpec { local_writes: vec![rec], ..Default::default() };
         w.execute(&spec, |ctx| ctx.local_write(0, &55u64.to_le_bytes())).unwrap();
@@ -152,8 +174,7 @@ fn start_lock_conflict_carries_owner() {
     let f = fixture(3, 2, DrTmConfig::default());
     let rec = f.rec(1, 3);
     std::thread::scope(|s| {
-        s.spawn(|| hold_lock_then_release(&f, 2, rec, Duration::from_millis(30)));
-        std::thread::sleep(Duration::from_millis(5));
+        hold_lock(s, &f, 2, rec, |c| c.get(AbortCause::StartWriteLocked { owner: 2 }) >= 1);
         let mut w = f.sys.worker(0, 0);
         let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
         w.execute(&spec, |ctx| {
@@ -207,8 +228,7 @@ fn start_read_blocked_by_lock_is_start_write_locked() {
     let f = fixture(3, 2, DrTmConfig::default());
     let rec = f.rec(1, 5);
     std::thread::scope(|s| {
-        s.spawn(|| hold_lock_then_release(&f, 2, rec, Duration::from_millis(30)));
-        std::thread::sleep(Duration::from_millis(5));
+        hold_lock(s, &f, 2, rec, |c| c.get(AbortCause::StartWriteLocked { owner: 2 }) >= 1);
         let mut w = f.sys.worker(0, 0);
         let spec = TxnSpec { remote_reads: vec![rec], ..Default::default() };
         let v = w.execute(&spec, |ctx| Ok(u(ctx.remote_read(0)))).unwrap();
@@ -280,8 +300,7 @@ fn fallback_waits_are_traced() {
     let f = fixture(2, 2, cfg);
     let rec = f.rec(1, 7);
     std::thread::scope(|s| {
-        s.spawn(|| hold_lock_then_release(&f, 1, rec, Duration::from_millis(30)));
-        std::thread::sleep(Duration::from_millis(5));
+        hold_lock(s, &f, 1, rec, |c| c.get(AbortCause::FallbackWait) >= 1);
         let mut w = f.sys.worker(0, 0);
         let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
         w.execute(&spec, |ctx| {
@@ -331,8 +350,8 @@ fn worker_ring_wraps_under_an_abort_storm() {
     let f = fixture(2, 2, cfg);
     let rec = f.rec(1, 2);
     std::thread::scope(|s| {
-        s.spawn(|| hold_lock_then_release(&f, 1, rec, Duration::from_millis(40)));
-        std::thread::sleep(Duration::from_millis(5));
+        // More aborts than the ring holds.
+        hold_lock(s, &f, 1, rec, |c| c.total() > 4);
         let mut w = f.sys.worker(0, 0);
         let spec = TxnSpec { remote_writes: vec![rec], ..Default::default() };
         w.execute(&spec, |ctx| {
